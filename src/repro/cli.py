@@ -230,11 +230,8 @@ def _resolve_shard_args(args: argparse.Namespace) -> tuple[int, str, int, int | 
     logic (including the ``$REPRO_*`` fallbacks), so the error wording lives
     in one place.
     """
-    from repro.shard.config import (
-        resolve_num_workers,
-        resolve_shard_backend,
-        resolve_vocab_shards,
-    )
+    from repro.config import resolve_num_workers, resolve_vocab_shards
+    from repro.shard.config import resolve_shard_backend
     from repro.utils.exceptions import ConfigurationError
 
     num_workers = resolve_num_workers(args.num_workers)
@@ -261,7 +258,7 @@ def _resolve_serve_args(args: argparse.Namespace) -> dict:
     Returns the resolved knob dict for ``serve-sim``; raises
     ``ConfigurationError`` (with the offending source named) on bad values.
     """
-    from repro.serve.config import (
+    from repro.config import (
         resolve_admission_policy,
         resolve_arrival_rate,
         resolve_drain_deadline,
@@ -287,7 +284,7 @@ def _resolve_replica_args(args: argparse.Namespace, duration: float) -> dict:
     traffic window lives here — today's knobs silently accepting bad combos
     is exactly the failure mode this closes.
     """
-    from repro.replica.config import (
+    from repro.config import (
         resolve_dispatch_policy,
         resolve_num_replicas,
         resolve_refit_at,
@@ -328,10 +325,11 @@ def _resolve_retrieval_args(args: argparse.Namespace):
     """Validate the retrieval flags; returns ``(spec, candidate_k, generator)``.
 
     ``generator`` is ``None`` for the exact (``none``) spec; the spec name
-    and shortlist size resolve through :mod:`repro.retrieval` so unknown
+    and shortlist size resolve through :mod:`repro.config` so unknown
     backends fail with the known-spec list before any model trains.
     """
-    from repro.retrieval import make_generator, resolve_retrieval_spec
+    from repro.config import resolve_retrieval_spec
+    from repro.retrieval import make_generator
     from repro.utils.exceptions import ConfigurationError
 
     spec = resolve_retrieval_spec(args.retrieval)
@@ -538,10 +536,14 @@ def _run_serve_sim_ab(args: argparse.Namespace, tenant_count: int) -> int:
     """
     import json
 
-    from repro.config import resolve_cohort_sessions, resolve_slo_p95
+    from repro.config import (
+        resolve_cohort_sessions,
+        resolve_heartbeat_interval,
+        resolve_slo_p95,
+        resolve_transport,
+    )
     from repro.core.beam import BeamSearchPlanner
     from repro.core.irn import IRN
-    from repro.distributed.config import resolve_heartbeat_interval, resolve_transport
     from repro.evaluation.evaluator import IRSEvaluator
     from repro.evaluation.protocol import sample_objectives
     from repro.perf.bench import build_bench_split, machine_info
@@ -607,36 +609,15 @@ def _run_serve_sim_ab(args: argparse.Namespace, tenant_count: int) -> int:
         return registry
 
     replicated = replication["num_replicas"] > 1 or transport == "process"
-    fleet_kwargs = dict(
-        max_queue_depth=serve["max_queue_depth"],
-        admission_policy=serve["admission_policy"],
-        drain_deadline=serve["drain_deadline"],
+    front_end = _build_front_end(
+        make_planner,
+        serve,
+        replication,
+        replicated=replicated,
+        transport=transport,
+        heartbeat_interval=heartbeat_interval,
+        tenant_factory=tenant_factory,
     )
-    if transport == "process":
-        from repro.distributed import RemoteReplicaSet
-
-        front_end = RemoteReplicaSet(
-            make_planner,
-            num_replicas=replication["num_replicas"],
-            dispatch_policy=replication["dispatch_policy"],
-            heartbeat_interval=heartbeat_interval,
-            tenant_factory=tenant_factory,
-            **fleet_kwargs,
-        )
-    elif replicated:
-        from repro.replica import ReplicaSet
-
-        front_end = ReplicaSet(
-            make_planner,
-            num_replicas=replication["num_replicas"],
-            dispatch_policy=replication["dispatch_policy"],
-            tenant_factory=tenant_factory,
-            **fleet_kwargs,
-        )
-    else:
-        from repro.serve import ServingLoop
-
-        front_end = ServingLoop(make_planner(), tenants=tenant_factory(), **fleet_kwargs)
 
     with front_end:
         ab_report = run_ab(
@@ -686,6 +667,61 @@ def _run_serve_sim_ab(args: argparse.Namespace, tenant_count: int) -> int:
     return 0
 
 
+def _build_front_end(
+    planner_factory,
+    serve: dict,
+    replication: dict,
+    *,
+    replicated: bool,
+    transport: str,
+    heartbeat_interval: float,
+    tracer=None,
+    tenant_factory=None,
+):
+    """The one place ``--transport`` / ``--replicas`` pick a serving front-end.
+
+    Not ``replicated``: a single :class:`~repro.serve.loop.ServingLoop` over
+    one ``planner_factory()`` planner.  Otherwise a fleet calling the
+    factory itself — a :class:`~repro.distributed.RemoteReplicaSet` under
+    ``transport == "process"`` (one forked worker per replica), the
+    in-process :class:`~repro.replica.ReplicaSet` if not.
+    """
+    kwargs = dict(
+        max_queue_depth=serve["max_queue_depth"],
+        admission_policy=serve["admission_policy"],
+        drain_deadline=serve["drain_deadline"],
+        tracer=tracer,
+    )
+    if not replicated:
+        from repro.serve import ServingLoop
+
+        tenants = None if tenant_factory is None else tenant_factory()
+        return ServingLoop(planner_factory(), tenants=tenants, **kwargs)
+    kwargs.update(
+        num_replicas=replication["num_replicas"],
+        dispatch_policy=replication["dispatch_policy"],
+        tenant_factory=tenant_factory,
+    )
+    if transport == "process":
+        from repro.distributed import RemoteReplicaSet
+
+        print(
+            f"spawning {replication['num_replicas']} worker process(es) "
+            f"over the binary transport...",
+            file=sys.stderr,
+        )
+        return RemoteReplicaSet(
+            planner_factory, heartbeat_interval=heartbeat_interval, **kwargs
+        )
+    from repro.replica import ReplicaSet
+
+    print(
+        f"training {replication['num_replicas']} replica backbone(s)...",
+        file=sys.stderr,
+    )
+    return ReplicaSet(planner_factory, **kwargs)
+
+
 def _run_serve_sim(args: argparse.Namespace) -> int:
     """The ``serve-sim`` artefact: synthetic traffic through the serving loop.
 
@@ -706,9 +742,12 @@ def _run_serve_sim(args: argparse.Namespace) -> int:
     from repro.evaluation.protocol import sample_objectives
     from repro.perf.bench import build_bench_split, machine_info
     from repro.perf.bench import bench_config as resolve_bench_config
-    from repro.serve import ServingLoop, run_open_loop
-
-    from repro.config import resolve_tenants
+    from repro.config import (
+        resolve_heartbeat_interval,
+        resolve_tenants,
+        resolve_transport,
+    )
+    from repro.serve import run_open_loop
 
     tenant_count = resolve_tenants(args.tenants)
     if tenant_count > 1:
@@ -718,8 +757,6 @@ def _run_serve_sim(args: argparse.Namespace) -> int:
     replication = _resolve_replica_args(args, serve["duration"])
     # Transport knobs validate eagerly (before any model trains), same as
     # every other serve-sim flag.
-    from repro.distributed.config import resolve_heartbeat_interval, resolve_transport
-
     transport = resolve_transport(args.transport)
     heartbeat_interval = resolve_heartbeat_interval(args.heartbeat_interval)
     if args.heartbeat_interval is not None and transport != "process":
@@ -774,83 +811,44 @@ def _run_serve_sim(args: argparse.Namespace) -> int:
         or replication["refit_at"] is not None
         or transport == "process"
     )
-    if replicated:
-        from repro.replica import ReplicaSet, run_replicated_open_loop
 
-        def planner_factory():
-            # One independently fitted backbone per replica (and per refit):
-            # deterministic config + seed, so every generation's weights are
-            # identical and routing stays bit-exact.  Under the process
-            # transport the factory runs ONCE per generation — fork hands
-            # every worker its copy and refits ship versioned artifacts.
-            return make_planner(IRN(**bench_config["irn"]).fit(split))
+    def planner_factory():
+        # One independently fitted backbone per call — per replica (and per
+        # refit) in-process: deterministic config + seed, so every
+        # generation's weights are identical and routing stays bit-exact.
+        # Under the process transport the factory runs ONCE per generation —
+        # fork hands every worker its copy and refits ship versioned
+        # artifacts.
+        return make_planner(IRN(**bench_config["irn"]).fit(split))
 
-        if transport == "process":
-            from repro.distributed import RemoteReplicaSet
+    front_end = _build_front_end(
+        planner_factory,
+        serve,
+        replication,
+        replicated=replicated,
+        transport=transport,
+        heartbeat_interval=heartbeat_interval,
+        tracer=tracer,
+    )
+    traffic = dict(
+        arrival_rate=serve["arrival_rate"],
+        duration=serve["duration"],
+        seed=args.seed,
+        max_length=bench_config["max_path_length"],
+    )
+    with front_end:
+        if replicated:
+            from repro.replica import run_replicated_open_loop
 
-            print(
-                f"spawning {replication['num_replicas']} worker process(es) "
-                f"over the binary transport...",
-                file=sys.stderr,
-            )
-            replica_set = RemoteReplicaSet(
-                planner_factory,
-                num_replicas=replication["num_replicas"],
-                max_queue_depth=serve["max_queue_depth"],
-                admission_policy=serve["admission_policy"],
-                drain_deadline=serve["drain_deadline"],
-                dispatch_policy=replication["dispatch_policy"],
-                tracer=tracer,
-                heartbeat_interval=heartbeat_interval,
+            report = run_replicated_open_loop(
+                front_end, contexts, refit_at=replication["refit_at"], **traffic
             )
         else:
-            print(
-                f"training {replication['num_replicas']} replica backbone(s)...",
-                file=sys.stderr,
-            )
-            replica_set = ReplicaSet(
-                planner_factory,
-                num_replicas=replication["num_replicas"],
-                max_queue_depth=serve["max_queue_depth"],
-                admission_policy=serve["admission_policy"],
-                drain_deadline=serve["drain_deadline"],
-                dispatch_policy=replication["dispatch_policy"],
-                tracer=tracer,
-            )
-        with replica_set:
-            report = run_replicated_open_loop(
-                replica_set,
-                contexts,
-                arrival_rate=serve["arrival_rate"],
-                duration=serve["duration"],
-                seed=args.seed,
-                max_length=bench_config["max_path_length"],
-                refit_at=replication["refit_at"],
-            )
-        planner = replica_set.planner
-        # Per-replica queue count (each replica's loop mirrors the planner's
-        # worker partition); the total across replicas is in "replication".
-        num_queues = planner.num_workers
-    else:
-        # The single-loop path is the only consumer of this backbone — the
-        # replicated branch's factory fits one per replica instead.
-        planner = make_planner(IRN(**bench_config["irn"]).fit(split))
-        with ServingLoop(
-            planner,
-            max_queue_depth=serve["max_queue_depth"],
-            admission_policy=serve["admission_policy"],
-            drain_deadline=serve["drain_deadline"],
-            tracer=tracer,
-        ) as loop:
-            report = run_open_loop(
-                loop,
-                contexts,
-                arrival_rate=serve["arrival_rate"],
-                duration=serve["duration"],
-                seed=args.seed,
-                max_length=bench_config["max_path_length"],
-            )
-        num_queues = loop.num_queues
+            report = run_open_loop(front_end, contexts, **traffic)
+    planner = front_end.planner
+    # Per-replica queue count (each replica's loop mirrors the planner's
+    # worker partition); the total across replicas is in "replication".
+    num_queues = planner.num_workers if replicated else front_end.num_queues
     report["machine"] = machine_info()
     report["sharding"] = {
         "num_workers": planner.num_workers,
@@ -862,7 +860,7 @@ def _run_serve_sim(args: argparse.Namespace) -> int:
     report["transport"] = {"kind": transport}
     if transport == "process":
         report["transport"]["heartbeat_interval"] = heartbeat_interval
-        report["transport"].update(replica_set.stats()["transport"])
+        report["transport"].update(front_end.stats()["transport"])
     report["retrieval"] = {"spec": retrieval_spec, "candidate_k": candidate_k}
     if generator is not None and hasattr(planner, "cache_info"):
         # Worker-process planners keep their caches remote; the proxy has
@@ -956,8 +954,8 @@ def _drive_traced_workload(args: argparse.Namespace, sample_rate: "float | None"
     from repro.obs import Tracer
     from repro.perf.bench import build_bench_split
     from repro.perf.bench import bench_config as resolve_bench_config
+    from repro.config import resolve_arrival_rate
     from repro.serve import ServingLoop, run_open_loop
-    from repro.serve.config import resolve_arrival_rate
 
     num_workers, backend, vocab_shards, _ = _resolve_shard_args(args)
     bench_config = resolve_bench_config(_resolve_bench_profile(args.profile))

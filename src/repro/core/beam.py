@@ -81,12 +81,12 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from repro.config import resolve_vocab_shards
 from repro.core.base import InfluentialRecommender, influential_registry
 from repro.core.influence_path import mask_session_items
 from repro.data.splitting import DatasetSplit
 from repro.obs.registry import MetricGroup, get_registry
 from repro.obs.trace import current_sink, use_sink
-from repro.shard.config import resolve_vocab_shards
 from repro.shard.executor import ShardedExecutor
 from repro.shard.plancache import make_plan_cache
 from repro.shard.topk import sharded_topk

@@ -1,20 +1,26 @@
 """Multi-process serving: forked replica workers behind a binary wire protocol.
 
-The package splits the in-process :class:`~repro.replica.set.ReplicaSet`
-across OS processes while keeping its exact surface:
+The package puts the members of a :class:`~repro.replica.set.ReplicaSet`
+in separate OS processes.  The fleet itself — lifecycle, generation
+double-buffer, dispatch loop, admission, ``stats()`` and the refit
+skeleton — is the in-process one, inherited; this package holds only what
+the process boundary needs:
 
 * :mod:`repro.distributed.wire` — length-prefixed binary codec for request/
   response/heartbeat frames (struct-packed hot path, JSON control plane).
 * :mod:`repro.distributed.worker` — the forked worker process: a full
   :class:`~repro.serve.loop.ServingLoop` behind an ``AF_UNIX`` socketpair.
-* :mod:`repro.distributed.remote` — the parent front-end
-  (:class:`RemoteReplicaSet`), heartbeat-fed dispatch, the failure
-  detector and the artifact-shipping refit coordinator.
+* :mod:`repro.distributed.remote` — the parent side:
+  :class:`RemoteReplicaSet` (spawn/HELLO, the per-worker reader, pending
+  tables, the failure detector and zero-drop re-dispatch, tenant
+  placement, artifact installs) and :class:`RemoteReplica`, the member
+  verbs over the wire.
 * :mod:`repro.distributed.artifacts` — the ``(name, generation)``-versioned
   artifact registry refits publish to and workers install from.
-* :mod:`repro.distributed.config` — transport knobs
-  (``REPRO_TRANSPORT`` / ``REPRO_HEARTBEAT_INTERVAL`` /
-  ``REPRO_HEARTBEAT_MISSES`` / ``REPRO_PROBATION_BEATS``).
+
+The transport knobs (``REPRO_TRANSPORT`` / ``REPRO_HEARTBEAT_INTERVAL`` /
+``REPRO_HEARTBEAT_MISSES`` / ``REPRO_PROBATION_BEATS``) are rows of
+:mod:`repro.config`.
 """
 
 from repro.distributed.artifacts import (
@@ -22,32 +28,15 @@ from repro.distributed.artifacts import (
     ArtifactRegistry,
     artifacts_from_planner,
 )
-from repro.distributed.config import (
-    VALID_TRANSPORTS,
-    resolve_heartbeat_interval,
-    resolve_heartbeat_misses,
-    resolve_probation_beats,
-    resolve_transport,
-)
-from repro.distributed.remote import (
-    RemoteRefitCoordinator,
-    RemoteReplica,
-    RemoteReplicaSet,
-)
+from repro.distributed.remote import RemoteReplica, RemoteReplicaSet
 from repro.distributed.worker import ReplicaWorker, spawn_worker
 
 __all__ = [
     "Artifact",
     "ArtifactRegistry",
-    "RemoteRefitCoordinator",
     "RemoteReplica",
     "RemoteReplicaSet",
     "ReplicaWorker",
-    "VALID_TRANSPORTS",
     "artifacts_from_planner",
-    "resolve_heartbeat_interval",
-    "resolve_heartbeat_misses",
-    "resolve_probation_beats",
-    "resolve_transport",
     "spawn_worker",
 ]

@@ -1,14 +1,17 @@
-"""Multi-process replica serving behind the in-process ``ReplicaSet`` surface.
+"""Multi-process replica serving: the ``ReplicaSet`` fleet over a process boundary.
 
-:class:`RemoteReplicaSet` keeps the exact submission surface of
-:class:`~repro.replica.set.ReplicaSet` (``submit`` / ``submit_next_step`` /
-``submit_plan_paths`` / ``enqueue`` / ``stats`` / ``refit`` / context
-manager), so every traffic driver — ``replay_lockstep``,
-``run_open_loop``, ``run_replicated_open_loop`` — runs against it
-unchanged.  Behind the surface each replica is a forked
-:class:`~repro.distributed.worker.ReplicaWorker` *process* (its own GIL,
-plan-cache shards and K/V arenas) reached over an ``AF_UNIX`` socketpair
-speaking the :mod:`repro.distributed.wire` protocol.
+:class:`RemoteReplicaSet` IS a :class:`~repro.replica.set.ReplicaSet` —
+lifecycle, the generation double-buffer, the dispatch loop, fleet
+admission, the ``stats()`` roll-up and the refit skeleton
+(:class:`~repro.replica.refit.RefitCoordinator`) are inherited, so every
+traffic driver — ``replay_lockstep``, ``run_open_loop``,
+``run_replicated_open_loop`` — runs against it unchanged.  What this
+module adds is only what the process boundary needs: each member is a
+forked :class:`~repro.distributed.worker.ReplicaWorker` *process* (its own
+GIL, plan-cache shards and K/V arenas) reached over an ``AF_UNIX``
+socketpair speaking the :mod:`repro.distributed.wire` protocol, seen from
+the parent as a :class:`RemoteReplica` (the member verbs of
+:class:`~repro.replica.replica.Replica` over the wire).
 
 What replaces the shared-memory signals of the in-process set:
 
@@ -27,14 +30,14 @@ What replaces the shared-memory signals of the in-process set:
   dropped — and duplicate late answers are discarded by the pending-table
   discipline.  A suspected worker that resumes heartbeating rejoins after
   ``probation_beats`` consecutive beats (dead workers never rejoin).
-* **A versioned-artifact refit** — :class:`RemoteRefitCoordinator` trains
-  the next generation off-path in the parent, publishes its model weights
-  and retrieval-generator state to the :class:`ArtifactRegistry` keyed by
-  ``(name, generation)``, forks standby workers, ships and verifies the
-  artifacts over INSTALL_ARTIFACT frames (checksummed; the wire copy is
-  authoritatively loaded into each standby's backbone), then performs the
-  same atomic dispatcher flip and zero-drop drain-dry retirement as the
-  in-process coordinator.
+* **A versioned-artifact refit** — building a standby generation
+  (:meth:`RemoteReplicaSet._build_generation`) trains it off-path in the
+  parent, publishes its model weights and retrieval-generator state to the
+  :class:`ArtifactRegistry` keyed by ``(name, generation)``, forks standby
+  workers, and ships and verifies the artifacts over INSTALL_ARTIFACT
+  frames (checksummed; the wire copy is authoritatively loaded into each
+  standby's backbone); the shared coordinator then performs the same
+  atomic dispatcher flip and zero-drop drain-dry retirement as in-process.
 
 Clock discipline (the cross-process timestamp fix): the parent stamps
 ``enqueued_at`` at send time and ``completed_at`` at response receipt —
@@ -59,27 +62,26 @@ import time
 from concurrent.futures import Future
 from typing import Callable, Sequence
 
-from repro.distributed import wire
-from repro.distributed.artifacts import ArtifactRegistry, artifacts_from_planner
-from repro.distributed.config import (
+from repro.config import (
     resolve_heartbeat_interval,
     resolve_heartbeat_misses,
+    resolve_num_replicas,
     resolve_probation_beats,
 )
+from repro.distributed import wire
+from repro.distributed.artifacts import ArtifactRegistry, artifacts_from_planner
 from repro.distributed.wire import FrameType
 from repro.distributed.worker import HELLO_TIMEOUT, ReplicaWorker, spawn_worker
 from repro.obs.registry import MetricGroup, get_registry
-from repro.obs.trace import NULL_TRACER
-from repro.replica.config import resolve_num_replicas
 from repro.replica.dispatch import Dispatcher
 from repro.replica.replica import LATENCY_WEIGHT, MIN_WARM_SAMPLES
-from repro.serve.admission import AdmissionController
-from repro.serve.api import Response, TypedServingSurface, warn_positional_submit
+from repro.replica.set import ReplicaSet
+from repro.serve.api import Response
 from repro.serve.request import ServeRequest
 from repro.shard.config import fork_available
 from repro.utils.exceptions import ConfigurationError, ServingError
 
-__all__ = ["RemoteReplica", "RemoteReplicaSet", "RemoteRefitCoordinator"]
+__all__ = ["RemoteReplica", "RemoteReplicaSet"]
 
 logger = logging.getLogger(__name__)
 
@@ -88,9 +90,6 @@ logger = logging.getLogger(__name__)
 STATS_TIMEOUT = 5.0
 #: Seconds to wait for an artifact-install ACK during a refit.
 ARTIFACT_TIMEOUT = 60.0
-#: Seconds a graceful retirement waits for a draining worker's pending
-#: table to empty before re-dispatching the leftovers.
-DRAIN_TIMEOUT = 30.0
 
 
 class _PlannerProxy:
@@ -105,39 +104,31 @@ class _PlannerProxy:
         self.name = hello.get("planner", "remote")
 
 
-class _RemoteAdmission:
-    """Fleet admission view over the workers' controllers (duck-types
-    ``describe``/``counters`` like the in-process ``_FleetAdmission``)."""
-
-    def __init__(self, remote_set: "RemoteReplicaSet", template: AdmissionController) -> None:
-        self._set = remote_set
-        self._template = template
-
-    def describe(self) -> dict:
-        return self._template.describe()
-
-    def counters(self) -> dict:
-        return self._set._admission_counters()
-
-
 class RemoteReplica:
     """Parent-side view of one worker: pending table + heartbeat signals.
 
-    Duck-types the :class:`~repro.replica.replica.Replica` surface the
-    :class:`~repro.replica.dispatch.Dispatcher` scores and routes by —
-    fed by HEARTBEAT frames instead of shared-memory counters.
+    Implements the :class:`~repro.replica.replica.Replica` surface the
+    fleet core drives and the :class:`~repro.replica.dispatch.Dispatcher`
+    scores and routes by — fed by HEARTBEAT frames instead of
+    shared-memory counters.  ``metrics`` is the owning set's transport
+    counter group (``requests_sent`` / ``bytes_sent`` are counted where the
+    bytes are written).
     """
 
-    def __init__(self, worker: ReplicaWorker, slot: "int | None" = None) -> None:
+    def __init__(self, worker: ReplicaWorker, slot: int, metrics: MetricGroup) -> None:
         self.worker = worker
         self.index = worker.index
         self.generation = worker.generation
         #: Stable fleet slot (0..num_replicas-1), preserved across refits —
         #: tenant placement maps tenants to slots, not to worker indices
         #: (which grow monotonically as generations are spawned).
-        self.slot = slot if slot is not None else worker.index
+        self.slot = slot
         self.spawned_at = time.perf_counter()
+        self._metrics = metrics
         self._lock = threading.Lock()
+        #: Request ids only have to be unique per worker: they key THIS
+        #: pending table and come back in this worker's response rows.
+        self._request_ids = itertools.count(1)
         self._pending: "dict[int, ServeRequest]" = {}
         self._dead = False
         self._suspected = False
@@ -148,8 +139,13 @@ class RemoteReplica:
         self._hb: "wire.HeartbeatRecord | None" = None
         self._dispatched = 0
         self._completed = 0
+        #: Set by the reader on HELLO — and on EOF, so a worker that dies
+        #: during start-up fails the wait at once (``hello`` stays ``None``).
         self.hello_event = threading.Event()
         self.hello: "dict | None" = None
+        #: The parent thread reading this worker's socket; the owning set
+        #: starts it right after construction.
+        self.reader: threading.Thread
         self._stats_serial = threading.Lock()
         self._stats_event = threading.Event()
         self._stats_cache: "dict | None" = None
@@ -185,11 +181,85 @@ class RemoteReplica:
         with self._lock:
             self._completed += 1
 
-    # ----------------------------- pending table ----------------------- #
-    def register(self, request_id: int, request: ServeRequest) -> None:
+    # ----------------------------- member verbs ------------------------ #
+    @property
+    def planner(self) -> _PlannerProxy:
+        """Driver-facing planner attributes, served from the worker's HELLO
+        (the planner object itself lives in the worker process)."""
+        return _PlannerProxy(self.hello)
+
+    def start(self) -> None:
+        """No-op: a worker's drain threads are live from the fork."""
+
+    def accept(self, request: ServeRequest) -> None:
+        """Ship one dispatched request to the worker.
+
+        The pending-table registration happens BEFORE the send so a fast
+        response can never race its own bookkeeping; a send failure
+        unregisters and raises — the request was never accepted anywhere,
+        so no duplicate can exist.
+        """
+        request_id = next(self._request_ids)
         with self._lock:
             self._pending[request_id] = request
+        # Parent-clock admission stamp (the satellite-1 fix): paired with
+        # the parent-clock completed_at the reader writes.
+        request.enqueued_at = time.perf_counter()
+        try:
+            sent = wire.send_frame(
+                self.worker.sock,
+                FrameType.REQUEST_BATCH,
+                wire.encode_request_batch([(request_id, request)]),
+                lock=self.worker.send_lock,
+            )
+        except (OSError, ServingError):
+            self.unregister(request_id)
+            raise
+        self._metrics.record(add={"requests_sent": 1, "bytes_sent": sent})
+        if request.trace is not None:
+            request.trace.span(
+                "admission", request.enqueued_at, time.perf_counter(), replica=self.index
+            )
 
+    def pending_count(self) -> int:
+        with self._lock:
+            return len(self._pending)
+
+    def loop_stats(self) -> "dict | None":
+        """The worker loop's ``stats()`` (one STATS round-trip; the last
+        cached report once the worker is gone, ``None`` if it never sent
+        one)."""
+        report = self.fetch_stats()
+        return None if report is None else report.get("loop")
+
+    def begin_retire(self) -> None:
+        """Leave dispatch and ask the worker to drain dry and exit."""
+        with self._lock:
+            self._retiring = True
+        if not self.dead:
+            try:
+                self.send_control(FrameType.SHUTDOWN)
+            except OSError:
+                pass
+
+    def retire(self, deadline: float) -> "list[ServeRequest]":
+        """Wait (until ``deadline``) for the worker to answer what it holds
+        and exit; release the process, socket and reader thread.  Returns
+        the requests it failed to answer."""
+        while (
+            self.pending_count() and not self.dead and time.perf_counter() < deadline
+        ):
+            time.sleep(0.002)
+        self.worker.join(timeout=max(deadline - time.perf_counter(), 0.1))
+        if self.worker.alive():  # hung past the drain budget: reclaim it
+            self.worker.kill()
+            self.worker.join(timeout=5.0)
+        leftovers = self.drain_pending()
+        self.worker.close()
+        self.reader.join(timeout=5.0)
+        return leftovers
+
+    # ----------------------------- pending table ----------------------- #
     def unregister(self, request_id: int) -> "ServeRequest | None":
         with self._lock:
             return self._pending.pop(request_id, None)
@@ -200,10 +270,6 @@ class RemoteReplica:
             pending = list(self._pending.values())
             self._pending.clear()
         return pending
-
-    def pending_count(self) -> int:
-        with self._lock:
-            return len(self._pending)
 
     # ----------------------------- health transitions ------------------ #
     def mark_dead(self) -> bool:
@@ -222,10 +288,6 @@ class RemoteReplica:
             self._suspected = True
             self._probation = 0
             return True
-
-    def mark_retiring(self) -> None:
-        with self._lock:
-            self._retiring = True
 
     @property
     def dead(self) -> bool:
@@ -263,14 +325,6 @@ class RemoteReplica:
         return now - (last if last is not None else self.spawned_at)
 
     # ----------------------------- transport helpers ------------------- #
-    def send_requests(self, entries: "list[tuple[int, ServeRequest]]") -> int:
-        return wire.send_frame(
-            self.worker.sock,
-            FrameType.REQUEST_BATCH,
-            wire.encode_request_batch(entries),
-            lock=self.worker.send_lock,
-        )
-
     def send_control(self, frame_type: int, payload: bytes = b"") -> None:
         wire.send_frame(
             self.worker.sock, frame_type, payload, lock=self.worker.send_lock
@@ -296,7 +350,7 @@ class RemoteReplica:
 
     # ------------------------------------------------------------------ #
     def stats(self) -> dict:
-        now = time.perf_counter()
+        age_ms = 1000.0 * self.heartbeat_age(time.perf_counter())
         with self._lock:
             hb = self._hb
             snapshot = {
@@ -311,18 +365,7 @@ class RemoteReplica:
                 "completed": self._completed,
                 "pending": len(self._pending),
                 "heartbeats": self._heartbeats,
-                "last_heartbeat_age_ms": round(
-                    1000.0
-                    * (
-                        now
-                        - (
-                            self._last_heartbeat_at
-                            if self._last_heartbeat_at is not None
-                            else self.spawned_at
-                        )
-                    ),
-                    3,
-                ),
+                "last_heartbeat_age_ms": round(age_ms, 3),
             }
         snapshot["inflight"] = hb.inflight if hb else 0
         snapshot["ewma_depth"] = round(hb.ewma_depth, 3) if hb else 0.0
@@ -332,8 +375,8 @@ class RemoteReplica:
         return snapshot
 
 
-class RemoteReplicaSet(TypedServingSurface):
-    """N worker *processes* behind the ``ReplicaSet``/``Dispatcher`` surface.
+class RemoteReplicaSet(ReplicaSet):
+    """N worker *processes* as the members of a ``ReplicaSet``.
 
     Parameters mirror :class:`~repro.replica.set.ReplicaSet` plus the
     transport knobs (``heartbeat_interval`` / ``heartbeat_misses`` /
@@ -355,8 +398,6 @@ class RemoteReplicaSet(TypedServingSurface):
     the whole fleet.
     """
 
-    _MAX_DISPATCH_ATTEMPTS = 8
-
     def __init__(
         self,
         planner_factory: "Callable[[], object]",
@@ -373,57 +414,22 @@ class RemoteReplicaSet(TypedServingSurface):
         tenant_factory: "Callable[[], object] | None" = None,
         tenant_placement: "dict | None" = None,
     ) -> None:
-        if not callable(planner_factory):
-            raise ConfigurationError(
-                "RemoteReplicaSet needs a zero-arg planner_factory returning a "
-                "fitted planner (deployed to every worker via fork + artifacts)"
-            )
         if not fork_available():
             raise ConfigurationError(
                 "the process transport needs the 'fork' start method (fitted "
                 "planners are shipped to workers by copy-on-write); use the "
                 "in-process ReplicaSet on this platform"
             )
-        self._factory = planner_factory
-        self.num_replicas = resolve_num_replicas(num_replicas)
-        if tenant_factory is not None and not callable(tenant_factory):
-            raise ConfigurationError(
-                "tenant_factory must be a zero-arg callable returning a "
-                "TenantRegistry (it runs inside each forked worker)"
-            )
-        self._tenant_factory = tenant_factory
-        self.tenant_placement = self._validate_placement(tenant_placement)
+        num_replicas = resolve_num_replicas(num_replicas)
+        self.tenant_placement = _validate_placement(tenant_placement, num_replicas)
         #: Per-tenant dispatchers over the tenant's placed slots; rebuilt on
-        #: every fleet change (spawn, flip).  Tenants without placement are
-        #: absent and fall through to the fleet-wide dispatcher.
+        #: every fleet change (first deploy, flip).  Tenants without
+        #: placement are absent and fall through to the fleet dispatcher.
         self._tenant_dispatchers: "dict[str, Dispatcher]" = {}
-        self._dispatch_policy = dispatch_policy
         self.heartbeat_interval = resolve_heartbeat_interval(heartbeat_interval)
         self.heartbeat_misses = resolve_heartbeat_misses(heartbeat_misses)
         self.probation_beats = resolve_probation_beats(probation_beats)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._loop_kwargs = dict(
-            num_queues=num_queues,
-            max_queue_depth=max_queue_depth,
-            admission_policy=admission_policy,
-            drain_deadline=drain_deadline,
-        )
-        self._admission_template = AdmissionController(
-            max_queue_depth=max_queue_depth,
-            policy=admission_policy,
-            drain_deadline=drain_deadline,
-        )
-        self.admission = _RemoteAdmission(self, self._admission_template)
         self.registry = ArtifactRegistry()
-        self._flip_lock = threading.Lock()
-        self._state_lock = threading.Lock()
-        self._started = False
-        self._closed = False
-        self._generation = 1
-        self._next_worker_index = 0
-        self._request_ids = itertools.count(1)
-        self._reader_threads: "dict[int, threading.Thread]" = {}
-        self._retired_snapshots: "list[dict]" = []
         registry = get_registry()
         self._metrics = MetricGroup(
             registry,
@@ -440,31 +446,19 @@ class RemoteReplicaSet(TypedServingSurface):
                 "bytes_sent",
             ),
         )
-        # Lists and dispatcher must exist BEFORE the first fork: each
-        # spawned worker's reader thread may touch them immediately (a
-        # worker that dies at startup reaches _on_worker_eof right away).
-        self._active: "list[RemoteReplica]" = []
-        self._retiring: "list[RemoteReplica]" = []
-        self.dispatcher = Dispatcher([], policy=dispatch_policy)
-        self.refit_coordinator = RemoteRefitCoordinator(self)
-        # Train the first generation once and deploy it to every worker by
-        # fork; its artifacts are versioned from the start so the registry
-        # answers "what does generation 1 serve?" from day one.
-        planner = self._factory()
-        if not hasattr(planner, "plan_for_requests"):
-            raise ConfigurationError(
-                "planner_factory must return a planner with plan_for_requests() "
-                f"(got {type(planner).__name__})"
-            )
-        for artifact in artifacts_from_planner(planner, self._generation):
-            self.registry.publish(artifact)
-        for slot in range(self.num_replicas):
-            replica = self._spawn_replica(planner, self._generation, slot=slot)
-            with self._flip_lock:
-                self._active.append(replica)
-        self.dispatcher.reset(self._active)
-        self._rebuild_tenant_dispatchers(self._active)
-        self._await_hellos(self._active)
+        # The base constructor deploys generation 1 through
+        # _build_generation below: everything it touches is set above.
+        super().__init__(
+            planner_factory,
+            num_replicas=num_replicas,
+            num_queues=num_queues,
+            max_queue_depth=max_queue_depth,
+            admission_policy=admission_policy,
+            drain_deadline=drain_deadline,
+            dispatch_policy=dispatch_policy,
+            tracer=tracer,
+            tenant_factory=tenant_factory,
+        )
         self._detector_stop = threading.Event()
         self._detector = threading.Thread(
             target=self._failure_detector, name="repro-failure-detector", daemon=True
@@ -472,46 +466,137 @@ class RemoteReplicaSet(TypedServingSurface):
         self._detector.start()
 
     # ------------------------------------------------------------------ #
-    # Worker lifecycle
+    # Building a generation: train once, fork N, install artifacts
     # ------------------------------------------------------------------ #
-    def _validate_placement(self, placement: "dict | None") -> "dict | None":
-        if placement is None:
-            return None
-        validated: "dict[str, tuple[int, ...]]" = {}
-        for tenant, slots in placement.items():
-            if not isinstance(tenant, str) or not tenant:
-                raise ConfigurationError(
-                    f"tenant placement keys must be tenant ids, got {tenant!r}"
+    def _build_generation(
+        self, generation: int, tenants: "Sequence[str] | None" = None
+    ) -> "tuple[list[RemoteReplica], dict]":
+        """Train ``generation`` once in the parent, version its artifacts,
+        fork one standby worker per slot and install the artifacts on them.
+
+        Generation 1 reaches its workers by fork alone; every later one is
+        also installed from the registry over the wire, checksummed — the
+        wire copy is authoritative.  With ``tenants`` given (and a tenant
+        placement configured), the installs are *scoped*: only the workers
+        on those tenants' placed slots receive INSTALL frames — a tenant's
+        refit never ships bytes to its neighbours' workers.  Every slot
+        still forks a standby (the fleet flips as one), so unscoped slots
+        simply come up from the factory planner without a wire install.
+        Any failure shuts down every worker spawned so far.
+        """
+        if tenants is not None:
+            placement = self.tenant_placement or {}
+            unknown = [name for name in tenants if name not in placement]
+            if unknown:
+                raise ServingError(
+                    f"cannot scope refit to unplaced tenant(s) {unknown}; "
+                    f"placed tenants: {sorted(placement)}"
                 )
-            slot_tuple = tuple(int(slot) for slot in slots)
-            if not slot_tuple:
-                raise ConfigurationError(
-                    f"tenant {tenant!r} placement must name at least one fleet slot"
-                )
-            for slot in slot_tuple:
-                if not 0 <= slot < self.num_replicas:
-                    raise ConfigurationError(
-                        f"tenant {tenant!r} placement slot {slot} is outside the "
-                        f"fleet (0..{self.num_replicas - 1})"
+        planner = self._make_planner()
+        artifacts = artifacts_from_planner(planner, generation)
+        for artifact in artifacts:
+            self.registry.publish(artifact)
+        members: "list[RemoteReplica]" = []
+        try:
+            for slot in range(self.num_replicas):
+                members.append(self._spawn_replica(planner, generation, slot, members))
+            for replica in members:
+                if not replica.hello_event.wait(HELLO_TIMEOUT):
+                    raise ServingError(
+                        f"worker {replica.index} sent no HELLO within {HELLO_TIMEOUT:.0f}s"
                     )
-            validated[tenant] = slot_tuple
-        return validated
+                if replica.hello is None:  # the reader hit EOF first
+                    raise ServingError(
+                        f"worker {replica.index} died before sending HELLO "
+                        "(start-up failed)"
+                    )
+            install_targets = (
+                self._replicas_for_tenants(members, tenants) if generation > 1 else []
+            )
+            for replica in install_targets:
+                for artifact in artifacts:
+                    self._install(replica, artifact)
+        except BaseException:
+            self._retire(members)
+            raise
+        return members, {
+            "artifacts": [artifact.meta() for artifact in artifacts],
+            "installed_slots": sorted(replica.slot for replica in install_targets),
+            **({"tenants": sorted(tenants)} if tenants is not None else {}),
+        }
 
-    def _rebuild_tenant_dispatchers(self, active: "list[RemoteReplica]") -> None:
-        """One dispatcher per placed tenant, over its slots' live workers."""
-        if not self.tenant_placement:
-            return
-        by_slot = {replica.slot: replica for replica in active}
-        dispatchers: "dict[str, Dispatcher]" = {}
-        for tenant, slots in self.tenant_placement.items():
-            members = [by_slot[slot] for slot in slots if slot in by_slot]
-            dispatchers[tenant] = Dispatcher(members, policy=self._dispatch_policy)
-        self._tenant_dispatchers = dispatchers
+    def _spawn_replica(
+        self, planner, generation: int, slot: int, siblings: "list[RemoteReplica]"
+    ) -> RemoteReplica:
+        index = next(self._member_indices)
+        worker = spawn_worker(
+            planner,
+            index,
+            generation,
+            loop_kwargs=self._loop_kwargs,
+            heartbeat_interval=self.heartbeat_interval,
+            # Every parent-side socket the child would otherwise inherit:
+            # the live fleet's and this generation's earlier forks'.
+            inherited_fds=[
+                replica.worker.sock.fileno()
+                for replica in self.all_replicas() + siblings
+                if not replica.dead
+            ],
+            tenant_factory=self._tenant_factory,
+        )
+        replica = RemoteReplica(worker, slot, self._metrics)
+        replica.reader = threading.Thread(
+            target=self._reader_loop,
+            args=(replica,),
+            name=f"repro-remote-reader-{index}",
+            daemon=True,
+        )
+        replica.reader.start()
+        return replica
 
-    def _forget_everywhere(self, replica: RemoteReplica) -> None:
+    def _install(self, replica: RemoteReplica, artifact) -> None:
+        meta = wire.encode_json(artifact.meta())
+        payload = wire._COUNT.pack(len(meta)) + meta + artifact.payload
+        replica.send_control(FrameType.INSTALL_ARTIFACT, payload)
+        try:
+            ack = replica.ack_queue.get(timeout=ARTIFACT_TIMEOUT)
+        except queue.Empty:
+            raise ServingError(
+                f"worker {replica.index} did not acknowledge artifact "
+                f"{artifact.name!r} within {ARTIFACT_TIMEOUT:.0f}s"
+            ) from None
+        if not ack.get("ok"):
+            raise ServingError(
+                f"worker {replica.index} rejected artifact {artifact.name!r}: "
+                f"{ack.get('error')}"
+            )
+        if ack.get("sha256") != artifact.sha256:
+            raise ServingError(
+                f"worker {replica.index} installed artifact {artifact.name!r} "
+                "with a mismatched checksum"
+            )
+
+    # ------------------------------------------------------------------ #
+    # Tenant placement
+    # ------------------------------------------------------------------ #
+    def _reset_dispatch(self, members: "list[RemoteReplica]") -> None:
+        """Fleet dispatcher plus one dispatcher per placed tenant, over its
+        slots' workers."""
+        super()._reset_dispatch(members)
+        if self.tenant_placement:
+            by_slot = {replica.slot: replica for replica in members}
+            self._tenant_dispatchers = {
+                tenant: Dispatcher(
+                    [by_slot[slot] for slot in slots if slot in by_slot],
+                    policy=self.dispatcher.policy,
+                )
+                for tenant, slots in self.tenant_placement.items()
+            }
+
+    def _forget(self, replica: RemoteReplica) -> None:
         """Drop a failed worker from the fleet dispatcher AND every tenant
         dispatcher it was placed in."""
-        self.dispatcher.forget(replica)
+        super()._forget(replica)
         for dispatcher in self._tenant_dispatchers.values():
             dispatcher.forget(replica)
 
@@ -526,49 +611,6 @@ class RemoteReplicaSet(TypedServingSurface):
         for tenant in tenants:
             slots.update(self.tenant_placement.get(tenant, ()))
         return [replica for replica in replicas if replica.slot in slots]
-
-    def _spawn_replica(
-        self, planner, generation: int, slot: "int | None" = None
-    ) -> RemoteReplica:
-        with self._state_lock:
-            index = self._next_worker_index
-            self._next_worker_index += 1
-        inherited = [
-            replica.worker.sock.fileno()
-            for replica in self._known_replicas()
-            if not replica.dead
-        ]
-        worker = spawn_worker(
-            planner,
-            index,
-            generation,
-            loop_kwargs=self._loop_kwargs,
-            heartbeat_interval=self.heartbeat_interval,
-            inherited_fds=inherited,
-            tenant_factory=self._tenant_factory,
-        )
-        replica = RemoteReplica(worker, slot=slot)
-        thread = threading.Thread(
-            target=self._reader_loop,
-            args=(replica,),
-            name=f"repro-remote-reader-{index}",
-            daemon=True,
-        )
-        self._reader_threads[index] = thread
-        thread.start()
-        return replica
-
-    def _known_replicas(self) -> "list[RemoteReplica]":
-        with self._flip_lock:
-            return list(self._active) + list(self._retiring)
-
-    def _await_hellos(self, replicas: "list[RemoteReplica]") -> None:
-        for replica in replicas:
-            if not replica.hello_event.wait(HELLO_TIMEOUT):
-                raise ServingError(
-                    f"worker {replica.index} sent no HELLO within "
-                    f"{HELLO_TIMEOUT:.0f}s (startup failed?)"
-                )
 
     # ------------------------------------------------------------------ #
     # Reader: everything a worker says arrives here
@@ -618,43 +660,42 @@ class RemoteReplicaSet(TypedServingSurface):
         # parent-clock instants and can never go negative, however far the
         # worker's perf_counter epoch sits from ours (the satellite-1 fix).
         done = time.perf_counter()
-        if record.ok:
-            drain_start = Response.stamp(
-                request,
-                completed_at=done,
-                served_generation=record.served_generation,
-                batch_tag=record.batch_tag,
-                replica_index=replica.index,
-                remote_queue_wait_s=record.queue_wait_s,
-                remote_service_s=record.service_s,
-            )
-            trace = request.trace
+        trace = request.trace
+        if not record.ok:
+            Response.stamp(request, completed_at=done, replica_index=replica.index)
             if trace is not None:
-                # The worker-measured durations are re-based onto the parent
-                # clock by ``Response.stamp`` (anchored at response receipt):
-                # spans cross the wire as duration fields, never timestamps.
-                trace.span(
-                    "remote.queue.wait",
-                    drain_start - record.queue_wait_s,
-                    drain_start,
-                    replica=replica.index,
-                )
-                trace.span(
-                    "remote.serve.drain",
-                    drain_start,
-                    done,
-                    replica=replica.index,
-                    batch_tag=record.batch_tag,
-                    served_generation=record.served_generation,
-                )
                 self.tracer.finish(trace)
-            request.future.set_result(record.answer)
-        else:
-            request.completed_at = done
-            request.replica_index = replica.index
-            if request.trace is not None:
-                self.tracer.finish(request.trace)
             request.future.set_exception(wire.exception_from_record(record))
+            return
+        drain_start = Response.stamp(
+            request,
+            completed_at=done,
+            served_generation=record.served_generation,
+            batch_tag=record.batch_tag,
+            replica_index=replica.index,
+            remote_queue_wait_s=record.queue_wait_s,
+            remote_service_s=record.service_s,
+        )
+        if trace is not None:
+            # The worker-measured durations are re-based onto the parent
+            # clock by ``Response.stamp`` (anchored at response receipt):
+            # spans cross the wire as duration fields, never timestamps.
+            trace.span(
+                "remote.queue.wait",
+                drain_start - record.queue_wait_s,
+                drain_start,
+                replica=replica.index,
+            )
+            trace.span(
+                "remote.serve.drain",
+                drain_start,
+                done,
+                replica=replica.index,
+                batch_tag=record.batch_tag,
+                served_generation=record.served_generation,
+            )
+            self.tracer.finish(trace)
+        request.future.set_result(record.answer)
 
     def _on_heartbeat(self, replica: RemoteReplica, hb: "wire.HeartbeatRecord") -> None:
         rejoined = replica.record_heartbeat(
@@ -680,7 +721,10 @@ class RemoteReplicaSet(TypedServingSurface):
                 replica.index,
                 replica.worker.pid,
             )
-        self._forget_everywhere(replica)
+        # A worker that died before HELLO must fail the start-up wait now,
+        # not after HELLO_TIMEOUT.
+        replica.hello_event.set()
+        self._forget(replica)
         pending = replica.drain_pending()
         replica.worker.close()
         if pending:
@@ -709,210 +753,33 @@ class RemoteReplicaSet(TypedServingSurface):
                         self.heartbeat_misses,
                         1000.0 * budget,
                     )
-                    self._forget_everywhere(replica)
+                    self._forget(replica)
                     self._redispatch(replica.drain_pending(), reason="heartbeat")
 
-    def _redispatch(self, requests: "list[ServeRequest]", reason: str) -> None:
-        """Re-enqueue a failed worker's in-flight requests (same futures)."""
-        for request in requests:
-            if request.future.done():
-                continue
-            self._metrics.record(add={"redispatched": 1})
-            try:
-                self.enqueue(request)
-            except BaseException as exc:  # noqa: BLE001 - delivered via the future
-                if not request.future.done():
-                    request.future.set_exception(exc)
-        if requests:
-            logger.info("re-dispatched %d request(s) after %s", len(requests), reason)
+    def _redispatch(self, requests: "list[ServeRequest]", reason: str) -> int:
+        count = super()._redispatch(requests, reason)
+        if count:
+            self._metrics.record(add={"redispatched": count})
+        return count
 
     # ------------------------------------------------------------------ #
-    # Lifecycle
+    # Lifecycle / refit / submission: only the transport-specific edges
     # ------------------------------------------------------------------ #
-    def start(self) -> "RemoteReplicaSet":
-        """Idempotent; the workers' drain threads are live from the fork,
-        so start only arms the surface flag (parity with ReplicaSet)."""
-        with self._state_lock:
-            if self._closed:
-                raise ServingError("cannot restart a closed remote replica set")
-            self._started = True
-        return self
-
     def close(self) -> None:
-        """Graceful fleet shutdown: drain every worker dry, join processes.
-
-        Idempotent; accepted futures always resolve — a worker that dies
-        mid-drain has its leftovers failed with ``ServingError`` (there is
-        no survivor pool to re-dispatch to during close)."""
-        with self._state_lock:
-            if self._closed:
-                return
-            self._closed = True
+        """Graceful fleet shutdown: drain every worker dry, join its
+        process and reader thread, stop the failure detector."""
         self._detector_stop.set()
+        super().close()
         self._detector.join(timeout=5.0)
-        replicas = self._known_replicas()
-        for replica in replicas:
-            replica.mark_retiring()
-            if replica.dead:
-                continue
-            try:
-                replica.send_control(FrameType.SHUTDOWN)
-            except OSError:
-                pass
-        deadline = time.perf_counter() + DRAIN_TIMEOUT
-        for replica in replicas:
-            while (
-                replica.pending_count()
-                and not replica.dead
-                and time.perf_counter() < deadline
-            ):
-                time.sleep(0.005)
-            replica.worker.join(timeout=max(deadline - time.perf_counter(), 0.1))
-            for request in replica.drain_pending():
-                if not request.future.done():
-                    request.future.set_exception(
-                        ServingError(
-                            f"worker {replica.index} failed to drain this request "
-                            "before the replica set closed"
-                        )
-                    )
-            replica.worker.close()
-        for thread in self._reader_threads.values():
-            thread.join(timeout=5.0)
-
-    def __enter__(self) -> "RemoteReplicaSet":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    @property
-    def started(self) -> bool:
-        with self._state_lock:
-            return self._started
-
-    @property
-    def closed(self) -> bool:
-        with self._state_lock:
-            return self._closed
-
-    # ------------------------------------------------------------------ #
-    # Generation bookkeeping
-    # ------------------------------------------------------------------ #
-    @property
-    def fit_generation(self) -> int:
-        with self._flip_lock:
-            return self._generation
-
-    def active_replicas(self) -> "list[RemoteReplica]":
-        with self._flip_lock:
-            return list(self._active)
-
-    def all_replicas(self) -> "list[RemoteReplica]":
-        return self._known_replicas()
-
-    def _flip_to(
-        self, standby: "list[RemoteReplica]", generation: int
-    ) -> "list[RemoteReplica]":
-        """Atomically make ``standby`` the serving fleet (pointer swaps
-        only — the flip window stays microseconds)."""
-        with self._flip_lock:
-            with self._state_lock:
-                if self._closed:
-                    raise ServingError(
-                        "remote replica set closed while the standby generation "
-                        "was training; the flip is abandoned"
-                    )
-            previous = self._active
-            self._active = list(standby)
-            self._generation = generation
-            self._retiring.extend(previous)
-            self.dispatcher.reset(self._active)
-            self._rebuild_tenant_dispatchers(self._active)
-        logger.info(
-            "remote refit flip: generation %d active on %d worker(s); "
-            "%d worker(s) retiring",
-            generation,
-            len(standby),
-            len(previous),
-        )
-        return previous
-
-    def _archive_retired(self, replicas: "list[RemoteReplica]") -> None:
-        snapshots = [
-            {"replica": replica.stats(), "worker": replica.fetch_stats(timeout=0.0)}
-            for replica in replicas
-        ]
-        with self._flip_lock:
-            self._retiring = [
-                replica for replica in self._retiring if replica not in replicas
-            ]
-            self._retired_snapshots.extend(snapshots)
 
     def refit(self, tenants: "Sequence[str] | None" = None) -> dict:
+        """Hot model swap; ``tenants`` scopes the artifact installs (see
+        :meth:`_build_generation`)."""
         return self.refit_coordinator.refit(tenants=tenants)
 
-    # ------------------------------------------------------------------ #
-    # Submission (the ServingLoop-compatible surface)
-    # ------------------------------------------------------------------ #
-    def submit(
-        self,
-        kind: str,
-        history: Sequence[int],
-        objective: int,
-        path_so_far: Sequence[int] = (),
-        user_index: "int | None" = None,
-        max_length: "int | None" = None,
-    ) -> Future:
-        """Deprecated positional submission; use :meth:`serve` instead."""
-        warn_positional_submit()
-        return self.enqueue(
-            ServeRequest.create(
-                kind,
-                history,
-                objective,
-                path_so_far=path_so_far,
-                user_index=user_index,
-                max_length=max_length,
-            )
-        )
-
-    def submit_next_step(
-        self,
-        history: Sequence[int],
-        objective: int,
-        path_so_far: Sequence[int] = (),
-        user_index: "int | None" = None,
-    ) -> Future:
-        return self.submit(
-            "next_step", history, objective, path_so_far=path_so_far, user_index=user_index
-        )
-
-    def submit_plan_paths(
-        self,
-        history: Sequence[int],
-        objective: int,
-        user_index: "int | None" = None,
-        max_length: "int | None" = None,
-    ) -> Future:
-        return self.submit(
-            "plan_paths", history, objective, user_index=user_index, max_length=max_length
-        )
-
     def enqueue(self, request: ServeRequest) -> Future:
-        """Dispatch one request to a healthy worker over the wire.
-
-        The pending-table registration happens BEFORE the send so a fast
-        response can never race its own bookkeeping; a send failure
-        unregisters, marks the worker dead and re-picks — the request was
-        never accepted anywhere, so no duplicate can exist.
-        """
-        if self.closed:
-            raise ServingError("remote replica set is closed; no new requests accepted")
-        if request.deadline is not None:
-            now = time.perf_counter()
-            if now >= request.deadline:
-                self._admission_template.on_expired(now - request.deadline)
+        """Dispatch one request to a healthy worker over the wire."""
+        self._admit(request)
         if self.tracer.enabled and request.trace is None:
             attrs = {"kind": request.kind}
             if request.tenant is not None:
@@ -922,85 +789,29 @@ class RemoteReplicaSet(TypedServingSurface):
         # tenant's requests only ever reach its own slots' workers.
         dispatcher = self.dispatcher
         if request.tenant is not None:
-            dispatcher = self._tenant_dispatchers.get(request.tenant, self.dispatcher)
-        for _ in range(self._MAX_DISPATCH_ATTEMPTS):
-            replica = dispatcher.pick(request)
-            replica.on_dispatch()
-            request_id = next(self._request_ids)
-            replica.register(request_id, request)
-            # Parent-clock admission stamp (the satellite-1 fix): paired
-            # with the parent-clock completed_at the reader writes.
-            request.enqueued_at = time.perf_counter()
-            try:
-                sent = replica.send_requests([(request_id, request)])
-            except (OSError, ServingError):
-                replica.unregister(request_id)
-                replica.on_dispatch_failed()
-                self._metrics.record(add={"send_errors": 1})
-                if replica.mark_dead():
-                    self._metrics.record(add={"marked_unhealthy": 1})
-                self._forget_everywhere(replica)
-                self._redispatch(replica.drain_pending(), reason="send failure")
-                continue
-            self._metrics.record(add={"requests_sent": 1, "bytes_sent": sent})
-            if request.trace is not None:
-                request.trace.span(
-                    "admission",
-                    request.enqueued_at,
-                    time.perf_counter(),
-                    replica=replica.index,
-                )
-            return request.future
-        raise ServingError(
-            f"could not place request after {self._MAX_DISPATCH_ATTEMPTS} dispatch "
-            "attempts (workers kept failing under the dispatcher)"
-        )
+            dispatcher = self._tenant_dispatchers.get(request.tenant, dispatcher)
+        return self._dispatch(request, dispatcher)
+
+    def _on_refused(self, replica: RemoteReplica) -> None:
+        """A send failed: the worker is gone — whatever else it held
+        re-dispatches to the survivors."""
+        self._metrics.record(add={"send_errors": 1})
+        if replica.mark_dead():
+            self._metrics.record(add={"marked_unhealthy": 1})
+        self._forget(replica)
+        self._redispatch(replica.drain_pending(), reason="send failure")
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    @property
-    def planner(self):
-        """Driver-facing planner attributes, served from the workers' HELLO
-        (the planner object itself lives in the worker processes)."""
-        actives = self.active_replicas()
-        return _PlannerProxy(actives[0].hello if actives else None)
-
-    def _worker_loop_stats(self) -> "list[dict]":
-        reports = []
-        for replica in self._known_replicas():
-            stats = replica.fetch_stats()
-            if stats is not None:
-                reports.append(stats)
-        for snapshot in self._retired_snapshots:
-            if snapshot.get("worker") is not None:
-                reports.append(snapshot["worker"])
-        return reports
-
-    def _admission_counters(self) -> dict:
-        totals = {"admitted": 0, "rejected": 0, "blocked": 0}
-        per_replica = []
-        for report in self._worker_loop_stats():
-            counters = report.get("loop", {}).get("admission", {})
-            for key in totals:
-                totals[key] += counters.get(key, 0)
-            per_replica.append(counters)
-        totals["per_replica"] = per_replica
-        return totals
-
-    def _tenant_stats(self, loop_stats: "list[dict]") -> dict:
-        """Fleet tenant view: workers' per-tenant counters summed by tenant
-        id, plus the placement map and per-tenant dispatcher health."""
-        tenants: "dict[str, dict]" = {}
-        for stats in loop_stats:
-            for name, tenant_stats in stats.get("tenants", {}).items():
-                merged = tenants.setdefault(
-                    name, {"tenant": name, "served": 0, "failed": 0}
-                )
-                merged["served"] += tenant_stats["served"]
-                merged["failed"] += tenant_stats["failed"]
-                merged["kinds"] = tenant_stats["kinds"]
+    def stats(self) -> dict:
+        """``ReplicaSet.stats()`` plus the placement view and a
+        ``transport`` section (wire counters, failure-detector verdicts,
+        artifact registry history)."""
+        report = super().stats()
+        report["transport_kind"] = "process"
         if self.tenant_placement:
+            tenants = report.setdefault("tenants", {})
             for name, slots in self.tenant_placement.items():
                 entry = tenants.setdefault(
                     name, {"tenant": name, "served": 0, "failed": 0}
@@ -1009,218 +820,35 @@ class RemoteReplicaSet(TypedServingSurface):
                 dispatcher = self._tenant_dispatchers.get(name)
                 if dispatcher is not None:
                     entry["dispatch"] = dispatcher.stats()
-        return {"tenants": tenants} if tenants else {}
-
-    def stats(self) -> dict:
-        """Fleet stats shaped like ``ReplicaSet.stats()`` plus a
-        ``transport`` section (wire counters, failure-detector verdicts,
-        artifact registry history)."""
-        worker_reports = self._worker_loop_stats()
-        loop_stats = [report["loop"] for report in worker_reports if "loop" in report]
-        per_queue = [queue for stats in loop_stats for queue in stats["per_queue"]]
-        depth_samples = sum(q["depth_samples"] for q in per_queue)
-        batches = sum(q["micro_batches"] for q in per_queue)
-        batch_requests = sum(q["micro_batch_requests"] for q in per_queue)
-        admission = self._admission_counters()
-        transport = self._metrics.values()
-        replicas = self._known_replicas()
-        active = self.active_replicas()
-        return {
-            "num_replicas": self.num_replicas,
-            "transport_kind": "process",
-            "generation": self.fit_generation,
-            "served": sum(stats["served"] for stats in loop_stats),
-            **self.admission.describe(),
-            "admission": admission,
-            "queue_depth": {
-                "max": max((q["depth_max"] for q in per_queue), default=0),
-                "mean": (
-                    round(sum(q["depth_sum"] for q in per_queue) / depth_samples, 3)
-                    if depth_samples
-                    else 0.0
-                ),
-            },
-            "micro_batches": {
-                "count": batches,
-                "mean_size": round(batch_requests / batches, 3) if batches else 0.0,
-                "max_size": max((q["micro_batch_max"] for q in per_queue), default=0),
-            },
-            "dispatch": self.dispatcher.stats(),
-            **self._tenant_stats(loop_stats),
-            "replicas": [replica.stats() for replica in replicas],
-            "retired_replicas": len(replicas) - len(active) + len(self._retired_snapshots),
-            "refits": self.refit_coordinator.history(),
-            "transport": {
-                "heartbeat_interval": self.heartbeat_interval,
-                "heartbeat_misses": self.heartbeat_misses,
-                "probation_beats": self.probation_beats,
-                **{key: int(value) for key, value in transport.items()},
-                "artifacts": self.registry.history(),
-            },
+        report["transport"] = {
+            "heartbeat_interval": self.heartbeat_interval,
+            "heartbeat_misses": self.heartbeat_misses,
+            "probation_beats": self.probation_beats,
+            **{key: int(value) for key, value in self._metrics.values().items()},
+            "artifacts": self.registry.history(),
         }
+        return report
 
 
-class RemoteRefitCoordinator:
-    """The hot-refit protocol across the transport (train -> version ->
-    ship -> verify -> flip -> drain), serialised like the in-process one."""
-
-    def __init__(self, remote_set: RemoteReplicaSet) -> None:
-        self._set = remote_set
-        self._refit_lock = threading.Lock()
-        self._history_lock = threading.Lock()
-        self._history: "list[dict]" = []
-
-    @property
-    def refitting(self) -> bool:
-        locked = self._refit_lock.acquire(blocking=False)
-        if locked:
-            self._refit_lock.release()
-        return not locked
-
-    def history(self) -> "list[dict]":
-        with self._history_lock:
-            return [dict(report) for report in self._history]
-
-    # ------------------------------------------------------------------ #
-    def refit(self, tenants: "Sequence[str] | None" = None) -> dict:
-        """Train the next generation, ship artifacts, flip, retire.
-
-        With ``tenants`` given (and a tenant placement configured on the
-        set), the artifact installs are *scoped*: only the standby workers
-        on those tenants' placed slots receive INSTALL frames — a tenant's
-        refit never ships bytes to its neighbours' workers.  Every slot
-        still forks a standby (the fleet flips as one), so unscoped slots
-        simply come up from the factory planner without a wire install.
-        """
-        if not self._refit_lock.acquire(blocking=False):
-            raise ServingError("a refit is already in progress on this replica set")
-        try:
-            remote_set = self._set
-            if remote_set.closed:
-                raise ServingError("cannot refit a closed remote replica set")
-            if tenants is not None:
-                placement = remote_set.tenant_placement or {}
-                unknown = [name for name in tenants if name not in placement]
-                if unknown:
-                    raise ServingError(
-                        f"cannot scope refit to unplaced tenant(s) {unknown}; "
-                        f"placed tenants: {sorted(placement)}"
-                    )
-            generation_from = remote_set.fit_generation
-            generation_to = generation_from + 1
-            logger.info(
-                "remote refit: training generation %d off-path", generation_to
+def _validate_placement(placement: "dict | None", num_replicas: int) -> "dict | None":
+    if placement is None:
+        return None
+    validated: "dict[str, tuple[int, ...]]" = {}
+    for tenant, slots in placement.items():
+        if not isinstance(tenant, str) or not tenant:
+            raise ConfigurationError(
+                f"tenant placement keys must be tenant ids, got {tenant!r}"
             )
-            # 1. Train off-path in the parent (the active workers keep
-            # serving in their own processes, untouched).
-            train_started = time.perf_counter()
-            standby_planner = remote_set._factory()
-            artifacts = artifacts_from_planner(standby_planner, generation_to)
-            for artifact in artifacts:
-                remote_set.registry.publish(artifact)
-            train_seconds = time.perf_counter() - train_started
-
-            # 2. Fork standby workers and ship the versioned artifacts.
-            # The wire copy is authoritative: each standby loads the
-            # checksummed weights/generator state from the INSTALL frame
-            # into its own backbone before taking any traffic.
-            standby = [
-                remote_set._spawn_replica(standby_planner, generation_to, slot=slot)
-                for slot in range(remote_set.num_replicas)
-            ]
-            install_targets = remote_set._replicas_for_tenants(standby, tenants)
-            try:
-                remote_set._await_hellos(standby)
-                for replica in install_targets:
-                    for artifact in artifacts:
-                        self._install(replica, artifact)
-            except BaseException:
-                for replica in standby:
-                    replica.mark_retiring()
-                    try:
-                        replica.send_control(FrameType.SHUTDOWN)
-                    except OSError:
-                        pass
-                raise
-
-            # 3. Atomic flip: one pointer swap, affinity clears, every
-            # arrival after it lands on the new generation.
-            flip_started = time.perf_counter()
-            previous = remote_set._flip_to(standby, generation_to)
-            flip_seconds = time.perf_counter() - flip_started
-
-            # 4. Drain-dry retirement: in-flight requests finish on the
-            # generation that admitted them; anything a dying worker fails
-            # to answer re-dispatches (zero admitted requests dropped).
-            inflight_at_flip = sum(replica.pending_count() for replica in previous)
-            retire_started = time.perf_counter()
-            for replica in previous:
-                replica.mark_retiring()
-                try:
-                    replica.send_control(FrameType.SHUTDOWN)
-                except OSError:
-                    pass
-            deadline = time.perf_counter() + DRAIN_TIMEOUT
-            for replica in previous:
-                while (
-                    replica.pending_count()
-                    and not replica.dead
-                    and time.perf_counter() < deadline
-                ):
-                    time.sleep(0.002)
-                leftovers = replica.drain_pending()
-                if leftovers:
-                    remote_set._redispatch(leftovers, reason="retirement")
-                replica.worker.join(timeout=max(deadline - time.perf_counter(), 0.1))
-            retire_seconds = time.perf_counter() - retire_started
-            retired_served = sum(replica.stats()["completed"] for replica in previous)
-            remote_set._archive_retired(previous)
-
-            report = {
-                "generation_from": generation_from,
-                "generation_to": generation_to,
-                "num_replicas": len(standby),
-                "train_seconds": round(train_seconds, 4),
-                "flip_seconds": round(flip_seconds, 6),
-                "retire_seconds": round(retire_seconds, 4),
-                "inflight_at_flip": inflight_at_flip,
-                "retired_served": retired_served,
-                "artifacts": [artifact.meta() for artifact in artifacts],
-                "installed_slots": sorted(r.slot for r in install_targets),
-                **({"tenants": sorted(tenants)} if tenants is not None else {}),
-            }
-            with self._history_lock:
-                self._history.append(report)
-            logger.info(
-                "remote refit: generation %d -> %d flipped in %.1f us "
-                "(%d request(s) in flight finished on the old generation)",
-                generation_from,
-                generation_to,
-                1e6 * flip_seconds,
-                inflight_at_flip,
+        slot_tuple = tuple(int(slot) for slot in slots)
+        if not slot_tuple:
+            raise ConfigurationError(
+                f"tenant {tenant!r} placement must name at least one fleet slot"
             )
-            return dict(report)
-        finally:
-            self._refit_lock.release()
-
-    def _install(self, replica: RemoteReplica, artifact) -> None:
-        meta = wire.encode_json(artifact.meta())
-        payload = wire._COUNT.pack(len(meta)) + meta + artifact.payload
-        replica.send_control(FrameType.INSTALL_ARTIFACT, payload)
-        try:
-            ack = replica.ack_queue.get(timeout=ARTIFACT_TIMEOUT)
-        except queue.Empty:
-            raise ServingError(
-                f"worker {replica.index} did not acknowledge artifact "
-                f"{artifact.name!r} within {ARTIFACT_TIMEOUT:.0f}s"
-            ) from None
-        if not ack.get("ok"):
-            raise ServingError(
-                f"worker {replica.index} rejected artifact {artifact.name!r}: "
-                f"{ack.get('error')}"
-            )
-        if ack.get("sha256") != artifact.sha256:
-            raise ServingError(
-                f"worker {replica.index} installed artifact {artifact.name!r} "
-                "with a mismatched checksum"
-            )
+        for slot in slot_tuple:
+            if not 0 <= slot < num_replicas:
+                raise ConfigurationError(
+                    f"tenant {tenant!r} placement slot {slot} is outside the "
+                    f"fleet (0..{num_replicas - 1})"
+                )
+        validated[tenant] = slot_tuple
+    return validated

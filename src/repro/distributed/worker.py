@@ -54,7 +54,7 @@ from repro.distributed.artifacts import (
 )
 from repro.distributed.wire import FrameType, ResponseRecord
 from repro.obs.registry import MetricsRegistry, set_registry
-from repro.replica.replica import Replica
+from repro.replica.replica import Replica, pin_serving_generation
 from repro.serve.loop import ServingLoop
 from repro.serve.request import ServeRequest
 from repro.utils.exceptions import ServingError
@@ -153,30 +153,11 @@ def spawn_worker(
 # --------------------------------------------------------------------- #
 # Child process
 # --------------------------------------------------------------------- #
-def worker_main(
-    sock: socket.socket,
-    parent_sock: socket.socket,
-    planner,
-    index: int,
-    generation: int,
-    loop_kwargs: dict,
-    heartbeat_interval: float,
-    inherited_fds: "list[int]",
-    tenant_factory=None,
-) -> None:
-    """Entry point of the child process (runs until SHUTDOWN or EOF)."""
+def worker_main(sock, parent_sock, planner, index: int, *worker_args) -> None:
+    """Entry point of the child process (runs until SHUTDOWN or EOF); the
+    arguments are :class:`_Worker`'s."""
     try:
-        _Worker(
-            sock,
-            parent_sock,
-            planner,
-            index,
-            generation,
-            loop_kwargs,
-            heartbeat_interval,
-            inherited_fds,
-            tenant_factory,
-        ).run()
+        _Worker(sock, parent_sock, planner, index, *worker_args).run()
     except BaseException:
         logger.exception("worker %d died", index)
         os._exit(1)
@@ -211,11 +192,7 @@ class _Worker:
         self.index = index
         self.generation = generation
         self.heartbeat_interval = float(heartbeat_interval)
-        pin = getattr(planner, "pin_generation", None)
-        if pin is not None:
-            pin(serving_generation=generation)
-        else:
-            planner.serving_generation = generation
+        pin_serving_generation(planner, generation)
         self.planner = planner
         # The tenant registry is built HERE, after the fresh metrics
         # registry: its bindings' admission controllers and latency groups

@@ -114,11 +114,8 @@ class ExperimentConfig:
         # Resolve (and thereby validate) the sharding knobs eagerly so a bad
         # --num-workers / --shard-backend / --vocab-shards fails at config
         # time with a clear message, not mid-experiment.
-        from repro.shard.config import (
-            resolve_num_workers,
-            resolve_shard_backend,
-            resolve_vocab_shards,
-        )
+        from repro.config import resolve_num_workers, resolve_vocab_shards
+        from repro.shard.config import resolve_shard_backend
 
         self.num_workers = resolve_num_workers(self.num_workers)
         self.shard_backend = resolve_shard_backend(

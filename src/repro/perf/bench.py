@@ -116,6 +116,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 import numpy as np
 
 from repro.cache.stats import DecodeStats
+from repro.config import resolve_vocab_shards
 from repro.core.beam import BeamSearchPlanner
 from repro.core.irn import IRN
 from repro.data.preprocessing import build_corpus
@@ -123,7 +124,7 @@ from repro.data.splitting import DatasetSplit, split_corpus
 from repro.data.synthetic import SyntheticConfig, generate_synthetic_dataset
 from repro.evaluation.protocol import EvaluationInstance, rollout_next_step, sample_objectives
 from repro.nn.layers import Module
-from repro.shard.config import fork_available, resolve_shard_backend, resolve_vocab_shards
+from repro.shard.config import fork_available, resolve_shard_backend
 from repro.utils.exceptions import ConfigurationError
 
 __all__ = [
@@ -1034,8 +1035,8 @@ def _bench_distributed_serving(
     """
     import signal
 
+    from repro.config import resolve_heartbeat_misses
     from repro.distributed import RemoteReplicaSet, wire
-    from repro.distributed.config import resolve_heartbeat_misses
     from repro.replica import ReplicaSet
     from repro.serve import latency_percentiles, replay_lockstep
     from repro.serve.request import ServeRequest

@@ -15,18 +15,18 @@ callers: a standby replica set trains off-path, one atomic flip of the
 replicas drain dry so in-flight requests finish on the generation that
 admitted them — serving never pauses.
 
+``ReplicaSet`` is the one fleet core and ``RefitCoordinator`` the one refit
+skeleton: the multi-process fleet
+(:class:`~repro.distributed.remote.RemoteReplicaSet`) subclasses the set,
+supplies worker-process members behind the same member verbs, and is
+refitted by the same coordinator.
+
 Responses are bit-identical to single-replica serving whenever all
 replicas share one generation (the parity suite in ``tests/replica``), and
 the whole protocol is measured by the ``replicated_serving`` bench section
 and ``repro-irs serve-sim --replicas N --refit-at T``.
 """
 
-from repro.replica.config import (
-    VALID_DISPATCH_POLICIES,
-    resolve_dispatch_policy,
-    resolve_num_replicas,
-    resolve_refit_at,
-)
 from repro.replica.dispatch import Dispatcher
 from repro.replica.driver import run_replicated_open_loop
 from repro.replica.refit import RefitCoordinator, RefitHandle, schedule_refit
@@ -39,10 +39,6 @@ __all__ = [
     "RefitHandle",
     "Replica",
     "ReplicaSet",
-    "VALID_DISPATCH_POLICIES",
-    "resolve_dispatch_policy",
-    "resolve_num_replicas",
-    "resolve_refit_at",
     "run_replicated_open_loop",
     "schedule_refit",
 ]

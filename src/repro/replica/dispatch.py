@@ -30,8 +30,8 @@ import threading
 from collections import OrderedDict
 from typing import Sequence
 
+from repro.config import resolve_dispatch_policy
 from repro.obs.registry import MetricGroup, get_registry
-from repro.replica.config import resolve_dispatch_policy
 from repro.replica.replica import Replica
 from repro.serve.request import ServeRequest
 from repro.utils.exceptions import ServingError

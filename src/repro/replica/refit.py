@@ -4,20 +4,27 @@
 ROADMAP's replicated-serving rung calls for.  A refit never touches a
 serving backbone — the double-buffer discipline is:
 
-1. **Train off-path.**  The coordinator builds a complete standby replica
-   set (one ``planner_factory`` call per slot — independently fitted
-   backbones at the next generation) while the active set keeps serving.
-   This is the expensive phase and it happens entirely outside any lock.
+1. **Train off-path.**  The coordinator has the fleet build a complete
+   standby generation (in-process: one ``planner_factory`` call per slot —
+   independently fitted backbones; over the process transport: one call,
+   forked standby workers and checksummed artifact installs) while the
+   active set keeps serving.  This is the expensive phase and it happens
+   entirely outside any lock.
 2. **Flip atomically.**  One pointer swap under the set's flip lock makes
    the standby set active and bumps the set's ``fit_generation``: every
    arrival after the swap dispatches to the new generation, every request
    already queued or in flight stays owned by an old replica.  The
    dispatcher's session-affinity table clears with the swap, so each
    session replans exactly once on the new model.
-3. **Retire gracefully.**  The old replicas' loops close: admissions stop,
-   queues drain dry, drain threads join — every in-flight request finishes
-   on the generation that admitted it.  No accepted request is dropped,
-   rejected, or blocked beyond the configured admission policy.
+3. **Retire gracefully.**  The old members stop admitting and drain dry —
+   every in-flight request finishes on the generation that admitted it
+   (what a dying worker leaves unanswered re-dispatches).  No accepted
+   request is dropped, rejected, or blocked beyond the configured
+   admission policy.
+
+A flip refused because the set closed during training abandons the
+standby: the coordinator retires it itself, since ``close()`` cannot reach
+members that never became active.
 
 One refit at a time: a second concurrent :meth:`RefitCoordinator.refit`
 raises :class:`~repro.utils.exceptions.ServingError` instead of queueing
@@ -43,7 +50,14 @@ logger = logging.getLogger(__name__)
 
 
 class RefitCoordinator:
-    """Serialises hot refits of one :class:`~repro.replica.set.ReplicaSet`."""
+    """Serialises hot refits of one fleet — the single train → start
+    standby → flip → (abandon on refusal) → retire → archive → report
+    skeleton of :class:`~repro.replica.set.ReplicaSet` and every subclass.
+
+    What a generation's members are made of is the fleet's business
+    (:meth:`~repro.replica.set.ReplicaSet._build_generation`: in-process
+    loops, or forked workers with shipped artifacts); the order of the
+    steps, and what happens when one is refused, is decided only here."""
 
     def __init__(self, replica_set) -> None:
         self._set = replica_set
@@ -64,60 +78,64 @@ class RefitCoordinator:
             return [dict(report) for report in self._history]
 
     # ------------------------------------------------------------------ #
-    def refit(self) -> dict:
+    def refit(self, **scope) -> dict:
         """Run one complete refit; returns its timing/accounting report.
 
-        Raises :class:`~repro.utils.exceptions.ServingError` if a refit is
-        already in progress or the set is closed.
+        ``scope`` is handed to the fleet's ``_build_generation`` unchanged
+        (the process fleet's tenant-scoped artifact installs).  Raises
+        :class:`~repro.utils.exceptions.ServingError` if a refit is already
+        in progress or the set is closed.
         """
         if not self._refit_lock.acquire(blocking=False):
             raise ServingError("a refit is already in progress on this replica set")
         try:
-            replica_set = self._set
-            if replica_set.closed:
+            fleet = self._set
+            if fleet.closed:
                 raise ServingError("cannot refit a closed replica set")
-            generation_from = replica_set.fit_generation
+            generation_from = fleet.fit_generation
             generation_to = generation_from + 1
             logger.info(
-                "refit: training %d standby replica(s) for generation %d",
-                replica_set.num_replicas,
+                "refit: preparing %d standby replica(s) for generation %d",
+                fleet.num_replicas,
                 generation_to,
             )
+            # 1. Train (and deploy) off-path: the active members keep
+            # serving, untouched.  The expensive phase, outside any lock.
             train_started = time.perf_counter()
-            standby = [
-                replica_set._build_replica(generation_to)
-                for _ in range(replica_set.num_replicas)
-            ]
+            standby, extras = fleet._build_generation(generation_to, **scope)
             train_seconds = time.perf_counter() - train_started
-            # Standby drains start BEFORE the flip: the first post-flip
-            # arrival must find live drain threads, not a cold loop.
-            if replica_set.started:
-                for replica in standby:
-                    replica.loop.start()
 
-            flip_started = time.perf_counter()
+            # 2. Atomic flip.  Standby members start BEFORE it: the first
+            # post-flip arrival must find a live member, not a cold one.
             try:
-                previous = replica_set._flip_to(standby, generation_to)
-            except ServingError:
-                # The set closed while the standby was training: nothing was
-                # installed, so retire the standby ourselves (close joins its
-                # drain threads; it served nothing) and surface the refusal.
-                for replica in standby:
-                    replica.loop.close()
+                if fleet.started:
+                    for member in standby:
+                        member.start()
+                flip_started = time.perf_counter()
+                previous = fleet._flip_to(standby, generation_to)
+                flip_seconds = time.perf_counter() - flip_started
+            except BaseException:
+                # Refused (the set closed while the standby was training):
+                # nothing was installed, and close() cannot reach members
+                # that were never active — retire the standby here (it
+                # served nothing) and surface the refusal.
+                fleet._retire(standby)
                 raise
-            flip_seconds = time.perf_counter() - flip_started
 
             # Re-check started AFTER the flip: a start() racing the training
             # phase may have read the pre-flip active list, so whichever of
-            # the two runs second starts the standby drains (idempotent).
-            if replica_set.started:
-                for replica in standby:
-                    replica.loop.start()
+            # the two runs second starts the standby (idempotent).
+            if fleet.started:
+                for member in standby:
+                    member.start()
 
-            inflight_at_flip = sum(replica.stats()["inflight"] for replica in previous)
+            # 3. Drain-dry retirement: in-flight requests finish on the
+            # generation that admitted them; whatever a failing member
+            # leaves unanswered re-dispatches (zero admitted requests
+            # dropped).
+            inflight_at_flip = sum(member.pending_count() for member in previous)
             retire_started = time.perf_counter()
-            for replica in previous:
-                replica.loop.close()  # drains dry; in-flight finish on old gen
+            fleet._redispatch(fleet._retire(previous), reason="retirement")
             retire_seconds = time.perf_counter() - retire_started
 
             report = {
@@ -129,12 +147,13 @@ class RefitCoordinator:
                 "retire_seconds": round(retire_seconds, 4),
                 "inflight_at_flip": inflight_at_flip,
                 "retired_served": sum(
-                    replica.loop.stats()["served"] for replica in previous
+                    member.stats()["completed"] for member in previous
                 ),
+                **extras,
             }
             # Drained dry: collapse the old generation into counter
             # snapshots so repeated refits never accumulate whole models.
-            replica_set._archive_retired(previous)
+            fleet._archive_retired(previous)
             with self._history_lock:
                 self._history.append(report)
             logger.info(

@@ -17,6 +17,13 @@ scope), and the load accounting the dispatcher scores replicas by:
 
 Nothing is shared between replicas: no cache, no lock, no invalidation
 traffic — the refit protocol swaps whole replicas instead of mutating one.
+
+The fleet core (:class:`~repro.replica.set.ReplicaSet`) drives a member
+through five verbs — ``start``, ``accept``, ``loop_stats``,
+``begin_retire`` and ``retire`` — beside the load accounting above
+(``on_dispatch`` / ``on_dispatch_failed`` / ``pending_count`` / ``stats``);
+:class:`~repro.distributed.remote.RemoteReplica` implements the same
+surface over the process boundary.
 """
 
 from __future__ import annotations
@@ -27,7 +34,13 @@ from collections import deque
 from repro.obs.registry import MetricGroup, get_registry
 from repro.serve.request import ServeRequest
 
-__all__ = ["Replica", "EWMA_ALPHA", "LATENCY_WINDOW", "MIN_WARM_SAMPLES"]
+__all__ = [
+    "Replica",
+    "pin_serving_generation",
+    "EWMA_ALPHA",
+    "LATENCY_WINDOW",
+    "MIN_WARM_SAMPLES",
+]
 
 #: Weight of the newest in-flight depth sample in the EWMA.
 EWMA_ALPHA = 0.2
@@ -39,6 +52,15 @@ MIN_WARM_SAMPLES = 8
 #: How many queued requests one second of recent p95 tail latency is worth
 #: in the dispatch score — couples the two load signals into one number.
 LATENCY_WEIGHT = 4.0
+
+
+def pin_serving_generation(planner, generation: int) -> None:
+    """Pin ``planner`` to the fleet ``generation`` it is about to serve."""
+    pin = getattr(planner, "pin_generation", None)
+    if pin is not None:
+        pin(serving_generation=generation)
+    else:
+        planner.serving_generation = generation
 
 
 class Replica:
@@ -68,6 +90,42 @@ class Replica:
             registry.scope("replica.load"),
             gauges=("inflight", "dispatched", "completed", "ewma_depth"),
         )
+
+    # ------------------------------------------------------------------ #
+    # Member verbs (what the fleet core asks of any member)
+    # ------------------------------------------------------------------ #
+    def start(self) -> None:
+        """Start the loop's drain threads (idempotent)."""
+        self.loop.start()
+
+    def accept(self, request: ServeRequest) -> None:
+        """Hand one dispatched request to this replica's loop.
+
+        Raises whatever the loop's admission raises (``QueueFullError``
+        back-pressure, ``ServingError`` once the loop closed) — nothing was
+        admitted in that case."""
+        self.loop.enqueue(request)
+        request.future.add_done_callback(lambda _future: self.on_complete(request))
+
+    def pending_count(self) -> int:
+        """Requests dispatched here and not yet answered."""
+        with self._lock:
+            return self._inflight
+
+    def loop_stats(self) -> dict:
+        return self.loop.stats()
+
+    def begin_retire(self) -> None:
+        """Leave dispatch; everything already admitted still drains."""
+        self.mark_unhealthy()
+
+    def retire(self, deadline: float) -> "list[ServeRequest]":
+        """Drain dry and join the drain threads.  Returns the requests this
+        member could not answer — none: a loop's close resolves every
+        accepted future, however long that takes (``deadline`` only bounds
+        members that can fail to drain)."""
+        self.loop.close()
+        return []
 
     # ------------------------------------------------------------------ #
     # Health

@@ -1,10 +1,18 @@
 """The replica set: N independent serving replicas behind one dispatcher.
 
 :class:`ReplicaSet` is drop-in compatible with the
-:class:`~repro.serve.loop.ServingLoop` surface (``submit`` /
-``submit_next_step`` / ``submit_plan_paths`` / ``enqueue`` / ``stats`` /
-context manager), so every traffic driver in :mod:`repro.serve.driver`
-runs against it unchanged.  Behind the surface:
+:class:`~repro.serve.loop.ServingLoop` surface (``serve`` / ``enqueue`` /
+``stats`` / context manager), so every traffic driver in
+:mod:`repro.serve.driver` runs against it unchanged.  It is also the ONE
+owner of everything a fleet is, whatever its members are made of:
+lifecycle, the generation double-buffer a refit flips, the pick → send →
+undo-and-re-pick dispatch loop, the fleet admission rule and the
+``stats()`` roll-up.  Member-specific work sits behind the member verbs of
+:class:`~repro.replica.replica.Replica` (``start`` / ``accept`` /
+``loop_stats`` / ``begin_retire`` / ``retire``) and one set-level hook,
+:meth:`ReplicaSet._build_generation`;
+:class:`~repro.distributed.remote.RemoteReplicaSet` overrides that hook to
+put every member in its own process.  Behind the surface:
 
 * each replica is built by the caller's ``planner_factory`` — an
   independently fitted backbone wrapped in a generation-pinned
@@ -30,18 +38,22 @@ any dispatch interleaving; the parity suite in ``tests/replica`` mirrors
 
 from __future__ import annotations
 
+import itertools
 import logging
 import threading
+import time
 from concurrent.futures import Future
-from typing import Callable, Sequence
+from typing import Callable
 
-from repro.replica.config import resolve_num_replicas
+from repro.config import resolve_num_replicas
+from repro.obs.trace import NULL_TRACER
 from repro.replica.dispatch import Dispatcher
 from repro.replica.refit import RefitCoordinator
-from repro.replica.replica import Replica
+from repro.replica.replica import Replica, pin_serving_generation
 from repro.serve.admission import AdmissionController
-from repro.serve.api import TypedServingSurface, warn_positional_submit
+from repro.serve.api import TypedServingSurface
 from repro.serve.loop import ServingLoop
+from repro.serve.queue import rollup_queue_stats
 from repro.serve.request import ServeRequest
 from repro.utils.exceptions import ConfigurationError, QueueFullError, ServingError
 
@@ -49,35 +61,9 @@ __all__ = ["ReplicaSet"]
 
 logger = logging.getLogger(__name__)
 
-
-class _FleetAdmission:
-    """Aggregate admission view over every replica's controller.
-
-    Duck-types the two :class:`~repro.serve.admission.AdmissionController`
-    read methods the traffic drivers use: :meth:`describe` returns the
-    shared knob values, :meth:`counters` the fleet-wide sums (active and
-    retired replicas — requests served during a refit still count).
-    """
-
-    def __init__(self, replica_set: "ReplicaSet", template: AdmissionController) -> None:
-        self._set = replica_set
-        self._template = template
-
-    def describe(self) -> dict:
-        return self._template.describe()
-
-    def counters(self) -> dict:
-        totals = {"admitted": 0, "rejected": 0, "blocked": 0}
-        per_replica = []
-        snapshots = [
-            replica.loop.admission.counters() for replica in self._set.all_replicas()
-        ] + [archived["admission"] for archived in self._set.archived_stats()]
-        for counters in snapshots:
-            for key in totals:
-                totals[key] += counters[key]
-            per_replica.append(counters)
-        totals["per_replica"] = per_replica
-        return totals
+#: Seconds a retirement (refit or close) waits for its members to drain
+#: before the leftovers are handed back to the caller.
+DRAIN_TIMEOUT = 30.0
 
 
 class ReplicaSet(TypedServingSurface):
@@ -114,9 +100,10 @@ class ReplicaSet(TypedServingSurface):
         degenerate registry inside each loop).
     """
 
-    #: Dispatch retries across a concurrent generation flip: an enqueue can
-    #: race the retirement of the replica it picked; re-picking from the
-    #: post-flip active list always succeeds unless the set itself closed.
+    #: Dispatch retries across a concurrent generation flip (or a member
+    #: failing under the dispatcher): an enqueue can race the retirement of
+    #: the member it picked; re-picking from the post-flip active list
+    #: always succeeds unless the set itself closed.
     _MAX_DISPATCH_ATTEMPTS = 8
 
     def __init__(
@@ -133,8 +120,8 @@ class ReplicaSet(TypedServingSurface):
     ) -> None:
         if not callable(planner_factory):
             raise ConfigurationError(
-                "ReplicaSet needs a zero-arg planner_factory returning a fitted "
-                "planner (one independently fitted backbone per call)"
+                f"{type(self).__name__} needs a zero-arg planner_factory returning "
+                "a fitted planner (one independently fitted backbone per call)"
             )
         if tenant_factory is not None and not callable(tenant_factory):
             raise ConfigurationError(
@@ -144,19 +131,23 @@ class ReplicaSet(TypedServingSurface):
         self._factory = planner_factory
         self._tenant_factory = tenant_factory
         self.num_replicas = resolve_num_replicas(num_replicas)
-        # One tracer is shared by every replica's loop (including standby
+        # One tracer is shared by the whole fleet (including standby
         # generations built mid-refit), so a request traced across a flip
         # boundary lands in the same retained-trace list.
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         self._loop_kwargs = dict(
             num_queues=num_queues,
             max_queue_depth=max_queue_depth,
             admission_policy=admission_policy,
             drain_deadline=drain_deadline,
-            tracer=tracer,
         )
-        # Resolves (and validates) the admission knobs once; every replica
-        # loop resolves the same values again from the same arguments.
-        self._admission_template = AdmissionController(
+        #: The fleet's own admission controller.  It resolves (and
+        #: validates) the knobs every member loop resolves again from the
+        #: same arguments, answers ``describe()`` for the traffic drivers,
+        #: and counts the rejections the fleet makes before any member is
+        #: picked (expired deadlines) — ``stats()["admission"]`` sums it
+        #: with the members' controllers.
+        self.admission = AdmissionController(
             max_queue_depth=max_queue_depth,
             policy=admission_policy,
             drain_deadline=drain_deadline,
@@ -165,84 +156,103 @@ class ReplicaSet(TypedServingSurface):
         self._state_lock = threading.Lock()
         self._started = False
         self._closed = False
-        self._next_replica_id = 0
+        #: Member ids, unique across generations (builds never overlap: the
+        #: constructor, then one refit at a time under the coordinator's lock).
+        self._member_indices = itertools.count()
         self._generation = 1
-        self._active: "list[Replica]" = [
-            self._build_replica(self._generation) for _ in range(self.num_replicas)
-        ]
-        #: Replicas flipped out but not yet archived (the coordinator is
+        self._active: "list" = []
+        #: Members flipped out but not yet archived (the coordinator is
         #: still draining them); once drained dry they collapse into
         #: counter snapshots in :attr:`_retired_stats` so a long-lived set
         #: doing periodic refits never retains old generations' models.
-        self._retired: "list[Replica]" = []
+        self._retired: "list" = []
         self._retired_stats: "list[dict]" = []
-        self.dispatcher = Dispatcher(self._active, policy=dispatch_policy)
+        self.dispatcher = Dispatcher([], policy=dispatch_policy)
         self.refit_coordinator = RefitCoordinator(self)
-        self.admission = _FleetAdmission(self, self._admission_template)
+        # Everything above exists BEFORE the first member is built: a
+        # member may report back (a worker dying at start-up) immediately.
+        members, _ = self._build_generation(self._generation)
+        with self._flip_lock:
+            self._active = members
+            self._reset_dispatch(members)
 
     # ------------------------------------------------------------------ #
-    # Replica construction (also used by the refit coordinator)
+    # Member construction (also used by the refit coordinator)
     # ------------------------------------------------------------------ #
-    def _build_replica(self, generation: int) -> Replica:
-        """Build one replica at ``generation``: fresh planner, pinned, with
-        its own serving loop (not yet started)."""
+    def _make_planner(self):
+        """One validated ``planner_factory`` call."""
         planner = self._factory()
         if not hasattr(planner, "plan_for_requests"):
             raise ConfigurationError(
                 "planner_factory must return a planner with plan_for_requests() "
                 f"(got {type(planner).__name__})"
             )
-        with self._state_lock:
-            index = self._next_replica_id
-            self._next_replica_id += 1
-        pin = getattr(planner, "pin_generation", None)
-        if pin is not None:
-            pin(serving_generation=generation)
-        else:
-            planner.serving_generation = generation
-        tenants = None if self._tenant_factory is None else self._tenant_factory()
-        if tenants is not None:
-            tenants.pin_generation(generation)
-        loop = ServingLoop(
-            planner,
-            admission_scope=f"replica-{index}",
-            tenants=tenants,
-            **self._loop_kwargs,
-        )
-        return Replica(index, planner, loop, generation)
+        return planner
+
+    def _build_generation(self, generation: int) -> "tuple[list, dict]":
+        """Build the fleet's members at ``generation``, ready to be flipped
+        in but not yet serving: ``(members, refit-report extras)``.
+
+        Must leave nothing behind when it raises.  Here: one independently
+        fitted planner (and tenant registry) per replica, each with its own
+        serving loop (not yet started)."""
+        members = []
+        for _ in range(self.num_replicas):
+            planner = self._make_planner()
+            pin_serving_generation(planner, generation)
+            index = next(self._member_indices)
+            tenants = None if self._tenant_factory is None else self._tenant_factory()
+            if tenants is not None:
+                tenants.pin_generation(generation)
+            loop = ServingLoop(
+                planner,
+                admission_scope=f"replica-{index}",
+                tracer=self.tracer,
+                tenants=tenants,
+                **self._loop_kwargs,
+            )
+            members.append(Replica(index, planner, loop, generation))
+        return members, {}
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> "ReplicaSet":
-        """Start every active replica's drain threads (idempotent).
+        """Start every active member (idempotent).
 
         The active list is read through :meth:`active_replicas` (the flip
         lock) AFTER the started flag is set, and the refit coordinator
         re-checks the flag after its flip — so whichever of a racing
         ``start()`` / refit flip runs second sees the other's write and the
-        post-flip active set always ends up with live drain threads
-        (``ServingLoop.start`` is idempotent, double starts are no-ops).
+        post-flip active set always ends up started (member starts are
+        idempotent, double starts are no-ops).
         """
         with self._state_lock:
             if self._closed:
                 raise ServingError("cannot restart a closed replica set")
             self._started = True
-        for replica in self.active_replicas():
-            replica.loop.start()
+        for member in self.active_replicas():
+            member.start()
         return self
 
     def close(self) -> None:
-        """Stop admissions on every replica, drain them dry, join threads.
+        """Stop admissions on every member, drain them dry, release them.
 
-        Idempotent; accepted futures always resolve (the underlying loops
-        guarantee it)."""
+        Idempotent; accepted futures always resolve — a member that fails
+        to drain has its leftovers failed with ``ServingError`` (there is
+        no survivor pool to re-dispatch to during close)."""
         with self._state_lock:
             if self._closed:
                 return
             self._closed = True
-        for replica in self.all_replicas():
-            replica.loop.close()
+        for request in self._retire(self.all_replicas()):
+            if not request.future.done():
+                request.future.set_exception(
+                    ServingError(
+                        f"replica {request.replica_index} failed to drain this "
+                        "request before the replica set closed"
+                    )
+                )
 
     def __enter__(self) -> "ReplicaSet":
         return self.start()
@@ -260,6 +270,17 @@ class ReplicaSet(TypedServingSurface):
         with self._state_lock:
             return self._closed
 
+    def _retire(self, members: "list") -> "list[ServeRequest]":
+        """Take ``members`` out of service: all stop admitting first, then
+        each drains dry.  Returns the requests they failed to answer."""
+        for member in members:
+            member.begin_retire()
+        deadline = time.perf_counter() + DRAIN_TIMEOUT
+        leftovers: "list[ServeRequest]" = []
+        for member in members:
+            leftovers.extend(member.retire(deadline))
+        return leftovers
+
     # ------------------------------------------------------------------ #
     # Generation bookkeeping (the double-buffer the refit flips)
     # ------------------------------------------------------------------ #
@@ -269,12 +290,12 @@ class ReplicaSet(TypedServingSurface):
         with self._flip_lock:
             return self._generation
 
-    def active_replicas(self) -> "list[Replica]":
+    def active_replicas(self) -> "list":
         with self._flip_lock:
             return list(self._active)
 
-    def all_replicas(self) -> "list[Replica]":
-        """Active replicas plus any flipped-out ones still draining (the
+    def all_replicas(self) -> "list":
+        """Active members plus any flipped-out ones still draining (the
         archived generations live on as counter snapshots, see
         :meth:`archived_stats`)."""
         with self._flip_lock:
@@ -285,44 +306,48 @@ class ReplicaSet(TypedServingSurface):
         with self._flip_lock:
             return [dict(archived) for archived in self._retired_stats]
 
-    def _archive_retired(self, replicas: "list[Replica]") -> None:
-        """Collapse drained-dry retired replicas into counter snapshots.
+    def _archive_retired(self, members: "list") -> None:
+        """Collapse drained-dry retired members into counter snapshots.
 
-        Called by the refit coordinator once the old generation's loops are
-        closed and joined: keeping whole planner+backbone objects for every
-        past generation would grow a long-lived set's memory without bound,
-        but the stats contract (fleet-wide served/admission totals keep
-        counting pre-flip work) only needs the final numbers.
+        Called by the refit coordinator once the old generation is retired:
+        keeping whole planner+backbone objects (or worker handles) for
+        every past generation would grow a long-lived set's memory without
+        bound, but the stats contract (fleet-wide served/admission totals
+        keep counting pre-flip work) only needs the final numbers.
         """
         snapshots = [
-            {
-                "replica": replica.stats(),
-                "loop": replica.loop.stats(),
-                "admission": replica.loop.admission.counters(),
-            }
-            for replica in replicas
+            {"replica": member.stats(), "loop": member.loop_stats()}
+            for member in members
         ]
         with self._flip_lock:
             self._retired = [
-                replica for replica in self._retired if replica not in replicas
+                member for member in self._retired if member not in members
             ]
             self._retired_stats.extend(snapshots)
 
-    def _flip_to(self, standby: "list[Replica]", generation: int) -> "list[Replica]":
+    def _reset_dispatch(self, members: "list") -> None:
+        """Point dispatch at ``members`` (caller holds the flip lock)."""
+        self.dispatcher.reset(members)
+
+    def _forget(self, member) -> None:
+        """Drop a member that stopped accepting work from dispatch."""
+        self.dispatcher.forget(member)
+
+    def _flip_to(self, standby: "list", generation: int) -> "list":
         """Atomically make ``standby`` the serving set (the refit flip).
 
-        Returns the replaced replicas; the caller (the refit coordinator)
-        retires them by draining their loops dry.  Everything inside the
-        lock is pointer swaps — the flip window is microseconds, which is
-        what "serving never pauses" means operationally.
+        Returns the replaced members; the caller (the refit coordinator)
+        retires them by draining them dry.  Everything inside the lock is
+        pointer swaps — the flip window is microseconds, which is what
+        "serving never pauses" means operationally.
 
         Refuses (``ServingError``) when the set closed while the standby
-        was training: ``close()`` marks the set closed and then closes
+        was training: ``close()`` marks the set closed and then retires
         ``all_replicas()``, so a flip that landed afterwards would install
-        live drain threads nobody will ever join.  The closed flag is read
+        live members nobody will ever release.  The closed flag is read
         under the same lock ordering ``close()`` writes it, and
         ``all_replicas()`` takes the flip lock, so either the flip lands
-        first (and ``close()`` sees the standby replicas) or the flip
+        first (and ``close()`` sees the standby members) or the flip
         refuses — never a leaked active set.
         """
         with self._flip_lock:
@@ -336,7 +361,7 @@ class ReplicaSet(TypedServingSurface):
             self._active = list(standby)
             self._generation = generation
             self._retired.extend(previous)
-            self.dispatcher.reset(self._active)
+            self._reset_dispatch(self._active)
         logger.info(
             "refit flip: generation %d active on %d replica(s); %d replica(s) retiring",
             generation,
@@ -345,9 +370,6 @@ class ReplicaSet(TypedServingSurface):
         )
         return previous
 
-    # ------------------------------------------------------------------ #
-    # Refit
-    # ------------------------------------------------------------------ #
     def refit(self) -> dict:
         """Hot model swap: see
         :meth:`repro.replica.refit.RefitCoordinator.refit`."""
@@ -356,92 +378,74 @@ class ReplicaSet(TypedServingSurface):
     # ------------------------------------------------------------------ #
     # Submission (the ServingLoop-compatible surface)
     # ------------------------------------------------------------------ #
-    def submit(
-        self,
-        kind: str,
-        history: Sequence[int],
-        objective: int,
-        path_so_far: Sequence[int] = (),
-        user_index: "int | None" = None,
-        max_length: "int | None" = None,
-    ) -> Future:
-        """Positional submission (deprecated — see
-        :meth:`~repro.serve.api.TypedServingSurface.serve`)."""
-        warn_positional_submit()
-        return self.enqueue(
-            ServeRequest.create(
-                kind,
-                history,
-                objective,
-                path_so_far=path_so_far,
-                user_index=user_index,
-                max_length=max_length,
-            )
-        )
-
-    def submit_next_step(
-        self,
-        history: Sequence[int],
-        objective: int,
-        path_so_far: Sequence[int] = (),
-        user_index: "int | None" = None,
-    ) -> Future:
-        return self.submit(
-            "next_step", history, objective, path_so_far=path_so_far, user_index=user_index
-        )
-
-    def submit_plan_paths(
-        self,
-        history: Sequence[int],
-        objective: int,
-        user_index: "int | None" = None,
-        max_length: "int | None" = None,
-    ) -> Future:
-        return self.submit(
-            "plan_paths", history, objective, user_index=user_index, max_length=max_length
-        )
-
     def enqueue(self, request: ServeRequest) -> Future:
-        """Dispatch one request to a healthy replica's queue.
+        """Dispatch one request to a healthy member."""
+        self._admit(request)
+        return self._dispatch(request, self.dispatcher)
 
-        A dispatch can race a generation flip: the picked replica may close
-        its queues between pick and put.  The request was *not* admitted in
-        that case, so it simply re-dispatches against the post-flip active
-        set — no accepted request is ever dropped by a refit.
-        :class:`~repro.utils.exceptions.QueueFullError` (the ``reject``
-        admission policy) is back-pressure, not a race, and propagates.
-        """
+    def _admit(self, request: ServeRequest) -> None:
+        """The fleet's own admission: closed sets and expired deadlines are
+        refused before any member is picked."""
         if self.closed:
             raise ServingError("replica set is closed; no new requests accepted")
+        if request.deadline is not None:
+            self.admission.check_deadline(request.deadline)
+
+    def _dispatch(self, request: ServeRequest, dispatcher: Dispatcher) -> Future:
+        """Pick a member, hand the request over, undo and re-pick on refusal.
+
+        A dispatch can race a generation flip or a member failure: the
+        picked member may stop accepting between pick and hand-over.  The
+        request was *not* admitted in that case, so it simply re-dispatches
+        against the current active set — no accepted request is ever
+        dropped by a refit.  :class:`~repro.utils.exceptions.QueueFullError`
+        (the ``reject`` admission policy) is back-pressure, not a race, and
+        propagates.
+        """
         for _ in range(self._MAX_DISPATCH_ATTEMPTS):
-            replica = self.dispatcher.pick(request)
-            replica.on_dispatch()
-            request.replica_index = replica.index
+            member = dispatcher.pick(request)
+            member.on_dispatch()
+            request.replica_index = member.index
             try:
-                replica.loop.enqueue(request)
+                member.accept(request)
             except QueueFullError:
-                replica.on_dispatch_failed()
+                member.on_dispatch_failed()
                 raise
-            except ServingError:
-                # The replica retired (its loop closed) between pick and
-                # put — or a producer blocked on its back-pressure was woken
-                # by the close.  Either way nothing was admitted: undo the
+            except (OSError, ServingError) as exc:
+                # The member retired or failed between pick and hand-over —
+                # or a producer blocked on its back-pressure was woken by
+                # the close.  Either way nothing was admitted: undo the
                 # accounting, drop any stale affinity, and re-dispatch.
-                replica.on_dispatch_failed()
-                self.dispatcher.forget(replica)
+                member.on_dispatch_failed()
+                self._on_refused(member)
                 if self.closed:
-                    raise
+                    raise ServingError(
+                        "replica set closed during dispatch; request not accepted"
+                    ) from exc
                 continue
-            request.future.add_done_callback(
-                lambda _future, replica=replica, request=request: replica.on_complete(
-                    request
-                )
-            )
             return request.future
         raise ServingError(
             f"could not place request after {self._MAX_DISPATCH_ATTEMPTS} dispatch "
-            f"attempts (replicas kept retiring under the dispatcher)"
+            "attempts (replicas kept retiring or failing under the dispatcher)"
         )
+
+    def _on_refused(self, member) -> None:
+        """A picked member refused a hand-over (nothing was admitted)."""
+        self._forget(member)
+
+    def _redispatch(self, requests: "list[ServeRequest]", reason: str) -> int:
+        """Re-enqueue requests a member failed to answer (same futures);
+        returns how many were still unanswered."""
+        live = [request for request in requests if not request.future.done()]
+        for request in live:
+            try:
+                self.enqueue(request)
+            except BaseException as exc:  # noqa: BLE001 - delivered via the future
+                if not request.future.done():
+                    request.future.set_exception(exc)
+        if live:
+            logger.info("re-dispatched %d request(s) after %s", len(live), reason)
+        return len(live)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -449,7 +453,7 @@ class ReplicaSet(TypedServingSurface):
     @property
     def planner(self):
         """A representative planner (the traffic drivers read ``max_length``
-        off it); with replicas at one generation any of them is exact."""
+        off it); with members at one generation any of them is exact."""
         return self.active_replicas()[0].planner
 
     def stats(self) -> dict:
@@ -457,18 +461,20 @@ class ReplicaSet(TypedServingSurface):
         replication-specific sections (per-replica load, dispatcher picks,
         refit history)."""
         active = self.active_replicas()
-        replicas = self.all_replicas()
+        members = self.all_replicas()
         archived = self.archived_stats()
-        loop_stats = [replica.loop.stats() for replica in replicas] + [
-            snapshot["loop"] for snapshot in archived
-        ]
-        per_queue = [queue for stats in loop_stats for queue in stats["per_queue"]]
-        depth_samples = sum(q["depth_samples"] for q in per_queue)
-        batches = sum(q["micro_batches"] for q in per_queue)
-        batch_requests = sum(q["micro_batch_requests"] for q in per_queue)
+        loop_stats = [member.loop_stats() for member in members]
+        loop_stats += [snapshot["loop"] for snapshot in archived]
+        loop_stats = [stats for stats in loop_stats if stats is not None]
+        # Fleet admission = what the members' controllers counted plus what
+        # the fleet's own controller refused before picking one.
         admission = self.admission.counters()
-        # Fleet-wide tenant view: per-replica loops each carry their own
-        # binding counters; sum the volume fields per tenant id.
+        admission["per_replica"] = [stats["admission"] for stats in loop_stats]
+        for counters in admission["per_replica"]:
+            for key in ("admitted", "rejected", "blocked"):
+                admission[key] += counters[key]
+        # Fleet-wide tenant view: every member loop carries its own binding
+        # counters; sum the volume fields per tenant id.
         tenants: "dict[str, dict]" = {}
         for stats in loop_stats:
             for name, tenant_stats in stats.get("tenants", {}).items():
@@ -485,21 +491,11 @@ class ReplicaSet(TypedServingSurface):
             "served": sum(stats["served"] for stats in loop_stats),
             **self.admission.describe(),
             "admission": admission,
-            "queue_depth": {
-                "max": max((q["depth_max"] for q in per_queue), default=0),
-                "mean": (
-                    round(sum(q["depth_sum"] for q in per_queue) / depth_samples, 3)
-                    if depth_samples
-                    else 0.0
-                ),
-            },
-            "micro_batches": {
-                "count": batches,
-                "mean_size": round(batch_requests / batches, 3) if batches else 0.0,
-                "max_size": max((q["micro_batch_max"] for q in per_queue), default=0),
-            },
+            **rollup_queue_stats(
+                [queue for stats in loop_stats for queue in stats["per_queue"]]
+            ),
             "dispatch": self.dispatcher.stats(),
-            "replicas": [replica.stats() for replica in replicas],
-            "retired_replicas": len(replicas) - len(active) + len(archived),
+            "replicas": [member.stats() for member in members],
+            "retired_replicas": len(members) - len(active) + len(archived),
             "refits": self.refit_coordinator.history(),
         }

@@ -33,7 +33,7 @@ from repro.retrieval.base import (
     FullVocabGenerator,
     retrieval_registry,
 )
-from repro.retrieval.config import make_generator, resolve_retrieval_spec
+from repro.retrieval.config import make_generator
 from repro.retrieval.cooccurrence import CooccurrenceNeighborGenerator
 from repro.retrieval.metrics import overlap_at_k, path_score, plan_regret
 
@@ -46,6 +46,5 @@ __all__ = [
     "overlap_at_k",
     "path_score",
     "plan_regret",
-    "resolve_retrieval_spec",
     "retrieval_registry",
 ]

@@ -1,26 +1,19 @@
-"""Resolving retrieval specs from CLI flags / environment / bench configs.
+"""Building the candidate generator a retrieval spec names.
 
 ``--retrieval`` on ``repro-irs serve-sim`` (and the bench's generator
 construction) speaks short names: ``none`` (exact planning, the default),
 ``full`` (full-vocabulary candidate sets — the parity oracle), ``ann``
 and ``cooccurrence``.  The spec and shortlist-size knobs are rows of the
-declarative resolver table in :mod:`repro.config`
-(:func:`resolve_retrieval_spec` validates eagerly with a
-:class:`~repro.utils.exceptions.ConfigurationError` naming the known
-specs); :func:`make_generator` instantiates through the registry.
+declarative resolver table in :mod:`repro.config`;
+:func:`make_generator` instantiates through the registry.
 """
 
 from __future__ import annotations
 
-from repro.config import RETRIEVAL_SPECS, resolve_candidate_k, resolve_retrieval_spec
+from repro.config import resolve_retrieval_spec
 from repro.retrieval.base import CandidateGenerator, retrieval_registry
 
-__all__ = [
-    "resolve_retrieval_spec",
-    "resolve_candidate_k",
-    "make_generator",
-    "RETRIEVAL_SPECS",
-]
+__all__ = ["make_generator"]
 
 
 def make_generator(

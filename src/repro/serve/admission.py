@@ -19,13 +19,14 @@ per-shard — a hot shard never stalls traffic routed elsewhere.
 from __future__ import annotations
 
 import logging
+import time
 
-from repro.obs.registry import MetricGroup, get_registry
-from repro.serve.config import (
+from repro.config import (
     resolve_admission_policy,
     resolve_drain_deadline,
     resolve_max_queue_depth,
 )
+from repro.obs.registry import MetricGroup, get_registry
 from repro.utils.exceptions import QueueFullError
 
 __all__ = ["AdmissionController"]
@@ -87,19 +88,24 @@ class AdmissionController:
                 f"retry later or use admission_policy='block'"
             )
 
-    def on_expired(self, lateness_s: float) -> None:
-        """A request arrived after its own deadline: reject, never enqueue.
+    def check_deadline(self, deadline: float) -> None:
+        """Reject a request that arrives after its own deadline.
 
-        Expired requests count as rejections on this controller's scope —
-        spending a queue slot and a drain share on an answer nobody wants
-        would let one late tenant's backlog crowd out live traffic.
+        THE expiry rule of every front-end (loop, in-process fleet, process
+        fleet): a ``deadline`` is the last instant the caller still wants
+        the answer, so a request is expired strictly *after* it.  Expired
+        requests count as rejections on this controller's scope — spending
+        a queue slot and a drain share on an answer nobody wants would let
+        one late tenant's backlog crowd out live traffic.
         """
-        self._metrics.record(add={"rejected": 1})
-        where = f"{self.scope}: " if self.scope else ""
-        raise QueueFullError(
-            f"{where}request deadline expired {1000.0 * lateness_s:.1f}ms "
-            "before admission; not enqueuing an answer nobody wants"
-        )
+        lateness_s = time.perf_counter() - deadline
+        if lateness_s > 0.0:
+            self._metrics.record(add={"rejected": 1})
+            where = f"{self.scope}: " if self.scope else ""
+            raise QueueFullError(
+                f"{where}request deadline expired {1000.0 * lateness_s:.1f}ms "
+                "before admission; not enqueuing an answer nobody wants"
+            )
 
     def on_blocked(self) -> None:
         """One request entered the blocked state (counted once per request)."""

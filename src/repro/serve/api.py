@@ -33,15 +33,15 @@ duplicated this logic (``loop.py`` stamped ``drain_started_at`` /
 never-negative regression tests live alongside it in
 ``tests/serve/test_response_stamp.py``.
 
-The old positional ``submit(kind, history, objective, ...)`` path remains
-as a deprecation shim for one release; new call sites construct typed
-requests.
+``serve(request)`` is the only typed entry point; drivers that need the
+envelope afterwards (to read its stamps) build one with
+:meth:`ServeRequest.create <repro.serve.request.ServeRequest.create>` and
+hand it to the front-end's ``enqueue(envelope)``.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
@@ -57,25 +57,7 @@ __all__ = [
     "Response",
     "TypedServingSurface",
     "REQUEST_TYPES",
-    "warn_positional_submit",
 ]
-
-#: the positional-``submit`` deprecation fires once per process, not once
-#: per request — the shim sits on serving hot paths
-_POSITIONAL_SUBMIT_WARNED = False
-
-
-def warn_positional_submit() -> None:
-    """Emit the one-per-process deprecation warning for ``submit(kind, ...)``."""
-    global _POSITIONAL_SUBMIT_WARNED
-    if not _POSITIONAL_SUBMIT_WARNED:
-        _POSITIONAL_SUBMIT_WARNED = True
-        warnings.warn(
-            "positional submit(kind, ...) is deprecated; construct a typed "
-            "request (repro.serve.api) and call serve(request) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.config import resolve_arrival_rate, resolve_serve_duration
 from repro.serve.api import NextStepRequest
-from repro.serve.config import resolve_arrival_rate, resolve_serve_duration
 from repro.serve.loop import ServingLoop
 from repro.serve.request import ServeRequest
 from repro.utils.exceptions import ConfigurationError, QueueFullError

@@ -42,14 +42,14 @@ import logging
 import threading
 import time
 from concurrent.futures import Future
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.config import resolve_tenants
 from repro.obs.registry import MetricGroup, get_registry
 from repro.obs.trace import NULL_TRACER, BatchSink, Tracer, use_sink
 from repro.serve.admission import AdmissionController
-from repro.serve.api import Response, TypedServingSurface, warn_positional_submit
-from repro.serve.queue import RequestQueue
+from repro.serve.api import Response, TypedServingSurface
+from repro.serve.queue import RequestQueue, rollup_queue_stats
 from repro.serve.request import ServeRequest
 from repro.shard.partition import shard_index
 from repro.utils.exceptions import ConfigurationError, ServingError
@@ -96,7 +96,7 @@ class ServingLoop(TypedServingSurface):
         planning partition (a queue's drain thread re-enters the planner,
         which may sub-partition replans across its own worker shards).
     max_queue_depth / admission_policy / drain_deadline:
-        Admission-control knobs (see :mod:`repro.serve.config` for the
+        Admission-control knobs (see :mod:`repro.config` for the
         ``REPRO_*`` environment defaults): per-shard queue bound, ``block``
         or ``reject`` on a full queue, and the seconds a drain holds the
         queue open after the first enqueue to widen the micro-batch.
@@ -237,55 +237,26 @@ class ServingLoop(TypedServingSurface):
     # ------------------------------------------------------------------ #
     # Submission
     # ------------------------------------------------------------------ #
-    def submit(
-        self,
-        kind: str,
-        history: Sequence[int],
-        objective: int,
-        path_so_far: Sequence[int] = (),
-        user_index: "int | None" = None,
-        max_length: "int | None" = None,
-    ) -> Future:
-        """Route one request to its shard queue; returns its future.
-
-        .. deprecated:: this positional path remains for one release as a
-           shim over the typed API — construct a
-           :class:`~repro.serve.api.Request` and call :meth:`serve`
-           instead (the future then resolves to a typed
-           :class:`~repro.serve.api.Response` rather than a bare answer).
+    def enqueue(self, request: ServeRequest) -> Future:
+        """Route one request envelope to its shard queue; returns its future
+        (:meth:`serve` is the typed entry point over this).
 
         Raises :class:`~repro.utils.exceptions.QueueFullError` when the
         shard queue is full under the ``reject`` policy (the ``block``
-        policy waits for a drain instead), and
-        :class:`~repro.utils.exceptions.ServingError` after :meth:`close`.
+        policy waits for a drain instead) or the request's deadline already
+        passed, and :class:`~repro.utils.exceptions.ServingError` after
+        :meth:`close`.
         """
-        warn_positional_submit()
-        return self.enqueue(
-            ServeRequest.create(
-                kind,
-                history,
-                objective,
-                path_so_far=path_so_far,
-                user_index=user_index,
-                max_length=max_length,
-            )
-        )
-
-    def enqueue(self, request: ServeRequest) -> Future:
-        """Admit a pre-built request envelope (the traffic driver's entry
-        point — it keeps the envelope to read ``completed_at`` afterwards)."""
         binding = None
         if self.tenants is not None:
             # Assigns a tenant to untenanted requests BEFORE the routing key
             # is hashed, so a tenant's traffic shards within its own key space.
             binding = self.tenants.resolve(request)
         if request.deadline is not None:
-            now = time.perf_counter()
-            if now > request.deadline:
-                admission = binding.admission if (
-                    binding is not None and binding.admission is not None
-                ) else self.admission
-                admission.on_expired(now - request.deadline)
+            admission = self.admission
+            if binding is not None and binding.admission is not None:
+                admission = binding.admission
+            admission.check_deadline(request.deadline)
         shard = shard_index(request.routing_key(), self.num_queues)
         # Hot-path guard: with tracing disabled this is one attribute check
         # and no allocation (the overhead contract's structural no-op).
@@ -327,30 +298,6 @@ class ServingLoop(TypedServingSurface):
             # the drain beat us here.
             request.future.add_done_callback(lambda _future, b=binding: b.release())
         return request.future
-
-    def submit_next_step(
-        self,
-        history: Sequence[int],
-        objective: int,
-        path_so_far: Sequence[int] = (),
-        user_index: "int | None" = None,
-    ) -> Future:
-        """Async ``next_step``: the future resolves to an item id or ``None``."""
-        return self.submit(
-            "next_step", history, objective, path_so_far=path_so_far, user_index=user_index
-        )
-
-    def submit_plan_paths(
-        self,
-        history: Sequence[int],
-        objective: int,
-        user_index: "int | None" = None,
-        max_length: "int | None" = None,
-    ) -> Future:
-        """Async ``plan_path``: the future resolves to a full planned path."""
-        return self.submit(
-            "plan_paths", history, objective, user_index=user_index, max_length=max_length
-        )
 
     # ------------------------------------------------------------------ #
     # Draining
@@ -562,9 +509,6 @@ class ServingLoop(TypedServingSurface):
             ),
         }
 
-        depth_samples = sum(q["depth_samples"] for q in per_queue)
-        batches = sum(q["micro_batches"] for q in per_queue)
-        batch_requests = sum(q["micro_batch_requests"] for q in per_queue)
         tenants = {} if self.tenants is None else {"tenants": self.tenants.stats()}
         return {
             "num_queues": self.num_queues,
@@ -572,19 +516,7 @@ class ServingLoop(TypedServingSurface):
             **self.admission.describe(),
             "admission": admission,
             "served": served,
-            "queue_depth": {
-                "max": max((q["depth_max"] for q in per_queue), default=0),
-                "mean": (
-                    round(sum(q["depth_sum"] for q in per_queue) / depth_samples, 3)
-                    if depth_samples
-                    else 0.0
-                ),
-            },
-            "micro_batches": {
-                "count": batches,
-                "mean_size": round(batch_requests / batches, 3) if batches else 0.0,
-                "max_size": max((q["micro_batch_max"] for q in per_queue), default=0),
-            },
+            **rollup_queue_stats(per_queue),
             "service_latency": latency,
             "per_queue": per_queue,
         }

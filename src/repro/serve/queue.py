@@ -3,7 +3,7 @@
 One :class:`RequestQueue` per worker shard holds the
 :class:`~repro.serve.request.ServeRequest` envelopes routed to that shard,
 FIFO.  The queue owns its condition variable, so producers (callers of
-``ServingLoop.submit``) and the shard's drain thread synchronise without a
+``ServingLoop.enqueue``) and the shard's drain thread synchronise without a
 global lock — back-pressure on one shard never blocks another.
 
 Draining semantics (:meth:`RequestQueue.collect`): the drain thread sleeps
@@ -31,7 +31,7 @@ from repro.serve.admission import AdmissionController
 from repro.serve.request import ServeRequest
 from repro.utils.exceptions import ServingError
 
-__all__ = ["RequestQueue"]
+__all__ = ["RequestQueue", "rollup_queue_stats"]
 
 
 class RequestQueue:
@@ -198,3 +198,27 @@ class RequestQueue:
             ),
             "empty_drains": values["empty_drains"],
         }
+
+
+def rollup_queue_stats(per_queue: "list[dict]") -> dict:
+    """The ``queue_depth`` / ``micro_batches`` sections of a ``stats()``
+    report, summed over :meth:`RequestQueue.stats` rows — one loop's shard
+    queues or every queue of a whole fleet."""
+    depth_samples = sum(q["depth_samples"] for q in per_queue)
+    batches = sum(q["micro_batches"] for q in per_queue)
+    batch_requests = sum(q["micro_batch_requests"] for q in per_queue)
+    return {
+        "queue_depth": {
+            "max": max((q["depth_max"] for q in per_queue), default=0),
+            "mean": (
+                round(sum(q["depth_sum"] for q in per_queue) / depth_samples, 3)
+                if depth_samples
+                else 0.0
+            ),
+        },
+        "micro_batches": {
+            "count": batches,
+            "mean_size": round(batch_requests / batches, 3) if batches else 0.0,
+            "max_size": max((q["micro_batch_max"] for q in per_queue), default=0),
+        },
+    }

@@ -12,9 +12,10 @@ past what a single fused logits sort would allow.
 Layout
 ------
 :mod:`~repro.shard.config`
-    The ``num_workers`` / ``shard_backend`` / ``vocab_shards`` knobs and
-    their ``REPRO_*`` environment overrides (how CI forces the parallel
-    path across the whole test suite).
+    The fork probe and the backend resolver built on it (the
+    ``num_workers`` / ``shard_backend`` / ``vocab_shards`` knobs themselves
+    are rows of :mod:`repro.config`, with the ``REPRO_*`` overrides CI uses
+    to force the parallel path across the whole test suite).
 :mod:`~repro.shard.partition`
     Deterministic context hashing and index partitioning.
 :mod:`~repro.shard.executor`
@@ -27,29 +28,20 @@ Layout
     Exact vocabulary-sharded top-k (:func:`sharded_topk`).
 """
 
-from repro.shard.config import (
-    VALID_BACKENDS,
-    fork_available,
-    resolve_num_workers,
-    resolve_shard_backend,
-    resolve_vocab_shards,
-)
+from repro.shard.config import fork_available, resolve_shard_backend
 from repro.shard.executor import ShardedExecutor
 from repro.shard.partition import context_key, partition_indices, shard_index, stable_hash
 from repro.shard.plancache import ShardedPlanCache, make_plan_cache
 from repro.shard.topk import sharded_topk, stable_topk
 
 __all__ = [
-    "VALID_BACKENDS",
     "ShardedExecutor",
     "ShardedPlanCache",
     "context_key",
     "fork_available",
     "make_plan_cache",
     "partition_indices",
-    "resolve_num_workers",
     "resolve_shard_backend",
-    "resolve_vocab_shards",
     "shard_index",
     "sharded_topk",
     "stable_hash",

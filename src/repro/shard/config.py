@@ -1,33 +1,22 @@
-"""Configuration surface of the sharded execution subsystem.
+"""What the sharded execution subsystem resolves for itself.
 
-The three knobs (``num_workers`` / ``REPRO_NUM_WORKERS``, ``shard_backend``
-/ ``REPRO_SHARD_BACKEND``, ``vocab_shards`` / ``REPRO_VOCAB_SHARDS``) are
-rows of the declarative resolver table in :mod:`repro.config`.  The
-platform check (:func:`fork_available`) stays here — it is an environment
-probe, not a knob, and tests monkeypatch it on this module — so
-:func:`resolve_shard_backend` composes the table-driven name resolution
-with the local fork check.
+The knobs (``num_workers`` / ``REPRO_NUM_WORKERS``, ``shard_backend`` /
+``REPRO_SHARD_BACKEND``, ``vocab_shards`` / ``REPRO_VOCAB_SHARDS``) are
+rows of the declarative resolver table in :mod:`repro.config` — import
+their resolvers from there.  The platform check (:func:`fork_available`)
+lives here — it is an environment probe, not a knob, and tests monkeypatch
+it on this module — so :func:`resolve_shard_backend` composes the
+table-driven name resolution with the local fork check.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 
-from repro.config import (
-    VALID_BACKENDS,
-    resolve_num_workers,
-    resolve_shard_backend_name,
-    resolve_vocab_shards,
-)
+from repro.config import resolve_shard_backend_name
 from repro.utils.exceptions import ConfigurationError
 
-__all__ = [
-    "VALID_BACKENDS",
-    "resolve_num_workers",
-    "resolve_shard_backend",
-    "resolve_vocab_shards",
-    "fork_available",
-]
+__all__ = ["resolve_shard_backend", "fork_available"]
 
 
 def fork_available() -> bool:

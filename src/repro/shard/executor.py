@@ -50,12 +50,9 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Hashable, Sequence, TypeVar
 
+from repro.config import VALID_BACKENDS, resolve_num_workers
 from repro.obs.trace import current_sink
-from repro.shard.config import (
-    VALID_BACKENDS,
-    resolve_num_workers,
-    resolve_shard_backend,
-)
+from repro.shard.config import resolve_shard_backend
 from repro.shard.partition import partition_indices
 from repro.utils.exceptions import ConfigurationError, StaleGenerationError
 

@@ -47,7 +47,11 @@ class TestVocabulary:
         vocab = Vocabulary(["a", "b", "c"])
         assert list(vocab.item_indices()) == [1, 2, 3]
 
-    @given(st.lists(st.text(min_size=1), min_size=1, max_size=30))
+    # The reserved token is not an item (test_pad_token_cannot_be_added); newer
+    # hypothesis releases draw string literals found in the source, "<pad>" included.
+    @given(
+        st.lists(st.text(min_size=1).filter(lambda s: s != PAD_TOKEN), min_size=1, max_size=30)
+    )
     def test_encode_decode_round_trip(self, items):
         vocab = Vocabulary(items)
         encoded = vocab.encode(items)

@@ -10,6 +10,10 @@ unavailable (workers receive their fitted planner by copy-on-write).
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
+import time
+
 import pytest
 
 from repro.core.beam import BeamSearchPlanner
@@ -41,6 +45,34 @@ collect_ignore_glob = (
     if fork_available()
     else ["test_remote_*.py", "test_failure_detector.py"]
 )
+
+
+#: Parent-side threads a RemoteReplicaSet owns; none may outlive its close().
+_FLEET_THREAD_PREFIXES = ("repro-remote-reader-", "repro-failure-detector")
+
+
+def _fleet_leftovers() -> "list[str]":
+    return [f"process {child.name}" for child in multiprocessing.active_children()] + [
+        f"thread {thread.name}"
+        for thread in threading.enumerate()
+        if thread.name.startswith(_FLEET_THREAD_PREFIXES)
+    ]
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    """Fail any test in this directory that leaves a worker process, a
+    reader thread or a failure detector behind (a fleet that raised from
+    its constructor, or a standby a refused refit never shut down)."""
+    yield
+    deadline = time.perf_counter() + 2.0  # a SIGKILLed child reaps asynchronously
+    while _fleet_leftovers() and time.perf_counter() < deadline:
+        time.sleep(0.01)
+    leftovers = _fleet_leftovers()
+    for child in multiprocessing.active_children():  # do not poison later tests
+        child.kill()
+        child.join(timeout=5.0)
+    assert not leftovers, f"test left fleet resources behind: {leftovers}"
 
 
 @pytest.fixture(scope="session")

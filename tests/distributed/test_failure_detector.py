@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.distributed import RemoteReplicaSet
+from repro.serve.request import ServeRequest
 
 from tests.distributed.conftest import HEARTBEAT_INTERVAL
 
@@ -45,7 +46,9 @@ class TestWorkerKill:
             make_factory(), num_replicas=2, heartbeat_interval=HEARTBEAT_INTERVAL
         ) as remote_set:
             futures = [
-                remote_set.submit_plan_paths(history, objective, user_index=user)
+                remote_set.enqueue(
+                    ServeRequest.create("plan_paths", history, objective, user_index=user)
+                )
                 for history, objective, user in remote_contexts
                 for _ in range(4)
             ]
@@ -75,8 +78,8 @@ class TestWorkerKill:
             time.sleep(HEARTBEAT_INTERVAL * 6)
             assert not victim.healthy
             history, objective, user = remote_contexts[0]
-            request_future = remote_set.submit_plan_paths(
-                history, objective, user_index=user
+            request_future = remote_set.enqueue(
+                ServeRequest.create("plan_paths", history, objective, user_index=user)
             )
             assert request_future.result(timeout=30) is not None
 
@@ -107,7 +110,9 @@ class TestHeartbeatTimeout:
                 # Traffic keeps flowing on the survivor meanwhile.
                 history, objective, user = remote_contexts[0]
                 assert (
-                    remote_set.submit_plan_paths(history, objective, user_index=user)
+                    remote_set.enqueue(
+                        ServeRequest.create("plan_paths", history, objective, user_index=user)
+                    )
                     .result(timeout=30)
                     is not None
                 )

@@ -42,7 +42,9 @@ class TestRemoteParity:
             make_factory(), num_replicas=2, heartbeat_interval=HEARTBEAT_INTERVAL
         ) as remote_set:
             futures = [
-                remote_set.submit_plan_paths(history, objective, user_index=user)
+                remote_set.enqueue(
+                    ServeRequest.create("plan_paths", history, objective, user_index=user)
+                )
                 for history, objective, user in remote_contexts
             ]
             answers = [future.result() for future in futures]
@@ -96,11 +98,17 @@ class TestRemoteParity:
             # Out-of-vocabulary history: the worker's backbone raises
             # IndexError, which is outside the wire's exception allow-list
             # and therefore degrades to ServingError naming it.
-            future = remote_set.submit_plan_paths([999_999], 3)
+            failed = ServeRequest.create("plan_paths", [999_999], 3)
             with pytest.raises(ServingError, match="IndexError"):
-                future.result(timeout=30)
+                remote_set.enqueue(failed).result(timeout=30)
+            # A failed envelope is stamped like an answered one (same site).
+            assert failed.completed_at >= failed.enqueued_at > 0.0
+            assert failed.replica_index == 0
+            assert failed.served_generation is None and failed.batch_tag is None
             # The worker survives a failed request and keeps serving.
-            assert remote_set.submit_plan_paths([1, 2], 3).result(timeout=30)
+            assert remote_set.enqueue(
+                ServeRequest.create("plan_paths", [1, 2], 3)
+            ).result(timeout=30)
 
     def test_enqueue_after_close_raises(self, make_factory, remote_contexts):
         remote_set = RemoteReplicaSet(
@@ -110,7 +118,9 @@ class TestRemoteParity:
         remote_set.close()
         history, objective, user = remote_contexts[0]
         with pytest.raises(ServingError):
-            remote_set.submit_next_step(history, objective, [], user_index=user)
+            remote_set.enqueue(
+                ServeRequest.create("next_step", history, objective, [], user_index=user)
+            )
 
     def test_factory_must_be_callable_and_produce_planners(self):
         with pytest.raises(ConfigurationError, match="planner_factory"):

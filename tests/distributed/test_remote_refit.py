@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.distributed import RemoteReplicaSet
+from repro.serve.request import ServeRequest
 from repro.utils.exceptions import ServingError
 
 from tests.distributed.conftest import HEARTBEAT_INTERVAL
@@ -29,12 +30,16 @@ class TestRemoteRefit:
             make_factory(), num_replicas=2, heartbeat_interval=HEARTBEAT_INTERVAL
         ) as remote_set:
             before = [
-                remote_set.submit_plan_paths(history, objective, user_index=user)
+                remote_set.enqueue(
+                    ServeRequest.create("plan_paths", history, objective, user_index=user)
+                )
                 for history, objective, user in remote_contexts
             ]
             report = remote_set.refit()
             after = [
-                remote_set.submit_plan_paths(history, objective, user_index=user)
+                remote_set.enqueue(
+                    ServeRequest.create("plan_paths", history, objective, user_index=user)
+                )
                 for history, objective, user in remote_contexts
             ]
             # Zero drops: every future from both sides of the flip resolves.
@@ -76,7 +81,9 @@ class TestRemoteRefit:
         ) as remote_set:
             report = remote_set.refit()
             answers = [
-                remote_set.submit_plan_paths(history, objective, user_index=user)
+                remote_set.enqueue(
+                    ServeRequest.create("plan_paths", history, objective, user_index=user)
+                )
                 .result(timeout=30)
                 for history, objective, user in remote_contexts[:4]
             ]
@@ -104,13 +111,11 @@ class TestRemoteRefit:
         with RemoteReplicaSet(
             make_factory(), num_replicas=2, heartbeat_interval=HEARTBEAT_INTERVAL
         ) as remote_set:
-            first = remote_set.submit_plan_paths(
-                history, objective, user_index=user
+            first = remote_set.enqueue(
+                ServeRequest.create("plan_paths", history, objective, user_index=user)
             )
             first.result(timeout=30)
             remote_set.refit()
-            from repro.serve.request import ServeRequest
-
             request = ServeRequest.create(
                 "plan_paths", history, objective, user_index=user
             )

@@ -10,15 +10,26 @@ Two factory flavours, matching the two halves of the replication contract:
   (deterministic config + seed, so weights are identical across calls).
   Used by the refit suite: the coordinator must be able to train standby
   replicas off-path without touching a serving backbone.
+
+``fleet`` builds a started fleet of either transport (``inproc`` — a
+:class:`~repro.replica.ReplicaSet`; ``process`` — a
+:class:`~repro.distributed.RemoteReplicaSet`, skipped without ``fork``), so
+a contract both must hold is written once (``test_fleet_contract.py``).
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import threading
 
 import pytest
 
 from repro.core.beam import BeamSearchPlanner
 from repro.core.irn import IRN
+from repro.distributed import RemoteReplicaSet
 from repro.evaluation.protocol import sample_objectives
+from repro.replica import ReplicaSet
+from repro.shard.config import fork_available
 
 MAX_LENGTH = 5
 
@@ -74,6 +85,42 @@ def fresh_factory(tiny_split):
         return factory
 
     return build
+
+
+def _fleet_threads() -> set:
+    """Live threads a fleet owns: drain threads, wire readers, the detector."""
+    return {
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith(("repro-serve-drain-", "repro-remote-", "repro-failure-"))
+    }
+
+
+@pytest.fixture(params=["inproc", "process"])
+def fleet(request):
+    """``fleet(planner_factory, **kwargs)`` -> a started fleet over the
+    parametrised transport; ``fleet.transport`` names it.  Every fleet built
+    is closed at teardown, after which nothing of it may be left running."""
+    if request.param == "process" and not fork_available():
+        pytest.skip("the process transport needs the fork start method")
+    threads_before = _fleet_threads()
+    built = []
+
+    def build(planner_factory, **kwargs):
+        if request.param == "process":
+            kwargs.setdefault("heartbeat_interval", 0.05)
+            cls = RemoteReplicaSet
+        else:
+            cls = ReplicaSet
+        built.append(cls(planner_factory, **kwargs))
+        return built[-1].start()
+
+    build.transport = request.param
+    yield build
+    for front_end in built:
+        front_end.close()
+    assert multiprocessing.active_children() == []
+    assert _fleet_threads() <= threads_before
 
 
 @pytest.fixture()

@@ -1,0 +1,111 @@
+"""Contracts every fleet holds, whatever its members are made of.
+
+Each test runs once per transport through the ``fleet`` fixture
+(``inproc`` — :class:`~repro.replica.ReplicaSet`; ``process`` —
+:class:`~repro.distributed.RemoteReplicaSet`): the two classes share one
+core, so what is promised about dispatch, admission, refits and shutdown
+is written once and must hold for both (the per-transport parity suites,
+``test_replica_parity.py`` here and ``tests/distributed``, predate the
+fixture).  The fixture itself asserts that nothing a fleet started (drain
+threads, reader threads, the failure detector, worker processes) outlives
+its ``close()``.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+import time
+
+import pytest
+
+from repro.serve.api import PlanRequest
+from repro.serve.request import ServeRequest
+from repro.utils.exceptions import QueueFullError, ServingError
+
+def _plan(history, objective, user, **envelope):
+    return ServeRequest.create("plan_paths", history, objective, user_index=user, **envelope)
+
+
+class TestFleetParity:
+    def test_typed_and_envelope_submission_agree(self, fleet, make_factory, replica_contexts):
+        reference = make_factory()()
+        front_end = fleet(make_factory(), num_replicas=2)
+        for history, objective, user in replica_contexts[:4]:
+            expected = reference.plan_path(history, objective, user_index=user)
+            envelope = _plan(history, objective, user)
+            assert front_end.enqueue(envelope).result(timeout=30) == expected
+            response = front_end.serve(
+                PlanRequest(history=history, objective=objective, user_index=user)
+            ).result(timeout=30)
+            assert response.answer == expected
+            assert response.served_generation == envelope.served_generation == 1
+            assert response.replica_index is not None
+
+
+class TestFleetDeadline:
+    def test_expired_request_is_refused_by_the_fleet_and_counted(
+        self, fleet, make_factory, replica_contexts
+    ):
+        front_end = fleet(make_factory(), num_replicas=2)
+        late = _plan(*replica_contexts[0], deadline=time.perf_counter() - 0.5)
+        with pytest.raises(QueueFullError, match="deadline expired"):
+            front_end.enqueue(late)
+        live = _plan(*replica_contexts[0], deadline=time.perf_counter() + 60.0)
+        assert front_end.enqueue(live).result(timeout=30) is not None
+        stats = front_end.stats()
+        # The refusal happened before any member was picked: it shows in the
+        # fleet total, on no member's controller and in no dispatch count.
+        assert stats["admission"]["rejected"] == 1
+        assert sum(entry["rejected"] for entry in stats["admission"]["per_replica"]) == 0
+        assert stats["admission"]["admitted"] == stats["served"] == 1
+        assert sum(replica["dispatched"] for replica in stats["replicas"]) == 1
+
+
+class TestFleetRefit:
+    def test_refit_flips_archives_and_reports(self, fleet, make_factory, replica_contexts):
+        front_end = fleet(make_factory(), num_replicas=2)
+        before = [_plan(*context) for context in replica_contexts]
+        for request in before:
+            front_end.enqueue(request)
+        for request in before:
+            request.future.result(timeout=30)
+        report = front_end.refit()
+        after = _plan(*replica_contexts[0])
+        front_end.enqueue(after).result(timeout=30)
+        stats = front_end.stats()
+        assert {request.served_generation for request in before} == {1}
+        assert after.served_generation == 2
+        assert (report["generation_from"], report["generation_to"]) == (1, 2)
+        assert report["num_replicas"] == 2
+        assert report["retired_served"] == len(before)
+        assert report["inflight_at_flip"] == 0
+        assert front_end.fit_generation == stats["generation"] == 2
+        assert stats["refits"] == [report]
+        assert stats["retired_replicas"] == 2
+        assert len(front_end.archived_stats()) == 2
+        assert {replica["generation"] for replica in stats["replicas"]} == {2}
+
+    def test_flip_refused_when_set_closes_during_training(self, fleet, make_factory):
+        """close() racing the training phase must not let the flip install a
+        live standby into a closed set — and the refused standby, which
+        close() cannot reach, must be shut down by the coordinator."""
+        base_factory = make_factory()
+        box: dict = {}
+        calls = {"count": 0}
+
+        def closing_factory():
+            calls["count"] += 1
+            if "set" in box:  # the refit's standby build: close mid-train
+                box["set"].close()
+            return base_factory()
+
+        front_end = fleet(closing_factory, num_replicas=2)
+        box["set"] = front_end
+        with pytest.raises(ServingError, match="closed"):
+            front_end.refit()
+        assert calls["count"] > 1  # the standby build really ran
+        # No generation landed, no refit recorded — and (the fixture's
+        # teardown re-checks threads) no standby worker survived.
+        assert front_end.fit_generation == 1
+        assert front_end.stats()["refits"] == []
+        assert multiprocessing.active_children() == []

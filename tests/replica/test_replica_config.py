@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.replica.config import (
+from repro.config import (
     VALID_DISPATCH_POLICIES,
     resolve_dispatch_policy,
     resolve_num_replicas,

@@ -14,6 +14,7 @@ import pytest
 
 from repro.replica import ReplicaSet
 from repro.serve import replay_lockstep
+from repro.serve.request import ServeRequest
 from repro.utils.exceptions import ConfigurationError, ServingError
 
 BACKENDS = ["serial", "thread"]
@@ -49,7 +50,9 @@ class TestReplicaSetParity:
         ]
         with ReplicaSet(make_factory(), num_replicas=2) as replica_set:
             futures = [
-                replica_set.submit_plan_paths(history, objective, user_index=user)
+                replica_set.enqueue(
+                    ServeRequest.create("plan_paths", history, objective, user_index=user)
+                )
                 for history, objective, user in replica_contexts
             ]
             assert [future.result() for future in futures] == expected
@@ -60,11 +63,15 @@ class TestReplicaSetParity:
         reference = make_factory()()
         with ReplicaSet(make_factory(), num_replicas=2) as replica_set:
             next_futures = [
-                replica_set.submit_next_step(history, objective, [], user_index=user)
+                replica_set.enqueue(
+                    ServeRequest.create("next_step", history, objective, [], user_index=user)
+                )
                 for history, objective, user in replica_contexts
             ]
             plan_futures = [
-                replica_set.submit_plan_paths(history, objective, user_index=user)
+                replica_set.enqueue(
+                    ServeRequest.create("plan_paths", history, objective, user_index=user)
+                )
                 for history, objective, user in replica_contexts
             ]
             next_items = [future.result() for future in next_futures]
@@ -88,16 +95,14 @@ class TestReplicaSetParity:
             for _round in range(3):
                 futures = []
                 for index, (history, objective, user) in enumerate(replica_contexts):
-                    request_future = replica_set.submit_next_step(
-                        history, objective, [], user_index=user
+                    request_future = replica_set.enqueue(
+                        ServeRequest.create("next_step", history, objective, [], user_index=user)
                     )
                     futures.append((index, request_future))
                 for index, future in futures:
                     future.result()
             # replica_index is stamped on the envelope at dispatch; re-submit
             # once more and record the owners directly off the envelopes.
-            from repro.serve.request import ServeRequest
-
             for index, (history, objective, user) in enumerate(replica_contexts):
                 request = ServeRequest.create(
                     "next_step", history, objective, user_index=user
@@ -137,7 +142,9 @@ class TestReplicaSetParity:
         replica_set.close()
         history, objective, user = replica_contexts[0]
         with pytest.raises(ServingError):
-            replica_set.submit_next_step(history, objective, [], user_index=user)
+            replica_set.enqueue(
+                ServeRequest.create("next_step", history, objective, [], user_index=user)
+            )
 
     def test_factory_must_be_callable_and_produce_planners(self):
         with pytest.raises(ConfigurationError, match="planner_factory"):

@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.config import resolve_retrieval_spec
 from repro.retrieval import (
     CandidateGenerator,
     CooccurrenceNeighborGenerator,
     EmbeddingANNGenerator,
     FullVocabGenerator,
     make_generator,
-    resolve_retrieval_spec,
     retrieval_registry,
 )
 from repro.utils.exceptions import ConfigurationError, NotFittedError

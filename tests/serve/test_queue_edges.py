@@ -51,7 +51,9 @@ class TestSingleRequestMicroBatch:
         expected = make_planner().next_step(history, objective, [], user_index=user)
         planner = make_planner()
         with ServingLoop(planner) as loop:
-            future = loop.submit_next_step(history, objective, [], user_index=user)
+            future = loop.enqueue(
+                ServeRequest.create("next_step", history, objective, [], user_index=user)
+            )
             assert future.result() == expected
             stats = loop.stats()
         assert stats["served"] == 1
@@ -76,7 +78,9 @@ class TestFitGenerationRace:
         replans_before = planner.cache_info()["serving"]["replans"]
 
         loop = ServingLoop(planner)  # not started: the request sits queued
-        future = loop.submit_next_step(history, objective, [], user_index=user)
+        future = loop.enqueue(
+            ServeRequest.create("next_step", history, objective, [], user_index=user)
+        )
         irn.fit(tiny_split)  # fit_generation bump while the request is queued
         loop.start()
         item = future.result()
@@ -111,13 +115,17 @@ class TestBackPressure:
             planner, num_queues=1, max_queue_depth=2, admission_policy="reject"
         )
         admitted = [
-            loop.submit_next_step(history, objective, [], user_index=user)
+            loop.enqueue(
+                ServeRequest.create("next_step", history, objective, [], user_index=user)
+            )
             for history, objective, user in serve_contexts[:2]
         ]
         rejected_contexts = serve_contexts[2:4]
         for history, objective, user in rejected_contexts:
             with pytest.raises(QueueFullError, match="full"):
-                loop.submit_next_step(history, objective, [], user_index=user)
+                loop.enqueue(
+                    ServeRequest.create("next_step", history, objective, [], user_index=user)
+                )
         stats = loop.stats()
         assert stats["admission"]["admitted"] == 2
         assert stats["admission"]["rejected"] == 2
@@ -133,13 +141,15 @@ class TestBackPressure:
             planner, num_queues=1, max_queue_depth=1, admission_policy="block"
         )
         history, objective, user = serve_contexts[0]
-        first = loop.submit_next_step(history, objective, [], user_index=user)
+        first = loop.enqueue(
+            ServeRequest.create("next_step", history, objective, [], user_index=user)
+        )
         blocked_future = {}
 
         def producer():
             history2, objective2, user2 = serve_contexts[1]
-            blocked_future["value"] = loop.submit_next_step(
-                history2, objective2, [], user_index=user2
+            blocked_future["value"] = loop.enqueue(
+                ServeRequest.create("next_step", history2, objective2, [], user_index=user2)
             )
 
         thread = threading.Thread(target=producer)
@@ -165,7 +175,9 @@ class TestBackPressure:
         history, objective, user = serve_contexts[0]
         with ServingLoop(make_planner()) as loop:
             with pytest.raises(ConfigurationError, match="max_length"):
-                loop.submit("next_step", history, objective, user_index=user, max_length=3)
+                loop.enqueue(
+                    ServeRequest.create("next_step", history, objective, user_index=user, max_length=3)
+                )
 
     def test_bad_plan_paths_horizon_rejected_at_submit(
         self, make_planner, serve_contexts
@@ -176,11 +188,17 @@ class TestBackPressure:
         history, objective, user = serve_contexts[0]
         with ServingLoop(make_planner()) as loop:
             with pytest.raises(ConfigurationError, match="positive"):
-                loop.submit_plan_paths(history, objective, user_index=user, max_length=0)
+                loop.enqueue(
+                    ServeRequest.create("plan_paths", history, objective, user_index=user, max_length=0)
+                )
             with pytest.raises(ConfigurationError, match="integer"):
-                loop.submit_plan_paths(history, objective, user_index=user, max_length="deep")
+                loop.enqueue(
+                    ServeRequest.create("plan_paths", history, objective, user_index=user, max_length="deep")
+                )
             # An innocent co-submitted request still serves normally.
-            future = loop.submit_plan_paths(history, objective, user_index=user)
+            future = loop.enqueue(
+                ServeRequest.create("plan_paths", history, objective, user_index=user)
+            )
             assert future.result() == make_planner().plan_path(
                 history, objective, user_index=user
             )
@@ -190,7 +208,32 @@ class TestBackPressure:
         loop.close()
         history, objective, user = serve_contexts[0]
         with pytest.raises(ServingError, match="closed"):
-            loop.submit_next_step(history, objective, [], user_index=user)
+            loop.enqueue(
+                ServeRequest.create("next_step", history, objective, [], user_index=user)
+            )
+
+    def test_expired_deadline_is_rejected_before_it_takes_a_queue_slot(
+        self, make_planner, serve_contexts
+    ):
+        history, objective, user = serve_contexts[0]
+        loop = ServingLoop(make_planner(), num_queues=1)  # not started: nothing drains
+        late = ServeRequest.create(
+            "next_step", history, objective, user_index=user,
+            deadline=time.perf_counter() - 0.25,
+        )
+        with pytest.raises(QueueFullError, match="deadline expired"):
+            loop.enqueue(late)
+        on_time = ServeRequest.create(
+            "next_step", history, objective, user_index=user,
+            deadline=time.perf_counter() + 60.0,
+        )
+        loop.enqueue(on_time)
+        assert loop.current_depth() == 1
+        loop.close()
+        stats = loop.stats()
+        assert stats["admission"]["rejected"] == 1
+        assert stats["admission"]["admitted"] == stats["served"] == 1
+        assert not late.future.done() and on_time.future.done()
 
     def test_close_before_start_serves_pending_inline(
         self, make_planner, serve_contexts
@@ -199,7 +242,9 @@ class TestBackPressure:
         planner = make_planner()
         loop = ServingLoop(planner)
         futures = [
-            loop.submit_next_step(history, objective, [], user_index=user)
+            loop.enqueue(
+                ServeRequest.create("next_step", history, objective, [], user_index=user)
+            )
             for history, objective, user in serve_contexts[:3]
         ]
         loop.close()  # never started: pending requests must still resolve

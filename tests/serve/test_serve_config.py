@@ -6,20 +6,22 @@ from __future__ import annotations
 
 import pytest
 
-from repro.serve.admission import AdmissionController
-from repro.serve.config import (
-    DEFAULT_ADMISSION_POLICY,
-    DEFAULT_ARRIVAL_RATE,
-    DEFAULT_DRAIN_DEADLINE,
-    DEFAULT_MAX_QUEUE_DEPTH,
-    DEFAULT_SERVE_DURATION,
+from repro.config import (
+    CONFIG_FIELDS,
     resolve_admission_policy,
     resolve_arrival_rate,
     resolve_drain_deadline,
     resolve_max_queue_depth,
     resolve_serve_duration,
 )
+from repro.serve.admission import AdmissionController
 from repro.utils.exceptions import ConfigurationError, QueueFullError
+
+DEFAULT_MAX_QUEUE_DEPTH = CONFIG_FIELDS["max_queue_depth"].default
+DEFAULT_ADMISSION_POLICY = CONFIG_FIELDS["admission_policy"].default
+DEFAULT_DRAIN_DEADLINE = CONFIG_FIELDS["drain_deadline"].default
+DEFAULT_ARRIVAL_RATE = CONFIG_FIELDS["arrival_rate"].default
+DEFAULT_SERVE_DURATION = CONFIG_FIELDS["serve_duration"].default
 
 ENV_VARS = (
     "REPRO_MAX_QUEUE_DEPTH",
@@ -112,3 +114,22 @@ class TestAdmissionController:
         assert controller.counters()["blocked"] == 0
         controller.on_blocked()  # the queue records the blocked request once
         assert controller.counters()["blocked"] == 1
+
+    def test_a_deadline_is_expired_strictly_after_its_instant(self, monkeypatch):
+        """THE expiry rule (loop and both fleets call this one method): the
+        deadline instant itself is still on time, anything later is a
+        rejection counted on this controller."""
+        from types import SimpleNamespace
+
+        import repro.serve.admission as admission_module
+
+        monkeypatch.setattr(
+            admission_module, "time", SimpleNamespace(perf_counter=lambda: 100.0)
+        )
+        controller = AdmissionController(scope="tenant-a")
+        controller.check_deadline(100.0)
+        controller.check_deadline(250.0)
+        assert controller.counters()["rejected"] == 0
+        with pytest.raises(QueueFullError, match=r"tenant-a: .*expired 500\.0ms"):
+            controller.check_deadline(99.5)
+        assert controller.counters()["rejected"] == 1

@@ -15,6 +15,7 @@ import pytest
 
 from repro.evaluation.protocol import rollout_next_step
 from repro.serve import ServingLoop, replay_lockstep
+from repro.serve.request import ServeRequest
 from repro.utils.exceptions import ConfigurationError
 
 BACKENDS = ["serial", "thread"]
@@ -67,7 +68,9 @@ class TestServingLoopParity:
         planner = make_planner(num_workers=2, shard_backend="thread")
         with ServingLoop(planner) as loop:
             futures = [
-                loop.submit_plan_paths(history, objective, user_index=user)
+                loop.enqueue(
+                    ServeRequest.create("plan_paths", history, objective, user_index=user)
+                )
                 for history, objective, user in serve_contexts
             ]
             assert [future.result() for future in futures] == expected
@@ -79,11 +82,15 @@ class TestServingLoopParity:
         planner = make_planner(num_workers=2, shard_backend="thread")
         with ServingLoop(planner) as loop:
             next_futures = [
-                loop.submit_next_step(history, objective, [], user_index=user)
+                loop.enqueue(
+                    ServeRequest.create("next_step", history, objective, [], user_index=user)
+                )
                 for history, objective, user in serve_contexts
             ]
             plan_futures = [
-                loop.submit_plan_paths(history, objective, user_index=user)
+                loop.enqueue(
+                    ServeRequest.create("plan_paths", history, objective, user_index=user)
+                )
                 for history, objective, user in serve_contexts
             ]
             next_items = [future.result() for future in next_futures]

@@ -6,12 +6,8 @@ import threading
 
 import pytest
 
-from repro.shard.config import (
-    fork_available,
-    resolve_num_workers,
-    resolve_shard_backend,
-    resolve_vocab_shards,
-)
+from repro.config import resolve_num_workers, resolve_vocab_shards
+from repro.shard.config import fork_available, resolve_shard_backend
 from repro.shard.executor import ShardedExecutor
 from repro.utils.exceptions import ConfigurationError
 
