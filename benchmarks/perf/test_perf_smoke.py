@@ -1,18 +1,19 @@
-"""Tier-2 perf smoke test (``pytest -m perf``).
+"""Tier-2 contract smoke test (``pytest -m perf``).
 
-Runs the :mod:`repro.perf.bench` harness in its seconds-scale smoke profile
-and asserts the batched inference engine's contract: fewer module forwards
-(counted via a wrapper, not wall-clock, so CI stays deterministic) with
-unchanged plans and ranks.
+Runs :mod:`repro.perf.bench` in its seconds-scale smoke profile and asserts
+every section's contract bits and work counts (module forwards, token-work,
+cache hits, spans per request) — none of it wall-clock, so CI stays
+deterministic.  Timings are ``benchmarks/e2e``'s business.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
-from repro.perf.bench import run_benchmarks
+from repro.perf.bench import BENCH_SECTIONS, run_benchmarks
 
 pytestmark = pytest.mark.perf
 
@@ -21,10 +22,10 @@ pytestmark = pytest.mark.perf
 def smoke_report(tmp_path_factory):
     output = tmp_path_factory.mktemp("perf") / "BENCH_path_planning.json"
     report = run_benchmarks(profile="smoke", output=str(output))
-    # The artefact must be valid JSON with both throughput series.
-    written = json.loads(output.read_text())
-    assert written["beam_planning"]["scalar"]["paths_per_sec"] > 0
-    assert written["beam_planning"]["batched"]["forwards_per_sec"] > 0
+    # The artefact must be valid JSON carrying what was returned, and the
+    # report is the only file a run writes.
+    assert json.loads(output.read_text())["sections"] == report["sections"]
+    assert [path.name for path in output.parent.iterdir()] == [output.name]
     return report
 
 
@@ -109,14 +110,12 @@ def test_sharded_evaluation_process_and_serial_backends_agree(smoke_report):
         assert parity is None
 
 
-def test_sharded_evaluation_records_scaling_and_machine_context(smoke_report):
+def test_sharded_evaluation_records_machine_context(smoke_report):
     sharded = smoke_report["sharded_evaluation"]
     assert sharded["cpu_count"] >= 1
     assert sharded["backend"] in {"serial", "thread", "process"}
-    assert sharded["serial"]["paths_per_sec"] > 0
     for row in sharded["workers"]:
-        assert row["paths_per_sec"] > 0
-        assert row["scaling_efficiency"] > 0
+        assert row["paths"] == sharded["num_instances"]
 
 
 def test_async_serving_responses_bit_identical_at_every_worker_count(smoke_report):
@@ -127,20 +126,16 @@ def test_async_serving_responses_bit_identical_at_every_worker_count(smoke_repor
     assert all(row["responses_match_sequential"] for row in serving["workers"])
 
 
-def test_async_serving_records_latency_and_queue_stats(smoke_report):
-    """Acceptance: the async_serving section carries throughput, p50/p95/p99
-    latency and queue-depth stats for the open-loop Poisson run."""
+def test_async_serving_records_served_and_admission_counts(smoke_report):
+    """Every worker-shard count serves the same trace: the served and
+    admitted counts agree with each other and across the sweep."""
     serving = smoke_report["async_serving"]
-    assert serving["arrival_rate"] > 0
+    served = {row["served"] for row in serving["workers"]}
+    assert len(served) == 1 and served.pop() > 0
     for row in serving["workers"]:
-        open_loop = row["open_loop"]
-        assert open_loop["throughput_rps"] > 0
-        latency = open_loop["latency_ms"]
-        assert latency["count"] == open_loop["admitted_requests"]
-        assert 0 < latency["p50"] <= latency["p95"] <= latency["p99"] <= latency["max"]
-        assert open_loop["queue_depth"]["max"] >= 1
-        assert open_loop["micro_batches"]["count"] >= 1
-        assert open_loop["admission"]["policy"] in ("block", "reject")
+        assert row["admission"]["admitted"] == row["served"]
+        assert row["admission"]["rejected"] == 0
+        assert row["admission"]["policy"] in ("block", "reject")
 
 
 def test_replicated_serving_parity_at_shared_generation(smoke_report):
@@ -170,13 +165,14 @@ def test_replicated_hot_refit_never_pauses_serving(smoke_report):
 
 def test_distributed_serving_parity_and_chaos_bits(smoke_report):
     """Distributed-PR acceptance: multi-process responses bit-identical to
-    sequential serving at every worker count, codec timed per envelope, and
-    the SIGKILL chaos run dropped nothing and detected the dead worker
-    inside the missed-heartbeat budget (the bits repro.perf.gate enforces)."""
+    sequential serving at every worker count, wire bytes counted per
+    envelope, and the SIGKILL chaos run dropped nothing and detected the dead
+    worker inside the missed-heartbeat budget (the bits repro.perf.gate
+    enforces)."""
     distributed = smoke_report["distributed_serving"]
     codec = distributed["codec"]
-    assert codec["request_encode_ns"] > 0
-    assert codec["request_decode_ns"] > 0
+    assert codec["request_bytes_per_envelope"] > 0
+    assert codec["response_bytes_per_envelope"] > 0
     assert codec["heartbeat_frame_bytes"] > 0
     if not distributed["fork_available"]:  # pragma: no cover - non-fork platforms
         pytest.skip("process transport needs fork")
@@ -184,29 +180,73 @@ def test_distributed_serving_parity_and_chaos_bits(smoke_report):
     for row in distributed["workers"]:
         assert row["responses_match_sequential"]
         assert row["burst_answers_match"]
-        assert row["remote"]["paths_per_sec"] > 0
-        sojourn = row["remote"]["sojourn_ms"]
-        assert 0 <= sojourn["p50"] <= sojourn["p95"] <= sojourn["p99"]
     chaos = distributed["chaos"]
     assert chaos["zero_dropped"] is True
     assert chaos["answers_match"] is True
     assert chaos["unhealthy_within_budget"] is True
-    assert distributed["heartbeat"]["observed_per_worker_per_sec"] > 0
 
 
-def test_replicated_serving_report_gates_green(smoke_report):
-    """The smoke report itself must pass the CI perf gate."""
+def test_observability_span_budget_and_noop(smoke_report):
+    """Observability contract as counts: the untraced replay allocates no
+    trace or span, the traced one allocates one trace per served request
+    and stays inside the spans-per-request budget."""
+    obs = smoke_report["observability"]
+    assert obs["disabled_noop"] is True
+    assert set(obs["disabled"]["allocation_delta"].values()) == {0}
+    enabled = obs["enabled"]
+    assert enabled["allocation_delta"]["traces"] == enabled["served"] > 0
+    assert enabled["traces_retained"] == enabled["served"]
+    assert sum(enabled["span_counts"].values()) == enabled["allocation_delta"]["spans"]
+    overhead = obs["overhead"]
+    assert overhead["within_budget"] is True
+    assert 0 < overhead["spans_per_request"] <= overhead["budget_spans"]
+    assert obs["deterministic_trace_ids"] is True
+    assert obs["async_parity_with_tracing"] and obs["replicated_parity_with_tracing"]
+
+
+def test_smoke_report_gates_green_with_every_section_required(smoke_report):
+    """The smoke report itself must pass the CI gate as CI invokes it."""
     from repro.perf.gate import collect_violations
 
-    assert collect_violations(
-        smoke_report,
-        require=[
-            "tensor_ops",
-            "async_serving",
-            "replicated_serving",
-            "distributed_serving",
-        ],
-    ) == []
+    assert collect_violations(smoke_report, require=BENCH_SECTIONS) == []
+
+
+#: A leaf whose key path matches this is a wall-clock reading by name.
+WALL_CLOCK = re.compile(
+    r"seconds|_ns$|_ms$|_us$|per_sec|_rps|p50|p95|p99|speedup|efficiency"
+)
+#: The wall-clock leaves a report may carry, each with why it is there.
+WALL_CLOCK_ALLOWED = {
+    # the contract is a deadline: detection time against the heartbeat budget
+    "distributed_serving.chaos.detect_seconds",
+    "distributed_serving.chaos.budget_seconds",
+    # the flip must be a pointer swap, not a retrain (asserted < 0.5 s above)
+    "replicated_serving.hot_refit.refit.flip_seconds",
+    # tests/test_cli.py pins "forwards/sec" in the `repro-irs bench` summary
+    "irs_stepwise_replanning.cached.forwards_per_sec",
+}
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (str(key),))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _leaf_paths(value, path + (str(index),))
+    else:
+        yield path
+
+
+def test_report_carries_no_unlisted_wall_clock_leaf(smoke_report):
+    """One clock: every timing lives in benchmarks/e2e.  A new `*_ms` /
+    `*_per_sec` / percentile field in the contract report fails here."""
+    timed = {
+        ".".join(path)
+        for path in _leaf_paths(smoke_report)
+        if any(WALL_CLOCK.search(key) for key in path)
+    }
+    assert timed <= WALL_CLOCK_ALLOWED
 
 
 def test_sections_filter_runs_subset():
@@ -219,20 +259,8 @@ def test_sections_filter_runs_subset():
     assert report["sections"] == ["nextitem_evaluation"]
     assert "nextitem_evaluation" in report
     assert "beam_planning" not in report and "async_serving" not in report
-    assert resolve_sections(None) == (
-        "tensor_ops",
-        "beam_planning",
-        "greedy_planning",
-        "nextitem_evaluation",
-        "irs_stepwise_replanning",
-        "incremental_decoding",
-        "sharded_evaluation",
-        "async_serving",
-        "replicated_serving",
-        "distributed_serving",
-        "observability",
-        "two_stage_retrieval",
-    )
+    assert resolve_sections(None) == BENCH_SECTIONS
+    assert len(BENCH_SECTIONS) == 13
     with pytest.raises(ConfigurationError, match="unknown bench section"):
         resolve_sections(["beam_planning", "quantum_planning"])
 
@@ -240,21 +268,7 @@ def test_sections_filter_runs_subset():
 def test_every_section_records_cpu_count_and_backend(smoke_report):
     """Satellite: sections carry the machine's CPU count and the backend
     used, so the perf trajectory stays comparable across runs."""
-    sections = (
-        "tensor_ops",
-        "beam_planning",
-        "greedy_planning",
-        "nextitem_evaluation",
-        "irs_stepwise_replanning",
-        "incremental_decoding",
-        "sharded_evaluation",
-        "async_serving",
-        "replicated_serving",
-        "distributed_serving",
-        "observability",
-        "two_stage_retrieval",
-    )
-    for name in sections:
+    for name in BENCH_SECTIONS:
         assert smoke_report[name]["cpu_count"] == smoke_report["machine"]["cpu_count"]
         assert "backend" in smoke_report[name]
     assert smoke_report["machine"]["platform"]
@@ -270,13 +284,10 @@ def test_two_stage_retrieval_contract_bits(smoke_report):
     assert section["objective_in_candidates"] is True
     assert section["tiers"]
     for tier in section["tiers"]:
-        assert tier["exact"]["paths_per_sec"] > 0
-        assert tier["exact"]["step_p95_ms"] > 0
         assert set(tier["generators"]) == {"cooccurrence", "ann"}
         for row in tier["generators"].values():
             assert 0.0 <= row["overlap_at_k"] <= 1.0
             assert "mean_plan_regret" in row
-            assert row["paths_per_sec"] > 0
             assert row["requests"] >= row["fallbacks"] >= 0
             # +1: the objective is appended when the shortlist missed it.
             assert 0 < row["mean_candidate_size"] <= section["num_candidates"] + 1
@@ -291,9 +302,3 @@ def test_retrieval_sections_record_peak_rss(smoke_report):
         pytest.skip("ru_maxrss unavailable off-POSIX")
     assert smoke_report["machine"]["peak_rss_kb"] > 0
     assert smoke_report["two_stage_retrieval"]["peak_rss_kb"] > 0
-
-
-def test_retrieval_report_gates_green(smoke_report):
-    from repro.perf.gate import collect_violations
-
-    assert collect_violations(smoke_report, require=["two_stage_retrieval"]) == []

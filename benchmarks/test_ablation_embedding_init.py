@@ -8,7 +8,7 @@ reports the Table III metrics for both.
 
 At this corpus scale the gap is small, so the assertions only require the
 pre-trained variant to stay competitive (no large regression on SR or
-smoothness); the measured rows are recorded in EXPERIMENTS.md.
+smoothness); the measured rows are printed by the test itself.
 """
 
 from repro.experiments import ablations

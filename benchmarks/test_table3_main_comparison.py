@@ -6,7 +6,7 @@ Rec2Inf baseline), Rec2Inf adaptations beat their vanilla counterparts on
 those metrics, the vanilla baselines almost never reach the objective, and
 Pf2Inf reaches it sometimes but with clearly worse (higher) perplexity.
 
-On the synthetic corpora the absolute numbers differ (see EXPERIMENTS.md);
+On the synthetic corpora the absolute numbers differ (the test prints them);
 the assertions below encode the ordering claims that transfer:
 
 * Rec2Inf lifts SR / IoI / IoR over vanilla for the same backbones.

@@ -1,6 +1,7 @@
 """Inference caching: incremental decoding state + cross-call plan memoisation.
 
-Two layers, measured together by :mod:`repro.perf.bench`:
+Two layers; :mod:`repro.perf.bench` counts the token-work and cache hits
+they save and checks both plan bit-identically to the uncached planner:
 
 * :mod:`repro.cache.kv` — per-layer key/value caches
   (:class:`LayerKVCache`, :class:`DecodingState`) so a transformer forward

@@ -29,8 +29,8 @@ per-call temporaries once the spare exists.
 Module-level allocation counters (:func:`allocation_stats`) track arena
 allocations, bytes actually copied, and the bytes an equivalent
 concatenate-per-extend implementation would have copied; the ``tensor_ops``
-bench section and :mod:`repro.perf.gate` use them to prove decode steps no
-longer copy the full prefix.
+section of :mod:`repro.perf.bench` reads them and :mod:`repro.perf.gate`
+fails when a decode step copies the full prefix (``no_prefix_copy``).
 
 Exactness contract
 ------------------
@@ -85,7 +85,7 @@ GROWTH_MODES = ("geometric", "exact")
 MIN_CAPACITY = 8
 
 # ---------------------------------------------------------------------- #
-# Allocation accounting (evidence for the tensor_ops bench / perf gate)
+# Allocation accounting (read by repro.perf.bench's tensor_ops section)
 # ---------------------------------------------------------------------- #
 
 # The counters live in the process-wide metrics registry at the fixed scope

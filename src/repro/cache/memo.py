@@ -2,9 +2,10 @@
 
 :class:`PlanCache` maps a planning context key — the issue's
 ``(tuple(history), objective, user_index, max_length)`` — to an immutable
-planned path, with hit/miss/eviction counters for the perf harness.  A
+planned path, with hit/miss/eviction counters.  A
 ``maxsize`` of 0 disables the cache entirely (every ``get`` misses, ``put``
-is a no-op), which is how the benchmark reproduces the pre-cache baseline.
+is a no-op), which is how :mod:`repro.perf.bench` builds its pre-cache
+reference planner.
 
 The cache is deliberately value-agnostic: :class:`~repro.core.beam.
 BeamSearchPlanner` uses one instance for finished plans and a second one for
@@ -135,10 +136,10 @@ class PlanCache:
         """Drop every entry (model retrain invalidation).
 
         Counters are kept by default — an invalidation is part of the cache's
-        lifetime story, and the bench reads the totals afterwards.  With
+        lifetime story, and callers read the totals afterwards.  With
         ``reset_stats=True`` the hit/miss/eviction/invalidation counters are
         also zeroed, which is how per-shard caches are recycled between
-        measured workloads so their stats merge cleanly into one report.
+        workloads so their stats merge cleanly into one report.
         """
         with self._lock:
             if self._data:
@@ -170,7 +171,7 @@ class PlanCache:
             }
 
     def cache_info(self) -> dict:
-        """Counters for the perf harness / ``BENCH_path_planning.json``."""
+        """The counters plus ``hit_rate`` (what ``planner.cache_info()`` reports)."""
         info = self.counters()
         lookups = info["hits"] + info["misses"]
         info["hit_rate"] = round(info["hits"] / lookups, 4) if lookups else 0.0

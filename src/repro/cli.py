@@ -24,16 +24,18 @@ Examples
 and ``ext-*`` artefacts cover the design-choice ablations and the
 future-work extensions (interactive simulation, knowledge graph, category
 objectives, path quality) and are run individually.  ``bench`` runs the
-:mod:`repro.perf.bench` harness (batched inference + cache subsystem +
-sharded execution + async serving) and prints cache hit rates and
-forwards/sec; ``--profile fast`` maps to the seconds-scale smoke profile
-and the bench/serving commands additionally accept the bench profile names
-directly (``smoke`` / ``default`` / ``scale`` — ``scale`` sweeps the
-two-stage retrieval section over 10^4/10^5-item corpora, opt-in larger
-tiers via ``REPRO_BENCH_SCALE_TIERS``).  ``--output`` overrides the JSON
-artefact path (default ``BENCH_path_planning.json``) and ``--sections``
-restricts the run to a comma-separated subset of sections (the full bench
-is slow; CI typically needs only the section under test).  ``--cprofile`` wraps the selected
+:mod:`repro.perf.bench` contract sections — parity bits and work counts
+for every layer from the tensor engine to multi-tenant serving — writes
+the JSON report :mod:`repro.perf.gate` checks and prints forward /
+token-work counts, cache hit rates and the gate's verdict (it measures no
+timings: those are ``benchmarks/e2e``).  ``--profile fast`` maps to the
+seconds-scale smoke profile and the bench/serving commands additionally
+accept the bench profile names directly (``smoke`` / ``default`` /
+``scale`` — ``scale`` runs the two-stage retrieval section over
+10^4/10^5-item corpora, opt-in larger tiers via
+``REPRO_BENCH_SCALE_TIERS``).  ``--output`` overrides the report path
+(default ``BENCH_path_planning.json``), ``--sections`` restricts the run to
+a comma-separated subset of sections, and ``--cprofile`` wraps the selected
 sections in :mod:`cProfile` and writes a pstats dump next to the JSON
 (named ``--cprofile`` because ``--profile`` already picks the corpus
 profile).
@@ -449,7 +451,8 @@ def _render(artefact: str, pipeline: ExperimentPipeline, config: ExperimentConfi
 
 
 def _run_bench(args: argparse.Namespace) -> int:
-    """The ``bench`` artefact: run the perf harness and print cache hit rates."""
+    """The ``bench`` artefact (also ``python -m repro.perf.bench``): run the
+    contract sections, print the work counts and the gate's verdict."""
     from repro.perf.bench import format_summary, run_benchmarks
 
     # The harness always benchmarks its fixed-seed synthetic corpus; say so
@@ -500,6 +503,8 @@ def _run_bench(args: argparse.Namespace) -> int:
     resolve_sections(sections)  # fail on typos before training the model
     profile = _resolve_bench_profile(args.profile)  # and on unknown profiles
     output = args.output or "BENCH_path_planning.json"
+    with open(output, "a", encoding="utf-8"):  # and on an unwritable path
+        pass
 
     def run() -> dict:
         return run_benchmarks(

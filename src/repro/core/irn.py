@@ -247,9 +247,9 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         ``w_t * r_u * objective_logit_scale``.  The paper's Transformer uses
         larger embeddings and more layers, so a unit additive weight exerts a
         comparatively stronger pull there; the default of 4.5 reproduces the
-        paper's qualitative behaviour at this repo's model size (see
-        EXPERIMENTS.md for the calibration sweep — success keeps rising up to
-        an effective additive weight of ~4.5 and falls off beyond it).
+        paper's qualitative behaviour at this repo's model size
+        (``benchmarks/test_figure7_aggressiveness.py`` asserts that SR rises
+        with ``w_t`` all the way up to this effective weight).
     history_weight:
         The history mask weight ``w_h`` (the paper uses 0 with ``w_t > w_h``).
     mask_type:

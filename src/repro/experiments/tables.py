@@ -3,8 +3,9 @@
 Each function returns a list of dict rows (one per table row); use
 :func:`repro.experiments.reporting.format_table` to render them.  Absolute
 numbers differ from the paper (synthetic corpora, NumPy training budgets) but
-the orderings the paper claims are expected to hold; EXPERIMENTS.md records
-both sides.
+the orderings the paper claims are expected to hold: each
+``benchmarks/test_table<N>_*.py`` regenerates its table, prints it and
+asserts the ordering that transfers.
 """
 
 from __future__ import annotations

@@ -3,8 +3,11 @@
 See :mod:`repro.obs.registry` for the single-locked metrics registry,
 :mod:`repro.obs.trace` for deterministic per-request trace spans, and
 :mod:`repro.obs.export` for the JSON / Prometheus-text exporters.  The
-whole subsystem is off by default and contractually free when off — the
-``observability`` bench section and ``repro.perf.gate`` enforce it.
+whole subsystem is off by default and allocates nothing when off; when on
+it allocates a bounded number of spans per request.  Both are counted by
+the ``observability`` section of :mod:`repro.perf.bench` and enforced by
+:mod:`repro.perf.gate`; what a span costs in time is for
+``benchmarks/e2e`` to measure.
 """
 
 from repro.obs.config import (

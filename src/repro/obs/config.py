@@ -4,10 +4,10 @@ Two knobs, resolved with the serving subsystem's precedence rule
 (explicit argument > environment variable > built-in default):
 
 * ``trace_enabled`` (``REPRO_TRACE``) — whether request tracing is on at
-  all.  **Defaults to off**: the overhead contract in ``repro.perf.gate``
-  asserts that a disabled tracer is a structural no-op on the serving hot
-  path (zero ``Trace``/``Span`` allocations), so production serving pays
-  nothing for the subsystem's existence.
+  all.  **Defaults to off**: ``repro.perf.gate`` asserts that a disabled
+  tracer is a structural no-op on the serving hot path (zero
+  ``Trace``/``Span`` allocations), so production serving pays nothing for
+  the subsystem's existence.
 * ``trace_sample_rate`` (``REPRO_TRACE_SAMPLE_RATE``) — fraction of
   requests traced once tracing is on, in ``[0, 1]``.  Sampling is
   deterministic per (routing key, arrival ordinal), so the same seeded

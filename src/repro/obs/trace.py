@@ -20,8 +20,9 @@ occurrence ordinal of that span name within the trace.
 one attribute check; every hot-path instrumentation site guards on
 ``tracer.enabled`` / ``request.trace is not None`` and allocates nothing.
 The tracer counts every ``Trace``/``Span`` it allocates in the registry
-group ``obs.trace``, which is how the bench proves the disabled path is a
-structural no-op (allocation delta == 0), not merely fast.
+group ``obs.trace``; :mod:`repro.perf.bench` reads those counters to prove
+the disabled path is a structural no-op (allocation delta == 0) and that
+the enabled path stays inside its spans-per-request budget.
 
 **Batch-to-request fan-out.**  Micro-batch stages (planning, shard
 scatter/gather, per-depth beam expansion) do work for many requests in one

@@ -1,18 +1,19 @@
-"""CI gate over a ``BENCH_path_planning.json`` report.
+"""CI gate over a ``repro.perf.bench`` report.
 
-``python -m repro.perf.gate <report.json>`` re-checks every *deterministic*
-contract bit a bench run records — the parity and no-drop guarantees, not
-the machine-bound throughput numbers — and exits nonzero listing every
-violation, so the perf-smoke workflow fails loudly when a serving contract
-regresses instead of silently uploading a broken artefact:
+``python -m repro.perf.gate <report.json>`` re-checks every contract bit a
+bench run records and exits nonzero listing every violation, so CI fails
+loudly when a contract regresses instead of uploading a broken artefact.
+The report carries no timings to gate (wall-clock is ``benchmarks/e2e``
+against ``BENCHMARK.json``); the one threshold that involves a clock is a
+protocol deadline the report states itself (chaos ``detect_seconds``
+against ``budget_seconds``).
 
-* ``tensor_ops`` — fused attention matches the graph implementation
-  (``fused_parity``), decode-step K/V appends never copy the full prefix
-  (``no_prefix_copy``), the float32 inference mode stays inside its
-  documented logit tolerance, and the in-place ops refuse to run under
-  grad.
-* ``beam_planning`` / ``greedy_planning`` — batched plans equal scalar.
-* ``nextitem_evaluation`` — batched ranks equal scalar.
+* ``tensor_ops`` — fused attention matches the graph implementation,
+  decode-step K/V appends never copy the full prefix, float32 inference
+  stays inside its documented logit tolerance, in-place ops refuse to run
+  under grad.
+* ``beam_planning`` / ``greedy_planning`` / ``nextitem_evaluation`` —
+  batched plans / ranks equal scalar.
 * ``irs_stepwise_replanning`` — cached serving matches isolated semantics.
 * ``incremental_decoding`` — session-cached plans equal full re-encoding.
 * ``sharded_evaluation`` — plans bit-identical at every worker count (and
@@ -20,31 +21,29 @@ regresses instead of silently uploading a broken artefact:
 * ``async_serving`` — lockstep-replay responses bit-identical to
   sequential serving at every worker count.
 * ``replicated_serving`` — shared-generation responses bit-identical to
-  single-replica serving; the hot refit errored zero admitted requests and
-  rejected zero requests under the ``block`` policy (``no_pause``); the
-  refit completed and flipped exactly one generation forward.
-* ``distributed_serving`` — multi-process responses bit-identical to
-  sequential serving at every worker count (lockstep replay AND the
-  distinct-plan burst); the SIGKILL chaos run dropped zero admitted
-  requests, kept answers bit-identical, and flipped the victim unhealthy
-  within the missed-heartbeat budget.  Skipped wholesale when the platform
-  recorded ``fork_available: false`` (codec numbers only).
-* ``observability`` — disabled tracing is a structural no-op (zero
-  trace/span allocations during the untraced run), enabled full-sampling
-  overhead stays inside the recorded p95 budget, trace IDs are identical
-  across identically-seeded repeats, and the async/replicated lockstep
-  parity bits hold with tracing enabled.
+  single-replica serving; the hot refit errored zero admitted requests,
+  rejected none under the ``block`` policy (``no_pause``) and flipped
+  exactly one generation forward.
+* ``distributed_serving`` — multi-process responses bit-identical at every
+  worker count (lockstep replay AND the distinct-plan burst); the SIGKILL
+  chaos run dropped nothing, kept answers bit-identical and flipped the
+  victim unhealthy within the missed-heartbeat budget.  Skipped wholesale
+  when the platform recorded ``fork_available: false``.
+* ``observability`` — disabled tracing allocates nothing, full sampling
+  allocates one trace per request inside the spans-per-request budget,
+  trace IDs repeat across identically driven replays, and the
+  async/replicated parity bits hold with tracing enabled.
 * ``two_stage_retrieval`` — full-coverage candidate sets plan
-  bit-identically to the exact planner (``full_vocab_parity``), every
-  candidate set contains its objective, and every tier records its
-  approximation metrics (overlap@k per generator, with zero fallbacks
-  implying a finite overlap) — throughput and regret are machine-bound
-  trajectory numbers, reported but not gated.
+  bit-identically to the exact planner, every candidate set contains its
+  objective, every tier records overlap@k per generator; plan regret is
+  reported but not gated.
+* ``multi_tenant`` — every request kind served through the tenant registry
+  answers like the direct model call, a bounded tenant's rejects stay in
+  its own admission scope, identically seeded A/B runs agree.
 
 Only the sections present in the report are checked (subset runs gate on
-what they ran), but ``--require`` names sections that must be present —
-CI's perf-smoke requires the serving sections so a filtered-down bench
-can't dodge the gate.
+what they ran); ``--require`` names sections that must be present (CI
+requires all thirteen), and a present-but-empty section is a violation.
 """
 
 from __future__ import annotations
@@ -168,8 +167,9 @@ def _check_observability(section: dict, violations: "list[str]") -> None:
     if not overhead.get("within_budget"):
         violations.append(
             "observability: enabled tracing overhead exceeded its budget "
-            f"(p95 delta {overhead.get('p95_delta_ms')} ms > "
-            f"budget {overhead.get('budget_ms')} ms)"
+            f"({overhead.get('spans_per_request')} spans and "
+            f"{overhead.get('traces_per_request')} traces per served request; "
+            f"budget {overhead.get('budget_spans')} spans, 1 trace)"
         )
     if not section.get("deterministic_trace_ids"):
         violations.append(
@@ -277,6 +277,8 @@ def collect_violations(report: dict, require: "Sequence[str]" = ()) -> "list[str
         )
     if "sharded_evaluation" in report:
         sharded = report["sharded_evaluation"]
+        if not sharded.get("workers"):
+            violations.append("sharded_evaluation: the section recorded no worker counts")
         for row in sharded.get("workers", []):
             if not row.get("plans_equal_serial"):
                 violations.append(
@@ -288,7 +290,10 @@ def collect_violations(report: dict, require: "Sequence[str]" = ()) -> "list[str
                 "sharded_evaluation: fork-process plans differ from serial plans"
             )
     if "async_serving" in report:
-        for row in report["async_serving"].get("workers", []):
+        workers = report["async_serving"].get("workers", [])
+        if not workers:
+            violations.append("async_serving: the section recorded no worker counts")
+        for row in workers:
             if not row.get("responses_match_sequential"):
                 violations.append(
                     f"async_serving: responses at {row.get('num_workers')} worker(s) "
@@ -309,7 +314,7 @@ def collect_violations(report: dict, require: "Sequence[str]" = ()) -> "list[str
 
 def main(argv: "Sequence[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("report", help="path to a BENCH_path_planning.json report")
+    parser.add_argument("report", help="path to a repro.perf.bench report (JSON)")
     parser.add_argument(
         "--require",
         default=None,

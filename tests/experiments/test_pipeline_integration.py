@@ -3,7 +3,8 @@
 These are the heaviest tests in the suite (a few seconds each thanks to the
 session-scoped pipeline); they verify that the experiment harness runs end to
 end and produces structurally valid artefacts, not that the numbers match the
-paper (that is what ``benchmarks/`` and EXPERIMENTS.md are for).
+paper (the ordering assertions in ``benchmarks/test_table*.py`` and
+``benchmarks/test_figure*.py`` are for that).
 """
 
 import numpy as np
