@@ -1,39 +1,38 @@
-"""One declarative resolver table for every ``REPRO_*`` configuration knob.
+"""One declarative resolver table for the serving, sharding and tracing knobs.
 
-Before this module existed, four packages (``serve/``, ``replica/``,
-``distributed/``, ``shard/`` — plus ``retrieval/``'s spec strings) each
-hand-rolled the same three-step resolution dance: explicit argument beats
-``$REPRO_*`` environment variable beats built-in default, with a
-:class:`~repro.utils.exceptions.ConfigurationError` naming the offending
-source on bad input.  The dance was identical; the boilerplate was not —
-every package re-implemented the integer/float/choice parsers and their
-error wording drifted one adjective at a time.
+Each knob is a :class:`ConfigField` row declaring its typed parser, its
+environment variable (derived from the field name unless history says
+otherwise — ``num_replicas`` reads ``REPRO_REPLICAS``; CLI-only rows set
+``from_env=False``), its CLI flag spelling, its group and its help text.
+Resolution is always explicit argument > ``$REPRO_*`` > built-in default,
+and everything downstream is generated from the rows:
 
-Now there is one table.  Each knob is a :class:`ConfigField` row declaring
-its typed parser, its environment variable (derived from the field name
-unless history says otherwise — ``num_replicas`` reads ``REPRO_REPLICAS``),
-its CLI flag spelling, its argparse group, and its help text.  Everything
-downstream is generated from the rows:
-
-* the ``resolve_<knob>()`` functions the packages re-export (signatures and
-  error messages unchanged — the per-package ``config`` modules are now
-  thin compatibility shims over this table);
-* the grouped ``repro-irs`` flag sections
-  (:func:`add_config_arguments` builds one ``argparse`` argument group per
-  knob group, so a new knob is one table row, not another entry in a flat
-  flag list);
+* the ``resolve_<knob>()`` functions the constructors call
+  (``repro.obs.config`` wraps the two tracing rows, ``repro.shard.config``
+  adds the platform's fork check to ``shard_backend``);
+* the ``repro-irs`` flags: each command in :mod:`repro.cli` names the rows
+  it takes and :func:`add_config_arguments` emits exactly those, one
+  ``argparse`` group per knob group, so a knob is one table row and a flag
+  a command does not name is a usage error;
 * the single ConfigurationError format:
   ``"<knob> must be <expectation>, got <value!r> (from <source>)"`` where
   the source is ``argument`` or ``$REPRO_<NAME>``.
 
-The tenancy rows (``tenants``, ``cohort_sessions``, ``slo_p95``) configure
-the multi-tenant serving surface (:mod:`repro.tenant`): how many tenants
-``serve-sim`` binds, how many simulated sessions each A/B cohort runs, and
-the per-tenant p95 latency SLO the report grades against.
+A group is the set of rows one consumer takes, under the keyword names it
+takes them by: ``sharding`` is ``BeamSearchPlanner``'s (and, with
+``evaluation``, ``ExperimentConfig``'s), ``admission`` the serving loop's
+and both fleets', ``replication`` both fleets', and ``transport`` is the
+fleet selector plus the failure-detector arguments of the fleet it selects.
+
+Not in the table, because their owners sit below this module or read them
+once: ``REPRO_LOG_LEVEL`` (:mod:`repro.utils.logging`),
+``REPRO_INFERENCE_DTYPE`` (:mod:`repro.nn.tensor`) and
+``REPRO_BENCH_SCALE_TIERS`` (:mod:`repro.perf.bench`).
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -43,10 +42,9 @@ from repro.utils.exceptions import ConfigurationError
 __all__ = [
     "ConfigField",
     "CONFIG_FIELDS",
-    "CONFIG_GROUPS",
     "GROUP_TITLES",
     "resolve",
-    "fields_in_group",
+    "group_of",
     "add_config_arguments",
     # valid-choice tuples (historically exported by the package configs)
     "VALID_ADMISSION_POLICIES",
@@ -54,7 +52,7 @@ __all__ = [
     "VALID_TRANSPORTS",
     "VALID_BACKENDS",
     "RETRIEVAL_SPECS",
-    # typed resolvers, one per table row
+    # typed resolvers
     "resolve_max_queue_depth",
     "resolve_admission_policy",
     "resolve_drain_deadline",
@@ -71,7 +69,6 @@ __all__ = [
     "resolve_heartbeat_misses",
     "resolve_probation_beats",
     "resolve_retrieval_spec",
-    "resolve_candidate_k",
     "resolve_tenants",
     "resolve_cohort_sessions",
     "resolve_slo_p95",
@@ -85,10 +82,8 @@ RETRIEVAL_SPECS = ("none", "full", "ann", "cooccurrence")
 
 
 # --------------------------------------------------------------------- #
-# Typed parsers.  Each returns a ``(raw, source) -> value`` closure whose
-# error wording matches the historical per-package resolvers exactly —
-# the table centralises the logic without breaking a single test that
-# greps for a knob name or a ``$REPRO_*`` source in the message.
+# Typed parsers.  Each returns a ``(raw, source) -> value`` closure; every
+# error names the knob and the source (``argument`` or ``$REPRO_<NAME>``).
 # --------------------------------------------------------------------- #
 def int_at_least(name: str, minimum: int = 1, hint: str = "") -> Callable:
     def parse(raw, source):
@@ -119,61 +114,32 @@ def choice_of(name: str, choices: tuple) -> Callable:
     return parse
 
 
-def _finite_float(raw, name: str, source: str, noun: str = "a number") -> float:
-    try:
-        parsed = float(raw)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"{name} must be {noun}, got {raw!r} (from {source})"
-        ) from None
-    return parsed
-
-
-def float_with(name: str, noun: str, check: Callable) -> Callable:
-    """A float parser with a per-knob range ``check(parsed, source)``."""
+def float_in(name: str, expectation: str, in_range: Callable, noun: str = "a number") -> Callable:
+    """A float parser: finite and ``in_range(parsed)``, or the error reads
+    ``"<name> must be <expectation>"``."""
 
     def parse(raw, source):
-        parsed = _finite_float(raw, name, source, noun)
-        return check(parsed, source)
+        try:
+            parsed = float(raw)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"{name} must be {noun}, got {raw!r} (from {source})"
+            ) from None
+        if not (math.isfinite(parsed) and in_range(parsed)):
+            raise ConfigurationError(
+                f"{name} must be {expectation}, got {parsed} (from {source})"
+            )
+        return parsed
 
     return parse
 
 
-def _drain_deadline_check(parsed: float, source: str) -> float:
-    if parsed != parsed or parsed in (float("inf"), float("-inf")):
-        raise ConfigurationError(
-            f"drain_deadline must be finite, got {parsed} (from {source})"
-        )
-    if parsed < 0:
-        raise ConfigurationError(
-            f"drain_deadline must be non-negative seconds, got {parsed} "
-            f"(from {source}); use 0 to drain immediately"
-        )
-    return parsed
+def _positive(value: float) -> bool:
+    return value > 0
 
 
-def _positive_finite_check(name: str, what: str) -> Callable:
-    def check(parsed: float, source: str) -> float:
-        if parsed != parsed or parsed in (float("inf"), float("-inf")):
-            raise ConfigurationError(f"{name} must be finite, got {parsed} (from {source})")
-        if parsed <= 0:
-            raise ConfigurationError(f"{name} must be {what}, got {parsed} (from {source})")
-        return parsed
-
-    return check
-
-
-def _positive_finite_seconds_check(name: str) -> Callable:
-    """The combined wording used by ``refit_at`` and ``heartbeat_interval``."""
-
-    def check(parsed: float, source: str) -> float:
-        if parsed != parsed or parsed in (float("inf"), float("-inf")) or parsed <= 0:
-            raise ConfigurationError(
-                f"{name} must be positive finite seconds, got {parsed} (from {source})"
-            )
-        return parsed
-
-    return check
+def _seconds(name: str) -> Callable:
+    return float_in(name, "positive finite seconds", _positive, noun="a number of seconds")
 
 
 def _retrieval_spec_parse(raw, source):
@@ -185,14 +151,20 @@ def _retrieval_spec_parse(raw, source):
     return spec
 
 
-def _candidate_k_parse(raw, source):
-    try:
-        parsed = int(raw)
-    except (TypeError, ValueError):
+_TRUTHY = ("1", "true", "yes", "on")
+_FALSY = ("0", "false", "no", "off")
+
+
+def _switch_parse(raw, source):
+    if isinstance(raw, bool):
+        return raw
+    text = str(raw).lower()
+    if text not in _TRUTHY + _FALSY:
         raise ConfigurationError(
-            f"--candidate-k must be an integer, got {raw!r}"
-        ) from None
-    return parsed
+            f"trace_enabled must be one of {_TRUTHY + _FALSY}, got {raw!r} "
+            f"(from {source})"
+        )
+    return text in _TRUTHY
 
 
 # --------------------------------------------------------------------- #
@@ -213,6 +185,8 @@ class ConfigField:
     flag: "str | None" = None
     #: whether :func:`add_config_arguments` emits a flag for this knob
     cli: bool = True
+    #: whether :func:`resolve` consults the environment (CLI-only rows don't)
+    from_env: bool = True
 
     @property
     def env_var(self) -> str:
@@ -228,12 +202,15 @@ class ConfigField:
 
 
 GROUP_TITLES = {
-    "traffic": "traffic (repro.serve)",
+    "traffic": "traffic (repro.serve.driver)",
+    "admission": "admission (repro.serve)",
     "sharding": "sharding (repro.shard)",
+    "evaluation": "evaluation (repro.evaluation)",
     "replication": "replication (repro.replica)",
     "transport": "transport (repro.distributed)",
     "retrieval": "retrieval (repro.retrieval)",
     "tenancy": "tenancy (repro.tenant)",
+    "observability": "observability (repro.obs)",
 }
 
 _TABLE = (
@@ -242,46 +219,51 @@ _TABLE = (
         "arrival_rate",
         "traffic",
         100.0,
-        float_with(
-            "arrival_rate",
-            "a number",
-            _positive_finite_check("arrival_rate", "positive requests/second"),
-        ),
-        "serve-sim: mean Poisson arrivals/sec (default: $REPRO_ARRIVAL_RATE or 100)",
+        float_in("arrival_rate", "finite positive requests/second", _positive),
+        "mean Poisson arrivals/sec (default: $REPRO_ARRIVAL_RATE or 100)",
     ),
     ConfigField(
         "serve_duration",
         "traffic",
         2.0,
-        float_with(
-            "serve_duration",
-            "a number",
-            _positive_finite_check("serve_duration", "positive seconds"),
-        ),
-        "serve-sim: seconds of synthetic traffic (default: $REPRO_SERVE_DURATION or 2)",
+        float_in("serve_duration", "finite positive seconds", _positive),
+        "seconds of synthetic traffic (default: $REPRO_SERVE_DURATION or 2)",
         flag="--duration",
     ),
     ConfigField(
-        "max_queue_depth",
+        "refit_at",
         "traffic",
+        None,
+        _seconds("refit_at"),
+        "seconds into the trace to trigger a hot refit; must fall strictly "
+        "inside --duration (default: $REPRO_REFIT_AT or no refit)",
+    ),
+    # ----------------------------- admission ----------------------------- #
+    ConfigField(
+        "max_queue_depth",
+        "admission",
         64,
         int_at_least("max_queue_depth"),
-        "serve-sim: per-shard request queue bound (default: $REPRO_MAX_QUEUE_DEPTH or 64)",
+        "per-shard request queue bound (default: $REPRO_MAX_QUEUE_DEPTH or 64)",
     ),
     ConfigField(
         "drain_deadline",
-        "traffic",
+        "admission",
         0.002,
-        float_with("drain_deadline", "a number", _drain_deadline_check),
-        "serve-sim: seconds a drain holds a queue open to widen the micro-batch "
+        float_in(
+            "drain_deadline",
+            "finite non-negative seconds (0 drains immediately)",
+            lambda value: value >= 0,
+        ),
+        "seconds a drain holds a queue open to widen the micro-batch "
         "(default: $REPRO_DRAIN_DEADLINE or 0.002)",
     ),
     ConfigField(
         "admission_policy",
-        "traffic",
+        "admission",
         "block",
         choice_of("admission_policy", VALID_ADMISSION_POLICIES),
-        "serve-sim: block | reject on a full queue (default: $REPRO_ADMISSION_POLICY or block)",
+        "block | reject on a full queue (default: $REPRO_ADMISSION_POLICY or block)",
     ),
     # ----------------------------- sharding ------------------------------ #
     ConfigField(
@@ -306,32 +288,31 @@ _TABLE = (
         int_at_least("vocab_shards", hint="; use 1 to disable sharding"),
         "column shards of the item axis for top-k (default: $REPRO_VOCAB_SHARDS or 1)",
     ),
+    # ---------------------------- evaluation ----------------------------- #
+    ConfigField(
+        "rollout_chunk_size",
+        "evaluation",
+        None,  # ExperimentConfig's own default (64) applies
+        int_at_least("--rollout-chunk-size"),
+        "evaluation instances per batched Algorithm-1 rollout call (default: 64)",
+        from_env=False,
+    ),
     # ---------------------------- replication ---------------------------- #
     ConfigField(
         "num_replicas",
         "replication",
         1,
         int_at_least("num_replicas"),
-        "serve-sim: backbone replicas behind the dispatcher (default: $REPRO_REPLICAS or 1)",
+        "backbone replicas behind the dispatcher (default: $REPRO_REPLICAS or 1)",
         env="REPRO_REPLICAS",
         flag="--replicas",
-    ),
-    ConfigField(
-        "refit_at",
-        "replication",
-        None,
-        float_with(
-            "refit_at", "a number of seconds", _positive_finite_seconds_check("refit_at")
-        ),
-        "serve-sim: seconds into the trace to trigger a hot refit; must fall "
-        "strictly inside --duration (default: $REPRO_REFIT_AT or no refit)",
     ),
     ConfigField(
         "dispatch_policy",
         "replication",
         "least_loaded",
         choice_of("dispatch_policy", VALID_DISPATCH_POLICIES),
-        "serve-sim: least_loaded | round_robin replica routing "
+        "least_loaded | round_robin replica routing "
         "(default: $REPRO_DISPATCH_POLICY or least_loaded)",
     ),
     # ----------------------------- transport ----------------------------- #
@@ -340,28 +321,24 @@ _TABLE = (
         "transport",
         "inproc",
         choice_of("transport", VALID_TRANSPORTS),
-        "serve-sim: inproc | process replica transport; 'process' forks one "
-        "worker per replica behind the binary wire protocol "
+        "inproc | process replica transport; 'process' forks one worker per "
+        "replica behind the binary wire protocol "
         "(default: $REPRO_TRANSPORT or inproc)",
     ),
     ConfigField(
         "heartbeat_interval",
         "transport",
         0.05,
-        float_with(
-            "heartbeat_interval",
-            "a number of seconds",
-            _positive_finite_seconds_check("heartbeat_interval"),
-        ),
-        "serve-sim: seconds between worker heartbeats under --transport "
-        "process (default: $REPRO_HEARTBEAT_INTERVAL or 0.05)",
+        _seconds("heartbeat_interval"),
+        "seconds between worker heartbeats under --transport process "
+        "(default: $REPRO_HEARTBEAT_INTERVAL or 0.05)",
     ),
     ConfigField(
         "heartbeat_misses",
         "transport",
         5,
         int_at_least("heartbeat_misses"),
-        "serve-sim: consecutive missed heartbeats before a worker is suspected "
+        "consecutive missed heartbeats before a worker is suspected "
         "(default: $REPRO_HEARTBEAT_MISSES or 5)",
     ),
     ConfigField(
@@ -369,30 +346,30 @@ _TABLE = (
         "transport",
         3,
         int_at_least("probation_beats"),
-        "serve-sim: heartbeats a suspected worker must deliver to rejoin "
-        "dispatch (default: $REPRO_PROBATION_BEATS or 3)",
+        "heartbeats a suspected worker must deliver to rejoin dispatch "
+        "(default: $REPRO_PROBATION_BEATS or 3)",
     ),
     # ----------------------------- retrieval ----------------------------- #
+    # CLI-only: library callers pass ``None`` to mean "no pruning", so there
+    # is no ambient environment default to fall back to.
     ConfigField(
         "retrieval_spec",
         "retrieval",
         "none",
         _retrieval_spec_parse,
-        "serve-sim: candidate-generation backend for two-stage retrieval "
-        "(none | full | ann | cooccurrence; default: none = exact full-vocab "
-        "scoring)",
-        env="REPRO_RETRIEVAL",
+        "candidate-generation backend for two-stage retrieval (none | full | "
+        "ann | cooccurrence; default: none = exact full-vocab scoring)",
         flag="--retrieval",
+        from_env=False,
     ),
     ConfigField(
         "candidate_k",
         "retrieval",
         256,
-        _candidate_k_parse,
-        "serve-sim: candidate-set size per context for --retrieval "
+        int_at_least("--candidate-k", hint="; it is the generator's num_candidates"),
+        "candidate-set size per context for --retrieval "
         "(default: 256; requires --retrieval)",
-        env="REPRO_CANDIDATE_K",
-        flag="--candidate-k",
+        from_env=False,
     ),
     # ------------------------------ tenancy ------------------------------ #
     ConfigField(
@@ -400,36 +377,54 @@ _TABLE = (
         "tenancy",
         1,
         int_at_least("tenants"),
-        "serve-sim: tenant bindings behind the serving fleet; 2 runs the "
-        "two-tenant A/B harness over simulated cohorts "
-        "(default: $REPRO_TENANTS or 1)",
+        "tenant bindings behind the serving fleet; 2 runs the two-tenant A/B "
+        "harness over simulated cohorts (default: $REPRO_TENANTS or 1)",
     ),
     ConfigField(
         "cohort_sessions",
         "tenancy",
         24,
         int_at_least("cohort_sessions"),
-        "serve-sim: simulated user sessions per tenant cohort in the A/B "
-        "harness (default: $REPRO_COHORT_SESSIONS or 24)",
+        "simulated user sessions per tenant cohort in the A/B harness "
+        "(default: $REPRO_COHORT_SESSIONS or 24)",
     ),
     ConfigField(
         "slo_p95",
         "tenancy",
         0.25,
-        float_with(
-            "slo_p95", "a number of seconds", _positive_finite_seconds_check("slo_p95")
-        ),
-        "serve-sim: per-tenant p95 latency SLO in seconds, graded in the "
-        "A/B report (default: $REPRO_SLO_P95 or 0.25)",
+        _seconds("slo_p95"),
+        "per-tenant p95 latency SLO in seconds, graded in the A/B report "
+        "(default: $REPRO_SLO_P95 or 0.25)",
+    ),
+    # --------------------------- observability --------------------------- #
+    # What the two knobs mean is repro.obs.config's docstring.
+    ConfigField(
+        "trace_enabled",
+        "observability",
+        False,
+        _switch_parse,
+        "whether request tracing is on (default: $REPRO_TRACE or off)",
+        env="REPRO_TRACE",
+        cli=False,
+    ),
+    ConfigField(
+        "trace_sample_rate",
+        "observability",
+        1.0,
+        float_in("trace_sample_rate", "in [0, 1]", lambda value: 0.0 <= value <= 1.0),
+        "fraction of requests traced, deterministically, in [0, 1]; on "
+        "serve-sim giving the flag is what turns tracing on "
+        "(default: $REPRO_TRACE_SAMPLE_RATE or 1.0)",
     ),
 )
 
 CONFIG_FIELDS: "dict[str, ConfigField]" = {row.name: row for row in _TABLE}
-CONFIG_GROUPS: "tuple[str, ...]" = tuple(GROUP_TITLES)
 
 
-def fields_in_group(group: str) -> "tuple[ConfigField, ...]":
-    return tuple(row for row in _TABLE if row.group == group)
+def group_of(knobs: dict, group: str) -> dict:
+    """The ``group`` rows of a resolved ``{row name: value}`` dict — the
+    keyword arguments of that group's consumer."""
+    return {name: value for name, value in knobs.items() if CONFIG_FIELDS[name].group == group}
 
 
 def resolve(name: str, value: Any = None) -> Any:
@@ -437,31 +432,31 @@ def resolve(name: str, value: Any = None) -> Any:
     row = CONFIG_FIELDS[name]
     if value is not None:
         return row.parse(value, "argument")
-    env = os.environ.get(row.env_var)
+    env = os.environ.get(row.env_var) if row.from_env else None
     if env is not None and env != "":
         return row.parse(env, f"${row.env_var}")
     return row.default
 
 
-def add_config_arguments(parser, groups: "tuple[str, ...]" = CONFIG_GROUPS) -> None:
-    """Emit one argparse argument group per knob group, from the table.
+def add_config_arguments(parser, names: "tuple[str, ...]") -> None:
+    """Emit the flags of the ``names`` rows, one argparse group per knob group.
 
     Flags are collected as raw strings (``default=None``) and validated by
-    the ``resolve_*`` functions, so a mistyped value surfaces as a
+    :func:`resolve`, so a mistyped value surfaces as a
     :class:`~repro.utils.exceptions.ConfigurationError` naming the source
     and the ``$REPRO_*`` environment defaults keep applying when a flag is
-    omitted — exactly the behaviour of the historical flat flag list.
+    omitted.
     """
-    for group in groups:
-        section = parser.add_argument_group(GROUP_TITLES[group])
-        for row in fields_in_group(group):
-            if row.cli:
+    for group, title in GROUP_TITLES.items():
+        rows = [row for row in _TABLE if row.cli and row.group == group and row.name in names]
+        if rows:
+            section = parser.add_argument_group(title)
+            for row in rows:
                 section.add_argument(row.flag_name, dest=row.dest, default=None, help=row.help)
 
 
 # --------------------------------------------------------------------- #
-# Typed resolvers.  One per row; the per-package config modules re-export
-# these names so historical imports keep working.
+# Typed resolvers for the constructors (and tests) that take one knob.
 # --------------------------------------------------------------------- #
 def resolve_max_queue_depth(value: "int | None" = None) -> int:
     """Queue bound: explicit > ``REPRO_MAX_QUEUE_DEPTH`` > 64."""
@@ -543,22 +538,9 @@ def resolve_probation_beats(value: "int | None" = None) -> int:
 
 
 def resolve_retrieval_spec(value: "str | None" = None) -> str:
-    """Retrieval spec: explicit > ``REPRO_RETRIEVAL`` > ``none``.
-
-    Historically ``None`` meant "no pruning", so an explicit ``None`` (and
-    blank strings) normalise to ``none`` rather than falling through to the
-    environment hook with a changed meaning for existing callers passing
-    ``None`` literally — the env var only applies when no argument is given
-    at a call site that opted into it via the CLI path.
-    """
-    if value is None:
-        return "none"
+    """Retrieval spec: explicit > ``none`` (``None`` and blank strings mean
+    "no pruning"; there is no environment hook)."""
     return resolve("retrieval_spec", value)
-
-
-def resolve_candidate_k(value: "int | None" = None) -> int:
-    """Shortlist size: explicit > ``REPRO_CANDIDATE_K`` > 256."""
-    return resolve("candidate_k", value)
 
 
 def resolve_tenants(value: "int | None" = None) -> int:

@@ -1,7 +1,7 @@
 """Configuration surface of the observability subsystem.
 
-Two knobs, resolved with the serving subsystem's precedence rule
-(explicit argument > environment variable > built-in default):
+Two rows of the :mod:`repro.config` table (explicit argument >
+environment variable > built-in default):
 
 * ``trace_enabled`` (``REPRO_TRACE``) — whether request tracing is on at
   all.  **Defaults to off**: ``repro.perf.gate`` asserts that a disabled
@@ -20,9 +20,7 @@ any call site.
 
 from __future__ import annotations
 
-import os
-
-from repro.utils.exceptions import ConfigurationError
+from repro.config import CONFIG_FIELDS, resolve
 
 __all__ = [
     "DEFAULT_TRACE_ENABLED",
@@ -31,58 +29,15 @@ __all__ = [
     "resolve_trace_sample_rate",
 ]
 
-_ENV_TRACE = "REPRO_TRACE"
-_ENV_TRACE_SAMPLE_RATE = "REPRO_TRACE_SAMPLE_RATE"
-
-DEFAULT_TRACE_ENABLED = False
-DEFAULT_TRACE_SAMPLE_RATE = 1.0
-
-_TRUTHY = ("1", "true", "yes", "on")
-_FALSY = ("0", "false", "no", "off")
-
-
-def _resolve(value, env_var: str, default, parse):
-    if value is not None:
-        return parse(value, "argument")
-    env = os.environ.get(env_var)
-    if env is not None and env != "":
-        return parse(env, f"${env_var}")
-    return default
+DEFAULT_TRACE_ENABLED = CONFIG_FIELDS["trace_enabled"].default
+DEFAULT_TRACE_SAMPLE_RATE = CONFIG_FIELDS["trace_sample_rate"].default
 
 
 def resolve_trace_enabled(value: "bool | str | None" = None) -> bool:
     """Tracing switch: explicit > ``REPRO_TRACE`` > off."""
-
-    def parse(raw, source):
-        if isinstance(raw, bool):
-            return raw
-        text = str(raw).lower()
-        if text in _TRUTHY:
-            return True
-        if text in _FALSY:
-            return False
-        raise ConfigurationError(
-            f"trace_enabled must be one of {_TRUTHY + _FALSY}, got {raw!r} "
-            f"(from {source})"
-        )
-
-    return _resolve(value, _ENV_TRACE, DEFAULT_TRACE_ENABLED, parse)
+    return resolve("trace_enabled", value)
 
 
 def resolve_trace_sample_rate(value: "float | None" = None) -> float:
     """Sampling fraction: explicit > ``REPRO_TRACE_SAMPLE_RATE`` > 1.0."""
-
-    def parse(raw, source):
-        try:
-            rate = float(raw)
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"trace_sample_rate must be a number, got {raw!r} (from {source})"
-            ) from None
-        if rate != rate or not 0.0 <= rate <= 1.0:
-            raise ConfigurationError(
-                f"trace_sample_rate must be in [0, 1], got {rate} (from {source})"
-            )
-        return rate
-
-    return _resolve(value, _ENV_TRACE_SAMPLE_RATE, DEFAULT_TRACE_SAMPLE_RATE, parse)
+    return resolve("trace_sample_rate", value)
