@@ -88,6 +88,11 @@ def test_incremental_decoding_reduces_token_work_with_identical_plans(smoke_repo
     assert incremental["token_work_reduction"] >= 2.0
     assert incremental["incremental"]["tokens_incremental"] > 0
     assert incremental["incremental"]["tokens_fallback"] == 0
+    # the default model (2 layers, personalized mask) shares history within a depth
+    default_model = incremental["default_model"]
+    assert default_model["plans_equal"]
+    assert default_model["token_work_reduction"] >= 2.0
+    assert default_model["shared_history"]["tokens_incremental"] == 0
 
 
 def test_sharded_evaluation_plans_bit_identical_at_every_worker_count(smoke_report):

@@ -6,8 +6,8 @@ they save and checks both plan bit-identically to the uncached planner:
 * :mod:`repro.cache.kv` — per-layer key/value caches
   (:class:`LayerKVCache`, :class:`DecodingState`) so a transformer forward
   can encode only newly appended tokens while attending over the cached
-  prefix, plus the exactness contract that gates when this is bit-compatible
-  with full re-encoding.
+  prefix, plus the exactness contract that says what may be kept across
+  decoding depths and what only shared within one.
 * :mod:`repro.cache.memo` — a bounded LRU (:class:`PlanCache`) memoising
   planned influence paths across ``next_step`` replanning calls.
 

@@ -34,9 +34,9 @@ fails when a decode step copies the full prefix (``no_prefix_copy``).
 
 Exactness contract
 ------------------
-Cached prefix keys/values are *projections of that layer's past inputs*.
-Reusing them is exact only while those inputs cannot change when the
-sequence grows:
+Cached keys/values are *projections of that layer's past inputs*.  Keeping
+them **across decoding depths** is exact only while those inputs cannot
+change when the sequence grows:
 
 * **Causal masks, any depth** — position ``j`` never attends to positions
   ``> j``, so appending a token leaves every prefix hidden state (and hence
@@ -48,10 +48,18 @@ sequence grows:
 The paper's PIM breaks the first condition for deeper stacks: every prefix
 position attends to the objective item, and the objective's *position
 embedding moves* every time the path grows, so prefix hidden states at
-layers ``>= 2`` change at every decoding step.  Callers (see
-:meth:`repro.core.irn.IRN.begin_decoding_session`) must therefore gate
-incremental decoding on this contract and fall back to full re-encoding
-otherwise; the cache itself is policy-free.
+layers ``>= 2`` change at every decoding step.  What stays exact there is
+sharing **within one depth**: the rows of one root (the beam hypotheses of
+one planning context) carry the same history, objective, user and length,
+and their history states cannot see what each row appended, so a root's
+history K/V are projected once, :meth:`LayerKVCache.reorder` gathers them
+root → row, and each row extends them with its own appended tokens (all
+transient: nothing outlives the depth).  Once a row outgrows the model's
+window the batch slides and nothing is shared: every row re-encodes its own
+window.  Callers (see :meth:`repro.core.irn.IRN.advance_decoding_session`)
+pick the regime from the mask type, the layer count and the grown lengths;
+the cache itself is policy-free.  In all three the final layer projects
+K/V for every column and answers a single query.
 
 Caches are inference-only: they hold raw ``numpy`` arrays detached from the
 autograd graph.  Storage precision defaults to the thread's

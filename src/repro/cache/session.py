@@ -1,20 +1,28 @@
 """Batch-level bookkeeping for an incremental decoding run.
 
-A :class:`DecodingSession` ties a :class:`~repro.cache.kv.DecodingState`
-(per-layer K/V caches) to the per-row context it was built from: the real
-prefix tokens of every row, the user indices, the optional objectives and
-the pre-computed impressionability factors.  The beam-search planner drives
-it through :meth:`~repro.core.irn.IRN.begin_decoding_session` /
+A :class:`DecodingSession` ties the per-row context of a batch of growing
+sequences — the real tokens of every row, its user index, its objective,
+its impressionability factor and the *root* (initial row, i.e. planning
+context) it descends from — to whatever the scorer keeps between depths.
+The beam-search planner drives it through
+:meth:`~repro.core.irn.IRN.begin_decoding_session` /
 :meth:`~repro.core.irn.IRN.advance_decoding_session`; between depths it
-calls :meth:`select` to gather the cache rows of the surviving hypotheses
-(pruning, duplication and re-ranking are all just row gathers) and
-:meth:`append` to record each row's newly appended token.
+calls :meth:`select` to gather the surviving hypotheses (pruning,
+duplication and re-ranking are all just row gathers) and :meth:`append` to
+record each row's newly appended token.
 
-``incremental`` reflects the exactness contract documented in
-:mod:`repro.cache.kv`: when it is ``False`` (multi-layer stack under an
-objective-revealing PIM, or a context that outgrew the model's position
-table) the session still tracks rows/users/objectives so scoring can fall
-back to exact full re-encoding, but the K/V state is dropped.
+Which of the three regimes of :mod:`repro.cache.kv` an advance runs in is
+decided by the scorer from what the session records:
+
+* ``incremental`` (causal masks, or one layer) — ``state`` holds per-layer
+  prefix K/V that persist *across* depths; an advance encodes the new token.
+* shared within a depth (objective-revealing masks at two or more layers) —
+  nothing persists across depths, so ``state`` is ``None``; ``roots`` and
+  ``root_rows`` let an advance encode each live root's history once and
+  each row's ``steps`` appended tokens against it.
+* per-row window — a row outgrew the model's position table
+  (:meth:`degrade` drops the state of an incremental session for good) and
+  every advance re-encodes the sliding window of every row.
 """
 
 from __future__ import annotations
@@ -49,6 +57,13 @@ class DecodingSession:
         self.width = int(width)
         #: per-row ``r_u`` (personalized masks only), gathered alongside the rows
         self.impressionability = impressionability
+        #: the initial rows (never gathered): ``root_rows[roots[b]]`` is the
+        #: context row ``b`` grew from, shared by every hypothesis of one beam
+        self.root_rows = [list(row) for row in rows]
+        #: per-row index into :attr:`root_rows`, gathered alongside the rows
+        self.roots = np.arange(len(rows), dtype=np.int64)
+        #: tokens appended to every row since the session began
+        self.steps = 0
 
     # ------------------------------------------------------------------ #
     @property
@@ -72,6 +87,7 @@ class DecodingSession:
             )
         self.rows = [list(self.rows[int(row)]) for row in parent_rows]
         self.users = self.users[parent_rows]
+        self.roots = self.roots[parent_rows]
         if self.objectives is not None:
             self.objectives = [self.objectives[int(row)] for row in parent_rows]
         if self.impressionability is not None:
@@ -89,6 +105,7 @@ class DecodingSession:
         for row, item in zip(self.rows, new_items):
             row.append(int(item))
         self.width += 1
+        self.steps += 1
 
     def degrade(self) -> None:
         """Permanently drop the K/V state and fall back to full re-encoding."""

@@ -6,7 +6,8 @@ appended path item plus the re-projected objective) to a full right-aligned
 window, so the perf harness needs a finer unit.  :class:`DecodeStats` counts
 **token-work**: the number of ``(row, column)`` positions each transformer
 call actually encodes.  Full windows contribute ``batch * width``;
-incremental steps contribute ``batch * new_tokens``.
+incremental steps contribute ``batch * new_tokens``; a shared-history depth
+contributes ``roots * (history + 1) + batch * (appended + 1)``.
 
 One instance lives on every :class:`~repro.core.irn.IRN`
 (``irn.decode_stats``) and is reset by ``fit``; the benchmark snapshots it
@@ -72,7 +73,8 @@ class DecodeStats:
         )
 
     def record_fallback(self, tokens: int) -> None:
-        """A full re-encode forced by the exactness contract (see cache.kv)."""
+        """A depth that could keep nothing from the one before (see cache.kv):
+        history shared within the depth, or every row's own window."""
         self._group.record(add={"fallback_forwards": 1, "tokens_fallback": int(tokens)})
 
     # ------------------------------------------------------------------ #

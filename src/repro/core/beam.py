@@ -35,12 +35,14 @@ Caching
 -------
 Two layers from :mod:`repro.cache` sit on top of the batched expansion:
 
-* **Incremental decoding** — when the backbone exposes decoding sessions
+* **Decoding sessions** — when the backbone exposes decoding sessions
   (:meth:`~repro.core.irn.IRN.begin_decoding_session`), each depth gathers
-  the K/V cache rows of the surviving hypotheses and encodes only the one
-  newly appended token per hypothesis instead of the full right-aligned
-  window.  Plans are identical; the per-depth token-work collapses whenever
-  the backbone's exactness contract holds (see :mod:`repro.cache.kv`).
+  the session rows of the surviving hypotheses and the backbone encodes
+  only what it must instead of every hypothesis' full right-aligned window:
+  the one newly appended token per hypothesis where prefix K/V reuse across
+  depths is exact, otherwise each planning context's history once per depth
+  plus every hypothesis' appended tokens (see :mod:`repro.cache.kv`).
+  Plans are identical.
 * **Plan memoisation** — a bounded LRU :class:`~repro.cache.memo.PlanCache`
   keyed by ``(tuple(history), objective, user_index, max_length)`` short-
   circuits :meth:`plan_paths_batch` for contexts planned before, and a
@@ -549,18 +551,21 @@ class BeamSearchPlanner(InfluentialRecommender):
         # asc), optionally computed over column shards of the item axis —
         # the merge is exact, so any vocab_shards yields the same winners.
         top, top_values = sharded_topk(log_probs, k, min(self.vocab_shards, vocab))
+        # One conversion to Python scalars per depth, not three per child.
+        finite = np.isfinite(top_values).tolist()
+        top, top_values = top.tolist(), top_values.tolist()
         expansions: list[list[_Hypothesis]] = []
         for row, parent in enumerate(parents):
             objective = objectives[row]
             children = [
                 _Hypothesis(
-                    items=parent.items + (int(item),),
-                    log_probability=parent.log_probability + float(value),
-                    reached=int(item) == objective,
+                    items=parent.items + (item,),
+                    log_probability=parent.log_probability + value,
+                    reached=item == objective,
                     parent_row=row,
                 )
-                for item, value in zip(top[row], top_values[row])
-                if np.isfinite(value)
+                for item, value, keep in zip(top[row], top_values[row], finite[row])
+                if keep
             ]
             expansions.append(children)
         return expansions
@@ -730,8 +735,8 @@ class BeamSearchPlanner(InfluentialRecommender):
                         sequences, row_objectives, row_users
                     )
                 else:
-                    # Later depths: gather each survivor's cache row and
-                    # encode only its newly appended token.
+                    # Later depths: gather each survivor's session row and
+                    # append its new token.
                     scores = self.backbone.advance_decoding_session(
                         session,
                         [hypothesis.items[-1] for hypothesis in parents],

@@ -7,6 +7,7 @@ path item until the objective is recommended or the budget is exhausted.
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -39,9 +40,7 @@ def mask_session_items(
     if total:
         row_index = np.repeat(batch, lengths)
         column_index = np.fromiter(
-            (int(item) for sequence in sequences for item in sequence),
-            dtype=np.int64,
-            count=total,
+            itertools.chain.from_iterable(sequences), dtype=np.int64, count=total
         )
         objective_scores = scores[batch, objective_columns].copy()
         scores[row_index, column_index] = -np.inf

@@ -30,25 +30,49 @@ up to BLAS summation-order noise (documented tolerance ``~1e-8``; the
 scalar methods are thin ``batch=1`` wrappers and remain bit-identical to
 the pre-batching implementation).
 
+Every inference forward reads one position per row, so the final layer
+answers one query: it still normalises and projects keys/values for every
+column (they are what the query attends over, and what a session caches),
+but the query projection, attention, output projection, residuals,
+feed-forward, final norm and the tied output projection run on the gathered
+column alone (``query_columns`` of
+:meth:`repro.nn.transformer.TransformerEncoder.forward`).  The full
+``(batch, length, vocab)`` forward is the training path and the parity
+oracle.
+
 Incremental decoding contract
 -----------------------------
 :meth:`IRN.begin_decoding_session` / :meth:`IRN.advance_decoding_session`
-are the cached variants of the batched scorers: the session encodes the
-initial windows once, caches per-layer prefix keys/values
-(:mod:`repro.cache.kv`), and every later depth embeds only the newly
-appended token (plus the re-projected objective, whose position embedding
-moves with the sequence length) while attending over the cached prefix.
+are the cached variants of the batched scorers.  An advance appends one
+token per row and runs in one of three regimes, chosen from what the code
+observes (mask type, layer count, and whether history + path + objective
+still fits ``max_sequence_length``), never from an option:
 
-Prefix K/V reuse is exact only while prefix hidden states cannot change as
-the sequence grows.  Under the PIM every prefix position attends to the
-objective item, and the objective's position embedding advances at every
-step — so for objective-revealing masks (Types 2/3) with ``num_layers >= 2``
-the layer-2+ prefix states *do* change each step and the session
-transparently falls back to full re-encoding (tracked separately in
-``decode_stats``).  Incremental mode is used exactly when it is exact:
-causal masks at any depth, or single-layer stacks under any mask.  Cached
-and uncached scoring agree to the same ``~1e-8`` tolerance as the batching
-contract, and produce identical plans.
+* **Exact reuse across depths** — causal masks at any depth, or single-layer
+  stacks under any mask.  Prefix hidden states cannot change as the sequence
+  grows, so the session caches per-layer prefix keys/values
+  (:mod:`repro.cache.kv`) and each depth embeds only the newly appended
+  token (plus the re-projected objective, whose position embedding moves
+  with the sequence length) while attending over the cached prefix.
+  Recorded as ``incremental`` token-work.
+* **Shared within a depth** — objective-revealing masks (Types 2/3) with
+  ``num_layers >= 2``, the model the paper proposes.  Every prefix position
+  attends to the objective, whose position embedding advances at every
+  step, so layer-2+ prefix states change each depth and nothing can be kept
+  across depths.  Within one depth, though, the rows of one root (the beam
+  hypotheses of one planning context) share history, objective, user and
+  length, and causality keeps their history states blind to what each row
+  appended: :meth:`IRN._advance_shared` encodes ``history ⊕ objective`` once
+  per live root and only each row's appended tokens ⊕ objective per row.
+  Recorded as ``fallback`` token-work, with the positions actually encoded.
+* **Per-row window** — a row outgrew the model's window, so the right-aligned
+  batch slides, every position embedding shifts and no column is shared:
+  each row re-encodes its own window (:meth:`IRN.score_with_objective_batch`
+  on the session's rows).  Also ``fallback`` token-work.
+
+All three agree with the uncached scorer to the same ``~1e-8`` tolerance as
+the batching contract (GEMM shapes and softmax row widths differ, values do
+not) and produce identical plans.
 """
 
 from __future__ import annotations
@@ -73,7 +97,13 @@ from repro.models.base import NeuralSequentialRecommender, model_registry
 from repro.utils.batch import broadcast_user_indices, check_batch_lengths
 from repro.nn import functional as F
 from repro.nn.layers import Dropout, Embedding, Linear, Module
-from repro.nn.tensor import Tensor, inference_dtype_scope, no_grad, resolve_inference_dtype
+from repro.nn.tensor import (
+    Tensor,
+    inference_dtype_scope,
+    is_grad_enabled,
+    no_grad,
+    resolve_inference_dtype,
+)
 from repro.nn.transformer import TransformerEncoder
 from repro.utils.exceptions import ConfigurationError
 from repro.utils.rng import spawn_rng
@@ -142,6 +172,28 @@ class _IRNModule(Module):
         weight = r_u.reshape(-1, 1, 1) * float(objective_weight)
         return Tensor(revealed) + Tensor(indicator[None, :, :]) * weight
 
+    def embed(self, items: np.ndarray, positions: np.ndarray) -> Tensor:
+        """Item + position embeddings of ``(batch, length)`` index arrays."""
+        return self.dropout(self.item_embedding(items) + self.position_embedding(positions))
+
+    def project(self, hidden: Tensor, output_items: np.ndarray | None = None) -> Tensor:
+        """Tied output projection of ``(..., d)`` states onto item logits.
+
+        ``output_items`` restricts it to the given item indices by gathering
+        just those rows of the item-embedding weight — the two-stage-retrieval
+        hook that makes the ``O(d·V)`` cost per state proportional to the
+        candidate-set size.  The gathered projection is inference-only (it
+        bypasses the autograd graph) and refuses to run under grad.
+        """
+        if output_items is None:
+            return hidden.matmul(self.item_embedding.weight.transpose())
+        if is_grad_enabled():
+            raise ConfigurationError(
+                "candidate-restricted projection (output_items) is "
+                "inference-only; run it under no_grad"
+            )
+        return hidden.matmul(Tensor(self.item_embedding.weight.data[output_items].T))
+
     def forward(
         self,
         items: np.ndarray,
@@ -153,6 +205,7 @@ class _IRNModule(Module):
         state: "DecodingState | None" = None,
         persist: int | None = None,
         output_items: np.ndarray | None = None,
+        query_columns: "np.ndarray | slice | None" = None,
     ) -> Tensor:
         """Return next-item logits of shape ``(batch, length, vocab_size)``.
 
@@ -165,36 +218,23 @@ class _IRNModule(Module):
         caches for the first ``persist`` columns (the growing prefix of an
         incremental decoding session); the returned logits are unchanged.
 
-        ``output_items`` restricts the tied output projection to the given
-        item indices: the returned logits are ``(batch, length,
-        len(output_items))``, computed by gathering just those rows of the
-        item-embedding weight instead of projecting onto the full
-        vocabulary — the two-stage-retrieval hook that makes the dominant
-        ``O(B·L·d·V)`` cost proportional to the candidate-set size.  The
-        gathered projection is inference-only (it bypasses the autograd
-        graph) and refuses to run under grad.
+        ``output_items`` restricts the logits to the given item indices
+        (``(batch, length, len(output_items))``, see :meth:`project`) and
+        ``query_columns`` to the given positions (``(batch,
+        len(query_columns), ...)``, see
+        :meth:`~repro.nn.transformer.TransformerEncoder.forward`); both are
+        inference-only.
         """
         items = np.asarray(items, dtype=np.int64)
         batch, length = items.shape
         if positions is None:
             positions = np.tile(np.arange(length) % self.max_length, (batch, 1))
-        else:
-            positions = np.asarray(positions, dtype=np.int64)
-        hidden = self.item_embedding(items) + self.position_embedding(positions)
-        hidden = self.dropout(hidden)
+        hidden = self.embed(items, positions)
         mask = self._pim(items, users, mask_type, objective_weight, history_weight)
-        hidden = self.decoder(hidden, mask=mask, state=state, persist=persist)
-        if output_items is not None:
-            from repro.nn.tensor import is_grad_enabled
-
-            if is_grad_enabled():
-                raise ConfigurationError(
-                    "candidate-restricted projection (output_items) is "
-                    "inference-only; run it under no_grad"
-                )
-            gathered = self.item_embedding.weight.data[output_items]
-            return hidden.matmul(Tensor(gathered.T))
-        return hidden.matmul(self.item_embedding.weight.transpose())
+        hidden = self.decoder(
+            hidden, mask=mask, state=state, persist=persist, query_columns=query_columns
+        )
+        return self.project(hidden, output_items)
 
     def decode_step(
         self,
@@ -203,20 +243,24 @@ class _IRNModule(Module):
         mask: np.ndarray,
         state: "DecodingState",
         persist: int,
+        query_columns: "np.ndarray | slice | None" = None,
     ) -> Tensor:
         """Encode only newly appended tokens against cached prefix K/V.
 
         ``items``/``positions`` are ``(batch, new)`` arrays of the appended
         token(s); ``mask`` is the additive ``(batch, new, total_keys)`` mask
         over cached-prefix + new key columns.  Returns the decoder hidden
-        states of the new positions (``(batch, new, d)``); the caller
-        projects only the row(s) it needs onto the vocabulary.
+        states of the new positions (``(batch, new, d)``, or of
+        ``query_columns`` among them); the caller projects them onto the
+        vocabulary.
         """
-        items = np.asarray(items, dtype=np.int64)
-        positions = np.asarray(positions, dtype=np.int64)
-        hidden = self.item_embedding(items) + self.position_embedding(positions)
-        hidden = self.dropout(hidden)
-        return self.decoder(hidden, mask=mask, state=state, persist=persist)
+        return self.decoder(
+            self.embed(items, positions),
+            mask=mask,
+            state=state,
+            persist=persist,
+            query_columns=query_columns,
+        )
 
 
 @model_registry.register("irn")
@@ -473,6 +517,12 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         ]
         items, positions, lengths = self._right_align(rows)
         users = self._batch_users(user_indices, batch)
+        # Each row is read at its last real non-objective position: one
+        # shared column, or two when an empty history shares the batch.
+        width = items.shape[1]
+        columns, gather = np.unique(
+            np.where(lengths >= 2, width - 2, width - 1), return_inverse=True
+        )
         with no_grad(), inference_dtype_scope(self.inference_dtype):
             logits = self.module(
                 items,
@@ -484,18 +534,24 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
                 state=state,
                 persist=persist,
                 output_items=candidate_items,
+                query_columns=columns,
             )
         self._record_tokens(record, items.size)
-        width = items.shape[1]
-        gather = np.where(lengths >= 2, width - 2, width - 1)
+        return self._item_scores(logits.data[np.arange(batch), gather], candidate_items)
+
+    def _item_scores(
+        self, logits: np.ndarray, candidate_items: "np.ndarray | None" = None
+    ) -> np.ndarray:
+        """``(batch, vocab)`` float64 scores from one row of logits per context.
+
+        Full-vocabulary logits get ``-inf`` at the padding item; logits over
+        ``candidate_items`` are scattered into an all ``-inf`` row.
+        """
         if candidate_items is not None:
-            gathered = logits.data[np.arange(batch), gather, :].astype(
-                np.float64, copy=False
-            )
-            scores = np.full((batch, self.vocab_size), -np.inf, dtype=np.float64)
-            scores[:, candidate_items] = gathered
+            scores = np.full((len(logits), self.vocab_size), -np.inf, dtype=np.float64)
+            scores[:, candidate_items] = logits
             return scores
-        scores = logits.data[np.arange(batch), gather, :].astype(np.float64, copy=True)
+        scores = logits.astype(np.float64, copy=True)
         scores[:, PAD_INDEX] = -np.inf
         return scores
 
@@ -561,11 +617,10 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
                 positions=positions,
                 state=state,
                 persist=persist,
+                query_columns=slice(-1, None),
             )
         self._record_tokens(record, items.size)
-        scores = logits.data[:, -1, :].astype(np.float64, copy=True)
-        scores[:, PAD_INDEX] = -np.inf
-        return scores
+        return self._item_scores(logits.data[:, 0])
 
     def score_next(self, history: Sequence[int], user_index: int | None = None) -> np.ndarray:
         """Objective-free next-item scores (causal mask only; Table IV usage)."""
@@ -575,7 +630,7 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
     # Incremental decoding sessions (cached scorer variants)
     # ------------------------------------------------------------------ #
     def _incremental_exact(self, objectives: "Sequence[int] | None") -> bool:
-        """Whether prefix K/V reuse is exact for this model configuration.
+        """Whether prefix K/V reuse across depths is exact for this model.
 
         Causal attention never lets a prefix position see appended tokens, so
         caching is exact at any depth both for objective-free scoring and for
@@ -598,12 +653,13 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
 
         Returns ``(scores, session)`` where ``scores`` equals
         :meth:`score_with_objective_batch` (or :meth:`score_next_batch` when
-        ``objectives`` is ``None``) on the same inputs, and ``session`` holds
-        the per-layer prefix K/V so subsequent
+        ``objectives`` is ``None``) on the same inputs.  When prefix reuse
+        across depths is exact (see :meth:`_incremental_exact`) ``session``
+        holds the per-layer prefix K/V and later
         :meth:`advance_decoding_session` calls encode only the newly appended
-        token per row.  When the exactness contract does not hold (see
-        :meth:`_incremental_exact`) the session is created in fallback mode
-        and later advances re-encode fully — scores stay exact either way.
+        token per row; otherwise it records each row's root so later advances
+        encode every root's history once per depth — scores match the
+        uncached scorer either way.
         """
         self._require_fitted()
         assert self.module is not None
@@ -637,7 +693,7 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
             scores = self._score_next_batch(sequences, list(users), state=state, persist=None)
             session_width = width
         impressionability = None
-        if incremental and objectives is not None and self.mask_type == MaskType.PERSONALIZED:
+        if objectives is not None and self.mask_type == MaskType.PERSONALIZED:
             with no_grad():
                 impressionability = (
                     self.module.impressionability_factor(users).data.reshape(-1).copy()
@@ -665,8 +721,8 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         extend (beam pruning/re-ranking/duplication); ``new_items[b]`` is then
         appended to gathered row ``b``.  Returns the same ``(batch, vocab)``
         scores the uncached batched scorer would produce for the grown
-        sequences, encoding only the new token (plus the re-projected
-        objective) per row in incremental mode.
+        sequences, in whichever of the three regimes of the module docstring
+        the session and the grown lengths allow.
         """
         self._require_fitted()
         assert self.module is not None
@@ -677,22 +733,25 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         session.append(new_items)
         if session.batch_size == 0:
             return np.zeros((0, self.vocab_size), dtype=np.float64)
+        # Once any row outgrows the model's window the right-aligned batch
+        # starts *sliding* (oldest tokens drop off), which shifts every
+        # position embedding: cached K/V become stale, so an incremental
+        # session degrades to the per-row window for good, and no history
+        # column is shared between a root's rows any more.
+        limit = self.max_sequence_length - (1 if session.objectives is not None else 0)
+        fits = int(session.lengths.max()) <= limit
+        if session.incremental and not fits:
+            session.degrade()
         if session.incremental:
-            # Once any row outgrows the model's window the right-aligned
-            # batch starts *sliding* (oldest tokens drop off), which shifts
-            # every position embedding — cached K/V become stale, so the
-            # session degrades to exact full re-encoding for good.
-            limit = self.max_sequence_length - (1 if session.objectives is not None else 0)
-            if int(session.lengths.max()) > limit:
-                session.degrade()
-        if not session.incremental:
-            users = list(session.users)
-            if session.objectives is not None:
-                return self._score_objective_batch(
-                    session.rows, session.objectives, users, record="fallback"
-                )
-            return self._score_next_batch(session.rows, users, record="fallback")
-        return self._advance_incremental(session, np.asarray(new_items, dtype=np.int64))
+            return self._advance_incremental(session, np.asarray(new_items, dtype=np.int64))
+        if fits and not self._incremental_exact(session.objectives):
+            return self._advance_shared(session)
+        users = list(session.users)
+        if session.objectives is not None:
+            return self._score_objective_batch(
+                session.rows, session.objectives, users, record="fallback"
+            )
+        return self._score_next_batch(session.rows, users, record="fallback")
 
     def _advance_incremental(
         self, session: DecodingSession, new_items: np.ndarray
@@ -710,43 +769,132 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
             items = new_items[:, None]
             positions = (lengths - 1)[:, None]
         positions = positions % module.max_length  # no-op (guarded), mirrors _right_align
-        total_keys = session.width + (1 if objective_mode else 0)
-        mask = self._incremental_mask(session, total_keys)
+        mask = self._incremental_mask(session, session.width)
         with no_grad(), inference_dtype_scope(self.inference_dtype):
-            hidden = module.decode_step(items, positions, mask, session.state, persist=1)
-            logits = hidden[:, 0, :].matmul(module.item_embedding.weight.transpose())
+            hidden = module.decode_step(
+                items, positions, mask, session.state, persist=1, query_columns=slice(0, 1)
+            )
+            logits = module.project(hidden)
         self.decode_stats.record_incremental(items.size)
-        scores = logits.data.astype(np.float64, copy=True)
-        scores[:, PAD_INDEX] = -np.inf
-        return scores
+        return self._item_scores(logits.data[:, 0])
 
-    def _incremental_mask(self, session: DecodingSession, total_keys: int) -> np.ndarray:
-        """Additive mask rows for the new token (+ objective) queries.
+    def _advance_shared(self, session: DecodingSession) -> np.ndarray:
+        """Score an objective session, encoding every live root's history once.
 
+        The rows of one root at one depth share history, objective, user and
+        length — hence the objective's position — so their history columns
+        carry identical layer-1 states, which depend on nothing a row
+        appended.  Per depth: (a) layer 1 runs once per live root on
+        ``history ⊕ objective`` and keeps the history K/V; (b) a root → row
+        gather later, layer 1 runs on each row's ``steps`` appended tokens
+        ⊕ objective over ``[root history K/V ; own K/V]`` under the PIM rows
+        the full window would give those queries.  With two layers the final
+        layer takes its history K/V from the shared states the same way;
+        deeper stacks reassemble the per-row window for the middle layers.
+        The final layer answers one query, the last appended token.
+        """
+        assert self.module is not None
+        module = self.module
+        layers = module.decoder.layers
+        steps = session.steps
+        live, first_row, group = np.unique(
+            session.roots, return_index=True, return_inverse=True
+        )
+        objectives = session.objectives
+        # An empty history keeps a PAD placeholder (as in _score_next_batch):
+        # its column is masked for every query.
+        root_items, root_positions, _ = self._right_align(
+            [
+                (session.root_rows[root] or [PAD_INDEX]) + [objectives[row]]
+                for root, row in zip(live.tolist(), first_row.tolist())
+            ]
+        )
+        lengths = session.lengths
+        root_positions[:, -1] = lengths[first_row]  # the objective follows `steps` tokens
+        history_width = root_items.shape[1] - 1
+        items = np.asarray(
+            [row[-steps:] + [objective] for row, objective in zip(session.rows, objectives)],
+            dtype=np.int64,
+        )
+        positions = (lengths - steps)[:, None] + np.arange(steps + 1, dtype=np.int64)
+        mask = self._incremental_mask(session, history_width + steps, new=steps)
+        weight = self.objective_weight * self.objective_logit_scale
+        with no_grad(), inference_dtype_scope(self.inference_dtype):
+            state = module.decoder.init_state(dtype=self.inference_dtype)
+            first_cache, final_cache = state.layers[0], state.layers[-1]
+            root_mask = module._pim(
+                root_items, session.users[first_row], self.mask_type, weight, self.history_weight
+            )
+            history = layers[0](
+                module.embed(root_items, root_positions),
+                mask=root_mask,
+                kv_cache=first_cache,
+                persist=history_width,
+                query_columns=slice(0, history_width),
+            )
+            first_cache.reorder(group)
+            hidden = layers[0](
+                module.embed(items, positions), mask=mask, kv_cache=first_cache, persist=0
+            )
+            if len(layers) == 2:
+                # keys/values only: no query reads the history states here
+                layers[1](history, kv_cache=final_cache, query_columns=slice(0, 0))
+                final_cache.reorder(group)
+            else:
+                final_cache = None
+                hidden = Tensor(np.concatenate([history.data[group], hidden.data], axis=1))
+                mask = module._pim(
+                    np.concatenate([root_items[group, :history_width], items], axis=1),
+                    session.users,
+                    self.mask_type,
+                    weight,
+                    self.history_weight,
+                )
+                for layer in layers[1:-1]:
+                    hidden = layer(hidden, mask=mask)
+            hidden = layers[-1](
+                hidden, mask=mask, kv_cache=final_cache, persist=0, query_columns=slice(-2, -1)
+            )
+            logits = module.project(module.decoder.final_norm(hidden))
+        self.decode_stats.record_fallback(root_items.size + items.size)
+        return self._item_scores(logits.data[:, 0])
+
+    def _incremental_mask(
+        self, session: DecodingSession, width: int, new: int = 1
+    ) -> np.ndarray:
+        """Additive mask rows for the queries of each row's last ``new`` tokens (+ objective).
+
+        ``width`` counts the key columns before the objective's: the
+        (possibly left-padded) prefix including the ``new`` tokens.
         Reproduces exactly the rows the full PIM/causal mask would assign to
-        the last position(s) of the equivalent right-aligned window: visible
-        real keys get ``w_h`` (0 for causal scoring), left-padding keys get
-        ``NEG_INF``, and the objective column gets the (personalized)
-        objective weight for the new-token query and ``w_h`` for its own.
+        the last positions of the equivalent right-aligned window: visible
+        real keys get ``w_h`` (0 for causal scoring), left-padding keys and
+        the tokens after a query's own get ``NEG_INF``, and the objective
+        column gets the (personalized) objective weight for the token
+        queries and ``w_h`` for its own.
         """
         lengths = session.lengths
         batch = session.batch_size
         objective_mode = session.objectives is not None
         history_weight = float(self.history_weight) if objective_mode else 0.0
-        rows = 2 if objective_mode else 1
+        total_keys = width + (1 if objective_mode else 0)
+        rows = new + (1 if objective_mode else 0)
         mask = np.full((batch, rows, total_keys), history_weight, dtype=np.float64)
         columns = np.arange(total_keys, dtype=np.int64)[None, :]
-        padding = columns < (session.width - lengths)[:, None]
+        padding = columns < (width - lengths)[:, None]
         mask = np.where(padding[:, None, :], NEG_INF, mask)
+        if new > 1:
+            later = np.triu(np.ones((new, new), dtype=bool), k=1)
+            mask[:, :new, width - new : width][:, later] = NEG_INF
         if objective_mode:
             if self.mask_type == MaskType.CAUSAL:
-                mask[:, 0, -1] = NEG_INF
+                mask[:, :new, -1] = NEG_INF
             else:
                 weight = float(self.objective_weight * self.objective_logit_scale)
                 if self.mask_type == MaskType.PERSONALIZED:
-                    mask[:, 0, -1] = session.impressionability * weight
+                    mask[:, :new, -1] = (session.impressionability * weight)[:, None]
                 else:
-                    mask[:, 0, -1] = weight
+                    mask[:, :new, -1] = weight
         return mask
 
     # ------------------------------------------------------------------ #

@@ -104,7 +104,11 @@ class MultiHeadAttention(Module):
         self.value_proj = Linear(d_model, d_model, rng=rngs[2])
         self.output_proj = Linear(d_model, d_model, rng=rngs[3])
         self.dropout = Dropout(dropout, rng=rngs[4])
-        #: attention weights of the most recent forward pass (for analysis)
+        #: attention weights of the most recent forward pass (for analysis),
+        #: ``(batch, heads, query_len, key_len)``.  An inference call that
+        #: names its query columns (every IRN scorer: the final layer answers
+        #: the one position the caller reads) leaves ``(batch, heads, 1,
+        #: key_len)`` here; run the full forward to inspect every row.
         self.last_attention: np.ndarray | None = None
 
     def _split_heads(self, x: Tensor, batch: int, length: int) -> Tensor:

@@ -218,22 +218,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 # Fused inference kernels (raw ndarrays, no autograd graph)
 # ---------------------------------------------------------------------- #
 
-#: score-contraction strategies of :func:`fused_attention`.  ``matmul``
-#: routes through batched BLAS GEMMs; ``einsum`` is the loop-fused
-#: contraction.  ``auto`` picks per the specialization point below.
-SCORE_STRATEGIES = ("auto", "matmul", "einsum")
-
-#: Specialization point of the ``auto`` strategy, sized to the micro-batch
-#: shapes the serving loop actually produces (``micro_batches.mean_size``
-#: ~24 contexts x beam width 4 rows, 1-2 query positions per decode step,
-#: a few dozen key columns, d_head 8-16).  The ``tensor_ops`` microbench
-#: measures both contractions at exactly those shapes; on every NumPy/BLAS
-#: probed so far batched ``matmul`` wins at decode shapes too (~2.5x), so
-#: ``auto`` resolves to ``matmul`` for all query lengths above this
-#: threshold — 0 ships the measured winner while keeping the einsum
-#: contraction selectable should a future BLAS flip the ordering.
-EINSUM_MAX_QUERY_LEN = 0
-
 
 def softmax_(scores: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis, **in place**.
@@ -248,24 +232,12 @@ def softmax_(scores: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _contract_scores(
-    query: np.ndarray, key: np.ndarray, strategy: str, out: np.ndarray
-) -> np.ndarray:
-    """``query @ key^T`` into the preallocated ``out`` buffer."""
-    if strategy == "auto":
-        strategy = "einsum" if query.shape[-2] <= EINSUM_MAX_QUERY_LEN else "matmul"
-    if strategy == "einsum":
-        return np.einsum("...qd,...kd->...qk", query, key, out=out)
-    return np.matmul(query, key.swapaxes(-1, -2), out=out)
-
-
 def fused_attention(
     query: np.ndarray,
     key: np.ndarray,
     value: np.ndarray,
     mask: np.ndarray | None = None,
     dtype: "np.dtype | None" = None,
-    strategy: str = "auto",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scaled dot-product attention fused into one pass over raw ndarrays.
 
@@ -281,8 +253,7 @@ def fused_attention(
 
     ``dtype`` selects the compute precision (default: the thread's
     :func:`~repro.nn.tensor.inference_dtype`); float32 is the opt-in
-    reduced-precision mode.  ``strategy`` picks the score contraction
-    (see :data:`SCORE_STRATEGIES`).
+    reduced-precision mode.
 
     Returns ``(context, weights)`` as raw ndarrays of the compute dtype.
     """
@@ -290,10 +261,6 @@ def fused_attention(
         raise ConfigurationError(
             "fused_attention builds no autograd graph; wrap the call in no_grad() "
             "(the Tensor implementation in repro.nn.attention is the training path)"
-        )
-    if strategy not in SCORE_STRATEGIES:
-        raise ConfigurationError(
-            f"score strategy must be one of {SCORE_STRATEGIES}, got {strategy!r}"
         )
     compute = np.dtype(dtype) if dtype is not None else inference_dtype()
     query = np.asarray(query, dtype=compute)
@@ -304,7 +271,7 @@ def fused_attention(
     scores = np.empty(
         batch_shape + (query.shape[-2], key.shape[-2]), dtype=compute
     )
-    _contract_scores(query, key, strategy, out=scores)
+    np.matmul(query, key.swapaxes(-1, -2), out=scores)
     scores *= compute.type(1.0 / np.sqrt(d_k))
     if mask is not None:
         scores += np.asarray(mask)

@@ -120,11 +120,41 @@ class TransformerEncoderLayer(Module):
     def forward(
         self,
         x: Tensor,
-        mask: np.ndarray | None = None,
+        mask: "np.ndarray | Tensor | None" = None,
         kv_cache: "LayerKVCache | None" = None,
         persist: int | None = None,
+        query_columns: "np.ndarray | slice | None" = None,
     ) -> Tensor:
-        attended = self.attention(self.norm1(x), mask=mask, kv_cache=kv_cache, persist=persist)
+        """Apply the block; with ``query_columns``, answer only those positions.
+
+        ``query_columns`` (an index array or slice over the length axis;
+        inference only) is for callers that read a few positions of the
+        output: every column of ``x`` is still normalised and projected to
+        keys/values (and fed to ``kv_cache``), but the query projection,
+        attention, output projection, residuals and feed-forward run on the
+        named columns alone, as do the matching rows of ``mask``.  Returns
+        ``(batch, len(query_columns), d_model)``.
+        """
+        normed = self.norm1(x)
+        if query_columns is None:
+            attended = self.attention(normed, mask=mask, kv_cache=kv_cache, persist=persist)
+        else:
+            if is_grad_enabled():
+                raise ConfigurationError(
+                    "query_columns is inference-only; run it under no_grad "
+                    "(the full forward is the training path)"
+                )
+            if mask is not None:
+                mask = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
+                mask = mask[..., query_columns, :]
+            x = Tensor(x.data[:, query_columns])
+            attended = self.attention(
+                Tensor(normed.data[:, query_columns]),
+                key=normed,
+                mask=mask,
+                kv_cache=kv_cache,
+                persist=persist,
+            )
         if not is_grad_enabled():
             # Inference: fold the residuals into the freshly produced
             # sub-layer outputs (never into the caller's ``x``, whose buffer
@@ -174,9 +204,10 @@ class TransformerEncoder(Module):
     def forward(
         self,
         x: Tensor,
-        mask: np.ndarray | None = None,
+        mask: "np.ndarray | Tensor | None" = None,
         state: "DecodingState | None" = None,
         persist: int | None = None,
+        query_columns: "np.ndarray | slice | None" = None,
     ) -> Tensor:
         """Encode ``x``; with ``state``, run one incremental decoding step.
 
@@ -185,15 +216,27 @@ class TransformerEncoder(Module):
         first ``persist`` new positions to the cache (see
         :mod:`repro.cache.kv` for the exactness contract the *caller* must
         uphold — this stack reuses whatever the caches contain).
+
+        ``query_columns`` (inference only) names the positions the caller
+        will read.  Every layer but the last runs in full — their outputs
+        are the last layer's keys/values — and the last layer and the final
+        norm answer only those positions (see
+        :meth:`TransformerEncoderLayer.forward`), so the result is
+        ``(batch, len(query_columns), d_model)``.  The full forward stays
+        the training path and the parity oracle.
         """
-        if state is None:
-            for layer in self.layers:
-                x = layer(x, mask=mask)
-            return self.final_norm(x)
-        if len(state) != len(self.layers):
+        caches = [None] * len(self.layers) if state is None else state.layers
+        if len(caches) != len(self.layers):
             raise ConfigurationError(
-                f"decoding state has {len(state)} layer caches for {len(self.layers)} layers"
+                f"decoding state has {len(caches)} layer caches for {len(self.layers)} layers"
             )
-        for layer, kv_cache in zip(self.layers, state):
-            x = layer(x, mask=mask, kv_cache=kv_cache, persist=persist)
+        last = len(self.layers) - 1
+        for index, (layer, kv_cache) in enumerate(zip(self.layers, caches)):
+            x = layer(
+                x,
+                mask=mask,
+                kv_cache=kv_cache,
+                persist=persist,
+                query_columns=query_columns if index == last else None,
+            )
         return self.final_norm(x)

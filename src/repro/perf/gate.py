@@ -15,7 +15,10 @@ against ``budget_seconds``).
 * ``beam_planning`` / ``greedy_planning`` / ``nextitem_evaluation`` —
   batched plans / ranks equal scalar.
 * ``irs_stepwise_replanning`` — cached serving matches isolated semantics.
-* ``incremental_decoding`` — session-cached plans equal full re-encoding.
+* ``incremental_decoding`` — session-cached plans equal full re-encoding,
+  on the 1-layer model (exact reuse across depths) and on the default
+  2-layer personalized model, whose sessions must also encode at least
+  2x fewer tokens (an exact count) by sharing history within a depth.
 * ``sharded_evaluation`` — plans bit-identical at every worker count (and
   across the fork boundary when the platform has fork).
 * ``async_serving`` — lockstep-replay responses bit-identical to
@@ -54,6 +57,11 @@ import sys
 from typing import Sequence
 
 __all__ = ["collect_violations", "main"]
+
+#: Least ``full_reencode / shared_history`` token ratio of the default-model
+#: row: the smoke profile measures 2.32x, and a beam that stopped sharing
+#: history within a depth reads 1.0.
+DEFAULT_MODEL_TOKEN_WORK_REDUCTION = 2.0
 
 
 def _check_replicated(section: dict, violations: "list[str]") -> None:
@@ -110,6 +118,30 @@ def _check_tensor_ops(section: dict, violations: "list[str]") -> None:
     if not section.get("inplace_guard_raises"):
         violations.append(
             "tensor_ops: in-place tensor ops did not refuse to run under grad"
+        )
+
+
+def _check_incremental(section: dict, violations: "list[str]") -> None:
+    if not section.get("plans_equal"):
+        violations.append(
+            "incremental_decoding: session-cached plans differ from full re-encoding"
+        )
+    default_model = section.get("default_model")
+    if not default_model:
+        violations.append(
+            "incremental_decoding: no default-model (2-layer, personalized mask) row"
+        )
+        return
+    if not default_model.get("plans_equal"):
+        violations.append(
+            "incremental_decoding: default-model session plans differ from full re-encoding"
+        )
+    reduction = default_model.get("token_work_reduction", 0.0)
+    if reduction < DEFAULT_MODEL_TOKEN_WORK_REDUCTION:
+        violations.append(
+            f"incremental_decoding: default-model sessions encode only {reduction}x fewer "
+            f"tokens than full re-encoding (< {DEFAULT_MODEL_TOKEN_WORK_REDUCTION}x): "
+            f"history is not being shared within a depth"
         )
 
 
@@ -269,12 +301,8 @@ def collect_violations(report: dict, require: "Sequence[str]" = ()) -> "list[str
         violations.append(
             "irs_stepwise_replanning: cached serving diverged from isolated semantics"
         )
-    if "incremental_decoding" in report and not report["incremental_decoding"].get(
-        "plans_equal"
-    ):
-        violations.append(
-            "incremental_decoding: session-cached plans differ from full re-encoding"
-        )
+    if "incremental_decoding" in report:
+        _check_incremental(report["incremental_decoding"], violations)
     if "sharded_evaluation" in report:
         sharded = report["sharded_evaluation"]
         if not sharded.get("workers"):

@@ -1,0 +1,246 @@
+"""Exactness of the two savings in IRN's no-grad scoring forward.
+
+* **One-query final layer** — the inference forward computes only the
+  column(s) its caller gathers.  Oracle: the *graph* forward (grad enabled,
+  full ``(B, L, V)`` logits) gathered at the same columns.
+* **Beam-shared history** — an objective session on a stack where prefix
+  reuse across depths is not exact encodes each live root's history once per
+  depth.  Property: whatever ``select`` does to the rows, every advance
+  scores like :meth:`IRN.score_with_objective_batch` on the session's rows,
+  in all three regimes (exact reuse, shared within a depth, per-row window).
+"""
+
+from __future__ import annotations
+
+import contextlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.beam import BeamSearchPlanner
+from repro.core.irn import IRN
+from repro.core.pim import MaskType
+from repro.evaluation.protocol import sample_objectives
+from repro.nn.tensor import no_grad, resolve_inference_dtype
+from repro.utils.exceptions import ConfigurationError
+
+RTOL, ATOL = 1e-7, 1e-8  # the documented batching tolerance
+FLOAT32_TOL = 5e-4
+LAYERS = (1, 2, 3)
+MASKS = (MaskType.CAUSAL, MaskType.OBJECTIVE, MaskType.PERSONALIZED)
+WINDOW = 12  # small enough that six advances overflow the longer histories
+
+
+@pytest.fixture(scope="module")
+def models(tiny_split):
+    """One small IRN per (layers, mask), trained lazily, non-zero ``w_h``."""
+    cache: dict = {}
+
+    def get(num_layers: int, mask_type: MaskType) -> IRN:
+        key = (num_layers, mask_type)
+        if key not in cache:
+            cache[key] = IRN(
+                embedding_dim=8,
+                user_dim=4,
+                num_heads=2,
+                num_layers=num_layers,
+                mask_type=mask_type,
+                history_weight=0.3,
+                epochs=1,
+                batch_size=64,
+                max_sequence_length=WINDOW,
+                seed=0,
+            ).fit(tiny_split)
+        return cache[key]
+
+    return get
+
+
+@contextlib.contextmanager
+def inference_dtype(irn: IRN, name: str):
+    previous = irn.inference_dtype
+    irn.inference_dtype = resolve_inference_dtype(name)
+    try:
+        yield
+    finally:
+        irn.inference_dtype = previous
+
+
+def assert_scores_match(scores, reference, float32: bool) -> None:
+    finite = np.isfinite(reference)
+    assert np.array_equal(finite, np.isfinite(scores))
+    if float32:
+        np.testing.assert_allclose(scores[finite], reference[finite], rtol=0, atol=FLOAT32_TOL)
+    else:
+        np.testing.assert_allclose(scores[finite], reference[finite], rtol=RTOL, atol=ATOL)
+
+
+@st.composite
+def scenarios(draw):
+    """Ragged roots plus 1-6 advances of arbitrary row gathers."""
+    items = st.integers(min_value=1, max_value=30)
+    roots = draw(
+        st.lists(
+            st.tuples(
+                st.lists(items, min_size=0, max_size=8),  # history (0 and 1 included)
+                items,  # objective
+                st.one_of(st.none(), st.integers(min_value=0, max_value=60)),  # user
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    rows = len(roots)
+    advances = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        # parents dropped, duplicated and reordered; None keeps the rows as they are
+        parents = draw(
+            st.one_of(
+                st.none(),
+                st.lists(st.integers(min_value=0, max_value=rows - 1), min_size=1, max_size=6),
+            )
+        )
+        rows = rows if parents is None else len(parents)
+        advances.append((parents, draw(st.lists(items, min_size=rows, max_size=rows))))
+    return roots, advances
+
+
+class TestSharedHistorySessions:
+    @pytest.mark.parametrize("float32", [False, True], ids=["float64", "float32"])
+    @pytest.mark.parametrize("mask_type", MASKS, ids=lambda mask: mask.name.lower())
+    @pytest.mark.parametrize("num_layers", LAYERS)
+    @settings(max_examples=25, deadline=None)
+    @given(scenario=scenarios())
+    def test_every_advance_matches_the_uncached_scorer(
+        self, models, num_layers, mask_type, float32, scenario
+    ):
+        irn = models(num_layers, mask_type)
+        roots, advances = scenario
+        sequences = [history for history, _, _ in roots]
+        objectives = [objective for _, objective, _ in roots]
+        users = [user for _, _, user in roots]
+        dtype = "float32" if float32 else "float64"
+
+        def reference(session) -> np.ndarray:
+            return irn.score_with_objective_batch(
+                session.rows, session.objectives, list(session.users)
+            )
+
+        with inference_dtype(irn, dtype):
+            scores, session = irn.begin_decoding_session(sequences, objectives, users)
+        assert_scores_match(scores, reference(session), float32)
+        assert session.incremental == (num_layers == 1 or mask_type == MaskType.CAUSAL)
+        for parents, new_items in advances:
+            fallback_before = irn.decode_stats.tokens_fallback
+            with inference_dtype(irn, dtype):
+                scores = irn.advance_decoding_session(session, new_items, parents)
+            encoded = irn.decode_stats.tokens_fallback - fallback_before
+            # session.rows are the grown sequences: [root history ; appended]
+            assert [row[-session.steps :] for row in session.rows] == [
+                row[len(session.root_rows[root]) :]
+                for row, root in zip(session.rows, session.roots)
+            ]
+            assert_scores_match(scores, reference(session), float32)
+            if session.incremental:
+                assert encoded == 0
+                continue
+            window = int(session.lengths.max()) + 1
+            if window > WINDOW or num_layers == 1 or mask_type == MaskType.CAUSAL:
+                # overflow (or a degraded session): the per-row sliding window
+                assert encoded == session.batch_size * min(window, WINDOW)
+            else:
+                # shared within the depth: G * (history + objective) + R * (appended + objective)
+                live = sorted(set(session.roots.tolist()))
+                history = max(max(len(session.root_rows[root]) for root in live), 1)
+                assert encoded == len(live) * (history + 1) + session.batch_size * (
+                    session.steps + 1
+                )
+
+    def test_overflow_mid_session_keeps_matching(self, models):
+        """A window that outgrows ``max_sequence_length`` slides per row, and a
+        session shares history again once the overflowing row is pruned."""
+        irn = models(2, MaskType.PERSONALIZED)
+        long, short = list(range(1, WINDOW - 2)), [3, 4]  # 9 + 2 appended + objective fills it
+        _, session = irn.begin_decoding_session([long, short], [7, 8], [0, 1])
+        regimes = []
+        for parents, new_items in [
+            (None, [11, 12]),
+            (None, [13, 14]),
+            (None, [15, 16]),  # `long` overflows: every row slides
+            ([1, 1], [17, 18]),  # `long` pruned: the rest fits again
+        ]:
+            before = irn.decode_stats.tokens_fallback
+            scores = irn.advance_decoding_session(session, new_items, parents)
+            regimes.append(irn.decode_stats.tokens_fallback - before)
+            reference = irn.score_with_objective_batch(
+                session.rows, session.objectives, list(session.users)
+            )
+            assert_scores_match(scores, reference, float32=False)
+        assert regimes == [
+            2 * (len(long) + 1) + 2 * 2,
+            2 * (len(long) + 1) + 2 * 3,
+            2 * WINDOW,
+            1 * (len(short) + 1) + 2 * 5,
+        ]
+
+    @pytest.mark.parametrize("mask_type", MASKS, ids=lambda mask: mask.name.lower())
+    @pytest.mark.parametrize("num_layers", LAYERS)
+    def test_plans_equal_with_sessions_on_and_off(
+        self, tiny_split, models, num_layers, mask_type
+    ):
+        irn = models(num_layers, mask_type)
+        instances = sample_objectives(tiny_split, min_objective_interactions=2, max_instances=8)
+        args = (
+            [list(inst.history) for inst in instances],
+            [inst.objective for inst in instances],
+            [inst.user_index for inst in instances],
+        )
+        on = BeamSearchPlanner(irn, plan_cache_size=0).fit(tiny_split)
+        off = BeamSearchPlanner(irn, plan_cache_size=0, use_decoding_sessions=False).fit(
+            tiny_split
+        )
+        # max_length 8 on a 12-token window: the longer histories overflow mid-plan
+        assert on.plan_paths_batch(*args, max_length=8) == off.plan_paths_batch(
+            *args, max_length=8
+        )
+
+
+class TestOneQueryFinalLayer:
+    @pytest.mark.parametrize("num_layers", LAYERS)
+    def test_inference_forward_equals_gathered_graph_forward(self, models, num_layers):
+        irn = models(num_layers, MaskType.PERSONALIZED)
+        module = irn.module
+        rows = [[5], [3, 9, 4, 7], [2, 6, 8, 10, 12, 14, 1]]  # objective last, ragged
+        items, positions, _ = irn._right_align(rows)
+        users = np.asarray([0, 3, 7])
+        kwargs = dict(
+            mask_type=irn.mask_type,
+            objective_weight=irn.objective_weight * irn.objective_logit_scale,
+            history_weight=irn.history_weight,
+            positions=positions,
+        )
+        graph = module(items, users, **kwargs)  # grad enabled: the training path
+        assert graph.requires_grad and graph.shape == (3, items.shape[1], irn.vocab_size)
+        candidates = np.asarray([1, 4, 9, 16, 25])
+        for columns in (np.asarray([items.shape[1] - 2]), np.asarray([0, items.shape[1] - 1])):
+            with no_grad():
+                full = module(items, users, query_columns=columns, **kwargs)
+                pruned = module(
+                    items, users, query_columns=columns, output_items=candidates, **kwargs
+                )
+            assert full.shape == (3, len(columns), irn.vocab_size)
+            np.testing.assert_allclose(full.data, graph.data[:, columns], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(
+                pruned.data, graph.data[:, columns][:, :, candidates], rtol=0, atol=1e-10
+            )
+        # the final layer answered one query per row
+        attention = module.decoder.layers[-1].attention.last_attention
+        assert attention.shape == (3, irn.num_heads, 2, items.shape[1])
+
+    def test_refuses_to_run_under_grad(self, models):
+        irn = models(2, MaskType.PERSONALIZED)
+        items, positions, _ = irn._right_align([[3, 9, 4]])
+        with pytest.raises(ConfigurationError, match="inference-only"):
+            irn.module(items, np.asarray([0]), positions=positions, query_columns=slice(-2, -1))

@@ -28,7 +28,10 @@ def green_report() -> dict:
         "greedy_planning": {"plans_equal": True},
         "nextitem_evaluation": {"ranks_equal": True},
         "irs_stepwise_replanning": {"cached_paths_match_isolated": True},
-        "incremental_decoding": {"plans_equal": True},
+        "incremental_decoding": {
+            "plans_equal": True,
+            "default_model": {"plans_equal": True, "token_work_reduction": 2.32},
+        },
         "sharded_evaluation": {
             "workers": [
                 {"num_workers": 1, "plans_equal_serial": True},
@@ -173,6 +176,25 @@ class TestCollectViolations:
         violations = collect_violations(report)
         assert any("sharded_evaluation" in v for v in violations)
         assert any("beam_planning" in v for v in violations)
+
+    def test_incremental_default_model_row_is_required(self):
+        report = green_report()
+        del report["incremental_decoding"]["default_model"]
+        assert any("no default-model" in v for v in collect_violations(report))
+
+    def test_incremental_default_model_plans_and_token_work_checked(self):
+        report = green_report()
+        report["incremental_decoding"]["default_model"] = {
+            "plans_equal": False,
+            "token_work_reduction": 1.0,
+        }
+        violations = collect_violations(report)
+        assert any("default-model session plans differ" in v for v in violations)
+        assert any("1.0x fewer tokens" in v for v in violations)
+        report["incremental_decoding"]["plans_equal"] = False  # the 1-layer bit is its own
+        assert any(
+            "session-cached plans differ" in v for v in collect_violations(report)
+        )
 
     def test_fork_parity_none_is_not_a_violation(self):
         report = green_report()
