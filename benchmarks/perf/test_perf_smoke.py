@@ -294,6 +294,8 @@ def test_two_stage_retrieval_contract_bits(smoke_report):
             assert 0.0 <= row["overlap_at_k"] <= 1.0
             assert "mean_plan_regret" in row
             assert row["requests"] >= row["fallbacks"] >= 0
+            # the per-row gathered projection plans what full scoring does
+            assert row["gathered_matches_full"] is True
             # +1: the objective is appended when the shortlist missed it.
             assert 0 < row["mean_candidate_size"] <= section["num_candidates"] + 1
 

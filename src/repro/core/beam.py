@@ -65,6 +65,20 @@ axis of the fused logits for top-k candidate selection
 combination of worker count, backend and vocabulary shards produces plans
 bit-identical to the serial planner.
 
+Two-stage retrieval
+-------------------
+With a ``candidate_generator`` a plan's scores live in *shortlist space*
+from the projection to the top-k: one ``(instances, K)`` item table per
+plan (each context's shortlist in ascending item order), gathered by owner
+into a ``(rows, K)`` table per depth, against which the backbone projects
+(``score_with_objective_batch(candidate_items=<(rows, K)>)``), seen items
+are masked (:func:`~repro.core.influence_path.mask_session_items`), the
+shared masked log-softmax normalises and the top-k picks; winners map back
+to items through the table.  A depth costs ``O(rows * K)`` — never the
+vocabulary, never the union of the drain's shortlists — and ascending
+columns keep the exact path's (value desc, item asc) tie order.  Contexts
+without a shortlist plan in a second, exact lockstep beam.
+
 Serving
 -------
 :meth:`BeamSearchPlanner.plan_for_requests` multiplexes heterogeneous
@@ -85,7 +99,7 @@ import numpy as np
 
 from repro.config import resolve_vocab_shards
 from repro.core.base import InfluentialRecommender, influential_registry
-from repro.core.influence_path import mask_session_items
+from repro.core.influence_path import log_softmax_rows, mask_session_items
 from repro.data.splitting import DatasetSplit
 from repro.obs.registry import MetricGroup, get_registry
 from repro.obs.trace import current_sink, use_sink
@@ -181,19 +195,24 @@ class BeamSearchPlanner(InfluentialRecommender):
     candidate_generator:
         Optional fitted (or fit-able) two-stage-retrieval generator
         (:class:`~repro.retrieval.base.CandidateGenerator`).  When set,
-        each planned instance scores only over its per-context candidate
-        shortlist: the fused scoring call covers the union of the shard's
-        candidate sets (gathered output-projection rows when the backbone
-        advertises ``supports_candidate_scoring``), per-row masking then
-        restricts every hypothesis to its own instance's set, and plan /
-        step cache keys gain the generator's ``retrieval_key()`` so pruned
-        and exact plans can never alias.  ``None`` contexts (generator
-        fallback) score the full vocabulary and are counted in the
-        ``core.retrieval`` metric scope.  Decoding sessions are disabled
-        under pruning — the session path projects the full vocabulary,
-        which is exactly the cost pruning removes.  A full-coverage
-        generator (:class:`~repro.retrieval.base.FullVocabGenerator`)
-        produces plans bit-identical to exact planning.
+        each planned instance scores only over its own per-context
+        candidate shortlist, and the plan never leaves *shortlist space*:
+        per depth the fused scoring call returns a ``(rows, K)`` block —
+        row ``r`` at its own instance's shortlist, ``K`` the largest
+        shortlist planned together (gathered output-projection rows when
+        the backbone advertises ``supports_candidate_scoring``, full
+        scores gathered by the planner otherwise) — and seen-item masking,
+        the log-softmax and the top-k all run on that block; no
+        ``(rows, vocab)`` array is built.  Plan / step cache keys gain the
+        generator's ``retrieval_key()`` so pruned and exact plans can
+        never alias.  A context the generator answers ``None`` for
+        (fallback) plans exactly over the full vocabulary, in its own
+        lockstep beam beside the shortlisted contexts of the same drain,
+        and is counted in the ``core.retrieval`` metric scope.  Decoding
+        sessions are disabled under pruning (measured: they save nothing
+        there, see :meth:`_lockstep_beam`).  A full-coverage generator
+        (:class:`~repro.retrieval.base.FullVocabGenerator`) takes the
+        exact path too, so its plans are bit-identical to exact planning.
     """
 
     name = "IRN-beam"
@@ -411,56 +430,31 @@ class BeamSearchPlanner(InfluentialRecommender):
 
     # ------------------------------------------------------------------ #
     def _log_softmax_rows(self, scores: np.ndarray) -> np.ndarray:
-        """Row-wise log-softmax over ``(batch, vocab)`` with ``-inf`` masking.
-
-        Rows without a single finite entry (every candidate masked out) yield
-        an all ``-inf`` row instead of crashing on an empty ``np.max``.
-        """
-        finite = np.isfinite(scores)
-        any_finite = finite.any(axis=1)
-        row_max = np.max(np.where(finite, scores, -np.inf), axis=1, initial=-np.inf)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shifted = scores - np.where(any_finite, row_max, 0.0)[:, None]
-            exp = np.where(finite, np.exp(shifted), 0.0)
-            log_norm = np.log(exp.sum(axis=1))
-            return np.where(finite, shifted - log_norm[:, None], -np.inf)
+        """Row-wise masked log-softmax (a copy; see :func:`log_softmax_rows`)."""
+        return log_softmax_rows(np.array(scores, dtype=np.float64))
 
     def _log_softmax(self, scores: np.ndarray) -> np.ndarray:
-        return self._log_softmax_rows(np.asarray(scores, dtype=np.float64)[None, :])[0]
+        return self._log_softmax_rows(np.asarray(scores)[None, :])[0]
 
     def _batched_scores(
         self,
         sequences: list[list[int]],
         objectives: list[int],
         user_indices: "list[int | None]",
-        candidate_items: "np.ndarray | None" = None,
+        row_items: "np.ndarray | None" = None,
     ) -> np.ndarray:
         """Score every sequence against its objective, fused when possible.
 
-        ``candidate_items`` restricts scoring to a shortlist: backbones
-        advertising ``supports_candidate_scoring`` gather only those output
-        rows (the two-stage-retrieval fast path); any other backbone is
-        scored in full and masked to ``-inf`` outside the shortlist, which
-        is exact but gains no speed.
+        Returns a fresh float64 ``(rows, vocab)`` block, or — with a per-row
+        ``(rows, C)`` item table — the ``(rows, C)`` block of row ``r``'s
+        scores at ``row_items[r]``.  Backbones advertising
+        ``supports_candidate_scoring`` project onto those items only and
+        never build the ``(rows, vocab)`` array (the two-stage-retrieval
+        fast path); any other backbone is scored in full and gathered,
+        which is exact but gains no speed.
         """
         scorer = getattr(self.backbone, "score_with_objective_batch", None)
-        if scorer is not None:
-            if candidate_items is not None and getattr(
-                self.backbone, "supports_candidate_scoring", False
-            ):
-                return np.asarray(
-                    scorer(
-                        sequences,
-                        objectives,
-                        user_indices,
-                        candidate_items=candidate_items,
-                    ),
-                    dtype=np.float64,
-                ).copy()
-            scores = np.asarray(
-                scorer(sequences, objectives, user_indices), dtype=np.float64
-            ).copy()
-        else:
+        if scorer is None:
             scores = np.stack(
                 [
                     np.asarray(
@@ -474,45 +468,20 @@ class BeamSearchPlanner(InfluentialRecommender):
                     )
                 ]
             )
-        if candidate_items is not None:
-            keep = np.zeros(scores.shape[1], dtype=bool)
-            keep[candidate_items] = True
-            scores[:, ~keep] = -np.inf
+        elif row_items is not None and getattr(
+            self.backbone, "supports_candidate_scoring", False
+        ):
+            return np.array(
+                scorer(sequences, objectives, user_indices, candidate_items=row_items),
+                dtype=np.float64,
+            )
+        else:
+            scores = np.array(
+                scorer(sequences, objectives, user_indices), dtype=np.float64
+            )
+        if row_items is not None:
+            scores = np.take_along_axis(scores, row_items, axis=1)
         return scores
-
-    @staticmethod
-    def _restrict_rows_to_candidates(
-        scores: np.ndarray,
-        row_candidates: "list[np.ndarray | None]",
-        union: "np.ndarray | None",
-    ) -> None:
-        """Mask each row to its own instance's candidate set, in place.
-
-        ``scores`` was computed over ``union`` (or the full vocabulary when
-        ``union`` is ``None`` because some instance fell back); a row's
-        mask-out set is therefore ``union - own`` — usually tiny — or the
-        complement of its own set under a full-vocabulary fallback.  Rows
-        whose instance fell back (``None`` candidates) keep every column.
-        """
-        groups: "dict[int, list[int]]" = {}
-        arrays: "dict[int, np.ndarray]" = {}
-        for row, candidates in enumerate(row_candidates):
-            if candidates is None:
-                continue
-            key = id(candidates)
-            groups.setdefault(key, []).append(row)
-            arrays[key] = candidates
-        vocab = scores.shape[1]
-        for key, rows in groups.items():
-            candidates = arrays[key]
-            if union is None:
-                keep = np.zeros(vocab, dtype=bool)
-                keep[candidates] = True
-                masked_columns = np.flatnonzero(~keep)
-            else:
-                masked_columns = np.setdiff1d(union, candidates, assume_unique=True)
-            if masked_columns.size:
-                scores[np.ix_(rows, masked_columns)] = -np.inf
 
     def _expand_all(
         self,
@@ -521,8 +490,7 @@ class BeamSearchPlanner(InfluentialRecommender):
         objectives: list[int],
         user_indices: "list[int | None]",
         scores: np.ndarray | None = None,
-        row_candidates: "list[np.ndarray | None] | None" = None,
-        union_candidates: "np.ndarray | None" = None,
+        row_items: "np.ndarray | None" = None,
     ) -> list[list[_Hypothesis]]:
         """Expand many hypotheses with ONE batched scoring call.
 
@@ -531,26 +499,33 @@ class BeamSearchPlanner(InfluentialRecommender):
         broken by item index (the stable-``argsort`` order), non-finite
         candidates dropped.  ``scores`` may carry pre-computed backbone
         scores for the rows (the decoding-session path); otherwise one
-        batched scoring call is issued here.  Under candidate pruning,
-        ``union_candidates`` is the fused scoring shortlist and
-        ``row_candidates`` restricts each row to its own instance's set
-        before the log-softmax (probabilities renormalise over the
-        shortlist — the documented approximation).
+        batched scoring call is issued here.
+
+        Under candidate pruning the whole expansion runs in *shortlist
+        space*: ``row_items`` is the ``(rows, C)`` table of each row's own
+        shortlist in ascending item order — a shorter shortlist padded by
+        repeating its last item — and scores, masking, the log-softmax
+        (probabilities renormalise over the row's shortlist, the documented
+        approximation) and the top-k all work on ``(rows, C)`` blocks;
+        winners map back to items through the table.  Ascending columns
+        keep the (value desc, item asc) tie order of the full-vocabulary
+        path, which is the same code with no table.
         """
         if scores is None:
-            scores = self._batched_scores(
-                sequences, objectives, user_indices, candidate_items=union_candidates
-            )
-        if row_candidates is not None:
-            self._restrict_rows_to_candidates(scores, row_candidates, union_candidates)
-        mask_session_items(scores, sequences, objectives)
-        log_probs = self._log_softmax_rows(scores)
-        _, vocab = log_probs.shape
-        k = min(self.branch_factor, vocab)
+            scores = self._batched_scores(sequences, objectives, user_indices, row_items)
+        if row_items is not None:
+            # a cell repeating its left neighbour is padding, not a candidate
+            scores[:, 1:][row_items[:, 1:] == row_items[:, :-1]] = -np.inf
+        mask_session_items(scores, sequences, objectives, row_items=row_items)
+        log_probs = log_softmax_rows(scores)
+        _, columns = log_probs.shape
+        k = min(self.branch_factor, columns)
         # Per-hypothesis top-k in stable-argsort order (value desc, index
         # asc), optionally computed over column shards of the item axis —
         # the merge is exact, so any vocab_shards yields the same winners.
-        top, top_values = sharded_topk(log_probs, k, min(self.vocab_shards, vocab))
+        top, top_values = sharded_topk(log_probs, k, min(self.vocab_shards, columns))
+        if row_items is not None:
+            top = np.take_along_axis(row_items, top, axis=1)
         # One conversion to Python scalars per depth, not three per child.
         finite = np.isfinite(top_values).tolist()
         top, top_values = top.tolist(), top_values.tolist()
@@ -657,48 +632,112 @@ class BeamSearchPlanner(InfluentialRecommender):
         pending: list[int],
         max_length: int,
     ) -> list[list[int]]:
-        """Run the lockstep beam search for the ``pending`` instance subset."""
+        """Plan the ``pending`` instance subset: one lockstep beam per scoring space.
+
+        Instances with a shortlist run together in shortlist space; the
+        rest (no generator, a ``None`` fallback, a shortlist covering the
+        vocabulary) run together on the exact full-vocabulary path, so a
+        cold context never drags the shortlisted ones to ``(rows, vocab)``.
+        """
+        shortlists = self._shortlists(histories, objectives, users, pending)
+        exact = [i for i in pending if i not in shortlists]
+        paths = dict(
+            zip(exact, self._lockstep_beam(histories, objectives, users, exact, max_length))
+        )
+        pruned = [i for i in pending if i in shortlists]
+        if pruned:
+            # One (instances, K) item table per plan, K the group's largest
+            # shortlist: ascending rows, a shorter one padded by repeating
+            # its last item (which _expand_all reads as padding).
+            width = max(shortlists[i].size for i in pruned)
+            table = np.empty((len(pruned), width), dtype=np.int64)
+            for slot, i in enumerate(pruned):
+                shortlist = shortlists[i]
+                table[slot, : shortlist.size] = shortlist
+                table[slot, shortlist.size :] = shortlist[-1]
+            planned = self._lockstep_beam(
+                histories, objectives, users, pruned, max_length, table
+            )
+            paths.update(zip(pruned, planned))
+        return [paths[i] for i in pending]
+
+    def _shortlists(
+        self,
+        histories: list[list[int]],
+        objectives: list[int],
+        users: "list[int | None]",
+        pending: list[int],
+    ) -> "dict[int, np.ndarray]":
+        """The candidate shortlist of every instance that plans in shortlist space.
+
+        One set per instance, computed once per plan from the initial
+        context (the set is a property of the *planning context*, not of
+        the partial path — keys must match the plan cache's), sorted and
+        unique.  Instances left out plan exactly: the generator answered
+        ``None``, or its set covers every real item (the
+        :class:`~repro.retrieval.base.FullVocabGenerator` case, which is
+        what keeps ``full_vocab_parity`` bit-identical by construction).
+        Retrieval counters are recorded here, once per plan.
+        """
+        shortlists: "dict[int, np.ndarray]" = {}
+        generator = self.candidate_generator
+        if generator is None:
+            return shortlists
+        vocab = self.corpus.vocab.size
+        fallbacks = 0
+        candidate_total = 0
+        for i in pending:
+            candidates = generator.candidates(histories[i], objectives[i], users[i])
+            if candidates is None:
+                fallbacks += 1
+                continue
+            candidate_total += int(candidates.size)
+            candidates = np.unique(np.asarray(candidates, dtype=np.int64))
+            if candidates.size < vocab - 1:
+                shortlists[i] = candidates
+        if self._retrieval_metrics is not None:
+            self._retrieval_metrics.record(
+                add={
+                    "requests": len(pending),
+                    "fallbacks": fallbacks,
+                    "candidate_items": candidate_total,
+                }
+            )
+        return shortlists
+
+    def _lockstep_beam(
+        self,
+        histories: list[list[int]],
+        objectives: list[int],
+        users: "list[int | None]",
+        pending: list[int],
+        max_length: int,
+        table: "np.ndarray | None" = None,
+    ) -> list[list[int]]:
+        """Run the lockstep beam search for the ``pending`` instance subset.
+
+        ``table`` — row ``n`` the padded shortlist of ``pending[n]`` — puts
+        the whole search in shortlist space (see :meth:`_expand_all`);
+        without it every row scores the full vocabulary.
+        """
         beams: dict[int, list[_Hypothesis]] = {
             i: [_Hypothesis(items=(), log_probability=0.0, reached=False)] for i in pending
         }
         completes: dict[int, list[_Hypothesis]] = {i: [] for i in pending}
         running = list(pending)
         session = None
-        # Decoding sessions project the FULL vocabulary per advanced token —
-        # exactly the cost candidate pruning removes — so pruning wins by
-        # re-encoding right-aligned windows against the shortlist instead.
+        # Decoding sessions stay off under pruning.  A session advance with a
+        # gathered projection was measured and saves nothing on the catalog
+        # workload (window 16, histories 8-16, horizon 12): the window slides
+        # from depth <= 1, so every advance is the per-row-window regime — a
+        # 16-context plan went 46 -> 60 ms — and re-encoding right-aligned
+        # windows against the shortlist is the cheaper path.
         use_sessions = (
             self.use_decoding_sessions
             and hasattr(self.backbone, "begin_decoding_session")
             and self.candidate_generator is None
         )
-        # One candidate set per instance, computed once per plan from the
-        # initial context (the set is a property of the *planning context*,
-        # not of the partial path — keys must match the plan cache's).
-        candidate_sets: "dict[int, np.ndarray | None]" = {}
-        union: "np.ndarray | None" = None
-        if self.candidate_generator is not None:
-            fallbacks = 0
-            candidate_total = 0
-            for i in pending:
-                candidates = self.candidate_generator.candidates(
-                    histories[i], objectives[i], users[i]
-                )
-                candidate_sets[i] = candidates
-                if candidates is None:
-                    fallbacks += 1
-                else:
-                    candidate_total += int(candidates.size)
-            if self._retrieval_metrics is not None:
-                self._retrieval_metrics.record(
-                    add={
-                        "requests": len(pending),
-                        "fallbacks": fallbacks,
-                        "candidate_items": candidate_total,
-                    }
-                )
-            if fallbacks == 0:
-                union = np.unique(np.concatenate([candidate_sets[i] for i in pending]))
+        slots = {i: slot for slot, i in enumerate(pending)}
         # Per-depth expansion spans broadcast to every trace of the drained
         # micro-batch (depth work is fused across the whole shard subset, so
         # batch-level attribution is the honest granularity); None when the
@@ -743,19 +782,13 @@ class BeamSearchPlanner(InfluentialRecommender):
                         [hypothesis.parent_row for hypothesis in parents],
                     )
                 scores = np.asarray(scores, dtype=np.float64).copy()
-            row_candidates = (
-                [candidate_sets[i] for i in owners]
-                if self.candidate_generator is not None
-                else None
-            )
             expansions = self._expand_all(
                 parents,
                 sequences,
                 row_objectives,
                 row_users,
                 scores=scores,
-                row_candidates=row_candidates,
-                union_candidates=union,
+                row_items=None if table is None else table[[slots[i] for i in owners]],
             )
             candidates: dict[int, list[_Hypothesis]] = {i: [] for i in running}
             for owner, children in zip(owners, expansions):

@@ -182,8 +182,12 @@ class _IRNModule(Module):
         ``output_items`` restricts it to the given item indices by gathering
         just those rows of the item-embedding weight — the two-stage-retrieval
         hook that makes the ``O(d·V)`` cost per state proportional to the
-        candidate-set size.  The gathered projection is inference-only (it
-        bypasses the autograd graph) and refuses to run under grad.
+        candidate-set size.  A 1-D ``(K,)`` array is one shortlist shared by
+        every state; a 2-D ``(batch, K)`` array gives row ``b`` of a
+        ``(batch, queries, d)`` hidden block its own shortlist (one batched
+        matmul over the gathered ``(batch, K, d)`` weights).  Either way the
+        result is ``(..., K)``.  The gathered projection is inference-only
+        (it bypasses the autograd graph) and refuses to run under grad.
         """
         if output_items is None:
             return hidden.matmul(self.item_embedding.weight.transpose())
@@ -192,7 +196,8 @@ class _IRNModule(Module):
                 "candidate-restricted projection (output_items) is "
                 "inference-only; run it under no_grad"
             )
-        return hidden.matmul(Tensor(self.item_embedding.weight.data[output_items].T))
+        gathered = self.item_embedding.weight.data[output_items]
+        return hidden.matmul(Tensor(np.swapaxes(gathered, -1, -2)))
 
     def forward(
         self,
@@ -219,7 +224,8 @@ class _IRNModule(Module):
         incremental decoding session); the returned logits are unchanged.
 
         ``output_items`` restricts the logits to the given item indices
-        (``(batch, length, len(output_items))``, see :meth:`project`) and
+        (shared ``(K,)`` or per-row ``(batch, K)``; ``(batch, length, K)``
+        logits, see :meth:`project`) and
         ``query_columns`` to the given positions (``(batch,
         len(query_columns), ...)``, see
         :meth:`~repro.nn.transformer.TransformerEncoder.forward`); both are
@@ -463,31 +469,59 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         up to floating-point summation-order tolerance (~1e-8).
 
         ``candidate_items`` (the two-stage-retrieval path) restricts the
-        output projection to the given item indices: returned rows are
-        ``-inf`` everywhere except those columns, whose logits are exact —
-        identical to slicing the full-vocabulary scores at the candidates.
-        A candidate set covering every real item short-circuits to the full
-        projection, so full-vocabulary candidate sets are *structurally*
-        bit-identical to unrestricted scoring.
+        output projection to the given item indices — integer ids in
+        ``[1, vocab)`` — in one of two forms, both over the same gathered
+        projection (:meth:`_IRNModule.project`):
+
+        * **1-D, one shortlist shared by the batch.**  Returned rows stay
+          ``(batch, vocab)``: ``-inf`` everywhere except those columns,
+          whose logits are exact — identical to slicing the full-vocabulary
+          scores at the candidates.  The set is deduplicated, and one
+          covering every real item short-circuits to the full projection,
+          so full-vocabulary candidate sets are *structurally* bit-identical
+          to unrestricted scoring.
+        * **2-D ``(batch, K)``, one shortlist per row** — the beam planner's
+          shortlist space.  Returns the ``(batch, K)`` logits of row ``b``
+          at ``candidate_items[b]``, in the given column order (repeats
+          allowed; ragged shortlists are the caller's to pad and mask), and
+          never builds a ``(batch, vocab)`` array.
         """
         return self._score_objective_batch(
             sequences, objectives, user_indices, candidate_items=candidate_items
         )
 
     def _normalize_candidates(
-        self, candidate_items: "np.ndarray | None"
+        self, candidate_items: "np.ndarray | None", batch: int
     ) -> "np.ndarray | None":
-        """Validate + dedupe a candidate set; ``None`` means full vocabulary."""
+        """Validate a candidate set; ``None`` means the full vocabulary.
+
+        A per-row ``(batch, K)`` table is returned as given; any other shape
+        is one shared set, deduplicated (and ``None`` at full coverage).
+        """
         if candidate_items is None:
             return None
-        cands = np.unique(np.asarray(candidate_items, dtype=np.int64).ravel())
+        cands = np.asarray(candidate_items)
         if cands.size == 0:
             raise ConfigurationError("candidate_items must name at least one item")
-        if cands[0] < 1 or cands[-1] >= self.vocab_size:
+        if not np.issubdtype(cands.dtype, np.integer):
+            raise ConfigurationError(
+                f"candidate_items must hold integer item ids, got dtype {cands.dtype}"
+            )
+        cands = cands.astype(np.int64, copy=False)
+        low, high = int(cands.min()), int(cands.max())
+        if low < 1 or high >= self.vocab_size:
             raise ConfigurationError(
                 f"candidate_items must lie in [1, {self.vocab_size}); got range "
-                f"[{cands[0]}, {cands[-1]}]"
+                f"[{low}, {high}]"
             )
+        if cands.ndim == 2:
+            if cands.shape[0] != batch:
+                raise ConfigurationError(
+                    f"per-row candidate_items must have one row per sequence: "
+                    f"got {cands.shape[0]} rows for a batch of {batch}"
+                )
+            return cands
+        cands = np.unique(cands.ravel())
         if cands.size >= self.vocab_size - 1:
             return None  # full coverage: take the exact full-projection path
         return cands
@@ -504,10 +538,10 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
     ) -> np.ndarray:
         self._require_fitted()
         assert self.module is not None
-        candidate_items = self._normalize_candidates(candidate_items)
         batch = len(sequences)
         objectives = list(objectives)
         check_batch_lengths(batch, objectives=objectives)
+        candidate_items = self._normalize_candidates(candidate_items, batch)
         if batch == 0:
             return np.zeros((0, self.vocab_size), dtype=np.float64)
         rows = [
@@ -542,12 +576,16 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
     def _item_scores(
         self, logits: np.ndarray, candidate_items: "np.ndarray | None" = None
     ) -> np.ndarray:
-        """``(batch, vocab)`` float64 scores from one row of logits per context.
+        """Float64 scores from one row of logits per context.
 
         Full-vocabulary logits get ``-inf`` at the padding item; logits over
-        ``candidate_items`` are scattered into an all ``-inf`` row.
+        a shared 1-D ``candidate_items`` are scattered into an all ``-inf``
+        ``(batch, vocab)`` block; per-row ``(batch, K)`` logits stay in
+        shortlist space.
         """
         if candidate_items is not None:
+            if candidate_items.ndim == 2:
+                return logits.astype(np.float64, copy=False)  # already a gathered copy
             scores = np.full((len(logits), self.vocab_size), -np.inf, dtype=np.float64)
             scores[:, candidate_items] = logits
             return scores

@@ -1108,6 +1108,26 @@ def _bench_observability(w: _Workload) -> dict:
     }
 
 
+class _FullScoringOnly:
+    """An IRN with its gathered projection hidden (no ``supports_candidate_scoring``).
+
+    The planner scores such a backbone over the full vocabulary and gathers
+    each row's shortlist columns — the reference the shortlist-space
+    projection must plan identically to (``gathered_matches_full``).
+    """
+
+    def __init__(self, irn: IRN) -> None:
+        self._irn = irn
+        self.corpus = irn.corpus
+        self.name = irn.name
+
+    def score_with_objective(self, sequence, objective, user_index=None):
+        return self._irn.score_with_objective(sequence, objective, user_index)
+
+    def score_with_objective_batch(self, sequences, objectives, user_indices=None):
+        return self._irn.score_with_objective_batch(sequences, objectives, user_indices)
+
+
 def _bench_two_stage_retrieval(config: dict) -> dict:
     """Exact vs candidate-pruned planning across vocab-size tiers.
 
@@ -1117,7 +1137,10 @@ def _bench_two_stage_retrieval(config: dict) -> dict:
     contexts with plan memoisation off.  Per generator: candidate-set sizes,
     fallback counts, overlap@k of the candidate sets against the exact score
     rows, and mean plan regret (exact-plan score minus pruned-plan score
-    under exact replay; ``None`` when no finite comparison exists).  Bits:
+    under exact replay; ``None`` when no finite comparison exists), and
+    ``gathered_matches_full`` — the plans made through the IRN's per-row
+    gathered projection equal those of the same model scored in full and
+    gathered by the planner (:class:`_FullScoringOnly`).  Bits:
     ``full_vocab_parity`` — at the smallest tier, planning through the
     pruning machinery with :class:`~repro.retrieval.FullVocabGenerator` is
     bit-identical to the exact planner — and ``objective_in_candidates`` for
@@ -1169,9 +1192,11 @@ def _bench_two_stage_retrieval(config: dict) -> dict:
             ]
             args = _batch_args(contexts)
 
-            def plan(generator=None) -> "tuple[BeamSearchPlanner, list[list[int]]]":
+            def plan(
+                generator=None, backbone=irn
+            ) -> "tuple[BeamSearchPlanner, list[list[int]]]":
                 planner = BeamSearchPlanner(
-                    irn,
+                    backbone,
                     candidate_generator=generator,
                     plan_cache_size=0,
                     beam_width=r["beam_width"],
@@ -1200,6 +1225,7 @@ def _bench_two_stage_retrieval(config: dict) -> dict:
                 ]
                 sizes = [int(c.size) for c in candidate_sets if c is not None]
                 pruned_planner, pruned_paths = plan(generator)
+                _, full_scored_paths = plan(generator, _FullScoringOnly(irn))
                 regrets = [
                     plan_regret(irn, history, objective, exact, pruned, user)
                     for (history, objective, user), exact, pruned in zip(
@@ -1220,6 +1246,7 @@ def _bench_two_stage_retrieval(config: dict) -> dict:
                     ),
                     "fallbacks": retrieval_counters["fallbacks"],
                     "requests": retrieval_counters["requests"],
+                    "gathered_matches_full": pruned_paths == full_scored_paths,
                 }
 
             if tier_index == 0:

@@ -38,8 +38,9 @@ against ``budget_seconds``).
   async/replicated parity bits hold with tracing enabled.
 * ``two_stage_retrieval`` — full-coverage candidate sets plan
   bit-identically to the exact planner, every candidate set contains its
-  objective, every tier records overlap@k per generator; plan regret is
-  reported but not gated.
+  objective, every tier records overlap@k per generator and plans the
+  same paths through the gathered projection as through full scoring
+  (``gathered_matches_full``); plan regret is reported but not gated.
 * ``multi_tenant`` — every request kind served through the tenant registry
   answers like the direct model call, a bounded tenant's rejects stay in
   its own admission scope, identically seeded A/B runs agree.
@@ -253,6 +254,12 @@ def _check_two_stage_retrieval(section: dict, violations: "list[str]") -> None:
                 violations.append(
                     f"two_stage_retrieval: {label} generator '{name}' counted "
                     f"more fallbacks than requests"
+                )
+            if not row.get("gathered_matches_full"):
+                violations.append(
+                    f"two_stage_retrieval: {label} generator '{name}' planned "
+                    f"different paths through the gathered projection than "
+                    f"through full scoring (gathered_matches_full missing or false)"
                 )
 
 

@@ -16,8 +16,8 @@ first stage for the IRN beam planner:
   objective.
 * :class:`~repro.retrieval.base.FullVocabGenerator` — the identity
   generator; drives the pruned machinery with full coverage, which the
-  scorer short-circuits to the exact path (the ``full_vocab_parity``
-  contract bit).
+  planner routes to the exact path (the ``full_vocab_parity`` contract
+  bit).
 * :mod:`~repro.retrieval.metrics` — overlap@k and plan-regret, the
   first-class approximation metrics of the scale bench.
 

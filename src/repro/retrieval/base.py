@@ -127,8 +127,8 @@ class FullVocabGenerator(CandidateGenerator):
 
     Exists for the ``full_vocab_parity`` contract: driving the pruned
     planning machinery with full coverage must produce plans bit-identical
-    to exact planning (the scorer short-circuits full-coverage candidate
-    sets to the unrestricted projection).
+    to exact planning (the planner plans a context whose candidates cover
+    every real item on the exact full-vocabulary path).
     """
 
     name = "full"

@@ -94,7 +94,10 @@ class CooccurrenceNeighborGenerator(CandidateGenerator):
         seeds.add(int(objective))
         frontier = np.fromiter(sorted(seeds), dtype=np.int64)
 
-        scores = {}
+        # Touched items (ascending) and their summed weight, accumulated hop
+        # by hop in the same order a per-item loop would add them.
+        items = np.empty(0, dtype=np.int64)
+        weights = np.empty(0, dtype=np.float64)
         for hop in range(self.expansion_hops):
             hop_weight = 1.0 / (hop + 1)  # later hops count less
             neighbor_ids = self._neighbors[frontier].ravel()
@@ -108,24 +111,18 @@ class CooccurrenceNeighborGenerator(CandidateGenerator):
             summed = np.bincount(
                 inverse, weights=neighbor_weights, minlength=unique.size
             )
-            next_frontier: "list[int]" = []
-            for item, weight in zip(unique, summed):
-                item = int(item)
-                if item not in scores:
-                    next_frontier.append(item)
-                scores[item] = scores.get(item, 0.0) + float(weight)
-            if len(scores) >= self.num_candidates:
-                break
-            frontier = np.asarray(next_frontier, dtype=np.int64)
-            if frontier.size == 0:
+            known = np.isin(unique, items, assume_unique=True)
+            weights[np.searchsorted(items, unique[known])] += summed[known]
+            frontier = unique[~known]  # first touched in this hop
+            items = np.concatenate([items, frontier])
+            weights = np.concatenate([weights, summed[~known]])
+            order = np.argsort(items, kind="stable")
+            items, weights = items[order], weights[order]
+            if items.size >= self.num_candidates or frontier.size == 0:
                 break
 
-        if not scores:
+        if items.size == 0:
             return None  # cold seeds: fall back to the full vocabulary
-        items = np.fromiter(scores.keys(), dtype=np.int64)
-        weights = np.fromiter(scores.values(), dtype=np.float64)
-        item_order = np.argsort(items, kind="stable")
-        items, weights = items[item_order], weights[item_order]
         k = min(self.num_candidates, items.size)
         # (weight desc, position asc) over index-sorted items == index-asc ties.
         top, _ = stable_topk(weights[None, :], k)

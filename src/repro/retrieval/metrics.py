@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.influence_path import mask_session_items
+from repro.core.influence_path import log_softmax_rows, mask_session_items
 from repro.shard.topk import stable_topk
 
 __all__ = ["overlap_at_k", "path_score", "plan_regret"]
@@ -53,18 +53,6 @@ def overlap_at_k(
         return 1.0
     members = np.isin(reference, np.asarray(candidate_items, dtype=np.int64))
     return float(members.sum() / reference.size)
-
-
-def _log_softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax with ``-inf`` masking (mirrors the planner's)."""
-    finite = np.isfinite(scores)
-    any_finite = finite.any(axis=1)
-    row_max = np.max(np.where(finite, scores, -np.inf), axis=1, initial=-np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shifted = scores - np.where(any_finite, row_max, 0.0)[:, None]
-        exp = np.where(finite, np.exp(shifted), 0.0)
-        log_norm = np.log(exp.sum(axis=1))
-        return np.where(finite, shifted - log_norm[:, None], -np.inf)
 
 
 def path_score(
@@ -99,7 +87,7 @@ def path_score(
         dtype=np.float64,
     ).copy()
     mask_session_items(scores, prefixes, objectives)
-    log_probs = _log_softmax_rows(scores)
+    log_probs = log_softmax_rows(scores)
     total = float(log_probs[np.arange(len(path)), path].sum())
     reached = objective in path
     return total / len(path) + (objective_bonus if reached else 0.0)

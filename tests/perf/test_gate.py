@@ -99,6 +99,7 @@ def green_report() -> dict:
                             "mean_plan_regret": 0.02,
                             "requests": 4,
                             "fallbacks": 0,
+                            "gathered_matches_full": True,
                         },
                         "ann": {
                             "overlap_at_k": 0.6,
@@ -107,6 +108,7 @@ def green_report() -> dict:
                             "mean_plan_regret": None,
                             "requests": 4,
                             "fallbacks": 1,
+                            "gathered_matches_full": True,
                         },
                     },
                 }
@@ -386,6 +388,16 @@ class TestTwoStageRetrievalGate:
         assert any(
             "more fallbacks than requests" in v for v in collect_violations(report)
         )
+
+    def test_gathered_projection_bit_missing_or_false_fails(self):
+        for spoil in (lambda row: row.pop("gathered_matches_full"),
+                      lambda row: row.update(gathered_matches_full=False)):
+            report = green_report()
+            spoil(report["two_stage_retrieval"]["tiers"][0]["generators"]["ann"])
+            assert any(
+                "gathered_matches_full missing or false" in v and "'ann'" in v
+                for v in collect_violations(report)
+            )
 
     def test_require_two_stage_retrieval_flags_missing_section(self):
         violations = collect_violations(

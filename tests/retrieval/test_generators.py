@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import resolve_retrieval_spec
 from repro.retrieval import (
@@ -14,6 +18,7 @@ from repro.retrieval import (
     make_generator,
     retrieval_registry,
 )
+from repro.shard.topk import stable_topk
 from repro.utils.exceptions import ConfigurationError, NotFittedError
 
 
@@ -131,6 +136,86 @@ class TestCooccurrenceGenerator:
             live = weights[seed] > 0
             reachable.update(int(i) for i in neighbors[seed][live])
         assert set(int(i) for i in cands) <= reachable | {objective}
+
+
+def _looped_candidates(generator, history, objective):
+    """``CooccurrenceNeighborGenerator._candidates`` as first written: a dict
+    of touched items, filled by a per-item Python loop in every hop."""
+    vocab = generator._neighbors.shape[0]
+    recent = [int(item) for item in history[-generator.history_window :]]
+    seeds = {item for item in recent if 1 <= item < vocab}
+    seeds.add(int(objective))
+    frontier = np.fromiter(sorted(seeds), dtype=np.int64)
+    scores = {}
+    for hop in range(generator.expansion_hops):
+        hop_weight = 1.0 / (hop + 1)
+        neighbor_ids = generator._neighbors[frontier].ravel()
+        neighbor_weights = generator._weights[frontier].ravel()
+        live = neighbor_weights > 0
+        neighbor_ids = neighbor_ids[live]
+        neighbor_weights = neighbor_weights[live] * hop_weight
+        if neighbor_ids.size == 0:
+            break
+        unique, inverse = np.unique(neighbor_ids, return_inverse=True)
+        summed = np.bincount(inverse, weights=neighbor_weights, minlength=unique.size)
+        next_frontier = []
+        for item, weight in zip(unique, summed):
+            item = int(item)
+            if item not in scores:
+                next_frontier.append(item)
+            scores[item] = scores.get(item, 0.0) + float(weight)
+        if len(scores) >= generator.num_candidates:
+            break
+        frontier = np.asarray(next_frontier, dtype=np.int64)
+        if frontier.size == 0:
+            break
+    if not scores:
+        return None
+    items = np.fromiter(scores.keys(), dtype=np.int64)
+    weights = np.fromiter(scores.values(), dtype=np.float64)
+    item_order = np.argsort(items, kind="stable")
+    items, weights = items[item_order], weights[item_order]
+    top, _ = stable_topk(weights[None, :], min(generator.num_candidates, items.size))
+    return items[top[0]]
+
+
+@st.composite
+def random_corpora(draw):
+    """A small random corpus (items 1..V-1, some never seen), knobs and queries."""
+    vocab = draw(st.integers(min_value=5, max_value=30))
+    seen = st.integers(min_value=1, max_value=vocab - 3)  # the top two ids stay cold
+    sequences = draw(st.lists(st.lists(seen, min_size=2, max_size=12), min_size=1, max_size=8))
+    knobs = dict(
+        num_candidates=draw(st.integers(min_value=1, max_value=12)),  # small: the early stop
+        window=draw(st.integers(min_value=1, max_value=3)),
+        neighbors_per_item=draw(st.integers(min_value=1, max_value=6)),
+        expansion_hops=draw(st.integers(min_value=1, max_value=4)),
+        history_window=draw(st.integers(min_value=1, max_value=6)),
+    )
+    item = st.integers(min_value=1, max_value=vocab - 1)
+    queries = draw(st.lists(st.tuples(st.lists(item, max_size=8), item), min_size=1, max_size=6))
+    return vocab, sequences, knobs, queries
+
+
+class TestCooccurrenceAccumulation:
+    @settings(max_examples=150, deadline=None)
+    @given(case=random_corpora())
+    def test_array_accumulation_equals_the_per_item_loop(self, case):
+        vocab, sequences, knobs, queries = case
+        corpus = SimpleNamespace(vocab=SimpleNamespace(size=vocab), user_sequences=sequences)
+        if all(len(set(sequence)) < 2 for sequence in sequences):
+            sequences.append([1, 2])  # at least one co-occurrence to fit on
+        generator = CooccurrenceNeighborGenerator(**knobs).fit(corpus)
+        # the last query is seeded by never-seen items only: cold, ``None``
+        for history, objective in queries + [([vocab - 1], vocab - 2)]:
+            expected = _looped_candidates(generator, history, objective)
+            shortlist = generator._candidates(history, objective, None)
+            if expected is None:
+                assert shortlist is None
+            else:
+                assert shortlist.dtype == np.int64
+                assert shortlist.tolist() == expected.tolist()
+        assert expected is None
 
 
 class TestANNGenerator:
