@@ -117,6 +117,22 @@ class PlanCache:
             self._counters.record(add={"misses": 1})
             return None
 
+    def probe(self, key: Hashable, accept):
+        """:meth:`get`, but only when ``accept(value)`` holds.
+
+        An accepted entry counts one hit and refreshes its recency, exactly
+        like :meth:`get`.  An absent or rejected one returns ``None`` and
+        counts NOTHING: the caller falls back to a path that looks the key
+        up again through :meth:`get`, and a request must count one lookup.
+        """
+        with self._lock:
+            value = self._data.get(key)
+            if value is None or not accept(value):
+                return None
+            self._data.move_to_end(key)
+            self._counters.record(add={"hits": 1})
+            return value
+
     def put(self, key: Hashable, value) -> None:
         """Insert/refresh an entry, evicting the least recently used beyond ``maxsize``."""
         if self.maxsize == 0:

@@ -267,7 +267,8 @@ def run_serve_sim(args: argparse.Namespace, knobs: dict) -> int:
         f"queues: {num_queues} x depth<={knobs['max_queue_depth']} "
         f"({knobs['admission_policy']}), depth max {report['queue_depth']['max']} "
         f"mean {report['queue_depth']['mean']}, micro-batch mean "
-        f"{report['micro_batches']['mean_size']} max {report['micro_batches']['max_size']}"
+        f"{report['micro_batches']['mean_size']} max {report['micro_batches']['max_size']}, "
+        f"{report['resident']} answered at admission from a resident plan"
     )
     if replicated:
         print(

@@ -244,7 +244,8 @@ _TABLE = (
         "admission",
         64,
         int_at_least("max_queue_depth"),
-        "per-shard request queue bound (default: $REPRO_MAX_QUEUE_DEPTH or 64)",
+        "per-shard bound on queued planning work "
+        "(default: $REPRO_MAX_QUEUE_DEPTH or 64)",
     ),
     ConfigField(
         "drain_deadline",
@@ -255,7 +256,8 @@ _TABLE = (
             "finite non-negative seconds (0 drains immediately)",
             lambda value: value >= 0,
         ),
-        "seconds a drain holds a queue open to widen the micro-batch "
+        "seconds a drain holds a queue open to fuse replans into one "
+        "micro-batch; a step served from a resident plan never waits for it "
         "(default: $REPRO_DRAIN_DEADLINE or 0.002)",
     ),
     ConfigField(

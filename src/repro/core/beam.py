@@ -109,9 +109,23 @@ from repro.shard.topk import sharded_topk
 from repro.utils.batch import broadcast_user_indices, check_batch_lengths
 from repro.utils.exceptions import ConfigurationError, StaleGenerationError
 
-__all__ = ["BeamSearchPlanner"]
+__all__ = ["BeamSearchPlanner", "MISS"]
 
 logger = logging.getLogger(__name__)
+
+
+class _Miss:
+    """Type of :data:`MISS` (a named singleton, so it reads well in a repr)."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "MISS"
+
+
+#: What :meth:`BeamSearchPlanner.serve_resident` returns when no resident
+#: plan answers the request — ``None`` is taken: it is the end-of-plan answer.
+MISS = _Miss()
 
 
 @runtime_checkable
@@ -990,6 +1004,42 @@ class BeamSearchPlanner(InfluentialRecommender):
                     )
             remaining = deferred
         return results
+
+    def serve_resident(
+        self,
+        history: "tuple[int, ...]",
+        objective: int,
+        path_so_far: "tuple[int, ...]",
+        user_index: "int | None" = None,
+    ):
+        """The ``next_step`` answer a resident plan gives, or :data:`MISS`.
+
+        The serving loop's admission path: when the context's serving-cache
+        entry exists and ``path_so_far`` is a prefix of it, the answer is
+        what :meth:`plan_for_requests` would return for the same request —
+        the next planned item, or ``None`` past the plan's end — found
+        without planning, batching or a thread hand-over.  Anything else
+        (no entry, a diverged path) returns :data:`MISS` and leaves every
+        counter alone: the request then goes through
+        :meth:`plan_for_requests`, which looks the entry up again and counts
+        that one lookup, so a request is one serving-cache lookup on either
+        path.  The generation guard runs first, as it does there.
+
+        Takes the context as :meth:`ServeRequest.create
+        <repro.serve.request.ServeRequest.create>` normalised it (tuples of
+        ``int``), which is the form the cache keys on.
+        """
+        self._require_fitted()
+        self._sync_backbone_generation()
+        served = len(path_so_far)
+        plan = self._step_cache.probe(
+            (history, objective, user_index, self.max_length, self._retrieval_key()),
+            lambda plan: plan[:served] == path_so_far,
+        )
+        if plan is None:
+            return MISS
+        self._serving_metrics.record(add={"hits": 1})
+        return int(plan[served]) if len(plan) > served else None
 
     # ------------------------------------------------------------------ #
     # InfluentialRecommender interface

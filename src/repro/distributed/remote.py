@@ -665,7 +665,7 @@ class RemoteReplicaSet(ReplicaSet):
             Response.stamp(request, completed_at=done, replica_index=replica.index)
             if trace is not None:
                 self.tracer.finish(trace)
-            request.future.set_exception(wire.exception_from_record(record))
+            request.fail(wire.exception_from_record(record))
             return
         drain_start = Response.stamp(
             request,
@@ -695,7 +695,7 @@ class RemoteReplicaSet(ReplicaSet):
                 served_generation=record.served_generation,
             )
             self.tracer.finish(trace)
-        request.future.set_result(record.answer)
+        request.resolve(record.answer)
 
     def _on_heartbeat(self, replica: RemoteReplica, hb: "wire.HeartbeatRecord") -> None:
         rejoined = replica.record_heartbeat(

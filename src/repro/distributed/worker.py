@@ -294,7 +294,7 @@ class _Worker:
                 self.loop.enqueue(request)
             except BaseException as exc:  # noqa: BLE001 - shipped as an error record
                 if not request.future.done():
-                    request.future.set_exception(exc)
+                    request.fail(exc)
 
     def _on_done(self, request_id: int, request: ServeRequest) -> None:
         self.replica.on_complete(request)

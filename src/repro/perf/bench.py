@@ -77,8 +77,9 @@ __all__ = [
 
 #: Spans a fully sampled request may allocate, averaged over a serially
 #: replayed trace: four lifecycle spans (admission, queue wait, drain, cache
-#: decision) plus one ``beam.depth`` span per planned depth on the requests
-#: that replan.  Instrumentation that starts recording per beam row or per
+#: decision; two — admission and cache decision — for a step answered at
+#: admission from a resident plan) plus one ``beam.depth`` span per planned
+#: depth on the requests that replan.  Instrumentation that starts recording per beam row or per
 #: token blows through it; what a span costs in time is for benchmarks/e2e.
 SPAN_BUDGET_PER_REQUEST = 8.0
 
@@ -1370,7 +1371,12 @@ def _bench_multi_tenant(w: _Workload) -> dict:
     bound = 2
     noisy_attempts = 6
     isolation_registry = TenantRegistry()
-    isolation_registry.add("noisy", planner, max_inflight=bound, admission_policy="reject")
+    # A planner that holds no plan yet: the noisy tenant's steps must QUEUE
+    # (a step a resident plan answers is served at admission and hands its
+    # slot straight back, so it could never overflow the bound).
+    isolation_registry.add(
+        "noisy", w.planner(max_length=max_length), max_inflight=bound, admission_policy="reject"
+    )
     isolation_registry.add("neighbour", markov)
     loop = ServingLoop(None, tenants=isolation_registry)
     history, objective, user = contexts[0]

@@ -247,7 +247,7 @@ class ReplicaSet(TypedServingSurface):
             self._closed = True
         for request in self._retire(self.all_replicas()):
             if not request.future.done():
-                request.future.set_exception(
+                request.fail(
                     ServingError(
                         f"replica {request.replica_index} failed to drain this "
                         "request before the replica set closed"
@@ -442,7 +442,7 @@ class ReplicaSet(TypedServingSurface):
                 self.enqueue(request)
             except BaseException as exc:  # noqa: BLE001 - delivered via the future
                 if not request.future.done():
-                    request.future.set_exception(exc)
+                    request.fail(exc)
         if live:
             logger.info("re-dispatched %d request(s) after %s", len(live), reason)
         return len(live)
@@ -489,6 +489,7 @@ class ReplicaSet(TypedServingSurface):
             **({"tenants": tenants} if tenants else {}),
             "generation": self.fit_generation,
             "served": sum(stats["served"] for stats in loop_stats),
+            "resident": sum(stats["resident"] for stats in loop_stats),
             **self.admission.describe(),
             "admission": admission,
             **rollup_queue_stats(

@@ -22,7 +22,8 @@ Each typed request lowers to the positional
 :class:`~repro.serve.request.ServeRequest` envelope (the queueable unit
 the drains micro-batch), and the answered envelope lifts back into a
 typed :class:`Response` carrying the answer, the tenant, the
-``served_generation``/``batch_tag`` stamps and both latency endpoints.
+``served_generation``/``batch_tag`` stamps and both latency endpoints —
+the envelope's own future resolves to it (one future per request).
 
 :meth:`Response.stamp` is the one place completion timestamps are
 written.  The in-process drain and the process transport historically
@@ -301,23 +302,15 @@ class TypedServingSurface:
 
     Mixed into every serving front-end; requires only the host's
     ``enqueue(envelope)`` method, so the three transports stay identical
-    from the caller's side.
+    from the caller's side.  There is one future per request: the
+    envelope's own, which :meth:`ServeRequest.resolve
+    <repro.serve.request.ServeRequest.resolve>` completes with the lifted
+    :class:`Response` on whichever thread answers.
     """
 
     def serve(self, request: Request) -> "Future[Response]":
         """Admit one typed request; the future resolves to a :class:`Response`."""
         envelope = request.to_envelope()
-        response_future: "Future[Response]" = Future()
-
-        def _lift(inner: Future) -> None:
-            exc = inner.exception()
-            if exc is not None:
-                response_future.set_exception(exc)
-            else:
-                response_future.set_result(
-                    Response.from_envelope(envelope, inner.result())
-                )
-
-        envelope.future.add_done_callback(_lift)
+        envelope.lift = Response.from_envelope
         self.enqueue(envelope)
-        return response_future
+        return envelope.future

@@ -291,6 +291,7 @@ def run_open_loop(
         "latency_ms": latency_percentiles(latencies_ms),
         "queue_depth": stats["queue_depth"],
         "micro_batches": stats["micro_batches"],
+        "resident": stats["resident"],
         "admission": {**loop.admission.describe(), **stats["admission"]},
     }
     if collect_samples:

@@ -2,36 +2,57 @@
 
 :class:`ServingLoop` is the boundary the ROADMAP's async-serving rung calls
 for: callers submit ``next_step`` / ``plan_paths`` requests and get
-:class:`concurrent.futures.Future` values back immediately; behind the
-boundary each request hash-routes to its worker shard's bounded
-:class:`~repro.serve.queue.RequestQueue`
-(:func:`~repro.shard.partition.stable_hash` over the ``(history,
-objective, user)`` context — the same routing the sharded executor and the
-sharded plan caches use), and one drain thread per shard answers everything
-pending as a single micro-batch through
-:meth:`~repro.core.beam.BeamSearchPlanner.plan_for_requests`.  The
-micro-batch fuses all replanning into lockstep beam calls, so the
-token-work win measured on pre-assembled batches (PR 1–3) now applies to
-asynchronously arriving traffic.
+:class:`concurrent.futures.Future` values back immediately.  A request
+takes one of two lanes, decided at admission:
+
+* **resident** — a ``next_step`` whose context already holds a plan (the
+  commonest op of a path followed one recommendation at a time) is answered
+  by the *submitting thread*: the loop asks the request's planner
+  (:meth:`~repro.core.beam.BeamSearchPlanner.serve_resident`, through the
+  :class:`~repro.tenant.adapters.KindAdapter` capability of the same name),
+  stamps the envelope as a micro-batch of one and resolves the future before
+  ``enqueue`` returns — no queue, no thread hand-over, no drain window, and
+  never in the same batch as someone else's replan;
+* **queued** — everything else (a ``next_step`` no resident plan answers,
+  ``plan_paths``, ``rank``, ``kg_path``) hash-routes to its worker shard's
+  bounded :class:`~repro.serve.queue.RequestQueue`
+  (:func:`~repro.shard.partition.stable_hash` over the ``(history,
+  objective, user)`` context — the same routing the sharded executor and
+  the sharded plan caches use), and one drain thread per shard answers
+  everything pending as a single micro-batch through
+  :meth:`~repro.core.beam.BeamSearchPlanner.plan_for_requests`.  The
+  micro-batch fuses all replanning into lockstep beam calls, so the
+  token-work win measured on pre-assembled batches (PR 1–3) applies to
+  asynchronously arriving traffic.
 
 Exactness contract: responses are bit-identical to calling ``next_step`` /
 ``plan_path`` sequentially in submission order, for every planner backend
-and worker count — micro-batching and queueing change *when* work happens,
-never *what* is answered.  (The one caveat is inherited from
-``plan_for_requests``: a serving cache small enough to evict mid-batch may
-reorder evictions; the default sizes never do.)
+and worker count — the two lanes, micro-batching and queueing change *when*
+and *where* work happens, never *what* is answered.  Submission order
+includes the **pending-replan rule**: a queued ``next_step`` may rewrite its
+context's plan, so while one is queued every later ``next_step`` of that
+context queues behind it (same shard, FIFO) instead of being answered from
+the plan it is about to replace; the entry clears just before the queued
+request's future resolves, so a session's very next step is resident
+again.  (The one caveat is inherited from ``plan_for_requests``: a serving
+cache small enough to evict mid-batch may reorder evictions; the default
+sizes never do.)
 
 Observability: the loop owns one registry namespace (``serve.loop.<n>``)
-covering its admission counters, every shard queue's depth/batch counters
-and the in-loop latency accounting, so :meth:`stats` is ONE atomic registry
-snapshot — no more composing independently-locked reads.  With a
-:class:`~repro.obs.trace.Tracer` injected and enabled, each admitted
-request carries a :class:`~repro.obs.trace.Trace` recording admission,
-queue wait and drain spans here, plus the planner/executor spans recorded
-through the drain thread's :class:`~repro.obs.trace.BatchSink`; disabled
-tracing (the default) allocates nothing on this path.
+covering its admission counters, every shard queue's depth/batch counters,
+the ``resident`` count and the in-loop latency accounting (both lanes), so
+:meth:`stats` is ONE atomic registry snapshot — no more composing
+independently-locked reads.  With a :class:`~repro.obs.trace.Tracer`
+injected and enabled, each admitted request carries a
+:class:`~repro.obs.trace.Trace`: a resident answer records ``admission``
+(``resident=True``) and ``cache.decision`` (``outcome="hit"``); a queued
+one records admission, queue wait and drain spans here, plus the
+planner/executor spans recorded through the drain thread's
+:class:`~repro.obs.trace.BatchSink`; disabled tracing (the default)
+allocates nothing on either lane.
 
-Shutdown is graceful: :meth:`close` stops admissions, drains every queue
+Shutdown is graceful: :meth:`close` stops admissions on both lanes
+atomically (a closed loop answers nothing, it raises), drains every queue
 dry, and joins the drain threads — no accepted request is ever dropped.
 """
 
@@ -45,6 +66,7 @@ from concurrent.futures import Future
 from typing import TYPE_CHECKING
 
 from repro.config import resolve_tenants
+from repro.core.beam import MISS
 from repro.obs.registry import MetricGroup, get_registry
 from repro.obs.trace import NULL_TRACER, BatchSink, Tracer, use_sink
 from repro.serve.admission import AdmissionController
@@ -64,11 +86,20 @@ logger = logging.getLogger(__name__)
 #: Process-wide micro-batch tags: unique across every loop (and therefore
 #: every replica), so grouping answered requests by tag recovers the exact
 #: drain batches — the refit race tests rely on tags never colliding
-#: between an old-generation and a new-generation replica's drains.
+#: between an old-generation and a new-generation replica's drains.  An
+#: admission answer takes a tag of its own: a batch of one.
 _BATCH_TAGS = itertools.count(1)
 
-_LATENCY_COUNTERS = ("served", "wait_sum_s", "latency_sum_s")
-_LATENCY_GAUGES = ("wait_max_s", "latency_max_s")
+#: The loop's own counters, relative to its ``serve.loop.<n>`` scope — one
+#: group, so an answered request lands in ONE registry-lock acquisition
+#: whichever lane answered it.
+_LOOP_COUNTERS = (
+    "resident",
+    "latency.served",
+    "latency.wait_sum_s",
+    "latency.latency_sum_s",
+)
+_LOOP_GAUGES = ("latency.wait_max_s", "latency.latency_max_s")
 _QUEUE_STAT_FIELDS = (
     "depth",
     "enqueued",
@@ -97,9 +128,11 @@ class ServingLoop(TypedServingSurface):
         which may sub-partition replans across its own worker shards).
     max_queue_depth / admission_policy / drain_deadline:
         Admission-control knobs (see :mod:`repro.config` for the
-        ``REPRO_*`` environment defaults): per-shard queue bound, ``block``
-        or ``reject`` on a full queue, and the seconds a drain holds the
-        queue open after the first enqueue to widen the micro-batch.
+        ``REPRO_*`` environment defaults): per-shard bound on queued
+        planning work, ``block`` or ``reject`` on a full queue, and the
+        seconds a drain holds the queue open after the first enqueue to
+        fuse concurrent replans into one micro-batch (a step answered from
+        a resident plan never enters a queue or waits for the window).
     admission_scope:
         Label stamped on this loop's admission counters and back-pressure
         errors (the replica set names each loop ``replica-<id>``, so depth
@@ -170,18 +203,29 @@ class ServingLoop(TypedServingSurface):
             for shard in range(num_queues)
         ]
         self._threads: "list[threading.Thread]" = []
+        #: Guards the lifecycle flags AND the admission decision of a
+        #: ``next_step`` (closed? replan pending? resident?), so that
+        #: decision is atomic with :meth:`close` and with other submitters.
         self._state_lock = threading.Lock()
         self._started = False
         self._closed = False
-        # In-loop latency accounting (enqueue -> response ready): sums and
-        # maxima accumulate per drained batch in ONE registry-lock
-        # acquisition; full distributions land in the two histograms (the
-        # traffic driver keeps every sample for percentile reports).
-        self._latency = MetricGroup(
-            registry,
-            f"{self.metrics_scope}.latency",
-            counters=_LATENCY_COUNTERS,
-            gauges=_LATENCY_GAUGES,
+        #: routing key -> queued ``next_step`` requests of that context.  A
+        #: queued miss will rewrite the context's plan, so while any is
+        #: queued, later steps of the context queue behind it instead of
+        #: being answered from the plan it replaces.
+        self._pending: "dict[tuple, int]" = {}
+        self._adapter = None
+        if tenants is None:
+            from repro.tenant.adapters import PlannerAdapter
+
+            self._adapter = PlannerAdapter(planner)
+        # In-loop accounting (enqueue -> response ready): the resident count
+        # and the latency sums / maxima accumulate per drained batch (or per
+        # admission answer) in ONE registry-lock acquisition; full
+        # distributions land in the two histograms (the traffic driver
+        # keeps every sample for percentile reports).
+        self._metrics = MetricGroup(
+            registry, self.metrics_scope, counters=_LOOP_COUNTERS, gauges=_LOOP_GAUGES
         )
         self._latency_hist = registry.histogram(f"{self.metrics_scope}.latency.latency_ms")
         self._wait_hist = registry.histogram(f"{self.metrics_scope}.latency.wait_ms")
@@ -238,8 +282,12 @@ class ServingLoop(TypedServingSurface):
     # Submission
     # ------------------------------------------------------------------ #
     def enqueue(self, request: ServeRequest) -> Future:
-        """Route one request envelope to its shard queue; returns its future
-        (:meth:`serve` is the typed entry point over this).
+        """Admit one request envelope; returns its future (:meth:`serve` is
+        the typed entry point over this).
+
+        A ``next_step`` whose context holds a resident plan is answered
+        here, on the calling thread, before this returns; everything else
+        routes to its shard queue.
 
         Raises :class:`~repro.utils.exceptions.QueueFullError` when the
         shard queue is full under the ``reject`` policy (the ``block``
@@ -248,31 +296,35 @@ class ServingLoop(TypedServingSurface):
         :meth:`close`.
         """
         binding = None
+        adapter = self._adapter
         if self.tenants is not None:
             # Assigns a tenant to untenanted requests BEFORE the routing key
             # is hashed, so a tenant's traffic shards within its own key space.
             binding = self.tenants.resolve(request)
+            adapter = binding.adapter
         if request.deadline is not None:
             admission = self.admission
             if binding is not None and binding.admission is not None:
                 admission = binding.admission
             admission.check_deadline(request.deadline)
-        shard = shard_index(request.routing_key(), self.num_queues)
+        key = request.routing_key()
+        shard = shard_index(key, self.num_queues)
         # Hot-path guard: with tracing disabled this is one attribute check
         # and no allocation (the overhead contract's structural no-op).
         if self.tracer.enabled and request.trace is None:
             if request.tenant is not None:
-                request.trace = self.tracer.begin(
-                    request.routing_key(), kind=request.kind, tenant=request.tenant
-                )
+                request.trace = self.tracer.begin(key, kind=request.kind, tenant=request.tenant)
             else:
-                request.trace = self.tracer.begin(
-                    request.routing_key(), kind=request.kind
-                )
+                request.trace = self.tracer.begin(key, kind=request.kind)
         if binding is not None:
             binding.admit(shard)
-        trace = request.trace
+            request.on_release = binding.release
         try:
+            if request.kind == "next_step" and self._answer_resident(
+                request, adapter, binding, key, shard
+            ):
+                return request.future
+            trace = request.trace
             if trace is not None:
                 admit_start = time.perf_counter()
                 self.queues[shard].put(request)
@@ -286,18 +338,95 @@ class ServingLoop(TypedServingSurface):
             else:
                 self.queues[shard].put(request)
         except BaseException:
-            # The queue refused the envelope (reject policy / closed loop):
-            # its future will never resolve, so hand the tenant slot back
-            # here instead of via the completion callback below.
-            if binding is not None:
-                binding.release()
+            # Refused (reject policy / closed loop / the resident lookup
+            # raised): the future will never resolve, so hand back the
+            # tenant slot and the pending-replan entry here.
+            request.release()
             raise
-        if binding is not None:
-            # Safe after put(): a callback added to an already-resolved
-            # future fires immediately, so the slot is never leaked even if
-            # the drain beat us here.
-            request.future.add_done_callback(lambda _future, b=binding: b.release())
         return request.future
+
+    def _answer_resident(self, request: ServeRequest, adapter, binding, key, shard) -> bool:
+        """Answer a ``next_step`` from its context's resident plan.
+
+        Returns ``False`` when the request has to queue instead — no plan
+        answers it, or a step of its context is already queued — having
+        counted it in :attr:`_pending` until it is answered.  On a hit the
+        request is a micro-batch of one: stamped (the one generation read
+        happens BEFORE the lookup, the torn-batch discipline), accounted and
+        resolved on this thread.
+        """
+        with self._state_lock:
+            if self._closed:
+                raise ServingError(
+                    "the serving loop is closed; it no longer accepts requests"
+                )
+            started = time.perf_counter()
+            queued = self._pending.get(key, 0)
+            if not queued:
+                generation = adapter.serving_generation
+                answer = adapter.serve_resident(
+                    request.history, request.objective, request.path_so_far, request.user_index
+                )
+            if queued or answer is MISS:
+                self._pending[key] = queued + 1
+                held = request.on_release
+                request.on_release = lambda: self._forget_pending(key, held)
+                return False
+            request.enqueued_at = started
+            Response.stamp(
+                request,
+                drain_started_at=started,
+                served_generation=generation,
+                batch_tag=next(_BATCH_TAGS),
+            )
+            latency = request.completed_at - started
+            self.admission.on_admitted()
+            self._metrics.record(
+                add={"resident": 1, "latency.served": 1, "latency.latency_sum_s": latency},
+                max_={"latency.latency_max_s": latency},
+            )
+            self._latency_hist.observe(1000.0 * latency)
+            self._wait_hist.observe(0.0)
+            if binding is not None:
+                binding.observe(
+                    served=1,
+                    failed=0,
+                    wait_sum=0.0,
+                    wait_max=0.0,
+                    latency_sum=latency,
+                    latency_max=latency,
+                )
+        trace = request.trace
+        if trace is not None:
+            done = request.completed_at
+            # The one span of this lane carries what a drain span would.
+            trace.span(
+                "admission",
+                started,
+                done,
+                shard=shard,
+                replica=request.replica_index,
+                resident=True,
+                served_generation=request.served_generation,
+                batch_tag=request.batch_tag,
+            )
+            trace.span("cache.decision", started, done, outcome="hit")
+            self.tracer.finish(trace)
+        request.resolve(answer)
+        return True
+
+    def _forget_pending(self, key, held) -> None:
+        """A queued ``next_step`` of context ``key`` is about to resolve:
+        uncount it (so the session's very next step can be resident again),
+        then hand back what the request held before it queued."""
+        with self._state_lock:
+            left = self._pending[key] - 1
+            if left:
+                self._pending[key] = left
+            else:
+                del self._pending[key]
+        if held is not None:
+            held()
 
     # ------------------------------------------------------------------ #
     # Draining
@@ -399,13 +528,16 @@ class ServingLoop(TypedServingSurface):
                 bucket[4] = max(bucket[4], latency)
         served = len(batch) - len(failures)
         if served:
-            self._latency.record(
+            self._metrics.record(
                 add={
-                    "served": served,
-                    "wait_sum_s": wait_sum,
-                    "latency_sum_s": latency_sum,
+                    "latency.served": served,
+                    "latency.wait_sum_s": wait_sum,
+                    "latency.latency_sum_s": latency_sum,
                 },
-                max_={"wait_max_s": wait_max, "latency_max_s": latency_max},
+                max_={
+                    "latency.wait_max_s": wait_max,
+                    "latency.latency_max_s": latency_max,
+                },
             )
             self._latency_hist.observe_many(
                 1000.0 * (done - request.enqueued_at)
@@ -451,9 +583,9 @@ class ServingLoop(TypedServingSurface):
             self.tracer.finish(request.trace)
             exc = failures.get(index)
             if exc is not None:
-                request.future.set_exception(exc)
+                request.fail(exc)
             else:
-                request.future.set_result(answer)
+                request.resolve(answer)
 
     def _shard_of(self, request: ServeRequest) -> int:
         return shard_index(request.routing_key(), self.num_queues)
@@ -516,6 +648,7 @@ class ServingLoop(TypedServingSurface):
             **self.admission.describe(),
             "admission": admission,
             "served": served,
+            "resident": flat.get(f"{self.metrics_scope}.resident", 0),
             **rollup_queue_stats(per_queue),
             "service_latency": latency,
             "per_queue": per_queue,

@@ -8,8 +8,20 @@ timestamps the latency accounting reads.  Four kinds exist — the
 model-zoo kinds ``rank`` (top-k next-item ranking; the objective slot
 carries ``k`` and the path slot the exclusion set) and ``kg_path``
 (knowledge-graph-constrained source→target item path).  Typed
-construction lives in :mod:`repro.serve.api`; the envelope knows two
-projections of itself:
+construction lives in :mod:`repro.serve.api`.
+
+One future per request: :meth:`ServeRequest.resolve` / :meth:`ServeRequest.fail`
+are the only places a serving future is completed (as
+:meth:`Response.stamp <repro.serve.api.Response.stamp>` is the only stamp
+site).  They first hand back whatever the request held while it was in
+flight (:attr:`ServeRequest.on_release`) — ``Future.set_result`` wakes waiters
+*before* it runs done-callbacks, so anything released in a done-callback
+could still be held when the woken client submits its next step — and then
+complete the future, with a typed :class:`~repro.serve.api.Response` when
+the envelope came from ``serve()`` (:attr:`ServeRequest.lift`) and the raw
+answer otherwise.
+
+The envelope knows two projections of itself:
 
 * :meth:`ServeRequest.routing_key` — the ``(history, objective, user)``
   context key the serving loop hashes to pick the worker-shard queue
@@ -27,8 +39,8 @@ from __future__ import annotations
 
 from concurrent.futures import Future
 from dataclasses import dataclass, field
+from typing import Callable
 
-from repro.shard.partition import context_key
 from repro.utils.exceptions import ConfigurationError
 
 __all__ = ["ServeRequest", "REQUEST_KINDS", "KIND_ALIASES"]
@@ -105,6 +117,17 @@ class ServeRequest:
     #: untraced request never allocates a trace object).  Typed loosely so
     #: the envelope does not import the observability layer.
     trace: "object | None" = None
+    #: ``lift(envelope, answer)`` -> what the future resolves to.  Set by
+    #: :meth:`~repro.serve.api.TypedServingSurface.serve` to
+    #: :meth:`Response.from_envelope <repro.serve.api.Response.from_envelope>`;
+    #: ``None`` (envelopes handed to ``enqueue`` directly, and every
+    #: worker-side envelope) resolves the future to the raw answer.
+    lift: "Callable[[ServeRequest, object], object] | None" = None
+    #: Hands back what the request holds while in flight (its tenant's
+    #: in-flight slot, its context's pending-replan entry); set by the loop
+    #: that queued it, run once by :meth:`resolve` / :meth:`fail` BEFORE the
+    #: future completes.
+    on_release: "Callable[[], None] | None" = None
 
     @classmethod
     def create(
@@ -169,13 +192,36 @@ class ServeRequest:
             deadline=deadline,
         )
 
+    # ------------------------------------------------------------------ #
+    # Completion: the only place a serving future is resolved
+    # ------------------------------------------------------------------ #
+    def release(self) -> None:
+        """Run :attr:`on_release` (once).  Also what a loop calls when it
+        refuses a request it had already counted."""
+        on_release, self.on_release = self.on_release, None
+        if on_release is not None:
+            on_release()
+
+    def resolve(self, answer: object) -> None:
+        """Complete the future with ``answer`` (stamps are already written)."""
+        self.release()
+        lift = self.lift
+        self.future.set_result(answer if lift is None else lift(self, answer))
+
+    def fail(self, exc: BaseException) -> None:
+        """Complete the future with ``exc``."""
+        self.release()
+        self.future.set_exception(exc)
+
+    # ------------------------------------------------------------------ #
     def routing_key(self) -> tuple:
-        """The stable shard-routing key; tenanted requests prefix the tenant
-        so each tenant owns a disjoint, stable routing-key space."""
-        key = context_key(self.history, self.objective, self.user_index)
+        """The stable shard-routing key — the canonical
+        :func:`~repro.shard.partition.context_key` of fields :meth:`create`
+        already normalised; tenanted requests prefix the tenant so each
+        tenant owns a disjoint, stable routing-key space."""
         if self.tenant is None:
-            return key
-        return (self.tenant,) + key
+            return (self.history, self.objective, self.user_index)
+        return (self.tenant, self.history, self.objective, self.user_index)
 
     def plan_tuple(self) -> tuple:
         """The positional request ``plan_for_requests`` consumes."""

@@ -1,8 +1,8 @@
 """Hash-partitioned plan caches: one independent LRU shard per worker.
 
 :class:`ShardedPlanCache` presents the :class:`~repro.cache.memo.PlanCache`
-interface (``get`` / ``put`` / ``clear`` / ``cache_info`` / ``len`` /
-``in`` / counter attributes) over ``num_shards`` independent LRU shards.
+interface (``get`` / ``probe`` / ``put`` / ``clear`` / ``cache_info`` /
+``len`` / ``in`` / counter attributes) over ``num_shards`` independent LRU shards.
 Keys route to shards by :func:`~repro.shard.partition.stable_hash`, the
 same deterministic hash the executor partitions work with, so the worker
 that plans a context and the shard that memoises it always coincide and no
@@ -82,6 +82,9 @@ class ShardedPlanCache:
 
     def get(self, key: Hashable):
         return self.shard_for(key).get(key)
+
+    def probe(self, key: Hashable, accept):
+        return self.shard_for(key).probe(key, accept)
 
     def put(self, key: Hashable, value) -> None:
         self.shard_for(key).put(key, value)

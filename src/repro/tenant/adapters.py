@@ -9,7 +9,9 @@ any model in the repo behind that protocol:
   :class:`~repro.core.beam.BeamSearchPlanner` (or the sharded executor
   wrapping one): serves ``next_step`` and ``plan_paths`` by delegating the
   whole batch to ``plan_for_requests``, so the wave-dedup and plan-cache
-  machinery (and its bit-exactness contract) apply unchanged.
+  machinery (and its bit-exactness contract) apply unchanged; a planner
+  that can also answer a ``next_step`` from a plan it already holds
+  (``serve_resident``) lets the loop do so at admission.
 * :class:`RecommenderAdapter` — any
   :class:`~repro.models.base.SequentialRecommender`: serves ``rank``
   (``top_k`` with ``k`` from the objective slot and the exclusion set from
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.core.beam import MISS
 from repro.utils.exceptions import ConfigurationError, ServingError
 
 __all__ = [
@@ -59,6 +62,13 @@ class KindAdapter:
     def model(self):
         """The underlying model object (for refit plumbing and tests)."""
         raise NotImplementedError
+
+    def serve_resident(self, history, objective, path_so_far, user_index):
+        """The answer a plan this model already holds gives a ``next_step``,
+        or :data:`~repro.core.beam.MISS`.  The serving loop asks at
+        admission and queues only what misses; a model that keeps no
+        per-context plan is never resident."""
+        return MISS
 
     def _check_kinds(self, requests: Sequence[tuple]) -> None:
         for request in requests:
@@ -90,6 +100,11 @@ class PlannerAdapter(KindAdapter):
                 "(e.g. a fitted BeamSearchPlanner)"
             )
         self.planner = planner
+        # Feature-tested once, like ``supports_candidate_scoring``: sharded
+        # executors and test doubles plan whole batches only.
+        resident = getattr(planner, "serve_resident", None)
+        if resident is not None:
+            self.serve_resident = resident
 
     @property
     def serving_generation(self) -> "int | None":

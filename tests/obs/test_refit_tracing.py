@@ -2,9 +2,11 @@
 
 One tracer is shared by every generation's serving loops, so traces from
 both sides of a flip land in one retained list.  The contract: a request
-served at the flip boundary stamps exactly one ``served_generation`` on
-its drain span (batches are never torn across generations), and per
-serving context the stamped generation is monotone non-decreasing in
+served at the flip boundary is answered on exactly one lane at exactly one
+generation — a drained one stamps it on its one ``serve.drain`` span
+(batches are never torn across generations), one answered at admission
+from a resident plan has no drain span and stamps it on its ``admission``
+span — and per serving context the generation is monotone non-decreasing in
 trace-sequence order.
 """
 
@@ -22,11 +24,14 @@ def split_trace_id(trace_id):
     return key_hash, int(sequence)
 
 
-def drain_generations(trace):
+def served_generations(trace):
+    """The generation stamp(s) of one trace: its drain span's, or — for a
+    step answered at admission from a resident plan — its admission span's."""
     return [
         span["attrs"]["served_generation"]
         for span in trace["spans"]
         if span["name"] == "serve.drain"
+        or (span["name"] == "admission" and span["attrs"].get("resident"))
     ]
 
 
@@ -43,21 +48,26 @@ def test_traces_span_the_flip_with_one_generation_each(make_planner, obs_context
     traces = tracer.export()
     assert traces
     seen_generations = set()
+    lanes = set()
     for trace in traces:
-        generations = drain_generations(trace)
-        # Exactly one drain span, stamping exactly one generation — a trace
-        # at the flip boundary is served wholly before or wholly after.
+        generations = served_generations(trace)
+        # Exactly one lane answered, stamping exactly one generation — a
+        # trace at the flip boundary is served wholly before or wholly after.
         assert len(generations) == 1
-        assert len(set(generations)) == 1
+        names = [span["name"] for span in trace["spans"]]
+        resident = "serve.drain" not in names
+        assert ("queue.wait" in names) != resident
+        lanes.add(resident)
         seen_generations.update(generations)
     assert seen_generations == {1, 2}
+    assert lanes == {True, False}
 
     # Per serving context (one key hash per context: the routing key omits
     # the evolving path), generations never roll back across the flip.
     per_key: "dict[str, list[tuple[int, int]]]" = {}
     for trace in traces:
         key_hash, sequence = split_trace_id(trace["trace_id"])
-        per_key.setdefault(key_hash, []).append((sequence, drain_generations(trace)[0]))
+        per_key.setdefault(key_hash, []).append((sequence, served_generations(trace)[0]))
     assert len(per_key) == len(obs_contexts)
     for entries in per_key.values():
         entries.sort()

@@ -2,9 +2,11 @@
 
 The contract under test: with tracing enabled the loop answers exactly
 what it answers untraced (the parity suite's bit), and every admitted
-request's trace carries the span lifecycle — admission, queue wait, drain,
-per-depth beam expansion and cache decisions, plus shard scatter/gather
-when the planner is worker-partitioned.  With tracing disabled (the
+request's trace carries the span lifecycle of its lane — a queued request:
+admission, queue wait, drain, per-depth beam expansion and cache decisions,
+plus shard scatter/gather when the planner is worker-partitioned; a step
+answered at admission from a resident plan: admission (``resident=True``)
+and its cache decision, and nothing else.  With tracing disabled (the
 default) the process-wide allocation counters must not move at all.
 """
 
@@ -30,20 +32,37 @@ def test_tracing_preserves_response_parity(make_planner, obs_contexts):
     assert len(tracer.trace_ids()) > 0
 
 
+def span_names(trace):
+    return [span["name"] for span in trace["spans"]]
+
+
+def is_resident(trace):
+    (admission,) = [span for span in trace["spans"] if span["name"] == "admission"]
+    return admission["attrs"].get("resident", False)
+
+
 def test_traces_carry_the_span_lifecycle(make_planner, obs_contexts):
     tracer = Tracer(enabled=True, sample_rate=1.0)
     run_traced(make_planner, obs_contexts, tracer)
     traces = tracer.export()
     assert traces, "full sampling must retain every request's trace"
     for trace in traces:
-        names = [span["name"] for span in trace["spans"]]
-        # Every served request passes admission -> queue -> drain.
+        names = span_names(trace)
         assert names.count("admission") == 1
-        assert names.count("queue.wait") == 1
-        assert names.count("serve.drain") == 1
         assert names.count("cache.decision") == 1
-    # The first request of a context replans (beam depths); later steps hit
-    # the evolving plan — both outcomes must appear across the replay.
+        (decision,) = [s for s in trace["spans"] if s["name"] == "cache.decision"]
+        if is_resident(trace):
+            # Answered where it was admitted: no queue, no drain, no beam.
+            assert sorted(names) == ["admission", "cache.decision"]
+            assert decision["attrs"]["outcome"] == "hit"
+        else:
+            # A queued request passes admission -> queue -> drain, unchanged.
+            assert names.count("queue.wait") == 1
+            assert names.count("serve.drain") == 1
+    # The first request of a context replans (beam depths) in a drain; later
+    # steps hit the evolving plan at admission — both lanes and both
+    # outcomes must appear across the replay.
+    assert {is_resident(trace) for trace in traces} == {True, False}
     outcomes = {
         span["attrs"]["outcome"]
         for trace in traces
@@ -59,7 +78,9 @@ def test_traces_carry_the_span_lifecycle(make_planner, obs_contexts):
 def test_drain_spans_stamp_generation_and_batch(make_planner, obs_contexts):
     tracer = Tracer(enabled=True, sample_rate=1.0)
     run_traced(make_planner, obs_contexts, tracer)
-    for trace in tracer.export():
+    drained = [trace for trace in tracer.export() if not is_resident(trace)]
+    assert drained
+    for trace in drained:
         (drain,) = [span for span in trace["spans"] if span["name"] == "serve.drain"]
         assert drain["attrs"]["batch_size"] >= 1
         assert "served_generation" in drain["attrs"]
@@ -117,4 +138,8 @@ def test_loop_stats_shape_survives_tracing(make_planner, obs_contexts):
         replay_lockstep(loop, obs_contexts, MAX_LENGTH)
         stats = loop.stats()
     assert {"served", "per_queue", "service_latency", "admission", "queue_depth"} <= set(stats)
-    assert stats["served"] == sum(q["micro_batch_requests"] for q in stats["per_queue"])
+    # Every answered request took exactly one lane.
+    assert stats["resident"] > 0
+    assert stats["served"] == stats["resident"] + sum(
+        q["micro_batch_requests"] for q in stats["per_queue"]
+    )

@@ -71,16 +71,20 @@ class TestFitGenerationRace:
         ).fit(tiny_split)
         planner = BeamSearchPlanner(irn, max_length=MAX_LENGTH).fit(tiny_split)
         history, objective, user = serve_contexts[0]
-        # Warm every cache for the context: a repeat next_step would be a
-        # pure serving-cache hit if no retrain happened.
-        planner.next_step(history, objective, [], user_index=user)
+        # Warm every cache for the context, then ask for a step on a path
+        # that DIVERGED from the resident plan: a miss, which queues (a step
+        # the plan answers would be served at admission and never wait).
+        first = planner.next_step(history, objective, [], user_index=user)
         assert len(planner._step_cache) == 1
+        diverged = [history[0]]
+        assert diverged != [first]
         replans_before = planner.cache_info()["serving"]["replans"]
 
         loop = ServingLoop(planner)  # not started: the request sits queued
         future = loop.enqueue(
-            ServeRequest.create("next_step", history, objective, [], user_index=user)
+            ServeRequest.create("next_step", history, objective, diverged, user_index=user)
         )
+        assert not future.done() and loop.current_depth() == 1
         irn.fit(tiny_split)  # fit_generation bump while the request is queued
         loop.start()
         item = future.result()
@@ -96,7 +100,31 @@ class TestFitGenerationRace:
         # answer must equal a fresh planner's (proving it is a real plan,
         # not a dropped request).
         fresh = BeamSearchPlanner(irn, max_length=MAX_LENGTH).fit(tiny_split)
-        assert item == fresh.next_step(history, objective, [], user_index=user)
+        assert item == fresh.next_step(history, objective, diverged, user_index=user)
+
+    def test_resident_step_sees_a_refit_at_admission(self, tiny_split, serve_contexts):
+        """The admission lane runs the same generation guard as the drain: a
+        step whose plan was resident BEFORE a retrain is not answered from
+        the stale plan — the probe invalidates, misses, and the drain
+        replans."""
+        irn = IRN(
+            embedding_dim=16, user_dim=4, num_heads=2, num_layers=1,
+            epochs=1, batch_size=32, max_sequence_length=50, seed=0,
+        ).fit(tiny_split)
+        planner = BeamSearchPlanner(irn, max_length=MAX_LENGTH).fit(tiny_split)
+        history, objective, user = serve_contexts[0]
+        planner.next_step(history, objective, [], user_index=user)
+        replans_before = planner.cache_info()["serving"]["replans"]
+        irn.fit(tiny_split)
+        with ServingLoop(planner) as loop:
+            future = loop.enqueue(
+                ServeRequest.create("next_step", history, objective, [], user_index=user)
+            )
+            future.result()
+            stats = loop.stats()
+        assert stats["resident"] == 0 and stats["served"] == 1
+        assert planner.cache_info()["serving"]["replans"] == replans_before + 1
+        assert planner.plan_cache.invalidations >= 1
 
 
 class TestBackPressure:
@@ -204,13 +232,24 @@ class TestBackPressure:
             )
 
     def test_submit_after_close_raises(self, make_planner, serve_contexts):
-        loop = ServingLoop(make_planner()).start()
-        loop.close()
+        """Both lanes refuse after close(): a step a resident plan would
+        answer is NOT answered (admission checks closed atomically with
+        close()), and a request that would queue is refused by its queue."""
+        planner = make_planner()
+        loop = ServingLoop(planner).start()
         history, objective, user = serve_contexts[0]
-        with pytest.raises(ServingError, match="closed"):
-            loop.enqueue(
-                ServeRequest.create("next_step", history, objective, [], user_index=user)
-            )
+        loop.enqueue(
+            ServeRequest.create("next_step", history, objective, [], user_index=user)
+        ).result()
+        served = loop.stats()["served"]
+        loop.close()
+        resident = ServeRequest.create("next_step", history, objective, [], user_index=user)
+        queued = ServeRequest.create("plan_paths", history, objective, user_index=user)
+        for request in (resident, queued):
+            with pytest.raises(ServingError, match="closed"):
+                loop.enqueue(request)
+            assert not request.future.done()
+        assert loop.stats()["served"] == served
 
     def test_expired_deadline_is_rejected_before_it_takes_a_queue_slot(
         self, make_planner, serve_contexts

@@ -112,8 +112,48 @@ class TestStampRules:
 
         request.future.add_done_callback(reader)
         Response.stamp(request, completed_at=7.0, served_generation=2)
-        request.future.set_result(11)
+        request.resolve(11)
         assert seen == [(7.0, 2)]
+
+    @pytest.mark.parametrize("lane", ["queued", "resident"])
+    def test_both_lanes_stamp_once_before_the_future_resolves(
+        self, lane, make_planner, serve_contexts, monkeypatch
+    ):
+        """A drained request and a step answered at admission from a resident
+        plan go through the one stamp site exactly once each, and whoever the
+        future wakes reads a complete, ordered envelope."""
+        from repro.serve import ServingLoop
+
+        stamped = []
+        stamp = Response.stamp
+        monkeypatch.setattr(
+            Response,
+            "stamp",
+            staticmethod(lambda request, **kw: stamped.append(request) or stamp(request, **kw)),
+        )
+        history, objective, user = serve_contexts[0]
+        planner = make_planner()
+        planner.pin_generation(serving_generation=7)
+        if lane == "resident":
+            planner.next_step(history, objective, [], user_index=user)
+        request = ServeRequest.create("next_step", history, objective, user_index=user)
+        seen: "list[tuple]" = []
+        request.future.add_done_callback(
+            lambda _future: seen.append(
+                (
+                    request.served_generation,
+                    request.batch_tag is not None,
+                    request.completed_at >= request.drain_started_at >= request.enqueued_at > 0.0,
+                )
+            )
+        )
+        with ServingLoop(planner) as loop:
+            loop.enqueue(request).result(timeout=10)
+            assert loop.stats()["resident"] == (1 if lane == "resident" else 0)
+        assert seen == [(7, True, True)]
+        assert stamped == [request]
+        if lane == "resident":
+            assert request.drain_started_at == request.enqueued_at  # it never waited
 
     def test_replica_index_untouched_when_not_supplied(self):
         request = _envelope()

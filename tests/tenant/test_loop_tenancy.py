@@ -137,6 +137,51 @@ class TestCrossTenantIsolation:
         assert "admission" not in stats["neighbour"]
 
 
+    def test_inflight_slot_is_free_before_the_future_wakes_anyone(
+        self, make_planner, tenant_contexts
+    ):
+        """``Future.set_result`` wakes waiters before it runs done-callbacks,
+        so a slot released in a done-callback could still be held when the
+        woken client submits its next step.  The slot (and the context's
+        pending-replan entry) is handed back BEFORE the future completes: a
+        callback registered ahead of ``enqueue`` — it runs before any the
+        loop could add — already reads 0 in flight, and the step it submits
+        under ``reject`` is admitted and answered at admission."""
+        from repro.serve.request import ServeRequest
+
+        registry = TenantRegistry()
+        binding = registry.add(
+            "solo", make_planner(), max_inflight=1, admission_policy="reject"
+        )
+        history, objective, user = tenant_contexts[0]
+
+        def envelope():
+            return ServeRequest.create(
+                "next_step", history, objective, user_index=user, tenant="solo"
+            )
+
+        seen = []
+        with ServingLoop(None, tenants=registry) as loop:
+
+            def on_done(_future):
+                inflight = binding.inflight
+                try:
+                    follow_up = loop.enqueue(envelope())
+                except QueueFullError as exc:
+                    seen.append((inflight, exc))
+                else:
+                    seen.append((inflight, follow_up.done()))
+
+            first = envelope()  # a miss: queued, answered by the drain thread
+            first.future.add_done_callback(on_done)
+            loop.enqueue(first).result(timeout=10)
+            stats = loop.stats()
+        assert seen == [(0, True)]
+        assert stats["resident"] == 1 and stats["served"] == 2
+        assert stats["tenants"]["solo"]["admission"]["rejected"] == 0
+        assert binding.inflight == 0 and loop._pending == {}
+
+
 class TestRefitOpacity:
     def test_refit_is_invisible_to_a_static_tenant(
         self, make_planner, fitted_markov, tenant_contexts

@@ -283,6 +283,13 @@ class TestTraceAndMetrics:
         names = [name for kind in ("counters", "gauges", "histograms") for name in snapshot[kind]]
         for scope in ("serve.loop.", "cache.plan.", "cache.decode."):
             assert any(name.startswith(scope) for name in names), scope
+        # Both serving lanes are exported: steps answered at admission from a
+        # resident plan, and everything a drain answered.
+        loops = {
+            name.rsplit(".", 1)[0] for name in snapshot["counters"] if name.endswith(".resident")
+        }
+        assert loops and all(scope.startswith("serve.loop.") for scope in loops)
+        assert sum(snapshot["counters"][f"{scope}.resident"] for scope in loops) > 0
 
     def test_metrics_defaults_to_prometheus_text_on_stdout(self, capsys):
         assert main(["metrics", "--profile", "fast"]) == 0

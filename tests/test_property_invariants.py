@@ -3,7 +3,8 @@
 These tests use hypothesis to explore the input space of the pure-data
 components added on top of the reproduction: session metrics, objective sets,
 path statistics and the beam hypothesis scoring.  They never train models, so
-hundreds of examples stay fast.
+hundreds of examples stay fast — except the serving-order invariant at the
+end, which fits one tiny backbone per module and runs fewer examples.
 """
 
 from __future__ import annotations
@@ -169,3 +170,77 @@ class TestBeamHypothesisInvariants:
         total = float(np.sum(log_probs))
         hypothesis_ = _Hypothesis(items=items, log_probability=total, reached=False)
         assert hypothesis_.score(0.0) == pytest.approx(total / len(items))
+
+
+# --------------------------------------------------------------------------- #
+# Serving: submission-order exactness across the two lanes
+# --------------------------------------------------------------------------- #
+SERVE_MAX_LENGTH = 4
+
+
+@pytest.fixture(scope="module")
+def serving_world(tiny_split):
+    from repro.core.irn import IRN
+    from repro.evaluation.protocol import sample_objectives
+
+    backbone = IRN(
+        embedding_dim=8, user_dim=4, num_heads=2, num_layers=1, epochs=1,
+        batch_size=32, max_sequence_length=50, seed=0,
+    ).fit(tiny_split)
+    instances = sample_objectives(tiny_split, min_objective_interactions=2, max_instances=3)
+    contexts = [(tuple(i.history), int(i.objective), i.user_index) for i in instances]
+    return backbone, tiny_split, contexts
+
+
+class TestServingOrderInvariants:
+    @given(
+        ops=st.lists(
+            st.tuples(st.integers(0, 2), st.sampled_from(["follow", "diverge", "restart"])),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_interleaved_submission_answers_like_sequential_next_step(self, serving_world, ops):
+        """Hits (answered at admission), misses (queued and micro-batched),
+        diverged paths and duplicate contexts, all submitted before any is
+        awaited, answer exactly what the same list does through sequential
+        ``next_step`` on a twin planner — including a step that follows a
+        queued replan of its own context, which must wait for it."""
+        from repro.core.beam import BeamSearchPlanner
+        from repro.serve import NextStepRequest, ServingLoop
+
+        backbone, split, contexts = serving_world
+
+        def planner():
+            return BeamSearchPlanner(backbone, max_length=SERVE_MAX_LENGTH).fit(split)
+
+        # The request list (each op's path depends on the answers before it)
+        # and its sequential answers, from the twin.
+        twin = planner()
+        tracked = [() for _ in contexts]
+        requests, expected = [], []
+        for index, mode in ops:
+            history, objective, user = contexts[index]
+            path = tracked[index]
+            if mode == "restart" or len(path) >= SERVE_MAX_LENGTH:
+                path = ()
+            elif mode == "diverge":
+                wrong = history[0] if not path or path[-1] != history[0] else history[1]
+                path = path[:-1] + (wrong,)
+            answer = twin.next_step(history, objective, list(path), user_index=user)
+            tracked[index] = () if answer is None else path + (answer,)
+            requests.append(
+                NextStepRequest(
+                    history=history, objective=objective, path_so_far=path, user_index=user
+                )
+            )
+            expected.append(answer)
+
+        with ServingLoop(planner()) as loop:
+            futures = [loop.serve(request) for request in requests]
+            answers = [future.result(timeout=30).answer for future in futures]
+            stats = loop.stats()
+        assert answers == expected
+        assert stats["served"] == len(ops)
+        assert loop._pending == {}
