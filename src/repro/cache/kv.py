@@ -1,12 +1,15 @@
 """Per-layer key/value state for incremental transformer decoding.
 
-A :class:`LayerKVCache` stores the attention keys/values a
-:class:`~repro.nn.attention.MultiHeadAttention` layer has already projected
-for a batch of growing sequences, so a later forward pass only has to project
-the newly appended token(s) and attend over the cached prefix.  A
-:class:`DecodingState` stacks one cache per encoder layer and keeps the
-per-row bookkeeping aligned when beam search prunes, reorders or duplicates
-hypotheses.
+A :class:`LayerKVCache` stores the attention keys/values one layer of the
+compiled inference program (:func:`repro.nn.inference.block`) has already
+projected for a batch of growing sequences, so a later step only has to
+project the newly appended token(s) and attend over the cached prefix
+(``prefix_kv`` — the arena views are read in place, never copied next to the
+new keys).  A :class:`DecodingState` stacks one cache per layer and keeps
+the per-row bookkeeping aligned when beam search prunes, reorders or
+duplicates hypotheses.  It is the **cross-depth** cache of the incremental
+regime and of nothing else: K/V that live for a single depth (the shared
+regime below) are plain arrays that never enter an arena.
 
 Storage model
 -------------
@@ -22,7 +25,9 @@ fallback path; even there the old concatenate temporaries are gone — the
 prefix is copied at most once per extend, directly into the new buffer.
 Transient columns (``persist`` < new) occupy arena slots past the persisted
 length and are simply overwritten by the next extend; they are never
-retained or re-copied.  Row gathers (:meth:`LayerKVCache.reorder`) move the
+retained or re-copied.  (The IRN scorers hand ``extend`` only the columns
+they keep — a step's transient objective column attends as the call's own
+K/V and never touches the arena.)  Row gathers (:meth:`LayerKVCache.reorder`) move the
 used region into a spare arena with :func:`np.take` and swap buffers — no
 per-call temporaries once the spare exists.
 
@@ -52,9 +57,10 @@ layers ``>= 2`` change at every decoding step.  What stays exact there is
 sharing **within one depth**: the rows of one root (the beam hypotheses of
 one planning context) carry the same history, objective, user and length,
 and their history states cannot see what each row appended, so a root's
-history K/V are projected once, :meth:`LayerKVCache.reorder` gathers them
-root → row, and each row extends them with its own appended tokens (all
-transient: nothing outlives the depth).  Once a row outgrows the model's
+history K/V are projected once, gathered root → row as plain arrays, and
+each row attends over them followed by its own appended tokens.  Nothing
+outlives the depth, so nothing is staged in an arena: this regime does not
+touch a :class:`LayerKVCache`.  Once a row outgrows the model's
 window the batch slides and nothing is shared: every row re-encodes its own
 window.  Callers (see :meth:`repro.core.irn.IRN.advance_decoding_session`)
 pick the regime from the mask type, the layer count and the grown lengths;
@@ -62,16 +68,14 @@ the cache itself is policy-free.  In all three the final layer projects
 K/V for every column and answers a single query.
 
 Caches are inference-only: they hold raw ``numpy`` arrays detached from the
-autograd graph.  Storage precision defaults to the thread's
-:func:`~repro.nn.tensor.inference_dtype` at first extend (float64 unless the
-opt-in float32 mode is active).
+autograd graph.  Storage precision is the ``dtype`` the cache was built with
+(an IRN session passes its program's), else that of the first keys extended.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.tensor import inference_dtype
 from repro.obs.registry import MetricGroup, get_registry
 from repro.utils.exceptions import ConfigurationError
 
@@ -145,8 +149,8 @@ def _record(extend_calls: int = 0, arena: int = 0, copied: int = 0, concat: int 
 class LayerKVCache:
     """Cached attention keys/values of one layer, shape ``(batch, heads, len, d_head)``.
 
-    ``dtype`` fixes the storage precision (default: the thread's
-    :func:`~repro.nn.tensor.inference_dtype` when the first extend arrives).
+    ``dtype`` fixes the storage precision (default: that of the keys the
+    first extend brings).
     ``growth`` picks the arena policy (see :data:`GROWTH_MODES`).
     """
 
@@ -213,11 +217,13 @@ class LayerKVCache:
             capacity *= 2
         return capacity
 
-    def _ensure_capacity(self, batch: int, heads: int, d_head: int, needed: int) -> None:
+    def _ensure_capacity(
+        self, batch: int, heads: int, d_head: int, needed: int, default: np.dtype
+    ) -> None:
         """Grow (or allocate) the arenas so ``needed`` columns fit."""
         if self._key_buf is not None and self.capacity >= needed:
             return
-        dtype = self.dtype if self.dtype is not None else inference_dtype()
+        dtype = self.dtype if self.dtype is not None else default
         capacity = self._target_capacity(needed)
         shape = (batch, heads, capacity, d_head)
         key_buf = np.empty(shape, dtype=dtype)
@@ -263,7 +269,7 @@ class LayerKVCache:
                 f"cache holds {self._key_buf.shape[0]} rows but got {batch}; "
                 "reorder() the cache before extending with a different batch"
             )
-        self._ensure_capacity(batch, heads, d_head, self._length + new)
+        self._ensure_capacity(batch, heads, d_head, self._length + new, keys.dtype)
         start, stop = self._length, self._length + new
         self._key_buf[:, :, start:stop] = keys
         self._value_buf[:, :, start:stop] = values

@@ -17,9 +17,10 @@ decided by the scorer from what the session records:
 * ``incremental`` (causal masks, or one layer) — ``state`` holds per-layer
   prefix K/V that persist *across* depths; an advance encodes the new token.
 * shared within a depth (objective-revealing masks at two or more layers) —
-  nothing persists across depths, so ``state`` is ``None``; ``roots`` and
-  ``root_rows`` let an advance encode each live root's history once and
-  each row's ``steps`` appended tokens against it.
+  nothing persists across depths, so ``state`` is ``None`` and no K/V arena
+  exists (a depth's shared history K/V are plain arrays inside the advance);
+  ``roots`` and ``root_rows`` let an advance encode each live root's history
+  once and each row's ``steps`` appended tokens against it.
 * per-row window — a row outgrew the model's position table
   (:meth:`degrade` drops the state of an incremental session for good) and
   every advance re-encodes the sliding window of every row.

@@ -15,10 +15,22 @@ At inference the current sequence (history ⊕ path so far) is concatenated
 with the objective at the final position; the distribution at the last real
 position proposes the next path item (Algorithm 1).
 
+What runs at inference
+----------------------
+No scorer goes through ``_IRNModule.forward``.  The fitted module is
+compiled, once per weight version and dtype, into a flat program over raw
+ndarrays (:mod:`repro.nn.inference`, :meth:`IRN._program`): weights
+pre-transposed with Q/K/V fused, the ``r_u`` of every user in a table, and
+one primitive — :func:`~repro.nn.inference.block` — from which every scorer
+below is composed; masks are plain arrays from :mod:`repro.core.pim`.  The
+graph forward (``_IRNModule.forward`` under grad) stays the training path
+and the oracle the program is held to (``<= 1e-10``).
+
 Batched inference contract
 --------------------------
 ``score_with_objective_batch`` / ``score_next_batch`` fuse many variable-
-length sequences into ONE module forward.  Rows are right-aligned into a
+length sequences into ONE forward (:meth:`~repro.nn.inference.Program.encode`
+over the whole batch).  Rows are right-aligned into a
 ``(batch, max_len)`` window — padding on the left — so every row's objective
 occupies the shared final column and the PIM's objective-column reveal
 applies to all rows at once.  Position indices are computed *per row*
@@ -35,10 +47,9 @@ answers one query: it still normalises and projects keys/values for every
 column (they are what the query attends over, and what a session caches),
 but the query projection, attention, output projection, residuals,
 feed-forward, final norm and the tied output projection run on the gathered
-column alone (``query_columns`` of
-:meth:`repro.nn.transformer.TransformerEncoder.forward`).  The full
-``(batch, length, vocab)`` forward is the training path and the parity
-oracle.
+column alone (``queries=`` of :func:`~repro.nn.inference.block`).  The full
+``(batch, length, vocab)`` graph forward is the training path and the
+parity oracle.
 
 Incremental decoding contract
 -----------------------------
@@ -53,8 +64,10 @@ still fits ``max_sequence_length``), never from an option:
   grows, so the session caches per-layer prefix keys/values
   (:mod:`repro.cache.kv`) and each depth embeds only the newly appended
   token (plus the re-projected objective, whose position embedding moves
-  with the sequence length) while attending over the cached prefix.
-  Recorded as ``incremental`` token-work.
+  with the sequence length) while attending over the cached prefix:
+  :meth:`IRN._advance_incremental`, i.e. ``Program.encode`` with the arena
+  views as every layer's ``prefix_kv``.  Recorded as ``incremental``
+  token-work.
 * **Shared within a depth** — objective-revealing masks (Types 2/3) with
   ``num_layers >= 2``, the model the paper proposes.  Every prefix position
   attends to the objective, whose position embedding advances at every
@@ -63,12 +76,15 @@ still fits ``max_sequence_length``), never from an option:
   hypotheses of one planning context) share history, objective, user and
   length, and causality keeps their history states blind to what each row
   appended: :meth:`IRN._advance_shared` encodes ``history ⊕ objective`` once
-  per live root and only each row's appended tokens ⊕ objective per row.
-  Recorded as ``fallback`` token-work, with the positions actually encoded.
+  per live root and only each row's appended tokens ⊕ objective per row
+  (``block`` per layer; a depth's history K/V are plain arrays gathered
+  root → row as ``prefix_kv``, no arena).  Recorded as ``fallback``
+  token-work, with the positions actually encoded.
 * **Per-row window** — a row outgrew the model's window, so the right-aligned
   batch slides, every position embedding shifts and no column is shared:
-  each row re-encodes its own window (:meth:`IRN.score_with_objective_batch`
-  on the session's rows).  Also ``fallback`` token-work.
+  each row re-encodes its own window (the batched scorer,
+  :meth:`IRN._score_objective_batch`, on the session's rows).  Also
+  ``fallback`` token-work.
 
 All three agree with the uncached scorer to the same ``~1e-8`` tolerance as
 the batching contract (GEMM shapes and softmax row widths differ, values do
@@ -85,9 +101,13 @@ from repro.cache.kv import DecodingState
 from repro.cache.session import DecodingSession
 from repro.cache.stats import DecodeStats
 from repro.core.base import InfluentialRecommender, influential_registry
-from repro.nn.attention import NEG_INF
 from repro.core.influence_path import mask_session_items
-from repro.core.pim import MaskType, causal_history_mask, objective_column_indicator
+from repro.core.pim import (
+    MaskType,
+    build_pim,
+    causal_history_mask,
+    objective_column_indicator,
+)
 from repro.data.batching import SequenceBatch
 from repro.data.interactions import SequenceCorpus
 from repro.data.padding import PAD_INDEX
@@ -96,14 +116,10 @@ from repro.models._sequence_utils import clip_history, shifted_inputs_and_target
 from repro.models.base import NeuralSequentialRecommender, model_registry
 from repro.utils.batch import broadcast_user_indices, check_batch_lengths
 from repro.nn import functional as F
+from repro.nn import inference
+from repro.nn.attention import NEG_INF
 from repro.nn.layers import Dropout, Embedding, Linear, Module
-from repro.nn.tensor import (
-    Tensor,
-    inference_dtype_scope,
-    is_grad_enabled,
-    no_grad,
-    resolve_inference_dtype,
-)
+from repro.nn.tensor import Tensor, resolve_inference_dtype
 from repro.nn.transformer import TransformerEncoder
 from repro.utils.exceptions import ConfigurationError
 from repro.utils.rng import spawn_rng
@@ -172,33 +188,6 @@ class _IRNModule(Module):
         weight = r_u.reshape(-1, 1, 1) * float(objective_weight)
         return Tensor(revealed) + Tensor(indicator[None, :, :]) * weight
 
-    def embed(self, items: np.ndarray, positions: np.ndarray) -> Tensor:
-        """Item + position embeddings of ``(batch, length)`` index arrays."""
-        return self.dropout(self.item_embedding(items) + self.position_embedding(positions))
-
-    def project(self, hidden: Tensor, output_items: np.ndarray | None = None) -> Tensor:
-        """Tied output projection of ``(..., d)`` states onto item logits.
-
-        ``output_items`` restricts it to the given item indices by gathering
-        just those rows of the item-embedding weight — the two-stage-retrieval
-        hook that makes the ``O(d·V)`` cost per state proportional to the
-        candidate-set size.  A 1-D ``(K,)`` array is one shortlist shared by
-        every state; a 2-D ``(batch, K)`` array gives row ``b`` of a
-        ``(batch, queries, d)`` hidden block its own shortlist (one batched
-        matmul over the gathered ``(batch, K, d)`` weights).  Either way the
-        result is ``(..., K)``.  The gathered projection is inference-only
-        (it bypasses the autograd graph) and refuses to run under grad.
-        """
-        if output_items is None:
-            return hidden.matmul(self.item_embedding.weight.transpose())
-        if is_grad_enabled():
-            raise ConfigurationError(
-                "candidate-restricted projection (output_items) is "
-                "inference-only; run it under no_grad"
-            )
-        gathered = self.item_embedding.weight.data[output_items]
-        return hidden.matmul(Tensor(np.swapaxes(gathered, -1, -2)))
-
     def forward(
         self,
         items: np.ndarray,
@@ -207,66 +196,25 @@ class _IRNModule(Module):
         objective_weight: float = 1.0,
         history_weight: float = 0.0,
         positions: np.ndarray | None = None,
-        state: "DecodingState | None" = None,
-        persist: int | None = None,
-        output_items: np.ndarray | None = None,
-        query_columns: "np.ndarray | slice | None" = None,
     ) -> Tensor:
         """Return next-item logits of shape ``(batch, length, vocab_size)``.
 
+        The graph forward: the training path, and the oracle the compiled
+        inference program (:mod:`repro.nn.inference`) is held to.
+
         ``positions`` optionally overrides the default ``arange(length)``
-        position indices with a per-row ``(batch, length)`` array; the
-        batched inference path uses it so right-aligned (left-padded) rows
-        keep the positions ``0 .. len-1`` of their real tokens.
-
-        With ``state`` the decoder additionally populates per-layer K/V
-        caches for the first ``persist`` columns (the growing prefix of an
-        incremental decoding session); the returned logits are unchanged.
-
-        ``output_items`` restricts the logits to the given item indices
-        (shared ``(K,)`` or per-row ``(batch, K)``; ``(batch, length, K)``
-        logits, see :meth:`project`) and
-        ``query_columns`` to the given positions (``(batch,
-        len(query_columns), ...)``, see
-        :meth:`~repro.nn.transformer.TransformerEncoder.forward`); both are
-        inference-only.
+        position indices with a per-row ``(batch, length)`` array, as the
+        batched scorers use for right-aligned (left-padded) rows.
         """
         items = np.asarray(items, dtype=np.int64)
         batch, length = items.shape
         if positions is None:
             positions = np.tile(np.arange(length) % self.max_length, (batch, 1))
-        hidden = self.embed(items, positions)
+        hidden = self.dropout(self.item_embedding(items) + self.position_embedding(positions))
         mask = self._pim(items, users, mask_type, objective_weight, history_weight)
-        hidden = self.decoder(
-            hidden, mask=mask, state=state, persist=persist, query_columns=query_columns
-        )
-        return self.project(hidden, output_items)
-
-    def decode_step(
-        self,
-        items: np.ndarray,
-        positions: np.ndarray,
-        mask: np.ndarray,
-        state: "DecodingState",
-        persist: int,
-        query_columns: "np.ndarray | slice | None" = None,
-    ) -> Tensor:
-        """Encode only newly appended tokens against cached prefix K/V.
-
-        ``items``/``positions`` are ``(batch, new)`` arrays of the appended
-        token(s); ``mask`` is the additive ``(batch, new, total_keys)`` mask
-        over cached-prefix + new key columns.  Returns the decoder hidden
-        states of the new positions (``(batch, new, d)``, or of
-        ``query_columns`` among them); the caller projects them onto the
-        vocabulary.
-        """
-        return self.decoder(
-            self.embed(items, positions),
-            mask=mask,
-            state=state,
-            persist=persist,
-            query_columns=query_columns,
-        )
+        hidden = self.decoder(hidden, mask=mask)
+        # tied output projection onto the item embeddings
+        return hidden.matmul(self.item_embedding.weight.transpose())
 
 
 @model_registry.register("irn")
@@ -312,12 +260,14 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         the fixed final position of every training window; ``"post"`` exists
         only for the padding ablation and degrades the objective signal.
     inference_dtype:
-        Compute/storage precision of the inference fast path (fused attention
-        and K/V arenas).  ``None`` resolves ``$REPRO_INFERENCE_DTYPE`` at
-        construction, defaulting to ``float64`` (bit-compatible with the
-        graph path).  ``"float32"`` is opt-in and approximate — see
+        Precision of the compiled inference program (weights, tables, K/V
+        arenas; :mod:`repro.nn.inference`).  ``None`` resolves
+        ``$REPRO_INFERENCE_DTYPE`` at construction, defaulting to
+        ``float64`` (equal to the graph path up to summation order).
+        ``"float32"`` is opt-in and approximate — see
         :func:`repro.nn.tensor.resolve_inference_dtype` for the documented
-        tolerance.  Training always runs in float64.
+        tolerance.  The attribute may be reassigned on a fitted model; each
+        dtype runs its own program.  Training always runs in float64.
     """
 
     name = "IRN"
@@ -371,6 +321,8 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         self.inference_dtype = resolve_inference_dtype(inference_dtype)
         #: token-work counters for the perf harness (reset by :meth:`fit`)
         self.decode_stats = DecodeStats()
+        #: compiled inference programs by dtype (see :meth:`_program`)
+        self._programs: dict = {}
 
     # ------------------------------------------------------------------ #
     # Construction / training
@@ -420,6 +372,37 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
     # ------------------------------------------------------------------ #
     # Scoring
     # ------------------------------------------------------------------ #
+    def _program(self) -> inference.Program:
+        """The inference program of the current weights and ``inference_dtype``.
+
+        Compiled on first use and again whenever the weights it was
+        extracted from are no longer the module's (``fit`` / ``warm_start``,
+        ``load_state_dict`` — which a hot refit runs without bumping
+        ``fit_generation`` — ``load_pretrained``); one per dtype, because
+        callers flip ``inference_dtype`` on a live model.  Programs are
+        read-only, so threads racing the first call each compile one and
+        either serves.
+        """
+        program = self._programs.get(self.inference_dtype)
+        if program is None or not program.current(self.module):
+            if program is not None:
+                self._programs = {}  # new weights outdate every dtype's program
+            program = inference.compile(self.module, self.inference_dtype)
+            self._programs[self.inference_dtype] = program
+        return program
+
+    def _pim(
+        self, program: inference.Program, items: np.ndarray, users: np.ndarray
+    ) -> np.ndarray:
+        """The additive PIM of right-aligned ``items`` whose last column is the objective."""
+        return build_pim(
+            items,
+            self.mask_type,
+            self.objective_weight * self.objective_logit_scale,
+            self.history_weight,
+            impressionability=program.impressionability[users],
+        )
+
     def _safe_user(self, user_index: int | None) -> int:
         corpus = self._require_fitted()
         if user_index is None or not 0 <= user_index < corpus.num_users:
@@ -460,18 +443,19 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
     ) -> np.ndarray:
         """Objective-conditioned next-item scores for many sequences at once.
 
-        Fuses all rows into a single ``no_grad`` module forward: sequences are
-        right-aligned (left-padded) so every objective sits in the shared
-        final column, per-row position indices preserve the scalar scorer's
-        ``0 .. len-1`` numbering, and each row's scores are gathered from its
-        last real non-objective position.  Returns a ``(batch, vocab)`` array;
-        row ``b`` equals ``score_with_objective(sequences[b], objectives[b])``
-        up to floating-point summation-order tolerance (~1e-8).
+        Fuses all rows into a single forward of the compiled program:
+        sequences are right-aligned (left-padded) so every objective sits in
+        the shared final column, per-row position indices preserve the scalar
+        scorer's ``0 .. len-1`` numbering, and each row's scores are gathered
+        from its last real non-objective position.  Returns a ``(batch,
+        vocab)`` array; row ``b`` equals ``score_with_objective(sequences[b],
+        objectives[b])`` up to floating-point summation-order tolerance
+        (~1e-8).
 
         ``candidate_items`` (the two-stage-retrieval path) restricts the
         output projection to the given item indices — integer ids in
         ``[1, vocab)`` — in one of two forms, both over the same gathered
-        projection (:meth:`_IRNModule.project`):
+        projection (:meth:`repro.nn.inference.Program.project`):
 
         * **1-D, one shortlist shared by the batch.**  Returned rows stay
           ``(batch, vocab)``: ``-inf`` everywhere except those columns,
@@ -532,7 +516,7 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         objectives: Sequence[int],
         user_indices: "Sequence[int | None] | None" = None,
         record: str = "full",
-        state: "DecodingState | None" = None,
+        caches: "list | None" = None,
         persist: int | None = None,
         candidate_items: "np.ndarray | None" = None,
     ) -> np.ndarray:
@@ -557,21 +541,17 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         columns, gather = np.unique(
             np.where(lengths >= 2, width - 2, width - 1), return_inverse=True
         )
-        with no_grad(), inference_dtype_scope(self.inference_dtype):
-            logits = self.module(
-                items,
-                users,
-                mask_type=self.mask_type,
-                objective_weight=self.objective_weight * self.objective_logit_scale,
-                history_weight=self.history_weight,
-                positions=positions,
-                state=state,
-                persist=persist,
-                output_items=candidate_items,
-                query_columns=columns,
-            )
+        program = self._program()
+        hidden = program.encode(
+            program.embed(items, positions),
+            self._pim(program, items, users),
+            queries=columns,
+            caches=caches,
+            persist=persist,
+        )
+        logits = program.project(hidden, candidate_items)
         self._record_tokens(record, items.size)
-        return self._item_scores(logits.data[np.arange(batch), gather], candidate_items)
+        return self._item_scores(logits[np.arange(batch), gather], candidate_items)
 
     def _item_scores(
         self, logits: np.ndarray, candidate_items: "np.ndarray | None" = None
@@ -633,7 +613,7 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         histories: Sequence[Sequence[int]],
         user_indices: "Sequence[int | None] | None" = None,
         record: str = "full",
-        state: "DecodingState | None" = None,
+        caches: "list | None" = None,
         persist: int | None = None,
     ) -> np.ndarray:
         self._require_fitted()
@@ -646,19 +626,17 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
             clipped = [int(item) for item in clip_history(history, self.max_sequence_length)]
             rows.append(clipped if clipped else [PAD_INDEX])
         items, positions, _ = self._right_align(rows)
-        users = self._batch_users(user_indices, batch)
-        with no_grad(), inference_dtype_scope(self.inference_dtype):
-            logits = self.module(
-                items,
-                users,
-                mask_type=MaskType.CAUSAL,
-                positions=positions,
-                state=state,
-                persist=persist,
-                query_columns=slice(-1, None),
-            )
+        broadcast_user_indices(batch, user_indices)  # length check: causal scoring reads no user
+        program = self._program()
+        hidden = program.encode(
+            program.embed(items, positions),
+            causal_history_mask(items),
+            queries=slice(-1, None),
+            caches=caches,
+            persist=persist,
+        )
         self._record_tokens(record, items.size)
-        return self._item_scores(logits.data[:, 0])
+        return self._item_scores(program.project(hidden)[:, 0])
 
     def score_next(self, history: Sequence[int], user_index: int | None = None) -> np.ndarray:
         """Objective-free next-item scores (causal mask only; Table IV usage)."""
@@ -706,7 +684,8 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
             raise ConfigurationError("cannot begin a decoding session on an empty batch")
         users = self._batch_users(user_indices, batch)
         incremental = self._incremental_exact(objectives)
-        state = self.module.decoder.init_state(dtype=self.inference_dtype) if incremental else None
+        state = DecodingState(self.num_layers, dtype=self.inference_dtype) if incremental else None
+        caches = None if state is None else state.layers  # filled by the first forward
         if objectives is not None:
             objectives = [int(objective) for objective in objectives]
             check_batch_lengths(batch, objectives=objectives)
@@ -716,7 +695,7 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
             ]
             width = max(len(row) for row in rows) + 1  # matches _right_align + objective
             scores = self._score_objective_batch(
-                sequences, objectives, list(users), state=state, persist=width - 1
+                sequences, objectives, list(users), caches=caches, persist=width - 1
             )
             session_width = width - 1
         else:
@@ -728,14 +707,11 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
             # its column is permanently masked, so the session keeps the true
             # (possibly empty) token lists and only the width accounts for it.
             width = max(max(len(row) for row in rows), 1)
-            scores = self._score_next_batch(sequences, list(users), state=state, persist=None)
+            scores = self._score_next_batch(sequences, list(users), caches=caches)
             session_width = width
         impressionability = None
         if objectives is not None and self.mask_type == MaskType.PERSONALIZED:
-            with no_grad():
-                impressionability = (
-                    self.module.impressionability_factor(users).data.reshape(-1).copy()
-                )
+            impressionability = self._program().impressionability[users]
         session = DecodingSession(
             rows=rows,
             users=users,
@@ -764,10 +740,13 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         """
         self._require_fitted()
         assert self.module is not None
+        # Validate both arguments before the session is touched: a refused
+        # call must leave it as it was (select checks the row range itself).
+        new_items = [int(item) for item in new_items]
+        survivors = session.batch_size if parent_rows is None else len(parent_rows)
+        check_batch_lengths(survivors, new_items=new_items)
         if parent_rows is not None:
             session.select(parent_rows)
-        new_items = [int(item) for item in new_items]
-        check_batch_lengths(session.batch_size, new_items=new_items)
         session.append(new_items)
         if session.batch_size == 0:
             return np.zeros((0, self.vocab_size), dtype=np.float64)
@@ -794,11 +773,10 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
     def _advance_incremental(
         self, session: DecodingSession, new_items: np.ndarray
     ) -> np.ndarray:
-        assert self.module is not None
-        module = self.module
+        """Encode each row's new token (⊕ objective) over the session's cached prefix K/V."""
+        program = self._program()
         lengths = session.lengths  # post-append; the new token sits at position len-1
-        objective_mode = session.objectives is not None
-        if objective_mode:
+        if session.objectives is not None:
             items = np.stack(
                 [new_items, np.asarray(session.objectives, dtype=np.int64)], axis=1
             )
@@ -806,15 +784,18 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         else:
             items = new_items[:, None]
             positions = (lengths - 1)[:, None]
-        positions = positions % module.max_length  # no-op (guarded), mirrors _right_align
-        mask = self._incremental_mask(session, session.width)
-        with no_grad(), inference_dtype_scope(self.inference_dtype):
-            hidden = module.decode_step(
-                items, positions, mask, session.state, persist=1, query_columns=slice(0, 1)
-            )
-            logits = module.project(hidden)
+        positions = positions % len(program.position_table)  # no-op (guarded), as _right_align
+        # The new token joins every layer's cache; the objective's K/V are
+        # re-projected each step (its position moves) and never kept.
+        hidden = program.encode(
+            program.embed(items, positions),
+            self._incremental_mask(session, session.width),
+            queries=slice(0, 1),
+            caches=session.state.layers,
+            persist=1,
+        )
         self.decode_stats.record_incremental(items.size)
-        return self._item_scores(logits.data[:, 0])
+        return self._item_scores(program.project(hidden)[:, 0])
 
     def _advance_shared(self, session: DecodingSession) -> np.ndarray:
         """Score an objective session, encoding every live root's history once.
@@ -829,11 +810,11 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         the full window would give those queries.  With two layers the final
         layer takes its history K/V from the shared states the same way;
         deeper stacks reassemble the per-row window for the middle layers.
-        The final layer answers one query, the last appended token.
+        The final layer answers one query, the last appended token.  The
+        history K/V are plain arrays that live for this call only.
         """
-        assert self.module is not None
-        module = self.module
-        layers = module.decoder.layers
+        program = self._program()
+        layers = program.layers
         steps = session.steps
         live, first_row, group = np.unique(
             session.roots, return_index=True, return_inverse=True
@@ -856,46 +837,46 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         )
         positions = (lengths - steps)[:, None] + np.arange(steps + 1, dtype=np.int64)
         mask = self._incremental_mask(session, history_width + steps, new=steps)
-        weight = self.objective_weight * self.objective_logit_scale
-        with no_grad(), inference_dtype_scope(self.inference_dtype):
-            state = module.decoder.init_state(dtype=self.inference_dtype)
-            first_cache, final_cache = state.layers[0], state.layers[-1]
-            root_mask = module._pim(
-                root_items, session.users[first_row], self.mask_type, weight, self.history_weight
+
+        def per_row(history_kv: np.ndarray) -> np.ndarray:
+            # root → row, from a contiguous copy of the root block: indexing
+            # the strided per-head views directly is several times slower
+            return np.take(
+                np.ascontiguousarray(history_kv[:, :, :history_width]), group, axis=0
             )
-            history = layers[0](
-                module.embed(root_items, root_positions),
-                mask=root_mask,
-                kv_cache=first_cache,
-                persist=history_width,
-                query_columns=slice(0, history_width),
+
+        history, keys, values = inference.block(
+            layers[0],
+            program.embed(root_items, root_positions),
+            self._pim(program, root_items, session.users[first_row]),
+            queries=slice(0, history_width),
+        )
+        hidden, _, _ = inference.block(
+            layers[0],
+            program.embed(items, positions),
+            mask,
+            prefix_kv=(per_row(keys), per_row(values)),
+        )
+        if len(layers) == 2:
+            # keys/values only: no query reads the history states here
+            keys, values = inference.keys_values(layers[1], history)
+            shared = per_row(keys), per_row(values)
+        else:
+            shared = None
+            hidden = np.concatenate([history[group], hidden], axis=1)
+            mask = self._pim(
+                program,
+                np.concatenate([root_items[group, :history_width], items], axis=1),
+                session.users,
             )
-            first_cache.reorder(group)
-            hidden = layers[0](
-                module.embed(items, positions), mask=mask, kv_cache=first_cache, persist=0
-            )
-            if len(layers) == 2:
-                # keys/values only: no query reads the history states here
-                layers[1](history, kv_cache=final_cache, query_columns=slice(0, 0))
-                final_cache.reorder(group)
-            else:
-                final_cache = None
-                hidden = Tensor(np.concatenate([history.data[group], hidden.data], axis=1))
-                mask = module._pim(
-                    np.concatenate([root_items[group, :history_width], items], axis=1),
-                    session.users,
-                    self.mask_type,
-                    weight,
-                    self.history_weight,
-                )
-                for layer in layers[1:-1]:
-                    hidden = layer(hidden, mask=mask)
-            hidden = layers[-1](
-                hidden, mask=mask, kv_cache=final_cache, persist=0, query_columns=slice(-2, -1)
-            )
-            logits = module.project(module.decoder.final_norm(hidden))
+            for layer in layers[1:-1]:
+                hidden, _, _ = inference.block(layer, hidden, mask)
+        hidden, _, _ = inference.block(
+            layers[-1], hidden, mask, prefix_kv=shared, queries=slice(-2, -1)
+        )
+        logits = program.project(inference.layer_norm(hidden, *program.final_norm))
         self.decode_stats.record_fallback(root_items.size + items.size)
-        return self._item_scores(logits.data[:, 0])
+        return self._item_scores(logits[:, 0])
 
     def _incremental_mask(
         self, session: DecodingSession, width: int, new: int = 1
@@ -965,7 +946,7 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         """Run Algorithm 1 for many ``(history, objective)`` instances in lockstep.
 
         All instances that are still alive at step ``k`` share one batched
-        module forward (via :meth:`score_with_objective_batch`), instead of
+        forward (via :meth:`score_with_objective_batch`), instead of
         the per-instance, per-step forwards of the scalar loop.  Produces the
         same paths as looping :meth:`generate_path` (same greedy argmax and
         seen-item masking), up to the batched scorer's documented tolerance.
@@ -1008,9 +989,5 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
     # ------------------------------------------------------------------ #
     def impressionability_factors(self) -> np.ndarray:
         """The learned ``r_u`` of every user (Figure 8)."""
-        corpus = self._require_fitted()
-        assert self.module is not None
-        users = np.arange(corpus.num_users, dtype=np.int64)
-        with no_grad():
-            factors = self.module.impressionability_factor(users)
-        return factors.data.reshape(-1).copy()
+        self._require_fitted()
+        return self._program().impressionability.copy()

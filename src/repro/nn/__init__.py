@@ -12,6 +12,9 @@ It provides:
 * :mod:`~repro.nn.attention` / :mod:`~repro.nn.transformer` — multi-head
   attention with additive masks and Transformer blocks (the basis of SASRec,
   BERT4Rec and IRN).
+* :mod:`~repro.nn.inference` — a fitted IRN compiled into a flat no-grad
+  program over raw ndarrays (what IRN infers through; the modules above stay
+  its training path and oracle).
 * :mod:`~repro.nn.rnn` — a GRU implementation (the basis of GRU4Rec).
 * :mod:`~repro.nn.conv` — convolution helpers (the basis of Caser).
 * :mod:`~repro.nn.optim` — SGD / Adam optimizers and LR schedulers.

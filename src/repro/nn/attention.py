@@ -5,11 +5,15 @@ logits of shape ``(batch, heads, query_len, key_len)``.  Disallowed positions
 use a large negative value; the Personalized Impressionability Mask of the
 paper additionally adds finite positive weights for the objective-item column
 (see :mod:`repro.core.pim`).
+
+Two implementations sit behind one module: the graph-building path is the
+training path and the parity oracle; with gradients off the attention body
+runs fused on raw ndarrays, which is how the baselines (SASRec, BERT4Rec, …)
+infer through ``Module.forward``.  IRN's own inference does not come through
+here at all — it runs the compiled program of :mod:`repro.nn.inference`.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,9 +22,6 @@ from repro.nn.layers import Dropout, Linear, Module
 from repro.nn.tensor import Tensor, is_grad_enabled
 from repro.utils.exceptions import ConfigurationError
 from repro.utils.rng import as_rng, spawn_rng
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache.kv import LayerKVCache
 
 __all__ = ["MultiHeadAttention", "scaled_dot_product_attention", "NEG_INF"]
 
@@ -105,10 +106,7 @@ class MultiHeadAttention(Module):
         self.output_proj = Linear(d_model, d_model, rng=rngs[3])
         self.dropout = Dropout(dropout, rng=rngs[4])
         #: attention weights of the most recent forward pass (for analysis),
-        #: ``(batch, heads, query_len, key_len)``.  An inference call that
-        #: names its query columns (every IRN scorer: the final layer answers
-        #: the one position the caller reads) leaves ``(batch, heads, 1,
-        #: key_len)`` here; run the full forward to inspect every row.
+        #: ``(batch, heads, query_len, key_len)``
         self.last_attention: np.ndarray | None = None
 
     def _split_heads(self, x: Tensor, batch: int, length: int) -> Tensor:
@@ -123,8 +121,6 @@ class MultiHeadAttention(Module):
         key: Tensor | None = None,
         value: Tensor | None = None,
         mask: "np.ndarray | Tensor | None" = None,
-        kv_cache: "LayerKVCache | None" = None,
-        persist: int | None = None,
         fused: bool | None = None,
     ) -> Tensor:
         """Apply attention.  With only ``query`` given this is self-attention.
@@ -132,14 +128,6 @@ class MultiHeadAttention(Module):
         ``mask`` is an additive array (or differentiable :class:`Tensor`)
         broadcastable to ``(batch, num_heads, query_len, key_len)``; pass
         e.g. a ``(batch, 1, m, m)`` PIM or a ``(m, m)`` causal mask.
-
-        With ``kv_cache`` (incremental decoding, inference only) the inputs
-        hold just the newly appended positions: their keys/values are
-        appended to the cache (the first ``persist`` of them permanently,
-        the remainder transiently — see
-        :meth:`repro.cache.kv.LayerKVCache.extend`) and the queries attend
-        over cached-prefix + new keys, so ``mask`` must then be
-        broadcastable to ``(batch, heads, new_len, prefix_len + new_len)``.
 
         ``fused`` selects the attention implementation exactly as in
         :func:`scaled_dot_product_attention` (default: fuse when grad is
@@ -155,17 +143,6 @@ class MultiHeadAttention(Module):
         q = self._split_heads(self.query_proj(query), batch, q_len)
         k = self._split_heads(self.key_proj(key), batch, k_len)
         v = self._split_heads(self.value_proj(value), batch, k_len)
-
-        k_arr, v_arr = k.data, v.data
-        if kv_cache is not None:
-            if is_grad_enabled():
-                raise ConfigurationError(
-                    "kv_cache attention is inference-only; wrap the call in no_grad()"
-                )
-            k_arr, v_arr = kv_cache.extend(k_arr, v_arr, persist=persist)
-            if not fused:
-                k = Tensor(k_arr)
-                v = Tensor(v_arr)
 
         if mask is not None:
             if isinstance(mask, Tensor):
@@ -190,11 +167,11 @@ class MultiHeadAttention(Module):
 
         if fused:
             # Inference fast path: the whole attention body runs on raw
-            # ndarrays (cache views attend without materializing, the score
-            # buffer is mutated in place) and only the merged context
-            # re-enters the Tensor world for the output projection.
+            # ndarrays (the score buffer is mutated in place) and only the
+            # merged context re-enters the Tensor world for the output
+            # projection.
             mask_arr = mask.data if isinstance(mask, Tensor) else mask
-            context, weights = F.fused_attention(q.data, k_arr, v_arr, mask=mask_arr)
+            context, weights = F.fused_attention(q.data, k.data, v.data, mask=mask_arr)
             self.last_attention = weights
             merged = context.transpose(0, 2, 1, 3).reshape(batch, q_len, self.d_model)
             return self.dropout(self.output_proj(Tensor(merged)))

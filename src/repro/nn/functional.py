@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.tensor import Tensor, inference_dtype, is_grad_enabled
+from repro.nn.tensor import Tensor, is_grad_enabled
 from repro.utils.exceptions import ConfigurationError
 
 __all__ = [
@@ -237,7 +237,6 @@ def fused_attention(
     key: np.ndarray,
     value: np.ndarray,
     mask: np.ndarray | None = None,
-    dtype: "np.dtype | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scaled dot-product attention fused into one pass over raw ndarrays.
 
@@ -251,28 +250,21 @@ def fused_attention(
     implementation and the parity oracle (equal to ~1e-12, same BLAS
     contractions in the same order).
 
-    ``dtype`` selects the compute precision (default: the thread's
-    :func:`~repro.nn.tensor.inference_dtype`); float32 is the opt-in
-    reduced-precision mode.
-
-    Returns ``(context, weights)`` as raw ndarrays of the compute dtype.
+    Returns ``(context, weights)`` as raw float64 ndarrays.
     """
     if is_grad_enabled():
         raise ConfigurationError(
             "fused_attention builds no autograd graph; wrap the call in no_grad() "
             "(the Tensor implementation in repro.nn.attention is the training path)"
         )
-    compute = np.dtype(dtype) if dtype is not None else inference_dtype()
-    query = np.asarray(query, dtype=compute)
-    key = np.asarray(key, dtype=compute)
-    value = np.asarray(value, dtype=compute)
+    query = np.asarray(query, dtype=np.float64)
+    key = np.asarray(key, dtype=np.float64)
+    value = np.asarray(value, dtype=np.float64)
     d_k = query.shape[-1]
     batch_shape = np.broadcast_shapes(query.shape[:-2], key.shape[:-2])
-    scores = np.empty(
-        batch_shape + (query.shape[-2], key.shape[-2]), dtype=compute
-    )
+    scores = np.empty(batch_shape + (query.shape[-2], key.shape[-2]), dtype=np.float64)
     np.matmul(query, key.swapaxes(-1, -2), out=scores)
-    scores *= compute.type(1.0 / np.sqrt(d_k))
+    scores *= 1.0 / np.sqrt(d_k)
     if mask is not None:
         scores += np.asarray(mask)
     softmax_(scores)

@@ -26,8 +26,6 @@ __all__ = [
     "Tensor",
     "no_grad",
     "is_grad_enabled",
-    "inference_dtype",
-    "inference_dtype_scope",
     "resolve_inference_dtype",
 ]
 
@@ -36,13 +34,6 @@ __all__ = [
 # re-enabling graph construction under another worker mid-forward.  Each
 # thread starts with grad enabled, matching the old module-global default.
 _GRAD_STATE = threading.local()
-
-# The inference compute dtype is thread-local for the same reason as grad
-# mode: serving drains run scoring on worker threads, and one worker's
-# float32 scope must not leak into another's forward.  It only affects the
-# *inference fast path* (the fused attention kernel and the K/V cache
-# arenas); the autograd graph and all parameters stay float64.
-_DTYPE_STATE = threading.local()
 
 #: environment knob of the opt-in reduced-precision inference mode
 INFERENCE_DTYPE_ENV = "REPRO_INFERENCE_DTYPE"
@@ -64,32 +55,6 @@ def no_grad():
 def is_grad_enabled() -> bool:
     """Return whether operations currently record the autograd graph (per thread)."""
     return getattr(_GRAD_STATE, "enabled", True)
-
-
-def inference_dtype() -> np.dtype:
-    """The compute dtype of the inference fast path for this thread.
-
-    ``float64`` (the default) makes the fused kernels bit-compatible with
-    the graph-building implementation; ``float32`` is the opt-in
-    reduced-precision mode (see :func:`resolve_inference_dtype` for the
-    documented tolerance).
-    """
-    return getattr(_DTYPE_STATE, "dtype", np.dtype(np.float64))
-
-
-@contextlib.contextmanager
-def inference_dtype_scope(dtype: "np.dtype | str | None"):
-    """Set the thread's inference compute dtype for the duration of a block.
-
-    ``None`` leaves the current dtype untouched (so callers can thread an
-    optional configuration through unconditionally).
-    """
-    previous = inference_dtype()
-    _DTYPE_STATE.dtype = previous if dtype is None else resolve_inference_dtype(dtype)
-    try:
-        yield
-    finally:
-        _DTYPE_STATE.dtype = previous
 
 
 def resolve_inference_dtype(value: "np.dtype | str | None" = None) -> np.dtype:

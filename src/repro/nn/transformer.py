@@ -4,11 +4,14 @@ The paper's IRN is a stack of Transformer *decoder* layers operating on a
 single sequence (self-attention only, causal + objective-aware masking), which
 structurally is an encoder layer with a custom additive mask.  The same block
 is reused by SASRec (causal mask) and BERT4Rec (no mask).
+
+These modules are the training path and the parity oracle.  With gradients
+off they take the fused no-grad branches, which is how the baselines infer;
+IRN's inference runs the same arithmetic from a compiled program instead
+(:mod:`repro.nn.inference`).
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -16,11 +19,7 @@ from repro.nn.attention import NEG_INF, MultiHeadAttention
 from repro.nn.layers import Dropout, LayerNorm, Linear, Module, ModuleList
 from repro.nn.tensor import Tensor, is_grad_enabled
 from repro.nn import functional as F
-from repro.utils.exceptions import ConfigurationError
 from repro.utils.rng import as_rng, spawn_rng
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache.kv import DecodingState, LayerKVCache
 
 __all__ = [
     "PositionwiseFeedForward",
@@ -117,44 +116,8 @@ class TransformerEncoderLayer(Module):
         self.norm2 = LayerNorm(d_model)
         self.dropout = Dropout(dropout, rng=rngs[2])
 
-    def forward(
-        self,
-        x: Tensor,
-        mask: "np.ndarray | Tensor | None" = None,
-        kv_cache: "LayerKVCache | None" = None,
-        persist: int | None = None,
-        query_columns: "np.ndarray | slice | None" = None,
-    ) -> Tensor:
-        """Apply the block; with ``query_columns``, answer only those positions.
-
-        ``query_columns`` (an index array or slice over the length axis;
-        inference only) is for callers that read a few positions of the
-        output: every column of ``x`` is still normalised and projected to
-        keys/values (and fed to ``kv_cache``), but the query projection,
-        attention, output projection, residuals and feed-forward run on the
-        named columns alone, as do the matching rows of ``mask``.  Returns
-        ``(batch, len(query_columns), d_model)``.
-        """
-        normed = self.norm1(x)
-        if query_columns is None:
-            attended = self.attention(normed, mask=mask, kv_cache=kv_cache, persist=persist)
-        else:
-            if is_grad_enabled():
-                raise ConfigurationError(
-                    "query_columns is inference-only; run it under no_grad "
-                    "(the full forward is the training path)"
-                )
-            if mask is not None:
-                mask = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
-                mask = mask[..., query_columns, :]
-            x = Tensor(x.data[:, query_columns])
-            attended = self.attention(
-                Tensor(normed.data[:, query_columns]),
-                key=normed,
-                mask=mask,
-                kv_cache=kv_cache,
-                persist=persist,
-            )
+    def forward(self, x: Tensor, mask: "np.ndarray | Tensor | None" = None) -> Tensor:
+        attended = self.attention(self.norm1(x), mask=mask)
         if not is_grad_enabled():
             # Inference: fold the residuals into the freshly produced
             # sub-layer outputs (never into the caller's ``x``, whose buffer
@@ -191,52 +154,7 @@ class TransformerEncoder(Module):
         )
         self.final_norm = LayerNorm(d_model)
 
-    def init_state(self, dtype: "np.dtype | str | None" = None) -> "DecodingState":
-        """Fresh per-layer K/V caches for an incremental decoding run.
-
-        ``dtype`` fixes the cache storage precision (default: the thread's
-        :func:`~repro.nn.tensor.inference_dtype` at first extend).
-        """
-        from repro.cache.kv import DecodingState
-
-        return DecodingState(len(self.layers), dtype=dtype)
-
-    def forward(
-        self,
-        x: Tensor,
-        mask: "np.ndarray | Tensor | None" = None,
-        state: "DecodingState | None" = None,
-        persist: int | None = None,
-        query_columns: "np.ndarray | slice | None" = None,
-    ) -> Tensor:
-        """Encode ``x``; with ``state``, run one incremental decoding step.
-
-        In incremental mode ``x`` holds only the newly appended positions;
-        each layer attends them over its cached prefix K/V and appends the
-        first ``persist`` new positions to the cache (see
-        :mod:`repro.cache.kv` for the exactness contract the *caller* must
-        uphold — this stack reuses whatever the caches contain).
-
-        ``query_columns`` (inference only) names the positions the caller
-        will read.  Every layer but the last runs in full — their outputs
-        are the last layer's keys/values — and the last layer and the final
-        norm answer only those positions (see
-        :meth:`TransformerEncoderLayer.forward`), so the result is
-        ``(batch, len(query_columns), d_model)``.  The full forward stays
-        the training path and the parity oracle.
-        """
-        caches = [None] * len(self.layers) if state is None else state.layers
-        if len(caches) != len(self.layers):
-            raise ConfigurationError(
-                f"decoding state has {len(caches)} layer caches for {len(self.layers)} layers"
-            )
-        last = len(self.layers) - 1
-        for index, (layer, kv_cache) in enumerate(zip(self.layers, caches)):
-            x = layer(
-                x,
-                mask=mask,
-                kv_cache=kv_cache,
-                persist=persist,
-                query_columns=query_columns if index == last else None,
-            )
+    def forward(self, x: Tensor, mask: "np.ndarray | Tensor | None" = None) -> Tensor:
+        for layer in self.layers:
+            x = layer(x, mask=mask)
         return self.final_norm(x)

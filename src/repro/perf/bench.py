@@ -9,8 +9,8 @@ planner (:class:`ScalarOnlyBackbone`), the sequentially driven
 
 * **contract bits** — parity, zero-drop, no-pause and detection-budget
   booleans, which :mod:`repro.perf.gate` turns into a CI failure;
-* **counts that repeat exactly** — module forwards (:class:`ForwardCounter`),
-  token-work (``irn.decode_stats``), cache hits and replans, candidate-set
+* **counts that repeat exactly** — forwards and token-work
+  (``irn.decode_stats``), cache hits and replans, candidate-set
   sizes, overlap@k, plan regret, K/V bytes copied, wire bytes per envelope,
   spans per served request.
 
@@ -51,12 +51,10 @@ from repro.data.preprocessing import build_corpus
 from repro.data.splitting import DatasetSplit, split_corpus
 from repro.data.synthetic import SyntheticConfig, generate_synthetic_dataset
 from repro.evaluation.protocol import rollout_next_step, sample_objectives
-from repro.nn.layers import Module
 from repro.shard.config import fork_available, resolve_shard_backend
 from repro.utils.exceptions import ConfigurationError
 
 __all__ = [
-    "ForwardCounter",
     "ScalarOnlyBackbone",
     "BENCH_SECTIONS",
     "BENCH_PROFILES",
@@ -104,31 +102,6 @@ def machine_info() -> dict:
         "python": platform.python_version(),
         "peak_rss_kb": peak_rss_kb(),
     }
-
-
-class ForwardCounter:
-    """Count calls to a module's ``forward`` (deterministic, no wall-clock).
-
-    Used as a context manager: wraps ``module.forward`` with a counting shim
-    for the duration of the block and restores it afterwards.
-    """
-
-    def __init__(self, module: Module) -> None:
-        self.module = module
-        self.count = 0
-
-    def __enter__(self) -> "ForwardCounter":
-        original = self.module.forward
-
-        def counted(*args, **kwargs):
-            self.count += 1
-            return original(*args, **kwargs)
-
-        object.__setattr__(self.module, "forward", counted)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        object.__delattr__(self.module, "forward")
 
 
 class ScalarOnlyBackbone:
@@ -410,10 +383,10 @@ class _Workload:
 
 
 def _forwards(irn: IRN, fn) -> "tuple[object, int]":
-    """Run ``fn``; return (result, module forwards it cost)."""
-    with ForwardCounter(irn.module) as counter:
-        result = fn()
-    return result, counter.count
+    """Run ``fn``; return (result, forwards it cost — one per scoring call)."""
+    before = irn.decode_stats.snapshot()["forwards"]
+    result = fn()
+    return result, irn.decode_stats.snapshot()["forwards"] - before
 
 
 def _scalar_vs_batched(irn: IRN, scalar, batched, equal_key: str) -> dict:
@@ -922,9 +895,11 @@ def _bench_tensor_ops(w: _Workload) -> dict:
     decode step queries 2 positions (new token + re-projected objective)
     against a key window of history + path + objective, split across the
     configured head count.  Four bits the gate enforces: fused↔unfused
-    attention parity, the float32 mode's documented logit tolerance, the
-    in-place-ops grad guard, and the arena cache's ``no_prefix_copy``
-    allocation proof (bytes copied per decode step, counted by the cache).
+    attention parity (the kernel the baselines infer through), the float32
+    inference program's documented logit tolerance (the section's contexts
+    scored by the model under both dtypes), the in-place-ops grad guard, and
+    the arena cache's ``no_prefix_copy`` allocation proof (bytes copied per
+    decode step, counted by the cache).
     """
     from repro.cache.kv import LayerKVCache, allocation_stats, reset_allocation_stats
     from repro.nn import functional as F
@@ -950,12 +925,20 @@ def _bench_tensor_ops(w: _Workload) -> dict:
         unfused_out, unfused_weights = scaled_dot_product_attention(
             Tensor(q), Tensor(k), Tensor(v), mask=mask, fused=False
         )
-        f32_out, _ = F.fused_attention(q, k, v, mask=mask, dtype=np.float32)
     parity_diff = max(
         float(np.max(np.abs(fused_out - unfused_out.data))),
         float(np.max(np.abs(fused_weights - unfused_weights.data))),
     )
-    f32_diff = float(np.max(np.abs(f32_out.astype(np.float64) - fused_out)))
+
+    f64_scores = w.irn.score_with_objective_batch(*w.batch_args)
+    configured = w.irn.inference_dtype
+    w.irn.inference_dtype = np.dtype(np.float32)
+    try:
+        f32_scores = w.irn.score_with_objective_batch(*w.batch_args)
+    finally:
+        w.irn.inference_dtype = configured
+    finite = np.isfinite(f64_scores)
+    f32_diff = float(np.max(np.abs(f32_scores[finite] - f64_scores[finite])))
 
     # The in-place ops must refuse to run where they would corrupt a graph.
     try:

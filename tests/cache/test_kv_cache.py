@@ -3,9 +3,11 @@
 The exactness contract of :mod:`repro.cache.kv`: with *causal* masks,
 incremental decoding through cached prefix K/V must reproduce full
 re-encoding at ANY depth of the stack; with arbitrary additive masks it is
-exact for single-layer stacks.  Parities here are checked at the
-:class:`~repro.nn.transformer.TransformerEncoder` level with tight
-tolerances (same entries, possibly different BLAS summation order).
+exact for single-layer stacks.  Parities here drive the compiled program
+(:meth:`repro.nn.inference.Program.encode`, i.e. ``block(...,
+prefix_kv=<arena views>)`` per layer) against the graph forward of the same
+decoder stack, with tight tolerances (same entries, possibly different BLAS
+summation order).
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from repro.cache.kv import (
     allocation_stats,
     reset_allocation_stats,
 )
-from repro.nn.tensor import Tensor, inference_dtype_scope, no_grad
-from repro.nn.transformer import TransformerEncoder, causal_mask
+from repro.core.irn import _IRNModule
+from repro.nn import inference
+from repro.nn.tensor import Tensor
+from repro.nn.transformer import causal_mask
 from repro.utils.exceptions import ConfigurationError
 
 RTOL, ATOL = 1e-9, 1e-10
@@ -132,12 +136,14 @@ class TestArenaStorage:
         assert cache.keys.dtype == np.float32
         np.testing.assert_allclose(cache.keys, keys, rtol=0, atol=1e-6)
 
-    def test_default_dtype_follows_inference_scope(self, rng):
+    def test_default_dtype_is_that_of_the_first_keys(self, rng):
         keys = rng.normal(size=(1, 1, 2, 4))
-        with inference_dtype_scope("float32"):
-            cache = LayerKVCache()
-            cache.extend(keys, keys.copy())
+        cache = LayerKVCache()
+        assert cache.dtype is None
+        cache.extend(keys.astype(np.float32), keys.astype(np.float32))
         assert cache.dtype == np.float32
+        cache.extend(keys, keys.copy())  # later extends are cast to the arena's dtype
+        assert cache.keys.dtype == np.float32 and cache.length == 4
         plain = LayerKVCache()
         plain.extend(keys, keys.copy())
         assert plain.dtype == np.float64
@@ -190,54 +196,98 @@ class TestDecodingState:
             DecodingState(0)
 
 
+def decoder_module(num_layers: int, seed: int) -> _IRNModule:
+    """An untrained IRN module: its decoder stack is what these tests run."""
+    module = _IRNModule(
+        vocab_size=12,
+        num_users=3,
+        max_length=16,
+        embedding_dim=8,
+        user_dim=4,
+        num_heads=2,
+        num_layers=num_layers,
+        dropout=0.0,
+        rng=np.random.default_rng(seed),
+    )
+    module.eval()
+    return module
+
+
+def graph_forward(module: _IRNModule, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The oracle: the decoder's graph-building forward (grad enabled)."""
+    out = module.decoder(Tensor(x), mask=mask)
+    assert out.requires_grad
+    return out.data
+
+
 @pytest.fixture(scope="module")
-def encoder():
-    encoder = TransformerEncoder(num_layers=3, d_model=8, num_heads=2, dropout=0.0, rng=0)
-    encoder.eval()
-    return encoder
+def module():
+    return decoder_module(num_layers=3, seed=0)
+
+
+@pytest.fixture(scope="module")
+def program(module):
+    return inference.compile(module)
 
 
 class TestCausalIncrementalParity:
-    def test_multi_layer_causal_decoding_matches_full(self, encoder, rng):
+    def test_multi_layer_causal_decoding_matches_full(self, module, program, rng):
         """Token-by-token decoding == full forward, at three stacked layers."""
         batch, length, d_model = 3, 7, 8
         x = rng.normal(size=(batch, length, d_model))
-        with no_grad():
-            full = encoder(Tensor(x), mask=causal_mask(length)).data
-            state = encoder.init_state()
-            incremental = []
-            for t in range(length):
-                step_mask = np.zeros((1, t + 1))
-                out = encoder(Tensor(x[:, t : t + 1, :]), mask=step_mask, state=state)
-                incremental.append(out.data[:, 0, :])
+        full = graph_forward(module, x, causal_mask(length))
+        np.testing.assert_allclose(
+            program.encode(x, causal_mask(length)), full, rtol=RTOL, atol=ATOL
+        )
+        state = DecodingState(3)
+        incremental = []
+        for t in range(length):
+            step_mask = np.zeros((1, t + 1))
+            out = program.encode(x[:, t : t + 1, :], step_mask, caches=state.layers)
+            incremental.append(out[:, 0, :])
+        assert state.length == length
         incremental = np.stack(incremental, axis=1)
         np.testing.assert_allclose(incremental, full, rtol=RTOL, atol=ATOL)
 
-    def test_block_incremental_after_prefix(self, encoder, rng):
+    def test_block_incremental_after_prefix(self, module, program, rng):
         """Encode a prefix once, then append several tokens in one step."""
         batch, prefix, suffix, d_model = 2, 4, 3, 8
         x = rng.normal(size=(batch, prefix + suffix, d_model))
-        with no_grad():
-            full = encoder(Tensor(x), mask=causal_mask(prefix + suffix)).data
-            state = encoder.init_state()
-            encoder(Tensor(x[:, :prefix, :]), mask=causal_mask(prefix), state=state)
-            step_mask = causal_mask(prefix + suffix)[prefix:, :]
-            out = encoder(Tensor(x[:, prefix:, :]), mask=step_mask, state=state).data
+        full = graph_forward(module, x, causal_mask(prefix + suffix))
+        state = DecodingState(3)
+        program.encode(x[:, :prefix, :], causal_mask(prefix), caches=state.layers)
+        step_mask = causal_mask(prefix + suffix)[prefix:, :]
+        out = program.encode(x[:, prefix:, :], step_mask, caches=state.layers)
         np.testing.assert_allclose(out, full[:, prefix:, :], rtol=RTOL, atol=ATOL)
 
-    def test_reordered_rows_decode_like_reordered_batch(self, encoder, rng):
+    def test_reordered_rows_decode_like_reordered_batch(self, module, program, rng):
         """Beam-style row gather: duplicated/pruned rows keep exact parity."""
         x = rng.normal(size=(3, 4, 8))
         gather = np.array([2, 0, 2])
         new = rng.normal(size=(3, 1, 8))
         reordered = np.concatenate([x[gather], new], axis=1)
-        with no_grad():
-            full = encoder(Tensor(reordered), mask=causal_mask(5)).data
-            state = encoder.init_state()
-            encoder(Tensor(x), mask=causal_mask(4), state=state)
-            state.reorder(gather)
-            out = encoder(Tensor(new), mask=np.zeros((1, 5)), state=state).data
+        full = graph_forward(module, reordered, causal_mask(5))
+        state = DecodingState(3)
+        program.encode(x, causal_mask(4), caches=state.layers)
+        state.reorder(gather)
+        out = program.encode(new, np.zeros((1, 5)), caches=state.layers)
         np.testing.assert_allclose(out[:, 0, :], full[:, -1, :], rtol=RTOL, atol=ATOL)
+
+    def test_arena_views_attend_in_place(self, program, rng):
+        """``block`` reads the arena views as ``prefix_kv`` and leaves them untouched."""
+        layer = program.layers[0]
+        x = rng.normal(size=(2, 5, 8))
+        _, keys, values = inference.block(layer, x[:, :4], causal_mask(4))
+        cache = LayerKVCache()
+        cache.extend(keys, values)
+        before = cache.keys.copy()
+        stepped, _, _ = inference.block(
+            layer, x[:, 4:], np.zeros((1, 5)), prefix_kv=(cache.keys, cache.values)
+        )
+        full, _, _ = inference.block(layer, x, causal_mask(5))
+        np.testing.assert_allclose(stepped[:, 0], full[:, -1], rtol=RTOL, atol=ATOL)
+        np.testing.assert_array_equal(cache.keys, before)
+        assert cache.length == 4
 
 
 class TestSingleLayerObjectiveParity:
@@ -245,39 +295,38 @@ class TestSingleLayerObjectiveParity:
         """PIM-like masks (prefix attends a moving final column) are exact
         incrementally when the stack has a single layer: its K/V are
         projections of the fixed input embeddings."""
-        encoder = TransformerEncoder(num_layers=1, d_model=8, num_heads=2, dropout=0.0, rng=1)
-        encoder.eval()
+        module = decoder_module(num_layers=1, seed=1)
+        program = inference.compile(module)
         batch, prefix = 2, 5
         x = rng.normal(size=(batch, prefix + 2, 8))  # prefix + new token + objective
         length = prefix + 2
         mask = causal_mask(length)
         mask[: length - 1, length - 1] = 0.7  # reveal the objective column
-        with no_grad():
-            full = encoder(Tensor(x), mask=mask, state=None).data
-            state = encoder.init_state()
-            init_mask = causal_mask(prefix)
-            encoder(Tensor(x[:, :prefix, :]), mask=init_mask, state=state, persist=prefix)
-            step_mask = mask[prefix:, :]
-            out = encoder(Tensor(x[:, prefix:, :]), mask=step_mask, state=state, persist=1).data
+        full = graph_forward(module, x, mask)
+        state = DecodingState(1)
+        program.encode(x[:, :prefix, :], causal_mask(prefix), caches=state.layers, persist=prefix)
+        out = program.encode(x[:, prefix:, :], mask[prefix:, :], caches=state.layers, persist=1)
         np.testing.assert_allclose(out, full[:, prefix:, :], rtol=RTOL, atol=ATOL)
 
     def test_transient_column_not_cached(self, rng):
-        encoder = TransformerEncoder(num_layers=1, d_model=8, num_heads=2, dropout=0.0, rng=1)
-        encoder.eval()
-        state = encoder.init_state()
+        program = inference.compile(decoder_module(num_layers=1, seed=1))
+        state = DecodingState(1)
         x = rng.normal(size=(1, 3, 8))
-        with no_grad():
-            encoder(Tensor(x), mask=causal_mask(3), state=state, persist=2)
+        program.encode(x, causal_mask(3), caches=state.layers, persist=2)
         assert state.length == 2
 
 
 class TestGradGuard:
-    def test_kv_cache_requires_no_grad(self, encoder, rng):
-        state = encoder.init_state()
-        with pytest.raises(ConfigurationError):
-            encoder(Tensor(rng.normal(size=(1, 2, 8))), mask=causal_mask(2), state=state)
+    def test_graph_forward_takes_no_decoding_state(self, module, rng):
+        """K/V caches belong to the compiled program; the graph forward — the
+        training path — has no parameter to hand one to."""
+        x = Tensor(rng.normal(size=(1, 2, 8)))
+        with pytest.raises(TypeError):
+            module.decoder(x, mask=causal_mask(2), state=DecodingState(3))
+        with pytest.raises(TypeError):
+            module.decoder.layers[0](x, mask=causal_mask(2), kv_cache=LayerKVCache())
 
-    def test_layer_count_mismatch_raises(self, encoder, rng):
-        state = DecodingState(2)  # encoder has 3 layers
-        with no_grad(), pytest.raises(ConfigurationError):
-            encoder(Tensor(rng.normal(size=(1, 2, 8))), mask=causal_mask(2), state=state)
+    def test_layer_count_mismatch_raises(self, program, rng):
+        state = DecodingState(2)  # the program has 3 layers
+        with pytest.raises(ConfigurationError):
+            program.encode(rng.normal(size=(1, 2, 8)), causal_mask(2), caches=state.layers)

@@ -17,9 +17,16 @@ import pytest
 from repro.core.beam import BeamSearchPlanner
 from repro.core.irn import IRN
 from repro.evaluation.protocol import sample_objectives
-from repro.perf.bench import ForwardCounter, ScalarOnlyBackbone
+from repro.perf.bench import ScalarOnlyBackbone
 
 RTOL, ATOL = 1e-7, 1e-8
+
+
+def forwards(irn: IRN, fn) -> int:
+    """Forwards ``fn`` costs: ``decode_stats`` counts one per scoring call."""
+    before = irn.decode_stats.snapshot()["forwards"]
+    fn()
+    return irn.decode_stats.snapshot()["forwards"] - before
 
 
 @pytest.fixture(scope="module")
@@ -82,9 +89,7 @@ class TestObjectiveScoringParity:
     def test_single_batch_uses_one_forward(self, irn, ragged_cases):
         sequences = [case[0] for case in ragged_cases]
         objectives = [case[1] for case in ragged_cases]
-        with ForwardCounter(irn.module) as counter:
-            irn.score_with_objective_batch(sequences, objectives)
-        assert counter.count == 1
+        assert forwards(irn, lambda: irn.score_with_objective_batch(sequences, objectives)) == 1
 
 
 class TestNextItemScoringParity:
@@ -132,12 +137,17 @@ class TestGreedyRolloutParity:
         instances = sample_objectives(tiny_split, min_objective_interactions=2, max_instances=6)
         histories = [list(inst.history) for inst in instances]
         objectives = [inst.objective for inst in instances]
-        with ForwardCounter(irn.module) as scalar_counter:
-            for history, objective in zip(histories, objectives):
+        scalar = forwards(
+            irn,
+            lambda: [
                 irn.generate_path(history, objective, max_length=6)
-        with ForwardCounter(irn.module) as batched_counter:
-            irn.generate_paths_batch(histories, objectives, max_length=6)
-        assert batched_counter.count < scalar_counter.count
+                for history, objective in zip(histories, objectives)
+            ],
+        )
+        batched = forwards(
+            irn, lambda: irn.generate_paths_batch(histories, objectives, max_length=6)
+        )
+        assert batched < scalar
 
 
 class TestBeamParity:
@@ -184,12 +194,17 @@ class TestBeamParity:
         histories = [list(inst.history) for inst in instances]
         objectives = [inst.objective for inst in instances]
         users = [inst.user_index for inst in instances]
-        with ForwardCounter(irn.module) as scalar_counter:
-            for history, objective, user in zip(histories, objectives, users):
+        scalar_forwards = forwards(
+            irn,
+            lambda: [
                 scalar.plan_path(history, objective, user_index=user, max_length=8)
-        with ForwardCounter(irn.module) as batched_counter:
-            batched.plan_paths_batch(histories, objectives, users, max_length=8)
-        assert batched_counter.count * 4 <= scalar_counter.count
+                for history, objective, user in zip(histories, objectives, users)
+            ],
+        )
+        batched_forwards = forwards(
+            irn, lambda: batched.plan_paths_batch(histories, objectives, users, max_length=8)
+        )
+        assert batched_forwards * 4 <= scalar_forwards
 
 
 class TestBatchValidation:

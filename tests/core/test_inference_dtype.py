@@ -1,8 +1,10 @@
-"""The opt-in float32 inference mode: resolution, scoping and parity.
+"""The opt-in float32 inference mode: resolution and parity.
 
-Float32 applies to the fused attention compute and the K/V arenas only;
-parameters and the autograd graph stay float64, so scores differ from the
-float64 reference by single-precision roundoff.  The documented tolerance
+Float32 is a property of the compiled inference program
+(:mod:`repro.nn.inference`): weights, tables and K/V arenas are cast once at
+compile, masks where they are used; the module's parameters and the autograd
+graph stay float64, so scores differ from the float64 reference by
+single-precision roundoff.  The documented tolerance
 (see :func:`repro.nn.tensor.resolve_inference_dtype`) is ``5e-4`` absolute
 on logits; beam plans must be identical at the default beam widths on the
 test corpus (argmax/top-k selections sit far enough from ties — a corpus
@@ -17,12 +19,7 @@ import pytest
 
 from repro.core.beam import BeamSearchPlanner
 from repro.core.irn import IRN
-from repro.nn.tensor import (
-    INFERENCE_DTYPE_ENV,
-    inference_dtype,
-    inference_dtype_scope,
-    resolve_inference_dtype,
-)
+from repro.nn.tensor import INFERENCE_DTYPE_ENV, resolve_inference_dtype
 from repro.utils.exceptions import ConfigurationError
 
 LOGIT_TOL = 5e-4
@@ -57,29 +54,6 @@ class TestResolveInferenceDtype:
     def test_explicit_value_beats_environment(self, monkeypatch):
         monkeypatch.setenv(INFERENCE_DTYPE_ENV, "float32")
         assert resolve_inference_dtype("float64") == np.float64
-
-
-class TestInferenceDtypeScope:
-    def test_sets_and_restores(self):
-        assert inference_dtype() == np.float64
-        with inference_dtype_scope("float32"):
-            assert inference_dtype() == np.float32
-            with inference_dtype_scope("float64"):
-                assert inference_dtype() == np.float64
-            assert inference_dtype() == np.float32
-        assert inference_dtype() == np.float64
-
-    def test_none_leaves_current_dtype(self):
-        with inference_dtype_scope("float32"):
-            with inference_dtype_scope(None):
-                assert inference_dtype() == np.float32
-        assert inference_dtype() == np.float64
-
-    def test_restores_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with inference_dtype_scope("float32"):
-                raise RuntimeError("boom")
-        assert inference_dtype() == np.float64
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +103,24 @@ class TestFloat32ScoringParity:
             approx[finite], reference[finite], rtol=0, atol=LOGIT_TOL
         )
         assert np.max(np.abs(approx[finite] - reference[finite])) > 0  # really ran f32
+
+    def test_each_dtype_runs_its_own_program(self, parity_irn, tiny_split):
+        """float64 → float32 → float64 on one model: the third answer is the
+        first bit for bit (no program is reused across dtypes)."""
+        sequences, objectives, users = contexts_for(tiny_split)
+        answers = []
+        try:
+            for name in ("float64", "float32", "float64"):
+                parity_irn.inference_dtype = resolve_inference_dtype(name)
+                assert parity_irn._program().dtype == np.dtype(name)
+                answers.append(
+                    parity_irn.score_with_objective_batch(sequences, objectives, users)
+                )
+        finally:
+            parity_irn.inference_dtype = resolve_inference_dtype("float64")
+        assert np.array_equal(answers[0], answers[2])
+        assert not np.array_equal(answers[0], answers[1])
+        assert all(scores.dtype == np.float64 for scores in answers)  # the API's dtype
 
     def test_score_next_batch_within_tolerance(self, parity_irn, tiny_split):
         sequences, _, users = contexts_for(tiny_split)

@@ -1,8 +1,8 @@
-"""Exactness of the two savings in IRN's no-grad scoring forward.
+"""Exactness of the two savings in IRN's compiled inference forward.
 
-* **One-query final layer** — the inference forward computes only the
-  column(s) its caller gathers.  Oracle: the *graph* forward (grad enabled,
-  full ``(B, L, V)`` logits) gathered at the same columns.
+* **One-query final layer** — the inference program computes only the
+  column(s) its caller gathers (``queries=``).  Oracle: the *graph* forward
+  (grad enabled, full ``(B, L, V)`` logits) gathered at the same columns.
 * **Beam-shared history** — an objective session on a stack where prefix
   reuse across depths is not exact encodes each live root's history once per
   depth.  Property: whatever ``select`` does to the rows, every advance
@@ -23,8 +23,7 @@ from repro.core.beam import BeamSearchPlanner
 from repro.core.irn import IRN
 from repro.core.pim import MaskType
 from repro.evaluation.protocol import sample_objectives
-from repro.nn.tensor import no_grad, resolve_inference_dtype
-from repro.utils.exceptions import ConfigurationError
+from repro.nn.tensor import resolve_inference_dtype
 
 RTOL, ATOL = 1e-7, 1e-8  # the documented batching tolerance
 FLOAT32_TOL = 5e-4
@@ -215,32 +214,41 @@ class TestOneQueryFinalLayer:
         rows = [[5], [3, 9, 4, 7], [2, 6, 8, 10, 12, 14, 1]]  # objective last, ragged
         items, positions, _ = irn._right_align(rows)
         users = np.asarray([0, 3, 7])
-        kwargs = dict(
+        graph = module(  # grad enabled: the training path
+            items,
+            users,
             mask_type=irn.mask_type,
             objective_weight=irn.objective_weight * irn.objective_logit_scale,
             history_weight=irn.history_weight,
             positions=positions,
         )
-        graph = module(items, users, **kwargs)  # grad enabled: the training path
         assert graph.requires_grad and graph.shape == (3, items.shape[1], irn.vocab_size)
-        candidates = np.asarray([1, 4, 9, 16, 25])
+        program = irn._program()
+        mask = irn._pim(program, items, users)
+        shared = np.asarray([1, 4, 9, 16, 25])  # one shortlist for the batch
+        per_row = np.stack([shared, shared[::-1], shared + 1])  # one per row
         for columns in (np.asarray([items.shape[1] - 2]), np.asarray([0, items.shape[1] - 1])):
-            with no_grad():
-                full = module(items, users, query_columns=columns, **kwargs)
-                pruned = module(
-                    items, users, query_columns=columns, output_items=candidates, **kwargs
-                )
+            hidden = program.encode(program.embed(items, positions), mask, queries=columns)
+            # the final layer answered only the named queries of each row
+            assert hidden.shape == (3, len(columns), irn.embedding_dim)
+            expected = graph.data[:, columns]
+            full = program.project(hidden)
             assert full.shape == (3, len(columns), irn.vocab_size)
-            np.testing.assert_allclose(full.data, graph.data[:, columns], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(full, expected, rtol=0, atol=1e-10)
             np.testing.assert_allclose(
-                pruned.data, graph.data[:, columns][:, :, candidates], rtol=0, atol=1e-10
+                program.project(hidden, shared), expected[:, :, shared], rtol=0, atol=1e-10
             )
-        # the final layer answered one query per row
-        attention = module.decoder.layers[-1].attention.last_attention
-        assert attention.shape == (3, irn.num_heads, 2, items.shape[1])
+            np.testing.assert_allclose(
+                program.project(hidden, per_row),
+                np.take_along_axis(expected, per_row[:, None, :], axis=2),
+                rtol=0,
+                atol=1e-10,
+            )
 
-    def test_refuses_to_run_under_grad(self, models):
+    def test_graph_forward_takes_no_query_columns(self, models):
+        """Naming the queries is the compiled program's business; the graph
+        forward — the training path and the oracle — is always the full one."""
         irn = models(2, MaskType.PERSONALIZED)
         items, positions, _ = irn._right_align([[3, 9, 4]])
-        with pytest.raises(ConfigurationError, match="inference-only"):
+        with pytest.raises(TypeError):
             irn.module(items, np.asarray([0]), positions=positions, query_columns=slice(-2, -1))

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.beam import BeamSearchPlanner
+from repro.core.irn import IRN
 from repro.distributed import RemoteReplicaSet
 from repro.serve.request import ServeRequest
 from repro.utils.exceptions import ServingError
 
-from tests.distributed.conftest import HEARTBEAT_INTERVAL
+from tests.distributed.conftest import _IRN_KWARGS, HEARTBEAT_INTERVAL, MAX_LENGTH
 
 
 class TestRemoteRefit:
@@ -62,6 +64,57 @@ class TestRemoteRefit:
         assert stats["generation"] == 2
         assert stats["retired_replicas"] == 2
         assert stats["refits"] == [report]
+
+    def test_refit_to_different_weights_answers_like_those_weights(
+        self, tiny_split, remote_contexts
+    ):
+        """Generation 2 trained from another seed: after the flip the fleet
+        answers exactly like an in-process planner over generation-2 weights.
+
+        The test above cannot see a stale compiled inference program
+        (its generation 2 is bit-identical to 1).  Here every planner the
+        factory hands out has already planned — so the standby workers are
+        forked holding a compiled program, and the authoritative wire copy
+        is then loaded *under* it by ``Module.load_state_dict``, which does
+        not bump ``fit_generation``.
+        """
+
+        def planner_for(seed: int) -> BeamSearchPlanner:
+            irn = IRN(**{**_IRN_KWARGS, "seed": seed}).fit(tiny_split)
+            planner = BeamSearchPlanner(irn, max_length=MAX_LENGTH).fit(tiny_split)
+            planner.plan_path(*remote_contexts[0][:2], user_index=remote_contexts[0][2])
+            planner.invalidate_caches()
+            return planner
+
+        seeds = iter((0, 1))
+        expected = {
+            seed: [
+                planner_for(seed).plan_path(history, objective, user_index=user)
+                for history, objective, user in remote_contexts
+            ]
+            for seed in (0, 1)
+        }
+        assert expected[0] != expected[1]  # the generations really differ
+
+        def ask(remote_set):
+            futures = [
+                remote_set.enqueue(
+                    ServeRequest.create("plan_paths", history, objective, user_index=user)
+                )
+                for history, objective, user in remote_contexts
+            ]
+            return [future.result(timeout=30) for future in futures]
+
+        with RemoteReplicaSet(
+            lambda: planner_for(next(seeds)),
+            num_replicas=2,
+            heartbeat_interval=HEARTBEAT_INTERVAL,
+        ) as remote_set:
+            assert ask(remote_set) == expected[0]
+            report = remote_set.refit()
+            assert ask(remote_set) == expected[1]
+        assert report["generation_to"] == 2
+        assert [a["name"] for a in report["artifacts"]] == ["model_weights"]
 
     def test_refit_versions_generator_state_for_retrieval_planners(
         self, make_factory, remote_contexts
