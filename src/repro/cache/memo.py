@@ -99,6 +99,11 @@ class PlanCache:
         return self._counters.value("invalidations")
 
     # ------------------------------------------------------------------ #
+    @property
+    def capacity(self) -> int:
+        """How many entries fit (``maxsize``; the sharded façade's may be larger)."""
+        return self.maxsize
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._data)
@@ -132,6 +137,12 @@ class PlanCache:
             self._data.move_to_end(key)
             self._counters.record(add={"hits": 1})
             return value
+
+    def peek(self, key: Hashable):
+        """The cached value or ``None`` — counting nothing and leaving the
+        entry's recency alone (an observer's read, not a lookup)."""
+        with self._lock:
+            return self._data.get(key)
 
     def put(self, key: Hashable, value) -> None:
         """Insert/refresh an entry, evicting the least recently used beyond ``maxsize``."""

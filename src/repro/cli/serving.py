@@ -293,6 +293,10 @@ def run_serve_sim(args: argparse.Namespace, knobs: dict) -> int:
             f"transport: process ({knobs['num_replicas']} worker(s), "
             f"heartbeat every {knobs['heartbeat_interval']}s), "
             f"{stats.get('requests_sent', 0)} request(s) shipped, "
+            f"{stats.get('parent_answered', 0)} resident step(s) answered in the "
+            f"parent from mirrored plans and "
+            f"{report['resident'] - stats.get('parent_answered', 0)} at the workers' "
+            f"admission, "
             f"{stats.get('heartbeats', 0)} heartbeat(s), "
             f"{stats.get('redispatched', 0)} re-dispatched"
         )

@@ -1041,6 +1041,26 @@ class BeamSearchPlanner(InfluentialRecommender):
         self._serving_metrics.record(add={"hits": 1})
         return int(plan[served]) if len(plan) > served else None
 
+    def resident_plan(
+        self,
+        history: "tuple[int, ...]",
+        objective: int,
+        user_index: "int | None" = None,
+    ) -> "tuple[int, ...] | None":
+        """The serving-cache plan of one context, or ``None`` — an
+        observer's peek: no counter moves and the entry's recency stays
+        where it was.  The process transport reads it right after answering
+        a ``next_step`` to mirror the plan on the fleet's parent.  Takes the
+        context normalised as :meth:`serve_resident` does."""
+        return self._step_cache.peek(
+            (history, objective, user_index, self.max_length, self._retrieval_key())
+        )
+
+    @property
+    def resident_slots(self) -> int:
+        """How many contexts' plans :meth:`resident_plan` can hold at once."""
+        return self._step_cache.capacity
+
     # ------------------------------------------------------------------ #
     # InfluentialRecommender interface
     # ------------------------------------------------------------------ #

@@ -38,6 +38,57 @@ What replaces the shared-memory signals of the in-process set:
   frames (checksummed; the wire copy is authoritatively loaded into each
   standby's backbone); the shared coordinator then performs the same
   atomic dispatcher flip and zero-drop drain-dry retirement as in-process.
+* **A parent-side mirror of each worker's plans** — a step served from an
+  existing plan is the commonest op (a path is followed one ``next_step`` at
+  a time), and it must not pay two process-boundary crossings.  A worker
+  answers every successful ``next_step`` with *the plan that answered it*
+  (its serving cache's entry for the context, peeked; see
+  :mod:`repro.distributed.wire`), the parent reads the answer off the plan
+  at ``len(path_so_far)``, and the worker's :class:`RemoteReplica` keeps
+  the plan under ``request.routing_key()`` in an LRU as large as the
+  worker's serving caches (HELLO's ``resident_slots``).
+  :meth:`RemoteReplica.accept` then answers a ``next_step`` whose mirrored
+  plan has its ``path_so_far`` as a prefix **on the calling thread** —
+  stamped once through :meth:`Response.stamp
+  <repro.serve.api.Response.stamp>` at the generation the worker served
+  the plan at, with a batch tag of its own, counted (``parent_answered``)
+  and traced like the serving loop's resident lane — and ships everything
+  else exactly as before.  Three invariants:
+
+  1. *Order.*  While a ``next_step`` of a context is on the wire, later
+     ``next_step``s of that context go to the wire behind it (one socket,
+     and the worker's own pending-replan rule, keep them FIFO); the
+     in-flight count drops just before the answered request's future
+     resolves, so the session's very next step can be answered here.
+  2. *The mirror is the worker's entry or nothing.*  A ``next_step``
+     response replaces its context's entry with the plan it carried, or
+     drops the entry when it carried none (an error, a plain answer, a
+     model that keeps no plans).  Late duplicates of re-dispatched requests
+     write nothing; when a handle's pending work is drained for
+     re-dispatch (suspicion, death, a send failure) its mirror is cleared
+     with it; and the mirror is read only while the replica is healthy.
+  3. *Answers are the worker's.*  Whenever no serving cache evicts a live
+     session's context — every parity suite, every benchmark workload —
+     answers, ``served_generation`` and per-context generation
+     monotonicity are what the worker itself would have produced.  Under
+     eviction pressure the caveat class of ``MAX_PINNED_SESSIONS`` applies:
+     a session may replan mid-way, and *which* request triggers it may
+     differ, because the worker's LRU no longer sees the hits.
+
+  The mirror lives on the **member**, not on the fleet, because a
+  :class:`RemoteReplica` is one worker at one generation for its whole
+  life: a ``(tenant, context, generation)`` key is implicit.  A refit flips
+  in new handles with empty mirrors (every session replans once on the new
+  generation, as the dispatcher's affinity reset already demands); a dead,
+  suspected or retiring worker leaves dispatch and takes its mirror with
+  it; tenant placement, untenanted requests (the worker's tenant
+  assignment is a pure function of the same routing key) and session
+  affinity need nothing new — the fleet's ``_admit`` and
+  :meth:`Dispatcher.pick <repro.replica.dispatch.Dispatcher.pick>` run
+  before ``accept`` as they always did.  One consequence for tenants: a
+  binding's ``max_inflight`` is enforced inside the worker, so it bounds
+  work that *reaches* a worker — a step answered here is never in flight
+  there and holds no slot.
 
 Clock discipline (the cross-process timestamp fix): the parent stamps
 ``enqueued_at`` at send time and ``completed_at`` at response receipt —
@@ -59,6 +110,7 @@ import logging
 import queue
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import Future
 from typing import Callable, Sequence
 
@@ -73,12 +125,14 @@ from repro.distributed.artifacts import ArtifactRegistry, artifacts_from_planner
 from repro.distributed.wire import FrameType
 from repro.distributed.worker import HELLO_TIMEOUT, ReplicaWorker, spawn_worker
 from repro.obs.registry import MetricGroup, get_registry
+from repro.obs.trace import NULL_TRACER
 from repro.replica.dispatch import Dispatcher
 from repro.replica.replica import LATENCY_WEIGHT, MIN_WARM_SAMPLES
 from repro.replica.set import ReplicaSet
 from repro.serve.api import Response
 from repro.serve.request import ServeRequest
 from repro.shard.config import fork_available
+from repro.tenant.registry import assign_tenant
 from repro.utils.exceptions import ConfigurationError, ServingError
 
 __all__ = ["RemoteReplica", "RemoteReplicaSet"]
@@ -90,6 +144,11 @@ logger = logging.getLogger(__name__)
 STATS_TIMEOUT = 5.0
 #: Seconds to wait for an artifact-install ACK during a refit.
 ARTIFACT_TIMEOUT = 60.0
+
+#: Batch tags of steps answered in the parent — process-wide like the
+#: loops' own, from a range no worker's drain reaches (those count up from 1
+#: in each process), so ``(replica_index, batch_tag)`` still names one batch.
+_PARENT_TAGS = itertools.count(1 << 62)
 
 
 class _PlannerProxy:
@@ -105,17 +164,23 @@ class _PlannerProxy:
 
 
 class RemoteReplica:
-    """Parent-side view of one worker: pending table + heartbeat signals.
+    """Parent-side view of one worker: pending table, plan mirror and
+    heartbeat signals.
 
     Implements the :class:`~repro.replica.replica.Replica` surface the
     fleet core drives and the :class:`~repro.replica.dispatch.Dispatcher`
     scores and routes by — fed by HEARTBEAT frames instead of
     shared-memory counters.  ``metrics`` is the owning set's transport
     counter group (``requests_sent`` / ``bytes_sent`` are counted where the
-    bytes are written).
+    bytes are written, ``parent_answered`` where a step is answered from
+    the mirror) and ``tracer`` its tracer.  :meth:`accept` is the only place
+    the mirror is read, :meth:`unregister` (and the wholesale clear in
+    :meth:`drain_pending`) the only place it is written.
     """
 
-    def __init__(self, worker: ReplicaWorker, slot: int, metrics: MetricGroup) -> None:
+    def __init__(
+        self, worker: ReplicaWorker, slot: int, metrics: MetricGroup, tracer=NULL_TRACER
+    ) -> None:
         self.worker = worker
         self.index = worker.index
         self.generation = worker.generation
@@ -125,11 +190,23 @@ class RemoteReplica:
         self.slot = slot
         self.spawned_at = time.perf_counter()
         self._metrics = metrics
+        self._tracer = tracer
         self._lock = threading.Lock()
         #: Request ids only have to be unique per worker: they key THIS
         #: pending table and come back in this worker's response rows.
         self._request_ids = itertools.count(1)
         self._pending: "dict[int, ServeRequest]" = {}
+        #: The mirror: routing key -> ``(plan, generation, tenant)`` — the
+        #: worker's serving-cache entry as its last ``next_step`` response
+        #: showed it, with the generation that response was stamped with —
+        #: least recently used first; bounded by the HELLO's slot count.
+        self._plans: "OrderedDict[tuple, tuple]" = OrderedDict()
+        self._plan_slots = 0
+        #: routing key -> ``next_step`` requests of that context on the wire.
+        self._steps_on_wire: "dict[tuple, int]" = {}
+        #: tenant (``None``: a single-tenant worker) -> steps answered here.
+        self._parent_answered: "dict[str | None, int]" = {}
+        self._tenant_names: "tuple[str, ...]" = ()
         self._dead = False
         self._suspected = False
         self._retiring = False
@@ -192,16 +269,44 @@ class RemoteReplica:
         """No-op: a worker's drain threads are live from the fork."""
 
     def accept(self, request: ServeRequest) -> None:
-        """Ship one dispatched request to the worker.
+        """Answer a ``next_step`` the mirror covers on this thread; ship
+        anything else to the worker.
 
-        The pending-table registration happens BEFORE the send so a fast
-        response can never race its own bookkeeping; a send failure
-        unregisters and raises — the request was never accepted anywhere,
-        so no duplicate can exist.
+        The mirror is read here and nowhere else, under the lock that also
+        registers a request for the wire — so a step either finds its
+        context's plan with none of the context's steps in flight, or is
+        counted in flight before any later step of the context looks.  An
+        unhealthy replica's mirror is not consulted: the request takes the
+        wire path (and its failure handling) unchanged.
+
+        On the wire path the pending-table registration happens BEFORE the
+        send so a fast response can never race its own bookkeeping; a send
+        failure unregisters and raises — the request was never accepted
+        anywhere, so no duplicate can exist.
         """
-        request_id = next(self._request_ids)
+        started = time.perf_counter()
+        key = request.routing_key() if request.kind == "next_step" else None
+        plan = None
         with self._lock:
-            self._pending[request_id] = request
+            if key is not None and key not in self._steps_on_wire and not (
+                self._dead or self._suspected or self._retiring
+            ):
+                entry = self._plans.get(key)
+                if entry is not None and (
+                    entry[0][: len(request.path_so_far)] == request.path_so_far
+                ):
+                    plan, generation, tenant = entry
+                    self._plans.move_to_end(key)
+                    self._completed += 1
+                    self._parent_answered[tenant] = self._parent_answered.get(tenant, 0) + 1
+            if plan is None:
+                request_id = next(self._request_ids)
+                self._pending[request_id] = request
+                if key is not None:
+                    self._steps_on_wire[key] = self._steps_on_wire.get(key, 0) + 1
+        if plan is not None:
+            self._answer_from(plan, generation, request, started)
+            return
         # Parent-clock admission stamp (the satellite-1 fix): paired with
         # the parent-clock completed_at the reader writes.
         request.enqueued_at = time.perf_counter()
@@ -221,6 +326,36 @@ class RemoteReplica:
                 "admission", request.enqueued_at, time.perf_counter(), replica=self.index
             )
 
+    def _answer_from(self, plan: tuple, generation, request: ServeRequest, started: float) -> None:
+        """Complete a ``next_step`` from its context's mirrored plan: a
+        micro-batch of one at the generation the worker served that plan at
+        (one worker, one generation: what it would stamp itself), stamped,
+        counted and traced the way the serving loop's resident lane does."""
+        request.enqueued_at = started
+        Response.stamp(
+            request,
+            drain_started_at=started,
+            served_generation=generation,
+            batch_tag=next(_PARENT_TAGS),
+            replica_index=self.index,
+        )
+        self._metrics.record(add={"parent_answered": 1})
+        trace = request.trace
+        if trace is not None:
+            done = request.completed_at
+            trace.span(
+                "admission",
+                started,
+                done,
+                replica=self.index,
+                resident=True,
+                served_generation=generation,
+                batch_tag=request.batch_tag,
+            )
+            trace.span("cache.decision", started, done, outcome="hit")
+            self._tracer.finish(trace)
+        request.resolve(wire.plan_step(plan, request.path_so_far))
+
     def pending_count(self) -> int:
         with self._lock:
             return len(self._pending)
@@ -228,9 +363,27 @@ class RemoteReplica:
     def loop_stats(self) -> "dict | None":
         """The worker loop's ``stats()`` (one STATS round-trip; the last
         cached report once the worker is gone, ``None`` if it never sent
-        one)."""
+        one) with the steps this handle answered from the mirror counted in:
+        each was admitted by the fleet, served, and resident."""
         report = self.fetch_stats()
-        return None if report is None else report.get("loop")
+        loop = None if report is None else report.get("loop")
+        with self._lock:
+            answered = dict(self._parent_answered)
+        if loop is None or not answered:
+            return loop
+        total = sum(answered.values())
+        loop = dict(
+            loop,
+            served=loop["served"] + total,
+            resident=loop["resident"] + total,
+            admission=dict(loop["admission"], admitted=loop["admission"]["admitted"] + total),
+        )
+        if "tenants" in loop:
+            tenants = loop["tenants"] = dict(loop["tenants"])
+            for name, count in answered.items():
+                if name in tenants:
+                    tenants[name] = dict(tenants[name], served=tenants[name]["served"] + count)
+        return loop
 
     def begin_retire(self) -> None:
         """Leave dispatch and ask the worker to drain dry and exit."""
@@ -254,21 +407,60 @@ class RemoteReplica:
         if self.worker.alive():  # hung past the drain budget: reclaim it
             self.worker.kill()
             self.worker.join(timeout=5.0)
+        # The worker is gone, so its reader runs into EOF — after it has read
+        # everything the worker wrote last, its final stats report included.
+        self.reader.join(timeout=5.0)
         leftovers = self.drain_pending()
         self.worker.close()
-        self.reader.join(timeout=5.0)
         return leftovers
 
     # ----------------------------- pending table ----------------------- #
-    def unregister(self, request_id: int) -> "ServeRequest | None":
+    def unregister(
+        self, request_id: int, record: "wire.ResponseRecord | None" = None
+    ) -> "ServeRequest | None":
+        """Take one request off the pending table (answered by ``record``,
+        or never sent).
+
+        The one place the mirror is written: a ``next_step`` leaving the
+        table replaces its context's entry with the plan its response
+        carried, or drops the entry when it carried none, and
+        uncounts the context's in-flight step BEFORE the caller resolves the
+        future, so a session's next step can be answered here.  An id the
+        table no longer holds (a late duplicate of a re-dispatched request)
+        writes nothing.
+        """
         with self._lock:
-            return self._pending.pop(request_id, None)
+            request = self._pending.pop(request_id, None)
+            if request is not None and request.kind == "next_step":
+                key = request.routing_key()
+                left = self._steps_on_wire[key] - 1
+                if left:
+                    self._steps_on_wire[key] = left
+                else:
+                    del self._steps_on_wire[key]
+                if record is None or record.plan is None:
+                    self._plans.pop(key, None)
+                else:
+                    tenant = request.tenant
+                    if tenant is None and self._tenant_names:
+                        tenant = assign_tenant(self._tenant_names, key)
+                    self._plans[key] = (record.plan, record.served_generation, tenant)
+                    self._plans.move_to_end(key)
+                    while len(self._plans) > self._plan_slots:
+                        self._plans.popitem(last=False)
+        return request
 
     def drain_pending(self) -> "list[ServeRequest]":
-        """Remove and return every in-flight request (the re-dispatch set)."""
+        """Remove and return every in-flight request (the re-dispatch set).
+
+        The mirror goes with them: whatever the worker still answers of
+        these arrives as late duplicates that update nothing, so no entry
+        can be trusted to be the worker's any more."""
         with self._lock:
             pending = list(self._pending.values())
             self._pending.clear()
+            self._steps_on_wire.clear()
+            self._plans.clear()
         return pending
 
     # ----------------------------- health transitions ------------------ #
@@ -344,6 +536,13 @@ class RemoteReplica:
             self._stats_event.wait(timeout)
             return self._stats_cache
 
+    def on_hello(self, hello: dict) -> None:
+        """The worker's HELLO: identity, and what sizes the mirror."""
+        self.hello = self.worker.hello = hello
+        self._plan_slots = int(hello.get("resident_slots", 0))
+        self._tenant_names = tuple(hello.get("tenants", ()))
+        self.hello_event.set()
+
     def _on_stats_response(self, payload: dict) -> None:
         self._stats_cache = payload
         self._stats_event.set()
@@ -364,6 +563,8 @@ class RemoteReplica:
                 "dispatched": self._dispatched,
                 "completed": self._completed,
                 "pending": len(self._pending),
+                "parent_answered": sum(self._parent_answered.values()),
+                "mirrored_plans": len(self._plans),
                 "heartbeats": self._heartbeats,
                 "last_heartbeat_age_ms": round(age_ms, 3),
             }
@@ -437,6 +638,8 @@ class RemoteReplicaSet(ReplicaSet):
             counters=(
                 "requests_sent",
                 "responses",
+                "plans_received",
+                "parent_answered",
                 "duplicate_responses",
                 "redispatched",
                 "heartbeats",
@@ -544,7 +747,7 @@ class RemoteReplicaSet(ReplicaSet):
             ],
             tenant_factory=self._tenant_factory,
         )
-        replica = RemoteReplica(worker, slot, self._metrics)
+        replica = RemoteReplica(worker, slot, self._metrics, self.tracer)
         replica.reader = threading.Thread(
             target=self._reader_loop,
             args=(replica,),
@@ -632,9 +835,7 @@ class RemoteReplicaSet(ReplicaSet):
             elif frame_type == FrameType.HEARTBEAT:
                 self._on_heartbeat(replica, wire.decode_heartbeat(payload))
             elif frame_type == FrameType.HELLO:
-                replica.hello = wire.decode_json(payload)
-                replica.worker.hello = replica.hello
-                replica.hello_event.set()
+                replica.on_hello(wire.decode_json(payload))
             elif frame_type == FrameType.STATS_RESPONSE:
                 replica._on_stats_response(wire.decode_json(payload))
             elif frame_type == FrameType.ARTIFACT_ACK:
@@ -647,7 +848,7 @@ class RemoteReplicaSet(ReplicaSet):
                 )
 
     def _complete(self, replica: RemoteReplica, record: "wire.ResponseRecord") -> None:
-        request = replica.unregister(record.request_id)
+        request = replica.unregister(record.request_id, record)
         if request is None or request.future.done():
             # A request this parent re-dispatched after suspecting the
             # worker: the survivor's answer won (or will win) — this late
@@ -655,7 +856,11 @@ class RemoteReplicaSet(ReplicaSet):
             self._metrics.record(add={"duplicate_responses": 1})
             return
         replica.on_complete()
-        self._metrics.record(add={"responses": 1})
+        self._metrics.record(
+            add={"responses": 1}
+            if record.plan is None
+            else {"responses": 1, "plans_received": 1}
+        )
         # Parent-clock completion stamp: driver latencies subtract two
         # parent-clock instants and can never go negative, however far the
         # worker's perf_counter epoch sits from ours (the satellite-1 fix).
@@ -695,7 +900,12 @@ class RemoteReplicaSet(ReplicaSet):
                 served_generation=record.served_generation,
             )
             self.tracer.finish(trace)
-        request.resolve(record.answer)
+        if record.plan is None:
+            request.resolve(record.answer)
+        else:
+            # The worker shipped the plan that answered, of which this
+            # request's own path is a prefix: read the answer off it.
+            request.resolve(wire.plan_step(record.plan, request.path_so_far))
 
     def _on_heartbeat(self, replica: RemoteReplica, hb: "wire.HeartbeatRecord") -> None:
         rejoined = replica.record_heartbeat(
@@ -807,7 +1017,10 @@ class RemoteReplicaSet(ReplicaSet):
     def stats(self) -> dict:
         """``ReplicaSet.stats()`` plus the placement view and a
         ``transport`` section (wire counters, failure-detector verdicts,
-        artifact registry history)."""
+        artifact registry history).  Steps answered in the parent are in
+        ``served`` / ``resident`` / ``tenants[name]["served"]`` like any
+        other (each member's :meth:`RemoteReplica.loop_stats` counts its
+        own in); ``transport["parent_answered"]`` says how many they were."""
         report = super().stats()
         report["transport_kind"] = "process"
         if self.tenant_placement:

@@ -16,7 +16,30 @@ own epoch), so a worker-side ``enqueued_at`` compared against a
 parent-side ``completed_at`` would produce garbage latencies — negative or
 off by the processes' epoch skew.  A response record therefore ships the
 worker-measured queue-wait and service *durations*; the parent stamps
-arrival/completion on its own clock.
+arrival/completion on its own clock.  A request's ``deadline`` follows the
+same rule: the record carries the *budget left* when it was packed
+(``inf`` = no deadline) and the decoder turns it back into an instant of
+its own clock, so ``deadline`` means the same on every transport — the
+worker loop's admission refuses an expired request with the typed error
+that already round-trips (``QueueFullError``).
+
+Record layouts (network order; the ``struct`` formats live next to the
+codecs below):
+
+* **request** — ``id kind objective user max_length hist_len path_len
+  tenant_len budget_s``, then the history and path items as i64 and the
+  utf-8 tenant id;
+* **response, ok** — ``id status=0 answer_kind generation batch_tag
+  queue_wait_s service_s item_count``, then the items as i64.  Four answer
+  kinds: ``0`` none, ``1`` one item, ``2`` a path (a list) and ``3`` a
+  **plan** — sent for a ``next_step`` in place of its answer: the items are
+  the plan tuple the worker's serving cache holds for the request's context
+  after answering it, of which the request's ``path_so_far`` is a prefix
+  and whose next item (or end) *is* the answer.  The parent derives the
+  answer from its own copy of ``path_so_far`` and keeps the plan
+  (:class:`ResponseRecord.plan`);
+* **response, error** — ``id status=1 name_len message_len``, then the
+  utf-8 exception class name and message.
 
 Framing is symmetric: both ends speak :func:`send_frame` /
 :func:`recv_frame` over a ``SOCK_STREAM`` socket.  ``recv_frame`` returns
@@ -27,8 +50,10 @@ as the connection-level death signal of the failure detector.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import threading
+import time
 
 from repro.serve.request import ServeRequest
 from repro.utils.exceptions import (
@@ -53,6 +78,7 @@ __all__ = [
     "encode_json",
     "decode_json",
     "exception_from_record",
+    "plan_step",
 ]
 
 
@@ -91,10 +117,13 @@ FRAME_HEADER = struct.Struct("!IB")
 MAX_PAYLOAD_BYTES = 1 << 30
 
 # Request record: id(u64) kind(u8) objective(q) user(q, -1=None)
-# max_length(i, -1=None) hist_len(I) path_len(I) tenant_len(H); items
-# follow as i64, then the utf-8 tenant id (tenant_len 0 = untenanted —
-# tenant names are validated non-empty at registration, so 0 is unambiguous).
-_REQUEST_FIXED = struct.Struct("!QBqqiIIH")
+# max_length(i, -1=None) hist_len(I) path_len(I) tenant_len(H)
+# budget_s(d, inf=no deadline); items follow as i64, then the utf-8 tenant
+# id (tenant_len 0 = untenanted — tenant names are validated non-empty at
+# registration, so 0 is unambiguous).  ``budget_s`` is what is left of the
+# request's ``deadline`` when the record is packed; the decoder re-anchors it
+# on its own clock.
+_REQUEST_FIXED = struct.Struct("!QBqqiIIHd")
 #: Open enum of request kinds on the wire.  ``rank`` and ``kg_path`` reuse
 #: the positional slots the way the typed API lowers them (k in the
 #: objective slot / exclusions in the path slot; source as the history's
@@ -104,7 +133,10 @@ _KIND_NAMES = {code: name for name, code in _KIND_CODES.items()}
 
 # Response record (ok): id(u64) status(u8=0) answer_kind(u8)
 # generation(q, -1=None) batch_tag(q, -1=None) queue_wait_s(d) service_s(d)
-# item_count(I); answer items follow as i64.
+# item_count(I); answer items follow as i64.  Answer kind 3 carries no
+# answer but the PLAN that gave it — the worker's serving-cache entry for the
+# request's context, of which the request's ``path_so_far`` is a prefix; the
+# parent reads the answer off it at ``len(path_so_far)`` and keeps the plan.
 _RESPONSE_OK = struct.Struct("!QBBqqddI")
 # Response record (error): id(u64) status(u8=1) name_len(H) message_len(I);
 # utf-8 exception name + message follow.
@@ -112,6 +144,7 @@ _RESPONSE_ERR = struct.Struct("!QBHI")
 _ANSWER_NONE = 0
 _ANSWER_INT = 1
 _ANSWER_PATH = 2
+_ANSWER_PLAN = 3
 
 # Heartbeat: index(i) seq(Q) generation(q) healthy(B) inflight(q)
 # dispatched(q) completed(q) queued(q) latency_samples(I)
@@ -130,13 +163,15 @@ _WIRE_EXCEPTIONS = {
 
 
 class ResponseRecord:
-    """One decoded response: an answer or a remote error, plus the
+    """One decoded response: an answer (or the ``plan`` to read it off, in
+    which case ``answer`` is ``None``) or a remote error, plus the
     worker-measured durations (worker-clock; see the module docstring)."""
 
     __slots__ = (
         "request_id",
         "ok",
         "answer",
+        "plan",
         "served_generation",
         "batch_tag",
         "queue_wait_s",
@@ -156,10 +191,12 @@ class ResponseRecord:
         service_s: float = 0.0,
         error_name: "str | None" = None,
         error_message: "str | None" = None,
+        plan: "tuple[int, ...] | None" = None,
     ) -> None:
         self.request_id = request_id
         self.ok = ok
         self.answer = answer
+        self.plan = plan
         self.served_generation = served_generation
         self.batch_tag = batch_tag
         self.queue_wait_s = queue_wait_s
@@ -258,6 +295,7 @@ def encode_request_batch(entries: "list[tuple[int, ServeRequest]]") -> bytes:
         history = request.history
         path = request.path_so_far
         tenant = b"" if request.tenant is None else request.tenant.encode("utf-8")
+        deadline = request.deadline
         parts.append(
             _REQUEST_FIXED.pack(
                 request_id,
@@ -268,6 +306,7 @@ def encode_request_batch(entries: "list[tuple[int, ServeRequest]]") -> bytes:
                 len(history),
                 len(path),
                 len(tenant),
+                math.inf if deadline is None else deadline - time.perf_counter(),
             )
         )
         if history:
@@ -281,7 +320,8 @@ def encode_request_batch(entries: "list[tuple[int, ServeRequest]]") -> bytes:
 
 def decode_request_batch(payload: bytes) -> "list[tuple[int, ServeRequest]]":
     """Unpack a REQUEST_BATCH payload into fresh envelopes (each with its
-    own worker-side :class:`~concurrent.futures.Future`)."""
+    own worker-side :class:`~concurrent.futures.Future`; a shipped budget
+    becomes a ``deadline`` on THIS process's clock)."""
     (count,) = _COUNT.unpack_from(payload, 0)
     offset = _COUNT.size
     entries: "list[tuple[int, ServeRequest]]" = []
@@ -295,6 +335,7 @@ def decode_request_batch(payload: bytes) -> "list[tuple[int, ServeRequest]]":
             hist_len,
             path_len,
             tenant_len,
+            budget_s,
         ) = _REQUEST_FIXED.unpack_from(payload, offset)
         offset += _REQUEST_FIXED.size
         history = struct.unpack_from(f"!{hist_len}q", payload, offset)
@@ -314,6 +355,9 @@ def decode_request_batch(payload: bytes) -> "list[tuple[int, ServeRequest]]":
                     user_index=None if user_index < 0 else user_index,
                     max_length=None if max_length < 0 else max_length,
                     tenant=tenant,
+                    deadline=(
+                        None if budget_s == math.inf else time.perf_counter() + budget_s
+                    ),
                 ),
             )
         )
@@ -329,7 +373,9 @@ def encode_response_batch(records: "list[ResponseRecord]") -> bytes:
     for record in records:
         if record.ok:
             answer = record.answer
-            if answer is None:
+            if record.plan is not None:
+                answer_kind, items = _ANSWER_PLAN, record.plan
+            elif answer is None:
                 answer_kind, items = _ANSWER_NONE, ()
             elif isinstance(answer, int):
                 answer_kind, items = _ANSWER_INT, (answer,)
@@ -378,17 +424,21 @@ def decode_response_batch(payload: bytes) -> "list[ResponseRecord]":
             offset += _RESPONSE_OK.size
             items = struct.unpack_from(f"!{item_count}q", payload, offset)
             offset += 8 * item_count
+            plan = None
             if answer_kind == _ANSWER_NONE:
                 answer = None
             elif answer_kind == _ANSWER_INT:
                 answer = items[0]
-            else:
+            elif answer_kind == _ANSWER_PATH:
                 answer = list(items)
+            else:
+                answer, plan = None, items
             records.append(
                 ResponseRecord(
                     request_id,
                     True,
                     answer=answer,
+                    plan=plan,
                     served_generation=None if generation < 0 else generation,
                     batch_tag=None if batch_tag < 0 else batch_tag,
                     queue_wait_s=queue_wait_s,
@@ -410,6 +460,14 @@ def decode_response_batch(payload: bytes) -> "list[ResponseRecord]":
                 )
             )
     return records
+
+
+def plan_step(plan: "tuple[int, ...]", path_so_far: "tuple[int, ...]") -> "int | None":
+    """The ``next_step`` answer ``plan`` gives a request whose ``path_so_far``
+    is a prefix of it: the next planned item, ``None`` past the plan's end —
+    how both ends read an answer-kind-3 record."""
+    served = len(path_so_far)
+    return plan[served] if len(plan) > served else None
 
 
 def exception_from_record(record: ResponseRecord) -> Exception:

@@ -13,13 +13,21 @@ the :mod:`repro.distributed.wire` protocol over an ``AF_UNIX``
 Thread layout inside the child:
 
 * **reader** (the main thread) — decodes REQUEST_BATCH frames into
-  envelopes and enqueues them; handles STATS / INSTALL_ARTIFACT /
-  SHUTDOWN control frames.  Under the ``block`` admission policy a full
-  queue stalls this thread — back-pressure propagates to the parent
-  through the socket buffer, exactly like a blocked in-process producer.
+  envelopes (a shipped deadline budget re-anchored on this process's clock,
+  so the loop's own admission refuses a request that arrives expired) and
+  enqueues them; handles STATS / INSTALL_ARTIFACT / SHUTDOWN control
+  frames.  Under the ``block`` admission policy a full queue stalls this
+  thread — back-pressure propagates to the parent through the socket
+  buffer, exactly like a blocked in-process producer.
 * **writer** — drains an outbox of answered requests, packing every
   record available at wake-up into ONE RESPONSE_BATCH frame (the batched
-  encode the codec bench measures).
+  encode the codec bench measures).  Every resolved future becomes a
+  record (:meth:`_Worker._on_done`): a successful ``next_step`` ships *the
+  plan that answered it* — the serving cache's entry for the context,
+  peeked through the loop's ``resident_plan`` capability — so the parent
+  can answer the session's later steps itself (the mirror of
+  :mod:`repro.distributed.remote`); a record that cannot be built ships as
+  an error, never as silence.
 * **heartbeat** — ships the replica's load signals (EWMA in-flight depth,
   recent p95, queue depth) every ``heartbeat_interval`` seconds; the
   parent's dispatcher scores workers from these instead of shared memory.
@@ -30,10 +38,15 @@ timestamps, which are not comparable between processes.
 
 Fork discipline: the child installs a **fresh**
 :class:`~repro.obs.registry.MetricsRegistry` before constructing anything
-(an inherited registry lock could have been mid-acquisition at fork), and
+(what it builds counts into its own registry; the instruments it *inherits*
+— the fitted planner's cache counters — are safe to touch because
+:mod:`repro.obs.registry` holds the default registry's lock across every
+``fork``, so no other parent thread can be inside it at that instant), and
 closes every inherited parent-side socket fd so EOF detection stays crisp.
 The child exits via ``os._exit`` — parent-inherited atexit handlers must
-not run twice.
+not run twice.  Its last frame before the socket closes is an unprompted
+STATS_RESPONSE, so the parent's archive of a retired generation holds the
+counters the worker ended on.
 """
 
 from __future__ import annotations
@@ -227,6 +240,7 @@ class _Worker:
                     "pid": os.getpid(),
                     "generation": self.generation,
                     "num_queues": self.loop.num_queues,
+                    "resident_slots": self.loop.resident_slots(),
                     "max_length": int(getattr(self.planner, "max_length", 20)),
                     "num_workers": int(getattr(self.planner, "num_workers", 1) or 1),
                     "shard_backend": getattr(self.planner, "shard_backend", None),
@@ -250,6 +264,15 @@ class _Worker:
             writer.join(timeout=10.0)
             heartbeat.join(timeout=2.0 * self.heartbeat_interval + 1.0)
             try:
+                # Last words: the final counters, so the parent's archive of
+                # a retired generation holds what it served (nobody can ask
+                # once this process is gone).
+                wire.send_frame(
+                    self.sock,
+                    FrameType.STATS_RESPONSE,
+                    wire.encode_json(self._stats()),
+                    lock=self.send_lock,
+                )
                 self.sock.close()
             except OSError:
                 pass
@@ -297,31 +320,74 @@ class _Worker:
                     request.fail(exc)
 
     def _on_done(self, request_id: int, request: ServeRequest) -> None:
+        """Done-callback of every worker-side future: ship its record.
+
+        Whatever a done-callback raises is logged by ``concurrent.futures``
+        and dropped, so a failure to build the record must itself be
+        answered — an unsent record is a parent-side op that hangs until its
+        caller times out."""
+        try:
+            record = self._record(request_id, request)
+        except Exception as exc:  # noqa: BLE001 - shipped as an error record
+            logger.exception("worker %d: building a response record failed", self.index)
+            record = ResponseRecord(
+                request_id,
+                False,
+                error_name=ServingError.__name__,
+                error_message=(
+                    f"worker {self.index} could not build the response "
+                    f"({type(exc).__name__}: {exc})"
+                ),
+            )
+        self.outbox.put(record)
+
+    def _record(self, request_id: int, request: ServeRequest) -> ResponseRecord:
         self.replica.on_complete(request)
         exc = request.future.exception()
         if exc is not None:
-            record = ResponseRecord(
+            return ResponseRecord(
                 request_id,
                 False,
                 error_name=type(exc).__name__,
                 error_message=str(exc),
             )
-        else:
-            answer = request.future.result()
-            if answer is not None and not isinstance(answer, (list, tuple)):
-                answer = int(answer)
-            completed = request.completed_at or time.perf_counter()
-            drain_started = request.drain_started_at or completed
-            record = ResponseRecord(
-                request_id,
-                True,
-                answer=answer,
-                served_generation=request.served_generation,
-                batch_tag=request.batch_tag,
-                queue_wait_s=max(drain_started - request.enqueued_at, 0.0),
-                service_s=max(completed - request.enqueued_at, 0.0),
-            )
-        self.outbox.put(record)
+        answer = request.future.result()
+        if answer is not None and not isinstance(answer, (list, tuple)):
+            answer = int(answer)
+        completed = request.completed_at or time.perf_counter()
+        drain_started = request.drain_started_at or completed
+        return ResponseRecord(
+            request_id,
+            True,
+            answer=answer,
+            plan=self._plan_behind(request, answer),
+            served_generation=request.served_generation,
+            batch_tag=request.batch_tag,
+            queue_wait_s=max(drain_started - request.enqueued_at, 0.0),
+            service_s=max(completed - request.enqueued_at, 0.0),
+        )
+
+    def _plan_behind(self, request: ServeRequest, answer) -> "tuple | None":
+        """The plan to ship in place of a ``next_step`` answer: the serving
+        cache's entry for the context as it stands now, when the request's
+        path is a prefix of it and it yields ``answer`` — what the parent
+        may then answer later steps from.  ``None`` ships the plain answer
+        (other kinds, a model that keeps no plans, an entry that moved on or
+        was evicted, a peek that failed)."""
+        if request.kind != "next_step":
+            return None
+        try:
+            plan = self.loop.resident_plan(request)
+        except Exception:  # noqa: BLE001 - the answer itself is sound: ship it plain
+            logger.exception("worker %d: resident_plan failed", self.index)
+            return None
+        if plan is None:
+            return None
+        plan = tuple(plan)
+        path = request.path_so_far
+        if plan[: len(path)] != path or wire.plan_step(plan, path) != answer:
+            return None
+        return plan
 
     # ------------------------------------------------------------------ #
     def _writer(self) -> None:

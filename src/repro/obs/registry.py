@@ -31,6 +31,7 @@ counters) use a literal scope.
 
 from __future__ import annotations
 
+import os
 import threading
 from typing import Iterable, Mapping
 
@@ -371,3 +372,33 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
     previous = _DEFAULT
     _DEFAULT = registry
     return previous
+
+
+# ---------------------------------------------------------------------- #
+# Fork safety
+# ---------------------------------------------------------------------- #
+# A forked child keeps every object its parent had, locks included, but only
+# the forking thread: a registry lock another thread held at that instant
+# would stay locked in the child for good, and the first inherited instrument
+# the child touched (a fitted planner's cache counters, say) would hang it.
+# The forking thread therefore takes the default registry's lock across
+# ``fork`` and both sides release it — no other thread can be inside it at
+# the instant of the fork.  (A worker process installs a fresh registry for
+# what it builds itself; this is about what it inherits.)
+_held_across_fork: "list[threading.RLock]" = []
+
+
+def _before_fork() -> None:
+    lock = _DEFAULT._lock
+    lock.acquire()
+    _held_across_fork.append(lock)
+
+
+def _after_fork() -> None:
+    _held_across_fork.pop().release()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only, like fork itself
+    os.register_at_fork(
+        before=_before_fork, after_in_parent=_after_fork, after_in_child=_after_fork
+    )

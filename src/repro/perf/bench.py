@@ -745,7 +745,10 @@ def _bench_distributed_serving(w: _Workload) -> dict:
       heartbeat frame: the fixed size tax of the protocol.
     * **Workers** — at each worker count, the lockstep trace replayed
       through a :class:`~repro.distributed.RemoteReplicaSet` must equal
-      sequential serving, and a burst of ``plan_paths`` requests (histories
+      sequential serving — with every step after a context's first answered
+      in the parent from the plan the first one's response mirrored there
+      (``parent_answered`` > 0; ``plans_received`` counts the responses
+      that carried one) — and a burst of ``plan_paths`` requests (histories
       rotated, ``history[r:] + history[:r]``, so each envelope is a distinct
       plan) must equal the reference planner's plans.
     * **Chaos** — SIGKILL one of two workers mid-burst: every admitted
@@ -843,6 +846,7 @@ def _bench_distributed_serving(w: _Workload) -> dict:
             heartbeat_interval=heartbeat_interval,
         ) as remote_set:
             served_paths = replay_lockstep(remote_set, contexts, max_length)
+            replay_transport = remote_set.stats()["transport"]
             burst_answers = [
                 request.future.result(timeout=300)
                 for request in enqueue_burst(remote_set)
@@ -851,6 +855,7 @@ def _bench_distributed_serving(w: _Workload) -> dict:
             {
                 "num_workers": num_workers,
                 "responses_match_sequential": served_paths == w.sequential_paths,
+                **_pick(replay_transport, "parent_answered", "plans_received"),
                 "burst_answers_match": burst_answers == expected_burst,
             }
         )

@@ -28,7 +28,8 @@ against ``budget_seconds``).
   rejected none under the ``block`` policy (``no_pause``) and flipped
   exactly one generation forward.
 * ``distributed_serving`` — multi-process responses bit-identical at every
-  worker count (lockstep replay AND the distinct-plan burst); the SIGKILL
+  worker count (lockstep replay AND the distinct-plan burst), with a
+  non-zero count of the replay's steps answered in the parent; the SIGKILL
   chaos run dropped nothing, kept answers bit-identical and flipped the
   victim unhealthy within the missed-heartbeat budget.  Skipped wholesale
   when the platform recorded ``fork_available: false``.
@@ -161,6 +162,12 @@ def _check_distributed(section: dict, violations: "list[str]") -> None:
             violations.append(
                 f"distributed_serving: lockstep responses at {label} differ "
                 f"from sequential serving"
+            )
+        if not row.get("parent_answered"):
+            violations.append(
+                f"distributed_serving: no step of the lockstep replay at {label} "
+                f"was answered in the parent (parent_answered "
+                f"{row.get('parent_answered')!r}): resident steps are crossing the wire"
             )
         if not row.get("burst_answers_match"):
             violations.append(

@@ -593,6 +593,24 @@ class ServingLoop(TypedServingSurface):
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
+    def resident_plan(self, request: ServeRequest) -> "tuple | None":
+        """The plan the model serving ``request`` (an envelope this loop
+        admitted, so its tenant is assigned) holds for its context now — the
+        ``resident_plan`` capability of its adapter, ``None`` without one."""
+        adapter = self._adapter
+        if self.tenants is not None:
+            adapter = self.tenants.get(request.tenant).adapter
+        return adapter.resident_plan(request.history, request.objective, request.user_index)
+
+    def resident_slots(self) -> int:
+        """Plans :meth:`resident_plan` can report at once: the step-cache
+        slots of the loop's models (tenants sharing one model share its)."""
+        adapters = [self._adapter]
+        if self.tenants is not None:
+            adapters = [binding.adapter for binding in self.tenants.bindings()]
+        slots = {id(a.model()): a.resident_slots for a in adapters if a.resident_slots}
+        return sum(slots.values())
+
     def current_depth(self) -> int:
         """Requests queued right now across every shard queue (a point-in-time
         load signal; the replica dispatcher's EWMA feeds on the in-flight

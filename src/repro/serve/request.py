@@ -68,8 +68,9 @@ class ServeRequest:
     tenant: "str | None" = None
     #: optional absolute ``time.perf_counter()`` instant after which the
     #: caller no longer wants the answer; admission rejects expired
-    #: requests instead of spending a drain slot on them.  Deadlines are
-    #: caller-clock instants and never cross a process boundary.
+    #: requests instead of spending a drain slot on them.  An instant of
+    #: the clock of the process holding the envelope: the process transport
+    #: ships the budget left and re-anchors it on the worker's clock.
     deadline: "float | None" = None
     future: Future = field(default_factory=Future)
     #: ``time.perf_counter()`` at queue admission — stamped by

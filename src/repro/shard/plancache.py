@@ -1,8 +1,8 @@
 """Hash-partitioned plan caches: one independent LRU shard per worker.
 
 :class:`ShardedPlanCache` presents the :class:`~repro.cache.memo.PlanCache`
-interface (``get`` / ``probe`` / ``put`` / ``clear`` / ``cache_info`` /
-``len`` / ``in`` / counter attributes) over ``num_shards`` independent LRU shards.
+interface (``get`` / ``probe`` / ``peek`` / ``put`` / ``clear`` /
+``cache_info`` / ``len`` / ``in`` / counter attributes) over ``num_shards`` independent LRU shards.
 Keys route to shards by :func:`~repro.shard.partition.stable_hash`, the
 same deterministic hash the executor partitions work with, so the worker
 that plans a context and the shard that memoises it always coincide and no
@@ -86,6 +86,9 @@ class ShardedPlanCache:
     def probe(self, key: Hashable, accept):
         return self.shard_for(key).probe(key, accept)
 
+    def peek(self, key: Hashable):
+        return self.shard_for(key).peek(key)
+
     def put(self, key: Hashable, value) -> None:
         self.shard_for(key).put(key, value)
 
@@ -99,6 +102,12 @@ class ShardedPlanCache:
             self._invalidations += 1
 
     # ------------------------------------------------------------------ #
+    @property
+    def capacity(self) -> int:
+        """The shards' slots in total: ``maxsize``, or more where
+        ``min_shard_capacity`` lifted small shards."""
+        return sum(shard.maxsize for shard in self.shards)
+
     def __len__(self) -> int:
         return sum(len(shard) for shard in self.shards)
 

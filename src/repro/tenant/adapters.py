@@ -11,7 +11,9 @@ any model in the repo behind that protocol:
   whole batch to ``plan_for_requests``, so the wave-dedup and plan-cache
   machinery (and its bit-exactness contract) apply unchanged; a planner
   that can also answer a ``next_step`` from a plan it already holds
-  (``serve_resident``) lets the loop do so at admission.
+  (``serve_resident``) lets the loop do so at admission, and one that can
+  show that plan (``resident_plan``) lets a worker fleet's parent do so
+  without crossing the process boundary.
 * :class:`RecommenderAdapter` — any
   :class:`~repro.models.base.SequentialRecommender`: serves ``rank``
   (``top_k`` with ``k`` from the objective slot and the exclusion set from
@@ -70,6 +72,16 @@ class KindAdapter:
         per-context plan is never resident."""
         return MISS
 
+    #: How many contexts' plans :meth:`resident_plan` can report at once
+    #: (0: the model keeps no per-context plan).
+    resident_slots = 0
+
+    def resident_plan(self, history, objective, user_index):
+        """The plan this model holds for a context right now, or ``None`` —
+        read without counting a lookup or refreshing the entry.  The process
+        transport mirrors it on the fleet's parent after each ``next_step``."""
+        return None
+
     def _check_kinds(self, requests: Sequence[tuple]) -> None:
         for request in requests:
             kind = request[0]
@@ -105,6 +117,10 @@ class PlannerAdapter(KindAdapter):
         resident = getattr(planner, "serve_resident", None)
         if resident is not None:
             self.serve_resident = resident
+        peek = getattr(planner, "resident_plan", None)
+        if peek is not None:
+            self.resident_plan = peek
+            self.resident_slots = planner.resident_slots
 
     @property
     def serving_generation(self) -> "int | None":

@@ -27,6 +27,7 @@ real multi-tenant setups declare one model per tenant via :meth:`add`.
 from __future__ import annotations
 
 import threading
+from typing import Sequence
 
 from repro.obs.registry import MetricGroup, get_registry
 from repro.obs.trace import BatchSink, use_sink
@@ -35,10 +36,18 @@ from repro.shard.partition import stable_hash
 from repro.tenant.adapters import KindAdapter, adapt
 from repro.utils.exceptions import ConfigurationError, ServingError
 
-__all__ = ["TenantBinding", "TenantRegistry"]
+__all__ = ["TenantBinding", "TenantRegistry", "assign_tenant"]
 
 _LATENCY_COUNTERS = ("served", "failed", "wait_sum_s", "latency_sum_s")
 _LATENCY_GAUGES = ("wait_max_s", "latency_max_s")
+
+
+def assign_tenant(names: "Sequence[str]", routing_key) -> str:
+    """The tenant an untenanted request of ``routing_key`` is served under
+    among ``names`` (registration order): a stable hash of the context key,
+    identical across interpreters, reruns and processes — a worker fleet's
+    parent computes the same assignment its workers make."""
+    return names[stable_hash(routing_key) % len(names)]
 
 
 class TenantBinding:
@@ -241,9 +250,9 @@ class TenantRegistry:
                 pin(serving_generation=generation)
 
     def assign(self, routing_key) -> str:
-        """Deterministic tenant for an untenanted request (stable hash of
-        its context key — identical across interpreters and reruns)."""
-        return self._order[stable_hash(routing_key) % len(self._order)]
+        """Deterministic tenant for an untenanted request
+        (:func:`assign_tenant` over the registered names)."""
+        return assign_tenant(self._order, routing_key)
 
     def resolve(self, request) -> TenantBinding:
         """Binding for one envelope, assigning a tenant if it has none."""

@@ -33,6 +33,15 @@ class TestPlanCacheLRU:
         cache.put("c", 3)
         assert "a" in cache and "c" in cache and "b" not in cache
 
+    def test_peek_counts_nothing_and_leaves_recency_alone(self):
+        cache = PlanCache(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.peek("a") == 1 and cache.peek("missing") is None
+        assert cache.hits == 0 and cache.misses == 0
+        cache.put("c", 3)  # "a" was peeked, not touched: still the oldest
+        assert "a" not in cache and "b" in cache
+
     def test_put_refreshes_existing_key(self):
         cache = PlanCache(2)
         cache.put("a", 1)

@@ -83,8 +83,12 @@ class TestRemoteParity:
         ) == ["worker-0", "worker-1"]
         assert stats["dispatch"]["replicas"] == 2
         transport = stats["transport"]
-        assert transport["requests_sent"] == stats["served"]
-        assert transport["responses"] == stats["served"]
+        # Every op was answered once: over the wire, or in the parent from a
+        # plan an earlier response mirrored there.
+        assert transport["requests_sent"] + transport["parent_answered"] == stats["served"]
+        assert transport["responses"] == transport["requests_sent"]
+        assert 0 < transport["parent_answered"] <= stats["resident"]
+        assert transport["plans_received"] >= len(remote_contexts)
         assert transport["redispatched"] == 0
         assert transport["duplicate_responses"] == 0
         assert [a["name"] for a in transport["artifacts"]] == ["model_weights"]

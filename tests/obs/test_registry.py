@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import sys
 import threading
+import time
 
 import pytest
 
@@ -186,3 +190,46 @@ def test_set_registry_swaps_the_default():
     finally:
         set_registry(previous)
     assert get_registry() is previous
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_can_use_instruments_it_inherited():
+    """A child keeps its parent's locks but only the forking thread: were the
+    default registry's lock held by another thread at the instant of the fork,
+    the child's first touch of an inherited instrument would hang for good (a
+    worker process reading a fitted planner's cache counters).  The forking
+    thread holds that lock across the fork instead."""
+    group = MetricGroup(get_registry(), get_registry().scope("test.fork"), counters=("n",))
+    stop = threading.Event()
+
+    def hammer():  # holds the registry lock most of the time
+        while not stop.is_set():
+            group.record(add={"n": 1})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the GIL over mid-record, often
+    hammers = [threading.Thread(target=hammer) for _ in range(3)]
+    for thread in hammers:
+        thread.start()
+    try:
+        hung = 0
+        for _ in range(60):
+            pid = os.fork()
+            if pid == 0:  # the child: only this thread exists here
+                group.record(add={"n": 1})
+                os._exit(0 if group.value("n") > 0 else 1)
+            deadline = time.perf_counter() + 5.0
+            while os.waitpid(pid, os.WNOHANG) == (0, 0):
+                if time.perf_counter() > deadline:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    hung += 1
+                    break
+                time.sleep(0.001)
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+        for thread in hammers:
+            thread.join(timeout=5.0)
+    assert hung == 0
+    assert not any(thread.is_alive() for thread in hammers)

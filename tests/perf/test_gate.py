@@ -61,11 +61,15 @@ def green_report() -> dict:
                 {
                     "num_workers": 1,
                     "responses_match_sequential": True,
+                    "parent_answered": 21,
+                    "plans_received": 8,
                     "burst_answers_match": True,
                 },
                 {
                     "num_workers": 2,
                     "responses_match_sequential": True,
+                    "parent_answered": 21,
+                    "plans_received": 8,
                     "burst_answers_match": True,
                 },
             ],
@@ -273,6 +277,19 @@ class TestDistributedServingGate:
         report["distributed_serving"]["workers"][0]["burst_answers_match"] = False
         assert any(
             "burst answers at 1 worker(s) differ" in v
+            for v in collect_violations(report)
+        )
+
+    @pytest.mark.parametrize("count", [0, None])
+    def test_no_step_answered_in_the_parent_fails(self, count):
+        report = green_report()
+        row = report["distributed_serving"]["workers"][1]
+        if count is None:
+            del row["parent_answered"]
+        else:
+            row["parent_answered"] = count
+        assert any(
+            "no step of the lockstep replay at 2 worker(s) was answered in the parent" in v
             for v in collect_violations(report)
         )
 

@@ -16,6 +16,7 @@ from repro.serve import NextStepRequest, ServingLoop
 from repro.serve.api import PlanRequest, Response
 from repro.serve.request import ServeRequest
 from repro.tenant import TenantRegistry
+from repro.tenant.adapters import KindAdapter
 
 WAIT_S = 10.0
 
@@ -170,6 +171,37 @@ def test_every_request_is_exactly_one_step_cache_lookup(make_planner, serve_cont
     assert (info["served_from_plan"], info["replans"]) == (1, 2)
     assert (stats["served"], stats["resident"]) == (3, 1)
     assert stats["admission"]["admitted"] == 3
+
+
+def test_the_resident_plan_can_be_shown_without_a_lookup(make_planner, serve_contexts):
+    """``resident_plan``: what a worker mirrors on its fleet's parent — the
+    context's plan as it stands, peeked (no lookup counted, recency left
+    alone), through the adapter of the request's own tenant."""
+    planner = make_planner(step_cache_size=7)
+    tenants = TenantRegistry()
+    tenants.add("irs", planner)
+    tenants.add("twin", planner)
+    tenants.add("kg", _NoPlans())
+    with ServingLoop(planner, tenants=tenants) as loop:
+        assert loop.resident_slots() == 7  # the shared planner's slots count once
+        envelope = step(serve_contexts[0]).to_envelope()
+        envelope.tenant = "irs"
+        assert loop.resident_plan(envelope) is None
+        first = loop.enqueue(envelope).result(timeout=WAIT_S)
+        before = lookups(planner)
+        plan = loop.resident_plan(envelope)
+        assert plan[0] == first and lookups(planner) == before
+        assert planner.resident_plan(*envelope.routing_key()[1:]) == plan
+        envelope.tenant = "kg"
+        assert loop.resident_plan(envelope) is None
+    assert ServingLoop(make_planner()).resident_slots() == 64
+
+
+class _NoPlans(KindAdapter):
+    kinds = ("kg_path",)
+
+    def model(self):
+        return self
 
 
 # --------------------------------------------------------------------- #

@@ -29,6 +29,7 @@ class TestRouting:
         cache.put(key, ("plan",))
         owner = cache.shards[shard_index(key, 4)]
         assert key in owner
+        assert cache.peek(key) == ("plan",) and cache.hits == 0
         assert cache.get(key) == ("plan",)
         assert key in cache
 
