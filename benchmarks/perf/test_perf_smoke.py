@@ -95,52 +95,37 @@ def test_incremental_decoding_reduces_token_work_with_identical_plans(smoke_repo
     assert default_model["shared_history"]["tokens_incremental"] == 0
 
 
-def test_sharded_evaluation_plans_bit_identical_at_every_worker_count(smoke_report):
-    """Sharding-PR acceptance: worker-partitioned planning must produce the
-    serial plans bit-identically at 1, 2 and 4 workers."""
+def test_sharded_evaluation_bit_identical_at_every_thread_count(smoke_report):
+    """The offline evaluation protocol's batched and stepwise records, and
+    the next-item metrics, equal the serial ones at 1, 2 and 4 threads."""
     sharded = smoke_report["sharded_evaluation"]
     assert [row["num_workers"] for row in sharded["workers"]] == [1, 2, 4]
-    assert all(row["plans_equal_serial"] for row in sharded["workers"])
-
-
-def test_sharded_evaluation_process_and_serial_backends_agree(smoke_report):
-    """Satellite: process-pool and serial backends produce identical
-    BENCH-section plan paths (fork platforms; None means no fork)."""
-    from repro.shard.config import fork_available
-
-    parity = smoke_report["sharded_evaluation"]["process_parity"]
-    if fork_available():
-        assert parity is True
-    else:
-        assert parity is None
+    for row in sharded["workers"]:
+        assert row["records_equal_serial"]
+        assert row["stepwise_records_equal_serial"]
+        assert row["nextitem_equal_serial"]
 
 
 def test_sharded_evaluation_records_machine_context(smoke_report):
     sharded = smoke_report["sharded_evaluation"]
     assert sharded["cpu_count"] >= 1
-    assert sharded["backend"] in {"serial", "thread", "process"}
     for row in sharded["workers"]:
-        assert row["paths"] == sharded["num_instances"]
+        assert row["records"] == sharded["num_instances"] > 0
 
 
-def test_async_serving_responses_bit_identical_at_every_worker_count(smoke_report):
-    """Async-serving PR acceptance: for the fixed lockstep trace, ServingLoop
-    responses equal sequential next_step serving at 1, 2 and 4 workers."""
-    serving = smoke_report["async_serving"]
-    assert [row["num_workers"] for row in serving["workers"]] == [1, 2, 4]
-    assert all(row["responses_match_sequential"] for row in serving["workers"])
+def test_async_serving_responses_bit_identical(smoke_report):
+    """Async-serving acceptance: for the fixed lockstep trace, ServingLoop
+    responses equal sequential next_step serving."""
+    assert smoke_report["async_serving"]["responses_match_sequential"]
 
 
 def test_async_serving_records_served_and_admission_counts(smoke_report):
-    """Every worker-shard count serves the same trace: the served and
-    admitted counts agree with each other and across the sweep."""
+    """The served and admitted counts of the trace agree."""
     serving = smoke_report["async_serving"]
-    served = {row["served"] for row in serving["workers"]}
-    assert len(served) == 1 and served.pop() > 0
-    for row in serving["workers"]:
-        assert row["admission"]["admitted"] == row["served"]
-        assert row["admission"]["rejected"] == 0
-        assert row["admission"]["policy"] in ("block", "reject")
+    assert serving["served"] > 0
+    assert serving["admission"]["admitted"] == serving["served"]
+    assert serving["admission"]["rejected"] == 0
+    assert serving["admission"]["policy"] in ("block", "reject")
 
 
 def test_replicated_serving_parity_at_shared_generation(smoke_report):
@@ -179,7 +164,7 @@ def test_distributed_serving_parity_and_chaos_bits(smoke_report):
     assert codec["request_bytes_per_envelope"] > 0
     assert codec["response_bytes_per_envelope"] > 0
     assert codec["heartbeat_frame_bytes"] > 0
-    if not distributed["fork_available"]:  # pragma: no cover - non-fork platforms
+    if not distributed["can_fork"]:  # pragma: no cover - non-fork platforms
         pytest.skip("process transport needs fork")
     assert [row["num_workers"] for row in distributed["workers"]] == [1, 2, 4]
     for row in distributed["workers"]:
@@ -270,12 +255,11 @@ def test_sections_filter_runs_subset():
         resolve_sections(["beam_planning", "quantum_planning"])
 
 
-def test_every_section_records_cpu_count_and_backend(smoke_report):
-    """Satellite: sections carry the machine's CPU count and the backend
-    used, so the perf trajectory stays comparable across runs."""
+def test_every_section_records_cpu_count(smoke_report):
+    """Sections carry the machine's CPU count, so the perf trajectory stays
+    comparable across runs."""
     for name in BENCH_SECTIONS:
         assert smoke_report[name]["cpu_count"] == smoke_report["machine"]["cpu_count"]
-        assert "backend" in smoke_report[name]
     assert smoke_report["machine"]["platform"]
 
 

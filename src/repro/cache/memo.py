@@ -16,52 +16,28 @@ entries can never shadow each other.
 Thread safety
 -------------
 Every mutation of the LRU map is guarded by one reentrant lock, so a
-:class:`PlanCache` (or one shard of a
-:class:`~repro.shard.plancache.ShardedPlanCache`) can be consulted
-concurrently by the sharded execution subsystem's worker threads without
-corrupting the ``OrderedDict``.  The hit/miss/eviction counters live in the
-process-wide metrics registry (:mod:`repro.obs.registry`) under a
-per-instance ``cache.plan.<n>`` scope — each lookup applies its counter
-update in one registry-lock acquisition, :meth:`counters` is one locked
-group read, and the same counters surface in ``repro-irs metrics`` exports.
-Per-shard counter snapshots merge into one report via
-:func:`merge_cache_infos`.
+:class:`PlanCache` can be consulted concurrently — by the serving loop's
+drain thread and the callers answered at admission, or by the evaluation
+protocol's rollout threads sharing one planner — without corrupting the
+``OrderedDict``.  The hit/miss/eviction counters live in the process-wide
+metrics registry (:mod:`repro.obs.registry`) under a per-instance
+``cache.plan.<n>`` scope — each lookup applies its counter update in one
+registry-lock acquisition, :meth:`counters` is one locked group read, and
+the same counters surface in ``repro-irs metrics`` exports.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Hashable, Iterable
+from typing import Hashable
 
 from repro.obs.registry import MetricGroup, get_registry
 from repro.utils.exceptions import ConfigurationError
 
-__all__ = ["PlanCache", "merge_cache_infos"]
+__all__ = ["PlanCache"]
 
 _COUNTER_FIELDS = ("hits", "misses", "evictions", "invalidations")
-
-
-def merge_cache_infos(infos: "Iterable[dict]") -> dict:
-    """Merge per-shard :meth:`PlanCache.cache_info` dicts into one report.
-
-    Sizes and counters sum across shards; the hit rate is recomputed from
-    the merged totals (NOT averaged, so empty shards don't dilute it).
-    """
-    merged = {
-        "size": 0,
-        "maxsize": 0,
-        "hits": 0,
-        "misses": 0,
-        "evictions": 0,
-        "invalidations": 0,
-    }
-    for info in infos:
-        for key in merged:
-            merged[key] += info[key]
-    lookups = merged["hits"] + merged["misses"]
-    merged["hit_rate"] = round(merged["hits"] / lookups, 4) if lookups else 0.0
-    return merged
 
 
 class PlanCache:
@@ -99,11 +75,6 @@ class PlanCache:
         return self._counters.value("invalidations")
 
     # ------------------------------------------------------------------ #
-    @property
-    def capacity(self) -> int:
-        """How many entries fit (``maxsize``; the sharded façade's may be larger)."""
-        return self.maxsize
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._data)
@@ -165,8 +136,8 @@ class PlanCache:
         Counters are kept by default — an invalidation is part of the cache's
         lifetime story, and callers read the totals afterwards.  With
         ``reset_stats=True`` the hit/miss/eviction/invalidation counters are
-        also zeroed, which is how per-shard caches are recycled between
-        workloads so their stats merge cleanly into one report.
+        also zeroed, so a cache recycled between workloads reports each
+        workload's counts alone.
         """
         with self._lock:
             if self._data:
@@ -179,7 +150,7 @@ class PlanCache:
     def counters(self) -> dict:
         """One locked snapshot of the size and hit/miss/eviction counters.
 
-        Callers aggregating counters across caches (the sharded façade, the
+        Callers combining counters (the planner's ``cache_info``, the
         serving loop's stats endpoint) must use this instead of reading the
         ``hits`` / ``misses`` / ... attributes one by one: a drain thread
         recording a lookup between two attribute reads would make the

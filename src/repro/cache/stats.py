@@ -15,8 +15,8 @@ around each measured workload.
 
 The counters live in the process-wide metrics registry
 (:mod:`repro.obs.registry`) under a per-instance ``cache.decode.<n>``
-scope: the sharded execution subsystem scores independent instance
-partitions on worker threads against ONE shared backbone, and each
+scope: the evaluation protocol's rollout threads score independent
+instance partitions against ONE shared backbone, and each
 ``record_*`` call applies both of its field increments in a single
 registry-lock acquisition, so concurrent updates never tear and
 ``snapshot`` (one locked group read) always sees a consistent view.  The

@@ -40,7 +40,6 @@ from repro.cli.artefacts import ARTEFACTS, run_artefact
 from repro.cli.bench import _resolve_bench_profile, run_bench  # noqa: F401 (a pinned name)
 from repro.cli.serving import run_metrics, run_serve_sim, run_trace
 from repro.config import CONFIG_FIELDS, add_config_arguments, resolve
-from repro.shard.config import resolve_shard_backend
 from repro.utils.exceptions import ConfigurationError
 from repro.utils.logging import configure_logging
 
@@ -60,43 +59,41 @@ class Command:
     rows: "tuple[str, ...]"
 
 
-_SHARDING = ("num_workers", "shard_backend", "vocab_shards")
-
 COMMANDS = {
     # The paper-artefact family: every name in ARTEFACTS takes these flags too.
     "all": Command(
         "every table and figure of the paper",
         run_artefact,
         ("dataset", "seed", "scale", "data_directory"),
-        _SHARDING + ("rollout_chunk_size",),
+        ("num_workers", "rollout_chunk_size"),
     ),
     # bench always runs the fixed-seed synthetic perf corpus and sweeps its
-    # own 1/2/4 worker grid, hence no corpus flags and no --num-workers.
+    # own 1/2/4 thread grid, hence no corpus flags and no knob rows.
     "bench": Command(
         "run the contract sections and gate the report",
         run_bench,
         ("sections", "cprofile"),
-        ("shard_backend", "vocab_shards"),
+        (),
     ),
     "serve-sim": Command(
         "drive a serving front-end with synthetic traffic (--tenants 2: the A/B harness)",
         run_serve_sim,
         ("seed",),
         # every flagged row but the evaluation protocol's: it serves next_step
-        # traffic, not chunked rollouts
-        tuple(n for n, row in CONFIG_FIELDS.items() if row.cli and n != "rollout_chunk_size"),
+        # traffic, not evaluation rollouts
+        tuple(n for n, row in CONFIG_FIELDS.items() if row.cli and row.group != "evaluation"),
     ),
     "trace": Command(
         "serve a short traced workload and dump every span as JSON",
         run_trace,
         ("seed",),
-        ("arrival_rate",) + _SHARDING + ("trace_sample_rate",),
+        ("arrival_rate", "trace_sample_rate"),
     ),
     "metrics": Command(
         "serve the same workload and dump the metrics registry",
         run_metrics,
         ("seed", "metrics_format"),
-        ("arrival_rate",) + _SHARDING,
+        ("arrival_rate",),
     ),
 }
 
@@ -228,24 +225,12 @@ def resolve_args(args: argparse.Namespace, command: str) -> dict:
     rows = _family(command).rows
     typed = {name: getattr(args, CONFIG_FIELDS[name].dest) for name in rows}
     knobs = {name: resolve(name, value) for name, value in typed.items()}
-    if "num_workers" in knobs:
-        # The backend's default depends on the worker count (and 'process'
-        # on the platform's fork); bench keeps the raw value because its
-        # sharded section resolves it against its own worker sweep.
-        knobs["shard_backend"] = resolve_shard_backend(
-            knobs["shard_backend"], num_workers=knobs["num_workers"]
-        )
     if command == "serve-sim":
         _check_serve_sim(knobs, {name for name, value in typed.items() if value is not None})
     return knobs
 
 
 # Views over resolve_args in the shapes tests/test_cli.py pins.
-def _resolve_shard_args(args: argparse.Namespace) -> "tuple[int, str, int, int | None]":
-    knobs = resolve_args(args, "all")
-    return tuple(knobs[name] for name in COMMANDS["all"].rows)
-
-
 def _resolve_serve_args(args: argparse.Namespace) -> dict:
     knobs = resolve_args(args, "serve-sim")
     names = ("arrival_rate", "max_queue_depth", "drain_deadline", "admission_policy")

@@ -25,9 +25,8 @@ def _resolve_bench_profile(value: str) -> str:
 def run_bench(args: argparse.Namespace, knobs: dict) -> int:
     """Run the contract sections, print the work counts and the gate's verdict.
 
-    ``knobs`` is ``shard_backend`` / ``vocab_shards`` only: the sharded
-    section sweeps its own fixed 1/2/4 worker grid and resolves an omitted
-    backend against it, and the corpus is the fixed-seed synthetic one.
+    ``knobs`` is empty: the corpus is the fixed-seed synthetic one and the
+    ``sharded_evaluation`` section sweeps its own fixed 1/2/4 thread grid.
     """
     # Everything that can be wrong is checked before the model trains:
     # section typos, unknown profiles, an unwritable report path.
@@ -39,7 +38,7 @@ def run_bench(args: argparse.Namespace, knobs: dict) -> int:
         pass
 
     def run() -> dict:
-        return run_benchmarks(profile=profile, output=output, sections=sections, **knobs)
+        return run_benchmarks(profile=profile, output=output, sections=sections)
 
     if args.cprofile:
         report, stats_path = profile_benchmarks(run, output)

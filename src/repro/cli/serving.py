@@ -27,7 +27,8 @@ __all__ = ["run_serve_sim", "run_trace", "run_metrics"]
 
 class _Workload:
     """The bench corpus, sampled instances and a planner factory built from
-    the sharding (and, for ``serve-sim``, retrieval) knobs."""
+    the retrieval knobs (``serve-sim`` only; ``trace`` / ``metrics`` plan
+    exactly)."""
 
     def __init__(self, args: argparse.Namespace, knobs: dict, max_instances=None) -> None:
         # The generator (when any) is shared across replicas/refits: the
@@ -48,7 +49,6 @@ class _Workload:
             (list(inst.history), inst.objective, inst.user_index) for inst in self.instances
         ]
         self.max_length = self.config["max_path_length"]
-        self._sharding = group_of(knobs, "sharding")
 
     def backbone(self) -> IRN:
         """One freshly fitted IRN: deterministic config + seed, so every
@@ -63,7 +63,6 @@ class _Workload:
             branch_factor=self.config["branch_factor"],
             max_length=self.max_length,
             candidate_generator=self.generator,
-            **self._sharding,
         ).fit(self.split)
 
 
@@ -207,7 +206,7 @@ def _run_ab(args: argparse.Namespace, knobs: dict) -> int:
 def run_serve_sim(args: argparse.Namespace, knobs: dict) -> int:
     """Synthetic open-loop Poisson traffic through a serving front-end.
 
-    A :class:`~repro.serve.loop.ServingLoop` over one sharded beam planner;
+    A :class:`~repro.serve.loop.ServingLoop` over one beam planner;
     with ``--replicas`` > 1, ``--refit-at`` or ``--transport process`` a
     fleet instead (one independently fitted backbone per replica; the refit
     trains fresh ones off-path and flips the generation mid-trace).  Prints
@@ -242,16 +241,7 @@ def run_serve_sim(args: argparse.Namespace, knobs: dict) -> int:
         else:
             report = run_open_loop(front_end, workload.contexts, **traffic)
     planner = front_end.planner
-    # Per-replica queue count (each replica's loop mirrors the planner's
-    # worker partition); the total across replicas is in "replication".
-    num_queues = planner.num_workers if replicated else front_end.num_queues
     report.update(_knob_blocks(knobs, replicated))
-    report["sharding"] = {
-        "num_workers": planner.num_workers,
-        "backend": planner.shard_backend,
-        "vocab_shards": planner.vocab_shards,
-        "num_queues": num_queues,
-    }
     latency = report["latency_ms"]
     print(
         f"async serving sim: {report['admitted_requests']}/{report['offered_requests']} "
@@ -264,7 +254,7 @@ def run_serve_sim(args: argparse.Namespace, knobs: dict) -> int:
         f"(mean {latency['mean']}, max {latency['max']})"
     )
     print(
-        f"queues: {num_queues} x depth<={knobs['max_queue_depth']} "
+        f"queue: depth<={knobs['max_queue_depth']} "
         f"({knobs['admission_policy']}), depth max {report['queue_depth']['max']} "
         f"mean {report['queue_depth']['mean']}, micro-batch mean "
         f"{report['micro_batches']['mean_size']} max {report['micro_batches']['max_size']}, "

@@ -1,4 +1,4 @@
-"""One declarative resolver table for the serving, sharding and tracing knobs.
+"""One declarative resolver table for the serving, evaluation and tracing knobs.
 
 Each knob is a :class:`ConfigField` row declaring its typed parser, its
 environment variable (derived from the field name unless history says
@@ -8,8 +8,7 @@ Resolution is always explicit argument > ``$REPRO_*`` > built-in default,
 and everything downstream is generated from the rows:
 
 * the ``resolve_<knob>()`` functions the constructors call
-  (``repro.obs.config`` wraps the two tracing rows, ``repro.shard.config``
-  adds the platform's fork check to ``shard_backend``);
+  (``repro.obs.config`` wraps the two tracing rows);
 * the ``repro-irs`` flags: each command in :mod:`repro.cli` names the rows
   it takes and :func:`add_config_arguments` emits exactly those, one
   ``argparse`` group per knob group, so a knob is one table row and a flag
@@ -19,10 +18,11 @@ and everything downstream is generated from the rows:
   the source is ``argument`` or ``$REPRO_<NAME>``.
 
 A group is the set of rows one consumer takes, under the keyword names it
-takes them by: ``sharding`` is ``BeamSearchPlanner``'s (and, with
-``evaluation``, ``ExperimentConfig``'s), ``admission`` the serving loop's
-and both fleets', ``replication`` both fleets', and ``transport`` is the
-fleet selector plus the failure-detector arguments of the fleet it selects.
+takes them by: ``evaluation`` is ``ExperimentConfig``'s (``num_workers``
+threads the offline evaluation protocol — the one parallel path — and is
+CLI-only), ``admission`` the serving loop's and both fleets',
+``replication`` both fleets', and ``transport`` is the fleet selector plus
+the failure-detector arguments of the fleet it selects.
 
 Not in the table, because their owners sit below this module or read them
 once: ``REPRO_LOG_LEVEL`` (:mod:`repro.utils.logging`),
@@ -50,7 +50,6 @@ __all__ = [
     "VALID_ADMISSION_POLICIES",
     "VALID_DISPATCH_POLICIES",
     "VALID_TRANSPORTS",
-    "VALID_BACKENDS",
     "RETRIEVAL_SPECS",
     # typed resolvers
     "resolve_max_queue_depth",
@@ -59,8 +58,6 @@ __all__ = [
     "resolve_arrival_rate",
     "resolve_serve_duration",
     "resolve_num_workers",
-    "resolve_shard_backend_name",
-    "resolve_vocab_shards",
     "resolve_num_replicas",
     "resolve_refit_at",
     "resolve_dispatch_policy",
@@ -77,7 +74,6 @@ __all__ = [
 VALID_ADMISSION_POLICIES = ("block", "reject")
 VALID_DISPATCH_POLICIES = ("least_loaded", "round_robin")
 VALID_TRANSPORTS = ("inproc", "process")
-VALID_BACKENDS = ("serial", "thread", "process")
 RETRIEVAL_SPECS = ("none", "full", "ann", "cooccurrence")
 
 
@@ -204,7 +200,6 @@ class ConfigField:
 GROUP_TITLES = {
     "traffic": "traffic (repro.serve.driver)",
     "admission": "admission (repro.serve)",
-    "sharding": "sharding (repro.shard)",
     "evaluation": "evaluation (repro.evaluation)",
     "replication": "replication (repro.replica)",
     "transport": "transport (repro.distributed)",
@@ -244,7 +239,7 @@ _TABLE = (
         "admission",
         64,
         int_at_least("max_queue_depth"),
-        "per-shard bound on queued planning work "
+        "bound on the serving queue's planning work "
         "(default: $REPRO_MAX_QUEUE_DEPTH or 64)",
     ),
     ConfigField(
@@ -267,30 +262,16 @@ _TABLE = (
         choice_of("admission_policy", VALID_ADMISSION_POLICIES),
         "block | reject on a full queue (default: $REPRO_ADMISSION_POLICY or block)",
     ),
-    # ----------------------------- sharding ------------------------------ #
+    # ---------------------------- evaluation ----------------------------- #
     ConfigField(
         "num_workers",
-        "sharding",
+        "evaluation",
         1,
-        int_at_least("num_workers", hint="; use 1 to disable sharding"),
-        "worker shards for planning/evaluation (default: $REPRO_NUM_WORKERS or 1)",
+        int_at_least("num_workers", hint="; use 1 to evaluate inline"),
+        "threads the offline evaluation protocol partitions its rollouts and "
+        "next-item ranking across (default: 1)",
+        from_env=False,
     ),
-    ConfigField(
-        "shard_backend",
-        "sharding",
-        None,  # dynamic: 'thread' when num_workers > 1, else 'serial'
-        choice_of("shard_backend", VALID_BACKENDS),
-        "serial | thread | process (default: $REPRO_SHARD_BACKEND, else "
-        "'thread' when --num-workers > 1)",
-    ),
-    ConfigField(
-        "vocab_shards",
-        "sharding",
-        1,
-        int_at_least("vocab_shards", hint="; use 1 to disable sharding"),
-        "column shards of the item axis for top-k (default: $REPRO_VOCAB_SHARDS or 1)",
-    ),
-    # ---------------------------- evaluation ----------------------------- #
     ConfigField(
         "rollout_chunk_size",
         "evaluation",
@@ -486,22 +467,8 @@ def resolve_serve_duration(value: "float | None" = None) -> float:
 
 
 def resolve_num_workers(value: "int | None" = None) -> int:
-    """Worker count: explicit > ``REPRO_NUM_WORKERS`` > 1."""
+    """Evaluation thread count: explicit > 1 (there is no environment hook)."""
     return resolve("num_workers", value)
-
-
-def resolve_shard_backend_name(value: "str | None" = None, num_workers: int = 1) -> str:
-    """Backend *name* resolution (the fork-availability check stays in
-    :mod:`repro.shard.config`, whose ``fork_available`` tests monkeypatch)."""
-    resolved = resolve("shard_backend", value)
-    if resolved is None:
-        return "thread" if num_workers > 1 else "serial"
-    return resolved
-
-
-def resolve_vocab_shards(value: "int | None" = None) -> int:
-    """Vocabulary shard count: explicit > ``REPRO_VOCAB_SHARDS`` > 1."""
-    return resolve("vocab_shards", value)
 
 
 def resolve_num_replicas(value: "int | None" = None) -> int:

@@ -52,18 +52,16 @@ Two layers from :mod:`repro.cache` sit on top of the batched expansion:
   invalidated by :meth:`fit` and whenever the backbone's ``fit_generation``
   changes (model retrain).
 
-Sharding
---------
-With ``num_workers > 1`` the planner becomes a sharded executor client
-(:mod:`repro.shard`): pending instances of :meth:`plan_paths_batch`
-partition across workers by the stable hash of their plan-cache key, each
-worker runs the lockstep beam over its own partition with its own decoding
-sessions, and both plan caches become hash-partitioned shard sets aligned
-with the work partition.  ``vocab_shards > 1`` additionally splits the item
-axis of the fused logits for top-k candidate selection
-(:func:`~repro.shard.topk.sharded_topk`), whose merge is exact.  Every
-combination of worker count, backend and vocabulary shards produces plans
-bit-identical to the serial planner.
+Concurrency
+-----------
+The planner is one partition: :meth:`plan_paths_batch` plans every pending
+instance in the calling thread.  Threads that share a planner — the offline
+evaluation protocol's rollout threads — are safe: both caches are
+lock-guarded and every call's beam state is its own.  A backbone
+retrained while a call plans is detected there (``fit_generation`` read
+before and after) and raises
+:class:`~repro.utils.exceptions.StaleGenerationError` instead of returning
+plans computed under two sets of weights.
 
 Two-stage retrieval
 -------------------
@@ -97,21 +95,21 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from repro.config import resolve_vocab_shards
+from repro.cache.memo import PlanCache
 from repro.core.base import InfluentialRecommender, influential_registry
 from repro.core.influence_path import log_softmax_rows, mask_session_items
 from repro.data.splitting import DatasetSplit
 from repro.obs.registry import MetricGroup, get_registry
-from repro.obs.trace import current_sink, use_sink
-from repro.shard.executor import ShardedExecutor
-from repro.shard.plancache import make_plan_cache
-from repro.shard.topk import sharded_topk
+from repro.obs.trace import current_sink
+from repro.shard.topk import stable_topk
 from repro.utils.batch import broadcast_user_indices, check_batch_lengths
 from repro.utils.exceptions import ConfigurationError, StaleGenerationError
 
 __all__ = ["BeamSearchPlanner", "MISS"]
 
 logger = logging.getLogger(__name__)
+
+sharded_topk = stable_topk  # the name benchmarks/e2e/tracing.py's SPAN_TABLE wraps
 
 
 class _Miss:
@@ -189,23 +187,6 @@ class BeamSearchPlanner(InfluentialRecommender):
     use_decoding_sessions:
         Thread incremental decoding sessions through depth expansion when the
         backbone supports them (plans are identical either way).
-    num_workers:
-        Worker shards that :meth:`plan_paths_batch` partitions pending
-        instances across by the stable hash of their planning context; each
-        shard owns an independent plan-cache partition and its own decoding
-        sessions.  ``None`` (the default) reads ``REPRO_NUM_WORKERS`` and
-        falls back to 1 (no sharding); sharded plans are bit-identical to
-        serial ones.
-    shard_backend:
-        ``"serial"``, ``"thread"`` or ``"process"`` (see
-        :class:`~repro.shard.executor.ShardedExecutor`); ``None`` reads
-        ``REPRO_SHARD_BACKEND`` and defaults to ``"thread"`` when
-        ``num_workers > 1``.
-    vocab_shards:
-        Column shards the fused logits tensor is split into for top-k
-        candidate selection (:func:`~repro.shard.topk.sharded_topk`);
-        ``None`` reads ``REPRO_VOCAB_SHARDS`` and falls back to 1.  Any
-        value produces identical candidates.
     candidate_generator:
         Optional fitted (or fit-able) two-stage-retrieval generator
         (:class:`~repro.retrieval.base.CandidateGenerator`).  When set,
@@ -242,9 +223,6 @@ class BeamSearchPlanner(InfluentialRecommender):
         plan_cache_size: int = 256,
         step_cache_size: int = 64,
         use_decoding_sessions: bool = True,
-        num_workers: "int | None" = None,
-        shard_backend: "str | None" = None,
-        vocab_shards: "int | None" = None,
         candidate_generator=None,
     ) -> None:
         super().__init__()
@@ -275,18 +253,8 @@ class BeamSearchPlanner(InfluentialRecommender):
         self.max_length = max_length
         self.candidate_generator = candidate_generator
         self.use_decoding_sessions = use_decoding_sessions
-        self._executor = ShardedExecutor(num_workers, shard_backend)
-        self.num_workers = self._executor.num_workers
-        self.shard_backend = self._executor.backend
-        self.vocab_shards = resolve_vocab_shards(vocab_shards)
-        self.plan_cache = make_plan_cache(plan_cache_size, self.num_workers)
-        # The serving cache's serial contract is "at least one slot" (the
-        # generalised replan slot); under sharding every shard keeps that
-        # floor so no slice of the context space degrades to replanning
-        # every next_step call.
-        self._step_cache = make_plan_cache(
-            step_cache_size, self.num_workers, min_shard_capacity=1
-        )
+        self.plan_cache = PlanCache(plan_cache_size)
+        self._step_cache = PlanCache(step_cache_size)
         # Serving-cache outcome counters: registry-backed, so a serving hit
         # and its sibling replan can never be observed torn, and the counts
         # surface in ``repro-irs metrics`` next to the plan-cache counters.
@@ -389,17 +357,8 @@ class BeamSearchPlanner(InfluentialRecommender):
         if generation != self._backbone_generation:
             self.invalidate_caches()
 
-    def _generation_guard(self) -> "int | None":
-        """Executor guard: the backbone generation a fused dispatch must keep."""
-        return getattr(self.backbone, "fit_generation", None)
-
     def cache_info(self) -> dict:
-        """Hit/miss/eviction counters of both plan caches (for the bench).
-
-        With ``num_workers > 1`` the two caches are hash-partitioned; their
-        entries report merged totals (plus a per-shard breakdown), so the
-        sharded planner's stats read exactly like the serial one's.
-        """
+        """Hit/miss/eviction counters of both plan caches (for the bench)."""
         counts = self._serving_metrics.values()
         serving = {
             "served_from_plan": counts["hits"],
@@ -409,11 +368,6 @@ class BeamSearchPlanner(InfluentialRecommender):
             "plan_cache": self.plan_cache.cache_info(),
             "step_cache": self._step_cache.cache_info(),
             "serving": serving,
-            "sharding": {
-                "num_workers": self.num_workers,
-                "backend": self.shard_backend,
-                "vocab_shards": self.vocab_shards,
-            },
         }
         if self._retrieval_metrics is not None:
             retrieval = self._retrieval_metrics.values()
@@ -534,10 +488,8 @@ class BeamSearchPlanner(InfluentialRecommender):
         log_probs = log_softmax_rows(scores)
         _, columns = log_probs.shape
         k = min(self.branch_factor, columns)
-        # Per-hypothesis top-k in stable-argsort order (value desc, index
-        # asc), optionally computed over column shards of the item axis —
-        # the merge is exact, so any vocab_shards yields the same winners.
-        top, top_values = sharded_topk(log_probs, k, min(self.vocab_shards, columns))
+        # Per-hypothesis top-k in stable-argsort order (value desc, index asc).
+        top, top_values = sharded_topk(log_probs, k)
         if row_items is not None:
             top = np.take_along_axis(row_items, top, axis=1)
         # One conversion to Python scalars per depth, not three per child.
@@ -575,12 +527,10 @@ class BeamSearchPlanner(InfluentialRecommender):
 
         Instances whose ``(tuple(history), objective, user_index,
         max_length)`` key is memoised in :attr:`plan_cache` are served
-        without any planning; the rest partition across the executor's
-        worker shards by the stable hash of that same key (worker and
-        plan-cache shard always coincide) and are planned concurrently,
-        each shard running its own lockstep beam with its own decoding
-        sessions.  Plans are bit-identical for any worker count and any
-        backend.  ``max_length`` defaults to the constructor-level
+        without any planning; the rest are planned together.  A backbone
+        whose ``fit_generation`` changes while they plan raises
+        :class:`~repro.utils.exceptions.StaleGenerationError` and memoises
+        nothing.  ``max_length`` defaults to the constructor-level
         :attr:`max_length`.
         """
         max_length = self.max_length if max_length is None else max_length
@@ -608,31 +558,24 @@ class BeamSearchPlanner(InfluentialRecommender):
             else:
                 pending.append(i)
         if pending:
-            # Every pending path goes through the executor — with one worker
-            # (or one instance) that is a direct in-thread _plan_beam call,
-            # but uniformly under the generation guard, so a mid-plan
-            # backbone retrain raises StaleGenerationError instead of
-            # producing answers computed under mixed weights in ANY
-            # configuration (the torn-batch check is not a sharding-only
-            # property).
-            # Capture the dispatching thread's batch sink and re-install it
-            # inside the shard workers: the thread backend runs plan_shard on
-            # pool threads whose thread-local sink is unset, and per-depth
-            # beam spans must still reach the batch's traces.
-            sink = current_sink()
-
-            def plan_shard(_shard: int, subset) -> "list[list[int]]":
-                with use_sink(sink):
-                    return self._plan_beam(
-                        histories, objectives, users, list(subset), max_length
-                    )
-
-            planned = self._executor.map_partitioned(
-                pending,
-                [keys[i] for i in pending],
-                plan_shard,
-                generation_guard=self._generation_guard,
-            )
+            # The torn-batch check: a backbone retrained while this call
+            # planned would hand back answers computed under two sets of
+            # weights, so the generation is read before and after.
+            expected = getattr(self.backbone, "fit_generation", None)
+            planned = self._plan_beam(histories, objectives, users, pending, max_length)
+            observed = getattr(self.backbone, "fit_generation", None)
+            if observed != expected:
+                logger.warning(
+                    "generation guard tripped mid-plan: %r -> %r across %d instance(s)",
+                    expected,
+                    observed,
+                    len(pending),
+                )
+                raise StaleGenerationError(
+                    f"generation changed from {expected!r} to {observed!r} while "
+                    f"{len(pending)} instance(s) planned; the batch would mix "
+                    f"generations, so no result is returned"
+                )
             for i, path in zip(pending, planned):
                 self.plan_cache.put(keys[i], tuple(path))
                 paths[i] = path
@@ -753,7 +696,7 @@ class BeamSearchPlanner(InfluentialRecommender):
         )
         slots = {i: slot for slot, i in enumerate(pending)}
         # Per-depth expansion spans broadcast to every trace of the drained
-        # micro-batch (depth work is fused across the whole shard subset, so
+        # micro-batch (depth work is fused across the whole batch, so
         # batch-level attribution is the honest granularity); None when the
         # batch is untraced.
         sink = current_sink()
@@ -860,8 +803,8 @@ class BeamSearchPlanner(InfluentialRecommender):
         the next planned item or ``None``, exactly like :meth:`next_step` —
         or ``"plan_paths"`` — answered with a full planned path, exactly
         like :meth:`plan_path`.  This is the entry point the serving loop
-        (:mod:`repro.serve`) drains each shard queue through, and the
-        routing layer under the old serving surface: :meth:`next_step` and
+        (:mod:`repro.serve`) drains its queue through, and the routing layer
+        under the old serving surface: :meth:`next_step` and
         :meth:`plan_path` are batch-of-one calls into it.
 
         All replanning work in the batch is *fused*: every ``plan_paths``
@@ -874,9 +817,6 @@ class BeamSearchPlanner(InfluentialRecommender):
         given order.  Requests that share a serving context within one batch
         are processed in arrival-ordered waves (a later duplicate sees the
         cache effects of the earlier request, never a half-applied state).
-        The method is re-entrant: concurrent drain threads may call it for
-        disjoint shard queues — the caches are lock-guarded, and hash
-        routing guarantees two queues never carry the same serving context.
         """
         if not requests:
             return []
@@ -1059,7 +999,7 @@ class BeamSearchPlanner(InfluentialRecommender):
     @property
     def resident_slots(self) -> int:
         """How many contexts' plans :meth:`resident_plan` can hold at once."""
-        return self._step_cache.capacity
+        return self._step_cache.maxsize
 
     # ------------------------------------------------------------------ #
     # InfluentialRecommender interface

@@ -29,11 +29,12 @@ from repro.distributed.artifacts import (
     artifacts_from_planner,
 )
 from repro.distributed.remote import RemoteReplica, RemoteReplicaSet
-from repro.distributed.worker import ReplicaWorker, spawn_worker
+from repro.distributed.worker import CAN_FORK, ReplicaWorker, spawn_worker
 
 __all__ = [
     "Artifact",
     "ArtifactRegistry",
+    "CAN_FORK",
     "RemoteReplica",
     "RemoteReplicaSet",
     "ReplicaWorker",

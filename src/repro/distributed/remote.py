@@ -8,7 +8,7 @@ traffic driver — ``replay_lockstep``, ``run_open_loop``,
 ``run_replicated_open_loop`` — runs against it unchanged.  What this
 module adds is only what the process boundary needs: each member is a
 forked :class:`~repro.distributed.worker.ReplicaWorker` *process* (its own
-GIL, plan-cache shards and K/V arenas) reached over an ``AF_UNIX``
+GIL, plan caches and K/V arenas) reached over an ``AF_UNIX``
 socketpair speaking the :mod:`repro.distributed.wire` protocol, seen from
 the parent as a :class:`RemoteReplica` (the member verbs of
 :class:`~repro.replica.replica.Replica` over the wire).
@@ -123,7 +123,7 @@ from repro.config import (
 from repro.distributed import wire
 from repro.distributed.artifacts import ArtifactRegistry, artifacts_from_planner
 from repro.distributed.wire import FrameType
-from repro.distributed.worker import HELLO_TIMEOUT, ReplicaWorker, spawn_worker
+from repro.distributed.worker import CAN_FORK, HELLO_TIMEOUT, ReplicaWorker, spawn_worker
 from repro.obs.registry import MetricGroup, get_registry
 from repro.obs.trace import NULL_TRACER
 from repro.replica.dispatch import Dispatcher
@@ -131,7 +131,6 @@ from repro.replica.replica import LATENCY_WEIGHT, MIN_WARM_SAMPLES
 from repro.replica.set import ReplicaSet
 from repro.serve.api import Response
 from repro.serve.request import ServeRequest
-from repro.shard.config import fork_available
 from repro.tenant.registry import assign_tenant
 from repro.utils.exceptions import ConfigurationError, ServingError
 
@@ -157,9 +156,6 @@ class _PlannerProxy:
     def __init__(self, hello: "dict | None") -> None:
         hello = hello or {}
         self.max_length = int(hello.get("max_length", 20))
-        self.num_workers = int(hello.get("num_workers", 1))
-        self.shard_backend = hello.get("shard_backend") or "serial"
-        self.vocab_shards = int(hello.get("vocab_shards") or 1)
         self.name = hello.get("planner", "remote")
 
 
@@ -603,7 +599,6 @@ class RemoteReplicaSet(ReplicaSet):
         self,
         planner_factory: "Callable[[], object]",
         num_replicas: "int | None" = None,
-        num_queues: "int | None" = None,
         max_queue_depth: "int | None" = None,
         admission_policy: "str | None" = None,
         drain_deadline: "float | None" = None,
@@ -615,7 +610,7 @@ class RemoteReplicaSet(ReplicaSet):
         tenant_factory: "Callable[[], object] | None" = None,
         tenant_placement: "dict | None" = None,
     ) -> None:
-        if not fork_available():
+        if not CAN_FORK:
             raise ConfigurationError(
                 "the process transport needs the 'fork' start method (fitted "
                 "planners are shipped to workers by copy-on-write); use the "
@@ -654,7 +649,6 @@ class RemoteReplicaSet(ReplicaSet):
         super().__init__(
             planner_factory,
             num_replicas=num_replicas,
-            num_queues=num_queues,
             max_queue_depth=max_queue_depth,
             admission_policy=admission_policy,
             drain_deadline=drain_deadline,

@@ -2,9 +2,9 @@
 
 A :class:`ReplicaWorker` is the parent-side handle of one forked child
 process.  The child (:func:`worker_main`) runs a complete single-replica
-serving stack — the generation-pinned planner with its own GIL, plan-cache
-shards and arena-backed K/V caches, a full
-:class:`~repro.serve.loop.ServingLoop` (sharded queues, admission scope
+serving stack — the generation-pinned planner with its own GIL, plan
+caches and arena-backed K/V caches, a full
+:class:`~repro.serve.loop.ServingLoop` (its queue, admission scope
 ``worker-<index>``, optional tracing) and a
 :class:`~repro.replica.replica.Replica` for load accounting — and speaks
 the :mod:`repro.distributed.wire` protocol over an ``AF_UNIX``
@@ -52,6 +52,7 @@ counters the worker ended on.
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import os
 import queue
 import socket
@@ -72,13 +73,15 @@ from repro.serve.loop import ServingLoop
 from repro.serve.request import ServeRequest
 from repro.utils.exceptions import ServingError
 
-__all__ = ["ReplicaWorker", "spawn_worker", "worker_main"]
+__all__ = ["CAN_FORK", "ReplicaWorker", "spawn_worker", "worker_main"]
 
 logger = logging.getLogger(__name__)
 
 #: Seconds the parent waits for a worker's HELLO (covers the child's
 #: planner construction, which may train a model).
 HELLO_TIMEOUT = 120.0
+#: Whether this platform has the ``fork`` start method workers are spawned by.
+CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 class ReplicaWorker:
@@ -138,8 +141,6 @@ def spawn_worker(
     and counters — never objects forked mid-acquisition.
     """
     if mp_context is None:
-        import multiprocessing
-
         mp_context = multiprocessing.get_context("fork")
     parent_sock, child_sock = socket.socketpair()
     process = mp_context.Process(
@@ -239,12 +240,8 @@ class _Worker:
                     "index": self.index,
                     "pid": os.getpid(),
                     "generation": self.generation,
-                    "num_queues": self.loop.num_queues,
                     "resident_slots": self.loop.resident_slots(),
                     "max_length": int(getattr(self.planner, "max_length", 20)),
-                    "num_workers": int(getattr(self.planner, "num_workers", 1) or 1),
-                    "shard_backend": getattr(self.planner, "shard_backend", None),
-                    "vocab_shards": getattr(self.planner, "vocab_shards", None),
                     "planner": getattr(self.planner, "name", type(self.planner).__name__),
                     "tenants": (
                         [] if self.loop.tenants is None else list(self.loop.tenants.names)

@@ -34,29 +34,27 @@ def evaluate_next_item(
     k: int = 20,
     max_instances: int | None = None,
     num_workers: "int | None" = None,
-    shard_backend: "str | None" = None,
 ) -> NextItemResult:
     """Rank every held-out target item given its user history.
 
     ``max_instances`` caps the number of evaluated users (useful in smoke
     tests); the paper uses all of them.  With ``num_workers > 1`` the test
-    instances hash-partition across worker shards by their
-    ``(history, target, user)`` context and each shard ranks its own
+    instances hash-partition across threads by their
+    ``(history, target, user)`` context and each thread ranks its own
     chunked batches; ranks are position-independent, so the merged metrics
-    are identical to the serial ones.  ``num_workers=None`` reads
-    ``REPRO_NUM_WORKERS``.
+    are identical to the serial ones.  ``None`` means 1.
     """
     instances = split.test[:max_instances] if max_instances else split.test
     if not instances:
         raise ConfigurationError("the split has no test instances")
-    executor = ShardedExecutor(num_workers, shard_backend)
+    executor = ShardedExecutor(num_workers)
 
     # Rank in batched chunks: one model forward per chunk for batched models
     # (IRN), a transparent scalar loop for the rest.  Chunking bounds the
     # (chunk, vocab) score matrix the batched path materialises.
     chunk_size = 256
 
-    def rank_shard(_shard: int, shard_instances: list) -> list[int]:
+    def rank_shard(shard_instances: list) -> list[int]:
         ranks: list[int] = []
         for start in range(0, len(shard_instances), chunk_size):
             chunk = shard_instances[start : start + chunk_size]

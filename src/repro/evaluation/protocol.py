@@ -185,14 +185,15 @@ class IRSEvaluationProtocol:
     objectives reuse finished plans.
 
     With ``num_workers > 1`` the protocol partitions its evaluation
-    instances across worker shards by the stable hash of their
+    instances across threads by the stable hash of their
     ``(history, objective, user)`` context
-    (:class:`~repro.shard.executor.ShardedExecutor`): each shard rolls out
+    (:class:`~repro.shard.executor.ShardedExecutor`): each thread rolls out
     its own instance partition — chunked batched rollouts in
     :meth:`generate_records`, an independent lockstep ``next_step`` loop in
     :meth:`generate_records_stepwise` — and the merged records are
     bit-identical to the serial ones (instances never interact across a
-    rollout).  ``num_workers=None`` reads ``REPRO_NUM_WORKERS``.
+    rollout).  This is the package's one parallel path (see
+    :mod:`repro.shard.executor` for what it measures); ``None`` means 1.
     """
 
     def __init__(
@@ -205,7 +206,6 @@ class IRSEvaluationProtocol:
         history_window: int | None = 50,
         rollout_chunk_size: int = 64,
         num_workers: "int | None" = None,
-        shard_backend: "str | None" = None,
         seed: int = 0,
     ) -> None:
         if not isinstance(rollout_chunk_size, int) or rollout_chunk_size <= 0:
@@ -217,9 +217,8 @@ class IRSEvaluationProtocol:
         self.max_length = max_length
         self.history_window = history_window
         self.rollout_chunk_size = rollout_chunk_size
-        self.executor = ShardedExecutor(num_workers, shard_backend)
+        self.executor = ShardedExecutor(num_workers)
         self.num_workers = self.executor.num_workers
-        self.shard_backend = self.executor.backend
         self.instances = sample_objectives(
             split,
             min_objective_interactions=min_objective_interactions,
@@ -246,7 +245,7 @@ class IRSEvaluationProtocol:
         recommender: InfluentialRecommender,
         contexts: "list[tuple[list[int], int, int | None]]",
     ) -> list[list[int]]:
-        """Chunked ``generate_paths_batch`` over one shard's contexts."""
+        """Chunked ``generate_paths_batch`` over one thread's contexts."""
         paths: list[list[int]] = []
         for start in range(0, len(contexts), self.rollout_chunk_size):
             chunk = contexts[start : start + self.rollout_chunk_size]
@@ -270,8 +269,8 @@ class IRSEvaluationProtocol:
         processed in chunks of ``rollout_chunk_size`` so the fused logits
         tensor (``chunk * beam_width`` rows × vocab) stays bounded however
         many test users the split has.  With ``num_workers > 1`` the
-        instances first hash-partition across worker shards, each shard
-        running its own chunked rollout; the merged paths are identical.
+        instances first hash-partition across threads, each running its own
+        chunked rollout; the merged paths are identical.
         """
         histories = [self._history_for(instance) for instance in self.instances]
         contexts = [
@@ -281,9 +280,7 @@ class IRSEvaluationProtocol:
         paths = self.executor.map_partitioned(
             contexts,
             self._instance_keys(histories),
-            lambda _shard, shard_contexts: self._rollout_batched(
-                recommender, shard_contexts
-            ),
+            lambda shard_contexts: self._rollout_batched(recommender, shard_contexts),
         )
         return [
             PathRecord(
@@ -314,7 +311,7 @@ class IRSEvaluationProtocol:
         logged loudly rather than silently producing incomparable metrics.
 
         With ``num_workers > 1`` the serving contexts hash-partition across
-        worker shards and each shard drives its own lockstep loop; because
+        threads and each drives its own lockstep loop; because
         ``next_step`` is deterministic per context (caches only skip work,
         never change answers), the merged paths equal the serial lockstep's.
         """
@@ -335,7 +332,7 @@ class IRSEvaluationProtocol:
         paths = self.executor.map_partitioned(
             contexts,
             self._instance_keys(histories),
-            lambda _shard, shard_contexts: rollout_next_step(
+            lambda shard_contexts: rollout_next_step(
                 recommender, shard_contexts, self.max_length
             ),
         )

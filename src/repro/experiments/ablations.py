@@ -108,14 +108,8 @@ def ablation_decoding(
     irn = pipeline.irn()
     rows = [_evaluate(pipeline, "greedy (Algorithm 1)", irn)]
 
-    config = pipeline.config
     planner = BeamSearchPlanner(
-        irn,
-        beam_width=beam_width,
-        branch_factor=branch_factor,
-        num_workers=config.num_workers,
-        shard_backend=config.shard_backend,
-        vocab_shards=config.vocab_shards,
+        irn, beam_width=beam_width, branch_factor=branch_factor
     ).fit(pipeline.split)
     rows.append(_evaluate(pipeline, f"beam search (width {beam_width})", planner))
     return rows

@@ -68,16 +68,13 @@ class ExperimentConfig:
     max_eval_instances: int | None = 80
     history_window: int = 40
 
-    # Sharded execution (repro.shard) ----------------------------------------
+    # Evaluation execution ---------------------------------------------------
     #: instances per batched Algorithm-1 rollout call (bounds the fused
     #: logits tensor); protocol-level knob surfaced on the CLI
     rollout_chunk_size: int = 64
-    #: worker shards for planning/evaluation; None reads REPRO_NUM_WORKERS
+    #: threads the evaluation protocol and next-item ranking partition
+    #: instances across (None means 1)
     num_workers: int | None = None
-    #: 'serial' / 'thread' / 'process'; None reads REPRO_SHARD_BACKEND
-    shard_backend: str | None = None
-    #: column shards of the item axis for top-k; None reads REPRO_VOCAB_SHARDS
-    vocab_shards: int | None = None
 
     # Model budgets ----------------------------------------------------------
     embedding_dim: int = 32
@@ -111,17 +108,11 @@ class ExperimentConfig:
                 f"rollout_chunk_size must be a positive integer, "
                 f"got {self.rollout_chunk_size!r}"
             )
-        # Resolve (and thereby validate) the sharding knobs eagerly so a bad
-        # --num-workers / --shard-backend / --vocab-shards fails at config
-        # time with a clear message, not mid-experiment.
-        from repro.config import resolve_num_workers, resolve_vocab_shards
-        from repro.shard.config import resolve_shard_backend
+        # Resolve (and thereby validate) the thread count eagerly so a bad
+        # --num-workers fails at config time, not mid-experiment.
+        from repro.config import resolve_num_workers
 
         self.num_workers = resolve_num_workers(self.num_workers)
-        self.shard_backend = resolve_shard_backend(
-            self.shard_backend, num_workers=self.num_workers
-        )
-        self.vocab_shards = resolve_vocab_shards(self.vocab_shards)
 
     # ------------------------------------------------------------------ #
     # Presets

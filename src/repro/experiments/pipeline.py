@@ -212,7 +212,6 @@ class ExperimentPipeline:
                 history_window=self.config.history_window,
                 rollout_chunk_size=self.config.rollout_chunk_size,
                 num_workers=self.config.num_workers,
-                shard_backend=self.config.shard_backend,
                 seed=self.config.seed,
             )
         return self._protocols[length]

@@ -135,7 +135,6 @@ def table4_next_item(
             k=k,
             max_instances=pipeline.config.max_eval_instances,
             num_workers=pipeline.config.num_workers,
-            shard_backend=pipeline.config.shard_backend,
         )
         rows.append(
             {

@@ -29,9 +29,9 @@ __all__ = [
     "resolve_inference_dtype",
 ]
 
-# Grad mode is thread-local so the sharded execution subsystem can run
-# inference on worker threads without one worker's ``no_grad`` exit
-# re-enabling graph construction under another worker mid-forward.  Each
+# Grad mode is thread-local so the evaluation protocol's rollout threads can
+# run inference without one thread's ``no_grad`` exit re-enabling graph
+# construction under another mid-forward.  Each
 # thread starts with grad enabled, matching the old module-global default.
 _GRAD_STATE = threading.local()
 

@@ -13,7 +13,7 @@ environment variable > built-in default):
   deterministic per (routing key, arrival ordinal), so the same seeded
   open-loop run always traces the same requests.
 
-The environment hooks mirror the ``REPRO_NUM_WORKERS`` family: CI and
+The environment hooks mirror the serving knobs' ``REPRO_*`` family: CI and
 operators flip tracing on a whole run (``REPRO_TRACE=1``) without touching
 any call site.
 """

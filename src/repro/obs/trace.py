@@ -3,8 +3,8 @@
 A :class:`Trace` rides inside the :class:`~repro.serve.request.ServeRequest`
 envelope and collects :class:`Span` records — named wall-clock intervals
 with attributes — as the request moves through admission, queue wait,
-micro-batch drain, beam expansion, shard scatter/gather and cache
-decisions.  Three properties shape the design:
+micro-batch drain, beam expansion and cache decisions.  Three properties
+shape the design:
 
 **Deterministic identifiers.**  A trace ID is derived from the request's
 routing key (``stable_hash`` of the context key) plus a per-key arrival
@@ -24,26 +24,24 @@ group ``obs.trace``; :mod:`repro.perf.bench` reads those counters to prove
 the disabled path is a structural no-op (allocation delta == 0) and that
 the enabled path stays inside its spans-per-request budget.
 
-**Batch-to-request fan-out.**  Micro-batch stages (planning, shard
-scatter/gather, per-depth beam expansion) do work for many requests in one
-call, below the layer that knows about :class:`ServeRequest`.  The drain
-thread installs a :class:`BatchSink` — a thread-local carrying the traces
-of the batch — and deep stages broadcast batch-wide spans through
-:func:`current_sink` without any signature changes.  The sink is captured
-and re-installed inside shard worker threads, so spans recorded by the
-thread backend still land in the right traces.
+**Batch-to-request fan-out.**  Micro-batch stages (planning, per-depth
+beam expansion) do work for many requests in one call, below the layer that
+knows about :class:`ServeRequest`.  The drain thread installs a
+:class:`BatchSink` — a thread-local carrying the traces of the batch — and
+deep stages broadcast batch-wide spans through :func:`current_sink` without
+any signature changes.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from contextlib import contextmanager
-from typing import Hashable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.obs.config import resolve_trace_enabled, resolve_trace_sample_rate
 from repro.obs.registry import MetricGroup, MetricsRegistry, get_registry
+from repro.shard.partition import stable_hash
 
 __all__ = [
     "Span",
@@ -61,21 +59,6 @@ TRACE_METRICS_SCOPE = "obs.trace"
 # 2^53: stable_hash fractions compared against the sample rate use the top
 # 53 bits so the quotient is exactly representable as a float.
 _SAMPLE_DENOMINATOR = float(1 << 53)
-
-
-def stable_hash(key: Hashable) -> int:
-    """A 64-bit interpreter-independent hash of ``key``.
-
-    Same construction as :func:`repro.shard.partition.stable_hash`
-    (``blake2b`` over the ``repr`` encoding), restated here so the
-    observability layer stays a leaf dependency — the shard executor
-    imports *this* package for its batch sink, so importing the shard
-    package back would be circular.  Keeping the construction identical
-    means a trace ID's key-hash prefix agrees with the request's shard
-    routing hash.
-    """
-    digest = hashlib.blake2b(repr(key).encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
 
 
 class Span:
@@ -105,7 +88,7 @@ class Span:
 
 
 class Trace:
-    """The spans of one request; append-safe from concurrent shard workers."""
+    """The spans of one request; append-safe from concurrent threads."""
 
     __slots__ = ("trace_id", "attrs", "spans", "_lock", "_name_counts", "_finished")
 
@@ -281,8 +264,7 @@ class BatchSink:
     """Thread-local bridge from batch-wide stages to per-request traces.
 
     ``traces`` is aligned with the micro-batch's request order; entries are
-    ``None`` for untraced requests.  Deep stages (planner, shard executor)
-    call :meth:`batch_span` to broadcast an interval to every traced
+    ``None`` for untraced requests.  Deep stages (the planner) call :meth:`batch_span` to broadcast an interval to every traced
     request in the batch, or :meth:`request_span` to target one position.
     """
 

@@ -44,14 +44,12 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 import numpy as np
 
 from repro.cache.stats import DecodeStats
-from repro.config import resolve_vocab_shards
 from repro.core.beam import BeamSearchPlanner
 from repro.core.irn import IRN
 from repro.data.preprocessing import build_corpus
 from repro.data.splitting import DatasetSplit, split_corpus
 from repro.data.synthetic import SyntheticConfig, generate_synthetic_dataset
 from repro.evaluation.protocol import rollout_next_step, sample_objectives
-from repro.shard.config import fork_available, resolve_shard_backend
 from repro.utils.exceptions import ConfigurationError
 
 __all__ = [
@@ -334,9 +332,7 @@ class _Workload:
     live here (built on first use) instead of being rebuilt per section.
     """
 
-    def __init__(
-        self, config: dict, shard_backend: "str | None", vocab_shards: "int | None"
-    ) -> None:
+    def __init__(self, config: dict) -> None:
         self.config = config
         self.split = build_bench_split(config)
         self.irn = IRN(**config["irn"]).fit(self.split)
@@ -352,10 +348,6 @@ class _Workload:
         ]
         self.batch_args = _batch_args(self.contexts)
         self.max_length = config["max_path_length"]
-        #: The raw ``--shard-backend`` value: each section resolves it
-        #: against the worker count it actually sweeps.
-        self.shard_backend = shard_backend
-        self.vocab_shards = resolve_vocab_shards(vocab_shards)
 
     def planner(self, backbone=None, **knobs) -> BeamSearchPlanner:
         """A fitted planner at the profile's beam shape."""
@@ -368,9 +360,7 @@ class _Workload:
 
     def serving_planner(self, backbone=None, **knobs) -> BeamSearchPlanner:
         """A planner as the serving sections configure it."""
-        return self.planner(
-            backbone, max_length=self.max_length, vocab_shards=self.vocab_shards, **knobs
-        )
+        return self.planner(backbone, max_length=self.max_length, **knobs)
 
     @cached_property
     def reference_planner(self) -> BeamSearchPlanner:
@@ -572,83 +562,82 @@ def _bench_incremental(w: _Workload) -> dict:
 
 
 def _bench_sharded(w: _Workload) -> dict:
-    """Worker-partitioned batched beam planning at 1 / 2 / 4 workers.
+    """The offline evaluation protocol at 1 / 2 / 4 threads.
 
-    One ``plan_paths_batch`` over all bench instances (the evaluation
-    fan-out), plan memoisation off.  The 1-worker planner short-circuits the
-    executor and IS the serial reference; every other worker count must plan
-    bit-identically whatever the backend, and a 2-worker fork-process run
-    checks parity across the process boundary when the platform has fork.
+    Per thread count, :class:`~repro.evaluation.protocol.IRSEvaluationProtocol`
+    rolls the bench instances out through ``generate_records`` (batched
+    Algorithm-1 rollouts) and ``generate_records_stepwise`` (lockstep
+    ``next_step``), each on a fresh cold-cache planner, and
+    :func:`~repro.evaluation.nextitem.evaluate_next_item` ranks the held-out
+    items; the 1-thread run is an inline call and IS the serial reference
+    every other thread count must reproduce bit-identically.
     """
-    backend = resolve_shard_backend(w.shard_backend, num_workers=4)
+    from repro.evaluation.evaluator import IRSEvaluator
+    from repro.evaluation.nextitem import evaluate_next_item
+    from repro.evaluation.protocol import IRSEvaluationProtocol
 
-    def plan(num_workers: int, shard_backend: str) -> "list[list[int]]":
-        planner = w.planner(
-            plan_cache_size=0,
-            vocab_shards=w.vocab_shards,
+    evaluator = IRSEvaluator(w.irn)
+
+    def evaluate(num_workers: int) -> "tuple[list, list, object]":
+        protocol = IRSEvaluationProtocol(
+            w.split,
+            evaluator,
+            max_length=w.max_length,
+            min_objective_interactions=2,
+            max_instances=w.config["num_instances"],
             num_workers=num_workers,
-            shard_backend=shard_backend,
         )
-        return planner.plan_paths_batch(*w.batch_args, max_length=w.max_length)
+        records = protocol.generate_records(w.serving_planner(plan_cache_size=0))
+        stepwise = protocol.generate_records_stepwise(w.serving_planner())
+        nextitem = evaluate_next_item(
+            w.irn,
+            w.split,
+            max_instances=w.config["num_eval_instances"],
+            num_workers=num_workers,
+        )
+        return records, stepwise, nextitem
 
-    serial_paths = plan(1, backend)
-    workers_report = [
-        {
-            "num_workers": num_workers,
-            "paths": len(paths),
-            "plans_equal_serial": paths == serial_paths,
-        }
-        for num_workers, paths in (
-            (1, serial_paths),
-            (2, plan(2, backend)),
-            (4, plan(4, backend)),
+    serial = evaluate(1)
+    workers_report = []
+    for num_workers in (1, 2, 4):
+        records, stepwise, nextitem = serial if num_workers == 1 else evaluate(num_workers)
+        workers_report.append(
+            {
+                "num_workers": num_workers,
+                "records": len(records),
+                "records_equal_serial": records == serial[0],
+                "stepwise_records_equal_serial": stepwise == serial[1],
+                "nextitem_equal_serial": nextitem == serial[2],
+            }
         )
-    ]
     return {
         "max_path_length": w.max_length,
-        "num_instances": len(w.contexts),
-        "backend": backend,
-        "vocab_shards": w.vocab_shards,
+        "num_instances": len(serial[0]),
         "workers": workers_report,
-        "process_parity": (
-            plan(2, "process") == serial_paths if fork_available() else None
-        ),
     }
 
 
 def _bench_async_serving(w: _Workload) -> dict:
     """The lockstep ``next_step`` trace replayed through the asynchronous loop.
 
-    Per worker-shard count (1 / 2 / 4 queues) a fresh cold-cache planner
-    serves the trace through a :class:`~repro.serve.loop.ServingLoop`; the
-    responses must be bit-identical to sequential serving — async serving
-    changes when work happens, never what is answered.  ``served`` and the
-    admission counts depend on the trace alone; how a round splits into
-    micro-batches is a race and is not recorded.
+    A fresh cold-cache planner serves the trace through a
+    :class:`~repro.serve.loop.ServingLoop`; the responses must be
+    bit-identical to sequential serving — async serving changes when work
+    happens, never what is answered.  ``served`` and the admission counts
+    depend on the trace alone; how a round splits into micro-batches is a
+    race and is not recorded.
     """
     from repro.serve import ServingLoop, replay_lockstep
 
-    backend = resolve_shard_backend(w.shard_backend, num_workers=4)
-    workers_report = []
-    for num_workers in (1, 2, 4):
-        planner = w.serving_planner(num_workers=num_workers, shard_backend=backend)
-        with ServingLoop(planner) as loop:
-            served_paths = replay_lockstep(loop, w.contexts, w.max_length)
-            stats = loop.stats()
-        workers_report.append(
-            {
-                "num_workers": num_workers,
-                "responses_match_sequential": served_paths == w.sequential_paths,
-                "served": stats["served"],
-                "admission": {**loop.admission.describe(), **stats["admission"]},
-            }
-        )
+    with ServingLoop(w.serving_planner()) as loop:
+        served_paths = replay_lockstep(loop, w.contexts, w.max_length)
+        stats = loop.stats()
     return {
         "max_path_length": w.max_length,
         "num_contexts": len(w.contexts),
-        "backend": backend,
-        "vocab_shards": w.vocab_shards,
-        "workers": workers_report,
+        "responses_match_sequential": served_paths == w.sequential_paths,
+        "served": stats["served"],
+        "admission": {**loop.admission.describe(), **stats["admission"]},
     }
 
 
@@ -673,17 +662,14 @@ def _bench_replicated_serving(w: _Workload) -> dict:
     from repro.serve import replay_lockstep
 
     num_replicas = w.config["num_replicas"]
-    backend = resolve_shard_backend(w.shard_backend, num_workers=1)
 
-    with ReplicaSet(
-        lambda: w.serving_planner(shard_backend=backend), num_replicas=num_replicas
-    ) as replica_set:
+    with ReplicaSet(w.serving_planner, num_replicas=num_replicas) as replica_set:
         served_paths = replay_lockstep(replica_set, w.contexts, w.max_length)
         parity_stats = replica_set.stats()
 
     def fresh_factory():
         backbone = IRN(**w.config["irn"]).fit(w.split)
-        return w.serving_planner(backbone, shard_backend=backend)
+        return w.serving_planner(backbone)
 
     # Clock read 2 of 3: the refit retrains every replica off-path, so the
     # traffic window must outlast one fleet build on THIS host or the flip
@@ -727,8 +713,6 @@ def _bench_replicated_serving(w: _Workload) -> dict:
         "max_path_length": w.max_length,
         "num_contexts": len(w.contexts),
         "num_replicas": num_replicas,
-        "backend": backend,
-        "vocab_shards": w.vocab_shards,
         "parity": {
             "responses_match_single_replica": served_paths == w.sequential_paths,
             "served": parity_stats["served"],
@@ -758,19 +742,18 @@ def _bench_distributed_serving(w: _Workload) -> dict:
       on how far the victim got before the signal.
 
     On platforms without ``fork`` the section records the codec sizes only
-    and stamps ``fork_available: false`` (the gate skips it).
+    and stamps ``can_fork: false`` (the gate skips it).
     """
     import signal
 
     from repro.config import resolve_heartbeat_misses
-    from repro.distributed import RemoteReplicaSet, wire
+    from repro.distributed import CAN_FORK, RemoteReplicaSet, wire
     from repro.serve import replay_lockstep
     from repro.serve.request import ServeRequest
 
     contexts = w.contexts
     max_length = w.max_length
     heartbeat_interval = w.config["distributed_heartbeat_interval"]
-    backend = resolve_shard_backend(w.shard_backend, num_workers=1)
 
     codec_batch = 64
     entries = []
@@ -798,10 +781,8 @@ def _bench_distributed_serving(w: _Workload) -> dict:
     section = {
         "max_path_length": max_length,
         "num_contexts": len(contexts),
-        "backend": backend,
-        "vocab_shards": w.vocab_shards,
         "transport": "process",
-        "fork_available": fork_available(),
+        "can_fork": CAN_FORK,
         "heartbeat_interval": heartbeat_interval,
         "codec": {
             "batch_size": codec_batch,
@@ -810,11 +791,8 @@ def _bench_distributed_serving(w: _Workload) -> dict:
             "heartbeat_frame_bytes": wire.FRAME_HEADER.size + len(heartbeat_payload),
         },
     }
-    if not section["fork_available"]:  # pragma: no cover - POSIX CI always forks
+    if not CAN_FORK:  # pragma: no cover - POSIX CI always forks
         return section
-
-    def shared_factory():
-        return w.serving_planner(shard_backend=backend)
 
     # Distinct plans per burst envelope: rotate each context's history so
     # the plan-cache key changes request to request.
@@ -841,7 +819,7 @@ def _bench_distributed_serving(w: _Workload) -> dict:
     workers_report = []
     for num_workers in w.config["distributed_worker_counts"]:
         with RemoteReplicaSet(
-            shared_factory,
+            w.serving_planner,
             num_replicas=num_workers,
             heartbeat_interval=heartbeat_interval,
         ) as remote_set:
@@ -861,7 +839,7 @@ def _bench_distributed_serving(w: _Workload) -> dict:
         )
 
     with RemoteReplicaSet(
-        shared_factory, num_replicas=2, heartbeat_interval=heartbeat_interval
+        w.serving_planner, num_replicas=2, heartbeat_interval=heartbeat_interval
     ) as chaos_set:
         requests = enqueue_burst(chaos_set)
         victim = chaos_set.active_replicas()[0]
@@ -1021,17 +999,12 @@ def _bench_observability(w: _Workload) -> dict:
       must retain the same trace IDs (they derive from routing keys and
       per-key ordinals, never wall time or object identity).
     * **Parity with tracing on** — the lockstep replay bits of the async
-      (2 worker shards) and replicated sections, re-checked with tracing
-      enabled: instrumentation must never change what is answered.
+      and replicated sections, re-checked with tracing enabled:
+      instrumentation must never change what is answered.
     """
     from repro.obs import Tracer, get_registry
     from repro.replica import ReplicaSet
     from repro.serve import ServingLoop, replay_lockstep
-
-    backend = resolve_shard_backend(w.shard_backend, num_workers=2)
-
-    def make_planner(num_workers: int = 1):
-        return w.serving_planner(num_workers=num_workers, shard_backend=backend)
 
     def traced() -> "Tracer":
         return Tracer(enabled=True, sample_rate=1.0)
@@ -1042,7 +1015,7 @@ def _bench_observability(w: _Workload) -> dict:
     def replay_serially(tracer: "Tracer | None") -> "tuple[int, dict]":
         """(requests served, ``obs.trace`` counters the replay added)."""
         before = allocations()
-        with ServingLoop(make_planner(), tracer=tracer) as loop:
+        with ServingLoop(w.serving_planner(), tracer=tracer) as loop:
             for context in w.contexts:
                 replay_lockstep(loop, [context], w.max_length)
             served = loop.stats()["served"]
@@ -1060,17 +1033,16 @@ def _bench_observability(w: _Workload) -> dict:
     replay_serially(repeat_tracer)
     spans_per_request = enabled_delta["spans"] / max(served, 1)
 
-    with ServingLoop(make_planner(num_workers=2), tracer=traced()) as loop:
+    with ServingLoop(w.serving_planner(), tracer=traced()) as loop:
         async_paths = replay_lockstep(loop, w.contexts, w.max_length)
     with ReplicaSet(
-        make_planner, num_replicas=w.config["num_replicas"], tracer=traced()
+        w.serving_planner, num_replicas=w.config["num_replicas"], tracer=traced()
     ) as replica_set:
         replicated_paths = replay_lockstep(replica_set, w.contexts, w.max_length)
 
     return {
         "max_path_length": w.max_length,
         "num_contexts": len(w.contexts),
-        "backend": backend,
         "disabled": {"allocation_delta": disabled_delta},
         "enabled": {
             "sample_rate": 1.0,
@@ -1371,7 +1343,7 @@ def _bench_multi_tenant(w: _Workload) -> dict:
     noisy_rejects = 0
     futures = []
     # The loop is built but NOT started: admitted envelopes sit in the
-    # shard queue holding their tenant's in-flight slots, so the bounded
+    # queue holding their tenant's in-flight slots, so the bounded
     # tenant overflows deterministically at its max_inflight.
     noisy = NextStepRequest(
         history=history, objective=objective, user_index=user, tenant="noisy"
@@ -1488,16 +1460,12 @@ def resolve_sections(sections: "Sequence[str] | None") -> "tuple[str, ...]":
 def run_benchmarks(
     profile: str = "default",
     output: str | None = None,
-    shard_backend: "str | None" = None,
-    vocab_shards: "int | None" = None,
     sections: "Sequence[str] | None" = None,
 ) -> dict:
     """Train a small IRN on the synthetic corpus and run the contract sections.
 
     Returns the report dict; when ``output`` is given it is also written
-    there as JSON.  ``shard_backend`` / ``vocab_shards`` configure the
-    sharded and serving sections (defaults: the ``REPRO_*`` environment,
-    then thread / 1).  ``sections`` restricts the run to a subset of
+    there as JSON.  ``sections`` restricts the run to a subset of
     :data:`BENCH_SECTIONS` (unselected sections are simply absent from the
     report).
     """
@@ -1507,7 +1475,7 @@ def run_benchmarks(
     # is the only selection, train no model nothing will use.
     workload = None
     if any(name != "two_stage_retrieval" for name in selected):
-        workload = _Workload(config, shard_backend, vocab_shards)
+        workload = _Workload(config)
 
     machine = machine_info()
     report = {
@@ -1525,8 +1493,6 @@ def run_benchmarks(
         # Peak RSS is monotone per process: the reading is an upper bound
         # reached BY the end of this section, so a jump is attributable.
         section["peak_rss_kb"] = peak_rss_kb()
-        # The non-sharded sections run in-process serial NumPy.
-        section.setdefault("backend", "serial")
         section["cpu_count"] = machine["cpu_count"]
         report[name] = section
     # Refresh the root machine block's peak after the sections ran.
@@ -1540,8 +1506,8 @@ def run_benchmarks(
 
 def main(argv: Sequence[str] | None = None) -> None:
     """``python -m repro.perf.bench`` IS ``repro-irs bench``: one flag parser
-    (``--profile`` / ``--output`` / ``--sections`` / ``--cprofile`` /
-    ``--shard-backend`` / ``--vocab-shards``), one eager validation path."""
+    (``--profile`` / ``--output`` / ``--sections`` / ``--cprofile``), one
+    eager validation path."""
     from repro.cli import main as cli_main
 
     sys.exit(cli_main(["bench", *(sys.argv[1:] if argv is None else argv)]))

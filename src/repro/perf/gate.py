@@ -19,10 +19,11 @@ against ``budget_seconds``).
   on the 1-layer model (exact reuse across depths) and on the default
   2-layer personalized model, whose sessions must also encode at least
   2x fewer tokens (an exact count) by sharing history within a depth.
-* ``sharded_evaluation`` — plans bit-identical at every worker count (and
-  across the fork boundary when the platform has fork).
-* ``async_serving`` — lockstep-replay responses bit-identical to
-  sequential serving at every worker count.
+* ``sharded_evaluation`` — the offline evaluation protocol's batched and
+  stepwise records, and the next-item ranking, bit-identical to serial at
+  every thread count.
+* ``async_serving`` — lockstep-replay responses through the serving loop
+  bit-identical to sequential serving.
 * ``replicated_serving`` — shared-generation responses bit-identical to
   single-replica serving; the hot refit errored zero admitted requests,
   rejected none under the ``block`` policy (``no_pause``) and flipped
@@ -32,7 +33,7 @@ against ``budget_seconds``).
   non-zero count of the replay's steps answered in the parent; the SIGKILL
   chaos run dropped nothing, kept answers bit-identical and flipped the
   victim unhealthy within the missed-heartbeat budget.  Skipped wholesale
-  when the platform recorded ``fork_available: false``.
+  when the platform recorded ``can_fork: false``.
 * ``observability`` — disabled tracing allocates nothing, full sampling
   allocates one trace per request inside the spans-per-request budget,
   trace IDs repeat across identically driven replays, and the
@@ -148,7 +149,7 @@ def _check_incremental(section: dict, violations: "list[str]") -> None:
 
 
 def _check_distributed(section: dict, violations: "list[str]") -> None:
-    if section.get("fork_available") is False:
+    if section.get("can_fork") is False:
         # Codec-only report: there is no process transport to gate.
         return
     workers = section.get("workers", [])
@@ -318,29 +319,24 @@ def collect_violations(report: dict, require: "Sequence[str]" = ()) -> "list[str
     if "incremental_decoding" in report:
         _check_incremental(report["incremental_decoding"], violations)
     if "sharded_evaluation" in report:
-        sharded = report["sharded_evaluation"]
-        if not sharded.get("workers"):
-            violations.append("sharded_evaluation: the section recorded no worker counts")
-        for row in sharded.get("workers", []):
-            if not row.get("plans_equal_serial"):
-                violations.append(
-                    f"sharded_evaluation: plans at {row.get('num_workers')} worker(s) "
-                    f"differ from serial"
-                )
-        if sharded.get("process_parity") is False:
-            violations.append(
-                "sharded_evaluation: fork-process plans differ from serial plans"
-            )
-    if "async_serving" in report:
-        workers = report["async_serving"].get("workers", [])
+        workers = report["sharded_evaluation"].get("workers", [])
         if not workers:
-            violations.append("async_serving: the section recorded no worker counts")
+            violations.append("sharded_evaluation: the section recorded no thread counts")
         for row in workers:
-            if not row.get("responses_match_sequential"):
-                violations.append(
-                    f"async_serving: responses at {row.get('num_workers')} worker(s) "
-                    f"differ from sequential serving"
-                )
+            for bit, what in (
+                ("records_equal_serial", "batched records"),
+                ("stepwise_records_equal_serial", "stepwise records"),
+                ("nextitem_equal_serial", "next-item metrics"),
+            ):
+                if not row.get(bit):
+                    violations.append(
+                        f"sharded_evaluation: {what} at {row.get('num_workers')} "
+                        f"thread(s) differ from serial"
+                    )
+    if "async_serving" in report and not report["async_serving"].get(
+        "responses_match_sequential"
+    ):
+        violations.append("async_serving: responses differ from sequential serving")
     if "replicated_serving" in report:
         _check_replicated(report["replicated_serving"], violations)
     if "distributed_serving" in report:

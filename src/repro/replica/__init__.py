@@ -1,10 +1,8 @@
 """Replicated serving with generation-aware hot refit.
 
-The fifth rung of the performance ladder (batching → caching → sharding →
-async serving → **replication**).  A :class:`~repro.replica.set.ReplicaSet`
-puts N independently fitted backbone replicas behind the admission layer —
-each replica owns its planner (with its own sharded executor and plan-cache
-shards) and its own serving loop — and a
+A :class:`~repro.replica.set.ReplicaSet` puts N independently fitted
+backbone replicas behind the admission layer — each replica owns its
+planner (with its own plan caches) and its own serving loop — and a
 :class:`~repro.replica.dispatch.Dispatcher` routes every request to the
 least-loaded healthy replica (EWMA in-flight depth + recent p95 drain
 latency, session affinity for ``next_step``, round-robin while cold)

@@ -1,10 +1,9 @@
 """One serving replica: a pinned planner, its loop, and its load signals.
 
 A :class:`Replica` owns everything one backbone copy needs to serve
-independently: the generation-pinned planner (which in turn owns its own
-:class:`~repro.shard.executor.ShardedExecutor` and plan-cache shards), a
-dedicated :class:`~repro.serve.loop.ServingLoop` (its own queues, drain
-threads and per-replica :class:`~repro.serve.admission.AdmissionController`
+independently: the generation-pinned planner (with its own plan caches),
+a dedicated :class:`~repro.serve.loop.ServingLoop` (its own queue, drain
+thread and per-replica :class:`~repro.serve.admission.AdmissionController`
 scope), and the load accounting the dispatcher scores replicas by:
 
 * **in-flight count** — requests dispatched here and not yet answered

@@ -17,7 +17,7 @@ put every member in its own process.  Behind the surface:
 * each replica is built by the caller's ``planner_factory`` — an
   independently fitted backbone wrapped in a generation-pinned
   :class:`~repro.core.beam.BeamSearchPlanner`, with its own
-  :class:`~repro.serve.loop.ServingLoop` (own queues, drain threads and a
+  :class:`~repro.serve.loop.ServingLoop` (own queue, drain thread and a
   per-replica admission scope) — nothing is shared between replicas;
 * a :class:`~repro.replica.dispatch.Dispatcher` routes each request to the
   least-loaded healthy replica (session affinity for ``next_step``, EWMA
@@ -80,9 +80,9 @@ class ReplicaSet(TypedServingSurface):
         shared-generation parity contract to hold.
     num_replicas:
         Replica count; ``None`` reads ``REPRO_REPLICAS`` and defaults to 1.
-    num_queues / max_queue_depth / admission_policy / drain_deadline:
+    max_queue_depth / admission_policy / drain_deadline:
         Forwarded to every replica's :class:`~repro.serve.loop.ServingLoop`
-        (each gets its own queues and admission controller, labelled
+        (each gets its own queue and admission controller, labelled
         ``replica-<id>`` for per-replica depth accounting).
     dispatch_policy:
         ``least_loaded`` (default) or ``round_robin``; ``None`` reads
@@ -110,7 +110,6 @@ class ReplicaSet(TypedServingSurface):
         self,
         planner_factory: "Callable[[], object]",
         num_replicas: "int | None" = None,
-        num_queues: "int | None" = None,
         max_queue_depth: "int | None" = None,
         admission_policy: "str | None" = None,
         drain_deadline: "float | None" = None,
@@ -136,7 +135,6 @@ class ReplicaSet(TypedServingSurface):
         # boundary lands in the same retained-trace list.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._loop_kwargs = dict(
-            num_queues=num_queues,
             max_queue_depth=max_queue_depth,
             admission_policy=admission_policy,
             drain_deadline=drain_deadline,

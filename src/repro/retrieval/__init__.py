@@ -23,8 +23,8 @@ first stage for the IRN beam planner:
 
 Exactness contract: scoring over a candidate set yields logits *identical*
 to slicing full-vocabulary scores at those candidates; pruning only
-restricts which items may be proposed.  ``shard.topk``'s column-sharded
-exact top-k remains the full-vocabulary oracle.
+restricts which items may be proposed.  ``shard.topk``'s exact stable
+top-k remains the full-vocabulary oracle.
 """
 
 from repro.retrieval.ann import EmbeddingANNGenerator

@@ -1,11 +1,10 @@
 """Asynchronous serving subsystem: request queues, micro-batching, latency.
 
-The fourth rung of the performance ladder (batching → caching → sharding →
-**async serving**).  :class:`~repro.serve.loop.ServingLoop` turns the
-synchronous planning entry points into a futures-based front-end: requests
-hash-route to bounded per-worker-shard queues, an
+:class:`~repro.serve.loop.ServingLoop` turns the synchronous planning entry
+points into a futures-based front-end: a step a resident plan answers is
+served on the caller's thread, everything else enters one bounded queue, an
 :class:`~repro.serve.admission.AdmissionController` applies back-pressure
-(reject or block at the depth bound), and per-shard drain threads answer
+(reject or block at the depth bound), and the drain thread answers
 everything pending as one fused micro-batch through
 :meth:`~repro.core.beam.BeamSearchPlanner.plan_for_requests` — responses
 bit-identical to sequential serving, measured by the traffic drivers in

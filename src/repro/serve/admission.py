@@ -1,19 +1,18 @@
 """Admission control: the serving loop's back-pressure policy.
 
-One :class:`AdmissionController` is shared by every shard queue of a
-:class:`~repro.serve.loop.ServingLoop`.  It owns the three knobs the issue
-names — bounded queue depth, reject-or-block policy, and the drain-deadline
-micro-batching window — and the fleet-wide admitted/rejected/blocked
-counters, which live in the process-wide metrics registry
-(:mod:`repro.obs.registry`) so :meth:`counters` is one atomic registry read
-and the serving loop's ``stats()`` can fold them into a single snapshot.
+One :class:`AdmissionController` guards the queue of a
+:class:`~repro.serve.loop.ServingLoop`.  It owns the three admission knobs
+— bounded queue depth, reject-or-block policy, and the drain-deadline
+micro-batching window — and the admitted/rejected/blocked counters, which
+live in the process-wide metrics registry (:mod:`repro.obs.registry`) so
+:meth:`counters` is one atomic registry read and the serving loop's
+``stats()`` can fold them into a single snapshot.
 
 The controller decides, it does not wait: a queue at its depth bound asks
 :meth:`AdmissionController.on_full` whether the producer should block until
 a drain frees space (``block``) or fail fast
 (:class:`~repro.utils.exceptions.QueueFullError`, ``reject``).  The actual
-waiting happens on the queue's own condition variable, so back-pressure is
-per-shard — a hot shard never stalls traffic routed elsewhere.
+waiting happens on the queue's own condition variable.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ class AdmissionController:
         )
 
     # ------------------------------------------------------------------ #
-    def on_full(self, shard: int, depth: int) -> None:
+    def on_full(self, depth: int) -> None:
         """A producer hit the depth bound: raise under ``reject``.
 
         Returning (instead of raising) means "block": the caller must wait
@@ -75,15 +74,15 @@ class AdmissionController:
         """
         if self.policy == "reject":
             self._metrics.record(add={"rejected": 1})
-            where = f"{self.scope} shard {shard}" if self.scope else f"shard {shard}"
+            where = f"{self.scope} " if self.scope else ""
             logger.warning(
-                "admission rejected request: %s queue full (depth %d >= max %d)",
+                "admission rejected request: %squeue full (depth %d >= max %d)",
                 where,
                 depth,
                 self.max_queue_depth,
             )
             raise QueueFullError(
-                f"{where} request queue is full "
+                f"{where}request queue is full "
                 f"(depth {depth} >= max_queue_depth {self.max_queue_depth}); "
                 f"retry later or use admission_policy='block'"
             )
@@ -92,11 +91,12 @@ class AdmissionController:
         """Reject a request that arrives after its own deadline.
 
         THE expiry rule of every front-end (loop, in-process fleet, process
-        fleet): a ``deadline`` is the last instant the caller still wants
-        the answer, so a request is expired strictly *after* it.  Expired
-        requests count as rejections on this controller's scope — spending
-        a queue slot and a drain share on an answer nobody wants would let
-        one late tenant's backlog crowd out live traffic.
+        fleet), applied at admission and again before a queued request's
+        batch plans: a ``deadline`` is the last instant the caller still
+        wants the answer, so a request is expired strictly *after* it.
+        Expired requests count as rejections on this controller's scope —
+        spending a queue slot and a drain share on an answer nobody wants
+        would let one late tenant's backlog crowd out live traffic.
         """
         lateness_s = time.perf_counter() - deadline
         if lateness_s > 0.0:
@@ -104,7 +104,7 @@ class AdmissionController:
             where = f"{self.scope}: " if self.scope else ""
             raise QueueFullError(
                 f"{where}request deadline expired {1000.0 * lateness_s:.1f}ms "
-                "before admission; not enqueuing an answer nobody wants"
+                "ago; not planning an answer nobody wants"
             )
 
     def on_blocked(self) -> None:

@@ -82,7 +82,7 @@ class Request:
         raise NotImplementedError
 
     def routing_key(self) -> tuple:
-        """The stable shard/dispatch routing key (tenant-prefixed)."""
+        """The stable dispatch routing key (tenant-prefixed)."""
         return self.to_envelope().routing_key()
 
 

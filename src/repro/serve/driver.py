@@ -5,7 +5,7 @@ Two drivers, two purposes:
 * :func:`replay_lockstep` — the deterministic parity workload: the stepwise
   lockstep of :func:`repro.evaluation.protocol.rollout_next_step` replayed
   through the serving loop (every live context's request in flight
-  concurrently each round, so shard queues genuinely micro-batch).  Its
+  concurrently each round, so the queue genuinely micro-batches).  Its
   returned paths must be bit-identical to the sequential rollout on the
   same planner — the acceptance contract of the async-serving rung, and
   what the parity suite in ``tests/serve`` asserts.

@@ -1,4 +1,4 @@
-"""The asynchronous serving front-end over the sharded planner.
+"""The asynchronous serving front-end over the planner.
 
 :class:`ServingLoop` is the boundary the ROADMAP's async-serving rung calls
 for: callers submit ``next_step`` / ``plan_paths`` requests and get
@@ -14,46 +14,48 @@ takes one of two lanes, decided at admission:
   ``enqueue`` returns — no queue, no thread hand-over, no drain window, and
   never in the same batch as someone else's replan;
 * **queued** — everything else (a ``next_step`` no resident plan answers,
-  ``plan_paths``, ``rank``, ``kg_path``) hash-routes to its worker shard's
-  bounded :class:`~repro.serve.queue.RequestQueue`
-  (:func:`~repro.shard.partition.stable_hash` over the ``(history,
-  objective, user)`` context — the same routing the sharded executor and
-  the sharded plan caches use), and one drain thread per shard answers
-  everything pending as a single micro-batch through
+  ``plan_paths``, ``rank``, ``kg_path``) enters the loop's one bounded
+  :class:`~repro.serve.queue.RequestQueue`, and its one drain thread
+  answers everything pending as a single micro-batch through
   :meth:`~repro.core.beam.BeamSearchPlanner.plan_for_requests`.  The
   micro-batch fuses all replanning into lockstep beam calls, so the
-  token-work win measured on pre-assembled batches (PR 1–3) applies to
-  asynchronously arriving traffic.
+  token-work win measured on pre-assembled batches applies to
+  asynchronously arriving traffic.  A queued request whose ``deadline``
+  passed while it waited is refused before its batch plans.
+
+One queue and one drain thread, not a queue per hash shard: two queues over
+one planner read 0.92x–0.93x the throughput of one on the in-process e2e
+workloads (2 vCPUs) — the drains contend for the same interpreter and split
+the micro-batches the lockstep beam fuses.
 
 Exactness contract: responses are bit-identical to calling ``next_step`` /
-``plan_path`` sequentially in submission order, for every planner backend
-and worker count — the two lanes, micro-batching and queueing change *when*
-and *where* work happens, never *what* is answered.  Submission order
-includes the **pending-replan rule**: a queued ``next_step`` may rewrite its
-context's plan, so while one is queued every later ``next_step`` of that
-context queues behind it (same shard, FIFO) instead of being answered from
-the plan it is about to replace; the entry clears just before the queued
-request's future resolves, so a session's very next step is resident
-again.  (The one caveat is inherited from ``plan_for_requests``: a serving
+``plan_path`` sequentially in submission order — the two lanes,
+micro-batching and queueing change *when* and *where* work happens, never
+*what* is answered.  Submission order includes the **pending-replan rule**:
+a queued ``next_step`` may rewrite its context's plan, so while one is
+queued every later ``next_step`` of that context queues behind it (FIFO)
+instead of being answered from the plan it is about to replace; the entry
+clears just before the queued request's future resolves, so a session's
+very next step is resident again.  (The one caveat is inherited from ``plan_for_requests``: a serving
 cache small enough to evict mid-batch may reorder evictions; the default
 sizes never do.)
 
 Observability: the loop owns one registry namespace (``serve.loop.<n>``)
-covering its admission counters, every shard queue's depth/batch counters,
-the ``resident`` count and the in-loop latency accounting (both lanes), so
+covering its admission counters, its queue's depth/batch counters, the
+``resident`` count and the in-loop latency accounting (both lanes), so
 :meth:`stats` is ONE atomic registry snapshot — no more composing
 independently-locked reads.  With a :class:`~repro.obs.trace.Tracer`
 injected and enabled, each admitted request carries a
 :class:`~repro.obs.trace.Trace`: a resident answer records ``admission``
 (``resident=True``) and ``cache.decision`` (``outcome="hit"``); a queued
 one records admission, queue wait and drain spans here, plus the
-planner/executor spans recorded through the drain thread's
+planner spans recorded through the drain thread's
 :class:`~repro.obs.trace.BatchSink`; disabled tracing (the default)
 allocates nothing on either lane.
 
 Shutdown is graceful: :meth:`close` stops admissions on both lanes
-atomically (a closed loop answers nothing, it raises), drains every queue
-dry, and joins the drain threads — no accepted request is ever dropped.
+atomically (a closed loop answers nothing, it raises), drains the queue
+dry, and joins the drain thread — no accepted request is ever dropped.
 """
 
 from __future__ import annotations
@@ -73,8 +75,7 @@ from repro.serve.admission import AdmissionController
 from repro.serve.api import Response, TypedServingSurface
 from repro.serve.queue import RequestQueue, rollup_queue_stats
 from repro.serve.request import ServeRequest
-from repro.shard.partition import shard_index
-from repro.utils.exceptions import ConfigurationError, ServingError
+from repro.utils.exceptions import ConfigurationError, QueueFullError, ServingError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: repro.tenant imports serve
     from repro.tenant.registry import TenantRegistry
@@ -121,15 +122,10 @@ class ServingLoop(TypedServingSurface):
     planner:
         Anything exposing ``plan_for_requests`` — in practice a fitted
         :class:`~repro.core.beam.BeamSearchPlanner`.
-    num_queues:
-        Worker-shard request queues to route across.  ``None`` follows the
-        planner's ``num_workers``, so the serving partition matches the
-        planning partition (a queue's drain thread re-enters the planner,
-        which may sub-partition replans across its own worker shards).
     max_queue_depth / admission_policy / drain_deadline:
         Admission-control knobs (see :mod:`repro.config` for the
-        ``REPRO_*`` environment defaults): per-shard bound on queued
-        planning work, ``block`` or ``reject`` on a full queue, and the
+        ``REPRO_*`` environment defaults): bound on queued planning work,
+        ``block`` or ``reject`` on a full queue, and the
         seconds a drain holds the queue open after the first enqueue to
         fuse concurrent replans into one micro-batch (a step answered from
         a resident plan never enters a queue or waits for the window).
@@ -155,7 +151,6 @@ class ServingLoop(TypedServingSurface):
     def __init__(
         self,
         planner,
-        num_queues: "int | None" = None,
         max_queue_depth: "int | None" = None,
         admission_policy: "str | None" = None,
         drain_deadline: "float | None" = None,
@@ -175,17 +170,10 @@ class ServingLoop(TypedServingSurface):
                 "(e.g. a fitted BeamSearchPlanner) or a TenantRegistry"
             )
         self.tenants = tenants
-        if num_queues is None:
-            num_queues = int(getattr(planner, "num_workers", 1) or 1)
-        if not isinstance(num_queues, int) or num_queues < 1:
-            raise ConfigurationError(
-                f"num_queues must be a positive integer, got {num_queues!r}"
-            )
         self.planner = planner
-        self.num_queues = num_queues
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        # One registry namespace for the whole loop: admission, every shard
-        # queue and the latency accounting hang under it, so stats() is one
+        # One registry namespace for the whole loop: admission, the queue
+        # and the latency accounting hang under it, so stats() is one
         # atomic snapshot of the subtree.
         registry = get_registry()
         self.metrics_scope = registry.scope("serve.loop")
@@ -196,13 +184,8 @@ class ServingLoop(TypedServingSurface):
             scope=admission_scope,
             metrics_scope=f"{self.metrics_scope}.admission",
         )
-        self.queues = [
-            RequestQueue(
-                shard, self.admission, metrics_scope=f"{self.metrics_scope}.queue{shard}"
-            )
-            for shard in range(num_queues)
-        ]
-        self._threads: "list[threading.Thread]" = []
+        self.queue = RequestQueue(self.admission, metrics_scope=f"{self.metrics_scope}.queue")
+        self._thread: "threading.Thread | None" = None
         #: Guards the lifecycle flags AND the admission decision of a
         #: ``next_step`` (closed? replan pending? resident?), so that
         #: decision is atomic with :meth:`close` and with other submitters.
@@ -234,26 +217,21 @@ class ServingLoop(TypedServingSurface):
     # Lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> "ServingLoop":
-        """Spawn one drain thread per shard queue (idempotent)."""
+        """Spawn the drain thread (idempotent)."""
         with self._state_lock:
             if self._closed:
                 raise ServingError("cannot restart a closed serving loop")
             if self._started:
                 return self
             self._started = True
-            for queue in self.queues:
-                thread = threading.Thread(
-                    target=self._drain_worker,
-                    args=(queue,),
-                    name=f"repro-serve-drain-{queue.shard}",
-                    daemon=True,
-                )
-                self._threads.append(thread)
-                thread.start()
+            self._thread = threading.Thread(
+                target=self._drain_worker, name="repro-serve-drain", daemon=True
+            )
+            self._thread.start()
         return self
 
     def close(self) -> None:
-        """Stop admissions, drain every queue dry, join the drain threads.
+        """Stop admissions, drain the queue dry, join the drain thread.
 
         Idempotent.  On a loop that was never started the pending requests
         are served inline, so accepted futures always resolve.
@@ -263,14 +241,11 @@ class ServingLoop(TypedServingSurface):
                 return
             self._closed = True
             started = self._started
-        for queue in self.queues:
-            queue.close()
+        self.queue.close()
         if started:
-            for thread in self._threads:
-                thread.join()
+            self._thread.join()
         else:
-            for queue in self.queues:
-                self._serve_batch(queue.pop_all(), shard=queue.shard)
+            self._serve_batch(self.queue.pop_all())
 
     def __enter__(self) -> "ServingLoop":
         return self.start()
@@ -287,10 +262,10 @@ class ServingLoop(TypedServingSurface):
 
         A ``next_step`` whose context holds a resident plan is answered
         here, on the calling thread, before this returns; everything else
-        routes to its shard queue.
+        enters the queue.
 
         Raises :class:`~repro.utils.exceptions.QueueFullError` when the
-        shard queue is full under the ``reject`` policy (the ``block``
+        queue is full under the ``reject`` policy (the ``block``
         policy waits for a drain instead) or the request's deadline already
         passed, and :class:`~repro.utils.exceptions.ServingError` after
         :meth:`close`.
@@ -299,16 +274,12 @@ class ServingLoop(TypedServingSurface):
         adapter = self._adapter
         if self.tenants is not None:
             # Assigns a tenant to untenanted requests BEFORE the routing key
-            # is hashed, so a tenant's traffic shards within its own key space.
+            # is built, so a tenant's traffic keys within its own key space.
             binding = self.tenants.resolve(request)
             adapter = binding.adapter
         if request.deadline is not None:
-            admission = self.admission
-            if binding is not None and binding.admission is not None:
-                admission = binding.admission
-            admission.check_deadline(request.deadline)
+            self._deadline_admission(binding).check_deadline(request.deadline)
         key = request.routing_key()
-        shard = shard_index(key, self.num_queues)
         # Hot-path guard: with tracing disabled this is one attribute check
         # and no allocation (the overhead contract's structural no-op).
         if self.tracer.enabled and request.trace is None:
@@ -317,26 +288,22 @@ class ServingLoop(TypedServingSurface):
             else:
                 request.trace = self.tracer.begin(key, kind=request.kind)
         if binding is not None:
-            binding.admit(shard)
+            binding.admit()
             request.on_release = binding.release
         try:
             if request.kind == "next_step" and self._answer_resident(
-                request, adapter, binding, key, shard
+                request, adapter, binding, key
             ):
                 return request.future
             trace = request.trace
             if trace is not None:
                 admit_start = time.perf_counter()
-                self.queues[shard].put(request)
+                self.queue.put(request)
                 trace.span(
-                    "admission",
-                    admit_start,
-                    time.perf_counter(),
-                    shard=shard,
-                    replica=request.replica_index,
+                    "admission", admit_start, time.perf_counter(), replica=request.replica_index
                 )
             else:
-                self.queues[shard].put(request)
+                self.queue.put(request)
         except BaseException:
             # Refused (reject policy / closed loop / the resident lookup
             # raised): the future will never resolve, so hand back the
@@ -345,7 +312,14 @@ class ServingLoop(TypedServingSurface):
             raise
         return request.future
 
-    def _answer_resident(self, request: ServeRequest, adapter, binding, key, shard) -> bool:
+    def _deadline_admission(self, binding) -> AdmissionController:
+        """The controller a request's deadline is checked (and its expiry
+        counted) on: its tenant's own scope when it has one."""
+        if binding is not None and binding.admission is not None:
+            return binding.admission
+        return self.admission
+
+    def _answer_resident(self, request: ServeRequest, adapter, binding, key) -> bool:
         """Answer a ``next_step`` from its context's resident plan.
 
         Returns ``False`` when the request has to queue instead — no plan
@@ -404,7 +378,6 @@ class ServingLoop(TypedServingSurface):
                 "admission",
                 started,
                 done,
-                shard=shard,
                 replica=request.replica_index,
                 resident=True,
                 served_generation=request.served_generation,
@@ -431,23 +404,41 @@ class ServingLoop(TypedServingSurface):
     # ------------------------------------------------------------------ #
     # Draining
     # ------------------------------------------------------------------ #
-    def _drain_worker(self, queue: RequestQueue) -> None:
+    def _drain_worker(self) -> None:
         while True:
-            batch = queue.collect()
+            batch = self.queue.collect()
             if batch is None:
                 return
-            self._serve_batch(batch, shard=queue.shard)
+            self._serve_batch(batch)
 
-    def _serve_batch(self, batch: "list[ServeRequest]", shard: "int | None" = None) -> None:
+    def _refuse_expired(self, batch: "list[ServeRequest]") -> "list[ServeRequest]":
+        """Fail every request whose deadline passed while it was queued;
+        return the rest.  The refusal is the one admission gives an expired
+        request (same error, counted as a rejection on the same scope), and
+        ``fail`` hands back its tenant slot and pending-replan entry."""
+        live = []
+        for request in batch:
+            if request.deadline is not None:
+                binding = None if self.tenants is None else self.tenants.get(request.tenant)
+                try:
+                    self._deadline_admission(binding).check_deadline(request.deadline)
+                except QueueFullError as exc:
+                    self.tracer.finish(request.trace)
+                    request.fail(exc)
+                    continue
+            live.append(request)
+        return live
+
+    def _serve_batch(self, batch: "list[ServeRequest]") -> None:
         """Answer one micro-batch; an empty drain is a no-op by contract."""
+        batch = self._refuse_expired(batch)
         if not batch:
             return
         drain_started = time.perf_counter()
         batch_tag = next(_BATCH_TAGS)
-        # The sink carries the batch's traces to the planner/executor layers
-        # below (beam depths, shard scatter/gather, cache decisions); None
-        # whenever no request in the batch is traced, making use_sink a pass-
-        # through.
+        # The sink carries the batch's traces to the planner layers below
+        # (beam depths, cache decisions); None whenever no request in the
+        # batch is traced, making use_sink a pass-through.
         sink = None
         if self.tracer.enabled:
             candidate = BatchSink([request.trace for request in batch])
@@ -482,10 +473,9 @@ class ServingLoop(TypedServingSurface):
             answers, generations, failures = self.tenants.plan_batch(batch)
         if failures:
             logger.error(
-                "serving drain failed for %d of %d request(s) on shard %s",
+                "serving drain failed for %d of %d request(s)",
                 len(failures),
                 len(batch),
-                self._shard_of(batch[0]) if shard is None else shard,
                 exc_info=next(iter(failures.values())),
             )
         done = time.perf_counter()
@@ -568,12 +558,11 @@ class ServingLoop(TypedServingSurface):
             for index, request in enumerate(batch):
                 trace = request.trace
                 if trace is not None and index not in failures:
-                    trace.span("queue.wait", request.enqueued_at, drain_started, shard=shard)
+                    trace.span("queue.wait", request.enqueued_at, drain_started)
                     trace.span(
                         "serve.drain",
                         drain_started,
                         done,
-                        shard=shard,
                         batch_tag=batch_tag,
                         batch_size=len(batch),
                         served_generation=request.served_generation,
@@ -586,9 +575,6 @@ class ServingLoop(TypedServingSurface):
                 request.fail(exc)
             else:
                 request.resolve(answer)
-
-    def _shard_of(self, request: ServeRequest) -> int:
-        return shard_index(request.routing_key(), self.num_queues)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -612,30 +598,33 @@ class ServingLoop(TypedServingSurface):
         return sum(slots.values())
 
     def current_depth(self) -> int:
-        """Requests queued right now across every shard queue (a point-in-time
-        load signal; the replica dispatcher's EWMA feeds on the in-flight
-        count, which additionally covers batches mid-plan)."""
-        return sum(len(queue) for queue in self.queues)
+        """Requests queued right now (a point-in-time load signal; the
+        replica dispatcher's EWMA feeds on the in-flight count, which
+        additionally covers batches mid-plan)."""
+        return len(self.queue)
 
     def stats(self) -> dict:
         """Queue depth, micro-batch, admission and in-loop latency counters.
 
         The whole report comes from ONE atomic registry snapshot of this
-        loop's namespace — admission, every queue and the latency sums are
+        loop's namespace — admission, the queue and the latency sums are
         mutually consistent, with no window for a drain thread to slip an
-        update between two reads.
+        update between two reads.  ``per_queue`` is a one-element list, the
+        shape :meth:`ReplicaSet.stats <repro.replica.set.ReplicaSet.stats>`
+        rolls a fleet's queues up from.
         """
         snapshot = get_registry().snapshot(self.metrics_scope)
         flat = dict(snapshot["counters"])
         flat.update(snapshot["gauges"])
 
-        per_queue = []
-        for queue in self.queues:
-            values = {
-                name: flat.get(f"{queue.metrics_scope}.{name}", 0)
-                for name in _QUEUE_STAT_FIELDS
-            }
-            per_queue.append(RequestQueue._shape_stats(queue.shard, values))
+        per_queue = [
+            RequestQueue._shape_stats(
+                {
+                    name: flat.get(f"{self.queue.metrics_scope}.{name}", 0)
+                    for name in _QUEUE_STAT_FIELDS
+                }
+            )
+        ]
 
         admission = {
             name: flat.get(f"{self.metrics_scope}.admission.{name}", 0)
@@ -661,7 +650,6 @@ class ServingLoop(TypedServingSurface):
 
         tenants = {} if self.tenants is None else {"tenants": self.tenants.stats()}
         return {
-            "num_queues": self.num_queues,
             **tenants,
             **self.admission.describe(),
             "admission": admission,

@@ -1,10 +1,10 @@
-"""Bounded per-shard request queues.
+"""The serving loop's bounded request queue.
 
-One :class:`RequestQueue` per worker shard holds the
-:class:`~repro.serve.request.ServeRequest` envelopes routed to that shard,
-FIFO.  The queue owns its condition variable, so producers (callers of
-``ServingLoop.enqueue``) and the shard's drain thread synchronise without a
-global lock — back-pressure on one shard never blocks another.
+A :class:`RequestQueue` holds the
+:class:`~repro.serve.request.ServeRequest` envelopes a
+:class:`~repro.serve.loop.ServingLoop` has to plan, FIFO.  The queue owns
+its condition variable, so producers (callers of ``ServingLoop.enqueue``)
+and the loop's drain thread synchronise without the loop's own lock.
 
 Draining semantics (:meth:`RequestQueue.collect`): the drain thread sleeps
 until a request arrives, then holds the queue open for the admission
@@ -35,15 +35,11 @@ __all__ = ["RequestQueue", "rollup_queue_stats"]
 
 
 class RequestQueue:
-    """A bounded FIFO of serve requests for one worker shard."""
+    """A bounded FIFO of serve requests."""
 
     def __init__(
-        self,
-        shard: int,
-        admission: AdmissionController,
-        metrics_scope: "str | None" = None,
+        self, admission: AdmissionController, metrics_scope: "str | None" = None
     ) -> None:
-        self.shard = shard
         self.admission = admission
         self._cond = threading.Condition()
         self._items: "deque[ServeRequest]" = deque()
@@ -78,15 +74,15 @@ class RequestQueue:
             while True:
                 if self._closed:
                     raise ServingError(
-                        f"shard {self.shard} request queue is closed; "
-                        f"the serving loop no longer accepts requests"
+                        "the request queue is closed; "
+                        "the serving loop no longer accepts requests"
                     )
                 if len(self._items) < self.admission.max_queue_depth:
                     break
                 # Raises QueueFullError under the reject policy; under the
                 # block policy we sleep until a drain frees space (or the
                 # queue closes), counting this request as blocked ONCE.
-                self.admission.on_full(self.shard, len(self._items))
+                self.admission.on_full(len(self._items))
                 if not blocked:
                     self.admission.on_blocked()
                     blocked = True
@@ -165,19 +161,17 @@ class RequestQueue:
     # ------------------------------------------------------------------ #
     def stats(self) -> dict:
         """One atomic registry snapshot of this queue's counters."""
-        values = self._metrics.values()
-        return self._shape_stats(self.shard, values)
+        return self._shape_stats(self._metrics.values())
 
     @staticmethod
-    def _shape_stats(shard: int, values: dict) -> dict:
+    def _shape_stats(values: dict) -> dict:
         """Reshape a flat counter mapping into the public stats dict.
 
-        Shared with :meth:`ServingLoop.stats`, which reads every queue's
-        counters out of ONE whole-tree registry snapshot and shapes each
-        queue's slice through here.
+        Shared with :meth:`ServingLoop.stats`, which reads the queue's
+        counters out of ONE whole-tree registry snapshot and shapes them
+        through here.
         """
         return {
-            "shard": shard,
             "depth": values["depth"],
             "enqueued": values["enqueued"],
             "depth_max": values["depth_max"],
@@ -202,8 +196,8 @@ class RequestQueue:
 
 def rollup_queue_stats(per_queue: "list[dict]") -> dict:
     """The ``queue_depth`` / ``micro_batches`` sections of a ``stats()``
-    report, summed over :meth:`RequestQueue.stats` rows — one loop's shard
-    queues or every queue of a whole fleet."""
+    report, summed over :meth:`RequestQueue.stats` rows — one loop's queue
+    or every queue of a whole fleet."""
     depth_samples = sum(q["depth_samples"] for q in per_queue)
     batches = sum(q["micro_batches"] for q in per_queue)
     batch_requests = sum(q["micro_batch_requests"] for q in per_queue)

@@ -24,11 +24,11 @@ answer otherwise.
 The envelope knows two projections of itself:
 
 * :meth:`ServeRequest.routing_key` — the ``(history, objective, user)``
-  context key the serving loop hashes to pick the worker-shard queue
-  (:func:`repro.shard.partition.stable_hash` under the hood, so routing is
-  identical across interpreters and matches the planner's own sharding).
-  Tenanted requests prefix the tenant id, so one tenant's traffic forms
-  its own stable routing-key space for the dispatcher.
+  context key the serving loop keeps its pending-replan entries, trace ids
+  and tenant assignment by (the last through
+  :func:`repro.shard.partition.stable_hash`, identical across
+  interpreters).  Tenanted requests prefix the tenant id, so one tenant's
+  traffic forms its own stable routing-key space for the dispatcher.
 * :meth:`ServeRequest.plan_tuple` — the positional tuple
   :meth:`repro.core.beam.BeamSearchPlanner.plan_for_requests` (and the
   tenant registry's kind adapters) consume when a drain micro-batches the
@@ -216,7 +216,7 @@ class ServeRequest:
 
     # ------------------------------------------------------------------ #
     def routing_key(self) -> tuple:
-        """The stable shard-routing key — the canonical
+        """The stable routing key — the canonical
         :func:`~repro.shard.partition.context_key` of fields :meth:`create`
         already normalised; tenanted requests prefix the tenant so each
         tenant owns a disjoint, stable routing-key space."""

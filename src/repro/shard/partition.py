@@ -1,16 +1,14 @@
-"""Deterministic hash partitioning of planning/evaluation contexts.
+"""Deterministic hash partitioning of evaluation and serving contexts.
 
-Workers own disjoint shards of the request space, so the shard of a context
-must be a pure function of the context itself — stable across interpreter
-runs (``PYTHONHASHSEED`` randomises the builtin ``hash``) and across the
-parent/child boundary of the process backend.  :func:`stable_hash` feeds a
-canonical byte encoding of the key through ``blake2b`` instead.
+The shard of a context must be a pure function of the context itself —
+stable across interpreter runs (``PYTHONHASHSEED`` randomises the builtin
+``hash``) and across the parent/worker boundary of the process transport,
+whose parent and workers assign untenanted requests to tenants by it.
+:func:`stable_hash` feeds a canonical byte encoding of the key through
+``blake2b`` instead.
 
-The canonical planning key is ``(history, objective, user)`` — exactly the
-:class:`~repro.cache.memo.PlanCache` context tuple minus the horizon, so a
-context's plan-cache shard and the worker that plans it always coincide and
-no cross-worker invalidation traffic can exist (a retrain bumps
-``fit_generation``, which every shard checks locally).
+The canonical key is ``(history, objective, user)`` — the
+:class:`~repro.cache.memo.PlanCache` context tuple minus the horizon.
 """
 
 from __future__ import annotations
@@ -29,8 +27,8 @@ def stable_hash(key: Hashable) -> int:
     The key is encoded through ``repr`` — deterministic for the nested
     tuples of ints / strings / ``None`` used as planning context keys —
     and digested with ``blake2b``.  Unlike the builtin ``hash``, the result
-    does not depend on ``PYTHONHASHSEED``, so serial, thread-pool and
-    process-pool executions all route a context to the same shard.
+    does not depend on ``PYTHONHASHSEED``, so every process routes a
+    context to the same shard.
     """
     digest = hashlib.blake2b(repr(key).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")

@@ -1,30 +1,14 @@
-"""Exact top-k selection with optional vocabulary (column) sharding.
+"""Exact top-k selection in stable-argsort order.
 
-:func:`stable_topk` is the beam planner's per-row candidate selection,
-extracted verbatim: ``argpartition`` over the vocabulary, the k winners
-ordered by (value desc, index asc) — the stable-``argsort`` order the
-pre-batching scalar implementation produced — and an exact stable-sort
-repair for rows whose k-th boundary value ties with unselected columns
-(``argpartition`` gives no guarantee about WHICH index wins such a tie).
-
-:func:`sharded_topk` splits the item axis into ``num_shards`` contiguous
-column blocks, takes a per-block partial top-k and merges the candidates
-exactly.  The merge is lossless: any element of the global stable top-k is
-beaten by fewer than k columns under the (value desc, index asc) order, so
-a fortiori by fewer than k columns of its own block — it is therefore in
-its block's stable top-k and survives into the candidate pool, where the
-same ordering selects it again.  Only per-block intermediates (the
-``argpartition`` temporaries and a ``(rows, num_shards * k)`` candidate
-pool) are materialised, which is what lets the item axis grow past what a
-full-vocabulary sort per depth would allow — and the block interface is
-the seam where block-wise logits materialisation can slot in later.
-
-Ties involving ``-inf`` are the one place selected *indices* may differ
-between shardings: a row whose boundary is ``-inf`` (fewer than k finite
-candidates) pads its selection with arbitrary masked columns, exactly as
-the unsharded ``argpartition`` does.  Consumers filter non-finite values
-(the beam planner drops them before building hypotheses), so plans are
-unaffected; the parity tests compare the finite prefix for this reason.
+:func:`stable_topk` is the beam planner's per-row candidate selection:
+``argpartition`` over the columns, the k winners ordered by (value desc,
+index asc) — the stable-``argsort`` order the pre-batching scalar
+implementation produced — and an exact stable-sort repair for rows whose
+k-th boundary value ties with unselected columns (``argpartition`` gives no
+guarantee about WHICH index wins such a tie).  A row whose boundary is
+``-inf`` (fewer than k finite candidates) pads its selection with arbitrary
+masked columns; consumers filter non-finite values (the beam planner drops
+them before building hypotheses).
 """
 
 from __future__ import annotations
@@ -33,14 +17,7 @@ import numpy as np
 
 from repro.utils.exceptions import ConfigurationError
 
-__all__ = ["stable_topk", "sharded_topk"]
-
-
-def _check_k(k: int, vocab: int) -> None:
-    if not 1 <= k <= vocab:
-        raise ConfigurationError(
-            f"top-k needs 1 <= k <= vocab, got k={k} for vocab={vocab}"
-        )
+__all__ = ["stable_topk"]
 
 
 def stable_topk(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -54,7 +31,10 @@ def stable_topk(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     values = np.asarray(values)
     if values.ndim != 2:
         raise ConfigurationError(f"expected a (rows, vocab) array, got shape {values.shape}")
-    _check_k(k, values.shape[1])
+    if not 1 <= k <= values.shape[1]:
+        raise ConfigurationError(
+            f"top-k needs 1 <= k <= vocab, got k={k} for vocab={values.shape[1]}"
+        )
     top = np.argpartition(-values, k - 1, axis=1)[:, :k]
     top_values = np.take_along_axis(values, top, axis=1)
     # Stable-argsort order among the k winners: value desc, index asc.
@@ -75,44 +55,3 @@ def stable_topk(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
             top[row] = exact
             top_values[row] = values[row][exact]
     return top, top_values
-
-
-def sharded_topk(
-    values: np.ndarray, k: int, num_shards: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Column-sharded top-``k``: per-block partial top-k merged exactly.
-
-    With ``num_shards=1`` this IS :func:`stable_topk`.  Otherwise the item
-    axis is split into ``num_shards`` contiguous blocks (sized like
-    ``np.array_split``), each block contributes its own stable top-k, and
-    the ``(rows, sum(k_b))`` candidate pool is reduced to the final k by
-    the same (value desc, index asc) order.  For finite selections the
-    result is identical to :func:`stable_topk` for any shard count.
-    """
-    values = np.asarray(values)
-    if values.ndim != 2:
-        raise ConfigurationError(f"expected a (rows, vocab) array, got shape {values.shape}")
-    if num_shards < 1:
-        raise ConfigurationError(f"num_shards must be at least 1, got {num_shards}")
-    vocab = values.shape[1]
-    _check_k(k, vocab)
-    if num_shards == 1:
-        return stable_topk(values, k)
-
-    bounds = np.linspace(0, vocab, num_shards + 1, dtype=np.int64)
-    candidate_indices: list[np.ndarray] = []
-    candidate_values: list[np.ndarray] = []
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        width = int(stop - start)
-        if width == 0:
-            continue
-        block_top, block_values = stable_topk(values[:, start:stop], min(k, width))
-        candidate_indices.append(block_top + int(start))
-        candidate_values.append(block_values)
-    pool_indices = np.concatenate(candidate_indices, axis=1)
-    pool_values = np.concatenate(candidate_values, axis=1)
-    order = np.lexsort((pool_indices, -pool_values), axis=1)[:, :k]
-    return (
-        np.take_along_axis(pool_indices, order, axis=1),
-        np.take_along_axis(pool_values, order, axis=1),
-    )

@@ -42,7 +42,7 @@ class ServingTenantRecommender:
 
     Every call becomes one tenanted :class:`NextStepRequest` on the
     front-end's ``serve`` surface, so the session loop exercises
-    admission, sharding, dispatch and (for remote fleets) the wire — and
+    admission, dispatch and (for remote fleets) the wire — and
     the response stamps double as the arm's latency sample stream.
     """
 

@@ -6,8 +6,8 @@ The serving loop drains micro-batches of positional 6-tuples
 any model in the repo behind that protocol:
 
 * :class:`PlannerAdapter` — a fitted
-  :class:`~repro.core.beam.BeamSearchPlanner` (or the sharded executor
-  wrapping one): serves ``next_step`` and ``plan_paths`` by delegating the
+  :class:`~repro.core.beam.BeamSearchPlanner` (or anything else with
+  ``plan_for_requests``): serves ``next_step`` and ``plan_paths`` by delegating the
   whole batch to ``plan_for_requests``, so the wave-dedup and plan-cache
   machinery (and its bit-exactness contract) apply unchanged; a planner
   that can also answer a ``next_step`` from a plan it already holds
@@ -112,8 +112,8 @@ class PlannerAdapter(KindAdapter):
                 "(e.g. a fitted BeamSearchPlanner)"
             )
         self.planner = planner
-        # Feature-tested once, like ``supports_candidate_scoring``: sharded
-        # executors and test doubles plan whole batches only.
+        # Feature-tested once, like ``supports_candidate_scoring``: test
+        # doubles plan whole batches only.
         resident = getattr(planner, "serve_resident", None)
         if resident is not None:
             self.serve_resident = resident
@@ -223,8 +223,8 @@ def adapt(model) -> KindAdapter:
     """Wrap ``model`` in the adapter matching its surface.
 
     Accepts an already-built :class:`KindAdapter` unchanged; otherwise
-    sniffs, in order: ``plan_for_requests`` (beam planner / sharded
-    executor), ``shortest_item_path`` (bare knowledge graph),
+    sniffs, in order: ``plan_for_requests`` (beam planner),
+    ``shortest_item_path`` (bare knowledge graph),
     ``next_step`` + ``graph`` (Kg2Inf), ``top_k`` (sequential
     recommender).
     """

@@ -74,7 +74,7 @@ class TenantBinding:
         )
         #: per-tenant admission: ``None`` = unbounded (the tenant rides the
         #: loop's own queue bounds only).  When set, it bounds the tenant's
-        #: in-flight requests (queued + mid-drain) across every shard.
+        #: in-flight requests (queued + mid-drain).
         self.admission: "AdmissionController | None" = None
         if max_inflight is not None or admission_policy is not None:
             self.admission = AdmissionController(
@@ -88,7 +88,7 @@ class TenantBinding:
         self._inflight = 0
 
     # ------------------------------------------------------------------ #
-    def admit(self, shard: int) -> None:
+    def admit(self) -> None:
         """Count one request against the tenant's in-flight bound.
 
         Raises :class:`~repro.utils.exceptions.QueueFullError` at the bound
@@ -101,7 +101,7 @@ class TenantBinding:
             if self._inflight >= self.admission.max_queue_depth:
                 # Raises under reject; returning means block-and-recheck
                 # (timed waits guard against lost notifies on shutdown).
-                self.admission.on_full(-1, self._inflight)
+                self.admission.on_full(self._inflight)
                 self.admission.on_blocked()
                 while self._inflight >= self.admission.max_queue_depth:
                     self._cond.wait(0.05)
@@ -285,8 +285,8 @@ class TenantRegistry:
             generations[tenant] = binding.adapter.serving_generation
             # Scope the trace sink to this tenant's slice of the batch:
             # batch-level spans emitted below the adapter (cache decisions,
-            # beam depths, shard scatter/gather) land only on this tenant's
-            # traces, never a drain neighbour's.
+            # beam depths) land only on this tenant's traces, never a drain
+            # neighbour's.
             sink = BatchSink([batch[index].trace for index in indices])
             try:
                 with use_sink(sink if sink else None):

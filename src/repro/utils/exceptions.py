@@ -32,14 +32,15 @@ class ServingError(ReproError):
 
 
 class QueueFullError(ServingError):
-    """Raised by the admission controller's ``reject`` policy when a shard's
-    request queue is at its depth bound."""
+    """Raised by the admission controller's ``reject`` policy when a
+    request queue is at its depth bound, and for a request whose deadline
+    passed."""
 
 
 class StaleGenerationError(ReproError):
-    """Raised when a generation-pinned planner (or a fused shard dispatch
-    guarded by :meth:`~repro.shard.executor.ShardedExecutor.run_shards`)
-    observes its backbone's ``fit_generation`` change under it.  The
+    """Raised when a generation-pinned planner (or a
+    :meth:`~repro.core.beam.BeamSearchPlanner.plan_paths_batch` call in
+    flight) observes its backbone's ``fit_generation`` change under it.  The
     replicated-serving protocol never retrains a replica's backbone in
     place — a refit swaps whole replicas — so this error marks a protocol
     violation, not a recoverable condition."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.cache.memo import PlanCache
@@ -73,6 +75,48 @@ class TestPlanCacheLRU:
         cache.clear()  # clearing an empty cache is not an invalidation
         assert cache.invalidations == 1
 
+    def test_probe_accepted_counts_a_hit_and_refreshes_recency(self):
+        cache = PlanCache(2)
+        cache.put("a", (1, 2))
+        cache.put("b", (3,))
+        assert cache.probe("a", lambda plan: plan[0] == 1) == (1, 2)
+        assert cache.hits == 1 and cache.misses == 0
+        cache.put("c", (4,))  # "a" was refreshed: "b" is the oldest now
+        assert "a" in cache and "b" not in cache
+
+    def test_probe_rejected_or_absent_counts_nothing(self):
+        cache = PlanCache(2)
+        cache.put("a", (1, 2))
+        cache.put("b", (3,))
+        assert cache.probe("a", lambda plan: False) is None
+        assert cache.probe("missing", lambda plan: True) is None
+        assert cache.hits == 0 and cache.misses == 0
+        cache.put("c", (4,))  # the rejected probe left "a" the oldest
+        assert "a" not in cache and "b" in cache
+
+    def test_zero_size_probe_and_peek_find_nothing(self):
+        cache = PlanCache(0)
+        cache.put("a", 1)
+        assert cache.probe("a", lambda plan: True) is None
+        assert cache.peek("a") is None
+        assert cache.hits == 0 and cache.misses == 0
+
+    def test_counters_snapshot_has_every_field(self):
+        cache = PlanCache(1)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.get("b")
+        cache.get("a")
+        cache.clear()
+        assert cache.counters() == {
+            "size": 0,
+            "maxsize": 1,
+            "hits": 1,
+            "misses": 1,
+            "evictions": 1,
+            "invalidations": 1,
+        }
+
     def test_cache_info_reports_hit_rate(self):
         cache = PlanCache(4)
         cache.put("a", 1)
@@ -130,8 +174,8 @@ class TestDecodeStats:
 
 
 class TestPlanCacheClearResetStats:
-    """Satellite of the sharding PR: ``clear(reset_stats=True)`` zeroes the
-    counters so recycled per-shard caches merge cleanly into one report."""
+    """``clear(reset_stats=True)`` zeroes the counters, so a recycled cache
+    reports each workload's counts alone."""
 
     def test_default_clear_keeps_counters(self):
         cache = PlanCache(4)
@@ -160,3 +204,45 @@ class TestPlanCacheClearResetStats:
         cache.put("b", 2)
         assert cache.get("b") == 2
         assert cache.hits == 1 and cache.misses == 0
+
+
+class TestPlanCacheThreadSafety:
+    def test_concurrent_eviction_consistent(self):
+        cache = PlanCache(8)
+        per_thread = 400
+
+        def hammer(thread_id: int) -> None:
+            for i in range(per_thread):
+                cache.put((thread_id, i), i)
+
+        threads = [threading.Thread(target=hammer, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert len(cache) == 8
+        # Every insert beyond the bound evicted exactly one entry.
+        assert cache.evictions == 4 * per_thread - 8
+
+    def test_concurrent_lookups_lose_no_counter_updates(self):
+        """Serving drains and admission-lane callers share one cache: every
+        lookup counts exactly once, whichever thread made it."""
+        cache = PlanCache(16)
+        for key in range(8):
+            cache.put(key, key)
+        per_thread = 512
+
+        def hammer(thread_id: int) -> None:
+            for i in range(per_thread):
+                cache.get(i % 16)  # keys 0..7 hit, 8..15 miss: half and half
+                cache.probe(i % 8, lambda value: True)
+
+        threads = [threading.Thread(target=hammer, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert cache.misses == 4 * per_thread // 2
+        assert cache.hits == 4 * per_thread // 2 + 4 * per_thread

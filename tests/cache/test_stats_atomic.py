@@ -10,7 +10,6 @@ import threading
 
 from repro.cache.memo import PlanCache
 from repro.cache.stats import DecodeStats
-from repro.shard.plancache import ShardedPlanCache
 
 
 class TestDecodeStatsAtomicity:
@@ -74,19 +73,6 @@ class TestPlanCacheCounters:
         assert counters["hits"] == 1
         assert counters["misses"] == 1
         assert counters["evictions"] == 1
-
-    def test_sharded_counters_sum_per_shard_snapshots(self):
-        cache = ShardedPlanCache(8, 4)
-        for index in range(10):
-            cache.get(("ctx", index))
-            cache.put(("ctx", index), index)
-        counters = cache.counters()
-        assert counters["misses"] == 10
-        assert counters["hits"] == 0
-        assert counters["size"] == len(cache)
-        assert cache.hits == 0 and cache.misses == 10
-        per_shard = [shard.counters() for shard in cache.shards]
-        assert sum(snapshot["misses"] for snapshot in per_shard) == 10
 
     def test_counters_consistent_under_concurrent_lookups(self):
         cache = PlanCache(64)

@@ -18,8 +18,8 @@ import pytest
 
 from repro.core.beam import BeamSearchPlanner
 from repro.core.irn import IRN
+from repro.distributed import CAN_FORK
 from repro.evaluation.protocol import sample_objectives
-from repro.shard.config import fork_available
 
 MAX_LENGTH = 5
 
@@ -42,7 +42,7 @@ HEARTBEAT_INTERVAL = 0.05
 # whole directory at collection; the pure-codec suites still run.
 collect_ignore_glob = (
     []
-    if fork_available()
+    if CAN_FORK
     else ["test_remote_*.py", "test_failure_detector.py"]
 )
 

@@ -3,10 +3,9 @@
 The contract under test: with tracing enabled the loop answers exactly
 what it answers untraced (the parity suite's bit), and every admitted
 request's trace carries the span lifecycle of its lane — a queued request:
-admission, queue wait, drain, per-depth beam expansion and cache decisions,
-plus shard scatter/gather when the planner is worker-partitioned; a step
-answered at admission from a resident plan: admission (``resident=True``)
-and its cache decision, and nothing else.  With tracing disabled (the
+admission, queue wait, drain, per-depth beam expansion and cache decisions;
+a step answered at admission from a resident plan: admission
+(``resident=True``) and its cache decision, and nothing else.  With tracing disabled (the
 default) the process-wide allocation counters must not move at all.
 """
 
@@ -19,8 +18,8 @@ from repro.serve import ServingLoop, replay_lockstep
 MAX_LENGTH = 5  # keep in sync with tests/obs/conftest.py
 
 
-def run_traced(make_planner, contexts, tracer, **planner_kwargs):
-    with ServingLoop(make_planner(**planner_kwargs), tracer=tracer) as loop:
+def run_traced(make_planner, contexts, tracer):
+    with ServingLoop(make_planner(), tracer=tracer) as loop:
         return replay_lockstep(loop, contexts, MAX_LENGTH)
 
 
@@ -85,18 +84,6 @@ def test_drain_spans_stamp_generation_and_batch(make_planner, obs_contexts):
         assert drain["attrs"]["batch_size"] >= 1
         assert "served_generation" in drain["attrs"]
         assert "batch_tag" in drain["attrs"]
-
-
-def test_sharded_planner_records_scatter_gather(make_planner, obs_contexts):
-    tracer = Tracer(enabled=True, sample_rate=1.0)
-    served = run_traced(
-        make_planner, obs_contexts, tracer, num_workers=2, shard_backend="thread"
-    )
-    assert served == rollout_next_step(make_planner(), obs_contexts, MAX_LENGTH)
-    names = {
-        span["name"] for trace in tracer.export() for span in trace["spans"]
-    }
-    assert {"shard.scatter", "shard.gather"} <= names
 
 
 def test_disabled_tracing_allocates_nothing(make_planner, obs_contexts):

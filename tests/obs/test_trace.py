@@ -195,7 +195,7 @@ def test_sink_is_thread_local():
         thread.start()
         thread.join()
     # The spawned thread starts with no sink (thread-local), then installs
-    # the captured one explicitly — the shard-worker re-entry pattern.
+    # the captured one explicitly — the worker-thread re-entry pattern.
     assert seen == [None, sink]
 
 
@@ -206,7 +206,7 @@ def test_concurrent_span_appends_are_safe():
 
     def append():
         for _ in range(rounds):
-            trace.span("shard.gather", 0.0, 0.1)
+            trace.span("beam.depth", 0.0, 0.1)
 
     threads = [threading.Thread(target=append) for _ in range(4)]
     for thread in threads:

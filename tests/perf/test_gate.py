@@ -34,17 +34,16 @@ def green_report() -> dict:
         },
         "sharded_evaluation": {
             "workers": [
-                {"num_workers": 1, "plans_equal_serial": True},
-                {"num_workers": 2, "plans_equal_serial": True},
+                {
+                    "num_workers": workers,
+                    "records_equal_serial": True,
+                    "stepwise_records_equal_serial": True,
+                    "nextitem_equal_serial": True,
+                }
+                for workers in (1, 2)
             ],
-            "process_parity": True,
         },
-        "async_serving": {
-            "workers": [
-                {"num_workers": 1, "responses_match_sequential": True},
-                {"num_workers": 2, "responses_match_sequential": True},
-            ]
-        },
+        "async_serving": {"responses_match_sequential": True},
         "replicated_serving": {
             "parity": {"responses_match_single_replica": True},
             "hot_refit": {
@@ -56,7 +55,7 @@ def green_report() -> dict:
             },
         },
         "distributed_serving": {
-            "fork_available": True,
+            "can_fork": True,
             "workers": [
                 {
                     "num_workers": 1,
@@ -172,16 +171,24 @@ class TestCollectViolations:
 
     def test_async_serving_mismatch_fails(self):
         report = green_report()
-        report["async_serving"]["workers"][1]["responses_match_sequential"] = False
+        report["async_serving"]["responses_match_sequential"] = False
         assert any("async_serving" in v for v in collect_violations(report))
 
-    def test_sharded_and_batched_parity_bits_checked(self):
+    @pytest.mark.parametrize(
+        "bit", ["records_equal_serial", "stepwise_records_equal_serial", "nextitem_equal_serial"]
+    )
+    def test_sharded_and_batched_parity_bits_checked(self, bit):
         report = green_report()
-        report["sharded_evaluation"]["workers"][1]["plans_equal_serial"] = False
+        report["sharded_evaluation"]["workers"][1][bit] = False
         report["beam_planning"]["plans_equal"] = False
         violations = collect_violations(report)
-        assert any("sharded_evaluation" in v for v in violations)
+        assert any("sharded_evaluation" in v and "at 2 thread(s)" in v for v in violations)
         assert any("beam_planning" in v for v in violations)
+
+    def test_sharded_evaluation_without_thread_counts_fails(self):
+        report = green_report()
+        report["sharded_evaluation"]["workers"] = []
+        assert any("no thread counts" in v for v in collect_violations(report))
 
     def test_incremental_default_model_row_is_required(self):
         report = green_report()
@@ -201,11 +208,6 @@ class TestCollectViolations:
         assert any(
             "session-cached plans differ" in v for v in collect_violations(report)
         )
-
-    def test_fork_parity_none_is_not_a_violation(self):
-        report = green_report()
-        report["sharded_evaluation"]["process_parity"] = None  # no fork on platform
-        assert collect_violations(report) == []
 
     def test_fused_parity_false_fails(self):
         report = green_report()
@@ -334,7 +336,7 @@ class TestDistributedServingGate:
         # A non-fork platform records codec numbers only; nothing to gate.
         report = green_report()
         report["distributed_serving"] = {
-            "fork_available": False,
+            "can_fork": False,
             "codec": {"request_encode_ns": 1200.0},
         }
         assert collect_violations(report) == []

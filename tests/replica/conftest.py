@@ -26,10 +26,9 @@ import pytest
 
 from repro.core.beam import BeamSearchPlanner
 from repro.core.irn import IRN
-from repro.distributed import RemoteReplicaSet
+from repro.distributed import CAN_FORK, RemoteReplicaSet
 from repro.evaluation.protocol import sample_objectives
 from repro.replica import ReplicaSet
-from repro.shard.config import fork_available
 
 MAX_LENGTH = 5
 
@@ -92,7 +91,7 @@ def _fleet_threads() -> set:
     return {
         thread
         for thread in threading.enumerate()
-        if thread.name.startswith(("repro-serve-drain-", "repro-remote-", "repro-failure-"))
+        if thread.name.startswith(("repro-serve-drain", "repro-remote-", "repro-failure-"))
     }
 
 
@@ -101,7 +100,7 @@ def fleet(request):
     """``fleet(planner_factory, **kwargs)`` -> a started fleet over the
     parametrised transport; ``fleet.transport`` names it.  Every fleet built
     is closed at teardown, after which nothing of it may be left running."""
-    if request.param == "process" and not fork_available():
+    if request.param == "process" and not CAN_FORK:
         pytest.skip("the process transport needs the fork start method")
     threads_before = _fleet_threads()
     built = []

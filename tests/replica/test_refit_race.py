@@ -2,8 +2,7 @@
 
 The satellite contract of the replication PR: requests enqueued during the
 flip window all answer from exactly one generation — no torn micro-batch
-mixes generations — under the serial and thread planner backends; no
-admitted request is ever dropped or errored by a refit; per serving
+mixes generations; no admitted request is ever dropped or errored by a refit; per serving
 context the answering generation is monotone in submission order.
 """
 
@@ -38,12 +37,10 @@ def _submit_round(replica_set, contexts):
 
 
 class TestRefitRace:
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_flip_window_requests_answer_from_exactly_one_generation(
-        self, fresh_factory, replica_contexts, backend
+        self, fresh_factory, replica_contexts
     ):
-        factory = fresh_factory(shard_backend=backend)
-        with ReplicaSet(factory, num_replicas=2) as replica_set:
+        with ReplicaSet(fresh_factory(), num_replicas=2) as replica_set:
             # Phase 1: pre-refit traffic is all generation 1.
             before = _drain(_submit_round(replica_set, replica_contexts))
             assert {r.served_generation for r in before} == {1}
@@ -105,7 +102,7 @@ class TestRefitRace:
             _drain(_submit_round(replica_set, replica_contexts))
             report = replica_set.refit()
             # Old loops are closed (drained dry), new ones serve.
-            assert all(replica.loop.queues[0].closed for replica in old_replicas)
+            assert all(replica.loop.queue.closed for replica in old_replicas)
             new_replicas = replica_set.active_replicas()
             assert {r.generation for r in new_replicas} == {2}
             assert not (set(id(r) for r in new_replicas) & set(id(r) for r in old_replicas))
@@ -190,48 +187,43 @@ class TestGenerationPinning:
         again = planner.next_step([1, 2], 3, [])
         assert again == first  # deterministic retrain -> identical weights
 
-    def test_generation_guard_detects_mid_dispatch_retrain(self):
-        """The executor-level torn-dispatch check: a guard value changing
-        across a fused dispatch raises StaleGenerationError."""
-        from repro.shard.executor import ShardedExecutor
+    @staticmethod
+    def _retrain_mid_plan(planner, monkeypatch, bump: bool = True) -> None:
+        """Make the backbone's ``fit_generation`` move inside the planning
+        call (the race a fused plan must not hand back half of)."""
+        plan_beam = planner._plan_beam
 
-        executor = ShardedExecutor(num_workers=2, backend="serial")
-        generation = {"value": 1}
+        def retrained(*args):
+            if bump:
+                planner.backbone._fit_generation += 1
+            return plan_beam(*args)
 
-        def bump_mid_shard(shard, payload):
-            generation["value"] += 1
-            return [item * 10 for item in payload]
+        monkeypatch.setattr(planner, "_plan_beam", retrained)
 
+    def test_generation_guard_detects_mid_plan_retrain(
+        self, fresh_factory, replica_contexts, monkeypatch
+    ):
+        """The planner's torn-batch check: a generation changing while a
+        fused batch plans raises StaleGenerationError and memoises nothing."""
+        planner = fresh_factory()()
+        self._retrain_mid_plan(planner, monkeypatch)
+        histories, objectives, users = zip(*replica_contexts)
         with pytest.raises(StaleGenerationError, match="generation changed"):
-            executor.map_partitioned(
-                [1, 2, 3, 4],
-                ["a", "b", "c", "d"],
-                bump_mid_shard,
-                generation_guard=lambda: generation["value"],
-            )
-        # A stable guard passes through untouched.
-        results = executor.map_partitioned(
-            [1, 2, 3, 4],
-            ["a", "b", "c", "d"],
-            lambda shard, payload: [item * 10 for item in payload],
-            generation_guard=lambda: generation["value"],
-        )
-        assert results == [10, 20, 30, 40]
+            planner.plan_paths_batch(histories, objectives, users)
+        assert len(planner.plan_cache) == 0
 
-    def test_generation_guard_single_worker_path(self):
-        from repro.shard.executor import ShardedExecutor
-
-        executor = ShardedExecutor(num_workers=1, backend="serial")
-        generation = {"value": 1}
-
-        def bump(shard, payload):
-            generation["value"] += 1
-            return [0 for _ in payload]
-
-        with pytest.raises(StaleGenerationError, match="single-worker"):
-            executor.map_partitioned(
-                [1, 2], ["a", "b"], bump, generation_guard=lambda: generation["value"]
-            )
+    def test_generation_guard_single_plan_path(self, fresh_factory, monkeypatch):
+        """A batch of one (``plan_path`` / ``next_step``) is guarded too, and
+        a generation that holds plans as before."""
+        planner = fresh_factory()()
+        expected = planner.plan_path([1, 2], 3)
+        planner.invalidate_caches()
+        self._retrain_mid_plan(planner, monkeypatch, bump=False)
+        assert planner.plan_path([1, 2], 3) == expected
+        planner.invalidate_caches()
+        self._retrain_mid_plan(planner, monkeypatch)
+        with pytest.raises(StaleGenerationError, match="generation changed"):
+            planner.plan_path([1, 2], 3)
 
 
 class TestCloseRefitRace:
@@ -267,4 +259,4 @@ class TestCloseRefitRace:
         replica_set.refit()
         new_replicas = replica_set.active_replicas()
         replica_set.close()
-        assert all(replica.loop.queues[0].closed for replica in new_replicas)
+        assert all(replica.loop.queue.closed for replica in new_replicas)

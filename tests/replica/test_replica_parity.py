@@ -3,9 +3,8 @@
 Acceptance contract of the replication PR (mirror of ``tests/serve``'s
 suite for the async-serving rung): with every replica at one generation,
 :class:`~repro.replica.set.ReplicaSet` responses are bit-identical to
-single-replica (and therefore to sequential) serving — for the serial and
-thread planner backends, at 1, 2 and 3 replicas, under either dispatch
-policy.  Replication changes *where* work happens, never what is answered.
+single-replica (and therefore to sequential) serving — at 1, 2 and 3
+replicas, under either dispatch policy.  Replication changes *where* work happens, never what is answered.
 """
 
 from __future__ import annotations
@@ -17,18 +16,15 @@ from repro.serve import replay_lockstep
 from repro.serve.request import ServeRequest
 from repro.utils.exceptions import ConfigurationError, ServingError
 
-BACKENDS = ["serial", "thread"]
 MAX_LENGTH = 5  # keep in sync with tests/replica/conftest.py
 
 
 class TestReplicaSetParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("num_replicas", [1, 2, 3])
     def test_lockstep_replay_bit_identical(
-        self, make_factory, replica_contexts, sequential_paths, backend, num_replicas
+        self, make_factory, replica_contexts, sequential_paths, num_replicas
     ):
-        factory = make_factory(shard_backend=backend)
-        with ReplicaSet(factory, num_replicas=num_replicas) as replica_set:
+        with ReplicaSet(make_factory(), num_replicas=num_replicas) as replica_set:
             served = replay_lockstep(replica_set, replica_contexts, MAX_LENGTH)
         assert served == sequential_paths
 

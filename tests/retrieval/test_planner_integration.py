@@ -100,24 +100,6 @@ class TestPrunedPlanning:
         with pytest.raises(ConfigurationError):
             BeamSearchPlanner(retrieval_irn, candidate_generator=object())
 
-    def test_sharded_pruned_planning_matches_serial(
-        self, retrieval_irn, tiny_split, contexts
-    ):
-        generator = CooccurrenceNeighborGenerator(num_candidates=16).fit(
-            tiny_split.corpus
-        )
-        serial = BeamSearchPlanner(
-            retrieval_irn, candidate_generator=generator, num_workers=1
-        ).fit(tiny_split)
-        sharded = BeamSearchPlanner(
-            retrieval_irn,
-            candidate_generator=generator,
-            num_workers=2,
-            shard_backend="thread",
-        ).fit(tiny_split)
-        expected = serial.plan_paths_batch(*plan_args(contexts), max_length=5)
-        assert sharded.plan_paths_batch(*plan_args(contexts), max_length=5) == expected
-
 
 class TestCacheKeyDiscipline:
     def test_exact_and_pruned_keys_never_collide(self, retrieval_irn, tiny_split):

@@ -179,18 +179,12 @@ class TestShortlistSpaceLookup:
 
 
 class TestGatheredProjectionMatchesFullScoring:
-    @pytest.mark.parametrize("num_workers", [1, 2])
     @pytest.mark.parametrize("spec", ["cooccurrence", "ann"])
     def test_hidden_capability_plans_the_same_paths(
-        self, retrieval_irn, tiny_split, contexts, spec, num_workers
+        self, retrieval_irn, tiny_split, contexts, spec
     ):
         generator = make_generator(spec, num_candidates=16).fit(tiny_split.corpus)
-        knobs = dict(
-            candidate_generator=generator,
-            plan_cache_size=0,
-            num_workers=num_workers,
-            shard_backend="thread" if num_workers > 1 else None,
-        )
+        knobs = dict(candidate_generator=generator, plan_cache_size=0)
         gathered = BeamSearchPlanner(retrieval_irn, **knobs).fit(tiny_split)
         full = BeamSearchPlanner(_FullScoringOnly(retrieval_irn), **knobs).fit(tiny_split)
         plans = gathered.plan_paths_batch(*plan_args(contexts), max_length=6)

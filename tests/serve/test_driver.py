@@ -76,7 +76,6 @@ class TestOpenLoop:
         # must bounce, and the report's accounting still balances.
         with ServingLoop(
             make_planner(),
-            num_queues=1,
             max_queue_depth=1,
             admission_policy="reject",
             drain_deadline=0.05,
@@ -101,7 +100,6 @@ class TestOpenLoop:
 class _FailingPlanner:
     """Planner stub whose every drain fails (for error-accounting tests)."""
 
-    num_workers = 1
     max_length = 5
 
     def plan_for_requests(self, requests):

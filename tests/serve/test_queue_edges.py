@@ -22,7 +22,7 @@ MAX_LENGTH = 5  # keep in sync with tests/serve/conftest.py
 
 class TestEmptyDrain:
     def test_pop_all_on_empty_queue_returns_empty_batch(self):
-        queue = RequestQueue(0, AdmissionController(max_queue_depth=4))
+        queue = RequestQueue(AdmissionController(max_queue_depth=4))
         assert queue.pop_all() == []
         assert queue.stats()["empty_drains"] == 1
         assert queue.stats()["micro_batches"] == 0
@@ -38,9 +38,9 @@ class TestEmptyDrain:
         with ServingLoop(make_planner()) as loop:
             pass
         assert loop.stats()["served"] == 0
-        # Idempotent close, and the drain threads are gone.
+        # Idempotent close, and the drain thread is gone.
         loop.close()
-        assert all(not thread.is_alive() for thread in loop._threads)
+        assert not loop._thread.is_alive()
 
 
 class TestSingleRequestMicroBatch:
@@ -139,9 +139,7 @@ class TestBackPressure:
             for history, objective, user in serve_contexts[:2]
         ]
         planner = make_planner()
-        loop = ServingLoop(
-            planner, num_queues=1, max_queue_depth=2, admission_policy="reject"
-        )
+        loop = ServingLoop(planner, max_queue_depth=2, admission_policy="reject")
         admitted = [
             loop.enqueue(
                 ServeRequest.create("next_step", history, objective, [], user_index=user)
@@ -165,9 +163,7 @@ class TestBackPressure:
 
     def test_block_policy_waits_for_drain(self, make_planner, serve_contexts):
         planner = make_planner()
-        loop = ServingLoop(
-            planner, num_queues=1, max_queue_depth=1, admission_policy="block"
-        )
+        loop = ServingLoop(planner, max_queue_depth=1, admission_policy="block")
         history, objective, user = serve_contexts[0]
         first = loop.enqueue(
             ServeRequest.create("next_step", history, objective, [], user_index=user)
@@ -255,7 +251,7 @@ class TestBackPressure:
         self, make_planner, serve_contexts
     ):
         history, objective, user = serve_contexts[0]
-        loop = ServingLoop(make_planner(), num_queues=1)  # not started: nothing drains
+        loop = ServingLoop(make_planner())  # not started: nothing drains
         late = ServeRequest.create(
             "next_step", history, objective, user_index=user,
             deadline=time.perf_counter() - 0.25,
@@ -273,6 +269,106 @@ class TestBackPressure:
         assert stats["admission"]["rejected"] == 1
         assert stats["admission"]["admitted"] == stats["served"] == 1
         assert not late.future.done() and on_time.future.done()
+
+    def test_a_request_that_expires_while_queued_is_refused_before_planning(
+        self, make_planner, serve_contexts
+    ):
+        """A short-deadline step queued behind a replan the planner is still
+        working on is refused before its batch plans (the planner never sees
+        its context); a request without a deadline in the same batch is
+        planned as usual."""
+
+        class GatedRecorder:
+            """A planner whose first call holds at a gate; records contexts."""
+
+            def __init__(self, planner) -> None:
+                self.planner = planner
+                self.seen: list = []
+                self.entered = threading.Event()
+                self.gate = threading.Event()
+
+            def plan_for_requests(self, requests):
+                self.seen.extend((request[1], request[2]) for request in requests)
+                self.entered.set()
+                assert self.gate.wait(timeout=10)
+                return self.planner.plan_for_requests(requests)
+
+        recorder = GatedRecorder(make_planner())
+        (h0, o0, u0), (h1, o1, u1), (h2, o2, u2) = serve_contexts[:3]
+        with ServingLoop(recorder, drain_deadline=0.0) as loop:
+            loop.enqueue(ServeRequest.create("plan_paths", h0, o0, user_index=u0))
+            assert recorder.entered.wait(timeout=10)  # the drain is held mid-plan
+            short = ServeRequest.create(
+                "next_step", h1, o1, user_index=u1, deadline=time.perf_counter() + 0.05
+            )
+            patient = ServeRequest.create("next_step", h2, o2, user_index=u2)
+            loop.enqueue(short)
+            loop.enqueue(patient)
+            time.sleep(0.1)  # the short deadline passes while both are queued
+            recorder.gate.set()
+            with pytest.raises(QueueFullError, match="deadline expired"):
+                short.future.result(timeout=10)
+            assert patient.future.result(timeout=10) == make_planner().next_step(
+                h2, o2, [], user_index=u2
+            )
+            stats = loop.stats()
+        assert (tuple(h1), o1) not in recorder.seen
+        assert (tuple(h2), o2) in recorder.seen
+        assert stats["admission"]["rejected"] == 1
+        assert stats["served"] == 2
+
+    def test_a_batch_that_expired_whole_never_reaches_the_planner(
+        self, make_planner, serve_contexts
+    ):
+        class Recorder:
+            def __init__(self, planner) -> None:
+                self.planner = planner
+                self.calls = 0
+
+            def plan_for_requests(self, requests):
+                self.calls += 1
+                return self.planner.plan_for_requests(requests)
+
+        recorder = Recorder(make_planner())
+        loop = ServingLoop(recorder)  # not started: close() drains inline
+        requests = [
+            ServeRequest.create(
+                "next_step", history, objective, user_index=user,
+                deadline=time.perf_counter() + 0.25,
+            )
+            for history, objective, user in serve_contexts[:3]
+        ]
+        for request in requests:
+            loop.enqueue(request)
+        time.sleep(0.35)
+        loop.close()
+        assert recorder.calls == 0
+        for request in requests:
+            with pytest.raises(QueueFullError, match="deadline expired"):
+                request.future.result(timeout=0)
+        stats = loop.stats()
+        assert stats["admission"]["rejected"] == 3
+        assert stats["served"] == 0
+
+    def test_a_refused_step_hands_back_its_pending_replan_entry(
+        self, make_planner, serve_contexts
+    ):
+        """While a step of a context is queued, later steps of it queue
+        behind it; once the queued one is refused for its deadline, the
+        context must not stay marked as waiting for a replan."""
+        history, objective, user = serve_contexts[0]
+        loop = ServingLoop(make_planner())  # not started: close() drains inline
+        expiring = ServeRequest.create(
+            "next_step", history, objective, user_index=user,
+            deadline=time.perf_counter() + 0.25,
+        )
+        loop.enqueue(expiring)
+        assert loop._pending == {expiring.routing_key(): 1}
+        time.sleep(0.35)
+        loop.close()
+        with pytest.raises(QueueFullError, match="deadline expired"):
+            expiring.future.result(timeout=0)
+        assert loop._pending == {}
 
     def test_close_before_start_serves_pending_inline(
         self, make_planner, serve_contexts
@@ -317,7 +413,7 @@ class TestDuplicateContextWaves:
 
     def test_request_queue_single_slot_fifo(self):
         admission = AdmissionController(max_queue_depth=8, drain_deadline=0.0)
-        queue = RequestQueue(0, admission)
+        queue = RequestQueue(admission)
         for index in range(3):
             queue.put(ServeRequest.create("next_step", [1, 2], 3 + index))
         batch = queue.collect()

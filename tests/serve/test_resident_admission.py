@@ -141,7 +141,7 @@ def test_step_behind_a_queued_replan_of_its_context_waits_for_it(
 def test_pending_entry_is_dropped_when_the_queue_refuses(make_planner, serve_contexts):
     from repro.utils.exceptions import QueueFullError
 
-    loop = ServingLoop(make_planner(), num_queues=1, max_queue_depth=1, admission_policy="reject")
+    loop = ServingLoop(make_planner(), max_queue_depth=1, admission_policy="reject")
     queued = loop.serve(step(serve_contexts[0]))
     with pytest.raises(QueueFullError):
         loop.serve(step(serve_contexts[1]))

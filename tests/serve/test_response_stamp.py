@@ -14,8 +14,8 @@ from concurrent.futures import Future
 import pytest
 
 from repro.serve.api import Response
+from repro.distributed import CAN_FORK
 from repro.serve.request import ServeRequest
-from repro.shard.config import fork_available
 
 HEARTBEAT_INTERVAL = 0.05
 
@@ -162,7 +162,7 @@ class TestStampRules:
         assert request.replica_index == 4
 
 
-@pytest.mark.skipif(not fork_available(), reason="process transport needs fork")
+@pytest.mark.skipif(not CAN_FORK, reason="process transport needs fork")
 class TestCrossProcessClocks:
     """Regression: worker timestamps must never leak into parent latencies.
 

@@ -103,14 +103,14 @@ class TestAdmissionController:
 
     def test_reject_policy_raises_and_counts(self):
         controller = AdmissionController(max_queue_depth=1, policy="reject")
-        with pytest.raises(QueueFullError, match="shard 3"):
-            controller.on_full(shard=3, depth=1)
+        with pytest.raises(QueueFullError, match="request queue is full"):
+            controller.on_full(depth=1)
         controller.on_admitted()
         assert controller.counters() == {"admitted": 1, "rejected": 1, "blocked": 0}
 
     def test_block_policy_counts_blocked_once_per_request(self):
         controller = AdmissionController(max_queue_depth=1, policy="block")
-        controller.on_full(shard=0, depth=1)  # must NOT raise and NOT count
+        controller.on_full(depth=1)  # must NOT raise and NOT count
         assert controller.counters()["blocked"] == 0
         controller.on_blocked()  # the queue records the blocked request once
         assert controller.counters()["blocked"] == 1

@@ -1,12 +1,10 @@
 """End-to-end parity of the asynchronous serving subsystem.
 
-Acceptance contract of the async-serving PR (mirror of ``tests/shard``'s
-suite for the sharding rung): for fixed request traces, ``ServingLoop``
-responses are bit-identical to sequential ``next_step`` / ``plan_path``
-calls on the same planner configuration — for the serial and thread
-backends at 1, 2 and 4 workers, with any queue count and drain deadline.
-Queueing and micro-batching change when the work happens, never the
-answers.
+Acceptance contract of the async-serving rung: for fixed request traces,
+``ServingLoop`` responses are bit-identical to sequential ``next_step`` /
+``plan_path`` calls on the same planner configuration, at any drain
+deadline.  Queueing and micro-batching change when the work happens, never
+the answers.
 """
 
 from __future__ import annotations
@@ -18,8 +16,20 @@ from repro.serve import ServingLoop, replay_lockstep
 from repro.serve.request import ServeRequest
 from repro.utils.exceptions import ConfigurationError
 
-BACKENDS = ["serial", "thread"]
 MAX_LENGTH = 5  # keep in sync with tests/serve/conftest.py
+
+#: report paths ``ReplicaSet.stats()`` and the e2e benchmark's traced run read
+STATS_PATHS = [
+    ("served",),
+    ("resident",),
+    ("queue_depth", "mean"),
+    ("queue_depth", "max"),
+    ("micro_batches", "count"),
+    ("micro_batches", "max_size"),
+    ("admission", "admitted"),
+    ("admission", "blocked"),
+    ("admission", "rejected"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -32,13 +42,10 @@ def sequential_paths(serve_irn, tiny_split, serve_contexts):
 
 
 class TestServingLoopParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("num_workers", [1, 2, 4])
     def test_lockstep_replay_bit_identical(
-        self, make_planner, serve_contexts, sequential_paths, backend, num_workers
+        self, make_planner, serve_contexts, sequential_paths
     ):
-        planner = make_planner(num_workers=num_workers, shard_backend=backend)
-        with ServingLoop(planner) as loop:
+        with ServingLoop(make_planner()) as loop:
             served = replay_lockstep(loop, serve_contexts, MAX_LENGTH)
         assert served == sequential_paths
 
@@ -46,16 +53,7 @@ class TestServingLoopParity:
     def test_parity_across_drain_deadlines(
         self, make_planner, serve_contexts, sequential_paths, drain_deadline
     ):
-        planner = make_planner(num_workers=2, shard_backend="thread")
-        with ServingLoop(planner, drain_deadline=drain_deadline) as loop:
-            served = replay_lockstep(loop, serve_contexts, MAX_LENGTH)
-        assert served == sequential_paths
-
-    def test_queue_count_decoupled_from_planner_workers(
-        self, make_planner, serve_contexts, sequential_paths
-    ):
-        planner = make_planner()  # serial planner, many serving queues
-        with ServingLoop(planner, num_queues=3) as loop:
+        with ServingLoop(make_planner(), drain_deadline=drain_deadline) as loop:
             served = replay_lockstep(loop, serve_contexts, MAX_LENGTH)
         assert served == sequential_paths
 
@@ -65,8 +63,7 @@ class TestServingLoopParity:
             reference.plan_path(history, objective, user_index=user)
             for history, objective, user in serve_contexts
         ]
-        planner = make_planner(num_workers=2, shard_backend="thread")
-        with ServingLoop(planner) as loop:
+        with ServingLoop(make_planner()) as loop:
             futures = [
                 loop.enqueue(
                     ServeRequest.create("plan_paths", history, objective, user_index=user)
@@ -79,8 +76,7 @@ class TestServingLoopParity:
         self, make_planner, serve_contexts, sequential_paths
     ):
         reference = make_planner()
-        planner = make_planner(num_workers=2, shard_backend="thread")
-        with ServingLoop(planner) as loop:
+        with ServingLoop(make_planner()) as loop:
             next_futures = [
                 loop.enqueue(
                     ServeRequest.create("next_step", history, objective, [], user_index=user)
@@ -111,16 +107,36 @@ class TestServingLoopParity:
             stats = loop.stats()
         assert stats["served"] > 0
         assert stats["micro_batches"]["count"] >= 1
-        # Lockstep rounds put many concurrent requests in the queues, so at
+        # Lockstep rounds put many concurrent requests in the queue, so at
         # least one drain must have fused more than one request.
         assert stats["micro_batches"]["max_size"] > 1
         assert stats["queue_depth"]["max"] >= stats["micro_batches"]["max_size"]
         assert stats["service_latency"]["max_ms"] >= stats["service_latency"]["mean_ms"]
 
+    @pytest.mark.parametrize("path", STATS_PATHS, ids=".".join)
+    def test_stats_report_what_the_fleet_and_the_benchmark_read(
+        self, make_planner, serve_contexts, path
+    ):
+        with ServingLoop(make_planner()) as loop:
+            replay_lockstep(loop, serve_contexts, MAX_LENGTH)
+            value = loop.stats()
+        for key in path:
+            value = value[key]
+        assert isinstance(value, (int, float)) and value >= 0
+
+    def test_the_one_queue_accounts_for_every_drained_request(
+        self, make_planner, serve_contexts
+    ):
+        with ServingLoop(make_planner()) as loop:
+            replay_lockstep(loop, serve_contexts, MAX_LENGTH)
+            stats = loop.stats()
+        (queue,) = stats["per_queue"]
+        assert queue["micro_batch_requests"] > 0 and stats["resident"] > 0
+        assert stats["served"] == stats["resident"] + queue["micro_batch_requests"]
+        assert stats["micro_batches"]["count"] == queue["micro_batches"]
+        assert stats["queue_depth"]["max"] == queue["depth_max"]
+        assert queue["depth"] == 0
+
     def test_loop_requires_plan_for_requests(self):
         with pytest.raises(ConfigurationError, match="plan_for_requests"):
             ServingLoop(object())
-
-    def test_invalid_num_queues_rejected(self, make_planner):
-        with pytest.raises(ConfigurationError, match="num_queues"):
-            ServingLoop(make_planner(), num_queues=0)

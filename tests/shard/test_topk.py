@@ -1,9 +1,8 @@
-"""Shard-merge exactness of the vocabulary-sharded top-k.
+"""Exactness of the stable top-k.
 
-The acceptance property: for tie-heavy score matrices (many equal values,
-deliberately straddling shard boundaries) the sharded top-k must match the
-unsharded stable-argsort result — value descending, ties broken by lowest
-column index — for every shard count.
+The acceptance property: for tie-heavy score matrices (many equal values)
+the top-k must match the stable-argsort result — value descending, ties
+broken by lowest column index.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.shard.topk import sharded_topk, stable_topk
+from repro.shard.topk import stable_topk
 from repro.utils.exceptions import ConfigurationError
 
 
@@ -49,54 +48,60 @@ class TestStableTopk:
         with pytest.raises(ConfigurationError):
             stable_topk(values, 6)
 
-
-class TestShardedTopk:
-    @pytest.mark.parametrize("num_shards", [1, 2, 3, 5, 7, 16])
-    def test_tie_heavy_parity_across_shard_counts(self, rng, num_shards):
-        """The acceptance property: ties straddling shard boundaries merge
-        back to exactly the stable-argsort selection."""
-        for trial in range(10):
-            values = tie_heavy_matrix(rng, rows=5, vocab=29)
-            for k in (1, 3, 6):
-                expected_idx, expected_val = reference_topk(values, k)
-                got_idx, got_val = sharded_topk(values, k, num_shards)
-                np.testing.assert_array_equal(got_idx, expected_idx)
-                np.testing.assert_array_equal(got_val, expected_val)
-
     def test_constant_matrix_is_the_worst_tie_case(self):
         values = np.full((3, 24), 1.25)
-        for num_shards in (1, 2, 4, 6):
-            got_idx, got_val = sharded_topk(values, 5, num_shards)
-            np.testing.assert_array_equal(got_idx, np.tile(np.arange(5), (3, 1)))
-            assert (got_val == 1.25).all()
-
-    def test_more_shards_than_columns(self, rng):
-        values = tie_heavy_matrix(rng, rows=3, vocab=4)
-        expected_idx, _ = reference_topk(values, 2)
-        got_idx, _ = sharded_topk(values, 2, 16)
-        np.testing.assert_array_equal(got_idx, expected_idx)
+        got_idx, got_val = stable_topk(values, 5)
+        np.testing.assert_array_equal(got_idx, np.tile(np.arange(5), (3, 1)))
+        assert (got_val == 1.25).all()
 
     def test_neg_inf_finite_prefix_matches(self, rng):
-        """Rows with masked (-inf) columns: the finite selections must agree;
-        -inf padding beyond them is arbitrary by contract (consumers filter
-        non-finite values)."""
+        """Rows with masked (-inf) columns: the finite selections must match
+        the stable argsort; -inf padding beyond them is arbitrary by
+        contract (consumers filter non-finite values)."""
         values = tie_heavy_matrix(rng, rows=6, vocab=20)
         values[:, ::3] = -np.inf
-        k = 6
-        expected_idx, expected_val = reference_topk(values, k)
-        for num_shards in (1, 2, 4):
-            got_idx, got_val = sharded_topk(values, k, num_shards)
-            finite = np.isfinite(expected_val)
-            np.testing.assert_array_equal(np.isfinite(got_val), finite)
-            np.testing.assert_array_equal(got_idx[finite], expected_idx[finite])
-            np.testing.assert_array_equal(got_val[finite], expected_val[finite])
+        expected_idx, expected_val = reference_topk(values, 6)
+        got_idx, got_val = stable_topk(values, 6)
+        finite = np.isfinite(expected_val)
+        np.testing.assert_array_equal(np.isfinite(got_val), finite)
+        np.testing.assert_array_equal(got_idx[finite], expected_idx[finite])
+        np.testing.assert_array_equal(got_val[finite], expected_val[finite])
 
     def test_all_neg_inf_rows_survive(self):
-        values = np.full((2, 9), -np.inf)
-        got_idx, got_val = sharded_topk(values, 3, 3)
+        got_idx, got_val = stable_topk(np.full((2, 9), -np.inf), 3)
         assert got_idx.shape == (2, 3)
         assert not np.isfinite(got_val).any()
 
-    def test_rejects_bad_shard_count(self):
-        with pytest.raises(ConfigurationError):
-            sharded_topk(np.zeros((1, 4)), 2, 0)
+    def test_rejects_a_non_matrix(self):
+        with pytest.raises(ConfigurationError, match="rows, vocab"):
+            stable_topk(np.zeros(5), 2)
+
+
+#: (rows, vocab, k): the degenerate shapes, k = vocab, and the (rows, C)
+#: blocks the planner selects from at the e2e workloads' sizes
+PLANNER_SHAPES = [
+    (1, 1, 1),
+    (3, 4, 2),
+    (3, 4, 4),
+    (6, 23, 5),
+    (16, 216, 3),
+    (16, 216, 12),
+    (64, 128, 4),
+    (8, 2000, 16),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("rows,vocab,k", PLANNER_SHAPES, ids=lambda v: str(v))
+def test_tie_heavy_parity_at_planner_shapes(rows, vocab, k, dtype, rng):
+    """Both inference dtypes, ties at the k-th boundary on almost every row
+    (four score levels), and a distinct-valued matrix of the same shape."""
+    for values in (
+        tie_heavy_matrix(rng, rows, vocab).astype(dtype),
+        rng.normal(size=(rows, vocab)).astype(dtype),
+    ):
+        expected_idx, expected_val = reference_topk(values, k)
+        got_idx, got_val = stable_topk(values, k)
+        np.testing.assert_array_equal(got_idx, expected_idx)
+        np.testing.assert_array_equal(got_val, expected_val)
+        assert got_val.dtype == dtype

@@ -61,31 +61,17 @@ class TestMain:
 
 
 class TestScalingFlags:
-    """Satellite of the sharding PR: the scaling knobs are CLI-visible and
-    validated with clear ConfigurationError messages."""
+    """The evaluation knobs are CLI-visible and validated with clear
+    ConfigurationError messages."""
 
     def test_flags_parsed_with_defaults(self):
         args = build_parser().parse_args(["table6"])
         assert args.num_workers is None
-        assert args.shard_backend is None
-        assert args.vocab_shards is None
         assert args.rollout_chunk_size is None
 
     def test_table6_accepts_scaling_flags(self, capsys):
         code = main(
-            [
-                "table6",
-                "--profile",
-                "fast",
-                "--num-workers",
-                "2",
-                "--shard-backend",
-                "serial",
-                "--vocab-shards",
-                "3",
-                "--rollout-chunk-size",
-                "16",
-            ]
+            ["table6", "--profile", "fast", "--num-workers", "2", "--rollout-chunk-size", "16"]
         )
         assert code == 0
         assert "w_t" in capsys.readouterr().out
@@ -96,31 +82,18 @@ class TestScalingFlags:
         with pytest.raises(ConfigurationError, match="num_workers"):
             main(["table6", "--profile", "fast", "--num-workers", "two"])
 
-    def test_invalid_backend_raises_configuration_error(self):
-        with pytest.raises(ConfigurationError, match="shard_backend"):
-            main(["table6", "--profile", "fast", "--shard-backend", "quantum"])
-
-    def test_invalid_vocab_shards_raises_configuration_error(self):
-        with pytest.raises(ConfigurationError, match="vocab_shards"):
-            main(["table6", "--profile", "fast", "--vocab-shards", "-1"])
-
     def test_invalid_rollout_chunk_size_raises_configuration_error(self):
         with pytest.raises(ConfigurationError, match="rollout-chunk-size"):
             main(["table6", "--profile", "fast", "--rollout-chunk-size", "0"])
         with pytest.raises(ConfigurationError, match="rollout-chunk-size"):
             main(["table6", "--profile", "fast", "--rollout-chunk-size", "many"])
 
-    def test_env_defaults_apply_when_flags_omitted(self, monkeypatch):
-        from repro.cli import _resolve_shard_args
+    def test_num_workers_is_cli_only(self, monkeypatch):
+        from repro.cli import resolve_args
 
         monkeypatch.setenv("REPRO_NUM_WORKERS", "2")
-        monkeypatch.setenv("REPRO_SHARD_BACKEND", "serial")
         args = build_parser().parse_args(["table6"])
-        num_workers, backend, vocab_shards, chunk = _resolve_shard_args(args)
-        assert num_workers == 2
-        assert backend == "serial"
-        assert vocab_shards == 1
-        assert chunk is None
+        assert resolve_args(args, "table6") == {"num_workers": 1, "rollout_chunk_size": None}
 
 
 class TestBenchSubcommand:
@@ -223,8 +196,6 @@ class TestServeSimSubcommand:
                 "300",
                 "--duration",
                 "0.3",
-                "--num-workers",
-                "2",
                 # Pin the plain latency sim: the REPRO_TENANTS=2 tier-1 leg
                 # would otherwise flip serve-sim into the A/B harness.
                 "--tenants",
@@ -243,8 +214,6 @@ class TestServeSimSubcommand:
             "offered_requests"
         ]
         assert report["latency_ms"]["p50"] <= report["latency_ms"]["p99"]
-        assert report["sharding"]["num_workers"] == 2
-        assert report["sharding"]["num_queues"] == 2
 
     def test_invalid_arrival_rate_raises_configuration_error(self):
         with pytest.raises(ConfigurationError, match="arrival_rate"):

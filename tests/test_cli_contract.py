@@ -12,22 +12,26 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, resolve_args
 from repro.config import CONFIG_FIELDS, resolve
 from repro.core.irn import IRN
 from repro.utils.exceptions import ConfigurationError
 
 UNIVERSAL = {"--profile", "--output", "--log-level"}
-SHARDING = {"--num-workers", "--shard-backend", "--vocab-shards"}
 
 #: command family (one representative subcommand each) -> the flags it honours
 HONOURED = {
     "table3": UNIVERSAL
-    | SHARDING
-    | {"--dataset", "--seed", "--scale", "--data-directory", "--rollout-chunk-size"},
-    "bench": UNIVERSAL | {"--sections", "--cprofile", "--shard-backend", "--vocab-shards"},
+    | {
+        "--dataset",
+        "--seed",
+        "--scale",
+        "--data-directory",
+        "--num-workers",
+        "--rollout-chunk-size",
+    },
+    "bench": UNIVERSAL | {"--sections", "--cprofile"},
     "serve-sim": UNIVERSAL
-    | SHARDING
     | {
         "--seed",
         "--arrival-rate",
@@ -49,8 +53,8 @@ HONOURED = {
         "--slo-p95",
         "--trace-sample-rate",
     },
-    "trace": UNIVERSAL | SHARDING | {"--seed", "--arrival-rate", "--trace-sample-rate"},
-    "metrics": UNIVERSAL | SHARDING | {"--seed", "--arrival-rate", "--metrics-format"},
+    "trace": UNIVERSAL | {"--seed", "--arrival-rate", "--trace-sample-rate"},
+    "metrics": UNIVERSAL | {"--seed", "--arrival-rate", "--metrics-format"},
 }
 
 #: a value argparse itself accepts, for the flags that are not table rows
@@ -76,8 +80,6 @@ INVALID = {
     "admission_policy": ("drop", "admission_policy"),
     "drain_deadline": ("-1", "drain_deadline"),
     "num_workers": ("two", "num_workers"),
-    "shard_backend": ("quantum", "shard_backend"),
-    "vocab_shards": ("-1", "vocab_shards"),
     "rollout_chunk_size": ("0", "rollout-chunk-size"),
     "num_replicas": ("banana", "num_replicas"),
     "dispatch_policy": ("fastest", "dispatch_policy"),
@@ -96,6 +98,18 @@ INVALID = {
 
 CLI_ROWS = [row for row in CONFIG_FIELDS.values() if row.cli]
 ALL_FLAGS = sorted(set(PLAIN_VALUES) | {row.flag_name for row in CLI_ROWS})
+
+#: flags of knobs that are gone (planning and serving run one partition):
+#: in the matrix below as flags no command honours, so each stays a usage
+#: error everywhere
+DELETED_FLAGS = ["--shard-backend", "--vocab-shards"]
+#: their environment names (and ``num_workers``'s, a CLI-only row now) with
+#: values every one of them once rejected
+DELETED_ENV = {
+    "REPRO_SHARD_BACKEND": "pigeon",
+    "REPRO_VOCAB_SHARDS": "0",
+    "REPRO_NUM_WORKERS": "two",
+}
 
 
 @pytest.fixture()
@@ -116,12 +130,12 @@ def _exits_2(argv):
 
 def test_the_tables_cover_every_flag_and_row():
     assert set(INVALID) == set(CONFIG_FIELDS)
-    assert len(ALL_FLAGS) == 32
+    assert len(ALL_FLAGS) == 30
     assert set().union(*HONOURED.values()) == set(ALL_FLAGS)
-    assert sum(len(flags) for flags in HONOURED.values()) == 61
+    assert sum(len(flags) for flags in HONOURED.values()) == 48
 
 
-@pytest.mark.parametrize("flag", ALL_FLAGS)
+@pytest.mark.parametrize("flag", ALL_FLAGS + DELETED_FLAGS)
 @pytest.mark.parametrize("command", HONOURED)
 def test_a_command_accepts_exactly_the_flags_it_honours(command, flag, capsys):
     value = PLAIN_VALUES.get(flag, "1")
@@ -154,6 +168,15 @@ def test_a_declared_environment_name_is_read(row, monkeypatch):
             resolve(row.name)
     else:  # a CLI-only row: the name means nothing
         assert resolve(row.name) == row.default
+
+
+@pytest.mark.parametrize("command", HONOURED)
+def test_a_deleted_environment_name_is_not_read(command, monkeypatch):
+    args = build_parser().parse_args([command])
+    expected = resolve_args(args, command)
+    for name, bad in DELETED_ENV.items():
+        monkeypatch.setenv(name, bad)
+    assert resolve_args(args, command) == expected
 
 
 class TestServeSimModes:
