@@ -57,14 +57,16 @@ layers ``>= 2`` change at every decoding step.  What stays exact there is
 sharing **within one depth**: the rows of one root (the beam hypotheses of
 one planning context) carry the same history, objective, user and length,
 and their history states cannot see what each row appended, so a root's
-history K/V are projected once, gathered root → row as plain arrays, and
-each row attends over them followed by its own appended tokens.  Nothing
-outlives the depth, so nothing is staged in an arena: this regime does not
-touch a :class:`LayerKVCache`.  Once a row outgrows the model's
-window the batch slides and nothing is shared: every row re-encodes its own
-window.  Callers (see :meth:`repro.core.irn.IRN.advance_decoding_session`)
-pick the regime from the mask type, the layer count and the grown lengths;
-the cache itself is policy-free.  In all three the final layer projects
+history K/V are projected once per depth (the first layer's once per
+session: they are projections of the fixed input embeddings), gathered
+root → row as plain arrays, and each row attends over them followed by its
+own appended tokens.  Nothing a row appended outlives the depth, so nothing
+is staged in an arena: this regime does not touch a :class:`LayerKVCache`.
+Once a row outgrows the model's window the batch slides and nothing is
+shared: every row re-encodes its own window.  Callers (see
+:meth:`repro.core.irn.IRN.advance_decoding_session`) pick the regime from
+the mask type, the layer count and the grown lengths; the cache itself is
+policy-free.  In all three the final layer projects
 K/V for every column and answers a single query.
 
 Caches are inference-only: they hold raw ``numpy`` arrays detached from the

@@ -1,15 +1,28 @@
 """Batch-level bookkeeping for an incremental decoding run.
 
-A :class:`DecodingSession` ties the per-row context of a batch of growing
-sequences — the real tokens of every row, its user index, its objective,
-its impressionability factor and the *root* (initial row, i.e. planning
-context) it descends from — to whatever the scorer keeps between depths.
+A :class:`DecodingSession` is the state of a batch of growing sequences as
+ndarrays:
+
+* ``tokens`` — the ``(rows, width)`` int64 block of every row's real tokens,
+  right-aligned and left-padded with :data:`~repro.data.padding.PAD_INDEX`;
+  its columns are the (possibly left-padded) prefix columns a scorer has
+  encoded, and a new token is always written to the next column on the
+  right;
+* ``roots`` — per row, the *root* (initial row, i.e. planning context) it
+  descends from, indexing the **root block**: ``root_tokens`` /
+  ``root_lengths`` and each root's user, objective and impressionability
+  factor, all fixed when the session begins.  A row's ``lengths``, ``users``,
+  ``objectives`` and ``impressionability`` are its root's, read through
+  ``roots`` (every row grows by one token per step, so its length is its
+  root's plus ``steps``).
+
 The beam-search planner drives it through
 :meth:`~repro.core.irn.IRN.begin_decoding_session` /
 :meth:`~repro.core.irn.IRN.advance_decoding_session`; between depths it
 calls :meth:`select` to gather the surviving hypotheses (pruning,
-duplication and re-ranking are all just row gathers) and :meth:`append` to
-record each row's newly appended token.
+duplication and re-ranking are all just row gathers: one fancy index of the
+token block and of ``roots``, plus the K/V arena reorder where one exists)
+and :meth:`append` to write each row's newly appended token as one column.
 
 Which of the three regimes of :mod:`repro.cache.kv` an advance runs in is
 decided by the scorer from what the session records:
@@ -17,13 +30,16 @@ decided by the scorer from what the session records:
 * ``incremental`` (causal masks, or one layer) — ``state`` holds per-layer
   prefix K/V that persist *across* depths; an advance encodes the new token.
 * shared within a depth (objective-revealing masks at two or more layers) —
-  nothing persists across depths, so ``state`` is ``None`` and no K/V arena
-  exists (a depth's shared history K/V are plain arrays inside the advance);
-  ``roots`` and ``root_rows`` let an advance encode each live root's history
-  once and each row's ``steps`` appended tokens against it.
+  nothing a row appended persists across depths, so ``state`` is ``None``
+  and no K/V arena exists; ``roots`` let an advance encode each live root's
+  history once and each row's ``steps`` appended tokens against it.  What
+  does not change across depths — the roots' history embeddings and their
+  first layer's normalised Q/K/V — is computed once per session by the
+  scorer and kept in ``root_cache``.
 * per-row window — a row outgrew the model's position table
   (:meth:`degrade` drops the state of an incremental session for good) and
-  every advance re-encodes the sliding window of every row.
+  every advance re-encodes the sliding window of every row, sliced from the
+  right of the token block.
 """
 
 from __future__ import annotations
@@ -31,50 +47,84 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cache.kv import DecodingState
+from repro.data.padding import PAD_INDEX
 from repro.utils.exceptions import ConfigurationError
 
 __all__ = ["DecodingSession"]
 
 
 class DecodingSession:
-    """State of one incremental decoding run over a batch of growing rows."""
+    """State of one incremental decoding run over a batch of growing rows.
+
+    ``tokens`` is the right-aligned ``(rows, width)`` block of the rows'
+    real tokens and ``lengths`` their counts; both become the root block.
+    """
 
     def __init__(
         self,
-        rows: list[list[int]],
+        tokens: np.ndarray,
+        lengths: np.ndarray,
         users: np.ndarray,
-        objectives: list[int] | None,
+        objectives: "np.ndarray | None",
         state: DecodingState | None,
         incremental: bool,
-        width: int,
         impressionability: np.ndarray | None = None,
     ) -> None:
-        self.rows = [list(row) for row in rows]
-        self.users = np.asarray(users, dtype=np.int64)
-        self.objectives = None if objectives is None else [int(o) for o in objectives]
+        self.root_tokens = np.array(tokens, dtype=np.int64)
+        self.root_lengths = np.array(lengths, dtype=np.int64)
+        self.root_users = np.array(users, dtype=np.int64)
+        self.root_objectives = None if objectives is None else np.array(objectives, dtype=np.int64)
+        #: per-root ``r_u`` (personalized masks only)
+        self.root_impressionability = impressionability
         self.state = state
         self.incremental = bool(incremental)
-        #: number of (possibly left-padded) prefix columns currently cached
-        self.width = int(width)
-        #: per-row ``r_u`` (personalized masks only), gathered alongside the rows
-        self.impressionability = impressionability
-        #: the initial rows (never gathered): ``root_rows[roots[b]]`` is the
-        #: context row ``b`` grew from, shared by every hypothesis of one beam
-        self.root_rows = [list(row) for row in rows]
-        #: per-row index into :attr:`root_rows`, gathered alongside the rows
-        self.roots = np.arange(len(rows), dtype=np.int64)
+        #: number of (possibly left-padded) prefix columns encoded so far
+        self.width = self.root_tokens.shape[1]
+        #: per-row index into the root block, gathered by :meth:`select`
+        self.roots = np.arange(len(self.root_tokens), dtype=np.int64)
         #: tokens appended to every row since the session began
         self.steps = 0
+        #: what a scorer keeps of the roots for the whole session (its own type)
+        self.root_cache = None
+        self._tokens = self.root_tokens.copy()  # columns past ``width`` are spare
 
     # ------------------------------------------------------------------ #
     @property
     def batch_size(self) -> int:
-        return len(self.rows)
+        return len(self.roots)
+
+    @property
+    def tokens(self) -> np.ndarray:
+        """The right-aligned ``(rows, width)`` token block (a view)."""
+        return self._tokens[:, : self.width]
 
     @property
     def lengths(self) -> np.ndarray:
         """Real (non-padding) token count of every row."""
-        return np.asarray([len(row) for row in self.rows], dtype=np.int64)
+        return self.root_lengths[self.roots] + self.steps
+
+    @property
+    def users(self) -> np.ndarray:
+        return self.root_users[self.roots]
+
+    @property
+    def objectives(self) -> "np.ndarray | None":
+        return None if self.root_objectives is None else self.root_objectives[self.roots]
+
+    @property
+    def impressionability(self) -> "np.ndarray | None":
+        """Per-row ``r_u`` (personalized masks only)."""
+        if self.root_impressionability is None:
+            return None
+        return self.root_impressionability[self.roots]
+
+    @property
+    def rows(self) -> "list[list[int]]":
+        """Every row's real tokens as a list (for inspection; scorers read :attr:`tokens`)."""
+        return [
+            row[len(row) - length :]
+            for row, length in zip(self.tokens.tolist(), self.lengths.tolist())
+        ]
 
     # ------------------------------------------------------------------ #
     def select(self, parent_rows: "list[int] | np.ndarray") -> None:
@@ -86,25 +136,25 @@ class DecodingSession:
             raise ConfigurationError(
                 f"parent rows out of range for a batch of {self.batch_size}"
             )
-        self.rows = [list(self.rows[int(row)]) for row in parent_rows]
-        self.users = self.users[parent_rows]
+        self._tokens = self._tokens[parent_rows]
         self.roots = self.roots[parent_rows]
-        if self.objectives is not None:
-            self.objectives = [self.objectives[int(row)] for row in parent_rows]
-        if self.impressionability is not None:
-            self.impressionability = self.impressionability[parent_rows]
         if self.state is not None:
             self.state.reorder(parent_rows)
 
     def append(self, new_items: "list[int] | np.ndarray") -> None:
-        """Record one newly appended token per row (uniform growth)."""
+        """Write one newly appended token per row (uniform growth) as the next column."""
         new_items = np.asarray(new_items, dtype=np.int64)
         if new_items.shape != (self.batch_size,):
             raise ConfigurationError(
                 f"expected {self.batch_size} new items, got shape {new_items.shape}"
             )
-        for row, item in zip(self.rows, new_items):
-            row.append(int(item))
+        if self.width == self._tokens.shape[1]:
+            grown = np.full(
+                (self.batch_size, max(2 * self.width, 8)), PAD_INDEX, dtype=np.int64
+            )
+            grown[:, : self.width] = self.tokens
+            self._tokens = grown
+        self._tokens[:, self.width] = new_items
         self.width += 1
         self.steps += 1
 

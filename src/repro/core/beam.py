@@ -26,10 +26,30 @@ via :meth:`BeamSearchPlanner.plan_paths_batch`, across every evaluation
 instance being rolled out in lockstep — are scored with one call to the
 backbone's ``score_with_objective_batch`` (falling back to per-sequence
 scalar calls when the backbone only implements ``score_with_objective``).
-Seen-item masking is a single fancy indexed assignment and per-hypothesis
-top-``k`` selection uses ``np.argpartition`` over the vocabulary instead of
-a full sort; candidate ordering and tie-breaking exactly reproduce the
-pre-batching stable ``argsort`` implementation, so plans are unchanged.
+
+The beams themselves are arrays from the root to the returned paths.  A
+lockstep beam over ``n`` instances holds fixed ``n · beam_width`` *slots*
+(instance ``i`` owns slots ``i · beam_width …``, in beam order), and per
+slot: an int64 token row — the instance's right-aligned history, then the
+hypothesis' path, one column per depth —, a float64 ``log_probability``,
+``reached`` / ``occupied`` masks and a parent row into the previous depth's
+scoring batch (the hypothesis' decoding-session row).  Every hypothesis of
+a depth has the same length, so its score is one vector expression —
+length-normalised log-probability, then the objective bonus where reached.
+Per depth the live rows are scored, seen items (the token block, padding
+included) are masked by one fancy assignment, each row's top-``k`` comes
+from one :func:`sharded_topk` call, and every instance keeps the best
+``beam_width`` of its ``(beam_width · k)`` child block through one stable
+argsort of the ``(instances, beam_width · k)`` block.
+
+The tie order is the contract: children of one row in (value desc, item
+asc) order, an instance's children ranked by a stable sort by score over
+(parent order, child rank) — the order the object beam that preceded the
+slots produced, which ``tests/core/reference_beam.py`` keeps as the oracle.
+An instance without a child keeps its last beam and stops; its plan is the
+first maximal complete hypothesis in retirement order (depth, then beam
+order, then the final beam), else the first maximal hypothesis of its final
+beam.  Paths become lists once, when the plans are returned.
 
 Caching
 -------
@@ -90,7 +110,6 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -98,6 +117,7 @@ import numpy as np
 from repro.cache.memo import PlanCache
 from repro.core.base import InfluentialRecommender, influential_registry
 from repro.core.influence_path import log_softmax_rows, mask_session_items
+from repro.data.padding import PAD_INDEX, pre_pad_block
 from repro.data.splitting import DatasetSplit
 from repro.obs.registry import MetricGroup, get_registry
 from repro.obs.trace import current_sink
@@ -136,22 +156,144 @@ class _ObjectiveScorer(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class _Hypothesis:
-    """One partial path inside the beam."""
+def _hypothesis_scores(
+    log_probability: np.ndarray,
+    length: "int | np.ndarray",
+    reached: "bool | np.ndarray",
+    objective_bonus: float,
+) -> np.ndarray:
+    """Length-normalised log-probability plus the completion bonus.
 
-    items: tuple[int, ...]
-    log_probability: float
-    reached: bool
-    #: row index of the parent in the previous depth's scoring batch — the
-    #: decoding-session cache row this hypothesis extends (compare=False so
-    #: hypothesis identity stays purely semantic).
-    parent_row: int = field(default=-1, compare=False)
+    Divide, then add the bonus where the objective was reached: the order of
+    operations the plans' tie contract is stated in.
+    """
+    return log_probability / np.maximum(length, 1) + np.where(reached, objective_bonus, 0.0)
 
-    def score(self, objective_bonus: float) -> float:
-        """Length-normalised log-probability plus the completion bonus."""
-        length = max(len(self.items), 1)
-        return self.log_probability / length + (objective_bonus if self.reached else 0.0)
+
+def _first_maximum(mask: np.ndarray, values: np.ndarray) -> "tuple[np.ndarray, ...]":
+    """Per row of two ``(rows, n)`` blocks: whether ``mask`` holds a cell, the
+    first masked cell holding the largest masked value, and that value."""
+    masked = np.where(mask, values, -np.inf)
+    best = masked.max(axis=1)
+    first = np.argmax(mask & (masked == best[:, None]), axis=1)
+    return mask.any(axis=1), first, best
+
+
+class _Beams:
+    """The lockstep beams of one planning call, in fixed slots (see the module docstring).
+
+    Besides the slot arrays, each instance keeps the path length of its
+    beam and its best retired complete hypothesis.
+    """
+
+    def __init__(
+        self,
+        histories: "list[list[int]]",
+        goals: np.ndarray,
+        width: int,
+        max_length: int,
+        objective_bonus: float,
+    ) -> None:
+        self.goals = goals
+        self.width = width
+        self.objective_bonus = objective_bonus
+        count, slots = len(goals), len(goals) * width
+        history = pre_pad_block(histories)
+        #: the column of a slot's first path item in :attr:`tokens`
+        self.start = history.shape[1]
+        self.tokens = np.full((slots, self.start + max_length), PAD_INDEX, dtype=np.int64)
+        self.tokens[:, : self.start] = np.repeat(history, width, axis=0)
+        self.log_probability = np.zeros(slots)
+        self.reached = np.zeros(slots, dtype=bool)
+        self.occupied = np.zeros(slots, dtype=bool)
+        self.occupied[::width] = True  # every instance starts from its empty root
+        self.parent_row = np.zeros(slots, dtype=np.int64)
+        self.running = np.ones(count, dtype=bool)
+        self.lengths = np.zeros(count, dtype=np.int64)
+        self.complete = np.zeros(count, dtype=bool)
+        self.complete_score = np.zeros(count)
+        self.complete_path = np.zeros((count, max_length), dtype=np.int64)
+        self.complete_length = np.zeros(count, dtype=np.int64)
+
+    def live(self) -> np.ndarray:
+        """Retire the running beams' reached hypotheses and return the slots
+        to expand, in scoring-row order."""
+        active = self.occupied & np.repeat(self.running, self.width)
+        self._retire(active & self.reached)
+        return np.flatnonzero(active & ~self.reached)
+
+    def _retire(self, slots: np.ndarray) -> None:
+        """Offer the reached hypotheses of the ``slots`` mask to their
+        instances' complete sets, where the first maximal one wins."""
+        if not slots.any():
+            return
+        count, width = len(self.goals), self.width
+        scores = _hypothesis_scores(
+            self.log_probability, np.repeat(self.lengths, width), True, self.objective_bonus
+        )
+        found, first, best = _first_maximum(
+            slots.reshape(count, width), scores.reshape(count, width)
+        )
+        winners = np.flatnonzero(found & (~self.complete | (best > self.complete_score)))
+        self.complete[winners] = True
+        self.complete_score[winners] = best[winners]
+        self.complete_path[winners] = self.tokens[winners * width + first[winners], self.start :]
+        self.complete_length[winners] = self.lengths[winners]
+
+    def advance(self, live: np.ndarray, items: np.ndarray, values: np.ndarray, depth: int) -> int:
+        """Replace every running beam by the best children of its live slots.
+
+        ``items`` / ``values`` are the ``(rows, k)`` top-``k`` of the
+        ``live`` slots' rows, a non-finite value marking no child.  An
+        instance without a child keeps its beam and stops running.  Returns
+        how many instances advanced.
+        """
+        count, width = len(self.goals), self.width
+        k = items.shape[1]
+        log_probability = self.log_probability[live, None] + values
+        reached = items == self.goals[live // width, None]
+        scores = _hypothesis_scores(log_probability, depth + 1, reached, self.objective_bonus)
+        # One (instances, width · k) child block in (parent order, child
+        # rank) order, sorted by score descending and stable; NaN — no
+        # child — sorts last.
+        key = np.full((count * width, k), np.nan)
+        key[live] = np.where(np.isfinite(values), -scores, np.nan)
+        order = np.argsort(key.reshape(count, width * k), axis=1, kind="stable")[:, :width]
+        child = np.arange(count)[:, None] * (width * k) + order  # flat (slot, rank) index
+        chosen = ~np.isnan(key.ravel()[child])
+        advanced = chosen[:, 0]
+        slots = np.flatnonzero(np.repeat(advanced, width))
+        parent, rank = np.divmod(child.ravel()[slots], k)
+        row_of_slot = np.zeros(count * width, dtype=np.int64)
+        row_of_slot[live] = np.arange(live.size)
+        row = row_of_slot[parent]
+        self.tokens[slots] = self.tokens[parent]
+        self.tokens[slots, self.start + depth] = items[row, rank]
+        self.log_probability[slots] = log_probability[row, rank]
+        self.reached[slots] = reached[row, rank]
+        self.occupied[slots] = chosen.ravel()[slots]
+        self.parent_row[slots] = row
+        self.running = advanced
+        self.lengths[advanced] = depth + 1
+        return int(advanced.sum())
+
+    def paths(self) -> "list[list[int]]":
+        """Every instance's plan: its first maximal complete hypothesis,
+        else the first maximal hypothesis of its final beam."""
+        count, width = len(self.goals), self.width
+        # the beams still running at the last depth were never retired
+        self._retire(self.occupied & self.reached & np.repeat(self.running, width))
+        lengths = np.repeat(self.lengths, width)
+        scores = _hypothesis_scores(
+            self.log_probability, lengths, self.reached, self.objective_bonus
+        )
+        _, first, _ = _first_maximum(
+            self.occupied.reshape(count, width), scores.reshape(count, width)
+        )
+        final = self.tokens[np.arange(count) * width + first, self.start :]
+        rows = np.where(self.complete[:, None], self.complete_path, final)
+        lengths = np.where(self.complete, self.complete_length, self.lengths)
+        return [row[:length] for row, length in zip(rows.tolist(), lengths.tolist())]
 
 
 @influential_registry.register("beam")
@@ -397,13 +539,6 @@ class BeamSearchPlanner(InfluentialRecommender):
         return (type(generator).__name__,)
 
     # ------------------------------------------------------------------ #
-    def _log_softmax_rows(self, scores: np.ndarray) -> np.ndarray:
-        """Row-wise masked log-softmax (a copy; see :func:`log_softmax_rows`)."""
-        return log_softmax_rows(np.array(scores, dtype=np.float64))
-
-    def _log_softmax(self, scores: np.ndarray) -> np.ndarray:
-        return self._log_softmax_rows(np.asarray(scores)[None, :])[0]
-
     def _batched_scores(
         self,
         sequences: list[list[int]],
@@ -451,26 +586,24 @@ class BeamSearchPlanner(InfluentialRecommender):
             scores = np.take_along_axis(scores, row_items, axis=1)
         return scores
 
-    def _expand_all(
+    def _expand(
         self,
-        parents: list[_Hypothesis],
-        sequences: list[list[int]],
-        objectives: list[int],
-        user_indices: "list[int | None]",
-        scores: np.ndarray | None = None,
+        scores: np.ndarray,
+        seen: np.ndarray,
+        goals: np.ndarray,
         row_items: "np.ndarray | None" = None,
-    ) -> list[list[_Hypothesis]]:
-        """Expand many hypotheses with ONE batched scoring call.
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Each scored row's top-``k`` children: ``(items, log-probabilities)``.
 
-        Returns the children of each parent in the same order the scalar
-        implementation produced them: descending log-probability with ties
-        broken by item index (the stable-``argsort`` order), non-finite
-        candidates dropped.  ``scores`` may carry pre-computed backbone
-        scores for the rows (the decoding-session path); otherwise one
-        batched scoring call is issued here.
+        ``scores`` is the rows' fresh float64 backbone block, masked and
+        normalised in place: every item of ``seen`` (the ``(rows, T)``
+        history ⊕ path block) and the padding item are masked, the row's
+        objective never.  Both results are ``(rows, k)`` in (value desc,
+        item asc) order — the stable-``argsort`` order — and a non-finite
+        log-probability marks a cell that is no child.
 
-        Under candidate pruning the whole expansion runs in *shortlist
-        space*: ``row_items`` is the ``(rows, C)`` table of each row's own
+        Under candidate pruning the expansion runs in *shortlist space*:
+        ``row_items`` is the ``(rows, C)`` table of each row's own
         shortlist in ascending item order — a shorter shortlist padded by
         repeating its last item — and scores, masking, the log-softmax
         (probabilities renormalise over the row's shortlist, the documented
@@ -479,37 +612,15 @@ class BeamSearchPlanner(InfluentialRecommender):
         keep the (value desc, item asc) tie order of the full-vocabulary
         path, which is the same code with no table.
         """
-        if scores is None:
-            scores = self._batched_scores(sequences, objectives, user_indices, row_items)
         if row_items is not None:
             # a cell repeating its left neighbour is padding, not a candidate
             scores[:, 1:][row_items[:, 1:] == row_items[:, :-1]] = -np.inf
-        mask_session_items(scores, sequences, objectives, row_items=row_items)
+        mask_session_items(scores, seen, goals, row_items=row_items)
         log_probs = log_softmax_rows(scores)
-        _, columns = log_probs.shape
-        k = min(self.branch_factor, columns)
-        # Per-hypothesis top-k in stable-argsort order (value desc, index asc).
-        top, top_values = sharded_topk(log_probs, k)
+        top, values = sharded_topk(log_probs, min(self.branch_factor, log_probs.shape[1]))
         if row_items is not None:
             top = np.take_along_axis(row_items, top, axis=1)
-        # One conversion to Python scalars per depth, not three per child.
-        finite = np.isfinite(top_values).tolist()
-        top, top_values = top.tolist(), top_values.tolist()
-        expansions: list[list[_Hypothesis]] = []
-        for row, parent in enumerate(parents):
-            objective = objectives[row]
-            children = [
-                _Hypothesis(
-                    items=parent.items + (item,),
-                    log_probability=parent.log_probability + value,
-                    reached=item == objective,
-                    parent_row=row,
-                )
-                for item, value, keep in zip(top[row], top_values[row], finite[row])
-                if keep
-            ]
-            expansions.append(children)
-        return expansions
+        return top, values
 
     def plan_paths_batch(
         self,
@@ -605,7 +716,7 @@ class BeamSearchPlanner(InfluentialRecommender):
         if pruned:
             # One (instances, K) item table per plan, K the group's largest
             # shortlist: ascending rows, a shorter one padded by repeating
-            # its last item (which _expand_all reads as padding).
+            # its last item (which _expand reads as padding).
             width = max(shortlists[i].size for i in pruned)
             table = np.empty((len(pruned), width), dtype=np.int64)
             for slot, i in enumerate(pruned):
@@ -674,14 +785,13 @@ class BeamSearchPlanner(InfluentialRecommender):
         """Run the lockstep beam search for the ``pending`` instance subset.
 
         ``table`` — row ``n`` the padded shortlist of ``pending[n]`` — puts
-        the whole search in shortlist space (see :meth:`_expand_all`);
-        without it every row scores the full vocabulary.
+        the whole search in shortlist space (see :meth:`_expand`); without
+        it every row scores the full vocabulary.
         """
-        beams: dict[int, list[_Hypothesis]] = {
-            i: [_Hypothesis(items=(), log_probability=0.0, reached=False)] for i in pending
-        }
-        completes: dict[int, list[_Hypothesis]] = {i: [] for i in pending}
-        running = list(pending)
+        histories = [histories[i] for i in pending]
+        goals = np.asarray([objectives[i] for i in pending], dtype=np.int64)
+        users = [users[i] for i in pending]
+        beams = _Beams(histories, goals, self.beam_width, max_length, self.objective_bonus)
         session = None
         # Decoding sessions stay off under pruning.  A session advance with a
         # gathered projection was measured and saves nothing on the catalog
@@ -694,7 +804,6 @@ class BeamSearchPlanner(InfluentialRecommender):
             and hasattr(self.backbone, "begin_decoding_session")
             and self.candidate_generator is None
         )
-        slots = {i: slot for slot, i in enumerate(pending)}
         # Per-depth expansion spans broadcast to every trace of the drained
         # micro-batch (depth work is fused across the whole batch, so
         # batch-level attribution is the honest granularity); None when the
@@ -702,82 +811,54 @@ class BeamSearchPlanner(InfluentialRecommender):
         sink = current_sink()
 
         for depth in range(max_length):
-            if not running:
+            if not beams.running.any():
                 break
             depth_started = time.perf_counter() if sink is not None else 0.0
-            # Collect the live hypotheses of every running instance (beam
-            # order preserved); reached hypotheses retire to the complete set.
-            parents: list[_Hypothesis] = []
-            owners: list[int] = []
-            sequences: list[list[int]] = []
-            for i in running:
-                for hypothesis in beams[i]:
-                    if hypothesis.reached:
-                        completes[i].append(hypothesis)
-                        continue
-                    parents.append(hypothesis)
-                    owners.append(i)
-                    sequences.append(histories[i] + list(hypothesis.items))
-            if not parents:
-                running = []
+            live = beams.live()
+            if not live.size:
                 break
-            row_objectives = [objectives[i] for i in owners]
-            row_users = [users[i] for i in owners]
-            scores: np.ndarray | None = None
-            if use_sessions:
-                if session is None:
-                    # Depth 0: parents are the empty roots, one per instance.
-                    scores, session = self.backbone.begin_decoding_session(
-                        sequences, row_objectives, row_users
-                    )
-                else:
-                    # Later depths: gather each survivor's session row and
-                    # append its new token.
-                    scores = self.backbone.advance_decoding_session(
-                        session,
-                        [hypothesis.items[-1] for hypothesis in parents],
-                        [hypothesis.parent_row for hypothesis in parents],
-                    )
-                scores = np.asarray(scores, dtype=np.float64).copy()
-            expansions = self._expand_all(
-                parents,
-                sequences,
-                row_objectives,
-                row_users,
-                scores=scores,
-                row_items=None if table is None else table[[slots[i] for i in owners]],
+            owners = live // self.beam_width
+            row_items = None if table is None else table[owners]
+            if not use_sessions:
+                # the batched scorer takes each row's sequence as a list
+                rows = owners.tolist()
+                paths = beams.tokens[live, beams.start : beams.start + depth].tolist()
+                scores = self._batched_scores(
+                    [histories[owner] + path for owner, path in zip(rows, paths)],
+                    goals[owners].tolist(),
+                    [users[owner] for owner in rows],
+                    row_items,
+                )
+            elif session is None:
+                # Depth 0: the live rows are the roots, one per instance.
+                scores, session = self.backbone.begin_decoding_session(
+                    histories, goals.tolist(), users
+                )
+            else:
+                # Later depths: gather each survivor's session row and append
+                # its newest item.
+                scores = self.backbone.advance_decoding_session(
+                    session,
+                    beams.tokens[live, beams.start + depth - 1],
+                    beams.parent_row[live],
+                )
+            items, values = self._expand(
+                np.asarray(scores, dtype=np.float64),
+                beams.tokens[live, : beams.start + depth],
+                goals[owners],
+                row_items,
             )
-            candidates: dict[int, list[_Hypothesis]] = {i: [] for i in running}
-            for owner, children in zip(owners, expansions):
-                candidates[owner].extend(children)
-            still_running: list[int] = []
-            for i in running:
-                if not candidates[i]:
-                    continue  # this instance's beam is frozen (scalar `break`)
-                candidates[i].sort(key=lambda h: h.score(self.objective_bonus), reverse=True)
-                beams[i] = candidates[i][: self.beam_width]
-                still_running.append(i)
+            advanced = beams.advance(live, items, values, depth)
             if sink is not None:
                 sink.batch_span(
                     "beam.depth",
                     depth_started,
                     time.perf_counter(),
                     depth=depth,
-                    rows=len(parents),
-                    instances=len(still_running),
+                    rows=int(live.size),
+                    instances=advanced,
                 )
-            running = still_running
-
-        paths: list[list[int]] = []
-        for i in pending:
-            completes[i].extend(h for h in beams[i] if h.reached)
-            pool = completes[i] if completes[i] else beams[i]
-            if not pool:
-                paths.append([])
-                continue
-            best = max(pool, key=lambda h: h.score(self.objective_bonus))
-            paths.append(list(best.items))
-        return paths
+        return beams.paths()
 
     def plan_path(
         self,

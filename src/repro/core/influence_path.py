@@ -7,11 +7,11 @@ path item until the objective is recommended or the budget is exhausted.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.data.padding import PAD_INDEX
 from repro.utils.exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -22,17 +22,20 @@ __all__ = ["generate_influence_path", "log_softmax_rows", "mask_session_items"]
 
 def mask_session_items(
     scores: np.ndarray,
-    sequences: Sequence[Sequence[int]],
-    objectives: Sequence[int],
+    seen: np.ndarray,
+    objectives: "Sequence[int] | np.ndarray",
     row_items: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Mask already-seen session items out of batched next-item scores, in place.
 
-    ``scores`` is ``(batch, vocab)``; row ``b`` gets ``-inf`` at every item of
-    ``sequences[b]`` except ``objectives[b]`` (the objective may always be
-    re-recommended, terminating the path).  This is the vectorised equivalent
-    of the per-item Python loop in Algorithm 1's no-repeat rule: one fancy
-    indexed assignment instead of ``O(batch * length)`` interpreter steps.
+    ``scores`` is ``(batch, vocab)`` and ``seen`` the ``(batch, T)`` int
+    block of every row's session items, right-aligned and left-padded with
+    :data:`~repro.data.padding.PAD_INDEX`
+    (:func:`~repro.data.padding.pre_pad_block`).  Row ``b`` gets ``-inf``
+    at every item of ``seen[b]`` except ``objectives[b]`` (the objective may
+    always be re-recommended, terminating the path), and the padding item is
+    masked in every row: it is never a candidate.  This is Algorithm 1's
+    no-repeat rule as one fancy indexed assignment over the block.
 
     With ``row_items`` the scores live in *shortlist space*: ``scores`` is
     ``(batch, C)`` and column ``c`` of row ``b`` is item ``row_items[b, c]``,
@@ -41,23 +44,18 @@ def mask_session_items(
     located by one search over the flattened rows, and the first cell
     holding the item — the real one, never a padding repeat — is masked.
     """
-    lengths = [len(sequence) for sequence in sequences]
-    total = sum(lengths)
-    if not total:
-        return scores
     batch = np.arange(scores.shape[0])
-    objective_columns = np.asarray(list(objectives), dtype=np.int64)
-    row_index = np.repeat(batch, lengths)
-    column_index = np.fromiter(
-        itertools.chain.from_iterable(sequences), dtype=np.int64, count=total
-    )
+    objective_columns = np.asarray(objectives, dtype=np.int64)
     if row_items is None:
-        objective_scores = scores[batch, objective_columns].copy()
-        scores[row_index, column_index] = -np.inf
+        objective_scores = scores[batch, objective_columns]
+        scores[batch[:, None], seen] = -np.inf
+        scores[:, PAD_INDEX] = -np.inf
         scores[batch, objective_columns] = objective_scores
         return scores
-    seen = column_index != objective_columns[row_index]
-    row_index, column_index = row_index[seen], column_index[seen]
+    scores[row_items == PAD_INDEX] = -np.inf
+    cells = (seen != objective_columns[:, None]) & (seen != PAD_INDEX)
+    row_index = np.broadcast_to(batch[:, None], seen.shape)[cells]
+    column_index = seen[cells]
     # One key per cell, ``item + row * stride``: rows are sorted, so the
     # flattened keys are too.  The stride must exceed every id *searched
     # for*, not just every shortlisted one — a seen item above its row's

@@ -78,13 +78,17 @@ still fits ``max_sequence_length``), never from an option:
   appended: :meth:`IRN._advance_shared` encodes ``history ⊕ objective`` once
   per live root and only each row's appended tokens ⊕ objective per row
   (``block`` per layer; a depth's history K/V are plain arrays gathered
-  root → row as ``prefix_kv``, no arena).  Recorded as ``fallback``
-  token-work, with the positions actually encoded.
+  root → row as ``prefix_kv``, no arena).  What the first layer does on the
+  history columns before attention — embeddings, layer norm, Q/K/V — does
+  not depend on the objective's position: it is computed once per session
+  and kept on it (:class:`_RootCache`), so a depth re-embeds only the
+  objective there.  Recorded as ``fallback`` token-work, with the positions
+  actually encoded.
 * **Per-row window** — a row outgrew the model's window, so the right-aligned
   batch slides, every position embedding shifts and no column is shared:
-  each row re-encodes its own window (the batched scorer,
-  :meth:`IRN._score_objective_batch`, on the session's rows).  Also
-  ``fallback`` token-work.
+  each row re-encodes its own window, the rightmost columns of the session's
+  token block (the batched scorer's :meth:`IRN._score_objective_block`).
+  Also ``fallback`` token-work.
 
 All three agree with the uncached scorer to the same ``~1e-8`` tolerance as
 the batching contract (GEMM shapes and softmax row widths differ, values do
@@ -93,6 +97,7 @@ not) and produce identical plans.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -110,7 +115,7 @@ from repro.core.pim import (
 )
 from repro.data.batching import SequenceBatch
 from repro.data.interactions import SequenceCorpus
-from repro.data.padding import PAD_INDEX
+from repro.data.padding import PAD_INDEX, pre_pad_block
 from repro.data.splitting import DatasetSplit
 from repro.models._sequence_utils import clip_history, shifted_inputs_and_targets
 from repro.models.base import NeuralSequentialRecommender, model_registry
@@ -215,6 +220,48 @@ class _IRNModule(Module):
         hidden = self.decoder(hidden, mask=mask)
         # tied output projection onto the item embeddings
         return hidden.matmul(self.item_embedding.weight.transpose())
+
+
+@dataclass(frozen=True)
+class _RootCache:
+    """What every shared-regime advance of one session reuses of its live
+    roots: the work layer 1 does on their history columns, none of which
+    depends on the objective's position (see :meth:`IRN._advance_shared`).
+    ``H`` is the longest history among them."""
+
+    program: inference.Program  # the weights and dtype it was computed with
+    slot: np.ndarray  # per session root: its row here, -1 once it died
+    #: ``(roots, H + 1)``: right-aligned history (a PAD placeholder when
+    #: empty) ⊕ objective
+    items: np.ndarray
+    lengths: np.ndarray  # (roots,): real history tokens
+    embedded: np.ndarray  # (roots, H, d): history item + position embeddings
+    queries: np.ndarray  # (roots, H, d): their layer-1 query projections
+    #: ``(roots, H + 1, 2d)``: their key | value projections, fused as
+    #: block() fuses them; each depth writes its objective's into the last
+    kv: np.ndarray
+    pim: np.ndarray  # (roots, H + 1, H + 1)
+
+    @property
+    def history_width(self) -> int:
+        return self.embedded.shape[1]
+
+    def keep(self, live: np.ndarray) -> "_RootCache":
+        """The cache of the roots the ``live`` mask keeps, cut to their longest history."""
+        index = np.flatnonzero(live)
+        cut = self.history_width - int(np.maximum(self.lengths[index], 1).max())
+        renumber = np.full(len(live) + 1, -1, dtype=np.int64)  # [-1] keeps a dead root dead
+        renumber[index] = np.arange(index.size)
+        return _RootCache(
+            program=self.program,
+            slot=renumber[self.slot],
+            items=self.items[index, cut:],
+            lengths=self.lengths[index],
+            embedded=self.embedded[index, cut:],
+            queries=self.queries[index, cut:],
+            kv=self.kv[index, cut:],
+            pim=self.pim[index, cut:, cut:],
+        )
 
 
 @model_registry.register("irn")
@@ -415,20 +462,20 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         """Pack ragged rows into right-aligned ``(items, positions, lengths)``.
 
         Rows are left-padded with :data:`PAD_INDEX` so their last tokens share
-        the final column; ``positions[b]`` counts ``0 .. len_b - 1`` over the
-        real tokens (padding gets position 0, which is never attended to).
+        the final column; see :meth:`_positions`.
         """
-        assert self.module is not None
+        items = pre_pad_block(rows)
         lengths = np.asarray([len(row) for row in rows], dtype=np.int64)
-        width = int(lengths.max())
-        items = np.full((len(rows), width), PAD_INDEX, dtype=np.int64)
-        for b, row in enumerate(rows):
-            if row:
-                items[b, width - len(row) :] = row
+        return items, self._positions(lengths, items.shape[1]), lengths
+
+    def _positions(self, lengths: np.ndarray, width: int) -> np.ndarray:
+        """Position indices of a right-aligned ``(batch, width)`` block whose
+        rows hold ``lengths`` real tokens: ``0 .. len_b - 1`` over the real
+        tokens, 0 on the padding (which is never attended to)."""
+        assert self.module is not None
         columns = np.arange(width, dtype=np.int64)[None, :]
         offsets = (width - lengths)[:, None]
-        positions = np.maximum(columns - offsets, 0) % self.module.max_length
-        return items, positions, lengths
+        return np.maximum(columns - offsets, 0) % self.module.max_length
 
     def _batch_users(self, user_indices, batch: int) -> np.ndarray:
         users = broadcast_user_indices(batch, user_indices)
@@ -533,8 +580,33 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
             + [int(objective)]
             for seq, objective in zip(sequences, objectives)
         ]
-        items, positions, lengths = self._right_align(rows)
-        users = self._batch_users(user_indices, batch)
+        items, _, lengths = self._right_align(rows)
+        return self._score_objective_block(
+            items,
+            lengths,
+            self._batch_users(user_indices, batch),
+            record,
+            caches,
+            persist,
+            candidate_items,
+        )
+
+    def _score_objective_block(
+        self,
+        items: np.ndarray,
+        lengths: np.ndarray,
+        users: np.ndarray,
+        record: str = "full",
+        caches: "list | None" = None,
+        persist: int | None = None,
+        candidate_items: "np.ndarray | None" = None,
+    ) -> np.ndarray:
+        """Score right-aligned ``history ⊕ objective`` rows in one forward.
+
+        ``items`` is ``(batch, width)`` with every objective in the last
+        column and ``lengths`` each row's real token count, objective
+        included.
+        """
         # Each row is read at its last real non-objective position: one
         # shared column, or two when an empty history shares the batch.
         width = items.shape[1]
@@ -543,7 +615,7 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         )
         program = self._program()
         hidden = program.encode(
-            program.embed(items, positions),
+            program.embed(items, self._positions(lengths, width)),
             self._pim(program, items, users),
             queries=columns,
             caches=caches,
@@ -551,7 +623,7 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         )
         logits = program.project(hidden, candidate_items)
         self._record_tokens(record, items.size)
-        return self._item_scores(logits[np.arange(batch), gather], candidate_items)
+        return self._item_scores(logits[np.arange(len(items)), gather], candidate_items)
 
     def _item_scores(
         self, logits: np.ndarray, candidate_items: "np.ndarray | None" = None
@@ -625,11 +697,22 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         for history in histories:
             clipped = [int(item) for item in clip_history(history, self.max_sequence_length)]
             rows.append(clipped if clipped else [PAD_INDEX])
-        items, positions, _ = self._right_align(rows)
+        items, _, lengths = self._right_align(rows)
         broadcast_user_indices(batch, user_indices)  # length check: causal scoring reads no user
+        return self._score_next_block(items, lengths, record, caches, persist)
+
+    def _score_next_block(
+        self,
+        items: np.ndarray,
+        lengths: np.ndarray,
+        record: str = "full",
+        caches: "list | None" = None,
+        persist: int | None = None,
+    ) -> np.ndarray:
+        """Score right-aligned histories (``lengths`` real tokens each) at the final column."""
         program = self._program()
         hidden = program.encode(
-            program.embed(items, positions),
+            program.embed(items, self._positions(lengths, items.shape[1])),
             causal_history_mask(items),
             queries=slice(-1, None),
             caches=caches,
@@ -686,48 +769,39 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         incremental = self._incremental_exact(objectives)
         state = DecodingState(self.num_layers, dtype=self.inference_dtype) if incremental else None
         caches = None if state is None else state.layers  # filled by the first forward
-        if objectives is not None:
-            objectives = [int(objective) for objective in objectives]
-            check_batch_lengths(batch, objectives=objectives)
-            rows = [
-                [int(item) for item in clip_history(seq, self.max_sequence_length - 1)]
-                for seq in sequences
-            ]
-            width = max(len(row) for row in rows) + 1  # matches _right_align + objective
-            scores = self._score_objective_batch(
-                sequences, objectives, list(users), caches=caches, persist=width - 1
-            )
-            session_width = width - 1
-        else:
-            rows = [
-                [int(item) for item in clip_history(seq, self.max_sequence_length)]
-                for seq in sequences
-            ]
-            # score_next_batch substitutes a PAD placeholder for empty rows;
-            # its column is permanently masked, so the session keeps the true
-            # (possibly empty) token lists and only the width accounts for it.
-            width = max(max(len(row) for row in rows), 1)
-            scores = self._score_next_batch(sequences, list(users), caches=caches)
-            session_width = width
+        limit = self.max_sequence_length - (0 if objectives is None else 1)
+        rows = [[int(item) for item in clip_history(seq, limit)] for seq in sequences]
+        tokens = pre_pad_block(rows)
+        lengths = np.asarray([len(row) for row in rows], dtype=np.int64)
         impressionability = None
-        if objectives is not None and self.mask_type == MaskType.PERSONALIZED:
-            impressionability = self._program().impressionability[users]
+        if objectives is not None:
+            objectives = np.asarray([int(objective) for objective in objectives], dtype=np.int64)
+            check_batch_lengths(batch, objectives=objectives)
+            scores = self._score_objective_block(
+                np.concatenate([tokens, objectives[:, None]], axis=1),
+                lengths + 1,
+                users,
+                caches=caches,
+                persist=tokens.shape[1],
+            )
+            if self.mask_type == MaskType.PERSONALIZED:
+                impressionability = self._program().impressionability[users]
+        else:
+            # An all-empty batch still encodes one (masked) PAD column, which
+            # the session keeps as its first prefix column.
+            if not tokens.shape[1]:
+                tokens = np.full((batch, 1), PAD_INDEX, dtype=np.int64)
+            scores = self._score_next_block(tokens, np.maximum(lengths, 1), caches=caches)
         session = DecodingSession(
-            rows=rows,
-            users=users,
-            objectives=objectives,
-            state=state,
-            incremental=incremental,
-            width=session_width,
-            impressionability=impressionability,
+            tokens, lengths, users, objectives, state, incremental, impressionability
         )
         return scores, session
 
     def advance_decoding_session(
         self,
         session: DecodingSession,
-        new_items: Sequence[int],
-        parent_rows: "Sequence[int] | None" = None,
+        new_items: "Sequence[int] | np.ndarray",
+        parent_rows: "Sequence[int] | np.ndarray | None" = None,
     ) -> np.ndarray:
         """Append one token per surviving row and score the grown contexts.
 
@@ -736,13 +810,13 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         appended to gathered row ``b``.  Returns the same ``(batch, vocab)``
         scores the uncached batched scorer would produce for the grown
         sequences, in whichever of the three regimes of the module docstring
-        the session and the grown lengths allow.
+        the session and the grown lengths allow, as a fresh float64 block.
         """
         self._require_fitted()
         assert self.module is not None
         # Validate both arguments before the session is touched: a refused
         # call must leave it as it was (select checks the row range itself).
-        new_items = [int(item) for item in new_items]
+        new_items = np.asarray(new_items, dtype=np.int64)
         survivors = session.batch_size if parent_rows is None else len(parent_rows)
         check_batch_lengths(survivors, new_items=new_items)
         if parent_rows is not None:
@@ -755,20 +829,28 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         # position embedding: cached K/V become stale, so an incremental
         # session degrades to the per-row window for good, and no history
         # column is shared between a root's rows any more.
-        limit = self.max_sequence_length - (1 if session.objectives is not None else 0)
-        fits = int(session.lengths.max()) <= limit
+        objective_mode = session.root_objectives is not None
+        limit = self.max_sequence_length - (1 if objective_mode else 0)
+        lengths = session.lengths
+        fits = int(lengths.max()) <= limit
         if session.incremental and not fits:
             session.degrade()
         if session.incremental:
-            return self._advance_incremental(session, np.asarray(new_items, dtype=np.int64))
-        if fits and not self._incremental_exact(session.objectives):
+            return self._advance_incremental(session, new_items)
+        if fits and not self._incremental_exact(session.root_objectives):
             return self._advance_shared(session)
-        users = list(session.users)
-        if session.objectives is not None:
-            return self._score_objective_batch(
-                session.rows, session.objectives, users, record="fallback"
+        # The per-row window: each row's last `limit` tokens, right-aligned —
+        # the rightmost columns of the token block.
+        lengths = np.minimum(lengths, limit)
+        items = session.tokens[:, session.width - int(lengths.max()) :]
+        if objective_mode:
+            return self._score_objective_block(
+                np.concatenate([items, session.objectives[:, None]], axis=1),
+                lengths + 1,
+                session.users,
+                record="fallback",
             )
-        return self._score_next_batch(session.rows, users, record="fallback")
+        return self._score_next_block(items, lengths, record="fallback")
 
     def _advance_incremental(
         self, session: DecodingSession, new_items: np.ndarray
@@ -776,10 +858,8 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         """Encode each row's new token (⊕ objective) over the session's cached prefix K/V."""
         program = self._program()
         lengths = session.lengths  # post-append; the new token sits at position len-1
-        if session.objectives is not None:
-            items = np.stack(
-                [new_items, np.asarray(session.objectives, dtype=np.int64)], axis=1
-            )
+        if session.root_objectives is not None:
+            items = np.stack([new_items, session.objectives], axis=1)
             positions = np.stack([lengths - 1, lengths], axis=1)
         else:
             items = new_items[:, None]
@@ -804,70 +884,64 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         length — hence the objective's position — so their history columns
         carry identical layer-1 states, which depend on nothing a row
         appended.  Per depth: (a) layer 1 runs once per live root on
-        ``history ⊕ objective`` and keeps the history K/V; (b) a root → row
+        ``history ⊕ objective`` (:meth:`_shared_history`); (b) a root → row
         gather later, layer 1 runs on each row's ``steps`` appended tokens
         ⊕ objective over ``[root history K/V ; own K/V]`` under the PIM rows
         the full window would give those queries.  With two layers the final
         layer takes its history K/V from the shared states the same way;
         deeper stacks reassemble the per-row window for the middle layers.
-        The final layer answers one query, the last appended token.  The
-        history K/V are plain arrays that live for this call only.
+        The final layer answers one query, the last appended token.
+
+        What does not change across depths is computed once per session,
+        in the session's :class:`_RootCache`: the roots' history embeddings
+        and their layer-1 normalised Q/K/V.  Each depth re-embeds only the
+        objective, at its moved position.  When roots die (no row descends
+        from them any more) the cache keeps the live ones only, cut to the
+        longest live history, so every array has the shape encoding the live
+        roots from scratch gives it (and every attention row its width).
         """
         program = self._program()
         layers = program.layers
+        cache = session.root_cache
+        if cache is None or cache.program is not program:
+            cache = session.root_cache = self._root_cache(session, program)
+        roots = cache.slot[session.roots]  # row -> cache row
+        present = np.zeros(len(cache.lengths), dtype=bool)
+        present[roots] = True
+        if not present.all():
+            cache = session.root_cache = cache.keep(present)
+            roots = cache.slot[session.roots]
         steps = session.steps
-        live, first_row, group = np.unique(
-            session.roots, return_index=True, return_inverse=True
-        )
-        objectives = session.objectives
-        # An empty history keeps a PAD placeholder (as in _score_next_batch):
-        # its column is masked for every query.
-        root_items, root_positions, _ = self._right_align(
-            [
-                (session.root_rows[root] or [PAD_INDEX]) + [objectives[row]]
-                for root, row in zip(live.tolist(), first_row.tolist())
-            ]
-        )
-        lengths = session.lengths
-        root_positions[:, -1] = lengths[first_row]  # the objective follows `steps` tokens
-        history_width = root_items.shape[1] - 1
-        items = np.asarray(
-            [row[-steps:] + [objective] for row, objective in zip(session.rows, objectives)],
-            dtype=np.int64,
-        )
-        positions = (lengths - steps)[:, None] + np.arange(steps + 1, dtype=np.int64)
-        mask = self._incremental_mask(session, history_width + steps, new=steps)
+        items = np.empty((session.batch_size, steps + 1), dtype=np.int64)
+        items[:, :steps] = session.tokens[:, -steps:]
+        items[:, steps] = session.objectives
+        positions = (session.lengths - steps)[:, None] + np.arange(steps + 1, dtype=np.int64)
+        mask = self._incremental_mask(session, cache.history_width + steps, new=steps)
+        width = program.item_table.shape[1]
 
-        def per_row(history_kv: np.ndarray) -> np.ndarray:
-            # root → row, from a contiguous copy of the root block: indexing
-            # the strided per-head views directly is several times slower
-            return np.take(
-                np.ascontiguousarray(history_kv[:, :, :history_width]), group, axis=0
+        def per_row(fused: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+            # root -> row on the fused (roots, history, 2d) array, then per head
+            return tuple(
+                inference.split_heads(
+                    np.take(fused, roots, axis=0), len(roots), layers[0].heads, width
+                )
             )
 
-        history, keys, values = inference.block(
-            layers[0],
-            program.embed(root_items, root_positions),
-            self._pim(program, root_items, session.users[first_row]),
-            queries=slice(0, history_width),
-        )
+        history = self._shared_history(cache, program, steps)
         hidden, _, _ = inference.block(
             layers[0],
             program.embed(items, positions),
             mask,
-            prefix_kv=(per_row(keys), per_row(values)),
+            prefix_kv=per_row(cache.kv[:, :-1]),
         )
         if len(layers) == 2:
             # keys/values only: no query reads the history states here
-            keys, values = inference.keys_values(layers[1], history)
-            shared = per_row(keys), per_row(values)
+            shared = per_row(inference.keys_values(layers[1], history))
         else:
             shared = None
-            hidden = np.concatenate([history[group], hidden], axis=1)
+            hidden = np.concatenate([history[roots], hidden], axis=1)
             mask = self._pim(
-                program,
-                np.concatenate([root_items[group, :history_width], items], axis=1),
-                session.users,
+                program, np.concatenate([cache.items[roots, :-1], items], axis=1), session.users
             )
             for layer in layers[1:-1]:
                 hidden, _, _ = inference.block(layer, hidden, mask)
@@ -875,8 +949,65 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
             layers[-1], hidden, mask, prefix_kv=shared, queries=slice(-2, -1)
         )
         logits = program.project(inference.layer_norm(hidden, *program.final_norm))
-        self.decode_stats.record_fallback(root_items.size + items.size)
+        self.decode_stats.record_fallback(cache.items.size + items.size)
         return self._item_scores(logits[:, 0])
+
+    def _root_cache(self, session: DecodingSession, program: inference.Program) -> "_RootCache":
+        """Layer 1's history-column work on every root of a shared-regime session."""
+        layer = program.layers[0]
+        tokens = session.root_tokens
+        if not tokens.shape[1]:
+            tokens = np.full((len(tokens), 1), PAD_INDEX, dtype=np.int64)
+        batch, width = tokens.shape
+        # An empty history keeps a PAD placeholder (as in _score_next_batch):
+        # its column is masked for every query.
+        embedded = program.embed(
+            tokens, self._positions(np.maximum(session.root_lengths, 1), width)
+        )
+        normed = inference.layer_norm(embedded.reshape(batch * width, -1), *layer.norm1)
+        kv = np.empty((batch, width + 1, layer.wkv.shape[1]), dtype=program.dtype)
+        kv[:, :width] = (normed @ layer.wkv).reshape(batch, width, -1)
+        kv[:, :width] += layer.bkv
+        queries = normed @ layer.wq
+        queries += layer.bq
+        items = np.concatenate([tokens, session.root_objectives[:, None]], axis=1)
+        return _RootCache(
+            program=program,
+            slot=np.arange(batch, dtype=np.int64),
+            items=items,
+            lengths=session.root_lengths,
+            embedded=embedded,
+            queries=queries.reshape(batch, width, -1),
+            kv=kv,
+            pim=self._pim(program, items, session.root_users),
+        )
+
+    def _shared_history(
+        self, cache: "_RootCache", program: inference.Program, steps: int
+    ) -> np.ndarray:
+        """Layer 1 on the cached roots' history columns, ``steps`` tokens in.
+
+        The history columns' embeddings and projections come from ``cache``;
+        only the objective, whose position follows the ``steps`` appended
+        tokens, is embedded, normalised and projected, into the cache's
+        objective column.  Returns the ``(roots, history, d)`` states.
+        """
+        layer = program.layers[0]
+        objective = program.embed(cache.items[:, -1:], (cache.lengths + steps)[:, None])
+        count, _, width = objective.shape
+        normed = inference.layer_norm(objective.reshape(count, width), *layer.norm1)
+        cache.kv[:, -1] = normed @ layer.wkv
+        cache.kv[:, -1] += layer.bkv
+        keys, values = inference.split_heads(cache.kv, count, layer.heads, width)
+        (query,) = inference.split_heads(cache.queries, count, layer.heads, width)
+        return inference.attention_block(
+            layer,
+            cache.embedded.reshape(-1, width),
+            query,
+            keys,
+            values,
+            cache.pim[:, :-1],
+        )
 
     def _incremental_mask(
         self, session: DecodingSession, width: int, new: int = 1
@@ -892,19 +1023,15 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         column gets the (personalized) objective weight for the token
         queries and ``w_h`` for its own.
         """
-        lengths = session.lengths
-        batch = session.batch_size
-        objective_mode = session.objectives is not None
+        objective_mode = session.root_objectives is not None
         history_weight = float(self.history_weight) if objective_mode else 0.0
         total_keys = width + (1 if objective_mode else 0)
-        rows = new + (1 if objective_mode else 0)
-        mask = np.full((batch, rows, total_keys), history_weight, dtype=np.float64)
-        columns = np.arange(total_keys, dtype=np.int64)[None, :]
-        padding = columns < (width - lengths)[:, None]
-        mask = np.where(padding[:, None, :], NEG_INF, mask)
+        padding = np.arange(total_keys) < (width - session.lengths)[:, None]
+        keys = np.where(padding, NEG_INF, history_weight)  # (batch, keys): what every query sees
+        mask = np.repeat(keys[:, None, :], new + (1 if objective_mode else 0), axis=1)
         if new > 1:
             later = np.triu(np.ones((new, new), dtype=bool), k=1)
-            mask[:, :new, width - new : width][:, later] = NEG_INF
+            np.copyto(mask[:, :new, width - new : width], NEG_INF, where=later)
         if objective_mode:
             if self.mask_type == MaskType.CAUSAL:
                 mask[:, :new, -1] = NEG_INF
@@ -930,7 +1057,7 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         scores = self.score_with_objective_batch([sequence], [objective], [user_index])
         # Avoid degenerate repetition: never re-recommend something the user
         # already saw in this session, except the objective itself.
-        scores = mask_session_items(scores, [sequence], [objective])[0]
+        scores = mask_session_items(scores, pre_pad_block([sequence]), [objective])[0]
         best = int(np.argmax(scores))
         if not np.isfinite(scores[best]):
             return None
@@ -970,7 +1097,7 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
                 [objectives[i] for i in active],
                 [users[i] for i in active],
             )
-            mask_session_items(scores, sequences, [objectives[i] for i in active])
+            mask_session_items(scores, pre_pad_block(sequences), [objectives[i] for i in active])
             best = np.argmax(scores, axis=1)
             finite = np.isfinite(scores[np.arange(len(active)), best])
             still_active: list[int] = []

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.utils.exceptions import DataError
 
-__all__ = ["PAD_INDEX", "pre_pad", "post_pad", "pad_sequence", "pad_batch"]
+__all__ = ["PAD_INDEX", "pre_pad", "post_pad", "pad_sequence", "pad_batch", "pre_pad_block"]
 
 #: Index of the padding token in every vocabulary built by this package.
 PAD_INDEX = 0
@@ -74,3 +74,17 @@ def pad_batch(
         length = max(len(seq) for seq in sequences)
     rows = [pad_sequence(seq, length, scheme=scheme, pad_value=pad_value) for seq in sequences]
     return np.asarray(rows, dtype=np.int64)
+
+
+def pre_pad_block(rows: Sequence[Sequence[int]], pad_value: int = PAD_INDEX) -> np.ndarray:
+    """Right-align ragged rows into one ``(batch, longest)`` int64 block.
+
+    Rows are left-padded and never truncated; unlike :func:`pad_batch`,
+    any row may be empty (a batch of empty rows is ``(batch, 0)``).
+    """
+    width = max((len(row) for row in rows), default=0)
+    block = np.full((len(rows), width), pad_value, dtype=np.int64)
+    for index, row in enumerate(rows):
+        if len(row):
+            block[index, width - len(row) :] = row
+    return block

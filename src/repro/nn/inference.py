@@ -36,6 +36,8 @@ __all__ = [
     "compile",
     "compile_layer",
     "block",
+    "attention_block",
+    "split_heads",
     "keys_values",
     "attend",
     "layer_norm",
@@ -214,25 +216,31 @@ def attend(
     return context
 
 
-def _project(
-    tokens: np.ndarray, weight: np.ndarray, bias: np.ndarray, batch: int, heads: int
-) -> np.ndarray:
-    """``tokens @ weight + bias`` split per head: ``(n, batch, heads, length, d_head)``
-    views of the ``n`` projections fused in ``weight`` (``(d, n · d)``)."""
-    width = weight.shape[0]
-    fused = tokens @ weight
-    fused += bias
-    fused = fused.reshape(batch, -1, weight.shape[1] // width, heads, width // heads)
+def split_heads(fused: np.ndarray, batch: int, heads: int, width: int) -> np.ndarray:
+    """``(n, batch, heads, length, d_head)`` views of the ``n`` projections of
+    width ``width`` fused along the last axis of ``fused`` (``(…, n · width)``)."""
+    fused = fused.reshape(batch, -1, fused.shape[-1] // width, heads, width // heads)
     return fused.transpose(2, 0, 3, 1, 4)
 
 
-def keys_values(layer: Layer, x: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+def _project(
+    tokens: np.ndarray, weight: np.ndarray, bias: np.ndarray, batch: int, heads: int
+) -> np.ndarray:
+    """``tokens @ weight + bias`` split per head (see :func:`split_heads`)."""
+    fused = tokens @ weight
+    fused += bias
+    return split_heads(fused, batch, heads, weight.shape[0])
+
+
+def keys_values(layer: Layer, x: np.ndarray) -> np.ndarray:
     """The keys/values :func:`block` would project for ``x``, and nothing else
-    (for columns no query reads)."""
+    (for columns no query reads): one ``(batch, length, 2d)`` array, keys |
+    values fused as ``block`` projects them (:func:`split_heads` splits it).
+    Rows can be gathered from it before it is split."""
     batch, length, width = x.shape
-    normed = layer_norm(x.reshape(batch * length, width), *layer.norm1)
-    keys, values = _project(normed, layer.wkv, layer.bkv, batch, layer.heads)
-    return keys, values
+    fused = layer_norm(x.reshape(batch * length, width), *layer.norm1) @ layer.wkv
+    fused += layer.bkv
+    return fused.reshape(batch, length, -1)
 
 
 def block(
@@ -268,8 +276,30 @@ def block(
         tokens = x[:, queries].reshape(-1, width)
         if mask is not None:
             mask = mask[..., queries, :]
+    return attention_block(layer, tokens, query, keys, values, mask, prefix_kv), keys, values
+
+
+def attention_block(
+    layer: Layer,
+    tokens: np.ndarray,
+    query: np.ndarray,
+    keys: np.ndarray,
+    values: np.ndarray,
+    mask: "np.ndarray | None" = None,
+    prefix_kv: "tuple[np.ndarray, np.ndarray] | None" = None,
+) -> np.ndarray:
+    """The rest of :func:`block` once its queries, keys and values are projected.
+
+    ``tokens`` are the query columns' ``(batch · q, d)`` inputs (the
+    residual), ``query`` / ``keys`` / ``values`` per-head ``(batch, heads,
+    ·, d_head)`` arrays and ``mask`` the query rows' ``(…, q, keys)``
+    additive mask.  Attention, output projection, residuals and
+    feed-forward; returns ``(batch, q, d)``.  A caller that keeps some
+    columns' projections across calls runs only this part on them.
+    """
+    batch, width = query.shape[0], tokens.shape[-1]
     if mask is not None:
-        mask = mask.astype(x.dtype, copy=False)[..., None, :, :]
+        mask = mask.astype(query.dtype, copy=False)[..., None, :, :]
     context = attend(query, keys, values, mask, prefix_kv)
     attended = context.transpose(0, 2, 1, 3).reshape(-1, width) @ layer.wo
     attended += layer.bo
@@ -279,7 +309,7 @@ def block(
     out = gelu_(hidden) @ layer.w2
     out += layer.b2
     out += attended
-    return out.reshape(batch, -1, width), keys, values
+    return out.reshape(batch, -1, width)
 
 
 # ---------------------------------------------------------------------- #

@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.influence_path import log_softmax_rows, mask_session_items
+from repro.data.padding import pre_pad_block
 from repro.shard.topk import stable_topk
 
 __all__ = ["overlap_at_k", "path_score", "plan_regret"]
@@ -86,7 +87,7 @@ def path_score(
         ),
         dtype=np.float64,
     ).copy()
-    mask_session_items(scores, prefixes, objectives)
+    mask_session_items(scores, pre_pad_block(prefixes), objectives)
     log_probs = log_softmax_rows(scores)
     total = float(log_probs[np.arange(len(path)), path].sum())
     reached = objective in path

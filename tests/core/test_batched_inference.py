@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.beam import BeamSearchPlanner
+from repro.core.influence_path import log_softmax_rows
 from repro.core.irn import IRN
 from repro.evaluation.protocol import sample_objectives
 from repro.perf.bench import ScalarOnlyBackbone
@@ -225,8 +226,6 @@ class TestTopKTieBreaking:
     def test_boundary_ties_keep_lowest_indices(self, tiny_split):
         """argpartition may admit any tied index at the k-th boundary; the
         repair pass must restore the scalar stable-argsort choice (lowest)."""
-        from repro.core.beam import _Hypothesis
-
         vocab = tiny_split.corpus.vocab.size
         scores = np.full(vocab, -np.inf)
         # Three clear winners and a three-way tie for the final (4th) slot.
@@ -244,28 +243,21 @@ class TestTopKTieBreaking:
 
         planner = BeamSearchPlanner(_TiedBackbone(), beam_width=4, branch_factor=4)
         planner.corpus = tiny_split.corpus
-        expansions = planner._expand_all(
-            [_Hypothesis(items=(), log_probability=0.0, reached=False)],
-            [[]],
-            [2],
-            [None],
+        items, values = planner._expand(
+            planner._batched_scores([[]], [2], [None]), np.zeros((1, 0), dtype=np.int64), [2]
         )
-        items = [child.items[-1] for child in expansions[0]]
-        assert items == [2, 5, 9, 11]  # lowest tied index wins, argsort order
+        assert items[0][np.isfinite(values[0])].tolist() == [2, 5, 9, 11]  # argsort order
 
 
 class TestLogSoftmaxEdgeCases:
-    def test_all_masked_scores_return_neg_inf(self, irn, tiny_split):
+    def test_all_masked_scores_return_neg_inf(self):
         """Satellite fix: an all ``-inf`` row must not crash on empty ``np.max``."""
-        planner = BeamSearchPlanner(irn).fit(tiny_split)
-        scores = np.full(7, -np.inf)
-        log_probs = planner._log_softmax(scores)
+        log_probs = log_softmax_rows(np.full((1, 7), -np.inf))
         assert np.all(np.isneginf(log_probs))
 
-    def test_mixed_rows(self, irn, tiny_split):
-        planner = BeamSearchPlanner(irn).fit(tiny_split)
+    def test_mixed_rows(self):
         rows = np.array([[-np.inf, 1.0, 2.0, 0.5], [-np.inf] * 4])
-        log_probs = planner._log_softmax_rows(rows)
+        log_probs = log_softmax_rows(rows)
         assert np.exp(log_probs[0, 1:]).sum() == pytest.approx(1.0)
         assert log_probs[0, 0] == -np.inf
         assert np.all(np.isneginf(log_probs[1]))

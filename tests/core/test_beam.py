@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.core.base import influential_registry
 from repro.core.beam import BeamSearchPlanner
+from repro.core.influence_path import log_softmax_rows
 from repro.core.irn import IRN
 from repro.core.pim import MaskType
+from repro.data.padding import PAD_INDEX
 from repro.evaluation.protocol import sample_objectives
 from repro.utils.exceptions import ConfigurationError
 
@@ -87,6 +91,38 @@ class TestPlanning:
         with pytest.raises(ConfigurationError):
             planner.plan_path([1, 2], 3, max_length=0)
 
+    @pytest.mark.parametrize(
+        "shortlist, expected",
+        [(None, [1, 2, 5]), ([0, 1, 2, 5, 7], [1, 2, 7])],
+        ids=["exact", "shortlist"],
+    )
+    def test_the_padding_item_is_never_planned(self, shortlist, expected):
+        """A backbone that leaves column 0 finite: uniform scores used to
+        plan ``[0, 1, 2]``, the padding item first (lowest index wins ties);
+        a shortlist holding it must not bring it back."""
+
+        class _Flat:
+            corpus = SimpleNamespace(vocab=SimpleNamespace(size=9))
+
+            def score_with_objective(self, sequence, objective, user_index=None):
+                return np.zeros(9)
+
+            def score_with_objective_batch(self, sequences, objectives, user_indices=None):
+                return np.zeros((len(sequences), 9))
+
+        class _Fixed:
+            def candidates(self, history, objective, user_index=None):
+                return np.asarray(shortlist)
+
+        generator = None if shortlist is None else _Fixed()
+        flat = BeamSearchPlanner(
+            _Flat(), beam_width=2, branch_factor=2, max_length=3, candidate_generator=generator
+        )
+        flat.corpus = _Flat.corpus
+        plans = flat.plan_paths_batch([[3, 4]], [7])
+        assert all(PAD_INDEX not in path for path in plans)
+        assert plans == [expected]
+
     def test_generate_path_matches_plan_path(self, planner, tiny_split):
         instance = tiny_split.test[2]
         plan = planner.plan_path(
@@ -135,8 +171,7 @@ class TestPlanning:
         # (allow one instance of slack for tie-breaking noise).
         assert beam_reached >= greedy_reached - 1
 
-    def test_log_softmax_normalises(self, planner):
-        scores = np.array([-np.inf, 1.0, 2.0, 0.5])
-        log_probs = planner._log_softmax(scores)
+    def test_log_softmax_normalises(self):
+        log_probs = log_softmax_rows(np.array([[-np.inf, 1.0, 2.0, 0.5]]))[0]
         assert log_probs[0] == -np.inf
         assert np.exp(log_probs[1:]).sum() == pytest.approx(1.0)

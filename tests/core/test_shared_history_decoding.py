@@ -138,7 +138,7 @@ class TestSharedHistorySessions:
             encoded = irn.decode_stats.tokens_fallback - fallback_before
             # session.rows are the grown sequences: [root history ; appended]
             assert [row[-session.steps :] for row in session.rows] == [
-                row[len(session.root_rows[root]) :]
+                row[session.root_lengths[root] :]
                 for row, root in zip(session.rows, session.roots)
             ]
             assert_scores_match(scores, reference(session), float32)
@@ -152,7 +152,7 @@ class TestSharedHistorySessions:
             else:
                 # shared within the depth: G * (history + objective) + R * (appended + objective)
                 live = sorted(set(session.roots.tolist()))
-                history = max(max(len(session.root_rows[root]) for root in live), 1)
+                history = max(int(session.root_lengths[live].max()), 1)
                 assert encoded == len(live) * (history + 1) + session.batch_size * (
                     session.steps + 1
                 )

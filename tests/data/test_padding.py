@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.data.padding import PAD_INDEX, pad_batch, pad_sequence, post_pad, pre_pad
+from repro.data.padding import (
+    PAD_INDEX,
+    pad_batch,
+    pad_sequence,
+    post_pad,
+    pre_pad,
+    pre_pad_block,
+)
 from repro.utils.exceptions import DataError
 
 sequences = st.lists(st.integers(min_value=1, max_value=500), min_size=0, max_size=40)
@@ -61,6 +68,22 @@ class TestDispatchAndBatch:
         batch = pad_batch([[1, 2], [3]], length=4, scheme="post")
         assert batch.shape == (2, 4)
         assert batch[1].tolist() == [3, 0, 0, 0]
+
+
+class TestPrePadBlock:
+    def test_right_aligns_without_truncating(self):
+        block = pre_pad_block([[1, 2, 3], [4], []])
+        assert block.dtype == np.int64
+        assert block.tolist() == [[1, 2, 3], [0, 0, 4], [0, 0, 0]]
+
+    def test_empty_rows_give_an_empty_block(self):
+        assert pre_pad_block([[], []]).shape == (2, 0)
+        assert pre_pad_block([]).shape == (0, 0)
+
+    @given(st.lists(sequences, min_size=1, max_size=6))
+    def test_matches_pad_batch_where_both_apply(self, rows):
+        if max(len(row) for row in rows):
+            np.testing.assert_array_equal(pre_pad_block(rows), pad_batch(rows))
 
 
 class TestPaddingProperties:

@@ -109,7 +109,9 @@ class TestBlock:
         layer = inference.compile_layer(graph_layer)
         x = rng.normal(size=(2, 5, 8))
         _, keys, values = inference.block(layer, x, causal_mask(5))
-        only_keys, only_values = inference.keys_values(layer, x)
+        fused = inference.keys_values(layer, x)
+        assert fused.shape == (2, 5, 16)
+        only_keys, only_values = inference.split_heads(fused, 2, layer.heads, 8)
         np.testing.assert_allclose(only_keys, keys, rtol=0, atol=ATOL)
         np.testing.assert_allclose(only_values, values, rtol=0, atol=ATOL)
 

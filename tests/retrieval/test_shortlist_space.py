@@ -19,9 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.beam import BeamSearchPlanner, _Hypothesis
+from repro.core.beam import BeamSearchPlanner
 from repro.core.influence_path import log_softmax_rows, mask_session_items
 from repro.core.irn import IRN
+from repro.data.padding import pre_pad_block
 from repro.perf.bench import _FullScoringOnly  # an IRN hiding supports_candidate_scoring
 from repro.retrieval import CooccurrenceNeighborGenerator, make_generator
 from repro.shard.topk import stable_topk
@@ -92,9 +93,12 @@ class TestExpandAllInShortlistSpace:
         scores, shortlists, objectives, sequences, branch = case
         rows, vocab = scores.shape
         planner = BeamSearchPlanner(_FixedScores(scores), branch_factor=branch)
-        parents = [_Hypothesis(items=(), log_probability=0.0, reached=False)] * rows
-        expanded = planner._expand_all(
-            parents, sequences, objectives, [None] * rows, row_items=pad_rows(shortlists)
+        row_items = pad_rows(shortlists)
+        items, values = planner._expand(
+            planner._batched_scores(sequences, objectives, [None] * rows, row_items),
+            pre_pad_block(sequences),
+            objectives,
+            row_items=row_items,
         )
 
         full = np.full((rows, vocab), -np.inf)
@@ -103,19 +107,13 @@ class TestExpandAllInShortlistSpace:
             for item in sequences[row]:
                 if item != objectives[row]:
                     full[row, item] = -np.inf
-        top, values = stable_topk(log_softmax_rows(full), min(branch, vocab))
-        for row, children in enumerate(expanded):
-            keep = np.isfinite(values[row])
-            assert [child.items[-1] for child in children] == top[row][keep].tolist()
+        expected_top, expected = stable_topk(log_softmax_rows(full), min(branch, vocab))
+        for row in range(rows):
+            children, keep = np.isfinite(values[row]), np.isfinite(expected[row])
+            assert items[row][children].tolist() == expected_top[row][keep].tolist()
             np.testing.assert_allclose(
-                [child.log_probability for child in children],
-                values[row][keep],
-                rtol=0,
-                atol=1e-12,
+                values[row][children], expected[row][keep], rtol=0, atol=1e-12
             )
-            assert [child.reached for child in children] == [
-                item == objectives[row] for item in top[row][keep].tolist()
-            ]
 
 
 @st.composite
@@ -158,7 +156,7 @@ class TestShortlistSpaceLookup:
         row_items = pad_rows(shortlists)
         scores = np.arange(row_items.size, dtype=np.float64).reshape(row_items.shape)
         untouched = scores.copy()
-        mask_session_items(scores, sequences, objectives, row_items=row_items)
+        mask_session_items(scores, pre_pad_block(sequences), objectives, row_items=row_items)
         expected = reference_masked_cells(shortlists, sequences, objectives, row_items.shape[1])
         assert np.array_equal(np.isneginf(scores), expected)
         assert np.array_equal(scores[~expected], untouched[~expected])
@@ -169,12 +167,13 @@ class TestShortlistSpaceLookup:
         row 0's seen item 5 is row 1's key for item 1."""
         row_items = np.array([[1, 2], [1, 3]])
         scores = np.zeros((2, 2))
-        mask_session_items(scores, [[5], [3]], [2, 1], row_items=row_items)
+        mask_session_items(scores, np.array([[5], [3]]), [2, 1], row_items=row_items)
         assert np.array_equal(np.isneginf(scores), [[False, False], [False, True]])
 
     def test_non_contiguous_scores_are_masked_in_place(self):
         scores = np.zeros((2, 6))[:, ::2]
-        mask_session_items(scores, [[4], []], [9, 9], row_items=np.array([[2, 4, 6], [1, 2, 3]]))
+        seen = pre_pad_block([[4], []])
+        mask_session_items(scores, seen, [9, 9], row_items=np.array([[2, 4, 6], [1, 2, 3]]))
         assert np.array_equal(np.isneginf(scores), [[False, True, False], [False] * 3])
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.shard.topk import stable_topk
+from repro.shard.topk import ARGMAX_ROUNDS, stable_topk
 from repro.utils.exceptions import ConfigurationError
 
 
@@ -105,3 +105,21 @@ def test_tie_heavy_parity_at_planner_shapes(rows, vocab, k, dtype, rng):
         np.testing.assert_array_equal(got_idx, expected_idx)
         np.testing.assert_array_equal(got_val, expected_val)
         assert got_val.dtype == dtype
+
+
+@pytest.mark.parametrize("k", [1, 3, ARGMAX_ROUNDS])
+def test_small_k_matches_the_stable_argsort_on_non_finite_rows(k, rng):
+    """Up to :data:`ARGMAX_ROUNDS` winners every row is the stable argsort,
+    rows with fewer than k finite cells, NaN and +inf cells included: a
+    masked winner never repeats a column."""
+    values = tie_heavy_matrix(rng, rows=6, vocab=10)
+    values[0] = -np.inf
+    values[1, 1:] = -np.inf  # one finite cell, then masked ones
+    values[2, 3] = np.nan
+    values[3, 5] = np.inf
+    values[4, ::2] = -np.inf
+    expected_idx, expected_val = reference_topk(values, k)
+    got_idx, got_val = stable_topk(values, k)
+    np.testing.assert_array_equal(got_idx, expected_idx)
+    np.testing.assert_array_equal(got_val, expected_val)
+    assert all(len(set(row)) == k for row in got_idx.tolist())

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.reports import path_length_statistics
-from repro.core.beam import _Hypothesis
+from repro.core.beam import _hypothesis_scores
 from repro.core.objectives import ItemSetObjective, SetPathRecord, set_success_rate
 from repro.evaluation.protocol import PathRecord
 from repro.simulation.metrics import aggregate_sessions
@@ -153,11 +153,9 @@ class TestBeamHypothesisInvariants:
     )
     @settings(max_examples=80, deadline=None)
     def test_completion_bonus_never_hurts(self, log_probs, bonus):
-        items = tuple(range(1, len(log_probs) + 1))
-        total = float(np.sum(log_probs))
-        incomplete = _Hypothesis(items=items, log_probability=total, reached=False)
-        complete = _Hypothesis(items=items, log_probability=total, reached=True)
-        assert complete.score(bonus) >= incomplete.score(bonus)
+        total = np.asarray([float(np.sum(log_probs))] * 2)
+        incomplete, complete = _hypothesis_scores(total, len(log_probs), [False, True], bonus)
+        assert complete >= incomplete
 
     @given(
         log_probs=st.lists(
@@ -166,10 +164,9 @@ class TestBeamHypothesisInvariants:
     )
     @settings(max_examples=80, deadline=None)
     def test_score_is_length_normalised_log_probability(self, log_probs):
-        items = tuple(range(1, len(log_probs) + 1))
         total = float(np.sum(log_probs))
-        hypothesis_ = _Hypothesis(items=items, log_probability=total, reached=False)
-        assert hypothesis_.score(0.0) == pytest.approx(total / len(items))
+        (score,) = _hypothesis_scores(np.asarray([total]), len(log_probs), False, 0.0)
+        assert score == pytest.approx(total / len(log_probs))
 
 
 # --------------------------------------------------------------------------- #

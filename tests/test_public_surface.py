@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import repro.core.beam as beam
-from repro.core.beam import BeamSearchPlanner, _Hypothesis
+from repro.core.beam import BeamSearchPlanner
 from repro.distributed.remote import RemoteReplicaSet
 from repro.evaluation.nextitem import evaluate_next_item
 from repro.evaluation.protocol import IRSEvaluationProtocol
@@ -81,8 +81,9 @@ class _FixedScores:
 
 
 def test_the_planner_selects_through_the_pinned_name(monkeypatch):
-    """``_expand_all`` looks ``sharded_topk`` up in its module at call time,
-    so wrapping that one name (as the traced run does) sees every selection."""
+    """The beam looks ``sharded_topk`` up in its module at call time, so
+    wrapping that one name (as the traced run does) sees every selection:
+    one call per depth over the whole ``(rows, vocab)`` block."""
     assert beam.sharded_topk is stable_topk
     calls = []
 
@@ -92,11 +93,12 @@ def test_the_planner_selects_through_the_pinned_name(monkeypatch):
 
     monkeypatch.setattr(beam, "sharded_topk", recording)
     scores = np.log(np.linspace(1.0, 2.0, 14)).reshape(2, 7)
-    planner = BeamSearchPlanner(_FixedScores(scores), branch_factor=3)
-    parents = [_Hypothesis(items=(), log_probability=0.0, reached=False)] * 2
-    expanded = planner._expand_all(parents, [[1], [2]], [3, 4], [None, None])
+    planner = BeamSearchPlanner(_FixedScores(scores), branch_factor=3, plan_cache_size=0)
+    planner.corpus = object()  # fitted: the stub needs no corpus
+    plans = planner.plan_paths_batch([[1], [2]], [3, 4], max_length=1)
     assert calls == [((2, 7), 3)]
-    assert [len(children) for children in expanded] == [3, 3]
+    # the best unseen item, unless the completion bonus lifts the objective
+    assert plans == [[6], [4]]
 
 
 #: (entry point, an argument it took while planning or serving was sharded)
