@@ -11,7 +11,7 @@ The total call count of a plan is bounded against the figure the commit
 before the program recorded for the same plan (``parent_calls``; ``now`` is
 what this code read when the bound was set, Python 3.11 / NumPy 2.4 — other
 versions move both by a few percent, hence a bound and not an equality).
-The smoke profile's own model has one layer and a 20-token window, so its
+The ``fast`` profile's own model has one layer and a 20-token window, so its
 plans run the per-row-window regime; the same corpus under the paper's
 two-layer depth runs the shared regime.  Both plan one context.  The third
 case is the ``loop_fresh`` shape — sixteen contexts planned in lockstep on
@@ -36,7 +36,7 @@ import pytest
 from repro.core.beam import BeamSearchPlanner
 from repro.core.irn import IRN
 from repro.evaluation.protocol import sample_objectives
-from repro.perf.bench import build_bench_split, smoke_config
+from repro.cli.profiles import build_bench_split, profile_config
 
 pytestmark = pytest.mark.perf
 
@@ -49,9 +49,9 @@ FORBIDDEN = {
 
 
 def profile_plan(instances: int = 1, **irn_overrides) -> pstats.Stats:
-    """cProfile of ``instances`` contexts planned in lockstep on a smoke-corpus
-    model, program compiled."""
-    config = smoke_config()
+    """cProfile of ``instances`` contexts planned in lockstep on a model of the
+    ``fast`` profile's corpus, program compiled."""
+    config = profile_config("fast")
     split = build_bench_split(config)
     irn = IRN(**{**config["irn"], **irn_overrides}).fit(split)
     planner = BeamSearchPlanner(

@@ -1,7 +1,8 @@
 """Inference caching: incremental decoding state + cross-call plan memoisation.
 
-Two layers; :mod:`repro.perf.bench` counts the token-work and cache hits
-they save and checks both plan bit-identically to the uncached planner:
+Two layers; ``tests/core/test_cached_planning.py`` counts the token-work
+and cache hits they save and checks both plan bit-identically to the
+uncached planner:
 
 * :mod:`repro.cache.kv` — per-layer key/value caches
   (:class:`LayerKVCache`, :class:`DecodingState`) so a transformer forward

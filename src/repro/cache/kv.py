@@ -33,9 +33,9 @@ per-call temporaries once the spare exists.
 
 Module-level allocation counters (:func:`allocation_stats`) track arena
 allocations, bytes actually copied, and the bytes an equivalent
-concatenate-per-extend implementation would have copied; the ``tensor_ops``
-section of :mod:`repro.perf.bench` reads them and :mod:`repro.perf.gate`
-fails when a decode step copies the full prefix (``no_prefix_copy``).
+concatenate-per-extend implementation would have copied;
+``tests/cache/test_kv_cache.py`` reads them and fails when a decode step
+copies the full prefix.
 
 Exactness contract
 ------------------
@@ -99,7 +99,7 @@ GROWTH_MODES = ("geometric", "exact")
 MIN_CAPACITY = 8
 
 # ---------------------------------------------------------------------- #
-# Allocation accounting (read by repro.perf.bench's tensor_ops section)
+# Allocation accounting (read by tests/cache/test_kv_cache.py)
 # ---------------------------------------------------------------------- #
 
 # The counters live in the process-wide metrics registry at the fixed scope

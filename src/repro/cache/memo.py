@@ -4,8 +4,8 @@
 ``(tuple(history), objective, user_index, max_length)`` — to an immutable
 planned path, with hit/miss/eviction counters.  A
 ``maxsize`` of 0 disables the cache entirely (every ``get`` misses, ``put``
-is a no-op), which is how :mod:`repro.perf.bench` builds its pre-cache
-reference planner.
+is a no-op), which is how ``tests/core/test_cached_planning.py`` builds its
+pre-cache reference planner.
 
 The cache is deliberately value-agnostic: :class:`~repro.core.beam.
 BeamSearchPlanner` uses one instance for finished plans and a second one for

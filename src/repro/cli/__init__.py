@@ -1,6 +1,6 @@
 """``repro-irs``: regenerate the paper's artefacts and operate the serving stack.
 
-Five command families, each a set of real argparse subcommands whose flags
+Four command families, each a set of real argparse subcommands whose flags
 are the :mod:`repro.config` rows (plus a few plain flags) the family names
 in :data:`COMMANDS`.  ``repro-irs <command> --help`` lists them; a flag a
 command does not name is a usage error (exit 2), never accepted and
@@ -8,9 +8,6 @@ dropped:
 
 * the paper artefacts (``table1`` … ``ext-quality``; ``all`` regenerates
   every table and figure, the ablations and extensions run individually);
-* ``bench`` — the :mod:`repro.perf.bench` contract runner (the same
-  command as ``python -m repro.perf.bench``; it measures no timings,
-  those are ``benchmarks/e2e``);
 * ``serve-sim`` — open-loop Poisson traffic through the serving loop, the
   in-process fleet or the forked-worker fleet; with ``--tenants 2`` the
   two-tenant A/B harness instead;
@@ -22,11 +19,9 @@ dropped:
 rules — and it runs before any model trains.  Commands hand whole resolved
 groups to constructors as keyword arguments
 (:func:`repro.config.group_of`), so a flag cannot be parsed and not passed.
-``--profile fast`` is the seconds-scale profile everywhere; the bench and
-serving commands also take the bench profile names (``smoke`` /
-``default`` / ``scale``).  :func:`main` raises ``ConfigurationError``;
-:func:`run`, the console script, prints it as one ``error:`` line and
-exits 2.
+Every command takes ``--profile fast`` (seconds-scale) or ``default``.
+:func:`main` raises ``ConfigurationError``; :func:`run`, the console script,
+prints it as one ``error:`` line and exits 2.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.cli.artefacts import ARTEFACTS, run_artefact
-from repro.cli.bench import _resolve_bench_profile, run_bench  # noqa: F401 (a pinned name)
+from repro.cli.profiles import PROFILES
 from repro.cli.serving import run_metrics, run_serve_sim, run_trace
 from repro.config import CONFIG_FIELDS, add_config_arguments, resolve
 from repro.utils.exceptions import ConfigurationError
@@ -67,14 +62,6 @@ COMMANDS = {
         ("dataset", "seed", "scale", "data_directory"),
         ("num_workers", "rollout_chunk_size"),
     ),
-    # bench always runs the fixed-seed synthetic perf corpus and sweeps its
-    # own 1/2/4 thread grid, hence no corpus flags and no knob rows.
-    "bench": Command(
-        "run the contract sections and gate the report",
-        run_bench,
-        ("sections", "cprofile"),
-        (),
-    ),
     "serve-sim": Command(
         "drive a serving front-end with synthetic traffic (--tenants 2: the A/B harness)",
         run_serve_sim,
@@ -100,17 +87,11 @@ COMMANDS = {
 #: The plain flags: not knobs of the serving stack, so not table rows.
 _FLAGS = {
     "profile": dict(
+        choices=PROFILES,
         default="default",
-        help=(
-            "'fast' runs a seconds-scale smoke configuration (paper artefacts: "
-            "default | fast; bench and the serving commands also take the bench "
-            "profiles smoke | default | scale)"
-        ),
+        help="'fast' runs a seconds-scale smoke configuration",
     ),
-    "output": dict(
-        default=None,
-        help="write the report / dump to this file (bench: default BENCH_path_planning.json)",
-    ),
+    "output": dict(default=None, help="write the report / dump to this file"),
     "log_level": dict(
         default=None,
         help=(
@@ -126,16 +107,6 @@ _FLAGS = {
     "data_directory": dict(
         default=None,
         help="path to a real MovieLens-1M / Lastfm dump (otherwise synthetic data is used)",
-    ),
-    "sections": dict(
-        default=None, help="comma-separated subset of bench sections to run (default: all)"
-    ),
-    "cprofile": dict(
-        action="store_true",
-        help=(
-            "run under cProfile and write <output>.pstats next to the JSON "
-            "(named --cprofile because --profile selects the corpus profile)"
-        ),
     ),
     "metrics_format": dict(
         choices=["prometheus", "json"],

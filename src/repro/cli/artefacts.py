@@ -10,7 +10,6 @@ from repro.experiments import ablations, extensions, figures, tables
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.pipeline import ExperimentPipeline
 from repro.experiments.reporting import format_series, format_table
-from repro.utils.exceptions import ConfigurationError
 
 __all__ = ["ARTEFACTS", "PAPER_ARTEFACTS", "run_artefact"]
 
@@ -110,12 +109,6 @@ PAPER_ARTEFACTS = tuple(name for name in ARTEFACTS if name.startswith(("table", 
 
 
 def _make_config(args: argparse.Namespace, knobs: dict) -> ExperimentConfig:
-    if args.profile not in ("default", "fast"):
-        raise ConfigurationError(
-            f"unknown profile {args.profile!r} for paper artefacts: choose "
-            "'default' or 'fast' (the bench profiles 'smoke'/'scale' apply "
-            "to the bench and serving commands only)"
-        )
     preset = ExperimentConfig.fast if args.profile == "fast" else ExperimentConfig.default
     overrides = {"scale": args.scale, "data_directory": args.data_directory, **knobs}
     return replace(

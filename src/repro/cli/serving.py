@@ -1,9 +1,9 @@
 """The serving commands: ``serve-sim`` (plain and A/B), ``trace``, ``metrics``.
 
-All four serve the bench corpus through one :class:`_Workload` fixture and
-hand resolved knob groups (:func:`repro.config.group_of`) whole to the
-planner, the loop and the fleets — a row a command names cannot be
-resolved and then not passed.
+All four serve a ``--profile`` corpus (:mod:`repro.cli.profiles`) through
+one :class:`_Workload` fixture and hand resolved knob groups
+(:func:`repro.config.group_of`) whole to the planner, the loop and the
+fleets — a row a command names cannot be resolved and then not passed.
 """
 
 from __future__ import annotations
@@ -12,13 +12,12 @@ import argparse
 import json
 import sys
 
-from repro.cli.bench import _resolve_bench_profile
+from repro.cli.profiles import build_bench_split, machine_info, profile_config
 from repro.config import group_of
 from repro.core.beam import BeamSearchPlanner
 from repro.core.irn import IRN
 from repro.evaluation.protocol import sample_objectives
 from repro.obs import Tracer
-from repro.perf.bench import bench_config, build_bench_split, machine_info
 from repro.retrieval import make_generator
 from repro.serve import ServingLoop, run_open_loop
 
@@ -26,9 +25,9 @@ __all__ = ["run_serve_sim", "run_trace", "run_metrics"]
 
 
 class _Workload:
-    """The bench corpus, sampled instances and a planner factory built from
-    the retrieval knobs (``serve-sim`` only; ``trace`` / ``metrics`` plan
-    exactly)."""
+    """The profile's corpus, sampled instances and a planner factory built
+    from the retrieval knobs (``serve-sim`` only; ``trace`` / ``metrics``
+    plan exactly)."""
 
     def __init__(self, args: argparse.Namespace, knobs: dict, max_instances=None) -> None:
         # The generator (when any) is shared across replicas/refits: the
@@ -37,7 +36,7 @@ class _Workload:
         self.generator = make_generator(
             knobs.get("retrieval_spec"), num_candidates=knobs.get("candidate_k")
         )
-        self.config = bench_config(_resolve_bench_profile(args.profile))
+        self.config = profile_config(args.profile)
         self.split = build_bench_split(self.config)
         self.instances = sample_objectives(
             self.split,

@@ -24,10 +24,9 @@ CLI-only), ``admission`` the serving loop's and both fleets',
 ``replication`` both fleets', and ``transport`` is the fleet selector plus
 the failure-detector arguments of the fleet it selects.
 
-Not in the table, because their owners sit below this module or read them
-once: ``REPRO_LOG_LEVEL`` (:mod:`repro.utils.logging`),
-``REPRO_INFERENCE_DTYPE`` (:mod:`repro.nn.tensor`) and
-``REPRO_BENCH_SCALE_TIERS`` (:mod:`repro.perf.bench`).
+Not in the table, because their owners sit below this module:
+``REPRO_LOG_LEVEL`` (:mod:`repro.utils.logging`) and
+``REPRO_INFERENCE_DTYPE`` (:mod:`repro.nn.tensor`).
 """
 
 from __future__ import annotations

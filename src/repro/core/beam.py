@@ -405,7 +405,7 @@ class BeamSearchPlanner(InfluentialRecommender):
             registry, registry.scope("core.serving"), counters=("hits", "replans")
         )
         # Retrieval counters (requests / full-vocab fallbacks / total
-        # candidate items) surface in ``repro-irs metrics`` and the bench.
+        # candidate items) surface in ``repro-irs metrics`` and ``cache_info``.
         self._retrieval_metrics = (
             MetricGroup(
                 registry,
@@ -500,7 +500,7 @@ class BeamSearchPlanner(InfluentialRecommender):
             self.invalidate_caches()
 
     def cache_info(self) -> dict:
-        """Hit/miss/eviction counters of both plan caches (for the bench)."""
+        """Hit/miss/eviction counters of both plan caches."""
         counts = self._serving_metrics.values()
         serving = {
             "served_from_plan": counts["hits"],

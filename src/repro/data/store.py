@@ -204,7 +204,7 @@ class StoredCorpus:
     Quacks like :class:`~repro.data.interactions.SequenceCorpus` for the
     consumers that only need ``vocab.size``, ``user_sequences``,
     ``user_ids`` and ``item_popularity`` — embedding fitters, candidate
-    generators and the scale bench — without materialising anything.
+    generators and large-catalogue planning — without materialising anything.
     """
 
     def __init__(self, store: InteractionStore) -> None:

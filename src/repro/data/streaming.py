@@ -1,4 +1,4 @@
-"""Streaming synthetic corpora for the scale bench tiers.
+"""Streaming synthetic corpora for large-catalogue runs.
 
 :func:`repro.data.synthetic.generate_synthetic_dataset` builds one Python
 :class:`Interaction` object per event — pleasant at 10^4 events, unusable at

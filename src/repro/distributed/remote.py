@@ -100,7 +100,7 @@ Exactness contract: with every worker at one shared generation (the
 deterministic factory + the artifact registry), responses are
 bit-identical to the in-process ``ReplicaSet`` for the same request trace
 at any worker count — the parity suite in ``tests/distributed`` mirrors
-``tests/replica``'s, and the ``remote_parity`` gate bit enforces it in CI.
+``tests/replica``'s.
 """
 
 from __future__ import annotations

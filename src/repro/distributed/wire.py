@@ -5,8 +5,8 @@ and its :class:`~repro.distributed.worker.ReplicaWorker` processes is one
 *frame*: a fixed :data:`FRAME_HEADER` (payload length + frame type) followed
 by the payload.  The hot path — request batches, response batches and
 heartbeats — is struct-packed with batched encode/decode so serialization
-cost is a few hundred nanoseconds per request (measured in the
-``distributed_serving`` bench section); control frames (hello, stats,
+cost is a few hundred nanoseconds per request (the e2e probes
+``distributed.encode_us_per_req`` / ``decode_us_per_req``); control frames (hello, stats,
 artifact installs) are JSON, where schema flexibility matters more than
 nanoseconds.
 

@@ -20,8 +20,8 @@ Thread layout inside the child:
   thread — back-pressure propagates to the parent through the socket
   buffer, exactly like a blocked in-process producer.
 * **writer** — drains an outbox of answered requests, packing every
-  record available at wake-up into ONE RESPONSE_BATCH frame (the batched
-  encode the codec bench measures).  Every resolved future becomes a
+  record available at wake-up into ONE RESPONSE_BATCH frame (one batched
+  encode).  Every resolved future becomes a
   record (:meth:`_Worker._on_done`): a successful ``next_step`` ships *the
   plan that answered it* — the serving cache's entry for the context,
   peeked through the loop's ``resident_plan`` capability — so the parent

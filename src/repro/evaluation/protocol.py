@@ -148,9 +148,9 @@ def rollout_next_step(
     step each still-live context asks the recommender for its next path item,
     mirroring an online serving loop where requests from many users
     interleave.  This is the ``next_step``-driven counterpart of
-    ``generate_paths_batch`` and the workload behind the
-    ``irs_stepwise_replanning`` benchmark: a planner with only a single
-    replan slot replans from scratch at almost every call here, while the
+    ``generate_paths_batch`` and the workload behind the stepwise token-work
+    test in ``tests/core/test_cached_planning.py``: a planner with only a
+    single replan slot replans from scratch at almost every call here, while the
     :class:`~repro.cache.memo.PlanCache`-backed planner plans each context
     once and serves the rest from memory.
     """
@@ -299,9 +299,8 @@ class IRSEvaluationProtocol:
         chunk) this interleaves single ``next_step`` requests across all
         instances, the way an online IRS would see them.  For planners whose
         serving cache covers the instance set the resulting paths match the
-        per-instance dedicated serving semantics; it exists both as a serving
-        entry point and as the measured workload of the
-        ``irs_stepwise_replanning`` benchmark.
+        per-instance dedicated serving semantics; it is a serving entry point,
+        and :func:`rollout_next_step` is its workload.
 
         ``next_step`` has no horizon argument, so a recommender that plans
         toward its own ``max_length`` (the beam planner) only yields records

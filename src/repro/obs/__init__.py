@@ -5,8 +5,7 @@ See :mod:`repro.obs.registry` for the single-locked metrics registry,
 :mod:`repro.obs.export` for the JSON / Prometheus-text exporters.  The
 whole subsystem is off by default and allocates nothing when off; when on
 it allocates a bounded number of spans per request.  Both are counted by
-the ``observability`` section of :mod:`repro.perf.bench` and enforced by
-:mod:`repro.perf.gate`; what a span costs in time is for
+``tests/obs/test_serve_tracing.py``; what a span costs in time is for
 ``benchmarks/e2e`` to measure.
 """
 

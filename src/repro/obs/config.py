@@ -4,8 +4,8 @@ Two rows of the :mod:`repro.config` table (explicit argument >
 environment variable > built-in default):
 
 * ``trace_enabled`` (``REPRO_TRACE``) — whether request tracing is on at
-  all.  **Defaults to off**: ``repro.perf.gate`` asserts that a disabled
-  tracer is a structural no-op on the serving hot path (zero
+  all.  **Defaults to off**: ``tests/obs/test_serve_tracing.py`` asserts
+  that a disabled tracer is a structural no-op on the serving hot path (zero
   ``Trace``/``Span`` allocations), so production serving pays nothing for
   the subsystem's existence.
 * ``trace_sample_rate`` (``REPRO_TRACE_SAMPLE_RATE``) — fraction of

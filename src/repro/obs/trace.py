@@ -10,7 +10,8 @@ shape the design:
 routing key (``stable_hash`` of the context key) plus a per-key arrival
 ordinal, *not* from wall time or object identity, so the same seeded
 open-loop run produces the same trace IDs every time — traces are
-diffable across runs, and ``repro.perf.gate`` asserts exactly that.
+diffable across runs, and ``tests/obs/test_serve_tracing.py`` asserts
+exactly that.
 Sampling decisions hash the same pair, so *which* requests get traced is
 reproducible too.  Span IDs are ``<trace_id>/<name>#<n>`` with ``n`` the
 occurrence ordinal of that span name within the trace.
@@ -20,9 +21,9 @@ occurrence ordinal of that span name within the trace.
 one attribute check; every hot-path instrumentation site guards on
 ``tracer.enabled`` / ``request.trace is not None`` and allocates nothing.
 The tracer counts every ``Trace``/``Span`` it allocates in the registry
-group ``obs.trace``; :mod:`repro.perf.bench` reads those counters to prove
-the disabled path is a structural no-op (allocation delta == 0) and that
-the enabled path stays inside its spans-per-request budget.
+group ``obs.trace``; the serving tracing tests read those counters to prove
+the disabled path is a structural no-op (allocation delta == 0), and count
+the enabled path's spans against its per-request budget.
 
 **Batch-to-request fan-out.**  Micro-batch stages (planning, per-depth
 beam expansion) do work for many requests in one call, below the layer that

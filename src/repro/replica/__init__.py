@@ -21,8 +21,8 @@ refitted by the same coordinator.
 
 Responses are bit-identical to single-replica serving whenever all
 replicas share one generation (the parity suite in ``tests/replica``), and
-the whole protocol is measured by the ``replicated_serving`` bench section
-and ``repro-irs serve-sim --replicas N --refit-at T``.
+the whole protocol is driven by ``repro-irs serve-sim --replicas N
+--refit-at T``.
 """
 
 from repro.replica.dispatch import Dispatcher

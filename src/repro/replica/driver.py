@@ -3,9 +3,8 @@
 :func:`run_replicated_open_loop` offers the same seeded open-loop Poisson
 traffic as :func:`repro.serve.driver.run_open_loop` (the replica set
 duck-types the serving-loop surface), optionally arming a hot refit
-mid-trace, and post-processes the per-request samples into the report the
-``replicated_serving`` bench section and ``repro-irs serve-sim
---refit-at`` publish:
+mid-trace, and post-processes the per-request samples into the report
+``repro-irs serve-sim --refit-at`` publishes:
 
 * the standard throughput / latency-percentile / queue / admission block;
 * ``generations_served`` — how many answers each generation produced;

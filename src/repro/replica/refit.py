@@ -32,8 +32,7 @@ raises :class:`~repro.utils.exceptions.ServingError` instead of queueing
 
 :func:`schedule_refit` is the measurement-harness hook: it arms a refit on
 a background timer so the traffic drivers can overlap a retrain with an
-open-loop run (the ``replicated_serving`` bench section and
-``repro-irs serve-sim --refit-at``).
+open-loop run (``repro-irs serve-sim --refit-at``).
 """
 
 from __future__ import annotations

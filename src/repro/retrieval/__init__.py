@@ -19,7 +19,7 @@ first stage for the IRN beam planner:
   planner routes to the exact path (the ``full_vocab_parity`` contract
   bit).
 * :mod:`~repro.retrieval.metrics` — overlap@k and plan-regret, the
-  first-class approximation metrics of the scale bench.
+  first-class approximation metrics of pruned planning.
 
 Exactness contract: scoring over a candidate set yields logits *identical*
 to slicing full-vocabulary scores at those candidates; pruning only

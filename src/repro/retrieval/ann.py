@@ -13,8 +13,8 @@ lightweight k-means (Lloyd iterations over chunked assignments) partitions
 items into ``~sqrt(V)`` clusters, a query probes the ``nprobe`` nearest
 centroids, and the shortlist is the exact cosine top-k *within the probed
 members* — the classic two-level trade: recall is controlled by
-``nprobe``, and the bench reports the resulting overlap@k/regret rather
-than hiding it.
+``nprobe``, and :mod:`repro.retrieval.metrics` measures the resulting
+overlap@k/regret rather than hiding it.
 
 All selection uses :func:`repro.shard.topk.stable_topk`'s (value desc,
 index asc) order, so candidate sets are deterministic for a fixed fit.

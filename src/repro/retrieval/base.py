@@ -26,7 +26,7 @@ from repro.utils.registry import Registry
 
 __all__ = ["CandidateGenerator", "FullVocabGenerator", "retrieval_registry"]
 
-#: name -> generator class, for CLI / bench construction by short name.
+#: name -> generator class, for CLI construction by short name.
 retrieval_registry: "Registry[CandidateGenerator]" = Registry("candidate generator")
 
 

@@ -1,7 +1,6 @@
 """Building the candidate generator a retrieval spec names.
 
-``--retrieval`` on ``repro-irs serve-sim`` (and the bench's generator
-construction) speaks short names: ``none`` (exact planning, the default),
+``--retrieval`` on ``repro-irs serve-sim`` speaks short names: ``none`` (exact planning, the default),
 ``full`` (full-vocabulary candidate sets — the parity oracle), ``ann``
 and ``cooccurrence``.  The spec and shortlist-size knobs are rows of the
 declarative resolver table in :mod:`repro.config`;

@@ -12,7 +12,7 @@ approximation *measured* instead of silent:
 * :func:`plan_regret` — exact-plan score minus pruned-plan score, both
   under :func:`path_score`.  Note beam search is itself heuristic, so a
   pruned plan can occasionally *beat* the exact planner's plan (negative
-  regret); the bench reports the distribution rather than clamping it.
+  regret); it is reported as measured, never clamped.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ served on the caller's thread, everything else enters one bounded queue, an
 (reject or block at the depth bound), and the drain thread answers
 everything pending as one fused micro-batch through
 :meth:`~repro.core.beam.BeamSearchPlanner.plan_for_requests` — responses
-bit-identical to sequential serving, measured by the traffic drivers in
-:mod:`repro.serve.driver` and the ``async_serving`` bench section.
+bit-identical to sequential serving (``tests/serve/test_serving_parity.py``),
+driven by the traffic drivers in :mod:`repro.serve.driver`.
 """
 
 from repro.serve.admission import AdmissionController

@@ -17,8 +17,7 @@ Two drivers, two purposes:
   the driver measures latency from the *scheduled* arrival instant, so
   queueing delay under overload is charged to the system, not hidden by
   coordinated omission.  Produces the throughput / p50-p95-p99 latency /
-  queue-depth report behind the ``async_serving`` bench section and
-  ``repro-irs serve-sim``.
+  queue-depth report behind ``repro-irs serve-sim``.
 """
 
 from __future__ import annotations
@@ -93,8 +92,8 @@ def poisson_arrival_offsets(
 ) -> np.ndarray:
     """Cumulative Poisson arrival offsets (seconds from traffic start).
 
-    Exactly one of ``num_requests`` (fixed-size trace, the bench's
-    deterministic mode) and ``duration`` (fixed-window trace, the
+    Exactly one of ``num_requests`` (fixed-size trace, the deterministic
+    mode of ``repro-irs trace`` / ``metrics``) and ``duration`` (fixed-window trace, the
     ``serve-sim`` mode) must be given.
     """
     if (num_requests is None) == (duration is None):
@@ -120,7 +119,7 @@ def poisson_arrival_offsets(
 
 
 def latency_percentiles(latencies_ms: "Sequence[float]") -> dict:
-    """The latency summary recorded in the bench: p50/p95/p99, mean, max."""
+    """The latency summary a driver report carries: p50/p95/p99, mean, max."""
     if not len(latencies_ms):
         return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}
     values = np.asarray(latencies_ms, dtype=np.float64)
@@ -172,7 +171,7 @@ def run_open_loop(
     :class:`~repro.serve.loop.ServingLoop` or a
     :class:`~repro.replica.ReplicaSet`.  ``raise_on_error=False`` turns a
     failed drain from a loud re-raise into an ``errored_requests`` count
-    (the replicated hot-refit bench gates on that count being zero rather
+    (a hot refit's ``no_pause`` bit needs that count to be zero rather
     than dying on the first failure), and ``collect_samples=True`` adds a
     per-admitted-request ``samples`` list — arrival offset, latency and the
     generation/replica that answered — so callers can split percentiles

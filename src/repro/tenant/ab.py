@@ -15,8 +15,7 @@ SLO), measured on the same requests.
 Determinism contract: the simulated users draw from seeds derived only
 from ``(seed, instance)`` — never the arm — so both cohorts face
 identical users, and two runs of :func:`run_ab` against deterministic
-tenants produce identical reports (the ``multi_tenant`` gate's
-``ab_deterministic`` bit).
+tenants produce identical reports (``tests/tenant/test_ab.py``).
 """
 
 from __future__ import annotations
@@ -133,7 +132,7 @@ class ABReport:
         return [self.control.as_row(), self.treatment.as_row()]
 
     def summary(self) -> dict:
-        """The flat dict the CLI prints and the bench fingerprints."""
+        """The flat dict the CLI prints and the determinism test compares."""
         return {
             "control": self.control.as_row(),
             "treatment": self.treatment.as_row(),

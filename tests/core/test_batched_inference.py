@@ -18,9 +18,33 @@ from repro.core.beam import BeamSearchPlanner
 from repro.core.influence_path import log_softmax_rows
 from repro.core.irn import IRN
 from repro.evaluation.protocol import sample_objectives
-from repro.perf.bench import ScalarOnlyBackbone
 
 RTOL, ATOL = 1e-7, 1e-8
+
+
+class ScalarOnlyBackbone:
+    """Facade exposing only the scalar scoring API of a backbone.
+
+    Hiding ``score_with_objective_batch`` forces :class:`BeamSearchPlanner`
+    onto its per-hypothesis fallback, which reproduces the pre-batching
+    planner (one module forward per hypothesis per depth): the oracle the
+    batched beam must plan identically to.
+    """
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.name = f"{getattr(inner, 'name', type(inner).__name__)}-scalar"
+
+    @property
+    def corpus(self):
+        return self._inner.corpus
+
+    def score_with_objective(self, sequence, objective, user_index=None) -> np.ndarray:
+        return self._inner.score_with_objective(sequence, objective, user_index=user_index)
+
+    @property
+    def fit_generation(self):
+        return getattr(self._inner, "fit_generation", None)
 
 
 def forwards(irn: IRN, fn) -> int:
@@ -30,13 +54,15 @@ def forwards(irn: IRN, fn) -> int:
     return irn.decode_stats.snapshot()["forwards"] - before
 
 
-@pytest.fixture(scope="module")
-def irn(tiny_split):
+@pytest.fixture(scope="module", params=[1, 2], ids=["1-layer", "2-layer"])
+def irn(request, tiny_split):
+    """The ``fast`` profile's model, and the same at the paper's two layers
+    (whose decoding sessions share each root's history within a depth)."""
     model = IRN(
         embedding_dim=16,
         user_dim=4,
         num_heads=2,
-        num_layers=1,
+        num_layers=request.param,
         epochs=1,
         batch_size=32,
         max_sequence_length=20,
@@ -103,32 +129,39 @@ class TestNextItemScoringParity:
         )
         np.testing.assert_allclose(batched, stacked, rtol=RTOL, atol=ATOL)
 
-    def test_rank_of_batch_matches_scalar(self, irn, tiny_split):
+    @pytest.mark.parametrize("with_users", [True, False], ids=["users", "no-users"])
+    def test_rank_of_batch_matches_scalar(self, irn, tiny_split, with_users):
         instances = tiny_split.test[:8]
+        users = [inst.user_index if with_users else None for inst in instances]
         batched = irn.rank_of_batch(
             [list(inst.history) for inst in instances],
             [inst.target for inst in instances],
-            [inst.user_index for inst in instances],
+            users if with_users else None,
         )
         scalar = [
-            irn.rank_of(list(inst.history), inst.target, user_index=inst.user_index)
-            for inst in instances
+            irn.rank_of(list(inst.history), inst.target, user_index=user)
+            for inst, user in zip(instances, users)
         ]
         assert batched == scalar
 
 
 class TestGreedyRolloutParity:
-    def test_lockstep_paths_match_scalar_loop(self, irn, tiny_split):
+    # 16 steps outgrow the 20-token window mid-rollout: rows slide it apart
+    @pytest.mark.parametrize("max_length", [1, 8, 16])
+    def test_lockstep_paths_match_scalar_loop(self, irn, tiny_split, max_length):
         instances = sample_objectives(tiny_split, min_objective_interactions=2, max_instances=8)
         batched = irn.generate_paths_batch(
             [list(inst.history) for inst in instances],
             [inst.objective for inst in instances],
             [inst.user_index for inst in instances],
-            max_length=8,
+            max_length=max_length,
         )
         scalar = [
             irn.generate_path(
-                list(inst.history), inst.objective, user_index=inst.user_index, max_length=8
+                list(inst.history),
+                inst.objective,
+                user_index=inst.user_index,
+                max_length=max_length,
             )
             for inst in instances
         ]
@@ -160,8 +193,15 @@ class TestBeamParity:
         ).fit(tiny_split)
         return batched, scalar
 
-    def test_plans_identical_to_scalar_expansion(self, planners, tiny_split):
-        batched, scalar = planners
+    # width 1; branching wider and narrower than the beam; and a branch
+    # factor past ARGMAX_ROUNDS, where stable_topk partitions instead
+    @pytest.mark.parametrize("beam_width,branch_factor", [(1, 1), (2, 5), (4, 4), (5, 2), (9, 9)])
+    def test_plans_identical_to_scalar_expansion(
+        self, irn, tiny_split, beam_width, branch_factor
+    ):
+        shape = dict(beam_width=beam_width, branch_factor=branch_factor)
+        batched = BeamSearchPlanner(irn, **shape).fit(tiny_split)
+        scalar = BeamSearchPlanner(ScalarOnlyBackbone(irn), **shape).fit(tiny_split)
         instances = sample_objectives(tiny_split, min_objective_interactions=2, max_instances=6)
         for inst in instances:
             plan_batched = batched.plan_path(

@@ -149,26 +149,40 @@ class TestSessionScoringParity:
             irn_one_layer.begin_decoding_session([], [], [])
 
 
+def _tokens_encoded(irn: IRN, fn):
+    """``(fn(), transformer positions it encoded)`` — token-work, an exact count."""
+    before = irn.decode_stats.snapshot()["tokens_encoded"]
+    result = fn()
+    return result, irn.decode_stats.snapshot()["tokens_encoded"] - before
+
+
 class TestCachedPlanningParity:
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 3), (6, 2), (9, 9)], ids="{0[0]}x{0[1]}".format)
     @pytest.mark.parametrize("layers", [1, 2])
     def test_session_plans_identical_to_uncached(
-        self, tiny_split, irn_one_layer, irn_two_layer, instances, layers
+        self, tiny_split, irn_one_layer, irn_two_layer, instances, layers, shape
     ):
+        """Sessions plan what full re-encoding plans at every beam shape, and
+        at the default 4 x 4 for at most half the token-work: one layer
+        reuses prefix K/V across depths, the default model (two layers,
+        personalized mask) shares each root's history within a depth (a
+        width-1 beam has no siblings to share it with)."""
         irn = irn_one_layer if layers == 1 else irn_two_layer
         contexts = _contexts(instances)
-        cached = BeamSearchPlanner(irn, beam_width=4, branch_factor=4).fit(tiny_split)
-        uncached = BeamSearchPlanner(
-            irn, beam_width=4, branch_factor=4, use_decoding_sessions=False, plan_cache_size=0
-        ).fit(tiny_split)
-        plans_cached = cached.plan_paths_batch(
-            [c[0] for c in contexts], [c[1] for c in contexts], [c[2] for c in contexts],
-            max_length=8,
+        knobs = dict(beam_width=shape[0], branch_factor=shape[1], plan_cache_size=0)
+        cached = BeamSearchPlanner(irn, **knobs).fit(tiny_split)
+        uncached = BeamSearchPlanner(irn, use_decoding_sessions=False, **knobs).fit(tiny_split)
+        args = ([c[0] for c in contexts], [c[1] for c in contexts], [c[2] for c in contexts])
+        plans_cached, cached_tokens = _tokens_encoded(
+            irn, lambda: cached.plan_paths_batch(*args, max_length=8)
         )
-        plans_uncached = uncached.plan_paths_batch(
-            [c[0] for c in contexts], [c[1] for c in contexts], [c[2] for c in contexts],
-            max_length=8,
+        plans_uncached, uncached_tokens = _tokens_encoded(
+            irn, lambda: uncached.plan_paths_batch(*args, max_length=8)
         )
         assert plans_cached == plans_uncached
+        if shape == (4, 4):
+            # the two-layer row reads 2.3x: a beam that stopped sharing reads 1.0
+            assert 2 * cached_tokens <= uncached_tokens
 
     def test_one_layer_planning_is_mostly_incremental(self, tiny_split, irn_one_layer, instances):
         contexts = _contexts(instances)
@@ -248,25 +262,41 @@ class TestNextStepServing:
             served.append(item)
         assert served == plan
 
-    def test_interleaved_serving_matches_isolated(self, tiny_split, irn_one_layer, instances):
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_interleaved_serving_matches_isolated(
+        self, tiny_split, irn_one_layer, irn_two_layer, instances, layers
+    ):
         """The acceptance scenario: lockstep multi-context serving must equal
         dedicated-planner-per-context semantics (the old single replan slot
         thrashed here), while replanning each context only once."""
+        irn = irn_one_layer if layers == 1 else irn_two_layer
         contexts = _contexts(instances)
         isolated = []
         for context in contexts:
             planner = BeamSearchPlanner(
-                irn_one_layer, beam_width=4, branch_factor=4, max_length=6
+                irn, beam_width=4, branch_factor=4, max_length=6
             ).fit(tiny_split)
             isolated.append(rollout_next_step(planner, [context], 6)[0])
         shared = BeamSearchPlanner(
-            irn_one_layer, beam_width=4, branch_factor=4, max_length=6
+            irn, beam_width=4, branch_factor=4, max_length=6
         ).fit(tiny_split)
-        interleaved = rollout_next_step(shared, contexts, 6)
+        interleaved, shared_tokens = _tokens_encoded(
+            irn, lambda: rollout_next_step(shared, contexts, 6)
+        )
         assert interleaved == isolated
         info = shared.cache_info()
         assert info["serving"]["replans"] == len(contexts)  # one plan per context
         assert info["serving"]["served_from_plan"] > 0
+        # The pre-cache planner — one replan slot, no plan memo, no sessions —
+        # replans at nearly every context switch: at least 2x the token-work.
+        single_slot = BeamSearchPlanner(
+            irn, beam_width=4, branch_factor=4, max_length=6,
+            plan_cache_size=0, step_cache_size=1, use_decoding_sessions=False,
+        ).fit(tiny_split)
+        _, single_slot_tokens = _tokens_encoded(
+            irn, lambda: rollout_next_step(single_slot, contexts, 6)
+        )
+        assert 2 * shared_tokens <= single_slot_tokens
 
     def test_divergence_triggers_replan_from_context(self, tiny_split, irn_one_layer, instances):
         history, objective, user = _contexts(instances)[0]

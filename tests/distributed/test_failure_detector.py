@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.config import resolve_heartbeat_misses
 from repro.distributed import RemoteReplicaSet
 from repro.serve.request import ServeRequest
 
@@ -54,12 +55,18 @@ class TestWorkerKill:
             ]
             victim = remote_set.active_replicas()[0]
             os.kill(victim.worker.pid, signal.SIGKILL)
+            killed_at = time.perf_counter()
+            assert _wait(lambda: not victim.healthy)
+            detected_after = time.perf_counter() - killed_at
             # Every admitted future resolves — the survivors absorb whatever
             # the victim had in flight — and the answers stay bit-identical.
             answers = [future.result(timeout=30) for future in futures]
             stats = remote_set.stats()
         assert answers == expected
         assert victim.dead and not victim.healthy
+        # The contract is a deadline: unhealthy within the missed-heartbeat
+        # budget, plus one interval of detector granularity.
+        assert detected_after <= (resolve_heartbeat_misses() + 1) * HEARTBEAT_INTERVAL
         transport = stats["transport"]
         assert transport["marked_unhealthy"] >= 1
         # The kill raced real traffic: whatever was registered to the victim

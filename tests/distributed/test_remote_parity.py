@@ -30,16 +30,23 @@ class TestRemoteParity:
             heartbeat_interval=HEARTBEAT_INTERVAL,
         ) as remote_set:
             served = replay_lockstep(remote_set, remote_contexts, MAX_LENGTH)
+            transport = remote_set.stats()["transport"]
         assert served == sequential_paths
+        # A context's later steps were answered in the parent, from the plan
+        # its first response mirrored there: resident steps stay off the wire.
+        assert transport["parent_answered"] > 0
 
-    def test_plan_paths_futures_match_plan_path(self, make_factory, remote_contexts):
+    @pytest.mark.parametrize("num_workers", [1, 2, 4])
+    def test_plan_paths_futures_match_plan_path(
+        self, make_factory, remote_contexts, num_workers
+    ):
         reference = make_factory()()
         expected = [
             reference.plan_path(history, objective, user_index=user)
             for history, objective, user in remote_contexts
         ]
         with RemoteReplicaSet(
-            make_factory(), num_replicas=2, heartbeat_interval=HEARTBEAT_INTERVAL
+            make_factory(), num_replicas=num_workers, heartbeat_interval=HEARTBEAT_INTERVAL
         ) as remote_set:
             futures = [
                 remote_set.enqueue(

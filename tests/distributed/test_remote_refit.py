@@ -3,7 +3,8 @@
 Mirrors ``tests/replica/test_refit_race.py``'s contract at the process
 boundary: train off-path, publish ``(name, generation)`` artifacts, ship
 and checksum-verify them on every standby worker, flip atomically, retire
-the old fleet drain-dry with zero admitted requests dropped.
+the old fleet drain-dry with zero admitted requests dropped — also under
+open-loop traffic.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import pytest
 from repro.core.beam import BeamSearchPlanner
 from repro.core.irn import IRN
 from repro.distributed import RemoteReplicaSet
+from repro.replica import run_replicated_open_loop
 from repro.serve.request import ServeRequest
 from repro.utils.exceptions import ServingError
 
@@ -174,6 +176,27 @@ class TestRemoteRefit:
             )
             remote_set.enqueue(request).result(timeout=30)
         assert request.served_generation == 2
+
+    def test_open_loop_traffic_never_pauses_across_a_refit(self, make_factory, remote_contexts):
+        """``tests/replica/test_refit_race.py``'s no-pause contract over the
+        wire: nothing errored, nothing rejected under ``block``, one
+        generation step — and resident steps still answered in the parent."""
+        with RemoteReplicaSet(
+            make_factory(), num_replicas=2, heartbeat_interval=HEARTBEAT_INTERVAL
+        ) as remote_set:
+            report = run_replicated_open_loop(
+                remote_set,
+                remote_contexts,
+                arrival_rate=200.0,
+                num_requests=120,
+                max_length=MAX_LENGTH,
+                refit_at=0.0,
+            )
+            transport = remote_set.stats()["transport"]
+        assert report["errored_requests"] == report["rejected_requests"] == 0
+        assert report["no_pause"] is True
+        assert report["refit"]["generation_to"] == report["refit"]["generation_from"] + 1
+        assert transport["parent_answered"] > 0
 
     def test_refit_after_close_raises(self, make_factory):
         remote_set = RemoteReplicaSet(

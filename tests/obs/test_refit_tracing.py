@@ -7,12 +7,13 @@ generation — a drained one stamps it on its one ``serve.drain`` span
 (batches are never torn across generations), one answered at admission
 from a resident plan has no drain span and stamps it on its ``admission``
 span — and per serving context the generation is monotone non-decreasing in
-trace-sequence order.
+trace-sequence order.  Untraced, the fleet allocates nothing across a flip.
 """
 
 from __future__ import annotations
 
-from repro.obs import Tracer
+from repro.evaluation.protocol import rollout_next_step
+from repro.obs import Tracer, get_registry
 from repro.replica import ReplicaSet
 from repro.serve import replay_lockstep
 
@@ -42,7 +43,9 @@ def test_traces_span_the_flip_with_one_generation_each(make_planner, obs_context
         replica_set.refit()
         after = replay_lockstep(replica_set, obs_contexts, MAX_LENGTH)
 
-    # The shared backbone is untouched by the flip: answers are identical.
+    # Tracing changes nothing a fleet answers, and the shared backbone is
+    # untouched by the flip: both replays answer like sequential serving.
+    assert before == rollout_next_step(make_planner(), obs_contexts, MAX_LENGTH)
     assert after == before
 
     traces = tracer.export()
@@ -87,6 +90,20 @@ def test_flip_boundary_trace_ids_stay_deterministic(make_planner, obs_contexts):
         return sorted(tracer.trace_ids())
 
     assert run() == run()
+
+
+def test_an_untraced_fleet_allocates_nothing_across_a_flip(make_planner, obs_contexts):
+    """Zero cost when off holds for the fleet too: its replicas, its refit
+    and the generation after it allocate no trace and no span."""
+    registry = get_registry()
+    before = registry.snapshot("obs.trace")["counters"]
+    with ReplicaSet(lambda: make_planner(), num_replicas=2) as replica_set:
+        replay_lockstep(replica_set, obs_contexts, MAX_LENGTH)
+        replica_set.refit()
+        replay_lockstep(replica_set, obs_contexts, MAX_LENGTH)
+        served = replica_set.stats()["served"]
+    assert registry.snapshot("obs.trace")["counters"] == before
+    assert served > 0
 
 
 def test_refit_keeps_replica_stats_shape_with_tracing(make_planner, obs_contexts):

@@ -17,6 +17,15 @@ from repro.serve import ServingLoop, replay_lockstep
 
 MAX_LENGTH = 5  # keep in sync with tests/obs/conftest.py
 
+#: Spans a fully sampled request may allocate, averaged over the replay: four
+#: lifecycle spans (admission, queue wait, drain, cache decision; two —
+#: admission and cache decision — for a step answered at admission from a
+#: resident plan) plus one ``beam.depth`` span per planned depth on the
+#: requests that replan.  Instrumentation that starts recording per beam row
+#: or per token blows through it; what a span costs in time is for
+#: benchmarks/e2e.
+SPAN_BUDGET_PER_REQUEST = 8.0
+
 
 def run_traced(make_planner, contexts, tracer):
     with ServingLoop(make_planner(), tracer=tracer) as loop:
@@ -40,11 +49,24 @@ def is_resident(trace):
     return admission["attrs"].get("resident", False)
 
 
+def allocations() -> dict:
+    """The process-wide ``obs.trace`` allocation counters, by short name."""
+    counters = get_registry().snapshot("obs.trace")["counters"]
+    return {name.rsplit(".", 1)[-1]: value for name, value in counters.items()}
+
+
 def test_traces_carry_the_span_lifecycle(make_planner, obs_contexts):
     tracer = Tracer(enabled=True, sample_rate=1.0)
-    run_traced(make_planner, obs_contexts, tracer)
+    before = allocations()
+    with ServingLoop(make_planner(), tracer=tracer) as loop:
+        replay_lockstep(loop, obs_contexts, MAX_LENGTH)
+        served = loop.stats()["served"]
+    allocated = {name: value - before.get(name, 0) for name, value in allocations().items()}
     traces = tracer.export()
-    assert traces, "full sampling must retain every request's trace"
+    # Full sampling retains exactly one trace per served request, and the
+    # spans they allocate stay inside the per-request budget.
+    assert allocated["traces"] == len(traces) == served > 0
+    assert allocated["spans"] <= SPAN_BUDGET_PER_REQUEST * served
     for trace in traces:
         names = span_names(trace)
         assert names.count("admission") == 1
@@ -87,13 +109,11 @@ def test_drain_spans_stamp_generation_and_batch(make_planner, obs_contexts):
 
 
 def test_disabled_tracing_allocates_nothing(make_planner, obs_contexts):
-    registry = get_registry()
-    before = registry.snapshot("obs.trace")["counters"]
+    before = allocations()
     with ServingLoop(make_planner()) as loop:  # no tracer: the default path
         replay_lockstep(loop, obs_contexts, MAX_LENGTH)
         stats = loop.stats()
-    after = registry.snapshot("obs.trace")["counters"]
-    assert after == before
+    assert allocations() == before
     assert stats["served"] > 0
 
 

@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from repro.replica import ReplicaSet
+from repro.replica import ReplicaSet, run_replicated_open_loop
 from repro.utils.exceptions import ServingError, StaleGenerationError
 
 MAX_LENGTH = 5  # keep in sync with tests/replica/conftest.py
@@ -95,6 +95,35 @@ class TestRefitRace:
         assert refit_report["generation_from"] == 1
         assert refit_report["generation_to"] == 2
         assert replica_set.fit_generation == 2
+
+    @pytest.mark.parametrize(
+        "num_replicas,dispatch_policy",
+        [(1, "least_loaded"), (2, "least_loaded"), (2, "round_robin"), (3, "round_robin")],
+    )
+    def test_open_loop_traffic_never_pauses_across_a_refit(
+        self, fresh_factory, replica_contexts, num_replicas, dispatch_policy
+    ):
+        """The report ``serve-sim --refit-at`` publishes: no admitted request
+        errored, none rejected under the block policy (``no_pause``), and the
+        refit stepped exactly one generation forward — at any fleet size and
+        dispatch policy."""
+        with ReplicaSet(
+            fresh_factory(), num_replicas=num_replicas, dispatch_policy=dispatch_policy
+        ) as replica_set:
+            report = run_replicated_open_loop(
+                replica_set,
+                replica_contexts,
+                arrival_rate=200.0,
+                num_requests=120,
+                max_length=MAX_LENGTH,
+                refit_at=0.0,
+            )
+        assert report["admission"]["policy"] == "block"
+        assert report["errored_requests"] == report["rejected_requests"] == 0
+        assert report["no_pause"] is True
+        refit = report["refit"]
+        assert refit["generation_to"] == refit["generation_from"] + 1
+        assert report["admitted_requests"] == sum(report["generations_served"].values())
 
     def test_refit_retires_old_replicas_and_reports(self, fresh_factory, replica_contexts):
         with ReplicaSet(fresh_factory(), num_replicas=2) as replica_set:

@@ -1,11 +1,15 @@
-"""overlap@k / path-score / plan-regret metric unit tests."""
+"""overlap@k / path-score / plan-regret metric tests, on synthetic score
+rows and on each generator's shortlists."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.retrieval import overlap_at_k, path_score, plan_regret
+from repro.core.beam import BeamSearchPlanner
+from repro.retrieval import make_generator, overlap_at_k, path_score, plan_regret
+
+from tests.retrieval.conftest import plan_args
 
 
 class TestOverlapAtK:
@@ -97,3 +101,43 @@ class TestPlanRegret:
         assert np.isnan(
             plan_regret(retrieval_irn, history, objective, [objective], [], user)
         )
+
+
+class TestPrunedPlanMetrics:
+    """What each generator's shortlists cost on real contexts: overlap@k
+    against the exact score rows, the pruned plan's regret under exact
+    replay, and the planner's request / fallback counters."""
+
+    @pytest.mark.parametrize("spec", ["full", "cooccurrence", "ann"])
+    def test_each_generator_reports_overlap_regret_and_fallbacks(
+        self, spec, retrieval_irn, tiny_split, contexts
+    ):
+        args = plan_args(contexts)
+        generator = make_generator(spec, num_candidates=16)
+        pruned = BeamSearchPlanner(
+            retrieval_irn, candidate_generator=generator, plan_cache_size=0
+        ).fit(tiny_split)
+        exact = BeamSearchPlanner(retrieval_irn, plan_cache_size=0).fit(tiny_split)
+        pruned_paths = pruned.plan_paths_batch(*args, max_length=5)
+        exact_paths = exact.plan_paths_batch(*args, max_length=5)
+        scores = retrieval_irn.score_with_objective_batch(*args)
+        overlaps = [
+            overlap_at_k(scores[row], generator.candidates(history, objective, user), 10)
+            for row, (history, objective, user) in enumerate(contexts)
+        ]
+        regrets = [
+            plan_regret(retrieval_irn, history, objective, exact_path, pruned_path, user)
+            for (history, objective, user), exact_path, pruned_path in zip(
+                contexts, exact_paths, pruned_paths
+            )
+        ]
+        counters = pruned.cache_info()["retrieval"]
+        assert all(0.0 <= overlap <= 1.0 for overlap in overlaps)
+        # reported as measured: finite, or NaN where a plan is empty
+        assert all(np.isfinite(regret) or np.isnan(regret) for regret in regrets)
+        assert counters["requests"] == len(contexts)
+        assert 0 <= counters["fallbacks"] <= counters["requests"]
+        if spec == "full":  # full coverage: the exact top-k and the exact plans
+            assert overlaps == [1.0] * len(contexts)
+            assert pruned_paths == exact_paths
+            assert regrets == pytest.approx([0.0] * len(contexts), abs=1e-12)

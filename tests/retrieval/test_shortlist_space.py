@@ -23,7 +23,6 @@ from repro.core.beam import BeamSearchPlanner
 from repro.core.influence_path import log_softmax_rows, mask_session_items
 from repro.core.irn import IRN
 from repro.data.padding import pre_pad_block
-from repro.perf.bench import _FullScoringOnly  # an IRN hiding supports_candidate_scoring
 from repro.retrieval import CooccurrenceNeighborGenerator, make_generator
 from repro.shard.topk import stable_topk
 from repro.utils.exceptions import ConfigurationError
@@ -175,6 +174,26 @@ class TestShortlistSpaceLookup:
         seen = pre_pad_block([[4], []])
         mask_session_items(scores, seen, [9, 9], row_items=np.array([[2, 4, 6], [1, 2, 3]]))
         assert np.array_equal(np.isneginf(scores), [[False, True, False], [False] * 3])
+
+
+class _FullScoringOnly:
+    """An IRN with its gathered projection hidden (no ``supports_candidate_scoring``).
+
+    The planner scores such a backbone over the full vocabulary and gathers
+    each row's shortlist columns — the reference the shortlist-space
+    projection must plan identically to.
+    """
+
+    def __init__(self, irn: IRN) -> None:
+        self._irn = irn
+        self.corpus = irn.corpus
+        self.name = irn.name
+
+    def score_with_objective(self, sequence, objective, user_index=None):
+        return self._irn.score_with_objective(sequence, objective, user_index)
+
+    def score_with_objective_batch(self, sequences, objectives, user_indices=None):
+        return self._irn.score_with_objective_batch(sequences, objectives, user_indices)
 
 
 class TestGatheredProjectionMatchesFullScoring:

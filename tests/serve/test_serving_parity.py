@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.beam import BeamSearchPlanner
+from repro.core.irn import IRN
 from repro.evaluation.protocol import rollout_next_step
 from repro.serve import ServingLoop, replay_lockstep
 from repro.serve.request import ServeRequest
@@ -35,10 +37,23 @@ STATS_PATHS = [
 @pytest.fixture(scope="module")
 def sequential_paths(serve_irn, tiny_split, serve_contexts):
     """The sequential-serving reference trace (fresh serial planner)."""
-    from repro.core.beam import BeamSearchPlanner
-
     planner = BeamSearchPlanner(serve_irn, max_length=MAX_LENGTH).fit(tiny_split)
     return rollout_next_step(planner, serve_contexts, MAX_LENGTH)
+
+
+@pytest.fixture(scope="module")
+def two_layer_irn(tiny_split):
+    """The suite's backbone at the paper's two layers."""
+    return IRN(
+        embedding_dim=16,
+        user_dim=4,
+        num_heads=2,
+        num_layers=2,
+        epochs=1,
+        batch_size=32,
+        max_sequence_length=50,
+        seed=0,
+    ).fit(tiny_split)
 
 
 class TestServingLoopParity:
@@ -99,6 +114,35 @@ class TestServingLoopParity:
             reference.plan_path(history, objective, user_index=user)
             for history, objective, user in serve_contexts
         ]
+
+    @pytest.mark.parametrize("drain_deadline", [0.0, 0.005])
+    def test_two_layer_drains_answer_like_sequential_serving(
+        self, two_layer_irn, tiny_split, serve_contexts, drain_deadline
+    ):
+        """At the paper's depth a drain plans its contexts in one
+        shared-history pass per depth, over whatever batch the race formed:
+        the batch changes no answer."""
+
+        def planner():
+            return BeamSearchPlanner(two_layer_irn, max_length=MAX_LENGTH).fit(tiny_split)
+
+        sequential = rollout_next_step(planner(), serve_contexts, MAX_LENGTH)
+        expected_plans = [
+            planner().plan_path(history, objective, user_index=user)
+            for history, objective, user in serve_contexts
+        ]
+        with ServingLoop(planner(), drain_deadline=drain_deadline) as loop:
+            served = replay_lockstep(loop, serve_contexts, MAX_LENGTH)
+        with ServingLoop(planner(), drain_deadline=drain_deadline) as loop:
+            futures = [
+                loop.enqueue(
+                    ServeRequest.create("plan_paths", history, objective, user_index=user)
+                )
+                for history, objective, user in serve_contexts
+            ]
+            plans = [future.result() for future in futures]
+        assert served == sequential
+        assert plans == expected_plans
 
     def test_serving_stats_expose_micro_batching(self, make_planner, serve_contexts):
         planner = make_planner()

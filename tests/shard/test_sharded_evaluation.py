@@ -104,7 +104,10 @@ class TestShardedNextItemParity:
         )
         assert threaded == serial
 
-    def test_irn_backed_parity(self, shard_irn, tiny_split):
+    @pytest.mark.parametrize("num_workers", THREADS)
+    def test_irn_backed_parity(self, shard_irn, tiny_split, num_workers):
         serial = evaluate_next_item(shard_irn, tiny_split, max_instances=12)
-        threaded = evaluate_next_item(shard_irn, tiny_split, max_instances=12, num_workers=2)
+        threaded = evaluate_next_item(
+            shard_irn, tiny_split, max_instances=12, num_workers=num_workers
+        )
         assert threaded == serial

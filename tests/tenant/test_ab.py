@@ -79,6 +79,34 @@ class TestShimAndReport:
         summary = report.summary()
         assert set(summary) == {"control", "treatment", "uplift"}
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_identically_seeded_runs_report_identically(
+        self, make_planner, fitted_markov, ab_evaluator, tenant_instances, seed
+    ):
+        def summary() -> dict:
+            # A fresh treatment planner per run: plans resident from an
+            # earlier run's sessions would change which steps replan — the
+            # contract is per fleet lifetime, what one CLI invocation sees.
+            registry = TenantRegistry()
+            registry.add("control", fitted_markov)
+            registry.add("treatment", make_planner())
+            with ServingLoop(None, tenants=registry) as loop:
+                result = run_ab(
+                    loop,
+                    TenantArm("control"),
+                    TenantArm("treatment"),
+                    tenant_instances,
+                    ab_evaluator,
+                    max_steps=2 * MAX_LENGTH,
+                    seed=seed,
+                ).summary()
+            for arm in ("control", "treatment"):  # wall-clock is not the contract
+                for field in ("p50_ms", "p95_ms"):
+                    del result[arm][field]
+            return result
+
+        assert summary() == summary()
+
     def test_cohorts_are_arm_independent(
         self, make_planner, fitted_markov, ab_evaluator, tenant_instances
     ):

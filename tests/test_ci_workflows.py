@@ -2,12 +2,14 @@
 
 A workflow GitHub cannot load runs nothing and reports nothing (``ci.yml``
 once sat unparseable behind an unquoted ``numpy: `` in a step name).  And a
-workflow that sets a deleted ``REPRO_*`` variable, or passes a deleted flag,
-fails only in a CI run — so both are checked here, in the tier-1 suite.
+workflow that sets a deleted ``REPRO_*`` variable, passes a deleted flag or
+runs a deleted module fails only in a CI run — so all three are checked
+here, in the tier-1 suite.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import re
 import shlex
@@ -20,15 +22,16 @@ from repro.config import CONFIG_FIELDS
 
 yaml = pytest.importorskip("yaml")  # PyYAML: not a dependency of the package
 
-WORKFLOWS = sorted((Path(__file__).resolve().parents[1] / ".github" / "workflows").iterdir())
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOWS = sorted((ROOT / ".github" / "workflows").iterdir())
 
 #: ``REPRO_*`` variables read outside the ``repro.config`` table (its header
 #: says why each owner reads its own).
-NON_TABLE_ENV = {"REPRO_LOG_LEVEL", "REPRO_INFERENCE_DTYPE", "REPRO_BENCH_SCALE_TIERS"}
+NON_TABLE_ENV = {"REPRO_LOG_LEVEL", "REPRO_INFERENCE_DTYPE"}
 
-#: ``python -m repro.perf.bench`` is ``repro-irs bench``: one parser.  A
-#: ``repro.cli`` line must name its command (``--help`` probes are not runs).
-CLI_INVOCATION = re.compile(r"python -m repro\.(?:cli ([a-z][^\n]*)|perf\.bench ([^\n]*))")
+#: A ``repro.cli`` line must name its command (``--help`` probes are not runs).
+CLI_INVOCATION = re.compile(r"python -m repro\.cli ([a-z][^\n]*)")
+MODULE_INVOCATION = re.compile(r"python -m ([A-Za-z_][\w.]*)")
 SHELL_OPERATORS = {">", ">>", "2>", "|", "||", "&&", ";", "&"}
 
 
@@ -43,22 +46,31 @@ def _walk(node):
         yield from _walk(child)
 
 
+def _scripts(document: dict) -> "list[tuple[str, dict]]":
+    """Every ``run`` script of the workflow (continuation lines joined), with
+    the ``REPRO_*`` variables its step sets."""
+    return [
+        (
+            node["run"].replace("\\\n", " "),
+            {
+                name: str(value)
+                for name, value in (node.get("env") or {}).items()
+                if name.startswith("REPRO_")
+            },
+        )
+        for node in _walk(document)
+        if isinstance(node, dict) and isinstance(node.get("run"), str)
+    ]
+
+
 def _invocations(document: dict) -> "list[tuple[list[str], dict]]":
     """Every ``repro-irs`` argv the workflow's ``run`` scripts invoke, with
     the ``REPRO_*`` variables its step sets."""
     invocations = []
-    for node in _walk(document):
-        if not isinstance(node, dict) or not isinstance(node.get("run"), str):
-            continue
-        script = node["run"].replace("\\\n", " ")
-        step_env = {
-            name: str(value)
-            for name, value in (node.get("env") or {}).items()
-            if name.startswith("REPRO_")
-        }
-        for cli_rest, bench_rest in CLI_INVOCATION.findall(script):
-            argv = [] if cli_rest else ["bench"]
-            for token in shlex.split(cli_rest or bench_rest):
+    for script, step_env in _scripts(document):
+        for rest in CLI_INVOCATION.findall(script):
+            argv = []
+            for token in shlex.split(rest):
                 if token in SHELL_OPERATORS:
                     break
                 argv.append(token)
@@ -110,6 +122,27 @@ def test_every_cli_command_line_in_a_workflow_parses(path):
         parser.parse_args(argv)
 
 
+@pytest.mark.parametrize("path", WORKFLOWS, ids=lambda path: path.name)
+def test_every_module_a_workflow_runs_exists(path, monkeypatch):
+    """A ``python -m <module>`` step naming a deleted module fails only in CI."""
+    monkeypatch.syspath_prepend(str(ROOT / "src"))
+    modules = {
+        module
+        for script, _ in _scripts(_load(path))
+        for module in MODULE_INVOCATION.findall(script)
+    }
+    assert modules, f"{path.name} runs no python module"
+
+    def exists(module: str) -> bool:
+        try:  # a dotted name imports its parents, and a missing parent raises
+            return importlib.util.find_spec(module) is not None
+        except ModuleNotFoundError:
+            return False
+
+    missing = sorted(module for module in modules if not exists(module))
+    assert not missing, f"{path.name} runs {missing}, which do not exist"
+
+
 @pytest.mark.parametrize("argv,step_env", INVOCATIONS)
 def test_every_workflow_command_line_resolves_through_the_table(argv, step_env, monkeypatch):
     """Parsing is not enough: each knob's value must pass its table row's
@@ -126,6 +159,6 @@ def test_every_workflow_command_line_resolves_through_the_table(argv, step_env, 
 def test_the_command_line_scan_finds_the_ci_invocations():
     argvs = _command_lines(_load(next(p for p in WORKFLOWS if p.name == "ci.yml")))
     commands = {argv[0] for argv in argvs}
-    assert {"bench", "serve-sim", "trace", "metrics"} <= commands
+    assert {"serve-sim", "trace", "metrics"} <= commands
     # continuation lines are part of the command they continue
     assert any("--trace-sample-rate" in argv for argv in argvs)

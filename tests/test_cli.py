@@ -1,9 +1,38 @@
 """Tests for the command-line interface."""
 
+import functools
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.cli.profiles import (
+    PROFILES,
+    build_bench_split,
+    machine_info,
+    peak_rss_kb,
+    profile_config,
+)
+from repro.data.preprocessing import build_corpus
+from repro.data.splitting import split_corpus
+from repro.data.synthetic import SyntheticConfig, generate_synthetic_dataset
+from repro.evaluation.protocol import sample_objectives
 from repro.utils.exceptions import ConfigurationError
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "workloads.py"
+
+
+@functools.cache
+def _e2e_workloads():
+    """``benchmarks/e2e/workloads.py``, loaded from its path (the e2e
+    directory is a script directory, not a package); registered so its
+    dataclasses can resolve their module."""
+    spec = importlib.util.spec_from_file_location("e2e_workloads", WORKLOADS)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestParser:
@@ -94,81 +123,6 @@ class TestScalingFlags:
         monkeypatch.setenv("REPRO_NUM_WORKERS", "2")
         args = build_parser().parse_args(["table6"])
         assert resolve_args(args, "table6") == {"num_workers": 1, "rollout_chunk_size": None}
-
-
-class TestBenchSubcommand:
-    def test_bench_listed_in_parser(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.artefact == "bench"
-
-    def test_bench_fast_profile_reports_cache_hit_rates(self, capsys, tmp_path):
-        import json
-
-        output = tmp_path / "BENCH_path_planning.json"
-        assert main(["bench", "--profile", "fast", "--output", str(output)]) == 0
-        out = capsys.readouterr().out
-        assert "hit rate" in out
-        assert "forwards/sec" in out
-        assert "tokens of work" in out
-        report = json.loads(output.read_text())
-        assert report["irs_stepwise_replanning"]["token_work_reduction"] >= 2.0
-        assert "cache_counters" in report["irs_stepwise_replanning"]
-
-    def test_bench_sections_subset(self, capsys, tmp_path):
-        """Satellite of the serving PR: --sections runs only the named bench
-        sections (the full bench is slow; CI targets the section under test)."""
-        import json
-
-        output = tmp_path / "bench_subset.json"
-        code = main(
-            [
-                "bench",
-                "--profile",
-                "fast",
-                "--sections",
-                "nextitem_evaluation",
-                "--output",
-                str(output),
-            ]
-        )
-        assert code == 0
-        report = json.loads(output.read_text())
-        assert report["sections"] == ["nextitem_evaluation"]
-        assert "nextitem_evaluation" in report
-        assert "beam_planning" not in report
-        assert "async_serving" not in report
-
-    def test_bench_unknown_section_raises(self):
-        with pytest.raises(ConfigurationError, match="unknown bench section"):
-            main(["bench", "--profile", "fast", "--sections", "quantum_planning"])
-
-    def test_bench_cprofile_writes_pstats_dump(self, capsys, tmp_path):
-        """Tensor-engine PR satellite: --cprofile profiles the bench run and
-        drops a pstats dump next to the JSON report for ``pstats``/snakeviz."""
-        import json
-        import pstats
-
-        output = tmp_path / "bench_profiled.json"
-        code = main(
-            [
-                "bench",
-                "--profile",
-                "fast",
-                "--sections",
-                "tensor_ops",
-                "--cprofile",
-                "--output",
-                str(output),
-            ]
-        )
-        assert code == 0
-        assert "cProfile stats written to" in capsys.readouterr().err
-        report = json.loads(output.read_text())
-        assert "tensor_ops" in report
-        stats_path = tmp_path / "bench_profiled.json.pstats"
-        assert stats_path.exists()
-        stats = pstats.Stats(str(stats_path))  # loadable, non-empty profile
-        assert stats.total_calls > 0
 
 
 class TestServeSimSubcommand:
@@ -339,33 +293,91 @@ class TestReplicationFlags:
 
 
 class TestProfileResolution:
-    """Satellite of the retrieval PR: --profile is validated eagerly, with
-    the bench profile names (smoke/default/scale) accepted by the bench and
-    serving commands and rejected — with a clear error — by the paper
-    artefacts."""
+    """The serving commands' corpus profiles and their machine block
+    (:mod:`repro.cli.profiles`); which ``--profile`` values each command
+    takes is the contract matrix's (``tests/test_cli_contract.py``)."""
 
-    def test_bench_unknown_profile_raises_before_training(self):
-        with pytest.raises(ConfigurationError, match="smoke, default, scale"):
-            main(["bench", "--profile", "quantum"])
+    def test_each_profile_has_its_own_config(self):
+        assert PROFILES == ("fast", "default")
+        fast, default = profile_config("fast"), profile_config("default")
+        keys = {
+            "synthetic",
+            "irn",
+            "beam_width",
+            "branch_factor",
+            "max_path_length",
+            "num_instances",
+            "serve_requests_per_context",
+        }
+        assert set(fast) == set(default) == keys
+        assert (fast["irn"]["num_layers"], default["irn"]["num_layers"]) == (1, 2)
+        assert default["synthetic"]["num_items"] > fast["synthetic"]["num_items"]
+        # a fresh dict per call: a caller's edits never leak into the next
+        fast["beam_width"] = 99
+        assert profile_config("fast")["beam_width"] == 4
 
-    def test_bench_accepts_bench_profile_names(self):
-        from repro.cli import _resolve_bench_profile
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_a_profile_builds_the_same_split_every_time(self, profile):
+        """Fixed seeds end to end: two builds are the same corpus and split,
+        with enough objectives for the instances the profile samples."""
+        config = profile_config(profile)
+        first, second = build_bench_split(config), build_bench_split(config)
+        assert (first.train, first.validation, first.test) == (
+            second.train,
+            second.validation,
+            second.test,
+        )
+        assert first.corpus.vocab.size <= config["synthetic"]["num_items"] + 1
+        instances = sample_objectives(
+            first, min_objective_interactions=2, seed=0, max_instances=config["num_instances"]
+        )
+        assert len(instances) == config["num_instances"]
 
-        assert _resolve_bench_profile("fast") == "smoke"
-        assert _resolve_bench_profile("smoke") == "smoke"
-        assert _resolve_bench_profile("default") == "default"
-        assert _resolve_bench_profile("scale") == "scale"
+    def test_the_fast_profile_is_the_tier1_corpus(self, tiny_split):
+        """``--profile fast`` serves the split every tier-1 fixture is built on."""
+        split = build_bench_split(profile_config("fast"))
+        assert split.corpus.vocab.size == tiny_split.corpus.vocab.size
+        assert (split.train, split.validation, split.test) == (
+            tiny_split.train,
+            tiny_split.validation,
+            tiny_split.test,
+        )
 
-    def test_paper_artefacts_reject_bench_only_profiles(self):
-        for profile in ("scale", "smoke", "quantum"):
-            with pytest.raises(ConfigurationError, match="paper artefacts"):
-                main(["table6", "--profile", profile])
+    @pytest.mark.parametrize("part", ["split", "irn", "planner"])
+    def test_the_default_profile_is_the_e2e_fixture(self, part):
+        """``benchmarks/e2e/workloads.py`` copies the ``default`` profile's
+        constants rather than importing them; ``serve-sim --profile default``
+        keeps serving the fixture the benchmark measures."""
+        e2e = _e2e_workloads()
+        default = profile_config("default")
+        if part == "split":  # built the way the benchmark builds it
+            dataset = generate_synthetic_dataset(SyntheticConfig(**e2e.SMALL_SYNTHETIC))
+            theirs = split_corpus(build_corpus(dataset, min_interactions=3), **e2e.SMALL_SPLIT)
+            ours = build_bench_split(default)
+            assert (ours.train, ours.validation, ours.test) == (
+                theirs.train,
+                theirs.validation,
+                theirs.test,
+            )
+        elif part == "irn":
+            assert default["irn"] == e2e.SMALL_IRN
+        else:
+            assert e2e.PLANNER == dict(
+                beam_width=default["beam_width"],
+                branch_factor=default["branch_factor"],
+                max_length=default["max_path_length"],
+            )
 
-    def test_run_exits_2_on_unknown_profile(self, capsys):
-        from repro.cli import run
+    def test_machine_info_records_peak_rss(self):
+        info = machine_info()
+        assert info["cpu_count"] >= 1 and info["platform"]
+        assert "peak_rss_kb" in info
 
-        assert run(["bench", "--profile", "quantum"]) == 2
-        assert "known profiles" in capsys.readouterr().err
+    def test_peak_rss_positive_on_posix(self):
+        if not sys.platform.startswith(("linux", "darwin")):
+            pytest.skip("ru_maxrss unavailable off-POSIX")
+        rss = peak_rss_kb()
+        assert rss is not None and rss > 0
 
 
 class TestServeSimRetrievalFlags:

@@ -6,6 +6,7 @@ The honoured / rejected matrix below is exact — adding a flag to a command
 """
 
 import json
+import os
 import re
 import shlex
 from pathlib import Path
@@ -30,7 +31,6 @@ HONOURED = {
         "--num-workers",
         "--rollout-chunk-size",
     },
-    "bench": UNIVERSAL | {"--sections", "--cprofile"},
     "serve-sim": UNIVERSAL
     | {
         "--seed",
@@ -66,8 +66,6 @@ PLAIN_VALUES = {
     "--seed": "1",
     "--scale": "0.5",
     "--data-directory": "data",
-    "--sections": "tensor_ops",
-    "--cprofile": None,
     "--metrics-format": "json",
 }
 
@@ -99,10 +97,10 @@ INVALID = {
 CLI_ROWS = [row for row in CONFIG_FIELDS.values() if row.cli]
 ALL_FLAGS = sorted(set(PLAIN_VALUES) | {row.flag_name for row in CLI_ROWS})
 
-#: flags of knobs that are gone (planning and serving run one partition):
-#: in the matrix below as flags no command honours, so each stays a usage
-#: error everywhere
-DELETED_FLAGS = ["--shard-backend", "--vocab-shards"]
+#: flags that are gone — the sharding knobs (planning and serving run one
+#: partition) and the deleted ``bench`` command's: in the matrix below as
+#: flags no command honours, so each stays a usage error everywhere
+DELETED_FLAGS = ["--shard-backend", "--vocab-shards", "--sections", "--cprofile"]
 #: their environment names (and ``num_workers``'s, a CLI-only row now) with
 #: values every one of them once rejected
 DELETED_ENV = {
@@ -110,6 +108,19 @@ DELETED_ENV = {
     "REPRO_VOCAB_SHARDS": "0",
     "REPRO_NUM_WORKERS": "two",
 }
+#: the deleted ``bench`` command's five cells — its three universal flags and
+#: its own two — each still a usage error, and the bare command too
+BENCH_CELLS = [
+    [],
+    ["--profile", "fast"],
+    ["--output", "report.json"],
+    ["--log-level", "INFO"],
+    ["--sections", "tensor_ops"],
+    ["--cprofile"],
+]
+#: ``--profile`` values: the two every command takes, then the deleted
+#: bench-only names, a spelling the bench profiles once normalised, and a typo
+PROFILE_VALUES = ["fast", "default", "smoke", "scale", "FAST", "quantum"]
 
 
 @pytest.fixture()
@@ -130,16 +141,33 @@ def _exits_2(argv):
 
 def test_the_tables_cover_every_flag_and_row():
     assert set(INVALID) == set(CONFIG_FIELDS)
-    assert len(ALL_FLAGS) == 30
+    assert len(ALL_FLAGS) == 28
     assert set().union(*HONOURED.values()) == set(ALL_FLAGS)
-    assert sum(len(flags) for flags in HONOURED.values()) == 48
+    assert sum(len(flags) for flags in HONOURED.values()) == 43
+
+
+@pytest.mark.parametrize("cell", BENCH_CELLS, ids=lambda cell: cell[0] if cell else "bare")
+def test_the_deleted_bench_command_is_a_usage_error(cell, capsys):
+    _exits_2(["bench", *cell])
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("profile", PROFILE_VALUES)
+@pytest.mark.parametrize("command", HONOURED)
+def test_every_command_takes_exactly_fast_and_default(command, profile, capsys):
+    """One ``--profile`` vocabulary, checked by the parser before anything trains."""
+    argv = [command, "--profile", profile]
+    if profile in ("fast", "default"):
+        assert build_parser().parse_args(argv).profile == profile
+    else:
+        _exits_2(argv)
+        assert "invalid choice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ALL_FLAGS + DELETED_FLAGS)
 @pytest.mark.parametrize("command", HONOURED)
 def test_a_command_accepts_exactly_the_flags_it_honours(command, flag, capsys):
-    value = PLAIN_VALUES.get(flag, "1")
-    argv = [command, flag] if value is None else [command, flag, value]
+    argv = [command, flag, PLAIN_VALUES.get(flag, "1")]
     if flag in HONOURED[command]:
         build_parser().parse_args(argv)
     else:
@@ -321,10 +349,27 @@ class TestTraceAndMetrics:
         assert re.search(r"^serve_loop_\w+ \d", out, flags=re.MULTILINE)
 
 
-def test_every_command_line_in_the_readme_parses():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    lines = re.findall(r"(?:python -m repro\.cli|repro-irs) ([a-z][^`#\n]*)", readme)
-    assert len(lines) >= 22
-    parser = build_parser()
-    for line in lines:
-        parser.parse_args(shlex.split(line))
+README_LINES = re.findall(
+    r"(?:python -m repro\.cli|repro-irs) ([a-z][^`#\n]*)",
+    (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+)
+
+
+def test_the_readme_scan_finds_every_command_family():
+    assert len(README_LINES) >= 15
+    assert {line.split()[0] for line in README_LINES} >= set(HONOURED)
+
+
+@pytest.mark.parametrize(
+    "line",
+    README_LINES,
+    ids=[f"readme-{index}-{line.split()[0]}" for index, line in enumerate(README_LINES)],
+)
+def test_every_command_line_in_the_readme_resolves(line, monkeypatch):
+    """Parsing is not enough: a documented command line must pass its rows'
+    validation and ``serve-sim``'s cross-flag rules, with no ambient
+    ``$REPRO_*``, as ``main`` resolves them before anything trains."""
+    for name in [name for name in os.environ if name.startswith("REPRO_")]:
+        monkeypatch.delenv(name)
+    args = build_parser().parse_args(shlex.split(line))
+    resolve_args(args, args.artefact)

@@ -24,7 +24,6 @@ from repro.distributed.remote import RemoteReplicaSet
 from repro.evaluation.nextitem import evaluate_next_item
 from repro.evaluation.protocol import IRSEvaluationProtocol
 from repro.experiments.config import ExperimentConfig
-from repro.perf.bench import run_benchmarks
 from repro.replica.set import ReplicaSet
 from repro.serve.loop import ServingLoop
 from repro.serve.queue import RequestQueue
@@ -114,8 +113,6 @@ DELETED_ARGUMENTS = [
     (evaluate_next_item, "shard_backend"),
     (ExperimentConfig, "shard_backend"),
     (ExperimentConfig, "vocab_shards"),
-    (run_benchmarks, "shard_backend"),
-    (run_benchmarks, "vocab_shards"),
     (ShardedExecutor, "backend"),
 ]
 
