@@ -6,11 +6,10 @@ use a large negative value; the Personalized Impressionability Mask of the
 paper additionally adds finite positive weights for the objective-item column
 (see :mod:`repro.core.pim`).
 
-Two implementations sit behind one module: the graph-building path is the
-training path and the parity oracle; with gradients off the attention body
-runs fused on raw ndarrays, which is how the baselines (SASRec, BERT4Rec, …)
-infer through ``Module.forward``.  IRN's own inference does not come through
-here at all — it runs the compiled program of :mod:`repro.nn.inference`.
+One implementation: the graph forward is the training path, the parity
+oracle and, with gradients off, how the baselines (SASRec, BERT4Rec)
+infer.  IRN's own inference does not come through here at all — it runs
+the compiled program of :mod:`repro.nn.inference`.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.layers import Dropout, Linear, Module
-from repro.nn.tensor import Tensor, is_grad_enabled
+from repro.nn.tensor import Tensor
 from repro.utils.exceptions import ConfigurationError
 from repro.utils.rng import as_rng, spawn_rng
 
@@ -35,7 +34,6 @@ def scaled_dot_product_attention(
     key: Tensor,
     value: Tensor,
     mask: "np.ndarray | Tensor | None" = None,
-    fused: bool | None = None,
 ) -> tuple[Tensor, Tensor]:
     """Compute ``softmax(QK^T / sqrt(d_k) + mask) V``.
 
@@ -45,21 +43,8 @@ def scaled_dot_product_attention(
     Mask, which depends on the learned impressionability factor), gradients
     flow through it.
 
-    ``fused`` selects the implementation: ``True`` routes through the
-    allocation-light :func:`repro.nn.functional.fused_attention` ndarray
-    kernel (inference only — raises under grad), ``False`` forces the
-    graph-building path, and ``None`` (default) fuses exactly when grad is
-    disabled.  In float64 the two paths apply the same elementwise and BLAS
-    operations in the same order, so they agree bit-for-bit.
-
     Returns ``(output, attention_weights)``.
     """
-    if fused is None:
-        fused = not is_grad_enabled()
-    if fused:
-        mask_arr = mask.data if isinstance(mask, Tensor) else mask
-        context, weights = F.fused_attention(query.data, key.data, value.data, mask=mask_arr)
-        return Tensor(context), Tensor(weights)
     d_k = query.shape[-1]
     scores = query.matmul(key.swapaxes(-1, -2)) * (1.0 / np.sqrt(d_k))
     if mask is not None:
@@ -121,24 +106,17 @@ class MultiHeadAttention(Module):
         key: Tensor | None = None,
         value: Tensor | None = None,
         mask: "np.ndarray | Tensor | None" = None,
-        fused: bool | None = None,
     ) -> Tensor:
         """Apply attention.  With only ``query`` given this is self-attention.
 
         ``mask`` is an additive array (or differentiable :class:`Tensor`)
         broadcastable to ``(batch, num_heads, query_len, key_len)``; pass
         e.g. a ``(batch, 1, m, m)`` PIM or a ``(m, m)`` causal mask.
-
-        ``fused`` selects the attention implementation exactly as in
-        :func:`scaled_dot_product_attention` (default: fuse when grad is
-        disabled).
         """
         key = query if key is None else key
         value = key if value is None else value
         batch, q_len, _ = query.shape
         k_len = key.shape[1]
-        if fused is None:
-            fused = not is_grad_enabled()
 
         q = self._split_heads(self.query_proj(query), batch, q_len)
         k = self._split_heads(self.key_proj(key), batch, k_len)
@@ -165,18 +143,7 @@ class MultiHeadAttention(Module):
                         f"attention mask must have 2-4 dimensions, got {mask.ndim}"
                     )
 
-        if fused:
-            # Inference fast path: the whole attention body runs on raw
-            # ndarrays (the score buffer is mutated in place) and only the
-            # merged context re-enters the Tensor world for the output
-            # projection.
-            mask_arr = mask.data if isinstance(mask, Tensor) else mask
-            context, weights = F.fused_attention(q.data, k.data, v.data, mask=mask_arr)
-            self.last_attention = weights
-            merged = context.transpose(0, 2, 1, 3).reshape(batch, q_len, self.d_model)
-            return self.dropout(self.output_proj(Tensor(merged)))
-
-        context, weights = scaled_dot_product_attention(q, k, v, mask=mask, fused=False)
+        context, weights = scaled_dot_product_attention(q, k, v, mask=mask)
         self.last_attention = weights.data
         merged = self._merge_heads(context, batch, q_len)
         return self.dropout(self.output_proj(merged))

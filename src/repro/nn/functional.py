@@ -3,7 +3,8 @@
 These functions mirror ``torch.nn.functional``: they build autograd graph
 nodes but hold no parameters.  Numerically sensitive operations (softmax,
 log-softmax, cross entropy) are implemented with the usual max-subtraction
-stabilisation.
+stabilisation.  With grad off every operation computes the same arrays
+and records no graph; :func:`linear` alone also skips its graph wrappers.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.tensor import Tensor, is_grad_enabled
-from repro.utils.exceptions import ConfigurationError
 
 __all__ = [
     "softmax",
@@ -28,8 +28,6 @@ __all__ = [
     "binary_cross_entropy_with_logits",
     "mean_squared_error",
     "one_hot",
-    "fused_attention",
-    "softmax_",
 ]
 
 
@@ -50,20 +48,6 @@ def tanh(x: Tensor) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation used by BERT)."""
-    if not is_grad_enabled():
-        # Fused inference path: the same ufuncs in the same order as the
-        # graph path below (products commuted, which is bitwise-exact), but
-        # in place on one scratch buffer instead of eight graph temporaries.
-        data = x.data
-        inner = data * data
-        inner *= data
-        inner *= 0.044715
-        inner += data
-        inner *= np.sqrt(2.0 / np.pi)
-        np.tanh(inner, out=inner)
-        inner += 1.0
-        inner *= data * 0.5
-        return Tensor(inner)
     inner = Tensor(np.sqrt(2.0 / np.pi)) * (x + x * x * x * 0.044715)
     return x * 0.5 * (inner.tanh() + 1.0)
 
@@ -202,8 +186,7 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Affine map ``x @ weight.T + bias`` matching ``torch.nn.functional.linear``."""
     if not is_grad_enabled():
-        # Fused inference path: the identical GEMM + broadcast add, without
-        # the transpose/matmul/add graph wrappers (bitwise-equal output).
+        # Kept for GRU4Rec, the IRS evaluator: its score_next is ~2x slower without it.
         out = np.matmul(x.data, weight.data.T)
         if bias is not None:
             out += bias.data
@@ -212,61 +195,3 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         out = out + bias
     return out
-
-
-# ---------------------------------------------------------------------- #
-# Fused inference kernels (raw ndarrays, no autograd graph)
-# ---------------------------------------------------------------------- #
-
-
-def softmax_(scores: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis, **in place**.
-
-    The max-subtraction, exponentiation and normalisation all reuse
-    ``scores``'s buffer; only the per-row max/sum reductions allocate.
-    Returns ``scores`` for chaining.
-    """
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    return scores
-
-
-def fused_attention(
-    query: np.ndarray,
-    key: np.ndarray,
-    value: np.ndarray,
-    mask: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled dot-product attention fused into one pass over raw ndarrays.
-
-    Computes ``softmax(QK^T / sqrt(d_k) + mask) V`` exactly like the
-    graph-building implementation in :mod:`repro.nn.attention`, but with
-    score + scale + mask + softmax all applied **in place** on a single
-    preallocated score buffer (one allocation where the graph path
-    materialises an intermediate per op, plus the graph nodes themselves).
-    Inference only — the result carries no autograd graph, so the call
-    raises unless grad is disabled; the graph path remains the training
-    implementation and the parity oracle (equal to ~1e-12, same BLAS
-    contractions in the same order).
-
-    Returns ``(context, weights)`` as raw float64 ndarrays.
-    """
-    if is_grad_enabled():
-        raise ConfigurationError(
-            "fused_attention builds no autograd graph; wrap the call in no_grad() "
-            "(the Tensor implementation in repro.nn.attention is the training path)"
-        )
-    query = np.asarray(query, dtype=np.float64)
-    key = np.asarray(key, dtype=np.float64)
-    value = np.asarray(value, dtype=np.float64)
-    d_k = query.shape[-1]
-    batch_shape = np.broadcast_shapes(query.shape[:-2], key.shape[:-2])
-    scores = np.empty(batch_shape + (query.shape[-2], key.shape[-2]), dtype=np.float64)
-    np.matmul(query, key.swapaxes(-1, -2), out=scores)
-    scores *= 1.0 / np.sqrt(d_k)
-    if mask is not None:
-        scores += np.asarray(mask)
-    softmax_(scores)
-    context = np.matmul(scores, value)
-    return context, scores

@@ -10,7 +10,10 @@ contiguous arrays of the program's dtype — Q/K/V fused into one ``(d, 3d)``
 GEMM operand, every weight pre-transposed, the ``r_u`` of every user
 pre-computed — and every IRN scorer (:mod:`repro.core.irn`) is then composed
 from one primitive, :func:`block`, plus the module-level :func:`layer_norm`,
-:func:`gelu_` and :func:`attend` it is made of.
+:func:`gelu_` and :func:`attend` (with its in-place :func:`softmax_`) it is
+made of.  This is the one no-grad implementation of the Transformer in
+:mod:`repro.nn`: the modules have no inference twin, and the baselines infer
+through their graph forward with grad off.
 
 A :class:`Program` is read-only after :func:`compile` and holds no scratch:
 threads share it freely, every call allocates what it returns.  It computes
@@ -27,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn.functional import softmax_
 from repro.utils.exceptions import ConfigurationError
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
     "split_heads",
     "keys_values",
     "attend",
+    "softmax_",
     "layer_norm",
     "gelu_",
 ]
@@ -183,6 +186,19 @@ def gelu_(x: np.ndarray) -> np.ndarray:
     inner *= 0.5
     x *= inner
     return x
+
+
+def softmax_(scores: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax over the last axis, **in place**.
+
+    The max-subtraction, exponentiation and normalisation all reuse
+    ``scores``'s buffer; only the per-row max/sum reductions allocate.
+    Returns ``scores`` for chaining.
+    """
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 def attend(

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn import init
-from repro.nn.tensor import Tensor, is_grad_enabled
+from repro.nn.tensor import Tensor
 from repro.utils.exceptions import ConfigurationError
 from repro.utils.rng import as_rng
 
@@ -265,16 +265,6 @@ class LayerNorm(Module):
         self.bias = Parameter(np.zeros((normalized_shape,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        if not is_grad_enabled():
-            # Fused inference path: same reductions and ufuncs as the graph
-            # path below (bitwise-equal), in place on one centred buffer.
-            data = x.data
-            centered = data - data.mean(axis=-1, keepdims=True)
-            variance = np.mean(centered * centered, axis=-1, keepdims=True)
-            centered /= (variance + self.eps) ** 0.5
-            centered *= self.weight.data
-            centered += self.bias.data
-            return Tensor(centered)
         mean = x.mean(axis=-1, keepdims=True)
         centered = x - mean
         variance = (centered * centered).mean(axis=-1, keepdims=True)

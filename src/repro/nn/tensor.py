@@ -99,12 +99,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _as_array(value) -> np.ndarray:
-    if isinstance(value, Tensor):
-        return value.data
-    return np.asarray(value, dtype=np.float64)
-
-
 class Tensor:
     """An n-dimensional array with reverse-mode autodiff.
 
@@ -357,35 +351,6 @@ class Tensor:
             self._accumulate(grad * mask)
 
         return Tensor._make(data, (self,), backward)
-
-    # ------------------------------------------------------------------ #
-    # In-place inference ops
-    # ------------------------------------------------------------------ #
-    def _require_inference_mode(self, op: str) -> None:
-        if is_grad_enabled():
-            raise ConfigurationError(
-                f"Tensor.{op} mutates its buffer and cannot participate in the "
-                f"autograd graph; wrap the call in no_grad()"
-            )
-
-    def add_(self, other) -> "Tensor":
-        """In-place add (inference only: raises unless grad is disabled)."""
-        self._require_inference_mode("add_")
-        self.data += _as_array(other)
-        return self
-
-    def mul_(self, other) -> "Tensor":
-        """In-place multiply (inference only: raises unless grad is disabled)."""
-        self._require_inference_mode("mul_")
-        self.data *= _as_array(other)
-        return self
-
-    def masked_fill_(self, mask: np.ndarray, value: float) -> "Tensor":
-        """Set entries where ``mask`` is true to ``value``, in place
-        (inference only: raises unless grad is disabled)."""
-        self._require_inference_mode("masked_fill_")
-        np.copyto(self.data, value, where=np.asarray(mask, dtype=bool))
-        return self
 
     # ------------------------------------------------------------------ #
     # Reductions

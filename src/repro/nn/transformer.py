@@ -5,10 +5,10 @@ single sequence (self-attention only, causal + objective-aware masking), which
 structurally is an encoder layer with a custom additive mask.  The same block
 is reused by SASRec (causal mask) and BERT4Rec (no mask).
 
-These modules are the training path and the parity oracle.  With gradients
-off they take the fused no-grad branches, which is how the baselines infer;
-IRN's inference runs the same arithmetic from a compiled program instead
-(:mod:`repro.nn.inference`).
+These modules are the training path and the parity oracle, and with
+gradients off the way the baselines infer: the same forward, recording no
+graph.  IRN's inference runs the same arithmetic from a compiled program
+instead (:mod:`repro.nn.inference`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.nn.attention import NEG_INF, MultiHeadAttention
 from repro.nn.layers import Dropout, LayerNorm, Linear, Module, ModuleList
-from repro.nn.tensor import Tensor, is_grad_enabled
+from repro.nn.tensor import Tensor
 from repro.nn import functional as F
 from repro.utils.rng import as_rng, spawn_rng
 
@@ -117,14 +117,7 @@ class TransformerEncoderLayer(Module):
         self.dropout = Dropout(dropout, rng=rngs[2])
 
     def forward(self, x: Tensor, mask: "np.ndarray | Tensor | None" = None) -> Tensor:
-        attended = self.attention(self.norm1(x), mask=mask)
-        if not is_grad_enabled():
-            # Inference: fold the residuals into the freshly produced
-            # sub-layer outputs (never into the caller's ``x``, whose buffer
-            # may be shared) instead of allocating two sum tensors.
-            x = self.dropout(attended).add_(x)
-            return self.feed_forward(self.norm2(x)).add_(x)
-        x = x + self.dropout(attended)
+        x = x + self.dropout(self.attention(self.norm1(x), mask=mask))
         x = x + self.feed_forward(self.norm2(x))
         return x
 

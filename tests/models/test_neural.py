@@ -2,13 +2,20 @@
 
 Training budgets are intentionally tiny (1-2 epochs on the tiny corpus); the
 tests check interface contracts, learning signal (loss decreases) and basic
-recommendation sanity rather than final accuracy.
+recommendation sanity rather than final accuracy.  With grad off every
+model infers through its plain graph forward; ``TestNoGradInference`` holds
+that forward to the grad-enabled one, bit for bit.
 """
+
+import contextlib
+import sys
 
 import numpy as np
 import pytest
 
+from repro.core.irn import IRN
 from repro.data.padding import PAD_INDEX
+from repro.models import base
 from repro.models.bert4rec import Bert4Rec
 from repro.models.caser import Caser
 from repro.models.gru4rec import GRU4Rec
@@ -19,16 +26,47 @@ def _tiny_kwargs():
     return dict(embedding_dim=12, epochs=2, batch_size=32, max_sequence_length=16, seed=0)
 
 
-@pytest.fixture(scope="module", params=["gru4rec", "sasrec", "caser", "bert4rec"])
-def fitted_neural_model(request, tiny_split):
-    """Each neural model fitted once per module on the tiny split."""
-    factories = {
-        "gru4rec": lambda: GRU4Rec(hidden_size=12, **_tiny_kwargs()),
-        "sasrec": lambda: SASRec(num_heads=2, num_layers=1, **_tiny_kwargs()),
-        "caser": lambda: Caser(window=4, num_horizontal=4, num_vertical=1, **_tiny_kwargs()),
-        "bert4rec": lambda: Bert4Rec(num_heads=2, num_layers=1, **_tiny_kwargs()),
-    }
-    return factories[request.param]().fit(tiny_split)
+FACTORIES = {
+    "gru4rec": lambda: GRU4Rec(hidden_size=12, **_tiny_kwargs()),
+    "sasrec": lambda: SASRec(num_heads=2, num_layers=1, **_tiny_kwargs()),
+    "caser": lambda: Caser(window=4, num_horizontal=4, num_vertical=1, **_tiny_kwargs()),
+    "bert4rec": lambda: Bert4Rec(num_heads=2, num_layers=1, **_tiny_kwargs()),
+    "irn": lambda: IRN(user_dim=4, num_heads=2, num_layers=1, item2vec_init=False,
+                       **_tiny_kwargs()),
+}
+BASELINES = ["gru4rec", "sasrec", "caser", "bert4rec"]
+
+
+@pytest.fixture(scope="module")
+def fitted_models(tiny_split):
+    """``name -> model``, each fitted once per module on the tiny split."""
+    fitted = {}
+
+    def get(name):
+        if name not in fitted:
+            fitted[name] = FACTORIES[name]().fit(tiny_split)
+        return fitted[name]
+
+    return get
+
+
+@pytest.fixture(scope="module", params=BASELINES)
+def fitted_neural_model(request, fitted_models):
+    """Each baseline neural model, fitted once per module."""
+    return fitted_models(request.param)
+
+
+def _recording(monkeypatch, owner, name):
+    """Wrap the callable ``owner.name``; returns the list of what it returned."""
+    results = []
+    original = getattr(owner, name)
+
+    def record(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(owner, name, record)
+    return results
 
 
 class TestNeuralModelContract:
@@ -66,6 +104,51 @@ class TestNeuralModelContract:
     def test_probabilities_are_normalised(self, fitted_neural_model):
         probs = fitted_neural_model.probabilities([1, 2, 3], user_index=0)
         assert probs.sum() == pytest.approx(1.0)
+
+
+class TestNoGradInference:
+    """Grad off, the models infer and validate through the plain graph
+    forward; with grad on (the training path) it must read the same."""
+
+    def test_score_next_equals_the_grad_enabled_forward(
+        self, fitted_neural_model, tiny_split, monkeypatch
+    ):
+        model = fitted_neural_model
+        rng = np.random.default_rng(7)
+        vocab_size = tiny_split.corpus.vocab.size
+        histories = [list(rng.integers(1, vocab_size, size=n)) for n in (0, 1, 2, 5, 15, 16, 40)]
+        expected = [model.score_next(history, user_index=1) for history in histories]
+        outputs = _recording(monkeypatch, model.module, "forward")
+        monkeypatch.setattr(sys.modules[type(model).__module__], "no_grad", contextlib.nullcontext)
+        for history, scores in zip(histories, expected):
+            assert np.array_equal(model.score_next(history, user_index=1), scores)
+        assert len(outputs) == len(histories)
+        assert all(output.requires_grad for output in outputs)
+
+    @pytest.mark.parametrize("name", BASELINES + ["irn"])
+    def test_validation_loss_builds_no_graph(self, name, fitted_models, tiny_split, monkeypatch):
+        model = fitted_models(name)
+        losses = _recording(monkeypatch, model, "_loss")
+        try:
+            value = model._validation_loss(tiny_split, np.random.default_rng(3))
+        finally:
+            model.module.eval()  # _validation_loss leaves the module in train mode
+        assert isinstance(value, float) and np.isfinite(value)
+        assert losses and not any(loss.requires_grad for loss in losses)
+
+    @pytest.mark.parametrize("name", BASELINES + ["irn"])
+    def test_validation_loss_equals_the_grad_enabled_loss(
+        self, name, fitted_models, tiny_split, monkeypatch
+    ):
+        model = fitted_models(name)
+        try:
+            expected = model._validation_loss(tiny_split, np.random.default_rng(3))
+            losses = _recording(monkeypatch, model, "_loss")
+            monkeypatch.setattr(base, "no_grad", contextlib.nullcontext)
+            assert model._validation_loss(tiny_split, np.random.default_rng(3)) == expected
+        finally:
+            model.module.eval()
+        assert losses and all(loss.requires_grad for loss in losses)
 
 
 class TestModelSpecificBehaviour:

@@ -1,9 +1,9 @@
 """Unit tests for the primitives of the compiled inference program.
 
 Each module-level function of :mod:`repro.nn.inference` is held to the
-graph-building module it replaces at inference (grad enabled, so the oracle
-is the training path, not a fused no-grad branch); the scorer-level
-acceptance lives in ``tests/core/test_inference_program.py``.
+graph-building module it replaces at inference, with grad enabled: the
+oracle is the training path itself.  The scorer-level acceptance lives in
+``tests/core/test_inference_program.py``.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cache.kv import LayerKVCache
 from repro.nn import functional as F
 from repro.nn import inference
 from repro.nn.attention import NEG_INF, scaled_dot_product_attention
@@ -69,6 +70,21 @@ class TestPrimitives:
         np.testing.assert_allclose(out, expected.data, rtol=0, atol=ATOL)
 
 
+class TestSoftmaxInPlace:
+    def test_matches_graph_softmax_and_reuses_buffer(self, rng):
+        scores = rng.normal(size=(2, 3, 4))
+        expected = F.softmax(Tensor(scores.copy(), requires_grad=True), axis=-1).data
+        result = inference.softmax_(scores)
+        assert result is scores  # mutated in place, returned for chaining
+        np.testing.assert_allclose(result, expected, rtol=0, atol=ATOL)
+
+    def test_large_logits_stay_stable(self):
+        scores = np.array([[1000.0, 1001.0, 999.0]])
+        result = inference.softmax_(scores)
+        assert np.isfinite(result).all()
+        np.testing.assert_allclose(result.sum(axis=-1), 1.0, rtol=0, atol=ATOL)
+
+
 class TestBlock:
     def test_full_block_matches_the_graph_layer(self, graph_layer, rng):
         x = rng.normal(size=(3, 5, 8))
@@ -104,6 +120,37 @@ class TestBlock:
             layer, x[:, 4:], causal_mask(6)[4:], prefix_kv=(keys, values)
         )
         np.testing.assert_allclose(out, full[:, 4:], rtol=0, atol=ATOL)
+
+    def test_cache_row_gathers_keep_parity(self, rng):
+        """``block`` attending over arena views after beam-style reorders.
+
+        One layer, so cached K/V are projections of the inputs alone and any
+        mask on the newest row keeps incremental == full.  Oracle: the graph
+        forward of the same layer over each row's whole input.
+        """
+        graph = TransformerEncoderLayer(d_model=8, num_heads=2, dropout=0.0, rng=0)
+        graph.eval()
+        layer = inference.compile_layer(graph)
+        inputs = rng.normal(size=(4, 6, 8))
+        _, keys, values = inference.block(layer, inputs, causal_mask(6))
+        cache = LayerKVCache()
+        cache.extend(keys, values)
+        for _ in range(5):
+            rows = rng.integers(0, cache.batch_size, size=int(rng.integers(2, 6)))
+            cache.reorder(rows)
+            step = rng.normal(size=(len(rows), 1, 8))
+            inputs = np.concatenate([inputs[rows], step], axis=1)
+            length = inputs.shape[1]
+            mask = np.repeat(causal_mask(length)[None], len(rows), axis=0)
+            mask[:, -1:, :] = random_mask(rng, (len(rows), 1, length))
+            out, keys, values = inference.block(
+                layer, step, mask[:, -1:, :], prefix_kv=(cache.keys, cache.values)
+            )
+            cache.extend(keys, values)
+            assert cache.length == length
+            expected = graph(Tensor(inputs), mask=mask)
+            assert expected.requires_grad  # grad on: the training path is the oracle
+            np.testing.assert_allclose(out[:, 0], expected.data[:, -1], rtol=0, atol=1e-10)
 
     def test_keys_values_alone(self, graph_layer, rng):
         layer = inference.compile_layer(graph_layer)

@@ -34,8 +34,9 @@ CITED = sorted({test_id for _, ids in ROWS for test_id in ids})
 
 
 def test_every_bit_cites_a_test():
-    # one row per bit family the contract report once carried
-    assert len(ROWS) >= 27
+    # one row per bit family the contract report once carried, less the
+    # in-place tensor ops' guard, whose code was deleted
+    assert len(ROWS) >= 26
     for bit, ids in ROWS:
         assert ids, f"the contract bit {bit!r} cites no test id"
 

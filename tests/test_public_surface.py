@@ -5,7 +5,9 @@ attribute name (``SPAN_TABLE``); a rename in ``src/repro`` would break the
 traced benchmark run, not any test, so every row is resolved here the way
 the recorder's ``install()`` resolves it.  Planning and serving run one
 partition: the constructors and entry points that once took a sharding knob
-refuse it as an unexpected argument.
+refuse it as an unexpected argument.  ``nn/`` holds the training graph plus
+one compiled inference program: attention takes no ``fused=``, and no code
+forks on grad mode but the one measured branch in ``F.linear``.
 """
 
 from __future__ import annotations
@@ -24,13 +26,16 @@ from repro.distributed.remote import RemoteReplicaSet
 from repro.evaluation.nextitem import evaluate_next_item
 from repro.evaluation.protocol import IRSEvaluationProtocol
 from repro.experiments.config import ExperimentConfig
+from repro.nn.attention import MultiHeadAttention, scaled_dot_product_attention
 from repro.replica.set import ReplicaSet
 from repro.serve.loop import ServingLoop
 from repro.serve.queue import RequestQueue
 from repro.shard.executor import ShardedExecutor
 from repro.shard.topk import stable_topk
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "benchmarks" / "e2e" / "tracing.py"
+SOURCE = ROOT / "src" / "repro"
 
 
 def _span_table() -> "tuple[tuple[str, str | None, str], ...]":
@@ -100,7 +105,8 @@ def test_the_planner_selects_through_the_pinned_name(monkeypatch):
     assert plans == [[6], [4]]
 
 
-#: (entry point, an argument it took while planning or serving was sharded)
+#: (entry point, an argument it took while planning or serving was sharded,
+#: or while attention had a fused no-grad twin)
 DELETED_ARGUMENTS = [
     (BeamSearchPlanner, "num_workers"),
     (BeamSearchPlanner, "shard_backend"),
@@ -114,15 +120,60 @@ DELETED_ARGUMENTS = [
     (ExperimentConfig, "shard_backend"),
     (ExperimentConfig, "vocab_shards"),
     (ShardedExecutor, "backend"),
+    (scaled_dot_product_attention, "fused"),
+    (MultiHeadAttention.forward, "fused"),
 ]
 
 
 @pytest.mark.parametrize(
     "target,name",
     DELETED_ARGUMENTS,
-    ids=[f"{target.__name__}-{name}" for target, name in DELETED_ARGUMENTS],
+    ids=[f"{target.__qualname__}-{name}" for target, name in DELETED_ARGUMENTS],
 )
 def test_a_deleted_argument_is_refused(target, name):
     """Bound, not called: a call that accepted it would start real work."""
     with pytest.raises(TypeError, match=name):
         inspect.signature(target).bind_partial(**{name: 2})
+
+class _GradModeReaders(ast.NodeVisitor):
+    """The enclosing function (or ``"<module>"``) of every ``is_grad_enabled``
+    a module names: a call, an attribute read or an import."""
+
+    def __init__(self) -> None:
+        self.scopes = ["<module>"]
+        self.found: "set[str]" = set()
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        self.scopes.append(node.name)
+        self.generic_visit(node)
+        self.scopes.pop()
+
+    def _record(self, name: str) -> None:
+        if name == "is_grad_enabled":
+            self.found.add(self.scopes[-1])
+
+    def visit_Name(self, node: ast.Name) -> None:
+        self._record(node.id)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self._record(node.attr)
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        for alias in node.names:
+            self._record(alias.name)
+
+
+def test_only_the_tensor_engine_and_linear_read_grad_mode():
+    """A no-grad fork is a second implementation to keep exact; the one left,
+    ``F.linear``'s, is measured (GRU4Rec scores ~2x slower without it).  A new
+    one must name its measurement and be added here."""
+    readers = set()
+    for path in sorted(SOURCE.rglob("*.py")):
+        visitor = _GradModeReaders()
+        visitor.visit(ast.parse(path.read_text()))
+        relative = path.relative_to(SOURCE).as_posix()
+        readers |= {(relative, scope) for scope in visitor.found}
+    outside = {reader for reader in readers if reader[0] != "nn/tensor.py"}
+    assert outside == {("nn/functional.py", "<module>"), ("nn/functional.py", "linear")}
+    assert ("nn/tensor.py", "no_grad") in readers
