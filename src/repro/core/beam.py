@@ -100,17 +100,18 @@ without a shortlist plan in a second, exact lockstep beam.
 Serving
 -------
 :meth:`BeamSearchPlanner.plan_for_requests` multiplexes heterogeneous
-serving micro-batches — ``next_step`` and ``plan_paths`` requests mixed —
-into fused planning calls; it is the drain target of the asynchronous
-serving loop (:mod:`repro.serve`) and the routing layer both
-:meth:`next_step` and :meth:`plan_path` now go through as batches of one.
+serving micro-batches of :class:`~repro.serve.request.ServeRequest`
+envelopes — ``next_step`` and ``plan_paths`` requests mixed — into fused
+planning calls; it is the drain target of the asynchronous serving loop
+(:mod:`repro.serve`) and the routing layer both :meth:`next_step` and
+:meth:`plan_path` go through as batches of one envelope.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from typing import Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -124,6 +125,9 @@ from repro.obs.trace import current_sink
 from repro.shard.topk import stable_topk
 from repro.utils.batch import broadcast_user_indices, check_batch_lengths
 from repro.utils.exceptions import ConfigurationError, StaleGenerationError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle: repro.serve imports MISS
+    from repro.serve.request import ServeRequest
 
 __all__ = ["BeamSearchPlanner", "MISS"]
 
@@ -868,25 +872,37 @@ class BeamSearchPlanner(InfluentialRecommender):
         max_length: int | None = None,
     ) -> list[int]:
         """Plan a full influence path with beam search (batch-of-one)."""
-        return self.plan_for_requests(
-            [("plan_paths", history, objective, (), user_index, max_length)]
-        )[0]
+        # repro.serve imports this module (MISS), so the envelope is
+        # imported where it is built.
+        from repro.serve.request import ServeRequest
+
+        request = ServeRequest.create(
+            "plan_paths", history, objective, user_index=user_index, max_length=max_length
+        )
+        return self.plan_for_requests([request])[0]
 
     # ------------------------------------------------------------------ #
     # Serving micro-batches
     # ------------------------------------------------------------------ #
-    def plan_for_requests(self, requests: Sequence[tuple]) -> list:
+    def _step_key(self, request: "ServeRequest", retrieval) -> tuple:
+        """The serving-cache key of ``request``'s context: the context, the
+        serving horizon and the retrieval identity (:meth:`_retrieval_key`)."""
+        return (request.history, request.objective, request.user_index, self.max_length, retrieval)
+
+    def plan_for_requests(self, requests: "Sequence[ServeRequest]") -> list:
         """Answer a heterogeneous micro-batch of serving requests.
 
-        ``requests`` holds ``(kind, history, objective, path_so_far,
-        user_index)`` tuples (an optional sixth element overrides the
-        planning horizon), where ``kind`` is ``"next_step"`` — answered with
-        the next planned item or ``None``, exactly like :meth:`next_step` —
-        or ``"plan_paths"`` — answered with a full planned path, exactly
-        like :meth:`plan_path`.  This is the entry point the serving loop
-        (:mod:`repro.serve`) drains its queue through, and the routing layer
-        under the old serving surface: :meth:`next_step` and
-        :meth:`plan_path` are batch-of-one calls into it.
+        ``requests`` holds :class:`~repro.serve.request.ServeRequest`
+        envelopes, read exactly as :meth:`ServeRequest.create
+        <repro.serve.request.ServeRequest.create>` validated and normalised
+        them (tuples of ``int``, a checked horizon, no horizon on a
+        ``next_step``).  A ``next_step`` is answered with the next planned
+        item or ``None``, exactly like :meth:`next_step`; a ``plan_paths``
+        with a full planned path, exactly like :meth:`plan_path` (its
+        ``max_length`` overrides the planning horizon).  Any other kind is
+        refused before any work.  This is the entry point the serving loop
+        (:mod:`repro.serve`) drains its queue through; :meth:`next_step`
+        and :meth:`plan_path` are batch-of-one calls into it.
 
         All replanning work in the batch is *fused*: every ``plan_paths``
         request and every ``next_step`` serving-cache miss that shares a
@@ -901,6 +917,11 @@ class BeamSearchPlanner(InfluentialRecommender):
         """
         if not requests:
             return []
+        for request in requests:
+            if request.kind not in ("next_step", "plan_paths"):
+                raise ConfigurationError(
+                    f"request kind must be 'next_step' or 'plan_paths', got {request.kind!r}"
+                )
         self._require_fitted()
         self._sync_backbone_generation()
         # The drain thread's batch sink (None unless this micro-batch is
@@ -911,35 +932,8 @@ class BeamSearchPlanner(InfluentialRecommender):
         # alias exact ones (or plans from a differently-configured/refit
         # generator); constant per call, computed once.
         retrieval = self._retrieval_key()
-        normalized: list[tuple] = []
-        for request in requests:
-            kind, history, objective, path_so_far, user = request[:5]
-            if kind not in ("next_step", "plan_paths"):
-                raise ConfigurationError(
-                    f"request kind must be 'next_step' or 'plan_paths', got {kind!r}"
-                )
-            horizon = request[5] if len(request) > 5 else None
-            if kind == "next_step" and horizon is not None:
-                # next_step serves from the per-context plan keyed by the
-                # constructor horizon; a per-request override would silently
-                # key and truncate against the wrong plan, so it is an error
-                # (validated again at the ServingLoop submit boundary).
-                raise ConfigurationError(
-                    "next_step requests cannot override max_length; the serving "
-                    f"horizon is the constructor-level max_length ({self.max_length})"
-                )
-            normalized.append(
-                (
-                    kind,
-                    [int(item) for item in history],
-                    int(objective),
-                    [int(item) for item in (path_so_far or ())],
-                    user,
-                    self.max_length if horizon is None else horizon,
-                )
-            )
-        results: list = [None] * len(normalized)
-        remaining = list(range(len(normalized)))
+        results: list = [None] * len(requests)
+        remaining = list(range(len(requests)))
         while remaining:
             # Arrival-ordered wave: at most one request per serving context.
             # A duplicate context defers to the next wave so it observes the
@@ -949,9 +943,9 @@ class BeamSearchPlanner(InfluentialRecommender):
             deferred: list[int] = []
             seen_keys: set = set()
             for index in remaining:
-                kind, history, objective, path_so_far, user, _ = normalized[index]
-                if kind == "next_step":
-                    key = (tuple(history), objective, user, self.max_length)
+                request = requests[index]
+                if request.kind == "next_step":
+                    key = (request.history, request.objective, request.user_index)
                     if key in seen_keys:
                         deferred.append(index)
                         continue
@@ -963,14 +957,15 @@ class BeamSearchPlanner(InfluentialRecommender):
             # cache.decision span with its hit/replan outcome.
             misses: list[int] = []
             for index in wave:
-                kind, history, objective, path_so_far, user, _ = normalized[index]
-                if kind == "plan_paths":
+                request = requests[index]
+                if request.kind == "plan_paths":
                     misses.append(index)
                     continue
-                key = (tuple(history), objective, user, self.max_length, retrieval)
+                path_so_far = request.path_so_far
+                key = self._step_key(request, retrieval)
                 consult_start = time.perf_counter() if sink is not None else 0.0
                 plan = self._step_cache.get(key)
-                if plan is not None and list(plan[: len(path_so_far)]) == path_so_far:
+                if plan is not None and plan[: len(path_so_far)] == path_so_far:
                     self._serving_metrics.record(add={"hits": 1})
                     if sink is not None:
                         sink.request_span(
@@ -998,27 +993,27 @@ class BeamSearchPlanner(InfluentialRecommender):
             # horizon (lockstep traffic shares one, so typically one call).
             groups: dict[int, list[int]] = {}
             for index in misses:
-                kind, _, _, path_so_far, _, horizon = normalized[index]
-                effective = (
-                    horizon
-                    if kind == "plan_paths"
-                    else max(self.max_length - len(path_so_far), 1)
-                )
+                request = requests[index]
+                if request.kind == "next_step":
+                    effective = max(self.max_length - len(request.path_so_far), 1)
+                else:  # create() admits only a positive horizon, or None
+                    effective = request.max_length or self.max_length
                 groups.setdefault(effective, []).append(index)
             for effective, indices in groups.items():
                 planned = self.plan_paths_batch(
-                    [normalized[i][1] + normalized[i][3] for i in indices],
-                    [normalized[i][2] for i in indices],
-                    [normalized[i][4] for i in indices],
+                    [requests[i].history + requests[i].path_so_far for i in indices],
+                    [requests[i].objective for i in indices],
+                    [requests[i].user_index for i in indices],
                     max_length=effective,
                 )
                 for index, path in zip(indices, planned):
-                    kind, history, objective, path_so_far, user, _ = normalized[index]
-                    if kind == "plan_paths":
+                    request = requests[index]
+                    if request.kind == "plan_paths":
                         results[index] = list(path)
                         continue
-                    key = (tuple(history), objective, user, self.max_length, retrieval)
-                    plan = tuple(path_so_far + list(path))
+                    path_so_far = request.path_so_far
+                    key = self._step_key(request, retrieval)
+                    plan = path_so_far + tuple(path)
                     self._step_cache.put(key, plan)
                     results[index] = (
                         int(plan[len(path_so_far)]) if len(plan) > len(path_so_far) else None
@@ -1026,14 +1021,9 @@ class BeamSearchPlanner(InfluentialRecommender):
             remaining = deferred
         return results
 
-    def serve_resident(
-        self,
-        history: "tuple[int, ...]",
-        objective: int,
-        path_so_far: "tuple[int, ...]",
-        user_index: "int | None" = None,
-    ):
-        """The ``next_step`` answer a resident plan gives, or :data:`MISS`.
+    def serve_resident(self, request: "ServeRequest"):
+        """The ``next_step`` answer a resident plan gives ``request``, or
+        :data:`MISS`.
 
         The serving loop's admission path: when the context's serving-cache
         entry exists and ``path_so_far`` is a prefix of it, the answer is
@@ -1045,16 +1035,13 @@ class BeamSearchPlanner(InfluentialRecommender):
         :meth:`plan_for_requests`, which looks the entry up again and counts
         that one lookup, so a request is one serving-cache lookup on either
         path.  The generation guard runs first, as it does there.
-
-        Takes the context as :meth:`ServeRequest.create
-        <repro.serve.request.ServeRequest.create>` normalised it (tuples of
-        ``int``), which is the form the cache keys on.
         """
         self._require_fitted()
         self._sync_backbone_generation()
+        path_so_far = request.path_so_far
         served = len(path_so_far)
         plan = self._step_cache.probe(
-            (history, objective, user_index, self.max_length, self._retrieval_key()),
+            self._step_key(request, self._retrieval_key()),
             lambda plan: plan[:served] == path_so_far,
         )
         if plan is None:
@@ -1062,20 +1049,12 @@ class BeamSearchPlanner(InfluentialRecommender):
         self._serving_metrics.record(add={"hits": 1})
         return int(plan[served]) if len(plan) > served else None
 
-    def resident_plan(
-        self,
-        history: "tuple[int, ...]",
-        objective: int,
-        user_index: "int | None" = None,
-    ) -> "tuple[int, ...] | None":
-        """The serving-cache plan of one context, or ``None`` — an
+    def resident_plan(self, request: "ServeRequest") -> "tuple[int, ...] | None":
+        """The serving-cache plan of ``request``'s context, or ``None`` — an
         observer's peek: no counter moves and the entry's recency stays
         where it was.  The process transport reads it right after answering
-        a ``next_step`` to mirror the plan on the fleet's parent.  Takes the
-        context normalised as :meth:`serve_resident` does."""
-        return self._step_cache.peek(
-            (history, objective, user_index, self.max_length, self._retrieval_key())
-        )
+        a ``next_step`` to mirror the plan on the fleet's parent."""
+        return self._step_cache.peek(self._step_key(request, self._retrieval_key()))
 
     @property
     def resident_slots(self) -> int:
@@ -1126,6 +1105,8 @@ class BeamSearchPlanner(InfluentialRecommender):
         serving loop's micro-batched drains answer many of these with one
         fused planning pass, identically.
         """
+        from repro.serve.request import ServeRequest
+
         return self.plan_for_requests(
-            [("next_step", history, objective, path_so_far, user_index)]
+            [ServeRequest.create("next_step", history, objective, path_so_far, user_index)]
         )[0]

@@ -20,8 +20,8 @@ arrival/completion on its own clock.  A request's ``deadline`` follows the
 same rule: the record carries the *budget left* when it was packed
 (``inf`` = no deadline) and the decoder turns it back into an instant of
 its own clock, so ``deadline`` means the same on every transport — the
-worker loop's admission refuses an expired request with the typed error
-that already round-trips (``QueueFullError``).
+worker loop's admission refuses an expired request with a typed error
+that round-trips (``DeadlineExceeded``, a ``QueueFullError``).
 
 Record layouts (network order; the ``struct`` formats live next to the
 codecs below):
@@ -58,6 +58,7 @@ import time
 from repro.serve.request import ServeRequest
 from repro.utils.exceptions import (
     ConfigurationError,
+    DeadlineExceeded,
     QueueFullError,
     ServingError,
     StaleGenerationError,
@@ -125,9 +126,9 @@ MAX_PAYLOAD_BYTES = 1 << 30
 # on its own clock.
 _REQUEST_FIXED = struct.Struct("!QBqqiIIHd")
 #: Open enum of request kinds on the wire.  ``rank`` and ``kg_path`` reuse
-#: the positional slots the way the typed API lowers them (k in the
-#: objective slot / exclusions in the path slot; source as the history's
-#: last item / target in the objective slot), so no new record shapes.
+#: the envelope fields the way the typed API lowers them (k in
+#: ``objective`` / exclusions in ``path_so_far``; source as the history's
+#: last item / target in ``objective``), so no new record shapes.
 _KIND_CODES = {"next_step": 0, "plan_paths": 1, "rank": 2, "kg_path": 3}
 _KIND_NAMES = {code: name for name, code in _KIND_CODES.items()}
 
@@ -158,7 +159,13 @@ _COUNT = struct.Struct("!I")
 #: the original class name preserved in the message.
 _WIRE_EXCEPTIONS = {
     cls.__name__: cls
-    for cls in (ConfigurationError, QueueFullError, ServingError, StaleGenerationError)
+    for cls in (
+        ConfigurationError,
+        DeadlineExceeded,
+        QueueFullError,
+        ServingError,
+        StaleGenerationError,
+    )
 }
 
 

@@ -55,6 +55,7 @@ from repro.serve.api import TypedServingSurface
 from repro.serve.loop import ServingLoop
 from repro.serve.queue import rollup_queue_stats
 from repro.serve.request import ServeRequest
+from repro.tenant.adapters import PlannerAdapter
 from repro.utils.exceptions import ConfigurationError, QueueFullError, ServingError
 
 __all__ = ["ReplicaSet"]
@@ -178,13 +179,10 @@ class ReplicaSet(TypedServingSurface):
     # Member construction (also used by the refit coordinator)
     # ------------------------------------------------------------------ #
     def _make_planner(self):
-        """One validated ``planner_factory`` call."""
+        """One ``planner_factory`` call, refused (before any member is built
+        from it) when it returns no planner."""
         planner = self._factory()
-        if not hasattr(planner, "plan_for_requests"):
-            raise ConfigurationError(
-                "planner_factory must return a planner with plan_for_requests() "
-                f"(got {type(planner).__name__})"
-            )
+        PlannerAdapter(planner)
         return planner
 
     def _build_generation(self, generation: int) -> "tuple[list, dict]":

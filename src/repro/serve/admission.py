@@ -26,7 +26,7 @@ from repro.config import (
     resolve_max_queue_depth,
 )
 from repro.obs.registry import MetricGroup, get_registry
-from repro.utils.exceptions import QueueFullError
+from repro.utils.exceptions import DeadlineExceeded, QueueFullError
 
 __all__ = ["AdmissionController"]
 
@@ -94,7 +94,9 @@ class AdmissionController:
         fleet), applied at admission and again before a queued request's
         batch plans: a ``deadline`` is the last instant the caller still
         wants the answer, so a request is expired strictly *after* it.
-        Expired requests count as rejections on this controller's scope —
+        Expired requests raise :class:`DeadlineExceeded
+        <repro.utils.exceptions.DeadlineExceeded>` (a ``QueueFullError``) and
+        count as rejections on this controller's scope —
         spending a queue slot and a drain share on an answer nobody wants
         would let one late tenant's backlog crowd out live traffic.
         """
@@ -102,7 +104,7 @@ class AdmissionController:
         if lateness_s > 0.0:
             self._metrics.record(add={"rejected": 1})
             where = f"{self.scope}: " if self.scope else ""
-            raise QueueFullError(
+            raise DeadlineExceeded(
                 f"{where}request deadline expired {1000.0 * lateness_s:.1f}ms "
                 "ago; not planning an answer nobody wants"
             )

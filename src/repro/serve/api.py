@@ -13,17 +13,18 @@ envelope (tenant id, deadline, and the derived routing key):
   (the stepwise serving workload of PRs 4–9);
 * :class:`PlanRequest` — a full influence path to an objective;
 * :class:`RankRequest` — top-``k`` next-item ranking from any
-  :mod:`repro.models` recommender (the objective slot of the positional
-  protocol carries ``k``, the path slot carries the exclusion set);
+  :mod:`repro.models` recommender (the envelope's ``objective`` field
+  carries ``k``, its ``path_so_far`` field the exclusion set);
 * :class:`KGPathRequest` — a knowledge-graph-constrained item path from a
   source to a target item (:mod:`repro.kg`).
 
-Each typed request lowers to the positional
-:class:`~repro.serve.request.ServeRequest` envelope (the queueable unit
-the drains micro-batch), and the answered envelope lifts back into a
-typed :class:`Response` carrying the answer, the tenant, the
-``served_generation``/``batch_tag`` stamps and both latency endpoints —
-the envelope's own future resolves to it (one future per request).
+Each typed request lowers to one
+:class:`~repro.serve.request.ServeRequest` envelope — the request type every
+layer below reads, from the front-end's queue to the beam.  The answered
+envelope lifts back into a typed :class:`Response` carrying the answer, the
+tenant, the ``served_generation``/``batch_tag`` stamps and both latency
+endpoints — the envelope's own future resolves to it (one future per
+request).
 
 :meth:`Response.stamp` is the one place completion timestamps are
 written.  The in-process drain and the process transport historically
@@ -75,7 +76,7 @@ class Request:
     tenant: "str | None" = field(default=None, kw_only=True)
     deadline: "float | None" = field(default=None, kw_only=True)
 
-    #: the positional-protocol kind this request lowers to
+    #: the envelope kind this request lowers to
     kind: ClassVar[str] = ""
 
     def to_envelope(self) -> ServeRequest:
@@ -138,8 +139,8 @@ class PlanRequest(Request):
 class RankRequest(Request):
     """Rank the top-``k`` next items for a history (the model-zoo workload).
 
-    Lowers onto the positional protocol with ``k`` in the objective slot
-    and the exclusion set in the path slot, so the same wire rows and
+    Lowers onto the envelope with ``k`` in the ``objective`` field and the
+    exclusion set in the ``path_so_far`` field, so the same wire rows and
     dedup/wave machinery serve it unchanged.
     """
 

@@ -70,12 +70,12 @@ from typing import TYPE_CHECKING
 from repro.config import resolve_tenants
 from repro.core.beam import MISS
 from repro.obs.registry import MetricGroup, get_registry
-from repro.obs.trace import NULL_TRACER, BatchSink, Tracer, use_sink
+from repro.obs.trace import NULL_TRACER, Tracer
 from repro.serve.admission import AdmissionController
 from repro.serve.api import Response, TypedServingSurface
 from repro.serve.queue import RequestQueue, rollup_queue_stats
 from repro.serve.request import ServeRequest
-from repro.utils.exceptions import ConfigurationError, QueueFullError, ServingError
+from repro.utils.exceptions import QueueFullError, ServingError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: repro.tenant imports serve
     from repro.tenant.registry import TenantRegistry
@@ -158,19 +158,21 @@ class ServingLoop(TypedServingSurface):
         tracer: "Tracer | None" = None,
         tenants: "TenantRegistry | None" = None,
     ) -> None:
-        if tenants is None and hasattr(planner, "plan_for_requests"):
+        adapter = None
+        if tenants is None:
+            from repro.tenant.adapters import PlannerAdapter
+
+            # Refuses a planner without plan_for_requests, whatever the
+            # tenant count.
+            adapter = PlannerAdapter(planner)
             default_tenants = resolve_tenants(None)
             if default_tenants > 1:
                 from repro.tenant.registry import TenantRegistry
 
-                tenants = TenantRegistry.uniform(planner, default_tenants)
-        if tenants is None and not hasattr(planner, "plan_for_requests"):
-            raise ConfigurationError(
-                "ServingLoop needs a planner with plan_for_requests() "
-                "(e.g. a fitted BeamSearchPlanner) or a TenantRegistry"
-            )
+                tenants = TenantRegistry.uniform(adapter, default_tenants)
         self.tenants = tenants
         self.planner = planner
+        self._adapter = adapter
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # One registry namespace for the whole loop: admission, the queue
         # and the latency accounting hang under it, so stats() is one
@@ -197,11 +199,6 @@ class ServingLoop(TypedServingSurface):
         #: queued, later steps of the context queue behind it instead of
         #: being answered from the plan it replaces.
         self._pending: "dict[tuple, int]" = {}
-        self._adapter = None
-        if tenants is None:
-            from repro.tenant.adapters import PlannerAdapter
-
-            self._adapter = PlannerAdapter(planner)
         # In-loop accounting (enqueue -> response ready): the resident count
         # and the latency sums / maxima accumulate per drained batch (or per
         # admission answer) in ONE registry-lock acquisition; full
@@ -338,9 +335,7 @@ class ServingLoop(TypedServingSurface):
             queued = self._pending.get(key, 0)
             if not queued:
                 generation = adapter.serving_generation
-                answer = adapter.serve_resident(
-                    request.history, request.objective, request.path_so_far, request.user_index
-                )
+                answer = adapter.serve_resident(request)
             if queued or answer is MISS:
                 self._pending[key] = queued + 1
                 held = request.on_release
@@ -436,39 +431,21 @@ class ServingLoop(TypedServingSurface):
             return
         drain_started = time.perf_counter()
         batch_tag = next(_BATCH_TAGS)
-        # The sink carries the batch's traces to the planner layers below
-        # (beam depths, cache decisions); None whenever no request in the
-        # batch is traced, making use_sink a pass-through.
-        sink = None
-        if self.tracer.enabled:
-            candidate = BatchSink([request.trace for request in batch])
-            if candidate:
-                sink = candidate
         failures: "dict[int, BaseException]" = {}
         generations: "dict | None" = None
         if self.tenants is None:
-            # Read the planner's generation tag ONCE, before planning: a
-            # pinned planner raises on any mid-batch generation change, so
-            # this single read is the generation every answer in the batch
-            # was computed at — stamping it batch-wide is what makes a torn
-            # micro-batch impossible.
-            generation = getattr(self.planner, "serving_generation", None)
-            try:
-                with use_sink(sink):
-                    answers = self.planner.plan_for_requests(
-                        [request.plan_tuple() for request in batch]
-                    )
-            except BaseException as exc:  # noqa: BLE001 - delivered via the futures
+            # The whole batch is one slice of the loop's own adapter: one
+            # generation read before planning (the torn-batch discipline),
+            # one trace sink, one failure scope.
+            answers, generation, failure = self._adapter.plan_slice(batch)
+            if failure is not None:
                 answers = [None] * len(batch)
-                failures = {index: exc for index in range(len(batch))}
+                failures = dict.fromkeys(range(len(batch)), failure)
         else:
-            # Tenant mode: the registry splits the batch per tenant, reads
-            # each tenant's generation before its own planning call (the
-            # torn-batch discipline, per tenant), and confines a tenant's
-            # planning failure to that tenant's indices — the isolation
-            # boundary a shared drain thread must preserve.  plan_batch
-            # scopes its own per-tenant trace sinks, so a tenant's spans
-            # never land on a drain neighbour's trace.
+            # Tenant mode: the registry splits the batch per tenant and
+            # plans each tenant's slice the same way, so a tenant's
+            # failure and its spans stay on that tenant's requests — the
+            # isolation boundary a shared drain thread must preserve.
             generation = None
             answers, generations, failures = self.tenants.plan_batch(batch)
         if failures:
@@ -554,7 +531,7 @@ class ServingLoop(TypedServingSurface):
                     latency_sum=counts[3],
                     latency_max=counts[4],
                 )
-        if sink is not None:
+        if self.tracer.enabled:
             for index, request in enumerate(batch):
                 trace = request.trace
                 if trace is not None and index not in failures:
@@ -586,7 +563,7 @@ class ServingLoop(TypedServingSurface):
         adapter = self._adapter
         if self.tenants is not None:
             adapter = self.tenants.get(request.tenant).adapter
-        return adapter.resident_plan(request.history, request.objective, request.user_index)
+        return adapter.resident_plan(request)
 
     def resident_slots(self) -> int:
         """Plans :meth:`resident_plan` can report at once: the step-cache

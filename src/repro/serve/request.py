@@ -1,14 +1,18 @@
 """Serving request envelopes.
 
-A :class:`ServeRequest` is one positional serving call frozen into a
-queueable envelope: the planning context, the tenant/deadline envelope
-fields, the :class:`concurrent.futures.Future` the caller holds, and the
-timestamps the latency accounting reads.  Four kinds exist — the
-``next_step`` / ``plan_paths`` planning calls of PRs 4–9 plus the
-model-zoo kinds ``rank`` (top-k next-item ranking; the objective slot
-carries ``k`` and the path slot the exclusion set) and ``kg_path``
-(knowledge-graph-constrained source→target item path).  Typed
-construction lives in :mod:`repro.serve.api`.
+A :class:`ServeRequest` is the one request type from ``serve()`` to the
+beam: the planning context, the tenant/deadline envelope fields, the
+:class:`concurrent.futures.Future` the caller holds, and the timestamps the
+latency accounting reads.  :meth:`ServeRequest.create` validates and
+normalises it once (tuples of ``int``, a checked horizon, no negative
+user); every layer below — the serving loop, the tenant registry, the kind
+adapters and :meth:`repro.core.beam.BeamSearchPlanner.plan_for_requests` —
+reads its fields as they are.  Four kinds exist — the ``next_step`` /
+``plan_paths`` planning calls plus the model-zoo kinds ``rank`` (top-k
+next-item ranking; the objective field carries ``k`` and the path field
+the exclusion set) and ``kg_path`` (knowledge-graph-constrained
+source→target item path).  Typed construction lives in
+:mod:`repro.serve.api`.
 
 One future per request: :meth:`ServeRequest.resolve` / :meth:`ServeRequest.fail`
 are the only places a serving future is completed (as
@@ -21,18 +25,12 @@ complete the future, with a typed :class:`~repro.serve.api.Response` when
 the envelope came from ``serve()`` (:attr:`ServeRequest.lift`) and the raw
 answer otherwise.
 
-The envelope knows two projections of itself:
-
-* :meth:`ServeRequest.routing_key` — the ``(history, objective, user)``
-  context key the serving loop keeps its pending-replan entries, trace ids
-  and tenant assignment by (the last through
-  :func:`repro.shard.partition.stable_hash`, identical across
-  interpreters).  Tenanted requests prefix the tenant id, so one tenant's
-  traffic forms its own stable routing-key space for the dispatcher.
-* :meth:`ServeRequest.plan_tuple` — the positional tuple
-  :meth:`repro.core.beam.BeamSearchPlanner.plan_for_requests` (and the
-  tenant registry's kind adapters) consume when a drain micro-batches the
-  queue.
+:meth:`ServeRequest.routing_key` is the ``(history, objective, user)``
+context key the serving loop keeps its pending-replan entries, trace ids
+and tenant assignment by (the last through
+:func:`repro.shard.partition.stable_hash`, identical across interpreters).
+Tenanted requests prefix the tenant id, so one tenant's traffic forms its
+own stable routing-key space for the dispatcher.
 """
 
 from __future__ import annotations
@@ -43,13 +41,9 @@ from typing import Callable
 
 from repro.utils.exceptions import ConfigurationError
 
-__all__ = ["ServeRequest", "REQUEST_KINDS", "KIND_ALIASES"]
+__all__ = ["ServeRequest", "REQUEST_KINDS"]
 
 REQUEST_KINDS = ("next_step", "plan_paths", "rank", "kg_path")
-
-#: accepted spellings that normalise onto a canonical kind (``plan_path``
-#: is the ISSUE-facing singular of the batch-shaped ``plan_paths``)
-KIND_ALIASES = {"plan_path": "plan_paths"}
 
 
 @dataclass
@@ -143,7 +137,6 @@ class ServeRequest:
         deadline: "float | None" = None,
     ) -> "ServeRequest":
         """Validate and freeze one request (the submit-side constructor)."""
-        kind = KIND_ALIASES.get(kind, kind)
         if kind not in REQUEST_KINDS:
             raise ConfigurationError(
                 f"request kind must be one of {', '.join(REQUEST_KINDS)}, got {kind!r}"
@@ -180,6 +173,15 @@ class ServeRequest:
                 "kg_path requests need a non-empty history (the last item is "
                 "the path source)"
             )
+        if user_index is not None:
+            user_index = int(user_index)
+            # The wire encodes "no user" as -1 and decodes every negative as
+            # None: a negative user would key routing, the step cache and the
+            # tenant assignment differently on the two transports.
+            if user_index < 0:
+                raise ConfigurationError(
+                    f"user_index must be non-negative or None, got {user_index}"
+                )
         if deadline is not None:
             deadline = float(deadline)
         return cls(
@@ -187,7 +189,7 @@ class ServeRequest:
             history=history,
             objective=int(objective),
             path_so_far=tuple(int(item) for item in (path_so_far or ())),
-            user_index=None if user_index is None else int(user_index),
+            user_index=user_index,
             max_length=max_length,
             tenant=None if tenant is None else str(tenant),
             deadline=deadline,
@@ -223,14 +225,3 @@ class ServeRequest:
         if self.tenant is None:
             return (self.history, self.objective, self.user_index)
         return (self.tenant, self.history, self.objective, self.user_index)
-
-    def plan_tuple(self) -> tuple:
-        """The positional request ``plan_for_requests`` consumes."""
-        return (
-            self.kind,
-            self.history,
-            self.objective,
-            self.path_so_far,
-            self.user_index,
-            self.max_length,
-        )

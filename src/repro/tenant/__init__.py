@@ -3,8 +3,8 @@
 A :class:`~repro.tenant.registry.TenantRegistry` binds tenant ids to
 served models — beam planners, :mod:`repro.models` recommenders,
 knowledge-graph models — each behind a kind adapter
-(:mod:`repro.tenant.adapters`) speaking the positional serving protocol,
-with optional per-tenant admission scopes and per-tenant latency metrics.
+(:mod:`repro.tenant.adapters`) answering
+:class:`~repro.serve.request.ServeRequest` envelopes, with optional per-tenant admission scopes and per-tenant latency metrics.
 The serving front-ends accept a registry and become multi-tenant surfaces;
 :mod:`repro.tenant.ab` drives simulated user cohorts against two tenants
 through one fleet and reports uplift and per-tenant latency SLOs.

@@ -1,24 +1,25 @@
-"""Kind adapters: one positional serving protocol over the whole model zoo.
+"""Kind adapters: one serving request type over the whole model zoo.
 
-The serving loop drains micro-batches of positional 6-tuples
-(``kind, history, objective, path_so_far, user_index, max_length`` — see
-:meth:`repro.serve.request.ServeRequest.plan_tuple`).  A tenant may bind
-any model in the repo behind that protocol:
+The serving loop drains micro-batches of
+:class:`~repro.serve.request.ServeRequest` envelopes, and every adapter
+answers them as they are.  A tenant may bind any model in the repo behind
+that request type:
 
 * :class:`PlannerAdapter` — a fitted
   :class:`~repro.core.beam.BeamSearchPlanner` (or anything else with
-  ``plan_for_requests``): serves ``next_step`` and ``plan_paths`` by delegating the
-  whole batch to ``plan_for_requests``, so the wave-dedup and plan-cache
-  machinery (and its bit-exactness contract) apply unchanged; a planner
-  that can also answer a ``next_step`` from a plan it already holds
-  (``serve_resident``) lets the loop do so at admission, and one that can
-  show that plan (``resident_plan``) lets a worker fleet's parent do so
-  without crossing the process boundary.
+  ``plan_for_requests``): serves ``next_step`` and ``plan_paths`` by
+  delegating the whole batch to ``plan_for_requests``, so the wave-dedup
+  and plan-cache machinery (and its bit-exactness contract) apply
+  unchanged; a planner that can also answer a ``next_step`` from a plan it
+  already holds (``serve_resident``) lets the loop do so at admission, and
+  one that can show that plan (``resident_plan``) lets a worker fleet's
+  parent do so without crossing the process boundary.  The one place a
+  serving surface checks for ``plan_for_requests``.
 * :class:`RecommenderAdapter` — any
   :class:`~repro.models.base.SequentialRecommender`: serves ``rank``
-  (``top_k`` with ``k`` from the objective slot and the exclusion set from
-  the path slot) and ``next_step`` (objective-blind top-1 over unseen
-  items — the A/B control arm).
+  (``top_k`` with ``k`` from the ``objective`` field and the exclusion set
+  from ``path_so_far``) and ``next_step`` (objective-blind top-1 over
+  unseen items — the A/B control arm).
 * :class:`KGAdapter` — the knowledge-graph models (:mod:`repro.kg`):
   serves ``kg_path`` (shortest item path source→target) and, when built
   from a fitted :class:`~repro.kg.kg2inf.Kg2Inf`, ``next_step``.
@@ -29,16 +30,20 @@ plain models.
 
 A batch is answered strictly in submission order; an unsupported kind
 raises :class:`~repro.utils.exceptions.ServingError` for the *whole*
-sub-batch (the registry scopes the failure to the offending tenant, so a
-neighbour tenant's futures in the same drain still resolve).
+sub-batch (:meth:`KindAdapter.plan_slice` scopes the failure to that
+slice, so a neighbour tenant's futures in the same drain still resolve).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.beam import MISS
+from repro.obs.trace import BatchSink, use_sink
 from repro.utils.exceptions import ConfigurationError, ServingError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle: repro.serve imports repro.core
+    from repro.serve.request import ServeRequest
 
 __all__ = [
     "KindAdapter",
@@ -50,7 +55,7 @@ __all__ = [
 
 
 class KindAdapter:
-    """Base adapter: per-tuple dispatch with a supported-kind gate."""
+    """Base adapter: per-request dispatch with a supported-kind gate."""
 
     #: the request kinds this adapter can answer
     kinds: "tuple[str, ...]" = ()
@@ -65,7 +70,7 @@ class KindAdapter:
         """The underlying model object (for refit plumbing and tests)."""
         raise NotImplementedError
 
-    def serve_resident(self, history, objective, path_so_far, user_index):
+    def serve_resident(self, request: "ServeRequest"):
         """The answer a plan this model already holds gives a ``next_step``,
         or :data:`~repro.core.beam.MISS`.  The serving loop asks at
         admission and queues only what misses; a model that keeps no
@@ -76,32 +81,56 @@ class KindAdapter:
     #: (0: the model keeps no per-context plan).
     resident_slots = 0
 
-    def resident_plan(self, history, objective, user_index):
-        """The plan this model holds for a context right now, or ``None`` —
-        read without counting a lookup or refreshing the entry.  The process
-        transport mirrors it on the fleet's parent after each ``next_step``."""
+    def resident_plan(self, request: "ServeRequest"):
+        """The plan this model holds for ``request``'s context right now, or
+        ``None`` — read without counting a lookup or refreshing the entry.
+        The process transport mirrors it on the fleet's parent after each
+        ``next_step``."""
         return None
 
-    def _check_kinds(self, requests: Sequence[tuple]) -> None:
+    def _check_kinds(self, requests: "Sequence[ServeRequest]") -> None:
         for request in requests:
-            kind = request[0]
-            if kind not in self.kinds:
+            if request.kind not in self.kinds:
                 raise ServingError(
-                    f"{type(self).__name__} cannot serve {kind!r} requests "
+                    f"{type(self).__name__} cannot serve {request.kind!r} requests "
                     f"(supported kinds: {', '.join(self.kinds)})"
                 )
 
-    def plan_for_requests(self, requests: Sequence[tuple]) -> list:
-        """Answer one micro-batch of positional tuples, in order."""
+    def plan_for_requests(self, requests: "Sequence[ServeRequest]") -> list:
+        """Answer one micro-batch of envelopes, in order."""
         self._check_kinds(requests)
-        return [self._answer(*request) for request in requests]
+        return [
+            self._answer(r.kind, r.history, r.objective, r.path_so_far, r.user_index, r.max_length)
+            for r in requests
+        ]
 
     def _answer(self, kind, history, objective, path_so_far, user_index, max_length):
         raise NotImplementedError
 
+    def plan_slice(
+        self, requests: "Sequence[ServeRequest]"
+    ) -> "tuple[list | None, int | None, BaseException | None]":
+        """Answer one drained slice: ``(answers, generation, failure)``.
+
+        The generation is read ONCE, before planning: a pinned planner
+        raises on any mid-batch generation change, so this read is the
+        generation every answer was computed at — stamping it slice-wide is
+        what makes a torn micro-batch impossible.  The trace sink covers
+        exactly these requests' traces, so spans emitted below (cache
+        decisions, beam depths) never land on a drain neighbour's trace.  A
+        planning failure comes back as ``failure`` (``answers`` is then
+        ``None``), for the caller to deliver on these futures only.
+        """
+        generation = self.serving_generation
+        try:
+            with use_sink(BatchSink([request.trace for request in requests])):
+                return self.plan_for_requests(requests), generation, None
+        except BaseException as exc:  # noqa: BLE001 - delivered via the futures
+            return None, generation, exc
+
 
 class PlannerAdapter(KindAdapter):
-    """A beam planner behind the protocol — delegates the batch wholesale."""
+    """A beam planner behind the serving surface — delegates the batch wholesale."""
 
     kinds = ("next_step", "plan_paths")
 
@@ -109,7 +138,7 @@ class PlannerAdapter(KindAdapter):
         if not hasattr(planner, "plan_for_requests"):
             raise ConfigurationError(
                 "PlannerAdapter needs a planner with plan_for_requests() "
-                "(e.g. a fitted BeamSearchPlanner)"
+                f"(e.g. a fitted BeamSearchPlanner), got {type(planner).__name__}"
             )
         self.planner = planner
         # Feature-tested once, like ``supports_candidate_scoring``: test
@@ -129,17 +158,17 @@ class PlannerAdapter(KindAdapter):
     def model(self):
         return self.planner
 
-    def plan_for_requests(self, requests: Sequence[tuple]) -> list:
+    def plan_for_requests(self, requests: "Sequence[ServeRequest]") -> list:
         self._check_kinds(requests)
-        # Whole-batch delegation (not per-tuple dispatch): the planner's
-        # wave dedup and serving cache see the same batch shape as the
-        # single-tenant loop, which is what keeps tenant-mode answers
-        # bit-identical to the direct call.
-        return self.planner.plan_for_requests(list(requests))
+        # Whole-batch delegation (not per-request dispatch): the planner's
+        # wave dedup and serving cache see the batch exactly as drained,
+        # which is what keeps served answers bit-identical to the direct
+        # call.
+        return self.planner.plan_for_requests(requests)
 
 
 class RecommenderAdapter(KindAdapter):
-    """Any sequential recommender behind the protocol.
+    """Any sequential recommender behind the serving surface.
 
     ``rank`` is the native workload (``top_k``).  ``next_step`` recommends
     the best *unseen* item with no knowledge of the objective — the
@@ -171,12 +200,12 @@ class RecommenderAdapter(KindAdapter):
                 int(item)
                 for item in self.recommender.top_k(
                     list(history),
-                    int(objective),
+                    objective,
                     user_index=user_index,
                     exclude=list(path_so_far),
                 )
             ]
-        sequence = tuple(history) + tuple(path_so_far)
+        sequence = history + path_so_far
         ranked = self.recommender.top_k(
             list(sequence),
             1,
@@ -187,7 +216,7 @@ class RecommenderAdapter(KindAdapter):
 
 
 class KGAdapter(KindAdapter):
-    """The knowledge-graph models behind the protocol.
+    """The knowledge-graph models behind the serving surface.
 
     Built from a fitted :class:`~repro.kg.kg2inf.Kg2Inf` it serves both
     kinds; built from a bare :class:`~repro.kg.graph.ItemKnowledgeGraph`
@@ -213,7 +242,7 @@ class KGAdapter(KindAdapter):
         if kind == "kg_path":
             return [
                 int(item)
-                for item in self.graph.shortest_item_path(int(history[-1]), int(objective))
+                for item in self.graph.shortest_item_path(history[-1], objective)
             ]
         step = self.planner.next_step(history, objective, path_so_far, user_index)
         return None if step is None else int(step)

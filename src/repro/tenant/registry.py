@@ -30,7 +30,6 @@ import threading
 from typing import Sequence
 
 from repro.obs.registry import MetricGroup, get_registry
-from repro.obs.trace import BatchSink, use_sink
 from repro.serve.admission import AdmissionController
 from repro.shard.partition import stable_hash
 from repro.tenant.adapters import KindAdapter, adapt
@@ -267,12 +266,14 @@ class TenantRegistry:
         """Answer one mixed-tenant micro-batch.
 
         Splits the batch per tenant (preserving submission order within
-        each group), reads each tenant's ``serving_generation`` BEFORE its
-        planning call, and confines a tenant's planning failure to its own
-        requests.  Returns ``(answers, generations, failures)`` where
-        ``answers[i]`` aligns with ``batch[i]``, ``generations`` maps
-        tenant -> the generation stamped on its answers, and ``failures``
-        maps batch index -> the exception to deliver on that future.
+        each group) and answers each group through its adapter's
+        :meth:`~repro.tenant.adapters.KindAdapter.plan_slice`: one
+        generation read before planning, one trace sink, and a planning
+        failure confined to the tenant's own requests.  Returns
+        ``(answers, generations, failures)`` where ``answers[i]`` aligns
+        with ``batch[i]``, ``generations`` maps tenant -> the generation
+        stamped on its answers, and ``failures`` maps batch index -> the
+        exception to deliver on that future.
         """
         groups: "dict[str, list[int]]" = {}
         for index, request in enumerate(batch):
@@ -281,21 +282,11 @@ class TenantRegistry:
         generations: "dict[str, int | None]" = {}
         failures: "dict[int, BaseException]" = {}
         for tenant, indices in groups.items():
-            binding = self.get(tenant)
-            generations[tenant] = binding.adapter.serving_generation
-            # Scope the trace sink to this tenant's slice of the batch:
-            # batch-level spans emitted below the adapter (cache decisions,
-            # beam depths) land only on this tenant's traces, never a drain
-            # neighbour's.
-            sink = BatchSink([batch[index].trace for index in indices])
-            try:
-                with use_sink(sink if sink else None):
-                    group_answers = binding.adapter.plan_for_requests(
-                        [batch[index].plan_tuple() for index in indices]
-                    )
-            except BaseException as exc:  # noqa: BLE001 - delivered via the futures
-                for index in indices:
-                    failures[index] = exc
+            group_answers, generations[tenant], failure = self.get(tenant).adapter.plan_slice(
+                [batch[index] for index in indices]
+            )
+            if failure is not None:
+                failures.update(dict.fromkeys(indices, failure))
                 continue
             for index, answer in zip(indices, group_answers):
                 answers[index] = answer

@@ -33,8 +33,15 @@ class ServingError(ReproError):
 
 class QueueFullError(ServingError):
     """Raised by the admission controller's ``reject`` policy when a
-    request queue is at its depth bound, and for a request whose deadline
-    passed."""
+    request queue is at its depth bound, and (as :class:`DeadlineExceeded`)
+    for a request whose deadline passed."""
+
+
+class DeadlineExceeded(QueueFullError):
+    """Raised for a request whose deadline passed before it was planned —
+    at admission, before its drained batch plans, or in a worker.  A
+    :class:`QueueFullError`, so every back-pressure handler still catches
+    it."""
 
 
 class StaleGenerationError(ReproError):

@@ -82,12 +82,8 @@ class TestRemoteTenantParity:
         history, objective, user = remote_contexts[0]
         reference = make_factory()()
         expected = [
-            reference.plan_for_requests(
-                [("next_step", tuple(history), objective, (), user, None)]
-            )[0],
-            reference.plan_for_requests(
-                [("plan_paths", tuple(history), objective, (), user, MAX_LENGTH)]
-            )[0],
+            reference.next_step(history, objective, [], user_index=user),
+            reference.plan_path(history, objective, user_index=user, max_length=MAX_LENGTH),
             zoo_markov.top_k(list(history), 5, user_index=user),
             zoo_graph.shortest_item_path(requests[3].source, requests[3].target),
         ]

@@ -15,6 +15,7 @@ from repro.distributed.wire import FrameType
 from repro.serve.request import ServeRequest
 from repro.utils.exceptions import (
     ConfigurationError,
+    DeadlineExceeded,
     QueueFullError,
     ServingError,
     StaleGenerationError,
@@ -226,6 +227,7 @@ class TestResponseCodec:
             QueueFullError("queue 0 full"),
             ServingError("loop closed"),
             StaleGenerationError("generation 1 < 2"),
+            DeadlineExceeded("request deadline expired 3.0ms ago"),
         ],
     )
     def test_known_exceptions_roundtrip_to_same_type(self, exc):

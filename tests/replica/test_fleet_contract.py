@@ -20,7 +20,7 @@ import pytest
 
 from repro.serve.api import PlanRequest
 from repro.serve.request import ServeRequest
-from repro.utils.exceptions import QueueFullError, ServingError
+from repro.utils.exceptions import DeadlineExceeded, QueueFullError, ServingError
 
 def _plan(history, objective, user, **envelope):
     return ServeRequest.create("plan_paths", history, objective, user_index=user, **envelope)
@@ -48,8 +48,9 @@ class TestFleetDeadline:
     ):
         front_end = fleet(make_factory(), num_replicas=2)
         late = _plan(*replica_contexts[0], deadline=time.perf_counter() - 0.5)
-        with pytest.raises(QueueFullError, match="deadline expired"):
+        with pytest.raises(QueueFullError, match="deadline expired") as refusal:
             front_end.enqueue(late)
+        assert refusal.type is DeadlineExceeded
         live = _plan(*replica_contexts[0], deadline=time.perf_counter() + 60.0)
         assert front_end.enqueue(live).result(timeout=30) is not None
         stats = front_end.stats()

@@ -30,7 +30,7 @@ from repro.serve.api import NextStepRequest
 from repro.serve.request import ServeRequest
 from repro.tenant import TenantRegistry
 from repro.tenant.adapters import PlannerAdapter
-from repro.utils.exceptions import QueueFullError, ServingError
+from repro.utils.exceptions import DeadlineExceeded, QueueFullError, ServingError
 
 from tests.replica.conftest import MAX_LENGTH
 
@@ -377,11 +377,11 @@ class _ForgetfulAdapter(PlannerAdapter):
         self._peek, self._shown, self._raises = self.resident_plan, shown, raises
         self.resident_plan = self._resident_plan
 
-    def _resident_plan(self, history, objective, user_index):
+    def _resident_plan(self, request):
         if self._raises:
             raise RuntimeError("no plan to show")
         self._shown -= 1
-        return self._peek(history, objective, user_index) if self._shown >= 0 else None
+        return self._peek(request) if self._shown >= 0 else None
 
 
 @process_only
@@ -555,6 +555,7 @@ class TestDeadlineCrossesTheWire:
         replica.accept(late)
         with pytest.raises(QueueFullError, match="worker-0: request deadline expired") as refusal:
             late.future.result(timeout=30)
+        assert refusal.type is DeadlineExceeded  # the worker's refusal keeps its type
         # What crossed the wire is the budget, re-anchored on the worker's clock.
         assert float(re.search(r"expired ([0-9.]+)ms", str(refusal.value)).group(1)) >= 250.0
         live = _ask(front_end, replica_contexts[0], deadline=time.perf_counter() + 60.0)

@@ -13,6 +13,7 @@ import pytest
 from repro.cache.memo import PlanCache
 from repro.core.beam import BeamSearchPlanner
 from repro.retrieval import CooccurrenceNeighborGenerator, FullVocabGenerator
+from repro.serve.request import ServeRequest
 from repro.utils.exceptions import ConfigurationError
 
 
@@ -156,7 +157,7 @@ class TestCacheKeyDiscipline:
 
     def test_step_cache_keys_isolated(self, retrieval_irn, tiny_split, contexts):
         history, objective, user = contexts[0]
-        request = [("next_step", history, objective, (), user)]
+        request = [ServeRequest.create("next_step", history, objective, user_index=user)]
         exact = BeamSearchPlanner(retrieval_irn).fit(tiny_split)
         exact.plan_for_requests(request)
         pruned = BeamSearchPlanner(

@@ -6,7 +6,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.serve.request import ServeRequest
 from repro.utils.exceptions import ConfigurationError
+
+
+def _step(history, objective, user, path_so_far=()):
+    return ServeRequest.create("next_step", history, objective, path_so_far, user_index=user)
+
+
+def _plan(history, objective, user, max_length=None):
+    return ServeRequest.create(
+        "plan_paths", history, objective, user_index=user, max_length=max_length
+    )
 
 
 class TestSequentialEquivalence:
@@ -16,10 +27,10 @@ class TestSequentialEquivalence:
         requests = []
         for history, objective, user in serve_contexts[:4]:
             expected.append(reference.next_step(history, objective, [], user_index=user))
-            requests.append(("next_step", history, objective, [], user))
+            requests.append(_step(history, objective, user))
         for history, objective, user in serve_contexts[4:7]:
             expected.append(reference.plan_path(history, objective, user_index=user))
-            requests.append(("plan_paths", history, objective, (), user))
+            requests.append(_plan(history, objective, user))
         planner = make_planner()
         assert planner.plan_for_requests(requests) == expected
 
@@ -28,9 +39,7 @@ class TestSequentialEquivalence:
         reference = make_planner()
         expected = reference.plan_path(history, objective, user_index=user, max_length=3)
         planner = make_planner()
-        assert planner.plan_for_requests(
-            [("plan_paths", history, objective, (), user, 3)]
-        ) == [expected]
+        assert planner.plan_for_requests([_plan(history, objective, user, 3)]) == [expected]
 
     def test_progressed_sessions_match_sequential(self, make_planner, serve_contexts):
         """A lockstep round mid-session (non-empty path_so_far) is answered
@@ -45,14 +54,9 @@ class TestSequentialEquivalence:
             for history, objective, user in serve_contexts[:3]
         ]
         planner = make_planner()
-        planner.plan_for_requests(
-            [("next_step", h, o, [], u) for h, o, u in serve_contexts[:3]]
-        )
+        planner.plan_for_requests([_step(h, o, u) for h, o, u in serve_contexts[:3]])
         results = planner.plan_for_requests(
-            [
-                ("next_step", h, o, sessions[(tuple(h), o, u)], u)
-                for h, o, u in serve_contexts[:3]
-            ]
+            [_step(h, o, u, sessions[(tuple(h), o, u)]) for h, o, u in serve_contexts[:3]]
         )
         assert results == expected
 
@@ -60,19 +64,15 @@ class TestSequentialEquivalence:
         assert make_planner().plan_for_requests([]) == []
 
     def test_unknown_kind_rejected(self, make_planner, serve_contexts):
+        """The envelope admits the model-zoo kinds; the planner answers only
+        its own two, and refuses the batch before any work."""
         history, objective, user = serve_contexts[0]
+        planner = make_planner()
         with pytest.raises(ConfigurationError, match="kind"):
-            make_planner().plan_for_requests([("stream", history, objective, [], user)])
-
-    def test_next_step_horizon_override_rejected(self, make_planner, serve_contexts):
-        """next_step has no per-request horizon (the serving cache is keyed
-        by the constructor max_length); an override must error loudly, not
-        silently plan to the wrong horizon."""
-        history, objective, user = serve_contexts[0]
-        with pytest.raises(ConfigurationError, match="max_length"):
-            make_planner().plan_for_requests(
-                [("next_step", history, objective, [], user, 3)]
+            planner.plan_for_requests(
+                [_step(history, objective, user), ServeRequest.create("rank", history, 5)]
             )
+        assert planner.cache_info()["serving"]["replans"] == 0
 
 
 class TestFusedWork:
@@ -89,9 +89,7 @@ class TestFusedWork:
 
         batched_planner = make_planner(use_decoding_sessions=False)
         before = serve_irn.decode_stats.snapshot()
-        batched_planner.plan_for_requests(
-            [("next_step", h, o, [], u) for h, o, u in contexts]
-        )
+        batched_planner.plan_for_requests([_step(h, o, u) for h, o, u in contexts])
         batched_forwards = serve_irn.decode_stats.snapshot()["forwards"] - before["forwards"]
         assert batched_forwards < sequential_forwards
 
@@ -100,14 +98,10 @@ class TestFusedWork:
     ):
         planner = make_planner()
         contexts = serve_contexts[:4]
-        planner.plan_for_requests(
-            [("next_step", h, o, [], u) for h, o, u in contexts]
-        )
+        planner.plan_for_requests([_step(h, o, u) for h, o, u in contexts])
         info = planner.cache_info()
         assert info["serving"]["replans"] == len(contexts)
         # Serving the same round again is pure cache hits.
-        planner.plan_for_requests(
-            [("next_step", h, o, [], u) for h, o, u in contexts]
-        )
+        planner.plan_for_requests([_step(h, o, u) for h, o, u in contexts])
         info = planner.cache_info()
         assert info["serving"]["served_from_plan"] == len(contexts)

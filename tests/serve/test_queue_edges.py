@@ -227,6 +227,19 @@ class TestBackPressure:
                 history, objective, user_index=user
             )
 
+    def test_a_negative_user_is_rejected_at_create(self):
+        """The wire encodes "no user" as -1 and decodes every negative as
+        ``None``: admitted, a negative user would key its routing, step
+        cache and tenant assignment on -1 in process and on ``None`` in a
+        worker."""
+        with pytest.raises(ConfigurationError, match="user_index"):
+            ServeRequest.create("next_step", [1, 2], 3, user_index=-1)
+        assert ServeRequest.create("next_step", [1, 2], 3, user_index=0).user_index == 0
+
+    def test_a_kind_is_spelled_one_way(self):
+        with pytest.raises(ConfigurationError, match="request kind"):
+            ServeRequest.create("plan_path", [1, 2], 3)
+
     def test_submit_after_close_raises(self, make_planner, serve_contexts):
         """Both lanes refuse after close(): a step a resident plan would
         answer is NOT answered (admission checks closed atomically with
@@ -288,7 +301,7 @@ class TestBackPressure:
                 self.gate = threading.Event()
 
             def plan_for_requests(self, requests):
-                self.seen.extend((request[1], request[2]) for request in requests)
+                self.seen.extend((request.history, request.objective) for request in requests)
                 self.entered.set()
                 assert self.gate.wait(timeout=10)
                 return self.planner.plan_for_requests(requests)
@@ -405,8 +418,10 @@ class TestDuplicateContextWaves:
         planner = make_planner()
         results = planner.plan_for_requests(
             [
-                ("next_step", history, objective, [], user),
-                ("next_step", history, objective, [first_expected], user),
+                ServeRequest.create("next_step", history, objective, [], user_index=user),
+                ServeRequest.create(
+                    "next_step", history, objective, [first_expected], user_index=user
+                ),
             ]
         )
         assert results == [first_expected, second_expected]

@@ -191,7 +191,7 @@ def test_the_resident_plan_can_be_shown_without_a_lookup(make_planner, serve_con
         before = lookups(planner)
         plan = loop.resident_plan(envelope)
         assert plan[0] == first and lookups(planner) == before
-        assert planner.resident_plan(*envelope.routing_key()[1:]) == plan
+        assert planner.resident_plan(envelope) == plan
         envelope.tenant = "kg"
         assert loop.resident_plan(envelope) is None
     assert ServingLoop(make_planner()).resident_slots() == 64

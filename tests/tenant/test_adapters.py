@@ -1,9 +1,10 @@
-"""Kind adapters: the model zoo behind the positional serving protocol."""
+"""Kind adapters: the model zoo behind the serving request envelope."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.serve.request import ServeRequest
 from repro.tenant.adapters import (
     KGAdapter,
     KindAdapter,
@@ -14,8 +15,8 @@ from repro.tenant.adapters import (
 from repro.utils.exceptions import ConfigurationError, ServingError
 
 
-def _tuple(kind, history, objective, path_so_far=(), user_index=None, max_length=None):
-    return (kind, tuple(history), objective, tuple(path_so_far), user_index, max_length)
+def _envelope(kind, history, objective, path_so_far=(), user_index=None):
+    return ServeRequest.create(kind, history, objective, path_so_far, user_index=user_index)
 
 
 class TestAdaptSniffing:
@@ -52,7 +53,7 @@ class TestRecommenderAdapter:
         adapter = RecommenderAdapter(fitted_markov)
         history, _, user = tenant_contexts[0]
         [answer] = adapter.plan_for_requests(
-            [_tuple("rank", history, 5, user_index=user)]
+            [_envelope("rank", history, 5, user_index=user)]
         )
         assert answer == [
             int(item) for item in fitted_markov.top_k(history, 5, user_index=user)
@@ -64,8 +65,8 @@ class TestRecommenderAdapter:
         history, objective, user = tenant_contexts[0]
         answers = adapter.plan_for_requests(
             [
-                _tuple("next_step", history, objective, user_index=user),
-                _tuple("next_step", history, objective + 1, user_index=user),
+                _envelope("next_step", history, objective, user_index=user),
+                _envelope("next_step", history, objective + 1, user_index=user),
             ]
         )
         exclude = [item for item in history if item != 0]
@@ -85,7 +86,7 @@ class TestKGAdapter:
     def test_kg_path_matches_shortest_item_path(self, tenant_graph, tenant_contexts):
         adapter = KGAdapter(graph=tenant_graph)
         history, objective, _ = tenant_contexts[0]
-        [answer] = adapter.plan_for_requests([_tuple("kg_path", [history[-1]], objective)])
+        [answer] = adapter.plan_for_requests([_envelope("kg_path", [history[-1]], objective)])
         assert answer == [
             int(item)
             for item in tenant_graph.shortest_item_path(history[-1], objective)
@@ -95,7 +96,7 @@ class TestKGAdapter:
         adapter = KGAdapter(graph=tenant_graph)
         with pytest.raises(ServingError, match="next_step"):
             adapter.plan_for_requests(
-                [_tuple("kg_path", [1], 2), _tuple("next_step", [1], 2)]
+                [_envelope("kg_path", [1], 2), _envelope("next_step", [1], 2)]
             )
 
 
@@ -107,15 +108,13 @@ class TestPlannerAdapter:
         reference = make_planner()
         adapter = PlannerAdapter(planner)
         batch = [
-            _tuple("next_step", history, objective, user_index=user)
+            _envelope("next_step", history, objective, user_index=user)
             for history, objective, user in tenant_contexts[:4]
         ]
-        assert adapter.plan_for_requests(batch) == reference.plan_for_requests(
-            list(batch)
-        )
+        assert adapter.plan_for_requests(batch) == reference.plan_for_requests(batch)
 
     def test_base_adapter_answer_is_abstract(self):
         adapter = KindAdapter()
         adapter.kinds = ("next_step",)
         with pytest.raises(NotImplementedError):
-            adapter.plan_for_requests([_tuple("next_step", [1], 2)])
+            adapter.plan_for_requests([_envelope("next_step", [1], 2)])

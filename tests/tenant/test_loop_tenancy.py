@@ -56,12 +56,10 @@ class TestFourKindParity:
                     )
                 ]
                 expected = [
-                    reference.plan_for_requests(
-                        [("next_step", tuple(history), objective, (), user, None)]
-                    )[0],
-                    reference.plan_for_requests(
-                        [("plan_paths", tuple(history), objective, (), user, MAX_LENGTH)]
-                    )[0],
+                    reference.next_step(history, objective, [], user_index=user),
+                    reference.plan_path(
+                        history, objective, user_index=user, max_length=MAX_LENGTH
+                    ),
                     [
                         int(item)
                         for item in fitted_markov.top_k(history, 5, user_index=user)

@@ -74,9 +74,7 @@ class TestPlanBatch:
         ]
         answers, generations, failures = registry.plan_batch(batch)
         assert failures == {}
-        [expected_step] = reference.plan_for_requests(
-            [("next_step", tuple(history), objective, (), user, None)]
-        )
+        expected_step = reference.next_step(history, objective, [], user_index=user)
         assert answers[0] == expected_step
         assert answers[2] == expected_step
         assert answers[1] == [

@@ -3,7 +3,9 @@
 ``benchmarks/e2e/tracing.py`` wraps a fixed table of callables by module and
 attribute name (``SPAN_TABLE``); a rename in ``src/repro`` would break the
 traced benchmark run, not any test, so every row is resolved here the way
-the recorder's ``install()`` resolves it.  Planning and serving run one
+the recorder's ``install()`` resolves it — and so is every name the
+benchmark modules import from ``repro``, and the one adapter shape they
+subclass.  Planning and serving run one
 partition: the constructors and entry points that once took a sharding knob
 refuse it as an unexpected argument.  ``nn/`` holds the training graph plus
 one compiled inference program: attention takes no ``fused=``, and no code
@@ -28,13 +30,17 @@ from repro.evaluation.protocol import IRSEvaluationProtocol
 from repro.experiments.config import ExperimentConfig
 from repro.nn.attention import MultiHeadAttention, scaled_dot_product_attention
 from repro.replica.set import ReplicaSet
+from repro.serve.api import PlanRequest
 from repro.serve.loop import ServingLoop
 from repro.serve.queue import RequestQueue
 from repro.shard.executor import ShardedExecutor
 from repro.shard.topk import stable_topk
+from repro.tenant import TenantRegistry
+from repro.tenant.adapters import KindAdapter
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACING = ROOT / "benchmarks" / "e2e" / "tracing.py"
+BENCHMARK = ROOT / "benchmarks" / "e2e"
+TRACING = BENCHMARK / "tracing.py"
 SOURCE = ROOT / "src" / "repro"
 
 
@@ -69,6 +75,67 @@ def test_every_span_table_row_resolves(module_name, owner_name, attr):
     if isinstance(raw, (staticmethod, classmethod)):
         raw = raw.__func__
     assert callable(raw)
+
+
+def _benchmark_imports() -> "list[tuple[str, str, str]]":
+    """``(file, module, name)`` of every ``from repro… import name`` in the
+    benchmark modules, function-level imports included, read by AST."""
+    found = []
+    for path in sorted(BENCHMARK.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
+                found.extend((path.name, node.module, alias.name) for alias in node.names)
+    return found
+
+
+BENCHMARK_IMPORTS = _benchmark_imports()
+
+
+def test_the_benchmark_imports_are_read():
+    assert ("tracing.py", "repro.shard.topk", "stable_topk") in BENCHMARK_IMPORTS
+    assert ("workloads.py", "repro.tenant.adapters", "KindAdapter") in BENCHMARK_IMPORTS
+
+
+@pytest.mark.parametrize(
+    "path,module_name,name",
+    BENCHMARK_IMPORTS,
+    ids=[f"{path}:{module}.{name}" for path, module, name in BENCHMARK_IMPORTS],
+)
+def test_every_benchmark_import_resolves(path, module_name, name):
+    module = importlib.import_module(module_name)
+    if not hasattr(module, name):  # a submodule the package does not import
+        importlib.import_module(f"{module_name}.{name}")
+
+
+class _CounterProbeShape(KindAdapter):
+    """Shaped like ``CounterProbe`` in ``benchmarks/e2e/workloads.py``: only
+    ``kinds``, ``model()`` and the positional ``_answer``, and no
+    ``super().__init__()``."""
+
+    kinds = ("plan_paths",)
+
+    def __init__(self, counters) -> None:
+        self._counters = counters
+        self.calls = []
+
+    def model(self):
+        return self._counters
+
+    def _answer(self, kind, history, objective, path_so_far, user_index, max_length):
+        self.calls.append((kind, history, objective, path_so_far, user_index, max_length))
+        return list(self._counters)
+
+
+def test_a_counter_probe_answers_a_plan_request_through_a_tenanted_loop():
+    """``fleet_mixed`` reads its worker counters through such a probe."""
+    probe = _CounterProbeShape([3, 1, 4])
+    registry = TenantRegistry()
+    registry.add("probe", probe)
+    with ServingLoop(None, tenants=registry) as loop:
+        request = PlanRequest(history=[5, 6], objective=7, user_index=2, tenant="probe")
+        response = loop.serve(request).result(timeout=30)
+    assert response.answer == [3, 1, 4]
+    assert probe.calls == [("plan_paths", (5, 6), 7, (), 2, None)]
 
 
 class _FixedScores:
