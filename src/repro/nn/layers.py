@@ -205,10 +205,11 @@ class Linear(Module):
 class Embedding(Module):
     """Dense lookup table mapping integer ids to vectors.
 
-    ``padding_idx`` (if given) is initialised to zero and its gradient is
-    zeroed after each backward pass by the optimizers' ``step`` via the hook
-    :meth:`apply_padding_mask` — callers training embeddings with a padding
-    token should invoke it after ``backward()`` (the provided models do).
+    ``padding_idx`` (if given) is the row set to zero at construction and by
+    :meth:`load_pretrained`.  Nothing freezes it afterwards: a lookup of the
+    padding id sends its gradient to that row like to any other, so every
+    model whose padding tokens reach its loss (all the pre-padded ones do)
+    trains the row.
     """
 
     def __init__(
@@ -231,13 +232,6 @@ class Embedding(Module):
 
     def forward(self, indices: np.ndarray) -> Tensor:
         return F.embedding(self.weight, indices)
-
-    def apply_padding_mask(self) -> None:
-        """Zero the gradient (and value) of the padding row, if configured."""
-        if self.padding_idx is None:
-            return
-        if self.weight.grad is not None:
-            self.weight.grad[self.padding_idx] = 0.0
 
     def load_pretrained(self, vectors: np.ndarray, freeze: bool = False) -> None:
         """Overwrite the table with pre-trained ``vectors`` (e.g. item2vec)."""

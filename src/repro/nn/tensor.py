@@ -99,6 +99,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is a NumPy basic index: it selects no cell twice."""
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(
+        part is None
+        or part is Ellipsis
+        or isinstance(part, slice)
+        or (isinstance(part, (int, np.integer)) and not isinstance(part, bool))
+        for part in parts
+    )
+
+
 class Tensor:
     """An n-dimensional array with reverse-mode autodiff.
 
@@ -178,11 +190,25 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Add ``grad`` (summed down to this tensor's shape) to :attr:`grad`.
+
+        A non-leaf tensor adopts its first gradient instead of copying it.
+        Every backward closure hands on an array it has just computed or a
+        view of the gradient it was given, and nothing writes into either
+        afterwards (a second gradient is *added* into a new array), so two
+        tensors may share one buffer.  An adopted buffer must be C-contiguous,
+        as a copy is: it feeds the next backward's GEMMs, and BLAS takes
+        another path, and rounds differently, on a strided operand — so a
+        strided view is still copied.  A leaf (a parameter) always copies:
+        ``clip_grad_norm`` scales ``param.grad`` in place, and a buffer two
+        parameters shared (the operands of ``a + b``) would be scaled twice.
+        """
         if not self.requires_grad:
             return
         grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
         if self.grad is None:
-            self.grad = grad.copy()
+            adopt = self._backward is not None and grad.flags.c_contiguous
+            self.grad = grad if adopt else grad.copy()
         else:
             self.grad = self.grad + grad
 
@@ -423,11 +449,23 @@ class Tensor:
         return self.transpose(*axes)
 
     def __getitem__(self, index) -> "Tensor":
+        """``self.data[index]``; the gradient is scattered back into zeros.
+
+        A basic index (ints, slices, ``None``, ``Ellipsis``) selects no cell
+        twice, so ``full[index] += grad`` adds the same ``0.0 + g`` per cell
+        as ``np.add.at`` — signed zeros included — without its unbuffered,
+        element-by-element scatter.  An array index (integer or boolean)
+        keeps ``np.add.at``: an integer one may repeat a cell (an embedding
+        lookup of a repeated id), and only ``np.add.at`` sums the repeats.
+        """
         data = self.data[index]
 
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data)
-            np.add.at(full, index, grad)
+            if _is_basic_index(index):
+                full[index] += grad
+            else:
+                np.add.at(full, index, grad)
             self._accumulate(full)
 
         return Tensor._make(data, (self,), backward)

@@ -109,13 +109,10 @@ class TestEmbedding:
         table = Embedding(10, 4, padding_idx=0, rng=0)
         assert np.allclose(table.weight.data[0], 0.0)
 
-    def test_apply_padding_mask_zeroes_grad(self):
+    def test_padding_row_receives_its_lookups_gradient(self):
         table = Embedding(5, 3, padding_idx=0, rng=0)
-        out = table(np.array([0, 1, 0]))
-        out.sum().backward()
-        assert not np.allclose(table.weight.grad[0], 0.0)
-        table.apply_padding_mask()
-        assert np.allclose(table.weight.grad[0], 0.0)
+        table(np.array([0, 1, 0])).sum().backward()
+        assert np.array_equal(table.weight.grad[0], np.full(3, 2.0))
 
     def test_load_pretrained_checks_shape(self):
         table = Embedding(5, 3, rng=0)

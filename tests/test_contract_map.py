@@ -35,8 +35,9 @@ CITED = sorted({test_id for _, ids in ROWS for test_id in ids})
 
 def test_every_bit_cites_a_test():
     # one row per bit family the contract report once carried, less the
-    # in-place tensor ops' guard, whose code was deleted
-    assert len(ROWS) >= 26
+    # in-place tensor ops' guard, whose code was deleted, plus the training
+    # engine's parity and its step-memory bound
+    assert len(ROWS) >= 28
     for bit, ids in ROWS:
         assert ids, f"the contract bit {bit!r} cites no test id"
 
