@@ -211,7 +211,7 @@ def _resolve_serve_args(args: argparse.Namespace) -> dict:
 def _resolve_replica_args(args: argparse.Namespace, duration: float) -> dict:
     knobs = resolve_args(args, "serve-sim")
     _check_serve_sim({**knobs, "serve_duration": duration}, set())
-    return {name: knobs[name] for name in ("num_replicas", "refit_at", "dispatch_policy")}
+    return {name: knobs[name] for name in ("num_replicas", "refit_at")}
 
 
 def main(argv: "list[str] | None" = None) -> int:

@@ -261,7 +261,7 @@ def run_serve_sim(args: argparse.Namespace, knobs: dict) -> int:
     )
     if replicated:
         print(
-            f"replicas: {knobs['num_replicas']} ({knobs['dispatch_policy']}), "
+            f"replicas: {knobs['num_replicas']}, "
             f"picks {report['dispatch']['picks']}, generations served "
             f"{report['generations_served']}, no pause: {report['no_pause']}"
         )

@@ -47,7 +47,6 @@ __all__ = [
     "add_config_arguments",
     # valid-choice tuples (historically exported by the package configs)
     "VALID_ADMISSION_POLICIES",
-    "VALID_DISPATCH_POLICIES",
     "VALID_TRANSPORTS",
     "RETRIEVAL_SPECS",
     # typed resolvers
@@ -59,7 +58,6 @@ __all__ = [
     "resolve_num_workers",
     "resolve_num_replicas",
     "resolve_refit_at",
-    "resolve_dispatch_policy",
     "resolve_transport",
     "resolve_heartbeat_interval",
     "resolve_heartbeat_misses",
@@ -71,7 +69,6 @@ __all__ = [
 ]
 
 VALID_ADMISSION_POLICIES = ("block", "reject")
-VALID_DISPATCH_POLICIES = ("least_loaded", "round_robin")
 VALID_TRANSPORTS = ("inproc", "process")
 RETRIEVAL_SPECS = ("none", "full", "ann", "cooccurrence")
 
@@ -289,14 +286,6 @@ _TABLE = (
         env="REPRO_REPLICAS",
         flag="--replicas",
     ),
-    ConfigField(
-        "dispatch_policy",
-        "replication",
-        "least_loaded",
-        choice_of("dispatch_policy", VALID_DISPATCH_POLICIES),
-        "least_loaded | round_robin replica routing "
-        "(default: $REPRO_DISPATCH_POLICY or least_loaded)",
-    ),
     # ----------------------------- transport ----------------------------- #
     ConfigField(
         "transport",
@@ -478,11 +467,6 @@ def resolve_num_replicas(value: "int | None" = None) -> int:
 def resolve_refit_at(value: "float | None" = None) -> "float | None":
     """Hot-refit trigger offset: explicit > ``REPRO_REFIT_AT`` > no refit."""
     return resolve("refit_at", value)
-
-
-def resolve_dispatch_policy(value: "str | None" = None) -> str:
-    """Routing policy: explicit > ``REPRO_DISPATCH_POLICY`` > least_loaded."""
-    return resolve("dispatch_policy", value)
 
 
 def resolve_transport(value: "str | None" = None) -> str:

@@ -11,7 +11,9 @@ not ultimately reach the global optimal influence path", §III-C).
 plans the whole path with beam search instead.  Hypotheses are scored by
 their average per-step log-probability plus a terminal bonus for reaching the
 objective; the best complete hypothesis (or the best partial one, if none is
-complete) becomes the influence path.
+complete) becomes the influence path.  Width 1, branch factor 1 and no
+bonus is Algorithm 1 itself: IRN's ``generate_paths_batch`` plans through
+that configuration.
 
 The planner also implements the standard
 :class:`~repro.core.base.InfluentialRecommender` interface, so it drops into

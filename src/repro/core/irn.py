@@ -106,6 +106,7 @@ from repro.cache.kv import DecodingState
 from repro.cache.session import DecodingSession
 from repro.cache.stats import DecodeStats
 from repro.core.base import InfluentialRecommender, influential_registry
+from repro.core.beam import BeamSearchPlanner
 from repro.core.influence_path import mask_session_items
 from repro.core.pim import (
     MaskType,
@@ -370,6 +371,9 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         self.decode_stats = DecodeStats()
         #: compiled inference programs by dtype (see :meth:`_program`)
         self._programs: dict = {}
+        #: the width-1 planner Algorithm 1 runs through (see
+        #: :meth:`generate_paths_batch`), built on first use
+        self._greedy: "BeamSearchPlanner | None" = None
 
     # ------------------------------------------------------------------ #
     # Construction / training
@@ -517,8 +521,25 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
           allowed; ragged shortlists are the caller's to pad and mask), and
           never builds a ``(batch, vocab)`` array.
         """
-        return self._score_objective_batch(
-            sequences, objectives, user_indices, candidate_items=candidate_items
+        self._require_fitted()
+        assert self.module is not None
+        batch = len(sequences)
+        objectives = list(objectives)
+        check_batch_lengths(batch, objectives=objectives)
+        candidate_items = self._normalize_candidates(candidate_items, batch)
+        if batch == 0:
+            return np.zeros((0, self.vocab_size), dtype=np.float64)
+        rows = [
+            [int(item) for item in clip_history(seq, self.max_sequence_length - 1)]
+            + [int(objective)]
+            for seq, objective in zip(sequences, objectives)
+        ]
+        items, _, lengths = self._right_align(rows)
+        return self._score_objective_block(
+            items,
+            lengths,
+            self._batch_users(user_indices, batch),
+            candidate_items=candidate_items,
         )
 
     def _normalize_candidates(
@@ -556,40 +577,6 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         if cands.size >= self.vocab_size - 1:
             return None  # full coverage: take the exact full-projection path
         return cands
-
-    def _score_objective_batch(
-        self,
-        sequences: Sequence[Sequence[int]],
-        objectives: Sequence[int],
-        user_indices: "Sequence[int | None] | None" = None,
-        record: str = "full",
-        caches: "list | None" = None,
-        persist: int | None = None,
-        candidate_items: "np.ndarray | None" = None,
-    ) -> np.ndarray:
-        self._require_fitted()
-        assert self.module is not None
-        batch = len(sequences)
-        objectives = list(objectives)
-        check_batch_lengths(batch, objectives=objectives)
-        candidate_items = self._normalize_candidates(candidate_items, batch)
-        if batch == 0:
-            return np.zeros((0, self.vocab_size), dtype=np.float64)
-        rows = [
-            [int(item) for item in clip_history(seq, self.max_sequence_length - 1)]
-            + [int(objective)]
-            for seq, objective in zip(sequences, objectives)
-        ]
-        items, _, lengths = self._right_align(rows)
-        return self._score_objective_block(
-            items,
-            lengths,
-            self._batch_users(user_indices, batch),
-            record,
-            caches,
-            persist,
-            candidate_items,
-        )
 
     def _score_objective_block(
         self,
@@ -678,16 +665,6 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         with a causal-only mask; scores are gathered at the shared final
         column (each row's most recent real item).
         """
-        return self._score_next_batch(histories, user_indices)
-
-    def _score_next_batch(
-        self,
-        histories: Sequence[Sequence[int]],
-        user_indices: "Sequence[int | None] | None" = None,
-        record: str = "full",
-        caches: "list | None" = None,
-        persist: int | None = None,
-    ) -> np.ndarray:
         self._require_fitted()
         assert self.module is not None
         batch = len(histories)
@@ -699,7 +676,7 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
             rows.append(clipped if clipped else [PAD_INDEX])
         items, _, lengths = self._right_align(rows)
         broadcast_user_indices(batch, user_indices)  # length check: causal scoring reads no user
-        return self._score_next_block(items, lengths, record, caches, persist)
+        return self._score_next_block(items, lengths)
 
     def _score_next_block(
         self,
@@ -707,7 +684,6 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         lengths: np.ndarray,
         record: str = "full",
         caches: "list | None" = None,
-        persist: int | None = None,
     ) -> np.ndarray:
         """Score right-aligned histories (``lengths`` real tokens each) at the final column."""
         program = self._program()
@@ -716,7 +692,6 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
             causal_history_mask(items),
             queries=slice(-1, None),
             caches=caches,
-            persist=persist,
         )
         self._record_tokens(record, items.size)
         return self._item_scores(program.project(hidden)[:, 0])
@@ -959,7 +934,7 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         if not tokens.shape[1]:
             tokens = np.full((len(tokens), 1), PAD_INDEX, dtype=np.int64)
         batch, width = tokens.shape
-        # An empty history keeps a PAD placeholder (as in _score_next_batch):
+        # An empty history keeps a PAD placeholder (as in score_next_batch):
         # its column is masked for every query.
         embedded = program.embed(
             tokens, self._positions(np.maximum(session.root_lengths, 1), width)
@@ -1070,46 +1045,23 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         user_indices: "Sequence[int | None] | None" = None,
         max_length: int = 20,
     ) -> list[list[int]]:
-        """Run Algorithm 1 for many ``(history, objective)`` instances in lockstep.
+        """Run Algorithm 1 for many ``(history, objective)`` instances.
 
-        All instances that are still alive at step ``k`` share one batched
-        forward (via :meth:`score_with_objective_batch`), instead of
-        the per-instance, per-step forwards of the scalar loop.  Produces the
-        same paths as looping :meth:`generate_path` (same greedy argmax and
-        seen-item masking), up to the batched scorer's documented tolerance.
+        Algorithm 1 is the greedy rollout: a width-1, branch-1 beam with no
+        completion bonus.  All instances plan in one lockstep
+        :class:`~repro.core.beam.BeamSearchPlanner` call — the session-based
+        planner the serving stack runs — and the paths equal looping
+        :meth:`generate_path` (same greedy argmax and seen-item masking).
+        The planner is built once per model, so repeated rollouts register
+        no new metrics (two threads racing the first call may each build
+        one; either plans the same paths).
         """
-        if max_length <= 0:
-            raise ConfigurationError(f"max_length must be positive, got {max_length}")
-        self._require_fitted()
-        count = len(histories)
-        histories = [list(history) for history in histories]
-        objectives = [int(objective) for objective in objectives]
-        check_batch_lengths(count, objectives=objectives)
-        users = broadcast_user_indices(count, user_indices)
-        paths: list[list[int]] = [[] for _ in range(count)]
-        active = list(range(count))
-        for _ in range(max_length):
-            if not active:
-                break
-            sequences = [histories[i] + paths[i] for i in active]
-            scores = self.score_with_objective_batch(
-                sequences,
-                [objectives[i] for i in active],
-                [users[i] for i in active],
+        if self._greedy is None:
+            self._greedy = BeamSearchPlanner(
+                self, beam_width=1, branch_factor=1, objective_bonus=0.0, plan_cache_size=0
             )
-            mask_session_items(scores, pre_pad_block(sequences), [objectives[i] for i in active])
-            best = np.argmax(scores, axis=1)
-            finite = np.isfinite(scores[np.arange(len(active)), best])
-            still_active: list[int] = []
-            for slot, i in enumerate(active):
-                if not finite[slot]:
-                    continue
-                item = int(best[slot])
-                paths[i].append(item)
-                if item != objectives[i]:
-                    still_active.append(i)
-            active = still_active
-        return paths
+        self._greedy.corpus = self._require_fitted()
+        return self._greedy.plan_paths_batch(histories, objectives, user_indices, max_length)
 
     # ------------------------------------------------------------------ #
     # Analysis helpers

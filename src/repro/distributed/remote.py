@@ -602,7 +602,6 @@ class RemoteReplicaSet(ReplicaSet):
         max_queue_depth: "int | None" = None,
         admission_policy: "str | None" = None,
         drain_deadline: "float | None" = None,
-        dispatch_policy: "str | None" = None,
         tracer: "object | None" = None,
         heartbeat_interval: "float | None" = None,
         heartbeat_misses: "int | None" = None,
@@ -652,7 +651,6 @@ class RemoteReplicaSet(ReplicaSet):
             max_queue_depth=max_queue_depth,
             admission_policy=admission_policy,
             drain_deadline=drain_deadline,
-            dispatch_policy=dispatch_policy,
             tracer=tracer,
             tenant_factory=tenant_factory,
         )
@@ -783,10 +781,7 @@ class RemoteReplicaSet(ReplicaSet):
         if self.tenant_placement:
             by_slot = {replica.slot: replica for replica in members}
             self._tenant_dispatchers = {
-                tenant: Dispatcher(
-                    [by_slot[slot] for slot in slots if slot in by_slot],
-                    policy=self.dispatcher.policy,
-                )
+                tenant: Dispatcher([by_slot[slot] for slot in slots if slot in by_slot])
                 for tenant, slots in self.tenant_placement.items()
             }
 

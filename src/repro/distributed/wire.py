@@ -125,11 +125,8 @@ MAX_PAYLOAD_BYTES = 1 << 30
 # request's ``deadline`` when the record is packed; the decoder re-anchors it
 # on its own clock.
 _REQUEST_FIXED = struct.Struct("!QBqqiIIHd")
-#: Open enum of request kinds on the wire.  ``rank`` and ``kg_path`` reuse
-#: the envelope fields the way the typed API lowers them (k in
-#: ``objective`` / exclusions in ``path_so_far``; source as the history's
-#: last item / target in ``objective``), so no new record shapes.
-_KIND_CODES = {"next_step": 0, "plan_paths": 1, "rank": 2, "kg_path": 3}
+#: The request kinds on the wire; any other code is refused at decode.
+_KIND_CODES = {"next_step": 0, "plan_paths": 1}
 _KIND_NAMES = {code: name for name, code in _KIND_CODES.items()}
 
 # Response record (ok): id(u64) status(u8=0) answer_kind(u8)
@@ -344,6 +341,9 @@ def decode_request_batch(payload: bytes) -> "list[tuple[int, ServeRequest]]":
             tenant_len,
             budget_s,
         ) = _REQUEST_FIXED.unpack_from(payload, offset)
+        kind = _KIND_NAMES.get(kind_code)
+        if kind is None:
+            raise ServingError(f"unknown request kind code {kind_code} on the wire")
         offset += _REQUEST_FIXED.size
         history = struct.unpack_from(f"!{hist_len}q", payload, offset)
         offset += 8 * hist_len
@@ -355,7 +355,7 @@ def decode_request_batch(payload: bytes) -> "list[tuple[int, ServeRequest]]":
             (
                 request_id,
                 ServeRequest(
-                    kind=_KIND_NAMES[kind_code],
+                    kind=kind,
                     history=history,
                     objective=objective,
                     path_so_far=path,

@@ -30,7 +30,6 @@ import threading
 from collections import OrderedDict
 from typing import Sequence
 
-from repro.config import resolve_dispatch_policy
 from repro.obs.registry import MetricGroup, get_registry
 from repro.replica.replica import Replica
 from repro.serve.request import ServeRequest
@@ -53,10 +52,8 @@ class Dispatcher:
     def __init__(
         self,
         replicas: "Sequence[Replica]",
-        policy: "str | None" = None,
         max_pinned_sessions: int = MAX_PINNED_SESSIONS,
     ) -> None:
-        self.policy = resolve_dispatch_policy(policy)
         self.max_pinned_sessions = max_pinned_sessions
         self._lock = threading.Lock()
         self._replicas: "list[Replica]" = list(replicas)
@@ -124,7 +121,7 @@ class Dispatcher:
                         add={"sessions_evicted": 1},
                         set_={"sessions_pinned": len(self._affinity)},
                     )
-            if self.policy == "round_robin" or any(r.cold() for r in healthy):
+            if any(r.cold() for r in healthy):
                 choice = healthy[self._rr_position % len(healthy)]
                 self._rr_position += 1
                 self._metrics.record(add={"picks_round_robin": 1})
@@ -149,7 +146,6 @@ class Dispatcher:
         with self._lock:
             counts = self._metrics.values()
             return {
-                "policy": self.policy,
                 "replicas": len(self._replicas),
                 "sessions_pinned": len(self._affinity),
                 "sessions_evicted": counts["sessions_evicted"],

@@ -85,9 +85,6 @@ class ReplicaSet(TypedServingSurface):
         Forwarded to every replica's :class:`~repro.serve.loop.ServingLoop`
         (each gets its own queue and admission controller, labelled
         ``replica-<id>`` for per-replica depth accounting).
-    dispatch_policy:
-        ``least_loaded`` (default) or ``round_robin``; ``None`` reads
-        ``REPRO_DISPATCH_POLICY``.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer` shared by every replica's
         serving loop; ``None`` leaves tracing off (the zero-cost default).
@@ -114,7 +111,6 @@ class ReplicaSet(TypedServingSurface):
         max_queue_depth: "int | None" = None,
         admission_policy: "str | None" = None,
         drain_deadline: "float | None" = None,
-        dispatch_policy: "str | None" = None,
         tracer: "object | None" = None,
         tenant_factory: "Callable[[], object] | None" = None,
     ) -> None:
@@ -166,7 +162,7 @@ class ReplicaSet(TypedServingSurface):
         #: doing periodic refits never retains old generations' models.
         self._retired: "list" = []
         self._retired_stats: "list[dict]" = []
-        self.dispatcher = Dispatcher([], policy=dispatch_policy)
+        self.dispatcher = Dispatcher([])
         self.refit_coordinator = RefitCoordinator(self)
         # Everything above exists BEFORE the first member is built: a
         # member may report back (a worker dying at start-up) immediately.

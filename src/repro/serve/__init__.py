@@ -12,13 +12,7 @@ driven by the traffic drivers in :mod:`repro.serve.driver`.
 """
 
 from repro.serve.admission import AdmissionController
-from repro.serve.api import (
-    KGPathRequest,
-    NextStepRequest,
-    PlanRequest,
-    RankRequest,
-    Response,
-)
+from repro.serve.api import NextStepRequest, PlanRequest, Response
 from repro.serve.driver import (
     latency_percentiles,
     poisson_arrival_offsets,
@@ -31,10 +25,8 @@ from repro.serve.request import ServeRequest
 
 __all__ = [
     "AdmissionController",
-    "KGPathRequest",
     "NextStepRequest",
     "PlanRequest",
-    "RankRequest",
     "RequestQueue",
     "Response",
     "ServeRequest",

@@ -6,17 +6,14 @@ Every serving front-end (:class:`~repro.serve.loop.ServingLoop`,
 
     ``serve(request) -> Future[Response]``
 
-where ``request`` is one of four frozen dataclasses sharing a common
-envelope (tenant id, deadline, and the derived routing key):
+where ``request`` is one of two frozen dataclasses sharing a common
+envelope (tenant id, deadline, and the derived routing key) — the two
+things the paper's IRS does:
 
 * :class:`NextStepRequest` — the next item of an evolving influence plan
-  (the stepwise serving workload of PRs 4–9);
-* :class:`PlanRequest` — a full influence path to an objective;
-* :class:`RankRequest` — top-``k`` next-item ranking from any
-  :mod:`repro.models` recommender (the envelope's ``objective`` field
-  carries ``k``, its ``path_so_far`` field the exclusion set);
-* :class:`KGPathRequest` — a knowledge-graph-constrained item path from a
-  source to a target item (:mod:`repro.kg`).
+  (the stepwise serving workload);
+* :class:`PlanRequest` — a full influence path to an objective
+  (Algorithm 1).
 
 Each typed request lowers to one
 :class:`~repro.serve.request.ServeRequest` envelope — the request type every
@@ -54,11 +51,8 @@ __all__ = [
     "Request",
     "NextStepRequest",
     "PlanRequest",
-    "RankRequest",
-    "KGPathRequest",
     "Response",
     "TypedServingSurface",
-    "REQUEST_TYPES",
 ]
 
 
@@ -133,60 +127,6 @@ class PlanRequest(Request):
             tenant=self.tenant,
             deadline=self.deadline,
         )
-
-
-@dataclass(frozen=True)
-class RankRequest(Request):
-    """Rank the top-``k`` next items for a history (the model-zoo workload).
-
-    Lowers onto the envelope with ``k`` in the ``objective`` field and the
-    exclusion set in the ``path_so_far`` field, so the same wire rows and
-    dedup/wave machinery serve it unchanged.
-    """
-
-    history: Sequence[int] = ()
-    k: int = 10
-    user_index: "int | None" = None
-    exclude: Sequence[int] = ()
-
-    kind: ClassVar[str] = "rank"
-
-    def to_envelope(self) -> ServeRequest:
-        return ServeRequest.create(
-            "rank",
-            self.history,
-            self.k,
-            self.exclude,
-            self.user_index,
-            None,
-            tenant=self.tenant,
-            deadline=self.deadline,
-        )
-
-
-@dataclass(frozen=True)
-class KGPathRequest(Request):
-    """A knowledge-graph-constrained item path from ``source`` to ``target``."""
-
-    source: int = 0
-    target: int = 0
-
-    kind: ClassVar[str] = "kg_path"
-
-    def to_envelope(self) -> ServeRequest:
-        return ServeRequest.create(
-            "kg_path",
-            (self.source,),
-            self.target,
-            (),
-            None,
-            None,
-            tenant=self.tenant,
-            deadline=self.deadline,
-        )
-
-
-REQUEST_TYPES = (NextStepRequest, PlanRequest, RankRequest, KGPathRequest)
 
 
 @dataclass

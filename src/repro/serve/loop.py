@@ -14,7 +14,7 @@ takes one of two lanes, decided at admission:
   ``enqueue`` returns — no queue, no thread hand-over, no drain window, and
   never in the same batch as someone else's replan;
 * **queued** — everything else (a ``next_step`` no resident plan answers,
-  ``plan_paths``, ``rank``, ``kg_path``) enters the loop's one bounded
+  and every ``plan_paths``) enters the loop's one bounded
   :class:`~repro.serve.queue.RequestQueue`, and its one drain thread
   answers everything pending as a single micro-batch through
   :meth:`~repro.core.beam.BeamSearchPlanner.plan_for_requests`.  The

@@ -7,12 +7,10 @@ latency accounting reads.  :meth:`ServeRequest.create` validates and
 normalises it once (tuples of ``int``, a checked horizon, no negative
 user); every layer below — the serving loop, the tenant registry, the kind
 adapters and :meth:`repro.core.beam.BeamSearchPlanner.plan_for_requests` —
-reads its fields as they are.  Four kinds exist — the ``next_step`` /
-``plan_paths`` planning calls plus the model-zoo kinds ``rank`` (top-k
-next-item ranking; the objective field carries ``k`` and the path field
-the exclusion set) and ``kg_path`` (knowledge-graph-constrained
-source→target item path).  Typed construction lives in
-:mod:`repro.serve.api`.
+reads its fields as they are.  Two kinds exist, the two things the
+paper's IRS does: ``next_step`` (the next item of an influence path) and
+``plan_paths`` (the whole path, Algorithm 1).  Typed construction lives
+in :mod:`repro.serve.api`.
 
 One future per request: :meth:`ServeRequest.resolve` / :meth:`ServeRequest.fail`
 are the only places a serving future is completed (as
@@ -43,7 +41,7 @@ from repro.utils.exceptions import ConfigurationError
 
 __all__ = ["ServeRequest", "REQUEST_KINDS"]
 
-REQUEST_KINDS = ("next_step", "plan_paths", "rank", "kg_path")
+REQUEST_KINDS = ("next_step", "plan_paths")
 
 
 @dataclass
@@ -149,11 +147,6 @@ class ServeRequest:
                 "next_step requests cannot override max_length; the planner's "
                 "constructor-level horizon keys the serving cache"
             )
-        if kind in ("rank", "kg_path") and max_length is not None:
-            raise ConfigurationError(
-                f"{kind} requests do not take max_length (rank sizes its answer "
-                "via k in the objective slot; kg_path returns the shortest path)"
-            )
         if max_length is not None:
             if not isinstance(max_length, int) or isinstance(max_length, bool):
                 raise ConfigurationError(
@@ -164,15 +157,6 @@ class ServeRequest:
                     f"max_length must be positive, got {max_length}"
                 )
         history = tuple(int(item) for item in history)
-        if kind == "rank" and int(objective) < 1:
-            raise ConfigurationError(
-                f"rank requests need k >= 1 in the objective slot, got {objective}"
-            )
-        if kind == "kg_path" and not history:
-            raise ConfigurationError(
-                "kg_path requests need a non-empty history (the last item is "
-                "the path source)"
-            )
         if user_index is not None:
             user_index = int(user_index)
             # The wire encodes "no user" as -1 and decodes every negative as

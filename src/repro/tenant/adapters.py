@@ -1,9 +1,9 @@
-"""Kind adapters: one serving request type over the whole model zoo.
+"""Kind adapters: one serving request type over the served models.
 
 The serving loop drains micro-batches of
 :class:`~repro.serve.request.ServeRequest` envelopes, and every adapter
-answers them as they are.  A tenant may bind any model in the repo behind
-that request type:
+answers them as they are.  A tenant binds a planner or a sequential
+recommender behind that request type:
 
 * :class:`PlannerAdapter` — a fitted
   :class:`~repro.core.beam.BeamSearchPlanner` (or anything else with
@@ -16,13 +16,8 @@ that request type:
   parent do so without crossing the process boundary.  The one place a
   serving surface checks for ``plan_for_requests``.
 * :class:`RecommenderAdapter` — any
-  :class:`~repro.models.base.SequentialRecommender`: serves ``rank``
-  (``top_k`` with ``k`` from the ``objective`` field and the exclusion set
-  from ``path_so_far``) and ``next_step`` (objective-blind top-1 over
-  unseen items — the A/B control arm).
-* :class:`KGAdapter` — the knowledge-graph models (:mod:`repro.kg`):
-  serves ``kg_path`` (shortest item path source→target) and, when built
-  from a fitted :class:`~repro.kg.kg2inf.Kg2Inf`, ``next_step``.
+  :class:`~repro.models.base.SequentialRecommender`: serves ``next_step``
+  (objective-blind top-1 over unseen items — the A/B control arm).
 
 :func:`adapt` sniffs a model's surface and picks the adapter, so a
 :class:`~repro.tenant.registry.TenantRegistry` can be declared in terms of
@@ -49,7 +44,6 @@ __all__ = [
     "KindAdapter",
     "PlannerAdapter",
     "RecommenderAdapter",
-    "KGAdapter",
     "adapt",
 ]
 
@@ -170,13 +164,12 @@ class PlannerAdapter(KindAdapter):
 class RecommenderAdapter(KindAdapter):
     """Any sequential recommender behind the serving surface.
 
-    ``rank`` is the native workload (``top_k``).  ``next_step`` recommends
-    the best *unseen* item with no knowledge of the objective — the
-    objective-blind control arm the A/B harness measures IRS uplift
-    against.
+    ``next_step`` recommends the best *unseen* item with no knowledge of
+    the objective — the objective-blind control arm the A/B harness
+    measures IRS uplift against.
     """
 
-    kinds = ("rank", "next_step")
+    kinds = ("next_step",)
 
     def __init__(self, recommender) -> None:
         if not hasattr(recommender, "top_k"):
@@ -195,16 +188,6 @@ class RecommenderAdapter(KindAdapter):
         return self.recommender
 
     def _answer(self, kind, history, objective, path_so_far, user_index, max_length):
-        if kind == "rank":
-            return [
-                int(item)
-                for item in self.recommender.top_k(
-                    list(history),
-                    objective,
-                    user_index=user_index,
-                    exclude=list(path_so_far),
-                )
-            ]
         sequence = history + path_so_far
         ranked = self.recommender.top_k(
             list(sequence),
@@ -215,60 +198,20 @@ class RecommenderAdapter(KindAdapter):
         return int(ranked[0]) if ranked else None
 
 
-class KGAdapter(KindAdapter):
-    """The knowledge-graph models behind the serving surface.
-
-    Built from a fitted :class:`~repro.kg.kg2inf.Kg2Inf` it serves both
-    kinds; built from a bare :class:`~repro.kg.graph.ItemKnowledgeGraph`
-    it serves ``kg_path`` only.
-    """
-
-    def __init__(self, graph=None, planner=None) -> None:
-        if graph is None and planner is not None:
-            graph = getattr(planner, "graph", None)
-        if graph is None or not hasattr(graph, "shortest_item_path"):
-            raise ConfigurationError(
-                "KGAdapter needs an ItemKnowledgeGraph (pass graph=..., or a "
-                "fitted Kg2Inf whose .graph is built)"
-            )
-        self.graph = graph
-        self.planner = planner
-        self.kinds = ("kg_path", "next_step") if planner is not None else ("kg_path",)
-
-    def model(self):
-        return self.planner if self.planner is not None else self.graph
-
-    def _answer(self, kind, history, objective, path_so_far, user_index, max_length):
-        if kind == "kg_path":
-            return [
-                int(item)
-                for item in self.graph.shortest_item_path(history[-1], objective)
-            ]
-        step = self.planner.next_step(history, objective, path_so_far, user_index)
-        return None if step is None else int(step)
-
-
 def adapt(model) -> KindAdapter:
     """Wrap ``model`` in the adapter matching its surface.
 
     Accepts an already-built :class:`KindAdapter` unchanged; otherwise
-    sniffs, in order: ``plan_for_requests`` (beam planner),
-    ``shortest_item_path`` (bare knowledge graph),
-    ``next_step`` + ``graph`` (Kg2Inf), ``top_k`` (sequential
-    recommender).
+    sniffs, in order: ``plan_for_requests`` (beam planner), ``top_k``
+    (sequential recommender).
     """
     if isinstance(model, KindAdapter):
         return model
     if hasattr(model, "plan_for_requests"):
         return PlannerAdapter(model)
-    if hasattr(model, "shortest_item_path"):
-        return KGAdapter(graph=model)
-    if hasattr(model, "next_step") and getattr(model, "graph", None) is not None:
-        return KGAdapter(planner=model)
     if hasattr(model, "top_k"):
         return RecommenderAdapter(model)
     raise ConfigurationError(
         f"cannot adapt {type(model).__name__!r} for tenant serving: expected a "
-        "planner (plan_for_requests), a recommender (top_k), or a knowledge-"
-        "graph model (shortest_item_path / a fitted Kg2Inf)"
+        "planner (plan_for_requests) or a recommender (top_k)"
     )

@@ -1,4 +1,4 @@
-"""The tenant registry: model zoo, admission scopes and batch grouping.
+"""The tenant registry: served models, admission scopes and batch grouping.
 
 A :class:`TenantRegistry` binds tenant ids to served models
 (:class:`TenantBinding` = adapter + optional per-tenant admission +

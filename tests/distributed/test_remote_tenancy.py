@@ -3,9 +3,9 @@
 The tenant contract of the multi-tenancy PR, exercised end-to-end over
 real forked workers:
 
-* every request kind (``next_step`` / ``plan_paths`` / ``rank`` /
-  ``kg_path``) round-trips the wire bit-identically to calling the
-  tenant's model directly in-process;
+* both request kinds (``next_step`` / ``plan_paths``), served by a planner
+  tenant and by a recommender tenant, round-trip the wire bit-identically
+  to calling the tenant's model directly in-process;
 * tenant placement makes :class:`RemoteReplicaSet` the isolation
   boundary — a placed tenant's requests only ever reach its own slots'
   workers, and a tenant-scoped refit ships artifacts only to those slots.
@@ -16,9 +16,8 @@ from __future__ import annotations
 import pytest
 
 from repro.distributed import RemoteReplicaSet
-from repro.kg.graph import ItemKnowledgeGraph
 from repro.models.markov import MarkovChainRecommender
-from repro.serve.api import KGPathRequest, NextStepRequest, PlanRequest, RankRequest
+from repro.serve.api import NextStepRequest, PlanRequest
 from repro.tenant import TenantRegistry
 from repro.utils.exceptions import ServingError
 
@@ -30,14 +29,9 @@ def zoo_markov(tiny_split):
     return MarkovChainRecommender().fit(tiny_split)
 
 
-@pytest.fixture(scope="module")
-def zoo_graph(tiny_corpus):
-    return ItemKnowledgeGraph().build(tiny_corpus)
-
-
 @pytest.fixture()
-def make_tenant_factory(make_factory, zoo_markov, zoo_graph):
-    """A deterministic three-tenant registry factory (forked per worker)."""
+def make_tenant_factory(make_factory, zoo_markov):
+    """A deterministic two-tenant registry factory (forked per worker)."""
 
     def build():
         planner_factory = make_factory()
@@ -46,7 +40,6 @@ def make_tenant_factory(make_factory, zoo_markov, zoo_graph):
             registry = TenantRegistry()
             registry.add("irs", planner_factory())
             registry.add("zoo", zoo_markov)
-            registry.add("kg", zoo_graph)
             return registry
 
         return factory
@@ -55,9 +48,8 @@ def make_tenant_factory(make_factory, zoo_markov, zoo_graph):
 
 
 def _tenant_traffic(remote_contexts):
-    """One typed request of each kind, aimed at its tenant's model."""
+    """One typed request of each kind per tenant that serves it."""
     history, objective, user = remote_contexts[0]
-    kg_source, kg_target = remote_contexts[1][0][-1], remote_contexts[1][1]
     return [
         NextStepRequest(
             history=history, objective=objective, user_index=user, tenant="irs"
@@ -69,14 +61,15 @@ def _tenant_traffic(remote_contexts):
             max_length=MAX_LENGTH,
             tenant="irs",
         ),
-        RankRequest(history=history, k=5, user_index=user, tenant="zoo"),
-        KGPathRequest(source=kg_source, target=kg_target, tenant="kg"),
+        NextStepRequest(
+            history=history, objective=objective, user_index=user, tenant="zoo"
+        ),
     ]
 
 
 class TestRemoteTenantParity:
-    def test_four_kinds_round_trip_bit_identical(
-        self, make_tenant_factory, make_factory, zoo_markov, zoo_graph, remote_contexts
+    def test_every_kind_round_trips_bit_identical(
+        self, make_tenant_factory, make_factory, zoo_markov, remote_contexts
     ):
         requests = _tenant_traffic(remote_contexts)
         history, objective, user = remote_contexts[0]
@@ -84,8 +77,8 @@ class TestRemoteTenantParity:
         expected = [
             reference.next_step(history, objective, [], user_index=user),
             reference.plan_path(history, objective, user_index=user, max_length=MAX_LENGTH),
-            zoo_markov.top_k(list(history), 5, user_index=user),
-            zoo_graph.shortest_item_path(requests[3].source, requests[3].target),
+            # the control arm: the best unseen item, objective ignored
+            zoo_markov.top_k(list(history), 1, user_index=user, exclude=list(history))[0],
         ]
         tenant_factory = make_tenant_factory()
         with RemoteReplicaSet(
@@ -97,14 +90,14 @@ class TestRemoteTenantParity:
             responses = [remote_set.serve(request).result() for request in requests]
             fleet_generation = remote_set.fit_generation
         assert [response.answer for response in responses] == expected
-        assert [response.tenant for response in responses] == ["irs", "irs", "zoo", "kg"]
+        assert [response.tenant for response in responses] == ["irs", "irs", "zoo"]
         # Parent-clock stamps: latencies never negative across the boundary.
         assert all(response.latency_s >= 0.0 for response in responses)
         assert all(response.replica_index is not None for response in responses)
         # The planner tenant carries the fleet generation its worker was
-        # pinned to; the stateless KG tenant has none to report.
+        # pinned to; the Markov recommender has none to report.
         assert responses[0].served_generation == fleet_generation
-        assert responses[3].served_generation is None
+        assert responses[2].served_generation is None
 
     def test_workers_announce_their_tenants(
         self, make_tenant_factory, make_factory
@@ -116,7 +109,7 @@ class TestRemoteTenantParity:
             tenant_factory=make_tenant_factory(),
         ) as remote_set:
             [replica] = remote_set.active_replicas()
-            assert replica.hello["tenants"] == ["irs", "zoo", "kg"]
+            assert replica.hello["tenants"] == ["irs", "zoo"]
 
 
 class TestTenantPlacement:
@@ -129,7 +122,7 @@ class TestTenantPlacement:
             num_replicas=2,
             heartbeat_interval=HEARTBEAT_INTERVAL,
             tenant_factory=make_tenant_factory(),
-            tenant_placement={"irs": (0,), "zoo": (1,), "kg": (1,)},
+            tenant_placement={"irs": (0,), "zoo": (1,)},
         ) as remote_set:
             futures = []
             for _ in range(6):

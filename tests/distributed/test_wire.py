@@ -46,10 +46,10 @@ class TestRequestCodec:
             assert got.user_index == sent.user_index
             assert got.max_length == sent.max_length
 
-    def test_tenant_and_new_kinds_round_trip(self):
+    def test_tenant_and_both_kinds_round_trip(self):
         requests = [
-            _request(kind="rank", history=(1, 2), objective=5, path_so_far=(9,), tenant="zoo"),
-            _request(kind="kg_path", history=(4,), objective=11, tenant="kg-tenant"),
+            _request(history=(1, 2), objective=5, path_so_far=(9,), tenant="zoo"),
+            _request(kind="plan_paths", history=(4,), objective=11, tenant="irs-tenant"),
             _request(tenant=None),
             _request(kind="plan_paths", max_length=3, tenant="a"),
         ]
@@ -61,6 +61,13 @@ class TestRequestCodec:
             assert got.history == sent.history
             assert got.objective == sent.objective
             assert got.path_so_far == sent.path_so_far
+
+    @pytest.mark.parametrize("code", [2, 3, 255])
+    def test_an_unknown_kind_code_is_a_serving_error_naming_it(self, code):
+        payload = bytearray(wire.encode_request_batch([(0, _request())]))
+        payload[wire._COUNT.size + 8] = code  # the kind byte follows the u64 id
+        with pytest.raises(ServingError, match=f"kind code {code}"):
+            wire.decode_request_batch(bytes(payload))
 
     def test_a_deadline_crosses_as_the_budget_left_and_none_stays_none(self):
         """A duration, never a timestamp: the decoder re-anchors what was

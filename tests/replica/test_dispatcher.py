@@ -14,7 +14,7 @@ import pytest
 from repro.replica.dispatch import Dispatcher
 from repro.replica.replica import MIN_WARM_SAMPLES, Replica
 from repro.serve.request import ServeRequest
-from repro.utils.exceptions import ConfigurationError, ServingError
+from repro.utils.exceptions import ServingError
 
 
 class _StubLoop:
@@ -54,14 +54,6 @@ class TestColdStart:
         assert dispatcher.stats()["picks"]["round_robin"] == 6
         assert dispatcher.stats()["picks"]["least_loaded"] == 0
 
-    def test_round_robin_policy_never_scores(self):
-        replicas = [make_replica(i) for i in range(2)]
-        for replica in replicas:
-            warm_up(replica, latency_s=0.01)
-        dispatcher = Dispatcher(replicas, policy="round_robin")
-        picks = [dispatcher.pick(plan_request()).index for _ in range(4)]
-        assert picks == [0, 1, 0, 1]
-        assert dispatcher.stats()["picks"]["least_loaded"] == 0
 
 
 class TestLeastLoaded:
@@ -205,7 +197,3 @@ class TestHealth:
         dispatcher = Dispatcher(replicas)
         with pytest.raises(ServingError, match="no healthy replica"):
             dispatcher.pick(plan_request())
-
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ConfigurationError, match="dispatch_policy"):
-            Dispatcher([make_replica(0)], policy="fastest_fingers")

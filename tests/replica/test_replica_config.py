@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import (
-    VALID_DISPATCH_POLICIES,
-    resolve_dispatch_policy,
-    resolve_num_replicas,
-    resolve_refit_at,
-)
+from repro.config import resolve_num_replicas, resolve_refit_at
 from repro.utils.exceptions import ConfigurationError
 
 
@@ -56,23 +51,3 @@ class TestRefitAt:
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigurationError, match="refit_at"):
             resolve_refit_at(bad)
-
-
-class TestDispatchPolicy:
-    def test_default_and_choices(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISPATCH_POLICY", raising=False)
-        assert resolve_dispatch_policy() == "least_loaded"
-        for policy in VALID_DISPATCH_POLICIES:
-            assert resolve_dispatch_policy(policy) == policy
-        assert resolve_dispatch_policy("ROUND_ROBIN") == "round_robin"
-
-    def test_environment_applies(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISPATCH_POLICY", "round_robin")
-        assert resolve_dispatch_policy() == "round_robin"
-
-    def test_invalid_policy_rejected(self, monkeypatch):
-        with pytest.raises(ConfigurationError, match="dispatch_policy"):
-            resolve_dispatch_policy("fastest")
-        monkeypatch.setenv("REPRO_DISPATCH_POLICY", "fastest")
-        with pytest.raises(ConfigurationError, match=r"\$REPRO_DISPATCH_POLICY"):
-            resolve_dispatch_policy()

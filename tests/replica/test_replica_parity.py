@@ -28,13 +28,13 @@ class TestReplicaSetParity:
             served = replay_lockstep(replica_set, replica_contexts, MAX_LENGTH)
         assert served == sequential_paths
 
-    @pytest.mark.parametrize("dispatch_policy", ["least_loaded", "round_robin"])
-    def test_parity_across_dispatch_policies(
-        self, make_factory, replica_contexts, sequential_paths, dispatch_policy
+    @pytest.mark.parametrize("num_replicas", [4, 9])
+    def test_parity_at_larger_fleets(
+        self, make_factory, replica_contexts, sequential_paths, num_replicas
     ):
-        with ReplicaSet(
-            make_factory(), num_replicas=2, dispatch_policy=dispatch_policy
-        ) as replica_set:
+        """Least-loaded routing rotates while replicas are cold: at 9
+        replicas every one of the 9 contexts may own a replica of its own."""
+        with ReplicaSet(make_factory(), num_replicas=num_replicas) as replica_set:
             served = replay_lockstep(replica_set, replica_contexts, MAX_LENGTH)
         assert served == sequential_paths
 

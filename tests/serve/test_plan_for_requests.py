@@ -64,13 +64,16 @@ class TestSequentialEquivalence:
         assert make_planner().plan_for_requests([]) == []
 
     def test_unknown_kind_rejected(self, make_planner, serve_contexts):
-        """The envelope admits the model-zoo kinds; the planner answers only
-        its own two, and refuses the batch before any work."""
+        """An envelope built past ``create`` may carry any kind; the planner
+        answers only its own two, and refuses the batch before any work."""
         history, objective, user = serve_contexts[0]
         planner = make_planner()
         with pytest.raises(ConfigurationError, match="kind"):
             planner.plan_for_requests(
-                [_step(history, objective, user), ServeRequest.create("rank", history, 5)]
+                [
+                    _step(history, objective, user),
+                    ServeRequest(kind="rank", history=tuple(history), objective=5),
+                ]
             )
         assert planner.cache_info()["serving"]["replans"] == 0
 

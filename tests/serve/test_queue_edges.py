@@ -236,9 +236,13 @@ class TestBackPressure:
             ServeRequest.create("next_step", [1, 2], 3, user_index=-1)
         assert ServeRequest.create("next_step", [1, 2], 3, user_index=0).user_index == 0
 
-    def test_a_kind_is_spelled_one_way(self):
-        with pytest.raises(ConfigurationError, match="request kind"):
-            ServeRequest.create("plan_path", [1, 2], 3)
+    @pytest.mark.parametrize("kind", ["plan_path", "rank", "kg_path"])
+    def test_a_kind_is_spelled_one_way(self, kind):
+        """``next_step`` and ``plan_paths``, the two things the IRS plans,
+        are the only kinds; no other spelling and no ranking or
+        knowledge-graph path kind is admitted."""
+        with pytest.raises(ConfigurationError, match="next_step, plan_paths"):
+            ServeRequest.create(kind, [1, 2], 3)
 
     def test_submit_after_close_raises(self, make_planner, serve_contexts):
         """Both lanes refuse after close(): a step a resident plan would

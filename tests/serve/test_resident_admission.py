@@ -181,7 +181,7 @@ def test_the_resident_plan_can_be_shown_without_a_lookup(make_planner, serve_con
     tenants = TenantRegistry()
     tenants.add("irs", planner)
     tenants.add("twin", planner)
-    tenants.add("kg", _NoPlans())
+    tenants.add("stateless", _NoPlans())
     with ServingLoop(planner, tenants=tenants) as loop:
         assert loop.resident_slots() == 7  # the shared planner's slots count once
         envelope = step(serve_contexts[0]).to_envelope()
@@ -192,13 +192,13 @@ def test_the_resident_plan_can_be_shown_without_a_lookup(make_planner, serve_con
         plan = loop.resident_plan(envelope)
         assert plan[0] == first and lookups(planner) == before
         assert planner.resident_plan(envelope) == plan
-        envelope.tenant = "kg"
+        envelope.tenant = "stateless"
         assert loop.resident_plan(envelope) is None
     assert ServingLoop(make_planner()).resident_slots() == 64
 
 
 class _NoPlans(KindAdapter):
-    kinds = ("kg_path",)
+    kinds = ("next_step",)
 
     def model(self):
         return self

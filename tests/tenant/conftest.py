@@ -1,10 +1,10 @@
 """Fixtures for the in-process multi-tenant suite.
 
-The model zoo is one fitted backbone's worth of tenants: a beam planner
-(the IRS tenant), the Markov recommender (the zoo/control tenant) and the
-bare item knowledge graph (the kg tenant).  Planners are built per test —
-serving mutates their caches — while the backbone, recommender and graph
-are session-scoped read-only.
+The tenants are one fitted backbone's worth of models: a beam planner
+(the IRS tenant) and the Markov recommender (the zoo/control tenant); the
+item knowledge graph is the model no adapter serves.  Planners are built
+per test — serving mutates their caches — while the backbone, recommender
+and graph are session-scoped read-only.
 """
 
 from __future__ import annotations
@@ -17,6 +17,13 @@ from repro.evaluation.protocol import sample_objectives
 from repro.kg.graph import ItemKnowledgeGraph
 
 MAX_LENGTH = 5
+
+
+def control_step(recommender, history, user):
+    """What a recommender tenant answers a ``next_step``: the best unseen
+    item, objective ignored (the A/B control arm)."""
+    ranked = recommender.top_k(history, 1, user_index=user, exclude=history)
+    return int(ranked[0]) if ranked else None
 
 
 @pytest.fixture(scope="session")

@@ -1,17 +1,11 @@
-"""Kind adapters: the model zoo behind the serving request envelope."""
+"""Kind adapters: planners and recommenders behind the serving request envelope."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.serve.request import ServeRequest
-from repro.tenant.adapters import (
-    KGAdapter,
-    KindAdapter,
-    PlannerAdapter,
-    RecommenderAdapter,
-    adapt,
-)
+from repro.tenant.adapters import KindAdapter, PlannerAdapter, RecommenderAdapter, adapt
 from repro.utils.exceptions import ConfigurationError, ServingError
 
 
@@ -26,10 +20,9 @@ class TestAdaptSniffing:
     def test_recommender_becomes_recommender_adapter(self, fitted_markov):
         assert isinstance(adapt(fitted_markov), RecommenderAdapter)
 
-    def test_bare_graph_becomes_kg_adapter(self, tenant_graph):
-        adapter = adapt(tenant_graph)
-        assert isinstance(adapter, KGAdapter)
-        assert adapter.kinds == ("kg_path",)
+    def test_knowledge_graph_is_not_served(self, tenant_graph):
+        with pytest.raises(ConfigurationError, match="ItemKnowledgeGraph"):
+            adapt(tenant_graph)
 
     def test_prebuilt_adapter_passes_through(self, fitted_markov):
         adapter = RecommenderAdapter(fitted_markov)
@@ -44,21 +37,9 @@ class TestAdaptSniffing:
             PlannerAdapter(object())
         with pytest.raises(ConfigurationError, match="top_k"):
             RecommenderAdapter(object())
-        with pytest.raises(ConfigurationError, match="ItemKnowledgeGraph"):
-            KGAdapter()
 
 
 class TestRecommenderAdapter:
-    def test_rank_matches_top_k(self, fitted_markov, tenant_contexts):
-        adapter = RecommenderAdapter(fitted_markov)
-        history, _, user = tenant_contexts[0]
-        [answer] = adapter.plan_for_requests(
-            [_envelope("rank", history, 5, user_index=user)]
-        )
-        assert answer == [
-            int(item) for item in fitted_markov.top_k(history, 5, user_index=user)
-        ]
-
     def test_next_step_is_objective_blind_top_one(self, fitted_markov, tenant_contexts):
         """The A/B control arm: best unseen item, objective ignored."""
         adapter = RecommenderAdapter(fitted_markov)
@@ -74,30 +55,20 @@ class TestRecommenderAdapter:
         expected = int(ranked[0]) if ranked else None
         assert answers == [expected, expected]
 
+    def test_plan_paths_fails_the_whole_sub_batch(self, fitted_markov):
+        adapter = RecommenderAdapter(fitted_markov)
+        assert adapter.kinds == ("next_step",)
+        with pytest.raises(ServingError, match="plan_paths"):
+            adapter.plan_for_requests(
+                [_envelope("next_step", [1], 2), _envelope("plan_paths", [1], 2)]
+            )
+
     def test_serving_generation_reflects_fit_generation(self, fitted_markov):
         adapter = RecommenderAdapter(fitted_markov)
         expected = getattr(fitted_markov, "fit_generation", None)
         assert adapter.serving_generation == (
             int(expected) if expected is not None else None
         )
-
-
-class TestKGAdapter:
-    def test_kg_path_matches_shortest_item_path(self, tenant_graph, tenant_contexts):
-        adapter = KGAdapter(graph=tenant_graph)
-        history, objective, _ = tenant_contexts[0]
-        [answer] = adapter.plan_for_requests([_envelope("kg_path", [history[-1]], objective)])
-        assert answer == [
-            int(item)
-            for item in tenant_graph.shortest_item_path(history[-1], objective)
-        ]
-
-    def test_unsupported_kind_fails_the_whole_sub_batch(self, tenant_graph):
-        adapter = KGAdapter(graph=tenant_graph)
-        with pytest.raises(ServingError, match="next_step"):
-            adapter.plan_for_requests(
-                [_envelope("kg_path", [1], 2), _envelope("next_step", [1], 2)]
-            )
 
 
 class TestPlannerAdapter:

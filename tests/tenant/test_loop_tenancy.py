@@ -6,33 +6,27 @@ import pytest
 
 from repro.replica.set import ReplicaSet
 from repro.serve import ServingLoop
-from repro.serve.api import (
-    KGPathRequest,
-    NextStepRequest,
-    PlanRequest,
-    RankRequest,
-)
+from repro.serve.api import NextStepRequest, PlanRequest
 from repro.tenant import TenantRegistry
 from repro.utils.exceptions import QueueFullError
 
-from tests.tenant.conftest import MAX_LENGTH
+from tests.tenant.conftest import MAX_LENGTH, control_step
 
 
 @pytest.fixture()
-def zoo_registry(make_planner, fitted_markov, tenant_graph):
+def zoo_registry(make_planner, fitted_markov):
     def build() -> TenantRegistry:
         registry = TenantRegistry()
         registry.add("irs", make_planner())
         registry.add("zoo", fitted_markov)
-        registry.add("kg", tenant_graph)
         return registry
 
     return build
 
 
-class TestFourKindParity:
+class TestKindParity:
     def test_every_kind_matches_its_direct_model_oracle(
-        self, zoo_registry, make_planner, fitted_markov, tenant_graph, tenant_contexts
+        self, zoo_registry, make_planner, fitted_markov, tenant_contexts
     ):
         reference = make_planner()
         contexts = tenant_contexts[:6]
@@ -49,9 +43,9 @@ class TestFourKindParity:
                             history=history, objective=objective, user_index=user,
                             max_length=MAX_LENGTH, tenant="irs",
                         ),
-                        RankRequest(history=history, k=5, user_index=user, tenant="zoo"),
-                        KGPathRequest(
-                            source=history[-1], target=objective, tenant="kg"
+                        NextStepRequest(
+                            history=history, objective=objective,
+                            user_index=user, tenant="zoo",
                         ),
                     )
                 ]
@@ -60,20 +54,11 @@ class TestFourKindParity:
                     reference.plan_path(
                         history, objective, user_index=user, max_length=MAX_LENGTH
                     ),
-                    [
-                        int(item)
-                        for item in fitted_markov.top_k(history, 5, user_index=user)
-                    ],
-                    [
-                        int(item)
-                        for item in tenant_graph.shortest_item_path(
-                            history[-1], objective
-                        )
-                    ],
+                    control_step(fitted_markov, history, user),
                 ]
                 assert [response.answer for response in responses] == expected
                 assert [response.tenant for response in responses] == [
-                    "irs", "irs", "zoo", "kg",
+                    "irs", "irs", "zoo",
                 ]
                 assert all(response.latency_s >= 0.0 for response in responses)
 
@@ -81,13 +66,16 @@ class TestFourKindParity:
         history, objective, user = tenant_contexts[0]
         with ServingLoop(None, tenants=zoo_registry()) as loop:
             loop.serve(
-                RankRequest(history=history, k=5, user_index=user, tenant="zoo")
+                NextStepRequest(
+                    history=history, objective=objective, user_index=user, tenant="zoo"
+                )
             ).result()
             stats = loop.stats()
-        assert set(stats["tenants"]) == {"irs", "zoo", "kg"}
+        assert set(stats["tenants"]) == {"irs", "zoo"}
         assert stats["tenants"]["zoo"]["served"] == 1
         assert stats["tenants"]["irs"]["served"] == 0
-        assert stats["tenants"]["zoo"]["kinds"] == ["rank", "next_step"]
+        assert stats["tenants"]["zoo"]["kinds"] == ["next_step"]
+        assert stats["tenants"]["irs"]["kinds"] == ["next_step", "plan_paths"]
 
 
 class TestCrossTenantIsolation:
@@ -118,8 +106,9 @@ class TestCrossTenantIsolation:
         for _ in range(attempts):
             futures.append(
                 loop.enqueue(
-                    RankRequest(
-                        history=history, k=5, user_index=user, tenant="neighbour"
+                    NextStepRequest(
+                        history=history, objective=objective,
+                        user_index=user, tenant="neighbour",
                     ).to_envelope()
                 )
             )
@@ -193,7 +182,9 @@ class TestRefitOpacity:
             return registry
 
         history, objective, user = tenant_contexts[0]
-        request = RankRequest(history=history, k=5, user_index=user, tenant="zoo")
+        request = NextStepRequest(
+            history=history, objective=objective, user_index=user, tenant="zoo"
+        )
         with ReplicaSet(
             make_planner, num_replicas=2, tenant_factory=tenant_factory
         ) as replica_set:

@@ -8,6 +8,8 @@ from repro.serve.request import ServeRequest
 from repro.tenant import TenantRegistry
 from repro.utils.exceptions import ConfigurationError, ServingError
 
+from tests.tenant.conftest import control_step
+
 
 def _envelope(kind, history, objective, tenant=None, **kwargs):
     return ServeRequest.create(kind, history, objective, tenant=tenant, **kwargs)
@@ -48,12 +50,12 @@ class TestRouting:
         self, fitted_markov
     ):
         registry = TenantRegistry.uniform(fitted_markov, 2)
-        request = _envelope("rank", [1, 2], 5)
+        request = _envelope("next_step", [1, 2], 5)
         assert request.tenant is None
         binding = registry.resolve(request)
         assert request.tenant == binding.name
         # A tenanted request resolves to its own binding, untouched.
-        tenanted = _envelope("rank", [1, 2], 5, tenant="tenant-1")
+        tenanted = _envelope("next_step", [1, 2], 5, tenant="tenant-1")
         assert registry.resolve(tenanted).name == "tenant-1"
 
 
@@ -69,54 +71,48 @@ class TestPlanBatch:
         history, objective, user = tenant_contexts[0]
         batch = [
             _envelope("next_step", history, objective, tenant="irs", user_index=user),
-            _envelope("rank", history, 5, tenant="zoo", user_index=user),
-            _envelope("next_step", history, objective, tenant="irs", user_index=user),
+            _envelope("next_step", history, objective, tenant="zoo", user_index=user),
+            _envelope("plan_paths", history, objective, tenant="irs", user_index=user),
         ]
         answers, generations, failures = registry.plan_batch(batch)
         assert failures == {}
-        expected_step = reference.next_step(history, objective, [], user_index=user)
-        assert answers[0] == expected_step
-        assert answers[2] == expected_step
-        assert answers[1] == [
-            int(item) for item in fitted_markov.top_k(history, 5, user_index=user)
-        ]
+        assert answers[0] == reference.next_step(history, objective, [], user_index=user)
+        assert answers[1] == control_step(fitted_markov, history, user)
+        assert answers[2] == reference.plan_path(history, objective, user_index=user)
         assert set(generations) == {"irs", "zoo"}
 
     def test_failures_are_confined_to_the_offending_tenant(
-        self, tenant_graph, fitted_markov, tenant_contexts
+        self, make_planner, fitted_markov, tenant_contexts
     ):
+        reference = make_planner()
         registry = TenantRegistry()
-        registry.add("kg", tenant_graph)
+        registry.add("irs", make_planner())
         registry.add("zoo", fitted_markov)
         history, objective, user = tenant_contexts[0]
         batch = [
-            # The bare graph cannot serve next_step: this tenant's whole
+            # The recommender cannot plan a path: this tenant's whole
             # sub-batch fails...
-            _envelope("next_step", history, objective, tenant="kg"),
-            _envelope("rank", history, 5, tenant="zoo", user_index=user),
-            _envelope("next_step", history, objective, tenant="kg"),
+            _envelope("plan_paths", history, objective, tenant="zoo"),
+            _envelope("next_step", history, objective, tenant="irs", user_index=user),
+            _envelope("next_step", history, objective, tenant="zoo"),
         ]
         answers, _, failures = registry.plan_batch(batch)
         assert sorted(failures) == [0, 2]
         assert all(isinstance(exc, ServingError) for exc in failures.values())
         # ...while the neighbour's slot in the same drain still answered.
-        assert answers[1] == [
-            int(item) for item in fitted_markov.top_k(history, 5, user_index=user)
-        ]
+        assert answers[1] == reference.next_step(history, objective, [], user_index=user)
 
 
 class TestPinGeneration:
-    def test_stamps_versionable_models_and_skips_the_rest(
-        self, make_planner, tenant_graph, fitted_markov
-    ):
+    def test_stamps_versionable_models_and_skips_the_rest(self, make_planner, fitted_markov):
         planner = make_planner()
         registry = TenantRegistry()
         registry.add("irs", planner)
         registry.add("zoo", fitted_markov)
-        registry.add("kg", tenant_graph)
         registry.pin_generation(7)
         assert planner.serving_generation == 7
         assert registry.get("irs").adapter.serving_generation == 7
-        # The graph has no pin hook and no generation; the recommender
-        # keeps reporting its own fit_generation.
-        assert registry.get("kg").adapter.serving_generation is None
+        # The recommender has no pin hook and the Markov chain no
+        # generation: the pin skips it.
+        assert not hasattr(fitted_markov, "fit_generation")
+        assert registry.get("zoo").adapter.serving_generation is None

@@ -203,15 +203,13 @@ class TestServeSimSubcommand:
 
 
 class TestReplicationFlags:
-    """Satellite of the replication PR: serve-sim grows --replicas /
-    --refit-at / --dispatch-policy, with cross-flag validation that exits
-    nonzero on bad combos instead of silently accepting them."""
+    """serve-sim's --replicas / --refit-at, with cross-flag validation that
+    exits nonzero on bad combos instead of silently accepting them."""
 
     def test_flags_parsed_with_defaults(self):
         args = build_parser().parse_args(["serve-sim"])
         assert args.replicas is None
         assert args.refit_at is None
-        assert args.dispatch_policy is None
 
     def test_invalid_replica_knobs_raise_configuration_error(self):
         with pytest.raises(ConfigurationError, match="num_replicas"):
@@ -222,8 +220,6 @@ class TestReplicationFlags:
             main(["serve-sim", "--profile", "fast", "--refit-at", "-1"])
         with pytest.raises(ConfigurationError, match="refit_at"):
             main(["serve-sim", "--profile", "fast", "--refit-at", "soon"])
-        with pytest.raises(ConfigurationError, match="dispatch_policy"):
-            main(["serve-sim", "--profile", "fast", "--dispatch-policy", "fastest"])
 
     def test_refit_at_must_fall_inside_duration(self):
         with pytest.raises(ConfigurationError, match="strictly inside"):
@@ -272,7 +268,7 @@ class TestReplicationFlags:
         assert report["errored_requests"] == 0
         assert report["no_pause"] is True
         assert report["fit_generation"] == 1
-        assert report["dispatch"]["policy"] == "least_loaded"
+        assert set(report["dispatch"]["picks"]) == {"affinity", "least_loaded", "round_robin"}
         assert set(report["generations_served"]) == {"1"}
 
     def test_env_defaults_apply_when_replica_flags_omitted(self, monkeypatch):
@@ -280,14 +276,9 @@ class TestReplicationFlags:
 
         monkeypatch.setenv("REPRO_REPLICAS", "3")
         monkeypatch.setenv("REPRO_REFIT_AT", "0.25")
-        monkeypatch.setenv("REPRO_DISPATCH_POLICY", "round_robin")
         args = build_parser().parse_args(["serve-sim"])
         replication = _resolve_replica_args(args, duration=2.0)
-        assert replication == {
-            "num_replicas": 3,
-            "refit_at": 0.25,
-            "dispatch_policy": "round_robin",
-        }
+        assert replication == {"num_replicas": 3, "refit_at": 0.25}
         with pytest.raises(ConfigurationError, match="strictly inside"):
             _resolve_replica_args(args, duration=0.2)
 

@@ -41,7 +41,6 @@ HONOURED = {
         "--admission-policy",
         "--drain-deadline",
         "--replicas",
-        "--dispatch-policy",
         "--transport",
         "--heartbeat-interval",
         "--heartbeat-misses",
@@ -80,7 +79,6 @@ INVALID = {
     "num_workers": ("two", "num_workers"),
     "rollout_chunk_size": ("0", "rollout-chunk-size"),
     "num_replicas": ("banana", "num_replicas"),
-    "dispatch_policy": ("fastest", "dispatch_policy"),
     "transport": ("pigeon", "transport"),
     "heartbeat_interval": ("0", "heartbeat_interval"),
     "heartbeat_misses": ("banana", "heartbeat_misses"),
@@ -141,9 +139,9 @@ def _exits_2(argv):
 
 def test_the_tables_cover_every_flag_and_row():
     assert set(INVALID) == set(CONFIG_FIELDS)
-    assert len(ALL_FLAGS) == 28
+    assert len(ALL_FLAGS) == 27
     assert set().union(*HONOURED.values()) == set(ALL_FLAGS)
-    assert sum(len(flags) for flags in HONOURED.values()) == 43
+    assert sum(len(flags) for flags in HONOURED.values()) == 42
 
 
 @pytest.mark.parametrize("cell", BENCH_CELLS, ids=lambda cell: cell[0] if cell else "bare")
@@ -276,7 +274,6 @@ class TestFleetFlagsReachTheFleet:
         monkeypatch.setattr(repro.distributed, "RemoteReplicaSet", recorder)
         flags = {
             "--replicas": "2",
-            "--dispatch-policy": "round_robin",
             "--max-queue-depth": "9",
             "--admission-policy": "reject",
             "--drain-deadline": "0.01",
@@ -288,7 +285,6 @@ class TestFleetFlagsReachTheFleet:
             main(self.ARGV + [token for pair in flags.items() for token in pair])
         assert excinfo.value.args[0] == {
             "num_replicas": 2,
-            "dispatch_policy": "round_robin",
             "max_queue_depth": 9,
             "admission_policy": "reject",
             "drain_deadline": 0.01,
