@@ -24,9 +24,8 @@ CLI-only), ``admission`` the serving loop's and both fleets',
 ``replication`` both fleets', and ``transport`` is the fleet selector plus
 the failure-detector arguments of the fleet it selects.
 
-Not in the table, because their owners sit below this module:
-``REPRO_LOG_LEVEL`` (:mod:`repro.utils.logging`) and
-``REPRO_INFERENCE_DTYPE`` (:mod:`repro.nn.tensor`).
+Not in the table, because its owner sits below this module:
+``REPRO_LOG_LEVEL`` (:mod:`repro.utils.logging`).
 """
 
 from __future__ import annotations

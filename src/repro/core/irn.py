@@ -18,13 +18,15 @@ position proposes the next path item (Algorithm 1).
 What runs at inference
 ----------------------
 No scorer goes through ``_IRNModule.forward``.  The fitted module is
-compiled, once per weight version and dtype, into a flat program over raw
+compiled, once per weight version, into a flat float32 program over raw
 ndarrays (:mod:`repro.nn.inference`, :meth:`IRN._program`): weights
 pre-transposed with Q/K/V fused, the ``r_u`` of every user in a table, and
 one primitive — :func:`~repro.nn.inference.block` — from which every scorer
-below is composed; masks are plain arrays from :mod:`repro.core.pim`.  The
-graph forward (``_IRNModule.forward`` under grad) stays the training path
-and the oracle the program is held to (``<= 1e-10``).
+below is composed; masks are plain arrays from :mod:`repro.core.pim`, built
+in the program's dtype.  The graph forward (``_IRNModule.forward`` under
+grad) stays the training path and the float64 oracle: a float64 program
+matches it to ``<= 1e-10``, and the float32 program's logits stay within
+``5e-4`` of the float64 program's.
 
 Batched inference contract
 --------------------------
@@ -38,9 +40,10 @@ applies to all rows at once.  Position indices are computed *per row*
 each row sees exactly the position embeddings the unbatched scorer would
 use.  Padding keys are masked with ``NEG_INF`` and padded query positions
 are never gathered, which makes the batched scores equal to the scalar ones
-up to BLAS summation-order noise (documented tolerance ``~1e-8``; the
-scalar methods are thin ``batch=1`` wrappers and remain bit-identical to
-the pre-batching implementation).
+up to BLAS summation-order noise (documented tolerance ``~1e-8`` on a
+float64 program, inside the float32 bound on the float32 one; the scalar
+methods are thin ``batch=1`` wrappers and remain bit-identical to the
+pre-batching implementation).
 
 Every inference forward reads one position per row, so the final layer
 answers one query: it still normalises and projects keys/values for every
@@ -90,9 +93,9 @@ still fits ``max_sequence_length``), never from an option:
   token block (the batched scorer's :meth:`IRN._score_objective_block`).
   Also ``fallback`` token-work.
 
-All three agree with the uncached scorer to the same ``~1e-8`` tolerance as
-the batching contract (GEMM shapes and softmax row widths differ, values do
-not) and produce identical plans.
+All three agree with the uncached scorer to the same tolerance as the
+batching contract (GEMM shapes and softmax row widths differ, values do not)
+and produce identical plans.
 """
 
 from __future__ import annotations
@@ -125,7 +128,7 @@ from repro.nn import functional as F
 from repro.nn import inference
 from repro.nn.attention import NEG_INF
 from repro.nn.layers import Dropout, Embedding, Linear, Module
-from repro.nn.tensor import Tensor, resolve_inference_dtype
+from repro.nn.tensor import Tensor
 from repro.nn.transformer import TransformerEncoder
 from repro.utils.exceptions import ConfigurationError
 from repro.utils.rng import spawn_rng
@@ -230,7 +233,7 @@ class _RootCache:
     depends on the objective's position (see :meth:`IRN._advance_shared`).
     ``H`` is the longest history among them."""
 
-    program: inference.Program  # the weights and dtype it was computed with
+    program: inference.Program  # the weights it was computed with
     slot: np.ndarray  # per session root: its row here, -1 once it died
     #: ``(roots, H + 1)``: right-aligned history (a PAD placeholder when
     #: empty) ⊕ objective
@@ -307,15 +310,13 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         ``"pre"`` (the paper's choice, §III-D5) keeps the objective item at
         the fixed final position of every training window; ``"post"`` exists
         only for the padding ablation and degrades the objective signal.
-    inference_dtype:
-        Precision of the compiled inference program (weights, tables, K/V
-        arenas; :mod:`repro.nn.inference`).  ``None`` resolves
-        ``$REPRO_INFERENCE_DTYPE`` at construction, defaulting to
-        ``float64`` (equal to the graph path up to summation order).
-        ``"float32"`` is opt-in and approximate — see
-        :func:`repro.nn.tensor.resolve_inference_dtype` for the documented
-        tolerance.  The attribute may be reassigned on a fitted model; each
-        dtype runs its own program.  Training always runs in float64.
+
+    Training and the autograd graph run in float64; every scorer plans on a
+    float32 program compiled from the float64 weights
+    (:mod:`repro.nn.inference`).  Its logits stay within ``5e-4`` of the
+    float64 program's, and greedy and beam plans are the float64 plans
+    (``tests/core/test_float32_contract.py``).  Scores leave the scorers as
+    float64, so path log-probabilities accumulate in float64.
     """
 
     name = "IRN"
@@ -341,7 +342,6 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         max_sequence_length: int = 50,
         padding_scheme: str = "pre",
         seed: int = 0,
-        inference_dtype: "np.dtype | str | None" = None,
     ) -> None:
         NeuralSequentialRecommender.__init__(
             self,
@@ -366,11 +366,10 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         self.history_weight = history_weight
         self.mask_type = MaskType(mask_type)
         self.item2vec_init = item2vec_init
-        self.inference_dtype = resolve_inference_dtype(inference_dtype)
         #: token-work counters for the perf harness (reset by :meth:`fit`)
         self.decode_stats = DecodeStats()
-        #: compiled inference programs by dtype (see :meth:`_program`)
-        self._programs: dict = {}
+        #: the compiled inference program (see :meth:`_program`)
+        self._compiled: "inference.Program | None" = None
         #: the width-1 planner Algorithm 1 runs through (see
         #: :meth:`generate_paths_batch`), built on first use
         self._greedy: "BeamSearchPlanner | None" = None
@@ -424,22 +423,17 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
     # Scoring
     # ------------------------------------------------------------------ #
     def _program(self) -> inference.Program:
-        """The inference program of the current weights and ``inference_dtype``.
+        """The float32 inference program of the current weights.
 
         Compiled on first use and again whenever the weights it was
         extracted from are no longer the module's (``fit`` / ``warm_start``,
         ``load_state_dict`` — which a hot refit runs without bumping
-        ``fit_generation`` — ``load_pretrained``); one per dtype, because
-        callers flip ``inference_dtype`` on a live model.  Programs are
-        read-only, so threads racing the first call each compile one and
-        either serves.
+        ``fit_generation`` — ``load_pretrained``).  Programs are read-only,
+        so threads racing the first call each compile one and either serves.
         """
-        program = self._programs.get(self.inference_dtype)
+        program = self._compiled
         if program is None or not program.current(self.module):
-            if program is not None:
-                self._programs = {}  # new weights outdate every dtype's program
-            program = inference.compile(self.module, self.inference_dtype)
-            self._programs[self.inference_dtype] = program
+            program = self._compiled = inference.compile(self.module)
         return program
 
     def _pim(
@@ -452,6 +446,7 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
             self.objective_weight * self.objective_logit_scale,
             self.history_weight,
             impressionability=program.impressionability[users],
+            dtype=program.dtype,
         )
 
     def _safe_user(self, user_index: int | None) -> int:
@@ -501,7 +496,7 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         from its last real non-objective position.  Returns a ``(batch,
         vocab)`` array; row ``b`` equals ``score_with_objective(sequences[b],
         objectives[b])`` up to floating-point summation-order tolerance
-        (~1e-8).
+        (~1e-8 on a float64 program).
 
         ``candidate_items`` (the two-stage-retrieval path) restricts the
         output projection to the given item indices — integer ids in
@@ -689,7 +684,7 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         program = self._program()
         hidden = program.encode(
             program.embed(items, self._positions(lengths, items.shape[1])),
-            causal_history_mask(items),
+            causal_history_mask(items, dtype=program.dtype),
             queries=slice(-1, None),
             caches=caches,
         )
@@ -742,7 +737,7 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
             raise ConfigurationError("cannot begin a decoding session on an empty batch")
         users = self._batch_users(user_indices, batch)
         incremental = self._incremental_exact(objectives)
-        state = DecodingState(self.num_layers, dtype=self.inference_dtype) if incremental else None
+        state = DecodingState(self.num_layers, dtype=self._program().dtype) if incremental else None
         caches = None if state is None else state.layers  # filled by the first forward
         limit = self.max_sequence_length - (0 if objectives is None else 1)
         rows = [[int(item) for item in clip_history(seq, limit)] for seq in sequences]
@@ -844,7 +839,7 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         # re-projected each step (its position moves) and never kept.
         hidden = program.encode(
             program.embed(items, positions),
-            self._incremental_mask(session, session.width),
+            self._incremental_mask(session, session.width, program.dtype),
             queries=slice(0, 1),
             caches=session.state.layers,
             persist=1,
@@ -891,7 +886,9 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         items[:, :steps] = session.tokens[:, -steps:]
         items[:, steps] = session.objectives
         positions = (session.lengths - steps)[:, None] + np.arange(steps + 1, dtype=np.int64)
-        mask = self._incremental_mask(session, cache.history_width + steps, new=steps)
+        mask = self._incremental_mask(
+            session, cache.history_width + steps, program.dtype, new=steps
+        )
         width = program.item_table.shape[1]
 
         def per_row(fused: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
@@ -985,9 +982,10 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         )
 
     def _incremental_mask(
-        self, session: DecodingSession, width: int, new: int = 1
+        self, session: DecodingSession, width: int, dtype: np.dtype, new: int = 1
     ) -> np.ndarray:
-        """Additive mask rows for the queries of each row's last ``new`` tokens (+ objective).
+        """Additive ``dtype`` mask rows for the queries of each row's last ``new``
+        tokens (+ objective).
 
         ``width`` counts the key columns before the objective's: the
         (possibly left-padded) prefix including the ``new`` tokens.
@@ -1002,7 +1000,9 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         history_weight = float(self.history_weight) if objective_mode else 0.0
         total_keys = width + (1 if objective_mode else 0)
         padding = np.arange(total_keys) < (width - session.lengths)[:, None]
-        keys = np.where(padding, NEG_INF, history_weight)  # (batch, keys): what every query sees
+        # (batch, keys): what every query sees
+        keys = np.full(padding.shape, history_weight, dtype=dtype)
+        np.copyto(keys, NEG_INF, where=padding)
         mask = np.repeat(keys[:, None, :], new + (1 if objective_mode else 0), axis=1)
         if new > 1:
             later = np.triu(np.ones((new, new), dtype=bool), k=1)

@@ -46,8 +46,10 @@ class MaskType(IntEnum):
     PERSONALIZED = 3
 
 
-def causal_history_mask(items: np.ndarray, history_weight: float = 0.0) -> np.ndarray:
-    """Causal + padding additive mask of shape ``(batch, length, length)``.
+def causal_history_mask(
+    items: np.ndarray, history_weight: float = 0.0, dtype: "np.dtype | type" = np.float64
+) -> np.ndarray:
+    """Causal + padding additive ``dtype`` mask of shape ``(batch, length, length)``.
 
     * future positions (``k > j``) get :data:`NEG_INF`;
     * padding keys get :data:`NEG_INF` (real positions never attend to pads);
@@ -58,10 +60,9 @@ def causal_history_mask(items: np.ndarray, history_weight: float = 0.0) -> np.nd
         raise ConfigurationError(f"items must be a (batch, length) array, got {items.shape}")
     batch, length = items.shape
     future = np.triu(np.ones((length, length), dtype=bool), k=1)
-    mask = np.where(future, NEG_INF, float(history_weight))[None, :, :]
-    mask = np.repeat(mask, batch, axis=0)
-    padding_keys = items == PAD_INDEX
-    mask = np.where(padding_keys[:, None, :], NEG_INF, mask)
+    hidden = future[None, :, :] | (items == PAD_INDEX)[:, None, :]
+    mask = np.full((batch, length, length), float(history_weight), dtype=dtype)
+    np.copyto(mask, NEG_INF, where=hidden)
     return mask
 
 
@@ -84,8 +85,9 @@ def build_pim(
     objective_weight: float = 1.0,
     history_weight: float = 0.0,
     impressionability: np.ndarray | float | None = None,
+    dtype: "np.dtype | type" = np.float64,
 ) -> np.ndarray:
-    """Build the full (non-differentiable) PIM as a NumPy array.
+    """Build the full (non-differentiable) PIM as a NumPy array of ``dtype``.
 
     This is the reference construction used by tests, analysis and inference.
     During training the IRN module composes the same mask from
@@ -107,12 +109,15 @@ def build_pim(
     impressionability:
         Per-sequence ``r_u`` values (scalar or ``(batch,)`` array); required
         for ``MaskType.PERSONALIZED``.
+    dtype:
+        The mask's dtype: an inference program's masks are built in the
+        program's dtype, so no layer casts them.
     """
     items = np.asarray(items, dtype=np.int64)
-    base = causal_history_mask(items, history_weight=history_weight)
+    pim = causal_history_mask(items, history_weight=history_weight, dtype=dtype)
     batch, length = items.shape
     if mask_type == MaskType.CAUSAL or length < 2:
-        return base
+        return pim
 
     if mask_type == MaskType.OBJECTIVE:
         weights = np.full(batch, float(objective_weight))
@@ -127,7 +132,6 @@ def build_pim(
     else:  # pragma: no cover - IntEnum exhausts the options
         raise ConfigurationError(f"unknown mask type {mask_type}")
 
-    pim = base.copy()
     # Reveal the objective column to every preceding position with the
     # configured additive weight (overriding the causal NEG_INF).
     pim[:, : length - 1, length - 1] = weights[:, None]

@@ -17,11 +17,14 @@ through their graph forward with grad off.
 
 A :class:`Program` is read-only after :func:`compile` and holds no scratch:
 threads share it freely, every call allocates what it returns.  It computes
-exactly what the graph forward computes in eval mode (no dropout), with GEMMs
-on the flattened ``(batch · length, d)`` token view, so results agree with
-the graph forward to summation-order noise (``<= 1e-10``, in practice
-``~1e-15``), not bit for bit.  ``float32`` programs cast weights and tables
-once here; masks and inputs are cast where they are used.
+what the graph forward computes in eval mode (no dropout), with GEMMs on the
+flattened ``(batch · length, d)`` token view, in the dtype it was compiled
+in.  IRN plans in float32, the default: the weights and tables are cast
+once here, the caller builds its additive masks in :attr:`Program.dtype`,
+and nothing is cast per layer.  A float64 program agrees with the float64
+graph forward to summation-order noise (``<= 1e-10``, in practice
+``~1e-15``), not bit for bit; a float32 program's logits stay within
+``5e-4`` of a float64 program's.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ class Program:
     item_table_t: np.ndarray  # (d, V): the tied full-vocabulary projection
     position_table: np.ndarray  # (max_length, d)
     #: ``r_u = W_U e(u) + b`` of every user, float64 whatever the dtype (it
-    #: only ever enters the additive mask, which is cast where it is used)
+    #: only ever enters the additive masks, built in :attr:`dtype`)
     impressionability: np.ndarray
     #: what this was compiled from: the module, its parameters and the
     #: arrays they held (see :meth:`current`)
@@ -273,8 +276,9 @@ def block(
     projection, attention, output projection, residuals and feed-forward run
     on those columns alone, under the matching rows of ``mask``.  Queries
     attend over ``[prefix_kv ; own]`` keys (see :func:`attend`); ``mask`` is
-    an additive ``(length, keys)`` or ``(batch, length, keys)`` array.  All
-    GEMMs run on the flattened ``(batch · length, d)`` token view.
+    an additive ``(length, keys)`` or ``(batch, length, keys)`` array of the
+    layer's dtype.  All GEMMs run on the flattened ``(batch · length, d)``
+    token view.
 
     Returns ``(y, keys, values)``: ``y`` is ``(batch, length or
     len(queries), d)`` and ``keys`` / ``values`` are this call's own
@@ -315,7 +319,7 @@ def attention_block(
     """
     batch, width = query.shape[0], tokens.shape[-1]
     if mask is not None:
-        mask = mask.astype(query.dtype, copy=False)[..., None, :, :]
+        mask = mask[..., None, :, :]  # one mask for every head
     context = attend(query, keys, values, mask, prefix_kv)
     attended = context.transpose(0, 2, 1, 3).reshape(-1, width) @ layer.wo
     attended += layer.bo
@@ -339,7 +343,7 @@ def _norm(norm, dtype) -> "tuple[np.ndarray, np.ndarray, float]":
     )
 
 
-def compile_layer(layer, dtype: "np.dtype | str" = np.float64) -> Layer:
+def compile_layer(layer, dtype: "np.dtype | str" = np.float32) -> Layer:
     """Extract one :class:`~repro.nn.transformer.TransformerEncoderLayer`."""
     attention, feed_forward = layer.attention, layer.feed_forward
     if feed_forward.activation != "gelu":
@@ -373,8 +377,12 @@ def compile_layer(layer, dtype: "np.dtype | str" = np.float64) -> Layer:
     )
 
 
-def compile(module, dtype: "np.dtype | str" = np.float64) -> Program:
-    """Compile an ``_IRNModule``'s current weights into a :class:`Program`."""
+def compile(module, dtype: "np.dtype | str" = np.float32) -> Program:
+    """Compile an ``_IRNModule``'s current weights into a :class:`Program`.
+
+    IRN plans on the float32 default; a float64 program is the exactness
+    oracle's (the tests hold it to the graph forward at ``<= 1e-10``).
+    """
     dtype = np.dtype(dtype)
     parameters = tuple(module.parameters())
     sources = tuple(parameter.data for parameter in parameters)

@@ -14,19 +14,15 @@ broadcasting) so the layer code reads like ordinary PyTorch-style NumPy.
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.utils.exceptions import ConfigurationError
-
 __all__ = [
     "Tensor",
     "no_grad",
     "is_grad_enabled",
-    "resolve_inference_dtype",
 ]
 
 # Grad mode is thread-local so the evaluation protocol's rollout threads can
@@ -34,11 +30,6 @@ __all__ = [
 # construction under another mid-forward.  Each
 # thread starts with grad enabled, matching the old module-global default.
 _GRAD_STATE = threading.local()
-
-#: environment knob of the opt-in reduced-precision inference mode
-INFERENCE_DTYPE_ENV = "REPRO_INFERENCE_DTYPE"
-
-_DTYPE_NAMES = {"float64": np.float64, "float32": np.float32}
 
 
 @contextlib.contextmanager
@@ -55,34 +46,6 @@ def no_grad():
 def is_grad_enabled() -> bool:
     """Return whether operations currently record the autograd graph (per thread)."""
     return getattr(_GRAD_STATE, "enabled", True)
-
-
-def resolve_inference_dtype(value: "np.dtype | str | None" = None) -> np.dtype:
-    """Resolve the inference dtype from an explicit value or the environment.
-
-    Precedence: explicit ``value`` -> ``$REPRO_INFERENCE_DTYPE`` -> float64.
-    Only ``float32`` and ``float64`` are legal.  Float32 is **opt-in** and
-    approximate: attention scores / softmax / context and the K/V arenas are
-    computed and stored in single precision, so scores differ from the
-    float64 reference by ~1e-5 relative (documented tolerance ``5e-4``
-    absolute on logits; plans are identical at the default beam widths on
-    the shipped corpora — see ``tests/core/test_inference_dtype.py``).
-    """
-    if value is None:
-        value = os.environ.get(INFERENCE_DTYPE_ENV) or "float64"
-    if isinstance(value, str):
-        name = value.strip().lower()
-        if name not in _DTYPE_NAMES:
-            raise ConfigurationError(
-                f"inference dtype must be one of {sorted(_DTYPE_NAMES)}, got {value!r}"
-            )
-        return np.dtype(_DTYPE_NAMES[name])
-    dtype = np.dtype(value)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ConfigurationError(
-            f"inference dtype must be float32 or float64, got {dtype}"
-        )
-    return dtype
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -50,7 +50,7 @@ from repro.obs.trace import NULL_TRACER
 from repro.replica.dispatch import Dispatcher
 from repro.replica.refit import RefitCoordinator
 from repro.replica.replica import Replica, pin_serving_generation
-from repro.serve.admission import AdmissionController
+from repro.serve.admission import ADMISSION_COUNTERS, AdmissionController
 from repro.serve.api import TypedServingSurface
 from repro.serve.loop import ServingLoop
 from repro.serve.queue import rollup_queue_stats
@@ -139,7 +139,7 @@ class ReplicaSet(TypedServingSurface):
         #: The fleet's own admission controller.  It resolves (and
         #: validates) the knobs every member loop resolves again from the
         #: same arguments, answers ``describe()`` for the traffic drivers,
-        #: and counts the rejections the fleet makes before any member is
+        #: and counts the refusals the fleet makes before any member is
         #: picked (expired deadlines) — ``stats()["admission"]`` sums it
         #: with the members' controllers.
         self.admission = AdmissionController(
@@ -463,7 +463,7 @@ class ReplicaSet(TypedServingSurface):
         admission = self.admission.counters()
         admission["per_replica"] = [stats["admission"] for stats in loop_stats]
         for counters in admission["per_replica"]:
-            for key in ("admitted", "rejected", "blocked"):
+            for key in ADMISSION_COUNTERS:
                 admission[key] += counters[key]
         # Fleet-wide tenant view: every member loop carries its own binding
         # counters; sum the volume fields per tenant id.

@@ -3,7 +3,7 @@
 One :class:`AdmissionController` guards the queue of a
 :class:`~repro.serve.loop.ServingLoop`.  It owns the three admission knobs
 — bounded queue depth, reject-or-block policy, and the drain-deadline
-micro-batching window — and the admitted/rejected/blocked counters, which
+micro-batching window — and the admitted/rejected/blocked/expired counters, which
 live in the process-wide metrics registry (:mod:`repro.obs.registry`) so
 :meth:`counters` is one atomic registry read and the serving loop's
 ``stats()`` can fold them into a single snapshot.
@@ -29,6 +29,10 @@ from repro.obs.registry import MetricGroup, get_registry
 from repro.utils.exceptions import DeadlineExceeded, QueueFullError
 
 __all__ = ["AdmissionController"]
+
+#: What every admission scope counts: requests admitted, refused by a full
+#: queue (``reject``), held by one (``block``), and refused past their deadline.
+ADMISSION_COUNTERS = ("admitted", "rejected", "blocked", "expired")
 
 logger = logging.getLogger(__name__)
 
@@ -60,7 +64,7 @@ class AdmissionController:
             metrics_scope if metrics_scope is not None else registry.scope("serve.admission")
         )
         self._metrics = MetricGroup(
-            registry, self.metrics_scope, counters=("admitted", "rejected", "blocked")
+            registry, self.metrics_scope, counters=ADMISSION_COUNTERS
         )
 
     # ------------------------------------------------------------------ #
@@ -96,13 +100,14 @@ class AdmissionController:
         wants the answer, so a request is expired strictly *after* it.
         Expired requests raise :class:`DeadlineExceeded
         <repro.utils.exceptions.DeadlineExceeded>` (a ``QueueFullError``) and
-        count as rejections on this controller's scope —
+        count as ``expired`` on this controller's scope, not as ``rejected``
+        (a full queue) —
         spending a queue slot and a drain share on an answer nobody wants
         would let one late tenant's backlog crowd out live traffic.
         """
         lateness_s = time.perf_counter() - deadline
         if lateness_s > 0.0:
-            self._metrics.record(add={"rejected": 1})
+            self._metrics.record(add={"expired": 1})
             where = f"{self.scope}: " if self.scope else ""
             raise DeadlineExceeded(
                 f"{where}request deadline expired {1000.0 * lateness_s:.1f}ms "

@@ -71,7 +71,7 @@ from repro.config import resolve_tenants
 from repro.core.beam import MISS
 from repro.obs.registry import MetricGroup, get_registry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.serve.admission import AdmissionController
+from repro.serve.admission import ADMISSION_COUNTERS, AdmissionController
 from repro.serve.api import Response, TypedServingSurface
 from repro.serve.queue import RequestQueue, rollup_queue_stats
 from repro.serve.request import ServeRequest
@@ -409,7 +409,7 @@ class ServingLoop(TypedServingSurface):
     def _refuse_expired(self, batch: "list[ServeRequest]") -> "list[ServeRequest]":
         """Fail every request whose deadline passed while it was queued;
         return the rest.  The refusal is the one admission gives an expired
-        request (same error, counted as a rejection on the same scope), and
+        request (same error, counted as expired on the same scope), and
         ``fail`` hands back its tenant slot and pending-replan entry."""
         live = []
         for request in batch:
@@ -605,7 +605,7 @@ class ServingLoop(TypedServingSurface):
 
         admission = {
             name: flat.get(f"{self.metrics_scope}.admission.{name}", 0)
-            for name in ("admitted", "rejected", "blocked")
+            for name in ADMISSION_COUNTERS
         }
         if self.admission.scope is not None:
             admission["scope"] = self.admission.scope

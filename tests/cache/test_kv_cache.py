@@ -227,7 +227,7 @@ def module():
 
 @pytest.fixture(scope="module")
 def program(module):
-    return inference.compile(module)
+    return inference.compile(module, np.float64)
 
 
 class TestCausalIncrementalParity:
@@ -296,7 +296,7 @@ class TestSingleLayerObjectiveParity:
         incrementally when the stack has a single layer: its K/V are
         projections of the fixed input embeddings."""
         module = decoder_module(num_layers=1, seed=1)
-        program = inference.compile(module)
+        program = inference.compile(module, np.float64)
         batch, prefix = 2, 5
         x = rng.normal(size=(batch, prefix + 2, 8))  # prefix + new token + objective
         length = prefix + 2
@@ -309,7 +309,7 @@ class TestSingleLayerObjectiveParity:
         np.testing.assert_allclose(out, full[:, prefix:, :], rtol=RTOL, atol=ATOL)
 
     def test_transient_column_not_cached(self, rng):
-        program = inference.compile(decoder_module(num_layers=1, seed=1))
+        program = inference.compile(decoder_module(num_layers=1, seed=1), np.float64)
         state = DecodingState(1)
         x = rng.normal(size=(1, 3, 8))
         program.encode(x, causal_mask(3), caches=state.layers, persist=2)

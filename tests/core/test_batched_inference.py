@@ -6,7 +6,8 @@ with the scalar implementations they fuse — across ragged lengths, missing
 user indices and empty histories — while issuing strictly fewer module
 forwards.  Scores are compared under the documented floating-point tolerance
 (batched rows run through padded BLAS calls whose summation order may differ
-in the last ulps); plans and ranks must match exactly.
+in the last ulps) on a float64 program (the ``float64_program`` fixture);
+plans and ranks must match exactly.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ def ragged_cases(tiny_split):
     ]
 
 
+@pytest.mark.usefixtures("float64_program")
 class TestObjectiveScoringParity:
     def test_batch_matches_stacked_scalar(self, irn, ragged_cases):
         sequences = [case[0] for case in ragged_cases]
@@ -119,6 +121,7 @@ class TestObjectiveScoringParity:
         assert forwards(irn, lambda: irn.score_with_objective_batch(sequences, objectives)) == 1
 
 
+@pytest.mark.usefixtures("float64_program")
 class TestNextItemScoringParity:
     def test_batch_matches_stacked_scalar(self, irn, ragged_cases):
         histories = [case[0] for case in ragged_cases]

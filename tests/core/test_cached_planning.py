@@ -3,7 +3,8 @@
 Acceptance contract of the cache PR: cached planning must produce paths
 identical to uncached planning (the existing stable tie-breaking makes this
 exact), per-depth cached logits must match the uncached batched scorer
-within the documented BLAS tolerance, the plan/serving LRUs must be bounded
+within the documented BLAS tolerance (on a float64 program: the
+``float64_program`` fixture), the plan/serving LRUs must be bounded
 and invalidated on retrain, and ``next_step`` serving over interleaved
 contexts must reproduce dedicated-planner (isolated) semantics instead of
 thrashing.
@@ -60,6 +61,7 @@ def _contexts(instances):
     return [(list(inst.history), inst.objective, inst.user_index) for inst in instances]
 
 
+@pytest.mark.usefixtures("float64_program")
 class TestSessionScoringParity:
     """Cached-vs-uncached logits at every decoding depth."""
 

@@ -1,8 +1,9 @@
 """The compiled inference program behind every IRN scorer.
 
-* **Exact** — every scorer, in every decoding regime, answers what the
-  *graph* forward (``_IRNModule.forward`` under grad, the training path)
-  answers on the same right-aligned batch, to ``1e-10``.
+* **Exact** — on a float64 program (the ``float64_program`` fixture), every
+  scorer, in every decoding regime, answers what the *graph* forward
+  (``_IRNModule.forward`` under grad, the training path) answers on the same
+  right-aligned batch, to ``1e-10``.
 * **Never stale** — the program is dropped by every weight change,
   including the ones that leave ``fit_generation`` alone
   (``Module.load_state_dict`` is what a forked worker's INSTALL_ARTIFACT
@@ -102,6 +103,7 @@ ADVANCES = (
 )
 
 
+@pytest.mark.usefixtures("float64_program")
 class TestEveryScorerMatchesTheGraphForward:
     @pytest.mark.parametrize("mask_type", MASKS, ids=lambda mask: mask.name.lower())
     @pytest.mark.parametrize("num_layers", (1, 2, 3))
@@ -219,24 +221,17 @@ class TestWeightChangesDropTheProgram:
     def test_load_pretrained_embeddings(self, tiny_split, rng):
         irn = fit(tiny_split, seed=0)
         first = irn.score_with_objective_batch(*CONTEXTS)
-        table = irn.module.item_embedding
-        table.load_pretrained(rng.normal(scale=0.1, size=table.weight.data.shape))
+        vectors = rng.normal(scale=0.1, size=irn.module.item_embedding.weight.data.shape)
+        irn.module.item_embedding.load_pretrained(vectors)
+        # the same weights, loaded before its first program was compiled
+        twin = fit(tiny_split, seed=0)
+        twin.module.item_embedding.load_pretrained(vectors)
         scores = irn.score_with_objective_batch(*CONTEXTS)
-        # the graph forward reads the module's own arrays: it cannot be stale
-        np.testing.assert_allclose(scores, graph_scores(irn, *CONTEXTS), rtol=0, atol=ATOL)
+        np.testing.assert_allclose(
+            scores, twin.score_with_objective_batch(*CONTEXTS), rtol=0, atol=1e-12
+        )
         finite = np.isfinite(first)
         assert not np.allclose(scores[finite], first[finite], rtol=0, atol=1e-6)
-
-    def test_every_dtype_is_dropped(self, tiny_split, other):
-        irn = fit(tiny_split, seed=0)
-        irn.inference_dtype = np.dtype(np.float32)
-        irn.score_with_objective_batch(*CONTEXTS)
-        irn.inference_dtype = np.dtype(np.float64)
-        irn.score_with_objective_batch(*CONTEXTS)
-        assert len(irn._programs) == 2
-        irn.module.load_state_dict(other.module.state_dict())
-        irn.score_with_objective_batch(*CONTEXTS)
-        assert list(irn._programs) == [np.dtype(np.float64)]  # the stale float32 one went too
 
 
 class TestConcurrentScorers:
@@ -251,7 +246,7 @@ class TestConcurrentScorers:
             for worker in range(4)
         ]
         expected = [reference.score_with_objective_batch(*batch) for batch in batches]
-        assert not irn._programs  # nothing compiled yet: the threads race for it
+        assert irn._compiled is None  # nothing compiled yet: the threads race for it
         rounds = 20
         start = threading.Barrier(len(batches))
         answers: "list[list[np.ndarray]]" = [[] for _ in batches]
@@ -284,6 +279,7 @@ class TestConcurrentScorers:
         assert irn.decode_stats.snapshot()["forwards"] == rounds * len(batches)
 
 
+@pytest.mark.usefixtures("float64_program")
 class TestRefusedAdvance:
     @pytest.mark.parametrize("num_layers", (1, 2), ids=["incremental", "shared"])
     def test_leaves_the_session_untouched(self, models, num_layers):

@@ -110,3 +110,27 @@ class TestBuildPim:
         # only entries in the final column (excluding the last row) may differ
         assert not difference[:, :, :-1].any()
         assert not difference[:, -1, :].any()
+
+
+class TestMaskDtype:
+    """Inference builds its masks in the program's dtype, once: the values are
+    the float64 mask's, rounded once."""
+
+    @pytest.mark.parametrize("mask_type", list(MaskType), ids=lambda mask: mask.name.lower())
+    def test_a_float32_pim_is_the_float64_pim_rounded(self, mask_type):
+        kwargs = dict(
+            mask_type=mask_type,
+            objective_weight=4.5,
+            history_weight=0.3,
+            impressionability=np.asarray([0.7, -1.3]),
+        )
+        reference = build_pim(_items(), **kwargs)
+        mask = build_pim(_items(), dtype=np.float32, **kwargs)
+        assert reference.dtype == np.float64 and mask.dtype == np.float32
+        np.testing.assert_array_equal(mask, reference.astype(np.float32))
+
+    def test_a_float32_causal_mask_is_the_float64_mask_rounded(self):
+        reference = causal_history_mask(_items(), history_weight=0.3)
+        mask = causal_history_mask(_items(), history_weight=0.3, dtype=np.float32)
+        assert mask.dtype == np.float32
+        np.testing.assert_array_equal(mask, reference.astype(np.float32))

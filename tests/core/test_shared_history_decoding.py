@@ -8,11 +8,13 @@
   depth.  Property: whatever ``select`` does to the rows, every advance
   scores like :meth:`IRN.score_with_objective_batch` on the session's rows,
   in all three regimes (exact reuse, shared within a depth, per-row window).
+
+Both are held to float64 oracles on a float64 program (the
+``float64_program`` fixture); the float32 program IRN plans on is held to
+its own uncached scorer at the float32 bound.
 """
 
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from repro.core.beam import BeamSearchPlanner
 from repro.core.irn import IRN
 from repro.core.pim import MaskType
 from repro.evaluation.protocol import sample_objectives
-from repro.nn.tensor import resolve_inference_dtype
 
 RTOL, ATOL = 1e-7, 1e-8  # the documented batching tolerance
 FLOAT32_TOL = 5e-4
@@ -55,16 +56,6 @@ def models(tiny_split):
         return cache[key]
 
     return get
-
-
-@contextlib.contextmanager
-def inference_dtype(irn: IRN, name: str):
-    previous = irn.inference_dtype
-    irn.inference_dtype = resolve_inference_dtype(name)
-    try:
-        yield
-    finally:
-        irn.inference_dtype = previous
 
 
 def assert_scores_match(scores, reference, float32: bool) -> None:
@@ -106,56 +97,59 @@ def scenarios(draw):
     return roots, advances
 
 
+def check_every_advance(irn: IRN, scenario, float32: bool) -> None:
+    """Every advance of ``scenario`` scores like the uncached scorer, and
+    encodes the token-work its regime accounts for."""
+    roots, advances = scenario
+    sequences = [history for history, _, _ in roots]
+    objectives = [objective for _, objective, _ in roots]
+    users = [user for _, _, user in roots]
+
+    def reference(session) -> np.ndarray:
+        return irn.score_with_objective_batch(
+            session.rows, session.objectives, list(session.users)
+        )
+
+    scores, session = irn.begin_decoding_session(sequences, objectives, users)
+    assert_scores_match(scores, reference(session), float32)
+    reuse_is_exact = irn.num_layers == 1 or irn.mask_type == MaskType.CAUSAL
+    assert session.incremental == reuse_is_exact
+    for parents, new_items in advances:
+        fallback_before = irn.decode_stats.tokens_fallback
+        scores = irn.advance_decoding_session(session, new_items, parents)
+        encoded = irn.decode_stats.tokens_fallback - fallback_before
+        # session.rows are the grown sequences: [root history ; appended]
+        assert [row[-session.steps :] for row in session.rows] == [
+            row[session.root_lengths[root] :]
+            for row, root in zip(session.rows, session.roots)
+        ]
+        assert_scores_match(scores, reference(session), float32)
+        if session.incremental:
+            assert encoded == 0
+            continue
+        window = int(session.lengths.max()) + 1
+        if window > WINDOW or reuse_is_exact:
+            # overflow (or a degraded session): the per-row sliding window
+            assert encoded == session.batch_size * min(window, WINDOW)
+        else:
+            # shared within the depth: G * (history + objective) + R * (appended + objective)
+            live = sorted(set(session.roots.tolist()))
+            history = max(int(session.root_lengths[live].max()), 1)
+            assert encoded == len(live) * (history + 1) + session.batch_size * (
+                session.steps + 1
+            )
+
+
+@pytest.mark.usefixtures("float64_program")
 class TestSharedHistorySessions:
-    @pytest.mark.parametrize("float32", [False, True], ids=["float64", "float32"])
     @pytest.mark.parametrize("mask_type", MASKS, ids=lambda mask: mask.name.lower())
     @pytest.mark.parametrize("num_layers", LAYERS)
     @settings(max_examples=25, deadline=None)
     @given(scenario=scenarios())
     def test_every_advance_matches_the_uncached_scorer(
-        self, models, num_layers, mask_type, float32, scenario
+        self, models, num_layers, mask_type, scenario
     ):
-        irn = models(num_layers, mask_type)
-        roots, advances = scenario
-        sequences = [history for history, _, _ in roots]
-        objectives = [objective for _, objective, _ in roots]
-        users = [user for _, _, user in roots]
-        dtype = "float32" if float32 else "float64"
-
-        def reference(session) -> np.ndarray:
-            return irn.score_with_objective_batch(
-                session.rows, session.objectives, list(session.users)
-            )
-
-        with inference_dtype(irn, dtype):
-            scores, session = irn.begin_decoding_session(sequences, objectives, users)
-        assert_scores_match(scores, reference(session), float32)
-        assert session.incremental == (num_layers == 1 or mask_type == MaskType.CAUSAL)
-        for parents, new_items in advances:
-            fallback_before = irn.decode_stats.tokens_fallback
-            with inference_dtype(irn, dtype):
-                scores = irn.advance_decoding_session(session, new_items, parents)
-            encoded = irn.decode_stats.tokens_fallback - fallback_before
-            # session.rows are the grown sequences: [root history ; appended]
-            assert [row[-session.steps :] for row in session.rows] == [
-                row[session.root_lengths[root] :]
-                for row, root in zip(session.rows, session.roots)
-            ]
-            assert_scores_match(scores, reference(session), float32)
-            if session.incremental:
-                assert encoded == 0
-                continue
-            window = int(session.lengths.max()) + 1
-            if window > WINDOW or num_layers == 1 or mask_type == MaskType.CAUSAL:
-                # overflow (or a degraded session): the per-row sliding window
-                assert encoded == session.batch_size * min(window, WINDOW)
-            else:
-                # shared within the depth: G * (history + objective) + R * (appended + objective)
-                live = sorted(set(session.roots.tolist()))
-                history = max(int(session.root_lengths[live].max()), 1)
-                assert encoded == len(live) * (history + 1) + session.batch_size * (
-                    session.steps + 1
-                )
+        check_every_advance(models(num_layers, mask_type), scenario, float32=False)
 
     def test_overflow_mid_session_keeps_matching(self, models):
         """A window that outgrows ``max_sequence_length`` slides per row, and a
@@ -206,6 +200,22 @@ class TestSharedHistorySessions:
         )
 
 
+class TestFloat32Sessions:
+    """The float32 program IRN plans on: sessions track its uncached scorer."""
+
+    @pytest.mark.parametrize("mask_type", MASKS, ids=lambda mask: mask.name.lower())
+    @pytest.mark.parametrize("num_layers", LAYERS)
+    @settings(max_examples=25, deadline=None)
+    @given(scenario=scenarios())
+    def test_every_advance_stays_within_the_float32_bound(
+        self, models, num_layers, mask_type, scenario
+    ):
+        irn = models(num_layers, mask_type)
+        assert irn._program().dtype == np.float32
+        check_every_advance(irn, scenario, float32=True)
+
+
+@pytest.mark.usefixtures("float64_program")
 class TestOneQueryFinalLayer:
     @pytest.mark.parametrize("num_layers", LAYERS)
     def test_inference_forward_equals_gathered_graph_forward(self, models, num_layers):

@@ -91,7 +91,8 @@ class TestBlock:
         mask = random_mask(rng, (3, 5, 5))
         expected = graph_layer(Tensor(x, requires_grad=True), mask=mask)
         assert expected.requires_grad
-        out, keys, values = inference.block(inference.compile_layer(graph_layer), x, mask)
+        layer = inference.compile_layer(graph_layer, np.float64)
+        out, keys, values = inference.block(layer, x, mask)
         np.testing.assert_allclose(out, expected.data, rtol=0, atol=ATOL)
         assert keys.shape == values.shape == (3, 2, 5, 4)
 
@@ -101,7 +102,7 @@ class TestBlock:
     def test_named_queries_are_the_gathered_rows_of_the_full_block(
         self, graph_layer, rng, queries
     ):
-        layer = inference.compile_layer(graph_layer)
+        layer = inference.compile_layer(graph_layer, np.float64)
         x = rng.normal(size=(2, 5, 8))
         mask = random_mask(rng, (2, 5, 5))
         full, keys, values = inference.block(layer, x, mask)
@@ -112,7 +113,7 @@ class TestBlock:
         np.testing.assert_allclose(some_values, values, rtol=0, atol=ATOL)
 
     def test_prefix_kv_continues_a_causal_sequence(self, graph_layer, rng):
-        layer = inference.compile_layer(graph_layer)
+        layer = inference.compile_layer(graph_layer, np.float64)
         x = rng.normal(size=(2, 6, 8))
         full, _, _ = inference.block(layer, x, causal_mask(6))
         _, keys, values = inference.block(layer, x[:, :4], causal_mask(4))
@@ -130,7 +131,7 @@ class TestBlock:
         """
         graph = TransformerEncoderLayer(d_model=8, num_heads=2, dropout=0.0, rng=0)
         graph.eval()
-        layer = inference.compile_layer(graph)
+        layer = inference.compile_layer(graph, np.float64)
         inputs = rng.normal(size=(4, 6, 8))
         _, keys, values = inference.block(layer, inputs, causal_mask(6))
         cache = LayerKVCache()
@@ -153,7 +154,7 @@ class TestBlock:
             np.testing.assert_allclose(out[:, 0], expected.data[:, -1], rtol=0, atol=1e-10)
 
     def test_keys_values_alone(self, graph_layer, rng):
-        layer = inference.compile_layer(graph_layer)
+        layer = inference.compile_layer(graph_layer, np.float64)
         x = rng.normal(size=(2, 5, 8))
         _, keys, values = inference.block(layer, x, causal_mask(5))
         fused = inference.keys_values(layer, x)
@@ -164,10 +165,14 @@ class TestBlock:
 
     def test_a_float32_layer_computes_in_single_precision(self, graph_layer, rng):
         x = rng.normal(size=(2, 5, 8))
-        mask = causal_mask(5)  # float64: cast where it is used
-        reference, _, _ = inference.block(inference.compile_layer(graph_layer), x, mask)
-        layer = inference.compile_layer(graph_layer, np.float32)
-        out, keys, values = inference.block(layer, x.astype(np.float32), mask)
+        mask = causal_mask(5)
+        reference, _, _ = inference.block(
+            inference.compile_layer(graph_layer, np.float64), x, mask
+        )
+        layer = inference.compile_layer(graph_layer)  # float32, the default
+        out, keys, values = inference.block(
+            layer, x.astype(np.float32), mask.astype(np.float32)
+        )
         assert out.dtype == keys.dtype == values.dtype == np.float32
         np.testing.assert_allclose(out, reference, rtol=0, atol=5e-4)
         assert np.abs(out - reference).max() > 0

@@ -55,11 +55,29 @@ class TestFleetDeadline:
         assert front_end.enqueue(live).result(timeout=30) is not None
         stats = front_end.stats()
         # The refusal happened before any member was picked: it shows in the
-        # fleet total, on no member's controller and in no dispatch count.
-        assert stats["admission"]["rejected"] == 1
-        assert sum(entry["rejected"] for entry in stats["admission"]["per_replica"]) == 0
+        # fleet total as expired (not rejected), on no member's controller
+        # and in no dispatch count.
+        assert stats["admission"]["expired"] == 1
+        assert stats["admission"]["rejected"] == 0
+        assert sum(entry["expired"] for entry in stats["admission"]["per_replica"]) == 0
         assert stats["admission"]["admitted"] == stats["served"] == 1
         assert sum(replica["dispatched"] for replica in stats["replicas"]) == 1
+
+    def test_a_member_refusal_sums_into_the_fleet_expired_count(
+        self, fleet, make_factory, replica_contexts
+    ):
+        front_end = fleet(make_factory(), num_replicas=1)
+        (replica,) = front_end.active_replicas()
+        # Past the fleet's own check (straight to the member), as a request
+        # whose budget ran out between that check and the hand-over would be.
+        late = _plan(*replica_contexts[0], deadline=time.perf_counter() - 0.25)
+        with pytest.raises(DeadlineExceeded):
+            replica.accept(late)  # an in-process member refuses here ...
+            late.future.result(timeout=30)  # ... a worker through the future
+        admission = front_end.stats()["admission"]
+        assert (admission["expired"], admission["rejected"]) == (1, 0)
+        (member,) = admission["per_replica"]
+        assert (member["expired"], member["rejected"]) == (1, 0)
 
 
 class TestFleetRefit:

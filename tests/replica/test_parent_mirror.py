@@ -562,7 +562,8 @@ class TestDeadlineCrossesTheWire:
         assert live.future.result() is not None
         stats = front_end.stats()
         (worker,) = stats["admission"]["per_replica"]
-        assert worker["rejected"] == 1 and worker["admitted"] == 1
+        assert worker["expired"] == 1 and worker["admitted"] == 1
+        assert worker["rejected"] == 0
         assert stats["served"] == 1 and stats["micro_batches"]["count"] == 1
 
 

@@ -283,7 +283,8 @@ class TestBackPressure:
         assert loop.current_depth() == 1
         loop.close()
         stats = loop.stats()
-        assert stats["admission"]["rejected"] == 1
+        assert stats["admission"]["expired"] == 1
+        assert stats["admission"]["rejected"] == 0
         assert stats["admission"]["admitted"] == stats["served"] == 1
         assert not late.future.done() and on_time.future.done()
 
@@ -331,7 +332,8 @@ class TestBackPressure:
             stats = loop.stats()
         assert (tuple(h1), o1) not in recorder.seen
         assert (tuple(h2), o2) in recorder.seen
-        assert stats["admission"]["rejected"] == 1
+        assert stats["admission"]["expired"] == 1
+        assert stats["admission"]["rejected"] == 0
         assert stats["served"] == 2
 
     def test_a_batch_that_expired_whole_never_reaches_the_planner(
@@ -364,7 +366,8 @@ class TestBackPressure:
             with pytest.raises(QueueFullError, match="deadline expired"):
                 request.future.result(timeout=0)
         stats = loop.stats()
-        assert stats["admission"]["rejected"] == 3
+        assert stats["admission"]["expired"] == 3
+        assert stats["admission"]["rejected"] == 0
         assert stats["served"] == 0
 
     def test_a_refused_step_hands_back_its_pending_replan_entry(

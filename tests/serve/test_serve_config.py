@@ -106,7 +106,7 @@ class TestAdmissionController:
         with pytest.raises(QueueFullError, match="request queue is full"):
             controller.on_full(depth=1)
         controller.on_admitted()
-        assert controller.counters() == {"admitted": 1, "rejected": 1, "blocked": 0}
+        assert controller.counters() == {"admitted": 1, "rejected": 1, "blocked": 0, "expired": 0}
 
     def test_block_policy_counts_blocked_once_per_request(self):
         controller = AdmissionController(max_queue_depth=1, policy="block")
@@ -117,8 +117,8 @@ class TestAdmissionController:
 
     def test_a_deadline_is_expired_strictly_after_its_instant(self, monkeypatch):
         """THE expiry rule (loop and both fleets call this one method): the
-        deadline instant itself is still on time, anything later is a
-        rejection counted on this controller."""
+        deadline instant itself is still on time, anything later is counted
+        as expired on this controller — not as a full-queue rejection."""
         from types import SimpleNamespace
 
         import repro.serve.admission as admission_module
@@ -129,7 +129,8 @@ class TestAdmissionController:
         controller = AdmissionController(scope="tenant-a")
         controller.check_deadline(100.0)
         controller.check_deadline(250.0)
-        assert controller.counters()["rejected"] == 0
+        assert controller.counters()["expired"] == 0
         with pytest.raises(QueueFullError, match=r"tenant-a: .*expired 500\.0ms"):
             controller.check_deadline(99.5)
-        assert controller.counters()["rejected"] == 1
+        assert controller.counters()["expired"] == 1
+        assert controller.counters()["rejected"] == 0

@@ -27,7 +27,7 @@ WORKFLOWS = sorted((ROOT / ".github" / "workflows").iterdir())
 
 #: ``REPRO_*`` variables read outside the ``repro.config`` table (its header
 #: says why each owner reads its own).
-NON_TABLE_ENV = {"REPRO_LOG_LEVEL", "REPRO_INFERENCE_DTYPE"}
+NON_TABLE_ENV = {"REPRO_LOG_LEVEL"}
 
 #: A ``repro.cli`` line must name its command (``--help`` probes are not runs).
 CLI_INVOCATION = re.compile(r"python -m repro\.cli ([a-z][^\n]*)")

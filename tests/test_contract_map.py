@@ -36,8 +36,9 @@ CITED = sorted({test_id for _, ids in ROWS for test_id in ids})
 def test_every_bit_cites_a_test():
     # one row per bit family the contract report once carried, less the
     # in-place tensor ops' guard, whose code was deleted, plus the training
-    # engine's parity and its step-memory bound
-    assert len(ROWS) >= 28
+    # engine's parity and its step-memory bound, the float32 planning
+    # program's logit bound and plan identity, and deadline expiry
+    assert len(ROWS) >= 31
     for bit, ids in ROWS:
         assert ids, f"the contract bit {bit!r} cites no test id"
 
