@@ -70,8 +70,8 @@ policy-free.  In all three the final layer projects
 K/V for every column and answers a single query.
 
 Caches are inference-only: they hold raw ``numpy`` arrays detached from the
-autograd graph.  Storage precision is the ``dtype`` the cache was built with
-(an IRN session passes its program's), else that of the first keys extended.
+autograd graph.  They store in the dtype of the first keys extended (an IRN
+session's first forward writes its program's).
 """
 
 from __future__ import annotations
@@ -151,21 +151,15 @@ def _record(extend_calls: int = 0, arena: int = 0, copied: int = 0, concat: int 
 class LayerKVCache:
     """Cached attention keys/values of one layer, shape ``(batch, heads, len, d_head)``.
 
-    ``dtype`` fixes the storage precision (default: that of the keys the
-    first extend brings).
+    Storage precision is that of the keys the first extend brings.
     ``growth`` picks the arena policy (see :data:`GROWTH_MODES`).
     """
 
-    def __init__(
-        self,
-        dtype: "np.dtype | str | None" = None,
-        growth: str = "geometric",
-    ) -> None:
+    def __init__(self, growth: str = "geometric") -> None:
         if growth not in GROWTH_MODES:
             raise ConfigurationError(
                 f"growth must be one of {GROWTH_MODES}, got {growth!r}"
             )
-        self._requested_dtype = None if dtype is None else np.dtype(dtype)
         self._growth = growth
         self._key_buf: np.ndarray | None = None
         self._value_buf: np.ndarray | None = None
@@ -201,9 +195,7 @@ class LayerKVCache:
     @property
     def dtype(self) -> np.dtype | None:
         """Storage dtype, or ``None`` before the first extend resolves it."""
-        if self._key_buf is not None:
-            return self._key_buf.dtype
-        return self._requested_dtype
+        return None if self._key_buf is None else self._key_buf.dtype
 
     @property
     def capacity(self) -> int:
@@ -316,18 +308,13 @@ class LayerKVCache:
 class DecodingState:
     """A stack of per-layer :class:`LayerKVCache`, one per encoder layer.
 
-    ``dtype``/``growth`` are forwarded to every layer cache.
+    ``growth`` is forwarded to every layer cache.
     """
 
-    def __init__(
-        self,
-        num_layers: int,
-        dtype: "np.dtype | str | None" = None,
-        growth: str = "geometric",
-    ) -> None:
+    def __init__(self, num_layers: int, growth: str = "geometric") -> None:
         if num_layers <= 0:
             raise ConfigurationError(f"num_layers must be positive, got {num_layers}")
-        self.layers = [LayerKVCache(dtype=dtype, growth=growth) for _ in range(num_layers)]
+        self.layers = [LayerKVCache(growth=growth) for _ in range(num_layers)]
 
     def __len__(self) -> int:
         return len(self.layers)

@@ -737,7 +737,7 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
             raise ConfigurationError("cannot begin a decoding session on an empty batch")
         users = self._batch_users(user_indices, batch)
         incremental = self._incremental_exact(objectives)
-        state = DecodingState(self.num_layers, dtype=self._program().dtype) if incremental else None
+        state = DecodingState(self.num_layers) if incremental else None
         caches = None if state is None else state.layers  # filled by the first forward
         limit = self.max_sequence_length - (0 if objectives is None else 1)
         rows = [[int(item) for item in clip_history(seq, limit)] for seq in sequences]

@@ -128,20 +128,12 @@ class TestArenaStorage:
         with pytest.raises(ConfigurationError):
             LayerKVCache(growth="linear")
 
-    def test_dtype_parameter_fixes_storage_precision(self, rng):
-        cache = LayerKVCache(dtype="float32")
-        keys = rng.normal(size=(1, 1, 2, 4))
-        full_k, _ = cache.extend(keys, keys.copy())
-        assert full_k.dtype == np.float32
-        assert cache.keys.dtype == np.float32
-        np.testing.assert_allclose(cache.keys, keys, rtol=0, atol=1e-6)
-
-    def test_default_dtype_is_that_of_the_first_keys(self, rng):
+    def test_storage_dtype_is_that_of_the_first_keys(self, rng):
         keys = rng.normal(size=(1, 1, 2, 4))
         cache = LayerKVCache()
         assert cache.dtype is None
-        cache.extend(keys.astype(np.float32), keys.astype(np.float32))
-        assert cache.dtype == np.float32
+        full_k, _ = cache.extend(keys.astype(np.float32), keys.astype(np.float32))
+        assert cache.dtype == np.float32 and full_k.dtype == np.float32
         cache.extend(keys, keys.copy())  # later extends are cast to the arena's dtype
         assert cache.keys.dtype == np.float32 and cache.length == 4
         plain = LayerKVCache()
@@ -171,12 +163,11 @@ class TestArenaStorage:
         full_k, _ = cache.extend(step, step.copy())
         assert full_k.shape == (2, 1, 4, 4)
 
-    def test_decoding_state_forwards_dtype_and_growth(self, rng):
-        state = DecodingState(2, dtype="float32", growth="exact")
+    def test_decoding_state_forwards_growth(self, rng):
+        state = DecodingState(2, growth="exact")
         for cache in state:
             keys = rng.normal(size=(1, 1, 2, 4))
             cache.extend(keys, keys.copy())
-            assert cache.dtype == np.float32
             assert cache.capacity == 2
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.irn import IRN
 from repro.data.preprocessing import build_corpus
 from repro.data.splitting import split_corpus
 from repro.data.synthetic import SyntheticConfig, generate_synthetic_dataset
@@ -18,7 +17,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.pipeline import ExperimentPipeline
 from repro.models.markov import MarkovChainRecommender
 from repro.evaluation.evaluator import IRSEvaluator
-from repro.nn import inference
 
 
 def make_tiny_dataset(seed: int = 0, name: str = "tiny-synthetic"):
@@ -78,29 +76,3 @@ def fast_pipeline():
 def rng():
     """A fresh deterministic RNG per test."""
     return np.random.default_rng(12345)
-
-
-@pytest.fixture(scope="class")
-def float64_program():
-    """Run every IRN scorer on a float64 program for the requesting class.
-
-    IRN plans on a float32 program.  The checks that pin the *algorithms* —
-    batching, incremental and shared-history decoding, the gathered
-    projection, the compiled program against the graph forward — hold them
-    to float64 tolerances (``1e-8`` down to ``1e-10``), which only a float64
-    program can meet.  Each model keeps its float64 program next to its
-    float32 one (recompiled on the same weight-change rule), so no program
-    crosses into a test without this fixture.  Class scope, so hypothesis
-    tests may use it; a class uses it whole, since it stays active until
-    the class ends.
-    """
-
-    def program(irn: IRN) -> inference.Program:
-        compiled = irn.__dict__.get("_float64_program")
-        if compiled is None or not compiled.current(irn.module):
-            compiled = irn._float64_program = inference.compile(irn.module, np.float64)
-        return compiled
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(IRN, "_program", program)
-        yield

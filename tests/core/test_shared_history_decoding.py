@@ -10,8 +10,8 @@
   in all three regimes (exact reuse, shared within a depth, per-row window).
 
 Both are held to float64 oracles on a float64 program (the
-``float64_program`` fixture); the float32 program IRN plans on is held to
-its own uncached scorer at the float32 bound.
+``float64_program`` fixture).  The float32 program IRN plans on is held to
+the same float64 uncached scorer, of the same weights, at the float32 bound.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.core.beam import BeamSearchPlanner
 from repro.core.irn import IRN
 from repro.core.pim import MaskType
 from repro.evaluation.protocol import sample_objectives
+from tests.core.conftest import on_float64
 
 RTOL, ATOL = 1e-7, 1e-8  # the documented batching tolerance
 FLOAT32_TOL = 5e-4
@@ -98,17 +99,19 @@ def scenarios(draw):
 
 
 def check_every_advance(irn: IRN, scenario, float32: bool) -> None:
-    """Every advance of ``scenario`` scores like the uncached scorer, and
-    encodes the token-work its regime accounts for."""
+    """Every advance of ``scenario`` scores like the float64 uncached scorer,
+    within the float32 bound when ``float32``, and encodes the token-work its
+    regime accounts for."""
     roots, advances = scenario
     sequences = [history for history, _, _ in roots]
     objectives = [objective for _, objective, _ in roots]
     users = [user for _, _, user in roots]
 
     def reference(session) -> np.ndarray:
-        return irn.score_with_objective_batch(
-            session.rows, session.objectives, list(session.users)
-        )
+        with on_float64(irn):
+            return irn.score_with_objective_batch(
+                session.rows, session.objectives, list(session.users)
+            )
 
     scores, session = irn.begin_decoding_session(sequences, objectives, users)
     assert_scores_match(scores, reference(session), float32)
@@ -140,6 +143,35 @@ def check_every_advance(irn: IRN, scenario, float32: bool) -> None:
             )
 
 
+def check_overflow_mid_session(irn: IRN, float32: bool) -> None:
+    """Shared, then per-row window (overflow), then shared again (the
+    overflowing row pruned): every advance scores like the float64 uncached
+    scorer and encodes its regime's token-work."""
+    long, short = list(range(1, WINDOW - 2)), [3, 4]  # 9 + 2 appended + objective fills it
+    _, session = irn.begin_decoding_session([long, short], [7, 8], [0, 1])
+    regimes = []
+    for parents, new_items in [
+        (None, [11, 12]),
+        (None, [13, 14]),
+        (None, [15, 16]),  # `long` overflows: every row slides
+        ([1, 1], [17, 18]),  # `long` pruned: the rest fits again
+    ]:
+        before = irn.decode_stats.tokens_fallback
+        scores = irn.advance_decoding_session(session, new_items, parents)
+        regimes.append(irn.decode_stats.tokens_fallback - before)
+        with on_float64(irn):
+            reference = irn.score_with_objective_batch(
+                session.rows, session.objectives, list(session.users)
+            )
+        assert_scores_match(scores, reference, float32)
+    assert regimes == [
+        2 * (len(long) + 1) + 2 * 2,
+        2 * (len(long) + 1) + 2 * 3,
+        2 * WINDOW,
+        1 * (len(short) + 1) + 2 * 5,
+    ]
+
+
 @pytest.mark.usefixtures("float64_program")
 class TestSharedHistorySessions:
     @pytest.mark.parametrize("mask_type", MASKS, ids=lambda mask: mask.name.lower())
@@ -154,29 +186,7 @@ class TestSharedHistorySessions:
     def test_overflow_mid_session_keeps_matching(self, models):
         """A window that outgrows ``max_sequence_length`` slides per row, and a
         session shares history again once the overflowing row is pruned."""
-        irn = models(2, MaskType.PERSONALIZED)
-        long, short = list(range(1, WINDOW - 2)), [3, 4]  # 9 + 2 appended + objective fills it
-        _, session = irn.begin_decoding_session([long, short], [7, 8], [0, 1])
-        regimes = []
-        for parents, new_items in [
-            (None, [11, 12]),
-            (None, [13, 14]),
-            (None, [15, 16]),  # `long` overflows: every row slides
-            ([1, 1], [17, 18]),  # `long` pruned: the rest fits again
-        ]:
-            before = irn.decode_stats.tokens_fallback
-            scores = irn.advance_decoding_session(session, new_items, parents)
-            regimes.append(irn.decode_stats.tokens_fallback - before)
-            reference = irn.score_with_objective_batch(
-                session.rows, session.objectives, list(session.users)
-            )
-            assert_scores_match(scores, reference, float32=False)
-        assert regimes == [
-            2 * (len(long) + 1) + 2 * 2,
-            2 * (len(long) + 1) + 2 * 3,
-            2 * WINDOW,
-            1 * (len(short) + 1) + 2 * 5,
-        ]
+        check_overflow_mid_session(models(2, MaskType.PERSONALIZED), float32=False)
 
     @pytest.mark.parametrize("mask_type", MASKS, ids=lambda mask: mask.name.lower())
     @pytest.mark.parametrize("num_layers", LAYERS)
@@ -201,7 +211,8 @@ class TestSharedHistorySessions:
 
 
 class TestFloat32Sessions:
-    """The float32 program IRN plans on: sessions track its uncached scorer."""
+    """The float32 program IRN plans on: its sessions, in every regime, stay
+    within the float32 bound of the float64 uncached scorer."""
 
     @pytest.mark.parametrize("mask_type", MASKS, ids=lambda mask: mask.name.lower())
     @pytest.mark.parametrize("num_layers", LAYERS)
@@ -213,6 +224,11 @@ class TestFloat32Sessions:
         irn = models(num_layers, mask_type)
         assert irn._program().dtype == np.float32
         check_every_advance(irn, scenario, float32=True)
+
+    def test_overflow_mid_session_stays_within_the_float32_bound(self, models):
+        irn = models(2, MaskType.PERSONALIZED)
+        assert irn._program().dtype == np.float32
+        check_overflow_mid_session(irn, float32=True)
 
 
 @pytest.mark.usefixtures("float64_program")
