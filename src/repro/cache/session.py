@@ -14,7 +14,12 @@ ndarrays:
   factor, all fixed when the session begins.  A row's ``lengths``, ``users``,
   ``objectives`` and ``impressionability`` are its root's, read through
   ``roots`` (every row grows by one token per step, so its length is its
-  root's plus ``steps``).
+  root's plus ``steps``).  A session in *shortlist space* (a pruned plan)
+  also keeps each root's candidate row ``root_candidates`` — the plan's
+  ``(roots, K)`` item table — and the scorer's projection rows of those
+  items, ``root_candidate_rows`` (``(roots, K, d)``, gathered once from the
+  program that began the session); every advance scores each row at its
+  root's shortlist through ``candidate_rows`` and returns ``(rows, K)``.
 
 The beam-search planner drives it through
 :meth:`~repro.core.irn.IRN.begin_decoding_session` /
@@ -69,6 +74,8 @@ class DecodingSession:
         state: DecodingState | None,
         incremental: bool,
         impressionability: np.ndarray | None = None,
+        candidates: np.ndarray | None = None,
+        candidate_rows: np.ndarray | None = None,
     ) -> None:
         self.root_tokens = np.array(tokens, dtype=np.int64)
         self.root_lengths = np.array(lengths, dtype=np.int64)
@@ -76,6 +83,10 @@ class DecodingSession:
         self.root_objectives = None if objectives is None else np.array(objectives, dtype=np.int64)
         #: per-root ``r_u`` (personalized masks only)
         self.root_impressionability = impressionability
+        #: per-root shortlist ``(roots, K)`` and its projection rows
+        #: ``(roots, K, d)`` (shortlist space only)
+        self.root_candidates = candidates
+        self.root_candidate_rows = candidate_rows
         self.state = state
         self.incremental = bool(incremental)
         #: number of (possibly left-padded) prefix columns encoded so far
@@ -117,6 +128,13 @@ class DecodingSession:
         if self.root_impressionability is None:
             return None
         return self.root_impressionability[self.roots]
+
+    @property
+    def candidate_rows(self) -> "np.ndarray | None":
+        """Per-row ``(rows, K, d)`` projection rows (shortlist space only)."""
+        if self.root_candidate_rows is None:
+            return None
+        return self.root_candidate_rows[self.roots]
 
     @property
     def rows(self) -> "list[list[int]]":

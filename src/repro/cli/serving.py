@@ -241,6 +241,11 @@ def run_serve_sim(args: argparse.Namespace, knobs: dict) -> int:
             report = run_open_loop(front_end, workload.contexts, **traffic)
     planner = front_end.planner
     report.update(_knob_blocks(knobs, replicated))
+    decode_stats = getattr(getattr(planner, "backbone", None), "decode_stats", None)
+    if decode_stats is not None:
+        # the in-process backbone's token-work, by kind of forward: which
+        # decoding path planned (a worker-process backbone keeps its own)
+        report["decode_stats"] = decode_stats.snapshot()
     latency = report["latency_ms"]
     print(
         f"async serving sim: {report['admitted_requests']}/{report['offered_requests']} "

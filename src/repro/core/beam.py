@@ -88,16 +88,21 @@ plans computed under two sets of weights.
 Two-stage retrieval
 -------------------
 With a ``candidate_generator`` a plan's scores live in *shortlist space*
-from the projection to the top-k: one ``(instances, K)`` item table per
-plan (each context's shortlist in ascending item order), gathered by owner
-into a ``(rows, K)`` table per depth, against which the backbone projects
-(``score_with_objective_batch(candidate_items=<(rows, K)>)``), seen items
-are masked (:func:`~repro.core.influence_path.mask_session_items`), the
-shared masked log-softmax normalises and the top-k picks; winners map back
-to items through the table.  A depth costs ``O(rows * K)`` — never the
-vocabulary, never the union of the drain's shortlists — and ascending
-columns keep the exact path's (value desc, item asc) tie order.  Contexts
-without a shortlist plan in a second, exact lockstep beam.
+from the projection to the top-k: one ``candidates_batch`` call gives every
+pending context its shortlist, and one ``(instances, K)`` item table per
+plan (each context's shortlist in ascending item order) is handed to the
+decoding session (``begin_decoding_session(candidate_items=<(instances,
+K)>)``), which keeps it — and its gathered projection rows — as root-block
+state and projects every depth's rows onto their root's row.  Without
+sessions the table is gathered by owner into a ``(rows, K)`` table per
+depth (``score_with_objective_batch(candidate_items=<(rows, K)>)``).  Either
+way seen items are masked
+(:func:`~repro.core.influence_path.mask_session_items`), the shared masked
+log-softmax normalises and the top-k picks; winners map back to items
+through the table.  A depth costs ``O(rows * K)`` — never the vocabulary,
+never the union of the drain's shortlists — and ascending columns keep the
+exact path's (value desc, item asc) tie order.  Contexts without a
+shortlist plan in a second, exact lockstep beam.
 
 Serving
 -------
@@ -337,25 +342,28 @@ class BeamSearchPlanner(InfluentialRecommender):
         backbone supports them (plans are identical either way).
     candidate_generator:
         Optional fitted (or fit-able) two-stage-retrieval generator
-        (:class:`~repro.retrieval.base.CandidateGenerator`).  When set,
-        each planned instance scores only over its own per-context
-        candidate shortlist, and the plan never leaves *shortlist space*:
-        per depth the fused scoring call returns a ``(rows, K)`` block —
-        row ``r`` at its own instance's shortlist, ``K`` the largest
-        shortlist planned together (gathered output-projection rows when
-        the backbone advertises ``supports_candidate_scoring``, full
-        scores gathered by the planner otherwise) — and seen-item masking,
-        the log-softmax and the top-k all run on that block; no
-        ``(rows, vocab)`` array is built.  Plan / step cache keys gain the
-        generator's ``retrieval_key()`` so pruned and exact plans can
-        never alias.  A context the generator answers ``None`` for
-        (fallback) plans exactly over the full vocabulary, in its own
-        lockstep beam beside the shortlisted contexts of the same drain,
-        and is counted in the ``core.retrieval`` metric scope.  Decoding
-        sessions are disabled under pruning (measured: they save nothing
-        there, see :meth:`_lockstep_beam`).  A full-coverage generator
-        (:class:`~repro.retrieval.base.FullVocabGenerator`) takes the
-        exact path too, so its plans are bit-identical to exact planning.
+        (:class:`~repro.retrieval.base.CandidateGenerator`), asked once per
+        plan for every pending instance's shortlist (``candidates_batch``).
+        When set, each planned instance scores only over its own
+        per-context candidate shortlist, and the plan never leaves
+        *shortlist space*: per depth the fused scoring call returns a
+        ``(rows, K)`` block — row ``r`` at its own instance's shortlist,
+        ``K`` the largest shortlist planned together (gathered
+        output-projection rows when the backbone has decoding sessions or
+        advertises ``supports_candidate_scoring``, full scores gathered by
+        the planner otherwise) — and seen-item masking, the log-softmax
+        and the top-k all run on that block; no ``(rows, vocab)`` array is
+        built.  Plan / step cache keys gain the generator's
+        ``retrieval_key()`` so pruned and exact plans can never alias.  A
+        context the generator answers ``None`` for (fallback) plans exactly
+        over the full vocabulary, in its own lockstep beam beside the
+        shortlisted contexts of the same drain, and is counted in the
+        ``core.retrieval`` metric scope.  Both groups plan through decoding
+        sessions when the backbone has them; the shortlisted group's
+        session keeps its ``(instances, K)`` item table.  A full-coverage
+        generator (:class:`~repro.retrieval.base.FullVocabGenerator`) takes
+        the exact path too, so its plans are bit-identical to exact
+        planning.
     """
 
     name = "IRN-beam"
@@ -387,11 +395,11 @@ class BeamSearchPlanner(InfluentialRecommender):
         if step_cache_size < 1:
             raise ConfigurationError("step_cache_size must be at least 1")
         if candidate_generator is not None and not hasattr(
-            candidate_generator, "candidates"
+            candidate_generator, "candidates_batch"
         ):
             raise ConfigurationError(
-                "candidate_generator must expose candidates(history, objective, "
-                "user_index) — see repro.retrieval.base.CandidateGenerator"
+                "candidate_generator must expose candidates_batch(histories, "
+                "objectives, user_indices) — see repro.retrieval.base.CandidateGenerator"
             )
         self.backbone = backbone
         self.beam_width = beam_width
@@ -746,9 +754,11 @@ class BeamSearchPlanner(InfluentialRecommender):
 
         One set per instance, computed once per plan from the initial
         context (the set is a property of the *planning context*, not of
-        the partial path — keys must match the plan cache's), sorted and
-        unique.  Instances left out plan exactly: the generator answered
-        ``None``, or its set covers every real item (the
+        the partial path — keys must match the plan cache's) by one
+        ``candidates_batch`` call over every pending instance, sorted and
+        unique by the generator's contract.  Instances left out plan
+        exactly: the generator answered ``None``, or its set covers every
+        real item (the
         :class:`~repro.retrieval.base.FullVocabGenerator` case, which is
         what keeps ``full_vocab_parity`` bit-identical by construction).
         Retrieval counters are recorded here, once per plan.
@@ -760,13 +770,16 @@ class BeamSearchPlanner(InfluentialRecommender):
         vocab = self.corpus.vocab.size
         fallbacks = 0
         candidate_total = 0
-        for i in pending:
-            candidates = generator.candidates(histories[i], objectives[i], users[i])
+        candidate_sets = generator.candidates_batch(
+            [histories[i] for i in pending],
+            [objectives[i] for i in pending],
+            [users[i] for i in pending],
+        )
+        for i, candidates in zip(pending, candidate_sets):
             if candidates is None:
                 fallbacks += 1
                 continue
             candidate_total += int(candidates.size)
-            candidates = np.unique(np.asarray(candidates, dtype=np.int64))
             if candidates.size < vocab - 1:
                 shortlists[i] = candidates
         if self._retrieval_metrics is not None:
@@ -799,16 +812,8 @@ class BeamSearchPlanner(InfluentialRecommender):
         users = [users[i] for i in pending]
         beams = _Beams(histories, goals, self.beam_width, max_length, self.objective_bonus)
         session = None
-        # Decoding sessions stay off under pruning.  A session advance with a
-        # gathered projection was measured and saves nothing on the catalog
-        # workload (window 16, histories 8-16, horizon 12): the window slides
-        # from depth <= 1, so every advance is the per-row-window regime — a
-        # 16-context plan went 46 -> 60 ms — and re-encoding right-aligned
-        # windows against the shortlist is the cheaper path.
-        use_sessions = (
-            self.use_decoding_sessions
-            and hasattr(self.backbone, "begin_decoding_session")
-            and self.candidate_generator is None
+        use_sessions = self.use_decoding_sessions and hasattr(
+            self.backbone, "begin_decoding_session"
         )
         # Per-depth expansion spans broadcast to every trace of the drained
         # micro-batch (depth work is fused across the whole batch, so
@@ -836,9 +841,10 @@ class BeamSearchPlanner(InfluentialRecommender):
                     row_items,
                 )
             elif session is None:
-                # Depth 0: the live rows are the roots, one per instance.
+                # Depth 0: the live rows are the roots, one per instance;
+                # the session keeps their shortlists (when pruned) throughout.
                 scores, session = self.backbone.begin_decoding_session(
-                    histories, goals.tolist(), users
+                    histories, goals.tolist(), users, candidate_items=table
                 )
             else:
                 # Later depths: gather each survivor's session row and append

@@ -95,7 +95,10 @@ still fits ``max_sequence_length``), never from an option:
 
 All three agree with the uncached scorer to the same tolerance as the
 batching contract (GEMM shapes and softmax row widths differ, values do not)
-and produce identical plans.
+and produce identical plans.  A session begun with a per-row candidate
+table (a pruned plan's shortlists) keeps the table and its gathered
+projection rows for its whole life; every regime projects each row onto its
+root's rows and returns ``(rows, K)`` scores.
 """
 
 from __future__ import annotations
@@ -582,12 +585,15 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         caches: "list | None" = None,
         persist: int | None = None,
         candidate_items: "np.ndarray | None" = None,
+        candidate_rows: "np.ndarray | None" = None,
     ) -> np.ndarray:
         """Score right-aligned ``history ⊕ objective`` rows in one forward.
 
         ``items`` is ``(batch, width)`` with every objective in the last
         column and ``lengths`` each row's real token count, objective
-        included.
+        included.  ``candidate_rows`` — the ``(batch, K, d)`` projection
+        rows of a per-row shortlist, already gathered (a decoding
+        session's) — projects onto them and returns ``(batch, K)`` scores.
         """
         # Each row is read at its last real non-objective position: one
         # shared column, or two when an empty history shares the batch.
@@ -603,9 +609,15 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
             caches=caches,
             persist=persist,
         )
-        logits = program.project(hidden, candidate_items)
+        if candidate_rows is None:
+            logits = program.project(hidden, candidate_items)
+        else:
+            logits = program.project_rows(hidden, candidate_rows)
         self._record_tokens(record, items.size)
-        return self._item_scores(logits[np.arange(len(items)), gather], candidate_items)
+        logits = logits[np.arange(len(items)), gather]
+        if candidate_rows is not None:
+            return logits.astype(np.float64)
+        return self._item_scores(logits, candidate_items)
 
     def _item_scores(
         self, logits: np.ndarray, candidate_items: "np.ndarray | None" = None
@@ -717,6 +729,7 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         sequences: Sequence[Sequence[int]],
         objectives: "Sequence[int] | None" = None,
         user_indices: "Sequence[int | None] | None" = None,
+        candidate_items: "np.ndarray | None" = None,
     ) -> tuple[np.ndarray, DecodingSession]:
         """Cached variant of the batched scorers: encode contexts once.
 
@@ -729,6 +742,12 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         token per row; otherwise it records each row's root so later advances
         encode every root's history once per depth — scores match the
         uncached scorer either way.
+
+        A per-row ``(batch, K)`` ``candidate_items`` table (objective
+        sessions only) puts the session in shortlist space: it keeps the
+        table and its projection rows, and this call and every advance
+        return ``(rows, K)`` scores at each row's own shortlist, as
+        :meth:`score_with_objective_batch` does for the same table.
         """
         self._require_fitted()
         assert self.module is not None
@@ -736,6 +755,15 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         if batch == 0:
             raise ConfigurationError("cannot begin a decoding session on an empty batch")
         users = self._batch_users(user_indices, batch)
+        candidate_rows = None
+        if candidate_items is not None:
+            if objectives is None or np.ndim(candidate_items) != 2:
+                raise ConfigurationError(
+                    "a decoding session takes a per-row (batch, K) candidate_items "
+                    "table, and objectives to score it with"
+                )
+            candidate_items = self._normalize_candidates(candidate_items, batch)
+            candidate_rows = self._program().item_table[candidate_items]
         incremental = self._incremental_exact(objectives)
         state = DecodingState(self.num_layers) if incremental else None
         caches = None if state is None else state.layers  # filled by the first forward
@@ -753,6 +781,7 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
                 users,
                 caches=caches,
                 persist=tokens.shape[1],
+                candidate_rows=candidate_rows,
             )
             if self.mask_type == MaskType.PERSONALIZED:
                 impressionability = self._program().impressionability[users]
@@ -763,7 +792,15 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
                 tokens = np.full((batch, 1), PAD_INDEX, dtype=np.int64)
             scores = self._score_next_block(tokens, np.maximum(lengths, 1), caches=caches)
         session = DecodingSession(
-            tokens, lengths, users, objectives, state, incremental, impressionability
+            tokens,
+            lengths,
+            users,
+            objectives,
+            state,
+            incremental,
+            impressionability,
+            candidate_items,
+            candidate_rows,
         )
         return scores, session
 
@@ -779,8 +816,10 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         extend (beam pruning/re-ranking/duplication); ``new_items[b]`` is then
         appended to gathered row ``b``.  Returns the same ``(batch, vocab)``
         scores the uncached batched scorer would produce for the grown
-        sequences, in whichever of the three regimes of the module docstring
-        the session and the grown lengths allow, as a fresh float64 block.
+        sequences — ``(batch, K)`` at each row's shortlist for a session in
+        shortlist space — in whichever of the three regimes of the module
+        docstring the session and the grown lengths allow, as a fresh
+        float64 block.
         """
         self._require_fitted()
         assert self.module is not None
@@ -793,7 +832,9 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
             session.select(parent_rows)
         session.append(new_items)
         if session.batch_size == 0:
-            return np.zeros((0, self.vocab_size), dtype=np.float64)
+            candidates = session.root_candidates
+            width = self.vocab_size if candidates is None else candidates.shape[1]
+            return np.zeros((0, width), dtype=np.float64)
         # Once any row outgrows the model's window the right-aligned batch
         # starts *sliding* (oldest tokens drop off), which shifts every
         # position embedding: cached K/V become stale, so an incremental
@@ -819,6 +860,7 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
                 lengths + 1,
                 session.users,
                 record="fallback",
+                candidate_rows=session.candidate_rows,
             )
         return self._score_next_block(items, lengths, record="fallback")
 
@@ -845,7 +887,7 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
             persist=1,
         )
         self.decode_stats.record_incremental(items.size)
-        return self._item_scores(program.project(hidden)[:, 0])
+        return self._session_scores(session, program, hidden)
 
     def _advance_shared(self, session: DecodingSession) -> np.ndarray:
         """Score an objective session, encoding every live root's history once.
@@ -920,9 +962,20 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         hidden, _, _ = inference.block(
             layers[-1], hidden, mask, prefix_kv=shared, queries=slice(-2, -1)
         )
-        logits = program.project(inference.layer_norm(hidden, *program.final_norm))
         self.decode_stats.record_fallback(cache.items.size + items.size)
-        return self._item_scores(logits[:, 0])
+        return self._session_scores(
+            session, program, inference.layer_norm(hidden, *program.final_norm)
+        )
+
+    def _session_scores(
+        self, session: DecodingSession, program: inference.Program, hidden: np.ndarray
+    ) -> np.ndarray:
+        """Float64 scores of each session row's ``(rows, 1, d)`` final state:
+        ``(rows, vocab)``, or ``(rows, K)`` at its shortlist in shortlist space."""
+        rows = session.candidate_rows
+        if rows is None:
+            return self._item_scores(program.project(hidden)[:, 0])
+        return program.project_rows(hidden, rows)[:, 0].astype(np.float64)
 
     def _root_cache(self, session: DecodingSession, program: inference.Program) -> "_RootCache":
         """Layer 1's history-column work on every root of a shared-regime session."""

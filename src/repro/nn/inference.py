@@ -159,9 +159,15 @@ class Program:
         ``(batch, K, d)`` weights).  Returns ``(batch, queries, V or K)``.
         """
         if items is not None and items.ndim == 2:
-            return hidden @ self.item_table[items].swapaxes(-1, -2)
+            return self.project_rows(hidden, self.item_table[items])
         table = self.item_table_t if items is None else self.item_table[items].T
         return (hidden.reshape(-1, hidden.shape[-1]) @ table).reshape(*hidden.shape[:-1], -1)
+
+    @staticmethod
+    def project_rows(hidden: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Project ``(batch, queries, d)`` states onto each row's own gathered
+        ``(batch, K, d)`` item-table rows: ``(batch, queries, K)`` logits."""
+        return hidden @ rows.swapaxes(-1, -2)
 
 
 def layer_norm(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, eps: float) -> np.ndarray:

@@ -1,12 +1,14 @@
 """The candidate-generator protocol behind two-stage retrieval.
 
-A generator is fitted once on a corpus and then queried per planning
-context.  :meth:`CandidateGenerator.candidates` returns a sorted, unique
-``int64`` index array that ALWAYS contains the objective (a candidate set
-that cannot reach the objective would make the planner structurally unable
-to complete a path), or ``None`` to signal a full-vocabulary fallback —
-e.g. when the context gives the generator nothing to anchor on.  Planners
-count fallbacks in the ``core.retrieval`` metric scope.
+A generator is fitted once on a corpus and then queried for a batch of
+planning contexts at once.  :meth:`CandidateGenerator.candidates_batch`
+returns, per context, a sorted, unique ``int64`` index array that ALWAYS
+contains the objective (a candidate set that cannot reach the objective
+would make the planner structurally unable to complete a path), or
+``None`` to signal a full-vocabulary fallback — e.g. when the context gives
+the generator nothing to anchor on.  :meth:`CandidateGenerator.candidates`
+is its batch of one.  Planners count fallbacks in the ``core.retrieval``
+metric scope.
 
 Cache-key discipline: :meth:`retrieval_key` is a hashable tuple combining
 the generator's configuration with its ``fit_generation``; the beam
@@ -21,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.utils.batch import broadcast_user_indices, check_batch_lengths
 from repro.utils.exceptions import ConfigurationError, NotFittedError
 from repro.utils.registry import Registry
 
@@ -78,24 +81,68 @@ class CandidateGenerator(abc.ABC):
     ) -> "np.ndarray | None":
         """Sorted unique candidate indices for one context, or ``None``.
 
-        ``None`` means "no shortlist for this context" — the caller falls
-        back to full-vocabulary scoring.  When an array is returned it is
-        guaranteed sorted, unique, within ``[1, vocab_size)`` and to
-        contain ``objective``.
+        A batch of one :meth:`candidates_batch` call.
+        """
+        return self.candidates_batch([history], [objective], [user_index])[0]
+
+    def candidates_batch(
+        self,
+        histories: Sequence[Sequence[int]],
+        objectives: Sequence[int],
+        user_indices: "Sequence[int | None] | None" = None,
+    ) -> "list[np.ndarray | None]":
+        """Every context's candidate set, in one pass over the batch.
+
+        Entry ``i`` is ``None`` for "no shortlist for this context" — the
+        caller falls back to full-vocabulary scoring — or an array
+        guaranteed sorted, unique, within ``[1, vocab_size)`` and to contain
+        ``objectives[i]``, whatever else the batch holds.
         """
         self._require_fitted()
-        assert self.vocab_size is not None
-        objective = int(objective)
-        if not 1 <= objective < self.vocab_size:
+        vocab = self.vocab_size
+        assert vocab is not None
+        count = len(histories)
+        objectives = np.fromiter(map(int, objectives), dtype=np.int64)
+        check_batch_lengths(count, objectives=objectives)
+        users = broadcast_user_indices(count, user_indices)
+        outside = (objectives < 1) | (objectives >= vocab)
+        if outside.any():
             raise ConfigurationError(
-                f"objective {objective} outside [1, {self.vocab_size})"
+                f"objective {objectives[outside][0]} outside [1, {vocab})"
             )
-        raw = self._candidates(history, objective, user_index)
-        if raw is None:
-            return None
-        cands = np.asarray(raw, dtype=np.int64).ravel()
-        cands = cands[(cands >= 1) & (cands < self.vocab_size)]
-        return np.unique(np.append(cands, objective))
+        raw = self._candidates_batch(histories, objectives, users)
+        shortlisted = [i for i, cands in enumerate(raw) if cands is not None]
+        results: "list[np.ndarray | None]" = [None] * count
+        if not shortlisted:
+            return results
+        # Finish every set at once on ``context * vocab + item`` keys: keep
+        # real items, add the objective, sort and deduplicate per context.
+        parts = [np.asarray(raw[i], dtype=np.int64).ravel() for i in shortlisted]
+        items = np.concatenate(parts + [objectives[shortlisted]])
+        owners = np.arange(len(shortlisted))
+        contexts = np.concatenate([np.repeat(owners, [part.size for part in parts]), owners])
+        real = (items >= 1) & (items < vocab)
+        keys = np.unique(contexts[real] * vocab + items[real])
+        bounds = np.searchsorted(keys, np.arange(len(shortlisted) + 1) * vocab)
+        keys -= np.repeat(owners * vocab, np.diff(bounds))
+        for n, i in enumerate(shortlisted):
+            results[i] = keys[bounds[n] : bounds[n + 1]]
+        return results
+
+    def _candidates_batch(
+        self,
+        histories: Sequence[Sequence[int]],
+        objectives: np.ndarray,
+        user_indices: "list[int | None]",
+    ) -> "list[np.ndarray | None]":
+        """Subclass hook: every context's raw candidates, or ``None``.
+
+        The default asks :meth:`_candidates` once per context.
+        """
+        return [
+            self._candidates(history, int(objective), user)
+            for history, objective, user in zip(histories, objectives, user_indices)
+        ]
 
     @abc.abstractmethod
     def _candidates(

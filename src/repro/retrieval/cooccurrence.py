@@ -13,15 +13,21 @@ final candidate set is the stable top ``num_candidates`` by (weight desc,
 index asc) — deterministic for a fixed fit.  Contexts whose seeds have no
 recorded neighbours return ``None`` (full-vocabulary fallback) rather than
 an arbitrary shortlist.
+
+A batch of contexts expands at once: every context's frontier is keyed
+``context * V + item``, and each context's sums are added in the order it
+would add them alone, so a batch returns what looping single contexts
+returns.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
 from repro.embeddings.cooccurrence import _accumulate_pair_codes
 from repro.retrieval.base import CandidateGenerator, retrieval_registry
-from repro.shard.topk import stable_topk
 from repro.utils.exceptions import ConfigurationError
 
 __all__ = ["CooccurrenceNeighborGenerator"]
@@ -87,43 +93,64 @@ class CooccurrenceNeighborGenerator(CandidateGenerator):
         self._weights = weights
 
     def _candidates(self, history, objective, user_index):
+        return self._candidates_batch([history], np.array([objective]), [user_index])[0]
+
+    def _candidates_batch(self, histories, objectives, user_indices):
         assert self._neighbors is not None and self._weights is not None
         vocab = self._neighbors.shape[0]
-        recent = [int(item) for item in history[-self.history_window :]]
-        seeds = {item for item in recent if 1 <= item < vocab}
-        seeds.add(int(objective))
-        frontier = np.fromiter(sorted(seeds), dtype=np.int64)
+        count = len(histories)
+        # Every context's frontier as ``context * vocab + item`` keys: sorted,
+        # so each context's items ascend and contexts never mix.
+        tails = [history[-self.history_window :] for history in histories]
+        sizes = [len(tail) for tail in tails]
+        recent = np.fromiter(itertools.chain.from_iterable(tails), dtype=np.int64, count=sum(sizes))
+        seeds = np.concatenate([recent, objectives])
+        owners = np.concatenate([np.repeat(np.arange(count), sizes), np.arange(count)])
+        real = (seeds >= 1) & (seeds < vocab)
+        frontier = np.unique(owners[real] * vocab + seeds[real])
 
-        # Touched items (ascending) and their summed weight, accumulated hop
-        # by hop in the same order a per-item loop would add them.
+        # Touched item keys (ascending) and their summed weight, accumulated
+        # hop by hop in the order a per-context, per-item loop would add
+        # them; a context leaves the frontier once it stops expanding.
         items = np.empty(0, dtype=np.int64)
         weights = np.empty(0, dtype=np.float64)
         for hop in range(self.expansion_hops):
-            hop_weight = 1.0 / (hop + 1)  # later hops count less
-            neighbor_ids = self._neighbors[frontier].ravel()
-            neighbor_weights = self._weights[frontier].ravel()
-            live = neighbor_weights > 0
-            neighbor_ids = neighbor_ids[live]
-            neighbor_weights = neighbor_weights[live] * hop_weight
-            if neighbor_ids.size == 0:
+            if not frontier.size:
                 break
-            unique, inverse = np.unique(neighbor_ids, return_inverse=True)
-            summed = np.bincount(
-                inverse, weights=neighbor_weights, minlength=unique.size
-            )
-            known = np.isin(unique, items, assume_unique=True)
-            weights[np.searchsorted(items, unique[known])] += summed[known]
+            hop_weight = 1.0 / (hop + 1)  # later hops count less
+            context, item = np.divmod(frontier, vocab)
+            neighbor_keys = (context[:, None] * vocab + self._neighbors[item]).ravel()
+            neighbor_weights = self._weights[item].ravel()
+            live = neighbor_weights > 0
+            neighbor_keys = neighbor_keys[live]
+            neighbor_weights = neighbor_weights[live] * hop_weight
+            unique, inverse = np.unique(neighbor_keys, return_inverse=True)
+            summed = np.bincount(inverse, weights=neighbor_weights, minlength=unique.size)
+            at = np.searchsorted(items, unique)
+            known = at < items.size
+            known[known] = items[at[known]] == unique[known]
+            weights[at[known]] += summed[known]
             frontier = unique[~known]  # first touched in this hop
             items = np.concatenate([items, frontier])
             weights = np.concatenate([weights, summed[~known]])
             order = np.argsort(items, kind="stable")
             items, weights = items[order], weights[order]
-            if items.size >= self.num_candidates or frontier.size == 0:
-                break
+            # a context stops once it holds enough items or touched none new
+            expanding = np.bincount(frontier // vocab, minlength=count) > 0
+            expanding &= np.bincount(items // vocab, minlength=count) < self.num_candidates
+            frontier = frontier[expanding[frontier // vocab]]
 
-        if items.size == 0:
-            return None  # cold seeds: fall back to the full vocabulary
-        k = min(self.num_candidates, items.size)
-        # (weight desc, position asc) over index-sorted items == index-asc ties.
-        top, _ = stable_topk(weights[None, :], k)
-        return items[top[0]]
+        # Each context's top num_candidates by (weight desc, item asc).
+        context = items // vocab
+        order = np.lexsort((items, -weights, context))
+        context = context[order]
+        starts = np.searchsorted(context, np.arange(count + 1))
+        rank = np.arange(order.size) - starts[context]
+        shortlisted = rank < self.num_candidates
+        picked = items[order[shortlisted]] - context[shortlisted] * vocab
+        bounds = np.searchsorted(context[shortlisted], np.arange(count + 1))
+        # no touched item: cold seeds, fall back to the full vocabulary
+        return [
+            picked[bounds[i] : bounds[i + 1]] if starts[i + 1] > starts[i] else None
+            for i in range(count)
+        ]

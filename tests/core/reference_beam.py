@@ -176,12 +176,9 @@ class ReferenceBeamPlanner(beam.BeamSearchPlanner):
         completes: dict[int, list[_Hypothesis]] = {i: [] for i in pending}
         running = list(pending)
         session = None
-        # Decoding sessions stay off under pruning.  A session advance with a
-        # gathered projection was measured and saves nothing on the catalog
-        # workload (window 16, histories 8-16, horizon 12): the window slides
-        # from depth <= 1, so every advance is the per-row-window regime — a
-        # 16-context plan went 46 -> 60 ms — and re-encoding right-aligned
-        # windows against the shortlist is the cheaper path.
+        # Pruned beams score on the list path here: the planner plans them
+        # through decoding sessions, so comparing the two cross-checks the
+        # shortlist-space sessions against re-scored right-aligned rows.
         use_sessions = (
             self.use_decoding_sessions
             and hasattr(self.backbone, "begin_decoding_session")

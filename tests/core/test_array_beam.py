@@ -13,7 +13,8 @@ verbatim; here both plan the same contexts and must return equal plans:
   that mix both;
 * on real IRNs in all three decoding-session regimes (incremental,
   shared within a depth, per-row window), with roots whose rows all die
-  mid-plan.
+  mid-plan, exactly and pruned — the object beam scores pruned beams on
+  the list path, the planner through shortlist-space sessions.
 """
 
 from __future__ import annotations
@@ -79,6 +80,9 @@ class _Shortlists:
         size = int(rng.integers(1, self.vocab - 1))
         picked = rng.choice(np.arange(1, self.vocab), size=size, replace=False)
         return np.union1d(picked, [objective])
+
+    def candidates_batch(self, histories, objectives, user_indices):
+        return [self.candidates(h, o) for h, o in zip(histories, objectives)]
 
 
 @st.composite
@@ -208,3 +212,27 @@ def test_real_irn_plans_like_the_object_beam(
         # a root whose rows all reached the objective died mid-plan: the
         # root cache kept the live ones only, and the plans did not move
         assert kept
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_real_irn_pruned_plans_like_the_object_beam_on_the_list_path(
+    tiny_split, regime_models, regime
+):
+    """The planner plans pruned beams through shortlist-space decoding
+    sessions; the object beam re-scores them on the list path."""
+    irn = regime_models(regime)
+    instances = sample_objectives(tiny_split, min_objective_interactions=2, max_instances=12)
+    histories = [list(inst.history)[-12:] for inst in instances]
+    objectives = [inst.objective for inst in instances]
+    knobs = dict(
+        beam_width=3,
+        branch_factor=3,
+        plan_cache_size=0,
+        objective_bonus=2.0,
+        candidate_generator=_Shortlists(irn.vocab_size, 7, "mixed"),
+    )
+    array = BeamSearchPlanner(irn, **knobs).fit(tiny_split)
+    reference = ReferenceBeamPlanner(irn, **knobs).fit(tiny_split)
+    plans = array.plan_paths_batch(histories, objectives, max_length=8)
+    assert any(plans)
+    assert reference.plan_paths_batch(histories, objectives, max_length=8) == plans

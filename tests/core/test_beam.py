@@ -111,8 +111,8 @@ class TestPlanning:
                 return np.zeros((len(sequences), 9))
 
         class _Fixed:
-            def candidates(self, history, objective, user_index=None):
-                return np.asarray(shortlist)
+            def candidates_batch(self, histories, objectives, user_indices):
+                return [np.asarray(shortlist) for _ in histories]
 
         generator = None if shortlist is None else _Fixed()
         flat = BeamSearchPlanner(

@@ -7,7 +7,9 @@
   reuse across depths is not exact encodes each live root's history once per
   depth.  Property: whatever ``select`` does to the rows, every advance
   scores like :meth:`IRN.score_with_objective_batch` on the session's rows,
-  in all three regimes (exact reuse, shared within a depth, per-row window).
+  in all three regimes (exact reuse, shared within a depth, per-row window),
+  over the full vocabulary and in shortlist space (each root's own padded
+  candidate row, followed through every gather).
 
 Both are held to float64 oracles on a float64 program (the
 ``float64_program`` fixture).  The float32 program IRN plans on is held to
@@ -25,6 +27,7 @@ from repro.core.beam import BeamSearchPlanner
 from repro.core.irn import IRN
 from repro.core.pim import MaskType
 from repro.evaluation.protocol import sample_objectives
+from repro.utils.exceptions import ConfigurationError
 from tests.core.conftest import on_float64
 
 RTOL, ATOL = 1e-7, 1e-8  # the documented batching tolerance
@@ -98,10 +101,26 @@ def scenarios(draw):
     return roots, advances
 
 
-def check_every_advance(irn: IRN, scenario, float32: bool) -> None:
+@st.composite
+def shortlisted_scenarios(draw):
+    """A scenario plus one shortlist per root, of unequal sizes, in the
+    planner's ``(roots, K)`` table form: ascending, a shorter one padded by
+    repeating its last item."""
+    roots, advances = draw(scenarios())
+    item = st.integers(min_value=1, max_value=30)
+    shortlists = [
+        sorted(draw(st.lists(item, min_size=1, max_size=8, unique=True))) for _ in roots
+    ]
+    width = max(len(shortlist) for shortlist in shortlists)
+    table = np.asarray([s + [s[-1]] * (width - len(s)) for s in shortlists], dtype=np.int64)
+    return (roots, advances), table
+
+
+def check_every_advance(irn: IRN, scenario, float32: bool, table=None) -> None:
     """Every advance of ``scenario`` scores like the float64 uncached scorer,
     within the float32 bound when ``float32``, and encodes the token-work its
-    regime accounts for."""
+    regime accounts for.  With a ``(roots, K)`` ``table`` the session plans
+    in shortlist space, and every row scores at its root's table row."""
     roots, advances = scenario
     sequences = [history for history, _, _ in roots]
     objectives = [objective for _, objective, _ in roots]
@@ -110,10 +129,15 @@ def check_every_advance(irn: IRN, scenario, float32: bool) -> None:
     def reference(session) -> np.ndarray:
         with on_float64(irn):
             return irn.score_with_objective_batch(
-                session.rows, session.objectives, list(session.users)
+                session.rows,
+                session.objectives,
+                list(session.users),
+                candidate_items=None if table is None else table[session.roots],
             )
 
-    scores, session = irn.begin_decoding_session(sequences, objectives, users)
+    scores, session = irn.begin_decoding_session(
+        sequences, objectives, users, candidate_items=table
+    )
     assert_scores_match(scores, reference(session), float32)
     reuse_is_exact = irn.num_layers == 1 or irn.mask_type == MaskType.CAUSAL
     assert session.incremental == reuse_is_exact
@@ -182,6 +206,40 @@ class TestSharedHistorySessions:
         self, models, num_layers, mask_type, scenario
     ):
         check_every_advance(models(num_layers, mask_type), scenario, float32=False)
+
+    @pytest.mark.parametrize("mask_type", MASKS, ids=lambda mask: mask.name.lower())
+    @pytest.mark.parametrize("num_layers", LAYERS)
+    @settings(max_examples=15, deadline=None)
+    @given(case=shortlisted_scenarios())
+    def test_every_advance_matches_in_shortlist_space(
+        self, models, num_layers, mask_type, case
+    ):
+        scenario, table = case
+        check_every_advance(models(num_layers, mask_type), scenario, float32=False, table=table)
+
+    @pytest.mark.parametrize("num_layers", LAYERS)
+    def test_an_emptied_session_keeps_its_space(self, models, num_layers):
+        irn = models(num_layers, MaskType.PERSONALIZED)
+        table = np.asarray([[1, 2, 3], [4, 5, 5]])
+        for candidates, width in ((table, 3), (None, irn.vocab_size)):
+            scores, session = irn.begin_decoding_session(
+                [[1, 2], [3]], [7, 8], [0, 1], candidate_items=candidates
+            )
+            assert scores.shape == (2, width)
+            assert irn.advance_decoding_session(session, [], []).shape == (0, width)
+
+    @pytest.mark.parametrize(
+        "objectives, table",
+        [([7, 8], np.asarray([1, 2, 3])), (None, np.asarray([[1, 2], [3, 4]]))],
+        ids=["shared-set", "objective-free"],
+    )
+    def test_a_session_takes_only_a_per_row_table_with_objectives(
+        self, models, objectives, table
+    ):
+        with pytest.raises(ConfigurationError):
+            models(1, MaskType.PERSONALIZED).begin_decoding_session(
+                [[1, 2], [3]], objectives, candidate_items=table
+            )
 
     def test_overflow_mid_session_keeps_matching(self, models):
         """A window that outgrows ``max_sequence_length`` slides per row, and a

@@ -218,6 +218,135 @@ class TestCooccurrenceAccumulation:
         assert expected is None
 
 
+def _finish(raw, objective, vocab):
+    """The protocol's finishing of one raw set: real items plus the objective, sorted unique."""
+    return np.unique(np.append(raw[(raw >= 1) & (raw < vocab)], objective))
+
+
+@st.composite
+def cooccurrence_batches(draw):
+    """A hand-built neighbour index with tie-heavy weights, and a batch of
+    contexts: histories up to twice the history window, items whose rows are
+    empty (the top two ids: a context seeded by them alone is cold), and
+    knobs under which many contexts stop after their first hop."""
+    vocab = draw(st.integers(min_value=5, max_value=25))
+    m = draw(st.integers(min_value=1, max_value=5))
+    cells = dict(min_size=vocab * m, max_size=vocab * m)
+    weights = np.asarray(draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.0]), **cells)))
+    weights = weights.reshape(vocab, m)
+    weights[0] = weights[-2:] = 0.0
+    neighbors = np.asarray(
+        draw(st.lists(st.integers(min_value=1, max_value=vocab - 3), **cells))
+    ).reshape(vocab, m)
+    neighbors[weights == 0] = 0
+    knobs = dict(
+        num_candidates=draw(st.integers(min_value=1, max_value=12)),
+        expansion_hops=draw(st.integers(min_value=1, max_value=4)),
+        history_window=draw(st.integers(min_value=1, max_value=5)),
+    )
+    item = st.integers(min_value=1, max_value=vocab - 1)
+    contexts = draw(st.lists(st.tuples(st.lists(item, max_size=10), item), min_size=1, max_size=8))
+    contexts.append(([vocab - 1] * draw(st.integers(min_value=0, max_value=3)), vocab - 2))
+    return vocab, neighbors, weights, knobs, contexts
+
+
+class _PartlyZeroVectors:
+    """Random item vectors, zero for the top five ids (a cold ANN query)."""
+
+    def __init__(self, vocab_size: int, dim: int = 8) -> None:
+        self.vectors = np.random.default_rng(0).standard_normal((vocab_size, dim))
+        self.vectors[-5:] = 0.0
+
+
+class TestBatchEqualsLoop:
+    """``candidates_batch`` answers what looping ``candidates`` answers."""
+
+    @staticmethod
+    def check(generator, contexts) -> "list[np.ndarray | None]":
+        histories = [history for history, _ in contexts]
+        objectives = [objective for _, objective in contexts]
+        users = list(range(len(contexts)))
+        batch = generator.candidates_batch(histories, objectives, users)
+        assert len(batch) == len(contexts)
+        for got, history, objective, user in zip(batch, histories, objectives, users):
+            alone = generator.candidates(history, objective, user)
+            if alone is None:
+                assert got is None
+            else:
+                assert got.dtype == np.int64 and got.tolist() == alone.tolist()
+        return batch
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=cooccurrence_batches())
+    def test_cooccurrence(self, case):
+        vocab, neighbors, weights, knobs, contexts = case
+        generator = CooccurrenceNeighborGenerator(**knobs)
+        generator.vocab_size, generator._neighbors, generator._weights = vocab, neighbors, weights
+        batch = self.check(generator, contexts)
+        # and each set is the one the per-item loop the generator began as finds
+        for got, (history, objective) in zip(batch, contexts):
+            expected = _looped_candidates(generator, history, objective)
+            if expected is None:
+                assert got is None
+            else:
+                assert got.tolist() == _finish(expected, objective, vocab).tolist()
+        assert batch[-1] is None  # seeded by empty rows only
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda vocab: FullVocabGenerator(),
+            lambda vocab: EmbeddingANNGenerator(
+                num_candidates=6, embedding_model=_PartlyZeroVectors(vocab)
+            ),
+            lambda vocab: EmbeddingANNGenerator(
+                num_candidates=6,
+                coarse_threshold=8,
+                nprobe=2,
+                embedding_model=_PartlyZeroVectors(vocab),
+            ),
+        ],
+        ids=["full", "ann-brute-force", "ann-coarse"],
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_full_and_ann(self, tiny_corpus, factory, data):
+        vocab = tiny_corpus.vocab.size
+        generator = factory(vocab).fit(tiny_corpus)
+        item = st.integers(min_value=1, max_value=vocab - 1)
+        contexts = data.draw(
+            st.lists(st.tuples(st.lists(item, max_size=20), item), min_size=1, max_size=8)
+        )
+        contexts.append(([vocab - 1, vocab - 2], vocab - 3))  # zero vectors only
+        batch = self.check(generator, contexts)
+        assert (batch[-1] is None) == (generator.name == "ann")
+
+
+class _Raw(CandidateGenerator):
+    """Answers each objective with a fixed raw set: out-of-range ids,
+    duplicates and any order, or ``None``."""
+
+    name = "raw"
+    RAW = {3: [9, 0, 4, 4, -2, 10, 1], 4: None, 5: [], 6: [2, 1]}
+
+    def _fit(self, corpus, vocab_size: int) -> None:
+        pass
+
+    def _candidates(self, history, objective, user_index):
+        raw = self.RAW[objective]
+        return None if raw is None else np.asarray(raw)
+
+
+def test_a_batch_finishes_every_raw_set_on_its_own():
+    generator = _Raw().fit(SimpleNamespace(vocab=SimpleNamespace(size=10)))
+    sets = generator.candidates_batch([[1]] * 5, [3, 4, 5, 6, 3])
+    assert [None if s is None else s.tolist() for s in sets] == [
+        [1, 3, 4, 9], None, [5], [1, 2, 6], [1, 3, 4, 9]
+    ]
+    with pytest.raises(ConfigurationError, match="objective 10"):
+        generator.candidates_batch([[1], [1]], [3, 10])
+
+
 class TestANNGenerator:
     def test_coarse_index_built_past_threshold(self, tiny_corpus, contexts):
         generator = EmbeddingANNGenerator(

@@ -215,14 +215,15 @@ class _ColdForOddObjectives(CooccurrenceNeighborGenerator):
 
     name = "cold-for-odd"
 
-    def _candidates(self, history, objective, user_index):
-        if objective % 2:
-            return None
-        return super()._candidates(history, objective, user_index)
+    def _candidates_batch(self, histories, objectives, user_indices):
+        shortlists = super()._candidates_batch(histories, objectives, user_indices)
+        return [None if objective % 2 else s for s, objective in zip(shortlists, objectives)]
 
 
 class _RecordingIRN:
-    """Forwards to an IRN, keeping the ``candidate_items`` shape of every batch."""
+    """Forwards to an IRN, keeping the rows of every scoring call and, in
+    shortlist space, its score block's shape: uncached batches and
+    decoding-session calls alike."""
 
     supports_candidate_scoring = True
 
@@ -231,6 +232,11 @@ class _RecordingIRN:
         self.corpus = irn.corpus
         self.name = "recording-IRN"
         self.calls: "list[tuple[int, tuple | None]]" = []
+        self.session_calls = 0
+
+    def _record(self, scores: np.ndarray, shortlisted: bool) -> np.ndarray:
+        self.calls.append((len(scores), scores.shape if shortlisted else None))
+        return scores
 
     def score_with_objective(self, sequence, objective, user_index=None):
         return self._irn.score_with_objective(sequence, objective, user_index)
@@ -238,12 +244,26 @@ class _RecordingIRN:
     def score_with_objective_batch(
         self, sequences, objectives, user_indices=None, candidate_items=None
     ):
-        self.calls.append(
-            (len(sequences), None if candidate_items is None else candidate_items.shape)
+        return self._record(
+            self._irn.score_with_objective_batch(
+                sequences, objectives, user_indices, candidate_items=candidate_items
+            ),
+            candidate_items is not None,
         )
-        return self._irn.score_with_objective_batch(
+
+    def begin_decoding_session(
+        self, sequences, objectives=None, user_indices=None, candidate_items=None
+    ):
+        self.session_calls += 1
+        scores, session = self._irn.begin_decoding_session(
             sequences, objectives, user_indices, candidate_items=candidate_items
         )
+        return self._record(scores, candidate_items is not None), session
+
+    def advance_decoding_session(self, session, new_items, parent_rows=None):
+        self.session_calls += 1
+        scores = self._irn.advance_decoding_session(session, new_items, parent_rows)
+        return self._record(scores, session.root_candidates is not None)
 
 
 class TestMixedDrain:
@@ -270,8 +290,10 @@ class TestMixedDrain:
         ]
         assert plans == alone
 
-        # the shortlisted group never left shortlist space, and the cold one
-        # scored the full vocabulary without taking the others along
+        # both groups planned through decoding sessions; the shortlisted one
+        # never left shortlist space, and the cold one scored the full
+        # vocabulary without taking the others along
+        assert backbone.session_calls == len(backbone.calls)
         beam_width = together.beam_width
         shortlisted = len(contexts) - len(cold)
         pruned_calls = [(rows, shape) for rows, shape in backbone.calls if shape is not None]
