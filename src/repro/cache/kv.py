@@ -19,17 +19,14 @@ newly projected columns into the arena in place and returns *views* of the
 used prefix, so a decode step copies only the appended slice — never the
 prefix.  When the arena fills, capacity grows geometrically (doubling), so
 total copying over a T-token decode is O(T) instead of the O(T²) a
-per-token ``np.concatenate`` pays.  ``growth="exact"`` keeps the legacy
-exact-size behaviour (reallocate to the needed width every extend) as the
-fallback path; even there the old concatenate temporaries are gone — the
-prefix is copied at most once per extend, directly into the new buffer.
-Transient columns (``persist`` < new) occupy arena slots past the persisted
-length and are simply overwritten by the next extend; they are never
-retained or re-copied.  (The IRN scorers hand ``extend`` only the columns
-they keep — a step's transient objective column attends as the call's own
-K/V and never touches the arena.)  Row gathers (:meth:`LayerKVCache.reorder`) move the
-used region into a spare arena with :func:`np.take` and swap buffers — no
-per-call temporaries once the spare exists.
+per-token ``np.concatenate`` pays.  Transient columns (``persist`` < new)
+occupy arena slots past the persisted length and are simply overwritten by
+the next extend; they are never retained or re-copied.  (The IRN scorers
+hand ``extend`` only the columns they keep — a step's transient objective
+column attends as the call's own K/V and never touches the arena.)  Row
+gathers (:meth:`LayerKVCache.reorder`) move the used region into a spare
+arena with :func:`np.take` and swap buffers — no per-call temporaries once
+the spare exists.
 
 Module-level allocation counters (:func:`allocation_stats`) track arena
 allocations, bytes actually copied, and the bytes an equivalent
@@ -43,9 +40,9 @@ Cached keys/values are *projections of that layer's past inputs*.  Keeping
 them **across decoding depths** is exact only while those inputs cannot
 change when the sequence grows:
 
-* **Causal masks, any depth** — position ``j`` never attends to positions
-  ``> j``, so appending a token leaves every prefix hidden state (and hence
-  every layer's prefix K/V) untouched.
+* **The causal mask, any depth** — position ``j`` never attends to
+  positions ``> j`` nor to the objective, so appending a token leaves every
+  prefix hidden state (and hence every layer's prefix K/V) untouched.
 * **Single-layer stacks, any additive mask** — layer 1's K/V are projections
   of the raw input embeddings, which are fixed per position regardless of
   what the mask reveals.
@@ -84,18 +81,11 @@ from repro.utils.exceptions import ConfigurationError
 __all__ = [
     "LayerKVCache",
     "DecodingState",
-    "GROWTH_MODES",
     "allocation_stats",
     "reset_allocation_stats",
 ]
 
-#: Arena growth policies: ``geometric`` doubles capacity when full (amortized
-#: O(T) copying); ``exact`` reallocates to exactly the needed width every
-#: extend (the legacy fallback — still concatenate-free, copies capped to
-#: prefix + appended slice with no temporaries or transient-column retention).
-GROWTH_MODES = ("geometric", "exact")
-
-#: Smallest arena capacity (columns) allocated under geometric growth.
+#: Smallest arena capacity (columns); it doubles whenever the arena fills.
 MIN_CAPACITY = 8
 
 # ---------------------------------------------------------------------- #
@@ -152,15 +142,9 @@ class LayerKVCache:
     """Cached attention keys/values of one layer, shape ``(batch, heads, len, d_head)``.
 
     Storage precision is that of the keys the first extend brings.
-    ``growth`` picks the arena policy (see :data:`GROWTH_MODES`).
     """
 
-    def __init__(self, growth: str = "geometric") -> None:
-        if growth not in GROWTH_MODES:
-            raise ConfigurationError(
-                f"growth must be one of {GROWTH_MODES}, got {growth!r}"
-            )
-        self._growth = growth
+    def __init__(self) -> None:
         self._key_buf: np.ndarray | None = None
         self._value_buf: np.ndarray | None = None
         self._key_spare: np.ndarray | None = None
@@ -204,8 +188,6 @@ class LayerKVCache:
 
     # ------------------------------------------------------------------ #
     def _target_capacity(self, needed: int) -> int:
-        if self._growth == "exact":
-            return needed
         capacity = max(MIN_CAPACITY, self.capacity)
         while capacity < needed:
             capacity *= 2
@@ -306,15 +288,12 @@ class LayerKVCache:
 
 
 class DecodingState:
-    """A stack of per-layer :class:`LayerKVCache`, one per encoder layer.
+    """A stack of per-layer :class:`LayerKVCache`, one per encoder layer."""
 
-    ``growth`` is forwarded to every layer cache.
-    """
-
-    def __init__(self, num_layers: int, growth: str = "geometric") -> None:
+    def __init__(self, num_layers: int) -> None:
         if num_layers <= 0:
             raise ConfigurationError(f"num_layers must be positive, got {num_layers}")
-        self.layers = [LayerKVCache(growth=growth) for _ in range(num_layers)]
+        self.layers = [LayerKVCache() for _ in range(num_layers)]
 
     def __len__(self) -> int:
         return len(self.layers)

@@ -15,13 +15,15 @@ ndarrays:
   ``objectives`` and ``impressionability`` are its root's, read through
   ``roots`` (every row grows by one token per step, so its length is its
   root's plus ``steps``).  A session in *shortlist space* (a pruned plan)
-  also keeps each root's candidate row ``root_candidates`` — the plan's
-  ``(roots, K)`` item table — and the scorer's projection rows of those
-  items, ``root_candidate_rows`` (``(roots, K, d)``, gathered once from the
-  program that began the session); every advance scores each row at its
-  root's shortlist through ``candidate_rows`` and returns ``(rows, K)``.
+  also keeps the scorer's projection rows of each root's shortlist — a row
+  of the plan's ``(roots, K)`` item table — as ``root_candidate_rows``
+  (``(roots, K, d)``, gathered once from the program that began the
+  session); every advance scores each row at its root's shortlist through
+  ``candidate_rows`` and returns ``(rows, K)``.
 
-The beam-search planner drives it through
+Every session is objective-conditioned: each root has an objective, and
+every advance scores its rows against their roots' objectives through the
+PIM.  The beam-search planner drives it through
 :meth:`~repro.core.irn.IRN.begin_decoding_session` /
 :meth:`~repro.core.irn.IRN.advance_decoding_session`; between depths it
 calls :meth:`select` to gather the surviving hypotheses (pruning,
@@ -32,7 +34,7 @@ and :meth:`append` to write each row's newly appended token as one column.
 Which of the three regimes of :mod:`repro.cache.kv` an advance runs in is
 decided by the scorer from what the session records:
 
-* ``incremental`` (causal masks, or one layer) — ``state`` holds per-layer
+* ``incremental`` (the causal mask, or one layer) — ``state`` holds per-layer
   prefix K/V that persist *across* depths; an advance encodes the new token.
 * shared within a depth (objective-revealing masks at two or more layers) —
   nothing a row appended persists across depths, so ``state`` is ``None``
@@ -70,22 +72,20 @@ class DecodingSession:
         tokens: np.ndarray,
         lengths: np.ndarray,
         users: np.ndarray,
-        objectives: "np.ndarray | None",
+        objectives: np.ndarray,
         state: DecodingState | None,
         incremental: bool,
         impressionability: np.ndarray | None = None,
-        candidates: np.ndarray | None = None,
         candidate_rows: np.ndarray | None = None,
     ) -> None:
         self.root_tokens = np.array(tokens, dtype=np.int64)
         self.root_lengths = np.array(lengths, dtype=np.int64)
         self.root_users = np.array(users, dtype=np.int64)
-        self.root_objectives = None if objectives is None else np.array(objectives, dtype=np.int64)
+        self.root_objectives = np.array(objectives, dtype=np.int64)
         #: per-root ``r_u`` (personalized masks only)
         self.root_impressionability = impressionability
-        #: per-root shortlist ``(roots, K)`` and its projection rows
-        #: ``(roots, K, d)`` (shortlist space only)
-        self.root_candidates = candidates
+        #: per-root shortlist projection rows ``(roots, K, d)`` (shortlist
+        #: space only)
         self.root_candidate_rows = candidate_rows
         self.state = state
         self.incremental = bool(incremental)
@@ -119,8 +119,8 @@ class DecodingSession:
         return self.root_users[self.roots]
 
     @property
-    def objectives(self) -> "np.ndarray | None":
-        return None if self.root_objectives is None else self.root_objectives[self.roots]
+    def objectives(self) -> np.ndarray:
+        return self.root_objectives[self.roots]
 
     @property
     def impressionability(self) -> "np.ndarray | None":

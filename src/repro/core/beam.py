@@ -6,8 +6,9 @@ appended.  Greedy decoding can paint the path into a corner — exactly the
 limitation the paper attributes to Rec2Inf ("the local optimal selections may
 not ultimately reach the global optimal influence path", §III-C).
 
-:class:`BeamSearchPlanner` wraps any recommender that exposes
-``score_with_objective(sequence, objective, user_index)`` (IRN does) and
+:class:`BeamSearchPlanner` wraps a backbone with objective-conditioned
+decoding sessions (:meth:`~repro.core.irn.IRN.begin_decoding_session` /
+:meth:`~repro.core.irn.IRN.advance_decoding_session`; IRN has them) and
 plans the whole path with beam search instead.  Hypotheses are scored by
 their average per-step log-probability plus a terminal bonus for reaching the
 objective; the best complete hypothesis (or the best partial one, if none is
@@ -25,9 +26,8 @@ Batched expansion
 Search is organised so that every transformer forward is as wide as
 possible: at each depth, ALL live hypotheses — across the whole beam and,
 via :meth:`BeamSearchPlanner.plan_paths_batch`, across every evaluation
-instance being rolled out in lockstep — are scored with one call to the
-backbone's ``score_with_objective_batch`` (falling back to per-sequence
-scalar calls when the backbone only implements ``score_with_objective``).
+instance being rolled out in lockstep — are scored by one call into the
+backbone's decoding session, the only way the planner scores.
 
 The beams themselves are arrays from the root to the returned paths.  A
 lockstep beam over ``n`` instances holds fixed ``n · beam_width`` *slots*
@@ -57,14 +57,15 @@ Caching
 -------
 Two layers from :mod:`repro.cache` sit on top of the batched expansion:
 
-* **Decoding sessions** — when the backbone exposes decoding sessions
-  (:meth:`~repro.core.irn.IRN.begin_decoding_session`), each depth gathers
-  the session rows of the surviving hypotheses and the backbone encodes
-  only what it must instead of every hypothesis' full right-aligned window:
-  the one newly appended token per hypothesis where prefix K/V reuse across
-  depths is exact, otherwise each planning context's history once per depth
-  plus every hypothesis' appended tokens (see :mod:`repro.cache.kv`).
-  Plans are identical.
+* **Decoding sessions** — each lockstep beam begins one session on its
+  roots, and each later depth gathers the session rows of the surviving
+  hypotheses and appends their newest items: the backbone encodes only what
+  it must instead of every hypothesis' full right-aligned window — the one
+  newly appended token per hypothesis where prefix K/V reuse across depths
+  is exact, otherwise each planning context's history once per depth plus
+  every hypothesis' appended tokens (see :mod:`repro.cache.kv`).  Plans
+  equal re-scoring every hypothesis' window, which the object beam of
+  ``tests/core/reference_beam.py`` does with its sessions switched off.
 * **Plan memoisation** — a bounded LRU :class:`~repro.cache.memo.PlanCache`
   keyed by ``(tuple(history), objective, user_index, max_length)`` short-
   circuits :meth:`plan_paths_batch` for contexts planned before, and a
@@ -93,16 +94,13 @@ pending context its shortlist, and one ``(instances, K)`` item table per
 plan (each context's shortlist in ascending item order) is handed to the
 decoding session (``begin_decoding_session(candidate_items=<(instances,
 K)>)``), which keeps it — and its gathered projection rows — as root-block
-state and projects every depth's rows onto their root's row.  Without
-sessions the table is gathered by owner into a ``(rows, K)`` table per
-depth (``score_with_objective_batch(candidate_items=<(rows, K)>)``).  Either
-way seen items are masked
-(:func:`~repro.core.influence_path.mask_session_items`), the shared masked
-log-softmax normalises and the top-k picks; winners map back to items
-through the table.  A depth costs ``O(rows * K)`` — never the vocabulary,
-never the union of the drain's shortlists — and ascending columns keep the
-exact path's (value desc, item asc) tie order.  Contexts without a
-shortlist plan in a second, exact lockstep beam.
+state and projects every depth's rows onto their root's row.  Seen items
+are masked (:func:`~repro.core.influence_path.mask_session_items`), the
+shared masked log-softmax normalises and the top-k picks; winners map back
+to items through the table.  A depth costs ``O(rows * K)`` — never the
+vocabulary, never the union of the drain's shortlists — and ascending
+columns keep the exact path's (value desc, item asc) tie order.  Contexts
+without a shortlist plan in a second, exact lockstep beam.
 
 Serving
 -------
@@ -118,7 +116,7 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -155,16 +153,6 @@ class _Miss:
 #: What :meth:`BeamSearchPlanner.serve_resident` returns when no resident
 #: plan answers the request — ``None`` is taken: it is the end-of-plan answer.
 MISS = _Miss()
-
-
-@runtime_checkable
-class _ObjectiveScorer(Protocol):
-    """Anything that can score the next item conditioned on an objective."""
-
-    def score_with_objective(
-        self, sequence: Sequence[int], objective: int, user_index: int | None = None
-    ) -> np.ndarray:  # pragma: no cover - protocol signature only
-        ...
 
 
 def _hypothesis_scores(
@@ -309,13 +297,15 @@ class _Beams:
 
 @influential_registry.register("beam")
 class BeamSearchPlanner(InfluentialRecommender):
-    """Plan influence paths with beam search over an objective-aware scorer.
+    """Plan influence paths with beam search over objective decoding sessions.
 
     Parameters
     ----------
     backbone:
-        A fitted (or fit-able) recommender exposing ``score_with_objective``
-        — in practice an :class:`~repro.core.irn.IRN`.
+        A fitted (or fit-able) recommender with objective-conditioned
+        decoding sessions (``begin_decoding_session`` /
+        ``advance_decoding_session``) — in practice an
+        :class:`~repro.core.irn.IRN`.  Any other backbone is refused.
     beam_width:
         Number of hypotheses kept per step.
     branch_factor:
@@ -337,40 +327,33 @@ class BeamSearchPlanner(InfluentialRecommender):
         Bound of the per-context serving-plan LRU behind :meth:`next_step`.
         Size 1 reproduces the pre-cache behaviour (a single replan slot that
         interleaved contexts thrash); must be at least 1.
-    use_decoding_sessions:
-        Thread incremental decoding sessions through depth expansion when the
-        backbone supports them (plans are identical either way).
     candidate_generator:
         Optional fitted (or fit-able) two-stage-retrieval generator
         (:class:`~repro.retrieval.base.CandidateGenerator`), asked once per
         plan for every pending instance's shortlist (``candidates_batch``).
         When set, each planned instance scores only over its own
         per-context candidate shortlist, and the plan never leaves
-        *shortlist space*: per depth the fused scoring call returns a
-        ``(rows, K)`` block — row ``r`` at its own instance's shortlist,
-        ``K`` the largest shortlist planned together (gathered
-        output-projection rows when the backbone has decoding sessions or
-        advertises ``supports_candidate_scoring``, full scores gathered by
-        the planner otherwise) — and seen-item masking, the log-softmax
+        *shortlist space*: the plan's decoding session keeps the
+        ``(instances, K)`` table of the shortlists (``K`` the largest
+        shortlist planned together) and its gathered output-projection
+        rows, every depth returns a ``(rows, K)`` block — row ``r`` at its
+        own instance's shortlist — and seen-item masking, the log-softmax
         and the top-k all run on that block; no ``(rows, vocab)`` array is
         built.  Plan / step cache keys gain the generator's
         ``retrieval_key()`` so pruned and exact plans can never alias.  A
         context the generator answers ``None`` for (fallback) plans exactly
-        over the full vocabulary, in its own lockstep beam beside the
-        shortlisted contexts of the same drain, and is counted in the
-        ``core.retrieval`` metric scope.  Both groups plan through decoding
-        sessions when the backbone has them; the shortlisted group's
-        session keeps its ``(instances, K)`` item table.  A full-coverage
-        generator (:class:`~repro.retrieval.base.FullVocabGenerator`) takes
-        the exact path too, so its plans are bit-identical to exact
-        planning.
+        over the full vocabulary, in its own lockstep beam (and session)
+        beside the shortlisted contexts of the same drain, and is counted
+        in the ``core.retrieval`` metric scope.  A full-coverage generator
+        (:class:`~repro.retrieval.base.FullVocabGenerator`) takes the exact
+        path too, so its plans are bit-identical to exact planning.
     """
 
     name = "IRN-beam"
 
     def __init__(
         self,
-        backbone: _ObjectiveScorer,
+        backbone,
         beam_width: int = 4,
         branch_factor: int = 4,
         objective_bonus: float = 1.0,
@@ -378,13 +361,16 @@ class BeamSearchPlanner(InfluentialRecommender):
         max_length: int = 20,
         plan_cache_size: int = 256,
         step_cache_size: int = 64,
-        use_decoding_sessions: bool = True,
         candidate_generator=None,
     ) -> None:
         super().__init__()
-        if not hasattr(backbone, "score_with_objective"):
+        if not (
+            hasattr(backbone, "begin_decoding_session")
+            and hasattr(backbone, "advance_decoding_session")
+        ):
             raise ConfigurationError(
-                "BeamSearchPlanner needs a backbone with score_with_objective()"
+                "BeamSearchPlanner needs a backbone with objective decoding sessions "
+                "(begin_decoding_session / advance_decoding_session)"
             )
         if beam_width <= 0 or branch_factor <= 0:
             raise ConfigurationError("beam_width and branch_factor must be positive")
@@ -408,7 +394,6 @@ class BeamSearchPlanner(InfluentialRecommender):
         self.fit_backbone = fit_backbone
         self.max_length = max_length
         self.candidate_generator = candidate_generator
-        self.use_decoding_sessions = use_decoding_sessions
         self.plan_cache = PlanCache(plan_cache_size)
         self._step_cache = PlanCache(step_cache_size)
         # Serving-cache outcome counters: registry-backed, so a serving hit
@@ -553,53 +538,6 @@ class BeamSearchPlanner(InfluentialRecommender):
         return (type(generator).__name__,)
 
     # ------------------------------------------------------------------ #
-    def _batched_scores(
-        self,
-        sequences: list[list[int]],
-        objectives: list[int],
-        user_indices: "list[int | None]",
-        row_items: "np.ndarray | None" = None,
-    ) -> np.ndarray:
-        """Score every sequence against its objective, fused when possible.
-
-        Returns a fresh float64 ``(rows, vocab)`` block, or — with a per-row
-        ``(rows, C)`` item table — the ``(rows, C)`` block of row ``r``'s
-        scores at ``row_items[r]``.  Backbones advertising
-        ``supports_candidate_scoring`` project onto those items only and
-        never build the ``(rows, vocab)`` array (the two-stage-retrieval
-        fast path); any other backbone is scored in full and gathered,
-        which is exact but gains no speed.
-        """
-        scorer = getattr(self.backbone, "score_with_objective_batch", None)
-        if scorer is None:
-            scores = np.stack(
-                [
-                    np.asarray(
-                        self.backbone.score_with_objective(
-                            sequence, objective, user_index=user
-                        ),
-                        dtype=np.float64,
-                    )
-                    for sequence, objective, user in zip(
-                        sequences, objectives, user_indices
-                    )
-                ]
-            )
-        elif row_items is not None and getattr(
-            self.backbone, "supports_candidate_scoring", False
-        ):
-            return np.array(
-                scorer(sequences, objectives, user_indices, candidate_items=row_items),
-                dtype=np.float64,
-            )
-        else:
-            scores = np.array(
-                scorer(sequences, objectives, user_indices), dtype=np.float64
-            )
-        if row_items is not None:
-            scores = np.take_along_axis(scores, row_items, axis=1)
-        return scores
-
     def _expand(
         self,
         scores: np.ndarray,
@@ -812,9 +750,6 @@ class BeamSearchPlanner(InfluentialRecommender):
         users = [users[i] for i in pending]
         beams = _Beams(histories, goals, self.beam_width, max_length, self.objective_bonus)
         session = None
-        use_sessions = self.use_decoding_sessions and hasattr(
-            self.backbone, "begin_decoding_session"
-        )
         # Per-depth expansion spans broadcast to every trace of the drained
         # micro-batch (depth work is fused across the whole batch, so
         # batch-level attribution is the honest granularity); None when the
@@ -829,18 +764,7 @@ class BeamSearchPlanner(InfluentialRecommender):
             if not live.size:
                 break
             owners = live // self.beam_width
-            row_items = None if table is None else table[owners]
-            if not use_sessions:
-                # the batched scorer takes each row's sequence as a list
-                rows = owners.tolist()
-                paths = beams.tokens[live, beams.start : beams.start + depth].tolist()
-                scores = self._batched_scores(
-                    [histories[owner] + path for owner, path in zip(rows, paths)],
-                    goals[owners].tolist(),
-                    [users[owner] for owner in rows],
-                    row_items,
-                )
-            elif session is None:
+            if session is None:
                 # Depth 0: the live rows are the roots, one per instance;
                 # the session keeps their shortlists (when pruned) throughout.
                 scores, session = self.backbone.begin_decoding_session(
@@ -858,7 +782,7 @@ class BeamSearchPlanner(InfluentialRecommender):
                 np.asarray(scores, dtype=np.float64),
                 beams.tokens[live, : beams.start + depth],
                 goals[owners],
-                row_items,
+                None if table is None else table[owners],
             )
             advanced = beams.advance(live, items, values, depth)
             if sink is not None:

@@ -57,14 +57,16 @@ parity oracle.
 Incremental decoding contract
 -----------------------------
 :meth:`IRN.begin_decoding_session` / :meth:`IRN.advance_decoding_session`
-are the cached variants of the batched scorers.  An advance appends one
-token per row and runs in one of three regimes, chosen from what the code
-observes (mask type, layer count, and whether history + path + objective
-still fits ``max_sequence_length``), never from an option:
+are the cached variant of :meth:`IRN.score_with_objective_batch`, and the
+only way the beam planner scores: every session is conditioned on its rows'
+objectives through the PIM, as every step of Algorithm 1 is.  An advance
+appends one token per row and runs in one of three regimes, chosen from
+what the code observes (mask type, layer count, and whether history + path
++ objective still fits ``max_sequence_length``), never from an option:
 
-* **Exact reuse across depths** — causal masks at any depth, or single-layer
-  stacks under any mask.  Prefix hidden states cannot change as the sequence
-  grows, so the session caches per-layer prefix keys/values
+* **Exact reuse across depths** — ``MaskType.CAUSAL`` at any depth, or
+  single-layer stacks under any mask.  Prefix hidden states cannot change
+  as the sequence grows, so the session caches per-layer prefix keys/values
   (:mod:`repro.cache.kv`) and each depth embeds only the newly appended
   token (plus the re-projected objective, whose position embedding moves
   with the sequence length) while attending over the cached prefix:
@@ -96,9 +98,10 @@ still fits ``max_sequence_length``), never from an option:
 All three agree with the uncached scorer to the same tolerance as the
 batching contract (GEMM shapes and softmax row widths differ, values do not)
 and produce identical plans.  A session begun with a per-row candidate
-table (a pruned plan's shortlists) keeps the table and its gathered
-projection rows for its whole life; every regime projects each row onto its
-root's rows and returns ``(rows, K)`` scores.
+table (a pruned plan's shortlists) keeps the table's gathered projection
+rows for its whole life; every regime projects each row onto its root's
+rows and returns ``(rows, K)`` scores, which equal
+``score_with_objective_batch`` on the same ``(rows, K)`` table.
 """
 
 from __future__ import annotations
@@ -323,9 +326,6 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
     """
 
     name = "IRN"
-    #: the batched objective scorer accepts ``candidate_items`` (the
-    #: two-stage-retrieval gather path); planners feature-test this flag.
-    supports_candidate_scoring = True
 
     def __init__(
         self,
@@ -501,23 +501,15 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         objectives[b])`` up to floating-point summation-order tolerance
         (~1e-8 on a float64 program).
 
-        ``candidate_items`` (the two-stage-retrieval path) restricts the
-        output projection to the given item indices — integer ids in
-        ``[1, vocab)`` — in one of two forms, both over the same gathered
-        projection (:meth:`repro.nn.inference.Program.project`):
-
-        * **1-D, one shortlist shared by the batch.**  Returned rows stay
-          ``(batch, vocab)``: ``-inf`` everywhere except those columns,
-          whose logits are exact — identical to slicing the full-vocabulary
-          scores at the candidates.  The set is deduplicated, and one
-          covering every real item short-circuits to the full projection,
-          so full-vocabulary candidate sets are *structurally* bit-identical
-          to unrestricted scoring.
-        * **2-D ``(batch, K)``, one shortlist per row** — the beam planner's
-          shortlist space.  Returns the ``(batch, K)`` logits of row ``b``
-          at ``candidate_items[b]``, in the given column order (repeats
-          allowed; ragged shortlists are the caller's to pad and mask), and
-          never builds a ``(batch, vocab)`` array.
+        ``candidate_items`` — a per-row ``(batch, K)`` table of item ids in
+        ``[1, vocab)``, one shortlist per row (the beam planner's shortlist
+        space) — restricts the output projection to the gathered rows of
+        those items and returns the ``(batch, K)`` logits of row ``b`` at
+        ``candidate_items[b]``, in the given column order (repeats allowed;
+        ragged shortlists are the caller's to pad and mask), without
+        building a ``(batch, vocab)`` array.  They equal the full scores at
+        those items.  This is the uncached reference a shortlist-space
+        decoding session (:meth:`begin_decoding_session`) is held to.
         """
         self._require_fitted()
         assert self.module is not None
@@ -537,20 +529,22 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
             items,
             lengths,
             self._batch_users(user_indices, batch),
-            candidate_items=candidate_items,
+            candidate_rows=self._candidate_rows(candidate_items),
         )
 
     def _normalize_candidates(
         self, candidate_items: "np.ndarray | None", batch: int
     ) -> "np.ndarray | None":
-        """Validate a candidate set; ``None`` means the full vocabulary.
-
-        A per-row ``(batch, K)`` table is returned as given; any other shape
-        is one shared set, deduplicated (and ``None`` at full coverage).
-        """
+        """Check a per-row ``(batch, K)`` candidate table; ``None`` means the
+        full vocabulary.  Returns the table as int64."""
         if candidate_items is None:
             return None
         cands = np.asarray(candidate_items)
+        if cands.ndim != 2 or cands.shape[0] != batch:
+            raise ConfigurationError(
+                f"candidate_items must be a (batch, K) table with one row per "
+                f"sequence: got shape {cands.shape} for a batch of {batch}"
+            )
         if cands.size == 0:
             raise ConfigurationError("candidate_items must name at least one item")
         if not np.issubdtype(cands.dtype, np.integer):
@@ -564,17 +558,13 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
                 f"candidate_items must lie in [1, {self.vocab_size}); got range "
                 f"[{low}, {high}]"
             )
-        if cands.ndim == 2:
-            if cands.shape[0] != batch:
-                raise ConfigurationError(
-                    f"per-row candidate_items must have one row per sequence: "
-                    f"got {cands.shape[0]} rows for a batch of {batch}"
-                )
-            return cands
-        cands = np.unique(cands.ravel())
-        if cands.size >= self.vocab_size - 1:
-            return None  # full coverage: take the exact full-projection path
         return cands
+
+    def _candidate_rows(self, candidate_items: "np.ndarray | None") -> "np.ndarray | None":
+        """The ``(batch, K, d)`` projection rows of a checked candidate table."""
+        if candidate_items is None:
+            return None
+        return self._program().item_table[candidate_items]
 
     def _score_objective_block(
         self,
@@ -584,7 +574,6 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         record: str = "full",
         caches: "list | None" = None,
         persist: int | None = None,
-        candidate_items: "np.ndarray | None" = None,
         candidate_rows: "np.ndarray | None" = None,
     ) -> np.ndarray:
         """Score right-aligned ``history ⊕ objective`` rows in one forward.
@@ -592,8 +581,8 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         ``items`` is ``(batch, width)`` with every objective in the last
         column and ``lengths`` each row's real token count, objective
         included.  ``candidate_rows`` — the ``(batch, K, d)`` projection
-        rows of a per-row shortlist, already gathered (a decoding
-        session's) — projects onto them and returns ``(batch, K)`` scores.
+        rows of a per-row shortlist, already gathered — projects onto them
+        and returns ``(batch, K)`` scores.
         """
         # Each row is read at its last real non-objective position: one
         # shared column, or two when an empty history shares the batch.
@@ -610,31 +599,18 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
             persist=persist,
         )
         if candidate_rows is None:
-            logits = program.project(hidden, candidate_items)
+            logits = program.project(hidden)
         else:
             logits = program.project_rows(hidden, candidate_rows)
         self._record_tokens(record, items.size)
         logits = logits[np.arange(len(items)), gather]
         if candidate_rows is not None:
             return logits.astype(np.float64)
-        return self._item_scores(logits, candidate_items)
+        return self._item_scores(logits)
 
-    def _item_scores(
-        self, logits: np.ndarray, candidate_items: "np.ndarray | None" = None
-    ) -> np.ndarray:
-        """Float64 scores from one row of logits per context.
-
-        Full-vocabulary logits get ``-inf`` at the padding item; logits over
-        a shared 1-D ``candidate_items`` are scattered into an all ``-inf``
-        ``(batch, vocab)`` block; per-row ``(batch, K)`` logits stay in
-        shortlist space.
-        """
-        if candidate_items is not None:
-            if candidate_items.ndim == 2:
-                return logits.astype(np.float64, copy=False)  # already a gathered copy
-            scores = np.full((len(logits), self.vocab_size), -np.inf, dtype=np.float64)
-            scores[:, candidate_items] = logits
-            return scores
+    def _item_scores(self, logits: np.ndarray) -> np.ndarray:
+        """Float64 full-vocabulary scores from one row of logits per context,
+        ``-inf`` at the padding item."""
         scores = logits.astype(np.float64, copy=True)
         scores[:, PAD_INDEX] = -np.inf
         return scores
@@ -685,22 +661,15 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         broadcast_user_indices(batch, user_indices)  # length check: causal scoring reads no user
         return self._score_next_block(items, lengths)
 
-    def _score_next_block(
-        self,
-        items: np.ndarray,
-        lengths: np.ndarray,
-        record: str = "full",
-        caches: "list | None" = None,
-    ) -> np.ndarray:
+    def _score_next_block(self, items: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Score right-aligned histories (``lengths`` real tokens each) at the final column."""
         program = self._program()
         hidden = program.encode(
             program.embed(items, self._positions(lengths, items.shape[1])),
             causal_history_mask(items, dtype=program.dtype),
             queries=slice(-1, None),
-            caches=caches,
         )
-        self._record_tokens(record, items.size)
+        self._record_tokens("full", items.size)
         return self._item_scores(program.project(hidden)[:, 0])
 
     def score_next(self, history: Sequence[int], user_index: int | None = None) -> np.ndarray:
@@ -710,87 +679,70 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
     # ------------------------------------------------------------------ #
     # Incremental decoding sessions (cached scorer variants)
     # ------------------------------------------------------------------ #
-    def _incremental_exact(self, objectives: "Sequence[int] | None") -> bool:
+    def _incremental_exact(self) -> bool:
         """Whether prefix K/V reuse across depths is exact for this model.
 
-        Causal attention never lets a prefix position see appended tokens, so
-        caching is exact at any depth both for objective-free scoring and for
-        ``MaskType.CAUSAL``.  Objective-revealing masks (Types 2/3) make every
-        prefix position attend to the objective, whose position embedding
-        moves each step — exact only when there is a single layer, whose K/V
-        are projections of the fixed input embeddings.
+        Under ``MaskType.CAUSAL`` no prefix position sees appended tokens or
+        the objective, so caching is exact at any depth.  Objective-revealing
+        masks (Types 2/3) make every prefix position attend to the
+        objective, whose position embedding moves each step — exact only
+        when there is a single layer, whose K/V are projections of the fixed
+        input embeddings.
         """
-        if objectives is None or self.mask_type == MaskType.CAUSAL:
-            return True
-        return self.num_layers == 1
+        return self.mask_type == MaskType.CAUSAL or self.num_layers == 1
 
     def begin_decoding_session(
         self,
         sequences: Sequence[Sequence[int]],
-        objectives: "Sequence[int] | None" = None,
+        objectives: Sequence[int],
         user_indices: "Sequence[int | None] | None" = None,
         candidate_items: "np.ndarray | None" = None,
     ) -> tuple[np.ndarray, DecodingSession]:
-        """Cached variant of the batched scorers: encode contexts once.
+        """Cached variant of :meth:`score_with_objective_batch`: encode contexts once.
 
         Returns ``(scores, session)`` where ``scores`` equals
-        :meth:`score_with_objective_batch` (or :meth:`score_next_batch` when
-        ``objectives`` is ``None``) on the same inputs.  When prefix reuse
-        across depths is exact (see :meth:`_incremental_exact`) ``session``
-        holds the per-layer prefix K/V and later
+        :meth:`score_with_objective_batch` on the same inputs.  When prefix
+        reuse across depths is exact (see :meth:`_incremental_exact`)
+        ``session`` holds the per-layer prefix K/V and later
         :meth:`advance_decoding_session` calls encode only the newly appended
         token per row; otherwise it records each row's root so later advances
         encode every root's history once per depth — scores match the
         uncached scorer either way.
 
-        A per-row ``(batch, K)`` ``candidate_items`` table (objective
-        sessions only) puts the session in shortlist space: it keeps the
-        table and its projection rows, and this call and every advance
-        return ``(rows, K)`` scores at each row's own shortlist, as
-        :meth:`score_with_objective_batch` does for the same table.
+        A per-row ``(batch, K)`` ``candidate_items`` table puts the session
+        in shortlist space: it keeps the table's projection rows, and this
+        call and every advance return ``(rows, K)`` scores at each row's own
+        shortlist, as :meth:`score_with_objective_batch` does for the same
+        table.
         """
         self._require_fitted()
         assert self.module is not None
         batch = len(sequences)
         if batch == 0:
             raise ConfigurationError("cannot begin a decoding session on an empty batch")
+        objectives = np.asarray([int(objective) for objective in objectives], dtype=np.int64)
+        check_batch_lengths(batch, objectives=objectives)
         users = self._batch_users(user_indices, batch)
-        candidate_rows = None
-        if candidate_items is not None:
-            if objectives is None or np.ndim(candidate_items) != 2:
-                raise ConfigurationError(
-                    "a decoding session takes a per-row (batch, K) candidate_items "
-                    "table, and objectives to score it with"
-                )
-            candidate_items = self._normalize_candidates(candidate_items, batch)
-            candidate_rows = self._program().item_table[candidate_items]
-        incremental = self._incremental_exact(objectives)
+        candidate_rows = self._candidate_rows(self._normalize_candidates(candidate_items, batch))
+        incremental = self._incremental_exact()
         state = DecodingState(self.num_layers) if incremental else None
-        caches = None if state is None else state.layers  # filled by the first forward
-        limit = self.max_sequence_length - (0 if objectives is None else 1)
-        rows = [[int(item) for item in clip_history(seq, limit)] for seq in sequences]
+        rows = [
+            [int(item) for item in clip_history(seq, self.max_sequence_length - 1)]
+            for seq in sequences
+        ]
         tokens = pre_pad_block(rows)
         lengths = np.asarray([len(row) for row in rows], dtype=np.int64)
+        scores = self._score_objective_block(
+            np.concatenate([tokens, objectives[:, None]], axis=1),
+            lengths + 1,
+            users,
+            caches=None if state is None else state.layers,  # filled by this forward
+            persist=tokens.shape[1],
+            candidate_rows=candidate_rows,
+        )
         impressionability = None
-        if objectives is not None:
-            objectives = np.asarray([int(objective) for objective in objectives], dtype=np.int64)
-            check_batch_lengths(batch, objectives=objectives)
-            scores = self._score_objective_block(
-                np.concatenate([tokens, objectives[:, None]], axis=1),
-                lengths + 1,
-                users,
-                caches=caches,
-                persist=tokens.shape[1],
-                candidate_rows=candidate_rows,
-            )
-            if self.mask_type == MaskType.PERSONALIZED:
-                impressionability = self._program().impressionability[users]
-        else:
-            # An all-empty batch still encodes one (masked) PAD column, which
-            # the session keeps as its first prefix column.
-            if not tokens.shape[1]:
-                tokens = np.full((batch, 1), PAD_INDEX, dtype=np.int64)
-            scores = self._score_next_block(tokens, np.maximum(lengths, 1), caches=caches)
+        if self.mask_type == MaskType.PERSONALIZED:
+            impressionability = self._program().impressionability[users]
         session = DecodingSession(
             tokens,
             lengths,
@@ -799,7 +751,6 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
             state,
             incremental,
             impressionability,
-            candidate_items,
             candidate_rows,
         )
         return scores, session
@@ -832,50 +783,45 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
             session.select(parent_rows)
         session.append(new_items)
         if session.batch_size == 0:
-            candidates = session.root_candidates
-            width = self.vocab_size if candidates is None else candidates.shape[1]
+            rows = session.root_candidate_rows
+            width = self.vocab_size if rows is None else rows.shape[1]
             return np.zeros((0, width), dtype=np.float64)
         # Once any row outgrows the model's window the right-aligned batch
         # starts *sliding* (oldest tokens drop off), which shifts every
         # position embedding: cached K/V become stale, so an incremental
         # session degrades to the per-row window for good, and no history
         # column is shared between a root's rows any more.
-        objective_mode = session.root_objectives is not None
-        limit = self.max_sequence_length - (1 if objective_mode else 0)
+        limit = self.max_sequence_length - 1  # the objective takes one column
         lengths = session.lengths
         fits = int(lengths.max()) <= limit
         if session.incremental and not fits:
             session.degrade()
         if session.incremental:
             return self._advance_incremental(session, new_items)
-        if fits and not self._incremental_exact(session.root_objectives):
+        # A degraded incremental session stays on the per-row window even
+        # when a prune makes its rows fit again.
+        if fits and not self._incremental_exact():
             return self._advance_shared(session)
         # The per-row window: each row's last `limit` tokens, right-aligned —
         # the rightmost columns of the token block.
         lengths = np.minimum(lengths, limit)
         items = session.tokens[:, session.width - int(lengths.max()) :]
-        if objective_mode:
-            return self._score_objective_block(
-                np.concatenate([items, session.objectives[:, None]], axis=1),
-                lengths + 1,
-                session.users,
-                record="fallback",
-                candidate_rows=session.candidate_rows,
-            )
-        return self._score_next_block(items, lengths, record="fallback")
+        return self._score_objective_block(
+            np.concatenate([items, session.objectives[:, None]], axis=1),
+            lengths + 1,
+            session.users,
+            record="fallback",
+            candidate_rows=session.candidate_rows,
+        )
 
     def _advance_incremental(
         self, session: DecodingSession, new_items: np.ndarray
     ) -> np.ndarray:
-        """Encode each row's new token (⊕ objective) over the session's cached prefix K/V."""
+        """Encode each row's new token ⊕ objective over the session's cached prefix K/V."""
         program = self._program()
         lengths = session.lengths  # post-append; the new token sits at position len-1
-        if session.root_objectives is not None:
-            items = np.stack([new_items, session.objectives], axis=1)
-            positions = np.stack([lengths - 1, lengths], axis=1)
-        else:
-            items = new_items[:, None]
-            positions = (lengths - 1)[:, None]
+        items = np.stack([new_items, session.objectives], axis=1)
+        positions = np.stack([lengths - 1, lengths], axis=1)
         positions = positions % len(program.position_table)  # no-op (guarded), as _right_align
         # The new token joins every layer's cache; the objective's K/V are
         # re-projected each step (its position moves) and never kept.
@@ -1038,37 +984,33 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         self, session: DecodingSession, width: int, dtype: np.dtype, new: int = 1
     ) -> np.ndarray:
         """Additive ``dtype`` mask rows for the queries of each row's last ``new``
-        tokens (+ objective).
+        tokens and the objective.
 
         ``width`` counts the key columns before the objective's: the
         (possibly left-padded) prefix including the ``new`` tokens.
-        Reproduces exactly the rows the full PIM/causal mask would assign to
-        the last positions of the equivalent right-aligned window: visible
-        real keys get ``w_h`` (0 for causal scoring), left-padding keys and
-        the tokens after a query's own get ``NEG_INF``, and the objective
-        column gets the (personalized) objective weight for the token
-        queries and ``w_h`` for its own.
+        Reproduces exactly the rows the full PIM would assign to the last
+        positions of the equivalent right-aligned window: visible real keys
+        get ``w_h``, left-padding keys and the tokens after a query's own get
+        ``NEG_INF``, and the objective column gets the (personalized)
+        objective weight for the token queries — ``NEG_INF`` under the
+        causal mask — and ``w_h`` for its own.
         """
-        objective_mode = session.root_objectives is not None
-        history_weight = float(self.history_weight) if objective_mode else 0.0
-        total_keys = width + (1 if objective_mode else 0)
-        padding = np.arange(total_keys) < (width - session.lengths)[:, None]
+        padding = np.arange(width + 1) < (width - session.lengths)[:, None]
         # (batch, keys): what every query sees
-        keys = np.full(padding.shape, history_weight, dtype=dtype)
+        keys = np.full(padding.shape, float(self.history_weight), dtype=dtype)
         np.copyto(keys, NEG_INF, where=padding)
-        mask = np.repeat(keys[:, None, :], new + (1 if objective_mode else 0), axis=1)
+        mask = np.repeat(keys[:, None, :], new + 1, axis=1)
         if new > 1:
             later = np.triu(np.ones((new, new), dtype=bool), k=1)
             np.copyto(mask[:, :new, width - new : width], NEG_INF, where=later)
-        if objective_mode:
-            if self.mask_type == MaskType.CAUSAL:
-                mask[:, :new, -1] = NEG_INF
+        if self.mask_type == MaskType.CAUSAL:
+            mask[:, :new, -1] = NEG_INF
+        else:
+            weight = float(self.objective_weight * self.objective_logit_scale)
+            if self.mask_type == MaskType.PERSONALIZED:
+                mask[:, :new, -1] = (session.impressionability * weight)[:, None]
             else:
-                weight = float(self.objective_weight * self.objective_logit_scale)
-                if self.mask_type == MaskType.PERSONALIZED:
-                    mask[:, :new, -1] = (session.impressionability * weight)[:, None]
-                else:
-                    mask[:, :new, -1] = weight
+                mask[:, :new, -1] = weight
         return mask
 
     # ------------------------------------------------------------------ #

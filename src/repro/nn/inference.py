@@ -148,25 +148,19 @@ class Program:
                 cache.extend(keys[:, :, :persist], values[:, :, :persist])
         return layer_norm(x, *self.final_norm)
 
-    def project(self, hidden: np.ndarray, items: "np.ndarray | None" = None) -> np.ndarray:
-        """Tied output projection of ``(batch, queries, d)`` states onto item logits.
-
-        ``items`` restricts it to the given item indices by gathering just
-        those rows of the item table, which makes the ``O(d · V)`` cost per
-        state proportional to the candidate-set size: a 1-D ``(K,)`` array
-        is one shortlist shared by every state, a 2-D ``(batch, K)`` array
-        gives row ``b`` its own (one batched matmul over the gathered
-        ``(batch, K, d)`` weights).  Returns ``(batch, queries, V or K)``.
-        """
-        if items is not None and items.ndim == 2:
-            return self.project_rows(hidden, self.item_table[items])
-        table = self.item_table_t if items is None else self.item_table[items].T
-        return (hidden.reshape(-1, hidden.shape[-1]) @ table).reshape(*hidden.shape[:-1], -1)
+    def project(self, hidden: np.ndarray) -> np.ndarray:
+        """Tied output projection of ``(batch, queries, d)`` states onto
+        every item: ``(batch, queries, V)`` logits."""
+        return (hidden.reshape(-1, hidden.shape[-1]) @ self.item_table_t).reshape(
+            *hidden.shape[:-1], -1
+        )
 
     @staticmethod
     def project_rows(hidden: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Project ``(batch, queries, d)`` states onto each row's own gathered
-        ``(batch, K, d)`` item-table rows: ``(batch, queries, K)`` logits."""
+        ``(batch, K, d)`` item-table rows (``item_table[items]`` of a per-row
+        ``(batch, K)`` shortlist): ``(batch, queries, K)`` logits, at a cost
+        proportional to ``K`` instead of the vocabulary."""
         return hidden @ rows.swapaxes(-1, -2)
 
 

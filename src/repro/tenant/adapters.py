@@ -135,8 +135,7 @@ class PlannerAdapter(KindAdapter):
                 f"(e.g. a fitted BeamSearchPlanner), got {type(planner).__name__}"
             )
         self.planner = planner
-        # Feature-tested once, like ``supports_candidate_scoring``: test
-        # doubles plan whole batches only.
+        # Feature-tested once: test doubles plan whole batches only.
         resident = getattr(planner, "serve_resident", None)
         if resident is not None:
             self.serve_resident = resident

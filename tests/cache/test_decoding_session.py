@@ -17,12 +17,12 @@ from repro.utils.exceptions import ConfigurationError
 HISTORIES = [[1, 2, 3], [4], []]
 
 
-def session(objectives=(7, 8, 9)) -> DecodingSession:
+def session() -> DecodingSession:
     return DecodingSession(
         pre_pad_block(HISTORIES),
         np.asarray([3, 1, 0]),
         users=np.asarray([10, 11, 12]),
-        objectives=None if objectives is None else np.asarray(objectives),
+        objectives=np.asarray([7, 8, 9]),
         state=None,
         incremental=False,
         impressionability=np.asarray([0.5, 1.5, 2.5]),
@@ -44,11 +44,11 @@ def test_select_gathers_rows_and_append_writes_one_column():
 
 
 def test_the_block_outgrows_its_first_capacity():
-    decoding = session(objectives=None)
+    decoding = session()
     for step in range(20):
         decoding.select([0, 1])  # root 2 drops out, then the rows stay put
         decoding.append([100 + step, 200 + step])
-    assert decoding.objectives is None
+    assert decoding.objectives.tolist() == [7, 8]
     assert decoding.rows == [
         [1, 2, 3] + list(range(100, 120)),
         [4] + list(range(200, 220)),

@@ -116,18 +116,6 @@ class TestArenaStorage:
         np.testing.assert_array_equal(full_k[:, :, 2:], second)
         assert cache.length == 3
 
-    def test_exact_growth_mode_still_avoids_concat_temporaries(self, rng):
-        cache = LayerKVCache(growth="exact")
-        step = rng.normal(size=(1, 1, 1, 4))
-        cache.extend(step, step.copy())
-        assert cache.capacity == 1  # exact: no headroom
-        cache.extend(step, step.copy())
-        assert cache.capacity == 2 and cache.length == 2
-
-    def test_invalid_growth_mode_raises(self):
-        with pytest.raises(ConfigurationError):
-            LayerKVCache(growth="linear")
-
     def test_storage_dtype_is_that_of_the_first_keys(self, rng):
         keys = rng.normal(size=(1, 1, 2, 4))
         cache = LayerKVCache()
@@ -162,13 +150,6 @@ class TestArenaStorage:
         step = rng.normal(size=(2, 1, 1, 4))
         full_k, _ = cache.extend(step, step.copy())
         assert full_k.shape == (2, 1, 4, 4)
-
-    def test_decoding_state_forwards_growth(self, rng):
-        state = DecodingState(2, growth="exact")
-        for cache in state:
-            keys = rng.normal(size=(1, 1, 2, 4))
-            cache.extend(keys, keys.copy())
-            assert cache.capacity == 2
 
 
 class TestDecodingState:

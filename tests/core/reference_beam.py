@@ -5,8 +5,14 @@ one frozen :class:`_Hypothesis` per child, a per-instance stable sort by
 ``_Hypothesis.score`` — with the list form of ``mask_session_items`` it
 masked through, unchanged.  :class:`ReferenceBeamPlanner` swaps it in for
 :meth:`BeamSearchPlanner._lockstep_beam`, so everything around the beam
-(plan cache, shortlists, decoding sessions) is the planner's own and any
-difference in the plans is the beam's.
+(plan cache, shortlists) is the planner's own and any difference in the
+plans is the beam's.
+
+It scores through the backbone's decoding sessions, as the planner does,
+or — ``sessions=False`` — re-scores every hypothesis' full right-aligned
+window at every depth with one ``score_with_objective_batch`` call, given
+the ``(rows, K)`` shortlist table when the plan is pruned: the oracle the
+sessions' plans are held to.
 """
 
 from __future__ import annotations
@@ -93,7 +99,31 @@ def mask_session_items(
 
 
 class ReferenceBeamPlanner(beam.BeamSearchPlanner):
-    """A :class:`~repro.core.beam.BeamSearchPlanner` planning with the object beam."""
+    """A :class:`~repro.core.beam.BeamSearchPlanner` planning with the object beam.
+
+    ``sessions=False`` re-scores every hypothesis instead of advancing a
+    decoding session (see the module docstring).
+    """
+
+    def __init__(self, backbone, *, sessions: bool = True, **knobs) -> None:
+        super().__init__(backbone, **knobs)
+        self.sessions = sessions
+
+    def _rescore(
+        self,
+        sequences: list[list[int]],
+        objectives: list[int],
+        user_indices: "list[int | None]",
+        row_items: "np.ndarray | None",
+    ) -> np.ndarray:
+        """Score every row's full window: ``(rows, vocab)``, or ``(rows, K)``
+        at each row's shortlist."""
+        return np.array(
+            self.backbone.score_with_objective_batch(
+                sequences, objectives, user_indices, candidate_items=row_items
+            ),
+            dtype=np.float64,
+        )
 
     def _expand_all(
         self,
@@ -110,8 +140,8 @@ class ReferenceBeamPlanner(beam.BeamSearchPlanner):
         implementation produced them: descending log-probability with ties
         broken by item index (the stable-``argsort`` order), non-finite
         candidates dropped.  ``scores`` may carry pre-computed backbone
-        scores for the rows (the decoding-session path); otherwise one
-        batched scoring call is issued here.
+        scores for the rows (the decoding-session path); otherwise every
+        row is re-scored here (:meth:`_rescore`).
 
         Under candidate pruning the whole expansion runs in *shortlist
         space*: ``row_items`` is the ``(rows, C)`` table of each row's own
@@ -124,7 +154,7 @@ class ReferenceBeamPlanner(beam.BeamSearchPlanner):
         path, which is the same code with no table.
         """
         if scores is None:
-            scores = self._batched_scores(sequences, objectives, user_indices, row_items)
+            scores = self._rescore(sequences, objectives, user_indices, row_items)
         if row_items is not None:
             # a cell repeating its left neighbour is padding, not a candidate
             scores[:, 1:][row_items[:, 1:] == row_items[:, :-1]] = -np.inf
@@ -176,14 +206,6 @@ class ReferenceBeamPlanner(beam.BeamSearchPlanner):
         completes: dict[int, list[_Hypothesis]] = {i: [] for i in pending}
         running = list(pending)
         session = None
-        # Pruned beams score on the list path here: the planner plans them
-        # through decoding sessions, so comparing the two cross-checks the
-        # shortlist-space sessions against re-scored right-aligned rows.
-        use_sessions = (
-            self.use_decoding_sessions
-            and hasattr(self.backbone, "begin_decoding_session")
-            and self.candidate_generator is None
-        )
         slots = {i: slot for slot, i in enumerate(pending)}
         # Per-depth expansion spans broadcast to every trace of the drained
         # micro-batch (depth work is fused across the whole batch, so
@@ -214,11 +236,12 @@ class ReferenceBeamPlanner(beam.BeamSearchPlanner):
             row_objectives = [objectives[i] for i in owners]
             row_users = [users[i] for i in owners]
             scores: np.ndarray | None = None
-            if use_sessions:
+            if self.sessions:
                 if session is None:
-                    # Depth 0: parents are the empty roots, one per instance.
+                    # Depth 0: parents are the empty roots, one per instance
+                    # in slot order, so the table's rows are theirs.
                     scores, session = self.backbone.begin_decoding_session(
-                        sequences, row_objectives, row_users
+                        sequences, row_objectives, row_users, candidate_items=table
                     )
                 else:
                     # Later depths: gather each survivor's session row and

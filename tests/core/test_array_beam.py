@@ -13,8 +13,10 @@ verbatim; here both plan the same contexts and must return equal plans:
   that mix both;
 * on real IRNs in all three decoding-session regimes (incremental,
   shared within a depth, per-row window), with roots whose rows all die
-  mid-plan, exactly and pruned — the object beam scores pruned beams on
-  the list path, the planner through shortlist-space sessions.
+  mid-plan, exactly and pruned — with the object beam's sessions on, and
+  switched off so that it re-scores every hypothesis' window
+  (``score_with_objective_batch``, with the ``(rows, K)`` table when
+  pruned) while the planner plans through (shortlist-space) sessions.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.core.pim import MaskType
 from repro.data.padding import PAD_INDEX
 from repro.evaluation.protocol import sample_objectives
 from tests.core.reference_beam import ReferenceBeamPlanner
+from tests.stub_sessions import StubSessions
 
 
 def _rng(*key) -> np.random.Generator:
@@ -40,7 +43,7 @@ def _rng(*key) -> np.random.Generator:
     return np.random.default_rng([int(part) % 2**32 for part in key])
 
 
-class _TieHeavyBackbone:
+class _TieHeavyBackbone(StubSessions):
     """Scores drawn from a few levels, a pure function of (sequence, objective).
 
     The padding column is ``-inf``, as an IRN's is: the object beam never
@@ -53,16 +56,14 @@ class _TieHeavyBackbone:
         self.seed = seed
         self.corpus = SimpleNamespace(vocab=SimpleNamespace(size=vocab), num_users=1)
 
-    def score_with_objective(self, sequence, objective, user_index=None):
+    def score_row(self, sequence, objective):
         rng = _rng(self.seed, objective, len(sequence), *sequence)
         row = rng.choice(self.levels, size=self.vocab)
         row[PAD_INDEX] = -np.inf
         return row
 
-    def score_with_objective_batch(self, sequences, objectives, user_indices=None):
-        return np.stack(
-            [self.score_with_objective(s, o) for s, o in zip(sequences, objectives)]
-        )
+    def score_rows(self, sequences, objectives, user_indices):
+        return np.stack([self.score_row(s, o) for s, o in zip(sequences, objectives)])
 
 
 class _Shortlists:
@@ -219,7 +220,8 @@ def test_real_irn_pruned_plans_like_the_object_beam_on_the_list_path(
     tiny_split, regime_models, regime
 ):
     """The planner plans pruned beams through shortlist-space decoding
-    sessions; the object beam re-scores them on the list path."""
+    sessions; the object beam, sessions off, re-scores every hypothesis at
+    its ``(rows, K)`` table."""
     irn = regime_models(regime)
     instances = sample_objectives(tiny_split, min_objective_interactions=2, max_instances=12)
     histories = [list(inst.history)[-12:] for inst in instances]
@@ -232,7 +234,7 @@ def test_real_irn_pruned_plans_like_the_object_beam_on_the_list_path(
         candidate_generator=_Shortlists(irn.vocab_size, 7, "mixed"),
     )
     array = BeamSearchPlanner(irn, **knobs).fit(tiny_split)
-    reference = ReferenceBeamPlanner(irn, **knobs).fit(tiny_split)
+    reference = ReferenceBeamPlanner(irn, sessions=False, **knobs).fit(tiny_split)
     plans = array.plan_paths_batch(histories, objectives, max_length=8)
     assert any(plans)
     assert reference.plan_paths_batch(histories, objectives, max_length=8) == plans

@@ -19,15 +19,16 @@ from repro.core.beam import BeamSearchPlanner
 from repro.core.influence_path import log_softmax_rows
 from repro.core.irn import IRN
 from repro.evaluation.protocol import sample_objectives
+from tests.stub_sessions import StubSessions
 
 RTOL, ATOL = 1e-7, 1e-8
 
 
-class ScalarOnlyBackbone:
-    """Facade exposing only the scalar scoring API of a backbone.
+class ScalarOnlyBackbone(StubSessions):
+    """Facade scoring through the scalar API of a backbone only.
 
-    Hiding ``score_with_objective_batch`` forces :class:`BeamSearchPlanner`
-    onto its per-hypothesis fallback, which reproduces the pre-batching
+    Its stub decoding sessions re-score every hypothesis with one
+    ``score_with_objective`` call each, which reproduces the pre-batching
     planner (one module forward per hypothesis per depth): the oracle the
     batched beam must plan identically to.
     """
@@ -40,8 +41,13 @@ class ScalarOnlyBackbone:
     def corpus(self):
         return self._inner.corpus
 
-    def score_with_objective(self, sequence, objective, user_index=None) -> np.ndarray:
-        return self._inner.score_with_objective(sequence, objective, user_index=user_index)
+    def score_rows(self, sequences, objectives, user_indices) -> np.ndarray:
+        return np.stack(
+            [
+                self._inner.score_with_objective(sequence, objective, user_index=user)
+                for sequence, objective, user in zip(sequences, objectives, user_indices)
+            ]
+        )
 
     @property
     def fit_generation(self):
@@ -275,20 +281,17 @@ class TestTopKTieBreaking:
         scores[[2, 5, 9]] = [3.0, 2.5, 2.0]
         scores[[11, 17, 23]] = 1.0
 
-        class _TiedBackbone:
+        class _TiedBackbone(StubSessions):
             corpus = tiny_split.corpus
 
-            def score_with_objective(self, sequence, objective, user_index=None):
-                return scores
-
-            def score_with_objective_batch(self, sequences, objectives, user_indices):
+            def score_rows(self, sequences, objectives, user_indices):
                 return np.tile(scores, (len(sequences), 1))
 
-        planner = BeamSearchPlanner(_TiedBackbone(), beam_width=4, branch_factor=4)
+        backbone = _TiedBackbone()
+        planner = BeamSearchPlanner(backbone, beam_width=4, branch_factor=4)
         planner.corpus = tiny_split.corpus
-        items, values = planner._expand(
-            planner._batched_scores([[]], [2], [None]), np.zeros((1, 0), dtype=np.int64), [2]
-        )
+        root_scores, _ = backbone.begin_decoding_session([[]], [2], [None])
+        items, values = planner._expand(root_scores, np.zeros((1, 0), dtype=np.int64), [2])
         assert items[0][np.isfinite(values[0])].tolist() == [2, 5, 9, 11]  # argsort order
 
 

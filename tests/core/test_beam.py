@@ -15,6 +15,7 @@ from repro.core.pim import MaskType
 from repro.data.padding import PAD_INDEX
 from repro.evaluation.protocol import sample_objectives
 from repro.utils.exceptions import ConfigurationError
+from tests.stub_sessions import StubSessions
 
 
 @pytest.fixture(scope="module")
@@ -42,12 +43,22 @@ class TestConfiguration:
     def test_registered(self):
         assert influential_registry.get("beam") is BeamSearchPlanner
 
-    def test_requires_objective_scorer(self):
-        class _NoScorer:
-            pass
+    def test_a_backbone_without_decoding_sessions_is_refused(self, tiny_irn):
+        """Sessions are the planner's only way to score: a backbone with the
+        batched and scalar scorers but no sessions is refused up front."""
 
-        with pytest.raises(ConfigurationError):
-            BeamSearchPlanner(_NoScorer())
+        class _ScorersOnly:
+            score_with_objective = tiny_irn.score_with_objective
+            score_with_objective_batch = tiny_irn.score_with_objective_batch
+
+        with pytest.raises(ConfigurationError, match="decoding sessions"):
+            BeamSearchPlanner(_ScorersOnly())
+
+        class _BeginOnly(_ScorersOnly):
+            begin_decoding_session = tiny_irn.begin_decoding_session
+
+        with pytest.raises(ConfigurationError, match="decoding sessions"):
+            BeamSearchPlanner(_BeginOnly())
 
     def test_invalid_beam_parameters(self, tiny_irn):
         with pytest.raises(ConfigurationError):
@@ -101,13 +112,10 @@ class TestPlanning:
         plan ``[0, 1, 2]``, the padding item first (lowest index wins ties);
         a shortlist holding it must not bring it back."""
 
-        class _Flat:
+        class _Flat(StubSessions):
             corpus = SimpleNamespace(vocab=SimpleNamespace(size=9))
 
-            def score_with_objective(self, sequence, objective, user_index=None):
-                return np.zeros(9)
-
-            def score_with_objective_batch(self, sequences, objectives, user_indices=None):
+            def score_rows(self, sequences, objectives, user_indices):
                 return np.zeros((len(sequences), 9))
 
         class _Fixed:

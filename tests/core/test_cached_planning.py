@@ -1,8 +1,10 @@
 """Parity and behaviour tests for the incremental-decoding cache subsystem.
 
 Acceptance contract of the cache PR: cached planning must produce paths
-identical to uncached planning (the existing stable tie-breaking makes this
-exact), per-depth cached logits must match the uncached batched scorer
+identical to uncached planning — the object beam of
+``tests/core/reference_beam.py`` with its sessions off, re-scoring every
+hypothesis' full window (the existing stable tie-breaking makes this
+exact) —, per-depth cached logits must match the uncached batched scorer
 within the documented BLAS tolerance (on a float64 program: the
 ``float64_program`` fixture), the plan/serving LRUs must be bounded
 and invalidated on retrain, and ``next_step`` serving over interleaved
@@ -17,17 +19,19 @@ import pytest
 
 from repro.core.beam import BeamSearchPlanner
 from repro.core.irn import IRN
+from repro.core.pim import MaskType
 from repro.evaluation.protocol import (
     IRSEvaluationProtocol,
     rollout_next_step,
     sample_objectives,
 )
 from repro.utils.exceptions import ConfigurationError
+from tests.core.reference_beam import ReferenceBeamPlanner
 
 RTOL, ATOL = 1e-7, 1e-8
 
 
-def _make_irn(tiny_split, num_layers: int, max_sequence_length: int = 50) -> IRN:
+def _make_irn(tiny_split, num_layers: int, max_sequence_length: int = 50, **knobs) -> IRN:
     return IRN(
         embedding_dim=16,
         user_dim=4,
@@ -37,7 +41,13 @@ def _make_irn(tiny_split, num_layers: int, max_sequence_length: int = 50) -> IRN
         batch_size=32,
         max_sequence_length=max_sequence_length,
         seed=0,
+        **knobs,
     ).fit(tiny_split)
+
+
+def _rescoring(backbone, **knobs) -> ReferenceBeamPlanner:
+    """The uncached planner: the object beam, sessions off."""
+    return ReferenceBeamPlanner(backbone, sessions=False, **knobs)
 
 
 @pytest.fixture(scope="module")
@@ -101,26 +111,37 @@ class TestSessionScoringParity:
         reference = irn.score_with_objective_batch(grown, grown_objectives, grown_users)
         np.testing.assert_allclose(scores, reference, rtol=RTOL, atol=ATOL)
 
-    def test_causal_sessions_exact_at_two_layers(self, irn_two_layer, rng):
-        """Objective-free (causal) decoding stays incremental at any depth."""
-        irn = irn_two_layer
+    def test_causal_sessions_exact_at_two_layers(self, tiny_split, rng):
+        """Under ``MaskType.CAUSAL`` no prefix position sees the objective,
+        so objective sessions stay incremental at any depth."""
+        irn = _make_irn(tiny_split, num_layers=2, mask_type=MaskType.CAUSAL)
         histories = [[], [3], [5, 7, 9, 11]]
+        objectives = [4, 8, 12]
         users = [0, 1, None]
-        scores, session = irn.begin_decoding_session(histories, None, users)
+        scores, session = irn.begin_decoding_session(histories, objectives, users)
         assert session.incremental
         np.testing.assert_allclose(
-            scores, irn.score_next_batch(histories, users), rtol=RTOL, atol=ATOL
+            scores,
+            irn.score_with_objective_batch(histories, objectives, users),
+            rtol=RTOL,
+            atol=ATOL,
         )
         grown = [list(history) for history in histories]
+        before = irn.decode_stats.snapshot()
         for _ in range(3):
             new = [int(rng.integers(1, irn.vocab_size)) for _ in grown]
             scores = irn.advance_decoding_session(session, new)
             for row, item in zip(grown, new):
                 row.append(item)
             np.testing.assert_allclose(
-                scores, irn.score_next_batch(grown, users), rtol=RTOL, atol=ATOL
+                scores,
+                irn.score_with_objective_batch(grown, objectives, users),
+                rtol=RTOL,
+                atol=ATOL,
             )
-        assert irn.decode_stats.tokens_incremental > 0
+        after = irn.decode_stats.snapshot()
+        assert after["tokens_incremental"] > before["tokens_incremental"]
+        assert after["tokens_fallback"] == before["tokens_fallback"]
 
     def test_two_layer_objective_session_uses_fallback(self, irn_two_layer):
         irn = irn_two_layer
@@ -173,7 +194,7 @@ class TestCachedPlanningParity:
         contexts = _contexts(instances)
         knobs = dict(beam_width=shape[0], branch_factor=shape[1], plan_cache_size=0)
         cached = BeamSearchPlanner(irn, **knobs).fit(tiny_split)
-        uncached = BeamSearchPlanner(irn, use_decoding_sessions=False, **knobs).fit(tiny_split)
+        uncached = _rescoring(irn, **knobs).fit(tiny_split)
         args = ([c[0] for c in contexts], [c[1] for c in contexts], [c[2] for c in contexts])
         plans_cached, cached_tokens = _tokens_encoded(
             irn, lambda: cached.plan_paths_batch(*args, max_length=8)
@@ -196,9 +217,8 @@ class TestCachedPlanningParity:
         planner_on = BeamSearchPlanner(
             irn_one_layer, beam_width=4, branch_factor=4, plan_cache_size=0
         ).fit(tiny_split)
-        planner_off = BeamSearchPlanner(
-            irn_one_layer, beam_width=4, branch_factor=4,
-            plan_cache_size=0, use_decoding_sessions=False,
+        planner_off = _rescoring(
+            irn_one_layer, beam_width=4, branch_factor=4, plan_cache_size=0
         ).fit(tiny_split)
         before = irn_one_layer.decode_stats.snapshot()
         planner_on.plan_paths_batch(*args, max_length=6)
@@ -291,9 +311,9 @@ class TestNextStepServing:
         assert info["serving"]["served_from_plan"] > 0
         # The pre-cache planner — one replan slot, no plan memo, no sessions —
         # replans at nearly every context switch: at least 2x the token-work.
-        single_slot = BeamSearchPlanner(
+        single_slot = _rescoring(
             irn, beam_width=4, branch_factor=4, max_length=6,
-            plan_cache_size=0, step_cache_size=1, use_decoding_sessions=False,
+            plan_cache_size=0, step_cache_size=1,
         ).fit(tiny_split)
         _, single_slot_tokens = _tokens_encoded(
             irn, lambda: rollout_next_step(single_slot, contexts, 6)
@@ -310,9 +330,8 @@ class TestNextStepServing:
         # context, exactly as an uncached replan from that context would.
         diverged = [plan[0] + 1 if plan[0] + 1 < irn_one_layer.vocab_size else 1]
         served = planner.next_step(history, objective, diverged, user_index=user)
-        uncached = BeamSearchPlanner(
-            irn_one_layer, beam_width=4, branch_factor=4,
-            use_decoding_sessions=False, plan_cache_size=0,
+        uncached = _rescoring(
+            irn_one_layer, beam_width=4, branch_factor=4, plan_cache_size=0
         ).fit(tiny_split)
         expected = uncached.plan_path(
             list(history) + diverged, objective, user_index=user,

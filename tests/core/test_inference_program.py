@@ -134,30 +134,40 @@ class TestEveryScorerMatchesTheGraphForward:
         assert regimes == {"incremental" if reuse_is_exact else "shared", "window"}
 
     def test_objective_free_scorer_and_sessions(self, models):
+        """The objective-free scorer (Table IV's); sessions are objective
+        sessions only, and under ``MaskType.CAUSAL`` they stay incremental
+        at two layers until the window slides."""
         irn = models(2, MaskType.PERSONALIZED)
         histories, users = list(ROOTS), list(USERS)
         expected = graph_scores(irn, histories, None, users)
         np.testing.assert_allclose(
             irn.score_next_batch(histories, users), expected, rtol=0, atol=ATOL
         )
-        scores, session = irn.begin_decoding_session(histories, None, users)
+        causal = models(2, MaskType.CAUSAL)
+        args = (histories, list(OBJECTIVES), users)
+        scores, session = causal.begin_decoding_session(*args)
         assert session.incremental
-        np.testing.assert_allclose(scores, expected, rtol=0, atol=ATOL)
+        np.testing.assert_allclose(scores, graph_scores(causal, *args), rtol=0, atol=ATOL)
         for parents, new_items in ADVANCES[:3]:
-            scores = irn.advance_decoding_session(session, new_items, parents)
-            expected = graph_scores(irn, session.rows, None, list(session.users))
+            incremental = session.incremental
+            scores = causal.advance_decoding_session(session, new_items, parents)
+            expected = graph_scores(
+                causal, session.rows, list(session.objectives), list(session.users)
+            )
             np.testing.assert_allclose(scores, expected, rtol=0, atol=ATOL)
+        assert incremental and not session.incremental  # until the window slid
 
     def test_candidate_restricted_scores(self, models):
         irn = models(2, MaskType.PERSONALIZED)
         args = (list(ROOTS), list(OBJECTIVES), list(USERS))
         expected = graph_scores(irn, *args)
-        shared = np.asarray([1, 4, 9, 16, 25])
-        scores = irn.score_with_objective_batch(*args, candidate_items=shared)
-        np.testing.assert_allclose(scores[:, shared], expected[:, shared], rtol=0, atol=ATOL)
-        assert np.isneginf(np.delete(scores, shared, axis=1)).all()
-        per_row = np.stack([shared, shared[::-1], shared + 1, shared + 2])
+        shortlist = np.asarray([1, 4, 9, 16, 25])
+        per_row = np.stack([shortlist, shortlist[::-1], shortlist + 1, shortlist + 2])
         scores = irn.score_with_objective_batch(*args, candidate_items=per_row)
+        np.testing.assert_allclose(
+            scores, np.take_along_axis(expected, per_row, axis=1), rtol=0, atol=ATOL
+        )
+        scores, _ = irn.begin_decoding_session(*args, candidate_items=per_row)
         np.testing.assert_allclose(
             scores, np.take_along_axis(expected, per_row, axis=1), rtol=0, atol=ATOL
         )

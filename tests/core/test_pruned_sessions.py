@@ -1,11 +1,11 @@
-"""Pruned plans through decoding sessions are the list path's plans.
+"""Pruned plans through decoding sessions are the re-scoring oracle's plans.
 
 A planner with a candidate generator plans each shortlisted context in
-shortlist space.  With decoding sessions (the default) the session keeps
-the plan's ``(instances, K)`` item table and projects every depth onto it;
-with ``use_decoding_sessions=False`` every depth re-scores right-aligned
-sequences against the table gathered by owner.  Both must plan the same
-paths in every regime a session advance can run in:
+shortlist space: its decoding session keeps the plan's ``(instances, K)``
+item table and projects every depth onto it.  The oracle — the object beam
+of ``tests/core/reference_beam.py`` with its sessions off — re-scores every
+depth's right-aligned sequences against the table gathered by owner.  Both
+must plan the same paths in every regime a session advance can run in:
 
 * a 1-layer IRN whose window slides mid-plan — incremental, then the
   per-row window;
@@ -27,6 +27,7 @@ from repro.core.irn import IRN
 from repro.core.pim import MaskType
 from repro.evaluation.protocol import sample_objectives
 from repro.retrieval.base import CandidateGenerator
+from tests.core.reference_beam import ReferenceBeamPlanner
 
 WINDOW = 10  # the 1-layer model's window: 5-item contexts slide after 5 steps of 8
 
@@ -83,16 +84,16 @@ def test_session_and_list_paths_plan_the_same_pruned_paths(
     monkeypatch.setattr(IRN, "begin_decoding_session", recording_begin)
     args = tuple(list(column) for column in zip(*contexts))
 
-    def plan(use_decoding_sessions: bool):
+    def plan(planner_type, **switch):
         generator = _UnequalShortlists()
-        planner = BeamSearchPlanner(
+        planner = planner_type(
             irn,
             beam_width=3,
             branch_factor=3,
             objective_bonus=0.5,
             plan_cache_size=0,
             candidate_generator=generator,
-            use_decoding_sessions=use_decoding_sessions,
+            **switch,
         ).fit(tiny_split)
         before = irn.decode_stats.snapshot()
         plans = planner.plan_paths_batch(*args, max_length=8)
@@ -101,8 +102,8 @@ def test_session_and_list_paths_plan_the_same_pruned_paths(
         assert 0 < info["fallbacks"] < info["requests"]
         return plans, work
 
-    through_sessions, work = plan(True)
-    on_lists, list_work = plan(False)
+    through_sessions, work = plan(BeamSearchPlanner)
+    on_lists, list_work = plan(ReferenceBeamPlanner, sessions=False)
     assert through_sessions == on_lists
     assert any(through_sessions)
     # the pruned group began one session, over unequal, padded shortlists

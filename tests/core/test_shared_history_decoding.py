@@ -29,6 +29,7 @@ from repro.core.pim import MaskType
 from repro.evaluation.protocol import sample_objectives
 from repro.utils.exceptions import ConfigurationError
 from tests.core.conftest import on_float64
+from tests.core.reference_beam import ReferenceBeamPlanner
 
 RTOL, ATOL = 1e-7, 1e-8  # the documented batching tolerance
 FLOAT32_TOL = 5e-4
@@ -229,16 +230,14 @@ class TestSharedHistorySessions:
             assert irn.advance_decoding_session(session, [], []).shape == (0, width)
 
     @pytest.mark.parametrize(
-        "objectives, table",
-        [([7, 8], np.asarray([1, 2, 3])), (None, np.asarray([[1, 2], [3, 4]]))],
-        ids=["shared-set", "objective-free"],
+        "table",
+        [np.asarray([1, 2, 3]), np.asarray([[1, 2]])],
+        ids=["shared-set", "short-batch"],
     )
-    def test_a_session_takes_only_a_per_row_table_with_objectives(
-        self, models, objectives, table
-    ):
+    def test_a_session_takes_only_a_per_row_table_with_objectives(self, models, table):
         with pytest.raises(ConfigurationError):
             models(1, MaskType.PERSONALIZED).begin_decoding_session(
-                [[1, 2], [3]], objectives, candidate_items=table
+                [[1, 2], [3]], [7, 8], candidate_items=table
             )
 
     def test_overflow_mid_session_keeps_matching(self, models):
@@ -259,9 +258,7 @@ class TestSharedHistorySessions:
             [inst.user_index for inst in instances],
         )
         on = BeamSearchPlanner(irn, plan_cache_size=0).fit(tiny_split)
-        off = BeamSearchPlanner(irn, plan_cache_size=0, use_decoding_sessions=False).fit(
-            tiny_split
-        )
+        off = ReferenceBeamPlanner(irn, sessions=False, plan_cache_size=0).fit(tiny_split)
         # max_length 8 on a 12-token window: the longer histories overflow mid-plan
         assert on.plan_paths_batch(*args, max_length=8) == off.plan_paths_batch(
             *args, max_length=8
@@ -309,8 +306,8 @@ class TestOneQueryFinalLayer:
         assert graph.requires_grad and graph.shape == (3, items.shape[1], irn.vocab_size)
         program = irn._program()
         mask = irn._pim(program, items, users)
-        shared = np.asarray([1, 4, 9, 16, 25])  # one shortlist for the batch
-        per_row = np.stack([shared, shared[::-1], shared + 1])  # one per row
+        shortlist = np.asarray([1, 4, 9, 16, 25])
+        per_row = np.stack([shortlist, shortlist[::-1], shortlist + 1])  # one per row
         for columns in (np.asarray([items.shape[1] - 2]), np.asarray([0, items.shape[1] - 1])):
             hidden = program.encode(program.embed(items, positions), mask, queries=columns)
             # the final layer answered only the named queries of each row
@@ -320,10 +317,7 @@ class TestOneQueryFinalLayer:
             assert full.shape == (3, len(columns), irn.vocab_size)
             np.testing.assert_allclose(full, expected, rtol=0, atol=1e-10)
             np.testing.assert_allclose(
-                program.project(hidden, shared), expected[:, :, shared], rtol=0, atol=1e-10
-            )
-            np.testing.assert_allclose(
-                program.project(hidden, per_row),
+                program.project_rows(hidden, program.item_table[per_row]),
                 np.take_along_axis(expected, per_row[:, None, :], axis=2),
                 rtol=0,
                 atol=1e-10,

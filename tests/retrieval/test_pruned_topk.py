@@ -5,7 +5,9 @@ Candidate-pruned top-k selection is identical to
 candidate set covers the true top-k — including under heavy ties, where
 the deterministic (value desc, index asc) order is what makes the claim
 well-defined.  Checked both on synthetic score matrices (pure masking
-semantics) and through the IRN's gathered candidate projection.
+semantics) and through the IRN's gathered candidate projection: the
+per-row ``(batch, K)`` table of ``score_with_objective_batch`` and of a
+decoding session, on a float64 program.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.shard.topk import stable_topk
+from tests.core.conftest import on_float64
 
 
 def _mask_outside(row: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -68,32 +71,42 @@ class TestMaskedTopkIdentity:
         assert not np.array_equal(pruned_top[0], top[0])
 
 
+@pytest.fixture(scope="module")
+def shortlist_table(retrieval_irn, contexts):
+    """One ascending shortlist per context, holding its objective."""
+    rng = np.random.default_rng(0)
+    rows = [
+        np.union1d(rng.choice(np.arange(1, retrieval_irn.vocab_size), size=20, replace=False), [o])
+        for _, o, _ in contexts
+    ]
+    width = max(row.size for row in rows)
+    return np.stack([np.concatenate([row, np.repeat(row[-1], width - row.size)]) for row in rows])
+
+
 class TestIRNCandidateScoring:
-    def test_candidate_columns_match_full_scores(self, retrieval_irn, contexts):
-        histories = [c[0] for c in contexts]
-        objectives = [c[1] for c in contexts]
-        users = [c[2] for c in contexts]
+    """IRN's gathered projection, on a float64 program: the per-row
+    ``(batch, K)`` table of the uncached scorer and of a decoding session."""
+
+    @pytest.fixture(autouse=True)
+    def _float64(self, retrieval_irn):
+        with on_float64(retrieval_irn):
+            yield
+
+    def test_candidate_columns_match_full_scores(
+        self, retrieval_irn, contexts, shortlist_table
+    ):
+        histories, objectives, users = (list(column) for column in zip(*contexts))
         full = retrieval_irn.score_with_objective_batch(histories, objectives, users)
-        rng = np.random.default_rng(0)
-        candidates = np.unique(
-            np.concatenate(
-                [
-                    rng.choice(
-                        np.arange(1, retrieval_irn.vocab_size), size=20, replace=False
-                    ),
-                    np.asarray(objectives, dtype=np.int64),
-                ]
-            )
-        )
+        expected = np.take_along_axis(full, shortlist_table, axis=1)
         pruned = retrieval_irn.score_with_objective_batch(
-            histories, objectives, users, candidate_items=candidates
+            histories, objectives, users, candidate_items=shortlist_table
         )
-        keep = np.zeros(retrieval_irn.vocab_size, dtype=bool)
-        keep[candidates] = True
-        assert np.all(np.isneginf(pruned[:, ~keep]))
-        np.testing.assert_allclose(
-            pruned[:, keep], full[:, keep], rtol=0, atol=1e-9
+        session_scores, _ = retrieval_irn.begin_decoding_session(
+            histories, objectives, users, candidate_items=shortlist_table
         )
+        for scores in (pruned, session_scores):
+            assert scores.shape == shortlist_table.shape
+            np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-9)
 
     def test_pruned_topk_equals_exact_under_coverage(self, retrieval_irn, contexts):
         k = 5
@@ -108,46 +121,30 @@ class TestIRNCandidateScoring:
             extras = rng.choice(
                 np.arange(1, retrieval_irn.vocab_size), size=15, replace=False
             )
-            cover = np.unique(
-                np.concatenate([exact_top, extras, [objective]])
-            )
+            cover = np.unique(np.concatenate([exact_top, extras, [objective]]))[None, :]
             pruned = retrieval_irn.score_with_objective_batch(
                 [history], [objective], [user], candidate_items=cover
             )
             pruned_top, pruned_values = stable_topk(pruned, k)
             pruned_finite = np.isfinite(pruned_values[0])
-            assert np.array_equal(pruned_top[0][pruned_finite], exact_top)
-
-    def test_full_coverage_short_circuits_to_exact(self, retrieval_irn, contexts):
-        histories = [c[0] for c in contexts]
-        objectives = [c[1] for c in contexts]
-        users = [c[2] for c in contexts]
-        full = retrieval_irn.score_with_objective_batch(histories, objectives, users)
-        covered = retrieval_irn.score_with_objective_batch(
-            histories,
-            objectives,
-            users,
-            candidate_items=np.arange(1, retrieval_irn.vocab_size),
-        )
-        # Structural bit-identity: full coverage takes the exact code path.
-        assert np.array_equal(full, covered)
+            assert np.array_equal(cover[0][pruned_top[0][pruned_finite]], exact_top)
 
     def test_invalid_candidate_sets_rejected(self, retrieval_irn, contexts):
         from repro.utils.exceptions import ConfigurationError
 
         history, objective, user = contexts[0]
-        with pytest.raises(ConfigurationError):
-            retrieval_irn.score_with_objective_batch(
-                [history], [objective], [user], candidate_items=np.array([], dtype=np.int64)
-            )
-        with pytest.raises(ConfigurationError):
-            retrieval_irn.score_with_objective_batch(
-                [history], [objective], [user], candidate_items=np.array([0, 3])
-            )
-        with pytest.raises(ConfigurationError):
-            retrieval_irn.score_with_objective_batch(
-                [history],
-                [objective],
-                [user],
-                candidate_items=np.array([retrieval_irn.vocab_size]),
-            )
+        for table in (
+            np.empty((1, 0), dtype=np.int64),  # an empty table
+            np.array([[0, 3]]),  # the padding item
+            np.array([[1, retrieval_irn.vocab_size]]),  # past the vocabulary
+            np.array([[1.0, 3.0]]),  # not integer ids
+            np.array([[1, 3], [2, 4]]),  # two rows for one context
+        ):
+            with pytest.raises(ConfigurationError):
+                retrieval_irn.score_with_objective_batch(
+                    [history], [objective], [user], candidate_items=table
+                )
+            with pytest.raises(ConfigurationError):
+                retrieval_irn.begin_decoding_session(
+                    [history], [objective], [user], candidate_items=table
+                )

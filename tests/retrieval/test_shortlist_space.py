@@ -4,9 +4,10 @@ The planner keeps a pruned plan's scores in a per-row ``(rows, K)`` block
 from the projection to the top-k.  These tests pin that the block computes
 what the full-vocabulary formulation did (scatter to ``-inf``-full rows,
 mask, normalise, stable top-k), that the seen-item lookup is right on
-ragged, padded rows, that a backbone without the gathered projection plans
-the same paths, that ``None`` fallbacks no longer drag a drain to
-``(rows, vocab)``, and that no ``(rows, vocab)`` array is ever allocated.
+ragged, padded rows, that the gathered projection plans the paths full
+scoring gathered at the shortlists plans, that ``None`` fallbacks no longer
+drag a drain to ``(rows, vocab)``, and that no ``(rows, vocab)`` array is
+ever allocated.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.data.padding import pre_pad_block
 from repro.retrieval import CooccurrenceNeighborGenerator, make_generator
 from repro.shard.topk import stable_topk
 from repro.utils.exceptions import ConfigurationError
+from tests.stub_sessions import StubSessions
 
 
 def plan_args(contexts):
@@ -44,16 +46,13 @@ def pad_rows(shortlists: "list[list[int]]") -> np.ndarray:
     )
 
 
-class _FixedScores:
+class _FixedScores(StubSessions):
     """Backbone stub answering every batch with one fixed score matrix."""
 
     def __init__(self, scores: np.ndarray) -> None:
         self.scores = scores
 
-    def score_with_objective(self, sequence, objective, user_index=None):
-        raise AssertionError("the batched scorer is the one that must be used")
-
-    def score_with_objective_batch(self, sequences, objectives, user_indices=None):
+    def score_rows(self, sequences, objectives, user_indices):
         return self.scores
 
 
@@ -91,10 +90,14 @@ class TestExpandAllInShortlistSpace:
     def test_matches_the_full_vocabulary_formulation(self, case):
         scores, shortlists, objectives, sequences, branch = case
         rows, vocab = scores.shape
-        planner = BeamSearchPlanner(_FixedScores(scores), branch_factor=branch)
+        backbone = _FixedScores(scores)
+        planner = BeamSearchPlanner(backbone, branch_factor=branch)
         row_items = pad_rows(shortlists)
+        root_scores, _ = backbone.begin_decoding_session(
+            sequences, objectives, candidate_items=row_items
+        )
         items, values = planner._expand(
-            planner._batched_scores(sequences, objectives, [None] * rows, row_items),
+            root_scores,
             pre_pad_block(sequences),
             objectives,
             row_items=row_items,
@@ -176,23 +179,17 @@ class TestShortlistSpaceLookup:
         assert np.array_equal(np.isneginf(scores), [[False, True, False], [False] * 3])
 
 
-class _FullScoringOnly:
-    """An IRN with its gathered projection hidden (no ``supports_candidate_scoring``).
-
-    The planner scores such a backbone over the full vocabulary and gathers
-    each row's shortlist columns — the reference the shortlist-space
-    projection must plan identically to.
-    """
+class _FullScoringOnly(StubSessions):
+    """An IRN whose stub sessions score every row over the full vocabulary
+    and gather each row's shortlist columns — the reference the
+    shortlist-space projection must plan identically to."""
 
     def __init__(self, irn: IRN) -> None:
         self._irn = irn
         self.corpus = irn.corpus
         self.name = irn.name
 
-    def score_with_objective(self, sequence, objective, user_index=None):
-        return self._irn.score_with_objective(sequence, objective, user_index)
-
-    def score_with_objective_batch(self, sequences, objectives, user_indices=None):
+    def score_rows(self, sequences, objectives, user_indices):
         return self._irn.score_with_objective_batch(sequences, objectives, user_indices)
 
 
@@ -225,8 +222,6 @@ class _RecordingIRN:
     shortlist space, its score block's shape: uncached batches and
     decoding-session calls alike."""
 
-    supports_candidate_scoring = True
-
     def __init__(self, irn: IRN) -> None:
         self._irn = irn
         self.corpus = irn.corpus
@@ -237,9 +232,6 @@ class _RecordingIRN:
     def _record(self, scores: np.ndarray, shortlisted: bool) -> np.ndarray:
         self.calls.append((len(scores), scores.shape if shortlisted else None))
         return scores
-
-    def score_with_objective(self, sequence, objective, user_index=None):
-        return self._irn.score_with_objective(sequence, objective, user_index)
 
     def score_with_objective_batch(
         self, sequences, objectives, user_indices=None, candidate_items=None
@@ -252,7 +244,7 @@ class _RecordingIRN:
         )
 
     def begin_decoding_session(
-        self, sequences, objectives=None, user_indices=None, candidate_items=None
+        self, sequences, objectives, user_indices=None, candidate_items=None
     ):
         self.session_calls += 1
         scores, session = self._irn.begin_decoding_session(
@@ -263,7 +255,7 @@ class _RecordingIRN:
     def advance_decoding_session(self, session, new_items, parent_rows=None):
         self.session_calls += 1
         scores = self._irn.advance_decoding_session(session, new_items, parent_rows)
-        return self._record(scores, session.root_candidates is not None)
+        return self._record(scores, session.root_candidate_rows is not None)
 
 
 class TestMixedDrain:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.serve.request import ServeRequest
 from repro.utils.exceptions import ConfigurationError
+from tests.core.reference_beam import ReferenceBeamPlanner
 
 
 def _step(history, objective, user, path_so_far=()):
@@ -79,21 +80,27 @@ class TestSequentialEquivalence:
 
 
 class TestFusedWork:
-    def test_micro_batch_fuses_replans(self, serve_irn, make_planner, serve_contexts):
+    def test_micro_batch_fuses_replans(self, serve_irn, make_planner, serve_contexts, tiny_split):
         """N cold next_step requests answered as one micro-batch must cost
-        fewer transformer forwards than N sequential replans — the lockstep
-        fusion win applied to serving traffic."""
+        fewer transformer forwards than N sequential replans of the
+        re-scoring oracle (the object beam, sessions off), and answer the
+        same — the lockstep fusion win applied to serving traffic."""
         contexts = serve_contexts[:6]
-        sequential_planner = make_planner(use_decoding_sessions=False)
+        batched_planner = make_planner()
+        sequential_planner = ReferenceBeamPlanner(
+            serve_irn, sessions=False, max_length=batched_planner.max_length
+        ).fit(tiny_split)
         before = serve_irn.decode_stats.snapshot()
-        for history, objective, user in contexts:
+        expected = [
             sequential_planner.next_step(history, objective, [], user_index=user)
+            for history, objective, user in contexts
+        ]
         sequential_forwards = serve_irn.decode_stats.snapshot()["forwards"] - before["forwards"]
 
-        batched_planner = make_planner(use_decoding_sessions=False)
         before = serve_irn.decode_stats.snapshot()
-        batched_planner.plan_for_requests([_step(h, o, u) for h, o, u in contexts])
+        answers = batched_planner.plan_for_requests([_step(h, o, u) for h, o, u in contexts])
         batched_forwards = serve_irn.decode_stats.snapshot()["forwards"] - before["forwards"]
+        assert answers == expected
         assert batched_forwards < sequential_forwards
 
     def test_serving_counters_match_sequential_semantics(

@@ -23,12 +23,14 @@ import numpy as np
 import pytest
 
 import repro.core.beam as beam
+from repro.cache.kv import DecodingState, LayerKVCache
 from repro.core.beam import BeamSearchPlanner
 from repro.distributed.remote import RemoteReplicaSet
 from repro.evaluation.nextitem import evaluate_next_item
 from repro.evaluation.protocol import IRSEvaluationProtocol
 from repro.experiments.config import ExperimentConfig
 from repro.nn.attention import MultiHeadAttention, scaled_dot_product_attention
+from repro.nn.inference import Program
 from repro.replica.set import ReplicaSet
 from repro.serve.api import PlanRequest
 from repro.serve.loop import ServingLoop
@@ -37,6 +39,7 @@ from repro.shard.executor import ShardedExecutor
 from repro.shard.topk import stable_topk
 from repro.tenant import TenantRegistry
 from repro.tenant.adapters import KindAdapter
+from tests.stub_sessions import StubSessions
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = ROOT / "benchmarks" / "e2e"
@@ -138,16 +141,13 @@ def test_a_counter_probe_answers_a_plan_request_through_a_tenanted_loop():
     assert probe.calls == [("plan_paths", (5, 6), 7, (), 2, None)]
 
 
-class _FixedScores:
+class _FixedScores(StubSessions):
     """Backbone stub answering every batch with one fixed score matrix."""
 
     def __init__(self, scores: np.ndarray) -> None:
         self.scores = scores
 
-    def score_with_objective(self, sequence, objective, user_index=None):
-        raise AssertionError("the batched scorer is the one that must be used")
-
-    def score_with_objective_batch(self, sequences, objectives, user_indices=None):
+    def score_rows(self, sequences, objectives, user_indices):
         return self.scores
 
 
@@ -173,7 +173,8 @@ def test_the_planner_selects_through_the_pinned_name(monkeypatch):
 
 
 #: (entry point, an argument it took while planning or serving was sharded,
-#: or while attention had a fused no-grad twin)
+#: while attention had a fused no-grad twin, or while the K/V arena had a
+#: second growth mode and the projection a shared-shortlist form)
 DELETED_ARGUMENTS = [
     (BeamSearchPlanner, "num_workers"),
     (BeamSearchPlanner, "shard_backend"),
@@ -189,6 +190,9 @@ DELETED_ARGUMENTS = [
     (ShardedExecutor, "backend"),
     (scaled_dot_product_attention, "fused"),
     (MultiHeadAttention.forward, "fused"),
+    (LayerKVCache, "growth"),
+    (DecodingState, "growth"),
+    (Program.project, "items"),
 ]
 
 
