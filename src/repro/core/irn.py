@@ -720,6 +720,8 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
         batch = len(sequences)
         if batch == 0:
             raise ConfigurationError("cannot begin a decoding session on an empty batch")
+        if objectives is None:
+            raise ConfigurationError("a decoding session needs one objective per row")
         objectives = np.asarray([int(objective) for objective in objectives], dtype=np.int64)
         check_batch_lengths(batch, objectives=objectives)
         users = self._batch_users(user_indices, batch)

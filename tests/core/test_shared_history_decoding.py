@@ -230,14 +230,20 @@ class TestSharedHistorySessions:
             assert irn.advance_decoding_session(session, [], []).shape == (0, width)
 
     @pytest.mark.parametrize(
-        "table",
-        [np.asarray([1, 2, 3]), np.asarray([[1, 2]])],
-        ids=["shared-set", "short-batch"],
+        "objectives, table",
+        [
+            ([7, 8], np.asarray([1, 2, 3])),
+            (None, np.asarray([[1, 2], [3, 4]])),
+            ([7, 8], np.asarray([[1, 2]])),
+        ],
+        ids=["shared-set", "objective-free", "short-batch"],
     )
-    def test_a_session_takes_only_a_per_row_table_with_objectives(self, models, table):
+    def test_a_session_takes_only_a_per_row_table_with_objectives(
+        self, models, objectives, table
+    ):
         with pytest.raises(ConfigurationError):
             models(1, MaskType.PERSONALIZED).begin_decoding_session(
-                [[1, 2], [3]], [7, 8], candidate_items=table
+                [[1, 2], [3]], objectives, candidate_items=table
             )
 
     def test_overflow_mid_session_keeps_matching(self, models):

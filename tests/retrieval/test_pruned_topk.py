@@ -129,6 +129,23 @@ class TestIRNCandidateScoring:
             pruned_finite = np.isfinite(pruned_values[0])
             assert np.array_equal(cover[0][pruned_top[0][pruned_finite]], exact_top)
 
+    def test_full_coverage_table_matches_exact_scores(self, retrieval_irn, contexts):
+        histories, objectives, users = (list(column) for column in zip(*contexts))
+        full = retrieval_irn.score_with_objective_batch(histories, objectives, users)
+        every_item = np.arange(1, retrieval_irn.vocab_size)
+        table = np.tile(every_item, (len(contexts), 1))
+        covered = retrieval_irn.score_with_objective_batch(
+            histories, objectives, users, candidate_items=table
+        )
+        session_scores, _ = retrieval_irn.begin_decoding_session(
+            histories, objectives, users, candidate_items=table
+        )
+        for scores in (covered, session_scores):
+            np.testing.assert_allclose(scores, full[:, every_item], rtol=0, atol=1e-9)
+            # a table of every item ranks like the exact scorer
+            top, _ = stable_topk(scores, 5)
+            assert np.array_equal(every_item[top], stable_topk(full, 5)[0])
+
     def test_invalid_candidate_sets_rejected(self, retrieval_irn, contexts):
         from repro.utils.exceptions import ConfigurationError
 
