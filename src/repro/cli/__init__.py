@@ -171,8 +171,8 @@ def _check_serve_sim(knobs: dict, given: set) -> None:
     for applies, rows, mode in (
         (
             knobs["transport"] == "process",
-            ("heartbeat_interval", "heartbeat_misses", "probation_beats"),
-            "--transport process (the in-process fleet has no heartbeats)",
+            ("num_replicas", "heartbeat_interval", "heartbeat_misses", "probation_beats"),
+            "--transport process (the in-process fleet is one member, with no heartbeats)",
         ),
         (
             not ab,
@@ -199,19 +199,6 @@ def resolve_args(args: argparse.Namespace, command: str) -> dict:
     if command == "serve-sim":
         _check_serve_sim(knobs, {name for name, value in typed.items() if value is not None})
     return knobs
-
-
-# Views over resolve_args in the shapes tests/test_cli.py pins.
-def _resolve_serve_args(args: argparse.Namespace) -> dict:
-    knobs = resolve_args(args, "serve-sim")
-    names = ("arrival_rate", "max_queue_depth", "drain_deadline", "admission_policy")
-    return {"duration": knobs["serve_duration"], **{name: knobs[name] for name in names}}
-
-
-def _resolve_replica_args(args: argparse.Namespace, duration: float) -> dict:
-    knobs = resolve_args(args, "serve-sim")
-    _check_serve_sim({**knobs, "serve_duration": duration}, set())
-    return {name: knobs[name] for name in ("num_replicas", "refit_at")}
 
 
 def main(argv: "list[str] | None" = None) -> int:

@@ -30,7 +30,7 @@ class _Workload:
     plan exactly)."""
 
     def __init__(self, args: argparse.Namespace, knobs: dict, max_instances=None) -> None:
-        # The generator (when any) is shared across replicas/refits: the
+        # The generator (when any) is shared across workers and refits: the
         # first planner fit trains it, later ones reuse it, so every
         # generation serves from one identical shortlist index.
         self.generator = make_generator(
@@ -66,19 +66,20 @@ class _Workload:
 
 
 def _build_front_end(planner_factory, knobs: dict, *, replicated, tracer=None, tenant_factory=None):
-    """The one place ``--transport`` / ``--replicas`` pick a serving front-end.
+    """The one place ``--transport`` / ``--refit-at`` pick a serving front-end.
 
     Not ``replicated``: a single :class:`~repro.serve.loop.ServingLoop` over
     one ``planner_factory()`` planner.  Otherwise a fleet calling the
-    factory itself — per replica (and per refit) in-process; ONCE per
-    generation under ``--transport process``, where fork hands every worker
-    its copy and refits ship versioned artifacts.
+    factory itself: the in-process fleet (one member, and one call per
+    refit), or under ``--transport process`` ``--replicas`` forked workers
+    and ONE call per generation — fork hands every worker its copy and
+    refits ship versioned artifacts.
     """
     kwargs = dict(group_of(knobs, "admission"), tracer=tracer)
     if not replicated:
         tenants = None if tenant_factory is None else tenant_factory()
         return ServingLoop(planner_factory(), tenants=tenants, **kwargs)
-    kwargs.update(group_of(knobs, "replication"), tenant_factory=tenant_factory)
+    kwargs["tenant_factory"] = tenant_factory
     transport = group_of(knobs, "transport")
     if transport.pop("transport") == "process":
         from repro.distributed import RemoteReplicaSet
@@ -90,7 +91,7 @@ def _build_front_end(planner_factory, knobs: dict, *, replicated, tracer=None, t
         return RemoteReplicaSet(planner_factory, **kwargs, **transport)
     from repro.replica import ReplicaSet
 
-    print(f"training {knobs['num_replicas']} replica backbone(s)...", file=sys.stderr)
+    print("training the replica backbone...", file=sys.stderr)
     return ReplicaSet(planner_factory, **kwargs)
 
 
@@ -108,12 +109,13 @@ def _write_report(report: dict, path: "str | None") -> None:
         _dump(json.dumps(report, indent=2, sort_keys=True), path, "report")
 
 
-def _knob_blocks(knobs: dict, replicated: bool) -> dict:
-    """The report blocks both ``serve-sim`` modes stamp from the knobs."""
+def _knob_blocks(knobs: dict, front_end, replicated: bool) -> dict:
+    """The report blocks both ``serve-sim`` modes stamp from the knobs (and
+    the member count the front-end really ran: one in process)."""
     return {
         "machine": machine_info(),
         "replication": {
-            **group_of(knobs, "replication"),
+            "num_replicas": getattr(front_end, "num_replicas", 1),
             "refit_at": knobs["refit_at"],
             "enabled": replicated,
         },
@@ -156,7 +158,7 @@ def _run_ab(args: argparse.Namespace, knobs: dict) -> int:
         registry.add("treatment", make_planner())
         return registry
 
-    replicated = knobs["num_replicas"] > 1 or knobs["transport"] == "process"
+    replicated = knobs["transport"] == "process"
     front_end = _build_front_end(
         make_planner, knobs, replicated=replicated, tenant_factory=tenant_factory
     )
@@ -194,7 +196,7 @@ def _run_ab(args: argparse.Namespace, knobs: dict) -> int:
         "harness": "ab",
         "tenants": knobs["tenants"],
         "cohort_sessions": len(instances),
-        **_knob_blocks(knobs, replicated),
+        **_knob_blocks(knobs, front_end, replicated),
         "ab": ab_report.summary(),
         "fleet_tenants": fleet_stats.get("tenants", {}),
     }
@@ -205,10 +207,9 @@ def _run_ab(args: argparse.Namespace, knobs: dict) -> int:
 def run_serve_sim(args: argparse.Namespace, knobs: dict) -> int:
     """Synthetic open-loop Poisson traffic through a serving front-end.
 
-    A :class:`~repro.serve.loop.ServingLoop` over one beam planner;
-    with ``--replicas`` > 1, ``--refit-at`` or ``--transport process`` a
-    fleet instead (one independently fitted backbone per replica; the refit
-    trains fresh ones off-path and flips the generation mid-trace).  Prints
+    A :class:`~repro.serve.loop.ServingLoop` over one beam planner; with
+    ``--refit-at`` or ``--transport process`` a fleet instead (the refit
+    trains a fresh backbone off-path and flips the generation mid-trace).  Prints
     the latency/throughput/queue report and writes it as JSON to
     ``--output``.
     """
@@ -220,9 +221,7 @@ def run_serve_sim(args: argparse.Namespace, knobs: dict) -> int:
         tracer = Tracer(enabled=True, sample_rate=knobs["trace_sample_rate"])
     workload = _Workload(args, knobs)
     transport = knobs["transport"]
-    replicated = (
-        knobs["num_replicas"] > 1 or knobs["refit_at"] is not None or transport == "process"
-    )
+    replicated = knobs["refit_at"] is not None or transport == "process"
     front_end = _build_front_end(workload.planner, knobs, replicated=replicated, tracer=tracer)
     traffic = dict(
         arrival_rate=knobs["arrival_rate"],
@@ -240,7 +239,7 @@ def run_serve_sim(args: argparse.Namespace, knobs: dict) -> int:
         else:
             report = run_open_loop(front_end, workload.contexts, **traffic)
     planner = front_end.planner
-    report.update(_knob_blocks(knobs, replicated))
+    report.update(_knob_blocks(knobs, front_end, replicated))
     decode_stats = getattr(getattr(planner, "backbone", None), "decode_stats", None)
     if decode_stats is not None:
         # the in-process backbone's token-work, by kind of forward: which
@@ -266,7 +265,7 @@ def run_serve_sim(args: argparse.Namespace, knobs: dict) -> int:
     )
     if replicated:
         print(
-            f"replicas: {knobs['num_replicas']}, "
+            f"replicas: {front_end.num_replicas}, "
             f"picks {report['dispatch']['picks']}, generations served "
             f"{report['generations_served']}, no pause: {report['no_pause']}"
         )

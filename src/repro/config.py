@@ -20,9 +20,10 @@ and everything downstream is generated from the rows:
 A group is the set of rows one consumer takes, under the keyword names it
 takes them by: ``evaluation`` is ``ExperimentConfig``'s (``num_workers``
 threads the offline evaluation protocol — the one parallel path — and is
-CLI-only), ``admission`` the serving loop's and both fleets',
-``replication`` both fleets', and ``transport`` is the fleet selector plus
-the failure-detector arguments of the fleet it selects.
+CLI-only), ``admission`` the serving loop's and both fleets', and
+``transport`` is the fleet selector plus the worker count and
+failure-detector arguments of the fleet it selects (the in-process fleet
+is one member and takes none of them).
 
 Not in the table, because its owner sits below this module:
 ``REPRO_LOG_LEVEL`` (:mod:`repro.utils.logging`).
@@ -196,7 +197,6 @@ GROUP_TITLES = {
     "traffic": "traffic (repro.serve.driver)",
     "admission": "admission (repro.serve)",
     "evaluation": "evaluation (repro.evaluation)",
-    "replication": "replication (repro.replica)",
     "transport": "transport (repro.distributed)",
     "retrieval": "retrieval (repro.retrieval)",
     "tenancy": "tenancy (repro.tenant)",
@@ -275,16 +275,6 @@ _TABLE = (
         "evaluation instances per batched Algorithm-1 rollout call (default: 64)",
         from_env=False,
     ),
-    # ---------------------------- replication ---------------------------- #
-    ConfigField(
-        "num_replicas",
-        "replication",
-        1,
-        int_at_least("num_replicas"),
-        "backbone replicas behind the dispatcher (default: $REPRO_REPLICAS or 1)",
-        env="REPRO_REPLICAS",
-        flag="--replicas",
-    ),
     # ----------------------------- transport ----------------------------- #
     ConfigField(
         "transport",
@@ -294,6 +284,16 @@ _TABLE = (
         "inproc | process replica transport; 'process' forks one worker per "
         "replica behind the binary wire protocol "
         "(default: $REPRO_TRANSPORT or inproc)",
+    ),
+    ConfigField(
+        "num_replicas",
+        "transport",
+        1,
+        int_at_least("num_replicas"),
+        "worker processes behind the dispatcher under --transport process "
+        "(default: $REPRO_REPLICAS or 1)",
+        env="REPRO_REPLICAS",
+        flag="--replicas",
     ),
     ConfigField(
         "heartbeat_interval",

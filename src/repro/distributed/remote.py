@@ -85,10 +85,7 @@ What replaces the shared-memory signals of the in-process set:
   assignment is a pure function of the same routing key) and session
   affinity need nothing new — the fleet's ``_admit`` and
   :meth:`Dispatcher.pick <repro.replica.dispatch.Dispatcher.pick>` run
-  before ``accept`` as they always did.  One consequence for tenants: a
-  binding's ``max_inflight`` is enforced inside the worker, so it bounds
-  work that *reaches* a worker — a step answered here is never in flight
-  there and holds no slot.
+  before ``accept`` as they always did.
 
 Clock discipline (the cross-process timestamp fix): the parent stamps
 ``enqueued_at`` at send time and ``completed_at`` at response receipt —
@@ -112,7 +109,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.config import (
     resolve_heartbeat_interval,
@@ -575,9 +572,11 @@ class RemoteReplica:
 class RemoteReplicaSet(ReplicaSet):
     """N worker *processes* as the members of a ``ReplicaSet``.
 
-    Parameters mirror :class:`~repro.replica.set.ReplicaSet` plus the
-    transport knobs (``heartbeat_interval`` / ``heartbeat_misses`` /
-    ``probation_beats``, each with a ``REPRO_*`` environment default).
+    Parameters mirror :class:`~repro.replica.set.ReplicaSet` plus
+    ``num_replicas`` (the worker count; ``None`` reads ``REPRO_REPLICAS``
+    and defaults to 1) and the transport knobs (``heartbeat_interval`` /
+    ``heartbeat_misses`` / ``probation_beats``, each with a ``REPRO_*``
+    environment default).
     ``planner_factory`` is called ONCE per deployed generation — the fork's
     copy-on-write pages hand every worker its own copy, and a refit ships
     the next generation's fitted state through the artifact registry
@@ -589,10 +588,10 @@ class RemoteReplicaSet(ReplicaSet):
     every worker its own :class:`~repro.tenant.registry.TenantRegistry`.
     ``tenant_placement`` maps tenant id -> fleet *slots* (0..N-1; slots
     survive refits, worker indices do not): a tenant's requests dispatch
-    only to its slots' workers, and a tenant-scoped refit ships artifacts
-    only to those workers — the process boundary becomes the tenant
+    only to its slots' workers — the process boundary becomes the tenant
     isolation boundary.  Unplaced tenants (and untenanted requests) use
-    the whole fleet.
+    the whole fleet.  A refit installs the next generation on every
+    standby worker.
     """
 
     def __init__(
@@ -615,8 +614,8 @@ class RemoteReplicaSet(ReplicaSet):
                 "planners are shipped to workers by copy-on-write); use the "
                 "in-process ReplicaSet on this platform"
             )
-        num_replicas = resolve_num_replicas(num_replicas)
-        self.tenant_placement = _validate_placement(tenant_placement, num_replicas)
+        self.num_replicas = resolve_num_replicas(num_replicas)
+        self.tenant_placement = _validate_placement(tenant_placement, self.num_replicas)
         #: Per-tenant dispatchers over the tenant's placed slots; rebuilt on
         #: every fleet change (first deploy, flip).  Tenants without
         #: placement are absent and fall through to the fleet dispatcher.
@@ -644,10 +643,10 @@ class RemoteReplicaSet(ReplicaSet):
             ),
         )
         # The base constructor deploys generation 1 through
-        # _build_generation below: everything it touches is set above.
+        # _build_generation below: everything it touches (num_replicas
+        # included) is set above.
         super().__init__(
             planner_factory,
-            num_replicas=num_replicas,
             max_queue_depth=max_queue_depth,
             admission_policy=admission_policy,
             drain_deadline=drain_deadline,
@@ -663,30 +662,15 @@ class RemoteReplicaSet(ReplicaSet):
     # ------------------------------------------------------------------ #
     # Building a generation: train once, fork N, install artifacts
     # ------------------------------------------------------------------ #
-    def _build_generation(
-        self, generation: int, tenants: "Sequence[str] | None" = None
-    ) -> "tuple[list[RemoteReplica], dict]":
+    def _build_generation(self, generation: int) -> "tuple[list[RemoteReplica], dict]":
         """Train ``generation`` once in the parent, version its artifacts,
         fork one standby worker per slot and install the artifacts on them.
 
         Generation 1 reaches its workers by fork alone; every later one is
-        also installed from the registry over the wire, checksummed — the
-        wire copy is authoritative.  With ``tenants`` given (and a tenant
-        placement configured), the installs are *scoped*: only the workers
-        on those tenants' placed slots receive INSTALL frames — a tenant's
-        refit never ships bytes to its neighbours' workers.  Every slot
-        still forks a standby (the fleet flips as one), so unscoped slots
-        simply come up from the factory planner without a wire install.
-        Any failure shuts down every worker spawned so far.
+        also installed from the registry over the wire on every standby
+        worker, checksummed — the wire copy is authoritative.  Any failure
+        shuts down every worker spawned so far.
         """
-        if tenants is not None:
-            placement = self.tenant_placement or {}
-            unknown = [name for name in tenants if name not in placement]
-            if unknown:
-                raise ServingError(
-                    f"cannot scope refit to unplaced tenant(s) {unknown}; "
-                    f"placed tenants: {sorted(placement)}"
-                )
         planner = self._make_planner()
         artifacts = artifacts_from_planner(planner, generation)
         for artifact in artifacts:
@@ -705,20 +689,13 @@ class RemoteReplicaSet(ReplicaSet):
                         f"worker {replica.index} died before sending HELLO "
                         "(start-up failed)"
                     )
-            install_targets = (
-                self._replicas_for_tenants(members, tenants) if generation > 1 else []
-            )
-            for replica in install_targets:
-                for artifact in artifacts:
-                    self._install(replica, artifact)
+                if generation > 1:
+                    for artifact in artifacts:
+                        self._install(replica, artifact)
         except BaseException:
             self._retire(members)
             raise
-        return members, {
-            "artifacts": [artifact.meta() for artifact in artifacts],
-            "installed_slots": sorted(replica.slot for replica in install_targets),
-            **({"tenants": sorted(tenants)} if tenants is not None else {}),
-        }
+        return members, {"artifacts": [artifact.meta() for artifact in artifacts]}
 
     def _spawn_replica(
         self, planner, generation: int, slot: int, siblings: "list[RemoteReplica]"
@@ -791,18 +768,6 @@ class RemoteReplicaSet(ReplicaSet):
         super()._forget(replica)
         for dispatcher in self._tenant_dispatchers.values():
             dispatcher.forget(replica)
-
-    def _replicas_for_tenants(
-        self, replicas: "list[RemoteReplica]", tenants: "Sequence[str] | None"
-    ) -> "list[RemoteReplica]":
-        """The subset of ``replicas`` serving any of ``tenants`` under the
-        placement map (everything, when unscoped or no placement applies)."""
-        if tenants is None or not self.tenant_placement:
-            return list(replicas)
-        slots: "set[int]" = set()
-        for tenant in tenants:
-            slots.update(self.tenant_placement.get(tenant, ()))
-        return [replica for replica in replicas if replica.slot in slots]
 
     # ------------------------------------------------------------------ #
     # Reader: everything a worker says arrives here
@@ -970,11 +935,6 @@ class RemoteReplicaSet(ReplicaSet):
         self._detector_stop.set()
         super().close()
         self._detector.join(timeout=5.0)
-
-    def refit(self, tenants: "Sequence[str] | None" = None) -> dict:
-        """Hot model swap; ``tenants`` scopes the artifact installs (see
-        :meth:`_build_generation`)."""
-        return self.refit_coordinator.refit(tenants=tenants)
 
     def enqueue(self, request: ServeRequest) -> Future:
         """Dispatch one request to a healthy worker over the wire."""

@@ -209,8 +209,8 @@ class _Worker:
         pin_serving_generation(planner, generation)
         self.planner = planner
         # The tenant registry is built HERE, after the fresh metrics
-        # registry: its bindings' admission controllers and latency groups
-        # must be child-owned (the parent keeps its own registry instance).
+        # registry: its bindings' latency groups must be child-owned (the
+        # parent keeps its own registry instance).
         tenants = None if tenant_factory is None else tenant_factory()
         if tenants is not None:
             tenants.pin_generation(generation)

@@ -5,9 +5,9 @@ ROADMAP's replicated-serving rung calls for.  A refit never touches a
 serving backbone — the double-buffer discipline is:
 
 1. **Train off-path.**  The coordinator has the fleet build a complete
-   standby generation (in-process: one ``planner_factory`` call per slot —
-   independently fitted backbones; over the process transport: one call,
-   forked standby workers and checksummed artifact installs) while the
+   standby generation (in-process: one ``planner_factory`` call and one
+   member; over the process transport: one call, forked standby workers
+   and checksummed artifact installs on every one of them) while the
    active set keeps serving.  This is the expensive phase and it happens
    entirely outside any lock.
 2. **Flip atomically.**  One pointer swap under the set's flip lock makes
@@ -77,13 +77,11 @@ class RefitCoordinator:
             return [dict(report) for report in self._history]
 
     # ------------------------------------------------------------------ #
-    def refit(self, **scope) -> dict:
+    def refit(self) -> dict:
         """Run one complete refit; returns its timing/accounting report.
 
-        ``scope`` is handed to the fleet's ``_build_generation`` unchanged
-        (the process fleet's tenant-scoped artifact installs).  Raises
-        :class:`~repro.utils.exceptions.ServingError` if a refit is already
-        in progress or the set is closed.
+        Raises :class:`~repro.utils.exceptions.ServingError` if a refit is
+        already in progress or the set is closed.
         """
         if not self._refit_lock.acquire(blocking=False):
             raise ServingError("a refit is already in progress on this replica set")
@@ -101,7 +99,7 @@ class RefitCoordinator:
             # 1. Train (and deploy) off-path: the active members keep
             # serving, untouched.  The expensive phase, outside any lock.
             train_started = time.perf_counter()
-            standby, extras = fleet._build_generation(generation_to, **scope)
+            standby, extras = fleet._build_generation(generation_to)
             train_seconds = time.perf_counter() - train_started
 
             # 2. Atomic flip.  Standby members start BEFORE it: the first

@@ -1,4 +1,4 @@
-"""The replica set: N independent serving replicas behind one dispatcher.
+"""The replica set: the one fleet core, and the in-process fleet over it.
 
 :class:`ReplicaSet` is drop-in compatible with the
 :class:`~repro.serve.loop.ServingLoop` surface (``serve`` / ``enqueue`` /
@@ -12,28 +12,27 @@ undo-and-re-pick dispatch loop, the fleet admission rule and the
 ``loop_stats`` / ``begin_retire`` / ``retire``) and one set-level hook,
 :meth:`ReplicaSet._build_generation`;
 :class:`~repro.distributed.remote.RemoteReplicaSet` overrides that hook to
-put every member in its own process.  Behind the surface:
+put each of its ``num_replicas`` members in its own process.  Fan-out
+lives only there: in one interpreter a second member contends for the
+same GIL (two in-process replicas served the ``loop_fresh`` traffic at
+0.65x the rate of one, 2 vCPUs).  In process:
 
-* each replica is built by the caller's ``planner_factory`` — an
-  independently fitted backbone wrapped in a generation-pinned
-  :class:`~repro.core.beam.BeamSearchPlanner`, with its own
-  :class:`~repro.serve.loop.ServingLoop` (own queue, drain thread and a
-  per-replica admission scope) — nothing is shared between replicas;
-* a :class:`~repro.replica.dispatch.Dispatcher` routes each request to the
-  least-loaded healthy replica (session affinity for ``next_step``, EWMA
-  depth + recent-p95 scoring, round-robin while cold);
+* a generation is ONE member — the caller's ``planner_factory`` planner
+  (pinned to the generation) with its own
+  :class:`~repro.serve.loop.ServingLoop` (queue, drain thread and the
+  admission scope ``replica-<id>``);
+* the :class:`~repro.replica.dispatch.Dispatcher` routes over that one
+  member (the dispatch loop is shared with the process fleet);
 * a :class:`~repro.replica.refit.RefitCoordinator` owns the hot model
-  swap: it trains a standby replica set off-path, flips the dispatcher to
-  it atomically (one lock swap — the ``fit_generation`` double-buffer),
-  and retires the old replicas by draining them dry, so in-flight requests
-  finish on the old generation while new arrivals land on the new one and
+  swap: it builds a standby member off-path, flips the dispatcher to it
+  atomically (one lock swap — the ``fit_generation`` double-buffer), and
+  retires the old member by draining it dry, so in-flight requests finish
+  on the old generation while new arrivals land on the new one and
   serving never pauses.
 
-Exactness contract: with every replica at one shared generation (identical
-weights — the factory is deterministic), responses are bit-identical to
-single-replica serving for the same request trace, any replica count and
-any dispatch interleaving; the parity suite in ``tests/replica`` mirrors
-``tests/serve``'s.
+Exactness contract: at one generation, responses are bit-identical to a
+plain serving loop over the same planner for the same request trace; the
+parity suite in ``tests/replica`` mirrors ``tests/serve``'s.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ import time
 from concurrent.futures import Future
 from typing import Callable
 
-from repro.config import resolve_num_replicas
 from repro.obs.trace import NULL_TRACER
 from repro.replica.dispatch import Dispatcher
 from repro.replica.refit import RefitCoordinator
@@ -68,35 +66,35 @@ DRAIN_TIMEOUT = 30.0
 
 
 class ReplicaSet(TypedServingSurface):
-    """N independently fitted serving replicas behind one dispatcher.
+    """One serving member behind the fleet core; a refit swaps it hot.
 
     Parameters
     ----------
     planner_factory:
         Zero-arg callable returning a *fresh, fitted* planner (anything
         with ``plan_for_requests``; in practice a
-        :class:`~repro.core.beam.BeamSearchPlanner` over an independently
-        fitted backbone).  Called once per replica at construction and once
-        per replica again on every refit — it must be deterministic for the
-        shared-generation parity contract to hold.
-    num_replicas:
-        Replica count; ``None`` reads ``REPRO_REPLICAS`` and defaults to 1.
+        :class:`~repro.core.beam.BeamSearchPlanner`).  Called once at
+        construction and once again on every refit — it must be
+        deterministic for the refit to keep answers exact.
     max_queue_depth / admission_policy / drain_deadline:
-        Forwarded to every replica's :class:`~repro.serve.loop.ServingLoop`
+        Forwarded to every member's :class:`~repro.serve.loop.ServingLoop`
         (each gets its own queue and admission controller, labelled
-        ``replica-<id>`` for per-replica depth accounting).
+        ``replica-<id>`` for per-member depth accounting).
     tracer:
-        Optional :class:`~repro.obs.trace.Tracer` shared by every replica's
+        Optional :class:`~repro.obs.trace.Tracer` shared by every member's
         serving loop; ``None`` leaves tracing off (the zero-cost default).
     tenant_factory:
         Optional zero-arg callable returning a *fresh*
         :class:`~repro.tenant.registry.TenantRegistry` — called once per
-        replica (and again per replica on every refit, mirroring
-        ``planner_factory``), so each replica serves its own copies of the
-        tenants' models and a refit re-fits every tenant.  ``None`` keeps
-        the replicas single-tenant (or lets ``REPRO_TENANTS`` synthesize a
-        degenerate registry inside each loop).
+        member (and again on every refit, mirroring ``planner_factory``),
+        so a refit re-fits every tenant.  ``None`` keeps the member
+        single-tenant (or lets ``REPRO_TENANTS`` synthesize a degenerate
+        registry inside its loop).
     """
+
+    #: Members per generation.  One in process; the process fleet sets its
+    #: worker count on the instance.
+    num_replicas = 1
 
     #: Dispatch retries across a concurrent generation flip (or a member
     #: failing under the dispatcher): an enqueue can race the retirement of
@@ -107,7 +105,6 @@ class ReplicaSet(TypedServingSurface):
     def __init__(
         self,
         planner_factory: "Callable[[], object]",
-        num_replicas: "int | None" = None,
         max_queue_depth: "int | None" = None,
         admission_policy: "str | None" = None,
         drain_deadline: "float | None" = None,
@@ -117,16 +114,15 @@ class ReplicaSet(TypedServingSurface):
         if not callable(planner_factory):
             raise ConfigurationError(
                 f"{type(self).__name__} needs a zero-arg planner_factory returning "
-                "a fitted planner (one independently fitted backbone per call)"
+                "a fitted planner"
             )
         if tenant_factory is not None and not callable(tenant_factory):
             raise ConfigurationError(
                 "tenant_factory must be a zero-arg callable returning a "
-                "TenantRegistry (one fresh set of tenant models per replica)"
+                "TenantRegistry (one fresh set of tenant models per member)"
             )
         self._factory = planner_factory
         self._tenant_factory = tenant_factory
-        self.num_replicas = resolve_num_replicas(num_replicas)
         # One tracer is shared by the whole fleet (including standby
         # generations built mid-refit), so a request traced across a flip
         # boundary lands in the same retained-trace list.
@@ -185,26 +181,23 @@ class ReplicaSet(TypedServingSurface):
         """Build the fleet's members at ``generation``, ready to be flipped
         in but not yet serving: ``(members, refit-report extras)``.
 
-        Must leave nothing behind when it raises.  Here: one independently
-        fitted planner (and tenant registry) per replica, each with its own
-        serving loop (not yet started)."""
-        members = []
-        for _ in range(self.num_replicas):
-            planner = self._make_planner()
-            pin_serving_generation(planner, generation)
-            index = next(self._member_indices)
-            tenants = None if self._tenant_factory is None else self._tenant_factory()
-            if tenants is not None:
-                tenants.pin_generation(generation)
-            loop = ServingLoop(
-                planner,
-                admission_scope=f"replica-{index}",
-                tracer=self.tracer,
-                tenants=tenants,
-                **self._loop_kwargs,
-            )
-            members.append(Replica(index, planner, loop, generation))
-        return members, {}
+        Must leave nothing behind when it raises.  Here: one member — a
+        fitted planner (and tenant registry) with its own serving loop,
+        not yet started."""
+        planner = self._make_planner()
+        pin_serving_generation(planner, generation)
+        index = next(self._member_indices)
+        tenants = None if self._tenant_factory is None else self._tenant_factory()
+        if tenants is not None:
+            tenants.pin_generation(generation)
+        loop = ServingLoop(
+            planner,
+            admission_scope=f"replica-{index}",
+            tracer=self.tracer,
+            tenants=tenants,
+            **self._loop_kwargs,
+        )
+        return [Replica(index, planner, loop, generation)], {}
 
     # ------------------------------------------------------------------ #
     # Lifecycle

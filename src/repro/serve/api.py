@@ -60,8 +60,8 @@ __all__ = [
 class Request:
     """The common envelope of every typed serving request.
 
-    ``tenant`` routes the request to its tenant's model, objective policy
-    and admission scope (``None`` = the single-tenant surface);
+    ``tenant`` routes the request to its tenant's model (``None`` = the
+    single-tenant surface);
     ``deadline`` is an optional absolute ``time.perf_counter()`` instant
     after which the caller no longer wants the answer — admission rejects
     already-expired requests instead of wasting a drain slot on them.

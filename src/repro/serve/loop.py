@@ -140,8 +140,8 @@ class ServingLoop(TypedServingSurface):
     tenants:
         A :class:`~repro.tenant.registry.TenantRegistry` turning this loop
         into a multi-tenant surface: drained micro-batches group per
-        tenant, each tenant's admission scope and generation stamps apply
-        independently, and untenanted requests are assigned
+        tenant, each tenant's generation stamps apply independently, and
+        untenanted requests are assigned
         deterministically.  ``None`` (the default) serves the single
         ``planner``; when ``REPRO_TENANTS`` asks for more than one tenant,
         a degenerate registry sharing ``planner`` is synthesized so the
@@ -275,7 +275,7 @@ class ServingLoop(TypedServingSurface):
             binding = self.tenants.resolve(request)
             adapter = binding.adapter
         if request.deadline is not None:
-            self._deadline_admission(binding).check_deadline(request.deadline)
+            self.admission.check_deadline(request.deadline)
         key = request.routing_key()
         # Hot-path guard: with tracing disabled this is one attribute check
         # and no allocation (the overhead contract's structural no-op).
@@ -284,9 +284,6 @@ class ServingLoop(TypedServingSurface):
                 request.trace = self.tracer.begin(key, kind=request.kind, tenant=request.tenant)
             else:
                 request.trace = self.tracer.begin(key, kind=request.kind)
-        if binding is not None:
-            binding.admit()
-            request.on_release = binding.release
         try:
             if request.kind == "next_step" and self._answer_resident(
                 request, adapter, binding, key
@@ -304,17 +301,10 @@ class ServingLoop(TypedServingSurface):
         except BaseException:
             # Refused (reject policy / closed loop / the resident lookup
             # raised): the future will never resolve, so hand back the
-            # tenant slot and the pending-replan entry here.
+            # pending-replan entry here.
             request.release()
             raise
         return request.future
-
-    def _deadline_admission(self, binding) -> AdmissionController:
-        """The controller a request's deadline is checked (and its expiry
-        counted) on: its tenant's own scope when it has one."""
-        if binding is not None and binding.admission is not None:
-            return binding.admission
-        return self.admission
 
     def _answer_resident(self, request: ServeRequest, adapter, binding, key) -> bool:
         """Answer a ``next_step`` from its context's resident plan.
@@ -338,8 +328,7 @@ class ServingLoop(TypedServingSurface):
                 answer = adapter.serve_resident(request)
             if queued or answer is MISS:
                 self._pending[key] = queued + 1
-                held = request.on_release
-                request.on_release = lambda: self._forget_pending(key, held)
+                request.on_release = lambda: self._forget_pending(key)
                 return False
             request.enqueued_at = started
             Response.stamp(
@@ -383,18 +372,15 @@ class ServingLoop(TypedServingSurface):
         request.resolve(answer)
         return True
 
-    def _forget_pending(self, key, held) -> None:
+    def _forget_pending(self, key) -> None:
         """A queued ``next_step`` of context ``key`` is about to resolve:
-        uncount it (so the session's very next step can be resident again),
-        then hand back what the request held before it queued."""
+        uncount it, so the session's very next step can be resident again."""
         with self._state_lock:
             left = self._pending[key] - 1
             if left:
                 self._pending[key] = left
             else:
                 del self._pending[key]
-        if held is not None:
-            held()
 
     # ------------------------------------------------------------------ #
     # Draining
@@ -409,14 +395,13 @@ class ServingLoop(TypedServingSurface):
     def _refuse_expired(self, batch: "list[ServeRequest]") -> "list[ServeRequest]":
         """Fail every request whose deadline passed while it was queued;
         return the rest.  The refusal is the one admission gives an expired
-        request (same error, counted as expired on the same scope), and
-        ``fail`` hands back its tenant slot and pending-replan entry."""
+        request (same error, counted as expired on the same controller), and
+        ``fail`` hands back its pending-replan entry."""
         live = []
         for request in batch:
             if request.deadline is not None:
-                binding = None if self.tenants is None else self.tenants.get(request.tenant)
                 try:
-                    self._deadline_admission(binding).check_deadline(request.deadline)
+                    self.admission.check_deadline(request.deadline)
                 except QueueFullError as exc:
                     self.tracer.finish(request.trace)
                     request.fail(exc)

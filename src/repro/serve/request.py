@@ -55,8 +55,8 @@ class ServeRequest:
     user_index: "int | None" = None
     max_length: "int | None" = None
     #: tenant id this request is served under (``None`` = the
-    #: single-tenant surface); selects the tenant's model, objective policy
-    #: and admission scope, and prefixes the routing key
+    #: single-tenant surface); selects the tenant's model and prefixes the
+    #: routing key
     tenant: "str | None" = None
     #: optional absolute ``time.perf_counter()`` instant after which the
     #: caller no longer wants the answer; admission rejects expired
@@ -101,8 +101,10 @@ class ServeRequest:
     #: group responses by it to assert the one-generation-per-batch
     #: invariant across a hot model swap.
     batch_tag: "int | None" = None
-    #: Replica that served this request, when routed through a
-    #: :class:`~repro.replica.ReplicaSet` (``None`` under a plain loop).
+    #: Member that served this request, when routed through a fleet — the
+    #: one member of an in-process :class:`~repro.replica.ReplicaSet` or a
+    #: worker of a :class:`~repro.distributed.RemoteReplicaSet` (``None``
+    #: under a plain loop).
     replica_index: "int | None" = None
     #: The request's :class:`~repro.obs.trace.Trace`, begun by the serving
     #: loop at admission when its tracer is enabled and this request was
@@ -116,10 +118,9 @@ class ServeRequest:
     #: ``None`` (envelopes handed to ``enqueue`` directly, and every
     #: worker-side envelope) resolves the future to the raw answer.
     lift: "Callable[[ServeRequest, object], object] | None" = None
-    #: Hands back what the request holds while in flight (its tenant's
-    #: in-flight slot, its context's pending-replan entry); set by the loop
-    #: that queued it, run once by :meth:`resolve` / :meth:`fail` BEFORE the
-    #: future completes.
+    #: Hands back what the request holds while queued (its context's
+    #: pending-replan entry); set by the loop that queued it, run once by
+    #: :meth:`resolve` / :meth:`fail` BEFORE the future completes.
     on_release: "Callable[[], None] | None" = None
 
     @classmethod

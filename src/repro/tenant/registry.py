@@ -1,16 +1,10 @@
-"""The tenant registry: served models, admission scopes and batch grouping.
+"""The tenant registry: served models and batch grouping.
 
 A :class:`TenantRegistry` binds tenant ids to served models
-(:class:`TenantBinding` = adapter + optional per-tenant admission +
-per-tenant latency metrics).  A :class:`~repro.serve.loop.ServingLoop`
-constructed with a registry becomes a multi-tenant surface:
+(:class:`TenantBinding` = adapter + per-tenant latency metrics).  A
+:class:`~repro.serve.loop.ServingLoop` constructed with a registry becomes
+a multi-tenant surface:
 
-* **admission isolation** — a binding may carry its own
-  :class:`~repro.serve.admission.AdmissionController` (scope
-  ``tenant-<name>``, the same mechanism the distributed layer uses for
-  ``worker-<i>`` scopes) bounding that tenant's *in-flight* requests
-  fleet-wide; a noisy tenant's rejects land on its own counters and its
-  own callers, never on a neighbour's;
 * **batch grouping** — a drained micro-batch may mix tenants; the
   registry splits it per tenant, reads each tenant's model generation
   ONCE before planning (the torn-batch discipline, now per tenant), and
@@ -20,17 +14,15 @@ constructed with a registry becomes a multi-tenant surface:
   exercises grouping on unmodified workloads.
 
 :meth:`TenantRegistry.uniform` builds the degenerate registry (every
-tenant shares one planner, no per-tenant admission) that leg uses;
-real multi-tenant setups declare one model per tenant via :meth:`add`.
+tenant shares one planner) that leg uses; real multi-tenant setups declare
+one model per tenant via :meth:`add`.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Sequence
 
 from repro.obs.registry import MetricGroup, get_registry
-from repro.serve.admission import AdmissionController
 from repro.shard.partition import stable_hash
 from repro.tenant.adapters import KindAdapter, adapt
 from repro.utils.exceptions import ConfigurationError, ServingError
@@ -50,15 +42,9 @@ def assign_tenant(names: "Sequence[str]", routing_key) -> str:
 
 
 class TenantBinding:
-    """One tenant: its adapter, admission scope and latency accounting."""
+    """One tenant: its adapter and latency accounting."""
 
-    def __init__(
-        self,
-        name: str,
-        adapter: KindAdapter,
-        max_inflight: "int | None" = None,
-        admission_policy: "str | None" = None,
-    ) -> None:
+    def __init__(self, name: str, adapter: KindAdapter) -> None:
         self.name = name
         self.adapter = adapter
         registry = get_registry()
@@ -71,56 +57,7 @@ class TenantBinding:
             counters=_LATENCY_COUNTERS,
             gauges=_LATENCY_GAUGES,
         )
-        #: per-tenant admission: ``None`` = unbounded (the tenant rides the
-        #: loop's own queue bounds only).  When set, it bounds the tenant's
-        #: in-flight requests (queued + mid-drain).
-        self.admission: "AdmissionController | None" = None
-        if max_inflight is not None or admission_policy is not None:
-            self.admission = AdmissionController(
-                max_queue_depth=max_inflight,
-                policy=admission_policy,
-                drain_deadline=0.0,
-                scope=f"tenant-{name}",
-                metrics_scope=f"{self.metrics_scope}.admission",
-            )
-        self._cond = threading.Condition()
-        self._inflight = 0
 
-    # ------------------------------------------------------------------ #
-    def admit(self) -> None:
-        """Count one request against the tenant's in-flight bound.
-
-        Raises :class:`~repro.utils.exceptions.QueueFullError` at the bound
-        under ``reject``; blocks until a release under ``block``.  No-op
-        for unbounded tenants.
-        """
-        if self.admission is None:
-            return
-        with self._cond:
-            if self._inflight >= self.admission.max_queue_depth:
-                # Raises under reject; returning means block-and-recheck
-                # (timed waits guard against lost notifies on shutdown).
-                self.admission.on_full(self._inflight)
-                self.admission.on_blocked()
-                while self._inflight >= self.admission.max_queue_depth:
-                    self._cond.wait(0.05)
-            self._inflight += 1
-        self.admission.on_admitted()
-
-    def release(self) -> None:
-        """One admitted request resolved (called as its future completes)."""
-        if self.admission is None:
-            return
-        with self._cond:
-            self._inflight -= 1
-            self._cond.notify_all()
-
-    @property
-    def inflight(self) -> int:
-        with self._cond:
-            return self._inflight
-
-    # ------------------------------------------------------------------ #
     def observe(
         self,
         served: int,
@@ -142,10 +79,10 @@ class TenantBinding:
         )
 
     def stats(self) -> dict:
-        """This tenant's served/latency/admission counters (atomic read)."""
+        """This tenant's served/latency counters (atomic read)."""
         values = self._latency.values()
         served = values.get("served", 0)
-        report = {
+        return {
             "tenant": self.name,
             "kinds": list(self.adapter.kinds),
             "served": served,
@@ -159,10 +96,6 @@ class TenantBinding:
                 "max_ms": round(1000.0 * values.get("latency_max_s", 0.0), 3),
             },
         }
-        if self.admission is not None:
-            report["admission"] = self.admission.counters()
-            report["max_inflight"] = self.admission.max_queue_depth
-        return report
 
 
 class TenantRegistry:
@@ -175,34 +108,22 @@ class TenantRegistry:
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
-    def add(
-        self,
-        name: str,
-        model,
-        max_inflight: "int | None" = None,
-        admission_policy: "str | None" = None,
-    ) -> TenantBinding:
+    def add(self, name: str, model) -> TenantBinding:
         """Bind ``name`` to ``model`` (adapted via
-        :func:`~repro.tenant.adapters.adapt`); optionally bound its
-        in-flight depth with its own admission scope."""
+        :func:`~repro.tenant.adapters.adapt`)."""
         if not isinstance(name, str) or not name:
             raise ConfigurationError(f"tenant name must be a non-empty string, got {name!r}")
         if name in self._bindings:
             raise ConfigurationError(f"tenant {name!r} is already registered")
-        binding = TenantBinding(
-            name,
-            adapt(model),
-            max_inflight=max_inflight,
-            admission_policy=admission_policy,
-        )
+        binding = TenantBinding(name, adapt(model))
         self._bindings[name] = binding
         self._order.append(name)
         return binding
 
     @classmethod
     def uniform(cls, planner, count: int, prefix: str = "tenant") -> "TenantRegistry":
-        """``count`` tenants sharing one planner, no per-tenant bounds —
-        the synthesized registry of the ``REPRO_TENANTS`` tier-1 leg."""
+        """``count`` tenants sharing one planner — the synthesized registry
+        of the ``REPRO_TENANTS`` tier-1 leg."""
         if not isinstance(count, int) or count < 1:
             raise ConfigurationError(f"tenant count must be a positive integer, got {count!r}")
         registry = cls()

@@ -3,7 +3,8 @@
 Acceptance contract of the distributed-serving PR: with every worker at
 one shared generation, :class:`~repro.distributed.RemoteReplicaSet`
 responses are bit-identical to in-process (and therefore to sequential)
-serving at 1, 2 and 4 workers.  Crossing a process boundary changes
+serving at 1, 2 and 4 workers (and at the count ``REPRO_REPLICAS``
+defaults to).  Crossing a process boundary changes
 *where* work happens, never what is answered.
 """
 
@@ -20,7 +21,10 @@ from tests.distributed.conftest import HEARTBEAT_INTERVAL, MAX_LENGTH
 
 
 class TestRemoteParity:
-    @pytest.mark.parametrize("num_workers", [1, 2, 4])
+    # ``defaulted``: the count REPRO_REPLICAS sets (1 unless a CI leg sets it)
+    @pytest.mark.parametrize(
+        "num_workers", [1, 2, 4, pytest.param(None, id="defaulted")]
+    )
     def test_lockstep_replay_bit_identical(
         self, make_factory, remote_contexts, sequential_paths, num_workers
     ):
@@ -36,7 +40,9 @@ class TestRemoteParity:
         # its first response mirrored there: resident steps stay off the wire.
         assert transport["parent_answered"] > 0
 
-    @pytest.mark.parametrize("num_workers", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "num_workers", [1, 2, 4, pytest.param(None, id="defaulted")]
+    )
     def test_plan_paths_futures_match_plan_path(
         self, make_factory, remote_contexts, num_workers
     ):

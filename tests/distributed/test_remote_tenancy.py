@@ -8,7 +8,7 @@ real forked workers:
   to calling the tenant's model directly in-process;
 * tenant placement makes :class:`RemoteReplicaSet` the isolation
   boundary — a placed tenant's requests only ever reach its own slots'
-  workers, and a tenant-scoped refit ships artifacts only to those slots.
+  workers, and a refit of a placed fleet installs on every standby worker.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.distributed import RemoteReplicaSet
 from repro.models.markov import MarkovChainRecommender
 from repro.serve.api import NextStepRequest, PlanRequest
 from repro.tenant import TenantRegistry
-from repro.utils.exceptions import ServingError
 
 from tests.distributed.conftest import HEARTBEAT_INTERVAL, MAX_LENGTH
 
@@ -163,10 +162,18 @@ class TestTenantPlacement:
             )
 
 
-class TestTenantScopedRefit:
-    def test_refit_ships_artifacts_only_to_placed_slots(
-        self, make_tenant_factory, make_factory, remote_contexts
+class TestPlacedFleetRefit:
+    def test_refit_installs_on_every_standby_worker(
+        self, make_tenant_factory, make_factory, remote_contexts, monkeypatch
     ):
+        installed = []
+        install = RemoteReplicaSet._install
+
+        def spy(fleet, replica, artifact):
+            installed.append((replica.slot, replica.generation, artifact.name))
+            return install(fleet, replica, artifact)
+
+        monkeypatch.setattr(RemoteReplicaSet, "_install", spy)
         history, objective, user = remote_contexts[0]
         with RemoteReplicaSet(
             make_factory(),
@@ -175,34 +182,17 @@ class TestTenantScopedRefit:
             tenant_factory=make_tenant_factory(),
             tenant_placement={"irs": (0,), "zoo": (1,)},
         ) as remote_set:
-            report = remote_set.refit(tenants=["irs"])
-            assert report["installed_slots"] == [0]
-            assert report["tenants"] == ["irs"]
+            assert installed == []  # generation 1 reaches its workers by fork
+            report = remote_set.refit()
             # The fleet flipped as one; traffic still lands on live workers.
             answer = remote_set.serve(
                 NextStepRequest(
                     history=history, objective=objective, user_index=user, tenant="irs"
                 )
             ).result()
-            assert answer.served_generation is not None
-
-    def test_refit_rejects_unplaced_tenants(self, make_tenant_factory, make_factory):
-        with RemoteReplicaSet(
-            make_factory(),
-            num_replicas=2,
-            heartbeat_interval=HEARTBEAT_INTERVAL,
-            tenant_factory=make_tenant_factory(),
-            tenant_placement={"irs": (0, 1)},
-        ) as remote_set:
-            with pytest.raises(ServingError, match="unplaced tenant"):
-                remote_set.refit(tenants=["nope"])
-
-    def test_unscoped_refit_installs_everywhere(self, make_factory):
-        with RemoteReplicaSet(
-            make_factory(),
-            num_replicas=2,
-            heartbeat_interval=HEARTBEAT_INTERVAL,
-        ) as remote_set:
-            report = remote_set.refit()
-            assert report["installed_slots"] == [0, 1]
-            assert "tenants" not in report
+        names = [artifact["name"] for artifact in report["artifacts"]]
+        assert names
+        assert sorted(installed) == sorted(
+            (slot, 2, name) for slot in (0, 1) for name in names
+        )
+        assert answer.served_generation == 2

@@ -38,7 +38,7 @@ def served_generations(trace):
 
 def test_traces_span_the_flip_with_one_generation_each(make_planner, obs_contexts):
     tracer = Tracer(enabled=True, sample_rate=1.0)
-    with ReplicaSet(lambda: make_planner(), num_replicas=2, tracer=tracer) as replica_set:
+    with ReplicaSet(lambda: make_planner(), tracer=tracer) as replica_set:
         before = replay_lockstep(replica_set, obs_contexts, MAX_LENGTH)
         replica_set.refit()
         after = replay_lockstep(replica_set, obs_contexts, MAX_LENGTH)
@@ -81,9 +81,7 @@ def test_traces_span_the_flip_with_one_generation_each(make_planner, obs_context
 def test_flip_boundary_trace_ids_stay_deterministic(make_planner, obs_contexts):
     def run():
         tracer = Tracer(enabled=True, sample_rate=1.0)
-        with ReplicaSet(
-            lambda: make_planner(), num_replicas=2, tracer=tracer
-        ) as replica_set:
+        with ReplicaSet(lambda: make_planner(), tracer=tracer) as replica_set:
             replay_lockstep(replica_set, obs_contexts, MAX_LENGTH)
             replica_set.refit()
             replay_lockstep(replica_set, obs_contexts, MAX_LENGTH)
@@ -93,11 +91,11 @@ def test_flip_boundary_trace_ids_stay_deterministic(make_planner, obs_contexts):
 
 
 def test_an_untraced_fleet_allocates_nothing_across_a_flip(make_planner, obs_contexts):
-    """Zero cost when off holds for the fleet too: its replicas, its refit
+    """Zero cost when off holds for the fleet too: its member, its refit
     and the generation after it allocate no trace and no span."""
     registry = get_registry()
     before = registry.snapshot("obs.trace")["counters"]
-    with ReplicaSet(lambda: make_planner(), num_replicas=2) as replica_set:
+    with ReplicaSet(lambda: make_planner()) as replica_set:
         replay_lockstep(replica_set, obs_contexts, MAX_LENGTH)
         replica_set.refit()
         replay_lockstep(replica_set, obs_contexts, MAX_LENGTH)
@@ -108,7 +106,7 @@ def test_an_untraced_fleet_allocates_nothing_across_a_flip(make_planner, obs_con
 
 def test_refit_keeps_replica_stats_shape_with_tracing(make_planner, obs_contexts):
     tracer = Tracer(enabled=True, sample_rate=1.0)
-    with ReplicaSet(lambda: make_planner(), num_replicas=2, tracer=tracer) as replica_set:
+    with ReplicaSet(lambda: make_planner(), tracer=tracer) as replica_set:
         replay_lockstep(replica_set, obs_contexts, MAX_LENGTH)
         replica_set.refit()
         replay_lockstep(replica_set, obs_contexts, MAX_LENGTH)

@@ -12,9 +12,10 @@ Two factory flavours, matching the two halves of the replication contract:
   replicas off-path without touching a serving backbone.
 
 ``fleet`` builds a started fleet of either transport (``inproc`` — a
-:class:`~repro.replica.ReplicaSet`; ``process`` — a
+:class:`~repro.replica.ReplicaSet`, one member; ``process`` — a
 :class:`~repro.distributed.RemoteReplicaSet`, skipped without ``fork``), so
 a contract both must hold is written once (``test_fleet_contract.py``).
+Only the process fleet takes ``num_replicas``: ``"process-<n>"`` fixes it.
 """
 
 from __future__ import annotations
@@ -98,23 +99,29 @@ def _fleet_threads() -> set:
 @pytest.fixture(params=["inproc", "process"])
 def fleet(request):
     """``fleet(planner_factory, **kwargs)`` -> a started fleet over the
-    parametrised transport; ``fleet.transport`` names it.  Every fleet built
-    is closed at teardown, after which nothing of it may be left running."""
-    if request.param == "process" and not CAN_FORK:
+    parametrised transport; ``fleet.transport`` names it.  A test may
+    re-parametrise it (``indirect``) with ``"process-<n>"`` for a process
+    fleet of ``n`` workers; plain ``"process"`` leaves the count to its
+    default (``REPRO_REPLICAS`` or 1).  Every fleet built is closed at
+    teardown, after which nothing of it may be left running."""
+    transport, _, workers = request.param.partition("-")
+    if transport == "process" and not CAN_FORK:
         pytest.skip("the process transport needs the fork start method")
     threads_before = _fleet_threads()
     built = []
 
     def build(planner_factory, **kwargs):
-        if request.param == "process":
+        if transport == "process":
             kwargs.setdefault("heartbeat_interval", 0.05)
+            if workers:
+                kwargs.setdefault("num_replicas", int(workers))
             cls = RemoteReplicaSet
         else:
             cls = ReplicaSet
         built.append(cls(planner_factory, **kwargs))
         return built[-1].start()
 
-    build.transport = request.param
+    build.transport = transport
     yield build
     for front_end in built:
         front_end.close()

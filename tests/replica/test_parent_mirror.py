@@ -7,8 +7,8 @@ only replans cross the wire.  What must hold: answers equal sequential
 serving whatever is interleaved; a context's steps keep their order while
 one of them is on the wire; the mirror is the worker's entry or nothing
 (a refit, a dead or suspected worker, a response without a plan all leave
-nothing behind); and a tenant's in-flight bound counts work that reaches a
-worker.  Everything runs under the ``fleet`` fixture and its leak check.
+nothing behind).  Everything runs under the ``fleet`` fixture and its leak
+check.
 """
 
 from __future__ import annotations
@@ -141,15 +141,16 @@ class _Sessions:
 
 
 class TestMirrorParity:
-    @pytest.mark.parametrize("num_replicas", [1, 2])
+    @pytest.mark.parametrize("fleet", ["inproc", "process-1", "process-2"], indirect=True)
     def test_interleaved_steps_answer_like_the_sequential_twin(
-        self, fleet, make_factory, replica_contexts, num_replicas
+        self, fleet, make_factory, replica_contexts
     ):
         """Hits, misses, diverged paths and duplicate contexts, all submitted
         before any is awaited, answer what sequential ``next_step`` answers —
-        on either transport, the mirror included on the process one."""
+        on either transport, the mirror of one and of two workers included on
+        the process one."""
         contexts = replica_contexts[:3]
-        front_end = fleet(make_factory(), num_replicas=num_replicas)
+        front_end = fleet(make_factory())
         twin = make_factory()()
         tracked = [() for _ in contexts]
         submitted = [0]
@@ -469,10 +470,10 @@ class TestMirrorAndTenants:
     def tenant_fleet(self, fleet, make_factory):
         planner_factory = make_factory()
 
-        def build(guard=lambda planner: planner, **tenant_kwargs):
+        def build():
             def tenant_factory():
                 registry = TenantRegistry()
-                registry.add("placed", guard(planner_factory()), **tenant_kwargs)
+                registry.add("placed", planner_factory())
                 registry.add("roaming", planner_factory())
                 return registry
 
@@ -511,36 +512,6 @@ class TestMirrorAndTenants:
         explicit = sum(1 for tenant, _ in answered if tenant == "placed")
         assert per_tenant["placed"] >= explicit and per_tenant["roaming"] >= explicit
 
-    def test_resident_steps_are_answered_while_the_tenants_one_slot_is_held(
-        self, tenant_fleet, replica_contexts, sequential_paths
-    ):
-        """``max_inflight`` bounds work that reaches a worker: a step
-        answered in the parent is never in flight there."""
-        gate = _PlanGate()
-        front_end = tenant_fleet(gate.guard, max_inflight=1, admission_policy="reject")
-        warm, expected = replica_contexts[0], sequential_paths[0]
-        assert _ask(front_end, warm, tenant="placed").future.result() == expected[0]
-        gate.shut()
-        try:
-            # A replan takes the slot (and keeps it while the gate is shut)...
-            replan = _step(replica_contexts[1], tenant="placed")
-            front_end.enqueue(replan)
-            # ...a second one is refused by the tenant's own controller...
-            refused = front_end.enqueue(_step(replica_contexts[2], tenant="placed"))
-            with pytest.raises(QueueFullError, match="tenant-placed"):
-                refused.result(timeout=30)
-            # ...and the warm session's steps are answered meanwhile.
-            path = (expected[0],)
-            while len(path) < len(expected):
-                step = _ask(front_end, warm, path, tenant="placed")
-                assert step.remote_service_s is None
-                path += (step.future.result(),)
-            assert list(path) == expected and not replan.future.done()
-        finally:
-            gate.open()
-        assert replan.future.result(timeout=30) == sequential_paths[1][0]
-        assert front_end.stats()["tenants"]["placed"]["served"] == len(expected) + 1
-
 
 @process_only
 class TestDeadlineCrossesTheWire:
@@ -571,7 +542,7 @@ class TestTypedResponsesFromTheMirror:
     def test_typed_serve_lifts_parent_answers_like_any_other(
         self, fleet, make_factory, replica_contexts, sequential_paths
     ):
-        front_end = fleet(make_factory(), num_replicas=1)
+        front_end = fleet(make_factory())
         (history, objective, user), expected = replica_contexts[0], sequential_paths[0]
         path = ()
         while len(path) < len(expected):

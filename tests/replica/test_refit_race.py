@@ -40,7 +40,7 @@ class TestRefitRace:
     def test_flip_window_requests_answer_from_exactly_one_generation(
         self, fresh_factory, replica_contexts
     ):
-        with ReplicaSet(fresh_factory(), num_replicas=2) as replica_set:
+        with ReplicaSet(fresh_factory()) as replica_set:
             # Phase 1: pre-refit traffic is all generation 1.
             before = _drain(_submit_round(replica_set, replica_contexts))
             assert {r.served_generation for r in before} == {1}
@@ -96,14 +96,13 @@ class TestRefitRace:
         assert refit_report["generation_to"] == 2
         assert replica_set.fit_generation == 2
 
-    @pytest.mark.parametrize("num_replicas", [1, 2, 3, 4])
     def test_open_loop_traffic_never_pauses_across_a_refit(
-        self, fresh_factory, replica_contexts, num_replicas
+        self, fresh_factory, replica_contexts
     ):
         """The report ``serve-sim --refit-at`` publishes: no admitted request
         errored, none rejected under the block policy (``no_pause``), and the
-        refit stepped exactly one generation forward — at any fleet size."""
-        with ReplicaSet(fresh_factory(), num_replicas=num_replicas) as replica_set:
+        refit stepped exactly one generation forward."""
+        with ReplicaSet(fresh_factory()) as replica_set:
             report = run_replicated_open_loop(
                 replica_set,
                 replica_contexts,
@@ -120,7 +119,7 @@ class TestRefitRace:
         assert report["admitted_requests"] == sum(report["generations_served"].values())
 
     def test_refit_retires_old_replicas_and_reports(self, fresh_factory, replica_contexts):
-        with ReplicaSet(fresh_factory(), num_replicas=2) as replica_set:
+        with ReplicaSet(fresh_factory()) as replica_set:
             old_replicas = replica_set.active_replicas()
             _drain(_submit_round(replica_set, replica_contexts))
             report = replica_set.refit()
@@ -134,23 +133,56 @@ class TestRefitRace:
             stats = replica_set.stats()
         assert report["train_seconds"] >= 0
         assert report["flip_seconds"] < 0.5  # the flip is pointer swaps, not training
-        assert report["num_replicas"] == 2
-        assert stats["retired_replicas"] == 2
+        assert report["num_replicas"] == 1
+        assert stats["retired_replicas"] == 1
         assert len(stats["refits"]) == 1
         assert stats["refits"][0]["generation_to"] == 2
         # The old generation collapsed into counter snapshots — its models
         # are gone from the live set, but its work still counts fleet-wide.
         archived = replica_set.archived_stats()
-        assert len(archived) == 2
+        assert len(archived) == 1
         assert sum(snapshot["loop"]["served"] for snapshot in archived) == report[
             "retired_served"
         ]
-        assert len(stats["replicas"]) == 2  # live (new-generation) replicas only
+        assert len(stats["replicas"]) == 1  # the live (new-generation) member only
         assert stats["served"] >= report["retired_served"] + len(replica_contexts)
         assert stats["admission"]["admitted"] >= stats["served"]
 
+    def test_a_refit_builds_one_standby_member_and_archives_one(self, fresh_factory):
+        """In process a generation is one member: the refit calls the
+        planner and tenant factories once each, flips in one member and
+        archives the one it replaced."""
+        from repro.tenant import TenantRegistry
+
+        base_factory = fresh_factory()
+        calls = {"planner": 0, "tenants": 0}
+
+        def planner_factory():
+            calls["planner"] += 1
+            return base_factory()
+
+        def tenant_factory():
+            calls["tenants"] += 1
+            return TenantRegistry()
+
+        with ReplicaSet(planner_factory, tenant_factory=tenant_factory) as replica_set:
+            assert calls == {"planner": 1, "tenants": 1}
+            (old,) = replica_set.active_replicas()
+            report = replica_set.refit()
+            assert calls == {"planner": 2, "tenants": 2}
+            (new,) = replica_set.active_replicas()
+            assert (old.generation, new.generation) == (1, 2)
+            assert new.index != old.index
+            assert old.loop.queue.closed
+            stats = replica_set.stats()
+        assert report["num_replicas"] == stats["num_replicas"] == 1
+        assert stats["retired_replicas"] == 1
+        assert [snapshot["replica"]["index"] for snapshot in replica_set.archived_stats()] == [
+            old.index
+        ]
+
     def test_second_concurrent_refit_rejected(self, fresh_factory):
-        with ReplicaSet(fresh_factory(), num_replicas=1) as replica_set:
+        with ReplicaSet(fresh_factory()) as replica_set:
             coordinator = replica_set.refit_coordinator
             coordinator._refit_lock.acquire()  # simulate an in-progress refit
             try:
@@ -162,7 +194,7 @@ class TestRefitRace:
             assert not coordinator.refitting
 
     def test_refit_on_closed_set_rejected(self, fresh_factory):
-        replica_set = ReplicaSet(fresh_factory(), num_replicas=1)
+        replica_set = ReplicaSet(fresh_factory())
         replica_set.start()
         replica_set.close()
         with pytest.raises(ServingError, match="closed"):
@@ -171,7 +203,7 @@ class TestRefitRace:
     def test_successive_refits_keep_bumping_the_generation(
         self, fresh_factory, replica_contexts
     ):
-        with ReplicaSet(fresh_factory(), num_replicas=1) as replica_set:
+        with ReplicaSet(fresh_factory()) as replica_set:
             assert replica_set.fit_generation == 1
             replica_set.refit()
             replica_set.refit()
@@ -265,7 +297,7 @@ class TestCloseRefitRace:
                 replica_set_box["set"].close()
             return base_factory()
 
-        replica_set = ReplicaSet(closing_factory, num_replicas=1)
+        replica_set = ReplicaSet(closing_factory)
         replica_set_box["set"] = replica_set
         replica_set.start()
         before = _threading.active_count()
@@ -277,7 +309,7 @@ class TestCloseRefitRace:
         assert _threading.active_count() <= before
 
     def test_close_after_flip_covers_the_new_generation(self, fresh_factory):
-        replica_set = ReplicaSet(fresh_factory(), num_replicas=1)
+        replica_set = ReplicaSet(fresh_factory())
         replica_set.start()
         replica_set.refit()
         new_replicas = replica_set.active_replicas()

@@ -1,10 +1,10 @@
-"""End-to-end parity of replicated serving at a shared generation.
+"""End-to-end parity of the in-process fleet at one generation.
 
-Acceptance contract of the replication PR (mirror of ``tests/serve``'s
-suite for the async-serving rung): with every replica at one generation,
-:class:`~repro.replica.set.ReplicaSet` responses are bit-identical to
-single-replica (and therefore to sequential) serving — at 1, 2 and 3
-replicas, under either dispatch policy.  Replication changes *where* work happens, never what is answered.
+Mirror of ``tests/serve``'s suite: :class:`~repro.replica.set.ReplicaSet`
+— the fleet core over one member — answers bit-identically to sequential
+serving.  Dispatch, the fleet admission rule and the stats roll-up change
+*where* work happens, never what is answered.  Fan-out across members is
+the process fleet's, and its parity suite is ``tests/distributed``.
 """
 
 from __future__ import annotations
@@ -20,21 +20,10 @@ MAX_LENGTH = 5  # keep in sync with tests/replica/conftest.py
 
 
 class TestReplicaSetParity:
-    @pytest.mark.parametrize("num_replicas", [1, 2, 3])
     def test_lockstep_replay_bit_identical(
-        self, make_factory, replica_contexts, sequential_paths, num_replicas
+        self, make_factory, replica_contexts, sequential_paths
     ):
-        with ReplicaSet(make_factory(), num_replicas=num_replicas) as replica_set:
-            served = replay_lockstep(replica_set, replica_contexts, MAX_LENGTH)
-        assert served == sequential_paths
-
-    @pytest.mark.parametrize("num_replicas", [4, 9])
-    def test_parity_at_larger_fleets(
-        self, make_factory, replica_contexts, sequential_paths, num_replicas
-    ):
-        """Least-loaded routing rotates while replicas are cold: at 9
-        replicas every one of the 9 contexts may own a replica of its own."""
-        with ReplicaSet(make_factory(), num_replicas=num_replicas) as replica_set:
+        with ReplicaSet(make_factory()) as replica_set:
             served = replay_lockstep(replica_set, replica_contexts, MAX_LENGTH)
         assert served == sequential_paths
 
@@ -44,7 +33,7 @@ class TestReplicaSetParity:
             reference.plan_path(history, objective, user_index=user)
             for history, objective, user in replica_contexts
         ]
-        with ReplicaSet(make_factory(), num_replicas=2) as replica_set:
+        with ReplicaSet(make_factory()) as replica_set:
             futures = [
                 replica_set.enqueue(
                     ServeRequest.create("plan_paths", history, objective, user_index=user)
@@ -57,7 +46,7 @@ class TestReplicaSetParity:
         self, make_factory, replica_contexts
     ):
         reference = make_factory()()
-        with ReplicaSet(make_factory(), num_replicas=2) as replica_set:
+        with ReplicaSet(make_factory()) as replica_set:
             next_futures = [
                 replica_set.enqueue(
                     ServeRequest.create("next_step", history, objective, [], user_index=user)
@@ -85,8 +74,8 @@ class TestReplicaSetParity:
         self, make_factory, replica_contexts
     ):
         """Every answered request of one serving context names the same
-        replica — the invariant that makes replicated parity structural."""
-        with ReplicaSet(make_factory(), num_replicas=3) as replica_set:
+        member, and the dispatcher pins the session to it."""
+        with ReplicaSet(make_factory()) as replica_set:
             owners: "dict[int, set[int]]" = {}
             for _round in range(3):
                 futures = []
@@ -113,19 +102,16 @@ class TestReplicaSetParity:
     def test_stats_expose_fleet_and_per_replica_accounting(
         self, make_factory, replica_contexts
     ):
-        with ReplicaSet(make_factory(), num_replicas=2) as replica_set:
+        with ReplicaSet(make_factory()) as replica_set:
             replay_lockstep(replica_set, replica_contexts, MAX_LENGTH)
             stats = replica_set.stats()
-        assert stats["num_replicas"] == 2
+        assert stats["num_replicas"] == 1
         assert stats["generation"] == 1
         assert stats["served"] > 0
-        assert len(stats["replicas"]) == 2
-        # Per-replica admission scopes survive into the fleet aggregate.
+        assert len(stats["replicas"]) == 1
+        # The member's admission scope survives into the fleet aggregate.
         per_replica = stats["admission"]["per_replica"]
-        assert sorted(entry["scope"] for entry in per_replica) == [
-            "replica-0",
-            "replica-1",
-        ]
+        assert [entry["scope"] for entry in per_replica] == ["replica-0"]
         assert stats["admission"]["admitted"] == sum(
             entry["admitted"] for entry in per_replica
         )
@@ -133,7 +119,7 @@ class TestReplicaSetParity:
         assert stats["micro_batches"]["count"] >= 1
 
     def test_enqueue_after_close_raises(self, make_factory, replica_contexts):
-        replica_set = ReplicaSet(make_factory(), num_replicas=2)
+        replica_set = ReplicaSet(make_factory())
         replica_set.start()
         replica_set.close()
         history, objective, user = replica_contexts[0]
@@ -146,13 +132,16 @@ class TestReplicaSetParity:
         with pytest.raises(ConfigurationError, match="planner_factory"):
             ReplicaSet("not-a-factory")
         with pytest.raises(ConfigurationError, match="plan_for_requests"):
-            ReplicaSet(lambda: object(), num_replicas=1)
+            ReplicaSet(lambda: object())
 
-    def test_num_replicas_resolved_from_environment(self, make_factory, monkeypatch):
+    def test_the_replica_variable_does_not_fan_out_in_process(
+        self, make_factory, monkeypatch
+    ):
+        """``REPRO_REPLICAS`` is the process fleet's worker count."""
         monkeypatch.setenv("REPRO_REPLICAS", "3")
         replica_set = ReplicaSet(make_factory())
         try:
-            assert replica_set.num_replicas == 3
-            assert len(replica_set.active_replicas()) == 3
+            assert replica_set.num_replicas == 1
+            assert len(replica_set.active_replicas()) == 1
         finally:
             replica_set.close()

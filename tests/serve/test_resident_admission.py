@@ -72,11 +72,11 @@ def _uniform_tenants(make_planner, gate):
     return ServingLoop(planner, tenants=TenantRegistry.uniform(planner, 2))
 
 
-def _two_replicas(make_planner, gate):
-    return ReplicaSet(lambda: gate.guard(make_planner()), num_replicas=2)
+def _fleet(make_planner, gate):
+    return ReplicaSet(lambda: gate.guard(make_planner()))
 
 
-@pytest.mark.parametrize("build", [_plain_loop, _uniform_tenants, _two_replicas])
+@pytest.mark.parametrize("build", [_plain_loop, _uniform_tenants, _fleet])
 def test_resident_step_is_answered_while_a_replan_is_blocked(
     build, make_planner, serve_contexts
 ):

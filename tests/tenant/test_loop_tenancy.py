@@ -1,6 +1,8 @@
-"""The in-process multi-tenant surface: parity, isolation, refit opacity."""
+"""The in-process multi-tenant surface: parity, release order, refit opacity."""
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -8,7 +10,6 @@ from repro.replica.set import ReplicaSet
 from repro.serve import ServingLoop
 from repro.serve.api import NextStepRequest, PlanRequest
 from repro.tenant import TenantRegistry
-from repro.utils.exceptions import QueueFullError
 
 from tests.tenant.conftest import MAX_LENGTH, control_step
 
@@ -78,68 +79,21 @@ class TestKindParity:
         assert stats["tenants"]["irs"]["kinds"] == ["next_step", "plan_paths"]
 
 
-class TestCrossTenantIsolation:
-    def test_bounded_tenant_overflow_never_touches_its_neighbour(
-        self, make_planner, fitted_markov, tenant_contexts
-    ):
-        bound, attempts = 2, 6
-        registry = TenantRegistry()
-        registry.add("noisy", make_planner(), max_inflight=bound, admission_policy="reject")
-        registry.add("neighbour", fitted_markov)
-        loop = ServingLoop(None, tenants=registry)
-        history, objective, user = tenant_contexts[0]
-        futures, rejects = [], 0
-        # Not started: admitted envelopes hold their tenant's in-flight
-        # slots, so the bounded tenant overflows deterministically.
-        for _ in range(attempts):
-            try:
-                futures.append(
-                    loop.enqueue(
-                        NextStepRequest(
-                            history=history, objective=objective,
-                            user_index=user, tenant="noisy",
-                        ).to_envelope()
-                    )
-                )
-            except QueueFullError:
-                rejects += 1
-        for _ in range(attempts):
-            futures.append(
-                loop.enqueue(
-                    NextStepRequest(
-                        history=history, objective=objective,
-                        user_index=user, tenant="neighbour",
-                    ).to_envelope()
-                )
-            )
-        with loop:
-            for future in futures:
-                future.result()
-        stats = loop.stats()["tenants"]
-        assert rejects == attempts - bound
-        assert stats["noisy"]["served"] == bound
-        assert stats["noisy"]["admission"]["rejected"] == rejects
-        # The neighbour's full cohort served, zero rejects anywhere near it.
-        assert stats["neighbour"]["served"] == attempts
-        assert "admission" not in stats["neighbour"]
-
-
-    def test_inflight_slot_is_free_before_the_future_wakes_anyone(
+class TestReleaseBeforeWake:
+    def test_pending_entry_is_free_before_the_future_wakes_anyone(
         self, make_planner, tenant_contexts
     ):
         """``Future.set_result`` wakes waiters before it runs done-callbacks,
-        so a slot released in a done-callback could still be held when the
-        woken client submits its next step.  The slot (and the context's
-        pending-replan entry) is handed back BEFORE the future completes: a
-        callback registered ahead of ``enqueue`` — it runs before any the
-        loop could add — already reads 0 in flight, and the step it submits
-        under ``reject`` is admitted and answered at admission."""
+        so an entry released in a done-callback could still be held when the
+        woken client submits its next step.  The context's pending-replan
+        entry is handed back BEFORE the future completes: a callback
+        registered ahead of ``enqueue`` — it runs before any the loop could
+        add — already sees no pending replan, and the step it submits is
+        answered at admission."""
         from repro.serve.request import ServeRequest
 
         registry = TenantRegistry()
-        binding = registry.add(
-            "solo", make_planner(), max_inflight=1, admission_policy="reject"
-        )
+        registry.add("solo", make_planner())
         history, objective, user = tenant_contexts[0]
 
         def envelope():
@@ -151,29 +105,57 @@ class TestCrossTenantIsolation:
         with ServingLoop(None, tenants=registry) as loop:
 
             def on_done(_future):
-                inflight = binding.inflight
-                try:
-                    follow_up = loop.enqueue(envelope())
-                except QueueFullError as exc:
-                    seen.append((inflight, exc))
-                else:
-                    seen.append((inflight, follow_up.done()))
+                pending = dict(loop._pending)
+                seen.append((pending, loop.enqueue(envelope()).done()))
 
             first = envelope()  # a miss: queued, answered by the drain thread
             first.future.add_done_callback(on_done)
             loop.enqueue(first).result(timeout=10)
             stats = loop.stats()
-        assert seen == [(0, True)]
+        assert seen == [({}, True)]
         assert stats["resident"] == 1 and stats["served"] == 2
-        assert stats["tenants"]["solo"]["admission"]["rejected"] == 0
-        assert binding.inflight == 0 and loop._pending == {}
+        assert stats["tenants"]["solo"]["served"] == 2
+        assert loop._pending == {}
+
+
+class TestTenantDeadlines:
+    def test_expired_tenanted_requests_count_on_the_loops_controller(
+        self, zoo_registry, tenant_contexts
+    ):
+        """A tenanted request past its deadline is refused at admission, or
+        before its drained batch plans, and counted as ``expired`` on the
+        loop's one admission controller — a tenant has no scope of its own."""
+        from repro.serve.request import ServeRequest
+        from repro.utils.exceptions import DeadlineExceeded
+
+        history, objective, user = tenant_contexts[0]
+
+        def plan(deadline):
+            return ServeRequest.create(
+                "plan_paths", history, objective, user_index=user, tenant="irs",
+                deadline=deadline,
+            )
+
+        loop = ServingLoop(None, tenants=zoo_registry())  # not started: nothing drains
+        with pytest.raises(DeadlineExceeded):
+            loop.enqueue(plan(time.perf_counter() - 0.25))
+        queued = plan(time.perf_counter() + 0.3)
+        loop.enqueue(queued)
+        time.sleep(0.4)  # expires while it waits in the queue
+        loop.close()  # drains inline
+        with pytest.raises(DeadlineExceeded):
+            queued.future.result(timeout=10)
+        stats = loop.stats()
+        assert (stats["admission"]["expired"], stats["admission"]["rejected"]) == (2, 0)
+        assert stats["served"] == 0
+        assert "admission" not in stats["tenants"]["irs"]
 
 
 class TestRefitOpacity:
     def test_refit_is_invisible_to_a_static_tenant(
         self, make_planner, fitted_markov, tenant_contexts
     ):
-        """A fleet refit flips every replica's planner generation; a tenant
+        """A fleet refit flips the member's planner generation; a tenant
         bound to a static recommender keeps answering identically."""
 
         def tenant_factory() -> TenantRegistry:
@@ -185,9 +167,7 @@ class TestRefitOpacity:
         request = NextStepRequest(
             history=history, objective=objective, user_index=user, tenant="zoo"
         )
-        with ReplicaSet(
-            make_planner, num_replicas=2, tenant_factory=tenant_factory
-        ) as replica_set:
+        with ReplicaSet(make_planner, tenant_factory=tenant_factory) as replica_set:
             before = replica_set.serve(request).result()
             report = replica_set.refit()
             after = replica_set.serve(request).result()

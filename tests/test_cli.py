@@ -184,7 +184,7 @@ class TestServeSimSubcommand:
             main(["serve-sim", "--profile", "fast", "--admission-policy", "drop"])
 
     def test_env_defaults_apply_when_serve_flags_omitted(self, monkeypatch):
-        from repro.cli import _resolve_serve_args
+        from repro.cli import resolve_args
 
         monkeypatch.setenv("REPRO_ARRIVAL_RATE", "77")
         monkeypatch.setenv("REPRO_MAX_QUEUE_DEPTH", "9")
@@ -192,10 +192,17 @@ class TestServeSimSubcommand:
         monkeypatch.setenv("REPRO_DRAIN_DEADLINE", "0.01")
         monkeypatch.setenv("REPRO_SERVE_DURATION", "0.5")
         args = build_parser().parse_args(["serve-sim"])
-        serve = _resolve_serve_args(args)
-        assert serve == {
+        knobs = resolve_args(args, "serve-sim")
+        names = (
+            "arrival_rate",
+            "serve_duration",
+            "max_queue_depth",
+            "drain_deadline",
+            "admission_policy",
+        )
+        assert {name: knobs[name] for name in names} == {
             "arrival_rate": 77.0,
-            "duration": 0.5,
+            "serve_duration": 0.5,
             "max_queue_depth": 9,
             "drain_deadline": 0.01,
             "admission_policy": "reject",
@@ -237,9 +244,15 @@ class TestReplicationFlags:
         # A valid invocation still routes through main() unchanged.
         assert run(["table6", "--profile", "fast"]) == 0
 
-    def test_replicated_serve_sim_fast_profile(self, capsys, tmp_path):
+    def test_replicated_serve_sim_fast_profile(self, capsys, tmp_path, monkeypatch):
+        """The in-process fleet with a mid-trace refit: one member (an
+        ambient ``REPRO_REPLICAS`` is the process fleet's), no pause, and
+        the refit joined.  Whether answers at generation 2 fall inside this
+        short trace depends on training time; the CI contracts step's
+        two-second sim asserts both generations."""
         import json
 
+        monkeypatch.setenv("REPRO_REPLICAS", "2")
         output = tmp_path / "replica_report.json"
         code = main(
             [
@@ -249,9 +262,9 @@ class TestReplicationFlags:
                 "--arrival-rate",
                 "200",
                 "--duration",
-                "0.4",
-                "--replicas",
-                "2",
+                "0.6",
+                "--refit-at",
+                "0.1",
                 "--tenants",
                 "1",
                 "--output",
@@ -261,26 +274,29 @@ class TestReplicationFlags:
         assert code == 0
         out = capsys.readouterr().out
         assert "async serving sim" in out
-        assert "replicas: 2" in out
+        assert "replicas: 1" in out
         report = json.loads(output.read_text())
-        assert report["replication"]["num_replicas"] == 2
+        assert report["replication"]["num_replicas"] == 1
         assert report["replication"]["enabled"] is True
         assert report["errored_requests"] == 0
         assert report["no_pause"] is True
-        assert report["fit_generation"] == 1
-        assert set(report["dispatch"]["picks"]) == {"affinity", "least_loaded", "round_robin"}
-        assert set(report["generations_served"]) == {"1"}
+        assert report["fit_generation"] == 2
+        assert set(report["dispatch"]["picks"]) <= {"affinity", "least_loaded", "round_robin"}
+        assert report["generations_served"]["1"] > 0
+        assert set(report["generations_served"]) <= {"1", "2"}
 
     def test_env_defaults_apply_when_replica_flags_omitted(self, monkeypatch):
-        from repro.cli import _resolve_replica_args
+        from repro.cli import resolve_args
 
         monkeypatch.setenv("REPRO_REPLICAS", "3")
         monkeypatch.setenv("REPRO_REFIT_AT", "0.25")
+        monkeypatch.setenv("REPRO_SERVE_DURATION", "2")
         args = build_parser().parse_args(["serve-sim"])
-        replication = _resolve_replica_args(args, duration=2.0)
-        assert replication == {"num_replicas": 3, "refit_at": 0.25}
+        knobs = resolve_args(args, "serve-sim")
+        assert (knobs["num_replicas"], knobs["refit_at"]) == (3, 0.25)
+        monkeypatch.setenv("REPRO_SERVE_DURATION", "0.2")
         with pytest.raises(ConfigurationError, match="strictly inside"):
-            _resolve_replica_args(args, duration=0.2)
+            resolve_args(args, "serve-sim")
 
 
 class TestProfileResolution:

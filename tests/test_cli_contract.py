@@ -234,6 +234,34 @@ class TestServeSimModes:
         with pytest.raises(ConfigurationError, match=f"{flag}.*--transport process"):
             main(["serve-sim", "--profile", "fast", "--transport", "inproc", flag, "2"])
 
+    def test_replicas_is_refused_in_process_and_its_variable_ignored(
+        self, monkeypatch, capsys, no_training
+    ):
+        """The in-process fleet is one member: ``--replicas`` is the process
+        fleet's flag, and an ambient ``REPRO_REPLICAS`` never reaches it."""
+        import repro.replica
+        from repro.cli import run
+
+        argv = ["serve-sim", "--profile", "fast", "--tenants", "1"]
+        for transport in ([], ["--transport", "inproc"]):
+            with pytest.raises(ConfigurationError, match="--replicas.*--transport process"):
+                main(argv + transport + ["--replicas", "2"])
+        assert run(argv + ["--replicas", "2"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --replicas")
+
+        class Built(Exception):
+            pass
+
+        def recorder(planner_factory, **kwargs):
+            raise Built(kwargs)
+
+        monkeypatch.setattr(repro.replica, "ReplicaSet", recorder)
+        monkeypatch.setenv("REPRO_REPLICAS", "2")
+        with pytest.raises(Built) as excinfo:
+            main(argv + ["--transport", "inproc", "--refit-at", "0.5", "--duration", "2"])
+        assert "num_replicas" not in excinfo.value.args[0]
+
     def test_pinned_checks_come_first(self, no_training):
         argv = ["serve-sim", "--profile", "fast", "--tenants", "2", "--duration", "1"]
         with pytest.raises(ConfigurationError, match="strictly inside"):

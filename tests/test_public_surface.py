@@ -31,13 +31,14 @@ from repro.evaluation.protocol import IRSEvaluationProtocol
 from repro.experiments.config import ExperimentConfig
 from repro.nn.attention import MultiHeadAttention, scaled_dot_product_attention
 from repro.nn.inference import Program
+from repro.replica.refit import RefitCoordinator
 from repro.replica.set import ReplicaSet
 from repro.serve.api import PlanRequest
 from repro.serve.loop import ServingLoop
 from repro.serve.queue import RequestQueue
 from repro.shard.executor import ShardedExecutor
 from repro.shard.topk import stable_topk
-from repro.tenant import TenantRegistry
+from repro.tenant import TenantBinding, TenantRegistry
 from repro.tenant.adapters import KindAdapter
 from tests.stub_sessions import StubSessions
 
@@ -193,6 +194,13 @@ DELETED_ARGUMENTS = [
     (LayerKVCache, "growth"),
     (DecodingState, "growth"),
     (Program.project, "items"),
+    (ReplicaSet, "num_replicas"),
+    (TenantRegistry.add, "max_inflight"),
+    (TenantRegistry.add, "admission_policy"),
+    (TenantBinding, "max_inflight"),
+    (TenantBinding, "admission_policy"),
+    (RemoteReplicaSet.refit, "tenants"),
+    (RefitCoordinator.refit, "tenants"),
 ]
 
 
