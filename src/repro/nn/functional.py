@@ -2,7 +2,7 @@
 
 These functions mirror ``torch.nn.functional``: they build autograd graph
 nodes but hold no parameters.  Numerically sensitive operations (softmax,
-log-softmax, cross entropy) are implemented with the usual max-subtraction
+cross entropy) are implemented with the usual max-subtraction
 stabilisation.  With grad off every operation computes the same arrays
 and records no graph; :func:`linear` alone also skips its graph wrappers.
 """
@@ -15,9 +15,7 @@ from repro.nn.tensor import Tensor, is_grad_enabled
 
 __all__ = [
     "softmax",
-    "log_softmax",
     "cross_entropy",
-    "nll_loss",
     "gelu",
     "relu",
     "sigmoid",
@@ -59,12 +57,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
-    shifted = x - x.max(axis=axis, keepdims=True).detach()
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-
 def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
     """Return a one-hot ``float64`` matrix for integer ``indices``."""
     indices = np.asarray(indices, dtype=np.int64)
@@ -73,59 +65,72 @@ def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def nll_loss(
-    log_probs: Tensor,
-    targets: np.ndarray,
-    ignore_index: int | None = None,
-    reduction: str = "mean",
-) -> Tensor:
-    """Negative log-likelihood of integer ``targets`` under ``log_probs``.
-
-    ``log_probs`` has shape ``(..., num_classes)`` and ``targets`` the
-    corresponding leading shape.  Positions equal to ``ignore_index``
-    contribute zero loss and are excluded from the mean.
-    """
-    targets = np.asarray(targets, dtype=np.int64)
-    num_classes = log_probs.shape[-1]
-    flat_logp = log_probs.reshape(-1, num_classes)
-    flat_targets = targets.reshape(-1)
-
-    if ignore_index is not None:
-        valid = flat_targets != ignore_index
-    else:
-        valid = np.ones_like(flat_targets, dtype=bool)
-    # Replace ignored targets with 0 so the gather is well defined; their
-    # contribution is multiplied by zero below.
-    safe_targets = np.where(valid, flat_targets, 0)
-
-    rows = np.arange(flat_targets.shape[0])
-    picked = flat_logp[rows, safe_targets]
-    weights = Tensor(valid.astype(np.float64))
-    losses = -(picked * weights)
-
-    if reduction == "none":
-        return losses
-    if reduction == "sum":
-        return losses.sum()
-    if reduction == "mean":
-        count = max(int(valid.sum()), 1)
-        return losses.sum() * (1.0 / count)
-    raise ValueError(f"unknown reduction '{reduction}'")
-
-
 def cross_entropy(
     logits: Tensor,
     targets: np.ndarray,
     ignore_index: int | None = None,
     reduction: str = "mean",
 ) -> Tensor:
-    """Softmax cross entropy between ``logits`` and integer ``targets``."""
-    return nll_loss(
-        log_softmax(logits, axis=-1),
-        targets,
-        ignore_index=ignore_index,
-        reduction=reduction,
-    )
+    """Softmax cross entropy between ``logits`` and integer ``targets``, one graph node.
+
+    ``logits`` has shape ``(..., num_classes)`` and ``targets`` one entry per
+    leading position.  Positions whose target equals ``ignore_index`` add
+    zero loss and are left out of the mean; ``reduction="none"`` returns the
+    flat per-position losses, ``+0.0`` at the ignored ones.
+
+    The forward copies only the kept rows into one ``(kept, num_classes)``
+    buffer and turns it, in place, into ``exp(row - row max)``; the backward
+    writes ``(g / row sum) * exp`` for those rows and subtracts ``g`` at each
+    target, ``g`` being the gradient of the row's loss.  These are the
+    floating-point operations of ``nll_loss(log_softmax(logits))``, in its
+    order, so loss and gradient equal that composite's bit for bit — unless an
+    ignored row's logits are not finite, or its class 0 holds all of the
+    probability to double precision (the composite's ignored loss,
+    ``-(log_prob * 0.0)``, then reads NaN or -0.0).
+    """
+    if reduction not in ("mean", "sum", "none"):
+        raise ValueError(f"unknown reduction '{reduction}'")
+    num_classes = logits.shape[-1]
+    lead = logits.shape[:-1] or (1,)
+    flat_targets = np.asarray(targets, dtype=np.int64).reshape(-1)
+    if ignore_index is None:
+        kept = np.arange(flat_targets.size)
+    else:
+        kept = np.flatnonzero(flat_targets != ignore_index)
+    rows = np.unravel_index(kept, lead)
+    target = flat_targets[kept]
+    at_target = (np.arange(kept.size), target)
+
+    exp = logits.data.reshape(lead + (num_classes,))[rows]
+    exp -= exp.max(axis=1, keepdims=True)
+    shifted_target = exp[at_target]
+    np.exp(exp, out=exp)
+    sums = exp.sum(axis=1, keepdims=True)
+    losses = np.zeros(flat_targets.size)
+    losses[kept] = -(shifted_target - np.log(sums[:, 0]))
+    scale = 1.0 / max(kept.size, 1)
+    if reduction == "none":
+        value = losses
+    elif reduction == "sum":
+        value = losses.sum()
+    else:
+        value = losses.sum() * scale
+
+    def backward(grad: np.ndarray) -> None:
+        if reduction == "none":
+            upstream = grad.reshape(-1)[kept]
+        else:
+            upstream = np.broadcast_to(grad * scale if reduction == "mean" else grad, kept.shape)
+        coefficient = (upstream / sums[:, 0])[:, None]
+        rows_grad = exp * coefficient
+        if np.signbit(coefficient).any():
+            rows_grad += 0.0  # the composite added these to zeros, so -0.0 reads +0.0
+        rows_grad[at_target] -= upstream
+        full = np.zeros(lead + (num_classes,))
+        full[rows] = rows_grad
+        logits._accumulate(full.reshape(logits.shape))
+
+    return Tensor._make(value, (logits,), backward)
 
 
 def binary_cross_entropy_with_logits(

@@ -1,17 +1,21 @@
-"""The gradient bookkeeping the tensor engine trained with before it adopted gradients.
+"""The gradient bookkeeping and the loss the tensor engine trained with before.
 
 This is ``Tensor._accumulate`` and ``Tensor.__getitem__`` of
 ``repro.nn.tensor`` as they were before the engine stopped copying first
-gradients and scattering basic-index gradients with ``np.add.at`` —
-unchanged.  :func:`use_reference_engine` swaps them in for the engine's
-own, so everything else a fit runs (layers, losses, Adam, clipping) is the
-engine's and any difference in the trained weights is the bookkeeping's.
+gradients and scattering basic-index gradients with ``np.add.at``, and
+``log_softmax``, ``nll_loss`` and the composite ``cross_entropy`` of
+``repro.nn.functional`` as they were before cross entropy became one graph
+node — unchanged.  :func:`use_reference_engine` swaps them in for the
+engine's own, so everything else a fit runs (layers, Adam, clipping) is the
+engine's and any difference in the trained weights is the bookkeeping's or
+the loss's.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.nn import functional
 from repro.nn.tensor import Tensor, _unbroadcast
 
 
@@ -36,7 +40,69 @@ def __getitem__(self, index) -> "Tensor":
     return Tensor._make(data, (self,), backward)
 
 
+def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Numerically stable log-softmax along ``axis``."""
+    shifted = x - x.max(axis=axis, keepdims=True).detach()
+    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+
+
+def nll_loss(
+    log_probs: Tensor,
+    targets: np.ndarray,
+    ignore_index: int | None = None,
+    reduction: str = "mean",
+) -> Tensor:
+    """Negative log-likelihood of integer ``targets`` under ``log_probs``.
+
+    ``log_probs`` has shape ``(..., num_classes)`` and ``targets`` the
+    corresponding leading shape.  Positions equal to ``ignore_index``
+    contribute zero loss and are excluded from the mean.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    num_classes = log_probs.shape[-1]
+    flat_logp = log_probs.reshape(-1, num_classes)
+    flat_targets = targets.reshape(-1)
+
+    if ignore_index is not None:
+        valid = flat_targets != ignore_index
+    else:
+        valid = np.ones_like(flat_targets, dtype=bool)
+    # Replace ignored targets with 0 so the gather is well defined; their
+    # contribution is multiplied by zero below.
+    safe_targets = np.where(valid, flat_targets, 0)
+
+    rows = np.arange(flat_targets.shape[0])
+    picked = flat_logp[rows, safe_targets]
+    weights = Tensor(valid.astype(np.float64))
+    losses = -(picked * weights)
+
+    if reduction == "none":
+        return losses
+    if reduction == "sum":
+        return losses.sum()
+    if reduction == "mean":
+        count = max(int(valid.sum()), 1)
+        return losses.sum() * (1.0 / count)
+    raise ValueError(f"unknown reduction '{reduction}'")
+
+
+def cross_entropy(
+    logits: Tensor,
+    targets: np.ndarray,
+    ignore_index: int | None = None,
+    reduction: str = "mean",
+) -> Tensor:
+    """Softmax cross entropy between ``logits`` and integer ``targets``."""
+    return nll_loss(
+        log_softmax(logits, axis=-1),
+        targets,
+        ignore_index=ignore_index,
+        reduction=reduction,
+    )
+
+
 def use_reference_engine(monkeypatch) -> None:
-    """Train through the reference bookkeeping for the rest of the test."""
+    """Train through the reference bookkeeping and loss for the rest of the test."""
     monkeypatch.setattr(Tensor, "_accumulate", _accumulate)
     monkeypatch.setattr(Tensor, "__getitem__", __getitem__)
+    monkeypatch.setattr(functional, "cross_entropy", cross_entropy)

@@ -1,10 +1,12 @@
-"""The engine's gradient bookkeeping against the one it replaced, bit for bit.
+"""The engine's gradient bookkeeping and loss against the ones they replaced, bit for bit.
 
-A basic index scatters its gradient with ``full[index] += grad`` and a
-non-leaf tensor adopts its first gradient instead of copying it; both must
-train exactly what ``np.add.at`` and the defensive copy trained
-(``tests/nn/reference_engine.py``), and no two parameters may end up
-sharing a gradient buffer that ``clip_grad_norm`` would scale twice.
+A basic index scatters its gradient with ``full[index] += grad``, a
+non-leaf tensor adopts its first gradient instead of copying it, and
+``F.cross_entropy`` is one graph node; all three must train exactly what
+``np.add.at``, the defensive copy and the composite
+``nll_loss(log_softmax(·))`` trained (``tests/nn/reference_engine.py``), and
+no two parameters may end up sharing a gradient buffer that
+``clip_grad_norm`` would scale twice.
 """
 
 import itertools
@@ -13,11 +15,13 @@ import numpy as np
 import pytest
 
 from repro.data.batching import iterate_batches
+from repro.nn import functional as F
 from repro.nn.layers import Parameter
 from repro.nn.optim import clip_grad_norm
-from repro.nn.tensor import Tensor, _is_basic_index
+from repro.nn.tensor import Tensor, _is_basic_index, no_grad
 
 from tests.models.test_neural import FACTORIES
+from tests.nn import reference_engine
 from tests.nn.reference_engine import use_reference_engine
 
 SHAPE = (4, 5, 6)
@@ -82,6 +86,119 @@ class TestGradientBuffers:
         assert np.sqrt(np.sum(a.grad**2) + np.sum(b.grad**2)) == pytest.approx(1.0)
 
 
+#: ``(logits shape, index into the leaf)``: the index makes the strided
+#: ``logits[:, :-1, :]`` view IRN passes
+LAYOUTS = {
+    "2-D": ((7, 9), ()),
+    "3-D": ((3, 5, 9), ()),
+    "strided": ((3, 6, 9), (slice(None), slice(None, -1), slice(None))),
+}
+
+
+def _cross_entropy(loss, data, index, targets, upstream=None, **options):
+    """``(loss, gradient of the logits)`` of one ``loss`` call and its backward.
+
+    The gradient is the one the loss hands its input: the scatter back into
+    the leaf would turn a -0.0 into +0.0.
+    """
+    logits = Tensor(data, requires_grad=True)[index]
+    out = loss(logits, targets, **options)
+    out.backward(upstream)
+    return out.data, logits.grad
+
+
+def _upstreams(reduction: str, positions: int, rng) -> list:
+    """Backward seeds: the default one, and ones with negatives and both signed zeros."""
+    if reduction != "none":
+        return [None, np.array(-2.5)]
+    signed = rng.normal(size=positions)
+    signed[::4] = 0.0
+    signed[1::4] = -0.0
+    return [np.ones(positions), signed]
+
+
+class TestFusedCrossEntropy:
+    """``F.cross_entropy`` against the composite it replaced, loss and input gradient."""
+
+    def _assert_equal_to_the_composite(self, data, index, targets, **options):
+        rng = np.random.default_rng(1)
+        for upstream in _upstreams(options["reduction"], targets.size, rng):
+            loss, grad = _cross_entropy(F.cross_entropy, data, index, targets, upstream, **options)
+            expected_loss, expected_grad = _cross_entropy(
+                reference_engine.cross_entropy, data, index, targets, upstream, **options
+            )
+            assert _bits(loss) == _bits(expected_loss)
+            assert _bits(grad) == _bits(expected_grad)
+
+    @pytest.mark.parametrize("reduction", ["mean", "sum", "none"])
+    @pytest.mark.parametrize("ignore_index", [None, 0])
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_loss_and_gradient_equal_the_composite(self, layout, ignore_index, reduction):
+        shape, index = LAYOUTS[layout]
+        rng = np.random.default_rng(0)
+        data = rng.normal(scale=3.0, size=shape)
+        targets = rng.integers(0, shape[-1], size=data[index].shape[:-1])
+        targets.reshape(-1)[::3] = 0
+        self._assert_equal_to_the_composite(
+            data, index, targets, ignore_index=ignore_index, reduction=reduction
+        )
+
+    @pytest.mark.parametrize("reduction", ["mean", "sum", "none"])
+    def test_a_batch_with_every_target_ignored(self, reduction):
+        shape, index = LAYOUTS["strided"]
+        data = np.random.default_rng(2).normal(size=shape)
+        targets = np.zeros(data[index].shape[:-1], dtype=np.int64)
+        self._assert_equal_to_the_composite(
+            data, index, targets, ignore_index=0, reduction=reduction
+        )
+        loss, grad = _cross_entropy(F.cross_entropy, data, index, targets, ignore_index=0)
+        assert _bits(loss) == _bits(np.float64(0.0))
+        assert _bits(grad) == _bits(np.zeros(data[index].shape))
+
+    @pytest.mark.parametrize("reduction", ["mean", "sum", "none"])
+    def test_logits_near_1000(self, reduction):
+        # half the rows carry one logit 800 above the rest, so every other
+        # probability underflows to 0 and a negative seed writes -0.0 terms
+        shape, index = LAYOUTS["3-D"]
+        rng = np.random.default_rng(3)
+        data = rng.normal(size=shape) + 1000.0
+        data[1:, :, 4] += 800.0
+        targets = rng.integers(0, shape[-1], size=shape[:-1])
+        targets[0, ::2] = 0
+        self._assert_equal_to_the_composite(
+            data, index, targets, ignore_index=0, reduction=reduction
+        )
+
+    def test_ignored_positions_read_positive_zero(self):
+        shape, index = LAYOUTS["strided"]
+        data = np.random.default_rng(4).normal(size=shape)
+        targets = np.tile([0, 3, 0, 5, 1], (shape[0], 1))
+        losses = F.cross_entropy(Tensor(data)[index], targets, ignore_index=0, reduction="none")
+        ignored = losses.data[targets.reshape(-1) == 0]
+        assert ignored.size and not np.signbit(ignored).any()
+
+    @pytest.mark.parametrize("reduction", ["mean", "sum", "none"])
+    def test_the_no_grad_forward_equals_the_composite(self, reduction):
+        shape, index = LAYOUTS["strided"]
+        rng = np.random.default_rng(5)
+        data = rng.normal(size=shape)
+        targets = rng.integers(0, shape[-1], size=data[index].shape[:-1])
+        targets[:, 1] = 0
+        leaf = Tensor(data, requires_grad=True)
+        with no_grad():
+            loss = F.cross_entropy(leaf[index], targets, ignore_index=0, reduction=reduction)
+        expected = reference_engine.cross_entropy(
+            leaf[index], targets, ignore_index=0, reduction=reduction
+        )
+        assert not loss.requires_grad and loss._backward is None
+        assert _bits(loss.data) == _bits(expected.data)
+
+    def test_the_loss_is_one_graph_node_over_the_logits(self):
+        logits = Tensor(np.ones((2, 3, 4)), requires_grad=True) * 2.0
+        loss = F.cross_entropy(logits, np.array([[1, 0, 2], [3, 3, 0]]), ignore_index=0)
+        assert loss._parents == (logits,)
+
+
 def _history(model) -> list[tuple]:
     """``training_history`` without its wall-clock ``seconds``."""
     return [
@@ -92,6 +209,7 @@ def _history(model) -> list[tuple]:
 
 @pytest.mark.parametrize("name", list(FACTORIES))
 class TestTrainingParity:
+    # the reference trains through the copying bookkeeping and the composite loss
     def test_weights_and_losses_equal_the_reference_engine(self, name, tiny_split, monkeypatch):
         fitted = FACTORIES[name]().fit(tiny_split)
         use_reference_engine(monkeypatch)

@@ -5,7 +5,8 @@ attribute name (``SPAN_TABLE``); a rename in ``src/repro`` would break the
 traced benchmark run, not any test, so every row is resolved here the way
 the recorder's ``install()`` resolves it — and so is every name the
 benchmark modules import from ``repro``, and the one adapter shape they
-subclass.  Planning and serving run one
+subclass; so is every name a ``repro`` module lists in ``__all__``, which
+a deletion must take out of that list too.  Planning and serving run one
 partition: the constructors and entry points that once took a sharding knob
 refuse it as an unexpected argument.  ``nn/`` holds the training graph plus
 one compiled inference program: attention takes no ``fused=``, and no code
@@ -17,11 +18,13 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 import repro.core.beam as beam
 from repro.cache.kv import DecodingState, LayerKVCache
 from repro.core.beam import BeamSearchPlanner
@@ -256,3 +259,15 @@ def test_only_the_tensor_engine_and_linear_read_grad_mode():
     outside = {reader for reader in readers if reader[0] != "nn/tensor.py"}
     assert outside == {("nn/functional.py", "<module>"), ("nn/functional.py", "linear")}
     assert ("nn/tensor.py", "no_grad") in readers
+
+
+def test_every_name_in_every_all_resolves():
+    modules = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not info.name.endswith(".__main__")  # running it is the CLI
+    ]
+    listed = [(module, name) for module in modules for name in getattr(module, "__all__", ())]
+    assert len(listed) > 500
+    unresolved = [(module.__name__, name) for module, name in listed if not hasattr(module, name)]
+    assert unresolved == []
