@@ -8,9 +8,9 @@ dropped:
 
 * the paper artefacts (``table1`` … ``ext-quality``; ``all`` regenerates
   every table and figure, the ablations and extensions run individually);
-* ``serve-sim`` — open-loop Poisson traffic through the serving loop, the
-  in-process fleet or the forked-worker fleet; with ``--tenants 2`` the
-  two-tenant A/B harness instead;
+* ``serve-sim`` — open-loop Poisson traffic through the serving loop or
+  the forked-worker fleet; with ``--tenants 2`` the two-tenant A/B
+  harness instead;
 * ``trace`` / ``metrics`` — one short traced workload, dumped as spans or
   as the process metrics registry.
 
@@ -172,7 +172,7 @@ def _check_serve_sim(knobs: dict, given: set) -> None:
         (
             knobs["transport"] == "process",
             ("num_replicas", "heartbeat_interval", "heartbeat_misses", "probation_beats"),
-            "--transport process (the in-process fleet is one member, with no heartbeats)",
+            "--transport process (in process one serving loop answers, with no heartbeats)",
         ),
         (
             not ab,

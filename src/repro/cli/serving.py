@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from repro.cli.profiles import build_bench_split, machine_info, profile_config
 from repro.config import group_of
@@ -65,21 +66,16 @@ class _Workload:
         ).fit(self.split)
 
 
-def _build_front_end(planner_factory, knobs: dict, *, replicated, tracer=None, tenant_factory=None):
-    """The one place ``--transport`` / ``--refit-at`` pick a serving front-end.
+def _build_front_end(planner_factory, knobs: dict, *, tracer=None, tenant_factory=None):
+    """The one place ``--transport`` picks a serving front-end.
 
-    Not ``replicated``: a single :class:`~repro.serve.loop.ServingLoop` over
-    one ``planner_factory()`` planner.  Otherwise a fleet calling the
-    factory itself: the in-process fleet (one member, and one call per
-    refit), or under ``--transport process`` ``--replicas`` forked workers
-    and ONE call per generation — fork hands every worker its copy and
-    refits ship versioned artifacts.
+    In process: a :class:`~repro.serve.loop.ServingLoop` over one
+    ``planner_factory()`` planner (a refit calls the factory again).  Under
+    ``--transport process``: ``--replicas`` forked workers and ONE factory
+    call per generation — fork hands every worker its copy and refits ship
+    versioned artifacts.
     """
     kwargs = dict(group_of(knobs, "admission"), tracer=tracer)
-    if not replicated:
-        tenants = None if tenant_factory is None else tenant_factory()
-        return ServingLoop(planner_factory(), tenants=tenants, **kwargs)
-    kwargs["tenant_factory"] = tenant_factory
     transport = group_of(knobs, "transport")
     if transport.pop("transport") == "process":
         from repro.distributed import RemoteReplicaSet
@@ -88,11 +84,11 @@ def _build_front_end(planner_factory, knobs: dict, *, replicated, tracer=None, t
             f"spawning {knobs['num_replicas']} worker process(es) over the binary transport...",
             file=sys.stderr,
         )
-        return RemoteReplicaSet(planner_factory, **kwargs, **transport)
-    from repro.replica import ReplicaSet
-
-    print("training the replica backbone...", file=sys.stderr)
-    return ReplicaSet(planner_factory, **kwargs)
+        return RemoteReplicaSet(
+            planner_factory, tenant_factory=tenant_factory, **kwargs, **transport
+        )
+    tenants = None if tenant_factory is None else tenant_factory()
+    return ServingLoop(planner_factory(), tenants=tenants, **kwargs)
 
 
 def _dump(payload: str, path: "str | None", what: str) -> None:
@@ -159,9 +155,7 @@ def _run_ab(args: argparse.Namespace, knobs: dict) -> int:
         return registry
 
     replicated = knobs["transport"] == "process"
-    front_end = _build_front_end(
-        make_planner, knobs, replicated=replicated, tenant_factory=tenant_factory
-    )
+    front_end = _build_front_end(make_planner, knobs, tenant_factory=tenant_factory)
     with front_end:
         ab_report = run_ab(
             front_end,
@@ -207,9 +201,9 @@ def _run_ab(args: argparse.Namespace, knobs: dict) -> int:
 def run_serve_sim(args: argparse.Namespace, knobs: dict) -> int:
     """Synthetic open-loop Poisson traffic through a serving front-end.
 
-    A :class:`~repro.serve.loop.ServingLoop` over one beam planner; with
-    ``--refit-at`` or ``--transport process`` a fleet instead (the refit
-    trains a fresh backbone off-path and flips the generation mid-trace).  Prints
+    A :class:`~repro.serve.loop.ServingLoop` over one beam planner, or under
+    ``--transport process`` a fleet of worker processes; ``--refit-at``
+    trains a fresh backbone off-path and flips the generation mid-trace.  Prints
     the latency/throughput/queue report and writes it as JSON to
     ``--output``.
     """
@@ -222,7 +216,7 @@ def run_serve_sim(args: argparse.Namespace, knobs: dict) -> int:
     workload = _Workload(args, knobs)
     transport = knobs["transport"]
     replicated = knobs["refit_at"] is not None or transport == "process"
-    front_end = _build_front_end(workload.planner, knobs, replicated=replicated, tracer=tracer)
+    front_end = _build_front_end(workload.planner, knobs, tracer=tracer)
     traffic = dict(
         arrival_rate=knobs["arrival_rate"],
         duration=knobs["serve_duration"],
@@ -233,8 +227,13 @@ def run_serve_sim(args: argparse.Namespace, knobs: dict) -> int:
         if replicated:
             from repro.replica import run_replicated_open_loop
 
+            refit = None
+            if knobs["refit_at"] is not None:
+                refit = front_end.refit
+                if transport != "process":
+                    refit = partial(front_end.refit, workload.planner)
             report = run_replicated_open_loop(
-                front_end, workload.contexts, refit_at=knobs["refit_at"], **traffic
+                front_end, workload.contexts, refit_at=knobs["refit_at"], refit=refit, **traffic
             )
         else:
             report = run_open_loop(front_end, workload.contexts, **traffic)
@@ -264,9 +263,9 @@ def run_serve_sim(args: argparse.Namespace, knobs: dict) -> int:
         f"{report['resident']} answered at admission from a resident plan"
     )
     if replicated:
+        picks = f"picks {report['dispatch']['picks']}, " if "dispatch" in report else ""
         print(
-            f"replicas: {front_end.num_replicas}, "
-            f"picks {report['dispatch']['picks']}, generations served "
+            f"replicas: {getattr(front_end, 'num_replicas', 1)}, {picks}generations served "
             f"{report['generations_served']}, no pause: {report['no_pause']}"
         )
     if "refit" in report:

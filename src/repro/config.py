@@ -22,8 +22,8 @@ takes them by: ``evaluation`` is ``ExperimentConfig``'s (``num_workers``
 threads the offline evaluation protocol — the one parallel path — and is
 CLI-only), ``admission`` the serving loop's and both fleets', and
 ``transport`` is the fleet selector plus the worker count and
-failure-detector arguments of the fleet it selects (the in-process fleet
-is one member and takes none of them).
+failure-detector arguments of the fleet it selects (the in-process
+front-end is one serving loop and takes none of them).
 
 Not in the table, because its owner sits below this module:
 ``REPRO_LOG_LEVEL`` (:mod:`repro.utils.logging`).

@@ -451,18 +451,20 @@ class BeamSearchPlanner(InfluentialRecommender):
     def pin_generation(self, serving_generation: "int | None" = None) -> "int | None":
         """Freeze this planner to the backbone's current ``fit_generation``.
 
-        The replicated-serving contract (:mod:`repro.replica`): a replica's
-        backbone is immutable — a refit trains a *fresh* replica off-path and
-        flips queues to it, it never retrains a serving backbone in place.
+        The hot-refit contract (:meth:`ServingLoop.refit
+        <repro.serve.loop.ServingLoop.refit>`, the process fleet's
+        ``refit``): a serving backbone is immutable — a refit trains a
+        *fresh* planner off-path and flips to it, it never retrains a
+        serving backbone in place.
         After pinning, any observed ``fit_generation`` change raises
         :class:`~repro.utils.exceptions.StaleGenerationError` instead of
         silently invalidating caches, so a protocol violation surfaces at the
         first request rather than as mixed-generation answers.
 
         ``serving_generation`` is the externally visible generation tag
-        (the replica set's monotonic generation — backbone ``fit_generation``
-        counters restart at 1 for every freshly trained replica, so they
-        cannot distinguish generations across replicas); it defaults to the
+        (the serving loop's or fleet's monotonic generation — backbone
+        ``fit_generation`` counters restart at 1 for every freshly trained
+        model, so they cannot distinguish generations across refits); it defaults to the
         pinned backbone generation.  Returns the pinned backbone generation
         (``None`` when the backbone exposes no ``fit_generation``, in which
         case only the tag is set and no enforcement happens).

@@ -1,20 +1,18 @@
 """Multi-process serving: forked replica workers behind a binary wire protocol.
 
-The package puts the members of a :class:`~repro.replica.set.ReplicaSet`
-in separate OS processes.  The fleet itself — lifecycle, generation
-double-buffer, dispatch loop, admission, ``stats()`` and the refit
-skeleton — is the in-process one, inherited; this package holds only what
-the process boundary needs:
+The package is the serving fleet: N worker processes behind one parent
+that dispatches, admits, refits and reports for all of them:
 
 * :mod:`repro.distributed.wire` — length-prefixed binary codec for request/
   response/heartbeat frames (struct-packed hot path, JSON control plane).
 * :mod:`repro.distributed.worker` — the forked worker process: a full
   :class:`~repro.serve.loop.ServingLoop` behind an ``AF_UNIX`` socketpair.
 * :mod:`repro.distributed.remote` — the parent side:
-  :class:`RemoteReplicaSet` (spawn/HELLO, the per-worker reader, pending
-  tables, the failure detector and zero-drop re-dispatch, tenant
-  placement, artifact installs) and :class:`RemoteReplica`, the member
-  verbs over the wire.
+  :class:`RemoteReplicaSet` (lifecycle, the generation double-buffer and
+  hot refit, spawn/HELLO, the per-worker reader, pending tables, the
+  failure detector and zero-drop re-dispatch, tenant placement, artifact
+  installs, the ``stats()`` roll-up) and :class:`RemoteReplica`, one
+  worker's handle.
 * :mod:`repro.distributed.artifacts` — the ``(name, generation)``-versioned
   artifact registry refits publish to and workers install from.
 

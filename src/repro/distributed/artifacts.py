@@ -14,7 +14,7 @@ way):
   ``retrieval_key()``.
 
 The :class:`ArtifactRegistry` keys artifacts by ``(name, generation)``
-where ``generation`` is the replica set's monotonic serving generation —
+where ``generation`` is the fleet's monotonic serving generation —
 the same counter the dispatcher flip bumps — so a rolling deploy can ask
 "what exactly does generation N serve?" and get byte-addressed,
 checksummed answers.  Workers verify the sha256 before installing and echo

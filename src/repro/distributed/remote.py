@@ -1,27 +1,24 @@
-"""Multi-process replica serving: the ``ReplicaSet`` fleet over a process boundary.
+"""Multi-process replica serving: the fleet of forked workers.
 
-:class:`RemoteReplicaSet` IS a :class:`~repro.replica.set.ReplicaSet` —
-lifecycle, the generation double-buffer, the dispatch loop, fleet
-admission, the ``stats()`` roll-up and the refit skeleton
-(:class:`~repro.replica.refit.RefitCoordinator`) are inherited, so every
-traffic driver — ``replay_lockstep``, ``run_open_loop``,
-``run_replicated_open_loop`` — runs against it unchanged.  What this
-module adds is only what the process boundary needs: each member is a
+:class:`RemoteReplicaSet` is the one fleet: lifecycle, the generation
+double-buffer a refit flips, the pick → send → undo-and-re-pick dispatch
+loop, fleet admission and the ``stats()`` roll-up are its own, and it
+speaks the :class:`~repro.serve.loop.ServingLoop` surface, so every traffic
+driver — ``replay_lockstep``, ``run_open_loop``,
+``run_replicated_open_loop`` — runs against it unchanged.  Each member is a
 forked :class:`~repro.distributed.worker.ReplicaWorker` *process* (its own
 GIL, plan caches and K/V arenas) reached over an ``AF_UNIX``
 socketpair speaking the :mod:`repro.distributed.wire` protocol, seen from
-the parent as a :class:`RemoteReplica` (the member verbs of
-:class:`~repro.replica.replica.Replica` over the wire).
+the parent as a :class:`RemoteReplica`.
 
-What replaces the shared-memory signals of the in-process set:
+What the parent knows of its workers:
 
-* **Heartbeat-fed dispatch** — the existing
-  :class:`~repro.replica.dispatch.Dispatcher` is reused verbatim;
-  :class:`RemoteReplica` duck-types the replica scoring surface
-  (``healthy`` / ``cold()`` / ``score()``) from the latest HEARTBEAT
-  frame's EWMA in-flight depth and recent p95 instead of locking shared
-  counters.
-* **A real failure detector** — ``healthy`` is now a verdict, not a flag:
+* **Heartbeat-fed dispatch** — the
+  :class:`~repro.replica.dispatch.Dispatcher` scores each
+  :class:`RemoteReplica` (``healthy`` / ``cold()`` / ``score()``) from the
+  latest HEARTBEAT frame's EWMA in-flight depth and recent p95, which the
+  worker's :class:`~repro.replica.replica.Replica` keeps.
+* **A real failure detector** — ``healthy`` is a verdict, not a flag:
   a worker that misses ``heartbeat_misses`` consecutive heartbeat
   intervals (hung, stopped, or livelocked) is *suspected* and leaves the
   dispatch pool; a worker whose socket hits EOF (killed, crashed) is
@@ -36,8 +33,9 @@ What replaces the shared-memory signals of the in-process set:
   :class:`ArtifactRegistry` keyed by ``(name, generation)``, forks standby
   workers, and ships and verifies the artifacts over INSTALL_ARTIFACT
   frames (checksummed; the wire copy is authoritatively loaded into each
-  standby's backbone); the shared coordinator then performs the same
-  atomic dispatcher flip and zero-drop drain-dry retirement as in-process.
+  standby's backbone); :meth:`RemoteReplicaSet.refit` then flips the
+  dispatchers atomically and retires the old workers drain-dry, zero
+  admitted requests dropped.
 * **A parent-side mirror of each worker's plans** — a step served from an
   existing plan is the commonest op (a path is followed one ``next_step`` at
   a time), and it must not pay two process-boundary crossings.  A worker
@@ -83,7 +81,7 @@ What replaces the shared-memory signals of the in-process set:
   suspected or retiring worker leaves dispatch and takes its mirror with
   it; tenant placement, untenanted requests (the worker's tenant
   assignment is a pure function of the same routing key) and session
-  affinity need nothing new — the fleet's ``_admit`` and
+  affinity need nothing new — the fleet's admission and
   :meth:`Dispatcher.pick <repro.replica.dispatch.Dispatcher.pick>` run
   before ``accept`` as they always did.
 
@@ -95,9 +93,9 @@ owning worker on the worker's clock and cross the wire as durations only.
 
 Exactness contract: with every worker at one shared generation (the
 deterministic factory + the artifact registry), responses are
-bit-identical to the in-process ``ReplicaSet`` for the same request trace
-at any worker count — the parity suite in ``tests/distributed`` mirrors
-``tests/replica``'s.
+bit-identical to a :class:`~repro.serve.loop.ServingLoop` over the same
+planner for the same request trace at any worker count — the parity suite
+in ``tests/distributed``.
 """
 
 from __future__ import annotations
@@ -125,11 +123,13 @@ from repro.obs.registry import MetricGroup, get_registry
 from repro.obs.trace import NULL_TRACER
 from repro.replica.dispatch import Dispatcher
 from repro.replica.replica import LATENCY_WEIGHT, MIN_WARM_SAMPLES
-from repro.replica.set import ReplicaSet
-from repro.serve.api import Response
+from repro.serve.admission import ADMISSION_COUNTERS, AdmissionController
+from repro.serve.api import Response, TypedServingSurface
+from repro.serve.queue import rollup_queue_stats
 from repro.serve.request import ServeRequest
+from repro.tenant.adapters import PlannerAdapter
 from repro.tenant.registry import assign_tenant
-from repro.utils.exceptions import ConfigurationError, ServingError
+from repro.utils.exceptions import ConfigurationError, QueueFullError, ServingError
 
 __all__ = ["RemoteReplica", "RemoteReplicaSet"]
 
@@ -140,6 +140,9 @@ logger = logging.getLogger(__name__)
 STATS_TIMEOUT = 5.0
 #: Seconds to wait for an artifact-install ACK during a refit.
 ARTIFACT_TIMEOUT = 60.0
+#: Seconds a retirement (refit or close) waits for its workers to drain
+#: before the leftovers are handed back to the caller.
+DRAIN_TIMEOUT = 30.0
 
 #: Batch tags of steps answered in the parent — process-wide like the
 #: loops' own, from a range no worker's drain reaches (those count up from 1
@@ -160,13 +163,14 @@ class RemoteReplica:
     """Parent-side view of one worker: pending table, plan mirror and
     heartbeat signals.
 
-    Implements the :class:`~repro.replica.replica.Replica` surface the
-    fleet core drives and the :class:`~repro.replica.dispatch.Dispatcher`
-    scores and routes by — fed by HEARTBEAT frames instead of
-    shared-memory counters.  ``metrics`` is the owning set's transport
-    counter group (``requests_sent`` / ``bytes_sent`` are counted where the
-    bytes are written, ``parent_answered`` where a step is answered from
-    the mirror) and ``tracer`` its tracer.  :meth:`accept` is the only place
+    The member surface :class:`RemoteReplicaSet` drives (``accept`` /
+    ``loop_stats`` / ``begin_retire`` / ``retire`` beside the pending
+    table) and the one the :class:`~repro.replica.dispatch.Dispatcher`
+    scores and routes by, fed by HEARTBEAT frames.  ``metrics`` is the
+    owning set's transport counter group (``requests_sent`` /
+    ``bytes_sent`` are counted where the bytes are written,
+    ``parent_answered`` where a step is answered from the mirror) and
+    ``tracer`` its tracer.  :meth:`accept` is the only place
     the mirror is read, :meth:`unregister` (and the wholesale clear in
     :meth:`drain_pending`) the only place it is written.
     """
@@ -251,15 +255,12 @@ class RemoteReplica:
         with self._lock:
             self._completed += 1
 
-    # ----------------------------- member verbs ------------------------ #
+    # ----------------------------- fleet verbs ------------------------- #
     @property
     def planner(self) -> _PlannerProxy:
         """Driver-facing planner attributes, served from the worker's HELLO
         (the planner object itself lives in the worker process)."""
         return _PlannerProxy(self.hello)
-
-    def start(self) -> None:
-        """No-op: a worker's drain threads are live from the fork."""
 
     def accept(self, request: ServeRequest) -> None:
         """Answer a ``next_step`` the mirror covers on this thread; ship
@@ -569,30 +570,53 @@ class RemoteReplica:
         return snapshot
 
 
-class RemoteReplicaSet(ReplicaSet):
-    """N worker *processes* as the members of a ``ReplicaSet``.
+class RemoteReplicaSet(TypedServingSurface):
+    """N worker *processes* behind one dispatcher, refitted hot.
 
-    Parameters mirror :class:`~repro.replica.set.ReplicaSet` plus
-    ``num_replicas`` (the worker count; ``None`` reads ``REPRO_REPLICAS``
-    and defaults to 1) and the transport knobs (``heartbeat_interval`` /
-    ``heartbeat_misses`` / ``probation_beats``, each with a ``REPRO_*``
-    environment default).
-    ``planner_factory`` is called ONCE per deployed generation — the fork's
-    copy-on-write pages hand every worker its own copy, and a refit ships
-    the next generation's fitted state through the artifact registry
-    instead of retraining per worker (the distributed deployment model:
-    one versioned artifact, N installs).
+    Drop-in for the :class:`~repro.serve.loop.ServingLoop` surface
+    (``serve`` / ``enqueue`` / ``stats`` / context manager), so every
+    traffic driver in :mod:`repro.serve.driver` runs against it unchanged.
 
-    Multi-tenant fleets add two knobs.  ``tenant_factory`` (zero-arg, runs
-    *inside each forked child* after its fresh metrics registry) gives
-    every worker its own :class:`~repro.tenant.registry.TenantRegistry`.
-    ``tenant_placement`` maps tenant id -> fleet *slots* (0..N-1; slots
-    survive refits, worker indices do not): a tenant's requests dispatch
-    only to its slots' workers — the process boundary becomes the tenant
-    isolation boundary.  Unplaced tenants (and untenanted requests) use
-    the whole fleet.  A refit installs the next generation on every
-    standby worker.
+    Parameters
+    ----------
+    planner_factory:
+        Zero-arg callable returning a *fresh, fitted* planner (anything with
+        ``plan_for_requests``; in practice a
+        :class:`~repro.core.beam.BeamSearchPlanner`).  Called ONCE per
+        deployed generation — the fork's copy-on-write pages hand every
+        worker its own copy, and a refit ships the next generation's fitted
+        state through the artifact registry instead of retraining per worker
+        (one versioned artifact, N installs).  It must be deterministic for
+        a refit to keep answers exact.
+    num_replicas:
+        The worker count; ``None`` reads ``REPRO_REPLICAS`` (default 1).
+    max_queue_depth / admission_policy / drain_deadline:
+        Forwarded to every worker's :class:`~repro.serve.loop.ServingLoop`
+        (each gets its own queue and admission controller, labelled
+        ``worker-<index>``).
+    tracer:
+        Optional :class:`~repro.obs.trace.Tracer` for the parent's spans;
+        ``None`` leaves tracing off (the zero-cost default).
+    heartbeat_interval / heartbeat_misses / probation_beats:
+        The failure detector's knobs, each with a ``REPRO_*`` default.
+    tenant_factory:
+        Optional zero-arg callable returning a *fresh*
+        :class:`~repro.tenant.registry.TenantRegistry`; it runs *inside each
+        forked child* after its fresh metrics registry, so every worker gets
+        its own (and a refit's standby workers theirs).
+    tenant_placement:
+        Tenant id -> fleet *slots* (0..N-1; slots survive refits, worker
+        indices do not): a tenant's requests dispatch only to its slots'
+        workers — the process boundary becomes the tenant isolation
+        boundary.  Unplaced tenants (and untenanted requests) use the whole
+        fleet.
     """
+
+    #: Dispatch retries across a concurrent generation flip (or a worker
+    #: failing under the dispatcher): an enqueue can race the retirement of
+    #: the worker it picked; re-picking from the post-flip active list
+    #: always succeeds unless the set itself closed.
+    _MAX_DISPATCH_ATTEMPTS = 8
 
     def __init__(
         self,
@@ -611,18 +635,43 @@ class RemoteReplicaSet(ReplicaSet):
         if not CAN_FORK:
             raise ConfigurationError(
                 "the process transport needs the 'fork' start method (fitted "
-                "planners are shipped to workers by copy-on-write); use the "
-                "in-process ReplicaSet on this platform"
+                "planners are shipped to workers by copy-on-write); use "
+                "ServingLoop on this platform"
             )
+        if not callable(planner_factory):
+            raise ConfigurationError(
+                f"{type(self).__name__} needs a zero-arg planner_factory returning "
+                "a fitted planner"
+            )
+        if tenant_factory is not None and not callable(tenant_factory):
+            raise ConfigurationError(
+                "tenant_factory must be a zero-arg callable returning a "
+                "TenantRegistry (one fresh set of tenant models per worker)"
+            )
+        self._factory = planner_factory
+        self._tenant_factory = tenant_factory
         self.num_replicas = resolve_num_replicas(num_replicas)
         self.tenant_placement = _validate_placement(tenant_placement, self.num_replicas)
-        #: Per-tenant dispatchers over the tenant's placed slots; rebuilt on
-        #: every fleet change (first deploy, flip).  Tenants without
-        #: placement are absent and fall through to the fleet dispatcher.
-        self._tenant_dispatchers: "dict[str, Dispatcher]" = {}
         self.heartbeat_interval = resolve_heartbeat_interval(heartbeat_interval)
         self.heartbeat_misses = resolve_heartbeat_misses(heartbeat_misses)
         self.probation_beats = resolve_probation_beats(probation_beats)
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self._loop_kwargs = dict(
+            max_queue_depth=max_queue_depth,
+            admission_policy=admission_policy,
+            drain_deadline=drain_deadline,
+        )
+        #: The fleet's own admission controller.  It resolves (and
+        #: validates) the knobs every worker loop resolves again from the
+        #: same arguments, answers ``describe()`` for the traffic drivers,
+        #: and counts the refusals the fleet makes before any worker is
+        #: picked (expired deadlines) — ``stats()["admission"]`` sums it
+        #: with the workers' controllers.
+        self.admission = AdmissionController(
+            max_queue_depth=max_queue_depth,
+            policy=admission_policy,
+            drain_deadline=drain_deadline,
+        )
         self.registry = ArtifactRegistry()
         registry = get_registry()
         self._metrics = MetricGroup(
@@ -642,17 +691,35 @@ class RemoteReplicaSet(ReplicaSet):
                 "bytes_sent",
             ),
         )
-        # The base constructor deploys generation 1 through
-        # _build_generation below: everything it touches (num_replicas
-        # included) is set above.
-        super().__init__(
-            planner_factory,
-            max_queue_depth=max_queue_depth,
-            admission_policy=admission_policy,
-            drain_deadline=drain_deadline,
-            tracer=tracer,
-            tenant_factory=tenant_factory,
-        )
+        #: Guards the generation double-buffer: the active workers, the
+        #: retiring ones, the archive and the dispatchers over them.
+        self._flip_lock = threading.Lock()
+        self._state_lock = threading.Lock()
+        self._closed = False
+        self._refit_lock = threading.Lock()
+        self._refits: "list[dict]" = []
+        #: Worker indices, unique across generations (builds never overlap:
+        #: the constructor, then one refit at a time).
+        self._member_indices = itertools.count()
+        self._generation = 1
+        self._active: "list[RemoteReplica]" = []
+        #: Workers flipped out but not yet archived (a refit is still
+        #: draining them); once drained dry they collapse into counter
+        #: snapshots in :attr:`_retired_stats`, so a long-lived set doing
+        #: periodic refits never retains old generations' handles.
+        self._retired: "list[RemoteReplica]" = []
+        self._retired_stats: "list[dict]" = []
+        self.dispatcher = Dispatcher([])
+        #: Per-tenant dispatchers over the tenant's placed slots; rebuilt on
+        #: every flip.  Tenants without placement are absent and fall
+        #: through to the fleet dispatcher.
+        self._tenant_dispatchers: "dict[str, Dispatcher]" = {}
+        # Everything above exists BEFORE the first worker is spawned: a
+        # worker may report back (dying at start-up) immediately.
+        members, _ = self._build_generation(self._generation)
+        with self._flip_lock:
+            self._active = members
+            self._reset_dispatch(members)
         self._detector_stop = threading.Event()
         self._detector = threading.Thread(
             target=self._failure_detector, name="repro-failure-detector", daemon=True
@@ -664,14 +731,16 @@ class RemoteReplicaSet(ReplicaSet):
     # ------------------------------------------------------------------ #
     def _build_generation(self, generation: int) -> "tuple[list[RemoteReplica], dict]":
         """Train ``generation`` once in the parent, version its artifacts,
-        fork one standby worker per slot and install the artifacts on them.
+        fork one standby worker per slot and install the artifacts on them:
+        ``(workers, refit-report extras)``, ready to be flipped in.
 
         Generation 1 reaches its workers by fork alone; every later one is
         also installed from the registry over the wire on every standby
         worker, checksummed — the wire copy is authoritative.  Any failure
         shuts down every worker spawned so far.
         """
-        planner = self._make_planner()
+        planner = self._factory()
+        PlannerAdapter(planner)  # refuses a factory that returns no planner
         artifacts = artifacts_from_planner(planner, generation)
         for artifact in artifacts:
             self.registry.publish(artifact)
@@ -749,12 +818,88 @@ class RemoteReplicaSet(ReplicaSet):
             )
 
     # ------------------------------------------------------------------ #
-    # Tenant placement
+    # Lifecycle
     # ------------------------------------------------------------------ #
+    def start(self) -> "RemoteReplicaSet":
+        """Workers serve from the fork; refuses a closed set."""
+        if self.closed:
+            raise ServingError("cannot restart a closed replica set")
+        return self
+
+    def close(self) -> None:
+        """Graceful fleet shutdown: every worker drains dry, its process and
+        reader thread are joined, the failure detector stops.
+
+        Idempotent; accepted futures always resolve — a worker that fails
+        to drain has its leftovers failed with ``ServingError`` (there is
+        no survivor pool to re-dispatch to during close)."""
+        self._detector_stop.set()
+        with self._state_lock:
+            if self._closed:
+                return
+            self._closed = True
+        for request in self._retire(self.all_replicas()):
+            if not request.future.done():
+                request.fail(
+                    ServingError(
+                        f"replica {request.replica_index} failed to drain this "
+                        "request before the replica set closed"
+                    )
+                )
+        self._detector.join(timeout=5.0)
+
+    def __enter__(self) -> "RemoteReplicaSet":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    @property
+    def closed(self) -> bool:
+        with self._state_lock:
+            return self._closed
+
+    def _retire(self, members: "list[RemoteReplica]") -> "list[ServeRequest]":
+        """Take ``members`` out of service: all stop admitting first, then
+        each drains dry.  Returns the requests they failed to answer."""
+        for member in members:
+            member.begin_retire()
+        deadline = time.perf_counter() + DRAIN_TIMEOUT
+        leftovers: "list[ServeRequest]" = []
+        for member in members:
+            leftovers.extend(member.retire(deadline))
+        return leftovers
+
+    # ------------------------------------------------------------------ #
+    # Generation bookkeeping (the double-buffer a refit flips)
+    # ------------------------------------------------------------------ #
+    @property
+    def fit_generation(self) -> int:
+        """The generation new arrivals are served at (bumped by every flip)."""
+        with self._flip_lock:
+            return self._generation
+
+    def active_replicas(self) -> "list[RemoteReplica]":
+        with self._flip_lock:
+            return list(self._active)
+
+    def all_replicas(self) -> "list[RemoteReplica]":
+        """Active workers plus any flipped-out ones still draining (the
+        archived generations live on as counter snapshots, see
+        :meth:`archived_stats`)."""
+        with self._flip_lock:
+            return list(self._active) + list(self._retired)
+
+    def archived_stats(self) -> "list[dict]":
+        """Final counter snapshots of fully retired generations."""
+        with self._flip_lock:
+            return [dict(archived) for archived in self._retired_stats]
+
     def _reset_dispatch(self, members: "list[RemoteReplica]") -> None:
-        """Fleet dispatcher plus one dispatcher per placed tenant, over its
-        slots' workers."""
-        super()._reset_dispatch(members)
+        """Point the fleet dispatcher, and one dispatcher per placed tenant
+        over its slots' workers, at ``members`` (caller holds the flip
+        lock).  Affinity clears, so every session replans once on them."""
+        self.dispatcher.reset(members)
         if self.tenant_placement:
             by_slot = {replica.slot: replica for replica in members}
             self._tenant_dispatchers = {
@@ -763,11 +908,108 @@ class RemoteReplicaSet(ReplicaSet):
             }
 
     def _forget(self, replica: RemoteReplica) -> None:
-        """Drop a failed worker from the fleet dispatcher AND every tenant
-        dispatcher it was placed in."""
-        super()._forget(replica)
+        """Drop a worker that stopped accepting work from the fleet
+        dispatcher AND every tenant dispatcher it was placed in."""
+        self.dispatcher.forget(replica)
         for dispatcher in self._tenant_dispatchers.values():
             dispatcher.forget(replica)
+
+    def refit(self) -> dict:
+        """Hot model swap: train off-path, flip atomically, retire drain-dry.
+
+        1. **Train off-path.**  One ``planner_factory`` call, forked standby
+           workers and checksummed artifact installs on every one of them,
+           while the active workers keep serving — the expensive phase,
+           outside every lock.
+        2. **Flip atomically.**  One pointer swap under the flip lock makes
+           the standby workers active and bumps :attr:`fit_generation`:
+           every arrival after it dispatches to the new generation, every
+           request already in flight stays with an old worker.  Dispatch
+           affinity clears with the swap, so each session replans exactly
+           once on the new model.
+        3. **Retire drain-dry.**  The old workers stop admitting and drain
+           dry — every in-flight request finishes on the generation that
+           admitted it, and what a dying worker leaves unanswered
+           re-dispatches.  Their counters collapse into
+           :meth:`archived_stats`.
+
+        Raises :class:`~repro.utils.exceptions.ServingError` while another
+        refit runs and on a closed set.  A set that closes while the
+        standby trains refuses the flip and shuts the standby down (close()
+        cannot reach workers that never became active).
+        """
+        if not self._refit_lock.acquire(blocking=False):
+            raise ServingError("a refit is already in progress on this replica set")
+        try:
+            if self.closed:
+                raise ServingError("cannot refit a closed replica set")
+            generation_from = self.fit_generation
+            generation_to = generation_from + 1
+            logger.info(
+                "refit: preparing %d standby replica(s) for generation %d",
+                self.num_replicas,
+                generation_to,
+            )
+            train_started = time.perf_counter()
+            standby, extras = self._build_generation(generation_to)
+            train_seconds = time.perf_counter() - train_started
+
+            flip_started = time.perf_counter()
+            with self._flip_lock:
+                # close() marks the set closed and then retires
+                # all_replicas() (which takes this lock): either the flip
+                # lands first and close() sees the standby, or it refuses.
+                with self._state_lock:
+                    closed = self._closed
+                if not closed:
+                    previous = self._active
+                    self._active = list(standby)
+                    self._generation = generation_to
+                    self._retired.extend(previous)
+                    self._reset_dispatch(self._active)
+            flip_seconds = time.perf_counter() - flip_started
+            if closed:
+                self._retire(standby)
+                raise ServingError(
+                    "replica set closed while the standby generation was "
+                    "training; the flip is abandoned"
+                )
+
+            inflight_at_flip = sum(member.pending_count() for member in previous)
+            retire_started = time.perf_counter()
+            self._redispatch(self._retire(previous), reason="retirement")
+            retire_seconds = time.perf_counter() - retire_started
+            report = {
+                "generation_from": generation_from,
+                "generation_to": generation_to,
+                "num_replicas": len(standby),
+                "train_seconds": round(train_seconds, 4),
+                "flip_seconds": round(flip_seconds, 6),
+                "retire_seconds": round(retire_seconds, 4),
+                "inflight_at_flip": inflight_at_flip,
+                "retired_served": sum(member.stats()["completed"] for member in previous),
+                **extras,
+            }
+            # Drained dry: keep only the old workers' final counters, so
+            # repeated refits never accumulate handles.
+            snapshots = [
+                {"replica": member.stats(), "loop": member.loop_stats()} for member in previous
+            ]
+            with self._flip_lock:
+                self._retired = [member for member in self._retired if member not in previous]
+                self._retired_stats.extend(snapshots)
+                self._refits.append(report)
+            logger.info(
+                "refit: generation %d -> %d flipped in %.1f us "
+                "(%d request(s) in flight finished on the old generation)",
+                generation_from,
+                generation_to,
+                1e6 * flip_seconds,
+                inflight_at_flip,
+            )
+            return dict(report)
+        finally:
+            self._refit_lock.release()
 
     # ------------------------------------------------------------------ #
     # Reader: everything a worker says arrives here
@@ -919,37 +1161,61 @@ class RemoteReplicaSet(ReplicaSet):
                     )
                     self._forget(replica)
                     self._redispatch(replica.drain_pending(), reason="heartbeat")
-
-    def _redispatch(self, requests: "list[ServeRequest]", reason: str) -> int:
-        count = super()._redispatch(requests, reason)
-        if count:
-            self._metrics.record(add={"redispatched": count})
-        return count
-
     # ------------------------------------------------------------------ #
-    # Lifecycle / refit / submission: only the transport-specific edges
+    # Submission (the ServingLoop-compatible surface)
     # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """Graceful fleet shutdown: drain every worker dry, join its
-        process and reader thread, stop the failure detector."""
-        self._detector_stop.set()
-        super().close()
-        self._detector.join(timeout=5.0)
-
     def enqueue(self, request: ServeRequest) -> Future:
-        """Dispatch one request to a healthy worker over the wire."""
-        self._admit(request)
+        """Dispatch one request to a healthy worker: answered here from the
+        worker's mirrored plan, or shipped over the wire.
+
+        Closed sets and expired deadlines are refused before any worker is
+        picked.  A dispatch can race a generation flip or a worker failure:
+        the picked worker may stop accepting between pick and hand-over.
+        The request was *not* admitted then, so it re-dispatches against
+        the current active set — no accepted request is ever dropped by a
+        refit.  :class:`~repro.utils.exceptions.QueueFullError` (the
+        ``reject`` admission policy) is back-pressure, not a race, and
+        propagates.
+        """
+        if self.closed:
+            raise ServingError("replica set is closed; no new requests accepted")
+        if request.deadline is not None:
+            self.admission.check_deadline(request.deadline)
         if self.tracer.enabled and request.trace is None:
             attrs = {"kind": request.kind}
             if request.tenant is not None:
                 attrs["tenant"] = request.tenant
             request.trace = self.tracer.begin(request.routing_key(), **attrs)
-        # Tenant placement makes this set the isolation boundary: a placed
-        # tenant's requests only ever reach its own slots' workers.
-        dispatcher = self.dispatcher
-        if request.tenant is not None:
-            dispatcher = self._tenant_dispatchers.get(request.tenant, dispatcher)
-        return self._dispatch(request, dispatcher)
+        for _ in range(self._MAX_DISPATCH_ATTEMPTS):
+            # Tenant placement makes this set the isolation boundary: a
+            # placed tenant's requests only ever reach its own slots' workers.
+            dispatcher = self.dispatcher
+            if request.tenant is not None:
+                dispatcher = self._tenant_dispatchers.get(request.tenant, dispatcher)
+            member = dispatcher.pick(request)
+            member.on_dispatch()
+            request.replica_index = member.index
+            try:
+                member.accept(request)
+            except QueueFullError:
+                member.on_dispatch_failed()
+                raise
+            except (OSError, ServingError) as exc:
+                # The worker retired or failed between pick and hand-over.
+                # Nothing was admitted: undo the accounting, fail the worker
+                # over, and re-dispatch.
+                member.on_dispatch_failed()
+                self._on_refused(member)
+                if self.closed:
+                    raise ServingError(
+                        "replica set closed during dispatch; request not accepted"
+                    ) from exc
+                continue
+            return request.future
+        raise ServingError(
+            f"could not place request after {self._MAX_DISPATCH_ATTEMPTS} dispatch "
+            "attempts (replicas kept retiring or failing under the dispatcher)"
+        )
 
     def _on_refused(self, replica: RemoteReplica) -> None:
         """A send failed: the worker is gone — whatever else it held
@@ -960,36 +1226,96 @@ class RemoteReplicaSet(ReplicaSet):
         self._forget(replica)
         self._redispatch(replica.drain_pending(), reason="send failure")
 
+    def _redispatch(self, requests: "list[ServeRequest]", reason: str) -> int:
+        """Re-enqueue requests a worker failed to answer (same futures);
+        returns how many were still unanswered."""
+        live = [request for request in requests if not request.future.done()]
+        for request in live:
+            try:
+                self.enqueue(request)
+            except BaseException as exc:  # noqa: BLE001 - delivered via the future
+                if not request.future.done():
+                    request.fail(exc)
+        if live:
+            self._metrics.record(add={"redispatched": len(live)})
+            logger.info("re-dispatched %d request(s) after %s", len(live), reason)
+        return len(live)
+
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
+    @property
+    def planner(self) -> _PlannerProxy:
+        """A representative planner (the traffic drivers read ``max_length``
+        off it); with workers at one generation any of them is exact."""
+        return self.active_replicas()[0].planner
+
     def stats(self) -> dict:
-        """``ReplicaSet.stats()`` plus the placement view and a
-        ``transport`` section (wire counters, failure-detector verdicts,
-        artifact registry history).  Steps answered in the parent are in
-        ``served`` / ``resident`` / ``tenants[name]["served"]`` like any
-        other (each member's :meth:`RemoteReplica.loop_stats` counts its
-        own in); ``transport["parent_answered"]`` says how many they were."""
-        report = super().stats()
-        report["transport_kind"] = "process"
-        if self.tenant_placement:
-            tenants = report.setdefault("tenants", {})
-            for name, slots in self.tenant_placement.items():
-                entry = tenants.setdefault(
+        """Fleet-wide stats, shaped like ``ServingLoop.stats()`` plus the
+        fleet's own sections: per-worker load, dispatcher picks, refit
+        history, the placement view and a ``transport`` section (wire
+        counters, failure-detector verdicts, artifact registry history).
+
+        Steps answered in the parent are in ``served`` / ``resident`` /
+        ``tenants[name]["served"]`` like any other (each worker's
+        :meth:`RemoteReplica.loop_stats` counts its own in);
+        ``transport["parent_answered"]`` says how many they were."""
+        active = self.active_replicas()
+        members = self.all_replicas()
+        archived = self.archived_stats()
+        loop_stats = [member.loop_stats() for member in members]
+        loop_stats += [snapshot["loop"] for snapshot in archived]
+        loop_stats = [stats for stats in loop_stats if stats is not None]
+        # Fleet admission = what the workers' controllers counted plus what
+        # the fleet's own controller refused before picking one.
+        admission = self.admission.counters()
+        admission["per_replica"] = [stats["admission"] for stats in loop_stats]
+        for counters in admission["per_replica"]:
+            for key in ADMISSION_COUNTERS:
+                admission[key] += counters[key]
+        # Fleet-wide tenant view: every worker loop carries its own binding
+        # counters; sum the volume fields per tenant id.
+        tenants: "dict[str, dict]" = {}
+        for stats in loop_stats:
+            for name, tenant_stats in stats.get("tenants", {}).items():
+                merged = tenants.setdefault(
                     name, {"tenant": name, "served": 0, "failed": 0}
                 )
-                entry["placement"] = list(slots)
-                dispatcher = self._tenant_dispatchers.get(name)
-                if dispatcher is not None:
-                    entry["dispatch"] = dispatcher.stats()
-        report["transport"] = {
-            "heartbeat_interval": self.heartbeat_interval,
-            "heartbeat_misses": self.heartbeat_misses,
-            "probation_beats": self.probation_beats,
-            **{key: int(value) for key, value in self._metrics.values().items()},
-            "artifacts": self.registry.history(),
+                merged["served"] += tenant_stats["served"]
+                merged["failed"] += tenant_stats["failed"]
+                merged["kinds"] = tenant_stats["kinds"]
+        for name, slots in (self.tenant_placement or {}).items():
+            entry = tenants.setdefault(name, {"tenant": name, "served": 0, "failed": 0})
+            entry["placement"] = list(slots)
+            dispatcher = self._tenant_dispatchers.get(name)
+            if dispatcher is not None:
+                entry["dispatch"] = dispatcher.stats()
+        with self._flip_lock:
+            refits = [dict(report) for report in self._refits]
+        return {
+            "num_replicas": self.num_replicas,
+            **({"tenants": tenants} if tenants else {}),
+            "generation": self.fit_generation,
+            "served": sum(stats["served"] for stats in loop_stats),
+            "resident": sum(stats["resident"] for stats in loop_stats),
+            **self.admission.describe(),
+            "admission": admission,
+            **rollup_queue_stats(
+                [queue for stats in loop_stats for queue in stats["per_queue"]]
+            ),
+            "dispatch": self.dispatcher.stats(),
+            "replicas": [member.stats() for member in members],
+            "retired_replicas": len(members) - len(active) + len(archived),
+            "refits": refits,
+            "transport_kind": "process",
+            "transport": {
+                "heartbeat_interval": self.heartbeat_interval,
+                "heartbeat_misses": self.heartbeat_misses,
+                "probation_beats": self.probation_beats,
+                **{key: int(value) for key, value in self._metrics.values().items()},
+                "artifacts": self.registry.history(),
+            },
         }
-        return report
 
 
 def _validate_placement(placement: "dict | None", num_replicas: int) -> "dict | None":
@@ -1014,3 +1340,4 @@ def _validate_placement(placement: "dict | None", num_replicas: int) -> "dict | 
                 )
         validated[tenant] = slot_tuple
     return validated
+

@@ -68,8 +68,8 @@ from repro.distributed.artifacts import (
 )
 from repro.distributed.wire import FrameType, ResponseRecord
 from repro.obs.registry import MetricsRegistry, set_registry
-from repro.replica.replica import Replica, pin_serving_generation
-from repro.serve.loop import ServingLoop
+from repro.replica.replica import Replica
+from repro.serve.loop import ServingLoop, pin_serving_generation
 from repro.serve.request import ServeRequest
 from repro.utils.exceptions import ServingError
 
@@ -217,7 +217,7 @@ class _Worker:
         self.loop = ServingLoop(
             planner, admission_scope=f"worker-{index}", tenants=tenants, **loop_kwargs
         )
-        self.replica = Replica(index, planner, self.loop, generation)
+        self.replica = Replica(index, self.loop, generation)
         self.send_lock = threading.Lock()
         self.outbox: "queue.SimpleQueue" = queue.SimpleQueue()
         self._stop = threading.Event()
@@ -433,7 +433,7 @@ class _Worker:
                         self.index,
                         self._heartbeat_seq,
                         self.generation,
-                        stats["healthy"],
+                        True,  # a live worker; the health verdict is the parent's
                         stats["inflight"],
                         stats["dispatched"],
                         stats["completed"],

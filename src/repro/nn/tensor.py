@@ -233,8 +233,10 @@ class Tensor:
         data = self.data * other_t.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * other_t.data)
-            other_t._accumulate(grad * self.data)
+            if self.requires_grad:
+                self._accumulate(grad * other_t.data)
+            if other_t.requires_grad:
+                other_t._accumulate(grad * self.data)
 
         return Tensor._make(data, (self, other_t), backward)
 
@@ -254,7 +256,8 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad)
-            other_t._accumulate(-grad)
+            if other_t.requires_grad:
+                other_t._accumulate(-grad)
 
         return Tensor._make(data, (self, other_t), backward)
 
@@ -266,8 +269,10 @@ class Tensor:
         data = self.data / other_t.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / other_t.data)
-            other_t._accumulate(-grad * self.data / (other_t.data**2))
+            if self.requires_grad:
+                self._accumulate(grad / other_t.data)
+            if other_t.requires_grad:
+                other_t._accumulate(-grad * self.data / (other_t.data**2))
 
         return Tensor._make(data, (self, other_t), backward)
 

@@ -2,7 +2,10 @@
 
 The :class:`Dispatcher` answers one question per request: *which healthy
 replica takes it* — routing **around** a busy replica instead of queueing
-behind it.  Three rules, in order:
+behind it.  A replica is anything with an ``index``, a ``healthy`` flag and
+``cold()`` / ``score()`` (in practice a worker's
+:class:`~repro.distributed.remote.RemoteReplica`, scored from its
+heartbeats).  Three rules, in order:
 
 1. **Session affinity** — a ``next_step`` request whose serving context
    (``(history, objective, user)`` routing key) was seen before goes back
@@ -13,12 +16,14 @@ behind it.  Three rules, in order:
    ``plan_paths`` requests carry no session and are always load-balanced.
 2. **Least-loaded** — new sessions and stateless requests go to the
    replica with the lowest score (EWMA of in-flight depth plus recent p95
-   drain latency, see :meth:`~repro.replica.replica.Replica.score`).
+   drain latency, see
+   :meth:`~repro.distributed.remote.RemoteReplica.score`).
 3. **Round-robin when cold** — until every healthy replica has enough
    latency samples to score meaningfully, assignment rotates, spreading
    the warm-up load evenly instead of dog-piling replica 0.
 
-A generation flip (:class:`~repro.replica.refit.RefitCoordinator`) calls
+A generation flip (:meth:`RemoteReplicaSet.refit
+<repro.distributed.remote.RemoteReplicaSet.refit>`) calls
 :meth:`reset` with the new replica list: the affinity table clears, so
 every session replans once on the new generation — exactly the semantics a
 model swap requires.
@@ -31,7 +36,6 @@ from collections import OrderedDict
 from typing import Sequence
 
 from repro.obs.registry import MetricGroup, get_registry
-from repro.replica.replica import Replica
 from repro.serve.request import ServeRequest
 from repro.utils.exceptions import ServingError
 
@@ -51,13 +55,13 @@ class Dispatcher:
 
     def __init__(
         self,
-        replicas: "Sequence[Replica]",
+        replicas: "Sequence",
         max_pinned_sessions: int = MAX_PINNED_SESSIONS,
     ) -> None:
         self.max_pinned_sessions = max_pinned_sessions
         self._lock = threading.Lock()
-        self._replicas: "list[Replica]" = list(replicas)
-        self._affinity: "OrderedDict[tuple, Replica]" = OrderedDict()
+        self._replicas: "list" = list(replicas)
+        self._affinity: "OrderedDict[tuple, object]" = OrderedDict()
         self._rr_position = 0
         # Routing-decision counters: registry-backed so `repro-irs metrics`
         # and stats() read the same atomic snapshot.
@@ -75,7 +79,7 @@ class Dispatcher:
         )
 
     # ------------------------------------------------------------------ #
-    def reset(self, replicas: "Sequence[Replica]") -> None:
+    def reset(self, replicas: "Sequence") -> None:
         """Swap the replica list (the refit flip): affinity clears so every
         session replans once on the new generation."""
         with self._lock:
@@ -83,7 +87,7 @@ class Dispatcher:
             self._affinity.clear()
             self._metrics.record(set_={"sessions_pinned": 0})
 
-    def forget(self, replica: Replica) -> None:
+    def forget(self, replica) -> None:
         """Drop a replica's affinity entries (it stopped accepting work)."""
         with self._lock:
             stale = [key for key, owner in self._affinity.items() if owner is replica]
@@ -92,7 +96,7 @@ class Dispatcher:
             self._metrics.record(set_={"sessions_pinned": len(self._affinity)})
 
     # ------------------------------------------------------------------ #
-    def pick(self, request: ServeRequest) -> Replica:
+    def pick(self, request: ServeRequest) -> object:
         """Choose the replica for one request (raises
         :class:`~repro.utils.exceptions.ServingError` with no healthy
         replica to route to)."""

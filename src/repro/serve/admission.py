@@ -94,7 +94,7 @@ class AdmissionController:
     def check_deadline(self, deadline: float) -> None:
         """Reject a request that arrives after its own deadline.
 
-        THE expiry rule of every front-end (loop, in-process fleet, process
+        THE expiry rule of both front-ends (the loop and the process
         fleet), applied at admission and again before a queued request's
         batch plans: a ``deadline`` is the last instant the caller still
         wants the answer, so a request is expired strictly *after* it.

@@ -1,8 +1,7 @@
 """The typed request/response API of the serving stack.
 
-Every serving front-end (:class:`~repro.serve.loop.ServingLoop`,
-:class:`~repro.replica.set.ReplicaSet`,
-:class:`~repro.distributed.remote.RemoteReplicaSet`) speaks one surface:
+Both serving front-ends (:class:`~repro.serve.loop.ServingLoop` and
+:class:`~repro.distributed.remote.RemoteReplicaSet`) speak one surface:
 
     ``serve(request) -> Future[Response]``
 

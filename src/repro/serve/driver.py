@@ -169,7 +169,7 @@ def run_open_loop(
     ``loop`` is anything with the serving-loop surface (``enqueue``,
     ``stats``, ``admission``, ``planner``) — a
     :class:`~repro.serve.loop.ServingLoop` or a
-    :class:`~repro.replica.ReplicaSet`.  ``raise_on_error=False`` turns a
+    :class:`~repro.distributed.RemoteReplicaSet`.  ``raise_on_error=False`` turns a
     failed drain from a loud re-raise into an ``errored_requests`` count
     (a hot refit's ``no_pause`` bit needs that count to be zero rather
     than dying on the first failure), and ``collect_samples=True`` adds a

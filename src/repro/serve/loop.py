@@ -53,6 +53,20 @@ planner spans recorded through the drain thread's
 :class:`~repro.obs.trace.BatchSink`; disabled tracing (the default)
 allocates nothing on either lane.
 
+Hot refit: :meth:`refit` swaps the model a loop answers with while it
+keeps serving.  Everything a generation answers with — the planner, its
+adapter, the tenant registry and the generation number — is ONE immutable
+record; the standby record is built (and its models trained) off-path,
+outside every lock, then flipped in under the state lock between two
+drains.  The resident lane reads the record under that same lock and the
+drain reads it once per batch, so every answer is stamped with the
+generation that computed it, no batch mixes two, and per context the
+generation never goes back.  The batch in flight at the flip finishes on
+the old record, and :meth:`refit` returns once it has (after that the loop
+holds nothing of the old generation).  The one thing a flip changes for a
+request already admitted: one queued but not yet drained is answered by
+the NEW generation.
+
 Shutdown is graceful: :meth:`close` stops admissions on both lanes
 atomically (a closed loop answers nothing, it raises), drains the queue
 dry, and joins the drain thread — no accepted request is ever dropped.
@@ -65,7 +79,7 @@ import logging
 import threading
 import time
 from concurrent.futures import Future
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from repro.config import resolve_tenants
 from repro.core.beam import MISS
@@ -78,16 +92,16 @@ from repro.serve.request import ServeRequest
 from repro.utils.exceptions import QueueFullError, ServingError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: repro.tenant imports serve
+    from repro.tenant.adapters import KindAdapter
     from repro.tenant.registry import TenantRegistry
 
-__all__ = ["ServingLoop"]
+__all__ = ["ServingLoop", "pin_serving_generation"]
 
 logger = logging.getLogger(__name__)
 
-#: Process-wide micro-batch tags: unique across every loop (and therefore
-#: every replica), so grouping answered requests by tag recovers the exact
-#: drain batches — the refit race tests rely on tags never colliding
-#: between an old-generation and a new-generation replica's drains.  An
+#: Process-wide micro-batch tags: unique across every loop, so grouping
+#: answered requests by tag recovers the exact drain batches — the refit
+#: race tests rely on it to see that no batch mixes two generations.  An
 #: admission answer takes a tag of its own: a batch of one.
 _BATCH_TAGS = itertools.count(1)
 
@@ -114,6 +128,47 @@ _QUEUE_STAT_FIELDS = (
 )
 
 
+def pin_serving_generation(planner, generation: int) -> None:
+    """Pin ``planner`` to the serving ``generation`` it is about to answer at."""
+    pin = getattr(planner, "pin_generation", None)
+    if pin is not None:
+        pin(serving_generation=generation)
+    else:
+        planner.serving_generation = generation
+
+
+class _Serving(NamedTuple):
+    """What one generation of a loop answers with; a refit swaps it whole."""
+
+    planner: object
+    #: the planner's adapter; ``None`` when the caller's ``tenants`` answer
+    adapter: "KindAdapter | None"
+    tenants: "TenantRegistry | None"
+    #: stamped on the planner's answers when it reports no generation of
+    #: its own (a caller's registry stamps what its models report)
+    generation: int
+
+
+def _serving(planner, tenants: "TenantRegistry | None", generation: int) -> _Serving:
+    """The serving record of the constructor and of every refit.
+
+    Without a registry the planner is adapted (which refuses one without
+    ``plan_for_requests``), and when ``REPRO_TENANTS`` asks for more than
+    one tenant a degenerate registry sharing it is synthesized, so the
+    tier-1 leg exercises the grouped drain path on every workload."""
+    adapter = None
+    if tenants is None:
+        from repro.tenant.adapters import PlannerAdapter
+
+        adapter = PlannerAdapter(planner)
+        count = resolve_tenants(None)
+        if count > 1:
+            from repro.tenant.registry import TenantRegistry
+
+            tenants = TenantRegistry.uniform(adapter, count)
+    return _Serving(planner, adapter, tenants, generation)
+
+
 class ServingLoop(TypedServingSurface):
     """Queue, micro-batch and answer planner requests asynchronously.
 
@@ -131,8 +186,8 @@ class ServingLoop(TypedServingSurface):
         a resident plan never enters a queue or waits for the window).
     admission_scope:
         Label stamped on this loop's admission counters and back-pressure
-        errors (the replica set names each loop ``replica-<id>``, so depth
-        accounting stays attributable per replica in fleet-wide stats).
+        errors (a worker process names its loop ``worker-<index>``, so depth
+        accounting stays attributable per worker in fleet-wide stats).
     tracer:
         A :class:`~repro.obs.trace.Tracer` to begin per-request traces
         with.  Defaults to the disabled :data:`~repro.obs.trace.NULL_TRACER`
@@ -146,6 +201,9 @@ class ServingLoop(TypedServingSurface):
         ``planner``; when ``REPRO_TENANTS`` asks for more than one tenant,
         a degenerate registry sharing ``planner`` is synthesized so the
         tier-1 leg exercises the grouped drain path on every workload.
+
+    The loop starts at the planner's own ``serving_generation`` when it
+    has one, else at generation 1; :meth:`refit` steps it.
     """
 
     def __init__(
@@ -158,21 +216,13 @@ class ServingLoop(TypedServingSurface):
         tracer: "Tracer | None" = None,
         tenants: "TenantRegistry | None" = None,
     ) -> None:
-        adapter = None
-        if tenants is None:
-            from repro.tenant.adapters import PlannerAdapter
-
-            # Refuses a planner without plan_for_requests, whatever the
-            # tenant count.
-            adapter = PlannerAdapter(planner)
-            default_tenants = resolve_tenants(None)
-            if default_tenants > 1:
-                from repro.tenant.registry import TenantRegistry
-
-                tenants = TenantRegistry.uniform(adapter, default_tenants)
-        self.tenants = tenants
-        self.planner = planner
-        self._adapter = adapter
+        generation = getattr(planner, "serving_generation", None)
+        #: The serving record: read under :attr:`_state_lock` by the
+        #: resident lane and once per batch by the drain, replaced whole by
+        #: :meth:`refit`.
+        self._serving = _serving(
+            planner, tenants, generation if isinstance(generation, int) else 1
+        )
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # One registry namespace for the whole loop: admission, the queue
         # and the latency accounting hang under it, so stats() is one
@@ -194,6 +244,13 @@ class ServingLoop(TypedServingSurface):
         self._state_lock = threading.Lock()
         self._started = False
         self._closed = False
+        #: ``(record, size)`` of the batch the drain is answering, if any;
+        #: a refit waits on :attr:`_drained` until the old record's is done.
+        self._in_flight: "tuple[_Serving, int] | None" = None
+        self._drained = threading.Condition(self._state_lock)
+        self._refit_lock = threading.Lock()
+        #: tenant -> ``[served, failed]`` of registries a refit replaced
+        self._retired_tenants: "dict[str, list[int]]" = {}
         #: routing key -> queued ``next_step`` requests of that context.  A
         #: queued miss will rewrite the context's plan, so while any is
         #: queued, later steps of the context queue behind it instead of
@@ -251,6 +308,101 @@ class ServingLoop(TypedServingSurface):
         self.close()
 
     # ------------------------------------------------------------------ #
+    # The serving generation
+    # ------------------------------------------------------------------ #
+    @property
+    def planner(self):
+        """The planner of the generation serving now."""
+        return self._serving.planner
+
+    @property
+    def tenants(self) -> "TenantRegistry | None":
+        """The tenant registry of the generation serving now."""
+        return self._serving.tenants
+
+    @property
+    def fit_generation(self) -> int:
+        """The generation new arrivals are served at (stepped by :meth:`refit`)."""
+        return self._serving.generation
+
+    def refit(
+        self,
+        planner_factory: "Callable[[], object]",
+        tenant_factory: "Callable[[], TenantRegistry] | None" = None,
+    ) -> dict:
+        """Hot model swap: serve the next generation without pausing.
+
+        ``planner_factory`` (and ``tenant_factory``, for a loop serving a
+        registry of its own) is called once, off-path and outside every
+        lock, while the current generation keeps serving; both results are
+        pinned to generation N+1.  One swap of the serving record under the
+        state lock then flips the loop between two drains: the batch in
+        flight finishes on generation N, everything drained or answered at
+        admission afterwards — requests queued before the flip included —
+        on N+1.  Returns once the batch in flight is answered, with the
+        ``generation_from`` / ``generation_to`` / ``train_seconds`` /
+        ``flip_seconds`` / ``inflight_at_flip`` / ``retire_seconds`` report.
+
+        Raises :class:`~repro.utils.exceptions.ServingError` while another
+        refit runs and on a closed loop (also when the loop closes while the
+        standby trains: nothing is flipped in), and
+        :class:`~repro.utils.exceptions.ConfigurationError` when the factory
+        returns no planner.
+        """
+        if not self._refit_lock.acquire(blocking=False):
+            raise ServingError("a refit is already in progress on this serving loop")
+        try:
+            with self._state_lock:
+                if self._closed:
+                    raise ServingError("cannot refit a closed serving loop")
+                generation_to = self._serving.generation + 1
+            train_started = time.perf_counter()
+            planner = planner_factory()
+            tenants = None if tenant_factory is None else tenant_factory()
+            standby = _serving(planner, tenants, generation_to)
+            pin_serving_generation(planner, generation_to)
+            if tenants is not None:
+                tenants.pin_generation(generation_to)
+            train_seconds = time.perf_counter() - train_started
+
+            flip_started = time.perf_counter()
+            with self._state_lock:
+                if self._closed:
+                    raise ServingError(
+                        "serving loop closed while the standby generation was "
+                        "training; the flip is abandoned"
+                    )
+                previous, self._serving = self._serving, standby
+                flipped = time.perf_counter()
+                inflight = self._in_flight[1] if self._in_flight is not None else 0
+                while self._in_flight is not None and self._in_flight[0] is previous:
+                    self._drained.wait()
+                retire_seconds = time.perf_counter() - flipped
+                if previous.tenants is not None:
+                    for name, stats in previous.tenants.stats().items():
+                        counts = self._retired_tenants.setdefault(name, [0, 0])
+                        counts[0] += stats["served"]
+                        counts[1] += stats["failed"]
+            logger.info(
+                "refit: generation %d -> %d flipped in %.1f us "
+                "(%d request(s) in flight finished on the old generation)",
+                previous.generation,
+                generation_to,
+                1e6 * (flipped - flip_started),
+                inflight,
+            )
+            return {
+                "generation_from": previous.generation,
+                "generation_to": generation_to,
+                "train_seconds": round(train_seconds, 4),
+                "flip_seconds": round(flipped - flip_started, 6),
+                "retire_seconds": round(retire_seconds, 4),
+                "inflight_at_flip": inflight,
+            }
+        finally:
+            self._refit_lock.release()
+
+    # ------------------------------------------------------------------ #
     # Submission
     # ------------------------------------------------------------------ #
     def enqueue(self, request: ServeRequest) -> Future:
@@ -267,28 +419,19 @@ class ServingLoop(TypedServingSurface):
         passed, and :class:`~repro.utils.exceptions.ServingError` after
         :meth:`close`.
         """
-        binding = None
-        adapter = self._adapter
-        if self.tenants is not None:
-            # Assigns a tenant to untenanted requests BEFORE the routing key
-            # is built, so a tenant's traffic keys within its own key space.
-            binding = self.tenants.resolve(request)
-            adapter = binding.adapter
         if request.deadline is not None:
             self.admission.check_deadline(request.deadline)
-        key = request.routing_key()
-        # Hot-path guard: with tracing disabled this is one attribute check
-        # and no allocation (the overhead contract's structural no-op).
-        if self.tracer.enabled and request.trace is None:
-            if request.tenant is not None:
-                request.trace = self.tracer.begin(key, kind=request.kind, tenant=request.tenant)
-            else:
-                request.trace = self.tracer.begin(key, kind=request.kind)
         try:
-            if request.kind == "next_step" and self._answer_resident(
-                request, adapter, binding, key
-            ):
-                return request.future
+            if request.kind == "next_step":
+                if self._answer_resident(request):
+                    return request.future
+            else:
+                # Only the tenant's name is assigned here (the names survive
+                # a refit); the drain answers with its own read of the record.
+                tenants = self._serving.tenants
+                if tenants is not None:
+                    tenants.resolve(request)
+                self._begin_trace(request, request.routing_key())
             trace = request.trace
             if trace is not None:
                 admit_start = time.perf_counter()
@@ -306,7 +449,16 @@ class ServingLoop(TypedServingSurface):
             raise
         return request.future
 
-    def _answer_resident(self, request: ServeRequest, adapter, binding, key) -> bool:
+    def _begin_trace(self, request: ServeRequest, key: tuple) -> None:
+        # Hot-path guard: with tracing disabled this is one attribute check
+        # and no allocation (the overhead contract's structural no-op).
+        if self.tracer.enabled and request.trace is None:
+            if request.tenant is not None:
+                request.trace = self.tracer.begin(key, kind=request.kind, tenant=request.tenant)
+            else:
+                request.trace = self.tracer.begin(key, kind=request.kind)
+
+    def _answer_resident(self, request: ServeRequest) -> bool:
         """Answer a ``next_step`` from its context's resident plan.
 
         Returns ``False`` when the request has to queue instead — no plan
@@ -314,13 +466,26 @@ class ServingLoop(TypedServingSurface):
         counted it in :attr:`_pending` until it is answered.  On a hit the
         request is a micro-batch of one: stamped (the one generation read
         happens BEFORE the lookup, the torn-batch discipline), accounted and
-        resolved on this thread.
+        resolved on this thread.  The serving record is read once, under
+        the lock a refit flips it under, so a step admitted after a flip is
+        never answered by the generation it replaced.
         """
         with self._state_lock:
             if self._closed:
                 raise ServingError(
                     "the serving loop is closed; it no longer accepts requests"
                 )
+            serving = self._serving
+            adapter = serving.adapter
+            binding = None
+            if serving.tenants is not None:
+                # Assigns a tenant to untenanted requests BEFORE the routing
+                # key is built, so a tenant's traffic keys within its own
+                # key space.
+                binding = serving.tenants.resolve(request)
+                adapter = binding.adapter
+            key = request.routing_key()
+            self._begin_trace(request, key)
             started = time.perf_counter()
             queued = self._pending.get(key, 0)
             if not queued:
@@ -330,6 +495,8 @@ class ServingLoop(TypedServingSurface):
                 self._pending[key] = queued + 1
                 request.on_release = lambda: self._forget_pending(key)
                 return False
+            if generation is None and serving.adapter is not None:
+                generation = serving.generation
             request.enqueued_at = started
             Response.stamp(
                 request,
@@ -410,19 +577,37 @@ class ServingLoop(TypedServingSurface):
         return live
 
     def _serve_batch(self, batch: "list[ServeRequest]") -> None:
-        """Answer one micro-batch; an empty drain is a no-op by contract."""
+        """Answer one micro-batch; an empty drain is a no-op by contract.
+
+        The serving record is read ONCE per batch, so a refit flips between
+        two drains and the whole batch answers at one generation."""
         batch = self._refuse_expired(batch)
         if not batch:
             return
+        with self._state_lock:
+            serving = self._serving
+            self._in_flight = (serving, len(batch))
+        try:
+            self._answer_batch(serving, batch)
+        finally:
+            serving = None  # a refit waiting below must find nothing of it held
+            with self._state_lock:
+                self._in_flight = None
+                self._drained.notify_all()
+
+    def _answer_batch(self, serving: _Serving, batch: "list[ServeRequest]") -> None:
         drain_started = time.perf_counter()
         batch_tag = next(_BATCH_TAGS)
         failures: "dict[int, BaseException]" = {}
         generations: "dict | None" = None
-        if self.tenants is None:
+        tenants = serving.tenants
+        if tenants is None:
             # The whole batch is one slice of the loop's own adapter: one
             # generation read before planning (the torn-batch discipline),
             # one trace sink, one failure scope.
-            answers, generation, failure = self._adapter.plan_slice(batch)
+            answers, generation, failure = serving.adapter.plan_slice(batch)
+            if generation is None:
+                generation = serving.generation
             if failure is not None:
                 answers = [None] * len(batch)
                 failures = dict.fromkeys(range(len(batch)), failure)
@@ -432,7 +617,12 @@ class ServingLoop(TypedServingSurface):
             # failure and its spans stay on that tenant's requests — the
             # isolation boundary a shared drain thread must preserve.
             generation = None
-            answers, generations, failures = self.tenants.plan_batch(batch)
+            answers, generations, failures = tenants.plan_batch(batch)
+            if serving.adapter is not None:  # the synthesized registry: one planner
+                stamped = next(iter(generations.values()))
+                generations = dict.fromkeys(
+                    generations, serving.generation if stamped is None else stamped
+                )
         if failures:
             logger.error(
                 "serving drain failed for %d of %d request(s)",
@@ -501,14 +691,14 @@ class ServingLoop(TypedServingSurface):
                 for index, request in enumerate(batch)
                 if index not in failures
             )
-        if self.tenants is not None:
+        if tenants is not None:
             failed_by_tenant: "dict[str, int]" = {}
             for index in failures:
                 tenant = batch[index].tenant
                 failed_by_tenant[tenant] = failed_by_tenant.get(tenant, 0) + 1
             for tenant in set(per_tenant) | set(failed_by_tenant):
                 counts = per_tenant.get(tenant, [0, 0.0, 0.0, 0.0, 0.0])
-                self.tenants.get(tenant).observe(
+                tenants.get(tenant).observe(
                     served=counts[0],
                     failed=failed_by_tenant.get(tenant, 0),
                     wait_sum=counts[1],
@@ -545,17 +735,19 @@ class ServingLoop(TypedServingSurface):
         """The plan the model serving ``request`` (an envelope this loop
         admitted, so its tenant is assigned) holds for its context now — the
         ``resident_plan`` capability of its adapter, ``None`` without one."""
-        adapter = self._adapter
-        if self.tenants is not None:
-            adapter = self.tenants.get(request.tenant).adapter
+        serving = self._serving
+        adapter = serving.adapter
+        if serving.tenants is not None:
+            adapter = serving.tenants.get(request.tenant).adapter
         return adapter.resident_plan(request)
 
     def resident_slots(self) -> int:
         """Plans :meth:`resident_plan` can report at once: the step-cache
         slots of the loop's models (tenants sharing one model share its)."""
-        adapters = [self._adapter]
-        if self.tenants is not None:
-            adapters = [binding.adapter for binding in self.tenants.bindings()]
+        serving = self._serving
+        adapters = [serving.adapter]
+        if serving.tenants is not None:
+            adapters = [binding.adapter for binding in serving.tenants.bindings()]
         slots = {id(a.model()): a.resident_slots for a in adapters if a.resident_slots}
         return sum(slots.values())
 
@@ -572,9 +764,12 @@ class ServingLoop(TypedServingSurface):
         loop's namespace — admission, the queue and the latency sums are
         mutually consistent, with no window for a drain thread to slip an
         update between two reads.  ``per_queue`` is a one-element list, the
-        shape :meth:`ReplicaSet.stats <repro.replica.set.ReplicaSet.stats>`
-        rolls a fleet's queues up from.
+        shape :meth:`RemoteReplicaSet.stats
+        <repro.distributed.remote.RemoteReplicaSet.stats>` rolls a fleet's
+        queues up from.  ``generation`` is the one serving now; a tenant's
+        ``served`` / ``failed`` keep counting across refits.
         """
+        serving = self._serving
         snapshot = get_registry().snapshot(self.metrics_scope)
         flat = dict(snapshot["counters"])
         flat.update(snapshot["gauges"])
@@ -610,8 +805,18 @@ class ServingLoop(TypedServingSurface):
             ),
         }
 
-        tenants = {} if self.tenants is None else {"tenants": self.tenants.stats()}
+        tenants = {}
+        if serving.tenants is not None:
+            tenants = {"tenants": serving.tenants.stats()}
+            with self._state_lock:
+                retired = {name: list(counts) for name, counts in self._retired_tenants.items()}
+            for name, (served_before, failed_before) in retired.items():
+                if name in tenants["tenants"]:
+                    entry = tenants["tenants"][name]
+                    entry["served"] += served_before
+                    entry["failed"] += failed_before
         return {
+            "generation": serving.generation,
             **tenants,
             **self.admission.describe(),
             "admission": admission,

@@ -101,10 +101,9 @@ class ServeRequest:
     #: group responses by it to assert the one-generation-per-batch
     #: invariant across a hot model swap.
     batch_tag: "int | None" = None
-    #: Member that served this request, when routed through a fleet — the
-    #: one member of an in-process :class:`~repro.replica.ReplicaSet` or a
-    #: worker of a :class:`~repro.distributed.RemoteReplicaSet` (``None``
-    #: under a plain loop).
+    #: Worker that served this request, when routed through a
+    #: :class:`~repro.distributed.RemoteReplicaSet` (``None`` under a
+    #: :class:`~repro.serve.loop.ServingLoop`).
     replica_index: "int | None" = None
     #: The request's :class:`~repro.obs.trace.Trace`, begun by the serving
     #: loop at admission when its tracer is enabled and this request was

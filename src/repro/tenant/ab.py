@@ -3,9 +3,8 @@
 The offline experiment driver (:mod:`repro.simulation.experiment`) calls
 each framework's ``next_step`` directly.  This harness instead routes
 every step of every session through a serving front-end's typed
-``serve(request)`` surface — the same :class:`~repro.serve.loop.ServingLoop`,
-:class:`~repro.replica.set.ReplicaSet` or
-:class:`~repro.distributed.remote.RemoteReplicaSet` production traffic
+``serve(request)`` surface — the same :class:`~repro.serve.loop.ServingLoop`
+or :class:`~repro.distributed.remote.RemoteReplicaSet` production traffic
 uses — with each cohort's requests carrying its arm's tenant id.  What
 comes back is both the experiment readout (interactive success uplift of
 the treatment tenant over the control tenant, on identical simulated

@@ -156,10 +156,10 @@ class TenantRegistry:
         return tuple(self._bindings[name] for name in self._order)
 
     def pin_generation(self, generation: int) -> None:
-        """Stamp every versionable tenant model with the fleet generation.
+        """Stamp every versionable tenant model with the serving generation.
 
-        Replica hosts (in-process and forked workers) call this with the
-        generation their fleet serves, so each tenant's answers carry the
+        Serving hosts (a refitting loop and forked workers) call this with
+        the generation they serve at, so each tenant's answers carry the
         same ``served_generation`` tag the refit protocol bumps.  Models
         without a ``pin_generation`` hook (stateless graphs, recommenders
         reporting their own ``fit_generation``) are left alone.

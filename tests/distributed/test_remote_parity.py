@@ -1,9 +1,9 @@
-"""End-to-end parity of multi-process serving with the in-process fleet.
+"""End-to-end parity of multi-process serving with sequential serving.
 
-Acceptance contract of the distributed-serving PR: with every worker at
-one shared generation, :class:`~repro.distributed.RemoteReplicaSet`
-responses are bit-identical to in-process (and therefore to sequential)
-serving at 1, 2 and 4 workers (and at the count ``REPRO_REPLICAS``
+With every worker at one shared generation,
+:class:`~repro.distributed.RemoteReplicaSet` responses are bit-identical
+to a serving loop's (and therefore to sequential serving) at 1, 2 and 4
+workers (and at the count ``REPRO_REPLICAS``
 defaults to).  Crossing a process boundary changes
 *where* work happens, never what is answered.
 """
@@ -138,6 +138,29 @@ class TestRemoteParity:
             remote_set.enqueue(
                 ServeRequest.create("next_step", history, objective, [], user_index=user)
             )
+
+    def test_session_affinity_pins_contexts_to_one_worker(self, make_factory, remote_contexts):
+        """Every answered request of one serving context names the same
+        worker, and the dispatcher pins the session to it."""
+        with RemoteReplicaSet(
+            make_factory(), num_replicas=2, heartbeat_interval=HEARTBEAT_INTERVAL
+        ) as remote_set:
+            owners: "dict[int, set[int]]" = {}
+            for _round in range(3):
+                requests = [
+                    ServeRequest.create("next_step", history, objective, user_index=user)
+                    for history, objective, user in remote_contexts
+                ]
+                for request in requests:
+                    remote_set.enqueue(request)
+                for index, request in enumerate(requests):
+                    request.future.result(timeout=30)
+                    owners.setdefault(index, set()).add(request.replica_index)
+            stats = remote_set.stats()
+        assert all(len(owner_set) == 1 for owner_set in owners.values())
+        assert len(set().union(*owners.values())) == 2  # both workers own sessions
+        assert stats["dispatch"]["sessions_pinned"] == len(remote_contexts)
+        assert stats["dispatch"]["picks"]["affinity"] == 2 * len(remote_contexts)
 
     def test_factory_must_be_callable_and_produce_planners(self):
         with pytest.raises(ConfigurationError, match="planner_factory"):

@@ -1,7 +1,7 @@
 """The versioned-artifact refit across the transport.
 
-Mirrors ``tests/replica/test_refit_race.py``'s contract at the process
-boundary: train off-path, publish ``(name, generation)`` artifacts, ship
+The serving loop's refit contract (``tests/replica/test_refit_race.py``)
+at the process boundary: train off-path, publish ``(name, generation)`` artifacts, ship
 and checksum-verify them on every standby worker, flip atomically, retire
 the old fleet drain-dry with zero admitted requests dropped — also under
 open-loop traffic.
@@ -191,6 +191,7 @@ class TestRemoteRefit:
                 num_requests=120,
                 max_length=MAX_LENGTH,
                 refit_at=0.0,
+                refit=remote_set.refit,
             )
             transport = remote_set.stats()["transport"]
         assert report["errored_requests"] == report["rejected_requests"] == 0

@@ -89,6 +89,32 @@ class TestArithmetic:
         b.sum().backward()
         assert np.allclose(a.grad, [7.0])
 
+    @pytest.mark.parametrize(
+        "op",
+        [lambda x, c: x * c, lambda x, c: c * x, lambda x, c: x / c, lambda x, c: x - c],
+        ids=["mul", "rmul", "div", "sub"],
+    )
+    def test_backward_skips_the_product_of_a_constant_operand(self, op):
+        """A constant needs no gradient, so the backward of ``x * c`` (and
+        ``x / c``, ``x - c``) computes nothing from ``x.data``: every array
+        op reading it would only feed a gradient that is dropped."""
+
+        class Counted(np.ndarray):
+            ops = 0
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                Counted.ops += 1
+                inputs = tuple(np.asarray(value) for value in inputs)
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        x.data = x.data.view(Counted)
+        out = op(x, Tensor([2.0, 4.0, 8.0]))
+        Counted.ops = 0
+        out.backward(np.ones(3))
+        assert Counted.ops == 0
+        assert x.grad is not None
+
 
 class TestNonlinearities:
     @pytest.mark.parametrize(

@@ -1,21 +1,20 @@
 """Span lifecycle across a hot refit (the mid-trace flip satellite).
 
-One tracer is shared by every generation's serving loops, so traces from
-both sides of a flip land in one retained list.  The contract: a request
+A loop's tracer outlives its refits, so traces from both sides of a flip
+land in one retained list.  The contract: a request
 served at the flip boundary is answered on exactly one lane at exactly one
 generation — a drained one stamps it on its one ``serve.drain`` span
 (batches are never torn across generations), one answered at admission
 from a resident plan has no drain span and stamps it on its ``admission``
 span — and per serving context the generation is monotone non-decreasing in
-trace-sequence order.  Untraced, the fleet allocates nothing across a flip.
+trace-sequence order.  Untraced, the loop allocates nothing across a flip.
 """
 
 from __future__ import annotations
 
 from repro.evaluation.protocol import rollout_next_step
 from repro.obs import Tracer, get_registry
-from repro.replica import ReplicaSet
-from repro.serve import replay_lockstep
+from repro.serve import ServingLoop, replay_lockstep
 
 MAX_LENGTH = 5  # keep in sync with tests/obs/conftest.py
 
@@ -38,12 +37,12 @@ def served_generations(trace):
 
 def test_traces_span_the_flip_with_one_generation_each(make_planner, obs_contexts):
     tracer = Tracer(enabled=True, sample_rate=1.0)
-    with ReplicaSet(lambda: make_planner(), tracer=tracer) as replica_set:
-        before = replay_lockstep(replica_set, obs_contexts, MAX_LENGTH)
-        replica_set.refit()
-        after = replay_lockstep(replica_set, obs_contexts, MAX_LENGTH)
+    with ServingLoop(make_planner(), tracer=tracer) as loop:
+        before = replay_lockstep(loop, obs_contexts, MAX_LENGTH)
+        loop.refit(make_planner)
+        after = replay_lockstep(loop, obs_contexts, MAX_LENGTH)
 
-    # Tracing changes nothing a fleet answers, and the shared backbone is
+    # Tracing changes nothing a loop answers, and the shared backbone is
     # untouched by the flip: both replays answer like sequential serving.
     assert before == rollout_next_step(make_planner(), obs_contexts, MAX_LENGTH)
     assert after == before
@@ -81,36 +80,37 @@ def test_traces_span_the_flip_with_one_generation_each(make_planner, obs_context
 def test_flip_boundary_trace_ids_stay_deterministic(make_planner, obs_contexts):
     def run():
         tracer = Tracer(enabled=True, sample_rate=1.0)
-        with ReplicaSet(lambda: make_planner(), tracer=tracer) as replica_set:
-            replay_lockstep(replica_set, obs_contexts, MAX_LENGTH)
-            replica_set.refit()
-            replay_lockstep(replica_set, obs_contexts, MAX_LENGTH)
+        with ServingLoop(make_planner(), tracer=tracer) as loop:
+            replay_lockstep(loop, obs_contexts, MAX_LENGTH)
+            loop.refit(make_planner)
+            replay_lockstep(loop, obs_contexts, MAX_LENGTH)
         return sorted(tracer.trace_ids())
 
     assert run() == run()
 
 
-def test_an_untraced_fleet_allocates_nothing_across_a_flip(make_planner, obs_contexts):
-    """Zero cost when off holds for the fleet too: its member, its refit
-    and the generation after it allocate no trace and no span."""
+def test_an_untraced_loop_allocates_nothing_across_a_flip(make_planner, obs_contexts):
+    """Zero cost when off holds across a refit too: the loop, its refit and
+    the generation after it allocate no trace and no span."""
     registry = get_registry()
     before = registry.snapshot("obs.trace")["counters"]
-    with ReplicaSet(lambda: make_planner()) as replica_set:
-        replay_lockstep(replica_set, obs_contexts, MAX_LENGTH)
-        replica_set.refit()
-        replay_lockstep(replica_set, obs_contexts, MAX_LENGTH)
-        served = replica_set.stats()["served"]
+    with ServingLoop(make_planner()) as loop:
+        replay_lockstep(loop, obs_contexts, MAX_LENGTH)
+        loop.refit(make_planner)
+        replay_lockstep(loop, obs_contexts, MAX_LENGTH)
+        served = loop.stats()["served"]
     assert registry.snapshot("obs.trace")["counters"] == before
     assert served > 0
 
 
-def test_refit_keeps_replica_stats_shape_with_tracing(make_planner, obs_contexts):
+def test_refit_keeps_the_stats_shape_with_tracing(make_planner, obs_contexts):
     tracer = Tracer(enabled=True, sample_rate=1.0)
-    with ReplicaSet(lambda: make_planner(), tracer=tracer) as replica_set:
-        replay_lockstep(replica_set, obs_contexts, MAX_LENGTH)
-        replica_set.refit()
-        replay_lockstep(replica_set, obs_contexts, MAX_LENGTH)
-        stats = replica_set.stats()
-    assert {"served", "replicas", "refits", "admission", "dispatch"} <= set(stats)
-    assert len(stats["refits"]) == 1
-    assert stats["refits"][0]["generation_to"] == 2
+    with ServingLoop(make_planner(), tracer=tracer) as loop:
+        replay_lockstep(loop, obs_contexts, MAX_LENGTH)
+        shape_before = set(loop.stats())
+        loop.refit(make_planner)
+        replay_lockstep(loop, obs_contexts, MAX_LENGTH)
+        stats = loop.stats()
+    assert set(stats) == shape_before
+    assert {"served", "generation", "admission", "service_latency"} <= set(stats)
+    assert stats["generation"] == 2

@@ -1,21 +1,22 @@
-"""Fixtures for the replicated serving suite.
+"""Fixtures for the serving-front-end and hot-refit suite.
 
-Two factory flavours, matching the two halves of the replication contract:
+Two factory flavours, matching the two halves of the refit contract:
 
 * ``make_factory`` — planners over ONE session-scoped fitted backbone
-  (cheap; all replicas trivially share a generation's weights).  Used by
-  the parity suite: what must hold is that *routing* never changes
-  answers.
+  (cheap; every generation trivially shares its weights).  Used by the
+  parity suites: what must hold is that *routing* and *refits* never
+  change answers.
 * ``fresh_factory`` — a genuinely independent backbone fitted per call
   (deterministic config + seed, so weights are identical across calls).
-  Used by the refit suite: the coordinator must be able to train standby
-  replicas off-path without touching a serving backbone.
+  Used by the refit suite: a refit must be able to train its standby
+  off-path without touching a serving backbone.
 
-``fleet`` builds a started fleet of either transport (``inproc`` — a
-:class:`~repro.replica.ReplicaSet`, one member; ``process`` — a
-:class:`~repro.distributed.RemoteReplicaSet`, skipped without ``fork``), so
-a contract both must hold is written once (``test_fleet_contract.py``).
-Only the process fleet takes ``num_replicas``: ``"process-<n>"`` fixes it.
+``fleet`` builds a started front-end of either transport (``inproc`` — a
+:class:`~repro.serve.loop.ServingLoop` over one ``planner_factory()``
+planner; ``process`` — a :class:`~repro.distributed.RemoteReplicaSet`,
+skipped without ``fork``), so a contract both must hold is written once
+(``test_fleet_contract.py``); :func:`refit` refits either.  Only the
+process fleet takes ``num_replicas``: ``"process-<n>"`` fixes it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.core.beam import BeamSearchPlanner
 from repro.core.irn import IRN
 from repro.distributed import CAN_FORK, RemoteReplicaSet
 from repro.evaluation.protocol import sample_objectives
-from repro.replica import ReplicaSet
+from repro.serve import ServingLoop
 
 MAX_LENGTH = 5
 
@@ -87,6 +88,14 @@ def fresh_factory(tiny_split):
     return build
 
 
+def refit(front_end, planner_factory, tenant_factory=None) -> dict:
+    """One hot refit of either front-end: a loop is handed the factories
+    again, the process fleet calls the ones it was built with."""
+    if isinstance(front_end, ServingLoop):
+        return front_end.refit(planner_factory, tenant_factory)
+    return front_end.refit()
+
+
 def _fleet_threads() -> set:
     """Live threads a fleet owns: drain threads, wire readers, the detector."""
     return {
@@ -98,7 +107,7 @@ def _fleet_threads() -> set:
 
 @pytest.fixture(params=["inproc", "process"])
 def fleet(request):
-    """``fleet(planner_factory, **kwargs)`` -> a started fleet over the
+    """``fleet(planner_factory, **kwargs)`` -> a started front-end over the
     parametrised transport; ``fleet.transport`` names it.  A test may
     re-parametrise it (``indirect``) with ``"process-<n>"`` for a process
     fleet of ``n`` workers; plain ``"process"`` leaves the count to its
@@ -115,10 +124,11 @@ def fleet(request):
             kwargs.setdefault("heartbeat_interval", 0.05)
             if workers:
                 kwargs.setdefault("num_replicas", int(workers))
-            cls = RemoteReplicaSet
+            built.append(RemoteReplicaSet(planner_factory, **kwargs))
         else:
-            cls = ReplicaSet
-        built.append(cls(planner_factory, **kwargs))
+            tenant_factory = kwargs.pop("tenant_factory", None)
+            tenants = None if tenant_factory is None else tenant_factory()
+            built.append(ServingLoop(planner_factory(), tenants=tenants, **kwargs))
         return built[-1].start()
 
     build.transport = transport

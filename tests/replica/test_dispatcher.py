@@ -1,10 +1,13 @@
-"""Unit tests of the tail-latency-aware dispatcher and replica load tracking.
+"""Unit tests of the tail-latency-aware dispatcher and worker load tracking.
 
-These drive :class:`~repro.replica.dispatch.Dispatcher` and
-:class:`~repro.replica.replica.Replica` through their public accounting API
-with stub loops — no planners, no threads — so the routing rules (cold
-round-robin, warm least-loaded, session affinity, health filtering) are
-asserted deterministically.
+These drive :class:`~repro.replica.dispatch.Dispatcher` over stub members —
+``index``, ``healthy``, ``cold()`` and ``score()``, the surface a worker's
+:class:`~repro.distributed.remote.RemoteReplica` offers it, scored the way
+that handle scores a heartbeat — with no planners, no threads and no
+processes, so the routing rules (cold round-robin, warm least-loaded,
+session affinity, health filtering) are asserted deterministically; and
+:class:`~repro.replica.replica.Replica`, the accounting a worker's
+heartbeats report, through its public API.
 """
 
 from __future__ import annotations
@@ -12,28 +15,36 @@ from __future__ import annotations
 import pytest
 
 from repro.replica.dispatch import Dispatcher
-from repro.replica.replica import MIN_WARM_SAMPLES, Replica
+from repro.replica.replica import LATENCY_WEIGHT, MIN_WARM_SAMPLES, Replica
 from repro.serve.request import ServeRequest
 from repro.utils.exceptions import ServingError
 
 
-class _StubLoop:
-    def current_depth(self) -> int:
-        return 0
+class _Member:
+    """A dispatch member with set load signals (cold until warmed)."""
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+        self.healthy = True
+        self.latency_samples = 0
+        self.ewma_depth = 0.0
+        self.p95_ms = 0.0
+
+    def cold(self) -> bool:
+        return self.latency_samples < MIN_WARM_SAMPLES
+
+    def score(self) -> float:
+        return self.ewma_depth + LATENCY_WEIGHT * (self.p95_ms / 1000.0)
 
 
-def make_replica(index: int, generation: int = 1) -> Replica:
-    return Replica(index, planner=object(), loop=_StubLoop(), generation=generation)
+def make_replica(index: int) -> _Member:
+    return _Member(index)
 
 
-def warm_up(replica: Replica, latency_s: float, samples: int = MIN_WARM_SAMPLES) -> None:
-    """Feed ``samples`` completed requests at ``latency_s`` each."""
-    for _ in range(samples):
-        request = ServeRequest.create("next_step", [1], 2)
-        replica.on_dispatch()
-        request.enqueued_at = 100.0
-        request.completed_at = 100.0 + latency_s
-        replica.on_complete(request)
+def warm_up(member: _Member, latency_s: float) -> None:
+    """Give ``member`` enough latency samples at ``latency_s`` to be scored."""
+    member.latency_samples = MIN_WARM_SAMPLES
+    member.p95_ms = 1000.0 * latency_s
 
 
 def next_step_request(history=(1, 2), objective=3) -> ServeRequest:
@@ -54,6 +65,11 @@ class TestColdStart:
         assert dispatcher.stats()["picks"]["round_robin"] == 6
         assert dispatcher.stats()["picks"]["least_loaded"] == 0
 
+    def test_one_cold_replica_keeps_the_rotation(self):
+        replicas = [make_replica(i) for i in range(2)]
+        warm_up(replicas[0], latency_s=0.005)
+        dispatcher = Dispatcher(replicas)
+        assert [dispatcher.pick(plan_request()).index for _ in range(4)] == [0, 1, 0, 1]
 
 
 class TestLeastLoaded:
@@ -62,8 +78,7 @@ class TestLeastLoaded:
         busy, idle = make_replica(0), make_replica(1)
         warm_up(busy, latency_s=0.005)
         warm_up(idle, latency_s=0.005)
-        for _ in range(10):  # backlog: dispatched, never completed
-            busy.on_dispatch()
+        busy.ewma_depth = 10.0  # a backlog: dispatched, never completed
         dispatcher = Dispatcher([busy, idle])
         assert dispatcher.pick(plan_request()).index == 1
         assert dispatcher.stats()["picks"]["least_loaded"] == 1
@@ -74,15 +89,43 @@ class TestLeastLoaded:
         warm_up(slow, latency_s=0.5)
         warm_up(fast, latency_s=0.005)
         dispatcher = Dispatcher([slow, fast])
-        assert slow.recent_p95_ms() > fast.recent_p95_ms()
         assert dispatcher.pick(plan_request()).index == 1
 
-    def test_dispatch_failed_undoes_inflight_accounting(self):
-        replica = make_replica(0)
-        replica.on_dispatch()
-        replica.on_dispatch_failed()
-        assert replica.stats()["inflight"] == 0
-        assert replica.stats()["dispatched"] == 0
+    def test_ties_go_to_the_lower_index(self):
+        replicas = [make_replica(i) for i in (2, 0, 1)]
+        for replica in replicas:
+            warm_up(replica, latency_s=0.005)
+        assert Dispatcher(replicas).pick(plan_request()).index == 0
+
+
+class _StubLoop:
+    def current_depth(self) -> int:
+        return 3
+
+
+class TestWorkerLoad:
+    """What a worker's heartbeats report, from its :class:`Replica`."""
+
+    def test_dispatch_and_completion_move_inflight_and_the_window(self):
+        replica = Replica(4, loop=_StubLoop(), generation=2)
+        requests = [ServeRequest.create("next_step", [1], 2) for _ in range(MIN_WARM_SAMPLES)]
+        for request in requests:
+            replica.on_dispatch()
+        assert replica.stats()["inflight"] == MIN_WARM_SAMPLES
+        for offset, request in enumerate(requests):
+            request.enqueued_at = 100.0
+            request.completed_at = 100.0 + 0.001 * (offset + 1)
+            replica.on_complete(request)
+        stats = replica.stats()
+        assert (stats["index"], stats["generation"], stats["queued"]) == (4, 2, 3)
+        assert (stats["inflight"], stats["dispatched"], stats["completed"]) == (
+            0,
+            MIN_WARM_SAMPLES,
+            MIN_WARM_SAMPLES,
+        )
+        assert stats["latency_samples"] == MIN_WARM_SAMPLES
+        assert stats["recent_p95_ms"] == pytest.approx(1.0 * MIN_WARM_SAMPLES)
+        assert 0.0 < stats["ewma_depth"] < MIN_WARM_SAMPLES
 
 
 class TestAffinity:
@@ -123,7 +166,7 @@ class TestAffinity:
         replicas = [make_replica(i) for i in range(2)]
         dispatcher = Dispatcher(replicas)
         owner = dispatcher.pick(next_step_request())
-        owner.mark_unhealthy()
+        owner.healthy = False
         replacement = dispatcher.pick(next_step_request())
         assert replacement is not owner
         assert replacement.healthy
@@ -136,7 +179,7 @@ class TestAffinity:
         dispatcher = Dispatcher(replicas)
         owner = dispatcher.pick(next_step_request())
         assert dispatcher.stats()["sessions_evicted"] == 0
-        owner.mark_unhealthy()
+        owner.healthy = False
         replacement = dispatcher.pick(next_step_request())
         stats = dispatcher.stats()
         assert stats["sessions_evicted"] == 1
@@ -154,9 +197,9 @@ class TestAffinity:
         replicas = [make_replica(i) for i in range(2)]
         dispatcher = Dispatcher(replicas)
         owner = dispatcher.pick(next_step_request())
-        owner.mark_unhealthy()
+        owner.healthy = False
         replacement = dispatcher.pick(next_step_request())
-        owner.mark_healthy()
+        owner.healthy = True
         assert dispatcher.pick(next_step_request()) is replacement
         assert dispatcher.stats()["sessions_evicted"] == 1
 
@@ -183,17 +226,17 @@ class TestAffinity:
 class TestHealth:
     def test_unhealthy_replicas_skipped(self):
         replicas = [make_replica(i) for i in range(3)]
-        replicas[0].mark_unhealthy()
+        replicas[0].healthy = False
         dispatcher = Dispatcher(replicas)
         picks = {dispatcher.pick(plan_request()).index for _ in range(6)}
         assert 0 not in picks
-        replicas[0].mark_healthy()
+        replicas[0].healthy = True
         picks = {dispatcher.pick(plan_request()).index for _ in range(6)}
         assert 0 in picks
 
     def test_no_healthy_replica_raises(self):
         replicas = [make_replica(0)]
-        replicas[0].mark_unhealthy()
+        replicas[0].healthy = False
         dispatcher = Dispatcher(replicas)
         with pytest.raises(ServingError, match="no healthy replica"):
             dispatcher.pick(plan_request())

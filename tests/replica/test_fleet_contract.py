@@ -1,21 +1,21 @@
-"""Contracts every fleet holds, whatever its members are made of.
+"""Contracts both serving front-ends hold.
 
 Each test runs on both transports through the ``fleet`` fixture
-(``inproc`` — :class:`~repro.replica.ReplicaSet`, one member; ``process``
-— :class:`~repro.distributed.RemoteReplicaSet`, once at two workers and
-once at its defaulted count, ``REPRO_REPLICAS`` or 1, so the CI leg that
-sets it to 2 runs both process cases at two workers): the two classes
-share one core, so what is promised about dispatch, admission, refits and
-shutdown is written once and must hold for both (the per-transport parity
-suites, ``test_replica_parity.py`` here and ``tests/distributed``, predate
-the fixture).  The fixture itself asserts that nothing a fleet started
-(drain threads, reader threads, the failure detector, worker processes)
-outlives its ``close()``.
+(``inproc`` — a :class:`~repro.serve.loop.ServingLoop`; ``process`` — a
+:class:`~repro.distributed.RemoteReplicaSet`, once at two workers and once
+at its defaulted count, ``REPRO_REPLICAS`` or 1, so the CI leg that sets it
+to 2 runs both process cases at two workers): what is promised about
+submission, admission, refits and shutdown is written once and must hold
+for both; the sections only a fleet has (per-worker admission, the refit
+history and archive) are checked on the process cases.  The fixture itself
+asserts that nothing a front-end started (drain threads, reader threads,
+the failure detector, worker processes) outlives its ``close()``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import threading
 import time
 
 import pytest
@@ -23,6 +23,8 @@ import pytest
 from repro.serve.api import PlanRequest
 from repro.serve.request import ServeRequest
 from repro.utils.exceptions import DeadlineExceeded, QueueFullError, ServingError
+
+from tests.replica.conftest import refit
 
 pytestmark = pytest.mark.parametrize("fleet", ["inproc", "process-2", "process"], indirect=True)
 
@@ -44,7 +46,8 @@ class TestFleetParity:
             ).result(timeout=30)
             assert response.answer == expected
             assert response.served_generation == envelope.served_generation == 1
-            assert response.replica_index is not None
+            # a worker index names who answered; a loop has no workers
+            assert (response.replica_index is None) == (fleet.transport == "inproc")
 
 
 class TestFleetDeadline:
@@ -59,61 +62,71 @@ class TestFleetDeadline:
         live = _plan(*replica_contexts[0], deadline=time.perf_counter() + 60.0)
         assert front_end.enqueue(live).result(timeout=30) is not None
         stats = front_end.stats()
-        # The refusal happened before any member was picked: it shows in the
-        # fleet total as expired (not rejected), on no member's controller
-        # and in no dispatch count.
+        # Refused at admission: counted as expired (not rejected), never
+        # admitted, and — on the fleet — on no worker's controller and in
+        # no dispatch count.
         assert stats["admission"]["expired"] == 1
         assert stats["admission"]["rejected"] == 0
-        assert sum(entry["expired"] for entry in stats["admission"]["per_replica"]) == 0
         assert stats["admission"]["admitted"] == stats["served"] == 1
-        assert sum(replica["dispatched"] for replica in stats["replicas"]) == 1
+        if fleet.transport == "process":
+            assert sum(entry["expired"] for entry in stats["admission"]["per_replica"]) == 0
+            assert sum(replica["dispatched"] for replica in stats["replicas"]) == 1
 
     def test_a_member_refusal_sums_into_the_fleet_expired_count(
         self, fleet, make_factory, replica_contexts
     ):
         front_end = fleet(make_factory())
-        replica = front_end.active_replicas()[0]
-        # Past the fleet's own check (straight to the member), as a request
-        # whose budget ran out between that check and the hand-over would be.
+        # Past the front-end's own check, as a request whose budget ran out
+        # between that check and the drain would be: straight to a worker,
+        # or straight into the loop's queue.
+        if fleet.transport == "process":
+            hand_over = front_end.active_replicas()[0].accept
+        else:
+            hand_over = front_end.queue.put
         late = _plan(*replica_contexts[0], deadline=time.perf_counter() - 0.25)
         with pytest.raises(DeadlineExceeded):
-            replica.accept(late)  # an in-process member refuses here ...
-            late.future.result(timeout=30)  # ... a worker through the future
+            hand_over(late)
+            late.future.result(timeout=30)
         admission = front_end.stats()["admission"]
         assert (admission["expired"], admission["rejected"]) == (1, 0)
-        assert sum(member["expired"] for member in admission["per_replica"]) == 1
-        assert sum(member["rejected"] for member in admission["per_replica"]) == 0
+        if fleet.transport == "process":
+            assert sum(member["expired"] for member in admission["per_replica"]) == 1
+            assert sum(member["rejected"] for member in admission["per_replica"]) == 0
 
 
 class TestFleetRefit:
     def test_refit_flips_archives_and_reports(self, fleet, make_factory, replica_contexts):
-        front_end = fleet(make_factory())
+        factory = make_factory()
+        front_end = fleet(factory)
         before = [_plan(*context) for context in replica_contexts]
         for request in before:
             front_end.enqueue(request)
         for request in before:
             request.future.result(timeout=30)
-        report = front_end.refit()
+        report = refit(front_end, factory)
         after = _plan(*replica_contexts[0])
         front_end.enqueue(after).result(timeout=30)
         stats = front_end.stats()
         assert {request.served_generation for request in before} == {1}
         assert after.served_generation == 2
         assert (report["generation_from"], report["generation_to"]) == (1, 2)
-        members = front_end.num_replicas
-        assert report["num_replicas"] == stats["num_replicas"] == members
-        assert report["retired_served"] == len(before)
         assert report["inflight_at_flip"] == 0
+        assert report["flip_seconds"] < 0.5  # pointer swaps, not training
         assert front_end.fit_generation == stats["generation"] == 2
-        assert stats["refits"] == [report]
-        assert stats["retired_replicas"] == members
-        assert len(front_end.archived_stats()) == members
-        assert {replica["generation"] for replica in stats["replicas"]} == {2}
+        assert stats["served"] == len(before) + 1
+        if fleet.transport == "process":
+            members = front_end.num_replicas
+            assert report["num_replicas"] == stats["num_replicas"] == members
+            assert report["retired_served"] == len(before)
+            assert stats["refits"] == [report]
+            assert stats["retired_replicas"] == members
+            assert len(front_end.archived_stats()) == members
+            assert {replica["generation"] for replica in stats["replicas"]} == {2}
 
     def test_flip_refused_when_set_closes_during_training(self, fleet, make_factory):
         """close() racing the training phase must not let the flip install a
-        live standby into a closed set — and the refused standby, which
-        close() cannot reach, must be shut down by the coordinator."""
+        live standby into a closed front-end — and the refused standby,
+        which close() cannot reach, must be shut down by the refit."""
         base_factory = make_factory()
         box: dict = {}
         calls = {"count": 0}
@@ -127,10 +140,61 @@ class TestFleetRefit:
         front_end = fleet(closing_factory)
         box["set"] = front_end
         with pytest.raises(ServingError, match="closed"):
-            front_end.refit()
+            refit(front_end, closing_factory)
         assert calls["count"] > 1  # the standby build really ran
         # No generation landed, no refit recorded — and (the fixture's
         # teardown re-checks threads) no standby worker survived.
         assert front_end.fit_generation == 1
-        assert front_end.stats()["refits"] == []
+        if fleet.transport == "process":
+            assert front_end.stats()["refits"] == []
+        assert multiprocessing.active_children() == []
+
+    def test_second_concurrent_refit_rejected(self, fleet, make_factory):
+        """One refit at a time: a second one while the first trains raises
+        instead of queueing (the caller owns retry policy)."""
+        base_factory = make_factory()
+        training, release = threading.Event(), threading.Event()
+        gated = {"on": False}
+
+        def factory():
+            if gated["on"]:  # the first refit's standby build
+                training.set()
+                assert release.wait(30.0)
+            return base_factory()
+
+        front_end = fleet(factory)
+        gated["on"] = True
+        reports: list = []
+        first = threading.Thread(target=lambda: reports.append(refit(front_end, factory)))
+        first.start()
+        try:
+            assert training.wait(30.0)
+            with pytest.raises(ServingError, match="already in progress"):
+                refit(front_end, factory)
+        finally:
+            release.set()
+            first.join(60.0)
+        assert not first.is_alive()
+        assert [report["generation_to"] for report in reports] == [2]
+        assert front_end.fit_generation == 2
+
+    def test_close_after_flip_covers_the_new_generation(
+        self, fleet, make_factory, replica_contexts
+    ):
+        """What close() drains and releases after a flip is the NEW
+        generation: its answers resolve at generation 2 and nothing of it
+        is left running (the fixture's teardown checks threads)."""
+        factory = make_factory()
+        front_end = fleet(factory)
+        refit(front_end, factory)
+        requests = [_plan(*context) for context in replica_contexts]
+        for request in requests:
+            front_end.enqueue(request)
+        front_end.close()
+        assert all(request.future.done() for request in requests)
+        assert {request.served_generation for request in requests} == {2}
+        if fleet.transport == "process":
+            assert all(replica.dead for replica in front_end.all_replicas())
+        else:
+            assert front_end.queue.closed
         assert multiprocessing.active_children() == []

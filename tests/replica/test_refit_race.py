@@ -1,19 +1,31 @@
 """Hot-refit correctness: atomic generation flips under live traffic.
 
-The satellite contract of the replication PR: requests enqueued during the
-flip window all answer from exactly one generation — no torn micro-batch
-mixes generations; no admitted request is ever dropped or errored by a refit; per serving
-context the answering generation is monotone in submission order.
+:meth:`ServingLoop.refit <repro.serve.loop.ServingLoop.refit>` builds the
+next generation off-path and flips it in between two drains: requests
+enqueued during the flip window all answer from exactly one generation —
+no torn micro-batch mixes generations; no admitted request is ever dropped
+or errored by a refit; per serving context the answering generation is
+monotone in submission order.  The process fleet holds the same contract
+(``tests/replica/test_parent_mirror.py::TestMirrorAndRefit``,
+``tests/distributed/test_remote_refit.py``); what both front-ends promise
+about refits is written once in ``test_fleet_contract.py``.
 """
 
 from __future__ import annotations
 
+import gc
+import sys
 import threading
+import time
+import weakref
 
 import pytest
 
-from repro.replica import ReplicaSet, run_replicated_open_loop
-from repro.utils.exceptions import ServingError, StaleGenerationError
+from repro.replica import run_replicated_open_loop
+from repro.serve import ServingLoop
+from repro.serve.request import ServeRequest
+from repro.tenant import TenantRegistry
+from repro.utils.exceptions import ConfigurationError, ServingError, StaleGenerationError
 
 MAX_LENGTH = 5  # keep in sync with tests/replica/conftest.py
 
@@ -25,13 +37,11 @@ def _drain(requests):
     return requests
 
 
-def _submit_round(replica_set, contexts):
-    from repro.serve.request import ServeRequest
-
+def _submit_round(loop, contexts, kind="next_step"):
     requests = []
     for history, objective, user in contexts:
-        request = ServeRequest.create("next_step", history, objective, user_index=user)
-        replica_set.enqueue(request)
+        request = ServeRequest.create(kind, history, objective, user_index=user)
+        loop.enqueue(request)
         requests.append(request)
     return requests
 
@@ -40,9 +50,10 @@ class TestRefitRace:
     def test_flip_window_requests_answer_from_exactly_one_generation(
         self, fresh_factory, replica_contexts
     ):
-        with ReplicaSet(fresh_factory()) as replica_set:
+        factory = fresh_factory()
+        with ServingLoop(factory()) as loop:
             # Phase 1: pre-refit traffic is all generation 1.
-            before = _drain(_submit_round(replica_set, replica_contexts))
+            before = _drain(_submit_round(loop, replica_contexts))
             assert {r.served_generation for r in before} == {1}
 
             # Phase 2: keep submitting while the refit trains and flips.
@@ -50,20 +61,27 @@ class TestRefitRace:
             refit_report: dict = {}
 
             def run_refit():
-                refit_report.update(replica_set.refit())
+                refit_report.update(loop.refit(factory))
 
             refitter = threading.Thread(target=run_refit)
-            refitter.start()
-            # Bounded pressure: keep the flip window busy without letting a
-            # slow CI box accumulate an unbounded backlog (the block policy
-            # already throttles producers at the queue bound).
-            while refitter.is_alive() and len(during) < 1800:
-                during.extend(_submit_round(replica_set, replica_contexts))
-            refitter.join()
+            # Switch threads often, so submissions interleave with the flip.
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                refitter.start()
+                # Bounded pressure: keep the flip window busy without letting
+                # a slow CI box accumulate an unbounded backlog (the block
+                # policy already throttles producers at the queue bound).
+                while refitter.is_alive() and len(during) < 1800:
+                    during.extend(_submit_round(loop, replica_contexts))
+                refitter.join(60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not refitter.is_alive()
             _drain(during)
 
             # Phase 3: post-refit traffic is all generation 2.
-            after = _drain(_submit_round(replica_set, replica_contexts))
+            after = _drain(_submit_round(loop, replica_contexts))
             assert {r.served_generation for r in after} == {2}
 
         # Every admitted request resolved with an answer at a generation.
@@ -72,14 +90,11 @@ class TestRefitRace:
         assert all(r.served_generation in (1, 2) for r in everything)
 
         # No torn micro-batch: group by the drain's batch tag — each batch
-        # was answered at exactly one generation, by exactly one replica.
+        # was answered at exactly one generation.
         batches: "dict[int, set]" = {}
-        owners: "dict[int, set]" = {}
         for request in everything:
             batches.setdefault(request.batch_tag, set()).add(request.served_generation)
-            owners.setdefault(request.batch_tag, set()).add(request.replica_index)
         assert all(len(generations) == 1 for generations in batches.values())
-        assert all(len(replicas) == 1 for replicas in owners.values())
 
         # Per serving context, the answering generation is monotone in
         # submission order: once a context sees the new model it never
@@ -94,7 +109,7 @@ class TestRefitRace:
 
         assert refit_report["generation_from"] == 1
         assert refit_report["generation_to"] == 2
-        assert replica_set.fit_generation == 2
+        assert loop.fit_generation == 2
 
     def test_open_loop_traffic_never_pauses_across_a_refit(
         self, fresh_factory, replica_contexts
@@ -102,58 +117,68 @@ class TestRefitRace:
         """The report ``serve-sim --refit-at`` publishes: no admitted request
         errored, none rejected under the block policy (``no_pause``), and the
         refit stepped exactly one generation forward."""
-        with ReplicaSet(fresh_factory()) as replica_set:
+        factory = fresh_factory()
+        with ServingLoop(factory()) as loop:
             report = run_replicated_open_loop(
-                replica_set,
+                loop,
                 replica_contexts,
                 arrival_rate=200.0,
                 num_requests=120,
                 max_length=MAX_LENGTH,
                 refit_at=0.0,
+                refit=lambda: loop.refit(factory),
             )
         assert report["admission"]["policy"] == "block"
         assert report["errored_requests"] == report["rejected_requests"] == 0
         assert report["no_pause"] is True
         refit = report["refit"]
         assert refit["generation_to"] == refit["generation_from"] + 1
+        assert report["fit_generation"] == refit["generation_to"]
         assert report["admitted_requests"] == sum(report["generations_served"].values())
 
-    def test_refit_retires_old_replicas_and_reports(self, fresh_factory, replica_contexts):
-        with ReplicaSet(fresh_factory()) as replica_set:
-            old_replicas = replica_set.active_replicas()
-            _drain(_submit_round(replica_set, replica_contexts))
-            report = replica_set.refit()
-            # Old loops are closed (drained dry), new ones serve.
-            assert all(replica.loop.queue.closed for replica in old_replicas)
-            new_replicas = replica_set.active_replicas()
-            assert {r.generation for r in new_replicas} == {2}
-            assert not (set(id(r) for r in new_replicas) & set(id(r) for r in old_replicas))
-            after = _drain(_submit_round(replica_set, replica_contexts))
-            assert {r.served_generation for r in after} == {2}
-            stats = replica_set.stats()
-        assert report["train_seconds"] >= 0
-        assert report["flip_seconds"] < 0.5  # the flip is pointer swaps, not training
-        assert report["num_replicas"] == 1
-        assert stats["retired_replicas"] == 1
-        assert len(stats["refits"]) == 1
-        assert stats["refits"][0]["generation_to"] == 2
-        # The old generation collapsed into counter snapshots — its models
-        # are gone from the live set, but its work still counts fleet-wide.
-        archived = replica_set.archived_stats()
-        assert len(archived) == 1
-        assert sum(snapshot["loop"]["served"] for snapshot in archived) == report[
-            "retired_served"
-        ]
-        assert len(stats["replicas"]) == 1  # the live (new-generation) member only
-        assert stats["served"] >= report["retired_served"] + len(replica_contexts)
-        assert stats["admission"]["admitted"] >= stats["served"]
+    def test_refit_waits_for_the_batch_in_flight_and_reports(
+        self, fresh_factory, replica_contexts
+    ):
+        """The batch planning at the flip finishes on the old generation
+        before refit() returns; what was still queued is answered by the
+        new one."""
+        factory = fresh_factory()
+        gate, entered = threading.Event(), threading.Event()
+        planner = factory()
+        plan = planner.plan_paths_batch
 
-    def test_a_refit_builds_one_standby_member_and_archives_one(self, fresh_factory):
-        """In process a generation is one member: the refit calls the
-        planner and tenant factories once each, flips in one member and
-        archives the one it replaced."""
-        from repro.tenant import TenantRegistry
+        def gated(*args, **kwargs):
+            entered.set()
+            assert gate.wait(30.0)
+            return plan(*args, **kwargs)
 
+        planner.plan_paths_batch = gated
+        with ServingLoop(planner, drain_deadline=0.0) as loop:
+            in_flight = _submit_round(loop, replica_contexts[:1], kind="plan_paths")
+            assert entered.wait(30.0)
+            queued = _submit_round(loop, replica_contexts[1:], kind="plan_paths")
+            reports: list = []
+            refitter = threading.Thread(target=lambda: reports.append(loop.refit(factory)))
+            refitter.start()
+            deadline = time.perf_counter() + 30.0
+            while loop.fit_generation == 1 and time.perf_counter() < deadline:
+                time.sleep(0.005)
+            assert loop.fit_generation == 2
+            assert refitter.is_alive()  # flipped, but the old batch still plans
+            gate.set()
+            refitter.join(30.0)
+            assert not refitter.is_alive()
+            _drain(in_flight + queued)
+            (report,) = reports
+        assert {r.served_generation for r in in_flight} == {1}
+        assert {r.served_generation for r in queued} == {2}
+        assert report["inflight_at_flip"] == len(in_flight)
+        assert report["train_seconds"] >= 0 and report["retire_seconds"] >= 0
+        assert report["flip_seconds"] < 0.5  # the flip is a pointer swap, not training
+
+    def test_a_refit_calls_each_factory_once(self, fresh_factory):
+        """A refit builds one standby generation: one planner and one tenant
+        registry, both pinned to the new generation."""
         base_factory = fresh_factory()
         calls = {"planner": 0, "tenants": 0}
 
@@ -163,54 +188,88 @@ class TestRefitRace:
 
         def tenant_factory():
             calls["tenants"] += 1
-            return TenantRegistry()
+            registry = TenantRegistry()
+            registry.add("irs", base_factory())
+            return registry
 
-        with ReplicaSet(planner_factory, tenant_factory=tenant_factory) as replica_set:
-            assert calls == {"planner": 1, "tenants": 1}
-            (old,) = replica_set.active_replicas()
-            report = replica_set.refit()
+        with ServingLoop(planner_factory(), tenants=tenant_factory()) as loop:
+            old = loop.tenants
+            loop.refit(planner_factory, tenant_factory)
             assert calls == {"planner": 2, "tenants": 2}
-            (new,) = replica_set.active_replicas()
-            assert (old.generation, new.generation) == (1, 2)
-            assert new.index != old.index
-            assert old.loop.queue.closed
-            stats = replica_set.stats()
-        assert report["num_replicas"] == stats["num_replicas"] == 1
-        assert stats["retired_replicas"] == 1
-        assert [snapshot["replica"]["index"] for snapshot in replica_set.archived_stats()] == [
-            old.index
-        ]
+            assert loop.tenants is not old
+            assert loop.planner.serving_generation == 2
+            assert loop.tenants.get("irs").adapter.serving_generation == 2
 
-    def test_second_concurrent_refit_rejected(self, fresh_factory):
-        with ReplicaSet(fresh_factory()) as replica_set:
-            coordinator = replica_set.refit_coordinator
-            coordinator._refit_lock.acquire()  # simulate an in-progress refit
-            try:
-                with pytest.raises(ServingError, match="already in progress"):
-                    replica_set.refit()
-                assert coordinator.refitting
-            finally:
-                coordinator._refit_lock.release()
-            assert not coordinator.refitting
+    def test_the_uniform_registry_is_rebuilt_for_the_new_generation(
+        self, fresh_factory, replica_contexts, monkeypatch
+    ):
+        """``REPRO_TENANTS`` synthesizes a registry over the loop's planner;
+        a refit synthesizes it again, over the NEW planner."""
+        monkeypatch.setenv("REPRO_TENANTS", "2")
+        factory = fresh_factory()
+        with ServingLoop(factory()) as loop:
+            names = loop.tenants.names
+            before = _drain(_submit_round(loop, replica_contexts))
+            loop.refit(factory)
+            assert loop.tenants.names == names
+            assert {binding.adapter.model() for binding in loop.tenants.bindings()} == {
+                loop.planner
+            }
+            after = _drain(_submit_round(loop, replica_contexts))
+            stats = loop.stats()
+        assert {r.served_generation for r in before} == {1}
+        assert {r.served_generation for r in after} == {2}
+        # a tenant's counters keep counting across the swap of its registry
+        assert sum(t["served"] for t in stats["tenants"].values()) == stats["served"]
+
+    def test_the_old_generation_is_released_after_its_last_batch(
+        self, fresh_factory, replica_contexts
+    ):
+        """A loop refitting periodically never retains old generations'
+        models: once the batch in flight at the flip has drained, nothing
+        holds the old planner."""
+        factory = fresh_factory()
+        planner = factory()
+        old = weakref.ref(planner)
+        with ServingLoop(planner) as loop:
+            del planner
+            _drain(_submit_round(loop, replica_contexts))
+            loop.refit(factory)
+            _drain(_submit_round(loop, replica_contexts, kind="plan_paths"))
+            gc.collect()
+            assert old() is None
+            assert loop.planner is not None
 
     def test_refit_on_closed_set_rejected(self, fresh_factory):
-        replica_set = ReplicaSet(fresh_factory())
-        replica_set.start()
-        replica_set.close()
+        factory = fresh_factory()
+        loop = ServingLoop(factory())
+        loop.start()
+        loop.close()
         with pytest.raises(ServingError, match="closed"):
-            replica_set.refit()
+            loop.refit(factory)
+
+    def test_a_factory_that_builds_no_planner_is_refused(self, fresh_factory, replica_contexts):
+        factory = fresh_factory()
+        with ServingLoop(factory()) as loop:
+            with pytest.raises(ConfigurationError, match="plan_for_requests"):
+                loop.refit(lambda: object())
+            assert loop.fit_generation == 1
+            served = _drain(_submit_round(loop, replica_contexts))
+            assert {r.served_generation for r in served} == {1}
+            assert loop.refit(factory)["generation_to"] == 2
 
     def test_successive_refits_keep_bumping_the_generation(
         self, fresh_factory, replica_contexts
     ):
-        with ReplicaSet(fresh_factory()) as replica_set:
-            assert replica_set.fit_generation == 1
-            replica_set.refit()
-            replica_set.refit()
-            assert replica_set.fit_generation == 3
-            after = _drain(_submit_round(replica_set, replica_contexts))
+        factory = fresh_factory()
+        with ServingLoop(factory()) as loop:
+            assert loop.fit_generation == 1
+            loop.refit(factory)
+            loop.refit(factory)
+            assert loop.fit_generation == 3
+            after = _drain(_submit_round(loop, replica_contexts))
             assert {r.served_generation for r in after} == {3}
-            assert [r["generation_to"] for r in replica_set.stats()["refits"]] == [2, 3]
+            assert loop.stats()["generation"] == 3
 
 
 class TestGenerationPinning:
@@ -279,39 +338,3 @@ class TestGenerationPinning:
         self._retrain_mid_plan(planner, monkeypatch)
         with pytest.raises(StaleGenerationError, match="generation changed"):
             planner.plan_path([1, 2], 3)
-
-
-class TestCloseRefitRace:
-    def test_flip_refused_when_set_closes_during_training(self, fresh_factory):
-        """close() racing the training phase must not let the flip install a
-        live standby set into a closed ReplicaSet (leaked drain threads)."""
-        import threading as _threading
-
-        base_factory = fresh_factory()
-        replica_set_box: dict = {}
-        calls = {"count": 0}
-
-        def closing_factory():
-            calls["count"] += 1
-            if calls["count"] == 2:  # the refit's standby build: close mid-train
-                replica_set_box["set"].close()
-            return base_factory()
-
-        replica_set = ReplicaSet(closing_factory)
-        replica_set_box["set"] = replica_set
-        replica_set.start()
-        before = _threading.active_count()
-        with pytest.raises(ServingError, match="closed"):
-            replica_set.refit()
-        # No generation landed, no refit recorded, no drain thread leaked.
-        assert replica_set.fit_generation == 1
-        assert replica_set.stats()["refits"] == []
-        assert _threading.active_count() <= before
-
-    def test_close_after_flip_covers_the_new_generation(self, fresh_factory):
-        replica_set = ReplicaSet(fresh_factory())
-        replica_set.start()
-        replica_set.refit()
-        new_replicas = replica_set.active_replicas()
-        replica_set.close()
-        assert all(replica.loop.queue.closed for replica in new_replicas)

@@ -11,7 +11,6 @@ import threading
 
 import pytest
 
-from repro.replica import ReplicaSet
 from repro.serve import NextStepRequest, ServingLoop
 from repro.serve.api import PlanRequest, Response
 from repro.serve.request import ServeRequest
@@ -72,11 +71,13 @@ def _uniform_tenants(make_planner, gate):
     return ServingLoop(planner, tenants=TenantRegistry.uniform(planner, 2))
 
 
-def _fleet(make_planner, gate):
-    return ReplicaSet(lambda: gate.guard(make_planner()))
+def _refitted_loop(make_planner, gate):
+    loop = ServingLoop(make_planner())
+    loop.refit(lambda: gate.guard(make_planner()))
+    return loop
 
 
-@pytest.mark.parametrize("build", [_plain_loop, _uniform_tenants, _fleet])
+@pytest.mark.parametrize("build", [_plain_loop, _uniform_tenants, _refitted_loop])
 def test_resident_step_is_answered_while_a_replan_is_blocked(
     build, make_planner, serve_contexts
 ):

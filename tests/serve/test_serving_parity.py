@@ -20,7 +20,7 @@ from repro.utils.exceptions import ConfigurationError
 
 MAX_LENGTH = 5  # keep in sync with tests/serve/conftest.py
 
-#: report paths ``ReplicaSet.stats()`` and the e2e benchmark's traced run read
+#: report paths ``RemoteReplicaSet.stats()`` and the e2e benchmark's traced run read
 STATS_PATHS = [
     ("served",),
     ("resident",),

@@ -6,7 +6,6 @@ import time
 
 import pytest
 
-from repro.replica.set import ReplicaSet
 from repro.serve import ServingLoop
 from repro.serve.api import NextStepRequest, PlanRequest
 from repro.tenant import TenantRegistry
@@ -155,8 +154,8 @@ class TestRefitOpacity:
     def test_refit_is_invisible_to_a_static_tenant(
         self, make_planner, fitted_markov, tenant_contexts
     ):
-        """A fleet refit flips the member's planner generation; a tenant
-        bound to a static recommender keeps answering identically."""
+        """A refit flips the loop's planner generation; a tenant bound to a
+        static recommender keeps answering identically."""
 
         def tenant_factory() -> TenantRegistry:
             registry = TenantRegistry()
@@ -167,10 +166,10 @@ class TestRefitOpacity:
         request = NextStepRequest(
             history=history, objective=objective, user_index=user, tenant="zoo"
         )
-        with ReplicaSet(make_planner, tenant_factory=tenant_factory) as replica_set:
-            before = replica_set.serve(request).result()
-            report = replica_set.refit()
-            after = replica_set.serve(request).result()
+        with ServingLoop(make_planner(), tenants=tenant_factory()) as loop:
+            before = loop.serve(request).result()
+            report = loop.refit(make_planner, tenant_factory)
+            after = loop.serve(request).result()
         assert report["generation_to"] == 2
         assert after.answer == before.answer
         assert after.tenant == before.tenant == "zoo"

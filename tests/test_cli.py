@@ -245,9 +245,9 @@ class TestReplicationFlags:
         assert run(["table6", "--profile", "fast"]) == 0
 
     def test_replicated_serve_sim_fast_profile(self, capsys, tmp_path, monkeypatch):
-        """The in-process fleet with a mid-trace refit: one member (an
-        ambient ``REPRO_REPLICAS`` is the process fleet's), no pause, and
-        the refit joined.  Whether answers at generation 2 fall inside this
+        """The serving loop with a mid-trace refit: one loop (an ambient
+        ``REPRO_REPLICAS`` is the process fleet's), no pause, and the refit
+        joined.  Whether answers at generation 2 fall inside this
         short trace depends on training time; the CI contracts step's
         two-second sim asserts both generations."""
         import json
@@ -281,7 +281,7 @@ class TestReplicationFlags:
         assert report["errored_requests"] == 0
         assert report["no_pause"] is True
         assert report["fit_generation"] == 2
-        assert set(report["dispatch"]["picks"]) <= {"affinity", "least_loaded", "round_robin"}
+        assert "dispatch" not in report  # one loop: nothing to dispatch between
         assert report["generations_served"]["1"] > 0
         assert set(report["generations_served"]) <= {"1", "2"}
 

@@ -237,9 +237,10 @@ class TestServeSimModes:
     def test_replicas_is_refused_in_process_and_its_variable_ignored(
         self, monkeypatch, capsys, no_training
     ):
-        """The in-process fleet is one member: ``--replicas`` is the process
-        fleet's flag, and an ambient ``REPRO_REPLICAS`` never reaches it."""
-        import repro.replica
+        """In process one serving loop answers: ``--replicas`` is the process
+        fleet's flag, and an ambient ``REPRO_REPLICAS`` never reaches the
+        loop."""
+        import repro.cli.serving
         from repro.cli import run
 
         argv = ["serve-sim", "--profile", "fast", "--tenants", "1"]
@@ -253,10 +254,12 @@ class TestServeSimModes:
         class Built(Exception):
             pass
 
-        def recorder(planner_factory, **kwargs):
+        def recorder(planner, **kwargs):
             raise Built(kwargs)
 
-        monkeypatch.setattr(repro.replica, "ReplicaSet", recorder)
+        # the loop is handed a built planner: build none (no_training)
+        monkeypatch.setattr(repro.cli.serving._Workload, "planner", lambda self: "planner")
+        monkeypatch.setattr(repro.cli.serving, "ServingLoop", recorder)
         monkeypatch.setenv("REPRO_REPLICAS", "2")
         with pytest.raises(Built) as excinfo:
             main(argv + ["--transport", "inproc", "--refit-at", "0.5", "--duration", "2"])

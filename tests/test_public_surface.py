@@ -34,8 +34,6 @@ from repro.evaluation.protocol import IRSEvaluationProtocol
 from repro.experiments.config import ExperimentConfig
 from repro.nn.attention import MultiHeadAttention, scaled_dot_product_attention
 from repro.nn.inference import Program
-from repro.replica.refit import RefitCoordinator
-from repro.replica.set import ReplicaSet
 from repro.serve.api import PlanRequest
 from repro.serve.loop import ServingLoop
 from repro.serve.queue import RequestQueue
@@ -185,7 +183,6 @@ DELETED_ARGUMENTS = [
     (BeamSearchPlanner, "vocab_shards"),
     (ServingLoop, "num_queues"),
     (RequestQueue, "shard"),
-    (ReplicaSet, "num_queues"),
     (RemoteReplicaSet, "num_queues"),
     (IRSEvaluationProtocol, "shard_backend"),
     (evaluate_next_item, "shard_backend"),
@@ -197,13 +194,12 @@ DELETED_ARGUMENTS = [
     (LayerKVCache, "growth"),
     (DecodingState, "growth"),
     (Program.project, "items"),
-    (ReplicaSet, "num_replicas"),
     (TenantRegistry.add, "max_inflight"),
     (TenantRegistry.add, "admission_policy"),
     (TenantBinding, "max_inflight"),
     (TenantBinding, "admission_policy"),
     (RemoteReplicaSet.refit, "tenants"),
-    (RefitCoordinator.refit, "tenants"),
+    (ServingLoop.refit, "tenants"),
 ]
 
 
@@ -216,6 +212,20 @@ def test_a_deleted_argument_is_refused(target, name):
     """Bound, not called: a call that accepted it would start real work."""
     with pytest.raises(TypeError, match=name):
         inspect.signature(target).bind_partial(**{name: 2})
+
+
+def test_the_in_process_fleet_is_gone():
+    """Two serving front-ends: a loop refits itself, and the fleet core is
+    the process fleet's own, with no base class whose hooks it overrides."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.replica.set")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.replica.refit")
+    import repro.replica
+
+    for name in ("ReplicaSet", "RefitCoordinator", "RefitHandle", "schedule_refit"):
+        assert not hasattr(repro.replica, name)
+    assert RemoteReplicaSet.__mro__[1:] == ServingLoop.__mro__[1:]
 
 class _GradModeReaders(ast.NodeVisitor):
     """The enclosing function (or ``"<module>"``) of every ``is_grad_enabled``
