@@ -120,6 +120,26 @@ def _knob_blocks(knobs: dict, front_end, replicated: bool) -> dict:
     }
 
 
+def _decode_stats(planners: dict) -> "dict | None":
+    """The in-process backbones' token-work, by kind of forward: which
+    decoding path planned (a worker-process backbone keeps its own).
+
+    Summed over the generations served, each generation's own counters under
+    ``generations`` (keyed by generation number); ``None`` when no planner
+    has an in-process backbone.
+    """
+    generations = {}
+    for generation, planner in sorted(planners.items()):
+        stats = getattr(getattr(planner, "backbone", None), "decode_stats", None)
+        if stats is not None:
+            generations[str(generation)] = stats.snapshot()
+    if not generations:
+        return None
+    snapshots = list(generations.values())
+    total = {key: sum(snapshot[key] for snapshot in snapshots) for key in snapshots[0]}
+    return {**total, "generations": generations}
+
+
 def _run_ab(args: argparse.Namespace, knobs: dict) -> int:
     """``serve-sim --tenants 2``: the online A/B harness over one fleet.
 
@@ -224,6 +244,8 @@ def run_serve_sim(args: argparse.Namespace, knobs: dict) -> int:
         max_length=workload.max_length,
     )
     with front_end:
+        # each generation's planner plans on its own freshly fitted backbone
+        planners = {front_end.fit_generation: front_end.planner}
         if replicated:
             from repro.replica import run_replicated_open_loop
 
@@ -237,13 +259,12 @@ def run_serve_sim(args: argparse.Namespace, knobs: dict) -> int:
             )
         else:
             report = run_open_loop(front_end, workload.contexts, **traffic)
+        planners[front_end.fit_generation] = front_end.planner
     planner = front_end.planner
     report.update(_knob_blocks(knobs, front_end, replicated))
-    decode_stats = getattr(getattr(planner, "backbone", None), "decode_stats", None)
+    decode_stats = _decode_stats(planners)
     if decode_stats is not None:
-        # the in-process backbone's token-work, by kind of forward: which
-        # decoding path planned (a worker-process backbone keeps its own)
-        report["decode_stats"] = decode_stats.snapshot()
+        report["decode_stats"] = decode_stats
     latency = report["latency_ms"]
     print(
         f"async serving sim: {report['admitted_requests']}/{report['offered_requests']} "

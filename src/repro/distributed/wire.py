@@ -144,10 +144,9 @@ _ANSWER_INT = 1
 _ANSWER_PATH = 2
 _ANSWER_PLAN = 3
 
-# Heartbeat: index(i) seq(Q) generation(q) healthy(B) inflight(q)
-# dispatched(q) completed(q) queued(q) latency_samples(I)
-# ewma_depth(d) p95_ms(d)
-_HEARTBEAT = struct.Struct("!iQqBqqqqIdd")
+# Heartbeat: index(i) seq(Q) generation(q) inflight(q) dispatched(q)
+# completed(q) queued(q) latency_samples(I) ewma_depth(d) p95_ms(d)
+_HEARTBEAT = struct.Struct("!iQqqqqqIdd")
 
 _COUNT = struct.Struct("!I")
 
@@ -216,7 +215,6 @@ class HeartbeatRecord:
         "index",
         "seq",
         "generation",
-        "healthy",
         "inflight",
         "dispatched",
         "completed",
@@ -500,7 +498,6 @@ def encode_heartbeat(
     index: int,
     seq: int,
     generation: int,
-    healthy: bool,
     inflight: int,
     dispatched: int,
     completed: int,
@@ -513,7 +510,6 @@ def encode_heartbeat(
         index,
         seq,
         generation,
-        1 if healthy else 0,
         inflight,
         dispatched,
         completed,
@@ -525,9 +521,7 @@ def encode_heartbeat(
 
 
 def decode_heartbeat(payload: bytes) -> HeartbeatRecord:
-    values = list(_HEARTBEAT.unpack(payload))
-    values[3] = bool(values[3])
-    return HeartbeatRecord(*values)
+    return HeartbeatRecord(*_HEARTBEAT.unpack(payload))
 
 
 # --------------------------------------------------------------------- #

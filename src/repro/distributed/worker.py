@@ -433,7 +433,6 @@ class _Worker:
                         self.index,
                         self._heartbeat_seq,
                         self.generation,
-                        True,  # a live worker; the health verdict is the parent's
                         stats["inflight"],
                         stats["dispatched"],
                         stats["completed"],

@@ -5,18 +5,28 @@ nodes but hold no parameters.  Numerically sensitive operations (softmax,
 cross entropy) are implemented with the usual max-subtraction
 stabilisation.  With grad off every operation computes the same arrays
 and records no graph; :func:`linear` alone also skips its graph wrappers.
+
+:func:`cross_entropy`, :func:`gelu`, :func:`softmax` and :func:`layer_norm`
+are one graph node each.  Each repeats the floating-point operations of the
+chain of elementwise nodes it replaced, in that chain's order, forward and
+backward — the backward hands each input its gradient contributions in
+the chain's reverse-topological order — so values, gradients and trained
+weights equal the chain's bit for bit, while a step keeps one or two
+arrays per node instead of every intermediate.  The chains are kept as the
+oracle in ``tests/nn/reference_engine.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.tensor import Tensor, is_grad_enabled
+from repro.nn.tensor import Tensor, _unbroadcast, is_grad_enabled
 
 __all__ = [
     "softmax",
     "cross_entropy",
     "gelu",
+    "layer_norm",
     "relu",
     "sigmoid",
     "tanh",
@@ -27,6 +37,10 @@ __all__ = [
     "mean_squared_error",
     "one_hot",
 ]
+
+
+#: ``sqrt(2 / pi)``, the scale of GELU's tanh argument
+_GELU_SCALE = np.sqrt(2.0 / np.pi)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -45,16 +59,118 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit (tanh approximation used by BERT)."""
-    inner = Tensor(np.sqrt(2.0 / np.pi)) * (x + x * x * x * 0.044715)
-    return x * 0.5 * (inner.tanh() + 1.0)
+    """Gaussian error linear unit (tanh approximation used by BERT), one graph node.
+
+    ``0.5 x (1 + tanh(sqrt(2 / pi) (x + 0.044715 x^3)))`` with the operations
+    of the chain of elementwise nodes it replaced, in that chain's order
+    (``(x * x) * x`` first); the node keeps only the ``tanh``.  The backward
+    forms the chain's five contributions to the input's gradient and adds
+    them in the chain's order — into one buffer when the input holds no
+    gradient yet, else one at a time onto the one it holds — so values and
+    gradients equal the chain's bit for bit.
+    """
+    data = x.data
+    tanh_value = data * data
+    tanh_value *= data
+    tanh_value *= 0.044715
+    tanh_value += data
+    tanh_value *= _GELU_SCALE
+    np.tanh(tanh_value, out=tanh_value)
+    out = tanh_value + 1.0
+    out *= data * 0.5
+
+    def backward(grad: np.ndarray) -> None:
+        # the chain's nodes in reverse — (x * 0.5) * (tanh + 1), then the
+        # tanh's argument c * (x + ((x * x) * x) * 0.044715) — each product
+        # formed in place (its two operands commute, so its bits are the chain's)
+        outer = tanh_value + 1.0
+        outer *= grad
+        outer *= 0.5
+        inner = data * 0.5
+        inner *= grad
+        square = tanh_value**2
+        np.subtract(1.0, square, out=square)
+        inner *= square
+        inner *= _GELU_SCALE
+        cubic = inner * 0.044715
+        np.multiply(data, data, out=square)
+        square *= cubic
+        cubic *= data
+        cubic *= data
+        parts = [outer, inner, square, cubic, cubic]
+        if x.grad is None:  # the same sums, in place, handed over as one buffer
+            for part in parts[1:]:
+                outer += part
+            parts = [outer]
+        for part in parts:
+            x._accumulate(part)
+
+    return Tensor._make(out, (x,), backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    shifted = x - x.max(axis=axis, keepdims=True).detach()
-    exp = shifted.exp()
-    return exp / exp.sum(axis=axis, keepdims=True)
+    """Numerically stable softmax along ``axis``, one graph node.
+
+    ``exp(x - max) / sum(exp(x - max))``; the node keeps the ``exp`` and its
+    sums.  Forward and backward repeat the operations of the chain of
+    elementwise nodes ``exp = (x - max).exp(); exp / exp.sum()`` in its
+    order, so both equal it bit for bit.
+    """
+    exp = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(exp, out=exp)
+    sums = exp.sum(axis=axis, keepdims=True)
+    out = exp / sums
+
+    def backward(grad: np.ndarray) -> None:
+        # the division's gradient to ``exp``, then the sums' broadcast back onto it
+        exp_grad = grad / sums
+        exp_grad += np.broadcast_to(_unbroadcast(-grad * exp / (sums**2), sums.shape), exp.shape)
+        x._accumulate(exp_grad * exp)
+
+    return Tensor._make(out, (x,), backward)
+
+
+def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalise the last axis to zero mean and unit variance, then scale and shift.
+
+    One graph node over ``x``, ``weight`` and ``bias``; it keeps the centred
+    input and the per-row ``variance + eps`` and its square root.  Forward
+    and backward repeat the operations of the chain of elementwise nodes it
+    replaced — ``(variance + eps) ** 0.5`` as a power, the gradient of every
+    node in the chain's reverse order — so values and gradients equal it bit
+    for bit.  ``x`` gets the centred path's gradient and then the mean's as
+    two additions, as the chain added them, since a residual connection may
+    already have handed ``x`` a gradient.
+    """
+    scale = 1.0 / x.shape[-1]
+    data = x.data
+    centered = data - data.sum(axis=-1, keepdims=True) * scale
+    shifted_variance = (centered * centered).sum(axis=-1, keepdims=True) * scale + eps
+    std = shifted_variance**0.5
+    out = centered / std
+    out *= weight.data
+    out += bias.data
+
+    def backward(grad: np.ndarray) -> None:
+        # the chain's nodes in reverse: the shift, the scale, the division
+        # by the root, the variance's chain, then the mean's
+        bias._accumulate(grad)
+        if weight.requires_grad:
+            weight._accumulate(grad * (centered / std))
+        if not x.requires_grad:
+            return
+        normalised_grad = grad * weight.data
+        std_grad = _unbroadcast(-normalised_grad * centered / (std**2), std.shape)
+        variance_grad = std_grad * 0.5 * shifted_variance**-0.5
+        squares_grad = variance_grad * scale * centered
+        centered_grad = normalised_grad / std
+        centered_grad += squares_grad
+        centered_grad += squares_grad
+        x._accumulate(centered_grad)
+        mean_grad = _unbroadcast(-centered_grad, std.shape) * scale
+        x._accumulate(np.broadcast_to(mean_grad, data.shape))
+
+    return Tensor._make(out, (x, weight, bias), backward)
 
 
 def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:

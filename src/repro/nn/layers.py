@@ -249,7 +249,7 @@ class Embedding(Module):
 
 
 class LayerNorm(Module):
-    """Layer normalisation over the last dimension."""
+    """Layer normalisation over the last dimension (one graph node, :func:`F.layer_norm`)."""
 
     def __init__(self, normalized_shape: int, eps: float = 1e-5) -> None:
         super().__init__()
@@ -259,11 +259,7 @@ class LayerNorm(Module):
         self.bias = Parameter(np.zeros((normalized_shape,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        variance = (centered * centered).mean(axis=-1, keepdims=True)
-        normalised = centered / ((variance + self.eps) ** 0.5)
-        return normalised * self.weight + self.bias
+        return F.layer_norm(x, self.weight, self.bias, self.eps)
 
 
 class Dropout(Module):

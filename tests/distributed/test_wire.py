@@ -263,7 +263,6 @@ class TestHeartbeatCodec:
             index=3,
             seq=42,
             generation=2,
-            healthy=True,
             inflight=5,
             dispatched=100,
             completed=95,
@@ -276,8 +275,9 @@ class TestHeartbeatCodec:
         assert decoded.index == 3
         assert decoded.seq == 42
         assert decoded.generation == 2
-        assert decoded.healthy is True
+        assert not hasattr(decoded, "healthy")  # liveness is the parent's verdict
         assert decoded.inflight == 5
+        assert (decoded.dispatched, decoded.completed) == (100, 95)
         assert decoded.queued == 4
         assert decoded.latency_samples == 64
         assert decoded.ewma_depth == pytest.approx(1.5)

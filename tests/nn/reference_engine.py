@@ -1,14 +1,16 @@
-"""The gradient bookkeeping and the loss the tensor engine trained with before.
+"""The gradient bookkeeping, loss and elementwise composites the tensor engine trained with before.
 
 This is ``Tensor._accumulate`` and ``Tensor.__getitem__`` of
 ``repro.nn.tensor`` as they were before the engine stopped copying first
-gradients and scattering basic-index gradients with ``np.add.at``, and
+gradients and scattering basic-index gradients with ``np.add.at``;
 ``log_softmax``, ``nll_loss`` and the composite ``cross_entropy`` of
 ``repro.nn.functional`` as they were before cross entropy became one graph
-node — unchanged.  :func:`use_reference_engine` swaps them in for the
-engine's own, so everything else a fit runs (layers, Adam, clipping) is the
-engine's and any difference in the trained weights is the bookkeeping's or
-the loss's.
+node; and ``gelu``, ``softmax`` and the layer norm of ``LayerNorm.forward``
+as they were before each became one graph node — chains of elementwise
+nodes, unchanged.  :func:`use_reference_engine` swaps them in for the
+engine's own, so everything else a fit runs (matmuls, attention, Adam,
+clipping) is the engine's and any difference in the trained weights is the
+bookkeeping's, the loss's or a composite's.
 """
 
 from __future__ import annotations
@@ -101,8 +103,33 @@ def cross_entropy(
     )
 
 
+def gelu(x: Tensor) -> Tensor:
+    """Gaussian error linear unit (tanh approximation used by BERT)."""
+    inner = Tensor(np.sqrt(2.0 / np.pi)) * (x + x * x * x * 0.044715)
+    return x * 0.5 * (inner.tanh() + 1.0)
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Numerically stable softmax along ``axis``."""
+    shifted = x - x.max(axis=axis, keepdims=True).detach()
+    exp = shifted.exp()
+    return exp / exp.sum(axis=axis, keepdims=True)
+
+
+def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """``LayerNorm.forward`` as it was: layer normalisation over the last dimension."""
+    mean = x.mean(axis=-1, keepdims=True)
+    centered = x - mean
+    variance = (centered * centered).mean(axis=-1, keepdims=True)
+    normalised = centered / ((variance + eps) ** 0.5)
+    return normalised * weight + bias
+
+
 def use_reference_engine(monkeypatch) -> None:
-    """Train through the reference bookkeeping and loss for the rest of the test."""
+    """Train through the reference bookkeeping, loss and composites for the rest of the test."""
     monkeypatch.setattr(Tensor, "_accumulate", _accumulate)
     monkeypatch.setattr(Tensor, "__getitem__", __getitem__)
     monkeypatch.setattr(functional, "cross_entropy", cross_entropy)
+    monkeypatch.setattr(functional, "gelu", gelu)
+    monkeypatch.setattr(functional, "softmax", softmax)
+    monkeypatch.setattr(functional, "layer_norm", layer_norm)

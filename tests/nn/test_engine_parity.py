@@ -1,12 +1,13 @@
-"""The engine's gradient bookkeeping and loss against the ones they replaced, bit for bit.
+"""The engine's gradient bookkeeping, loss and fused nodes against what they replaced, bit for bit.
 
 A basic index scatters its gradient with ``full[index] += grad``, a
 non-leaf tensor adopts its first gradient instead of copying it, and
-``F.cross_entropy`` is one graph node; all three must train exactly what
-``np.add.at``, the defensive copy and the composite
-``nll_loss(log_softmax(·))`` trained (``tests/nn/reference_engine.py``), and
-no two parameters may end up sharing a gradient buffer that
-``clip_grad_norm`` would scale twice.
+``F.cross_entropy``, ``F.gelu``, ``F.softmax`` and ``F.layer_norm`` are one
+graph node each; all must train exactly what ``np.add.at``, the defensive
+copy, the composite ``nll_loss(log_softmax(·))`` and the elementwise
+composites trained (``tests/nn/reference_engine.py``), and no two
+parameters may end up sharing a gradient buffer that ``clip_grad_norm``
+would scale twice.
 """
 
 import itertools
@@ -16,7 +17,8 @@ import pytest
 
 from repro.data.batching import iterate_batches
 from repro.nn import functional as F
-from repro.nn.layers import Parameter
+from repro.nn.attention import NEG_INF
+from repro.nn.layers import LayerNorm, Parameter
 from repro.nn.optim import clip_grad_norm
 from repro.nn.tensor import Tensor, _is_basic_index, no_grad
 
@@ -197,6 +199,104 @@ class TestFusedCrossEntropy:
         logits = Tensor(np.ones((2, 3, 4)), requires_grad=True) * 2.0
         loss = F.cross_entropy(logits, np.array([[1, 0, 2], [3, 3, 0]]), ignore_index=0)
         assert loss._parents == (logits,)
+
+
+#: ``(leaf shape, view of the leaf)``: the op's input is the view, so the
+#: strided ones hand it a sliced, a transposed and a stepped array
+OP_LAYOUTS = {
+    "contiguous": ((3, 5, 8), lambda leaf: leaf * 1.0),
+    "sliced": ((3, 6, 8), lambda leaf: leaf[:, :-1, :]),
+    "transposed": ((5, 3, 8), lambda leaf: leaf.transpose(1, 0, 2)),
+    "stepped": ((3, 5, 16), lambda leaf: leaf[:, :, ::2]),
+}
+
+
+def _fused_op(op, layout, residual=False, affine=0, **options):
+    """``(output, gradient the op hands its input, *parameter gradients)`` of one call.
+
+    ``affine`` parameters of the input's last-axis size follow the input.
+    With ``residual`` the output is ``x + op(x)``, the pre-norm residual:
+    the add's backward runs first, so ``x`` already holds a gradient when
+    the op's backward adds its contributions to it.
+    """
+    shape, view = layout
+    rng = np.random.default_rng(0)
+    x = view(Tensor(rng.normal(scale=2.0, size=shape), requires_grad=True))
+    parameters = [Parameter(rng.normal(size=x.shape[-1])) for _ in range(affine)]
+    out = op(x, *parameters, **options)
+    upstream = rng.normal(size=out.shape)
+    upstream.reshape(-1)[::5] = 0.0
+    upstream.reshape(-1)[1::5] = -0.0
+    (x + out if residual else out).backward(upstream)
+    return (out.data, x.grad, *(parameter.grad for parameter in parameters))
+
+
+class _FusedOpParity:
+    """One fused node against its reference composite: values and every gradient."""
+
+    fused = reference = None
+    affine = 0  # parameters after the input
+
+    def _assert_equal_to_the_composite(self, layout, residual=False, **options):
+        options["affine"] = self.affine
+        got = _fused_op(self.fused, layout, residual, **options)
+        expected = _fused_op(self.reference, layout, residual, **options)
+        for value, reference in zip(got, expected, strict=True):
+            assert _bits(value) == _bits(reference)
+
+    @pytest.mark.parametrize("layout", list(OP_LAYOUTS))
+    def test_forward_and_gradients_equal_the_composite(self, layout):
+        self._assert_equal_to_the_composite(OP_LAYOUTS[layout])
+
+    @pytest.mark.parametrize("layout", list(OP_LAYOUTS))
+    def test_an_input_that_already_holds_a_gradient(self, layout):
+        self._assert_equal_to_the_composite(OP_LAYOUTS[layout], residual=True)
+
+    def test_the_no_grad_forward_equals_the_composite(self):
+        shape, view = OP_LAYOUTS["sliced"]
+        x = view(Tensor(np.random.default_rng(1).normal(size=shape), requires_grad=True))
+        parameters = [Parameter(np.full(x.shape[-1], 1.5)) for _ in range(self.affine)]
+        with no_grad():
+            out = self.fused(x, *parameters)
+        expected = self.reference(x, *parameters)
+        assert not out.requires_grad and out._backward is None
+        assert _bits(out.data) == _bits(expected.data)
+
+    def test_the_op_is_one_graph_node(self):
+        x = Tensor(np.ones((2, 3, 4)), requires_grad=True) * 2.0
+        parameters = [Parameter(np.ones(4)) for _ in range(self.affine)]
+        assert self.fused(x, *parameters)._parents == (x, *parameters)
+
+
+class TestFusedGelu(_FusedOpParity):
+    fused, reference = staticmethod(F.gelu), staticmethod(reference_engine.gelu)
+
+
+class TestFusedSoftmax(_FusedOpParity):
+    fused, reference = staticmethod(F.softmax), staticmethod(reference_engine.softmax)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_another_axis(self, axis):
+        self._assert_equal_to_the_composite(OP_LAYOUTS["transposed"], axis=axis)
+
+    def test_rows_with_masked_logits(self):
+        # attention's additive causal mask: -1e9 logits whose probability underflows to 0
+        shape = (3, 8, 8)
+        mask = Tensor(np.triu(np.full(shape[1:], NEG_INF), k=1))
+        self._assert_equal_to_the_composite((shape, lambda leaf: leaf + mask), residual=True)
+
+
+class TestFusedLayerNorm(_FusedOpParity):
+    fused, reference = staticmethod(F.layer_norm), staticmethod(reference_engine.layer_norm)
+    affine = 2  # weight, bias
+
+    def test_a_larger_eps(self):
+        self._assert_equal_to_the_composite(OP_LAYOUTS["sliced"], residual=True, eps=0.5)
+
+    def test_the_module_runs_the_fused_node(self):
+        norm = LayerNorm(4)
+        x = Tensor(np.ones((2, 3, 4)), requires_grad=True) * 2.0
+        assert norm(x)._parents == (x, norm.weight, norm.bias)
 
 
 def _history(model) -> list[tuple]:

@@ -285,6 +285,26 @@ class TestReplicationFlags:
         assert report["generations_served"]["1"] > 0
         assert set(report["generations_served"]) <= {"1", "2"}
 
+    def test_a_refit_serve_sim_reports_the_decode_work_of_every_generation(self, tmp_path):
+        """Each generation plans on its own backbone: the report keeps both
+        backbones' counters and their sum, not only the one serving last."""
+        import json
+
+        output = tmp_path / "refit_report.json"
+        argv = ["serve-sim", "--profile", "fast", "--arrival-rate", "150", "--duration", "1"]
+        argv += ["--refit-at", "0.3", "--tenants", "1", "--output", str(output)]
+        assert main(argv) == 0
+        report = json.loads(output.read_text())
+        assert report["fit_generation"] == 2
+        stats = report["decode_stats"]
+        generations = stats.pop("generations")
+        assert set(generations) == {"1", "2"}
+        assert generations["1"]["forwards"] > 0  # the first generation planned before the flip
+        for generation, served in report["generations_served"].items():
+            assert served == 0 or generations[generation]["forwards"] > 0, generation
+        assert stats == {key: generations["1"][key] + generations["2"][key] for key in stats}
+        assert stats["forwards"] > generations["2"]["forwards"]
+
     def test_env_defaults_apply_when_replica_flags_omitted(self, monkeypatch):
         from repro.cli import resolve_args
 
