@@ -120,24 +120,38 @@ def _knob_blocks(knobs: dict, front_end, replicated: bool) -> dict:
     }
 
 
-def _decode_stats(planners: dict) -> "dict | None":
-    """The in-process backbones' token-work, by kind of forward: which
-    decoding path planned (a worker-process backbone keeps its own).
+def _per_generation(read, planners: dict) -> "dict | None":
+    """``read(planner)``'s counters summed over the generations served.
 
-    Summed over the generations served, each generation's own counters under
-    ``generations`` (keyed by generation number); ``None`` when no planner
-    has an in-process backbone.
+    Each generation's own counters sit under ``generations`` (keyed by
+    generation number); a name (the generator's) is the first generation's.
+    ``None`` when ``read`` finds no counters on any planner: a
+    worker-process planner keeps its own.
     """
     generations = {}
     for generation, planner in sorted(planners.items()):
-        stats = getattr(getattr(planner, "backbone", None), "decode_stats", None)
-        if stats is not None:
-            generations[str(generation)] = stats.snapshot()
+        counters = read(planner)
+        if counters is not None:
+            generations[str(generation)] = counters
     if not generations:
         return None
     snapshots = list(generations.values())
-    total = {key: sum(snapshot[key] for snapshot in snapshots) for key in snapshots[0]}
+    total = {
+        key: value if isinstance(value, str) else sum(snapshot[key] for snapshot in snapshots)
+        for key, value in snapshots[0].items()
+    }
     return {**total, "generations": generations}
+
+
+def _decode_stats(planner) -> "dict | None":
+    """The in-process backbone's token-work, by kind of forward: which decoding path planned."""
+    stats = getattr(getattr(planner, "backbone", None), "decode_stats", None)
+    return None if stats is None else stats.snapshot()
+
+
+def _retrieval_metrics(planner) -> "dict | None":
+    """The in-process planner's shortlist counters (the worker proxy has no ``cache_info``)."""
+    return planner.cache_info()["retrieval"] if hasattr(planner, "cache_info") else None
 
 
 def _run_ab(args: argparse.Namespace, knobs: dict) -> int:
@@ -260,9 +274,8 @@ def run_serve_sim(args: argparse.Namespace, knobs: dict) -> int:
         else:
             report = run_open_loop(front_end, workload.contexts, **traffic)
         planners[front_end.fit_generation] = front_end.planner
-    planner = front_end.planner
     report.update(_knob_blocks(knobs, front_end, replicated))
-    decode_stats = _decode_stats(planners)
+    decode_stats = _per_generation(_decode_stats, planners)
     if decode_stats is not None:
         report["decode_stats"] = decode_stats
     latency = report["latency_ms"]
@@ -314,11 +327,9 @@ def run_serve_sim(args: argparse.Namespace, knobs: dict) -> int:
             f"{stats.get('redispatched', 0)} re-dispatched"
         )
     if workload.generator is not None:
-        metrics = {}
-        if hasattr(planner, "cache_info"):
-            # Worker-process planners keep their caches remote; the proxy has
-            # no cache_info, so the retrieval metrics stay worker-side there.
-            metrics = report["retrieval"]["metrics"] = planner.cache_info()["retrieval"]
+        metrics = _per_generation(_retrieval_metrics, planners) or {}
+        if metrics:
+            report["retrieval"]["metrics"] = metrics
         print(
             f"retrieval: {knobs['retrieval_spec']} shortlists (k={knobs['candidate_k']}), "
             f"{metrics.get('requests', 0)} request(s), "

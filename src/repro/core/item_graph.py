@@ -3,14 +3,17 @@
 Every item becomes a vertex; an undirected, equally weighted edge connects
 two items whenever they appear consecutively in some training sequence
 (following the item-graph practice of Wang et al., KDD 2018).  The graph is
-the substrate of the Pf2Inf path-finding framework.
+the substrate of the Pf2Inf path-finding framework.  networkx is imported
+where a graph is built, so a process that only plans with IRN (every
+serving process) never loads it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["build_item_graph"]
 
@@ -37,6 +40,8 @@ def build_item_graph(
         Vertices are item indices; isolated items (never adjacent to another
         item) still appear as nodes so membership checks are uniform.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     for sequence in sequences:
         items = list(sequence)

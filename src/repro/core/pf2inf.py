@@ -3,19 +3,21 @@
 The item graph is built from the training sequences; the influence path is
 the shortest path (Dijkstra) — or the tree path within a minimum spanning
 tree (MST) — from the last item of the user's history to the objective item,
-truncated to the first ``M`` items.
+truncated to the first ``M`` items.  networkx is imported where it is used,
+as in :mod:`repro.core.item_graph`.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.base import InfluentialRecommender, influential_registry
 from repro.core.item_graph import build_item_graph
 from repro.data.splitting import DatasetSplit
 from repro.utils.exceptions import ConfigurationError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Pf2Inf"]
 
@@ -47,6 +49,8 @@ class Pf2Inf(InfluentialRecommender):
 
     # ------------------------------------------------------------------ #
     def fit(self, split: DatasetSplit) -> "Pf2Inf":
+        import networkx as nx
+
         self.corpus = split.corpus
         self._graph = build_item_graph(
             (sequence.items for sequence in split.train), count_weights=self.count_weights
@@ -61,6 +65,8 @@ class Pf2Inf(InfluentialRecommender):
 
     # ------------------------------------------------------------------ #
     def _shortest_path(self, source: int, target: int) -> list[int] | None:
+        import networkx as nx
+
         assert self._search_graph is not None
         if source not in self._search_graph or target not in self._search_graph:
             return None

@@ -16,14 +16,14 @@ and two edge types:
 Because every item with metadata is connected through its genre nodes, the
 graph stays connected even when the co-consumption graph is sparse or
 disjoint — precisely the failure mode of the plain Pf2Inf baseline the paper
-points out (§III-C's critique of §III-B).
+points out (§III-C's critique of §III-B).  networkx is imported by the
+methods that use it, as in :mod:`repro.core.item_graph`.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.data.interactions import SequenceCorpus
@@ -57,6 +57,8 @@ class ItemKnowledgeGraph:
     """
 
     def __init__(self, genre_edge_weight: float = 0.75, count_weights: bool = True) -> None:
+        import networkx as nx
+
         if genre_edge_weight <= 0:
             raise ConfigurationError("genre_edge_weight must be positive")
         self.genre_edge_weight = genre_edge_weight
@@ -77,6 +79,8 @@ class ItemKnowledgeGraph:
         ``sequences`` defaults to the corpus' full user sequences; pass the
         training sub-sequences to avoid leaking evaluation transitions.
         """
+        import networkx as nx
+
         self._corpus = corpus
         self.graph = nx.Graph()
         for item in range(1, corpus.vocab.size):
@@ -162,6 +166,8 @@ class ItemKnowledgeGraph:
     # ------------------------------------------------------------------ #
     def distance(self, source: int, target: int) -> float:
         """Weighted shortest-path distance between two items (inf if disconnected)."""
+        import networkx as nx
+
         source_node, target_node = _item_node(source), _item_node(target)
         if source_node not in self.graph or target_node not in self.graph:
             return float("inf")
@@ -174,6 +180,8 @@ class ItemKnowledgeGraph:
 
     def distances_from(self, target: int) -> dict[int, float]:
         """Distances from every reachable item to ``target`` (item indices only)."""
+        import networkx as nx
+
         target_node = _item_node(target)
         if target_node not in self.graph:
             return {}
@@ -182,6 +190,8 @@ class ItemKnowledgeGraph:
 
     def shortest_item_path(self, source: int, target: int) -> list[int]:
         """Item indices along the shortest path (genre hops are skipped)."""
+        import networkx as nx
+
         source_node, target_node = _item_node(source), _item_node(target)
         if source_node not in self.graph or target_node not in self.graph:
             return []

@@ -4,23 +4,23 @@ These functions mirror ``torch.nn.functional``: they build autograd graph
 nodes but hold no parameters.  Numerically sensitive operations (softmax,
 cross entropy) are implemented with the usual max-subtraction
 stabilisation.  With grad off every operation computes the same arrays
-and records no graph; :func:`linear` alone also skips its graph wrappers.
+and records no graph.
 
-:func:`cross_entropy`, :func:`gelu`, :func:`softmax` and :func:`layer_norm`
-are one graph node each.  Each repeats the floating-point operations of the
-chain of elementwise nodes it replaced, in that chain's order, forward and
-backward — the backward hands each input its gradient contributions in
-the chain's reverse-topological order — so values, gradients and trained
-weights equal the chain's bit for bit, while a step keeps one or two
-arrays per node instead of every intermediate.  The chains are kept as the
-oracle in ``tests/nn/reference_engine.py``.
+:func:`cross_entropy`, :func:`gelu`, :func:`softmax`, :func:`layer_norm`,
+:func:`linear` and :func:`dropout` are one graph node each.  Each repeats
+the floating-point operations of the chain of nodes it replaced, in that
+chain's order, forward and backward — the backward hands each input its
+gradient contributions in the chain's reverse-topological order — so
+values, gradients and trained weights equal the chain's bit for bit, while
+a step keeps one or two arrays per node instead of every intermediate.
+The chains are kept as the oracle in ``tests/nn/reference_engine.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.tensor import Tensor, _unbroadcast, is_grad_enabled
+from repro.nn.tensor import Tensor, _unbroadcast
 
 __all__ = [
     "softmax",
@@ -288,14 +288,27 @@ def dropout(
     training: bool,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Inverted dropout: zero entries with probability ``p`` during training."""
+    """Inverted dropout: zero entries with probability ``p`` during training, one graph node.
+
+    The node keeps only the bool keep-mask, one byte an entry; forward and
+    backward multiply by ``keep / (1 - p)`` in float64, the mask of the
+    ``x * Tensor(mask)`` node it replaced, so both equal it bit for bit.
+    """
     if not training or p <= 0.0:
         return x
     if p >= 1.0:
         raise ValueError("dropout probability must be < 1")
     rng = rng if rng is not None else np.random.default_rng()
-    mask = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
-    return x * Tensor(mask)
+    keep = rng.random(x.shape) >= p
+    out = keep.astype(np.float64) / (1.0 - p)
+    out *= x.data
+
+    def backward(grad: np.ndarray) -> None:
+        mask = keep.astype(np.float64) / (1.0 - p)
+        mask *= grad
+        x._accumulate(mask)
+
+    return Tensor._make(out, (x,), backward)
 
 
 def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
@@ -305,14 +318,31 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map ``x @ weight.T + bias`` matching ``torch.nn.functional.linear``."""
-    if not is_grad_enabled():
-        # Kept for GRU4Rec, the IRS evaluator: its score_next is ~2x slower without it.
-        out = np.matmul(x.data, weight.data.T)
-        if bias is not None:
-            out += bias.data
-        return Tensor(out)
-    out = x.matmul(weight.transpose())
+    """Affine map ``x @ weight.T + bias`` matching ``torch.nn.functional.linear``, one graph node.
+
+    The node keeps only its output: the bias is added into the fresh
+    product.  The backward repeats the operations of the
+    ``x.matmul(weight.transpose()) + bias`` chain it replaced, in that
+    chain's order — the bias's gradient summed over the leading axes, then
+    ``grad @ weight`` for ``x``, then the batched ``xᵀ @ grad`` summed over
+    the leading axes and transposed for the weight — so values and
+    gradients equal it bit for bit.
+    """
+    out = x.data @ weight.data.T
     if bias is not None:
-        out = out + bias
-    return out
+        out += bias.data
+
+    def backward(grad: np.ndarray) -> None:
+        if bias is not None:
+            bias._accumulate(grad)
+        inputs = x.data
+        if inputs.ndim == 1:  # the matmul's vector case: a one-row matrix
+            inputs, grad = inputs[None, :], grad[None, :]
+        if x.requires_grad:
+            x._accumulate((grad @ weight.data).reshape(x.shape))
+        if weight.requires_grad:
+            products = np.swapaxes(inputs, -1, -2) @ grad
+            weight._accumulate(_unbroadcast(products, weight.shape[::-1]).T)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._make(out, parents, backward)

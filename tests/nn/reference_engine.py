@@ -1,16 +1,17 @@
-"""The gradient bookkeeping, loss and elementwise composites the tensor engine trained with before.
+"""The gradient bookkeeping, loss and composites the tensor engine trained with before.
 
 This is ``Tensor._accumulate`` and ``Tensor.__getitem__`` of
 ``repro.nn.tensor`` as they were before the engine stopped copying first
 gradients and scattering basic-index gradients with ``np.add.at``;
 ``log_softmax``, ``nll_loss`` and the composite ``cross_entropy`` of
 ``repro.nn.functional`` as they were before cross entropy became one graph
-node; and ``gelu``, ``softmax`` and the layer norm of ``LayerNorm.forward``
-as they were before each became one graph node — chains of elementwise
-nodes, unchanged.  :func:`use_reference_engine` swaps them in for the
-engine's own, so everything else a fit runs (matmuls, attention, Adam,
-clipping) is the engine's and any difference in the trained weights is the
-bookkeeping's, the loss's or a composite's.
+node; and ``gelu``, ``softmax``, the layer norm of ``LayerNorm.forward``,
+``linear`` and ``dropout`` as they were before each became one graph node —
+chains of nodes, unchanged (``linear`` with the no-grad branch it had).
+:func:`use_reference_engine` swaps them in for the engine's own, so
+everything else a fit runs (attention's matmuls, Adam, clipping) is the
+engine's and any difference in the trained weights is the bookkeeping's,
+the loss's or a composite's.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import functional
-from repro.nn.tensor import Tensor, _unbroadcast
+from repro.nn.tensor import Tensor, _unbroadcast, is_grad_enabled
 
 
 def _accumulate(self, grad: np.ndarray) -> None:
@@ -125,6 +126,35 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     return normalised * weight + bias
 
 
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Affine map ``x @ weight.T + bias`` matching ``torch.nn.functional.linear``."""
+    if not is_grad_enabled():
+        out = np.matmul(x.data, weight.data.T)
+        if bias is not None:
+            out += bias.data
+        return Tensor(out)
+    out = x.matmul(weight.transpose())
+    if bias is not None:
+        out = out + bias
+    return out
+
+
+def dropout(
+    x: Tensor,
+    p: float,
+    training: bool,
+    rng: np.random.Generator | None = None,
+) -> Tensor:
+    """Inverted dropout: zero entries with probability ``p`` during training."""
+    if not training or p <= 0.0:
+        return x
+    if p >= 1.0:
+        raise ValueError("dropout probability must be < 1")
+    rng = rng if rng is not None else np.random.default_rng()
+    mask = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
+    return x * Tensor(mask)
+
+
 def use_reference_engine(monkeypatch) -> None:
     """Train through the reference bookkeeping, loss and composites for the rest of the test."""
     monkeypatch.setattr(Tensor, "_accumulate", _accumulate)
@@ -133,3 +163,5 @@ def use_reference_engine(monkeypatch) -> None:
     monkeypatch.setattr(functional, "gelu", gelu)
     monkeypatch.setattr(functional, "softmax", softmax)
     monkeypatch.setattr(functional, "layer_norm", layer_norm)
+    monkeypatch.setattr(functional, "linear", linear)
+    monkeypatch.setattr(functional, "dropout", dropout)

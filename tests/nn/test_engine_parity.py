@@ -2,12 +2,12 @@
 
 A basic index scatters its gradient with ``full[index] += grad``, a
 non-leaf tensor adopts its first gradient instead of copying it, and
-``F.cross_entropy``, ``F.gelu``, ``F.softmax`` and ``F.layer_norm`` are one
-graph node each; all must train exactly what ``np.add.at``, the defensive
-copy, the composite ``nll_loss(log_softmax(·))`` and the elementwise
-composites trained (``tests/nn/reference_engine.py``), and no two
-parameters may end up sharing a gradient buffer that ``clip_grad_norm``
-would scale twice.
+``F.cross_entropy``, ``F.gelu``, ``F.softmax``, ``F.layer_norm``,
+``F.linear`` and ``F.dropout`` are one graph node each; all must train
+exactly what ``np.add.at``, the defensive copy, the composite
+``nll_loss(log_softmax(·))`` and the chains of nodes trained
+(``tests/nn/reference_engine.py``), and no two parameters may end up
+sharing a gradient buffer that ``clip_grad_norm`` would scale twice.
 """
 
 import itertools
@@ -18,7 +18,7 @@ import pytest
 from repro.data.batching import iterate_batches
 from repro.nn import functional as F
 from repro.nn.attention import NEG_INF
-from repro.nn.layers import LayerNorm, Parameter
+from repro.nn.layers import Dropout, LayerNorm, Linear, Parameter
 from repro.nn.optim import clip_grad_norm
 from repro.nn.tensor import Tensor, _is_basic_index, no_grad
 
@@ -297,6 +297,134 @@ class TestFusedLayerNorm(_FusedOpParity):
         norm = LayerNorm(4)
         x = Tensor(np.ones((2, 3, 4)), requires_grad=True) * 2.0
         assert norm(x)._parents == (x, norm.weight, norm.bias)
+
+
+#: ``(leaf shape, view of the leaf)``: a vector, a matrix and a transposed matrix
+MATRIX_LAYOUTS = {
+    "1-D": ((8,), lambda leaf: leaf * 1.0),
+    "2-D": ((7, 8), lambda leaf: leaf * 1.0),
+    "2-D transposed": ((8, 7), lambda leaf: leaf.transpose()),
+}
+
+
+def _dropout(op):
+    """``op`` in training mode at ``p = 0.3``, each call drawing the same keep-mask."""
+
+    def run(x, p=0.3, training=True):
+        return op(x, p, training, rng=np.random.default_rng(7))
+
+    return staticmethod(run)
+
+
+class TestFusedDropout(_FusedOpParity):
+    fused, reference = _dropout(F.dropout), _dropout(reference_engine.dropout)
+
+    @pytest.mark.parametrize("residual", [False, True])
+    @pytest.mark.parametrize("layout", list(MATRIX_LAYOUTS))
+    def test_vectors_and_matrices(self, layout, residual):
+        self._assert_equal_to_the_composite(MATRIX_LAYOUTS[layout], residual=residual)
+
+    @pytest.mark.parametrize("p", [0.1, 0.9])
+    def test_another_probability(self, p):
+        self._assert_equal_to_the_composite(OP_LAYOUTS["stepped"], residual=True, p=p)
+
+    @pytest.mark.parametrize("options", [{"p": 0.0}, {"training": False}], ids=["p=0", "eval"])
+    def test_an_inactive_dropout_is_the_identity(self, options):
+        x = Tensor(np.ones((2, 3, 4)), requires_grad=True) * 2.0
+        assert self.fused(x, **options) is x
+        assert self.reference(x, **options) is x
+
+    def test_the_node_keeps_only_a_bool_mask_and_draws_what_the_composite_drew(self):
+        rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
+        x = Tensor(np.ones((2, 3, 4)), requires_grad=True) * 2.0
+        out = F.dropout(x, 0.5, True, rng=rng)
+        reference_engine.dropout(x, 0.5, True, rng=reference_rng)
+        kept = [cell.cell_contents for cell in out._backward.__closure__]
+        arrays = [value for value in kept if isinstance(value, np.ndarray)]
+        assert [array.dtype for array in arrays] == [np.dtype(bool)]
+        assert rng.random() == reference_rng.random()
+
+    def test_the_module_runs_the_fused_node(self):
+        dropout = Dropout(0.5, rng=0)
+        x = Tensor(np.ones((2, 3, 4)), requires_grad=True) * 2.0
+        assert dropout(x)._parents == (x,)
+
+
+#: a linear's input takes the 3-D layouts of the other fused ops and these
+LINEAR_LAYOUTS = {**MATRIX_LAYOUTS, **OP_LAYOUTS}
+
+
+def _linear(op, layout, bias=True, shared=1, input_grad=True):
+    """``(output, gradient the linears hand their input, *weight and bias gradients)``.
+
+    ``shared`` linears read the one input, as attention's query, key and
+    value projections read one normed input, and their outputs are summed:
+    the input gets one gradient contribution per linear.
+    """
+    shape, view = layout
+    rng = np.random.default_rng(0)
+    leaf = Tensor(rng.normal(scale=2.0, size=shape), requires_grad=input_grad)
+    x = view(leaf)
+    weights = [Parameter(rng.normal(size=(5, x.shape[-1]))) for _ in range(shared)]
+    biases = [Parameter(rng.normal(size=5)) if bias else None for _ in range(shared)]
+    out = op(x, weights[0], biases[0])
+    for weight, bias_ in zip(weights[1:], biases[1:]):
+        out = out + op(x, weight, bias_)
+    upstream = rng.normal(size=out.shape)
+    upstream.reshape(-1)[::5] = 0.0
+    upstream.reshape(-1)[1::5] = -0.0
+    out.backward(upstream)
+    parameters = weights + [bias_ for bias_ in biases if bias_ is not None]
+    return (out.data, x.grad, *(parameter.grad for parameter in parameters))
+
+
+class TestFusedLinear:
+    """``F.linear`` against ``x.matmul(weight.transpose()) + bias``: output and every gradient."""
+
+    def _assert_equal_to_the_composite(self, layout, **options):
+        got = _linear(F.linear, layout, **options)
+        expected = _linear(reference_engine.linear, layout, **options)
+        for value, reference in zip(got, expected, strict=True):
+            assert (value is None) == (reference is None)
+            if value is not None:
+                assert _bits(value) == _bits(reference)
+
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no bias"])
+    @pytest.mark.parametrize("layout", list(LINEAR_LAYOUTS))
+    def test_forward_and_gradients_equal_the_composite(self, layout, bias):
+        self._assert_equal_to_the_composite(LINEAR_LAYOUTS[layout], bias=bias)
+
+    @pytest.mark.parametrize("layout", list(LINEAR_LAYOUTS))
+    def test_an_input_that_already_holds_a_gradient(self, layout):
+        self._assert_equal_to_the_composite(LINEAR_LAYOUTS[layout], shared=3)
+
+    def test_an_input_without_a_gradient(self):
+        self._assert_equal_to_the_composite(OP_LAYOUTS["sliced"], input_grad=False)
+
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no bias"])
+    def test_the_no_grad_forward_equals_the_composite(self, bias):
+        shape, view = OP_LAYOUTS["transposed"]
+        rng = np.random.default_rng(1)
+        x = view(Tensor(rng.normal(size=shape), requires_grad=True))
+        weight = Parameter(rng.normal(size=(5, x.shape[-1])))
+        bias_ = Parameter(rng.normal(size=5)) if bias else None
+        with no_grad():
+            out = F.linear(x, weight, bias_)
+            expected = reference_engine.linear(x, weight, bias_)
+        assert not out.requires_grad and out._backward is None
+        assert _bits(out.data) == _bits(expected.data)
+        assert _bits(out.data) == _bits(reference_engine.linear(x, weight, bias_).data)
+
+    def test_the_op_is_one_graph_node(self):
+        x = Tensor(np.ones((2, 3, 4)), requires_grad=True) * 2.0
+        weight, bias = Parameter(np.ones((5, 4))), Parameter(np.ones(5))
+        assert F.linear(x, weight, bias)._parents == (x, weight, bias)
+        assert F.linear(x, weight)._parents == (x, weight)
+
+    def test_the_module_runs_the_fused_node(self):
+        linear = Linear(4, 5, rng=0)
+        x = Tensor(np.ones((2, 3, 4)), requires_grad=True) * 2.0
+        assert linear(x)._parents == (x, linear.weight, linear.bias)
 
 
 def _history(model) -> list[tuple]:

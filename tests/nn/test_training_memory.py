@@ -12,10 +12,11 @@ read 8.9, and the engine that scattered basic-index gradients with
 
 On a small vocabulary the Transformer layers hold the memory instead, and
 that bound is counted in ``(batch, length, d_model)`` arrays.  With GELU,
-layer norm and softmax one graph node each, a ``(64, 18)`` step at
-``d_model = 32`` over two layers reads 191.0 of them; the elementwise
-composites they replaced, which kept every intermediate of the chain,
-read 329.1.
+layer norm, softmax, the linear maps and dropout one graph node each, a
+``(64, 18)`` step at ``d_model = 32`` over two layers reads 166.7 of them.
+Linear maps that kept both the product and the biased output, and dropout
+that kept a float64 mask, read 191.0; the elementwise composites of GELU,
+layer norm and softmax, which kept every intermediate of the chain, 329.1.
 """
 
 import tracemalloc
@@ -29,8 +30,8 @@ from repro.nn.optim import Adam, clip_grad_norm
 #: one more temporary over the predicting positions (≈ 0.93 of a
 #: ``(batch, length, vocab)`` array) or over the kept rows (≈ 0.86) crosses it
 MAX_STEP_PEAK_ARRAYS = 5.4
-#: one more ``(batch, length, 4 d_model)`` temporary per layer (8 arrays) crosses it
-MAX_ENCODER_STEP_PEAK_ARRAYS = 195
+#: two more ``(batch, length, d_model)`` temporaries per layer (4 arrays) cross it
+MAX_ENCODER_STEP_PEAK_ARRAYS = 170
 
 
 def _step_peak(batch_size, length, vocab, **sizes) -> int:

@@ -484,6 +484,44 @@ class TestServeSimRetrievalFlags:
         assert metrics["requests"] > 0
         assert metrics["fallbacks"] <= metrics["requests"]
 
+    def test_serve_sim_sums_retrieval_metrics_over_a_refit(self, capsys, tmp_path):
+        import json
+
+        output = tmp_path / "serve_refit_retrieval.json"
+        code = main(
+            [
+                "serve-sim",
+                "--profile",
+                "fast",
+                "--arrival-rate",
+                "150",
+                "--duration",
+                "1",
+                "--refit-at",
+                "0.5",
+                "--retrieval",
+                "cooccurrence",
+                "--candidate-k",
+                "16",
+                "--tenants",
+                "1",
+                "--output",
+                str(output),
+            ]
+        )
+        assert code == 0
+        report = json.loads(output.read_text())
+        metrics = report["retrieval"]["metrics"]
+        generations = metrics.pop("generations")
+        assert set(generations) == {"1", "2"}
+        assert all(counts["requests"] > 0 for counts in generations.values())
+        assert metrics["generator"] == "cooccurrence"
+        for key in ("requests", "fallbacks", "candidate_items"):
+            assert metrics[key] == sum(counts[key] for counts in generations.values())
+        assert report["decode_stats"]["full_forwards"] <= metrics["requests"]
+        out = capsys.readouterr().out
+        assert f"{metrics['requests']} request(s)" in out
+
     def test_serve_sim_ab_harness_reports_uplift_and_slo(self, capsys, tmp_path):
         import json
 
