@@ -25,6 +25,7 @@ runs unchanged on it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,15 @@ class SyntheticConfig:
     the MovieLens-1M- and Lastfm-flavoured presets live in
     :func:`repro.data.movielens.synthetic_movielens` and
     :func:`repro.data.lastfm.synthetic_lastfm`.
+
+    Construction raises :class:`~repro.utils.exceptions.ConfigurationError`
+    for a config the generator cannot draw from: non-positive counts, more
+    genres than items, a sequence-length range that is not ``2 <= min <=
+    max``, a wrong number of genre names, a ``genre_stay_probability``,
+    ``home_return_probability`` or ``multi_genre_probability`` outside
+    ``[0, 1]``, a ``genre_adjacency_decay`` that is not positive, a Beta
+    parameter that is not positive, or a home-genre range that is not
+    ``1 <= min_home_genres <= max_home_genres``.
     """
 
     name: str = "synthetic"
@@ -84,10 +94,43 @@ class SyntheticConfig:
             raise ConfigurationError(
                 f"expected {self.num_genres} genre names, got {len(self.genre_names)}"
             )
+        for knob in (
+            "genre_stay_probability", "home_return_probability", "multi_genre_probability"
+        ):
+            if not 0.0 <= getattr(self, knob) <= 1.0:
+                raise ConfigurationError(f"{knob} must lie in [0, 1], got {getattr(self, knob)}")
+        for knob in ("genre_adjacency_decay", "impressionability_alpha", "impressionability_beta"):
+            if not getattr(self, knob) > 0.0:
+                raise ConfigurationError(f"{knob} must be positive, got {getattr(self, knob)}")
+        if self.min_home_genres < 1 or self.max_home_genres < self.min_home_genres:
+            raise ConfigurationError(
+                "need 1 <= min_home_genres <= max_home_genres, got "
+                f"{self.min_home_genres} and {self.max_home_genres}"
+            )
+
+
+def _choice_cdf(p: np.ndarray) -> memoryview:
+    """The CDF ``Generator.choice(..., p=p)`` searches: ``cumsum(p)``
+    divided by its last value, so the last entry is exactly 1."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return memoryview(cdf)
+
+
+def _draw(cdf: memoryview, rng: np.random.Generator) -> int:
+    """The index ``Generator.choice`` draws from ``cdf``:
+    ``searchsorted(random(), side="right")``, which ``bisect_right`` is on
+    finite floats.  A uniform of 0 skips leading zero weights, and every
+    uniform below 1 lands inside the CDF."""
+    return bisect_right(cdf, rng.random())
 
 
 class _ItemCatalog:
-    """Items with genres and within-genre Zipf popularity."""
+    """Items with genres and within-genre Zipf popularity.
+
+    :meth:`sample_item` makes the draw ``Generator.choice(members, p=...)``
+    would make, from a CDF built once per ``(genre, avoid)`` the walk reaches.
+    """
 
     def __init__(self, config: SyntheticConfig, rng: np.random.Generator) -> None:
         self.primary_genre = rng.integers(0, config.num_genres, size=config.num_items)
@@ -97,7 +140,9 @@ class _ItemCatalog:
                 self.primary_genre[rng.integers(0, config.num_items)] = genre
         self.secondary_genre = np.full(config.num_items, -1, dtype=np.int64)
         second = rng.random(config.num_items) < config.multi_genre_probability
-        neighbour = (self.primary_genre + rng.choice([-1, 1], size=config.num_items)) % config.num_genres
+        # -1 or +1, as choice([-1, 1], size=n) draws them: integers(0, 2, size=n).
+        step = 2 * rng.integers(0, 2, size=config.num_items) - 1
+        neighbour = (self.primary_genre + step) % config.num_genres
         self.secondary_genre[second] = neighbour[second]
 
         # Within-genre Zipf popularity.
@@ -106,6 +151,10 @@ class _ItemCatalog:
             members = np.flatnonzero(self.primary_genre == genre)
             ranks = rng.permutation(len(members)) + 1
             self.popularity[members] = 1.0 / ranks**config.popularity_exponent
+        if not np.isfinite(self.popularity).all():
+            raise ConfigurationError(
+                f"popularity_exponent {config.popularity_exponent} overflows the Zipf weights"
+            )
 
         self.items_by_genre = [
             np.flatnonzero(
@@ -113,16 +162,42 @@ class _ItemCatalog:
             )
             for genre in range(config.num_genres)
         ]
+        self._member_lists = [members.tolist() for members in self.items_by_genre]
+        self._positions = [
+            {item: position for position, item in enumerate(members)}
+            for members in self._member_lists
+        ]
+        #: per genre, ``avoid`` -> the item CDF (``None``: no weight left),
+        #: built on first use
+        self._cdfs: list[dict[int | None, memoryview | None]] = [
+            {} for _ in range(config.num_genres)
+        ]
 
-    def sample_item(self, genre: int, rng: np.random.Generator, avoid: int | None) -> int:
-        members = self.items_by_genre[genre]
-        weights = self.popularity[members].copy()
+    def _item_cdf(self, genre: int, avoid: int | None) -> "memoryview | None":
+        """The CDF of ``choice(members, p=weights / total)``, or ``None`` when
+        no weight is left: the draw is then ``integers(0, len(members))``, as
+        ``choice`` without ``p`` makes it."""
+        weights = self.popularity[self.items_by_genre[genre]]
         if avoid is not None:
-            weights[members == avoid] = 0.0
+            weights[self._positions[genre][avoid]] = 0.0
         total = weights.sum()
         if total <= 0:
-            return int(rng.choice(members))
-        return int(rng.choice(members, p=weights / total))
+            return None
+        return _choice_cdf(weights / total)
+
+    def sample_item(self, genre: int, rng: np.random.Generator, avoid: int | None) -> int:
+        cdfs = self._cdfs[genre]
+        if avoid not in cdfs:
+            # An item outside the genre masks nothing: it shares the unmasked CDF.
+            masked = avoid if avoid in self._positions[genre] else None
+            if masked not in cdfs:
+                cdfs[masked] = self._item_cdf(genre, masked)
+            cdfs[avoid] = cdfs[masked]
+        cdf = cdfs[avoid]
+        members = self._member_lists[genre]
+        if cdf is None:
+            return members[rng.integers(0, len(members))]
+        return members[_draw(cdf, rng)]
 
     def genres_of(self, item: int, names: list[str]) -> tuple[str, ...]:
         genres = [names[self.primary_genre[item]]]
@@ -132,8 +207,13 @@ class _ItemCatalog:
 
 
 def _genre_transition_matrix(config: SyntheticConfig) -> np.ndarray:
-    """Ring-structured genre transition matrix (rows sum to 1)."""
+    """Ring-structured genre transition matrix (rows sum to 1).
+
+    A single-genre ring can only stay: its matrix is ``[[1.0]]``.
+    """
     n = config.num_genres
+    if n == 1:
+        return np.ones((1, 1), dtype=np.float64)
     matrix = np.zeros((n, n), dtype=np.float64)
     for source in range(n):
         for target in range(n):
@@ -148,10 +228,17 @@ def _genre_transition_matrix(config: SyntheticConfig) -> np.ndarray:
 
 
 def generate_synthetic_dataset(config: SyntheticConfig) -> InteractionDataset:
-    """Generate an :class:`InteractionDataset` according to ``config``."""
+    """Generate an :class:`InteractionDataset` according to ``config``.
+
+    Every draw is the one ``Generator.choice`` would make, in the same order,
+    so a seed gives the same corpus it always gave; the item and genre CDFs
+    are built once instead of per draw.
+    """
     rng = as_rng(config.seed)
     catalog = _ItemCatalog(config, rng)
-    transition = _genre_transition_matrix(config)
+    transition_cdfs = [_choice_cdf(row) for row in _genre_transition_matrix(config)]
+    item_ids = [f"i{item:05d}" for item in range(config.num_items)]
+    timestamps = [float(step) for step in range(config.max_sequence_length)]
 
     interactions: list[Interaction] = []
     user_traits: dict[str, float] = {}
@@ -167,25 +254,27 @@ def generate_synthetic_dataset(config: SyntheticConfig) -> InteractionDataset:
         home_genres = [(anchor + offset) % config.num_genres for offset in range(num_home)]
 
         length = int(rng.integers(config.min_sequence_length, config.max_sequence_length + 1))
-        genre = int(rng.choice(home_genres))
+        snap_back_probability = config.home_return_probability * (1.0 - impressionability)
+        genre = home_genres[rng.integers(0, num_home)]
         previous_item: int | None = None
         for step in range(length):
             item = catalog.sample_item(genre, rng, avoid=previous_item)
             interactions.append(
-                Interaction(user=user_id, item=f"i{item:05d}", timestamp=float(step), rating=1.0)
+                Interaction(
+                    user=user_id, item=item_ids[item], timestamp=timestamps[step], rating=1.0
+                )
             )
             previous_item = item
             # Next genre: conservative users snap back to a home genre,
             # impressionable users follow the genre Markov chain.
-            snap_back = rng.random() < config.home_return_probability * (1.0 - impressionability)
-            if snap_back:
-                genre = int(rng.choice(home_genres))
+            if rng.random() < snap_back_probability:
+                genre = home_genres[rng.integers(0, num_home)]
             else:
-                genre = int(rng.choice(config.num_genres, p=transition[genre]))
+                genre = _draw(transition_cdfs[genre], rng)
 
     item_genres = {
-        f"i{item:05d}": catalog.genres_of(item, config.genre_names)
-        for item in range(config.num_items)
+        item_id: catalog.genres_of(item, config.genre_names)
+        for item, item_id in enumerate(item_ids)
     }
     return InteractionDataset(
         name=config.name,

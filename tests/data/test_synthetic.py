@@ -1,5 +1,7 @@
 """Unit tests for the synthetic corpus generator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,46 @@ class TestSyntheticConfig:
         with pytest.raises(ConfigurationError):
             _config(genre_names=["only-one"])
 
+    # A config the walk cannot draw from is refused at construction, not by
+    # numpy at the first draw (or, for the decay, never: its rows are NaN).
+    @pytest.mark.parametrize(
+        "knob", ["genre_stay_probability", "home_return_probability", "multi_genre_probability"]
+    )
+    @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan")])
+    def test_probabilities_outside_the_unit_interval_rejected(self, knob, value):
+        with pytest.raises(ConfigurationError, match=knob):
+            _config(**{knob: value})
+
+    @pytest.mark.parametrize("knob", ["genre_stay_probability", "home_return_probability"])
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_probability_bounds_accepted(self, knob, value):
+        generate_synthetic_dataset(_config(**{knob: value}))
+
+    @pytest.mark.parametrize("value", [0.0, -0.5])
+    def test_non_positive_adjacency_decay_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="genre_adjacency_decay"):
+            _config(genre_adjacency_decay=value)
+
+    @pytest.mark.parametrize("knob", ["impressionability_alpha", "impressionability_beta"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_non_positive_beta_parameter_rejected(self, knob, value):
+        with pytest.raises(ConfigurationError, match=knob):
+            _config(**{knob: value})
+
+    def test_fewer_than_one_home_genre_rejected(self):
+        with pytest.raises(ConfigurationError, match="min_home_genres"):
+            _config(min_home_genres=0)
+
+    def test_home_genre_range_must_not_be_empty(self):
+        with pytest.raises(ConfigurationError, match="max_home_genres"):
+            _config(min_home_genres=3, max_home_genres=2)
+
+    def test_overflowing_popularity_exponent_rejected(self):
+        config = _config(popularity_exponent=-400.0)  # 50 ** 400 is inf
+        with np.errstate(over="ignore", divide="ignore"):
+            with pytest.raises(ConfigurationError, match="popularity_exponent"):
+                generate_synthetic_dataset(config)
+
 
 class TestGenerator:
     def test_counts_and_lengths(self):
@@ -70,6 +112,17 @@ class TestGenerator:
         traits = np.array(list(dataset.user_traits.values()))
         assert traits.shape == (30,)
         assert np.all((traits > 0) & (traits < 1))
+
+    def test_a_single_genre_generates_and_only_stays(self):
+        """A single-genre ring can only stay: its transition row is ``[1.0]``,
+        not 0/0, whatever the stay probability, so the corpus is the one a
+        stay probability of 1 draws."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dataset = generate_synthetic_dataset(_config(num_genres=1))
+        staying = generate_synthetic_dataset(_config(num_genres=1, genre_stay_probability=1.0))
+        assert dataset.interactions == staying.interactions
+        assert set(dataset.item_genres.values()) == {("genre-0",)}
 
     def test_deterministic_given_seed(self):
         a = generate_synthetic_dataset(_config(seed=3))

@@ -9,7 +9,10 @@ here, in the tier-1 suite.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import importlib.util
+import io
 import os
 import re
 import shlex
@@ -162,3 +165,25 @@ def test_the_command_line_scan_finds_the_ci_invocations():
     assert {"serve-sim", "trace", "metrics"} <= commands
     # continuation lines are part of the command they continue
     assert any("--trace-sample-rate" in argv for argv in argvs)
+
+
+def test_the_parser_step_builds_every_subcommand():
+    """The lint job's parser step reads its command list from ``build_parser()``
+    rather than a hand-kept list, and that list is every subcommand the
+    parser registers."""
+    lint = _load(next(p for p in WORKFLOWS if p.name == "ci.yml"))["jobs"]["lint"]
+    (step,) = [
+        step for step in lint["steps"] if step.get("name", "").startswith("Build every subcommand")
+    ]
+    (lister,) = re.findall(r'commands=\$\(python -c "([^"]+)"\)', step["run"])
+    assert 'for command in $commands; do' in step["run"]
+    assert 'python -m repro.cli "$command" --help' in step["run"]
+    listed = io.StringIO()
+    with contextlib.redirect_stdout(listed):
+        exec(lister, {})
+    (subparsers,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert listed.getvalue().split() == list(subparsers.choices)
