@@ -71,9 +71,9 @@ def _build_front_end(planner_factory, knobs: dict, *, tracer=None, tenant_factor
 
     In process: a :class:`~repro.serve.loop.ServingLoop` over one
     ``planner_factory()`` planner (a refit calls the factory again).  Under
-    ``--transport process``: ``--replicas`` forked workers and ONE factory
-    call per generation — fork hands every worker its copy and refits ship
-    versioned artifacts.
+    ``--transport process``: ``--replicas`` forked workers over ONE factory
+    call for generation 1 — fork hands every worker its copy — and a refit
+    calls the factory in every worker, each refitting its own loop.
     """
     kwargs = dict(group_of(knobs, "admission"), tracer=tracer)
     transport = group_of(knobs, "transport")

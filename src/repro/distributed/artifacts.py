@@ -1,9 +1,10 @@
-"""Versioned serving artifacts: what a refit ships across the transport.
+"""Versioned serving artifacts: how a fleet checks that its workers agree.
 
-A remote refit must make every standby worker serve the *new* generation's
-fitted state.  Two kinds of state exist (the PR 8 seam: both carry a
-``(config_key, fit_generation)``-style identity, so both version the same
-way):
+A fleet refit builds generation N+1 in every worker, each calling the
+factories it inherited at fork, so before anything flips the parent must
+know they all built the *same* fitted state.  Two kinds of state exist
+(both carry a ``(config_key, fit_generation)``-style identity, so both
+version the same way):
 
 * **model weights** — the planner backbone's flat
   :meth:`~repro.nn.layers.Module.state_dict`, packed as an ``.npz``
@@ -13,13 +14,14 @@ way):
   configuration), packed with :mod:`pickle` and identified by its
   ``retrieval_key()``.
 
-The :class:`ArtifactRegistry` keys artifacts by ``(name, generation)``
-where ``generation`` is the fleet's monotonic serving generation —
-the same counter the dispatcher flip bumps — so a rolling deploy can ask
-"what exactly does generation N serve?" and get byte-addressed,
-checksummed answers.  Workers verify the sha256 before installing and echo
-it in the ACK, making a corrupt or torn transfer loud instead of silently
-serving the wrong weights.
+An :class:`Artifact` is one of these packed and checksummed under its
+``(name, generation)``, where ``generation`` is the fleet's monotonic
+serving generation.  Nothing ships: each worker acks its refit's
+``prepare`` with the :meth:`Artifact.meta` of what it built, and the parent
+commits only when every sha256 agrees — a non-deterministic factory is
+refused loudly instead of serving different weights per worker.  The
+metas land in ``stats()["transport"]["artifacts"]``, so "what exactly does
+generation N serve?" has a byte-addressed answer.
 """
 
 from __future__ import annotations
@@ -27,19 +29,13 @@ from __future__ import annotations
 import hashlib
 import io
 import pickle
-import threading
 
 import numpy as np
 
-from repro.utils.exceptions import ConfigurationError
-
 __all__ = [
     "Artifact",
-    "ArtifactRegistry",
     "pack_state_dict",
-    "unpack_state_dict",
     "pack_generator",
-    "unpack_generator",
     "artifacts_from_planner",
 ]
 
@@ -48,21 +44,20 @@ GENERATOR_STATE = "generator_state"
 
 
 class Artifact:
-    """One versioned blob: name + generation + identity + checksummed bytes."""
+    """One versioned piece of fitted state: name + generation + identity +
+    the checksum and size of its packed bytes (the bytes are not kept)."""
 
-    __slots__ = ("name", "generation", "identity", "payload", "sha256", "nbytes")
+    __slots__ = ("name", "generation", "identity", "sha256", "nbytes")
 
     def __init__(self, name: str, generation: int, identity: str, payload: bytes) -> None:
         self.name = name
         self.generation = int(generation)
         self.identity = identity
-        self.payload = payload
         self.sha256 = hashlib.sha256(payload).hexdigest()
         self.nbytes = len(payload)
 
     def meta(self) -> dict:
-        """The JSON-safe header shipped ahead of the blob (and kept by the
-        registry's history)."""
+        """The JSON-safe header a worker acks and the fleet's stats keep."""
         return {
             "name": self.name,
             "generation": self.generation,
@@ -70,59 +65,6 @@ class Artifact:
             "sha256": self.sha256,
             "nbytes": self.nbytes,
         }
-
-
-class ArtifactRegistry:
-    """Thread-safe ``(name, generation) -> Artifact`` store.
-
-    Keeps every published version (the blobs of tiny test models are
-    cheap; a production registry would spill to disk) so a canary or a
-    rollback can re-ship any generation that ever served.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._artifacts: "dict[tuple[str, int], Artifact]" = {}
-        self._order: "list[tuple[str, int]]" = []
-
-    def publish(self, artifact: Artifact) -> Artifact:
-        key = (artifact.name, artifact.generation)
-        with self._lock:
-            if key in self._artifacts:
-                raise ConfigurationError(
-                    f"artifact {artifact.name!r} generation {artifact.generation} "
-                    "is already published (artifacts are immutable once versioned)"
-                )
-            self._artifacts[key] = artifact
-            self._order.append(key)
-        return artifact
-
-    def get(self, name: str, generation: int) -> Artifact:
-        with self._lock:
-            artifact = self._artifacts.get((name, int(generation)))
-        if artifact is None:
-            raise ConfigurationError(
-                f"no artifact {name!r} published at generation {generation}"
-            )
-        return artifact
-
-    def for_generation(self, generation: int) -> "list[Artifact]":
-        """Every artifact published at ``generation``, in publish order."""
-        with self._lock:
-            return [
-                self._artifacts[key]
-                for key in self._order
-                if key[1] == int(generation)
-            ]
-
-    def history(self) -> "list[dict]":
-        """Publish-ordered metadata of everything ever versioned."""
-        with self._lock:
-            return [self._artifacts[key].meta() for key in self._order]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._artifacts)
 
 
 # --------------------------------------------------------------------- #
@@ -135,27 +77,18 @@ def pack_state_dict(state: "dict[str, np.ndarray]") -> bytes:
     return buffer.getvalue()
 
 
-def unpack_state_dict(payload: bytes) -> "dict[str, np.ndarray]":
-    with np.load(io.BytesIO(payload)) as archive:
-        return {name: archive[name] for name in archive.files}
-
-
 def pack_generator(generator) -> bytes:
     """Pack a fitted candidate generator (index arrays + configuration)."""
     return pickle.dumps(generator, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def unpack_generator(payload: bytes):
-    return pickle.loads(payload)
-
-
 def artifacts_from_planner(planner, generation: int) -> "list[Artifact]":
-    """Extract the shippable artifacts of one fitted planner.
+    """Extract the versioned artifacts of one fitted planner.
 
     Always the backbone weights; additionally the fitted candidate
     generator when the planner runs two-stage retrieval.  Planners whose
-    backbone exposes no ``module`` (non-neural test stubs) ship nothing —
-    the remote refit then relies on the deterministic factory alone.
+    backbone exposes no ``module`` (non-neural test stubs) have none — a
+    fleet refit then has nothing to compare across its workers.
     """
     artifacts: "list[Artifact]" = []
     module = getattr(getattr(planner, "backbone", None), "module", None)

@@ -1,7 +1,7 @@
 """Multi-process replica serving: the fleet of forked workers.
 
-:class:`RemoteReplicaSet` is the one fleet: lifecycle, the generation
-double-buffer a refit flips, the pick → send → undo-and-re-pick dispatch
+:class:`RemoteReplicaSet` is the one fleet: lifecycle, the refit's
+prepare / commit exchange, the pick → send → undo-and-re-pick dispatch
 loop, fleet admission and the ``stats()`` roll-up are its own, and it
 speaks the :class:`~repro.serve.loop.ServingLoop` surface, so every traffic
 driver — ``replay_lockstep``, ``run_open_loop``,
@@ -27,15 +27,19 @@ What the parent knows of its workers:
   dropped — and duplicate late answers are discarded by the pending-table
   discipline.  A suspected worker that resumes heartbeating rejoins after
   ``probation_beats`` consecutive beats (dead workers never rejoin).
-* **A versioned-artifact refit** — building a standby generation
-  (:meth:`RemoteReplicaSet._build_generation`) trains it off-path in the
-  parent, publishes its model weights and retrieval-generator state to the
-  :class:`ArtifactRegistry` keyed by ``(name, generation)``, forks standby
-  workers, and ships and verifies the artifacts over INSTALL_ARTIFACT
-  frames (checksummed; the wire copy is authoritatively loaded into each
-  standby's backbone); :meth:`RemoteReplicaSet.refit` then flips the
-  dispatchers atomically and retires the old workers drain-dry, zero
-  admitted requests dropped.
+* **A refit in place** — every worker refits its own
+  :class:`~repro.serve.loop.ServingLoop`.  :meth:`RemoteReplicaSet.refit`
+  sends each live worker a REFIT ``prepare`` frame; each builds generation
+  N+1 with the factories it inherited at fork, on a thread of its own, and
+  acks with the sha256 metas of what it built
+  (:mod:`repro.distributed.artifacts`).  When every worker is ready with
+  identical shas, the parent bumps :attr:`RemoteReplicaSet.fit_generation`,
+  empties every mirror and the dispatch affinity, and sends ``commit``:
+  each worker flips between two drains exactly as a loop does, and acks
+  once the batch in flight at its flip is answered.  A failure, a sha
+  disagreement, a timeout, a worker's death or ``close()`` sends ``abort``
+  instead, and the fleet stays at generation N.  The same worker processes
+  serve before and after, zero admitted requests dropped.
 * **A parent-side mirror of each worker's plans** — a step served from an
   existing plan is the commonest op (a path is followed one ``next_step`` at
   a time), and it must not pay two process-boundary crossings.  A worker
@@ -74,12 +78,13 @@ What the parent knows of its workers:
      differ, because the worker's LRU no longer sees the hits.
 
   The mirror lives on the **member**, not on the fleet, because a
-  :class:`RemoteReplica` is one worker at one generation for its whole
-  life: a ``(tenant, context, generation)`` key is implicit.  A refit flips
-  in new handles with empty mirrors (every session replans once on the new
-  generation, as the dispatcher's affinity reset already demands); a dead,
-  suspected or retiring worker leaves dispatch and takes its mirror with
-  it; tenant placement, untenanted requests (the worker's tenant
+  :class:`RemoteReplica` is one worker for its whole life and knows the
+  generation it serves: a ``(tenant, context, generation)`` key is
+  implicit.  A refit's commit empties every member's mirror, and from then
+  on a plan served at an older generation writes nothing (every session
+  replans once on the new generation, as the dispatcher's affinity reset
+  already demands); a dead, suspected or retiring worker leaves dispatch
+  and takes its mirror with it; tenant placement, untenanted requests (the worker's tenant
   assignment is a pure function of the same routing key) and session
   affinity need nothing new — the fleet's admission and
   :meth:`Dispatcher.pick <repro.replica.dispatch.Dispatcher.pick>` run
@@ -91,8 +96,9 @@ both on ITS ``perf_counter`` clock, so driver latencies are always
 non-negative — while queue-wait/service durations are measured inside the
 owning worker on the worker's clock and cross the wire as durations only.
 
-Exactness contract: with every worker at one shared generation (the
-deterministic factory + the artifact registry), responses are
+Exactness contract: with every worker at one shared generation (a
+deterministic factory; a refit whose workers disagree on a sha256 is
+refused), responses are
 bit-identical to a :class:`~repro.serve.loop.ServingLoop` over the same
 planner for the same request trace at any worker count — the parity suite
 in ``tests/distributed``.
@@ -116,7 +122,7 @@ from repro.config import (
     resolve_probation_beats,
 )
 from repro.distributed import wire
-from repro.distributed.artifacts import ArtifactRegistry, artifacts_from_planner
+from repro.distributed.artifacts import artifacts_from_planner
 from repro.distributed.wire import FrameType
 from repro.distributed.worker import CAN_FORK, HELLO_TIMEOUT, ReplicaWorker, spawn_worker
 from repro.obs.registry import MetricGroup, get_registry
@@ -138,10 +144,9 @@ logger = logging.getLogger(__name__)
 #: Seconds to wait for a worker's loop/admission stats round-trip before
 #: falling back to the last cached snapshot.
 STATS_TIMEOUT = 5.0
-#: Seconds to wait for an artifact-install ACK during a refit.
-ARTIFACT_TIMEOUT = 60.0
-#: Seconds a retirement (refit or close) waits for its workers to drain
-#: before the leftovers are handed back to the caller.
+#: Seconds ``close()`` waits for its workers to drain before the leftovers
+#: are handed back to the caller — and a refit's commit for every worker to
+#: answer its batch in flight at the flip.
 DRAIN_TIMEOUT = 30.0
 
 #: Batch tags of steps answered in the parent — process-wide like the
@@ -164,27 +169,24 @@ class RemoteReplica:
     heartbeat signals.
 
     The member surface :class:`RemoteReplicaSet` drives (``accept`` /
-    ``loop_stats`` / ``begin_retire`` / ``retire`` beside the pending
-    table) and the one the :class:`~repro.replica.dispatch.Dispatcher`
+    ``loop_stats`` / ``commit`` / ``begin_retire`` / ``retire`` beside the
+    pending table) and the one the :class:`~repro.replica.dispatch.Dispatcher`
     scores and routes by, fed by HEARTBEAT frames.  ``metrics`` is the
     owning set's transport counter group (``requests_sent`` /
     ``bytes_sent`` are counted where the bytes are written,
     ``parent_answered`` where a step is answered from the mirror) and
     ``tracer`` its tracer.  :meth:`accept` is the only place
-    the mirror is read, :meth:`unregister` (and the wholesale clear in
-    :meth:`drain_pending`) the only place it is written.
+    the mirror is read, :meth:`unregister` (and the wholesale clears in
+    :meth:`drain_pending` and :meth:`commit`) the only place it is written.
     """
 
-    def __init__(
-        self, worker: ReplicaWorker, slot: int, metrics: MetricGroup, tracer=NULL_TRACER
-    ) -> None:
+    def __init__(self, worker: ReplicaWorker, metrics: MetricGroup, tracer=NULL_TRACER) -> None:
         self.worker = worker
+        #: The worker's fleet slot (0..num_replicas-1) for life: tenant
+        #: placement names these.
         self.index = worker.index
+        #: The generation the worker serves; stepped by :meth:`commit`.
         self.generation = worker.generation
-        #: Stable fleet slot (0..num_replicas-1), preserved across refits —
-        #: tenant placement maps tenants to slots, not to worker indices
-        #: (which grow monotonically as generations are spawned).
-        self.slot = slot
         self.spawned_at = time.perf_counter()
         self._metrics = metrics
         self._tracer = tracer
@@ -223,7 +225,8 @@ class RemoteReplica:
         self._stats_serial = threading.Lock()
         self._stats_event = threading.Event()
         self._stats_cache: "dict | None" = None
-        self.ack_queue: "queue.Queue[dict]" = queue.Queue()
+        #: REFIT_ACK payloads, and ``None`` once the worker is gone.
+        self.ack_queue: "queue.Queue[dict | None]" = queue.Queue()
 
     # ----------------------------- dispatcher surface ------------------ #
     @property
@@ -417,11 +420,12 @@ class RemoteReplica:
 
         The one place the mirror is written: a ``next_step`` leaving the
         table replaces its context's entry with the plan its response
-        carried, or drops the entry when it carried none, and
-        uncounts the context's in-flight step BEFORE the caller resolves the
-        future, so a session's next step can be answered here.  An id the
-        table no longer holds (a late duplicate of a re-dispatched request)
-        writes nothing.
+        carried, or drops the entry when it carried none or carried one
+        served at an older generation than the handle's (a batch in flight
+        at a refit's commit), and uncounts the context's in-flight step
+        BEFORE the caller resolves the future, so a session's next step can
+        be answered here.  An id the table no longer holds (a late duplicate
+        of a re-dispatched request) writes nothing.
         """
         with self._lock:
             request = self._pending.pop(request_id, None)
@@ -432,7 +436,11 @@ class RemoteReplica:
                     self._steps_on_wire[key] = left
                 else:
                     del self._steps_on_wire[key]
-                if record is None or record.plan is None:
+                if (
+                    record is None
+                    or record.plan is None
+                    or record.served_generation != self.generation
+                ):
                     self._plans.pop(key, None)
                 else:
                     tenant = request.tenant
@@ -456,6 +464,35 @@ class RemoteReplica:
             self._steps_on_wire.clear()
             self._plans.clear()
         return pending
+
+    def commit(self, message: dict) -> None:
+        """Step to the refit's generation and send the worker its COMMIT.
+
+        Under the send lock, so a request registered after the mirror
+        empties goes onto the wire behind the COMMIT, and the worker reads
+        it only once its loop has flipped."""
+        with self.worker.send_lock:
+            with self._lock:
+                self.generation = message["generation"]
+                self._plans.clear()
+            wire.send_frame(
+                self.worker.sock, FrameType.REFIT, wire.encode_json(dict(message, verb="commit"))
+            )
+
+    def next_ack(self, refit: int, deadline: float) -> "dict | None":
+        """The worker's next REFIT_ACK for refit ``refit`` (acks of an
+        earlier, abandoned one are skipped); ``None`` once the worker is
+        gone or ``deadline`` passes."""
+        while True:
+            try:
+                ack = self.ack_queue.get(timeout=max(deadline - time.perf_counter(), 0.0))
+            except queue.Empty:
+                return None
+            if ack is None:
+                self.ack_queue.put(None)  # gone for every later wait too
+                return None
+            if ack["refit"] == refit:
+                return ack
 
     # ----------------------------- health transitions ------------------ #
     def mark_dead(self) -> bool:
@@ -582,12 +619,11 @@ class RemoteReplicaSet(TypedServingSurface):
     planner_factory:
         Zero-arg callable returning a *fresh, fitted* planner (anything with
         ``plan_for_requests``; in practice a
-        :class:`~repro.core.beam.BeamSearchPlanner`).  Called ONCE per
-        deployed generation — the fork's copy-on-write pages hand every
-        worker its own copy, and a refit ships the next generation's fitted
-        state through the artifact registry instead of retraining per worker
-        (one versioned artifact, N installs).  It must be deterministic for
-        a refit to keep answers exact.
+        :class:`~repro.core.beam.BeamSearchPlanner`).  Called once in the
+        parent for generation 1 — the fork's copy-on-write pages hand every
+        worker its own copy — and once *in every worker* at each refit,
+        which builds generation N+1 in place.  It must be deterministic:
+        a refit whose workers build different weights is refused.
     num_replicas:
         The worker count; ``None`` reads ``REPRO_REPLICAS`` (default 1).
     max_queue_depth / admission_policy / drain_deadline:
@@ -603,19 +639,17 @@ class RemoteReplicaSet(TypedServingSurface):
         Optional zero-arg callable returning a *fresh*
         :class:`~repro.tenant.registry.TenantRegistry`; it runs *inside each
         forked child* after its fresh metrics registry, so every worker gets
-        its own (and a refit's standby workers theirs).
+        its own — at start-up and again at each refit.
     tenant_placement:
-        Tenant id -> fleet *slots* (0..N-1; slots survive refits, worker
-        indices do not): a tenant's requests dispatch only to its slots'
-        workers — the process boundary becomes the tenant isolation
-        boundary.  Unplaced tenants (and untenanted requests) use the whole
-        fleet.
+        Tenant id -> fleet *slots* (0..N-1, a worker's index for life): a
+        tenant's requests dispatch only to its slots' workers — the process
+        boundary becomes the tenant isolation boundary.  Unplaced tenants
+        (and untenanted requests) use the whole fleet.
     """
 
-    #: Dispatch retries across a concurrent generation flip (or a worker
-    #: failing under the dispatcher): an enqueue can race the retirement of
-    #: the worker it picked; re-picking from the post-flip active list
-    #: always succeeds unless the set itself closed.
+    #: Dispatch retries across a worker failing under the dispatcher: an
+    #: enqueue can race the death of the worker it picked; re-picking from
+    #: the survivors always succeeds unless the set itself closed.
     _MAX_DISPATCH_ATTEMPTS = 8
 
     def __init__(
@@ -672,7 +706,6 @@ class RemoteReplicaSet(TypedServingSurface):
             policy=admission_policy,
             drain_deadline=drain_deadline,
         )
-        self.registry = ArtifactRegistry()
         registry = get_registry()
         self._metrics = MetricGroup(
             registry,
@@ -691,64 +724,36 @@ class RemoteReplicaSet(TypedServingSurface):
                 "bytes_sent",
             ),
         )
-        #: Guards the generation double-buffer: the active workers, the
-        #: retiring ones, the archive and the dispatchers over them.
+        #: Guards the fleet's generation and the dispatchers' resets.
         self._flip_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._closed = False
         self._refit_lock = threading.Lock()
         self._refits: "list[dict]" = []
-        #: Worker indices, unique across generations (builds never overlap:
-        #: the constructor, then one refit at a time).
-        self._member_indices = itertools.count()
+        #: Numbers each refit's REFIT frames, so no ack of an abandoned one
+        #: is read as a later one's.
+        self._refit_serial = itertools.count(1)
         self._generation = 1
-        self._active: "list[RemoteReplica]" = []
-        #: Workers flipped out but not yet archived (a refit is still
-        #: draining them); once drained dry they collapse into counter
-        #: snapshots in :attr:`_retired_stats`, so a long-lived set doing
-        #: periodic refits never retains old generations' handles.
-        self._retired: "list[RemoteReplica]" = []
-        self._retired_stats: "list[dict]" = []
+        #: The workers, one per slot, for the set's whole life.
+        self._members: "list[RemoteReplica]" = []
         self.dispatcher = Dispatcher([])
-        #: Per-tenant dispatchers over the tenant's placed slots; rebuilt on
-        #: every flip.  Tenants without placement are absent and fall
-        #: through to the fleet dispatcher.
-        self._tenant_dispatchers: "dict[str, Dispatcher]" = {}
+        #: Per-tenant dispatchers over the tenant's placed slots.  Tenants
+        #: without placement are absent and fall through to the fleet
+        #: dispatcher.
+        self._tenant_dispatchers = {
+            tenant: Dispatcher([]) for tenant in self.tenant_placement or {}
+        }
         # Everything above exists BEFORE the first worker is spawned: a
         # worker may report back (dying at start-up) immediately.
-        members, _ = self._build_generation(self._generation)
-        with self._flip_lock:
-            self._active = members
-            self._reset_dispatch(members)
-        self._detector_stop = threading.Event()
-        self._detector = threading.Thread(
-            target=self._failure_detector, name="repro-failure-detector", daemon=True
-        )
-        self._detector.start()
-
-    # ------------------------------------------------------------------ #
-    # Building a generation: train once, fork N, install artifacts
-    # ------------------------------------------------------------------ #
-    def _build_generation(self, generation: int) -> "tuple[list[RemoteReplica], dict]":
-        """Train ``generation`` once in the parent, version its artifacts,
-        fork one standby worker per slot and install the artifacts on them:
-        ``(workers, refit-report extras)``, ready to be flipped in.
-
-        Generation 1 reaches its workers by fork alone; every later one is
-        also installed from the registry over the wire on every standby
-        worker, checksummed — the wire copy is authoritative.  Any failure
-        shuts down every worker spawned so far.
-        """
-        planner = self._factory()
+        planner = planner_factory()
         PlannerAdapter(planner)  # refuses a factory that returns no planner
-        artifacts = artifacts_from_planner(planner, generation)
-        for artifact in artifacts:
-            self.registry.publish(artifact)
-        members: "list[RemoteReplica]" = []
+        #: The artifact metas of every generation served: generation 1's
+        #: computed here, each later one's as the workers agreed on it.
+        self._artifacts = [artifact.meta() for artifact in artifacts_from_planner(planner, 1)]
         try:
-            for slot in range(self.num_replicas):
-                members.append(self._spawn_replica(planner, generation, slot, members))
-            for replica in members:
+            for index in range(self.num_replicas):
+                self._members.append(self._spawn_replica(planner, index))
+            for replica in self._members:
                 if not replica.hello_event.wait(HELLO_TIMEOUT):
                     raise ServingError(
                         f"worker {replica.index} sent no HELLO within {HELLO_TIMEOUT:.0f}s"
@@ -758,34 +763,30 @@ class RemoteReplicaSet(TypedServingSurface):
                         f"worker {replica.index} died before sending HELLO "
                         "(start-up failed)"
                     )
-                if generation > 1:
-                    for artifact in artifacts:
-                        self._install(replica, artifact)
         except BaseException:
-            self._retire(members)
+            self._retire(self._members)
             raise
-        return members, {"artifacts": [artifact.meta() for artifact in artifacts]}
+        with self._flip_lock:
+            self._reset_dispatch()
+        self._detector_stop = threading.Event()
+        self._detector = threading.Thread(
+            target=self._failure_detector, name="repro-failure-detector", daemon=True
+        )
+        self._detector.start()
 
-    def _spawn_replica(
-        self, planner, generation: int, slot: int, siblings: "list[RemoteReplica]"
-    ) -> RemoteReplica:
-        index = next(self._member_indices)
+    def _spawn_replica(self, planner, index: int) -> RemoteReplica:
         worker = spawn_worker(
             planner,
             index,
-            generation,
+            self._generation,
             loop_kwargs=self._loop_kwargs,
             heartbeat_interval=self.heartbeat_interval,
-            # Every parent-side socket the child would otherwise inherit:
-            # the live fleet's and this generation's earlier forks'.
-            inherited_fds=[
-                replica.worker.sock.fileno()
-                for replica in self.all_replicas() + siblings
-                if not replica.dead
-            ],
+            # The parent-side sockets of the earlier forks.
+            inherited_fds=[replica.worker.sock.fileno() for replica in self._members],
             tenant_factory=self._tenant_factory,
+            planner_factory=self._factory,
         )
-        replica = RemoteReplica(worker, slot, self._metrics, self.tracer)
+        replica = RemoteReplica(worker, self._metrics, self.tracer)
         replica.reader = threading.Thread(
             target=self._reader_loop,
             args=(replica,),
@@ -794,28 +795,6 @@ class RemoteReplicaSet(TypedServingSurface):
         )
         replica.reader.start()
         return replica
-
-    def _install(self, replica: RemoteReplica, artifact) -> None:
-        meta = wire.encode_json(artifact.meta())
-        payload = wire._COUNT.pack(len(meta)) + meta + artifact.payload
-        replica.send_control(FrameType.INSTALL_ARTIFACT, payload)
-        try:
-            ack = replica.ack_queue.get(timeout=ARTIFACT_TIMEOUT)
-        except queue.Empty:
-            raise ServingError(
-                f"worker {replica.index} did not acknowledge artifact "
-                f"{artifact.name!r} within {ARTIFACT_TIMEOUT:.0f}s"
-            ) from None
-        if not ack.get("ok"):
-            raise ServingError(
-                f"worker {replica.index} rejected artifact {artifact.name!r}: "
-                f"{ack.get('error')}"
-            )
-        if ack.get("sha256") != artifact.sha256:
-            raise ServingError(
-                f"worker {replica.index} installed artifact {artifact.name!r} "
-                "with a mismatched checksum"
-            )
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -838,7 +817,7 @@ class RemoteReplicaSet(TypedServingSurface):
             if self._closed:
                 return
             self._closed = True
-        for request in self._retire(self.all_replicas()):
+        for request in self._retire(self._members):
             if not request.future.done():
                 request.fail(
                     ServingError(
@@ -871,41 +850,26 @@ class RemoteReplicaSet(TypedServingSurface):
         return leftovers
 
     # ------------------------------------------------------------------ #
-    # Generation bookkeeping (the double-buffer a refit flips)
+    # The generation a refit steps
     # ------------------------------------------------------------------ #
     @property
     def fit_generation(self) -> int:
-        """The generation new arrivals are served at (bumped by every flip)."""
+        """The generation new arrivals are served at (bumped by every commit)."""
         with self._flip_lock:
             return self._generation
 
     def active_replicas(self) -> "list[RemoteReplica]":
-        with self._flip_lock:
-            return list(self._active)
+        """The workers, one per slot — a dead one included: a slot whose
+        worker died is never re-forked."""
+        return list(self._members)
 
-    def all_replicas(self) -> "list[RemoteReplica]":
-        """Active workers plus any flipped-out ones still draining (the
-        archived generations live on as counter snapshots, see
-        :meth:`archived_stats`)."""
-        with self._flip_lock:
-            return list(self._active) + list(self._retired)
-
-    def archived_stats(self) -> "list[dict]":
-        """Final counter snapshots of fully retired generations."""
-        with self._flip_lock:
-            return [dict(archived) for archived in self._retired_stats]
-
-    def _reset_dispatch(self, members: "list[RemoteReplica]") -> None:
+    def _reset_dispatch(self) -> None:
         """Point the fleet dispatcher, and one dispatcher per placed tenant
-        over its slots' workers, at ``members`` (caller holds the flip
-        lock).  Affinity clears, so every session replans once on them."""
-        self.dispatcher.reset(members)
-        if self.tenant_placement:
-            by_slot = {replica.slot: replica for replica in members}
-            self._tenant_dispatchers = {
-                tenant: Dispatcher([by_slot[slot] for slot in slots if slot in by_slot])
-                for tenant, slots in self.tenant_placement.items()
-            }
+        over its slots' workers, at the workers with their affinity cleared,
+        so every session replans once (caller holds the flip lock)."""
+        self.dispatcher.reset(self._members)
+        for tenant, dispatcher in self._tenant_dispatchers.items():
+            dispatcher.reset([self._members[slot] for slot in self.tenant_placement[tenant]])
 
     def _forget(self, replica: RemoteReplica) -> None:
         """Drop a worker that stopped accepting work from the fleet
@@ -915,101 +879,143 @@ class RemoteReplicaSet(TypedServingSurface):
             dispatcher.forget(replica)
 
     def refit(self) -> dict:
-        """Hot model swap: train off-path, flip atomically, retire drain-dry.
+        """Hot model swap in place: every worker refits its own loop.
 
-        1. **Train off-path.**  One ``planner_factory`` call, forked standby
-           workers and checksummed artifact installs on every one of them,
-           while the active workers keep serving — the expensive phase,
-           outside every lock.
-        2. **Flip atomically.**  One pointer swap under the flip lock makes
-           the standby workers active and bumps :attr:`fit_generation`:
-           every arrival after it dispatches to the new generation, every
-           request already in flight stays with an old worker.  Dispatch
-           affinity clears with the swap, so each session replans exactly
-           once on the new model.
-        3. **Retire drain-dry.**  The old workers stop admitting and drain
-           dry — every in-flight request finishes on the generation that
-           admitted it, and what a dying worker leaves unanswered
-           re-dispatches.  Their counters collapse into
-           :meth:`archived_stats`.
+        1. **Prepare.**  Each live worker builds generation N+1 with the
+           factories it inherited at fork, on a thread of its own while it
+           keeps serving, and acks with the sha256 metas of what it built —
+           the expensive phase, outside every lock.
+        2. **Commit.**  Once every worker is ready with identical shas, one
+           step under the flip lock bumps :attr:`fit_generation`, empties
+           every worker's plan mirror, clears the dispatch affinity (each
+           session replans exactly once on the new model) and sends every
+           worker COMMIT.  Each flips its loop between two drains: the batch
+           in flight finishes on generation N, everything the worker reads
+           after the COMMIT — and every request queued there but not yet
+           drained — is answered by N+1.  This returns once every worker
+           has acked its flip, which it does after the answers of that
+           batch.
+        3. **Or abort.**  A factory that raises, shas that disagree, a
+           worker that dies or sends no ack within ``HELLO_TIMEOUT``, or a
+           ``close()`` sends ABORT instead: no worker flips,
+           :attr:`fit_generation` stays N and this raises
+           :class:`~repro.utils.exceptions.ServingError` naming the cause.
 
-        Raises :class:`~repro.utils.exceptions.ServingError` while another
-        refit runs and on a closed set.  A set that closes while the
-        standby trains refuses the flip and shuts the standby down (close()
-        cannot reach workers that never became active).
+        Also raises while another refit runs and on a closed set.  A worker
+        that died before the refit is not re-forked; the live ones refit.
         """
         if not self._refit_lock.acquire(blocking=False):
             raise ServingError("a refit is already in progress on this replica set")
         try:
             if self.closed:
                 raise ServingError("cannot refit a closed replica set")
+            members = [member for member in self._members if not member.dead]
+            if not members:
+                raise ServingError("no live worker is left to refit")
             generation_from = self.fit_generation
             generation_to = generation_from + 1
+            message = {"refit": next(self._refit_serial), "generation": generation_to}
             logger.info(
-                "refit: preparing %d standby replica(s) for generation %d",
-                self.num_replicas,
-                generation_to,
+                "refit: %d worker(s) preparing generation %d", len(members), generation_to
             )
             train_started = time.perf_counter()
-            standby, extras = self._build_generation(generation_to)
+            artifacts, problems = self._prepare(members, message)
             train_seconds = time.perf_counter() - train_started
 
             flip_started = time.perf_counter()
             with self._flip_lock:
-                # close() marks the set closed and then retires
-                # all_replicas() (which takes this lock): either the flip
-                # lands first and close() sees the standby, or it refuses.
-                with self._state_lock:
-                    closed = self._closed
-                if not closed:
-                    previous = self._active
-                    self._active = list(standby)
+                if self.closed:
+                    problems.insert(0, "the replica set closed")
+                if not problems:
                     self._generation = generation_to
-                    self._retired.extend(previous)
-                    self._reset_dispatch(self._active)
-            flip_seconds = time.perf_counter() - flip_started
-            if closed:
-                self._retire(standby)
+                    self._reset_dispatch()
+                    for member in members:
+                        try:
+                            member.commit(message)
+                        except OSError:
+                            pass  # died since it acked: its reader re-dispatches its work
+            flipped = time.perf_counter()
+            if problems:
+                for member in members:
+                    self._send_refit(member, message, "abort")
                 raise ServingError(
-                    "replica set closed while the standby generation was "
-                    "training; the flip is abandoned"
+                    f"refit to generation {generation_to} abandoned: " + "; ".join(problems)
                 )
 
-            inflight_at_flip = sum(member.pending_count() for member in previous)
-            retire_started = time.perf_counter()
-            self._redispatch(self._retire(previous), reason="retirement")
-            retire_seconds = time.perf_counter() - retire_started
+            deadline = flipped + DRAIN_TIMEOUT
+            acks = [member.next_ack(message["refit"], deadline) for member in members]
+            loops = [ack["report"] for ack in acks if ack is not None and ack.get("report")]
+            if len(loops) < len(members):
+                logger.warning(
+                    "refit: %d of %d worker(s) did not ack the flip to generation %d",
+                    len(members) - len(loops),
+                    len(members),
+                    generation_to,
+                )
             report = {
                 "generation_from": generation_from,
                 "generation_to": generation_to,
-                "num_replicas": len(standby),
+                "num_replicas": len(members),
                 "train_seconds": round(train_seconds, 4),
-                "flip_seconds": round(flip_seconds, 6),
-                "retire_seconds": round(retire_seconds, 4),
-                "inflight_at_flip": inflight_at_flip,
-                "retired_served": sum(member.stats()["completed"] for member in previous),
-                **extras,
+                "flip_seconds": round(flipped - flip_started, 6),
+                "retire_seconds": round(time.perf_counter() - flipped, 4),
+                "inflight_at_flip": sum(loop["inflight_at_flip"] for loop in loops),
+                "artifacts": artifacts,
             }
-            # Drained dry: keep only the old workers' final counters, so
-            # repeated refits never accumulate handles.
-            snapshots = [
-                {"replica": member.stats(), "loop": member.loop_stats()} for member in previous
-            ]
             with self._flip_lock:
-                self._retired = [member for member in self._retired if member not in previous]
-                self._retired_stats.extend(snapshots)
+                self._artifacts.extend(artifacts)
                 self._refits.append(report)
             logger.info(
                 "refit: generation %d -> %d flipped in %.1f us "
                 "(%d request(s) in flight finished on the old generation)",
                 generation_from,
                 generation_to,
-                1e6 * flip_seconds,
-                inflight_at_flip,
+                1e6 * report["flip_seconds"],
+                report["inflight_at_flip"],
             )
             return dict(report)
         finally:
             self._refit_lock.release()
+
+    def _prepare(
+        self, members: "list[RemoteReplica]", message: dict
+    ) -> "tuple[list[dict] | None, list[str]]":
+        """Send every member PREPARE and wait for one ack from each:
+        ``(the artifact metas they agree on, [])``, or what went wrong."""
+        for member in members:
+            self._send_refit(member, message, "prepare")
+        deadline = time.perf_counter() + HELLO_TIMEOUT
+        agreed: "tuple[RemoteReplica, list[dict]] | None" = None
+        problems: "list[str]" = []
+        for member in members:
+            ack = member.next_ack(message["refit"], deadline)
+            if ack is None:
+                problems.append(
+                    f"worker {member.index} died"
+                    if member.dead
+                    else f"worker {member.index} sent no ack within {HELLO_TIMEOUT:.0f}s"
+                )
+            elif ack["verb"] == "failed":
+                problems.append(
+                    f"worker {member.index} (pid {ack['pid']}) failed to build "
+                    f"generation {message['generation']}: {ack['error']}"
+                )
+            elif agreed is None:
+                agreed = (member, ack["artifacts"])
+            elif ack["artifacts"] != agreed[1]:
+                problems.append(
+                    f"workers {agreed[0].index} and {member.index} built different "
+                    f"state (sha256 {_shas(agreed[1])} != {_shas(ack['artifacts'])}); "
+                    "the factory is not deterministic"
+                )
+        return (None if agreed is None else agreed[1]), problems
+
+    @staticmethod
+    def _send_refit(member: RemoteReplica, message: dict, verb: str) -> None:
+        try:
+            member.send_control(FrameType.REFIT, wire.encode_json(dict(message, verb=verb)))
+        except OSError:
+            pass  # gone: its ack wait reads that from the reader's EOF
 
     # ------------------------------------------------------------------ #
     # Reader: everything a worker says arrives here
@@ -1034,7 +1040,7 @@ class RemoteReplicaSet(TypedServingSurface):
                 replica.on_hello(wire.decode_json(payload))
             elif frame_type == FrameType.STATS_RESPONSE:
                 replica._on_stats_response(wire.decode_json(payload))
-            elif frame_type == FrameType.ARTIFACT_ACK:
+            elif frame_type == FrameType.REFIT_ACK:
                 replica.ack_queue.put(wire.decode_json(payload))
             else:
                 logger.warning(
@@ -1128,8 +1134,10 @@ class RemoteReplicaSet(TypedServingSurface):
                 replica.worker.pid,
             )
         # A worker that died before HELLO must fail the start-up wait now,
-        # not after HELLO_TIMEOUT.
+        # not after HELLO_TIMEOUT — and one that dies during a refit the
+        # wait for its ack.
         replica.hello_event.set()
+        replica.ack_queue.put(None)
         self._forget(replica)
         pending = replica.drain_pending()
         replica.worker.close()
@@ -1169,11 +1177,11 @@ class RemoteReplicaSet(TypedServingSurface):
         worker's mirrored plan, or shipped over the wire.
 
         Closed sets and expired deadlines are refused before any worker is
-        picked.  A dispatch can race a generation flip or a worker failure:
-        the picked worker may stop accepting between pick and hand-over.
-        The request was *not* admitted then, so it re-dispatches against
-        the current active set — no accepted request is ever dropped by a
-        refit.  :class:`~repro.utils.exceptions.QueueFullError` (the
+        picked.  A dispatch can race a worker failure: the picked worker
+        may stop accepting between pick and hand-over.  The request was
+        *not* admitted then, so it re-dispatches against the survivors — no
+        accepted request is ever dropped.
+        :class:`~repro.utils.exceptions.QueueFullError` (the
         ``reject`` admission policy) is back-pressure, not a race, and
         propagates.
         """
@@ -1254,17 +1262,15 @@ class RemoteReplicaSet(TypedServingSurface):
         """Fleet-wide stats, shaped like ``ServingLoop.stats()`` plus the
         fleet's own sections: per-worker load, dispatcher picks, refit
         history, the placement view and a ``transport`` section (wire
-        counters, failure-detector verdicts, artifact registry history).
+        counters, failure-detector verdicts, every generation's artifact
+        metas).
 
         Steps answered in the parent are in ``served`` / ``resident`` /
         ``tenants[name]["served"]`` like any other (each worker's
         :meth:`RemoteReplica.loop_stats` counts its own in);
         ``transport["parent_answered"]`` says how many they were."""
-        active = self.active_replicas()
-        members = self.all_replicas()
-        archived = self.archived_stats()
+        members = self._members
         loop_stats = [member.loop_stats() for member in members]
-        loop_stats += [snapshot["loop"] for snapshot in archived]
         loop_stats = [stats for stats in loop_stats if stats is not None]
         # Fleet admission = what the workers' controllers counted plus what
         # the fleet's own controller refused before picking one.
@@ -1292,6 +1298,7 @@ class RemoteReplicaSet(TypedServingSurface):
                 entry["dispatch"] = dispatcher.stats()
         with self._flip_lock:
             refits = [dict(report) for report in self._refits]
+            artifacts = [dict(meta) for meta in self._artifacts]
         return {
             "num_replicas": self.num_replicas,
             **({"tenants": tenants} if tenants else {}),
@@ -1305,7 +1312,6 @@ class RemoteReplicaSet(TypedServingSurface):
             ),
             "dispatch": self.dispatcher.stats(),
             "replicas": [member.stats() for member in members],
-            "retired_replicas": len(members) - len(active) + len(archived),
             "refits": refits,
             "transport_kind": "process",
             "transport": {
@@ -1313,9 +1319,13 @@ class RemoteReplicaSet(TypedServingSurface):
                 "heartbeat_misses": self.heartbeat_misses,
                 "probation_beats": self.probation_beats,
                 **{key: int(value) for key, value in self._metrics.values().items()},
-                "artifacts": self.registry.history(),
+                "artifacts": artifacts,
             },
         }
+
+
+def _shas(metas: "list[dict]") -> str:
+    return ",".join(meta["sha256"][:12] for meta in metas)
 
 
 def _validate_placement(placement: "dict | None", num_replicas: int) -> "dict | None":

@@ -7,8 +7,8 @@ by the payload.  The hot path — request batches, response batches and
 heartbeats — is struct-packed with batched encode/decode so serialization
 cost is a few hundred nanoseconds per request (the e2e probes
 ``distributed.encode_us_per_req`` / ``decode_us_per_req``); control frames (hello, stats,
-artifact installs) are JSON, where schema flexibility matters more than
-nanoseconds.
+the refit's prepare / commit exchange) are JSON, where schema flexibility
+matters more than nanoseconds.
 
 The payloads deliberately carry **durations, never timestamps**:
 ``time.perf_counter()`` values are process-local (each process picks its
@@ -92,8 +92,8 @@ class FrameType:
     HEARTBEAT = 4  # worker -> parent: struct-packed load signals
     STATS_REQUEST = 5  # parent -> worker: empty payload
     STATS_RESPONSE = 6  # worker -> parent: JSON ServingLoop/replica stats
-    INSTALL_ARTIFACT = 7  # parent -> worker: JSON meta + binary blob
-    ARTIFACT_ACK = 8  # worker -> parent: JSON install outcome
+    REFIT = 7  # parent -> worker: JSON prepare / commit / abort of one refit
+    REFIT_ACK = 8  # worker -> parent: JSON prepared (artifact metas) / failed / committed
     SHUTDOWN = 9  # parent -> worker: drain dry and exit
 
     NAMES = {
@@ -103,8 +103,8 @@ class FrameType:
         4: "heartbeat",
         5: "stats_request",
         6: "stats_response",
-        7: "install_artifact",
-        8: "artifact_ack",
+        7: "refit",
+        8: "refit_ack",
         9: "shutdown",
     }
 
@@ -113,8 +113,10 @@ class FrameType:
 FRAME_HEADER = struct.Struct("!IB")
 
 #: Upper bound on one frame's payload: catches a corrupted/desynced header
-#: before it turns into a multi-gigabyte allocation.  Model-weight artifacts
-#: are the largest legitimate frames and stay far under this.
+#: before it turns into a multi-gigabyte allocation.  The largest legitimate
+#: frames — a response batch of a whole drained micro-batch (plans
+#: included) and a worker's STATS JSON — are kilobytes to a few megabytes,
+#: far under this.
 MAX_PAYLOAD_BYTES = 1 << 30
 
 # Request record: id(u64) kind(u8) objective(q) user(q, -1=None)

@@ -15,10 +15,10 @@ Thread layout inside the child:
 * **reader** (the main thread) — decodes REQUEST_BATCH frames into
   envelopes (a shipped deadline budget re-anchored on this process's clock,
   so the loop's own admission refuses a request that arrives expired) and
-  enqueues them; handles STATS / INSTALL_ARTIFACT / SHUTDOWN control
-  frames.  Under the ``block`` admission policy a full queue stalls this
-  thread — back-pressure propagates to the parent through the socket
-  buffer, exactly like a blocked in-process producer.
+  enqueues them; handles STATS / REFIT / SHUTDOWN control frames.  Under
+  the ``block`` admission policy a full queue stalls this thread —
+  back-pressure propagates to the parent through the socket buffer,
+  exactly like a blocked in-process producer.
 * **writer** — drains an outbox of answered requests, packing every
   record available at wake-up into ONE RESPONSE_BATCH frame (one batched
   encode).  Every resolved future becomes a
@@ -27,10 +27,22 @@ Thread layout inside the child:
   peeked through the loop's ``resident_plan`` capability — so the parent
   can answer the session's later steps itself (the mirror of
   :mod:`repro.distributed.remote`); a record that cannot be built ships as
-  an error, never as silence.
+  an error, never as silence.  Refit acks ride the same outbox, so the ack
+  of a commit leaves after every answer the old generation gave.
 * **heartbeat** — ships the replica's load signals (EWMA in-flight depth,
   recent p95, queue depth) every ``heartbeat_interval`` seconds; the
   parent's dispatcher scores workers from these instead of shared memory.
+* **refit** (one per refit, while it runs) — the loop's own
+  :meth:`~repro.serve.loop.ServingLoop.refit` over the ``planner_factory``
+  and ``tenant_factory`` the worker inherited at fork.  A REFIT ``prepare``
+  frame starts it; once generation N+1 is built the thread acks with the
+  sha256 metas of its fitted state
+  (:func:`~repro.distributed.artifacts.artifacts_from_planner`) and holds
+  the standby at a gate.  ``commit`` opens the gate and the reader waits
+  for the loop's refit to return — the flip, and the batch in flight at it
+  — before it reads another frame and acks; ``abort`` makes the gate raise,
+  so the loop flips nothing.  The build never blocks the reader or the
+  heartbeat, so a long one never gets its worker suspected.
 
 All latency math happens on the child's own ``perf_counter`` clock and
 crosses the wire as *durations* (queue-wait, service) — never as raw
@@ -45,7 +57,7 @@ Fork discipline: the child installs a **fresh**
 closes every inherited parent-side socket fd so EOF detection stays crisp.
 The child exits via ``os._exit`` — parent-inherited atexit handlers must
 not run twice.  Its last frame before the socket closes is an unprompted
-STATS_RESPONSE, so the parent's archive of a retired generation holds the
+STATS_RESPONSE, so the parent's ``stats()`` after ``close()`` holds the
 counters the worker ended on.
 """
 
@@ -60,25 +72,22 @@ import threading
 import time
 
 from repro.distributed import wire
-from repro.distributed.artifacts import (
-    GENERATOR_STATE,
-    MODEL_WEIGHTS,
-    unpack_generator,
-    unpack_state_dict,
-)
+from repro.distributed.artifacts import artifacts_from_planner
 from repro.distributed.wire import FrameType, ResponseRecord
 from repro.obs.registry import MetricsRegistry, set_registry
 from repro.replica.replica import Replica
 from repro.serve.loop import ServingLoop, pin_serving_generation
 from repro.serve.request import ServeRequest
+from repro.tenant.adapters import PlannerAdapter
 from repro.utils.exceptions import ServingError
 
 __all__ = ["CAN_FORK", "ReplicaWorker", "spawn_worker", "worker_main"]
 
 logger = logging.getLogger(__name__)
 
-#: Seconds the parent waits for a worker's HELLO (covers the child's
-#: planner construction, which may train a model).
+#: Seconds the parent waits for a worker to build a generation: its HELLO
+#: at start-up (the child's planner construction may train a model) and its
+#: ``prepared`` ack at a refit (the factories train one).
 HELLO_TIMEOUT = 120.0
 #: Whether this platform has the ``fork`` start method workers are spawned by.
 CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -125,20 +134,23 @@ def spawn_worker(
     inherited_fds: "list[int] | None" = None,
     mp_context=None,
     tenant_factory=None,
+    planner_factory=None,
 ) -> ReplicaWorker:
     """Fork one worker process serving ``planner`` and return its handle.
 
     The socketpair is created *before* the fork so both ends exist in both
     processes; each side closes the end it does not own.  ``planner`` is a
     fitted planner object — the fork's copy-on-write page sharing is the
-    "ship the model to the worker" mechanism for the initial deploy (a
-    refit re-ships weights explicitly through the artifact registry).
-    ``inherited_fds`` lists parent-side fds of *other* workers' sockets the
-    child should close (a later fork inherits every earlier socket).
-    ``tenant_factory`` (optional) is called *inside the child* AFTER its
-    fresh metrics registry is installed, so a multi-tenant worker's
-    :class:`~repro.tenant.registry.TenantRegistry` binds child-owned locks
-    and counters — never objects forked mid-acquisition.
+    "ship the model to the worker" mechanism for the first generation;
+    every later one the worker builds itself, calling the
+    ``planner_factory`` (and ``tenant_factory``) it inherits here when a
+    REFIT frame asks it to.  ``inherited_fds`` lists parent-side fds of
+    *other* workers' sockets the child should close (a later fork inherits
+    every earlier socket).  ``tenant_factory`` (optional) is called *inside
+    the child* AFTER its fresh metrics registry is installed, so a
+    multi-tenant worker's :class:`~repro.tenant.registry.TenantRegistry`
+    binds child-owned locks and counters — never objects forked
+    mid-acquisition.
     """
     if mp_context is None:
         mp_context = multiprocessing.get_context("fork")
@@ -155,6 +167,7 @@ def spawn_worker(
             heartbeat_interval,
             list(inherited_fds or []),
             tenant_factory,
+            planner_factory,
         ),
         name=f"repro-worker-{index}",
         daemon=True,
@@ -192,6 +205,7 @@ class _Worker:
         heartbeat_interval,
         inherited_fds,
         tenant_factory=None,
+        planner_factory=None,
     ) -> None:
         # Fresh registry FIRST: every MetricGroup built below must bind to a
         # lock this process created, not one forked mid-acquisition.
@@ -208,6 +222,8 @@ class _Worker:
         self.heartbeat_interval = float(heartbeat_interval)
         pin_serving_generation(planner, generation)
         self.planner = planner
+        self.planner_factory = planner_factory
+        self.tenant_factory = tenant_factory
         # The tenant registry is built HERE, after the fresh metrics
         # registry: its bindings' latency groups must be child-owned (the
         # parent keeps its own registry instance).
@@ -222,6 +238,11 @@ class _Worker:
         self.outbox: "queue.SimpleQueue" = queue.SimpleQueue()
         self._stop = threading.Event()
         self._heartbeat_seq = 0
+        #: The refit in progress: its thread, the gate it waits at (one
+        #: ``"commit"`` / ``"abort"`` verdict) and the loop's report.
+        self._refitter: "threading.Thread | None" = None
+        self._verdict: "queue.SimpleQueue[str]" = queue.SimpleQueue()
+        self._refit_report: "dict | None" = None
 
     # ------------------------------------------------------------------ #
     def run(self) -> None:
@@ -253,17 +274,19 @@ class _Worker:
         try:
             self._reader()
         finally:
-            # Drain dry: close() resolves every accepted future, each
-            # resolution lands a record in the outbox via _on_done.
+            # A standby held at the gate is never flipped in.  Drain dry:
+            # close() resolves every accepted future, each resolution lands
+            # a record in the outbox via _on_done.
+            self._verdict.put("abort")
             self._stop.set()
             self.loop.close()
             self.outbox.put(None)  # writer sentinel — flushes, then exits
             writer.join(timeout=10.0)
             heartbeat.join(timeout=2.0 * self.heartbeat_interval + 1.0)
             try:
-                # Last words: the final counters, so the parent's archive of
-                # a retired generation holds what it served (nobody can ask
-                # once this process is gone).
+                # Last words: the final counters, so the parent's stats()
+                # after close() hold what it served (nobody can ask once
+                # this process is gone).
                 wire.send_frame(
                     self.sock,
                     FrameType.STATS_RESPONSE,
@@ -291,8 +314,8 @@ class _Worker:
                     wire.encode_json(self._stats()),
                     lock=self.send_lock,
                 )
-            elif frame_type == FrameType.INSTALL_ARTIFACT:
-                self._handle_install(payload)
+            elif frame_type == FrameType.REFIT:
+                self._on_refit(wire.decode_json(payload))
             elif frame_type == FrameType.SHUTDOWN:
                 logger.info("worker %d: shutdown requested, draining", self.index)
                 return
@@ -388,23 +411,29 @@ class _Worker:
 
     # ------------------------------------------------------------------ #
     def _writer(self) -> None:
+        records: "list[ResponseRecord]" = []
         while True:
-            record = self.outbox.get()
-            if record is None:
+            try:
+                item = self.outbox.get(block=not records)
+            except queue.Empty:
+                # Every record already waiting is batched into one frame:
+                # under load a whole drained micro-batch ships as a single
+                # encode+sendall.
+                self._send_responses(records)
+                records = []
+                continue
+            if isinstance(item, ResponseRecord):
+                records.append(item)
+                continue
+            if records:
+                self._send_responses(records)
+                records = []
+            if item is None:  # the shutdown sentinel
                 return
-            records = [record]
-            # Batch every record already waiting into one frame: under load
-            # a whole drained micro-batch ships as a single encode+sendall.
-            while True:
-                try:
-                    extra = self.outbox.get_nowait()
-                except queue.Empty:
-                    break
-                if extra is None:
-                    self._send_responses(records)
-                    return
-                records.append(extra)
-            self._send_responses(records)
+            try:  # a refit ack, in order behind the answers queued before it
+                wire.send_frame(self.sock, FrameType.REFIT_ACK, item, lock=self.send_lock)
+            except OSError:
+                pass  # the parent is gone: nobody waits for it
 
     def _send_responses(self, records) -> None:
         try:
@@ -455,49 +484,63 @@ class _Worker:
             "replica": self.replica.stats(),
         }
 
-    def _handle_install(self, payload: bytes) -> None:
-        (meta_len,) = wire._COUNT.unpack_from(payload, 0)
-        meta = wire.decode_json(payload[wire._COUNT.size : wire._COUNT.size + meta_len])
-        blob = payload[wire._COUNT.size + meta_len :]
-        outcome = {"name": meta["name"], "generation": meta["generation"], "ok": True}
-        try:
-            import hashlib
+    # ------------------------------------------------------------------ #
+    # Refit: prepare / commit over this worker's own ServingLoop
+    # ------------------------------------------------------------------ #
+    def _on_refit(self, message: dict) -> None:
+        """One REFIT frame.  ``prepare`` starts the loop's refit on a thread
+        of its own and returns at once.  ``commit`` / ``abort`` settle the
+        gate that refit waits at, then wait for it to return — so every
+        frame read after a commit meets the new generation — and a commit
+        is acked with the loop's report."""
+        if message["verb"] == "prepare":
+            self._verdict = queue.SimpleQueue()
+            self._refitter = threading.Thread(
+                target=self._refit,
+                args=(message, self._verdict),
+                name="repro-worker-refit",
+                daemon=True,
+            )
+            self._refitter.start()
+            return
+        self._verdict.put(message["verb"])
+        self._refitter.join()
+        if message["verb"] == "commit":
+            self._ack(message, "committed", report=self._refit_report)
 
-            digest = hashlib.sha256(blob).hexdigest()
-            if digest != meta["sha256"]:
-                raise ServingError(
-                    f"artifact {meta['name']} checksum mismatch "
-                    f"({digest[:12]} != {meta['sha256'][:12]})"
-                )
-            outcome["sha256"] = digest
-            if meta["name"] == MODEL_WEIGHTS:
-                module = getattr(getattr(self.planner, "backbone", None), "module", None)
-                if module is None:
-                    raise ServingError("planner backbone has no module to load weights into")
-                # Loading through the Module (not warm_start) leaves the
-                # backbone's fit_generation untouched — the pinned planner
-                # must not observe a generation change — so the caches are
-                # invalidated explicitly instead.
-                module.load_state_dict(unpack_state_dict(blob))
-            elif meta["name"] == GENERATOR_STATE:
-                generator = unpack_generator(blob)
-                if repr(generator.retrieval_key()) != meta["identity"]:
-                    raise ServingError(
-                        "generator artifact identity drifted in transit: "
-                        f"{meta['identity']} != {generator.retrieval_key()!r}"
-                    )
-                self.planner.candidate_generator = generator
-            else:
-                raise ServingError(f"unknown artifact kind {meta['name']!r}")
-            invalidate = getattr(self.planner, "invalidate_caches", None)
-            if invalidate is not None:
-                invalidate()
-        except BaseException as exc:  # noqa: BLE001 - shipped in the ACK
-            outcome["ok"] = False
-            outcome["error"] = f"{type(exc).__name__}: {exc}"
-        wire.send_frame(
-            self.sock,
-            FrameType.ARTIFACT_ACK,
-            wire.encode_json(outcome),
-            lock=self.send_lock,
-        )
+    def _refit(self, message: dict, verdict: "queue.SimpleQueue[str]") -> None:
+        """Build generation N+1 through ``ServingLoop.refit``, ack it
+        ``prepared`` with its artifact metas, and let the loop flip it in
+        only on a ``commit`` verdict.  The loop calls the tenant factory
+        last, so the gate sits there: everything is built by then, and a
+        gate that raises leaves the loop serving generation N."""
+        generation = message["generation"]
+        built = {}
+
+        def build_planner():
+            built["planner"] = self.planner_factory()
+            return built["planner"]
+
+        def build_tenants_then_wait():
+            tenants = None if self.tenant_factory is None else self.tenant_factory()
+            planner = built["planner"]
+            PlannerAdapter(planner)  # refuses a factory that returns no planner
+            artifacts = [a.meta() for a in artifacts_from_planner(planner, generation)]
+            self._ack(message, "prepared", artifacts=artifacts)
+            if verdict.get() != "commit":
+                raise ServingError(f"worker {self.index}: refit to generation {generation} aborted")
+            return tenants
+
+        self._refit_report = None
+        try:
+            self._refit_report = self.loop.refit(build_planner, build_tenants_then_wait)
+        except BaseException as exc:  # noqa: BLE001 - shipped in the ack
+            # (after an abort nobody waits for it: the parent skips it)
+            self._ack(message, "failed", error=f"{type(exc).__name__}: {exc}")
+            return
+        self.generation = self.replica.generation = generation
+
+    def _ack(self, message: dict, verb: str, **fields) -> None:
+        """Queue one REFIT_ACK behind every answer already in the outbox."""
+        ack = {"refit": message["refit"], "verb": verb, "pid": os.getpid(), **fields}
+        self.outbox.put(wire.encode_json(ack))

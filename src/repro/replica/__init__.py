@@ -9,9 +9,9 @@
 * :func:`~repro.replica.driver.run_replicated_open_loop` drives open-loop
   traffic through either front-end — a
   :class:`~repro.serve.loop.ServingLoop` or the process fleet — across an
-  optional hot refit (``repro-irs serve-sim --refit-at T``): a standby
-  generation trains off-path, one atomic flip redirects new work, and
-  serving never pauses.
+  optional hot refit (``repro-irs serve-sim --refit-at T``): the next
+  generation trains off-path (in every worker, on the fleet), one flip per
+  loop redirects new work, and serving never pauses.
 """
 
 from repro.replica.dispatch import Dispatcher

@@ -6,8 +6,8 @@
   right-aligned batch, to ``1e-10``.
 * **Never stale** — the program is dropped by every weight change,
   including the ones that leave ``fit_generation`` alone
-  (``Module.load_state_dict`` is what a forked worker's INSTALL_ARTIFACT
-  runs), and is shared safely by concurrent scorers.
+  (``Module.load_state_dict``, which restores weights under a model's
+  back), and is shared safely by concurrent scorers.
 * **A refused advance changes nothing** — ``advance_decoding_session``
   validates both arguments before it touches the session.
 """
@@ -210,7 +210,7 @@ class TestWeightChangesDropTheProgram:
         irn.module.load_state_dict(other.module.state_dict())
         assert not program.current(irn.module)
         assert_answers(every_scorer(irn), every_scorer(other), differ_from=first)
-        assert irn.fit_generation == generation  # what the INSTALL_ARTIFACT path relies on
+        assert irn.fit_generation == generation  # no bump: the weights alone tell
         assert irn._program() is irn._program()  # and the new program is kept
 
     def test_warm_start(self, tiny_split, other, tmp_path):

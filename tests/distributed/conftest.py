@@ -63,7 +63,8 @@ def _fleet_leftovers() -> "list[str]":
 def no_leaked_workers():
     """Fail any test in this directory that leaves a worker process, a
     reader thread or a failure detector behind (a fleet that raised from
-    its constructor, or a standby a refused refit never shut down)."""
+    its constructor, or one closed while its workers were building a
+    refit)."""
     yield
     deadline = time.perf_counter() + 2.0  # a SIGKILLed child reaps asynchronously
     while _fleet_leftovers() and time.perf_counter() < deadline:

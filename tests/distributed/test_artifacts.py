@@ -1,24 +1,23 @@
-"""Unit coverage of the versioned-artifact registry and packers."""
+"""Unit coverage of the versioned artifacts and their packers.
+
+A fleet refit commits only when every worker acks the same sha256 for what
+it built, so packing must depend on nothing but the fitted state: the same
+state packs to the same bytes, and different state to different bytes."""
 
 from __future__ import annotations
 
 import hashlib
 
 import numpy as np
-import pytest
 
 from repro.distributed.artifacts import (
     GENERATOR_STATE,
     MODEL_WEIGHTS,
     Artifact,
-    ArtifactRegistry,
     artifacts_from_planner,
     pack_generator,
     pack_state_dict,
-    unpack_generator,
-    unpack_state_dict,
 )
-from repro.utils.exceptions import ConfigurationError
 
 
 class TestArtifact:
@@ -34,52 +33,30 @@ class TestArtifact:
         }
 
 
-class TestArtifactRegistry:
-    def test_publish_get_and_history_order(self):
-        registry = ArtifactRegistry()
-        first = registry.publish(Artifact("model_weights", 1, "a", b"1"))
-        second = registry.publish(Artifact("generator_state", 1, "b", b"2"))
-        third = registry.publish(Artifact("model_weights", 2, "c", b"3"))
-        assert registry.get("model_weights", 1) is first
-        assert registry.get("model_weights", 2) is third
-        assert registry.for_generation(1) == [first, second]
-        assert [meta["name"] for meta in registry.history()] == [
-            "model_weights",
-            "generator_state",
-            "model_weights",
-        ]
-        assert len(registry) == 3
-
-    def test_published_versions_are_immutable(self):
-        registry = ArtifactRegistry()
-        registry.publish(Artifact("model_weights", 1, "a", b"1"))
-        with pytest.raises(ConfigurationError, match="immutable"):
-            registry.publish(Artifact("model_weights", 1, "a", b"different"))
-
-    def test_missing_version_is_loud(self):
-        registry = ArtifactRegistry()
-        with pytest.raises(ConfigurationError, match="no artifact"):
-            registry.get("model_weights", 7)
-
-
 class TestPacking:
-    def test_state_dict_roundtrip_is_bit_exact(self):
-        state = {
-            "layer.weight": np.arange(12, dtype=np.float64).reshape(3, 4),
-            "layer.bias": np.array([1.5, -2.5]),
-        }
-        unpacked = unpack_state_dict(pack_state_dict(state))
-        assert sorted(unpacked) == sorted(state)
-        for name, array in state.items():
-            np.testing.assert_array_equal(unpacked[name], array)
-            assert unpacked[name].dtype == array.dtype
+    def test_state_dict_packing_is_deterministic(self):
+        def state(bias):
+            return {
+                "layer.weight": np.arange(12, dtype=np.float64).reshape(3, 4),
+                "layer.bias": np.array([1.5, bias]),
+            }
 
-    def test_generator_roundtrip(self):
+        packed = pack_state_dict(state(-2.5))
+        assert pack_state_dict(state(-2.5)) == packed  # fresh arrays, same bytes
+        assert pack_state_dict(state(np.nextafter(-2.5, 0.0))) != packed
+        as_float32 = {name: a.astype(np.float32) for name, a in state(-2.5).items()}
+        assert pack_state_dict(as_float32) != packed  # the dtype is part of it
+
+    def test_generator_packing_is_deterministic(self, tiny_split):
         from repro.retrieval.cooccurrence import CooccurrenceNeighborGenerator
 
-        generator = CooccurrenceNeighborGenerator(num_candidates=8)
-        unpacked = unpack_generator(pack_generator(generator))
-        assert unpacked.retrieval_key() == generator.retrieval_key()
+        def fitted(num_candidates):
+            generator = CooccurrenceNeighborGenerator(num_candidates=num_candidates)
+            return generator.fit(tiny_split.corpus)
+
+        packed = pack_generator(fitted(8))
+        assert pack_generator(fitted(8)) == packed
+        assert pack_generator(fitted(9)) != packed
 
 
 class TestArtifactsFromPlanner:
@@ -98,13 +75,17 @@ class TestArtifactsFromPlanner:
         by_name = {artifact.name: artifact for artifact in artifacts}
         assert set(by_name) == {MODEL_WEIGHTS, GENERATOR_STATE}
         assert all(artifact.generation == 2 for artifact in artifacts)
-        weights = unpack_state_dict(by_name[MODEL_WEIGHTS].payload)
-        reference = planner.backbone.module.state_dict()
-        assert sorted(weights) == sorted(reference)
-        for name in reference:
-            np.testing.assert_array_equal(weights[name], reference[name])
-        generator = unpack_generator(by_name[GENERATOR_STATE].payload)
-        assert generator.retrieval_key() == planner.candidate_generator.retrieval_key()
+        weights = pack_state_dict(planner.backbone.module.state_dict())
+        assert by_name[MODEL_WEIGHTS].meta()["sha256"] == hashlib.sha256(weights).hexdigest()
+        assert by_name[MODEL_WEIGHTS].nbytes == len(weights)
+        generator = planner.candidate_generator
+        assert by_name[GENERATOR_STATE].identity == repr(generator.retrieval_key())
+        assert by_name[GENERATOR_STATE].sha256 == (
+            hashlib.sha256(pack_generator(generator)).hexdigest()
+        )
+        # A second planner over the same fitted state agrees on every sha.
+        again = artifacts_from_planner(planner, 2)
+        assert [a.meta() for a in again] == [a.meta() for a in artifacts]
 
     def test_stub_planner_ships_nothing(self):
         class _Stub:

@@ -2,11 +2,12 @@
 
 A worker that dies before its HELLO (here: ``tenant_factory`` raising
 inside the forked child) must fail the build at once — the reader saw EOF
-immediately, waiting out ``HELLO_TIMEOUT`` helps nobody — and a build that
-raises, whether the constructor's first generation or a refit's standby,
-must shut down every worker it had already spawned: the caller holds no
-object to ``close()``.  The directory's ``no_leaked_workers`` fixture
-checks the leftovers after each test.
+immediately, waiting out ``HELLO_TIMEOUT`` helps nobody — and a
+constructor that raises must shut down every worker it had already
+spawned: the caller holds no object to ``close()``.  A refit whose build
+raises in a worker aborts at once too, on every worker, and the fleet
+keeps serving generation 1 with the same processes.  The directory's
+``no_leaked_workers`` fixture checks the leftovers after each test.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class TestStartupFailure:
         # Nothing to close(): the constructor shut the survivor down itself.
         assert multiprocessing.active_children() == []
 
-    def test_failed_standby_build_shuts_its_workers_down_and_serving_continues(
+    def test_failed_refit_build_aborts_at_once_and_serving_continues(
         self, make_factory, remote_contexts
     ):
         history, objective, user = remote_contexts[0]
@@ -71,15 +72,15 @@ class TestStartupFailure:
             make_factory(),
             num_replicas=2,
             heartbeat_interval=HEARTBEAT_INTERVAL,
-            # generation 1 takes calls 1-2; the refit's second standby dies
+            # generation 1 takes calls 1-2; the refit's second build raises
             tenant_factory=_failing_tenant_factory(make_factory, fail_from_call=4),
         ) as remote_set:
             serving = {replica.worker.pid for replica in remote_set.active_replicas()}
             started = time.perf_counter()
-            with pytest.raises(ServingError, match="died before sending HELLO"):
+            with pytest.raises(ServingError, match="tenant build 4 failed"):
                 remote_set.refit()
             assert time.perf_counter() - started < FAIL_FAST_SECONDS
-            # The standby that did come up is gone; generation 1 still serves.
+            # Both workers live on at generation 1; nothing else was forked.
             assert {child.pid for child in multiprocessing.active_children()} == serving
             assert remote_set.fit_generation == 1
             assert remote_set.stats()["refits"] == []

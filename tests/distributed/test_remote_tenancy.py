@@ -8,7 +8,8 @@ real forked workers:
   to calling the tenant's model directly in-process;
 * tenant placement makes :class:`RemoteReplicaSet` the isolation
   boundary — a placed tenant's requests only ever reach its own slots'
-  workers, and a refit of a placed fleet installs on every standby worker.
+  workers, and a refit of a placed fleet rebuilds every worker's tenants
+  in place.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ class TestTenantPlacement:
             for future in futures:
                 future.result()
             by_slot = {
-                replica.slot: replica.stats()["completed"]
+                replica.index: replica.stats()["completed"]
                 for replica in remote_set.active_replicas()
             }
             # Every irs request landed on slot 0; its neighbour saw none.
@@ -163,18 +164,18 @@ class TestTenantPlacement:
 
 
 class TestPlacedFleetRefit:
-    def test_refit_installs_on_every_standby_worker(
-        self, make_tenant_factory, make_factory, remote_contexts, monkeypatch
+    def test_refit_rebuilds_every_placed_worker_in_place(
+        self, make_tenant_factory, make_factory, remote_contexts
     ):
-        installed = []
-        install = RemoteReplicaSet._install
-
-        def spy(fleet, replica, artifact):
-            installed.append((replica.slot, replica.generation, artifact.name))
-            return install(fleet, replica, artifact)
-
-        monkeypatch.setattr(RemoteReplicaSet, "_install", spy)
         history, objective, user = remote_contexts[0]
+
+        def ask(remote_set, tenant):
+            return remote_set.serve(
+                NextStepRequest(
+                    history=history, objective=objective, user_index=user, tenant=tenant
+                )
+            ).result()
+
         with RemoteReplicaSet(
             make_factory(),
             num_replicas=2,
@@ -182,17 +183,22 @@ class TestPlacedFleetRefit:
             tenant_factory=make_tenant_factory(),
             tenant_placement={"irs": (0,), "zoo": (1,)},
         ) as remote_set:
-            assert installed == []  # generation 1 reaches its workers by fork
+            pids = [replica.worker.pid for replica in remote_set.active_replicas()]
+            before = {tenant: ask(remote_set, tenant) for tenant in ("irs", "zoo")}
             report = remote_set.refit()
-            # The fleet flipped as one; traffic still lands on live workers.
-            answer = remote_set.serve(
-                NextStepRequest(
-                    history=history, objective=objective, user_index=user, tenant="irs"
-                )
-            ).result()
-        names = [artifact["name"] for artifact in report["artifacts"]]
-        assert names
-        assert sorted(installed) == sorted(
-            (slot, 2, name) for slot in (0, 1) for name in names
-        )
-        assert answer.served_generation == 2
+            # The fleet flipped as one; each placed tenant still lands on its
+            # own slot, now answered by the tenant models its worker rebuilt.
+            after = {tenant: ask(remote_set, tenant) for tenant in ("irs", "zoo")}
+            stats = remote_set.stats()
+            loops = [replica.loop_stats() for replica in remote_set.active_replicas()]
+        assert [artifact["name"] for artifact in report["artifacts"]]
+        assert report["num_replicas"] == 2
+        assert [replica["pid"] for replica in stats["replicas"]] == pids
+        assert {replica["generation"] for replica in stats["replicas"]} == {2}
+        assert [loop["generation"] for loop in loops] == [2, 2]
+        assert {tenant: r.replica_index for tenant, r in after.items()} == {"irs": 0, "zoo": 1}
+        assert after["irs"].answer == before["irs"].answer
+        assert after["irs"].served_generation == 2
+        assert before["irs"].served_generation == 1
+        # The tenant counters keep counting across every worker's flip.
+        assert stats["tenants"]["irs"]["served"] == stats["tenants"]["zoo"]["served"] == 2

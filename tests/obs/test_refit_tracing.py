@@ -8,10 +8,17 @@ generation — a drained one stamps it on its one ``serve.drain`` span
 from a resident plan has no drain span and stamps it on its ``admission``
 span — and per serving context the generation is monotone non-decreasing in
 trace-sequence order.  Untraced, the loop allocates nothing across a flip.
+The process fleet's refit is that loop refit in every worker: the parent's
+traces hold the same contract, a wire answer stamping its
+``remote.serve.drain`` span and a step answered in the parent its
+``admission`` span.
 """
 
 from __future__ import annotations
 
+import pytest
+
+from repro.distributed import CAN_FORK, RemoteReplicaSet
 from repro.evaluation.protocol import rollout_next_step
 from repro.obs import Tracer, get_registry
 from repro.serve import ServingLoop, replay_lockstep
@@ -30,9 +37,23 @@ def served_generations(trace):
     return [
         span["attrs"]["served_generation"]
         for span in trace["spans"]
-        if span["name"] == "serve.drain"
+        if span["name"] in ("serve.drain", "remote.serve.drain")
         or (span["name"] == "admission" and span["attrs"].get("resident"))
     ]
+
+
+def assert_monotone_per_context(traces, contexts) -> None:
+    """Per serving context (one key hash per context: the routing key omits
+    the evolving path), generations never roll back across the flip."""
+    per_key: "dict[str, list[tuple[int, int]]]" = {}
+    for trace in traces:
+        key_hash, sequence = split_trace_id(trace["trace_id"])
+        per_key.setdefault(key_hash, []).append((sequence, served_generations(trace)[0]))
+    assert len(per_key) == len(contexts)
+    for entries in per_key.values():
+        entries.sort()
+        generations = [generation for _, generation in entries]
+        assert generations == sorted(generations)
 
 
 def test_traces_span_the_flip_with_one_generation_each(make_planner, obs_contexts):
@@ -63,18 +84,30 @@ def test_traces_span_the_flip_with_one_generation_each(make_planner, obs_context
         seen_generations.update(generations)
     assert seen_generations == {1, 2}
     assert lanes == {True, False}
+    assert_monotone_per_context(traces, obs_contexts)
 
-    # Per serving context (one key hash per context: the routing key omits
-    # the evolving path), generations never roll back across the flip.
-    per_key: "dict[str, list[tuple[int, int]]]" = {}
+
+@pytest.mark.skipif(not CAN_FORK, reason="the process fleet needs the fork start method")
+def test_fleet_traces_span_the_flip_with_one_generation_each(make_planner, obs_contexts):
+    tracer = Tracer(enabled=True, sample_rate=1.0)
+    with RemoteReplicaSet(
+        make_planner, num_replicas=2, tracer=tracer, heartbeat_interval=0.05
+    ) as fleet:
+        before = replay_lockstep(fleet, obs_contexts, MAX_LENGTH)
+        fleet.refit()
+        after = replay_lockstep(fleet, obs_contexts, MAX_LENGTH)
+
+    assert before == rollout_next_step(make_planner(), obs_contexts, MAX_LENGTH)
+    assert after == before
+    traces = tracer.export()
+    lanes = set()
     for trace in traces:
-        key_hash, sequence = split_trace_id(trace["trace_id"])
-        per_key.setdefault(key_hash, []).append((sequence, served_generations(trace)[0]))
-    assert len(per_key) == len(obs_contexts)
-    for entries in per_key.values():
-        entries.sort()
-        generations = [generation for _, generation in entries]
-        assert generations == sorted(generations)
+        # One lane, one generation: over the wire, or from the parent's mirror.
+        assert len(served_generations(trace)) == 1
+        lanes.add("remote.serve.drain" in [span["name"] for span in trace["spans"]])
+    assert {served_generations(trace)[0] for trace in traces} == {1, 2}
+    assert lanes == {True, False}
+    assert_monotone_per_context(traces, obs_contexts)
 
 
 def test_flip_boundary_trace_ids_stay_deterministic(make_planner, obs_contexts):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
+import time
 
 import pytest
 
@@ -86,6 +87,34 @@ def fresh_factory(tiny_split):
         return factory
 
     return build
+
+
+class SharedFlag:
+    """A flag shared with forked workers (created before they fork) that
+    waits by polling.
+
+    ``multiprocessing.Event.set()`` waits for every process sleeping on the
+    event to wake, so a worker that exits or is SIGKILLed while it sleeps
+    there hangs the setter; a worker that may go while it waits waits on
+    this instead."""
+
+    def __init__(self, value: bool = False) -> None:
+        self._value = multiprocessing.get_context("fork").RawValue("b", value)
+
+    def set(self) -> None:
+        self._value.value = True
+
+    def clear(self) -> None:
+        self._value.value = False
+
+    def is_set(self) -> bool:
+        return bool(self._value.value)
+
+    def wait(self, timeout: float) -> bool:
+        deadline = time.perf_counter() + timeout
+        while not self.is_set() and time.perf_counter() < deadline:
+            time.sleep(0.002)
+        return self.is_set()
 
 
 def refit(front_end, planner_factory, tenant_factory=None) -> dict:

@@ -7,7 +7,9 @@ at its defaulted count, ``REPRO_REPLICAS`` or 1, so the CI leg that sets it
 to 2 runs both process cases at two workers): what is promised about
 submission, admission, refits and shutdown is written once and must hold
 for both; the sections only a fleet has (per-worker admission, the refit
-history and archive) are checked on the process cases.  The fixture itself
+history, the workers that refit in place) are checked on the process
+cases.  Factory-side gates use objects created before the fleet forks: a
+process fleet calls its factory inside every worker at a refit.  The fixture itself
 asserts that nothing a front-end started (drain threads, reader threads,
 the failure detector, worker processes) outlives its ``close()``.
 """
@@ -24,7 +26,7 @@ from repro.serve.api import PlanRequest
 from repro.serve.request import ServeRequest
 from repro.utils.exceptions import DeadlineExceeded, QueueFullError, ServingError
 
-from tests.replica.conftest import refit
+from tests.replica.conftest import SharedFlag, refit
 
 pytestmark = pytest.mark.parametrize("fleet", ["inproc", "process-2", "process"], indirect=True)
 
@@ -95,9 +97,11 @@ class TestFleetDeadline:
 
 
 class TestFleetRefit:
-    def test_refit_flips_archives_and_reports(self, fleet, make_factory, replica_contexts):
+    def test_refit_flips_in_place_and_reports(self, fleet, make_factory, replica_contexts):
         factory = make_factory()
         front_end = fleet(factory)
+        if fleet.transport == "process":
+            pids = [member.worker.pid for member in front_end.active_replicas()]
         before = [_plan(*context) for context in replica_contexts]
         for request in before:
             front_end.enqueue(request)
@@ -117,33 +121,46 @@ class TestFleetRefit:
         if fleet.transport == "process":
             members = front_end.num_replicas
             assert report["num_replicas"] == stats["num_replicas"] == members
-            assert report["retired_served"] == len(before)
             assert stats["refits"] == [report]
-            assert stats["retired_replicas"] == members
-            assert len(front_end.archived_stats()) == members
             assert {replica["generation"] for replica in stats["replicas"]} == {2}
+            # The same workers answered on both sides of the flip.
+            assert [replica["pid"] for replica in stats["replicas"]] == pids
+            assert sum(replica["completed"] for replica in stats["replicas"]) == len(before) + 1
 
     def test_flip_refused_when_set_closes_during_training(self, fleet, make_factory):
-        """close() racing the training phase must not let the flip install a
-        live standby into a closed front-end — and the refused standby,
-        which close() cannot reach, must be shut down by the refit."""
+        """close() racing the training phase must not let the flip install
+        the standby into a closed front-end — and close() must still leave
+        nothing running, the building workers included."""
         base_factory = make_factory()
-        box: dict = {}
-        calls = {"count": 0}
+        gated, training, release = SharedFlag(), SharedFlag(), SharedFlag()
 
-        def closing_factory():
-            calls["count"] += 1
-            if "set" in box:  # the refit's standby build: close mid-train
-                box["set"].close()
+        def factory():
+            if gated.is_set():  # the refit's standby build: hold it mid-train
+                training.set()
+                release.wait(30.0)
             return base_factory()
 
-        front_end = fleet(closing_factory)
-        box["set"] = front_end
-        with pytest.raises(ServingError, match="closed"):
-            refit(front_end, closing_factory)
-        assert calls["count"] > 1  # the standby build really ran
+        front_end = fleet(factory)
+        gated.set()
+        errors: list = []
+
+        def run():
+            try:
+                refit(front_end, factory)
+            except ServingError as exc:
+                errors.append(exc)
+
+        refitter = threading.Thread(target=run)
+        refitter.start()
+        try:
+            assert training.wait(30.0)  # the standby build really ran
+            front_end.close()
+        finally:
+            release.set()
+            refitter.join(60.0)
+        assert len(errors) == 1 and "closed" in str(errors[0])
         # No generation landed, no refit recorded — and (the fixture's
-        # teardown re-checks threads) no standby worker survived.
+        # teardown re-checks threads) nothing of the front-end survived.
         assert front_end.fit_generation == 1
         if fleet.transport == "process":
             assert front_end.stats()["refits"] == []
@@ -153,17 +170,16 @@ class TestFleetRefit:
         """One refit at a time: a second one while the first trains raises
         instead of queueing (the caller owns retry policy)."""
         base_factory = make_factory()
-        training, release = threading.Event(), threading.Event()
-        gated = {"on": False}
+        gated, training, release = SharedFlag(), SharedFlag(), SharedFlag()
 
         def factory():
-            if gated["on"]:  # the first refit's standby build
+            if gated.is_set():  # the first refit's standby build
                 training.set()
                 assert release.wait(30.0)
             return base_factory()
 
         front_end = fleet(factory)
-        gated["on"] = True
+        gated.set()
         reports: list = []
         first = threading.Thread(target=lambda: reports.append(refit(front_end, factory)))
         first.start()
@@ -194,7 +210,7 @@ class TestFleetRefit:
         assert all(request.future.done() for request in requests)
         assert {request.served_generation for request in requests} == {2}
         if fleet.transport == "process":
-            assert all(replica.dead for replica in front_end.all_replicas())
+            assert all(replica.dead for replica in front_end.active_replicas())
         else:
             assert front_end.queue.closed
         assert multiprocessing.active_children() == []

@@ -227,6 +227,20 @@ def test_the_in_process_fleet_is_gone():
         assert not hasattr(repro.replica, name)
     assert RemoteReplicaSet.__mro__[1:] == ServingLoop.__mro__[1:]
 
+
+def test_the_standby_fleet_is_gone():
+    """One refit path: fleet workers refit in place through their own
+    loops, so no standby generation, no archive of retired ones and no
+    artifact shipping is left to reach."""
+    import repro.distributed
+    from repro.distributed.wire import FrameType
+
+    for name in ("archived_stats", "all_replicas", "_install"):
+        assert not hasattr(RemoteReplicaSet, name)
+    assert not hasattr(repro.distributed, "ArtifactRegistry")
+    for name in ("INSTALL_ARTIFACT", "ARTIFACT_ACK"):
+        assert not hasattr(FrameType, name)
+
 class _GradModeReaders(ast.NodeVisitor):
     """The enclosing function (or ``"<module>"``) of every ``is_grad_enabled``
     a module names: a call, an attribute read or an import."""
