@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+import ctypes
 import time
 from typing import Sequence
 
@@ -24,6 +25,26 @@ from repro.utils.rng import as_rng
 __all__ = ["SequentialRecommender", "NeuralSequentialRecommender", "model_registry"]
 
 _LOGGER = get_logger("models")
+
+#: glibc's ``mallopt`` parameters (``malloc.h``) and the values a fit sets: the
+#: mmap threshold at glibc's own dynamic ceiling, so a step's arrays come from
+#: the heap, and a trim threshold above what a step frees, so the heap is not
+#: handed back at the end of one step only to be faulted in again by the next
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRAINING_HEAP_POLICY = {_M_MMAP_THRESHOLD: 32 << 20, _M_TRIM_THRESHOLD: 128 << 20}
+#: the argument types of the glibc allocator functions a fit calls (both return ``int``)
+_ALLOCATOR_ARGTYPES = {"mallopt": [ctypes.c_int, ctypes.c_int], "malloc_trim": [ctypes.c_size_t]}
+
+
+def _libc_call(name: str, *args: int) -> None:
+    """Call glibc's allocator function ``name``; nothing where there is none (not glibc)."""
+    try:
+        function = getattr(ctypes.CDLL(None), name)
+    except (AttributeError, OSError):
+        return
+    function.argtypes, function.restype = _ALLOCATOR_ARGTYPES[name], ctypes.c_int
+    function(*args)
+
 
 #: Registry mapping lower-case model names (``"sasrec"``, ``"pop"``, ...) to classes.
 model_registry: Registry["SequentialRecommender"] = Registry("recommender model")
@@ -210,6 +231,20 @@ class NeuralSequentialRecommender(SequentialRecommender):
 
     # ------------------------------------------------------------------ #
     def fit(self, split: DatasetSplit) -> "NeuralSequentialRecommender":
+        """Train on ``split`` one mini-batch step at a time, with Adam; returns ``self``.
+
+        Each step's backward frees its graph as it runs, so between steps
+        only the parameters, their gradients and Adam's moments are live
+        (the ``loss`` held into the next step is a scalar with no graph).
+        The fit sets glibc's allocator policy (:data:`_TRAINING_HEAP_POLICY`)
+        when it starts, so the heap one step frees is reused by the next
+        instead of being trimmed and faulted back in, and trims the heap
+        when it returns or raises, so the process does not go on carrying
+        the training heap (the e2e catalogue fit leaves 45 MB resident
+        rather than 114 MB).  ``mallopt`` is process-wide and is not undone:
+        both thresholds stay in force for the rest of the process, serving
+        included, and a fixed mmap threshold turns glibc's dynamic one off.
+        """
         rng = as_rng(self.seed)
         self.corpus = split.corpus
         self.module = self._build(split.corpus, rng)
@@ -218,50 +253,57 @@ class NeuralSequentialRecommender(SequentialRecommender):
         )
         scheduler = ReduceLROnPlateau(optimizer, factor=0.5, patience=1)
         self.training_history = []
+        for parameter, value in _TRAINING_HEAP_POLICY.items():
+            _libc_call("mallopt", parameter, value)
 
-        for epoch in range(self.epochs):
-            start = time.time()
-            self.module.train()
-            epoch_loss = 0.0
-            num_batches = 0
-            for batch in iterate_batches(
-                split.train,
-                self.batch_size,
-                shuffle=True,
-                scheme=self.padding_scheme,
-                length=None,
-                seed=rng,
-            ):
-                batch = self._truncate(batch)
-                optimizer.zero_grad()
-                loss = self._loss(batch, rng)
-                loss.backward()
-                if self.grad_clip:
-                    clip_grad_norm(self.module.parameters(), self.grad_clip)
-                optimizer.step()
-                epoch_loss += loss.item()
-                num_batches += 1
-            train_loss = epoch_loss / max(num_batches, 1)
+        try:
+            for epoch in range(self.epochs):
+                start = time.time()
+                self.module.train()
+                epoch_loss = 0.0
+                num_batches = 0
+                for batch in iterate_batches(
+                    split.train,
+                    self.batch_size,
+                    shuffle=True,
+                    scheme=self.padding_scheme,
+                    length=None,
+                    seed=rng,
+                ):
+                    batch = self._truncate(batch)
+                    optimizer.zero_grad()
+                    loss = self._loss(batch, rng)
+                    loss.backward()
+                    if self.grad_clip:
+                        clip_grad_norm(self.module.parameters(), self.grad_clip)
+                    optimizer.step()
+                    epoch_loss += loss.item()
+                    num_batches += 1
+                train_loss = epoch_loss / max(num_batches, 1)
 
-            validation_loss = self._validation_loss(split, rng)
-            scheduler.step(validation_loss if validation_loss is not None else train_loss)
-            record = {
-                "epoch": epoch + 1,
-                "train_loss": train_loss,
-                "validation_loss": validation_loss if validation_loss is not None else float("nan"),
-                "lr": optimizer.lr,
-                "seconds": time.time() - start,
-            }
-            self.training_history.append(record)
-            _LOGGER.info(
-                "%s epoch %d/%d train %.4f val %s (%.1fs)",
-                self.name,
-                epoch + 1,
-                self.epochs,
-                train_loss,
-                f"{validation_loss:.4f}" if validation_loss is not None else "n/a",
-                record["seconds"],
-            )
+                validation_loss = self._validation_loss(split, rng)
+                scheduler.step(validation_loss if validation_loss is not None else train_loss)
+                record = {
+                    "epoch": epoch + 1,
+                    "train_loss": train_loss,
+                    "validation_loss": (
+                        validation_loss if validation_loss is not None else float("nan")
+                    ),
+                    "lr": optimizer.lr,
+                    "seconds": time.time() - start,
+                }
+                self.training_history.append(record)
+                _LOGGER.info(
+                    "%s epoch %d/%d train %.4f val %s (%.1fs)",
+                    self.name,
+                    epoch + 1,
+                    self.epochs,
+                    train_loss,
+                    f"{validation_loss:.4f}" if validation_loss is not None else "n/a",
+                    record["seconds"],
+                )
+        finally:  # a fit that raises hands its heap back too
+            _libc_call("malloc_trim", 0)
         self.module.eval()
         self._fit_generation += 1
         return self

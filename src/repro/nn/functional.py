@@ -196,13 +196,16 @@ def cross_entropy(
 
     The forward copies only the kept rows into one ``(kept, num_classes)``
     buffer and turns it, in place, into ``exp(row - row max)``; the backward
-    writes ``(g / row sum) * exp`` for those rows and subtracts ``g`` at each
-    target, ``g`` being the gradient of the row's loss.  These are the
-    floating-point operations of ``nll_loss(log_softmax(logits))``, in its
-    order, so loss and gradient equal that composite's bit for bit — unless an
-    ignored row's logits are not finite, or its class 0 holds all of the
-    probability to double precision (the composite's ignored loss,
-    ``-(log_prob * 0.0)``, then reads NaN or -0.0).
+    turns that same buffer, in place, into ``(g / row sum) * exp`` and
+    subtracts ``g`` at each target, ``g`` being the gradient of the row's
+    loss — the node's only array of that size, safe to overwrite because
+    :meth:`~repro.nn.tensor.Tensor.backward` runs a node once and then frees
+    it.  These are the floating-point operations of
+    ``nll_loss(log_softmax(logits))``, in its order, so loss and gradient
+    equal that composite's bit for bit — unless an ignored row's logits are
+    not finite, or its class 0 holds all of the probability to double
+    precision (the composite's ignored loss, ``-(log_prob * 0.0)``, then
+    reads NaN or -0.0).
     """
     if reduction not in ("mean", "sum", "none"):
         raise ValueError(f"unknown reduction '{reduction}'")
@@ -238,7 +241,8 @@ def cross_entropy(
         else:
             upstream = np.broadcast_to(grad * scale if reduction == "mean" else grad, kept.shape)
         coefficient = (upstream / sums[:, 0])[:, None]
-        rows_grad = exp * coefficient
+        rows_grad = exp  # the node runs once, so its buffer becomes the gradient
+        rows_grad *= coefficient
         if np.signbit(coefficient).any():
             rows_grad += 0.0  # the composite added these to zeros, so -0.0 reads +0.0
         rows_grad[at_target] -= upstream

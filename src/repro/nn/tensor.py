@@ -2,9 +2,10 @@
 
 The :class:`Tensor` class records the computation graph as operations are
 applied and computes gradients with a single reverse topological sweep in
-:meth:`Tensor.backward`.  Gradients are broadcasting-aware: an operand that
-was broadcast during the forward pass receives a gradient summed back to its
-original shape.
+:meth:`Tensor.backward`, which frees the graph as it goes: a graph runs
+backward once, and only leaves keep their gradients.  Gradients are
+broadcasting-aware: an operand that was broadcast during the forward pass
+receives a gradient summed back to its original shape.
 
 Only the operations required by the models in this repository are
 implemented, but they are implemented generally (arbitrary shapes, arbitrary
@@ -95,7 +96,8 @@ class Tensor:
         self.requires_grad = bool(requires_grad) and is_grad_enabled()
         self.grad: np.ndarray | None = None
         self._backward: Callable[[np.ndarray], None] | None = None
-        self._parents: tuple[Tensor, ...] = ()
+        #: ``None`` once :meth:`backward` has run this tensor's node
+        self._parents: tuple[Tensor, ...] | None = ()
         self.name = name
 
     # ------------------------------------------------------------------ #
@@ -155,9 +157,10 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray) -> None:
         """Add ``grad`` (summed down to this tensor's shape) to :attr:`grad`.
 
-        A non-leaf tensor adopts its first gradient instead of copying it.
-        Every backward closure hands on an array it has just computed or a
-        view of the gradient it was given, and nothing writes into either
+        A non-leaf tensor adopts its first gradient instead of copying it, and
+        holds it only until :meth:`backward` runs its node, which takes it off
+        again.  Every backward closure hands on an array it has just computed
+        or a view of the gradient it was given, and nothing writes into either
         afterwards (a second gradient is *added* into a new array), so two
         tensors may share one buffer.  An adopted buffer must be C-contiguous,
         as a copy is: it feeds the next backward's GEMMs, and BLAS takes
@@ -176,11 +179,20 @@ class Tensor:
             self.grad = self.grad + grad
 
     def backward(self, grad: np.ndarray | float | None = None) -> None:
-        """Run reverse-mode autodiff from this tensor.
+        """Run reverse-mode autodiff from this tensor, freeing the graph as it goes.
 
         ``grad`` defaults to 1.0 and must match this tensor's shape
-        otherwise.  After the call every reachable tensor with
-        ``requires_grad=True`` holds its gradient in ``.grad``.
+        otherwise.  After the call every reachable leaf with
+        ``requires_grad=True`` (a parameter, or any tensor built with
+        ``requires_grad=True``) holds its gradient in ``.grad``.
+
+        The graph runs backward once, as PyTorch's does by default: before a
+        node's closure runs, the node gives up the closure, its parents and
+        its gradient, so each forward buffer and each intermediate gradient
+        is released once the last node that reads it has run, and no
+        non-leaf holds a gradient afterwards.  A second backward through a
+        freed node — from the same tensor, or from a new one built on it —
+        raises ``RuntimeError`` before it touches any gradient.
         """
         if not self.requires_grad:
             raise RuntimeError("called backward() on a tensor that does not require grad")
@@ -201,6 +213,11 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._parents is None:
+                raise RuntimeError(
+                    "backward() through a graph that has already run backward: "
+                    "its closures and intermediate gradients are freed"
+                )
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -208,10 +225,17 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is None or node.grad is None:
+        # popped, not iterated, so a node and its data go once it has run
+        while topo:
+            node = topo.pop()
+            closure = node._backward
+            if closure is None:  # a leaf keeps its gradient
                 continue
-            node._backward(node.grad)
+            node_grad = node.grad
+            node._backward = node.grad = node._parents = None
+            if node_grad is not None:
+                closure(node_grad)
+            del closure, node_grad
 
     # ------------------------------------------------------------------ #
     # Elementwise arithmetic

@@ -192,3 +192,30 @@ class TestModelSpecificBehaviour:
         scores = model.score_next([1, 2, 3])
         # scores cover only real vocabulary entries, not the mask token row
         assert scores.shape == (tiny_split.corpus.vocab.size,)
+
+
+class TestTrainingHeap:
+    """A fit keeps the heap between steps and hands it back when it ends."""
+
+    def test_a_fit_sets_the_allocator_policy_then_trims(self, tiny_split, monkeypatch):
+        calls = []
+        monkeypatch.setattr(base, "_libc_call", lambda name, *args: calls.append((name, *args)))
+        FACTORIES["gru4rec"]().fit(tiny_split)
+        # M_MMAP_THRESHOLD (-3) at 32 MiB and M_TRIM_THRESHOLD (-1) at 128 MiB
+        assert calls == [("mallopt", -3, 32 << 20), ("mallopt", -1, 128 << 20), ("malloc_trim", 0)]
+
+    def test_a_missing_allocator_function_does_nothing(self):
+        assert base._libc_call("no_such_allocator_function", 0) is None
+
+    def test_a_fit_that_raises_still_trims(self, tiny_split, monkeypatch):
+        calls = []
+        monkeypatch.setattr(base, "_libc_call", lambda name, *args: calls.append((name, *args)))
+        model = FACTORIES["gru4rec"]()
+
+        def failing_step(batch, rng):
+            raise RuntimeError("the step failed")
+
+        monkeypatch.setattr(model, "_loss", failing_step)
+        with pytest.raises(RuntimeError, match="the step failed"):
+            model.fit(tiny_split)
+        assert calls[-1] == ("malloc_trim", 0)

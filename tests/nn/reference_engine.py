@@ -12,6 +12,10 @@ chains of nodes, unchanged (``linear`` with the no-grad branch it had).
 everything else a fit runs (attention's matmuls, Adam, clipping) is the
 engine's and any difference in the trained weights is the bookkeeping's,
 the loss's or a composite's.
+
+The engine frees each non-leaf's gradient as its node runs backward, so the
+parity tests read the gradient an op hands its input through a
+:class:`GradientProbe` node put between the two.
 """
 
 from __future__ import annotations
@@ -153,6 +157,29 @@ def dropout(
     rng = rng if rng is not None else np.random.default_rng()
     mask = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
     return x * Tensor(mask)
+
+
+class GradientProbe:
+    """An identity node that records the gradient its node receives, then hands it on.
+
+    ``probe(x)`` is ``x`` — the same array — as a new non-leaf node; its
+    backward keeps the gradient it is given in :attr:`grad`, the array the
+    engine handed over (nothing writes into a gradient once it is handed
+    on), and passes it to ``x``.  A non-leaf adopts or copies a first
+    gradient by the same rule as any other, so :attr:`grad` is the gradient
+    ``x`` itself would have held.  It stays ``None`` if the node never ran.
+    """
+
+    def __init__(self) -> None:
+        self.grad: np.ndarray | None = None
+
+    def __call__(self, x: Tensor) -> Tensor:
+        def backward(grad: np.ndarray) -> None:
+            assert self.grad is None, "a probe records one backward"
+            self.grad = grad
+            x._accumulate(grad)
+
+        return Tensor._make(x.data, (x,), backward)
 
 
 def use_reference_engine(monkeypatch) -> None:

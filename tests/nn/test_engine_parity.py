@@ -8,6 +8,12 @@ exactly what ``np.add.at``, the defensive copy, the composite
 ``nll_loss(log_softmax(·))`` and the chains of nodes trained
 (``tests/nn/reference_engine.py``), and no two parameters may end up
 sharing a gradient buffer that ``clip_grad_norm`` would scale twice.
+
+The engine frees a non-leaf's gradient as its node runs backward, so the
+gradient an op hands its input is read through a
+:class:`~tests.nn.reference_engine.GradientProbe` between the two, and every
+comparison asserts that both sides are arrays: two released gradients would
+both read ``None``, and ``None`` has the same bits as ``None``.
 """
 
 import itertools
@@ -24,7 +30,7 @@ from repro.nn.tensor import Tensor, _is_basic_index, no_grad
 
 from tests.models.test_neural import FACTORIES
 from tests.nn import reference_engine
-from tests.nn.reference_engine import use_reference_engine
+from tests.nn.reference_engine import GradientProbe, use_reference_engine
 
 SHAPE = (4, 5, 6)
 
@@ -57,6 +63,13 @@ def _bits(array: np.ndarray) -> bytes:
     return np.ascontiguousarray(array).tobytes()
 
 
+def _assert_same_bits(value, reference) -> None:
+    """``value`` and ``reference`` are both arrays, equal in every bit."""
+    assert isinstance(value, np.ndarray), value
+    assert isinstance(reference, np.ndarray), reference
+    assert _bits(value) == _bits(reference)
+
+
 class TestGetitemGradient:
     @pytest.mark.parametrize("index, basic", INDICES, ids=lambda value: repr(value)[:40])
     def test_gradient_equals_add_at_bit_for_bit(self, index, basic):
@@ -74,9 +87,11 @@ class TestGetitemGradient:
 
 class TestGradientBuffers:
     def test_a_strided_first_gradient_is_copied_contiguous(self):
-        hidden = Tensor(np.ones(SHAPE), requires_grad=True) * 2.0
+        probe = GradientProbe()
+        hidden = probe(Tensor(np.ones(SHAPE), requires_grad=True) * 2.0)
         hidden.transpose().sum().backward()  # hands ``hidden`` a transposed view
-        assert hidden.grad.flags.c_contiguous
+        assert isinstance(probe.grad, np.ndarray)
+        assert probe.grad.flags.c_contiguous
 
     def test_parameters_sharing_an_operand_get_their_own_buffers(self):
         a, b = Parameter(np.ones(3)), Parameter(np.ones(3))
@@ -100,13 +115,14 @@ LAYOUTS = {
 def _cross_entropy(loss, data, index, targets, upstream=None, **options):
     """``(loss, gradient of the logits)`` of one ``loss`` call and its backward.
 
-    The gradient is the one the loss hands its input: the scatter back into
-    the leaf would turn a -0.0 into +0.0.
+    The gradient is the one the loss hands its input, read by a probe: the
+    scatter back into the leaf would turn a -0.0 into +0.0.
     """
-    logits = Tensor(data, requires_grad=True)[index]
+    probe = GradientProbe()
+    logits = probe(Tensor(data, requires_grad=True)[index])
     out = loss(logits, targets, **options)
     out.backward(upstream)
-    return out.data, logits.grad
+    return out.data, probe.grad
 
 
 def _upstreams(reduction: str, positions: int, rng) -> list:
@@ -129,8 +145,8 @@ class TestFusedCrossEntropy:
             expected_loss, expected_grad = _cross_entropy(
                 reference_engine.cross_entropy, data, index, targets, upstream, **options
             )
-            assert _bits(loss) == _bits(expected_loss)
-            assert _bits(grad) == _bits(expected_grad)
+            _assert_same_bits(loss, expected_loss)
+            _assert_same_bits(grad, expected_grad)
 
     @pytest.mark.parametrize("reduction", ["mean", "sum", "none"])
     @pytest.mark.parametrize("ignore_index", [None, 0])
@@ -154,8 +170,8 @@ class TestFusedCrossEntropy:
             data, index, targets, ignore_index=0, reduction=reduction
         )
         loss, grad = _cross_entropy(F.cross_entropy, data, index, targets, ignore_index=0)
-        assert _bits(loss) == _bits(np.float64(0.0))
-        assert _bits(grad) == _bits(np.zeros(data[index].shape))
+        _assert_same_bits(loss, np.array(0.0))
+        _assert_same_bits(grad, np.zeros(data[index].shape))
 
     @pytest.mark.parametrize("reduction", ["mean", "sum", "none"])
     def test_logits_near_1000(self, reduction):
@@ -217,18 +233,20 @@ def _fused_op(op, layout, residual=False, affine=0, **options):
     ``affine`` parameters of the input's last-axis size follow the input.
     With ``residual`` the output is ``x + op(x)``, the pre-norm residual:
     the add's backward runs first, so ``x`` already holds a gradient when
-    the op's backward adds its contributions to it.
+    the op's backward adds its contributions to it.  ``x`` is a probe, which
+    reads the gradient the engine frees.
     """
     shape, view = layout
     rng = np.random.default_rng(0)
-    x = view(Tensor(rng.normal(scale=2.0, size=shape), requires_grad=True))
+    probe = GradientProbe()
+    x = probe(view(Tensor(rng.normal(scale=2.0, size=shape), requires_grad=True)))
     parameters = [Parameter(rng.normal(size=x.shape[-1])) for _ in range(affine)]
     out = op(x, *parameters, **options)
     upstream = rng.normal(size=out.shape)
     upstream.reshape(-1)[::5] = 0.0
     upstream.reshape(-1)[1::5] = -0.0
     (x + out if residual else out).backward(upstream)
-    return (out.data, x.grad, *(parameter.grad for parameter in parameters))
+    return (out.data, probe.grad, *(parameter.grad for parameter in parameters))
 
 
 class _FusedOpParity:
@@ -242,7 +260,7 @@ class _FusedOpParity:
         got = _fused_op(self.fused, layout, residual, **options)
         expected = _fused_op(self.reference, layout, residual, **options)
         for value, reference in zip(got, expected, strict=True):
-            assert _bits(value) == _bits(reference)
+            _assert_same_bits(value, reference)
 
     @pytest.mark.parametrize("layout", list(OP_LAYOUTS))
     def test_forward_and_gradients_equal_the_composite(self, layout):
@@ -359,12 +377,16 @@ def _linear(op, layout, bias=True, shared=1, input_grad=True):
 
     ``shared`` linears read the one input, as attention's query, key and
     value projections read one normed input, and their outputs are summed:
-    the input gets one gradient contribution per linear.
+    the input gets one gradient contribution per linear, read by a probe.
+    Without ``input_grad`` no node of the input takes a gradient, so none is
+    freed, and the tuple holds the probe's output's own ``.grad``, which must
+    stay ``None``.
     """
     shape, view = layout
     rng = np.random.default_rng(0)
     leaf = Tensor(rng.normal(scale=2.0, size=shape), requires_grad=input_grad)
-    x = view(leaf)
+    probe = GradientProbe()
+    x = probe(view(leaf))
     weights = [Parameter(rng.normal(size=(5, x.shape[-1]))) for _ in range(shared)]
     biases = [Parameter(rng.normal(size=5)) if bias else None for _ in range(shared)]
     out = op(x, weights[0], biases[0])
@@ -375,19 +397,21 @@ def _linear(op, layout, bias=True, shared=1, input_grad=True):
     upstream.reshape(-1)[1::5] = -0.0
     out.backward(upstream)
     parameters = weights + [bias_ for bias_ in biases if bias_ is not None]
-    return (out.data, x.grad, *(parameter.grad for parameter in parameters))
+    input_gradient = probe.grad if input_grad else x.grad
+    return (out.data, input_gradient, *(parameter.grad for parameter in parameters))
 
 
 class TestFusedLinear:
     """``F.linear`` against ``x.matmul(weight.transpose()) + bias``: output and every gradient."""
 
-    def _assert_equal_to_the_composite(self, layout, **options):
-        got = _linear(F.linear, layout, **options)
-        expected = _linear(reference_engine.linear, layout, **options)
-        for value, reference in zip(got, expected, strict=True):
-            assert (value is None) == (reference is None)
-            if value is not None:
-                assert _bits(value) == _bits(reference)
+    def _assert_equal_to_the_composite(self, layout, input_grad=True, **options):
+        got = _linear(F.linear, layout, input_grad=input_grad, **options)
+        expected = _linear(reference_engine.linear, layout, input_grad=input_grad, **options)
+        for position, (value, reference) in enumerate(zip(got, expected, strict=True)):
+            if position == 1 and not input_grad:  # an input that takes no gradient gets none
+                assert value is None and reference is None
+            else:
+                _assert_same_bits(value, reference)
 
     @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no bias"])
     @pytest.mark.parametrize("layout", list(LINEAR_LAYOUTS))

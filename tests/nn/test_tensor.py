@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nn.layers import Parameter
 from repro.nn.tensor import Tensor, concatenate, is_grad_enabled, no_grad, stack, where
 
 from tests.nn.gradcheck import check_gradient
@@ -35,6 +36,50 @@ class TestBasics:
     def test_backward_without_requires_grad_raises(self):
         with pytest.raises(RuntimeError):
             Tensor([1.0]).backward()
+
+
+class TestOneLiveGraph:
+    """Backward frees the graph as it runs; only leaves keep a gradient."""
+
+    @staticmethod
+    def _graph():
+        """``(leaves, non-leaves)``: a parameter and an input; the nodes up to the loss, loss last."""
+        weight = Parameter(np.array([0.5, -1.0, 2.0]))
+        x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        hidden = x * weight
+        squashed = hidden.tanh()
+        loss = (squashed + hidden).sum()  # ``hidden`` is read twice
+        return (weight, x), (hidden, squashed, loss)
+
+    def test_after_backward_only_leaves_hold_gradients(self):
+        (weight, x), nodes = self._graph()
+        nodes[-1].backward()
+        slope = 1.0 - np.tanh(x.data * weight.data) ** 2 + 1.0
+        assert np.allclose(weight.grad, slope * x.data)
+        assert np.allclose(x.grad, slope * weight.data)
+        for node in nodes:
+            assert node.grad is None
+            assert node._backward is None
+            assert not node._parents
+
+    def test_a_second_backward_raises_and_leaves_the_gradients(self):
+        (weight, x), nodes = self._graph()
+        nodes[-1].backward()
+        grads = weight.grad.copy(), x.grad.copy()
+        with pytest.raises(RuntimeError, match="already run backward"):
+            nodes[-1].backward()
+        assert np.array_equal(weight.grad, grads[0]) and np.array_equal(x.grad, grads[1])
+
+    def test_a_loss_on_freed_nodes_raises(self):
+        (weight, x), (hidden, _, loss) = self._graph()
+        other = (hidden * hidden).sum()  # built before the first backward
+        loss.backward()
+        grads = weight.grad.copy(), x.grad.copy()
+        with pytest.raises(RuntimeError, match="already run backward"):
+            other.backward()
+        with pytest.raises(RuntimeError, match="already run backward"):
+            (hidden * 2.0).sum().backward()  # built after it
+        assert np.array_equal(weight.grad, grads[0]) and np.array_equal(x.grad, grads[1])
 
 
 class TestArithmetic:

@@ -13,7 +13,6 @@ check.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import re
 import signal
@@ -32,7 +31,7 @@ from repro.tenant import TenantRegistry
 from repro.tenant.adapters import PlannerAdapter
 from repro.utils.exceptions import DeadlineExceeded, QueueFullError, ServingError
 
-from tests.replica.conftest import MAX_LENGTH
+from tests.replica.conftest import MAX_LENGTH, SharedFlag
 
 process_only = pytest.mark.parametrize("fleet", ["process"], indirect=True)
 
@@ -74,11 +73,12 @@ def request_frames(monkeypatch):
 
 class _PlanGate:
     """Holds every replan of the planners it guards while shut — in whichever
-    process they run: the event is inherited through the fork."""
+    process they run: the flag is inherited through the fork, and a worker
+    waits on it by polling, so reopening never hangs on a worker that died
+    while it waited."""
 
     def __init__(self) -> None:
-        self._open = multiprocessing.get_context("fork").Event()
-        self._open.set()
+        self._open = SharedFlag(True)
 
     def guard(self, planner):
         plan, is_open = planner.plan_paths_batch, self._open

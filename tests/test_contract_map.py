@@ -37,9 +37,10 @@ def test_every_bit_cites_a_test():
     # one row per bit family the contract report once carried, less the
     # in-place tensor ops' guard, whose code was deleted, plus the training
     # engine's parity and its step-memory bound, the float32 planning
-    # program's logit bound and plan identity, deadline expiry, and the
-    # fleet's in-place refit: its flip, its aborts and its long builds
-    assert len(ROWS) >= 34
+    # program's logit bound and plan identity, deadline expiry, the
+    # fleet's in-place refit: its flip, its aborts and its long builds, and
+    # the training engine's freed graph and its fit's allocator policy
+    assert len(ROWS) >= 40
     for bit, ids in ROWS:
         assert ids, f"the contract bit {bit!r} cites no test id"
 
