@@ -1,23 +1,28 @@
 """A training budget for the catalogue-shaped IRN fit (``pytest -m perf``).
 
 IRN's set-up trains through ``repro.nn``'s engine.  ``Tensor.backward``
-frees the graph as it runs, so little is live between two steps, and the
-fit keeps glibc's heap between steps (``mallopt``: an mmap threshold of
-32 MiB, a trim threshold of 128 MiB) instead of trimming the top of the
-heap after one step and page-faulting it back in the next.  Both show as
-counts that move little run to run, so both are bounded here without a
+frees the graph as it runs, so little is live between two steps; the loss,
+``F.tied_cross_entropy``, projects a chunk of batch rows at a time, so a
+step never holds its ``(batch, length, vocab)`` logits; and the fit keeps
+glibc's heap between steps (``mallopt``: an mmap threshold of 32 MiB, a
+trim threshold of 128 MiB) instead of trimming the top of the heap after
+one step and page-faulting it back in the next.  All three show as counts
+that move little run to run, so they are bounded here without a
 stopwatch, in a fresh interpreter that fits the IRN of the e2e benchmark's
 ``catalog_pruned`` workload once (20 000 items, one layer, one epoch):
 
 - the peak of the numpy and Python memory ``tracemalloc`` sees across the
-  fit, at most 0.7 of the engine that kept the whole graph through every
-  step;
+  fit, at most 0.3 of the engine that kept the whole graph through every
+  step: one more ``(batch, length, vocab)`` array of the fit's longest
+  batch (≈ 15 MB) crosses it.  The loss that held the logits, with the
+  graph freed, read 69.3 MB;
 - the minor page faults (``ru_minflt``) of the fit's steps after the first,
   at most a quarter of that engine's.  The first step touches the heap's
   pages for the first time, and every engine faults them in once (4–7 k
   faults); what the allocator policy removes is the re-faulting of the
-  heap in every later step.  With the graph freed but the policy left out,
-  those steps fault ≈ 130 k pages, eight times the graph-keeping engine's;
+  heap in every later step.  With the loss chunked but the policy left
+  out, those steps fault ≈ 103 k pages, six times the graph-keeping
+  engine's (≈ 130 k when the loss held the logits);
 - the minor page faults of the whole fit, first step included, at most
   half of that engine's.
 
@@ -55,9 +60,9 @@ CATALOG_IRN = dict(
 )
 
 #: (engine that kept the graph, this code when the bound was set, bound)
-PEAK_MB = (112.0, 69.3, 0.7)
-LATER_STEP_FAULTS = (16_069, 2_590, 0.25)
-FIT_FAULTS = (23_003, 6_811, 0.5)
+PEAK_MB = (112.0, 21.9, 0.3)
+LATER_STEP_FAULTS = (16_069, 587, 0.25)
+FIT_FAULTS = (23_003, 5_682, 0.5)
 
 
 def measure_fit() -> dict:

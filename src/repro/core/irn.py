@@ -23,10 +23,12 @@ ndarrays (:mod:`repro.nn.inference`, :meth:`IRN._program`): weights
 pre-transposed with Q/K/V fused, the ``r_u`` of every user in a table, and
 one primitive — :func:`~repro.nn.inference.block` — from which every scorer
 below is composed; masks are plain arrays from :mod:`repro.core.pim`, built
-in the program's dtype.  The graph forward (``_IRNModule.forward`` under
-grad) stays the training path and the float64 oracle: a float64 program
-matches it to ``<= 1e-10``, and the float32 program's logits stay within
-``5e-4`` of the float64 program's.
+in the program's dtype.  The graph forward (``_IRNModule.forward``) stays
+the float64 oracle: a float64 program matches it to ``<= 1e-10``, and the
+float32 program's logits stay within ``5e-4`` of the float64 program's.
+Training runs its encoder (``_IRNModule.hidden_states``) into the fused
+tied-projection loss, which never holds the ``(batch, length, vocab)``
+logits.
 
 Batched inference contract
 --------------------------
@@ -51,8 +53,7 @@ column (they are what the query attends over, and what a session caches),
 but the query projection, attention, output projection, residuals,
 feed-forward, final norm and the tied output projection run on the gathered
 column alone (``queries=`` of :func:`~repro.nn.inference.block`).  The full
-``(batch, length, vocab)`` graph forward is the training path and the
-parity oracle.
+``(batch, length, vocab)`` graph forward is the parity oracle.
 
 Incremental decoding contract
 -----------------------------
@@ -143,7 +144,12 @@ __all__ = ["IRN"]
 
 
 class _IRNModule(Module):
-    """Embedding layer + PIM-masked decoder stack + tied output projection."""
+    """Embedding layer + PIM-masked decoder stack + tied output projection.
+
+    Training runs :meth:`hidden_states` into the fused tied-projection loss
+    (:func:`~repro.nn.functional.tied_cross_entropy`); :meth:`forward`
+    adds the projection as a graph node and is kept as the inference oracle.
+    """
 
     def __init__(
         self,
@@ -203,6 +209,31 @@ class _IRNModule(Module):
         weight = r_u.reshape(-1, 1, 1) * float(objective_weight)
         return Tensor(revealed) + Tensor(indicator[None, :, :]) * weight
 
+    def hidden_states(
+        self,
+        items: np.ndarray,
+        users: np.ndarray,
+        mask_type: MaskType = MaskType.PERSONALIZED,
+        objective_weight: float = 1.0,
+        history_weight: float = 0.0,
+        positions: np.ndarray | None = None,
+    ) -> Tensor:
+        """Return the decoder's output, shape ``(batch, length, embedding_dim)``.
+
+        The encoder path both :meth:`forward` and training
+        (:meth:`IRN._loss`) run.  ``positions`` optionally overrides the
+        default ``arange(length)`` position indices with a per-row
+        ``(batch, length)`` array, as the batched scorers use for
+        right-aligned (left-padded) rows.
+        """
+        items = np.asarray(items, dtype=np.int64)
+        batch, length = items.shape
+        if positions is None:
+            positions = np.tile(np.arange(length) % self.max_length, (batch, 1))
+        hidden = self.dropout(self.item_embedding(items) + self.position_embedding(positions))
+        mask = self._pim(items, users, mask_type, objective_weight, history_weight)
+        return self.decoder(hidden, mask=mask)
+
     def forward(
         self,
         items: np.ndarray,
@@ -214,20 +245,13 @@ class _IRNModule(Module):
     ) -> Tensor:
         """Return next-item logits of shape ``(batch, length, vocab_size)``.
 
-        The graph forward: the training path, and the oracle the compiled
-        inference program (:mod:`repro.nn.inference`) is held to.
-
-        ``positions`` optionally overrides the default ``arange(length)``
-        position indices with a per-row ``(batch, length)`` array, as the
-        batched scorers use for right-aligned (left-padded) rows.
+        The graph forward: the oracle the compiled inference program
+        (:mod:`repro.nn.inference`) is held to.  Training does not run it;
+        :meth:`IRN._loss` runs :meth:`hidden_states` into the fused loss.
         """
-        items = np.asarray(items, dtype=np.int64)
-        batch, length = items.shape
-        if positions is None:
-            positions = np.tile(np.arange(length) % self.max_length, (batch, 1))
-        hidden = self.dropout(self.item_embedding(items) + self.position_embedding(positions))
-        mask = self._pim(items, users, mask_type, objective_weight, history_weight)
-        hidden = self.decoder(hidden, mask=mask)
+        hidden = self.hidden_states(
+            items, users, mask_type, objective_weight, history_weight, positions
+        )
         # tied output projection onto the item embeddings
         return hidden.matmul(self.item_embedding.weight.transpose())
 
@@ -410,8 +434,9 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
 
     def _loss(self, batch: SequenceBatch, rng: np.random.Generator) -> Tensor:
         # The training sub-sequences are pre-padded, so the objective item
-        # (the last item of each sub-sequence) sits at the final column.
-        logits = self.module(
+        # (the last item of each sub-sequence) sits at the final column; it
+        # predicts nothing, so the loss leaves that column out.
+        hidden = self.module.hidden_states(
             batch.items,
             batch.users,
             mask_type=self.mask_type,
@@ -419,8 +444,7 @@ class IRN(NeuralSequentialRecommender, InfluentialRecommender):
             history_weight=self.history_weight,
         )
         _, targets = shifted_inputs_and_targets(batch.items)
-        prediction_logits = logits[:, :-1, :]
-        return F.cross_entropy(prediction_logits, targets, ignore_index=PAD_INDEX)
+        return F.tied_cross_entropy(hidden, self.module.item_embedding.weight, targets)
 
     # ------------------------------------------------------------------ #
     # Scoring

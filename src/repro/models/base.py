@@ -244,6 +244,13 @@ class NeuralSequentialRecommender(SequentialRecommender):
         rather than 114 MB).  ``mallopt`` is process-wide and is not undone:
         both thresholds stay in force for the rest of the process, serving
         included, and a fixed mmap threshold turns glibc's dynamic one off.
+
+        The policy still pays now that the Transformer models' loss projects
+        a few MB of logits at a time rather than holding ``(batch, length,
+        vocab)`` arrays: without it the e2e catalogue fit (one BLAS thread,
+        2 vCPUs, glibc 2.36, six alternating runs each) makes ≈ 110 k minor
+        faults instead of ≈ 5.7 k and takes 1.11–1.46 s instead of
+        0.90–1.07 s, at the same 71.5 MB peak RSS.
         """
         rng = as_rng(self.seed)
         self.corpus = split.corpus

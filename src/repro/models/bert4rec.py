@@ -54,7 +54,7 @@ class _Bert4RecModule(Module):
         self.dropout = Dropout(dropout, rng=rngs[3])
         self.max_length = max_length
 
-    def forward(self, items: np.ndarray) -> Tensor:
+    def hidden_states(self, items: np.ndarray) -> Tensor:
         batch, length = items.shape
         positions = np.tile(np.arange(length) % self.max_length, (batch, 1))
         x = self.item_embedding(items) + self.position_embedding(positions)
@@ -62,10 +62,14 @@ class _Bert4RecModule(Module):
         # Padding positions must not be attended to by real positions.
         padding = items == PAD_INDEX
         mask = np.where(padding[:, None, None, :], NEG_INF, 0.0)
-        hidden = self.encoder(x, mask=mask)
-        # Tied output projection restricted to real items (exclude [MASK] row).
-        weights = self.item_embedding.weight[np.arange(self.vocab_size)]
-        return hidden.matmul(weights.transpose())
+        return self.encoder(x, mask=mask)
+
+    def output_table(self) -> Tensor:
+        """The tied output projection, restricted to real items (no [MASK] row)."""
+        return self.item_embedding.weight[np.arange(self.vocab_size)]
+
+    def forward(self, items: np.ndarray) -> Tensor:
+        return self.hidden_states(items).matmul(self.output_table().transpose())
 
 
 @model_registry.register("bert4rec")
@@ -124,8 +128,9 @@ class Bert4Rec(NeuralSequentialRecommender):
         targets = np.where(masked, batch.items, PAD_INDEX)
         corrupted = items.copy()
         corrupted[masked] = self.module.mask_token
-        logits = self.module(corrupted)
-        return F.cross_entropy(logits, targets, ignore_index=PAD_INDEX)
+        hidden = self.module.hidden_states(corrupted)
+        table = self.module.output_table()
+        return F.tied_cross_entropy(hidden, table, targets)
 
     def score_next(self, history: Sequence[int], user_index: int | None = None) -> np.ndarray:
         self._require_fitted()

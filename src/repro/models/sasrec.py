@@ -101,8 +101,9 @@ class SASRec(NeuralSequentialRecommender):
 
     def _loss(self, batch: SequenceBatch, rng: np.random.Generator) -> Tensor:
         inputs, targets = shifted_inputs_and_targets(batch.items)
-        logits = self.module(inputs)
-        return F.cross_entropy(logits, targets, ignore_index=0)
+        hidden = self.module.hidden_states(inputs)
+        table = self.module.item_embedding.weight
+        return F.tied_cross_entropy(hidden, table, targets)
 
     def score_next(self, history: Sequence[int], user_index: int | None = None) -> np.ndarray:
         self._require_fitted()

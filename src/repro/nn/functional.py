@@ -6,25 +6,28 @@ cross entropy) are implemented with the usual max-subtraction
 stabilisation.  With grad off every operation computes the same arrays
 and records no graph.
 
-:func:`cross_entropy`, :func:`gelu`, :func:`softmax`, :func:`layer_norm`,
-:func:`linear` and :func:`dropout` are one graph node each.  Each repeats
-the floating-point operations of the chain of nodes it replaced, in that
-chain's order, forward and backward — the backward hands each input its
-gradient contributions in the chain's reverse-topological order — so
-values, gradients and trained weights equal the chain's bit for bit, while
-a step keeps one or two arrays per node instead of every intermediate.
-The chains are kept as the oracle in ``tests/nn/reference_engine.py``.
+:func:`cross_entropy`, :func:`tied_cross_entropy`, :func:`gelu`,
+:func:`softmax`, :func:`layer_norm`, :func:`linear` and :func:`dropout` are
+one graph node each.  Each repeats the floating-point operations of the
+chain of nodes it replaced, in that chain's order, forward and backward —
+the backward hands each input its gradient contributions in the chain's
+reverse-topological order — so values, gradients and trained weights equal
+the chain's bit for bit, while a step keeps one or two arrays per node
+instead of every intermediate.  The chains are kept as the oracle in
+``tests/nn/reference_engine.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.data.padding import PAD_INDEX
 from repro.nn.tensor import Tensor, _unbroadcast
 
 __all__ = [
     "softmax",
     "cross_entropy",
+    "tied_cross_entropy",
     "gelu",
     "layer_norm",
     "relu",
@@ -206,6 +209,12 @@ def cross_entropy(
     not finite, or its class 0 holds all of the probability to double
     precision (the composite's ignored loss, ``-(log_prob * 0.0)``, then
     reads NaN or -0.0).
+
+    GRU4Rec and Caser train through this node.  SASRec, BERT4Rec and IRN,
+    whose logits are the tied projection onto the item table, train
+    through :func:`tied_cross_entropy`, which runs the same two steps
+    (:func:`_exp_rows`, :func:`_rows_gradient`) a chunk of batch rows at a
+    time without holding the logits.
     """
     if reduction not in ("mean", "sum", "none"):
         raise ValueError(f"unknown reduction '{reduction}'")
@@ -218,15 +227,11 @@ def cross_entropy(
         kept = np.flatnonzero(flat_targets != ignore_index)
     rows = np.unravel_index(kept, lead)
     target = flat_targets[kept]
-    at_target = (np.arange(kept.size), target)
 
     exp = logits.data.reshape(lead + (num_classes,))[rows]
-    exp -= exp.max(axis=1, keepdims=True)
-    shifted_target = exp[at_target]
-    np.exp(exp, out=exp)
-    sums = exp.sum(axis=1, keepdims=True)
+    sums, kept_losses = _exp_rows(exp, target)
     losses = np.zeros(flat_targets.size)
-    losses[kept] = -(shifted_target - np.log(sums[:, 0]))
+    losses[kept] = kept_losses
     scale = 1.0 / max(kept.size, 1)
     if reduction == "none":
         value = losses
@@ -240,17 +245,130 @@ def cross_entropy(
             upstream = grad.reshape(-1)[kept]
         else:
             upstream = np.broadcast_to(grad * scale if reduction == "mean" else grad, kept.shape)
-        coefficient = (upstream / sums[:, 0])[:, None]
-        rows_grad = exp  # the node runs once, so its buffer becomes the gradient
-        rows_grad *= coefficient
-        if np.signbit(coefficient).any():
-            rows_grad += 0.0  # the composite added these to zeros, so -0.0 reads +0.0
-        rows_grad[at_target] -= upstream
         full = np.zeros(lead + (num_classes,))
-        full[rows] = rows_grad
+        # the node runs once, so its buffer becomes the gradient
+        full[rows] = _rows_gradient(exp, sums, target, upstream)
         logits._accumulate(full.reshape(logits.shape))
 
     return Tensor._make(value, (logits,), backward)
+
+
+def _exp_rows(rows: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Turn the ``(kept, classes)`` logits ``rows``, in place, into ``exp(row - row max)``.
+
+    Returns the ``(kept, 1)`` row sums and each row's loss at its
+    ``target``: the forward operations of ``nll_loss(log_softmax(rows))``,
+    in that composite's order.
+    """
+    rows -= rows.max(axis=1, keepdims=True)
+    shifted_target = rows[np.arange(len(rows)), target]
+    np.exp(rows, out=rows)
+    sums = rows.sum(axis=1, keepdims=True)
+    return sums, -(shifted_target - np.log(sums[:, 0]))
+
+
+def _rows_gradient(exp, sums, target, upstream) -> np.ndarray:
+    """Turn ``exp`` of :func:`_exp_rows`, in place, into the rows' logit gradient.
+
+    ``sums`` are the row sums :func:`_exp_rows` returned with it, and
+    ``upstream`` is the gradient of each row's loss, or one for every row:
+    ``(upstream / sum) * exp``, less ``upstream`` at each target, as the
+    composite's backward computes it.
+    """
+    coefficient = (upstream / sums[:, 0])[:, None]
+    exp *= coefficient
+    if np.signbit(coefficient).any():
+        exp += 0.0  # the composite added these to zeros, so -0.0 reads +0.0
+    exp[np.arange(len(exp)), target] -= upstream
+    return exp
+
+
+#: the logits :func:`tied_cross_entropy` projects at once, in bytes: a chunk
+#: is as many whole batch rows as fit, and at least one
+_TIED_CHUNK_BYTES = 4 << 20
+
+
+def tied_cross_entropy(hidden: Tensor, table: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean cross entropy of ``hidden @ table.T`` against ``targets``, one graph node.
+
+    ``hidden`` is ``(batch, length, d)``, ``table`` the ``(vocab, d)`` tied
+    output projection and ``targets`` ``(batch, predicted)`` with
+    ``predicted <= length``: position ``t < predicted`` of a row predicts
+    ``targets[:, t]``, and the positions after it are projected and left
+    out, as IRN leaves out its objective column.  Targets equal to
+    :data:`~repro.data.padding.PAD_INDEX` add no loss and are left out of
+    the mean.  This is the loss the Transformer models train with, and it
+    equals the chain ``cross_entropy(hidden.matmul(table.transpose())[:,
+    :predicted], targets, ignore_index=PAD_INDEX)`` bit for bit without
+    ever holding its ``(batch, length, vocab)`` logits.
+
+    The node works through the batch a chunk of whole rows at a time
+    (:data:`_TIED_CHUNK_BYTES` of logits).  The forward projects a chunk,
+    copies out its kept rows, frees the projection and runs
+    :func:`cross_entropy`'s operations on the rows; it keeps no array of the
+    chunk, and writes each row's loss into one flat vector, summed once as
+    the chain sums it.  The backward projects each chunk again, repeats the
+    forward's operations on its kept rows and turns them into their
+    gradient as :func:`cross_entropy` does, and writes them into the
+    projection's own buffer, zeroed — the ``(chunk, length, vocab)``
+    gradient the chain's matmul received, its left-out positions zero —
+    then takes ``grad @ table`` for ``hidden`` and adds each row's
+    ``hiddenᵀ @ grad`` into one running ``(d, vocab)`` sum in batch order,
+    the order the chain's leading-axis sum added them.
+    """
+    data, weights = hidden.data, table.data
+    batch, length, _ = data.shape
+    vocab = weights.shape[0]
+    targets = np.asarray(targets, dtype=np.int64)
+    predicted = targets.shape[1]
+    flat_targets = targets.reshape(-1)
+    kept = np.flatnonzero(flat_targets != PAD_INDEX)
+    row_of, position_of = np.divmod(kept, predicted)
+    target_of = flat_targets[kept]
+    step = max(1, _TIED_CHUNK_BYTES // (length * vocab * 8))
+    # each chunk's batch rows ``first:end`` and its kept rows ``low:high``
+    chunks = [
+        (first, min(first + step, batch), *np.searchsorted(row_of, [first, first + step]))
+        for first in range(0, batch, step)
+    ]
+
+    def kept_logits(first, end, low, high):
+        """The chunk's projection and a copy of its kept rows' logits."""
+        logits = data[first:end] @ weights.T
+        return logits, logits[row_of[low:high] - first, position_of[low:high]]
+
+    losses = np.zeros(flat_targets.size)
+    for first, end, low, high in chunks:
+        exp = kept_logits(first, end, low, high)[1]  # the projection goes here
+        losses[kept[low:high]] = _exp_rows(exp, target_of[low:high])[1]
+        del exp
+    scale = 1.0 / max(kept.size, 1)
+    value = losses.sum() * scale
+
+    def backward(grad: np.ndarray) -> None:
+        upstream = grad * scale
+        hidden_grad = np.empty(data.shape) if hidden.requires_grad else None
+        table_grad = np.zeros(weights.shape[::-1]) if table.requires_grad else None
+        for first, end, low, high in chunks:
+            block, rows_grad = kept_logits(first, end, low, high)
+            target = target_of[low:high]
+            sums, _ = _exp_rows(rows_grad, target)
+            _rows_gradient(rows_grad, sums, target, upstream)
+            block.fill(0.0)  # the projection's buffer becomes the chunk's gradient
+            block[row_of[low:high] - first, position_of[low:high]] = rows_grad
+            del rows_grad
+            if hidden_grad is not None:
+                hidden_grad[first:end] = block @ weights
+            if table_grad is not None:
+                for row, row_grad in zip(data[first:end], block):
+                    table_grad += row.T @ row_grad
+            del block
+        if hidden_grad is not None:
+            hidden._accumulate(hidden_grad)
+        if table_grad is not None:
+            table._accumulate(table_grad.T)
+
+    return Tensor._make(value, (hidden, table), backward)
 
 
 def binary_cross_entropy_with_logits(

@@ -331,7 +331,7 @@ class TestOneQueryFinalLayer:
 
     def test_graph_forward_takes_no_query_columns(self, models):
         """Naming the queries is the compiled program's business; the graph
-        forward — the training path and the oracle — is always the full one."""
+        forward — the parity oracle — is always the full one."""
         irn = models(2, MaskType.PERSONALIZED)
         items, positions, _ = irn._right_align([[3, 9, 4]])
         with pytest.raises(TypeError):

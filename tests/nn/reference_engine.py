@@ -5,7 +5,9 @@ This is ``Tensor._accumulate`` and ``Tensor.__getitem__`` of
 gradients and scattering basic-index gradients with ``np.add.at``;
 ``log_softmax``, ``nll_loss`` and the composite ``cross_entropy`` of
 ``repro.nn.functional`` as they were before cross entropy became one graph
-node; and ``gelu``, ``softmax``, the layer norm of ``LayerNorm.forward``,
+node; the chain of the tied projection and that loss,
+``tied_cross_entropy``, as the Transformer models trained through it before
+it became one node; and ``gelu``, ``softmax``, the layer norm of ``LayerNorm.forward``,
 ``linear`` and ``dropout`` as they were before each became one graph node —
 chains of nodes, unchanged (``linear`` with the no-grad branch it had).
 :func:`use_reference_engine` swaps them in for the engine's own, so
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.data.padding import PAD_INDEX
 from repro.nn import functional
 from repro.nn.tensor import Tensor, _unbroadcast, is_grad_enabled
 
@@ -108,6 +111,15 @@ def cross_entropy(
     )
 
 
+def tied_cross_entropy(hidden: Tensor, table: Tensor, targets: np.ndarray) -> Tensor:
+    """The tied projection, the predicting positions, then the loss, as the models trained."""
+    logits = hidden.matmul(table.transpose())
+    predicted = np.asarray(targets).shape[1]
+    if predicted < logits.shape[1]:  # IRN's objective column predicts nothing
+        logits = logits[:, :predicted, :]
+    return cross_entropy(logits, targets, ignore_index=PAD_INDEX)
+
+
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation used by BERT)."""
     inner = Tensor(np.sqrt(2.0 / np.pi)) * (x + x * x * x * 0.044715)
@@ -187,6 +199,7 @@ def use_reference_engine(monkeypatch) -> None:
     monkeypatch.setattr(Tensor, "_accumulate", _accumulate)
     monkeypatch.setattr(Tensor, "__getitem__", __getitem__)
     monkeypatch.setattr(functional, "cross_entropy", cross_entropy)
+    monkeypatch.setattr(functional, "tied_cross_entropy", tied_cross_entropy)
     monkeypatch.setattr(functional, "gelu", gelu)
     monkeypatch.setattr(functional, "softmax", softmax)
     monkeypatch.setattr(functional, "layer_norm", layer_norm)

@@ -2,12 +2,13 @@
 
 A basic index scatters its gradient with ``full[index] += grad``, a
 non-leaf tensor adopts its first gradient instead of copying it, and
-``F.cross_entropy``, ``F.gelu``, ``F.softmax``, ``F.layer_norm``,
-``F.linear`` and ``F.dropout`` are one graph node each; all must train
-exactly what ``np.add.at``, the defensive copy, the composite
-``nll_loss(log_softmax(·))`` and the chains of nodes trained
-(``tests/nn/reference_engine.py``), and no two parameters may end up
-sharing a gradient buffer that ``clip_grad_norm`` would scale twice.
+``F.cross_entropy``, ``F.tied_cross_entropy``, ``F.gelu``, ``F.softmax``,
+``F.layer_norm``, ``F.linear`` and ``F.dropout`` are one graph node each;
+all must train exactly what ``np.add.at``, the defensive copy, the
+composite ``nll_loss(log_softmax(·))``, the tied projection into it and the
+chains of nodes trained (``tests/nn/reference_engine.py``), and no two
+parameters may end up sharing a gradient buffer that ``clip_grad_norm``
+would scale twice.
 
 The engine frees a non-leaf's gradient as its node runs backward, so the
 gradient an op hands its input is read through a
@@ -17,11 +18,13 @@ both read ``None``, and ``None`` has the same bits as ``None``.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.data.batching import iterate_batches
+from repro.data.padding import PAD_INDEX
 from repro.nn import functional as F
 from repro.nn.attention import NEG_INF
 from repro.nn.layers import Dropout, LayerNorm, Linear, Parameter
@@ -215,6 +218,133 @@ class TestFusedCrossEntropy:
         logits = Tensor(np.ones((2, 3, 4)), requires_grad=True) * 2.0
         loss = F.cross_entropy(logits, np.array([[1, 0, 2], [3, 3, 0]]), ignore_index=0)
         assert loss._parents == (logits,)
+
+
+#: ``(batch, length, d, vocab)`` of the tied loss's cases
+TIED = (9, 7, 4, 13)
+
+
+def _tied_targets(rng, predicted: int):
+    """Targets with pre-padded rows, a row of nothing but padding and a padded
+    position inside a row."""
+    batch, _, _, vocab = TIED
+    targets = rng.integers(1, vocab, size=(batch, predicted))
+    targets[:4, :3] = PAD_INDEX  # pre-padded rows
+    targets[5] = PAD_INDEX  # a row whose every target is padding
+    targets[7, 4] = PAD_INDEX
+    return targets
+
+
+def _tied(loss, targets, upstream=None, gathered=False):
+    """``(loss, gradient handed to hidden, gradient handed to the table, table parameter's)``.
+
+    The table is a parameter, or with ``gathered`` a non-leaf gather of its
+    rows, as BERT4Rec drops its ``[MASK]`` row; probes read what the loss
+    hands each input.
+    """
+    batch, length, dim, vocab = TIED
+    rng = np.random.default_rng(7)
+    hidden_probe, table_probe = GradientProbe(), GradientProbe()
+    hidden = hidden_probe(Tensor(rng.normal(size=(batch, length, dim)), requires_grad=True))
+    weight = Parameter(rng.normal(size=(vocab + 1, dim)))
+    table = weight[np.arange(vocab)] if gathered else weight
+    out = loss(hidden, table_probe(table), targets)
+    out.backward(upstream)
+    return out.data, hidden_probe.grad, table_probe.grad, weight.grad
+
+
+def _chunk_rows(monkeypatch, rows: int) -> None:
+    """Patch the node's budget down to ``rows`` batch rows of logits a chunk."""
+    _, length, _, vocab = TIED
+    monkeypatch.setattr(F, "_TIED_CHUNK_BYTES", rows * length * vocab * 8)
+
+
+class TestFusedTiedCrossEntropy:
+    """``F.tied_cross_entropy`` against the chain it replaced: loss, and both inputs' gradients."""
+
+    def _assert_equal_to_the_chain(self, targets, upstreams=(None, np.array(-2.5)), gathered=False):
+        for upstream in upstreams:
+            got = _tied(F.tied_cross_entropy, targets, upstream, gathered)
+            expected = _tied(reference_engine.tied_cross_entropy, targets, upstream, gathered)
+            for value, reference in zip(got, expected, strict=True):
+                _assert_same_bits(value, reference)
+
+    @pytest.mark.parametrize("predicted", [TIED[1] - 1, TIED[1]], ids=["IRN", "SASRec"])
+    @pytest.mark.parametrize("rows", [1, 2, 4, TIED[0]])
+    def test_loss_and_gradients_equal_the_chain(self, monkeypatch, rows, predicted):
+        _chunk_rows(monkeypatch, rows)
+        targets = _tied_targets(np.random.default_rng(0), predicted)
+        self._assert_equal_to_the_chain(targets)
+
+    @pytest.mark.parametrize("rows", [1, 2, TIED[0]])
+    def test_a_gathered_table(self, monkeypatch, rows):
+        _chunk_rows(monkeypatch, rows)
+        targets = _tied_targets(np.random.default_rng(1), TIED[1])
+        self._assert_equal_to_the_chain(targets, gathered=True)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_a_batch_with_every_target_ignored(self, monkeypatch, rows):
+        _chunk_rows(monkeypatch, rows)
+        targets = np.zeros((TIED[0], TIED[1] - 1), dtype=np.int64)
+        self._assert_equal_to_the_chain(targets)
+        loss, hidden_grad, _, _ = _tied(F.tied_cross_entropy, targets)
+        _assert_same_bits(loss, np.array(0.0))
+        _assert_same_bits(hidden_grad, np.zeros(TIED[:3]))
+
+    @pytest.mark.parametrize("rows", [1, TIED[0]])
+    def test_the_no_grad_forward_equals_the_chain(self, monkeypatch, rows):
+        _chunk_rows(monkeypatch, rows)
+        batch, length, dim, vocab = TIED
+        rng = np.random.default_rng(3)
+        hidden = Tensor(rng.normal(size=(batch, length, dim)), requires_grad=True)
+        table = Parameter(rng.normal(size=(vocab, dim)))
+        targets = _tied_targets(rng, length - 1)
+        with no_grad():
+            loss = F.tied_cross_entropy(hidden, table, targets)
+            expected = reference_engine.tied_cross_entropy(hidden, table, targets)
+        assert not loss.requires_grad and loss._backward is None
+        _assert_same_bits(loss.data, expected.data)
+
+    def test_the_loss_is_one_graph_node_that_runs_backward_once(self, monkeypatch):
+        _chunk_rows(monkeypatch, 2)
+        hidden = Tensor(np.ones(TIED[:3]), requires_grad=True) * 2.0
+        table = Parameter(np.ones((TIED[3], TIED[2])))
+        loss = F.tied_cross_entropy(hidden, table, _tied_targets(np.random.default_rng(4), 6))
+        assert loss._parents == (hidden, table)
+        loss.backward()
+        with pytest.raises(RuntimeError, match="already run backward"):
+            loss.backward()
+
+    def test_it_holds_a_chunk_of_logits_at_a_time(self, monkeypatch):
+        # 16 rows of one-row chunks: the whole (batch, length, vocab) logits
+        # are 16 chunks, and forward and backward together stay under 4
+        batch, length, dim, vocab = 16, 10, 4, 4_000
+        monkeypatch.setattr(F, "_TIED_CHUNK_BYTES", length * vocab * 8)
+        rng = np.random.default_rng(5)
+        hidden = Tensor(rng.normal(size=(batch, length, dim)), requires_grad=True)
+        table = Parameter(rng.normal(size=(vocab, dim)))
+        targets = rng.integers(0, vocab, size=(batch, length - 1))
+        tracemalloc.start()
+        try:
+            F.tied_cross_entropy(hidden, table, targets).backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        chunks = peak / (length * vocab * 8)
+        assert chunks <= 4, f"the loss peaked at {chunks:.2f} chunks of logits"
+
+    @pytest.mark.parametrize("name", ["sasrec", "bert4rec", "irn"])
+    def test_the_transformer_models_train_through_the_node(self, name, tiny_split):
+        model = FACTORIES[name]()
+        model.epochs = 1
+        model.fit(tiny_split)
+        batch = next(iterate_batches(tiny_split.train, 32, scheme=model.padding_scheme, seed=0))
+        model.module.train()
+        loss = model._loss(model._truncate(batch), np.random.default_rng(0))
+        assert loss._backward.__qualname__ == "tied_cross_entropy.<locals>.backward"
+        _, table = loss._parents
+        weight = model.module.item_embedding.weight
+        assert table is weight or table._parents == (weight,)  # BERT4Rec drops its [MASK] row
 
 
 #: ``(leaf shape, view of the leaf)``: the op's input is the view, so the

@@ -1,32 +1,36 @@
 """Peak memory of one IRN training step, on a catalogue-sized vocabulary and on the encoder.
 
 IRN's loss is a softmax over the whole vocabulary at every position, so on
-a large catalogue a training step's memory is ``(batch, length, vocab)``
-float64 arrays: the tied projection's logits, the loss's temporaries and
-their gradients.  That bound is counted in those arrays.  The step reads
-3.24 of them: backward frees the graph as it runs (each forward buffer and
-each intermediate gradient goes once the last node that reads it has run),
-and the fused cross entropy turns the one buffer of the kept rows' ``exp``
-it keeps from forward to backward into its gradient.  The engine that kept
-the whole graph, and every intermediate gradient, until the step dropped
-it read 5.01; the composite ``nll_loss(log_softmax(·))``, which kept the
-shifted logits, their ``exp`` and the log-probabilities, 8.9; and the
-engine that scattered basic-index gradients with ``np.add.at`` and copied
-every first gradient 10.9.
+a large catalogue a training step's memory is counted in ``(batch, length,
+vocab)`` float64 arrays: the tied projection's logits, the loss's
+temporaries and their gradients.  The step reads 0.67 of them: the loss is
+one node, ``F.tied_cross_entropy``, that projects one batch row of this
+catalogue at a time, forward and again backward, so it never holds more
+than a chunk's logits and its kept rows.  The chain it replaced — the
+projection ``hidden.matmul(table.transpose())``, the slice of the
+predicting positions and the fused cross entropy — read 3.24, with
+backward freeing the graph as it runs; the engine that kept the whole
+graph, and every intermediate gradient, until the step dropped it 5.01;
+the composite ``nll_loss(log_softmax(·))``, which kept the shifted logits,
+their ``exp`` and the log-probabilities, 8.9; and the engine that
+scattered basic-index gradients with ``np.add.at`` and copied every first
+gradient 10.9.
 
 On a small vocabulary the Transformer layers hold the memory instead, and
 that bound is counted in ``(batch, length, d_model)`` arrays.  A ``(64,
-18)`` step at ``d_model = 32`` over two layers reads 103.3 of them; with
-the whole graph kept through backward it read 166.7.  Linear maps that
-kept both the product and the biased output, and dropout that kept a
-float64 mask, read 191.0; the elementwise composites of GELU, layer norm
-and softmax, which kept every intermediate of the chain, 329.1.
+18)`` step at ``d_model = 32`` over two layers reads 92.6 of them (its
+217-item loss projects the whole batch in one chunk); through the chain it
+read 103.3, and with the whole graph kept through backward 166.7.  Linear
+maps that kept both the product and the biased output, and dropout that
+kept a float64 mask, read 191.0; the elementwise composites of GELU, layer
+norm and softmax, which kept every intermediate of the chain, 329.1.
 
 A fit holds one step's ``loss`` while the next step's forward runs.  Two
 steps run that way are held to the one-step bounds: the held loss keeps
 no graph.  When it kept the whole graph, two steps read 8.97 and 329.3
-arrays.  The bounds were 5.4 and 170 for the engine that kept the graph;
-they are 3.5 and 106 now, by the same margin rule (below).
+arrays.  The bounds were 5.4 and 170 for the engine that kept the graph,
+and 3.5 and 106 for the chain; they are 1.0 and 106 now, by the same
+margin rule (below).
 """
 
 import tracemalloc
@@ -38,8 +42,9 @@ from repro.data.batching import SequenceBatch
 from repro.nn.optim import Adam, clip_grad_norm
 
 #: one more temporary over the predicting positions (≈ 0.93 of a
-#: ``(batch, length, vocab)`` array) or over the kept rows (≈ 0.86) crosses it
-MAX_STEP_PEAK_ARRAYS = 3.5
+#: ``(batch, length, vocab)`` array) or over the kept rows (≈ 0.86) crosses
+#: it, and so do three more one-row chunks of logits held at once (0.125 each)
+MAX_STEP_PEAK_ARRAYS = 1.0
 #: two more ``(batch, length, d_model)`` temporaries per layer (4 arrays) cross it
 MAX_ENCODER_STEP_PEAK_ARRAYS = 106
 

@@ -73,17 +73,22 @@ def request_frames(monkeypatch):
 
 class _PlanGate:
     """Holds every replan of the planners it guards while shut — in whichever
-    process they run: the flag is inherited through the fork, and a worker
-    waits on it by polling, so reopening never hangs on a worker that died
-    while it waited."""
+    process they run: the flags are inherited through the fork, and a worker
+    waits on the gate by polling, so reopening never hangs on a worker that
+    died while it waited.  A replan that finds the gate shut sets
+    :attr:`parked` before it waits, so a test can tell a held replan from
+    one that has not reached the planner yet."""
 
     def __init__(self) -> None:
         self._open = SharedFlag(True)
+        self.parked = SharedFlag(False)
 
     def guard(self, planner):
-        plan, is_open = planner.plan_paths_batch, self._open
+        plan, is_open, parked = planner.plan_paths_batch, self._open, self.parked
 
         def gated(*args, **kwargs):
+            if not is_open.is_set():
+                parked.set()
             assert is_open.wait(30.0), "the test never reopened the gate"
             return plan(*args, **kwargs)
 
@@ -241,6 +246,7 @@ class TestOnlyReplansCrossTheWire:
             first, duplicate = _step(context), _step(context)
             front_end.enqueue(first)
             front_end.enqueue(duplicate)  # its context's replan is in flight
+            assert gate.parked.wait(10.0), "the worker's replan never reached the gate"
             assert len(request_frames) == 2 and not first.future.done()
         finally:
             gate.open()

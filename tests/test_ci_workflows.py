@@ -187,3 +187,28 @@ def test_the_parser_step_builds_every_subcommand():
         if isinstance(action, argparse._SubParsersAction)
     ]
     assert listed.getvalue().split() == list(subparsers.choices)
+
+
+def test_the_contracts_job_runs_the_perf_budgets():
+    """The interpreter and training budgets (``benchmarks/perf``) gate only
+    through CI's contracts job: a step there must run ``pytest -m perf`` over
+    that directory, and every budget module must carry the ``perf`` mark,
+    or ``-m perf`` deselects it without a word."""
+    contracts = _load(next(p for p in WORKFLOWS if p.name == "ci.yml"))["jobs"]["contracts"]
+    argvs = [
+        shlex.split(rest)
+        for step in contracts["steps"]
+        if isinstance(step.get("run"), str)
+        for rest in re.findall(r"python -m pytest ([^\n]*)", step["run"])
+    ]
+    assert any(
+        "benchmarks/perf" in argv and ["-m", "perf"] in [argv[i : i + 2] for i in range(len(argv))]
+        for argv in argvs
+    ), argvs
+    budgets = sorted((ROOT / "benchmarks" / "perf").glob("test_*.py"))
+    assert {path.name for path in budgets} >= {
+        "test_interpreter_budget.py",
+        "test_training_budget.py",
+    }
+    for path in budgets:
+        assert "pytestmark = pytest.mark.perf" in path.read_text(), path.name
