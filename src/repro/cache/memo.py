@@ -23,7 +23,11 @@ protocol's rollout threads sharing one planner — without corrupting the
 metrics registry (:mod:`repro.obs.registry`) under a per-instance
 ``cache.plan.<n>`` scope — each lookup applies its counter update in one
 registry-lock acquisition, :meth:`counters` is one locked group read, and
-the same counters surface in ``repro-irs metrics`` exports.
+the same counters surface in ``repro-irs metrics`` exports.  The registry
+lock is only ever taken *inside* the cache lock (a lookup counts while it
+holds the entry), so no caller may hold the registry lock while it takes
+a cache's: the serving stack's order is the loop's state lock, then a
+cache lock, then the registry lock.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import threading
 from collections import OrderedDict
 from typing import Hashable
 
-from repro.obs.registry import MetricGroup, get_registry
+from repro.obs.registry import Counter, MetricGroup, get_registry
 from repro.utils.exceptions import ConfigurationError
 
 __all__ = ["PlanCache"]
@@ -50,9 +54,11 @@ class PlanCache:
         self._data: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = threading.RLock()
         registry = get_registry()
+        self._registry = registry
         self._counters = MetricGroup(
             registry, registry.scope("cache.plan"), counters=_COUNTER_FIELDS
         )
+        self._hits = self._counters.counter("hits")
 
     # ------------------------------------------------------------------ #
     # Counter reads keep their historical attribute spelling
@@ -93,21 +99,30 @@ class PlanCache:
             self._counters.record(add={"misses": 1})
             return None
 
-    def probe(self, key: Hashable, accept):
-        """:meth:`get`, but only when ``accept(value)`` holds.
+    def probe(self, key: Hashable, prefix: tuple, also: "Counter | None" = None):
+        """What the entry holds after ``prefix`` — when ``prefix`` is a
+        prefix of it — or ``None``.
 
         An accepted entry counts one hit and refreshes its recency, exactly
-        like :meth:`get`.  An absent or rejected one returns ``None`` and
-        counts NOTHING: the caller falls back to a path that looks the key
-        up again through :meth:`get`, and a request must count one lookup.
+        like :meth:`get`; ``also`` (a counter of the caller's: the planner
+        counts its serving hits so) counts the same hit in the same registry
+        update.  An absent or rejected one returns ``None`` and counts
+        NOTHING: the caller falls back to a path that looks the key up again
+        through :meth:`get`, and a request must count one lookup.
         """
         with self._lock:
-            value = self._data.get(key)
-            if value is None or not accept(value):
+            data = self._data
+            if key not in data:
                 return None
-            self._data.move_to_end(key)
-            self._counters.record(add={"hits": 1})
-            return value
+            value = data[key]
+            served = len(prefix)
+            if value[:served] != prefix:
+                return None
+            data.move_to_end(key)
+            self._registry.update(
+                add=((self._hits, 1),) if also is None else ((self._hits, 1), (also, 1))
+            )
+            return value[served:]
 
     def peek(self, key: Hashable):
         """The cached value or ``None`` — counting nothing and leaving the

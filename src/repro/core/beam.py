@@ -403,6 +403,9 @@ class BeamSearchPlanner(InfluentialRecommender):
         self._serving_metrics = MetricGroup(
             registry, registry.scope("core.serving"), counters=("hits", "replans")
         )
+        #: counted by the step cache's probe, in the update that counts the
+        #: cache's own hit (:meth:`serve_resident`)
+        self._serving_hits = self._serving_metrics.counter("hits")
         # Retrieval counters (requests / full-vocab fallbacks / total
         # candidate items) surface in ``repro-irs metrics`` and ``cache_info``.
         self._retrieval_metrics = (
@@ -483,7 +486,10 @@ class BeamSearchPlanner(InfluentialRecommender):
         A generation-pinned planner (see :meth:`pin_generation`) raises
         instead: its backbone must never change while the planner serves.
         """
-        generation = getattr(self.backbone, "fit_generation", None)
+        try:  # the resident lane runs this per step: no getattr call
+            generation = self.backbone.fit_generation
+        except AttributeError:
+            generation = None
         if self._pinned_generation is not None and generation != self._pinned_generation:
             logger.warning(
                 "generation guard tripped: planner pinned to backbone "
@@ -968,20 +974,23 @@ class BeamSearchPlanner(InfluentialRecommender):
         counter alone: the request then goes through
         :meth:`plan_for_requests`, which looks the entry up again and counts
         that one lookup, so a request is one serving-cache lookup on either
-        path.  The generation guard runs first, as it does there.
+        path.  The generation guard runs first, as it does there (the
+        fitted check only on a miss: an unfitted planner holds no plan).  The
+        lookup is one pass: the probe checks the prefix itself and counts
+        the step cache's hit and this planner's serving hit in one registry
+        update.
         """
-        self._require_fitted()
         self._sync_backbone_generation()
-        path_so_far = request.path_so_far
-        served = len(path_so_far)
-        plan = self._step_cache.probe(
-            self._step_key(request, self._retrieval_key()),
-            lambda plan: plan[:served] == path_so_far,
+        generator = self.candidate_generator
+        rest = self._step_cache.probe(
+            self._step_key(request, None if generator is None else self._retrieval_key()),
+            request.path_so_far,
+            self._serving_hits,
         )
-        if plan is None:
+        if rest is None:
+            self._require_fitted()  # an unfitted planner holds no plan: only a miss asks
             return MISS
-        self._serving_metrics.record(add={"hits": 1})
-        return int(plan[served]) if len(plan) > served else None
+        return int(rest[0]) if rest else None
 
     def resident_plan(self, request: "ServeRequest") -> "tuple[int, ...] | None":
         """The serving-cache plan of ``request``'s context, or ``None`` — an

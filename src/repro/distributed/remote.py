@@ -111,7 +111,7 @@ import logging
 import queue
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from concurrent.futures import Future
 from typing import Callable
 
@@ -204,7 +204,8 @@ class RemoteReplica:
         #: routing key -> ``next_step`` requests of that context on the wire.
         self._steps_on_wire: "dict[tuple, int]" = {}
         #: tenant (``None``: a single-tenant worker) -> steps answered here.
-        self._parent_answered: "dict[str | None, int]" = {}
+        self._parent_answered: "defaultdict[str | None, int]" = defaultdict(int)
+        self._parent_answered_total = metrics.counter("parent_answered")
         self._tenant_names: "tuple[str, ...]" = ()
         self._dead = False
         self._suspected = False
@@ -231,8 +232,11 @@ class RemoteReplica:
     # ----------------------------- dispatcher surface ------------------ #
     @property
     def healthy(self) -> bool:
-        with self._lock:
-            return not (self._dead or self._suspected or self._retiring)
+        # Read without the lock: every flag is written under it, one at a
+        # time, and the one two-flag transition (suspected -> dead) sets
+        # ``_dead`` before it clears ``_suspected`` — read in this order, no
+        # interleaving shows a worker healthy that was not.
+        return not (self._suspected or self._dead or self._retiring)
 
     def cold(self) -> bool:
         with self._lock:
@@ -245,10 +249,6 @@ class RemoteReplica:
         if hb is None:
             return 0.0
         return hb.ewma_depth + LATENCY_WEIGHT * (hb.p95_ms / 1000.0)
-
-    def on_dispatch(self) -> None:
-        with self._lock:
-            self._dispatched += 1
 
     def on_dispatch_failed(self) -> None:
         with self._lock:
@@ -265,9 +265,12 @@ class RemoteReplica:
         (the planner object itself lives in the worker process)."""
         return _PlannerProxy(self.hello)
 
-    def accept(self, request: ServeRequest) -> None:
+    def accept(self, request: ServeRequest, key: "tuple | None" = None) -> None:
         """Answer a ``next_step`` the mirror covers on this thread; ship
-        anything else to the worker.
+        anything else to the worker.  Counts the request as dispatched here
+        (the caller undoes that with :meth:`on_dispatch_failed` when this
+        raises).  ``key`` is a ``next_step``'s routing key when the caller
+        has built it already.
 
         The mirror is read here and nowhere else, under the lock that also
         registers a request for the wire — so a step either finds its
@@ -276,33 +279,71 @@ class RemoteReplica:
         unhealthy replica's mirror is not consulted: the request takes the
         wire path (and its failure handling) unchanged.
 
+        A step answered here is a micro-batch of one at the generation the
+        worker served that plan at (one worker, one generation: what it
+        would stamp itself) — stamped, counted and traced the way the
+        serving loop's resident lane does, in one pass: one mirror lookup
+        and one registry update.
+
         On the wire path the pending-table registration happens BEFORE the
         send so a fast response can never race its own bookkeeping; a send
         failure unregisters and raises — the request was never accepted
         anywhere, so no duplicate can exist.
         """
         started = time.perf_counter()
-        key = request.routing_key() if request.kind == "next_step" else None
+        if request.kind != "next_step":
+            key = None
+        elif key is None:
+            key = request.routing_key()
         plan = None
         with self._lock:
-            if key is not None and key not in self._steps_on_wire and not (
-                self._dead or self._suspected or self._retiring
+            self._dispatched += 1
+            if (
+                key is not None
+                and key in self._plans
+                and key not in self._steps_on_wire
+                and not (self._dead or self._suspected or self._retiring)
             ):
-                entry = self._plans.get(key)
-                if entry is not None and (
-                    entry[0][: len(request.path_so_far)] == request.path_so_far
-                ):
+                path_so_far = request.path_so_far
+                served = len(path_so_far)
+                entry = self._plans[key]
+                if entry[0][:served] == path_so_far:
                     plan, generation, tenant = entry
                     self._plans.move_to_end(key)
                     self._completed += 1
-                    self._parent_answered[tenant] = self._parent_answered.get(tenant, 0) + 1
+                    self._parent_answered[tenant] += 1
             if plan is None:
                 request_id = next(self._request_ids)
                 self._pending[request_id] = request
                 if key is not None:
                     self._steps_on_wire[key] = self._steps_on_wire.get(key, 0) + 1
         if plan is not None:
-            self._answer_from(plan, generation, request, started)
+            request.enqueued_at = started
+            Response.stamp(
+                request,
+                drain_started_at=started,
+                served_generation=generation,
+                batch_tag=next(_PARENT_TAGS),
+                replica_index=self.index,
+            )
+            self._parent_answered_total.inc()
+            trace = request.trace
+            if trace is not None:
+                done = request.completed_at
+                trace.span(
+                    "admission",
+                    started,
+                    done,
+                    replica=self.index,
+                    resident=True,
+                    served_generation=generation,
+                    batch_tag=request.batch_tag,
+                )
+                trace.span("cache.decision", started, done, outcome="hit")
+                self._tracer.finish(trace)
+            # The answer is read off the plan the way wire.plan_step reads it.
+            step = plan[served : served + 1]
+            request.resolve(step[0] if step else None)
             return
         # Parent-clock admission stamp (the satellite-1 fix): paired with
         # the parent-clock completed_at the reader writes.
@@ -322,36 +363,6 @@ class RemoteReplica:
             request.trace.span(
                 "admission", request.enqueued_at, time.perf_counter(), replica=self.index
             )
-
-    def _answer_from(self, plan: tuple, generation, request: ServeRequest, started: float) -> None:
-        """Complete a ``next_step`` from its context's mirrored plan: a
-        micro-batch of one at the generation the worker served that plan at
-        (one worker, one generation: what it would stamp itself), stamped,
-        counted and traced the way the serving loop's resident lane does."""
-        request.enqueued_at = started
-        Response.stamp(
-            request,
-            drain_started_at=started,
-            served_generation=generation,
-            batch_tag=next(_PARENT_TAGS),
-            replica_index=self.index,
-        )
-        self._metrics.record(add={"parent_answered": 1})
-        trace = request.trace
-        if trace is not None:
-            done = request.completed_at
-            trace.span(
-                "admission",
-                started,
-                done,
-                replica=self.index,
-                resident=True,
-                served_generation=generation,
-                batch_tag=request.batch_tag,
-            )
-            trace.span("cache.decision", started, done, outcome="hit")
-            self._tracer.finish(trace)
-        request.resolve(wire.plan_step(plan, request.path_so_far))
 
     def pending_count(self) -> int:
         with self._lock:
@@ -753,16 +764,7 @@ class RemoteReplicaSet(TypedServingSurface):
         try:
             for index in range(self.num_replicas):
                 self._members.append(self._spawn_replica(planner, index))
-            for replica in self._members:
-                if not replica.hello_event.wait(HELLO_TIMEOUT):
-                    raise ServingError(
-                        f"worker {replica.index} sent no HELLO within {HELLO_TIMEOUT:.0f}s"
-                    )
-                if replica.hello is None:  # the reader hit EOF first
-                    raise ServingError(
-                        f"worker {replica.index} died before sending HELLO "
-                        "(start-up failed)"
-                    )
+            self._await_hello(self._members)
         except BaseException:
             self._retire(self._members)
             raise
@@ -774,7 +776,10 @@ class RemoteReplicaSet(TypedServingSurface):
         )
         self._detector.start()
 
-    def _spawn_replica(self, planner, index: int) -> RemoteReplica:
+    def _spawn_replica(self, planner, index: int, siblings=()) -> RemoteReplica:
+        """Fork the worker of slot ``index`` serving ``planner`` at the
+        fleet's generation; ``siblings`` are forks not yet members, whose
+        sockets the child must close too."""
         worker = spawn_worker(
             planner,
             index,
@@ -782,7 +787,9 @@ class RemoteReplicaSet(TypedServingSurface):
             loop_kwargs=self._loop_kwargs,
             heartbeat_interval=self.heartbeat_interval,
             # The parent-side sockets of the earlier forks.
-            inherited_fds=[replica.worker.sock.fileno() for replica in self._members],
+            inherited_fds=[
+                replica.worker.sock.fileno() for replica in [*self._members, *siblings]
+            ],
             tenant_factory=self._tenant_factory,
             planner_factory=self._factory,
         )
@@ -795,6 +802,40 @@ class RemoteReplicaSet(TypedServingSurface):
         )
         replica.reader.start()
         return replica
+
+    @staticmethod
+    def _await_hello(replicas: "list[RemoteReplica]") -> None:
+        """Wait for every fork's HELLO; raise on one that dies or stays silent."""
+        for replica in replicas:
+            if not replica.hello_event.wait(HELLO_TIMEOUT):
+                raise ServingError(
+                    f"worker {replica.index} sent no HELLO within {HELLO_TIMEOUT:.0f}s"
+                )
+            if replica.hello is None:  # the reader hit EOF first
+                raise ServingError(
+                    f"worker {replica.index} died before sending HELLO (start-up failed)"
+                )
+
+    def _refork_dead(self) -> "list[RemoteReplica]":
+        """Fork a fresh worker for every slot whose worker died, from one
+        planner the factory builds here, as the constructor forks its
+        workers.  The forks are not members yet: a refit swaps them in at
+        its commit (they serve nothing before they serve its generation)
+        and retires them when it is abandoned."""
+        dead = [member for member in self._members if member.dead]
+        if not dead:
+            return []
+        planner = self._factory()
+        fresh: "list[RemoteReplica]" = []
+        try:
+            for member in dead:
+                fresh.append(self._spawn_replica(planner, member.index, fresh))
+            self._await_hello(fresh)
+        except BaseException:
+            self._retire(fresh)
+            raise
+        logger.info("refit: re-forked dead slot(s) %s", [replica.index for replica in fresh])
+        return fresh
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -817,7 +858,11 @@ class RemoteReplicaSet(TypedServingSurface):
             if self._closed:
                 return
             self._closed = True
-        for request in self._retire(self._members):
+        # Under the flip lock: a refit's commit either swapped its re-forked
+        # workers in already, or sees the set closed and retires them itself.
+        with self._flip_lock:
+            members = list(self._members)
+        for request in self._retire(members):
             if not request.future.done():
                 request.fail(
                     ServingError(
@@ -859,8 +904,8 @@ class RemoteReplicaSet(TypedServingSurface):
             return self._generation
 
     def active_replicas(self) -> "list[RemoteReplica]":
-        """The workers, one per slot — a dead one included: a slot whose
-        worker died is never re-forked."""
+        """The workers, one per slot — a dead one included, until the next
+        refit re-forks its slot."""
         return list(self._members)
 
     def _reset_dispatch(self) -> None:
@@ -901,17 +946,23 @@ class RemoteReplicaSet(TypedServingSurface):
            :attr:`fit_generation` stays N and this raises
            :class:`~repro.utils.exceptions.ServingError` naming the cause.
 
-        Also raises while another refit runs and on a closed set.  A worker
-        that died before the refit is not re-forked; the live ones refit.
+        Also raises while another refit runs and on a closed set.  A slot
+        whose worker died before the refit gets a fresh worker first, forked
+        from a planner the factory builds in this process; it prepares with
+        the others and joins dispatch at the commit (an abandoned refit
+        retires it, and the slot stays dead).
         """
         if not self._refit_lock.acquire(blocking=False):
             raise ServingError("a refit is already in progress on this replica set")
+        fresh: "list[RemoteReplica]" = []
         try:
             if self.closed:
                 raise ServingError("cannot refit a closed replica set")
-            members = [member for member in self._members if not member.dead]
-            if not members:
-                raise ServingError("no live worker is left to refit")
+            fresh = self._refork_dead()
+            members = sorted(
+                [member for member in self._members if not member.dead] + fresh,
+                key=lambda member: member.index,
+            )
             generation_from = self.fit_generation
             generation_to = generation_from + 1
             message = {"refit": next(self._refit_serial), "generation": generation_to}
@@ -927,13 +978,19 @@ class RemoteReplicaSet(TypedServingSurface):
                 if self.closed:
                     problems.insert(0, "the replica set closed")
                 if not problems:
+                    replaced = [self._members[replica.index] for replica in fresh]
+                    for replica in fresh:
+                        self._members[replica.index] = replica
+                    fresh = []
                     self._generation = generation_to
-                    self._reset_dispatch()
                     for member in members:
                         try:
                             member.commit(message)
                         except OSError:
                             pass  # died since it acked: its reader re-dispatches its work
+                    # After every COMMIT is on the wire: a re-forked worker's
+                    # first request reaches it behind its flip.
+                    self._reset_dispatch()
             flipped = time.perf_counter()
             if problems:
                 for member in members:
@@ -943,6 +1000,8 @@ class RemoteReplicaSet(TypedServingSurface):
                 )
 
             deadline = flipped + DRAIN_TIMEOUT
+            # The dead workers the fresh ones replaced: reap their processes.
+            self._retire(replaced)
             acks = [member.next_ack(message["refit"], deadline) for member in members]
             loops = [ack["report"] for ack in acks if ack is not None and ack.get("report")]
             if len(loops) < len(members):
@@ -975,6 +1034,8 @@ class RemoteReplicaSet(TypedServingSurface):
             )
             return dict(report)
         finally:
+            # Forks of an abandoned refit never served: retire them.
+            self._retire(fresh)
             self._refit_lock.release()
 
     def _prepare(
@@ -1185,7 +1246,7 @@ class RemoteReplicaSet(TypedServingSurface):
         ``reject`` admission policy) is back-pressure, not a race, and
         propagates.
         """
-        if self.closed:
+        if self._closed:  # one flag, set once under the state lock
             raise ServingError("replica set is closed; no new requests accepted")
         if request.deadline is not None:
             self.admission.check_deadline(request.deadline)
@@ -1194,17 +1255,17 @@ class RemoteReplicaSet(TypedServingSurface):
             if request.tenant is not None:
                 attrs["tenant"] = request.tenant
             request.trace = self.tracer.begin(request.routing_key(), **attrs)
+        key = request.routing_key() if request.kind == "next_step" else None
         for _ in range(self._MAX_DISPATCH_ATTEMPTS):
             # Tenant placement makes this set the isolation boundary: a
             # placed tenant's requests only ever reach its own slots' workers.
             dispatcher = self.dispatcher
             if request.tenant is not None:
                 dispatcher = self._tenant_dispatchers.get(request.tenant, dispatcher)
-            member = dispatcher.pick(request)
-            member.on_dispatch()
+            member = dispatcher.pick(request, key)
             request.replica_index = member.index
             try:
-                member.accept(request)
+                member.accept(request, key)
             except QueueFullError:
                 member.on_dispatch_failed()
                 raise

@@ -15,7 +15,11 @@ of all of them with one registry and **one lock**:
 * :class:`MetricGroup` bundles the instruments of one component so a
   multi-field update (``full_forwards += 1`` *and* ``tokens_full += n``)
   is one lock acquisition, exactly as atomic as the per-component locks it
-  replaces.
+  replaces;
+* :meth:`MetricsRegistry.update` applies one update across the instruments
+  of several components in one lock acquisition (the serving loop's
+  resident answer: its own counters, admission, two histograms and the
+  tenant's latency at once).
 
 The existing public read APIs (``DecodeStats.snapshot()``,
 ``PlanCache.counters()``, ``allocation_stats()``, ``ServingLoop.stats()``)
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import os
 import threading
+from bisect import bisect_left
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -137,11 +142,10 @@ class Histogram:
                 self._observe_locked(float(value))
 
     def _observe_locked(self, value: float) -> None:
-        index = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                index = i
-                break
+        # The first bucket whose bound is >= value; NaN compares false with
+        # every bound, so it goes to the +Inf overflow, never to bucket 0.
+        buckets = self.buckets
+        index = bisect_left(buckets, value) if value == value else len(buckets)
         self._counts[index] += 1
         self._count += 1
         self._sum += value
@@ -236,6 +240,29 @@ class MetricsRegistry:
                 )
 
     # ------------------------------------------------------------------ #
+    # Atomic writes across components
+    # ------------------------------------------------------------------ #
+    def update(
+        self,
+        add: "Iterable[tuple[Counter, object]]" = (),
+        max_: "Iterable[tuple[Gauge, object]]" = (),
+        observe: "Iterable[tuple[Histogram, float]]" = (),
+    ) -> None:
+        """Apply ``(counter, amount)`` increments, ``(gauge, value)`` running
+        maxima and ``(histogram, value)`` observations under ONE lock
+        acquisition — the instruments may belong to several components (a
+        :class:`MetricGroup` record covers one).  A snapshot sees all of it
+        or none of it."""
+        with self._lock:
+            for counter, amount in add:
+                counter._value += amount
+            for gauge, value in max_:
+                if value > gauge._value:
+                    gauge._value = value
+            for histogram, value in observe:
+                histogram._observe_locked(value)
+
+    # ------------------------------------------------------------------ #
     # Atomic reads
     # ------------------------------------------------------------------ #
     def snapshot(self, prefix: "str | None" = None) -> dict:
@@ -328,6 +355,15 @@ class MetricGroup:
             if set_:
                 for name, value in set_.items():
                     self._gauges[name]._value = value
+
+    def counter(self, name: str) -> Counter:
+        """One counter of the group, for a :meth:`MetricsRegistry.update`
+        spanning several components."""
+        return self._counters[name]
+
+    def gauge(self, name: str) -> Gauge:
+        """One gauge of the group (see :meth:`counter`)."""
+        return self._gauges[name]
 
     def value(self, name: str):
         """One field's current value (single locked read)."""

@@ -77,6 +77,7 @@ class Dispatcher:
             ),
             gauges=("sessions_pinned",),
         )
+        self._picks_affinity = self._metrics.counter("picks_affinity")
 
     # ------------------------------------------------------------------ #
     def reset(self, replicas: "Sequence") -> None:
@@ -96,35 +97,40 @@ class Dispatcher:
             self._metrics.record(set_={"sessions_pinned": len(self._affinity)})
 
     # ------------------------------------------------------------------ #
-    def pick(self, request: ServeRequest) -> object:
+    def pick(self, request: ServeRequest, key: "tuple | None" = None) -> object:
         """Choose the replica for one request (raises
         :class:`~repro.utils.exceptions.ServingError` with no healthy
-        replica to route to)."""
-        key = request.routing_key() if request.kind == "next_step" else None
+        replica to route to).  ``key`` is a ``next_step``'s routing key when
+        the caller has built it already; a stateless request has none."""
+        if request.kind != "next_step":
+            key = None
+        elif key is None:
+            key = request.routing_key()
         with self._lock:
+            owner = None
+            if key is not None and key in self._affinity:
+                owner = self._affinity[key]
+                if owner.healthy and owner in self._replicas:
+                    self._affinity.move_to_end(key)
+                    self._picks_affinity.inc()
+                    return owner
             healthy = [replica for replica in self._replicas if replica.healthy]
             if not healthy:
                 raise ServingError(
                     "no healthy replica available to dispatch to "
                     f"({len(self._replicas)} registered)"
                 )
-            if key is not None:
-                owner = self._affinity.get(key)
-                if owner is not None:
-                    if owner.healthy and owner in self._replicas:
-                        self._affinity.move_to_end(key)
-                        self._metrics.record(add={"picks_affinity": 1})
-                        return owner
-                    # The owning replica went unhealthy (failure detector) or
-                    # retired under this session: evict the pin NOW so the
-                    # session re-homes below — and counts as an eviction even
-                    # if the owner later recovers, because the re-homed
-                    # replica replans the context and owns it from here on.
-                    del self._affinity[key]
-                    self._metrics.record(
-                        add={"sessions_evicted": 1},
-                        set_={"sessions_pinned": len(self._affinity)},
-                    )
+            if owner is not None:
+                # The owning replica went unhealthy (failure detector) or
+                # retired under this session: evict the pin NOW so the
+                # session re-homes below — and counts as an eviction even
+                # if the owner later recovers, because the re-homed replica
+                # replans the context and owns it from here on.
+                del self._affinity[key]
+                self._metrics.record(
+                    add={"sessions_evicted": 1},
+                    set_={"sessions_pinned": len(self._affinity)},
+                )
             if any(r.cold() for r in healthy):
                 choice = healthy[self._rr_position % len(healthy)]
                 self._rr_position += 1

@@ -66,6 +66,10 @@ class AdmissionController:
         self._metrics = MetricGroup(
             registry, self.metrics_scope, counters=ADMISSION_COUNTERS
         )
+        #: The ``admitted`` counter, for a caller that counts an admission
+        #: inside a registry update of its own (the serving loop's resident
+        #: answer); :meth:`on_admitted` counts one on its own.
+        self.admitted = self._metrics.counter("admitted")
 
     # ------------------------------------------------------------------ #
     def on_full(self, depth: int) -> None:

@@ -266,6 +266,16 @@ class ServingLoop(TypedServingSurface):
         )
         self._latency_hist = registry.histogram(f"{self.metrics_scope}.latency.latency_ms")
         self._wait_hist = registry.histogram(f"{self.metrics_scope}.latency.wait_ms")
+        self._registry = registry
+        #: What a resident answer counts once: the ``resident`` and
+        #: ``latency.served`` counters and one admission.
+        self._resident_ones = (
+            (self._metrics.counter("resident"), 1),
+            (self._metrics.counter("latency.served"), 1),
+            (self.admission.admitted, 1),
+        )
+        self._latency_sum = self._metrics.counter("latency.latency_sum_s")
+        self._latency_max = self._metrics.gauge("latency.latency_max_s")
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -469,6 +479,13 @@ class ServingLoop(TypedServingSurface):
         resolved on this thread.  The serving record is read once, under
         the lock a refit flips it under, so a step admitted after a flip is
         never answered by the generation it replaced.
+
+        One pass: one step-cache lookup (which counts its hit under the
+        cache's lock) and ONE registry update for everything the answer
+        counts — the loop's counters, the admission, both latency
+        histograms and the tenant's latency.  The lock order is this
+        state lock, then the cache's, then the registry's; the registry
+        lock is never held while a cache lock is taken.
         """
         with self._state_lock:
             if self._closed:
@@ -485,14 +502,15 @@ class ServingLoop(TypedServingSurface):
                 binding = serving.tenants.resolve(request)
                 adapter = binding.adapter
             key = request.routing_key()
-            self._begin_trace(request, key)
+            if self.tracer.enabled:
+                self._begin_trace(request, key)
             started = time.perf_counter()
-            queued = self._pending.get(key, 0)
+            queued = key in self._pending
             if not queued:
                 generation = adapter.serving_generation
                 answer = adapter.serve_resident(request)
             if queued or answer is MISS:
-                self._pending[key] = queued + 1
+                self._pending[key] = self._pending.get(key, 0) + 1
                 request.on_release = lambda: self._forget_pending(key)
                 return False
             if generation is None and serving.adapter is not None:
@@ -505,15 +523,10 @@ class ServingLoop(TypedServingSurface):
                 batch_tag=next(_BATCH_TAGS),
             )
             latency = request.completed_at - started
-            self.admission.on_admitted()
-            self._metrics.record(
-                add={"resident": 1, "latency.served": 1, "latency.latency_sum_s": latency},
-                max_={"latency.latency_max_s": latency},
-            )
-            self._latency_hist.observe(1000.0 * latency)
-            self._wait_hist.observe(0.0)
+            add = self._resident_ones + ((self._latency_sum, latency),)
+            max_ = ((self._latency_max, latency),)
             if binding is not None:
-                binding.observe(
+                tenant_add, tenant_max = binding.latency_terms(
                     served=1,
                     failed=0,
                     wait_sum=0.0,
@@ -521,6 +534,11 @@ class ServingLoop(TypedServingSurface):
                     latency_sum=latency,
                     latency_max=latency,
                 )
+                add += tenant_add
+                max_ += tenant_max
+            self._registry.update(
+                add, max_, ((self._latency_hist, 1000.0 * latency), (self._wait_hist, 0.0))
+            )
         trace = request.trace
         if trace is not None:
             done = request.completed_at

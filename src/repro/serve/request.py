@@ -156,7 +156,7 @@ class ServeRequest:
                 raise ConfigurationError(
                     f"max_length must be positive, got {max_length}"
                 )
-        history = tuple(int(item) for item in history)
+        history = tuple(map(int, history))
         if user_index is not None:
             user_index = int(user_index)
             # The wire encodes "no user" as -1 and decodes every negative as
@@ -172,7 +172,7 @@ class ServeRequest:
             kind=kind,
             history=history,
             objective=int(objective),
-            path_so_far=tuple(int(item) for item in (path_so_far or ())),
+            path_so_far=tuple(map(int, path_so_far or ())),
             user_index=user_index,
             max_length=max_length,
             tenant=None if tenant is None else str(tenant),
@@ -191,7 +191,8 @@ class ServeRequest:
 
     def resolve(self, answer: object) -> None:
         """Complete the future with ``answer`` (stamps are already written)."""
-        self.release()
+        if self.on_release is not None:
+            self.release()
         lift = self.lift
         self.future.set_result(answer if lift is None else lift(self, answer))
 

@@ -146,7 +146,10 @@ class PlannerAdapter(KindAdapter):
 
     @property
     def serving_generation(self) -> "int | None":
-        return getattr(self.planner, "serving_generation", None)
+        try:  # read on every resident answer: no getattr call
+            return self.planner.serving_generation
+        except AttributeError:
+            return None
 
     def model(self):
         return self.planner

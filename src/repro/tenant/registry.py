@@ -57,6 +57,26 @@ class TenantBinding:
             counters=_LATENCY_COUNTERS,
             gauges=_LATENCY_GAUGES,
         )
+        #: the instruments of :meth:`latency_terms`, in their field order
+        self._sums = tuple(self._latency.counter(name) for name in _LATENCY_COUNTERS)
+        self._maxima = tuple(self._latency.gauge(name) for name in _LATENCY_GAUGES)
+
+    def latency_terms(
+        self,
+        served: int,
+        failed: int,
+        wait_sum: float,
+        wait_max: float,
+        latency_sum: float,
+        latency_max: float,
+    ) -> "tuple[tuple, tuple]":
+        """The ``(add, max_)`` terms of one :meth:`observe`, for a caller
+        folding them into a :meth:`~repro.obs.registry.MetricsRegistry.update`
+        of its own (the serving loop's resident answer)."""
+        return (
+            tuple(zip(self._sums, (served, failed, wait_sum, latency_sum))),
+            tuple(zip(self._maxima, (wait_max, latency_max))),
+        )
 
     def observe(
         self,
@@ -68,14 +88,8 @@ class TenantBinding:
         latency_max: float,
     ) -> None:
         """Fold one drained batch's per-tenant latency into the registry."""
-        self._latency.record(
-            add={
-                "served": served,
-                "failed": failed,
-                "wait_sum_s": wait_sum,
-                "latency_sum_s": latency_sum,
-            },
-            max_={"wait_max_s": wait_max, "latency_max_s": latency_max},
+        self._latency.registry.update(
+            *self.latency_terms(served, failed, wait_sum, wait_max, latency_sum, latency_max)
         )
 
     def stats(self) -> dict:

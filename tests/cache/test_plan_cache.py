@@ -79,7 +79,7 @@ class TestPlanCacheLRU:
         cache = PlanCache(2)
         cache.put("a", (1, 2))
         cache.put("b", (3,))
-        assert cache.probe("a", lambda plan: plan[0] == 1) == (1, 2)
+        assert cache.probe("a", (1,)) == (2,)  # what follows the prefix
         assert cache.hits == 1 and cache.misses == 0
         cache.put("c", (4,))  # "a" was refreshed: "b" is the oldest now
         assert "a" in cache and "b" not in cache
@@ -88,8 +88,9 @@ class TestPlanCacheLRU:
         cache = PlanCache(2)
         cache.put("a", (1, 2))
         cache.put("b", (3,))
-        assert cache.probe("a", lambda plan: False) is None
-        assert cache.probe("missing", lambda plan: True) is None
+        assert cache.probe("a", (2,)) is None  # not a prefix of (1, 2)
+        assert cache.probe("a", (1, 2, 3)) is None  # longer than the entry
+        assert cache.probe("missing", ()) is None
         assert cache.hits == 0 and cache.misses == 0
         cache.put("c", (4,))  # the rejected probe left "a" the oldest
         assert "a" not in cache and "b" in cache
@@ -97,7 +98,7 @@ class TestPlanCacheLRU:
     def test_zero_size_probe_and_peek_find_nothing(self):
         cache = PlanCache(0)
         cache.put("a", 1)
-        assert cache.probe("a", lambda plan: True) is None
+        assert cache.probe("a", ()) is None
         assert cache.peek("a") is None
         assert cache.hits == 0 and cache.misses == 0
 
@@ -230,13 +231,13 @@ class TestPlanCacheThreadSafety:
         lookup counts exactly once, whichever thread made it."""
         cache = PlanCache(16)
         for key in range(8):
-            cache.put(key, key)
+            cache.put(key, (key,))
         per_thread = 512
 
         def hammer(thread_id: int) -> None:
             for i in range(per_thread):
                 cache.get(i % 16)  # keys 0..7 hit, 8..15 miss: half and half
-                cache.probe(i % 8, lambda value: True)
+                cache.probe(i % 8, ())
 
         threads = [threading.Thread(target=hammer, args=(t,)) for t in range(4)]
         for thread in threads:

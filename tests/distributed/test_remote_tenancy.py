@@ -14,12 +14,17 @@ real forked workers:
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+
 import pytest
 
 from repro.distributed import RemoteReplicaSet
 from repro.models.markov import MarkovChainRecommender
 from repro.serve.api import NextStepRequest, PlanRequest
 from repro.tenant import TenantRegistry
+from repro.utils.exceptions import ServingError
 
 from tests.distributed.conftest import HEARTBEAT_INTERVAL, MAX_LENGTH
 
@@ -202,3 +207,42 @@ class TestPlacedFleetRefit:
         assert before["irs"].served_generation == 1
         # The tenant counters keep counting across every worker's flip.
         assert stats["tenants"]["irs"]["served"] == stats["tenants"]["zoo"]["served"] == 2
+
+    def test_a_refit_reforks_a_dead_slot_so_its_placed_tenant_serves_again(
+        self, make_factory, make_tenant_factory, remote_contexts
+    ):
+        """A tenant placed only on a slot whose worker died has nowhere to
+        go until the slot has a worker again: the next refit forks one there
+        before it prepares, and the fleet serves that tenant at the new
+        generation from the fresh worker."""
+        history, objective, user = remote_contexts[0]
+        request = NextStepRequest(
+            history=history, objective=objective, user_index=user, tenant="irs"
+        )
+        with RemoteReplicaSet(
+            make_factory(),
+            num_replicas=2,
+            heartbeat_interval=HEARTBEAT_INTERVAL,
+            tenant_factory=make_tenant_factory(),
+            tenant_placement={"irs": [0]},
+        ) as remote_set:
+            before = remote_set.serve(request).result(timeout=30)
+            victim = remote_set.active_replicas()[0]
+            os.kill(victim.worker.pid, signal.SIGKILL)
+            deadline = time.perf_counter() + 30.0
+            while not victim.dead and time.perf_counter() < deadline:
+                time.sleep(0.005)
+            assert victim.dead
+            with pytest.raises(ServingError, match="no healthy replica"):
+                remote_set.serve(request)
+            report = remote_set.refit()
+            after = [remote_set.serve(request).result(timeout=30) for _ in range(3)]
+            stats = remote_set.stats()
+        assert report["num_replicas"] == 2
+        assert before.served_generation == 1
+        assert [response.served_generation for response in after] == [2, 2, 2]
+        assert {response.replica_index for response in after} == {0}
+        assert after[0].answer == before.answer
+        fresh = stats["replicas"][0]
+        assert fresh["pid"] != victim.worker.pid
+        assert (fresh["healthy"], fresh["dead"], fresh["generation"]) == (True, False, 2)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 import sys
@@ -57,6 +58,86 @@ def test_histogram_buckets_and_stats():
     assert snapshot["min"] == 0.5
     assert snapshot["max"] == 50.0
     assert snapshot["mean"] == pytest.approx(55.5 / 3)
+
+
+def _linear_bucket(buckets, value: float) -> int:
+    """The bucket the histogram chose before it bisected: the first bound
+    the value does not exceed, else the +Inf overflow."""
+    for index, bound in enumerate(buckets):
+        if value <= bound:
+            return index
+    return len(buckets)
+
+
+@pytest.mark.parametrize(
+    "buckets", [DEFAULT_BUCKETS_MS, (1.0,), (-2.0, 0.0, 0.5, 3.0), (1.0, 1.0, 2.0)]
+)
+def test_histogram_bisect_picks_the_bucket_the_linear_scan_picked(buckets):
+    """Every bound, either side of it, below the first, above the last,
+    the infinities and NaN (which compares false with every bound, so the
+    scan sent it to the overflow — a bare ``bisect_left`` would say 0)."""
+    ordered = sorted(buckets)
+    values = [ordered[0] - 1.0, ordered[-1] + 1.0, 0.0, -0.0, float("inf"), float("-inf")]
+    for bound in ordered:
+        values += [bound, math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)]
+    values.append(float("nan"))
+    for value in values:
+        registry = MetricsRegistry()
+        histogram = registry.histogram("h", buckets=buckets)
+        histogram.observe(value)
+        counts = histogram.value()["counts"]
+        assert counts.index(1) == _linear_bucket(ordered, value), value
+        assert sum(counts) == 1
+
+
+def test_histogram_nan_lands_in_the_overflow_through_every_entry_point():
+    registry = MetricsRegistry()
+    histogram = registry.histogram("h", buckets=(1.0, 2.0))
+    histogram.observe(float("nan"))
+    histogram.observe_many([float("nan")])
+    registry.update(observe=((histogram, float("nan")),))
+    assert histogram.value()["counts"] == [0, 0, 3]
+
+
+def test_update_applies_every_instrument_in_one_acquisition():
+    """Counters and gauges of two components and a histogram move together:
+    a snapshot sees all of one update or none of it."""
+    registry = MetricsRegistry()
+    first = MetricGroup(registry, "a", counters=("n", "sum"), gauges=("max",))
+    second = MetricGroup(registry, "b", counters=("n",))
+    histogram = registry.histogram("a.ms", buckets=(1.0, 10.0))
+    for value in (0.5, 4.0):
+        registry.update(
+            add=((first.counter("n"), 1), (first.counter("sum"), value), (second.counter("n"), 1)),
+            max_=((first.gauge("max"), value),),
+            observe=((histogram, 1000.0 * value),),
+        )
+    snapshot = registry.snapshot()
+    assert snapshot["counters"] == {"a.n": 2, "a.sum": 4.5, "b.n": 2}
+    assert snapshot["gauges"] == {"a.max": 4.0}
+    assert snapshot["histograms"]["a.ms"]["counts"] == [0, 0, 2]
+    stop = threading.Event()
+    torn = []
+
+    def writer():
+        while not stop.is_set():
+            registry.update(add=((first.counter("n"), 1), (second.counter("n"), 1)))
+
+    def reader():
+        while not stop.is_set():
+            counters = registry.snapshot()["counters"]
+            if counters["a.n"] != counters["b.n"]:
+                torn.append(counters)
+                return
+
+    threads = [threading.Thread(target=writer), threading.Thread(target=reader)]
+    for thread in threads:
+        thread.start()
+    threads[1].join(timeout=0.5)
+    stop.set()
+    for thread in threads:
+        thread.join()
+    assert torn == []
 
 
 def test_histogram_default_buckets_are_sorted():

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.distributed import wire
 from repro.distributed.wire import FrameType
+from repro.serve import ServingLoop
 from repro.serve.api import NextStepRequest
 from repro.serve.request import ServeRequest
 from repro.tenant import TenantRegistry
@@ -558,3 +559,69 @@ class TestTypedResponsesFromTheMirror:
             path += (response.answer,)
         assert list(path) == expected
         assert front_end.stats()["resident"] == len(expected) - 1
+
+
+@process_only
+class TestMirrorLaneCountsLikeTheLoop:
+    """A step answered from the mirror is counted once, in every place the
+    serving loop counts a resident answer — served, resident, admitted, its
+    tenant's served — plus ``parent_answered``, the member's dispatched and
+    completed, and one dispatcher pick."""
+
+    @staticmethod
+    def _script(front_end, contexts) -> list:
+        answers = []
+        for context in contexts[:3]:
+            path = ()
+            while len(path) < MAX_LENGTH:
+                answer = _ask(front_end, context, path).future.result()
+                answers.append(answer)
+                if answer is None:
+                    break
+                path += (answer,)
+        answers.append(_ask(front_end, contexts[0], (contexts[0][1],)).future.result())
+        for context in contexts[:3]:
+            answers.append(_ask(front_end, context).future.result())
+        return answers
+
+    @staticmethod
+    def _counts(stats) -> dict:
+        return {
+            "served": stats["served"],
+            "resident": stats["resident"],
+            "admitted": stats["admission"]["admitted"],
+            "tenants": {name: t["served"] for name, t in stats.get("tenants", {}).items()},
+        }
+
+    @pytest.mark.parametrize("tenants", [False, True], ids=["untenanted", "tenants"])
+    def test_a_scripted_mix_counts_as_on_the_loop(
+        self, fleet, make_factory, replica_contexts, tenants
+    ):
+        planner_factory = make_factory()
+
+        def tenant_factory():
+            registry = TenantRegistry()
+            registry.add("placed", planner_factory())
+            registry.add("roaming", planner_factory())
+            return registry
+
+        kwargs = dict(tenant_factory=tenant_factory) if tenants else {}
+        with ServingLoop(
+            planner_factory(), tenants=tenant_factory() if tenants else None
+        ) as loop:
+            expected_answers = self._script(loop, replica_contexts)
+            expected = self._counts(loop.stats())
+        front_end = fleet(planner_factory, num_replicas=1, **kwargs)
+        answers = self._script(front_end, replica_contexts)
+        stats = front_end.stats()
+        ops = len(answers)
+        assert answers == expected_answers
+        assert self._counts(stats) == expected
+        assert 0 < expected["resident"] < expected["served"] == ops
+        transport = stats["transport"]
+        assert transport["parent_answered"] == expected["resident"]
+        assert transport["requests_sent"] == ops - expected["resident"]
+        (member,) = stats["replicas"]
+        assert member["dispatched"] == member["completed"] == ops
+        assert member["parent_answered"] == expected["resident"]
+        assert sum(stats["dispatch"]["picks"].values()) == ops
