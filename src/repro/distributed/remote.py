@@ -283,10 +283,11 @@ class RemoteReplica:
         worker served that plan at (one worker, one generation: what it
         would stamp itself) — stamped, counted and traced the way the
         serving loop's resident lane does, in one pass: one mirror lookup
-        and one registry update.
+        and one registry update; its future is born resolved.
 
-        On the wire path the pending-table registration happens BEFORE the
-        send so a fast response can never race its own bookkeeping; a send
+        On the wire path the request's future is materialised and its
+        pending-table registration happens BEFORE the send, so a fast
+        response can never race its own bookkeeping; a send
         failure unregisters and raises — the request was never accepted
         anywhere, so no duplicate can exist.
         """
@@ -314,6 +315,9 @@ class RemoteReplica:
                     self._parent_answered[tenant] += 1
             if plan is None:
                 request_id = next(self._request_ids)
+                # Materialised before the reader thread can see the request:
+                # it may resolve the request before this thread reads it.
+                request.future
                 self._pending[request_id] = request
                 if key is not None:
                     self._steps_on_wire[key] = self._steps_on_wire.get(key, 0) + 1

@@ -98,18 +98,17 @@ class ReplicaWorker:
 
     def __init__(self, process, sock: socket.socket, index: int, generation: int) -> None:
         self.process = process
+        #: kept here: a closed ``Process`` no longer answers ``pid``
+        self.pid: "int | None" = process.pid
         self.sock = sock
         self.index = index
         self.generation = generation
         self.send_lock = threading.Lock()
         self.hello: "dict | None" = None
-
-    @property
-    def pid(self) -> "int | None":
-        return self.process.pid
+        self._reaped = False
 
     def alive(self) -> bool:
-        return self.process.is_alive()
+        return not self._reaped and self.process.is_alive()
 
     def close(self) -> None:
         try:
@@ -118,11 +117,19 @@ class ReplicaWorker:
             pass
 
     def join(self, timeout: "float | None" = None) -> None:
+        """Wait for the child to exit; once it has, release the process
+        handle (``Process.close``: the pipe pair its Popen holds)."""
+        if self._reaped:
+            return
         self.process.join(timeout)
+        if self.process.exitcode is not None:
+            self.process.close()
+            self._reaped = True
 
     def kill(self) -> None:
         """SIGKILL the child (the chaos suite's worker-death injector)."""
-        self.process.kill()
+        if not self._reaped:
+            self.process.kill()
 
 
 def spawn_worker(

@@ -241,16 +241,16 @@ class TypedServingSurface:
     """The one ``serve(request) -> Future[Response]`` entrypoint.
 
     Mixed into every serving front-end; requires only the host's
-    ``enqueue(envelope)`` method, so the three transports stay identical
-    from the caller's side.  There is one future per request: the
-    envelope's own, which :meth:`ServeRequest.resolve
+    ``enqueue(envelope)`` method, which returns the envelope's future, so
+    the front-ends stay identical from the caller's side.  There is one
+    future per request: the envelope's own, which :meth:`ServeRequest.resolve
     <repro.serve.request.ServeRequest.resolve>` completes with the lifted
-    :class:`Response` on whichever thread answers.
+    :class:`Response` on whichever thread answers (born resolved when that
+    is the admitting thread).
     """
 
     def serve(self, request: Request) -> "Future[Response]":
         """Admit one typed request; the future resolves to a :class:`Response`."""
         envelope = request.to_envelope()
         envelope.lift = Response.from_envelope
-        self.enqueue(envelope)
-        return envelope.future
+        return self.enqueue(envelope)

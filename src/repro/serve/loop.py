@@ -12,10 +12,15 @@ takes one of two lanes, decided at admission:
   :class:`~repro.tenant.adapters.KindAdapter` capability of the same name),
   stamps the envelope as a micro-batch of one and resolves the future before
   ``enqueue`` returns — no queue, no thread hand-over, no drain window, and
-  never in the same batch as someone else's replan;
+  never in the same batch as someone else's replan.  Nobody has read that
+  future yet, so it is *born resolved*: built finished, with no lock to
+  take and no waiter to notify;
 * **queued** — everything else (a ``next_step`` no resident plan answers,
-  and every ``plan_paths``) enters the loop's one bounded
-  :class:`~repro.serve.queue.RequestQueue`, and its one drain thread
+  and every ``plan_paths``) has its future *materialised* (a plain pending
+  :class:`~concurrent.futures.Future`) before it enters the loop's one
+  bounded :class:`~repro.serve.queue.RequestQueue` — the no-race rule: the
+  drain may answer it before ``enqueue`` returns, and must complete the
+  future the caller then reads — and its one drain thread
   answers everything pending as a single micro-batch through
   :meth:`~repro.core.beam.BeamSearchPlanner.plan_for_requests`.  The
   micro-batch fuses all replanning into lockstep beam calls, so the
@@ -442,6 +447,9 @@ class ServingLoop(TypedServingSurface):
                 if tenants is not None:
                     tenants.resolve(request)
                 self._begin_trace(request, request.routing_key())
+            # Materialised before the queue hands the request to the drain
+            # thread, which may resolve it before this thread reads it.
+            future = request.future
             trace = request.trace
             if trace is not None:
                 admit_start = time.perf_counter()
@@ -457,7 +465,7 @@ class ServingLoop(TypedServingSurface):
             # pending-replan entry here.
             request.release()
             raise
-        return request.future
+        return future
 
     def _begin_trace(self, request: ServeRequest, key: tuple) -> None:
         # Hot-path guard: with tracing disabled this is one attribute check

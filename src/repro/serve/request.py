@@ -23,6 +23,21 @@ complete the future, with a typed :class:`~repro.serve.api.Response` when
 the envelope came from ``serve()`` (:attr:`ServeRequest.lift`) and the raw
 answer otherwise.
 
+A future is built only when a waiter can exist.  :attr:`ServeRequest.future`
+is made on first read: read before the request resolves, it *materialises*
+a plain pending :class:`~concurrent.futures.Future`, which :meth:`resolve`
+/ :meth:`fail` complete as any future is completed.  A request resolved
+before anyone read its future — a step answered on the submitting thread
+from a plan the surface holds, on either front-end — is instead *born
+resolved*: :meth:`resolve` stores a :class:`_Resolved` future, built
+finished with its result, that takes no lock (its condition is made only if
+``concurrent.futures.wait`` / ``as_completed`` or ``repr`` asks for one).
+The no-race rule: a request's future is materialised before any other
+thread can see the request — the serving loop reads it before the queue
+hand-over, the fleet parent before it registers the request for the wire —
+so only the admitting thread ever resolves a request whose future nobody
+has read, and a caller can never hold a future that does not complete.
+
 :meth:`ServeRequest.routing_key` is the ``(history, objective, user)``
 context key the serving loop keeps its pending-replan entries, trace ids
 and tenant assignment by (the last through
@@ -33,7 +48,9 @@ own stable routing-key space for the dispatcher.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import Future
+from concurrent.futures._base import FINISHED, LOGGER
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -44,7 +61,61 @@ __all__ = ["ServeRequest", "REQUEST_KINDS"]
 REQUEST_KINDS = ("next_step", "plan_paths")
 
 
-@dataclass
+class _Resolved(Future):
+    """A :class:`~concurrent.futures.Future` born finished, holding its result.
+
+    What a request answered before anyone read its future resolves to: no
+    ``Future.__init__`` (so no ``Condition`` and no ``RLock``), no
+    ``set_result`` (so no notify), and every read answers from the state it
+    was born in.  ``concurrent.futures.wait`` / ``as_completed`` and
+    ``__repr__`` reach for the condition and the waiter list; those are made
+    on first use (``dict.setdefault``, so two threads asking at once get the
+    same one).  Completing it again raises as on any finished future.
+    """
+
+    _state = FINISHED
+    _exception = None
+
+    def __init__(self, result: object) -> None:
+        self._result = result
+
+    def __getattr__(self, name: str):
+        # Reached only for the attributes __init__ skipped.
+        if name == "_condition":
+            return self.__dict__.setdefault(name, threading.Condition())
+        if name == "_waiters":
+            return self.__dict__.setdefault(name, [])
+        raise AttributeError(name)
+
+    def cancel(self) -> bool:
+        return False
+
+    def cancelled(self) -> bool:
+        return False
+
+    def running(self) -> bool:
+        return False
+
+    def done(self) -> bool:
+        return True
+
+    def result(self, timeout: "float | None" = None) -> object:
+        return self._result
+
+    def exception(self, timeout: "float | None" = None) -> None:
+        return None
+
+    def add_done_callback(self, fn) -> None:
+        # A finished future runs the callback at once, on this thread.
+        try:
+            fn(self)
+        except Exception:
+            LOGGER.exception("exception calling callback for %r", self)
+
+
+# eq=False: an envelope equals only itself — two callers may send requests
+# with the same fields, and each is owed its own answer.
+@dataclass(eq=False)
 class ServeRequest:
     """One queued serving request plus its future and latency timestamps."""
 
@@ -64,7 +135,8 @@ class ServeRequest:
     #: the clock of the process holding the envelope: the process transport
     #: ships the budget left and re-anchors it on the worker's clock.
     deadline: "float | None" = None
-    future: Future = field(default_factory=Future)
+    #: the request's future, once read or resolved (see :attr:`future`)
+    _future: "Future | None" = field(default=None, init=False, repr=False)
     #: ``time.perf_counter()`` at queue admission — stamped by
     #: :meth:`repro.serve.queue.RequestQueue.put` once space exists, NOT at
     #: envelope creation: a producer blocked by back-pressure must not
@@ -182,6 +254,15 @@ class ServeRequest:
     # ------------------------------------------------------------------ #
     # Completion: the only place a serving future is resolved
     # ------------------------------------------------------------------ #
+    @property
+    def future(self) -> Future:
+        """The caller's future: materialised (pending) on a read before the
+        request resolves, born resolved when :meth:`resolve` came first."""
+        future = self._future
+        if future is None:
+            future = self._future = Future()
+        return future
+
     def release(self) -> None:
         """Run :attr:`on_release` (once).  Also what a loop calls when it
         refuses a request it had already counted."""
@@ -190,11 +271,18 @@ class ServeRequest:
             on_release()
 
     def resolve(self, answer: object) -> None:
-        """Complete the future with ``answer`` (stamps are already written)."""
+        """Complete the future with ``answer`` (stamps are already written);
+        a future nobody has read yet is born resolved."""
         if self.on_release is not None:
             self.release()
         lift = self.lift
-        self.future.set_result(answer if lift is None else lift(self, answer))
+        if lift is not None:
+            answer = lift(self, answer)
+        future = self._future
+        if future is None:
+            self._future = _Resolved(answer)
+        else:
+            future.set_result(answer)
 
     def fail(self, exc: BaseException) -> None:
         """Complete the future with ``exc``."""

@@ -22,6 +22,7 @@ process fleet takes ``num_replicas``: ``"process-<n>"`` fixes it.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import threading
 import time
 
@@ -125,6 +126,24 @@ def refit(front_end, planner_factory, tenant_factory=None) -> dict:
     return front_end.refit()
 
 
+def open_fds() -> "int | None":
+    """How many pipes and sockets this process holds — the kinds a fleet
+    opens (``None`` where ``/proc`` does not list them).  Other kinds are
+    left out: a test's :class:`SharedFlag` maps a shared-memory arena the
+    process keeps for its whole life."""
+    try:
+        names = os.listdir("/proc/self/fd")
+    except OSError:
+        return None
+    held = 0
+    for name in names:
+        try:
+            held += os.readlink(f"/proc/self/fd/{name}").startswith(("pipe:", "socket:"))
+        except OSError:  # the descriptor listdir itself used, closed since
+            pass
+    return held
+
+
 def _fleet_threads() -> set:
     """Live threads a fleet owns: drain threads, wire readers, the detector."""
     return {
@@ -141,11 +160,14 @@ def fleet(request):
     re-parametrise it (``indirect``) with ``"process-<n>"`` for a process
     fleet of ``n`` workers; plain ``"process"`` leaves the count to its
     default (``REPRO_REPLICAS`` or 1).  Every fleet built is closed at
-    teardown, after which nothing of it may be left running."""
+    teardown, after which nothing of it may be left running and no file
+    descriptor it opened (a worker's socket, its process handle's pipes)
+    may be left open."""
     transport, _, workers = request.param.partition("-")
     if transport == "process" and not CAN_FORK:
         pytest.skip("the process transport needs the fork start method")
     threads_before = _fleet_threads()
+    fds_before = open_fds()
     built = []
 
     def build(planner_factory, **kwargs):
@@ -166,6 +188,9 @@ def fleet(request):
         front_end.close()
     assert multiprocessing.active_children() == []
     assert _fleet_threads() <= threads_before
+    fds_after = open_fds()
+    if fds_before is not None:
+        assert fds_after <= fds_before, f"{fds_after - fds_before} pipe/socket fd(s) left open"
 
 
 @pytest.fixture()

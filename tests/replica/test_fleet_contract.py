@@ -26,7 +26,7 @@ from repro.serve.api import PlanRequest
 from repro.serve.request import ServeRequest
 from repro.utils.exceptions import DeadlineExceeded, QueueFullError, ServingError
 
-from tests.replica.conftest import SharedFlag, refit
+from tests.replica.conftest import SharedFlag, open_fds, refit
 
 pytestmark = pytest.mark.parametrize("fleet", ["inproc", "process-2", "process"], indirect=True)
 
@@ -214,3 +214,25 @@ class TestFleetRefit:
         else:
             assert front_end.queue.closed
         assert multiprocessing.active_children() == []
+
+
+class TestFleetClose:
+    def test_close_releases_every_pipe_and_socket(self, fleet, make_factory, replica_contexts):
+        """Each worker's socket and its process handle's pipe pair are
+        released by close(), a killed worker's too."""
+        before = open_fds()
+        if before is None:
+            pytest.skip("/proc does not list this process's file descriptors")
+        front_end = fleet(make_factory())
+        for history, objective, user in replica_contexts[:3]:
+            path: tuple = ()
+            for _ in range(2):  # a plan, then a step answered from it
+                step = ServeRequest.create(
+                    "next_step", history, objective, path_so_far=path, user_index=user
+                )
+                answer = front_end.enqueue(step).result(timeout=30)
+                path = path if answer is None else path + (answer,)
+        if fleet.transport == "process":
+            front_end.active_replicas()[0].worker.kill()
+        front_end.close()
+        assert open_fds() <= before

@@ -190,8 +190,8 @@ def test_the_parser_step_builds_every_subcommand():
 
 
 def test_the_contracts_job_runs_the_perf_budgets():
-    """The interpreter and training budgets (``benchmarks/perf``) gate only
-    through CI's contracts job: a step there must run ``pytest -m perf`` over
+    """The interpreter, training and serving budgets (``benchmarks/perf``)
+    gate only through CI's contracts job: a step there must run ``pytest -m perf`` over
     that directory, and every budget module must carry the ``perf`` mark,
     or ``-m perf`` deselects it without a word."""
     contracts = _load(next(p for p in WORKFLOWS if p.name == "ci.yml"))["jobs"]["contracts"]
@@ -209,6 +209,7 @@ def test_the_contracts_job_runs_the_perf_budgets():
     assert {path.name for path in budgets} >= {
         "test_interpreter_budget.py",
         "test_training_budget.py",
+        "test_serving_budget.py",
     }
     for path in budgets:
         assert "pytestmark = pytest.mark.perf" in path.read_text(), path.name
