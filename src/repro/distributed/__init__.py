@@ -3,8 +3,9 @@
 The package is the serving fleet: N worker processes behind one parent
 that dispatches, admits, refits and reports for all of them:
 
-* :mod:`repro.distributed.wire` — length-prefixed binary codec for request/
-  response/heartbeat frames (struct-packed hot path, JSON control plane).
+* :mod:`repro.distributed.wire` — length-prefixed binary frames: request
+  and response batches struct-packed (the hot path), a JSON control plane,
+  and empty heartbeat frames (liveness only).
 * :mod:`repro.distributed.worker` — the forked worker process: a full
   :class:`~repro.serve.loop.ServingLoop` behind an ``AF_UNIX`` socketpair,
   refitted in place through that loop's own ``refit``.

@@ -13,11 +13,12 @@ the parent as a :class:`RemoteReplica`.
 
 What the parent knows of its workers:
 
-* **Heartbeat-fed dispatch** — the
+* **Dispatch by what the parent sees** — the
   :class:`~repro.replica.dispatch.Dispatcher` scores each
-  :class:`RemoteReplica` (``healthy`` / ``cold()`` / ``score()``) from the
-  latest HEARTBEAT frame's EWMA in-flight depth and recent p95, which the
-  worker's :class:`~repro.replica.replica.Replica` keeps.
+  :class:`RemoteReplica` (``healthy`` / ``score()``) by its own pending
+  table: the requests on that worker's wire right now, then the picks it
+  has taken, then its slot.  The count is exact and current; a heartbeat
+  carries nothing but liveness.
 * **A real failure detector** — ``healthy`` is a verdict, not a flag:
   a worker that misses ``heartbeat_misses`` consecutive heartbeat
   intervals (hung, stopped, or livelocked) is *suspected* and leaves the
@@ -128,7 +129,6 @@ from repro.distributed.worker import CAN_FORK, HELLO_TIMEOUT, ReplicaWorker, spa
 from repro.obs.registry import MetricGroup, get_registry
 from repro.obs.trace import NULL_TRACER
 from repro.replica.dispatch import Dispatcher
-from repro.replica.replica import LATENCY_WEIGHT, MIN_WARM_SAMPLES
 from repro.serve.admission import ADMISSION_COUNTERS, AdmissionController
 from repro.serve.api import Response, TypedServingSurface
 from repro.serve.queue import rollup_queue_stats
@@ -149,6 +149,10 @@ STATS_TIMEOUT = 5.0
 #: answer its batch in flight at the flip.
 DRAIN_TIMEOUT = 30.0
 
+#: Seconds a reader that met its worker's EOF waits for the process to exit
+#: (a dead one has; a graceful one is in its last instructions).
+EOF_REAP_TIMEOUT = 1.0
+
 #: Batch tags of steps answered in the parent — process-wide like the
 #: loops' own, from a range no worker's drain reaches (those count up from 1
 #: in each process), so ``(replica_index, batch_tag)`` still names one batch.
@@ -166,12 +170,12 @@ class _PlannerProxy:
 
 class RemoteReplica:
     """Parent-side view of one worker: pending table, plan mirror and
-    heartbeat signals.
+    health.
 
     The member surface :class:`RemoteReplicaSet` drives (``accept`` /
     ``loop_stats`` / ``commit`` / ``begin_retire`` / ``retire`` beside the
     pending table) and the one the :class:`~repro.replica.dispatch.Dispatcher`
-    scores and routes by, fed by HEARTBEAT frames.  ``metrics`` is the
+    scores and routes by (``healthy`` / ``score()``).  ``metrics`` is the
     owning set's transport counter group (``requests_sent`` /
     ``bytes_sent`` are counted where the bytes are written,
     ``parent_answered`` where a step is answered from the mirror) and
@@ -213,7 +217,6 @@ class RemoteReplica:
         self._probation = 0
         self._heartbeats = 0
         self._last_heartbeat_at: "float | None" = None
-        self._hb: "wire.HeartbeatRecord | None" = None
         self._dispatched = 0
         self._completed = 0
         #: Set by the reader on HELLO — and on EOF, so a worker that dies
@@ -238,17 +241,11 @@ class RemoteReplica:
         # interleaving shows a worker healthy that was not.
         return not (self._suspected or self._dead or self._retiring)
 
-    def cold(self) -> bool:
-        with self._lock:
-            hb = self._hb
-        return hb is None or hb.latency_samples < MIN_WARM_SAMPLES
-
-    def score(self) -> float:
-        with self._lock:
-            hb = self._hb
-        if hb is None:
-            return 0.0
-        return hb.ewma_depth + LATENCY_WEIGHT * (hb.p95_ms / 1000.0)
+    def score(self) -> "tuple[int, int, int]":
+        """Requests on this worker's wire, then picks so far, then slot:
+        lowest is least loaded.  Read without the lock, like ``healthy``:
+        a count one request stale misplaces at most that one pick."""
+        return (len(self._pending), self._dispatched, self.index)
 
     def on_dispatch_failed(self) -> None:
         with self._lock:
@@ -542,11 +539,10 @@ class RemoteReplica:
         with self._lock:
             return self._retiring
 
-    def record_heartbeat(self, hb: "wire.HeartbeatRecord", now: float, probation_beats: int) -> bool:
-        """Fold one heartbeat in; True when a suspected worker just
+    def record_heartbeat(self, now: float, probation_beats: int) -> bool:
+        """Count one liveness beat; True when a suspected worker just
         completed probation and rejoins dispatch."""
         with self._lock:
-            self._hb = hb
             self._heartbeats += 1
             self._last_heartbeat_at = now
             if self._suspected and not self._dead:
@@ -597,8 +593,7 @@ class RemoteReplica:
     def stats(self) -> dict:
         age_ms = 1000.0 * self.heartbeat_age(time.perf_counter())
         with self._lock:
-            hb = self._hb
-            snapshot = {
+            return {
                 "index": self.index,
                 "generation": self.generation,
                 "pid": self.worker.pid,
@@ -614,12 +609,6 @@ class RemoteReplica:
                 "heartbeats": self._heartbeats,
                 "last_heartbeat_age_ms": round(age_ms, 3),
             }
-        snapshot["inflight"] = hb.inflight if hb else 0
-        snapshot["ewma_depth"] = round(hb.ewma_depth, 3) if hb else 0.0
-        snapshot["recent_p95_ms"] = round(hb.p95_ms, 3) if hb else 0.0
-        snapshot["latency_samples"] = hb.latency_samples if hb else 0
-        snapshot["queued"] = hb.queued if hb else 0
-        return snapshot
 
 
 class RemoteReplicaSet(TypedServingSurface):
@@ -1100,7 +1089,7 @@ class RemoteReplicaSet(TypedServingSurface):
                 for record in wire.decode_response_batch(payload):
                     self._complete(replica, record)
             elif frame_type == FrameType.HEARTBEAT:
-                self._on_heartbeat(replica, wire.decode_heartbeat(payload))
+                self._on_heartbeat(replica)
             elif frame_type == FrameType.HELLO:
                 replica.on_hello(wire.decode_json(payload))
             elif frame_type == FrameType.STATS_RESPONSE:
@@ -1174,10 +1163,8 @@ class RemoteReplicaSet(TypedServingSurface):
             # request's own path is a prefix: read the answer off it.
             request.resolve(wire.plan_step(record.plan, request.path_so_far))
 
-    def _on_heartbeat(self, replica: RemoteReplica, hb: "wire.HeartbeatRecord") -> None:
-        rejoined = replica.record_heartbeat(
-            hb, time.perf_counter(), self.probation_beats
-        )
+    def _on_heartbeat(self, replica: RemoteReplica) -> None:
+        rejoined = replica.record_heartbeat(time.perf_counter(), self.probation_beats)
         self._metrics.record(
             add={"heartbeats": 1, "rejoined": 1} if rejoined else {"heartbeats": 1}
         )
@@ -1208,6 +1195,10 @@ class RemoteReplicaSet(TypedServingSurface):
         replica.worker.close()
         if pending:
             self._redispatch(pending, reason="eof")
+        # Reap the process (a killed worker is a zombie until joined) and
+        # release its Popen pipes; a worker that shut its socket while still
+        # alive is reaped by its retirement instead.
+        replica.worker.join(timeout=EOF_REAP_TIMEOUT)
 
     # ------------------------------------------------------------------ #
     # Failure detector (heartbeat timeouts; EOF is handled by the readers)

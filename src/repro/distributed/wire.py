@@ -3,12 +3,13 @@
 Every message between a :class:`~repro.distributed.remote.RemoteReplicaSet`
 and its :class:`~repro.distributed.worker.ReplicaWorker` processes is one
 *frame*: a fixed :data:`FRAME_HEADER` (payload length + frame type) followed
-by the payload.  The hot path — request batches, response batches and
-heartbeats — is struct-packed with batched encode/decode so serialization
-cost is a few hundred nanoseconds per request (the e2e probes
-``distributed.encode_us_per_req`` / ``decode_us_per_req``); control frames (hello, stats,
-the refit's prepare / commit exchange) are JSON, where schema flexibility
-matters more than nanoseconds.
+by the payload.  The hot path — request and response batches — is
+struct-packed with batched encode/decode so serialization cost is a few
+hundred nanoseconds per request (the e2e probes
+``distributed.encode_us_per_req`` / ``decode_us_per_req``); control frames
+(hello, stats, the refit's prepare / commit exchange) are JSON, where
+schema flexibility matters more than nanoseconds; a heartbeat is an empty
+frame.
 
 The payloads deliberately carry **durations, never timestamps**:
 ``time.perf_counter()`` values are process-local (each process picks its
@@ -67,15 +68,12 @@ from repro.utils.exceptions import (
 __all__ = [
     "FrameType",
     "ResponseRecord",
-    "HeartbeatRecord",
     "send_frame",
     "recv_frame",
     "encode_request_batch",
     "decode_request_batch",
     "encode_response_batch",
     "decode_response_batch",
-    "encode_heartbeat",
-    "decode_heartbeat",
     "encode_json",
     "decode_json",
     "exception_from_record",
@@ -89,7 +87,7 @@ class FrameType:
     HELLO = 1  # worker -> parent: JSON identity/capabilities after startup
     REQUEST_BATCH = 2  # parent -> worker: struct-packed request envelopes
     RESPONSE_BATCH = 3  # worker -> parent: struct-packed answers/errors
-    HEARTBEAT = 4  # worker -> parent: struct-packed load signals
+    HEARTBEAT = 4  # worker -> parent: empty payload, a liveness beat
     STATS_REQUEST = 5  # parent -> worker: empty payload
     STATS_RESPONSE = 6  # worker -> parent: JSON ServingLoop/replica stats
     REFIT = 7  # parent -> worker: JSON prepare / commit / abort of one refit
@@ -145,10 +143,6 @@ _ANSWER_NONE = 0
 _ANSWER_INT = 1
 _ANSWER_PATH = 2
 _ANSWER_PLAN = 3
-
-# Heartbeat: index(i) seq(Q) generation(q) inflight(q) dispatched(q)
-# completed(q) queued(q) latency_samples(I) ewma_depth(d) p95_ms(d)
-_HEARTBEAT = struct.Struct("!iQqqqqqIdd")
 
 _COUNT = struct.Struct("!I")
 
@@ -208,27 +202,6 @@ class ResponseRecord:
         self.service_s = service_s
         self.error_name = error_name
         self.error_message = error_message
-
-
-class HeartbeatRecord:
-    """One decoded worker heartbeat (the dispatcher's remote load signals)."""
-
-    __slots__ = (
-        "index",
-        "seq",
-        "generation",
-        "inflight",
-        "dispatched",
-        "completed",
-        "queued",
-        "latency_samples",
-        "ewma_depth",
-        "p95_ms",
-    )
-
-    def __init__(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            setattr(self, name, value)
 
 
 # --------------------------------------------------------------------- #
@@ -491,39 +464,6 @@ def exception_from_record(record: ResponseRecord) -> Exception:
     return ServingError(
         f"remote worker error ({record.error_name}): {record.error_message}"
     )
-
-
-# --------------------------------------------------------------------- #
-# Heartbeats (worker -> parent)
-# --------------------------------------------------------------------- #
-def encode_heartbeat(
-    index: int,
-    seq: int,
-    generation: int,
-    inflight: int,
-    dispatched: int,
-    completed: int,
-    queued: int,
-    latency_samples: int,
-    ewma_depth: float,
-    p95_ms: float,
-) -> bytes:
-    return _HEARTBEAT.pack(
-        index,
-        seq,
-        generation,
-        inflight,
-        dispatched,
-        completed,
-        queued,
-        latency_samples,
-        ewma_depth,
-        p95_ms,
-    )
-
-
-def decode_heartbeat(payload: bytes) -> HeartbeatRecord:
-    return HeartbeatRecord(*_HEARTBEAT.unpack(payload))
 
 
 # --------------------------------------------------------------------- #

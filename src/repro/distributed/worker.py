@@ -3,12 +3,11 @@
 A :class:`ReplicaWorker` is the parent-side handle of one forked child
 process.  The child (:func:`worker_main`) runs a complete single-replica
 serving stack — the generation-pinned planner with its own GIL, plan
-caches and arena-backed K/V caches, a full
+caches and arena-backed K/V caches, and a full
 :class:`~repro.serve.loop.ServingLoop` (its queue, admission scope
-``worker-<index>``, optional tracing) and a
-:class:`~repro.replica.replica.Replica` for load accounting — and speaks
-the :mod:`repro.distributed.wire` protocol over an ``AF_UNIX``
-``socketpair`` created before the fork.
+``worker-<index>``, optional tracing) — and speaks the
+:mod:`repro.distributed.wire` protocol over an ``AF_UNIX`` ``socketpair``
+created before the fork.
 
 Thread layout inside the child:
 
@@ -29,9 +28,9 @@ Thread layout inside the child:
   :mod:`repro.distributed.remote`); a record that cannot be built ships as
   an error, never as silence.  Refit acks ride the same outbox, so the ack
   of a commit leaves after every answer the old generation gave.
-* **heartbeat** — ships the replica's load signals (EWMA in-flight depth,
-  recent p95, queue depth) every ``heartbeat_interval`` seconds; the
-  parent's dispatcher scores workers from these instead of shared memory.
+* **heartbeat** — ships an empty HEARTBEAT frame every
+  ``heartbeat_interval`` seconds: a liveness beat for the parent's failure
+  detector, nothing more (the parent routes by its own pending tables).
 * **refit** (one per refit, while it runs) — the loop's own
   :meth:`~repro.serve.loop.ServingLoop.refit` over the ``planner_factory``
   and ``tenant_factory`` the worker inherited at fork.  A REFIT ``prepare``
@@ -75,7 +74,6 @@ from repro.distributed import wire
 from repro.distributed.artifacts import artifacts_from_planner
 from repro.distributed.wire import FrameType, ResponseRecord
 from repro.obs.registry import MetricsRegistry, set_registry
-from repro.replica.replica import Replica
 from repro.serve.loop import ServingLoop, pin_serving_generation
 from repro.serve.request import ServeRequest
 from repro.tenant.adapters import PlannerAdapter
@@ -106,9 +104,13 @@ class ReplicaWorker:
         self.send_lock = threading.Lock()
         self.hello: "dict | None" = None
         self._reaped = False
+        #: Serialises join / alive / kill: the reader that met the worker's
+        #: EOF and a retiring thread may both join it.
+        self._lock = threading.Lock()
 
     def alive(self) -> bool:
-        return not self._reaped and self.process.is_alive()
+        with self._lock:
+            return not self._reaped and self.process.is_alive()
 
     def close(self) -> None:
         try:
@@ -118,18 +120,21 @@ class ReplicaWorker:
 
     def join(self, timeout: "float | None" = None) -> None:
         """Wait for the child to exit; once it has, release the process
-        handle (``Process.close``: the pipe pair its Popen holds)."""
-        if self._reaped:
-            return
-        self.process.join(timeout)
-        if self.process.exitcode is not None:
-            self.process.close()
-            self._reaped = True
+        handle (``Process.close``: the pipe pair its Popen holds).  Safe
+        from several threads; a reaped handle returns at once."""
+        with self._lock:
+            if self._reaped:
+                return
+            self.process.join(timeout)
+            if self.process.exitcode is not None:
+                self.process.close()
+                self._reaped = True
 
     def kill(self) -> None:
         """SIGKILL the child (the chaos suite's worker-death injector)."""
-        if not self._reaped:
-            self.process.kill()
+        with self._lock:
+            if not self._reaped:
+                self.process.kill()
 
 
 def spawn_worker(
@@ -199,7 +204,7 @@ def worker_main(sock, parent_sock, planner, index: int, *worker_args) -> None:
 
 
 class _Worker:
-    """Child-process state: loop + replica + reader/writer/heartbeat threads."""
+    """Child-process state: loop + reader/writer/heartbeat threads."""
 
     def __init__(
         self,
@@ -240,11 +245,9 @@ class _Worker:
         self.loop = ServingLoop(
             planner, admission_scope=f"worker-{index}", tenants=tenants, **loop_kwargs
         )
-        self.replica = Replica(index, self.loop, generation)
         self.send_lock = threading.Lock()
         self.outbox: "queue.SimpleQueue" = queue.SimpleQueue()
         self._stop = threading.Event()
-        self._heartbeat_seq = 0
         #: The refit in progress: its thread, the gate it waits at (one
         #: ``"commit"`` / ``"abort"`` verdict) and the loop's report.
         self._refitter: "threading.Thread | None" = None
@@ -333,7 +336,6 @@ class _Worker:
 
     def _handle_requests(self, payload: bytes) -> None:
         for request_id, request in wire.decode_request_batch(payload):
-            self.replica.on_dispatch()
             request.replica_index = self.index
             request.future.add_done_callback(
                 lambda future, rid=request_id, req=request: self._on_done(rid, req)
@@ -369,7 +371,6 @@ class _Worker:
         self.outbox.put(record)
 
     def _record(self, request_id: int, request: ServeRequest) -> ResponseRecord:
-        self.replica.on_complete(request)
         exc = request.future.exception()
         if exc is not None:
             return ResponseRecord(
@@ -459,26 +460,8 @@ class _Worker:
 
     def _heartbeat(self) -> None:
         while not self._stop.wait(self.heartbeat_interval):
-            stats = self.replica.stats()
-            self._heartbeat_seq += 1
             try:
-                wire.send_frame(
-                    self.sock,
-                    FrameType.HEARTBEAT,
-                    wire.encode_heartbeat(
-                        self.index,
-                        self._heartbeat_seq,
-                        self.generation,
-                        stats["inflight"],
-                        stats["dispatched"],
-                        stats["completed"],
-                        stats["queued"],
-                        stats["latency_samples"],
-                        stats["ewma_depth"],
-                        stats["recent_p95_ms"],
-                    ),
-                    lock=self.send_lock,
-                )
+                wire.send_frame(self.sock, FrameType.HEARTBEAT, b"", lock=self.send_lock)
             except OSError:
                 return
 
@@ -488,7 +471,6 @@ class _Worker:
             "index": self.index,
             "generation": self.generation,
             "loop": self.loop.stats(),
-            "replica": self.replica.stats(),
         }
 
     # ------------------------------------------------------------------ #
@@ -545,7 +527,7 @@ class _Worker:
             # (after an abort nobody waits for it: the parent skips it)
             self._ack(message, "failed", error=f"{type(exc).__name__}: {exc}")
             return
-        self.generation = self.replica.generation = generation
+        self.generation = generation
 
     def _ack(self, message: dict, verb: str, **fields) -> None:
         """Queue one REFIT_ACK behind every answer already in the outbox."""

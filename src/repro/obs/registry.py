@@ -83,7 +83,7 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value (queue depth, EWMA load, in-flight count)."""
+    """A point-in-time value (queue depth, in-flight count)."""
 
     __slots__ = ("name", "_lock", "_value")
 

@@ -1,11 +1,11 @@
-"""Tail-latency-aware request routing across serving replicas.
+"""Request routing across the fleet's workers.
 
 The :class:`Dispatcher` answers one question per request: *which healthy
 replica takes it* — routing **around** a busy replica instead of queueing
 behind it.  A replica is anything with an ``index``, a ``healthy`` flag and
-``cold()`` / ``score()`` (in practice a worker's
-:class:`~repro.distributed.remote.RemoteReplica`, scored from its
-heartbeats).  Three rules, in order:
+a ``score()`` (in practice a worker's
+:class:`~repro.distributed.remote.RemoteReplica`, scored from what the
+parent itself sees of it).  Two rules, in order:
 
 1. **Session affinity** — a ``next_step`` request whose serving context
    (``(history, objective, user)`` routing key) was seen before goes back
@@ -15,12 +15,11 @@ heartbeats).  Three rules, in order:
    request sequence a context observes is the sequential one.  Stateless
    ``plan_paths`` requests carry no session and are always load-balanced.
 2. **Least-loaded** — new sessions and stateless requests go to the
-   replica with the lowest score (EWMA of in-flight depth plus recent p95
-   drain latency, see
-   :meth:`~repro.distributed.remote.RemoteReplica.score`).
-3. **Round-robin when cold** — until every healthy replica has enough
-   latency samples to score meaningfully, assignment rotates, spreading
-   the warm-up load evenly instead of dog-piling replica 0.
+   healthy replica with the lowest score: its requests on the wire now,
+   then the picks it has taken so far, then its slot (see
+   :meth:`~repro.distributed.remote.RemoteReplica.score`).  At zero load
+   the second term rotates picks evenly; a replica with a backlog loses
+   new sessions from the first pick.
 
 A generation flip (:meth:`RemoteReplicaSet.refit
 <repro.distributed.remote.RemoteReplicaSet.refit>`) calls
@@ -62,7 +61,6 @@ class Dispatcher:
         self._lock = threading.Lock()
         self._replicas: "list" = list(replicas)
         self._affinity: "OrderedDict[tuple, object]" = OrderedDict()
-        self._rr_position = 0
         # Routing-decision counters: registry-backed so `repro-irs metrics`
         # and stats() read the same atomic snapshot.
         registry = get_registry()
@@ -72,7 +70,6 @@ class Dispatcher:
             counters=(
                 "picks_affinity",
                 "picks_least_loaded",
-                "picks_round_robin",
                 "sessions_evicted",
             ),
             gauges=("sessions_pinned",),
@@ -131,13 +128,8 @@ class Dispatcher:
                     add={"sessions_evicted": 1},
                     set_={"sessions_pinned": len(self._affinity)},
                 )
-            if any(r.cold() for r in healthy):
-                choice = healthy[self._rr_position % len(healthy)]
-                self._rr_position += 1
-                self._metrics.record(add={"picks_round_robin": 1})
-            else:
-                choice = min(healthy, key=lambda r: (r.score(), r.index))
-                self._metrics.record(add={"picks_least_loaded": 1})
+            choice = min(healthy, key=lambda replica: replica.score())
+            self._metrics.record(add={"picks_least_loaded": 1})
             if key is not None:
                 self._affinity[key] = choice
                 self._affinity.move_to_end(key)
@@ -162,6 +154,5 @@ class Dispatcher:
                 "picks": {
                     "affinity": counts["picks_affinity"],
                     "least_loaded": counts["picks_least_loaded"],
-                    "round_robin": counts["picks_round_robin"],
                 },
             }

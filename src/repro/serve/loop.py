@@ -778,9 +778,8 @@ class ServingLoop(TypedServingSurface):
         return sum(slots.values())
 
     def current_depth(self) -> int:
-        """Requests queued right now (a point-in-time load signal; the
-        replica dispatcher's EWMA feeds on the in-flight count, which
-        additionally covers batches mid-plan)."""
+        """Requests queued right now (a point-in-time load signal; batches
+        mid-plan are not counted)."""
         return len(self.queue)
 
     def stats(self) -> dict:

@@ -9,14 +9,18 @@ only after its probation beats.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
+import socket
+import sys
+import threading
 import time
 
 import pytest
 
 from repro.config import resolve_heartbeat_misses
-from repro.distributed import RemoteReplicaSet
+from repro.distributed import RemoteReplicaSet, ReplicaWorker
 from repro.serve.request import ServeRequest
 
 from tests.distributed.conftest import HEARTBEAT_INTERVAL
@@ -33,6 +37,16 @@ def _wait(predicate, timeout=DETECT_TIMEOUT, poll=0.005):
             return True
         time.sleep(poll)
     return predicate()
+
+
+def _process_state(pid: int) -> "str | None":
+    """The state letter ``/proc/<pid>/stat`` shows (``Z``: a zombie), or
+    ``None`` once no such process exists."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return None
 
 
 class TestWorkerKill:
@@ -73,6 +87,64 @@ class TestWorkerKill:
         # re-dispatched, and any duplicate late answers were discarded.
         assert transport["redispatched"] + transport["duplicate_responses"] >= 0
         assert transport["responses"] >= len(futures)
+
+    def test_a_killed_worker_is_reaped_before_close(self, make_factory, remote_contexts):
+        """The reader that meets a dead worker's EOF joins its process: no
+        zombie waits for ``close()`` (or a refit) to be reaped."""
+        with RemoteReplicaSet(
+            make_factory(), num_replicas=2, heartbeat_interval=HEARTBEAT_INTERVAL
+        ) as remote_set:
+            victim = remote_set.active_replicas()[0]
+            pid = victim.worker.pid
+            if _process_state(pid) is None:
+                pytest.skip("/proc does not list this platform's processes")
+            os.kill(pid, signal.SIGKILL)
+            assert _wait(lambda: victim.dead)
+            history, objective, user = remote_contexts[0]
+            for _ in range(4):
+                assert (
+                    remote_set.enqueue(
+                        ServeRequest.create("plan_paths", history, objective, user_index=user)
+                    ).result(timeout=30)
+                    is not None
+                )
+            assert _wait(lambda: _process_state(pid) != "Z", timeout=5.0), (
+                f"worker pid {pid} is still a zombie"
+            )
+
+    def test_concurrent_joins_reap_a_killed_worker_once(self):
+        """The reader that met a worker's EOF and a retiring thread may join
+        one handle at once: neither raises, and the process is released."""
+        process = multiprocessing.get_context("fork").Process(target=time.sleep, args=(60,))
+        process.start()
+        parent_sock, child_sock = socket.socketpair()
+        child_sock.close()
+        handle = ReplicaWorker(process, parent_sock, index=0, generation=1)
+        errors = []
+
+        def join():
+            try:
+                handle.join(timeout=5.0)
+                handle.alive()
+            except Exception as exc:  # noqa: BLE001 - collected for the assert
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            handle.kill()
+            joiners = [threading.Thread(target=join) for _ in range(8)]
+            for joiner in joiners:
+                joiner.start()
+            for joiner in joiners:
+                joiner.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+            handle.close()
+        assert not any(joiner.is_alive() for joiner in joiners)
+        assert errors == []
+        assert not handle.alive()
+        assert _process_state(handle.pid) is None
 
     def test_killed_worker_never_rejoins(self, make_factory, remote_contexts):
         with RemoteReplicaSet(

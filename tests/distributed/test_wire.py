@@ -257,31 +257,18 @@ class TestResponseCodec:
         assert "KeyError" in str(rebuilt)
 
 
-class TestHeartbeatCodec:
-    def test_roundtrip(self):
-        hb = wire.encode_heartbeat(
-            index=3,
-            seq=42,
-            generation=2,
-            inflight=5,
-            dispatched=100,
-            completed=95,
-            queued=4,
-            latency_samples=64,
-            ewma_depth=1.5,
-            p95_ms=12.25,
-        )
-        decoded = wire.decode_heartbeat(hb)
-        assert decoded.index == 3
-        assert decoded.seq == 42
-        assert decoded.generation == 2
-        assert not hasattr(decoded, "healthy")  # liveness is the parent's verdict
-        assert decoded.inflight == 5
-        assert (decoded.dispatched, decoded.completed) == (100, 95)
-        assert decoded.queued == 4
-        assert decoded.latency_samples == 64
-        assert decoded.ewma_depth == pytest.approx(1.5)
-        assert decoded.p95_ms == pytest.approx(12.25)
+class TestHeartbeatFrame:
+    def test_a_heartbeat_frame_has_an_empty_payload(self):
+        """A heartbeat is a liveness beat and nothing more: the parent
+        routes by its own pending tables, not by what a worker reports."""
+        a, b = socket.socketpair()
+        try:
+            sent = wire.send_frame(a, FrameType.HEARTBEAT)
+            assert sent == wire.FRAME_HEADER.size
+            assert wire.recv_frame(b) == (FrameType.HEARTBEAT, b"")
+        finally:
+            a.close()
+            b.close()
 
 
 class TestFraming:

@@ -1,13 +1,12 @@
-"""Unit tests of the tail-latency-aware dispatcher and worker load tracking.
+"""Unit tests of the dispatcher.
 
 These drive :class:`~repro.replica.dispatch.Dispatcher` over stub members —
-``index``, ``healthy``, ``cold()`` and ``score()``, the surface a worker's
-:class:`~repro.distributed.remote.RemoteReplica` offers it, scored the way
-that handle scores a heartbeat — with no planners, no threads and no
-processes, so the routing rules (cold round-robin, warm least-loaded,
-session affinity, health filtering) are asserted deterministically; and
-:class:`~repro.replica.replica.Replica`, the accounting a worker's
-heartbeats report, through its public API.
+``index``, ``healthy`` and ``score()`` over ``pending`` / ``dispatched``,
+the surface a worker's :class:`~repro.distributed.remote.RemoteReplica`
+offers it, scored the way that handle scores itself — with no planners, no
+threads and no processes, so the routing rules (least-loaded with an even
+rotation at zero load, session affinity, health filtering) are asserted
+deterministically.
 """
 
 from __future__ import annotations
@@ -15,36 +14,33 @@ from __future__ import annotations
 import pytest
 
 from repro.replica.dispatch import Dispatcher
-from repro.replica.replica import LATENCY_WEIGHT, MIN_WARM_SAMPLES, Replica
 from repro.serve.request import ServeRequest
 from repro.utils.exceptions import ServingError
 
 
 class _Member:
-    """A dispatch member with set load signals (cold until warmed)."""
+    """A dispatch member with set load: requests on its wire (``pending``)
+    and picks taken so far (``dispatched``)."""
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.healthy = True
-        self.latency_samples = 0
-        self.ewma_depth = 0.0
-        self.p95_ms = 0.0
+        self.pending = 0
+        self.dispatched = 0
 
-    def cold(self) -> bool:
-        return self.latency_samples < MIN_WARM_SAMPLES
-
-    def score(self) -> float:
-        return self.ewma_depth + LATENCY_WEIGHT * (self.p95_ms / 1000.0)
+    def score(self) -> tuple:
+        return (self.pending, self.dispatched, self.index)
 
 
 def make_replica(index: int) -> _Member:
     return _Member(index)
 
 
-def warm_up(member: _Member, latency_s: float) -> None:
-    """Give ``member`` enough latency samples at ``latency_s`` to be scored."""
-    member.latency_samples = MIN_WARM_SAMPLES
-    member.p95_ms = 1000.0 * latency_s
+def pick(dispatcher: Dispatcher, request: ServeRequest) -> _Member:
+    """One pick, accepted the way a worker's handle accepts it."""
+    member = dispatcher.pick(request)
+    member.dispatched += 1
+    return member
 
 
 def next_step_request(history=(1, 2), objective=3) -> ServeRequest:
@@ -55,77 +51,44 @@ def plan_request(history=(1, 2), objective=3) -> ServeRequest:
     return ServeRequest.create("plan_paths", history, objective)
 
 
-class TestColdStart:
-    def test_cold_replicas_round_robin(self):
+class TestZeroLoad:
+    def test_idle_replicas_rotate_evenly(self):
         replicas = [make_replica(i) for i in range(3)]
         dispatcher = Dispatcher(replicas)
-        # Stateless requests rotate strictly while every replica is cold.
-        picks = [dispatcher.pick(plan_request()).index for _ in range(6)]
+        # With nothing on any wire, the fewest picks so far wins: a rotation.
+        picks = [pick(dispatcher, plan_request()).index for _ in range(6)]
         assert picks == [0, 1, 2, 0, 1, 2]
-        assert dispatcher.stats()["picks"]["round_robin"] == 6
-        assert dispatcher.stats()["picks"]["least_loaded"] == 0
+        assert dispatcher.stats()["picks"] == {"affinity": 0, "least_loaded": 6}
 
-    def test_one_cold_replica_keeps_the_rotation(self):
+    def test_a_replica_that_joins_late_catches_up_first(self):
         replicas = [make_replica(i) for i in range(2)]
-        warm_up(replicas[0], latency_s=0.005)
+        replicas[0].dispatched = 3
         dispatcher = Dispatcher(replicas)
-        assert [dispatcher.pick(plan_request()).index for _ in range(4)] == [0, 1, 0, 1]
+        assert [pick(dispatcher, plan_request()).index for _ in range(4)] == [1, 1, 1, 0]
 
 
 class TestLeastLoaded:
     def test_routes_around_the_deep_replica(self):
-        """A replica carrying a backlog loses to an idle one."""
+        """A replica carrying a backlog loses to an idle one from the very
+        first pick, however few picks either has taken."""
         busy, idle = make_replica(0), make_replica(1)
-        warm_up(busy, latency_s=0.005)
-        warm_up(idle, latency_s=0.005)
-        busy.ewma_depth = 10.0  # a backlog: dispatched, never completed
+        busy.pending = 1  # a request on its wire, not answered yet
+        idle.dispatched = 50
         dispatcher = Dispatcher([busy, idle])
-        assert dispatcher.pick(plan_request()).index == 1
-        assert dispatcher.stats()["picks"]["least_loaded"] == 1
+        assert [pick(dispatcher, plan_request()).index for _ in range(3)] == [1, 1, 1]
+        assert dispatcher.stats()["picks"]["least_loaded"] == 3
 
-    def test_routes_around_the_slow_replica(self):
-        """At equal depth, the replica with the worse recent p95 loses."""
-        slow, fast = make_replica(0), make_replica(1)
-        warm_up(slow, latency_s=0.5)
-        warm_up(fast, latency_s=0.005)
-        dispatcher = Dispatcher([slow, fast])
-        assert dispatcher.pick(plan_request()).index == 1
+    def test_pending_outranks_picks_so_far(self):
+        replicas = [make_replica(i) for i in range(3)]
+        replicas[0].pending, replicas[1].pending, replicas[2].pending = 2, 1, 1
+        replicas[1].dispatched = 4
+        assert Dispatcher(replicas).pick(plan_request()).index == 2
 
     def test_ties_go_to_the_lower_index(self):
         replicas = [make_replica(i) for i in (2, 0, 1)]
         for replica in replicas:
-            warm_up(replica, latency_s=0.005)
+            replica.pending, replica.dispatched = 1, 7
         assert Dispatcher(replicas).pick(plan_request()).index == 0
-
-
-class _StubLoop:
-    def current_depth(self) -> int:
-        return 3
-
-
-class TestWorkerLoad:
-    """What a worker's heartbeats report, from its :class:`Replica`."""
-
-    def test_dispatch_and_completion_move_inflight_and_the_window(self):
-        replica = Replica(4, loop=_StubLoop(), generation=2)
-        requests = [ServeRequest.create("next_step", [1], 2) for _ in range(MIN_WARM_SAMPLES)]
-        for request in requests:
-            replica.on_dispatch()
-        assert replica.stats()["inflight"] == MIN_WARM_SAMPLES
-        for offset, request in enumerate(requests):
-            request.enqueued_at = 100.0
-            request.completed_at = 100.0 + 0.001 * (offset + 1)
-            replica.on_complete(request)
-        stats = replica.stats()
-        assert (stats["index"], stats["generation"], stats["queued"]) == (4, 2, 3)
-        assert (stats["inflight"], stats["dispatched"], stats["completed"]) == (
-            0,
-            MIN_WARM_SAMPLES,
-            MIN_WARM_SAMPLES,
-        )
-        assert stats["latency_samples"] == MIN_WARM_SAMPLES
-        assert stats["recent_p95_ms"] == pytest.approx(1.0 * MIN_WARM_SAMPLES)
-        assert 0.0 < stats["ewma_depth"] < MIN_WARM_SAMPLES
 
 
 class TestAffinity:
@@ -142,7 +105,7 @@ class TestAffinity:
     def test_plan_paths_requests_are_not_pinned(self):
         replicas = [make_replica(i) for i in range(2)]
         dispatcher = Dispatcher(replicas)
-        picks = {dispatcher.pick(plan_request()).index for _ in range(4)}
+        picks = {pick(dispatcher, plan_request()).index for _ in range(4)}
         assert picks == {0, 1}
         assert dispatcher.stats()["sessions_pinned"] == 0
 
@@ -228,11 +191,12 @@ class TestHealth:
         replicas = [make_replica(i) for i in range(3)]
         replicas[0].healthy = False
         dispatcher = Dispatcher(replicas)
-        picks = {dispatcher.pick(plan_request()).index for _ in range(6)}
-        assert 0 not in picks
+        picks = [pick(dispatcher, plan_request()).index for _ in range(6)]
+        assert picks == [1, 2, 1, 2, 1, 2]
+        # Back in the pool, the least-picked replica takes the next ones.
         replicas[0].healthy = True
-        picks = {dispatcher.pick(plan_request()).index for _ in range(6)}
-        assert 0 in picks
+        picks = [pick(dispatcher, plan_request()).index for _ in range(3)]
+        assert picks == [0, 0, 0]
 
     def test_no_healthy_replica_raises(self):
         replicas = [make_replica(0)]
